@@ -3,7 +3,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// for the full sweep, or use cmd/benchrunner for the paper-style tables.
+// for the full sweep, or cmd/vxmlbench for the same figures as text tables
+// plus a machine-readable report (the fig13_approaches … fig21_elem_size
+// scenarios).
 // One paper data unit (100MB) maps to benchUnit bytes so the sweeps keep
 // their shape at test scale.
 package vxml_test

@@ -182,14 +182,14 @@ func TestCancelDuringSearchReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHit {
+	if stats.PlanSource == "cache_hit" {
 		t.Fatal("post-cancel search reported a cache hit; canceled runs must not populate the cache")
 	}
 	again, stats2, err := db.Search(view, kws, &vxml.Options{Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats2.CacheHit {
+	if stats2.PlanSource != "cache_hit" {
 		t.Fatal("repeat search missed the cache")
 	}
 	testkit.MustEqualResults(t, "post-cancel cached vs fresh", fresh, again)

@@ -2,15 +2,16 @@
 // it drives the internal/benchkit workloads — the paper's figures 13-21
 // plus post-paper scenarios (parallelism sweep, concurrent throughput,
 // mutation mix, cache hit/miss, streaming early break, allocation hot
-// paths) — over synthetic corpora at a chosen scale, and writes a
-// schema-versioned machine-readable report.
+// paths) — over synthetic corpora at a chosen scale, prints each
+// scenario's rows as an aligned text table, and writes a schema-versioned
+// machine-readable report.
 //
 // Usage:
 //
 //	vxmlbench                              # all scenarios, small profile -> BENCH_5.json
 //	vxmlbench -profile tiny -out /tmp/b.json
 //	vxmlbench -scenarios fig13_approaches,cache_hit_miss
-//	vxmlbench -list                        # print the scenario catalog
+//	vxmlbench -list                        # print the scenario catalog and Table 1
 //	vxmlbench -validate BENCH_5.json       # schema-check an existing report
 //
 // The emitted JSON (see internal/benchkit.Report) carries per-scenario
@@ -37,7 +38,7 @@ func main() {
 	scenarios := flag.String("scenarios", "all", "comma-separated scenario names, or 'all'")
 	seed := flag.Int64("seed", 42, "data generation seed")
 	budget := flag.Duration("budget", 0, "override the per-point measurement budget (0 = profile default)")
-	list := flag.Bool("list", false, "print the scenario catalog and exit")
+	list := flag.Bool("list", false, "print the scenario catalog and Table 1, then exit")
 	validate := flag.String("validate", "", "validate an existing report file and exit")
 	flag.Parse()
 
@@ -50,6 +51,7 @@ func main() {
 			}
 			fmt.Printf("%-24s %-6s %s\n", def.Name, fig, def.Description)
 		}
+		fmt.Printf("\n%s", benchkit.ParamsTable().Render())
 		return
 	}
 	if *validate != "" {
@@ -92,7 +94,7 @@ func main() {
 	}
 	fmt.Printf("vxmlbench: %d scenarios -> %s (%.1fs)\n",
 		len(report.Scenarios), *out, time.Since(start).Seconds())
-	for _, s := range report.Scenarios {
-		fmt.Printf("  %-24s %d rows\n", s.Name, len(s.Rows))
+	for i := range report.Scenarios {
+		fmt.Printf("\n%s", report.Scenarios[i].Table().Render())
 	}
 }

@@ -10,7 +10,7 @@
 // with resident-bytes and cache hit counters. Further
 // documents and views arrive over POST /v1/documents and POST /v1/views,
 // and the corpus mutates in place over PUT /v1/documents/{name} (replace)
-// and DELETE /v1/documents/{name} (the unversioned paths are aliases);
+// and DELETE /v1/documents/{name} (every route lives under /v1);
 // -readonly disables all three mutation routes. Every search runs under its
 // request's context — a disconnected or timed-out client cancels the
 // pipeline — and POST /v1/search/stream delivers results as NDJSON lines

@@ -3,6 +3,7 @@ package benchkit
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"vxml/internal/xq"
 )
@@ -132,32 +133,34 @@ func TestParamsTable(t *testing.T) {
 	}
 }
 
-// TestFigureRunnersSmall smoke-tests every figure runner at tiny scale.
+// TestFigureRunnersSmall smoke-tests every figure scenario (fig13_approaches
+// … fig21_elem_size) at tiny scale: each must produce rows, and its text
+// table must carry one line per row.
 func TestFigureRunnersSmall(t *testing.T) {
-	old := Runs
-	Runs = 1
-	defer func() { Runs = old }()
-	base := Default()
-	base.UnitBytes = 8 << 10
-	base.SizeUnits = 1
-
-	if tab, err := Fig13(base, []int{1}); err != nil || len(tab.Rows) != 1 {
-		t.Errorf("Fig13: %v", err)
-	}
-	if tab, err := Fig14(base, []int{1}); err != nil || len(tab.Rows) != 1 {
-		t.Errorf("Fig14: %v", err)
-	}
-	for name, run := range map[string]func(Params) (*Table, error){
-		"Fig15": Fig15, "Fig16": Fig16, "Fig17": Fig17,
-		"Fig18": Fig18, "Fig19": Fig19, "Fig20": Fig20, "Fig21": Fig21,
-	} {
-		tab, err := run(base)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
+	cfg := Config{Profile: Profile{Name: "test", UnitBytes: 8 << 10, Budget: time.Millisecond, CollectionDocs: 4}, Seed: 42}
+	ran := 0
+	for _, def := range ScenarioCatalog() {
+		if def.Figure == "" {
 			continue
 		}
-		if len(tab.Rows) == 0 {
-			t.Errorf("%s: no rows", name)
+		ran++
+		s, err := def.Run(cfg)
+		if err != nil {
+			t.Errorf("%s: %v", def.Name, err)
+			continue
 		}
+		if len(s.Rows) == 0 {
+			t.Errorf("%s: no rows", def.Name)
+		}
+		out := s.Table().Render()
+		if lines := strings.Count(out, "\n"); lines != len(s.Rows)+2 {
+			t.Errorf("%s: table has %d lines for %d rows:\n%s", def.Name, lines, len(s.Rows), out)
+		}
+		if !strings.Contains(out, "pdt_ns") {
+			t.Errorf("%s: table lacks the module breakdown:\n%s", def.Name, out)
+		}
+	}
+	if ran != 9 {
+		t.Errorf("catalog holds %d figure scenarios, want 9 (Figures 13-21)", ran)
 	}
 }

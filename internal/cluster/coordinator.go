@@ -529,11 +529,7 @@ func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID 
 	if cv == nil {
 		return "", "", fmt.Errorf("cluster: %w: %q", vxml.ErrUnknownView, name)
 	}
-	fullKey := catalog.Key(cv.text, keywords,
-		catalog.IntPart(0),
-		catalog.BoolPart(false),
-		catalog.IntPart(int(vxml.Efficient)))
-	if _, ok := c.cache.Probe(fullKey); ok {
+	if vxml.PlannedHit(c.cache, cv.text, keywords) {
 		return catalog.PlanCacheHit, c.cache.IDOf(cv.text), nil
 	}
 	return catalog.PlanDirect, c.cache.IDOf(cv.text), nil

@@ -226,7 +226,7 @@ func TestDistributedByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !warmStats.CacheHit {
+				if warmStats.PlanSource != "cache_hit" {
 					t.Fatal("repeated identical cluster search missed the coordinator cache")
 				}
 				testkit.MustEqualResults(t, "cluster cache hit", cold, warm)
@@ -382,6 +382,20 @@ func TestNodeDownYieldsPartialCluster(t *testing.T) {
 	}
 	if hits := tc.coord.CacheStats().Hits; hits != 0 {
 		t.Fatalf("partial search was served from cache (%d hits)", hits)
+	}
+
+	// The cached paged route degrades like every other: the survivors'
+	// page comes back with the error and the per-member outcomes.
+	if len(got) < 2 {
+		t.Fatalf("only %d surviving results; the paged check needs 2", len(got))
+	}
+	page, pageStats, err := tc.coord.Search(context.Background(), "v", kws, &vxml.Options{Cache: true, Offset: 1, TopK: 2})
+	if !errors.Is(err, vxml.ErrPartialCluster) {
+		t.Fatalf("cached page over dead slot: %v, want ErrPartialCluster", err)
+	}
+	testkit.MustEqualResults(t, "cached page over dead slot", got[1:min(3, len(got))], page)
+	if pageStats == nil || len(pageStats.Nodes) == 0 {
+		t.Fatalf("cached page over dead slot lost its stats: %+v", pageStats)
 	}
 }
 

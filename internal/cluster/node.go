@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"time"
 
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
@@ -438,22 +437,5 @@ func toWireStats(cs *core.Stats) wireNodeStats {
 		Workers:        cs.Workers,
 		Candidates:     cs.Candidates,
 		ShardsSearched: cs.ShardsSearched,
-	}
-}
-
-// fromWireStats maps node-reported stats back into core form (time fields
-// at microsecond resolution).
-func fromWireStats(ws wireNodeStats) core.Stats {
-	return core.Stats{
-		PDTTime:        time.Duration(ws.PDTTimeUS) * time.Microsecond,
-		EvalTime:       time.Duration(ws.EvalTimeUS) * time.Microsecond,
-		PostTime:       time.Duration(ws.PostTimeUS) * time.Microsecond,
-		PDTNodes:       ws.PDTNodes,
-		ViewResults:    ws.ViewSize,
-		Matched:        ws.Matched,
-		SubtreeFetches: ws.BaseData,
-		Workers:        ws.Workers,
-		Candidates:     ws.Candidates,
-		ShardsSearched: ws.ShardsSearched,
 	}
 }

@@ -52,6 +52,12 @@
 // outdated generation vector (retry the whole search).
 package cluster
 
+import (
+	"time"
+
+	"vxml"
+)
+
 // Schema identifies the node RPC protocol version; every request and
 // response carries it and nodes reject mismatches.
 const Schema = "vxmlcluster/1"
@@ -147,6 +153,24 @@ type wireNodeStats struct {
 	Workers        int   `json:"workers"`
 	Candidates     int   `json:"candidates"`
 	ShardsSearched int   `json:"shards_searched"`
+}
+
+// addTo folds one node's reported cost breakdown into a search's stats —
+// the one wire → vxml.Stats conversion, shared by the scatter merge (one
+// call per answering slot) and the single-node route (one call into a zero
+// Stats). Phase times and counters sum across nodes; Workers reports the
+// widest pool any node ran.
+func (ws wireNodeStats) addTo(st *vxml.Stats) {
+	st.PDTTime += time.Duration(ws.PDTTimeUS) * time.Microsecond
+	st.EvalTime += time.Duration(ws.EvalTimeUS) * time.Microsecond
+	st.PostTime += time.Duration(ws.PostTimeUS) * time.Microsecond
+	st.PDTNodes += ws.PDTNodes
+	st.ViewSize += ws.ViewSize
+	st.Matched += ws.Matched
+	st.BaseData += ws.BaseData
+	st.Workers = max(st.Workers, ws.Workers)
+	st.Candidates += ws.Candidates
+	st.ShardsSearched += ws.ShardsSearched
 }
 
 // rankResponse is a node's scatter-phase reply: integer score statistics

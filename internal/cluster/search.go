@@ -2,10 +2,12 @@ package cluster
 
 // Distributed search: the scatter-gather merge (rank on every node, sum
 // integer statistics, score and select centrally, materialize winners where
-// they live) and the single-node route for views that cannot scatter. Both
-// routes mirror vxml.Database.SearchContext's option normalization, paging
-// and query-result caching exactly, so a coordinator is a drop-in Database
-// for the serving layer — byte-identical results included.
+// they live) and the single-node route for views that cannot scatter.
+// Option normalization, paging and query-result caching are not written
+// here: Search calls vxml.PlannedSearch, the same orchestrator
+// vxml.Database.SearchContext runs, with the retry-on-stale distributed
+// route as its uncached run — so a coordinator is a drop-in Database for
+// the serving layer, byte-identical results included.
 
 import (
 	"context"
@@ -18,30 +20,24 @@ import (
 
 	"vxml"
 	"vxml/internal/catalog"
-	"vxml/internal/core"
 	"vxml/internal/scoring"
 )
 
-// cachedSearch is the coordinator's query-result cache entry — same shape
-// as vxml's: TF maps normalized, stats frozen at compute time.
-type cachedSearch struct {
-	results []vxml.Result
-	stats   vxml.Stats
-}
-
 // Search runs a ranked keyword search over a registered view, distributed
-// across the cluster, with vxml.Database.SearchContext semantics: same
-// option normalization, same Offset/TopK paging, same query-result cache
-// discipline, byte-identical results. When one or more slots are lost
-// mid-search the surviving partitions' results are returned together with
-// an error wrapping vxml.ErrPartialCluster (and per-member outcomes in
-// Stats.Nodes); partial results are never cached.
+// across the cluster, with vxml.Database.SearchContext semantics (it runs
+// the same vxml.PlannedSearch): same option normalization, same
+// Offset/TopK paging, same query-result cache discipline, byte-identical
+// results. When one or more slots are lost mid-search the surviving
+// partitions' results are returned together with an error wrapping
+// vxml.ErrPartialCluster (and per-member outcomes in Stats.Nodes) on every
+// route, paged or not, cached or not; partial results are never cached.
 func (c *Coordinator) Search(ctx context.Context, name string, keywords []string, opts *vxml.Options) ([]vxml.Result, *vxml.Stats, error) {
+	// PlannedSearch repeats this pre-flight; doing it here too keeps a dead
+	// ctx reported ahead of an invalid option or an unknown view.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("vxml: search interrupted: %w", err)
 	}
-	opts = normalizeOptions(opts)
-	if opts.Approach != vxml.Efficient {
+	if opts != nil && opts.Approach != vxml.Efficient {
 		return nil, nil, fmt.Errorf("%w: the cluster serves only the efficient approach", vxml.ErrInvalidOptions)
 	}
 	c.mu.RLock()
@@ -50,70 +46,10 @@ func (c *Coordinator) Search(ctx context.Context, name string, keywords []string
 	if cv == nil {
 		return nil, nil, fmt.Errorf("cluster: %w: %q", vxml.ErrUnknownView, name)
 	}
-	if opts.Offset > 0 {
-		// Same page-of-a-deeper-ranking semantics as vxml: cached pages
-		// slice one shared unpaged entry, uncached pages rank only the
-		// top Offset+TopK and skip the prefix unmaterialized.
-		if opts.Cache {
-			full := *opts
-			full.Offset, full.TopK = 0, 0
-			results, stats, err := c.Search(ctx, name, keywords, &full)
-			if err != nil {
-				return nil, stats, err
-			}
-			return pageSlice(results, opts.Offset, opts.TopK), stats, nil
-		}
-		window := *opts
-		window.Offset = 0
-		if opts.TopK > 0 {
-			window.TopK = opts.Offset + opts.TopK
-		}
-		return c.searchUncached(ctx, name, cv, keywords, &window, opts.Offset)
-	}
-	var key string
-	var gen int
-	if opts.Cache {
-		key = catalog.Key(cv.text, keywords,
-			catalog.IntPart(opts.TopK),
-			catalog.BoolPart(opts.Disjunctive),
-			catalog.IntPart(int(opts.Approach)))
-		gen = c.cache.Gen()
-		if val, ok := c.cache.Get(key); ok {
-			hit := val.(*cachedSearch)
-			stats := hit.stats
-			stats.CacheHit = true
-			stats.PlanSource = catalog.PlanCacheHit
-			stats.PlanView = c.cache.IDOf(cv.text)
-			return remapTF(hit.results, keywords), &stats, nil
-		}
-		// Window rewrite, exactly as vxml.Database.SearchContext: a top-K
-		// ranking is a prefix of the full ranking, so a cached unranked
-		// TopK=0 entry answers any TopK>0 query over the same (view,
-		// keywords, semantics) by slicing.
-		if opts.TopK > 0 && !opts.NoRewrite {
-			fullKey := catalog.Key(cv.text, keywords,
-				catalog.IntPart(0),
-				catalog.BoolPart(opts.Disjunctive),
-				catalog.IntPart(int(opts.Approach)))
-			if val, ok := c.cache.Probe(fullKey); ok {
-				hit := val.(*cachedSearch)
-				stats := hit.stats
-				stats.PlanSource = catalog.PlanRewritten
-				stats.PlanView = c.cache.IDOf(cv.text)
-				c.cache.AccessPlanned(cv.text, catalog.PlanRewritten)
-				return pageSlice(remapTF(hit.results, keywords), 0, opts.TopK), &stats, nil
-			}
-		}
-	}
-	out, stats, err := c.searchUncached(ctx, name, cv, keywords, opts, 0)
-	if err != nil {
-		return out, stats, err
-	}
-	if opts.Cache {
-		stored := storedResults(out)
-		c.cache.PutAt(key, &cachedSearch{results: stored, stats: *stats}, gen, resultsFootprint(stored))
-	}
-	return out, stats, nil
+	return vxml.PlannedSearch(ctx, c.cache, cv.text, keywords, opts,
+		func(ctx context.Context, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
+			return c.searchUncached(ctx, name, cv, keywords, opts, pageOffset)
+		})
 }
 
 // searchUncached re-issues the search while nodes keep answering at newer
@@ -230,19 +166,8 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 				contains[j] += resp.Contains[j]
 			}
 		}
-		stats.Matched += resp.Matched
-		ws := resp.Stats
-		stats.PDTTime += time.Duration(ws.PDTTimeUS) * time.Microsecond
-		stats.EvalTime += time.Duration(ws.EvalTimeUS) * time.Microsecond
-		stats.PostTime += time.Duration(ws.PostTimeUS) * time.Microsecond
-		stats.PDTNodes += ws.PDTNodes
-		stats.Candidates += ws.Candidates
-		stats.ShardsSearched += ws.ShardsSearched
-		if ws.Workers > stats.Workers {
-			stats.Workers = ws.Workers
-		}
+		resp.Stats.addTo(stats)
 	}
-	stats.ViewSize = totalView
 	idfs := scoring.IDFsFromCounts(totalView, contains)
 	top := scoring.NewTopK(opts.TopK)
 	refs := map[int]candRef{}
@@ -416,36 +341,47 @@ func (c *Coordinator) rankSlot(ctx context.Context, slot int, req rankRequest) s
 	return out
 }
 
-// rankMember posts one rank request to one member, retrying transport
-// failures up to the configured budget and self-healing a missed view push
-// (unknown_view → push the definition, retry once).
-func (c *Coordinator) rankMember(ctx context.Context, member string, req rankRequest) (*rankResponse, error) {
+// callMember runs one member RPC under the per-member discipline every
+// read shares: transport failures are retried up to the configured budget,
+// a missed view push self-heals once (unknown_view → push the definition,
+// retry), and an answer from the node — any nodeCallError — is final, since
+// repeating the request would be futile.
+func (c *Coordinator) callMember(ctx context.Context, member, view string, call func() error) error {
 	attempts := 1 + c.cfg.Retries
 	healed := false
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		var resp rankResponse
-		err := c.postJSON(ctx, member, "/rank", req, &resp)
+		err := call()
 		if err == nil {
-			return &resp, nil
+			return nil
 		}
 		if isUnknownView(err) && !healed {
 			healed = true
-			if c.healView(ctx, member, req.View) {
+			if c.healView(ctx, member, view) {
 				a--
 				continue
 			}
 		}
 		var ne *nodeCallError
-		if errors.As(err, &ne) {
-			return nil, err // the node answered; repeating the request is futile
+		if errors.As(err, &ne) || ctx.Err() != nil {
+			return err
 		}
 		lastErr = err
-		if ctx.Err() != nil {
-			return nil, err
-		}
 	}
-	return nil, lastErr
+	return lastErr
+}
+
+// rankMember posts one rank request to one member.
+func (c *Coordinator) rankMember(ctx context.Context, member string, req rankRequest) (*rankResponse, error) {
+	var resp rankResponse
+	err := c.callMember(ctx, member, req.View, func() error {
+		resp = rankResponse{}
+		return c.postJSON(ctx, member, "/rank", req, &resp)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // healView re-pushes a registered view to a member that reported
@@ -581,34 +517,16 @@ func (c *Coordinator) singleSearch(ctx context.Context, name string, keywords []
 }
 
 // searchMember runs one complete streamed search against one member,
-// buffering the ranked page; transport retries and unknown_view healing as
-// in rankMember.
-func (c *Coordinator) searchMember(ctx context.Context, member string, req searchRequest) ([]vxml.Result, *vxml.Stats, error) {
-	attempts := 1 + c.cfg.Retries
-	healed := false
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		results, stats, err := c.searchMemberOnce(ctx, member, req)
-		if err == nil {
-			return results, stats, nil
-		}
-		if isUnknownView(err) && !healed {
-			healed = true
-			if c.healView(ctx, member, req.View) {
-				a--
-				continue
-			}
-		}
-		var ne *nodeCallError
-		if errors.As(err, &ne) {
-			return nil, nil, err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, nil, err
-		}
+// buffering the ranked page.
+func (c *Coordinator) searchMember(ctx context.Context, member string, req searchRequest) (results []vxml.Result, stats *vxml.Stats, err error) {
+	err = c.callMember(ctx, member, req.View, func() (err error) {
+		results, stats, err = c.searchMemberOnce(ctx, member, req)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, lastErr
+	return results, stats, nil
 }
 
 func (c *Coordinator) searchMemberOnce(ctx context.Context, member string, req searchRequest) ([]vxml.Result, *vxml.Stats, error) {
@@ -631,17 +549,7 @@ func (c *Coordinator) searchMemberOnce(ctx context.Context, member string, req s
 		case chunk.Done:
 			stats := &vxml.Stats{}
 			if chunk.Stats != nil {
-				ws := chunk.Stats
-				stats.PDTTime = time.Duration(ws.PDTTimeUS) * time.Microsecond
-				stats.EvalTime = time.Duration(ws.EvalTimeUS) * time.Microsecond
-				stats.PostTime = time.Duration(ws.PostTimeUS) * time.Microsecond
-				stats.PDTNodes = ws.PDTNodes
-				stats.ViewSize = ws.ViewSize
-				stats.Matched = ws.Matched
-				stats.BaseData = ws.BaseData
-				stats.Workers = ws.Workers
-				stats.Candidates = ws.Candidates
-				stats.ShardsSearched = ws.ShardsSearched
+				chunk.Stats.addTo(stats)
 			}
 			return results, stats, nil
 		default:
@@ -670,18 +578,7 @@ func (c *Coordinator) Results(ctx context.Context, name string, keywords []strin
 		// cache contract and keeps partial-cluster delivery uniform: the
 		// prefix is yielded, then the error.
 		results, _, err := c.Search(ctx, name, keywords, opts)
-		for _, r := range results {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				yield(vxml.Result{}, fmt.Errorf("vxml: streaming interrupted: %w", ctxErr))
-				return
-			}
-			if !yield(r, nil) {
-				return
-			}
-		}
-		if err != nil {
-			yield(vxml.Result{}, err)
-		}
+		vxml.Replay(ctx, results, err)(yield)
 	}
 }
 
@@ -693,76 +590,4 @@ func tfMap(keywords []string, tfs []int) map[string]int {
 		tf[keywords[i]] = tfs[i]
 	}
 	return tf
-}
-
-// The four helpers below mirror vxml's unexported cache/paging plumbing so
-// the coordinator's serving semantics stay byte-for-byte aligned with
-// Database.SearchContext.
-
-func normalizeOptions(opts *vxml.Options) *vxml.Options {
-	if opts == nil {
-		return &vxml.Options{}
-	}
-	if opts.TopK < 0 || opts.Offset < 0 || opts.Parallelism < 0 {
-		o := *opts
-		o.TopK = max(o.TopK, 0)
-		o.Offset = max(o.Offset, 0)
-		if o.Parallelism < 0 {
-			o.Parallelism = 1
-		}
-		return &o
-	}
-	return opts
-}
-
-func pageSlice(results []vxml.Result, offset, k int) []vxml.Result {
-	if offset >= len(results) {
-		return nil
-	}
-	page := results[offset:]
-	if k > 0 && k < len(page) {
-		page = page[:k]
-	}
-	return page
-}
-
-func resultsFootprint(in []vxml.Result) int {
-	n := 0
-	for _, r := range in {
-		n += len(r.XML) + len(r.Snippet) + 64
-		for k := range r.TF {
-			n += len(k) + 16
-		}
-	}
-	return n
-}
-
-func storedResults(in []vxml.Result) []vxml.Result {
-	return copyResultsKeyed(in, core.NormalizeKeyword)
-}
-
-func copyResultsKeyed(in []vxml.Result, keyFn func(string) string) []vxml.Result {
-	out := make([]vxml.Result, len(in))
-	for i, r := range in {
-		tf := make(map[string]int, len(r.TF))
-		for k, v := range r.TF {
-			tf[keyFn(k)] = v
-		}
-		r.TF = tf
-		out[i] = r
-	}
-	return out
-}
-
-func remapTF(in []vxml.Result, keywords []string) []vxml.Result {
-	out := make([]vxml.Result, len(in))
-	for i, r := range in {
-		tf := make(map[string]int, len(keywords))
-		for _, k := range keywords {
-			tf[k] = r.TF[core.NormalizeKeyword(k)]
-		}
-		r.TF = tf
-		out[i] = r
-	}
-	return out
 }

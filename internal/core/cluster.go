@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"vxml/internal/pdt"
 	"vxml/internal/qpt"
 	"vxml/internal/scoring"
 	"vxml/internal/store"
@@ -262,24 +261,12 @@ func (e *Engine) clusterEval(ctx context.Context, v *View, kws []string, opts Op
 	defer p.unlock()
 	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards)}
 
-	start := time.Now()
-	pdts := make([]*pdt.PDT, len(p.units))
-	if err := forEach(ctx, stats.Workers, len(p.units), func(i int) {
-		pdts[i] = p.units[i].generatePDT(kws, nil)
-	}); err != nil {
+	catalog, err := p.generatePDTs(ctx, kws, nil, stats)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	for _, pd := range pdts {
-		if pd == nil {
-			continue
-		}
-		stats.PDTNodes += pd.Nodes
-		stats.PDTBytes += pd.Bytes
-	}
-	catalog := catalogOf(pdts)
-	stats.PDTTime = time.Since(start)
 
-	start = time.Now()
+	start := time.Now()
 	results, owners, err := e.evalViewAttributed(ctx, v, catalog, opts, stats.Workers)
 	if err != nil {
 		return nil, nil, nil, err

@@ -429,11 +429,6 @@ type Options struct {
 	// the rank order can differ from the exact TF-IDF order. Ignored for
 	// views where it would be unsound (joins, nesting, constructors).
 	KeywordPruning bool
-	// ParallelPDT generates the per-document PDTs concurrently even when
-	// Parallelism is 1. Subsumed by Parallelism (which also parallelizes
-	// evaluation and scoring); kept so phase-timing benchmarks can isolate
-	// the PDT module.
-	ParallelPDT bool
 	// Plan routes the search through the catalog planner: a live artifact
 	// of the view (skeleton or materialized view) serves the query instead
 	// of the PDT pipeline, and direct evaluations record artifacts and
@@ -616,22 +611,39 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return out
 }
 
-// catalogOf assembles the evaluation catalog from the generated PDTs (a
-// nil PDT or a PDT with no qualifying elements contributes nothing,
-// exactly like an unknown document).
-func catalogOf(pdts []*pdt.PDT) *evalCatalog {
+// generatePDTs is the PDT-generation phase every index-only pipeline
+// starts with (ranked search and both cluster primitives): one PDT per
+// candidate unit on a pool of stats.Workers, the node and byte tally and
+// PDTTime recorded in stats, and the PDTs assembled into the evaluation
+// catalog (a nil PDT or a PDT with no qualifying elements contributes
+// nothing, exactly like an unknown document). The caller holds the plan's
+// shard read locks.
+func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.KeywordFilter, stats *Stats) (*evalCatalog, error) {
+	start := time.Now()
+	pdts := make([]*pdt.PDT, len(p.units))
+	if err := forEach(ctx, stats.Workers, len(p.units), func(i int) {
+		pdts[i] = p.units[i].generatePDT(kws, filter)
+	}); err != nil {
+		return nil, err
+	}
 	c := &evalCatalog{byName: map[string]*xmltree.Document{}}
-	for _, p := range pdts {
-		if p == nil || p.Doc == nil {
+	for _, pd := range pdts {
+		if pd == nil {
 			continue
 		}
-		c.byName[p.SourceName] = p.Doc
-		c.ordered = append(c.ordered, p.Doc)
+		stats.PDTNodes += pd.Nodes
+		stats.PDTBytes += pd.Bytes
+		if pd.Doc == nil {
+			continue
+		}
+		c.byName[pd.SourceName] = pd.Doc
+		c.ordered = append(c.ordered, pd.Doc)
 	}
 	// Units are ordered QPT-major; pattern expansion must follow corpus
 	// order across the whole catalog.
 	sortDocsByID(c.ordered)
-	return c
+	stats.PDTTime = time.Since(start)
+	return c, nil
 }
 
 func sortDocsByID(docs []*xmltree.Document) {
@@ -641,28 +653,23 @@ func sortDocsByID(docs []*xmltree.Document) {
 // Search evaluates a ranked keyword query over the virtual view: the
 // Efficient pipeline of the paper. Scores and rank order are identical to
 // materializing the view and searching it (Theorem 4.1), and identical at
-// every Parallelism setting. Search never cancels; use SearchContext for
+// every Parallelism setting. Search never cancels; use SearchPage for
 // deadlines and cancellation.
 func (e *Engine) Search(v *View, keywords []string, opts Options) ([]Result, *Stats, error) {
-	return e.SearchContext(context.Background(), v, keywords, opts)
+	return e.SearchPage(context.Background(), v, keywords, opts, 0)
 }
 
-// SearchContext is Search with cooperative cancellation: ctx is checked
-// between candidate documents during PDT generation, between FLWOR bindings
-// during evaluation, between results during scoring and between winners
-// during materialization, so a cancel or deadline unwinds within one work
-// unit. The returned error wraps ctx.Err() (classify with errors.Is); the
-// shard read locks are released before SearchContext returns, canceled or
-// not, and no pool goroutine outlives the call.
-func (e *Engine) SearchContext(ctx context.Context, v *View, keywords []string, opts Options) ([]Result, *Stats, error) {
-	return e.SearchPage(ctx, v, keywords, opts, 0)
-}
-
-// SearchPage is SearchContext that returns only the ranked winners from
-// offset on: the skipped prefix is never materialized (no base-data
-// fetch, no snippet), and Rank numbers keep their absolute position in
-// the ranking. Callers paging uncached results combine it with
-// Options.K = offset + page size.
+// SearchPage is Search with cooperative cancellation and paging. ctx is
+// checked between candidate documents during PDT generation, between FLWOR
+// bindings during evaluation, between results during scoring and between
+// winners during materialization, so a cancel or deadline unwinds within
+// one work unit. The returned error wraps ctx.Err() (classify with
+// errors.Is); the shard read locks are released before SearchPage returns,
+// canceled or not, and no pool goroutine outlives the call. Only the ranked
+// winners from offset on are returned: the skipped prefix is never
+// materialized (no base-data fetch, no snippet), and Rank numbers keep
+// their absolute position in the ranking. Callers paging uncached results
+// combine it with Options.K = offset + page size.
 func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opts Options, offset int) ([]Result, *Stats, error) {
 	// Pin before planning: materialization below runs after the shard read
 	// locks are released, and the pin keeps a concurrently replaced or
@@ -698,8 +705,8 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 // so far (PostTime covers ranking only; the caller adds materialization).
 // Every shard read lock is released by the time rankedSearch returns:
 // Dewey-ID subtree fetches are lock-free, so callers are free to
-// materialize the winners afterwards — all at once (SearchContext) or one
-// by one as a consumer pulls them (ResultsSeq).
+// materialize the winners afterwards — all at once (SearchPage) or one by
+// one as a consumer pulls them (ResultsSeq).
 func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, opts Options) ([]scoring.Scored, []string, *Stats, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, nil, err
@@ -728,7 +735,6 @@ func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, o
 	}
 
 	// Phase 1+2: QPTs are compile-time; generate the PDTs from indices.
-	start := time.Now()
 	var filter *pdt.KeywordFilter
 	if opts.KeywordPruning && len(kws) > 0 {
 		if node := selectionFilterNode(v); node != nil {
@@ -736,30 +742,15 @@ func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, o
 			stats.KeywordPruned = true
 		}
 	}
-	pdts := make([]*pdt.PDT, len(p.units))
-	pdtWorkers := stats.Workers
-	if opts.ParallelPDT && pdtWorkers < len(p.units) {
-		pdtWorkers = len(p.units)
-	}
-	if err := forEach(ctx, pdtWorkers, len(p.units), func(i int) {
-		pdts[i] = p.units[i].generatePDT(kws, filter)
-	}); err != nil {
+	cat, err := p.generatePDTs(ctx, kws, filter, stats)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	for _, pd := range pdts {
-		if pd == nil {
-			continue
-		}
-		stats.PDTNodes += pd.Nodes
-		stats.PDTBytes += pd.Bytes
-	}
-	cat := catalogOf(pdts)
-	stats.PDTTime = time.Since(start)
 
 	// Phase 3: the unchanged evaluator runs the view over the PDTs —
 	// partitioned over the outer FLWOR bindings when a worker pool is
 	// available.
-	start = time.Now()
+	start := time.Now()
 	results, err := e.evalView(ctx, v, cat, opts, stats.Workers)
 	if err != nil {
 		return nil, nil, nil, err

@@ -144,31 +144,6 @@ return <w>{$a/body}</w>`)
 	}
 }
 
-func TestParallelPDTSameResults(t *testing.T) {
-	e := engineWithBooks(t)
-	v, err := e.CompileView(figure2View)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, _, err := e.Search(v, []string{"xml", "search"}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, _, err := e.Search(v, []string{"xml", "search"}, Options{ParallelPDT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial %d vs parallel %d results", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Score != parallel[i].Score ||
-			serial[i].Element.XMLString("") != parallel[i].Element.XMLString("") {
-			t.Errorf("result %d differs under ParallelPDT", i)
-		}
-	}
-}
-
 func TestKeywordPruningBarePathView(t *testing.T) {
 	e := buildBigSelection(t, 200)
 	v, err := e.CompileView(`fn:doc(articles.xml)/articles/article[yr > 1995]`)

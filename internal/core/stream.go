@@ -14,7 +14,7 @@ import (
 // ctx) never pays for the rest. offset skips that many leading winners
 // without materializing them; Rank numbers keep their absolute position in
 // the full ranking, so yielded results are byte-identical to the
-// corresponding slice of a SearchContext call with the same options.
+// corresponding slice of a SearchPage call with the same options.
 //
 // The pipeline runs — and the shard read locks are held — inside the first
 // resumption of the returned sequence, not inside ResultsSeq itself; the

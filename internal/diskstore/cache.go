@@ -77,8 +77,12 @@ func (c *blockCache) Invalidate() {
 func (c *blockCache) Get(idx int64) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[idx]
+	var buf []byte
 	if ok {
 		c.lru.MoveToFront(el)
+		// Read under the lock: a concurrent PutAt of the same block
+		// replaces the entry's buf field.
+		buf = el.Value.(*blockEntry).buf
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -86,7 +90,7 @@ func (c *blockCache) Get(idx int64) ([]byte, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*blockEntry).buf, true
+	return buf, true
 }
 
 // PutAt inserts a block read under generation gen; the fill is discarded
@@ -160,9 +164,10 @@ func (c *docCache) Get(name string, docID int32) (*xmltree.Document, bool) {
 	el, ok := c.entries[name]
 	if ok && el.Value.(*docEntry2).docID == docID {
 		c.lru.MoveToFront(el)
+		doc := el.Value.(*docEntry2).doc // read under the lock: Put rewrites the entry in place
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return el.Value.(*docEntry2).doc, true
+		return doc, true
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -257,7 +262,7 @@ func (c *indexCache) Get(name string, docID int32) (*pathindex.Index, *invindex.
 	el, ok := c.entries[name]
 	if ok && el.Value.(*idxEntry).docID == docID {
 		c.lru.MoveToFront(el)
-		e := el.Value.(*idxEntry)
+		e := *el.Value.(*idxEntry) // copied under the lock: Put rewrites the entry in place
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return e.pix, e.iix, true

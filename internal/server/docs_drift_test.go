@@ -125,13 +125,13 @@ func TestDocsAPIMatchesNodeRoutes(t *testing.T) {
 	}
 }
 
-// TestRoutesServeUnderBothPrefixes pins the alias contract the docs
-// state: every non-v1-only route answers a scripted request sequence with
-// the same statuses under the bare and the /v1 prefix, and none of those
-// statuses is a router miss (404/405) — each run uses a fresh server so
+// TestRoutesServeOnlyUnderV1 pins the routing contract the docs state:
+// every route answers a scripted request sequence under /v1 with a handler
+// status, and the same requests under the bare prefix are router misses
+// (404) — there are no unversioned aliases. Each run uses a fresh server so
 // the sequences are independent.
-func TestRoutesServeUnderBothPrefixes(t *testing.T) {
-	// One step per aliased route, in an order that makes every step
+func TestRoutesServeOnlyUnderV1(t *testing.T) {
+	// One step per route family, in an order that makes every step
 	// succeed: ingest, replace, delete (the name exists thanks to the
 	// ingest), re-ingest for the view/search steps, view, search, stats.
 	steps := []struct {
@@ -162,13 +162,11 @@ func TestRoutesServeUnderBothPrefixes(t *testing.T) {
 	}
 	bare, v1 := statuses(""), statuses("/v1")
 	for i, st := range steps {
-		if bare[i] != v1[i] {
-			t.Errorf("%s %s: alias status %d != /v1 status %d", st.method, st.path, bare[i], v1[i])
+		if bare[i] != http.StatusNotFound {
+			t.Errorf("%s %s: unversioned path answered %d, want a 404 router miss", st.method, st.path, bare[i])
 		}
-		for _, code := range []int{bare[i], v1[i]} {
-			if code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
-				t.Errorf("%s %s: status %d looks like a router miss, not a handler answer", st.method, st.path, code)
-			}
+		if v1[i] == http.StatusNotFound || v1[i] == http.StatusMethodNotAllowed {
+			t.Errorf("%s /v1%s: status %d looks like a router miss, not a handler answer", st.method, st.path, v1[i])
 		}
 	}
 }

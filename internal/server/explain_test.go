@@ -46,11 +46,10 @@ func TestExplainRoute(t *testing.T) {
 	}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing keywords: %d, want 400", resp.StatusCode)
 	}
-	// The route never had an unversioned ancestor; the bare path is a
-	// router miss.
+	// Routes live under /v1 only; the bare path is a router miss.
 	if resp, _ := postJSON(t, ts.URL+"/explain", map[string]any{
 		"view": "bookrevs", "keywords": []string{"xml"},
 	}); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unversioned /explain: %d, want 404 (v1-only route)", resp.StatusCode)
+		t.Errorf("unversioned /explain: %d, want 404", resp.StatusCode)
 	}
 }

@@ -110,11 +110,11 @@ func TestReplaceAndDeleteRoutes(t *testing.T) {
 	}
 
 	// The unversioned aliases answer the same way.
-	resp, _ = doJSON(t, http.MethodPut, ts.URL+"/documents/books.xml", map[string]string{"xml": booksXML})
+	resp, _ = doJSON(t, http.MethodPut, ts.URL+"/v1/documents/books.xml", map[string]string{"xml": booksXML})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("unversioned PUT: %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/documents/books.xml", nil)
+	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/v1/documents/books.xml", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("unversioned DELETE: %d", resp.StatusCode)
 	}

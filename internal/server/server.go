@@ -3,8 +3,7 @@
 // requests safe, so the server adds synchronization only for its own named
 // view registry.
 //
-// Endpoints (versioned under /v1; the unversioned paths are aliases kept
-// for compatibility):
+// Endpoints (all under /v1; there are no unversioned paths):
 //
 //	POST   /v1/documents        {"name": "books.xml", "xml": "<books>...</books>"}
 //	PUT    /v1/documents/{name} {"xml": "<books>...</books>"}  (replace; 404 if absent)
@@ -15,10 +14,10 @@
 //	                         "approach": "efficient", "cache": true}
 //	POST /v1/search/stream  same request; responds with NDJSON, one result
 //	                        object per line, written as the pipeline yields
-//	                        each ranked winner (no /v1-less alias)
+//	                        each ranked winner
 //	POST /v1/explain        {"view": "recent", "keywords": ["xml","search"]}
 //	                        renders the query plan without evaluating
-//	                        anything (no /v1-less alias)
+//	                        anything
 //	GET  /v1/stats
 //
 // Every search runs under the request's context, so a client that
@@ -104,15 +103,12 @@ func (s *Server) DefineView(name, xquery string) error {
 	return err
 }
 
-// route is one entry of the server's routing table: the canonical /v1
-// method and path, the handler, and whether the route also serves an
-// unversioned alias (every pre-versioning route does; routes added after
-// versioning are /v1-only).
+// route is one entry of the server's routing table: method, path below
+// the /v1 prefix, and handler.
 type route struct {
 	method  string
 	path    string // versionless, e.g. "/documents/{name}"
 	handler http.HandlerFunc
-	v1Only  bool
 }
 
 // routes is the single source of the routing table: Handler registers it
@@ -125,8 +121,8 @@ func (s *Server) routes() []route {
 		{method: "DELETE", path: "/documents/{name}", handler: s.handleDeleteDocument},
 		{method: "POST", path: "/views", handler: s.handleDefineView},
 		{method: "POST", path: "/search", handler: s.handleSearch},
-		{method: "POST", path: "/search/stream", handler: s.handleSearchStream, v1Only: true},
-		{method: "POST", path: "/explain", handler: s.handleExplain, v1Only: true},
+		{method: "POST", path: "/search/stream", handler: s.handleSearchStream},
+		{method: "POST", path: "/explain", handler: s.handleExplain},
 		{method: "GET", path: "/stats", handler: s.handleStats},
 	}
 }
@@ -142,21 +138,11 @@ func (s *Server) Routes() []string {
 	return out
 }
 
-// Handler returns the HTTP routing table: the /v1 routes plus unversioned
-// aliases of the same handlers. Pre-versioning request and success-response
-// shapes are unchanged; error statuses follow the v1 taxonomy everywhere,
-// which deliberately moves two legacy behaviors: a view over an
-// unregistered document is now 404 (was 400), and a canceled or expired
-// request surfaces as 499/408 (previously the search always ran to
-// completion). The streaming endpoint exists only under /v1 (it never had
-// an unversioned ancestor).
+// Handler returns the HTTP routing table: every route, under /v1 only.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, r := range s.routes() {
 		mux.HandleFunc(r.method+" /v1"+r.path, r.handler)
-		if !r.v1Only {
-			mux.HandleFunc(r.method+" "+r.path, r.handler)
-		}
 	}
 	return mux
 }
@@ -412,7 +398,6 @@ type searchStats struct {
 	ViewSize       int   `json:"view_size"`
 	Matched        int   `json:"matched"`
 	BaseData       int   `json:"base_data"`
-	CacheHit       bool  `json:"cache_hit"`
 	Workers        int   `json:"workers"`
 	Candidates     int   `json:"candidates"`
 	ShardsSearched int   `json:"shards_searched"`
@@ -457,7 +442,6 @@ func wireStats(stats *vxml.Stats) searchStats {
 		ViewSize:       stats.ViewSize,
 		Matched:        stats.Matched,
 		BaseData:       stats.BaseData,
-		CacheHit:       stats.CacheHit,
 		Workers:        stats.Workers,
 		Candidates:     stats.Candidates,
 		ShardsSearched: stats.ShardsSearched,

@@ -64,12 +64,12 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 func ingestCorpus(t *testing.T, base string) {
 	t.Helper()
 	for name, xml := range map[string]string{"books.xml": booksXML, "reviews.xml": reviewsXML} {
-		resp, body := postJSON(t, base+"/documents", map[string]string{"name": name, "xml": xml})
+		resp, body := postJSON(t, base+"/v1/documents", map[string]string{"name": name, "xml": xml})
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("POST /documents %s: %d %s", name, resp.StatusCode, body)
 		}
 	}
-	resp, body := postJSON(t, base+"/views", map[string]string{"name": "bookrevs", "xquery": bookrevsView})
+	resp, body := postJSON(t, base+"/v1/views", map[string]string{"name": "bookrevs", "xquery": bookrevsView})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /views: %d %s", resp.StatusCode, body)
 	}
@@ -80,7 +80,7 @@ func TestSearchHappyPath(t *testing.T) {
 	ingestCorpus(t, ts.URL)
 
 	req := map[string]any{"view": "bookrevs", "keywords": []string{"xml", "search"}, "top_k": 10, "cache": true}
-	resp, body := postJSON(t, ts.URL+"/search", req)
+	resp, body := postJSON(t, ts.URL+"/v1/search", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /search: %d %s", resp.StatusCode, body)
 	}
@@ -93,8 +93,8 @@ func TestSearchHappyPath(t *testing.T) {
 			Snippet string         `json:"snippet"`
 		} `json:"results"`
 		Stats struct {
-			CacheHit bool `json:"cache_hit"`
-			Matched  int  `json:"matched"`
+			PlanSource string `json:"plan_source"`
+			Matched    int    `json:"matched"`
 		} `json:"stats"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
@@ -103,7 +103,7 @@ func TestSearchHappyPath(t *testing.T) {
 	if len(out.Results) == 0 {
 		t.Fatal("no results for a matching query")
 	}
-	if out.Stats.CacheHit {
+	if out.Stats.PlanSource == "cache_hit" {
 		t.Error("first search reported a cache hit")
 	}
 	for i, r := range out.Results {
@@ -113,14 +113,14 @@ func TestSearchHappyPath(t *testing.T) {
 	}
 
 	// The identical repeated request is served from the cache.
-	resp, body = postJSON(t, ts.URL+"/search", req)
+	resp, body = postJSON(t, ts.URL+"/v1/search", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat POST /search: %d %s", resp.StatusCode, body)
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Stats.CacheHit {
+	if out.Stats.PlanSource != "cache_hit" {
 		t.Error("repeated identical search missed the cache")
 	}
 }
@@ -128,7 +128,7 @@ func TestSearchHappyPath(t *testing.T) {
 func TestMalformedXQueryReturns400WithDiagnostics(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestCorpus(t, ts.URL)
-	resp, body := postJSON(t, ts.URL+"/views", map[string]string{
+	resp, body := postJSON(t, ts.URL+"/v1/views", map[string]string{
 		"name":   "broken",
 		"xquery": "for $x in fn:doc(books.xml)/books//book where return",
 	})
@@ -149,7 +149,7 @@ func TestMalformedXQueryReturns400WithDiagnostics(t *testing.T) {
 func TestUnknownViewReturns404(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestCorpus(t, ts.URL)
-	resp, body := postJSON(t, ts.URL+"/search", map[string]any{"view": "nope", "keywords": []string{"xml"}})
+	resp, body := postJSON(t, ts.URL+"/v1/search", map[string]any{"view": "nope", "keywords": []string{"xml"}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404; body %s", resp.StatusCode, body)
 	}
@@ -164,14 +164,14 @@ func TestBadRequests(t *testing.T) {
 		body   any
 		status int
 	}{
-		{"missing keywords", "/search", map[string]any{"view": "bookrevs"}, http.StatusBadRequest},
-		{"unknown approach", "/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "approach": "warp"}, http.StatusBadRequest},
-		{"negative top_k", "/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "top_k": -1}, http.StatusBadRequest},
-		{"unknown field", "/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "frobnicate": 1}, http.StatusBadRequest},
-		{"empty document", "/documents", map[string]string{"name": "", "xml": ""}, http.StatusBadRequest},
-		{"bad xml", "/documents", map[string]string{"name": "bad.xml", "xml": "<unclosed>"}, http.StatusBadRequest},
-		{"duplicate document", "/documents", map[string]string{"name": "books.xml", "xml": booksXML}, http.StatusConflict},
-		{"duplicate view", "/views", map[string]string{"name": "bookrevs", "xquery": bookrevsView}, http.StatusConflict},
+		{"missing keywords", "/v1/search", map[string]any{"view": "bookrevs"}, http.StatusBadRequest},
+		{"unknown approach", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "approach": "warp"}, http.StatusBadRequest},
+		{"negative top_k", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "top_k": -1}, http.StatusBadRequest},
+		{"unknown field", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "frobnicate": 1}, http.StatusBadRequest},
+		{"empty document", "/v1/documents", map[string]string{"name": "", "xml": ""}, http.StatusBadRequest},
+		{"bad xml", "/v1/documents", map[string]string{"name": "bad.xml", "xml": "<unclosed>"}, http.StatusBadRequest},
+		{"duplicate document", "/v1/documents", map[string]string{"name": "books.xml", "xml": booksXML}, http.StatusConflict},
+		{"duplicate view", "/v1/views", map[string]string{"name": "bookrevs", "xquery": bookrevsView}, http.StatusConflict},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
@@ -186,10 +186,10 @@ func TestStatsEndpoint(t *testing.T) {
 	ingestCorpus(t, ts.URL)
 	// One miss then one hit.
 	req := map[string]any{"view": "bookrevs", "keywords": []string{"xml"}, "cache": true}
-	postJSON(t, ts.URL+"/search", req)
-	postJSON(t, ts.URL+"/search", req)
+	postJSON(t, ts.URL+"/v1/search", req)
+	postJSON(t, ts.URL+"/v1/search", req)
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestConcurrentRequestsShareOneDatabase(t *testing.T) {
 	ingestCorpus(t, ts.URL)
 
 	// Reference response computed before the storm.
-	ref, body := postJSON(t, ts.URL+"/search", map[string]any{"view": "bookrevs", "keywords": []string{"xml"}})
+	ref, body := postJSON(t, ts.URL+"/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"xml"}})
 	if ref.StatusCode != http.StatusOK {
 		t.Fatalf("reference search: %d %s", ref.StatusCode, body)
 	}
@@ -249,7 +249,7 @@ func TestConcurrentRequestsShareOneDatabase(t *testing.T) {
 				payload, _ := json.Marshal(map[string]any{
 					"view": "bookrevs", "keywords": []string{"xml"}, "cache": i%2 == 0,
 				})
-				resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(payload))
+				resp, err := client.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(payload))
 				if err != nil {
 					errCh <- err
 					return
@@ -284,7 +284,7 @@ func TestConcurrentRequestsShareOneDatabase(t *testing.T) {
 					"name": fmt.Sprintf("extra-%d-%d.xml", g, i),
 					"xml":  fmt.Sprintf("<extra><n>doc %d %d</n></extra>", g, i),
 				})
-				resp, err := client.Post(ts.URL+"/documents", "application/json", bytes.NewReader(payload))
+				resp, err := client.Post(ts.URL+"/v1/documents", "application/json", bytes.NewReader(payload))
 				if err != nil {
 					errCh <- err
 					return
@@ -317,16 +317,16 @@ func TestShardStatsAndParallelSearch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("part-%d.xml", i)
 		xml := fmt.Sprintf("<books><article><tl>study %d</tl><bdy>xml search notes</bdy></article></books>", i)
-		if resp, body := postJSON(t, ts.URL+"/documents", map[string]string{"name": name, "xml": xml}); resp.StatusCode != http.StatusCreated {
+		if resp, body := postJSON(t, ts.URL+"/v1/documents", map[string]string{"name": name, "xml": xml}); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("POST /documents %s: %d %s", name, resp.StatusCode, body)
 		}
 	}
 	view := `for $a in fn:collection("part-*")/books//article return <art>{$a/tl}, {$a/bdy}</art>`
-	if resp, body := postJSON(t, ts.URL+"/views", map[string]string{"name": "all", "xquery": view}); resp.StatusCode != http.StatusCreated {
+	if resp, body := postJSON(t, ts.URL+"/v1/views", map[string]string{"name": "all", "xquery": view}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /views: %d %s", resp.StatusCode, body)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestShardStatsAndParallelSearch(t *testing.T) {
 	}
 	for i, parallelism := range []int{1, 4} {
 		req := map[string]any{"view": "all", "keywords": []string{"xml", "search"}, "parallelism": parallelism}
-		resp, body := postJSON(t, ts.URL+"/search", req)
+		resp, body := postJSON(t, ts.URL+"/v1/search", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /search (parallelism %d): %d %s", parallelism, resp.StatusCode, body)
 		}
@@ -398,7 +398,7 @@ func TestShardStatsAndParallelSearch(t *testing.T) {
 		t.Errorf("execution counters = %+v", outs[0].Stats)
 	}
 
-	if resp, _ := postJSON(t, ts.URL+"/search", map[string]any{"view": "all", "keywords": []string{"x"}, "parallelism": -1}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/search", map[string]any{"view": "all", "keywords": []string{"x"}, "parallelism": -1}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative parallelism: status %d, want 400", resp.StatusCode)
 	}
 }

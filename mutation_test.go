@@ -33,7 +33,7 @@ func TestReplaceInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.CacheHit {
+	if stats.PlanSource != "cache_hit" {
 		t.Fatal("repeat search did not hit the cache")
 	}
 	testkit.MustEqualResults(t, "cache hit", hit, first)
@@ -45,7 +45,7 @@ func TestReplaceInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHit {
+	if stats.PlanSource == "cache_hit" {
 		t.Error("search after Replace served from the pre-mutation cache")
 	}
 	if len(after) != 1 || !strings.Contains(after[0].XML, "marker-v2") || strings.Contains(after[0].XML, "marker-v1") {
@@ -59,7 +59,7 @@ func TestReplaceInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHit {
+	if stats.PlanSource == "cache_hit" {
 		t.Error("search after Delete served from the pre-mutation cache")
 	}
 	if len(gone) != 0 {

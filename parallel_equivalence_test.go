@@ -113,7 +113,7 @@ func TestParallelismSharesCacheEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.CacheHit {
+	if stats.PlanSource != "cache_hit" {
 		t.Fatalf("parallel search missed the cache entry stored by the sequential search")
 	}
 	testkit.MustEqualResults(t, "cache hit across parallelism", first, cached)

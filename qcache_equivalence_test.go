@@ -32,7 +32,7 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", label, err)
 		}
-		if plainStats.CacheHit {
+		if plainStats.PlanSource == "cache_hit" {
 			t.Fatalf("%s: uncached search reported a cache hit", label)
 		}
 
@@ -42,14 +42,14 @@ func TestCacheEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cache miss path: %v", label, err)
 		}
-		if coldStats.CacheHit {
+		if coldStats.PlanSource == "cache_hit" {
 			t.Fatalf("%s: first cached search cannot hit", label)
 		}
 		warm, warmStats, err := db.Search(view, kws, &cached)
 		if err != nil {
 			t.Fatalf("%s: cache hit path: %v", label, err)
 		}
-		if !warmStats.CacheHit {
+		if warmStats.PlanSource != "cache_hit" {
 			t.Fatalf("%s: repeated identical search missed the cache", label)
 		}
 
@@ -101,8 +101,8 @@ func TestCacheInvalidationOnMidRunAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := db.Search(view, kws, opts); err != nil || !st.CacheHit {
-		t.Fatalf("warm search: err=%v, hit=%v", err, st.CacheHit)
+	if _, st, err := db.Search(view, kws, opts); err != nil || st.PlanSource != "cache_hit" {
+		t.Fatalf("warm search: err=%v, hit=%v", err, st.PlanSource == "cache_hit")
 	}
 
 	// A mid-run ingest must expire the entry even though the view does not
@@ -112,15 +112,15 @@ func TestCacheInvalidationOnMidRunAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if afterStats.CacheHit {
+	if afterStats.PlanSource == "cache_hit" {
 		t.Fatal("search after Add served a stale cache entry")
 	}
 	if a, b := testkit.RenderResults(before), testkit.RenderResults(after); a != b {
 		t.Fatal("results changed across an Add that does not affect the view")
 	}
 	// And the recomputed entry is served on the next repeat.
-	if _, st, err := db.Search(view, kws, opts); err != nil || !st.CacheHit {
-		t.Fatalf("re-warmed search: err=%v, hit=%v", err, st.CacheHit)
+	if _, st, err := db.Search(view, kws, opts); err != nil || st.PlanSource != "cache_hit" {
+		t.Fatalf("re-warmed search: err=%v, hit=%v", err, st.PlanSource == "cache_hit")
 	}
 	cs := db.CacheStats()
 	if cs.Invalidations == 0 {
@@ -145,7 +145,7 @@ func TestCacheHitRespectsCallerKeywordForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CacheHit {
+	if st.PlanSource != "cache_hit" {
 		t.Fatal("differently-cased identical keyword set missed the cache")
 	}
 	plain, _, err := db.Search(view, []string{"data", "system"}, &vxml.Options{TopK: 3})
@@ -184,7 +184,7 @@ func TestCacheHitEquivalentUnderKeywordPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CacheHit {
+	if st.PlanSource != "cache_hit" {
 		t.Fatal("permuted keyword set missed the cache")
 	}
 	cold, _, err := db.Search(view, rev, &vxml.Options{TopK: 5})
@@ -266,7 +266,7 @@ func TestConcurrentCachedSearchAndAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CacheHit {
+	if st.PlanSource != "cache_hit" {
 		t.Error("post-run repeated search missed the cache")
 	}
 	if testkit.RenderResults(warm) != truth {
@@ -296,7 +296,7 @@ func TestCacheIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CacheHit {
+	if st.PlanSource != "cache_hit" {
 		t.Fatal("expected a cache hit")
 	}
 	if testkit.RenderResults(again) != want {
@@ -323,7 +323,7 @@ func TestQueryCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plainStats.CacheHit {
+	if plainStats.PlanSource == "cache_hit" {
 		t.Fatal("uncached Query reported a cache hit")
 	}
 	opts := &vxml.Options{TopK: 5, Cache: true}
@@ -331,14 +331,14 @@ func TestQueryCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldStats.CacheHit {
+	if coldStats.PlanSource == "cache_hit" {
 		t.Fatal("first cached Query cannot hit")
 	}
 	warm, warmStats, err := db.Query(full, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warmStats.CacheHit {
+	if warmStats.PlanSource != "cache_hit" {
 		t.Fatal("repeated identical Query missed the cache")
 	}
 	if a, b := testkit.RenderResults(plain), testkit.RenderResults(warm); a != b {
@@ -355,7 +355,7 @@ func TestQueryCacheEquivalence(t *testing.T) {
 			warm[0].TF[k] = -1
 		}
 		again, st, err := db.Query(full, opts)
-		if err != nil || !st.CacheHit {
+		if err != nil || st.PlanSource != "cache_hit" {
 			t.Fatalf("expected a cache hit after mutation probe: %v", err)
 		}
 		if testkit.RenderResults(again) != testkit.RenderResults(plain) || !testkit.SameTF(again, plain) {
@@ -369,7 +369,7 @@ func TestQueryCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if afterStats.CacheHit {
+	if afterStats.PlanSource == "cache_hit" {
 		t.Fatal("Query cache served a stale entry after an ingest")
 	}
 	fresh, _, err := db.Query(full, &vxml.Options{TopK: 5})

@@ -7,7 +7,6 @@ package vxml
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"vxml/internal/core"
@@ -45,19 +44,7 @@ func (db *Database) Results(ctx context.Context, v *View, keywords []string, opt
 			// materialize internally, and a cacheable run must compute the
 			// full entry anyway. Compute the page, then replay it.
 			results, _, err := db.SearchContext(ctx, v, keywords, opts)
-			if err != nil {
-				yield(Result{}, err)
-				return
-			}
-			for _, r := range results {
-				if err := ctx.Err(); err != nil {
-					yield(Result{}, fmt.Errorf("vxml: streaming interrupted: %w", err))
-					return
-				}
-				if !yield(r, nil) {
-					return
-				}
-			}
+			Replay(ctx, results, err)(yield)
 			return
 		}
 		// Rank deep enough to cover the requested window, then let the

@@ -108,7 +108,7 @@ func TestPaginationAcrossCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHit {
+	if stats.PlanSource == "cache_hit" {
 		t.Fatal("first paged search cannot be a cache hit")
 	}
 	testkit.MustEqualResults(t, "page2 cold", ref[2:4], page2)
@@ -119,7 +119,7 @@ func TestPaginationAcrossCacheHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.off > 0 && !stats.CacheHit {
+		if w.off > 0 && stats.PlanSource != "cache_hit" {
 			t.Fatalf("window offset=%d top_k=%d missed the shared full entry", w.off, w.k)
 		}
 		want := ref[w.off:]
@@ -138,7 +138,7 @@ func TestPaginationAcrossCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.CacheHit {
+	if stats.PlanSource != "cache_hit" {
 		t.Fatal("unpaged TopK=0 search missed the entry populated by the paged search")
 	}
 	testkit.MustEqualResults(t, "unpaged cached", ref, full)

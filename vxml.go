@@ -85,7 +85,7 @@
 // paper's pipeline would compute identical output for them. Every corpus
 // change — Add, Replace, Delete — bumps a generation counter and drops all
 // resident entries, so a cached response is never served across a change. Hits are observable
-// via Stats.CacheHit and aggregate counters via CacheStats. Cached and
+// via Stats.PlanSource ("cache_hit") and aggregate counters via CacheStats. Cached and
 // uncached paths return identical results, scores and rank order; cache
 // misses cost one map lookup. Query additionally caches on the verbatim
 // query text (the keywords and semantics are part of the text), so a
@@ -94,13 +94,15 @@
 // # HTTP service
 //
 // Package internal/server (binary: cmd/vxmlserve) exposes a Database over
-// JSON HTTP: POST /documents ingests XML, PUT/DELETE /documents/{name}
-// replace and remove documents, POST /views compiles named views,
-// POST /search runs ranked keyword queries, and GET /stats reports corpus
-// and cache counters. Example round trip:
+// JSON HTTP, every route under /v1: POST /v1/documents ingests XML,
+// PUT/DELETE /v1/documents/{name} replace and remove documents,
+// POST /v1/views compiles named views, POST /v1/search runs ranked keyword
+// queries (POST /v1/search/stream delivers them as NDJSON), POST /v1/explain
+// renders a plan, and GET /v1/stats reports corpus and cache counters.
+// Example round trip:
 //
 //	vxmlserve -demo -addr :8344 &
-//	curl -s localhost:8344/search -d '{"view":"demo","keywords":["xml","search"],"top_k":3,"cache":true}'
+//	curl -s localhost:8344/v1/search -d '{"view":"demo","keywords":["xml","search"],"top_k":3,"cache":true}'
 package vxml
 
 import (
@@ -258,11 +260,7 @@ func (db *Database) CacheStats() catalog.Stats { return db.catalog.Stats() }
 // is not registered). The probe mutates no counters and no LRU recency
 // beyond a cache touch, so it is safe to call from diagnostics surfaces.
 func (db *Database) PlanProbe(v *View, keywords []string) (source, viewID string) {
-	fullKey := catalog.Key(v.inner.Text, keywords,
-		catalog.IntPart(0),
-		catalog.BoolPart(false),
-		catalog.IntPart(int(Efficient)))
-	if _, ok := db.catalog.Probe(fullKey); ok {
+	if PlannedHit(db.catalog, v.inner.Text, keywords) {
 		return catalog.PlanCacheHit, db.catalog.IDOf(v.inner.Text)
 	}
 	return db.engine.PlanProbe(v.inner)
@@ -344,8 +342,8 @@ type Options struct {
 	// order and casing do not affect the cache identity: permutations of
 	// one keyword set share an entry, and TF maps are re-expressed in each
 	// caller's keyword forms. Cached and uncached paths return identical
-	// results; a hit sets Stats.CacheHit and reports the timings of the
-	// original computation.
+	// results; a hit reports Stats.PlanSource "cache_hit" and the timings
+	// of the original computation.
 	//
 	// Cache also opts the search into the catalog planner (Efficient
 	// pipeline only): on an exact-entry miss the query may still be
@@ -397,16 +395,14 @@ type Stats struct {
 	ViewSize int // |V(D)|: number of view results
 	Matched  int // results satisfying the keyword semantics
 	BaseData int // base-data subtree fetches (top-k materialization only)
-	// CacheHit reports that the response was served from the query-result
-	// cache; the timing fields then describe the original computation.
-	CacheHit bool
 	// PlanSource reports how the answer was produced: "direct" (full
-	// pipeline), "cache_hit" (exact result-cache entry), "rewritten"
-	// (window slice of a cached unranked entry, or a re-scored view
-	// skeleton), or "materialized" (adaptively materialized view). It
-	// describes the execution only — results are byte-identical across
-	// every source. PlanView is the catalog ID of the serving view
-	// ("" when the view is not in the catalog).
+	// pipeline), "cache_hit" (exact result-cache entry; the timing fields
+	// then describe the original computation), "rewritten" (window slice
+	// of a cached unranked entry, or a re-scored view skeleton), or
+	// "materialized" (adaptively materialized view). It describes the
+	// execution only — results are byte-identical across every source.
+	// PlanView is the catalog ID of the serving view ("" when the view is
+	// not in the catalog).
 	PlanSource string
 	PlanView   string
 	// Workers is the worker-pool size the search actually ran with (1 =
@@ -442,12 +438,6 @@ type NodeStatus struct {
 	Err string
 }
 
-// cachedSearch is the value held by one query-result cache entry.
-type cachedSearch struct {
-	results []Result
-	stats   Stats
-}
-
 // Search evaluates a ranked keyword query over the view. Keywords are
 // case-insensitive. A nil opts means conjunctive semantics, all results,
 // Efficient pipeline, no caching. Search never cancels; use SearchContext
@@ -463,136 +453,15 @@ func (db *Database) Search(v *View, keywords []string, opts *Options) ([]Result,
 // context.DeadlineExceeded — within one unit, with all shard read locks
 // released and no pool goroutine left behind. A canceled search inserts
 // nothing into the query-result cache — and a warm cache never masks a
-// cancellation: the pre-flight below runs before the cache lookup, so a
-// dead ctx fails identically whether the entry is resident or not.
+// cancellation: the pre-flight runs before the cache lookup, so a dead ctx
+// fails identically whether the entry is resident or not. The serving
+// protocol around the pipeline (paging, cache tiers, insert discipline) is
+// PlannedSearch; this method supplies the local engine as its RunFunc.
 func (db *Database) SearchContext(ctx context.Context, v *View, keywords []string, opts *Options) ([]Result, *Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("vxml: search interrupted: %w", err)
-	}
-	opts = normalizeOptions(opts)
-	if opts.Offset > 0 {
-		// A page is a window of a deeper ranking; rank numbers stay
-		// absolute either way. With the cache on, recurse as the unpaged
-		// TopK=0 search, so every subsequent page of the query is sliced
-		// from that one shared cached entry rather than each burning an
-		// LRU slot. Uncached, rank only the top Offset+TopK and hand the
-		// offset down so the skipped prefix is never even materialized.
-		if opts.Cache {
-			full := *opts
-			full.Offset, full.TopK = 0, 0
-			results, stats, err := db.SearchContext(ctx, v, keywords, &full)
-			if err != nil {
-				return nil, nil, err
-			}
-			return pageSlice(results, opts.Offset, opts.TopK), stats, nil
-		}
-		window := *opts
-		window.Offset = 0
-		if opts.TopK > 0 {
-			window.TopK = opts.Offset + opts.TopK
-		}
-		return db.searchUncached(ctx, v, keywords, &window, opts.Offset)
-	}
-	// No lock spans the lookup-compute-insert sequence; instead the
-	// generation is read before computing and the insert is discarded if
-	// an Add bumped it in between (catalog.PutAt), so a result computed
-	// here can never be inserted at a generation newer than its data.
-	var key string
-	var gen int
-	if opts.Cache {
-		key = catalog.Key(v.inner.Text, keywords,
-			catalog.IntPart(opts.TopK),
-			catalog.BoolPart(opts.Disjunctive),
-			catalog.IntPart(int(opts.Approach)))
-		gen = db.catalog.Gen()
-		if val, ok := db.catalog.Get(key); ok {
-			hit := val.(*cachedSearch)
-			stats := hit.stats
-			stats.CacheHit = true
-			stats.PlanSource = catalog.PlanCacheHit
-			stats.PlanView = db.catalog.IDOf(v.inner.Text)
-			return remapTF(hit.results, keywords), &stats, nil
-		}
-		// Window rewrite: a top-K ranking is a prefix of the full ranking
-		// (the heap's total order is the sort order), so a cached unranked
-		// TopK=0 entry answers any TopK>0 query over the same (view,
-		// keywords, semantics) by slicing — same ranks, scores, trees and
-		// snippets as a direct top-K search. The timing fields then
-		// describe the original full computation, like a cache hit's.
-		if opts.TopK > 0 && !opts.NoRewrite {
-			fullKey := catalog.Key(v.inner.Text, keywords,
-				catalog.IntPart(0),
-				catalog.BoolPart(opts.Disjunctive),
-				catalog.IntPart(int(opts.Approach)))
-			if val, ok := db.catalog.Probe(fullKey); ok {
-				hit := val.(*cachedSearch)
-				stats := hit.stats
-				stats.PlanSource = catalog.PlanRewritten
-				stats.PlanView = db.catalog.IDOf(v.inner.Text)
-				db.catalog.AccessPlanned(v.inner.Text, catalog.PlanRewritten)
-				return pageSlice(remapTF(hit.results, keywords), 0, opts.TopK), &stats, nil
-			}
-		}
-	}
-	out, stats, err := db.searchUncached(ctx, v, keywords, opts, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Cache {
-		stored := storedResults(out)
-		db.catalog.PutAt(key, &cachedSearch{results: stored, stats: *stats}, gen, resultsFootprint(stored))
-	}
-	return out, stats, nil
-}
-
-// normalizeOptions maps a nil or out-of-range Options to its canonical
-// form. Every negative TopK or Offset means the same thing as 0, and every
-// negative Parallelism the same thing as 1 (the sequential path — exactly
-// how core.Options reads it); normalizing before the cache key is built
-// keeps each family one cache entry, and library callers can never hand
-// the engine an out-of-range value the HTTP layer would have rejected.
-func normalizeOptions(opts *Options) *Options {
-	if opts == nil {
-		return &Options{}
-	}
-	if opts.TopK < 0 || opts.Offset < 0 || opts.Parallelism < 0 {
-		o := *opts
-		o.TopK = max(o.TopK, 0)
-		o.Offset = max(o.Offset, 0)
-		if o.Parallelism < 0 {
-			o.Parallelism = 1
-		}
-		return &o
-	}
-	return opts
-}
-
-// pageSlice cuts the [offset, offset+k) window out of the full ranked
-// result list (k = 0: everything from offset on). The slice aliases the
-// input, which the caller owns.
-func pageSlice(results []Result, offset, k int) []Result {
-	if offset >= len(results) {
-		return nil
-	}
-	page := results[offset:]
-	if k > 0 && k < len(page) {
-		page = page[:k]
-	}
-	return page
-}
-
-// resultsFootprint approximates the resident bytes of a cached entry for
-// the cache's byte bound: the dominant XML and snippet strings plus a small
-// per-result and per-TF-key allowance.
-func resultsFootprint(in []Result) int {
-	n := 0
-	for _, r := range in {
-		n += len(r.XML) + len(r.Snippet) + 64
-		for k := range r.TF {
-			n += len(k) + 16
-		}
-	}
-	return n
+	return PlannedSearch(ctx, db.catalog, v.inner.Text, keywords, opts,
+		func(ctx context.Context, opts *Options, pageOffset int) ([]Result, *Stats, error) {
+			return db.searchUncached(ctx, v, keywords, opts, pageOffset)
+		})
 }
 
 // searchUncached runs the full pipeline; the engine takes its own read
@@ -681,53 +550,6 @@ func toResult(r core.Result, keywords []string) Result {
 	return Result{Rank: r.Rank, Score: r.Score, TF: tf, XML: r.Element.XMLString(""), Snippet: r.Snippet}
 }
 
-// storedResults deep-copies a result slice for insertion into the cache,
-// rekeying the TF maps by normalized keyword so a hit can be re-expressed
-// in any caller's keyword forms. The copy also keeps cache entries immutable
-// no matter what callers do with the originally returned values.
-func storedResults(in []Result) []Result {
-	return copyResultsKeyed(in, core.NormalizeKeyword)
-}
-
-// copyResultsKeyed deep-copies a result slice, rewriting each TF key
-// through keyFn; the copy keeps cache entries immutable no matter what
-// callers do with the values they were handed.
-func copyResultsKeyed(in []Result, keyFn func(string) string) []Result {
-	out := make([]Result, len(in))
-	for i, r := range in {
-		tf := make(map[string]int, len(r.TF))
-		for k, v := range r.TF {
-			tf[keyFn(k)] = v
-		}
-		r.TF = tf
-		out[i] = r
-	}
-	return out
-}
-
-// copyResults deep-copies a result slice (including TF maps) without
-// rekeying, for Query's text-keyed cache entries whose TF maps are already
-// in the query's own keyword forms.
-func copyResults(in []Result) []Result {
-	return copyResultsKeyed(in, func(k string) string { return k })
-}
-
-// remapTF copies cached results for return to a caller, keying each TF map
-// by the caller's own keyword forms — exactly what the uncached path would
-// have produced for them.
-func remapTF(in []Result, keywords []string) []Result {
-	out := make([]Result, len(in))
-	for i, r := range in {
-		tf := make(map[string]int, len(keywords))
-		for _, k := range keywords {
-			tf[k] = r.TF[core.NormalizeKeyword(k)]
-		}
-		r.TF = tf
-		out[i] = r
-	}
-	return out
-}
-
 // Explain renders the query plan for a keyword search over the view: the
 // QPTs derived from the view definition and the exact index probes PDT
 // generation will issue. Nothing is evaluated.
@@ -773,10 +595,7 @@ func (db *Database) QueryContext(ctx context.Context, fullQuery string, opts *Op
 		gen = db.catalog.Gen()
 		if val, ok := db.catalog.Get(key); ok {
 			hit := val.(*cachedSearch)
-			stats := hit.stats
-			stats.CacheHit = true
-			stats.PlanSource = catalog.PlanCacheHit
-			return copyResults(hit.results), &stats, nil
+			return copyResults(hit.results), hit.statsFor(catalog.PlanCacheHit, hit.stats.PlanView), nil
 		}
 	}
 	parsed, err := xq.Parse(fullQuery)
@@ -803,7 +622,7 @@ func (db *Database) QueryContext(ctx context.Context, fullQuery string, opts *Op
 	}
 	if opts.Cache {
 		stored := copyResults(out)
-		db.catalog.PutAt(key, &cachedSearch{results: stored, stats: *stats}, gen, resultsFootprint(stored))
+		db.catalog.PutAt(key, newCachedSearch(stored, stats), gen, resultsFootprint(stored))
 	}
 	return out, stats, nil
 }
