@@ -5,7 +5,7 @@
 // books & reviews corpus and registers a "demo" view over it. With -disk
 // the corpus lives in a disk-resident, DAG-compressed store (created on
 // first run): startup reads only its manifest, documents page in on demand
-// through a bounded block cache (-disk-cache-mb, -disk-mmap), every
+// through a bounded block cache (-disk-cache-mb), every
 // mutation persists incrementally, and GET /v1/stats grows a "disk" object
 // with resident-bytes and cache hit counters. Further
 // documents and views arrive over POST /v1/documents and POST /v1/views,
@@ -70,13 +70,12 @@ func main() {
 	readonly := flag.Bool("readonly", false, "disable the corpus-mutating routes (POST/PUT/DELETE under /documents answer 403)")
 	diskDir := flag.String("disk", "", "serve a disk-resident corpus from this directory (created if absent); documents page in through a block cache and mutations persist across restarts")
 	diskCacheMB := flag.Int("disk-cache-mb", 0, "with -disk: block cache budget in MiB (0 = default 16)")
-	diskMmap := flag.Bool("disk-mmap", false, "with -disk: read the data log via mmap instead of pread")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "maximum time to drain in-flight requests on shutdown")
 	flag.Parse()
 
 	var db *vxml.Database
 	if *diskDir != "" {
-		opts := diskstore.Options{CacheBytes: int64(*diskCacheMB) << 20, Mmap: *diskMmap}
+		opts := diskstore.Options{CacheBytes: int64(*diskCacheMB) << 20}
 		var err error
 		db, err = vxml.OpenDiskOptions(*diskDir, opts)
 		if err != nil {

@@ -22,16 +22,13 @@ import (
 
 // diskOptsFor rotates cache/I/O configurations so the equivalence matrix
 // also covers the uncomfortable corners: caches disabled (every fetch
-// decodes from disk), a tiny block cache under eviction pressure, and the
-// mmap read path.
+// decodes from disk) and a tiny block cache under eviction pressure.
 func diskOptsFor(trial int) diskstore.Options {
-	switch trial % 4 {
+	switch trial % 3 {
 	case 1:
 		return diskstore.Options{DocCacheSize: -1, IndexCacheSize: -1}
 	case 2:
 		return diskstore.Options{CacheBytes: 4096, BlockSize: 512, DocCacheSize: -1}
-	case 3:
-		return diskstore.Options{Mmap: true}
 	default:
 		return diskstore.Options{}
 	}

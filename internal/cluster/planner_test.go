@@ -82,11 +82,6 @@ func TestClusterPlannerEquivalence(t *testing.T) {
 			if cs := tc.coord.CacheStats(); cs.RewriteHits != 1 {
 				t.Fatalf("RewriteHits = %d after window serve, want 1", cs.RewriteHits)
 			}
-			// NoRewrite disables the window tier: the same query evaluates
-			// directly (and still matches the oracle byte for byte).
-			if st = search("norewrite", &vxml.Options{Cache: true, TopK: 2, NoRewrite: true}); st.PlanSource != catalog.PlanDirect {
-				t.Fatalf("NoRewrite window served from %q, want direct", st.PlanSource)
-			}
 
 			// PlanProbe agrees with what a search would do.
 			source, viewID, err := tc.coord.PlanProbe("v", kws)

@@ -6,38 +6,37 @@ package core
 // copy of every broadcast document. Ranking is split in two phases so the
 // merged result is byte-identical to a single-node search:
 //
-//   - ClusterRank runs the index-only pipeline (PDT generation, view
-//     evaluation, TF/byte-length collection) and reports every
-//     keyword-matching view result as an unmaterialized candidate, plus the
-//     local view size and per-keyword containment counts. The coordinator
-//     sums those integers across nodes and performs the one float division
-//     (scoring.IDFsFromCounts), scores candidates with scoring.Score, and
-//     merges through the same total-ordered scoring.TopK heap — exactly the
-//     arithmetic the single-node pipeline performs, in a different grouping
-//     that changes no bits.
-//   - MaterializeAt deterministically re-runs the same pipeline and
-//     materializes only the winning view positions, preserving the paper's
-//     deferred-materialization property across the process boundary: no
-//     node touches base data for a result that did not win globally.
+//   - ClusterRank runs the same plan, view-output and collect phases as a
+//     local search (PDT generation, view evaluation, TF/byte-length
+//     collection) and reports every keyword-matching view result as an
+//     unmaterialized candidate, plus the local view size and per-keyword
+//     containment counts. The coordinator sums those integers across nodes
+//     and performs the one float division (scoring.IDFsFromCounts), scores
+//     candidates with scoring.Score, and merges through the same
+//     total-ordered scoring.TopK heap — exactly the arithmetic the
+//     single-node pipeline performs, in a different grouping that changes
+//     no bits.
+//   - MaterializeAt deterministically re-runs plan and view output and
+//     materializes only the winning view positions, through the same winner
+//     loop local searches use, preserving the paper's deferred-
+//     materialization property across the process boundary: no node touches
+//     base data for a result that did not win globally.
 //
 // Both phases attribute every view result to the document its outer FLWOR
-// binding came from, which is what gives the coordinator a global (document
-// ID, view position) sort key; views whose results cannot be attributed
-// that way are rejected with ErrUnpartitionableView and must be served by a
-// single node instead.
+// binding came from (owners), which is what gives the coordinator a global
+// (document ID, view position) sort key; views whose results cannot be
+// attributed that way are rejected with ErrUnpartitionableView and must be
+// served by a single node instead.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"vxml/internal/qpt"
 	"vxml/internal/scoring"
-	"vxml/internal/store"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
-	"vxml/internal/xqeval"
 )
 
 // ErrUnpartitionableView reports a view whose results cannot be attributed
@@ -75,22 +74,7 @@ func (e *Engine) AddXMLAt(name, xmlText string, docID int32) error {
 	if docID < 1 {
 		return fmt.Errorf("core: add %q: document ID %d out of range", name, docID)
 	}
-	if _, exists := e.Store.Info(name); exists {
-		return fmt.Errorf("core: %w: %q", store.ErrDuplicateName, name)
-	}
-	if _, inUse := e.Store.InfoByID(docID); inUse {
-		return fmt.Errorf("core: add %q: document ID %d already in use", name, docID)
-	}
-	e.Store.EnsureNextID(docID + 1)
-	doc, err := xmltree.ParseString(xmlText, name, docID)
-	if err != nil {
-		return err
-	}
-	pix, iix := buildIndices(doc)
-	sh := e.shards[e.Store.ShardOf(name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return e.registerLocked(sh, doc, pix, iix)
+	return e.ingest(name, xmlText, docID, false)
 }
 
 // ReplaceXMLAt is ReplaceXML under an externally assigned document ID (see
@@ -100,28 +84,7 @@ func (e *Engine) ReplaceXMLAt(name, xmlText string, docID int32) error {
 	if docID < 1 {
 		return fmt.Errorf("core: replace %q: document ID %d out of range", name, docID)
 	}
-	if _, exists := e.Store.Info(name); !exists {
-		return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
-	}
-	if _, inUse := e.Store.InfoByID(docID); inUse {
-		return fmt.Errorf("core: replace %q: document ID %d already in use", name, docID)
-	}
-	e.Store.EnsureNextID(docID + 1)
-	doc, err := xmltree.ParseString(xmlText, name, docID)
-	if err != nil {
-		return err
-	}
-	pix, iix := buildIndices(doc)
-	sh := e.shards[e.Store.ShardOf(name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := e.replaceLocked(sh, doc, pix, iix); err != nil {
-		if errors.Is(err, store.ErrUnknownName) {
-			return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
-		}
-		return err
-	}
-	return nil
+	return e.ingest(name, xmlText, docID, true)
 }
 
 // ClusterCandidate is one keyword-matching view result of a node-local
@@ -164,41 +127,34 @@ type ClusterRanking struct {
 // every matching result as an unmaterialized candidate attributed to its
 // outer-binding document. Scoring and top-k selection are the coordinator's
 // job: a score depends on corpus-global IDFs no single node can know.
-// Options.K is ignored (every candidate is reported) and KeywordPruning is
-// not applied (its context-sensitive IDF statistics cannot be merged).
+// Options.K is ignored (every candidate is reported), KeywordPruning is not
+// applied (its context-sensitive IDF statistics cannot be merged) and the
+// planner is not consulted (its artifacts carry no binding attribution).
 func (e *Engine) ClusterRank(ctx context.Context, v *View, keywords []string, opts Options) (*ClusterRanking, error) {
-	kws := normalizeKeywords(keywords)
-	results, owners, stats, err := e.clusterEval(ctx, v, kws, opts)
+	out, owners, err := e.attributedOutput(ctx, v, keywords, opts)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	rstats := make([]scoring.Stats, len(results))
-	chunks := chunkBounds(len(results), stats.Workers*4)
-	if err := forEach(ctx, stats.Workers, len(chunks), func(c int) {
-		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			rstats[i] = scoring.Collect(results[i], kws, scoring.FromPDT)
-		}
-	}); err != nil {
+	rstats, err := out.collect(ctx)
+	if err != nil {
 		return nil, err
 	}
-	out := &ClusterRanking{
-		ViewSize: len(results),
-		Contains: scoring.Contains(rstats, len(kws)),
-		Stats:    stats,
+	rk := &ClusterRanking{
+		ViewSize: len(out.results),
+		Contains: scoring.Contains(rstats, len(out.kws)),
 	}
-	for i := range results {
+	for i := range out.results {
 		if !scoring.Satisfies(rstats[i].TFs, !opts.Disjunctive) {
 			continue
 		}
-		out.Candidates = append(out.Candidates, ClusterCandidate{
+		rk.Candidates = append(rk.Candidates, ClusterCandidate{
 			Doc: owners[i], Pos: i, TFs: rstats[i].TFs, ByteLen: rstats[i].ByteLen,
 		})
 	}
-	out.Matched = len(out.Candidates)
-	stats.Matched = out.Matched
-	stats.PostTime = time.Since(start)
-	return out, nil
+	rk.Matched = len(rk.Candidates)
+	out.stats.Matched = rk.Matched
+	rk.Stats = out.closePost()
+	return rk, nil
 }
 
 // ClusterMaterialized is one view result expanded by MaterializeAt.
@@ -225,122 +181,53 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 	// runs after the shard locks are released.
 	e.Store.Pin()
 	defer e.Store.Unpin()
-	kws := normalizeKeywords(keywords)
-	results, _, _, err := e.clusterEval(ctx, v, kws, opts)
+	out, _, err := e.attributedOutput(ctx, v, keywords, opts)
 	if err != nil {
 		return nil, 0, err
 	}
+	picked := make([]scoring.Scored, len(positions))
+	for i, pos := range positions {
+		if pos < 0 || pos >= len(out.results) {
+			return nil, 0, fmt.Errorf("core: materialize position %d out of range (view has %d results)", pos, len(out.results))
+		}
+		picked[i] = scoring.Scored{Result: out.results[pos]}
+	}
 	fetcher := &scoring.CountingFetcher{Fetcher: e.Store}
-	out := make([]ClusterMaterialized, 0, len(positions))
-	for _, pos := range positions {
-		if err := ctxErr(ctx); err != nil {
+	mats := make([]ClusterMaterialized, 0, len(positions))
+	for r, err := range out.winners(ctx, picked, 0, Options{}, fetcher) {
+		if err != nil {
 			return nil, 0, err
 		}
-		if pos < 0 || pos >= len(results) {
-			return nil, 0, fmt.Errorf("core: materialize position %d out of range (view has %d results)", pos, len(results))
-		}
-		elem := scoring.Materialize(results[pos], fetcher)
-		out = append(out, ClusterMaterialized{Pos: pos, Element: elem, Snippet: scoring.Snippet(elem, kws, snippetWidth)})
+		mats = append(mats, ClusterMaterialized{Pos: positions[r.Rank-1], Element: r.Element, Snippet: r.Snippet})
 	}
-	return out, fetcher.Fetches, nil
+	return mats, fetcher.Fetches, nil
 }
 
-// clusterEval runs plan → PDT generation → attributed view evaluation and
-// returns the full view output with one owner document ID per result.
-// Keywords are already normalized. Every shard read lock is released by
-// return time (like rankedSearch), so callers may collect stats or
-// materialize lock-free afterwards.
-func (e *Engine) clusterEval(ctx context.Context, v *View, kws []string, opts Options) ([]*xmltree.Node, []int32, *Stats, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, nil, err
-	}
-	p, err := e.lockAndPlan(v)
+// attributedOutput is viewOutput for the cluster primitives: a direct
+// (never planner-served, never keyword-pruned) evaluation, plus the owner
+// document ID of every result — the document its outer FLWOR binding came
+// from. This is the only place a view is rejected as unpartitionable: one
+// evalView had to evaluate whole (no top-level FLWOR, or a leading let
+// clause) has no bindings to attribute results to, and a binding that is
+// not a base element names no document.
+func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, []int32, error) {
+	opts.Plan, opts.KeywordPruning = false, false
+	out, err := e.viewOutput(ctx, v, keywords, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	defer p.unlock()
-	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards)}
-
-	catalog, err := p.generatePDTs(ctx, kws, nil, stats)
-	if err != nil {
-		return nil, nil, nil, err
+	if out.counts == nil {
+		return nil, nil, fmt.Errorf("core: %w: view is not a FLWOR expression over an outer for clause", ErrUnpartitionableView)
 	}
-
-	start := time.Now()
-	results, owners, err := e.evalViewAttributed(ctx, v, catalog, opts, stats.Workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats.EvalTime = time.Since(start)
-	stats.ViewResults = len(results)
-	return results, owners, stats, nil
-}
-
-// evalViewAttributed is evalView with provenance: it always evaluates the
-// view per outer FLWOR binding (the partition evalView uses when parallel,
-// which is documented — and property-tested — to reproduce the whole-query
-// result exactly), and labels every output node with the document ID of the
-// binding that produced it. Views that are not outer-partitionable — no
-// top-level FLWOR, a leading let clause, or outer bindings that are not
-// base elements — fail with ErrUnpartitionableView.
-func (e *Engine) evalViewAttributed(ctx context.Context, v *View, catalog xqeval.Catalog, opts Options, workers int) ([]*xmltree.Node, []int32, error) {
-	newEval := func() *xqeval.Evaluator {
-		ev := xqeval.New(catalog, v.Funcs)
-		ev.HashJoin = !opts.DisableHashJoin
-		ev.SetContext(ctx)
-		return ev
-	}
-	fl, isFLWOR := v.Expr.(*xq.FLWORExpr)
-	if !isFLWOR {
-		return nil, nil, fmt.Errorf("core: %w: view is not a FLWOR expression", ErrUnpartitionableView)
-	}
-	bindings, ok, err := newEval().OuterBindings(fl)
-	if err != nil {
-		return nil, nil, wrapEvalErr(err)
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("core: %w: view starts with a let clause", ErrUnpartitionableView)
-	}
-	owners := make([]int32, len(bindings))
-	for i, b := range bindings {
+	owners := make([]int32, 0, len(out.results))
+	for i, b := range out.bindings {
 		n, isNode := b.(*xmltree.Node)
 		if !isNode || len(n.ID) == 0 {
 			return nil, nil, fmt.Errorf("core: %w: outer binding %d is not a base element", ErrUnpartitionableView, i)
 		}
-		owners[i] = n.ID[0]
-	}
-	chunks := chunkBounds(len(bindings), workers*4)
-	outs := make([][]*xmltree.Node, len(chunks))
-	odocs := make([][]int32, len(chunks))
-	errs := make([]error, len(chunks))
-	poolErr := forEachWorker(ctx, workers, len(chunks), func() func(int) {
-		ev := newEval() // evaluators are single-threaded; one per worker
-		return func(c int) {
-			for bi := chunks[c][0]; bi < chunks[c][1]; bi++ {
-				items, err := ev.EvalTail(fl, bindings[bi])
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				nodes := nodesOf(items)
-				outs[c] = append(outs[c], nodes...)
-				for range nodes {
-					odocs[c] = append(odocs[c], owners[bi])
-				}
-			}
+		for range out.counts[i] {
+			owners = append(owners, n.ID[0])
 		}
-	})
-	if poolErr != nil {
-		return nil, nil, poolErr
 	}
-	var results []*xmltree.Node
-	var resultOwners []int32
-	for c := range chunks {
-		if errs[c] != nil {
-			return nil, nil, wrapEvalErr(errs[c])
-		}
-		results = append(results, outs[c]...)
-		resultOwners = append(resultOwners, odocs[c]...)
-	}
-	return results, resultOwners, nil
+	return out, owners, nil
 }

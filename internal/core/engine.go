@@ -9,14 +9,16 @@
 // locks only the shards its view touches — so an ingest into one shard
 // never contends with a search over another. With Options.Parallelism > 1
 // the per-document pipeline (keyword lookup, QPT matching, PDT generation,
-// evaluation, scoring) fans out over a bounded worker pool and merges into
-// a top-k heap; results are byte-identical to the sequential path.
+// evaluation, stat collection) fans out over a bounded worker pool; the
+// same functions run at every pool size, so results are byte-identical at
+// every setting.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"sort"
 	"sync"
@@ -58,6 +60,10 @@ type engineShard struct {
 	mu   sync.RWMutex
 	path map[string]*pathindex.Index
 	inv  map[string]*invindex.Index
+	// retiredProbes and retiredLookups hold the counters of indices this
+	// shard has dropped (replaced or deleted documents), so IndexProbes
+	// stays monotonic across mutations, as the disk backend's does.
+	retiredProbes, retiredLookups int
 }
 
 // Engine owns the document store and the per-document path and
@@ -126,32 +132,32 @@ func (e *Engine) RUnlock() {
 	}
 }
 
+// indices resolves the named document's path and inverted index — through
+// the index source when the backend stores them itself, else from the home
+// shard's maps (nil for an unknown name). The caller must hold a read lock
+// on the home shard: the maps are written only under shard write locks, so
+// any read lock makes the plain map read safe.
+func (e *Engine) indices(name string) (*pathindex.Index, *invindex.Index, error) {
+	if e.src != nil {
+		return e.src.StoredIndices(name)
+	}
+	sh := e.shards[e.Store.ShardOf(name)]
+	return sh.path[name], sh.inv[name], nil
+}
+
 // PathIndex returns the path index of the named document, or nil. The
 // caller must hold the engine's read lock (RLock, or the shard locks a
-// running Search holds) — the maps are written only under shard write
-// locks, so any read lock makes the plain map read safe.
+// running Search holds).
 func (e *Engine) PathIndex(name string) *pathindex.Index {
-	if e.src != nil {
-		pix, _, err := e.src.StoredIndices(name)
-		if err != nil {
-			return nil
-		}
-		return pix
-	}
-	return e.shards[e.Store.ShardOf(name)].path[name]
+	pix, _, _ := e.indices(name) // a failed lookup has no index: nil
+	return pix
 }
 
 // InvIndex returns the inverted index of the named document, or nil. The
 // same locking requirement as PathIndex applies.
 func (e *Engine) InvIndex(name string) *invindex.Index {
-	if e.src != nil {
-		_, iix, err := e.src.StoredIndices(name)
-		if err != nil {
-			return nil
-		}
-		return iix
-	}
-	return e.shards[e.Store.ShardOf(name)].inv[name]
+	_, iix, _ := e.indices(name) // a failed lookup has no index: nil
+	return iix
 }
 
 // IndexProbes sums the served index-probe counters across the whole
@@ -165,6 +171,8 @@ func (e *Engine) IndexProbes() (pathProbes, keywordLookups int) {
 	e.RLock()
 	defer e.RUnlock()
 	for _, sh := range e.shards {
+		pathProbes += sh.retiredProbes
+		keywordLookups += sh.retiredLookups
 		for _, ix := range sh.path {
 			pathProbes += ix.Probes()
 		}
@@ -205,14 +213,36 @@ func New(st store.Corpus) *Engine {
 // or its store entry and both indices together — and searches over other
 // shards are not disturbed at all.
 func (e *Engine) AddXML(name, xmlText string) error {
-	// Parse and build both indices before taking the write lock: the
-	// document is private until registered, so only publication needs
-	// exclusion and concurrent searches stall for microseconds, not for
-	// the duration of a large ingest.
-	if _, exists := e.Store.Info(name); exists {
+	return e.ingest(name, xmlText, 0, false)
+}
+
+// ingest is the one mutation routine behind AddXML, AddXMLAt, ReplaceXML
+// and ReplaceXMLAt. docID 0 reserves the next local document ID; a positive
+// docID is an externally assigned one (see AddXMLAt), which must be unused
+// and raises the local sequence past itself. The document is parsed and
+// both indices are built before the write lock is taken: it is private
+// until published, so only publication needs exclusion and concurrent
+// searches stall for microseconds, not for the duration of a large ingest.
+func (e *Engine) ingest(name, xmlText string, docID int32, replace bool) error {
+	op := "add"
+	if replace {
+		op = "replace"
+	}
+	switch _, exists := e.Store.Info(name); {
+	case replace && !exists:
+		return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
+	case !replace && exists:
 		return fmt.Errorf("core: %w: %q", store.ErrDuplicateName, name)
 	}
-	doc, err := xmltree.ParseString(xmlText, name, e.Store.ReserveID())
+	if docID == 0 {
+		docID = e.Store.ReserveID()
+	} else {
+		if _, inUse := e.Store.InfoByID(docID); inUse {
+			return fmt.Errorf("core: %s %q: document ID %d already in use", op, name, docID)
+		}
+		e.Store.EnsureNextID(docID + 1)
+	}
+	doc, err := xmltree.ParseString(xmlText, name, docID)
 	if err != nil {
 		return err
 	}
@@ -220,44 +250,54 @@ func (e *Engine) AddXML(name, xmlText string) error {
 	sh := e.shards[e.Store.ShardOf(name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return e.registerLocked(sh, doc, pix, iix)
+	if err := e.publishLocked(sh, doc, pix, iix, replace); err != nil {
+		if errors.Is(err, store.ErrUnknownName) {
+			return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
+		}
+		return err
+	}
+	return nil
 }
 
-// registerLocked publishes a parsed document and its freshly built indices
+// publishLocked publishes a parsed document and its freshly built indices
 // under the home shard's write lock, which the caller holds: through the
 // index source when the backend persists indices itself, else to the heap
-// store plus the shard maps.
-func (e *Engine) registerLocked(sh *engineShard, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
-	if e.src != nil {
-		if err := e.src.RegisterIndexed(doc, pix, iix); err != nil {
-			return err
-		}
-		e.bumpCatalogLocked()
-		return nil
+// store plus the shard maps. replace swaps out the document registered
+// under the same name; otherwise the name must be new.
+func (e *Engine) publishLocked(sh *engineShard, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index, replace bool) error {
+	var err error
+	switch {
+	case e.src != nil && replace:
+		err = e.src.ReplaceIndexed(doc, pix, iix)
+	case e.src != nil:
+		err = e.src.RegisterIndexed(doc, pix, iix)
+	case replace:
+		err = e.Store.ReplaceParsed(doc)
+	default:
+		err = e.Store.RegisterParsed(doc)
 	}
-	if err := e.Store.RegisterParsed(doc); err != nil {
+	if err != nil {
 		return err
 	}
-	sh.path[doc.Name], sh.inv[doc.Name] = pix, iix
+	if e.src == nil {
+		sh.retireLocked(doc.Name)
+		sh.path[doc.Name], sh.inv[doc.Name] = pix, iix
+	}
 	e.bumpCatalogLocked()
 	return nil
 }
 
-// replaceLocked is registerLocked for the replacement path.
-func (e *Engine) replaceLocked(sh *engineShard, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
-	if e.src != nil {
-		if err := e.src.ReplaceIndexed(doc, pix, iix); err != nil {
-			return err
-		}
-		e.bumpCatalogLocked()
-		return nil
+// retireLocked drops the named document's indices from the shard maps,
+// folding their served-probe counters into the shard's retired totals.
+func (sh *engineShard) retireLocked(name string) {
+	if ix := sh.path[name]; ix != nil {
+		sh.retiredProbes += ix.Probes()
 	}
-	if err := e.Store.ReplaceParsed(doc); err != nil {
-		return err
+	if ix := sh.inv[name]; ix != nil {
+		sh.retiredLookups += ix.Lookups()
 	}
-	sh.path[doc.Name], sh.inv[doc.Name] = pix, iix
-	e.bumpCatalogLocked()
-	return nil
+	delete(sh.path, name)
+	delete(sh.inv, name)
 }
 
 // bumpCatalogLocked invalidates the catalog inside a mutation's shard
@@ -268,11 +308,7 @@ func (e *Engine) replaceLocked(sh *engineShard, doc *xmltree.Document, pix *path
 // entirely after it. A bump from a mutation on an unrelated shard can
 // interleave with a search's compute, but only costs a conservative
 // artifact refusal — never a stale serve.
-func (e *Engine) bumpCatalogLocked() {
-	if e.Catalog != nil {
-		e.Catalog.Invalidate()
-	}
-}
+func (e *Engine) bumpCatalogLocked() { e.Catalog.Invalidate() }
 
 // AddParsed stores and indexes a programmatically built document. Like
 // AddXML it finalizes and indexes the document before taking the write
@@ -285,7 +321,7 @@ func (e *Engine) AddParsed(doc *xmltree.Document) {
 	sh := e.shards[e.Store.ShardOf(doc.Name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := e.registerLocked(sh, doc, pix, iix); err != nil {
+	if err := e.publishLocked(sh, doc, pix, iix, false); err != nil {
 		panic(err)
 	}
 }
@@ -300,24 +336,7 @@ func (e *Engine) AddParsed(doc *xmltree.Document) {
 // an error wrapping ErrUnknownDocument. Like AddXML, parsing and index
 // construction run outside the lock.
 func (e *Engine) ReplaceXML(name, xmlText string) error {
-	if _, exists := e.Store.Info(name); !exists {
-		return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
-	}
-	doc, err := xmltree.ParseString(xmlText, name, e.Store.ReserveID())
-	if err != nil {
-		return err
-	}
-	pix, iix := buildIndices(doc)
-	sh := e.shards[e.Store.ShardOf(name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := e.replaceLocked(sh, doc, pix, iix); err != nil {
-		if errors.Is(err, store.ErrUnknownName) {
-			return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
-		}
-		return err
-	}
-	return nil
+	return e.ingest(name, xmlText, 0, true)
 }
 
 // Delete unregisters the named document and drops its path and inverted
@@ -335,8 +354,7 @@ func (e *Engine) Delete(name string) error {
 		}
 		return err
 	}
-	delete(sh.path, name)
-	delete(sh.inv, name)
+	sh.retireLocked(name)
 	e.bumpCatalogLocked()
 	return nil
 }
@@ -372,9 +390,7 @@ func (e *Engine) CompileView(text string) (*View, error) {
 	// Register here, not in CompileParsedView: synthetic per-query views
 	// (Database.Query compiles the verbatim query text) should not claim
 	// registry entries at compile time — planned searches register lazily.
-	if e.Catalog != nil {
-		e.Catalog.Register(text)
-	}
+	e.Catalog.Register(text)
 	return v, nil
 }
 
@@ -410,9 +426,10 @@ type Options struct {
 	Disjunctive bool
 	// Parallelism bounds the worker pool the Efficient pipeline fans the
 	// per-document work (keyword lookup, QPT matching, PDT generation),
-	// view evaluation and scoring out over. 0 (the default) uses
-	// GOMAXPROCS; 1 (or any negative value) selects the sequential legacy
-	// path. Results are byte-identical at every setting.
+	// view evaluation and stat collection out over. 0 (the default) uses
+	// GOMAXPROCS; 1 (or any negative value) is a pool of one. The same
+	// functions run at every pool size and results are byte-identical at
+	// every setting.
 	Parallelism int
 	// DisableHashJoin turns off the evaluator's equality-join fast path
 	// (used by ablation benchmarks).
@@ -441,14 +458,10 @@ type Options struct {
 
 // workers resolves the Parallelism setting to a pool size.
 func (o Options) workers() int {
-	switch {
-	case o.Parallelism > 1:
-		return o.Parallelism
-	case o.Parallelism == 0:
+	if o.Parallelism == 0 {
 		return runtime.GOMAXPROCS(0)
-	default: // 1 or negative: the sequential legacy path
-		return 1
 	}
+	return max(1, o.Parallelism)
 }
 
 // Stats reports the per-module cost breakdown of Figure 14 plus size
@@ -468,8 +481,8 @@ type Stats struct {
 	KeywordPruned bool
 	// SubtreeFetches counts base-data accesses during materialization.
 	SubtreeFetches int
-	// Workers is the resolved worker-pool size the search ran with (1 =
-	// sequential path). Candidates counts the documents the view's QPTs
+	// Workers is the resolved worker-pool size the search ran with.
+	// Candidates counts the documents the view's QPTs
 	// resolved to, and ShardsSearched the corpus shards whose read locks
 	// the search held. These describe the execution, never the results.
 	Workers        int
@@ -561,19 +574,12 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 				return nil, fmt.Errorf("core: document %q matches both %q and %q in one view", info.Name, prev, q.Doc)
 			}
 			seen[info.Name] = q.Doc
-			u := unit{q: q, name: info.Name}
-			if e.src != nil {
-				pix, iix, err := e.src.StoredIndices(info.Name)
-				if err != nil {
-					p.unlock()
-					return nil, fmt.Errorf("core: indices of %q: %w", info.Name, err)
-				}
-				u.pix, u.iix = pix, iix
-			} else {
-				sh := e.shards[e.Store.ShardOf(info.Name)]
-				u.pix, u.iix = sh.path[info.Name], sh.inv[info.Name]
+			pix, iix, err := e.indices(info.Name)
+			if err != nil {
+				p.unlock()
+				return nil, fmt.Errorf("core: indices of %q: %w", info.Name, err)
 			}
-			p.units = append(p.units, u)
+			p.units = append(p.units, unit{q: q, name: info.Name, pix: pix, iix: iix})
 		}
 	}
 	return p, nil
@@ -611,8 +617,7 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return out
 }
 
-// generatePDTs is the PDT-generation phase every index-only pipeline
-// starts with (ranked search and both cluster primitives): one PDT per
+// generatePDTs is the PDT-generation half of direct view output: one PDT per
 // candidate unit on a pool of stats.Workers, the node and byte tally and
 // PDTTime recorded in stats, and the PDTs assembled into the evaluation
 // catalog (a nil PDT or a PDT with no qualifying elements contributes
@@ -640,14 +645,10 @@ func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.Keywo
 		c.ordered = append(c.ordered, pd.Doc)
 	}
 	// Units are ordered QPT-major; pattern expansion must follow corpus
-	// order across the whole catalog.
-	sortDocsByID(c.ordered)
+	// (document ID) order across the whole catalog.
+	sort.Slice(c.ordered, func(i, j int) bool { return c.ordered[i].DocID < c.ordered[j].DocID })
 	stats.PDTTime = time.Since(start)
 	return c, nil
-}
-
-func sortDocsByID(docs []*xmltree.Document) {
-	sort.Slice(docs, func(i, j int) bool { return docs[i].DocID < docs[j].DocID })
 }
 
 // Search evaluates a ranked keyword query over the virtual view: the
@@ -661,147 +662,203 @@ func (e *Engine) Search(v *View, keywords []string, opts Options) ([]Result, *St
 
 // SearchPage is Search with cooperative cancellation and paging. ctx is
 // checked between candidate documents during PDT generation, between FLWOR
-// bindings during evaluation, between results during scoring and between
-// winners during materialization, so a cancel or deadline unwinds within
-// one work unit. The returned error wraps ctx.Err() (classify with
-// errors.Is); the shard read locks are released before SearchPage returns,
-// canceled or not, and no pool goroutine outlives the call. Only the ranked
-// winners from offset on are returned: the skipped prefix is never
-// materialized (no base-data fetch, no snippet), and Rank numbers keep
-// their absolute position in the ranking. Callers paging uncached results
-// combine it with Options.K = offset + page size.
+// bindings during evaluation, between chunks of results during stat
+// collection and between winners during materialization, so a cancel or
+// deadline unwinds within one work unit. The returned error wraps ctx.Err()
+// (classify with errors.Is); the shard read locks are released before
+// SearchPage returns, canceled or not, and no pool goroutine outlives the
+// call. Only the ranked winners from offset on are returned: the skipped
+// prefix is never materialized (no base-data fetch, no snippet), and Rank
+// numbers keep their absolute position in the ranking. Callers paging
+// uncached results combine it with Options.K = offset + page size.
 func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opts Options, offset int) ([]Result, *Stats, error) {
 	// Pin before planning: materialization below runs after the shard read
 	// locks are released, and the pin keeps a concurrently replaced or
 	// deleted document's subtrees resolvable until this search is done.
 	e.Store.Pin()
 	defer e.Store.Unpin()
-	ranked, kws, stats, err := e.rankedSearch(ctx, v, keywords, opts)
+	ranked, out, err := e.rankedSearch(ctx, v, keywords, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Materialize only the winners on the page. A per-search counting
-	// fetcher keeps the reported fetch count exact even while concurrent
-	// searches drive the store's shared counters.
-	start := time.Now()
+	// A per-search counting fetcher keeps the reported fetch count exact
+	// even while concurrent searches drive the store's shared counters.
 	fetcher := &scoring.CountingFetcher{Fetcher: e.Store}
-	prebuilt := stats.PlanSource == catalog.PlanMaterialized
-	out := make([]Result, 0, max(0, len(ranked)-offset))
-	for i := max(0, offset); i < len(ranked); i++ {
-		if err := ctxErr(ctx); err != nil {
+	results := make([]Result, 0, max(0, len(ranked)-offset))
+	for r, err := range out.winners(ctx, ranked, offset, opts, fetcher) {
+		if err != nil {
 			return nil, nil, err
 		}
-		out = append(out, materializeResult(ranked[i], i+1, kws, opts, fetcher, prebuilt))
+		results = append(results, r)
 	}
-	stats.PostTime += time.Since(start)
+	stats := out.closePost()
 	stats.SubtreeFetches = fetcher.Fetches
 	e.maybePromote(ctx, v, opts, stats)
-	return out, stats, nil
+	return results, stats, nil
 }
 
-// rankedSearch runs the index-only phases — PDT generation, view
-// evaluation, scoring and top-k selection — and returns the ranked winners
-// still pruned (unmaterialized), plus the normalized keywords and the stats
-// so far (PostTime covers ranking only; the caller adds materialization).
-// Every shard read lock is released by the time rankedSearch returns:
-// Dewey-ID subtree fetches are lock-free, so callers are free to
-// materialize the winners afterwards — all at once (SearchPage) or one by
-// one as a consumer pulls them (ResultsSeq).
-func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, opts Options) ([]scoring.Scored, []string, *Stats, error) {
+// viewOutput is what the locked phases of a search (plan, view output)
+// hand to the lock-free ones (collect, select, materialise): the view's
+// results in view order and everything later phases need to score and
+// expand them.
+type viewOutput struct {
+	// results are the view's results, in view order: PDT-pruned trees from
+	// direct evaluation or a skeleton, complete trees from a materialized
+	// view.
+	results []*xmltree.Node
+	// bindings are the outer FLWOR bindings evaluation was partitioned
+	// over and counts[i] the number of results bindings[i] produced (their
+	// sum is len(results)). Both are nil when the results did not come
+	// from a partitioned evaluation — a view that is not partitionable, or
+	// a planner tier.
+	bindings []xqeval.Item
+	counts   []int
+	// rstats are the per-result scoring inputs when the serving tier
+	// derives them itself (the planner tiers); nil for PDT results, whose
+	// stats collect reads off the Meta payloads.
+	rstats []scoring.Stats
+	kws    []string // normalized keywords
+	stats  *Stats
+	// post is when the view's results came into existence — the start of
+	// the scoring + materialization time Stats.PostTime reports.
+	post time.Time
+}
+
+// closePost writes Stats.PostTime — the one place it is written — and
+// returns the finished stats. The entry points that report stats call it
+// after their last scoring or materialization step.
+func (o *viewOutput) closePost() *Stats {
+	o.stats.PostTime = time.Since(o.post)
+	return o.stats
+}
+
+// viewOutput runs the locked phases every search path starts with. Plan:
+// lock the touched shards and resolve the candidate documents. View
+// output: produce the view's results in view order from the strongest
+// source available — a live materialized artifact, a live skeleton (both
+// only for planner-eligible options, see tryPlan), else index-only PDT
+// generation plus evaluation of the unchanged view over the PDTs, which
+// also records the skeleton for the next planned search. Every shard read
+// lock is released by return time: the later phases read only the returned
+// trees, and Dewey-ID subtree fetches are lock-free.
+func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, error) {
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	p, err := e.lockAndPlan(v)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	defer p.unlock()
 	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards), PlanSource: catalog.PlanDirect}
-	kws := normalizeKeywords(keywords)
+	out := &viewOutput{kws: normalizeKeywords(keywords), stats: stats, post: time.Now()}
 
-	// The planner: serve from a live catalog artifact when one exists,
-	// else fall through to the pipeline and record one. planGen is read
-	// under the shard read locks, so a mutation touching this view's
-	// documents cannot land between here and the store below — a bump
-	// from an unrelated shard only makes the store a refused no-op.
-	planGen := -1
-	if e.Catalog != nil && planEligible(opts) {
+	// planGen is read under the shard read locks, so a mutation touching
+	// this view's documents cannot land between here and the skeleton
+	// store below — a bump from an unrelated shard only makes the store a
+	// refused no-op.
+	planned := planEligible(opts)
+	planGen, served := 0, false
+	if planned {
 		planGen = e.Catalog.Gen()
-		if ranked, ok, err := e.tryPlan(ctx, v, p, kws, opts, stats); err != nil {
-			return nil, nil, nil, err
-		} else if ok {
-			return ranked, kws, stats, nil
+		if served, err = e.tryPlan(ctx, v, p, out); err != nil {
+			return nil, err
 		}
 	}
-
-	// Phase 1+2: QPTs are compile-time; generate the PDTs from indices.
-	var filter *pdt.KeywordFilter
-	if opts.KeywordPruning && len(kws) > 0 {
-		if node := selectionFilterNode(v); node != nil {
-			filter = &pdt.KeywordFilter{Node: node, Conjunctive: !opts.Disjunctive}
-			stats.KeywordPruned = true
+	if !served {
+		// QPTs are compile-time; generate the PDTs from the indices alone.
+		var filter *pdt.KeywordFilter
+		if opts.KeywordPruning && len(out.kws) > 0 {
+			if node := selectionFilterNode(v); node != nil {
+				filter = &pdt.KeywordFilter{Node: node, Conjunctive: !opts.Disjunctive}
+				stats.KeywordPruned = true
+			}
 		}
+		cat, err := p.generatePDTs(ctx, out.kws, filter, stats)
+		if err != nil {
+			return nil, err
+		}
+		// The unchanged evaluator runs the view over the PDTs.
+		start := time.Now()
+		if out.results, out.bindings, out.counts, err = evalView(ctx, v, cat, opts, stats.Workers); err != nil {
+			return nil, err
+		}
+		stats.EvalTime = time.Since(start)
+		// Record the skeleton — the eval output itself — for the next
+		// search over this view: its nodes never escape to callers (winners
+		// are materialized into fresh trees), so sharing them with future
+		// serves is safe. AccessDirect counts this search toward promotion;
+		// the entry points materialize after the locks drop.
+		if planned {
+			e.Catalog.StoreSkeleton(v.Text, planGen, out.results, skeletonFootprint(out.results))
+			stats.promotable = e.Catalog.AccessDirect(v.Text)
+		}
+		out.post = time.Now()
 	}
-	cat, err := p.generatePDTs(ctx, kws, filter, stats)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Phase 3: the unchanged evaluator runs the view over the PDTs —
-	// partitioned over the outer FLWOR bindings when a worker pool is
-	// available.
-	start := time.Now()
-	results, err := e.evalView(ctx, v, cat, opts, stats.Workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats.EvalTime = time.Since(start)
-	stats.ViewResults = len(results)
-
-	// Phase 4a: score from PDT payloads and select the top k.
-	start = time.Now()
-	ranking, err := e.rank(ctx, results, kws, opts, stats.Workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats.Matched = ranking.Matched
-	stats.PostTime = time.Since(start)
-
-	// Record artifacts for the next search over this view. The skeleton is
-	// the eval output itself: its nodes never escape to callers (winners
-	// are materialized into fresh trees below the lock), so sharing them
-	// with future serves is safe. AccessDirect counts this search toward
-	// promotion; the entry points materialize after the locks drop.
-	if planGen >= 0 {
-		e.Catalog.StoreSkeleton(v.Text, planGen, results, skeletonFootprint(results))
-		stats.promotable = e.Catalog.AccessDirect(v.Text)
-	}
-	return ranking.Results, kws, stats, nil
+	stats.ViewResults = len(out.results)
+	return out, nil
 }
 
-// snippetWidth is the keyword-in-context excerpt width every
-// materialization path cuts snippets at; a single definition keeps local
-// and cluster materialization byte-identical.
+// rankedSearch runs every phase of a local search short of materialization
+// — plan, view output, collect, select — and returns the ranked winners
+// still pruned, with the view output they came from. No lock is held on
+// return, so callers materialize the winners afterwards all at once
+// (SearchPage) or one by one as a consumer pulls them (ResultsSeq).
+func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, opts Options) ([]scoring.Scored, *viewOutput, error) {
+	out, err := e.viewOutput(ctx, v, keywords, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	rstats, err := out.collect(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Select: score every result against the view-wide IDFs and keep the
+	// top k. The one call every local path ranks through.
+	ranking := scoring.RankWithStats(out.results, rstats, out.kws, !opts.Disjunctive, opts.K)
+	out.stats.Matched = ranking.Matched
+	return ranking.Results, out, nil
+}
+
+// snippetWidth is the keyword-in-context excerpt width snippets are cut at.
 const snippetWidth = 160
 
-// materializeResult expands one ranked winner into a caller-facing Result
-// (phase 4b). It needs no shard lock: subtree fetches resolve through the
-// store's lock-free Dewey map. prebuilt marks winners served from a
-// materialized view — already complete trees, so a clone replaces the
+// winners is the materialise phase, the one loop every delivery path
+// shares: it expands ranked[offset:] (a negative offset is 0) into
+// caller-facing Results, one per pull, so a consumer that stops early never
+// pays for the rest; ctx is checked before each winner and a cancellation
+// is delivered as the final (zero Result, error) pair. Rank numbers are
+// absolute positions in ranked. It needs no shard lock: subtree fetches
+// resolve through the store's lock-free Dewey map. Winners served from a
+// materialized view are already complete trees, so a clone replaces the
 // base-data fetch (Clone preserves everything XMLString and Snippet read,
 // keeping the output byte-identical to a fetched materialization).
-func materializeResult(sc scoring.Scored, rank int, kws []string, opts Options, fetcher scoring.Fetcher, prebuilt bool) Result {
-	elem := sc.Result
-	snippet := ""
-	if !opts.SkipMaterialize {
-		if prebuilt {
-			elem = sc.Result.Clone()
-		} else {
-			elem = scoring.Materialize(sc.Result, fetcher)
+func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offset int, opts Options, fetcher scoring.Fetcher) iter.Seq2[Result, error] {
+	// The sequence may outlive the search by a long time (a slow stream
+	// consumer): capture what it needs, not o, so the unranked remainder of
+	// the view output is collectable meanwhile.
+	kws, prebuilt := o.kws, o.stats.PlanSource == catalog.PlanMaterialized
+	return func(yield func(Result, error) bool) {
+		for i := max(0, offset); i < len(ranked); i++ {
+			if err := ctxErr(ctx); err != nil {
+				yield(Result{}, err)
+				return
+			}
+			sc := ranked[i]
+			r := Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: sc.Result}
+			if !opts.SkipMaterialize {
+				if prebuilt {
+					r.Element = sc.Result.Clone()
+				} else {
+					r.Element = scoring.Materialize(sc.Result, fetcher)
+				}
+				r.Snippet = scoring.Snippet(r.Element, kws, snippetWidth)
+			}
+			if !yield(r, nil) {
+				return
+			}
 		}
-		snippet = scoring.Snippet(elem, kws, snippetWidth)
 	}
-	return Result{Rank: rank, Score: sc.Score, TFs: sc.Stats.TFs, Element: elem, Snippet: snippet}
 }
 
 // selectionFilterNode decides whether a view is selection-shaped — every
@@ -853,14 +910,15 @@ func normalizeKeywords(keywords []string) []string {
 	return out
 }
 
-func nodesOf(items []xqeval.Item) []*xmltree.Node {
-	var nodes []*xmltree.Node
+// appendNodes appends the element items of an evaluation result to dst
+// (atomic values are not view results).
+func appendNodes(dst []*xmltree.Node, items []xqeval.Item) []*xmltree.Node {
 	for _, it := range items {
 		if n, ok := it.(*xmltree.Node); ok {
-			nodes = append(nodes, n)
+			dst = append(dst, n)
 		}
 	}
-	return nodes
+	return dst
 }
 
 // KeywordQuery is a Figure-2 style query split into its parts.

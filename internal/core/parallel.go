@@ -79,77 +79,84 @@ func chunkBounds(n, chunks int) [][2]int {
 	return out
 }
 
-// evalView runs the view expression over the PDT catalog. With one worker
-// it is a single evaluator pass (the legacy path). With more, and a
-// top-level FLWOR to partition, the outer for-clause's binding sequence is
-// split into contiguous chunks and each worker evaluates the remaining
-// clauses for its chunk with its own evaluator over the shared immutable
-// catalog; concatenating the chunk outputs in order reproduces the
-// single-evaluator result exactly (FLWOR evaluates bindings independently).
-// Every evaluator carries ctx, so cancellation unwinds between FLWOR
-// bindings on both paths.
-func (e *Engine) evalView(ctx context.Context, v *View, catalog xqeval.Catalog, opts Options, workers int) ([]*xmltree.Node, error) {
+// evalView runs the view expression over the PDT catalog — the one
+// evaluator every search path uses, at every pool size. A top-level FLWOR
+// that opens with a for clause is partitioned over that clause's binding
+// sequence: the bindings are split into contiguous chunks and each worker
+// evaluates the remaining clauses for its chunks with its own evaluator
+// over the shared immutable catalog. FLWOR evaluates bindings
+// independently, so concatenating the chunk outputs in order is exactly
+// the whole-expression result (xqeval.OuterBindings). It returns the
+// results in view order plus the bindings and how many results each
+// produced, which is what lets the cluster primitives attribute results to
+// documents. Any other view (no top-level FLWOR, or one that opens with a
+// let) is evaluated whole by a single evaluator and returns nil bindings
+// and counts. Every evaluator carries ctx, so cancellation unwinds between
+// FLWOR bindings either way.
+func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, opts Options, workers int) (results []*xmltree.Node, bindings []xqeval.Item, counts []int, err error) {
 	newEval := func() *xqeval.Evaluator {
 		ev := xqeval.New(catalog, v.Funcs)
 		ev.HashJoin = !opts.DisableHashJoin
 		ev.SetContext(ctx)
 		return ev
 	}
-	fl, isFLWOR := v.Expr.(*xq.FLWORExpr)
-	if workers <= 1 || !isFLWOR {
-		return evalWhole(newEval(), v.Expr)
-	}
 	primary := newEval()
-	bindings, ok, err := primary.OuterBindings(fl)
-	if err != nil {
-		return nil, wrapEvalErr(err)
+	fl, _ := v.Expr.(*xq.FLWORExpr)
+	partitionable := false
+	if fl != nil {
+		if bindings, partitionable, err = primary.OuterBindings(fl); err != nil {
+			return nil, nil, nil, &evalError{err}
+		}
 	}
-	if !ok || len(bindings) < 2 {
-		// A leading let clause, or nothing to partition: evaluate whole.
-		return evalWhole(primary, v.Expr)
+	if !partitionable {
+		items, err := primary.Eval(v.Expr, nil)
+		if err != nil {
+			return nil, nil, nil, &evalError{err}
+		}
+		return appendNodes(nil, items), nil, nil, nil
 	}
 	// More chunks than workers lets fast workers steal from slow ones;
 	// outputs are stitched back in chunk order so the partition is
 	// invisible in the result.
 	chunks := chunkBounds(len(bindings), workers*4)
-	outs := make([][]xqeval.Item, len(chunks))
+	outs := make([][]*xmltree.Node, len(chunks))
 	errs := make([]error, len(chunks))
+	counts = make([]int, len(bindings))
 	poolErr := forEachWorker(ctx, workers, len(chunks), func() func(int) {
 		ev := newEval() // evaluators are single-threaded; one per worker
 		return func(c int) {
-			for _, b := range bindings[chunks[c][0]:chunks[c][1]] {
-				items, err := ev.EvalTail(fl, b)
+			for bi := chunks[c][0]; bi < chunks[c][1]; bi++ {
+				// Tails without a for clause of their own never reach the
+				// evaluator's ctx checks; check between outer bindings too.
+				if errs[c] = ctx.Err(); errs[c] != nil {
+					return
+				}
+				items, err := ev.EvalTail(fl, bindings[bi])
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				outs[c] = append(outs[c], items...)
+				before := len(outs[c])
+				outs[c] = appendNodes(outs[c], items)
+				counts[bi] = len(outs[c]) - before
 			}
 		}
 	})
 	if poolErr != nil {
-		return nil, poolErr
+		return nil, nil, nil, poolErr
 	}
-	var items []xqeval.Item
+	total := 0
 	for c := range chunks {
 		if errs[c] != nil {
-			return nil, wrapEvalErr(errs[c])
+			return nil, nil, nil, &evalError{errs[c]}
 		}
-		items = append(items, outs[c]...)
+		total += len(outs[c])
 	}
-	return nodesOf(items), nil
-}
-
-func evalWhole(ev *xqeval.Evaluator, expr xq.Expr) ([]*xmltree.Node, error) {
-	items, err := ev.Eval(expr, nil)
-	if err != nil {
-		return nil, wrapEvalErr(err)
+	results = make([]*xmltree.Node, 0, total)
+	for _, out := range outs {
+		results = append(results, out...)
 	}
-	return nodesOf(items), nil
-}
-
-func wrapEvalErr(err error) error {
-	return &evalError{err}
+	return results, bindings, counts, nil
 }
 
 // evalError marks an evaluation failure so Search can report its phase. It
@@ -160,48 +167,25 @@ type evalError struct{ err error }
 func (e *evalError) Error() string { return "core: evaluating view over PDTs: " + e.err.Error() }
 func (e *evalError) Unwrap() error { return e.err }
 
-// rank scores the view results and selects the top k. With one worker the
-// stats are collected in a single pass (the legacy path, with a ctx check
-// per result). With more, stats collection fans out over the pool, then
-// each worker scores its chunk against the globally computed IDFs and
-// streams the scored results into a shared concurrent top-k heap; the
-// heap's total order (score desc, view position asc) makes the merged
-// selection independent of push interleaving.
-func (e *Engine) rank(ctx context.Context, results []*xmltree.Node, kws []string, opts Options, workers int) (*scoring.Ranking, error) {
-	stats := make([]scoring.Stats, len(results))
-	if workers <= 1 || len(results) < 2 {
-		for i, res := range results {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			stats[i] = scoring.Collect(res, kws, scoring.FromPDT)
-		}
-		return scoring.RankWithStats(results, stats, kws, !opts.Disjunctive, opts.K), nil
+// collectChunk is the number of results one collect work unit covers. It
+// is fixed rather than derived from the pool size so that ctx is checked
+// every collectChunk results even at a pool of one.
+const collectChunk = 64
+
+// collect is the stat-collection phase: the per-result scoring inputs (term
+// frequencies and byte length), index-aligned with o.results. The planner
+// tiers bring their own; for PDT results one pooled loop reads them off
+// the Meta payloads PDT generation attached. It runs lock-free.
+func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
+	if o.rstats != nil {
+		return o.rstats, nil
 	}
-	chunks := chunkBounds(len(results), workers*4)
-	if err := forEach(ctx, workers, len(chunks), func(c int) {
+	rstats := make([]scoring.Stats, len(o.results))
+	chunks := chunkBounds(len(o.results), (len(o.results)+collectChunk-1)/collectChunk)
+	err := forEach(ctx, o.stats.Workers, len(chunks), func(c int) {
 		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			stats[i] = scoring.Collect(results[i], kws, scoring.FromPDT)
+			rstats[i] = scoring.Collect(o.results[i], o.kws, scoring.FromPDT)
 		}
-	}); err != nil {
-		return nil, err
-	}
-	r := &scoring.Ranking{ViewSize: len(results)}
-	r.IDFs = scoring.IDFs(stats, len(kws))
-	top := scoring.NewTopK(opts.K)
-	var matched atomic.Int64
-	if err := forEach(ctx, workers, len(chunks), func(c int) {
-		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			if !scoring.Satisfies(stats[i].TFs, !opts.Disjunctive) {
-				continue
-			}
-			matched.Add(1)
-			top.Push(scoring.Scored{Result: results[i], Stats: stats[i], Score: scoring.Score(stats[i], r.IDFs), Index: i})
-		}
-	}); err != nil {
-		return nil, err
-	}
-	r.Matched = int(matched.Load())
-	r.Results = top.Sorted()
-	return r, nil
+	})
+	return rstats, err
 }

@@ -15,9 +15,10 @@ package core
 //     disjoint sets, either semantics — not just the conjunctive-superset
 //     case.
 //
-// Both tiers reproduce the direct pipeline's scoring inputs exactly — the
-// same per-result Stats fed to the same RankWithStats — so planned answers
-// are byte-identical to direct evaluation (ranks, scores, trees,
+// Both tiers hand back the view's results with the direct pipeline's
+// scoring inputs reproduced exactly — the same per-result Stats, fed to the
+// same select and materialise phases as every other search — so planned
+// answers are byte-identical to direct evaluation (ranks, scores, trees,
 // snippets). Artifacts are generation-stamped and every serve happens
 // under the search's shard read locks, where the corpus (and hence the
 // generation) cannot change for the view's documents.
@@ -29,7 +30,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"vxml/internal/catalog"
 	"vxml/internal/invindex"
@@ -45,59 +45,49 @@ func planEligible(opts Options) bool {
 	return opts.Plan && !opts.SkipMaterialize && !opts.KeywordPruning
 }
 
-// tryPlan attempts to answer the search from a live catalog artifact. It
-// runs under the plan's shard read locks, so a live (current-generation)
-// artifact stays live for the duration of the serve. ok = false means no
-// artifact: fall through to direct evaluation.
-func (e *Engine) tryPlan(ctx context.Context, v *View, p *plan, kws []string, opts Options, stats *Stats) ([]scoring.Scored, bool, error) {
+// tryPlan is the artifact half of the view-output phase: when the view has
+// a live catalog artifact it fills out.results and out.rstats from it and
+// reports served = true; otherwise the caller evaluates directly. It runs
+// under the plan's shard read locks, so a live (current-generation)
+// artifact stays live for the duration of the serve.
+func (e *Engine) tryPlan(ctx context.Context, v *View, p *plan, out *viewOutput) (served bool, err error) {
+	kws, stats := out.kws, out.stats
 	if mv, id, ok := e.Catalog.Materialized(v.Text); ok {
-		start := time.Now()
 		perKw := make([][]int, len(kws))
 		for j, kw := range kws {
 			perKw[j] = mv.TF(kw)
 		}
-		sts := make([]scoring.Stats, len(mv.Trees))
-		for i := range sts {
+		out.results, out.rstats = mv.Trees, make([]scoring.Stats, len(mv.Trees))
+		for i := range out.rstats {
 			if err := ctxErr(ctx); err != nil {
-				return nil, false, err
+				return false, err
 			}
 			tfs := make([]int, len(kws))
 			for j := range perKw {
 				tfs[j] = perKw[j][i]
 			}
-			sts[i] = scoring.Stats{TFs: tfs, ByteLen: mv.ByteLens[i]}
+			out.rstats[i] = scoring.Stats{TFs: tfs, ByteLen: mv.ByteLens[i]}
 		}
-		ranking := scoring.RankWithStats(mv.Trees, sts, kws, !opts.Disjunctive, opts.K)
-		stats.ViewResults = len(mv.Trees)
-		stats.Matched = ranking.Matched
-		stats.PostTime = time.Since(start)
-		stats.PlanSource = catalog.PlanMaterialized
-		stats.PlanView = id
+		stats.PlanSource, stats.PlanView = catalog.PlanMaterialized, id
 		e.Catalog.AccessPlanned(v.Text, catalog.PlanMaterialized)
-		return ranking.Results, true, nil
+		return true, nil
 	}
 	if sk, id, ok := e.Catalog.Skeleton(v.Text); ok {
-		start := time.Now()
 		lists := e.skeletonLists(p, kws)
-		sts := make([]scoring.Stats, len(sk.Results))
+		out.results, out.rstats = sk.Results, make([]scoring.Stats, len(sk.Results))
 		for i, res := range sk.Results {
 			if err := ctxErr(ctx); err != nil {
-				return nil, false, err
+				return false, err
 			}
-			sts[i] = skeletonStats(res, len(kws), lists)
+			out.rstats[i] = skeletonStats(res, len(kws), lists)
 		}
-		ranking := scoring.RankWithStats(sk.Results, sts, kws, !opts.Disjunctive, opts.K)
-		stats.ViewResults = len(sk.Results)
-		stats.Matched = ranking.Matched
-		stats.PostTime = time.Since(start)
-		stats.PlanSource = catalog.PlanRewritten
-		stats.PlanView = id
+		stats.PlanSource, stats.PlanView = catalog.PlanRewritten, id
 		// Rewrite serves count toward promotion too: a view whose skeleton
 		// keeps answering is the one worth materializing fully.
 		stats.promotable = e.Catalog.AccessPlanned(v.Text, catalog.PlanRewritten)
-		return ranking.Results, true, nil
+		return true, nil
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // skeletonLists resolves every candidate document's posting list for each
@@ -160,32 +150,27 @@ func skeletonStats(result *xmltree.Node, nKws int, lists map[int32][]*invindex.P
 func skeletonFootprint(results []*xmltree.Node) int {
 	total := 0
 	for _, r := range results {
-		r.Walk(func(n *xmltree.Node) {
-			total += 64 + len(n.Tag) + len(n.Value) + 4*len(n.ID)
-			if n.Meta != nil {
-				total += 32 + 8*len(n.Meta.TFs)
-			}
-		})
+		total += treeFootprint(r)
 	}
 	return total
 }
 
 // maybePromote materializes the view inline when the search that just
-// completed pushed it over the promotion threshold. It must run after
-// rankedSearch has released its shard read locks (it re-enters the
-// pipeline) but while the caller's store pin is held (materialization
-// fetches base subtrees). promoteMu single-flights concurrent promotions;
-// a loser re-checks under the lock and finds the artifact already live.
+// completed pushed it over the promotion threshold. It must run after the
+// search has released its shard read locks (it re-enters the pipeline
+// through viewOutput) but while the caller's store pin is held
+// (materialization fetches base subtrees). promoteMu single-flights
+// concurrent promotions; a loser re-checks under the lock and finds the
+// artifact already live.
 //
-// The unranked evaluation (empty keyword set, K = 0) returns every view
-// result in view order — all scores are 0 and ties break by view position
-// — with exact FromPDT byte lengths in its Stats, so the stored artifact
+// The keyword-less direct evaluation yields every view result in view
+// order, and collect its exact FromPDT byte lengths, so the stored artifact
 // carries precisely the ByteLen a direct search would compute. The token
 // histogram is built over the materialized trees with the same scoping as
 // scoring.Collect(FromBase), which the Baseline-vs-Efficient equivalence
 // suites pin equal to the PDT-derived statistics.
 func (e *Engine) maybePromote(ctx context.Context, v *View, opts Options, stats *Stats) {
-	if stats == nil || !stats.promotable || e.Catalog == nil {
+	if !stats.promotable {
 		return
 	}
 	e.promoteMu.Lock()
@@ -194,22 +179,26 @@ func (e *Engine) maybePromote(ctx context.Context, v *View, opts Options, stats 
 		return
 	}
 	gen := e.Catalog.Gen()
-	ranked, _, _, err := e.rankedSearch(ctx, v, nil, Options{Parallelism: opts.Parallelism})
+	out, err := e.viewOutput(ctx, v, nil, Options{Parallelism: opts.Parallelism})
+	if err != nil {
+		return
+	}
+	rstats, err := out.collect(ctx)
 	if err != nil {
 		return
 	}
 	mv := &catalog.MatView{
-		Trees:    make([]*xmltree.Node, len(ranked)),
-		ByteLens: make([]int, len(ranked)),
+		Trees:    make([]*xmltree.Node, len(out.results)),
+		ByteLens: make([]int, len(out.results)),
 		Tokens:   map[string][]catalog.TokenCount{},
 	}
-	for i, sc := range ranked {
+	for i, res := range out.results {
 		if ctxErr(ctx) != nil {
 			return
 		}
-		tree := scoring.Materialize(sc.Result, e.Store)
+		tree := scoring.Materialize(res, e.Store)
 		mv.Trees[i] = tree
-		mv.ByteLens[i] = sc.Stats.ByteLen
+		mv.ByteLens[i] = rstats[i].ByteLen
 		counts := map[string]int{}
 		treeTokens(tree, counts)
 		for tok, c := range counts {
@@ -244,12 +233,16 @@ func treeTokens(n *xmltree.Node, counts map[string]int) {
 	}
 }
 
-// treeFootprint estimates the resident bytes of one materialized tree for
-// the artifact budget.
+// treeFootprint estimates the resident bytes of one artifact tree — a
+// skeleton result (whose PDT nodes carry Meta payloads) or a materialized
+// one (which has none) — for the artifact budget.
 func treeFootprint(root *xmltree.Node) int {
 	total := 0
 	root.Walk(func(n *xmltree.Node) {
 		total += 64 + len(n.Tag) + len(n.Value) + 4*len(n.ID)
+		if n.Meta != nil {
+			total += 32 + 8*len(n.Meta.TFs)
+		}
 	})
 	return total
 }
@@ -262,9 +255,6 @@ func treeFootprint(root *xmltree.Node) int {
 // depends on the full option set, which the caller (the Database layer)
 // checks itself.
 func (e *Engine) PlanProbe(v *View) (source, viewID string) {
-	if e.Catalog == nil {
-		return catalog.PlanDirect, ""
-	}
 	if _, id, ok := e.Catalog.Materialized(v.Text); ok {
 		return catalog.PlanMaterialized, id
 	}

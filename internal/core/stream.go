@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"iter"
-
-	"vxml/internal/catalog"
 )
 
 // ResultsSeq evaluates the search and yields the ranked winners one at a
@@ -29,23 +27,14 @@ func (e *Engine) ResultsSeq(ctx context.Context, v *View, keywords []string, opt
 		// resolvable until the sequence finishes.
 		e.Store.Pin()
 		defer e.Store.Unpin()
-		ranked, kws, stats, err := e.rankedSearch(ctx, v, keywords, opts)
+		ranked, out, err := e.rankedSearch(ctx, v, keywords, opts)
 		if err != nil {
 			yield(Result{}, err)
 			return
 		}
-		e.maybePromote(ctx, v, opts, stats)
-		prebuilt := stats.PlanSource == catalog.PlanMaterialized
+		e.maybePromote(ctx, v, opts, out.stats)
 		// The store is the fetcher directly: the sequence yields no Stats,
 		// so there is no per-search fetch count to keep.
-		for i := offset; i < len(ranked); i++ {
-			if err := ctxErr(ctx); err != nil {
-				yield(Result{}, err)
-				return
-			}
-			if !yield(materializeResult(ranked[i], i+1, kws, opts, e.Store, prebuilt), nil) {
-				return
-			}
-		}
+		out.winners(ctx, ranked, offset, opts, e.Store)(yield)
 	}
 }

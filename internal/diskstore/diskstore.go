@@ -41,9 +41,6 @@ type Options struct {
 	// IndexCacheSize bounds the decoded-index cache in documents
 	// (default 256; <0 none).
 	IndexCacheSize int
-	// Mmap serves data-log reads from a read-only memory mapping instead
-	// of pread where the platform supports it.
-	Mmap bool
 
 	// fault, when set by in-package tests, tears writes after a byte
 	// budget — the crash-safety property suite's seam.
@@ -125,7 +122,7 @@ type Store struct {
 	grave   []int32
 	pins    atomic.Int64
 
-	source    blockSource
+	source    *fileSource
 	blocks    *blockCache
 	docsCache *docCache
 	idxCache  *indexCache
@@ -293,18 +290,13 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, corruptf("data log %s has no header", dataName)
 	}
 
-	// Read seam: a separate descriptor (pread, optionally mmap).
+	// Reads go through a separate descriptor (pread).
 	rf, err := os.Open(dpath)
 	if err != nil {
 		ds.close() //nolint:errcheck
 		return nil, err
 	}
 	ds.source = &fileSource{f: rf}
-	if opts.Mmap {
-		if src, ok := newMmapSource(rf, committed); ok {
-			ds.source = src
-		}
-	}
 
 	cleanupStale(dir, dataName)
 	ds.openWall = time.Since(start)

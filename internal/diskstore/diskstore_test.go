@@ -411,26 +411,6 @@ func TestBlockCacheEviction(t *testing.T) {
 	}
 }
 
-func TestMmapSource(t *testing.T) {
-	s := buildHeap(t, seedDocs(8))
-	ds := createDisk(t, s, Options{Mmap: true, DocCacheSize: -1, CacheBytes: -1})
-	for _, info := range s.Infos() {
-		hd, dd := s.Doc(info.Name), ds.Doc(info.Name)
-		if dd == nil || xmlOf(t, dd.Root) != xmlOf(t, hd.Root) {
-			t.Fatalf("doc %s wrong via mmap", info.Name)
-		}
-	}
-	// Appends past the mapped prefix must stay readable (pread fallback).
-	doc, _ := xmltree.ParseString(`<fresh><leaf>after mmap open</leaf></fresh>`, "fresh.xml", ds.ReserveID())
-	if err := ds.RegisterParsed(doc); err != nil {
-		t.Fatal(err)
-	}
-	ds.docsCache.Invalidate()
-	if got := ds.Doc("fresh.xml"); got == nil || xmlOf(t, got.Root) != xmlOf(t, doc.Root) {
-		t.Fatal("appended doc unreadable through mmap source")
-	}
-}
-
 func TestSnapshotFilesRestore(t *testing.T) {
 	s := buildHeap(t, seedDocs(6))
 	ds := createDisk(t, s, Options{})

@@ -102,21 +102,12 @@ func (af *appendFile) Truncate(n int64) error {
 // Close closes the underlying file.
 func (af *appendFile) Close() error { return af.f.Close() }
 
-// blockSource serves random reads of the committed data log. It is the
-// pread/mmap seam: fileSource preads through the OS page cache, and on
-// platforms with mmap support an mmapSource copies straight out of the
-// mapping. Reads are always for offsets below the committed length, which
-// both implementations serve concurrently without locking.
-type blockSource interface {
-	// ReadAt fills p from offset off; short reads are errors.
-	ReadAt(p []byte, off int64) error
-	Close() error
-}
-
-// fileSource is the portable pread implementation.
+// fileSource serves random reads of the committed data log by pread
+// through the OS page cache. Reads are always for offsets below the
+// committed length, which pread serves concurrently without locking.
 type fileSource struct{ f *os.File }
 
-// ReadAt fills p from offset off via pread.
+// ReadAt fills p from offset off; short reads are errors.
 func (fs *fileSource) ReadAt(p []byte, off int64) error {
 	if _, err := fs.f.ReadAt(p, off); err != nil {
 		return fmt.Errorf("diskstore: read %d bytes at %d: %w", len(p), off, err)

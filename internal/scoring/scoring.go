@@ -187,10 +187,10 @@ func Better(a, b Scored) bool {
 }
 
 // TopK selects the top k results under Better. It is safe for concurrent
-// Push from multiple workers, and because Better is a total order the
-// selected set and its Sorted order are independent of push interleaving —
-// the property the parallel search pipeline relies on to stay byte-
-// identical with the sequential path. k <= 0 keeps everything.
+// Push, and because Better is a total order the selected set and its Sorted
+// order are independent of push order — the property a distributed merge
+// relies on to stay byte-identical with a single-node ranking. k <= 0 keeps
+// everything.
 type TopK struct {
 	mu   sync.Mutex
 	k    int

@@ -127,10 +127,10 @@ func BuildEqCorpus(t testing.TB, rng *rand.Rand, nDocs int) *vxml.Database {
 
 // EqViews are the view shapes each corpus is searched through: a
 // collection selection, a collection view joined to a fixed document, a
-// single-document selection (the legacy shape), and a single-clause
-// equality where (the sequential path takes the evaluator's hash-join
-// shortcut, the parallel path partitions the loop — outputs must still
-// match exactly).
+// single-document selection, and a single-clause equality where (a
+// whole-expression evaluation — the Baseline comparator's — takes the
+// evaluator's hash-join shortcut, the Efficient pipeline partitions the
+// loop — outputs must still match exactly).
 var EqViews = []string{
 	`for $a in fn:collection("part-*")/books//article
 	 where $a/fm/yr > 1993

@@ -31,8 +31,8 @@ func buildBenchCorpus(b *testing.B, nDocs, articlesPerDoc int) *vxml.Database {
 }
 
 // BenchmarkShardedParallelSearch measures the same top-10 ranked search
-// over a 120-document collection view at Parallelism 1 (sequential legacy
-// path) and Parallelism 0 (worker pool sized by GOMAXPROCS).
+// over a 120-document collection view at Parallelism 1 (a pool of one)
+// and Parallelism 0 (worker pool sized by GOMAXPROCS).
 func BenchmarkShardedParallelSearch(b *testing.B) {
 	db := buildBenchCorpus(b, 120, 8)
 	view, err := db.DefineView(benchkit.CollectionView)

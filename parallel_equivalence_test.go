@@ -1,7 +1,7 @@
-// Parallel/sequential equivalence: the sharded parallel pipeline must be a
-// pure execution strategy. For every corpus, view and option set, search
-// results at Parallelism >= 2 must be byte-identical — rank, score, TF
-// map, materialized XML and snippet — to the sequential legacy path, with
+// Pool-size equivalence: the worker pool must be a pure execution
+// strategy. For every corpus, view and option set, search results at
+// Parallelism >= 2 must be byte-identical — rank, score, TF map,
+// materialized XML and snippet — to the same search at a pool of one, with
 // score ties broken deterministically by view position (document ID order
 // for collection views). These tests drive 50+ randomized corpora through
 // ranked, unranked, conjunctive and disjunctive searches over collection
@@ -20,7 +20,7 @@ import (
 // TestParallelSequentialEquivalence is the deterministic-ordering
 // regression test: across 72 randomized corpora (18 seeds x 4 view
 // shapes), parallel search returns byte-identical ranked and unranked
-// results to the sequential path, and the result-affecting stats counters
+// results to a pool of one, and the result-affecting stats counters
 // agree.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	trial := 0

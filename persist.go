@@ -96,7 +96,7 @@ func OpenDisk(dir string) (*Database, error) {
 }
 
 // OpenDiskOptions is OpenDisk with explicit cache and I/O tuning (block
-// size, block/document/index cache bounds, mmap).
+// size, block/document/index cache bounds).
 func OpenDiskOptions(dir string, opts diskstore.Options) (*Database, error) {
 	var ds *diskstore.Store
 	var err error

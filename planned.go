@@ -121,7 +121,7 @@ func PlannedSearch(ctx context.Context, cat *catalog.Catalog, viewText string, k
 	// entry answers any TopK>0 query over the same (view, keywords,
 	// semantics) by slicing — same ranks, scores, trees and snippets as a
 	// direct top-K search.
-	if opts.TopK > 0 && !opts.NoRewrite {
+	if opts.TopK > 0 {
 		fullKey := resultKey(viewText, keywords, 0, opts.Disjunctive, opts.Approach)
 		if val, ok := cat.Probe(fullKey); ok {
 			hit := val.(*cachedSearch)
@@ -162,8 +162,8 @@ func Replay(ctx context.Context, results []Result, err error) iter.Seq2[Result, 
 
 // normalizeOptions maps a nil or out-of-range Options to its canonical
 // form. Every negative TopK or Offset means the same thing as 0, and every
-// negative Parallelism the same thing as 1 (the sequential path — exactly
-// how core.Options reads it); normalizing before the cache key is built
+// negative Parallelism the same thing as 1 (a pool of one — exactly how
+// core.Options reads it); normalizing before the cache key is built
 // keeps each family one cache entry, and library callers can never hand
 // the engine an out-of-range value the HTTP layer would have rejected.
 func normalizeOptions(opts *Options) *Options {

@@ -80,7 +80,6 @@ func TestPlannedSearchProtocol(t *testing.T) {
 			{opts: &vxml.Options{Cache: true}, wantCalls: 1, wantRanks: all, wantSource: catalog.PlanDirect},
 			{opts: &vxml.Options{Cache: true}, wantCalls: 1, wantRanks: all, wantSource: catalog.PlanCacheHit},
 			{opts: &vxml.Options{Cache: true, TopK: 2}, wantCalls: 1, wantRanks: []int{1, 2}, wantSource: catalog.PlanRewritten},
-			{opts: &vxml.Options{Cache: true, TopK: 2, NoRewrite: true}, wantCalls: 2, wantRanks: []int{1, 2}, wantSource: catalog.PlanDirect},
 		}},
 		{"cached pages compute the unpaged entry once", []step{
 			{opts: &vxml.Options{Cache: true, Offset: 2, TopK: 2}, wantCalls: 1, wantRanks: []int{3, 4}, wantSource: catalog.PlanDirect,

@@ -47,10 +47,11 @@
 // Options.Parallelism bounds a worker pool the Efficient pipeline fans the
 // search out over: per-candidate-document PDT generation (keyword lookup,
 // QPT matching, tree construction), view evaluation partitioned over the
-// outer FLWOR bindings, and scoring streamed into a concurrent top-k merge
-// heap. 0 (the default) uses GOMAXPROCS, 1 is the sequential legacy path;
-// ranked and unranked results are byte-identical at every setting, with
-// score ties broken deterministically by view position (document order).
+// outer FLWOR bindings, and per-result stat collection; one sequential
+// top-k selection follows. 0 (the default) uses GOMAXPROCS, 1 is a pool of
+// one running the same functions inline; ranked and unranked results are
+// byte-identical at every setting, with score ties broken deterministically
+// by view position (document order).
 //
 // # Document lifecycle
 //
@@ -305,7 +306,7 @@ func (db *Database) DefineViewContext(ctx context.Context, xquery string) (*View
 // Options configure a search. The zero value means conjunctive semantics
 // and all matching results. Out-of-range numeric fields are normalized,
 // never rejected: negative TopK and Offset mean 0, negative Parallelism
-// means 1 (the sequential path, matching the engine's reading) — so no
+// means 1 (a pool of one, matching the engine's reading) — so no
 // Options value can construct an invalid pool size or a spurious extra
 // cache key.
 type Options struct {
@@ -327,8 +328,8 @@ type Options struct {
 	Disjunctive bool
 	// Parallelism bounds the worker pool the Efficient pipeline fans
 	// per-document PDT generation, view evaluation and scoring out over.
-	// 0 (the default) uses GOMAXPROCS; 1 selects the sequential legacy
-	// path. Results are byte-identical at every setting, so Parallelism is
+	// 0 (the default) uses GOMAXPROCS; 1 is a pool of one. Results are
+	// byte-identical at every setting, so Parallelism is
 	// deliberately NOT part of the query-result cache key: searches at
 	// different parallelism share cache entries. The comparator pipelines
 	// (Baseline, GTPTermJoin) always run sequentially.
@@ -352,11 +353,6 @@ type Options struct {
 	// materialized view, all byte-identical to direct evaluation.
 	// Stats.PlanSource reports which path answered.
 	Cache bool
-	// NoRewrite keeps the exact result cache active but disables the
-	// rewrite and materialized tiers (and artifact recording): a miss
-	// always evaluates directly. Benchmarks use it to isolate tier
-	// contributions; results are identical either way.
-	NoRewrite bool
 }
 
 // Approach selects the query processing pipeline.
@@ -405,8 +401,8 @@ type Stats struct {
 	// not in the catalog).
 	PlanSource string
 	PlanView   string
-	// Workers is the worker-pool size the search actually ran with (1 =
-	// sequential path; comparator pipelines always report 1). Candidates
+	// Workers is the worker-pool size the search actually ran with
+	// (comparator pipelines always report 1). Candidates
 	// counts the documents the view resolved to and ShardsSearched the
 	// corpus shards whose locks the search held. Like the timing fields,
 	// they describe the execution — on a cache hit, the original one —
@@ -480,7 +476,7 @@ func (db *Database) searchUncached(ctx context.Context, v *View, keywords []stri
 	case Efficient:
 		// Cache opts the search into the engine's planner tiers too; the
 		// comparator pipelines below always evaluate directly.
-		copts.Plan = opts.Cache && !opts.NoRewrite
+		copts.Plan = opts.Cache
 		var cs *core.Stats
 		results, cs, err = db.engine.SearchPage(ctx, v.inner, keywords, copts, pageOffset)
 		pageOffset = 0 // the engine already skipped the prefix
