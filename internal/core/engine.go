@@ -15,12 +15,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -518,16 +519,17 @@ type Result struct {
 }
 
 // unit is one candidate-document work item of a search: a QPT paired with
-// the name of one document it resolved to and that document's indices,
-// snapshotted under the shard read locks the search holds. Planning is
-// metadata- and index-only — the document tree itself is never touched,
-// which is what lets a disk-backed corpus search without paging base data
-// in (paper §4.2.2.2: only materialization reads base storage).
+// the name and ID of one document it resolved to and that document's
+// indices, snapshotted under the shard read locks the search holds.
+// Planning is metadata- and index-only — the document tree itself is never
+// touched, which is what lets a disk-backed corpus search without paging
+// base data in (paper §4.2.2.2: only materialization reads base storage).
 type unit struct {
-	q    *qpt.QPT
-	name string
-	pix  *pathindex.Index
-	iix  *invindex.Index
+	q     *qpt.QPT
+	name  string
+	docID int32
+	pix   *pathindex.Index
+	iix   *invindex.Index
 }
 
 // plan is a search's locked view of the corpus: the candidate units in
@@ -566,34 +568,70 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 			p.shards = append(p.shards, sh)
 		}
 	}
-	seen := map[string]string{} // doc name -> QPT reference that claimed it
+	// doc name -> QPT reference that claimed it. One QPT's InfosMatching
+	// cannot repeat a document, so only a view with several needs the check.
+	var seen map[string]string
+	if len(v.QPTs) > 1 {
+		seen = map[string]string{}
+	}
 	for _, q := range v.QPTs {
 		for _, info := range e.Store.InfosMatching(q.Doc) {
-			if prev, dup := seen[info.Name]; dup {
-				p.unlock()
-				return nil, fmt.Errorf("core: document %q matches both %q and %q in one view", info.Name, prev, q.Doc)
+			if seen != nil {
+				if prev, dup := seen[info.Name]; dup {
+					p.unlock()
+					return nil, fmt.Errorf("core: document %q matches both %q and %q in one view", info.Name, prev, q.Doc)
+				}
+				seen[info.Name] = q.Doc
 			}
-			seen[info.Name] = q.Doc
 			pix, iix, err := e.indices(info.Name)
 			if err != nil {
 				p.unlock()
 				return nil, fmt.Errorf("core: indices of %q: %w", info.Name, err)
 			}
-			p.units = append(p.units, unit{q: q, name: info.Name, pix: pix, iix: iix})
+			p.units = append(p.units, unit{q: q, name: info.Name, docID: info.DocID, pix: pix, iix: iix})
 		}
 	}
 	return p, nil
 }
 
-// generatePDT runs the per-document index pipeline for one unit: inverted-
-// list keyword lookup, path-index probes and QPT (pattern) matching inside
-// PrepareLists, then PDT construction.
+// generatePDT runs the per-document index pipeline for one unit: path-index
+// probes and QPT (pattern) matching inside PrepareLists, then PDT
+// construction. The PDT is keyword-free — its shape, values and byte
+// lengths depend on (QPT, document) alone, and collect derives the term
+// frequencies of the results that survive evaluation — so the keywords
+// reach PrepareLists only when a KeywordFilter prunes by them.
 func (u unit) generatePDT(kws []string, filter *pdt.KeywordFilter) *pdt.PDT {
 	if u.pix == nil || u.iix == nil {
 		return nil // unindexed document: empty PDT
 	}
+	if filter == nil {
+		kws = nil
+	}
 	lists := pdt.PrepareLists(u.q, u.pix, u.iix, kws)
 	return pdt.GenerateFiltered(u.q, lists, u.name, filter)
+}
+
+// keywordLists resolves every candidate document's posting list for each
+// keyword, keyed by document ID (Meta payloads name their source document
+// through the leading Dewey component): one inverted-list lookup per
+// keyword per candidate, under the plan's shard read locks. The lists are
+// immutable, so collect reads them after the locks drop. Lookup on an
+// absent keyword returns an empty list whose range sums are 0, so no nil
+// checks are needed per keyword; a candidate without indices has no entry.
+func (p *plan) keywordLists(kws []string) map[int32][]*invindex.PostingList {
+	lists := make(map[int32][]*invindex.PostingList, len(p.units))
+	slab := make([]*invindex.PostingList, 0, len(p.units)*len(kws))
+	for _, u := range p.units {
+		if u.iix == nil {
+			continue
+		}
+		start := len(slab)
+		for _, kw := range kws {
+			slab = append(slab, u.iix.Lookup(kw))
+		}
+		lists[u.docID] = slab[start:len(slab):len(slab)]
+	}
+	return lists
 }
 
 // evalCatalog resolves fn:doc and fn:collection references against the
@@ -646,7 +684,7 @@ func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.Keywo
 	}
 	// Units are ordered QPT-major; pattern expansion must follow corpus
 	// (document ID) order across the whole catalog.
-	sort.Slice(c.ordered, func(i, j int) bool { return c.ordered[i].DocID < c.ordered[j].DocID })
+	slices.SortFunc(c.ordered, func(a, b *xmltree.Document) int { return cmp.Compare(a.DocID, b.DocID) })
 	stats.PDTTime = time.Since(start)
 	return c, nil
 }
@@ -714,11 +752,14 @@ type viewOutput struct {
 	bindings []xqeval.Item
 	counts   []int
 	// rstats are the per-result scoring inputs when the serving tier
-	// derives them itself (the planner tiers); nil for PDT results, whose
-	// stats collect reads off the Meta payloads.
+	// brings them itself (a materialized view); nil for PDT-pruned results
+	// — direct or skeleton — whose stats collect derives from lists.
 	rstats []scoring.Stats
-	kws    []string // normalized keywords
-	stats  *Stats
+	// lists holds each candidate document's posting list per keyword
+	// (plan.keywordLists), for collect.
+	lists map[int32][]*invindex.PostingList
+	kws   []string // normalized keywords
+	stats *Stats
 	// post is when the view's results came into existence — the start of
 	// the scoring + materialization time Stats.PostTime reports.
 	post time.Time
@@ -794,6 +835,9 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 			stats.promotable = e.Catalog.AccessDirect(v.Text)
 		}
 		out.post = time.Now()
+	}
+	if out.rstats == nil {
+		out.lists = p.keywordLists(out.kws)
 	}
 	stats.ViewResults = len(out.results)
 	return out, nil

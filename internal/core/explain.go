@@ -49,11 +49,8 @@ func (e *Engine) Explain(v *View, keywords []string) string {
 		if !docname.IsPattern(q.Doc) {
 			pix = e.PathIndex(q.Doc)
 		}
-		for _, n := range q.Nodes() {
-			if n.HasMandatoryChild() && !n.V && !n.C {
-				continue
-			}
-			steps := n.StepsFromRoot()
+		for _, pr := range q.Probes() {
+			n, steps := pr.Node, pr.Steps
 			var ann []string
 			if n.V {
 				ann = append(ann, "values")

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vxml/internal/invindex"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
@@ -173,9 +174,10 @@ func (e *evalError) Unwrap() error { return e.err }
 const collectChunk = 64
 
 // collect is the stat-collection phase: the per-result scoring inputs (term
-// frequencies and byte length), index-aligned with o.results. The planner
-// tiers bring their own; for PDT results one pooled loop reads them off
-// the Meta payloads PDT generation attached. It runs lock-free.
+// frequencies and byte length), index-aligned with o.results. A
+// materialized view brings its own; for PDT-pruned results — fresh from
+// direct evaluation or a stored skeleton alike — one pooled loop derives
+// them (resultStats). It runs lock-free.
 func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 	if o.rstats != nil {
 		return o.rstats, nil
@@ -184,8 +186,38 @@ func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 	chunks := chunkBounds(len(o.results), (len(o.results)+collectChunk-1)/collectChunk)
 	err := forEach(ctx, o.stats.Workers, len(chunks), func(c int) {
 		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			rstats[i] = scoring.Collect(o.results[i], o.kws, scoring.FromPDT)
+			rstats[i] = resultStats(o.results[i], len(o.kws), o.lists)
 		}
 	})
 	return rstats, err
+}
+
+// resultStats computes one PDT-pruned view result's scoring inputs,
+// mirroring scoring.Collect(FromPDT)'s walk: each Meta node contributes its
+// whole base subtree exactly once, constructed wrappers contribute nothing.
+// Engine PDTs carry no Meta.TFs (and a skeleton outlives the keywords of
+// the search that built it), so each term frequency is the posting list's
+// Dewey-range sum over the Meta node's base subtree — by construction the
+// value PDT generation attaches when given keywords (the pdt property suite
+// pins Meta.TFs == SubtreeTF over the base subtree; Theorem 4.1(b)). Only
+// the 'c' nodes that reach a view result pay for it.
+func resultStats(result *xmltree.Node, nKws int, lists map[int32][]*invindex.PostingList) scoring.Stats {
+	st := scoring.Stats{TFs: make([]int, nKws)}
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		if n.Meta != nil {
+			st.ByteLen += n.Meta.SrcLen
+			if len(n.Meta.SrcID) > 0 {
+				for j, pl := range lists[n.Meta.SrcID[0]] {
+					st.TFs[j] += pl.SubtreeTF(n.Meta.SrcID)
+				}
+			}
+			return
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(result)
+	return st
 }

@@ -8,9 +8,9 @@ package core
 //     index — no PDT generation, no evaluation, no base-data access.
 //   - A skeleton (the view's pruned evaluation output) skips PDT
 //     generation and evaluation and re-scores: skeletons are
-//     keyword-independent, because each result's term frequencies are
-//     re-derived from the inverted indices at serve time rather than read
-//     from the (keyword-specific) stored Meta payloads. One skeleton
+//     keyword-independent, because engine PDTs carry no term frequencies
+//     — collect derives each result's from the inverted indices, for a
+//     skeleton's results exactly as for freshly evaluated ones. One skeleton
 //     therefore rewrites ANY keyword query over its view — supersets,
 //     disjoint sets, either semantics — not just the conjunctive-superset
 //     case.
@@ -32,7 +32,6 @@ import (
 	"context"
 
 	"vxml/internal/catalog"
-	"vxml/internal/invindex"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
 )
@@ -46,8 +45,10 @@ func planEligible(opts Options) bool {
 }
 
 // tryPlan is the artifact half of the view-output phase: when the view has
-// a live catalog artifact it fills out.results and out.rstats from it and
-// reports served = true; otherwise the caller evaluates directly. It runs
+// a live catalog artifact it fills out.results from it (and out.rstats from
+// a materialized view; a skeleton's results are scored by collect, like
+// direct ones) and reports served = true; otherwise the caller evaluates
+// directly. It runs
 // under the plan's shard read locks, so a live (current-generation)
 // artifact stays live for the duration of the serve.
 func (e *Engine) tryPlan(ctx context.Context, v *View, p *plan, out *viewOutput) (served bool, err error) {
@@ -73,14 +74,7 @@ func (e *Engine) tryPlan(ctx context.Context, v *View, p *plan, out *viewOutput)
 		return true, nil
 	}
 	if sk, id, ok := e.Catalog.Skeleton(v.Text); ok {
-		lists := e.skeletonLists(p, kws)
-		out.results, out.rstats = sk.Results, make([]scoring.Stats, len(sk.Results))
-		for i, res := range sk.Results {
-			if err := ctxErr(ctx); err != nil {
-				return false, err
-			}
-			out.rstats[i] = skeletonStats(res, len(kws), lists)
-		}
+		out.results = sk.Results
 		stats.PlanSource, stats.PlanView = catalog.PlanRewritten, id
 		// Rewrite serves count toward promotion too: a view whose skeleton
 		// keeps answering is the one worth materializing fully.
@@ -88,61 +82,6 @@ func (e *Engine) tryPlan(ctx context.Context, v *View, p *plan, out *viewOutput)
 		return true, nil
 	}
 	return false, nil
-}
-
-// skeletonLists resolves every candidate document's posting list for each
-// keyword, keyed by document ID (skeleton Meta payloads name their source
-// document through the leading Dewey component). Lookup on an absent
-// keyword returns an empty list whose range sums are 0, so no nil checks
-// are needed per keyword.
-func (e *Engine) skeletonLists(p *plan, kws []string) map[int32][]*invindex.PostingList {
-	lists := make(map[int32][]*invindex.PostingList, len(p.units))
-	for _, u := range p.units {
-		if u.iix == nil {
-			continue
-		}
-		info, ok := e.Store.Info(u.name)
-		if !ok {
-			continue
-		}
-		pls := make([]*invindex.PostingList, len(kws))
-		for j, kw := range kws {
-			pls[j] = u.iix.Lookup(kw)
-		}
-		lists[info.DocID] = pls
-	}
-	return lists
-}
-
-// skeletonStats recomputes one skeleton result's scoring inputs for the
-// incoming keywords, mirroring scoring.Collect(FromPDT)'s walk: each Meta
-// node contributes its whole base subtree exactly once, constructed
-// wrappers contribute nothing. The stored Meta.TFs were collected for
-// whatever keywords built the skeleton, so they are ignored; each term
-// frequency is re-derived as the posting list's Dewey-range sum — by
-// construction the same value PDT generation would attach (the pdt
-// property suite pins Meta.TFs == SubtreeTF over the base subtree).
-func skeletonStats(result *xmltree.Node, nKws int, lists map[int32][]*invindex.PostingList) scoring.Stats {
-	st := scoring.Stats{TFs: make([]int, nKws)}
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		if n.Meta != nil {
-			st.ByteLen += n.Meta.SrcLen
-			if len(n.Meta.SrcID) > 0 {
-				if pls := lists[n.Meta.SrcID[0]]; pls != nil {
-					for j, pl := range pls {
-						st.TFs[j] += pl.SubtreeTF(n.Meta.SrcID)
-					}
-				}
-			}
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(result)
-	return st
 }
 
 // skeletonFootprint estimates the resident bytes of a skeleton forest for
@@ -234,14 +173,15 @@ func treeTokens(n *xmltree.Node, counts map[string]int) {
 }
 
 // treeFootprint estimates the resident bytes of one artifact tree — a
-// skeleton result (whose PDT nodes carry Meta payloads) or a materialized
-// one (which has none) — for the artifact budget.
+// skeleton result (whose PDT nodes carry Meta payloads: source ID and
+// length, no TFs) or a materialized one (which has none) — for the
+// artifact budget.
 func treeFootprint(root *xmltree.Node) int {
 	total := 0
 	root.Walk(func(n *xmltree.Node) {
 		total += 64 + len(n.Tag) + len(n.Value) + 4*len(n.ID)
 		if n.Meta != nil {
-			total += 32 + 8*len(n.Meta.TFs)
+			total += 32
 		}
 	})
 	return total

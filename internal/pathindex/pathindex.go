@@ -5,20 +5,25 @@
 // (Path, Value) key.
 //
 // Queries follow the paper exactly: a path query with an equality value
-// predicate probes the composite key; a path query without predicates scans
-// the Path prefix of the composite key and merges the rows' ID lists; a
-// path with descendant axes is first expanded against the path dictionary
-// into the matching full data paths, each of which is probed separately.
+// predicate probes the composite key; a path query without predicates reads
+// the path's rows merged into one ID list; a path with descendant axes is
+// first expanded against the path dictionary into the matching full data
+// paths, each of which is probed separately. The merge is a function of the
+// document alone, so it is done once, when the index is built or loaded:
+// every full data path keeps its Dewey-ordered posting list and its split
+// segments, and a lookup's cost does not grow with the list it returns.
 //
 // The index additionally stores each element's subtree byte length in its
 // posting (needed by PDT generation for score normalization, §4.2.2.2) and
-// a tag index (element IDs per tag) used by the GTP baseline's structural
-// joins.
+// derives, on first use, a tag index (element IDs per tag) for the GTP
+// baseline's structural joins.
 package pathindex
 
 import (
-	"sort"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"vxml/internal/btree"
 	"vxml/internal/dewey"
@@ -71,8 +76,11 @@ type Posting struct {
 
 // PathPostings groups the postings of one full data path, in Dewey order.
 // PDT generation needs the full path to map ID prefixes back to QPT nodes.
+// Segs and, for a lookup without predicates, Postings are the index's own:
+// callers must treat them as read-only.
 type PathPostings struct {
-	FullPath string // e.g. "/books/book/isbn"
+	FullPath string   // e.g. "/books/book/isbn"
+	Segs     []string // FullPath split into its tags
 	Postings []Posting
 }
 
@@ -81,42 +89,94 @@ type row struct {
 	postings []Posting // document order == ascending Dewey ID
 }
 
-// Index is the path index of a single document.
-type Index struct {
-	tree  *btree.Tree // (path \x00 value) -> *row
-	paths []string    // sorted dictionary of distinct element paths
-	tags  map[string][]Posting
+// pathList is one full data path of the dictionary: its tags and its
+// postings merged across all its (path, value) rows in Dewey order.
+type pathList struct {
+	segs     []string
+	postings []Posting
 }
 
-// Build constructs the path index for doc in one document-order walk.
+// Index is the path index of a single document. Once built it is immutable
+// apart from the atomic probe counters and the lazily derived tag index, so
+// concurrent searches may probe it freely.
+type Index struct {
+	tree   *btree.Tree  // (path \x00 value) -> *row
+	paths  []string     // sorted dictionary of distinct element paths
+	lists  []pathList   // aligned with paths
+	probes atomic.Int64 // full-path lookups answered from lists, not the tree
+
+	tagsOnce sync.Once
+	tags     map[string][]Posting
+}
+
+// pathRows is what Build and FromRows know about one path while they fill
+// the tree: its merged postings, its first row and its row count.
+type pathRows struct {
+	postings []Posting
+	first    *row
+	rows     int
+}
+
+// addRow stores a new row of the path under key.
+func (pr *pathRows) addRow(tree *btree.Tree, key []byte, r *row) {
+	if pr.rows == 0 {
+		pr.first = r
+	}
+	pr.rows++
+	tree.Put(key, r)
+}
+
+// Build constructs the path index for doc in one document-order walk, so
+// every path's merged list arrives already Dewey-sorted.
 func Build(doc *xmltree.Document) *Index {
-	ix := &Index{tree: btree.New(), tags: map[string][]Posting{}}
-	pathSet := map[string]bool{}
+	ix := &Index{tree: btree.New()}
+	byPath := map[string]*pathRows{}
 	doc.Root.Walk(func(n *xmltree.Node) {
 		path := n.PathFromRoot()
-		pathSet[path] = true
 		p := Posting{ID: n.ID, ByteLen: n.ByteLen}
 		if n.IsLeaf() {
 			p.Value = n.Value
 			p.HasValue = true
 		}
+		pr := byPath[path]
+		if pr == nil {
+			pr = &pathRows{}
+			byPath[path] = pr
+		}
+		pr.postings = append(pr.postings, p)
 		key := compositeKey(path, p.Value, p.HasValue)
 		if v, ok := ix.tree.Get(key); ok {
 			r := v.(*row)
 			r.postings = append(r.postings, p)
 		} else {
-			ix.tree.Put(key, &row{postings: []Posting{p}})
+			pr.addRow(ix.tree, key, &row{postings: []Posting{p}})
 		}
-		ix.tags[n.Tag] = append(ix.tags[n.Tag], p)
 	})
-	ix.paths = make([]string, 0, len(pathSet))
-	for p := range pathSet {
+	ix.finish(byPath)
+	return ix
+}
+
+// finish turns the per-path lists (postings already in Dewey order) into
+// the sorted dictionary. A path whose postings all live in one row shares
+// that row's list instead of holding a second copy, so the merged lists
+// cost memory only where a path has several values.
+func (ix *Index) finish(byPath map[string]*pathRows) {
+	ix.paths = make([]string, 0, len(byPath))
+	for p := range byPath {
+		ix.paths = append(ix.paths, p)
+	}
+	slices.Sort(ix.paths)
+	ix.lists = make([]pathList, len(ix.paths))
+	for i, p := range ix.paths {
+		pr := byPath[p]
+		if pr.rows == 1 {
+			pr.first.postings = pr.postings
+		}
 		// Full data paths recur across every document of a corpus-shaped
 		// collection (and across shards); retain the canonical copy.
-		ix.paths = append(ix.paths, intern.String(p))
+		ix.paths[i] = intern.String(p)
+		ix.lists[i] = pathList{segs: splitPath(ix.paths[i]), postings: pr.postings}
 	}
-	sort.Strings(ix.paths)
-	return ix
 }
 
 // compositeKey builds the (Path, Value) B+-tree key. Paths never contain
@@ -134,8 +194,10 @@ func compositeKey(path, value string, hasValue bool) []byte {
 	return k
 }
 
-// Probes reports how many B+-tree probes the index has served.
-func (ix *Index) Probes() int { return ix.tree.Probes() }
+// Probes reports how many index probes have been served: B+-tree probes plus
+// full-path lookups answered from the merged lists, one per lookup either
+// way (paper Figure 7 counts probes per query, whatever serves them).
+func (ix *Index) Probes() int { return ix.tree.Probes() + int(ix.probes.Load()) }
 
 // Paths returns the path dictionary (sorted distinct element paths).
 func (ix *Index) Paths() []string { return ix.paths }
@@ -146,8 +208,8 @@ func (ix *Index) Paths() []string { return ix.paths }
 // data path").
 func (ix *Index) MatchFullPaths(steps []Step) []string {
 	var out []string
-	for _, p := range ix.paths {
-		if MatchPath(steps, p) {
+	for i, p := range ix.paths {
+		if matchFrom(steps, ix.lists[i].segs, 0, 0) {
 			out = append(out, p)
 		}
 	}
@@ -187,54 +249,66 @@ func splitPath(p string) []string {
 
 // LookupPath returns, for every full data path matching the pattern, that
 // path's postings merged across all its (path, value) rows in Dewey order.
-// Leaf predicates, if any, are applied to row values: equality predicates
-// become composite-key point probes; other comparisons scan the path's rows
-// and filter (both are index-only operations).
+// Without predicates that is the list the index keeps per path, returned
+// as-is: it (like Segs) is the index's own and read-only, as Rows' are.
+// Leaf predicates are applied to the values: a single equality predicate is
+// a composite-key point probe; anything else is one in-order filter pass
+// over the path's list (both are index-only operations).
 func (ix *Index) LookupPath(steps []Step, preds []pred.Predicate) []PathPostings {
 	var out []PathPostings
-	for _, fp := range ix.MatchFullPaths(steps) {
-		postings := ix.lookupFullPath(fp, preds)
-		if len(postings) > 0 {
-			out = append(out, PathPostings{FullPath: fp, Postings: postings})
+	for i := range ix.lists {
+		pl := &ix.lists[i]
+		if !matchFrom(steps, pl.segs, 0, 0) {
+			continue
+		}
+		if postings := ix.lookupFullPath(i, preds); len(postings) > 0 {
+			out = append(out, PathPostings{FullPath: ix.paths[i], Segs: pl.segs, Postings: postings})
 		}
 	}
 	return out
 }
 
-// lookupFullPath probes one full data path.
-func (ix *Index) lookupFullPath(fullPath string, preds []pred.Predicate) []Posting {
+// lookupFullPath probes the i-th full data path of the dictionary.
+func (ix *Index) lookupFullPath(i int, preds []pred.Predicate) []Posting {
 	// Single equality predicate: point probe on the composite key.
 	if len(preds) == 1 && preds[0].Op == pred.Eq {
-		if v, ok := ix.tree.Get(compositeKey(fullPath, preds[0].Lit, true)); ok {
+		if v, ok := ix.tree.Get(compositeKey(ix.paths[i], preds[0].Lit, true)); ok {
 			return v.(*row).postings
 		}
 		// Numeric equality may not match textually (e.g. "07" vs "7");
-		// fall through to the scan so semantics stay value-based.
+		// fall through to the filter so semantics stay value-based.
 	}
-	prefix := append([]byte(fullPath), 0)
-	var rows []*row
-	ix.tree.ScanPrefix(prefix, func(_ []byte, v any) bool {
-		rows = append(rows, v.(*row))
-		return true
-	})
-	var merged []Posting
-	for _, r := range rows {
-		for _, p := range r.postings {
-			if len(preds) > 0 {
-				if !p.HasValue || !pred.All(preds, p.Value) {
-					continue
-				}
-			}
-			merged = append(merged, p)
+	ix.probes.Add(1)
+	all := ix.lists[i].postings
+	if len(preds) == 0 {
+		return all
+	}
+	var kept []Posting
+	for _, p := range all {
+		if p.HasValue && pred.All(preds, p.Value) {
+			kept = append(kept, p)
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool { return dewey.Less(merged[i].ID, merged[j].ID) })
-	return merged
+	return kept
 }
 
 // TagPostings returns the postings of every element with the given tag, in
-// document order (the tag index used by structural joins).
-func (ix *Index) TagPostings(tag string) []Posting { return ix.tags[tag] }
+// document order (the tag index used by structural joins). Only the GTP
+// comparator asks, so the tag index is derived from the per-path lists on
+// the first call; concurrent first callers are safe.
+func (ix *Index) TagPostings(tag string) []Posting {
+	ix.tagsOnce.Do(func() {
+		ix.tags = map[string][]Posting{}
+		for _, pl := range ix.lists {
+			t := pl.segs[len(pl.segs)-1]
+			ix.tags[t] = append(ix.tags[t], pl.postings...)
+		}
+		for _, ps := range ix.tags {
+			slices.SortFunc(ps, func(a, b Posting) int { return dewey.Compare(a.ID, b.ID) })
+		}
+	})
+	return ix.tags[tag]
+}
 
 // DistinctRowCount reports the number of (path, value) rows; used by tests
 // and diagnostics.
@@ -270,26 +344,33 @@ func (ix *Index) Rows() []Row {
 }
 
 // FromRows rebuilds an index from a Rows snapshot: the B+-tree from the
-// composite keys, the path dictionary from the distinct paths, and the tag
-// index by regrouping the postings under each path's final segment in
-// document (Dewey) order. For any document, FromRows(Build(doc).Rows())
-// answers every probe identically to Build(doc).
+// composite keys, and the path dictionary with each path's merged list by
+// regrouping the rows' postings per path, once, in document (Dewey) order.
+// For any document, FromRows(Build(doc).Rows()) answers every probe
+// identically to Build(doc).
 func FromRows(rows []Row) *Index {
-	ix := &Index{tree: btree.New(), tags: map[string][]Posting{}}
-	pathSet := map[string]bool{}
+	ix := &Index{tree: btree.New()}
+	byPath := map[string]*pathRows{}
 	for _, r := range rows {
-		pathSet[r.Path] = true
-		ix.tree.Put(compositeKey(r.Path, r.Value, r.HasValue), &row{postings: r.Postings})
-		tag := r.Path[strings.LastIndexByte(r.Path, '/')+1:]
-		ix.tags[tag] = append(ix.tags[tag], r.Postings...)
+		pr := byPath[r.Path]
+		if pr == nil {
+			pr = &pathRows{}
+			byPath[r.Path] = pr
+		}
+		pr.addRow(ix.tree, compositeKey(r.Path, r.Value, r.HasValue), &row{postings: r.Postings})
+		if pr.rows == 1 {
+			// Shared while the path has one row; capped, so a second row's
+			// append copies instead of writing into the first row's storage.
+			pr.postings = r.Postings[:len(r.Postings):len(r.Postings)]
+		} else {
+			pr.postings = append(pr.postings, r.Postings...)
+		}
 	}
-	for _, ps := range ix.tags {
-		sort.Slice(ps, func(i, j int) bool { return dewey.Less(ps[i].ID, ps[j].ID) })
+	for _, pr := range byPath {
+		if pr.rows > 1 {
+			slices.SortFunc(pr.postings, func(a, b Posting) int { return dewey.Compare(a.ID, b.ID) })
+		}
 	}
-	ix.paths = make([]string, 0, len(pathSet))
-	for p := range pathSet {
-		ix.paths = append(ix.paths, intern.String(p))
-	}
-	sort.Strings(ix.paths)
+	ix.finish(byPath)
 	return ix
 }

@@ -1,6 +1,7 @@
 package pdt
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -105,10 +106,11 @@ type generator struct {
 	itemPool []*ctItem
 	cursors  []int
 	recChunk []emitInfo
-	// tfChunk arenas the per-'c'-node TF slices. Unlike the scratch above
-	// it escapes into the PDT's NodeMeta payloads (which outlive the run,
-	// e.g. in SkipMaterialize results), so reset drops it instead of
-	// recycling it — the win is one allocation per chunk, not per node.
+	// tfChunk arenas the per-'c'-node TF slices of a run that was given
+	// keywords (the engine's runs are not: its PDTs carry no TFs, see
+	// subtreeTFs). Unlike the scratch above it escapes into the PDT's
+	// NodeMeta payloads, which outlive the run, so reset drops it instead
+	// of recycling it — the win is one allocation per chunk, not per node.
 	tfChunk []int
 }
 
@@ -298,7 +300,7 @@ func (g *generator) insert(pl *PathList, posting pathindex.Posting) {
 	if pl.QNode.C {
 		target.needC = true
 	}
-	if target.needC && target.tfs == nil {
+	if target.needC && target.tfs == nil && len(g.lists.Inv) > 0 {
 		target.tfs = g.subtreeTFs(target.id)
 	}
 }
@@ -445,9 +447,12 @@ func (g *generator) addItem(n *ctNode, qn *qpt.Node) {
 }
 
 // subtreeTFs aggregates per-keyword term frequencies for the subtree of id
-// from the inverted lists (index-only, O(log n) per keyword). The slices
-// are carved full-capacity from tfChunk, whose chunks live as long as the
-// PDT payloads referencing them.
+// from the inverted lists (index-only, O(log n) per keyword). It runs only
+// when the lists were prepared with keywords; a keyword-free PDT carries no
+// TFs, and whoever scores its results derives them as the same Dewey-range
+// sums over the same lists, for the elements that reach a result only. The
+// slices are carved full-capacity from tfChunk, whose chunks live as long
+// as the PDT payloads referencing them.
 func (g *generator) subtreeTFs(id dewey.ID) []int {
 	n := len(g.lists.Inv)
 	if cap(g.tfChunk)-len(g.tfChunk) < n {
@@ -622,7 +627,7 @@ func (g *generator) emit(rec *emitInfo, q *qpt.Node) {
 
 // build sorts the emitted elements and assembles the pruned document.
 func (g *generator) build(sourceName string) *PDT {
-	sort.Slice(g.out, func(i, j int) bool { return dewey.Less(g.out[i].ID, g.out[j].ID) })
+	slices.SortFunc(g.out, func(a, b *emitInfo) int { return dewey.Compare(a.ID, b.ID) })
 	return assemble(g.out, sourceName)
 }
 

@@ -17,8 +17,10 @@ import (
 	"vxml/internal/qpt"
 )
 
-func benchWorkload(b *testing.B, articles int) (*qpt.QPT, *Lists) {
-	b.Helper()
+// benchIndices builds the benchmark document of the given size, its indices
+// and the QPT of a selection view with a range predicate over it.
+func benchIndices(tb testing.TB, articles int) (*qpt.QPT, *pathindex.Index, *invindex.Index) {
+	tb.Helper()
 	var sb strings.Builder
 	sb.WriteString("<books>")
 	for i := 0; i < articles; i++ {
@@ -29,21 +31,46 @@ func benchWorkload(b *testing.B, articles int) (*qpt.QPT, *Lists) {
 	sb.WriteString("</books>")
 	doc, err := xmltree.ParseString(sb.String(), "books.xml", 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	q, err := xq.Parse(`
 for $book in fn:doc(books.xml)/books//book
 where $book/year > 1995
 return <r>{$book/isbn}, {$book/title}</r>`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	qpts, err := qpt.Generate(q.Body, q.Functions)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	lists := PrepareLists(qpts[0], pathindex.Build(doc), invindex.Build(doc), []string{"xml", "search"})
-	return qpts[0], lists
+	return qpts[0], pathindex.Build(doc), invindex.Build(doc)
+}
+
+func benchWorkload(b *testing.B, articles int) (*qpt.QPT, *Lists) {
+	b.Helper()
+	q, pix, iix := benchIndices(b, articles)
+	return q, PrepareLists(q, pix, iix, []string{"xml", "search"})
+}
+
+// BenchmarkPrepareLists isolates the index half of PDT generation — the
+// Figure-7 probes of one candidate document — with and without keywords.
+// Only the predicate-filtered list (year > 1995) should cost in proportion
+// to the document.
+func BenchmarkPrepareLists(b *testing.B) {
+	for _, articles := range []int{8, 200, 3200} {
+		q, pix, iix := benchIndices(b, articles)
+		for _, kws := range [][]string{nil, {"xml", "search"}} {
+			b.Run(fmt.Sprintf("articles=%d/keywords=%d", articles, len(kws)), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if lists := PrepareLists(q, pix, iix, kws); len(lists.Paths) == 0 {
+						b.Fatal("no lists")
+					}
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkGenerate(b *testing.B) {

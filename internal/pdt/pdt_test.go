@@ -408,3 +408,41 @@ func TestQuickPrepareListsProbeCountIndependentOfData(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareListsCostIndependentOfListLength: without predicates the lists
+// come out of the index as stored and the match sets out of the QPT's memo,
+// so PrepareLists allocates the same number of objects over a document of N
+// elements and one of 4N — nothing is copied, split or sorted per posting —
+// and a keyword-free run leaves the 'c' nodes' Meta.TFs empty.
+func TestPrepareListsCostIndependentOfListLength(t *testing.T) {
+	q := viewQPTs(t, `for $b in fn:doc(books.xml)/books//book return <r>{$b/isbn}, {$b/title}</r>`)[0]
+	var allocs []float64
+	for _, books := range []int{50, 200} {
+		var sb strings.Builder
+		sb.WriteString("<books>")
+		for i := 0; i < books; i++ {
+			fmt.Fprintf(&sb, "<book><isbn>%d</isbn><title>xml search volume %d</title></book>", i, i)
+		}
+		sb.WriteString("</books>")
+		doc := parseDoc(t, sb.String(), "books.xml", 1)
+		pix, iix := pathindex.Build(doc), invindex.Build(doc)
+		lists := PrepareLists(q, pix, iix, nil) // fills the QPT's memo
+		if n := len(lists.Paths); n != 3 {
+			t.Fatalf("%d lists, want 3 (book, isbn, title)", n)
+		}
+		for _, pl := range lists.Paths {
+			if len(pl.Postings) != books {
+				t.Fatalf("%s: %d postings, want %d", pl.FullPath, len(pl.Postings), books)
+			}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { PrepareLists(q, pix, iix, nil) }))
+		Generate(q, lists, doc.Name).Doc.Root.Walk(func(n *xmltree.Node) {
+			if n.Meta != nil && n.Meta.TFs != nil {
+				t.Fatalf("keyword-free PDT carries TFs on <%s>", n.Tag)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("PrepareLists allocates %v objects over 50 books and %v over 200", allocs[0], allocs[1])
+	}
+}

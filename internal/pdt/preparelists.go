@@ -19,8 +19,6 @@
 package pdt
 
 import (
-	"strings"
-
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/qpt"
@@ -46,93 +44,31 @@ type Lists struct {
 	Inv      []*invindex.PostingList // one per keyword
 }
 
-// PrepareLists issues the fixed set of index probes of Figure 7: one path
-// lookup per QPT node that has no mandatory child edges (which includes all
-// leaves), plus lookups for 'v' nodes (retrieving values alongside IDs) and
-// for 'c' nodes (whose byte lengths ride in the postings), plus one
-// inverted-list lookup per query keyword. The number of probes depends only
-// on the query, never on the data size.
+// PrepareLists issues the fixed set of index probes of Figure 7: the QPT's
+// path lookups (qpt.QPT.Probes) plus one inverted-list lookup per query
+// keyword. The number of probes depends only on the query, never on the data
+// size — and so does the work per probe: segments and unfiltered posting
+// lists come out of the index as stored and the per-depth match sets out of
+// the QPT's memo, so nothing is copied, split or sorted per call. Keywords
+// only feed Meta.TFs and the KeywordFilter; a caller that needs neither
+// passes none and gets keyword-free PDTs.
 func PrepareLists(q *qpt.QPT, pix *pathindex.Index, iix *invindex.Index, keywords []string) *Lists {
-	out := &Lists{Keywords: keywords}
-	for _, n := range q.Nodes() {
-		if n.HasMandatoryChild() && !n.V && !n.C {
-			continue // IDs arrive as prefixes of its mandatory descendants
-		}
-		steps := n.StepsFromRoot()
-		for _, pp := range pix.LookupPath(steps, n.Preds) {
-			pl := &PathList{
-				QNode:    n,
+	probes := q.Probes()
+	out := &Lists{Keywords: keywords, Paths: make([]*PathList, 0, len(probes))} // usually one full path per probe
+	for _, pr := range probes {
+		for _, pp := range pix.LookupPath(pr.Steps, pr.Node.Preds) {
+			out.Paths = append(out.Paths, &PathList{
+				QNode:    pr.Node,
 				FullPath: pp.FullPath,
-				Segs:     splitPath(pp.FullPath),
+				Segs:     pp.Segs,
 				Postings: pp.Postings,
-			}
-			pl.Matches = matchSets(q, pl.Segs)
-			out.Paths = append(out.Paths, pl)
+				Matches:  q.MatchSets(pp.FullPath, pp.Segs),
+			})
 		}
 	}
-	for _, k := range keywords {
-		out.Inv = append(out.Inv, iix.Lookup(k))
+	out.Inv = make([]*invindex.PostingList, len(keywords))
+	for i, k := range keywords {
+		out.Inv[i] = iix.Lookup(k)
 	}
-	return out
-}
-
-func splitPath(p string) []string {
-	p = strings.TrimPrefix(p, "/")
-	if p == "" {
-		return nil
-	}
-	return strings.Split(p, "/")
-}
-
-// matchSets computes, for each prefix depth d (1-based), the set of QPT
-// nodes whose root-to-node pattern matches the first d segments of the full
-// data path. Handles '//' edges and repeated tag names ("//a//a" over
-// "/a/a/a") by dynamic programming over the QPT.
-//
-// Predicate-bearing leaves are deliberately excluded: an element counts as
-// a candidate for such a node only if its value satisfies the predicates
-// (Definition 1), which is known only from that node's own filtered list —
-// GeneratePDT adds those items when the filtered posting arrives.
-func matchSets(q *qpt.QPT, segs []string) [][]*qpt.Node {
-	n := len(segs)
-	out := make([][]*qpt.Node, n)
-	// reach[node] = bitset over depths 0..n (depth 0 = virtual root)
-	reach := map[*qpt.Node][]bool{}
-	rootReach := make([]bool, n+1)
-	rootReach[0] = true
-	reach[q.Root] = rootReach
-
-	var walk func(node *qpt.Node)
-	walk = func(node *qpt.Node) {
-		for _, e := range node.Edges {
-			child := e.Child
-			parentReach := reach[node]
-			childReach := make([]bool, n+1)
-			// prefixAny[d] = parent reachable at any depth < d
-			any := false
-			for d := 1; d <= n; d++ {
-				anyBelow := any
-				any = any || parentReach[d-1]
-				if segs[d-1] != child.Tag {
-					continue
-				}
-				if e.Axis == pathindex.Child {
-					childReach[d] = parentReach[d-1]
-				} else {
-					childReach[d] = anyBelow || parentReach[d-1]
-				}
-			}
-			reach[child] = childReach
-			if len(child.Preds) == 0 {
-				for d := 1; d <= n; d++ {
-					if childReach[d] {
-						out[d-1] = append(out[d-1], child)
-					}
-				}
-			}
-			walk(child)
-		}
-	}
-	walk(q.Root)
 	return out
 }

@@ -53,6 +53,14 @@ type QPT struct {
 
 	layoutOnce sync.Once
 	layout     *MandLayout
+
+	probesOnce sync.Once
+	probes     []Probe
+
+	// matchSets memoises MatchSets per full data path. It lives and dies
+	// with the compiled QPT, which is immutable, so entries never go stale.
+	matchMu   sync.RWMutex
+	matchSets map[string][][]*Node
 }
 
 // MandLayout is the DescendantMap bit layout of a QPT: for every node, the
@@ -90,6 +98,106 @@ func (q *QPT) MandatoryLayout() *MandLayout {
 		q.layout = l
 	})
 	return q.layout
+}
+
+// Probe is one path-index lookup PDT generation issues for the QPT: the node
+// it serves and the root-anchored pattern leading to it.
+type Probe struct {
+	Node  *Node
+	Steps []pathindex.Step
+}
+
+// Probes returns the fixed probe set of Figure 7, in pre-order: one path
+// lookup per node that has no mandatory child edges (which includes all
+// leaves), plus lookups for 'v' nodes (retrieving values alongside IDs) and
+// for 'c' nodes (whose byte lengths ride in the postings). A node with a
+// mandatory child and no annotation needs none — its IDs arrive as prefixes
+// of its mandatory descendants. Computed on first use; safe for concurrent
+// callers.
+func (q *QPT) Probes() []Probe {
+	q.probesOnce.Do(func() {
+		for _, n := range q.Nodes() {
+			if !n.HasMandatoryChild() || n.V || n.C {
+				q.probes = append(q.probes, Probe{Node: n, Steps: n.StepsFromRoot()})
+			}
+		}
+	})
+	return q.probes
+}
+
+// MatchSets returns, for each prefix depth d (1-based) of the full data path
+// whose tags are segs, the set of QPT nodes whose root-to-node pattern
+// matches the first d segments. It handles '//' edges and repeated tag names
+// ("//a//a" over "/a/a/a") by dynamic programming over the QPT.
+//
+// Predicate-bearing leaves are deliberately excluded: an element counts as
+// a candidate for such a node only if its value satisfies the predicates
+// (Definition 1), which is known only from that node's own filtered list —
+// PDT generation adds those items when the filtered posting arrives.
+//
+// The result depends only on the QPT and the path — not on the document, let
+// alone the keywords — so it is computed once per full path and shared
+// read-only by every candidate document and every search. Safe for
+// concurrent callers.
+func (q *QPT) MatchSets(fullPath string, segs []string) [][]*Node {
+	q.matchMu.RLock()
+	sets, ok := q.matchSets[fullPath]
+	q.matchMu.RUnlock()
+	if ok {
+		return sets
+	}
+	sets = q.computeMatchSets(segs)
+	q.matchMu.Lock()
+	if q.matchSets == nil {
+		q.matchSets = map[string][][]*Node{}
+	}
+	q.matchSets[fullPath] = sets
+	q.matchMu.Unlock()
+	return sets
+}
+
+func (q *QPT) computeMatchSets(segs []string) [][]*Node {
+	n := len(segs)
+	out := make([][]*Node, n)
+	// reach[node] = bitset over depths 0..n (depth 0 = virtual root)
+	reach := map[*Node][]bool{}
+	rootReach := make([]bool, n+1)
+	rootReach[0] = true
+	reach[q.Root] = rootReach
+
+	var walk func(node *Node)
+	walk = func(node *Node) {
+		for _, e := range node.Edges {
+			child := e.Child
+			parentReach := reach[node]
+			childReach := make([]bool, n+1)
+			// any = parent reachable at some depth < d-1
+			any := false
+			for d := 1; d <= n; d++ {
+				anyBelow := any
+				any = any || parentReach[d-1]
+				if segs[d-1] != child.Tag {
+					continue
+				}
+				if e.Axis == pathindex.Child {
+					childReach[d] = parentReach[d-1]
+				} else {
+					childReach[d] = anyBelow || parentReach[d-1]
+				}
+			}
+			reach[child] = childReach
+			if len(child.Preds) == 0 {
+				for d := 1; d <= n; d++ {
+					if childReach[d] {
+						out[d-1] = append(out[d-1], child)
+					}
+				}
+			}
+			walk(child)
+		}
+	}
+	walk(q.Root)
+	return out
 }
 
 // addChild appends a child node and returns it.
