@@ -186,13 +186,14 @@ func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 	chunks := chunkBounds(len(o.results), (len(o.results)+collectChunk-1)/collectChunk)
 	err := forEach(ctx, o.stats.Workers, len(chunks), func(c int) {
 		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			rstats[i] = resultStats(o.results[i], len(o.kws), o.lists)
+			rstats[i] = scoring.Stats{TFs: make([]int, len(o.kws))}
+			addResultStats(&rstats[i], o.results[i], o.lists)
 		}
 	})
 	return rstats, err
 }
 
-// resultStats computes one PDT-pruned view result's scoring inputs,
+// addResultStats adds one PDT-pruned view result's scoring inputs to st,
 // mirroring scoring.Collect(FromPDT)'s walk: each Meta node contributes its
 // whole base subtree exactly once, constructed wrappers contribute nothing.
 // Engine PDTs carry no Meta.TFs (and a skeleton outlives the keywords of
@@ -200,24 +201,20 @@ func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 // Dewey-range sum over the Meta node's base subtree — by construction the
 // value PDT generation attaches when given keywords (the pdt property suite
 // pins Meta.TFs == SubtreeTF over the base subtree; Theorem 4.1(b)). Only
-// the 'c' nodes that reach a view result pay for it.
-func resultStats(result *xmltree.Node, nKws int, lists map[int32][]*invindex.PostingList) scoring.Stats {
-	st := scoring.Stats{TFs: make([]int, nKws)}
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		if n.Meta != nil {
-			st.ByteLen += n.Meta.SrcLen
-			if len(n.Meta.SrcID) > 0 {
-				for j, pl := range lists[n.Meta.SrcID[0]] {
-					st.TFs[j] += pl.SubtreeTF(n.Meta.SrcID)
-				}
-			}
-			return
-		}
+// the 'c' nodes that reach a view result pay for it, each exactly once
+// (selection views visit every Meta node once per search, so there is
+// nothing for a memo to save; the range sums themselves are kept cheap).
+func addResultStats(st *scoring.Stats, n *xmltree.Node, lists map[int32][]*invindex.PostingList) {
+	if n.Meta == nil {
 		for _, c := range n.Children {
-			walk(c)
+			addResultStats(st, c, lists)
+		}
+		return
+	}
+	st.ByteLen += n.Meta.SrcLen
+	if len(n.Meta.SrcID) > 0 {
+		for j, pl := range lists[n.Meta.SrcID[0]] {
+			st.TFs[j] += pl.SubtreeTF(n.Meta.SrcID)
 		}
 	}
-	walk(result)
-	return st
 }

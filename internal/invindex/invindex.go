@@ -141,13 +141,28 @@ func (pl *PostingList) TotalTF() int {
 // rangeBounds returns the posting index range covering the subtree of id.
 // The upper bound compares against id's successor without materializing it
 // (dewey.CompareToSuccessor), keeping the probe allocation-free — it runs
-// once per candidate element per keyword during PDT generation.
+// once per result element per keyword at collect. The lower bound is a
+// binary search; the upper bound gallops from it, because one element's
+// subtree covers a handful of postings of a list that spans the document:
+// an element without the keyword costs one comparison past lo, and a range
+// of r postings O(log r), not a second search of the whole list.
 func (pl *PostingList) rangeBounds(id dewey.ID) (lo, hi int) {
-	lo = sort.Search(len(pl.Postings), func(i int) bool {
+	n := len(pl.Postings)
+	if n == 0 {
+		return 0, 0
+	}
+	lo = sort.Search(n, func(i int) bool {
 		return dewey.Compare(pl.Postings[i].ID, id) >= 0
 	})
-	hi = sort.Search(len(pl.Postings), func(i int) bool {
-		return dewey.CompareToSuccessor(pl.Postings[i].ID, id) >= 0
+	// Invariant: every posting in [lo, inside) is below the successor.
+	inside, probe := lo, lo
+	for step := 1; probe < n && dewey.CompareToSuccessor(pl.Postings[probe].ID, id) < 0; step <<= 1 {
+		inside = probe + 1
+		probe += step
+	}
+	probe = min(probe, n)
+	hi = inside + sort.Search(probe-inside, func(i int) bool {
+		return dewey.CompareToSuccessor(pl.Postings[inside+i].ID, id) >= 0
 	})
 	return lo, hi
 }

@@ -38,17 +38,27 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSubtreeTFProbe sums one keyword's term frequency over every
+// article's subtree — collect's inner loop — for a keyword that does not
+// occur (empty list), one confined to a single article (short) and one in
+// every article of a large document (long: the list spans the document, an
+// article's range is two postings of it).
 func BenchmarkSubtreeTFProbe(b *testing.B) {
-	doc := benchDoc(b, 100)
-	ix := Build(doc)
-	pl := ix.Lookup("fuzzy")
-	articles := doc.Root.Children
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range articles {
-			pl.SubtreeTF(a.ID)
-		}
+	for _, bc := range []struct {
+		name, keyword string
+		articles      int
+	}{{"empty", "absent", 100}, {"short", "17", 100}, {"long", "fuzzy", 2000}} {
+		doc := benchDoc(b, bc.articles)
+		pl := Build(doc).Lookup(bc.keyword)
+		articles := doc.Root.Children
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, a := range articles {
+					pl.SubtreeTF(a.ID)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package invindex
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -190,5 +192,55 @@ func TestQuickPostingsSortedWithPrefixSums(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRangeBoundsMatchesTwoBinarySearches: the galloped upper bound is the
+// one a second binary search over the whole list finds, for random lists
+// and IDs — present and absent, the first and last posting, and ancestors
+// of everything (the document root and the virtual root).
+func TestRangeBoundsMatchesTwoBinarySearches(t *testing.T) {
+	reference := func(pl *PostingList, id dewey.ID) (int, int) {
+		lo := sort.Search(len(pl.Postings), func(i int) bool { return dewey.Compare(pl.Postings[i].ID, id) >= 0 })
+		hi := sort.Search(len(pl.Postings), func(i int) bool { return dewey.Compare(pl.Postings[i].ID, id.Successor()) >= 0 })
+		return lo, hi
+	}
+	r := rand.New(rand.NewSource(19))
+	randomID := func() dewey.ID {
+		id := dewey.ID{1}
+		for d, n := 0, r.Intn(5); d < n; d++ {
+			id = append(id, int32(1+r.Intn(4)))
+		}
+		return id
+	}
+	for trial := 0; trial < 300; trial++ {
+		pl := &PostingList{Keyword: "k"}
+		for i, n := 0, r.Intn(60); i < n; i++ { // n == 0: the empty list
+			pl.Postings = append(pl.Postings, Posting{ID: randomID(), TF: 1 + r.Intn(3)})
+		}
+		slices.SortFunc(pl.Postings, func(a, b Posting) int { return dewey.Compare(a.ID, b.ID) })
+		pl.Postings = slices.CompactFunc(pl.Postings, func(a, b Posting) bool { return dewey.Equal(a.ID, b.ID) })
+		pl.buildPrefix()
+		probes := []dewey.ID{{}, {1}, {2}}
+		if n := len(pl.Postings); n > 0 {
+			probes = append(probes, pl.Postings[0].ID, pl.Postings[n-1].ID)
+		}
+		for i := 0; i < 40; i++ {
+			probes = append(probes, randomID())
+		}
+		for _, id := range probes {
+			lo, hi := pl.rangeBounds(id)
+			wantLo, wantHi := reference(pl, id)
+			if lo != wantLo || hi != wantHi {
+				t.Fatalf("trial %d: rangeBounds(%s) = [%d, %d), want [%d, %d) over %d postings", trial, id, lo, hi, wantLo, wantHi, len(pl.Postings))
+			}
+			want := 0
+			for _, p := range pl.Postings[wantLo:wantHi] {
+				want += p.TF
+			}
+			if got := pl.SubtreeTF(id); got != want || pl.ContainsSubtree(id) != (want > 0) {
+				t.Fatalf("trial %d: SubtreeTF(%s) = %d, want %d", trial, id, got, want)
+			}
+		}
 	}
 }

@@ -283,10 +283,31 @@ func (ix *Index) lookupFullPath(i int, preds []pred.Predicate) []Posting {
 	if len(preds) == 0 {
 		return all
 	}
-	var kept []Posting
-	for _, p := range all {
-		if p.HasValue && pred.All(preds, p.Value) {
-			kept = append(kept, p)
+	// One pass decides (each literal parsed once, not once per posting),
+	// a second copies into a list sized for exactly the survivors.
+	compiled := make([]pred.Compiled, len(preds))
+	for j, p := range preds {
+		compiled[j] = p.Compile()
+	}
+	keep := make([]bool, len(all))
+	n := 0
+posting:
+	for i := range all {
+		if !all[i].HasValue {
+			continue
+		}
+		for _, c := range compiled {
+			if !c.Eval(all[i].Value) {
+				continue posting
+			}
+		}
+		keep[i] = true
+		n++
+	}
+	kept := make([]Posting, 0, n)
+	for i, ok := range keep {
+		if ok {
+			kept = append(kept, all[i])
 		}
 	}
 	return kept

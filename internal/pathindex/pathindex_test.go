@@ -438,3 +438,41 @@ func TestTagPostingsEqualsDocumentScan(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterPassKeepsValueSemantics: the filter pass parses each predicate
+// literal once per lookup; the comparison stays value-based — numeric when
+// both sides are numbers ("07" = "7"), textual otherwise ("10x") — and the
+// survivors are exactly those pred.All admits, in document order.
+func TestFilterPassKeepsValueSemantics(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><v>7</v><v>07</v><v>7.0</v><v>10x</v><v>9</v><v>abc</v><v>10</v><v></v></r>`, "r.xml", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(doc)
+	steps := []Step{{Child, "r"}, {Child, "v"}}
+	for _, preds := range [][]pred.Predicate{
+		{{Op: pred.Eq, Lit: "007"}},                        // no such row, so the filter runs: 7, 07 and 7.0 are all 7
+		{{Op: pred.Eq, Lit: "7.00"}},                       // textually absent, numerically 7
+		{{Op: pred.Gt, Lit: "8"}},                          // "10x" > "8" is false as text, 9 and 10 pass as numbers
+		{{Op: pred.Lt, Lit: "9"}, {Op: pred.Gt, Lit: "1"}}, // two predicates
+		{{Op: pred.Gt, Lit: "10"}},                         // "10x" > "10" as text, "abc" too
+		{{Op: pred.Eq, Lit: "abc"}},
+		{{Op: pred.Lt, Lit: "zzz"}, {Op: pred.Gt, Lit: "0"}}, // non-numeric literal: all text
+	} {
+		var want []string
+		doc.Root.Walk(func(n *xmltree.Node) {
+			if n.Tag == "v" && pred.All(preds, n.Value) {
+				want = append(want, n.ID.String()+"="+n.Value)
+			}
+		})
+		var got []string
+		for _, pp := range ix.LookupPath(steps, preds) {
+			for _, p := range pp.Postings {
+				got = append(got, p.ID.String()+"="+p.Value)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("preds %v: got %v, want %v", preds, got, want)
+		}
+	}
+}

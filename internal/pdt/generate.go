@@ -1,7 +1,6 @@
 package pdt
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -40,19 +39,31 @@ type ctItem struct {
 // ctNode is a node of the Candidate Tree. The live CT is exactly the
 // root-to-cursor chain (the paper's left-most path), maintained as a stack.
 type ctNode struct {
-	id       dewey.ID
-	depth    int
-	tag      string
-	items    []*ctItem
-	cache    []*cacheEntry // descendants awaiting ancestor-constraint checks
-	value    string
-	hasValue bool
-	byteLen  int
-	tfs      []int
-	needV    bool
-	needC    bool
-	rec      *emitInfo // lazily built emission record
+	id    dewey.ID
+	depth int
+	items []*ctItem
+	cache []*cacheEntry // descendants awaiting ancestor-constraint checks
+	// seq is the node's push sequence number. Pushes happen in strict
+	// document order (see push), so seq is the element's rank among the
+	// pushed elements; everything the PDT needs to know about the element
+	// is filed under it (generator.src, generator.marks).
+	seq int32
 }
+
+// srcRef says where a pushed element's identity and payload are in the
+// prepared lists: posting number `posting` of list number `list`, whose ID
+// the element's is the depth-long prefix of. The element has a payload
+// (value, byte length) when it is that posting's own element, i.e. depth
+// is the ID's full length.
+type srcRef struct{ list, posting, depth int32 }
+
+// Per-element marks, set by emit: the element is in the PDT, and which
+// annotations the QPT nodes it qualified through ask for.
+const (
+	markEmitted uint8 = 1 << iota
+	markV
+	markC
+)
 
 // cacheEntry is a pending element that satisfies its descendant constraints
 // but whose ancestor constraints are still undecided (the paper's
@@ -60,11 +71,12 @@ type ctNode struct {
 // 'v'/'c' annotations of the element come only from QPT nodes whose
 // ancestor constraints actually resolve.
 type cacheEntry struct {
-	info   *emitInfo
+	seq    int32 // the element, as ctNode.seq
 	groups []*entryGroup
 }
 
-// entryGroup is one candidate QPT node's pending ancestor constraint.
+// entryGroup is one candidate QPT node's pending ancestor constraint. pl is
+// the group's own copy (item ParentLists are recycled with their items).
 type entryGroup struct {
 	q  *qpt.Node
 	pl []*ctItem
@@ -82,66 +94,58 @@ type Element struct {
 	TFs      []int
 	NeedV    bool
 	NeedC    bool
-
-	listed bool // already appended to the generator's output
 }
-
-type emitInfo = Element
 
 type generator struct {
 	q      *qpt.QPT
 	lists  *Lists
 	stack  []*ctNode
-	out    []*emitInfo
 	filter *KeywordFilter
 	// layout is the QPT's DescendantMap bit layout, computed once per QPT
 	// (qpt.MandatoryLayout) and shared read-only across generator runs.
 	layout *qpt.MandLayout
-	// free lists: CT nodes and items die when finalized, so the generator
-	// recycles them to keep the merge allocation-free in steady state. The
-	// generator itself is recycled through genPool, so the free lists (and
-	// the merge cursors and emission-record chunks below) survive across
-	// documents and searches.
-	nodePool []*ctNode
-	itemPool []*ctItem
-	cursors  []int
-	recChunk []emitInfo
-	// tfChunk arenas the per-'c'-node TF slices of a run that was given
-	// keywords (the engine's runs are not: its PDTs carry no TFs, see
-	// subtreeTFs). Unlike the scratch above it escapes into the PDT's
-	// NodeMeta payloads, which outlive the run, so reset drops it instead
-	// of recycling it — the win is one allocation per chunk, not per node.
-	tfChunk []int
+	// Everything below is scratch: CT nodes, items, cache entries and
+	// groups die when finalized and go back to their free lists. The
+	// generator itself is recycled through genPool, so the scratch survives
+	// across documents and searches and a steady-state run allocates only
+	// what escapes into the PDT it returns (build's slabs).
+	nodePool  freeList[ctNode]
+	itemPool  freeList[ctItem]
+	entryPool freeList[cacheEntry]
+	groupPool freeList[entryGroup]
+	cursors   []int
+	qbuf      []*qpt.Node // filterQNodes' result
+	lift      []*ctItem   // finalize's rewritten ParentList
+	// src and marks are indexed by push sequence number: where each pushed
+	// element lives in the lists, and whether (and how annotated) it was
+	// emitted. There is no emission record — an element's payload stays in
+	// the lists until build copies it into the PDT — and because sequence
+	// numbers rank the elements, reading marks front to back yields the
+	// PDT's elements in document order without a sort.
+	src   []srcRef
+	marks []uint8
 }
+
+// freeList recycles structs that die in bulk and are needed again at once.
+// Whoever puts one back resets it first, keeping the slice backings worth
+// reusing.
+type freeList[T any] []*T
+
+func (f *freeList[T]) get() *T {
+	if k := len(*f); k > 0 {
+		x := (*f)[k-1]
+		*f = (*f)[:k-1]
+		return x
+	}
+	return new(T)
+}
+
+func (f *freeList[T]) put(x *T) { *f = append(*f, x) }
 
 // genPool recycles generators across GenerateFiltered calls: a search runs
 // one generation per candidate document, and the Candidate-Tree scratch
-// (stack, free lists, cursors) is identical in shape every time.
+// is identical in shape every time.
 var genPool = sync.Pool{New: func() any { return &generator{} }}
-
-// record returns the node's emission record, carving it from the
-// generator's chunk arena on first use. Payload fields are final by the
-// time any emission can happen, because an element's own postings always
-// precede its descendants in Dewey order. Records are referenced only
-// until the PDT is assembled, so the chunks are recycled with the
-// generator.
-func (g *generator) record(n *ctNode) *emitInfo {
-	if n.rec == nil {
-		if len(g.recChunk) == cap(g.recChunk) {
-			g.recChunk = make([]emitInfo, 0, 256)
-		}
-		g.recChunk = append(g.recChunk, emitInfo{
-			ID:       n.id,
-			Tag:      n.tag,
-			Value:    n.value,
-			HasValue: n.hasValue,
-			ByteLen:  n.byteLen,
-			TFs:      n.tfs,
-		})
-		n.rec = &g.recChunk[len(g.recChunk)-1]
-	}
-	return n.rec
-}
 
 // KeywordFilter enables the monotone special case of the paper's "avoid
 // producing pruned view elements that do not make it to the top few
@@ -165,18 +169,25 @@ func Generate(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 
 // GenerateFiltered is Generate with an optional keyword filter for
 // selection views. Generators are recycled through a pool: the Candidate
-// Tree scratch, free lists and emission-record chunks survive across
-// candidate documents, so steady-state generation allocates only for the
-// PDT it emits.
+// Tree and its free lists are scratch that survives across candidate
+// documents, so steady-state generation allocates only for the PDT it
+// emits.
 func GenerateFiltered(q *qpt.QPT, lists *Lists, sourceName string, filter *KeywordFilter) *PDT {
 	g := genPool.Get().(*generator)
+	pdt := g.run(q, lists, sourceName, filter)
+	genPool.Put(g)
+	return pdt
+}
+
+// run is one generation. It leaves g reset: scratch backings kept, nothing
+// that points into the document's index.
+func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string, filter *KeywordFilter) *PDT {
 	g.q, g.lists, g.filter, g.layout = q, lists, filter, q.MandatoryLayout()
 	// Virtual root CT node: the document itself, always in the PDT.
-	rootItem := &ctItem{q: q.Root, inPdt: true, need: g.layout.Count[q.Root]}
+	virtual := g.newNode(nil, srcRef{})
+	rootItem := g.newItem(virtual, q.Root)
+	rootItem.inPdt = true
 	rootItem.candidate = rootItem.need == 0
-	virtual := &ctNode{depth: 0, items: []*ctItem{rootItem}}
-	rootItem.owner = virtual
-	g.stack = append(g.stack[:0], virtual)
 
 	g.mergeLists()
 
@@ -185,33 +196,28 @@ func GenerateFiltered(q *qpt.QPT, lists *Lists, sourceName string, filter *Keywo
 		g.finalize(g.pop())
 	}
 	// The document itself is always "in the PDT": flush its cache.
-	for _, x := range sortEntries(virtual.cache) {
+	for _, x := range virtual.cache {
 		for _, gr := range x.groups {
 			if anyPLInPdt(gr.pl) {
-				g.emit(x.info, gr.q)
+				g.emit(x.seq, gr.q)
 			}
+			g.freeGroup(gr)
 		}
+		g.freeEntry(x)
 	}
+	g.release(g.pop())
 	pdt := g.build(sourceName)
 	g.reset()
-	genPool.Put(g)
 	return pdt
 }
 
-// reset clears the per-run state while keeping the recycled scratch (free
-// lists, cursor and record chunks, slice backings) for the next run.
+// reset clears the per-run state while keeping the scratch backings for the
+// next run. Nothing kept points into the document's index (released CT
+// nodes are zeroed), so a pooled generator never keeps a replaced
+// document's index alive.
 func (g *generator) reset() {
 	g.q, g.lists, g.filter, g.layout = nil, nil, nil, nil
-	g.stack = g.stack[:0]
-	for i := range g.out {
-		g.out[i] = nil
-	}
-	g.out = g.out[:0]
-	// Records emitted in previous runs are dead once their PDT is
-	// assembled; reuse the final chunk's storage.
-	g.recChunk = g.recChunk[:0]
-	// TF payloads escaped into the PDT: drop the arena, never reuse it.
-	g.tfChunk = nil
+	g.src, g.marks = g.src[:0], g.marks[:0]
 }
 
 // mergeLists is the single k-way merge pass over the ordered ID lists.
@@ -237,86 +243,67 @@ func (g *generator) mergeLists() {
 		if minIdx < 0 {
 			return
 		}
-		pl := g.lists.Paths[minIdx]
-		g.insert(pl, pl.Postings[cursors[minIdx]])
+		g.insert(minIdx, cursors[minIdx])
 		cursors[minIdx]++
 	}
 }
 
-// insert pushes the element (and its matched prefixes) onto the CT,
-// finalizing nodes that are no longer ancestors of the incoming ID.
-func (g *generator) insert(pl *PathList, posting pathindex.Posting) {
-	id := posting.ID
+// insert pushes the element of one posting (and its matched prefixes) onto
+// the CT, finalizing nodes that are no longer ancestors of the incoming ID.
+func (g *generator) insert(list, posting int) {
+	pl := g.lists.Paths[list]
+	id := pl.Postings[posting].ID
+	at := func(depth int) srcRef { return srcRef{int32(list), int32(posting), int32(depth)} }
 	// Pop completed branches: everything on the stack that is not a prefix
-	// of the incoming ID has seen all of its descendants.
-	for len(g.stack) > 1 {
-		top := g.stack[len(g.stack)-1]
-		if id.HasPrefix(top.id) && len(top.id) < len(id) {
-			break
-		}
-		if dewey.Equal(top.id, id) {
-			break // same element arriving from another list
-		}
+	// of the incoming ID (or the ID itself, arriving from another list) has
+	// seen all of its descendants.
+	top := g.stack[len(g.stack)-1]
+	for len(g.stack) > 1 && !id.HasPrefix(top.id) {
 		g.finalize(g.pop())
+		top = g.stack[len(g.stack)-1]
 	}
-	// Push matched prefixes not yet on the stack.
-	for d := 1; d <= len(id); d++ {
-		if g.onStack(d) != nil {
-			continue
+	// Push matched prefixes not yet on the stack. Those are all deeper than
+	// the top: the match set of a prefix depends only on its path (and the
+	// filter only on its ID), so a shallower prefix that is not on the
+	// stack was found unmatched when the top was pushed.
+	for d := top.depth + 1; d <= len(id); d++ {
+		if qnodes := g.filterQNodes(pl.Matches[d-1], id[:d]); len(qnodes) > 0 {
+			g.push(id[:d], at(d), qnodes)
 		}
-		qnodes := g.filterQNodes(pl.Matches[d-1], id.Prefix(d))
-		if len(qnodes) == 0 {
-			continue
-		}
-		g.push(id.Prefix(d), d, pl.Segs[d-1], qnodes)
 	}
 	// The target node: structural matches may exclude the list's own QPT
 	// node when it carries predicates (those items exist only because this
 	// posting passed the predicate-filtered lookup).
-	target := g.onStack(len(id))
-	if target == nil {
+	target := g.stack[len(g.stack)-1]
+	if target.depth != len(id) {
 		if len(pl.QNode.Preds) == 0 {
 			return // element matched no QPT node (stale prefix)
 		}
-		g.push(id, len(id), pl.Segs[len(id)-1], nil)
+		g.push(id, at(len(id)), nil)
 		target = g.stack[len(g.stack)-1]
 	}
+	// The element came off a list itself, so this posting has its payload
+	// (a node pushed as a prefix only pointed at a descendant's).
+	g.src[target.seq] = at(len(id))
 	if len(pl.QNode.Preds) > 0 && !target.hasItemFor(pl.QNode) {
 		if g.filter == nil || pl.QNode != g.filter.Node || g.keywordEligible(id) {
-			g.addItem(target, pl.QNode)
+			g.newItem(target, pl.QNode)
 		}
-	}
-	// Attach the posting payload.
-	if posting.HasValue && !target.hasValue {
-		target.value = posting.Value
-		target.hasValue = true
-	}
-	if posting.ByteLen > 0 {
-		target.byteLen = posting.ByteLen
-	}
-	if pl.QNode.V {
-		target.needV = true
-	}
-	if pl.QNode.C {
-		target.needC = true
-	}
-	if target.needC && target.tfs == nil && len(g.lists.Inv) > 0 {
-		target.tfs = g.subtreeTFs(target.id)
 	}
 }
 
 // filterQNodes drops the keyword filter's node from a match set when the
 // element's subtree cannot satisfy the keyword semantics. The input slice
-// is shared across postings and never mutated.
+// is shared across postings and never mutated; a filtered result lives in
+// the generator's scratch until the next call.
 func (g *generator) filterQNodes(qnodes []*qpt.Node, id dewey.ID) []*qpt.Node {
 	if g.filter == nil {
 		return qnodes
 	}
 	for i, q := range qnodes {
 		if q == g.filter.Node && !g.keywordEligible(id) {
-			out := make([]*qpt.Node, 0, len(qnodes)-1)
-			out = append(out, qnodes[:i]...)
-			return append(out, qnodes[i+1:]...)
+			g.qbuf = append(append(g.qbuf[:0], qnodes[:i]...), qnodes[i+1:]...)
+			return g.qbuf
 		}
 	}
 	return qnodes
@@ -349,21 +336,6 @@ func (n *ctNode) hasItemFor(q *qpt.Node) bool {
 	return false
 }
 
-// onStack returns the stack node at the given Dewey depth, or nil. The
-// stack holds only matched prefixes, so depths are sparse.
-func (g *generator) onStack(depth int) *ctNode {
-	for i := len(g.stack) - 1; i >= 1; i-- {
-		n := g.stack[i]
-		if n.depth == depth {
-			return n
-		}
-		if n.depth < depth {
-			return nil
-		}
-	}
-	return nil
-}
-
 func (g *generator) pop() *ctNode {
 	n := g.stack[len(g.stack)-1]
 	g.stack = g.stack[:len(g.stack)-1]
@@ -373,50 +345,51 @@ func (g *generator) pop() *ctNode {
 // push creates the CT node for one matched prefix, wiring one ctItem per
 // matching QPT node with its ParentList (respecting the edge axis) and
 // DescendantMap.
-func (g *generator) push(id dewey.ID, depth int, tag string, qnodes []*qpt.Node) {
-	var n *ctNode
-	if len(g.nodePool) > 0 {
-		n = g.nodePool[len(g.nodePool)-1]
-		g.nodePool = g.nodePool[:len(g.nodePool)-1]
-	} else {
-		n = &ctNode{}
-	}
-	n.id, n.depth, n.tag = id, depth, tag
-	g.stack = append(g.stack, n)
+//
+// Pushes happen in strict document order, which is why newNode's sequence
+// numbers rank the elements: an insert pushes prefixes of the incoming ID
+// by increasing depth, and a prefix P that is not on the stack is greater
+// than the previous incoming ID prev — were it a prefix of prev too it
+// would have been pushed (or found unmatched) then and still be on the
+// stack, and otherwise P and prev differ inside P, where P agrees with the
+// incoming ID, which is greater than prev. Every ID pushed earlier is prev
+// or a prefix of an ID up to prev, so it is smaller than P.
+func (g *generator) push(id dewey.ID, at srcRef, qnodes []*qpt.Node) {
+	n := g.newNode(id, at)
 	for _, qn := range qnodes {
-		g.addItem(n, qn)
+		g.newItem(n, qn)
 	}
 }
 
-// release recycles a finalized CT node and its items. Safe because after
-// finalize nothing references the structs themselves: cache-entry
-// ParentLists are rewritten to live ancestors before the node pops, and the
-// emission record has its own allocation. The pl slice backings must NOT be
-// reused, though — pending cache-entry groups alias them (finalize hands
-// item.pl to entryGroups), so a recycled item appending into an old backing
-// would corrupt a live group's ParentList.
+// newNode takes a CT node from the free list, stamps it with the next push
+// sequence number and makes it the top of the stack.
+func (g *generator) newNode(id dewey.ID, at srcRef) *ctNode {
+	n := g.nodePool.get()
+	n.id, n.depth, n.seq = id, int(at.depth), int32(len(g.src))
+	g.src, g.marks = append(g.src, at), append(g.marks, 0)
+	g.stack = append(g.stack, n)
+	return n
+}
+
+// release recycles a finalized CT node and its items, slice backings
+// included. Safe because after finalize nothing references them: cache
+// entries were handed to the parent with their ParentLists rewritten to
+// live ancestors (and groups copy the ParentLists they start from), and
+// what build needs of the element is filed under its sequence number.
 func (g *generator) release(n *ctNode) {
 	for _, it := range n.items {
-		*it = ctItem{}
-		g.itemPool = append(g.itemPool, it)
+		*it = ctItem{pl: it.pl[:0]}
+		g.itemPool.put(it)
 	}
-	items := n.items[:0]
-	*n = ctNode{}
-	n.items = items
-	g.nodePool = append(g.nodePool, n)
+	*n = ctNode{items: n.items[:0], cache: n.cache[:0]}
+	g.nodePool.put(n)
 }
 
-// addItem wires one ctItem for a QPT node onto an existing CT node,
-// building its ParentList from the strict ancestors currently on the stack
+// newItem wires one ctItem for a QPT node onto the CT node on top of the
+// stack, building its ParentList from the strict ancestors below it
 // (depth-adjacent for '/' edges, any ancestor for '//').
-func (g *generator) addItem(n *ctNode, qn *qpt.Node) {
-	var item *ctItem
-	if len(g.itemPool) > 0 {
-		item = g.itemPool[len(g.itemPool)-1]
-		g.itemPool = g.itemPool[:len(g.itemPool)-1]
-	} else {
-		item = &ctItem{}
-	}
+func (g *generator) newItem(n *ctNode, qn *qpt.Node) *ctItem {
+	item := g.itemPool.get()
 	item.q, item.owner, item.need = qn, n, g.layout.Count[qn]
 	parentQ := g.q.Root
 	axis := pathindex.Child
@@ -424,13 +397,16 @@ func (g *generator) addItem(n *ctNode, qn *qpt.Node) {
 		parentQ = qn.Parent.From
 		axis = qn.Parent.Axis
 	}
-	for _, anc := range g.stack {
-		if anc.depth >= n.depth {
-			continue // strict ancestors only
+	ancestors := g.stack[:len(g.stack)-1]
+	if axis == pathindex.Child && len(ancestors) > 0 {
+		// Only the element's parent qualifies, and if matched it is the
+		// stack entry right below.
+		ancestors = ancestors[len(ancestors)-1:]
+		if ancestors[0].depth != n.depth-1 {
+			ancestors = nil
 		}
-		if axis == pathindex.Child && anc.depth != n.depth-1 {
-			continue
-		}
+	}
+	for _, anc := range ancestors {
 		for _, ai := range anc.items {
 			if ai.q == parentQ {
 				item.pl = append(item.pl, ai)
@@ -438,37 +414,23 @@ func (g *generator) addItem(n *ctNode, qn *qpt.Node) {
 		}
 	}
 	n.items = append(n.items, item)
-	if qn.V {
-		n.needV = true
-	}
-	if qn.C {
-		n.needC = true
-	}
+	return item
 }
 
-// subtreeTFs aggregates per-keyword term frequencies for the subtree of id
-// from the inverted lists (index-only, O(log n) per keyword). It runs only
-// when the lists were prepared with keywords; a keyword-free PDT carries no
-// TFs, and whoever scores its results derives them as the same Dewey-range
-// sums over the same lists, for the elements that reach a result only. The
-// slices are carved full-capacity from tfChunk, whose chunks live as long
-// as the PDT payloads referencing them.
-func (g *generator) subtreeTFs(id dewey.ID) []int {
-	n := len(g.lists.Inv)
-	if cap(g.tfChunk)-len(g.tfChunk) < n {
-		size := 256
-		if n > size {
-			size = n
-		}
-		g.tfChunk = make([]int, 0, size)
-	}
-	start := len(g.tfChunk)
-	g.tfChunk = g.tfChunk[:start+n]
-	tfs := g.tfChunk[start : start+n : start+n]
-	for i, pl := range g.lists.Inv {
-		tfs[i] = pl.SubtreeTF(id)
-	}
-	return tfs
+func (g *generator) freeEntry(x *cacheEntry) {
+	x.groups = x.groups[:0]
+	g.entryPool.put(x)
+}
+
+func (g *generator) newGroup(q *qpt.Node, pl []*ctItem) *entryGroup {
+	gr := g.groupPool.get()
+	gr.q, gr.pl = q, append(gr.pl[:0], pl...)
+	return gr
+}
+
+func (g *generator) freeGroup(gr *entryGroup) {
+	gr.q = nil
+	g.groupPool.put(gr)
 }
 
 // finalize is called when a CT node has seen all of its descendants: decide
@@ -477,7 +439,7 @@ func (g *generator) subtreeTFs(id dewey.ID) []int {
 // node's own PdtCache (Figure 27).
 func (g *generator) finalize(n *ctNode) {
 	parent := g.stack[len(g.stack)-1]
-	var pending []*entryGroup
+	var pending *cacheEntry
 	for _, item := range n.items {
 		if item.need > 0 {
 			continue // descendant constraints unsatisfiable: failed
@@ -490,55 +452,57 @@ func (g *generator) finalize(n *ctNode) {
 		// propagation above may have promoted ancestors (the paper's InPdt
 		// optimization), so mandatory chains usually resolve right here.
 		if !item.inPdt {
-			for _, p := range item.pl {
-				if p.inPdt {
-					item.inPdt = true
-					break
-				}
-			}
+			item.inPdt = anyPLInPdt(item.pl)
 		}
 		if item.inPdt {
-			g.emit(g.record(n), item.q)
+			g.emit(n.seq, item.q)
 		} else if len(item.pl) > 0 {
-			pending = append(pending, &entryGroup{q: item.q, pl: item.pl})
+			if pending == nil {
+				pending = g.entryPool.get()
+				pending.seq = n.seq
+				parent.cache = append(parent.cache, pending)
+			}
+			pending.groups = append(pending.groups, g.newGroup(item.q, item.pl))
 		}
 	}
-	if len(pending) > 0 {
-		parent.cache = append(parent.cache, &cacheEntry{info: g.record(n), groups: pending})
-	}
 	// Process the node's PdtCache: entry groups reference items of n or of
-	// live ancestors (the upward-rewrite invariant).
-	for _, x := range sortEntries(n.cache) {
-		var remaining []*entryGroup
+	// live ancestors (the upward-rewrite invariant). The order in which
+	// entries are visited is immaterial: emission is idempotent per
+	// (element, QPT node) and build places elements by sequence number.
+	for _, x := range n.cache {
+		remaining := x.groups[:0]
 		for _, gr := range x.groups {
 			if anyPLInPdt(gr.pl) {
-				g.emit(x.info, gr.q)
+				g.emit(x.seq, gr.q)
+				g.freeGroup(gr)
 				continue
 			}
-			var lifted []*ctItem
+			lifted := g.lift[:0]
 			for _, p := range gr.pl {
 				if p.owner != n {
 					lifted = append(lifted, p)
-					continue
-				}
-				if p.candidate {
+				} else if p.candidate {
 					// The group's hope now rests on p's own parents
 					// (Figure 27 line 28: x.PL.replace(q, q.PL)).
 					lifted = append(lifted, p.pl...)
 				}
 				// failed items contribute nothing
 			}
-			if len(lifted) > 0 {
-				gr.pl = dedupeItems(lifted)
-				remaining = append(remaining, gr)
+			g.lift = lifted
+			if len(lifted) == 0 {
+				g.freeGroup(gr)
+				continue
 			}
+			gr.pl = append(gr.pl[:0], dedupeItems(lifted)...)
+			remaining = append(remaining, gr)
 		}
+		x.groups = remaining
 		if len(remaining) > 0 {
-			x.groups = remaining
 			parent.cache = append(parent.cache, x)
+		} else {
+			g.freeEntry(x)
 		}
 	}
-	n.cache = nil
 	g.release(n)
 }
 
@@ -561,14 +525,9 @@ func (g *generator) propagate(item *ctItem) {
 		if p.need == 0 && !p.candidate {
 			p.candidate = true
 			g.propagate(p)
-			if !p.inPdt {
-				for _, pp := range p.pl {
-					if pp.inPdt {
-						p.inPdt = true
-						g.emit(g.record(p.owner), p.q)
-						break
-					}
-				}
+			if !p.inPdt && anyPLInPdt(p.pl) {
+				p.inPdt = true
+				g.emit(p.owner.seq, p.q)
 			}
 		}
 	}
@@ -605,30 +564,69 @@ func dedupeItems(items []*ctItem) []*ctItem {
 	return out
 }
 
-func sortEntries(entries []*cacheEntry) []*cacheEntry {
-	sort.SliceStable(entries, func(i, j int) bool {
-		return dewey.Less(entries[i].info.ID, entries[j].info.ID)
-	})
-	return entries
-}
-
-// emit records the element as a PDT member qualified via QPT node q,
-// merging the annotations of multiple qualifying nodes.
-func (g *generator) emit(rec *emitInfo, q *qpt.Node) {
-	if !rec.listed {
-		rec.listed = true
-		rec.NeedV = false
-		rec.NeedC = false
-		g.out = append(g.out, rec)
+// emit marks the element as a PDT member qualified via QPT node q, merging
+// the annotations of multiple qualifying nodes.
+func (g *generator) emit(seq int32, q *qpt.Node) {
+	m := markEmitted
+	if q.V {
+		m |= markV
 	}
-	rec.NeedV = rec.NeedV || q.V
-	rec.NeedC = rec.NeedC || q.C
+	if q.C {
+		m |= markC
+	}
+	g.marks[seq] |= m
 }
 
-// build sorts the emitted elements and assembles the pruned document.
+// build copies the emitted elements out of the lists into the PDT's slabs,
+// in push order — which is document order, so nothing is sorted — and
+// links them. Payloads are final by now: an element's own postings precede
+// its descendants', so src points at one of them if there is any. Term
+// frequencies are summed here, for the emitted 'c' elements only, and only
+// when the lists were prepared with keywords: a keyword-free PDT carries
+// none, and whoever scores its results derives them as the same
+// Dewey-range sums over the same lists (index-only either way).
 func (g *generator) build(sourceName string) *PDT {
-	slices.SortFunc(g.out, func(a, b *emitInfo) int { return dewey.Compare(a.ID, b.ID) })
-	return assemble(g.out, sourceName)
+	nodes, metas := 0, 0
+	for _, m := range g.marks {
+		if m&markEmitted != 0 {
+			nodes++
+			if m&markC != 0 {
+				metas++
+			}
+		}
+	}
+	slab := make([]xmltree.Node, 0, nodes)
+	metaSlab := make([]xmltree.NodeMeta, 0, metas)
+	inv := g.lists.Inv
+	tfSlab := make([]int, 0, metas*len(inv))
+	for seq, m := range g.marks {
+		if m&markEmitted == 0 {
+			continue
+		}
+		at := g.src[seq]
+		pl := g.lists.Paths[at.list]
+		p := &pl.Postings[at.posting]
+		slab = append(slab, xmltree.Node{Tag: pl.Segs[at.depth-1], ID: p.ID[:at.depth]})
+		node := &slab[len(slab)-1]
+		own := int(at.depth) == len(p.ID)
+		if own {
+			node.ByteLen = p.ByteLen
+			if m&markV != 0 && p.HasValue {
+				node.Value = p.Value
+			}
+		}
+		if m&markC != 0 {
+			metaSlab = append(metaSlab, xmltree.NodeMeta{SrcID: node.ID, SrcLen: node.ByteLen})
+			node.Meta = &metaSlab[len(metaSlab)-1]
+			if own && len(inv) > 0 {
+				for _, il := range inv {
+					tfSlab = append(tfSlab, il.SubtreeTF(node.ID))
+				}
+				node.Meta.TFs = tfSlab[len(tfSlab)-len(inv) : len(tfSlab) : len(tfSlab)]
+			}
+		}
+	}
+	return link(slab, sourceName)
 }
 
 // BuildPruned assembles a pruned document from an element list (in any
@@ -637,60 +635,77 @@ func (g *generator) build(sourceName string) *PDT {
 func BuildPruned(elements []*Element, sourceName string) *PDT {
 	sorted := append([]*Element(nil), elements...)
 	sort.Slice(sorted, func(i, j int) bool { return dewey.Less(sorted[i].ID, sorted[j].ID) })
-	return assemble(sorted, sourceName)
-}
-
-// assemble turns a Dewey-sorted element list into a pruned xmltree
-// document: every element's parent is its closest emitted ancestor
-// (Definition 3). Nodes and scoring payloads are carved from slabs sized
-// by the element list, so assembling a PDT costs a fixed handful of
-// allocations plus child-slice growth.
-func assemble(infos []*emitInfo, sourceName string) *PDT {
-	pdt := &PDT{SourceName: sourceName}
-	if len(infos) == 0 {
-		return pdt
-	}
-	slab := make([]xmltree.Node, len(infos))
-	nMeta := 0
-	for _, info := range infos {
-		if info.NeedC {
-			nMeta++
+	slab := make([]xmltree.Node, len(sorted))
+	metas := 0
+	for _, el := range sorted {
+		if el.NeedC {
+			metas++
 		}
 	}
-	metaSlab := make([]xmltree.NodeMeta, 0, nMeta)
-	var root *xmltree.Node
-	chain := make([]*xmltree.Node, 0, 16) // current root-to-leaf construction chain
-	for i, info := range infos {
+	metaSlab := make([]xmltree.NodeMeta, 0, metas)
+	for i, el := range sorted {
 		node := &slab[i]
-		node.Tag, node.ID, node.ByteLen = info.Tag, info.ID, info.ByteLen
-		if info.NeedV && info.HasValue {
-			node.Value = info.Value
+		node.Tag, node.ID, node.ByteLen = el.Tag, el.ID, el.ByteLen
+		if el.NeedV && el.HasValue {
+			node.Value = el.Value
 		}
-		if info.NeedC {
-			metaSlab = append(metaSlab, xmltree.NodeMeta{SrcID: info.ID, SrcLen: info.ByteLen, TFs: info.TFs})
+		if el.NeedC {
+			metaSlab = append(metaSlab, xmltree.NodeMeta{SrcID: el.ID, SrcLen: el.ByteLen, TFs: el.TFs})
 			node.Meta = &metaSlab[len(metaSlab)-1]
 		}
-		pdt.Nodes++
-		pdt.Bytes += 2*len(info.Tag) + 5 + len(node.Value)
+	}
+	return link(slab, sourceName)
+}
+
+// link turns a slab of elements in document order into a pruned xmltree
+// document: every element's parent is its closest emitted ancestor
+// (Definition 3). Child slices are carved from one slab sized by the
+// element count, so linking costs three allocations whatever the size.
+func link(slab []xmltree.Node, sourceName string) *PDT {
+	pdt := &PDT{SourceName: sourceName, Nodes: len(slab)}
+	if len(slab) == 0 {
+		return pdt
+	}
+	// Every element but the root is the child of exactly one other.
+	kids := make([]*xmltree.Node, len(slab)-1)
+	var chainBuf [32]*xmltree.Node
+	chain := chainBuf[:0] // current root-to-leaf construction chain
+	// First pass: find the parents. A node's child count is carried as the
+	// length of its Children until the slices are carved.
+	for i := range slab {
+		node := &slab[i]
+		pdt.Bytes += 2*len(node.Tag) + 5 + len(node.Value)
 		// pop chain until top is an ancestor of node
-		for len(chain) > 0 && !chain[len(chain)-1].ID.IsAncestorOf(info.ID) {
+		for len(chain) > 0 && !chain[len(chain)-1].ID.IsAncestorOf(node.ID) {
 			chain = chain[:len(chain)-1]
 		}
-		if len(chain) == 0 {
-			if root != nil {
-				// Multiple top-level emitted elements cannot happen within
-				// one document (the document root is their common prefix),
-				// but guard defensively by keeping the first.
-				continue
-			}
-			root = node
-		} else {
+		if len(chain) > 0 {
 			parent := chain[len(chain)-1]
 			node.Parent = parent
-			parent.Children = append(parent.Children, node)
+			parent.Children = kids[:len(parent.Children)+1]
+		} else if i > 0 {
+			// A second top-level element: a QPT rooted at '//x' can emit
+			// several with no common emitted ancestor. A document has one
+			// root, so only the first one's subtree is kept.
+			continue
 		}
 		chain = append(chain, node)
 	}
+	// Second pass: carve each node's exact child slice and fill it. The
+	// slab is in document order, so a parent is carved before any child
+	// appends to it and siblings append in order.
+	carved := 0
+	for i := range slab {
+		node := &slab[i]
+		if n := len(node.Children); n > 0 {
+			node.Children = kids[carved : carved : carved+n]
+			carved += n
+		}
+		if node.Parent != nil {
+			node.Parent.Children = append(node.Parent.Children, node)
+		}
+	}
+	root := &slab[0]
 	pdt.Doc = &xmltree.Document{Name: sourceName, Root: root, DocID: root.ID[0]}
 	return pdt
 }

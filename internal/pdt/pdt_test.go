@@ -446,3 +446,32 @@ func TestPrepareListsCostIndependentOfListLength(t *testing.T) {
 		t.Errorf("PrepareLists allocates %v objects over 50 books and %v over 200", allocs[0], allocs[1])
 	}
 }
+
+// TestGenerateAllocationsIndependentOfDocumentSize: a warm generator
+// allocates the PDT it returns — a fixed number of slabs — and nothing per
+// element, so a document four times the size costs no more allocations. The
+// test holds one generator itself: sync.Pool may drop genPool's at any GC
+// (and drops at random under the race detector), after which a run re-grows
+// the scratch, which is a property of the pool and not of the generator.
+func TestGenerateAllocationsIndependentOfDocumentSize(t *testing.T) {
+	q := viewQPTs(t, `for $b in fn:doc(books.xml)/books//book where $b/year > 1995 return <r>{$b/isbn}, {$b/title}</r>`)[0]
+	g := &generator{}
+	var allocs []float64
+	for _, books := range []int{100, 400} {
+		var sb strings.Builder
+		sb.WriteString("<books>")
+		for i := 0; i < books; i++ {
+			fmt.Fprintf(&sb, "<book><isbn>%d</isbn><title>xml search volume %d</title><year>%d</year></book>", i, i, 1990+i%20)
+		}
+		sb.WriteString("</books>")
+		doc := parseDoc(t, sb.String(), "books.xml", 1)
+		lists := PrepareLists(q, pathindex.Build(doc), invindex.Build(doc), nil)
+		if n := g.run(q, lists, doc.Name, nil).Nodes; n < books { // also grows the scratch to this document
+			t.Fatalf("%d books: PDT of %d nodes", books, n)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(50, func() { g.run(q, lists, doc.Name, nil) }))
+	}
+	if allocs[1] > allocs[0]+1 || allocs[0] > 8 {
+		t.Errorf("Generate allocates %v objects over 100 books and %v over 400, want the same handful", allocs[0], allocs[1])
+	}
+}

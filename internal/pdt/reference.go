@@ -1,9 +1,6 @@
 package pdt
 
 import (
-	"sort"
-
-	"vxml/internal/dewey"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/pred"
@@ -126,9 +123,9 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 	}
 
 	inv := invindex.Build(doc)
-	infos := make([]*emitInfo, 0, len(selected))
+	infos := make([]*Element, 0, len(selected))
 	for v, a := range selected {
-		info := &emitInfo{
+		info := &Element{
 			ID:       v.ID,
 			Tag:      v.Tag,
 			Value:    v.Value,
@@ -145,6 +142,5 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 		}
 		infos = append(infos, info)
 	}
-	sort.Slice(infos, func(i, j int) bool { return dewey.Less(infos[i].ID, infos[j].ID) })
-	return assemble(infos, doc.Name)
+	return BuildPruned(infos, doc.Name)
 }

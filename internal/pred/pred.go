@@ -34,25 +34,43 @@ func (p Predicate) String() string { return fmt.Sprintf("%c %s", p.Op, p.Lit) }
 
 // Eval reports whether value satisfies the predicate.
 func (p Predicate) Eval(value string) bool {
-	return Compare(value, p.Lit, p.Op)
+	return p.Compile().Eval(value)
+}
+
+// Compiled is a predicate whose literal has been parsed, for evaluating it
+// against many values: the literal is half of every comparison.
+type Compiled struct {
+	op      Op
+	lit     string
+	num     float64
+	numeric bool // lit parses as a number
+}
+
+// Compile parses the predicate's literal once.
+func (p Predicate) Compile() Compiled {
+	num, err := strconv.ParseFloat(p.Lit, 64)
+	return Compiled{op: p.Op, lit: p.Lit, num: num, numeric: err == nil}
+}
+
+// Eval reports whether value satisfies the predicate: numerically when
+// both value and literal are numeric ("07" = "7"), as strings otherwise
+// ("10x").
+func (c Compiled) Eval(value string) bool {
+	if c.numeric {
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			return compare(v, c.num, c.op)
+		}
+	}
+	return compare(value, c.lit, c.op)
 }
 
 // Compare applies op to (a, b) with numeric comparison when both operands
 // are numeric, string comparison otherwise.
 func Compare(a, b string, op Op) bool {
-	fa, errA := strconv.ParseFloat(a, 64)
-	fb, errB := strconv.ParseFloat(b, 64)
-	if errA == nil && errB == nil {
-		switch op {
-		case Eq:
-			return fa == fb
-		case Lt:
-			return fa < fb
-		case Gt:
-			return fa > fb
-		}
-		return false
-	}
+	return Predicate{Op: op, Lit: b}.Eval(a)
+}
+
+func compare[T float64 | string](a, b T, op Op) bool {
 	switch op {
 	case Eq:
 		return a == b

@@ -13,7 +13,7 @@ package scoring
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"vxml/internal/dewey"
@@ -255,7 +255,15 @@ func (t *TopK) Sorted() []Scored {
 	defer t.mu.Unlock()
 	out := make([]Scored, len(t.heap))
 	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool { return Better(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b Scored) int {
+		switch {
+		case Better(a, b):
+			return -1
+		case Better(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

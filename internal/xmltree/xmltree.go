@@ -8,6 +8,7 @@
 package xmltree
 
 import (
+	"bufio"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -274,46 +275,83 @@ func (n *Node) WriteXML(w io.Writer, indent string) error {
 }
 
 func writeXML(w io.Writer, n *Node, indent string, depth int) error {
-	pad := ""
-	nl := ""
-	if indent != "" {
-		pad = strings.Repeat(indent, depth)
-		nl = "\n"
+	if sb, ok := w.(*strings.Builder); ok { // XMLString: in memory, cannot fail
+		xmlWriter{sb, indent}.node(n, depth)
+		return nil
 	}
-	if n.IsLeaf() {
-		_, err := fmt.Fprintf(w, "%s<%s>%s</%s>%s", pad, n.Tag, escape(n.Value), n.Tag, nl)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s<%s>%s", pad, n.Tag, nl); err != nil {
-		return err
-	}
-	if n.Value != "" {
-		if _, err := fmt.Fprintf(w, "%s%s%s", pad+indent, escape(n.Value), nl); err != nil {
-			return err
-		}
-	}
-	for _, c := range n.Children {
-		if err := writeXML(w, c, indent, depth+1); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s</%s>%s", pad, n.Tag, nl)
-	return err
+	// Anything else may be an unbuffered file (store.Save): hand it blocks,
+	// not the fragments of a tag. bufio keeps the first write error and
+	// Flush returns it.
+	bw := bufio.NewWriter(w)
+	xmlWriter{bw, indent}.node(n, depth)
+	return bw.Flush()
 }
 
-// XMLString returns the serialized subtree as a string.
+// xmlWriter serializes a subtree fragment by fragment into a writer whose
+// WriteString is cheap and whose errors need no checking per call.
+type xmlWriter struct {
+	w      io.StringWriter
+	indent string
+}
+
+// line writes the parts as one line at the given depth (padding and line
+// break only when indenting).
+func (x xmlWriter) line(depth int, parts ...string) {
+	for ; x.indent != "" && depth > 0; depth-- {
+		x.w.WriteString(x.indent) //nolint:errcheck // see writeXML
+	}
+	for _, p := range parts {
+		x.w.WriteString(p) //nolint:errcheck
+	}
+	if x.indent != "" {
+		x.w.WriteString("\n") //nolint:errcheck
+	}
+}
+
+func (x xmlWriter) node(n *Node, depth int) {
+	if n.IsLeaf() {
+		x.line(depth, "<", n.Tag, ">", escape(n.Value), "</", n.Tag, ">")
+		return
+	}
+	x.line(depth, "<", n.Tag, ">")
+	if n.Value != "" {
+		x.line(depth+1, escape(n.Value))
+	}
+	for _, c := range n.Children {
+		x.node(c, depth+1)
+	}
+	x.line(depth, "</", n.Tag, ">")
+}
+
+// XMLString returns the serialized subtree as a string. Compact output is
+// sized up front by a walk of the subtree — not from ByteLen, which on a
+// pruned element is the length of the base subtree it stands for.
 func (n *Node) XMLString(indent string) string {
 	var b strings.Builder
+	if indent == "" {
+		b.Grow(compactLen(n))
+	}
 	n.WriteXML(&b, indent) //nolint:errcheck // strings.Builder cannot fail
 	return b.String()
 }
+
+// compactLen is the length of the subtree's compact serialization before
+// escaping.
+func compactLen(n *Node) int {
+	size := 2*len(n.Tag) + 5 + len(n.Value)
+	for _, c := range n.Children {
+		size += compactLen(c)
+	}
+	return size
+}
+
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 
 func escape(s string) string {
 	if !strings.ContainsAny(s, "<>&") {
 		return s
 	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+	return escaper.Replace(s)
 }
 
 // Tokenize splits text into lowercase keyword tokens: maximal runs of

@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -319,5 +321,86 @@ func TestQuickSubtreeTFMatchesTokenCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fprintfXML is the serializer as it was written with fmt.Fprintf, kept as
+// the byte-identity oracle for writeXML.
+func fprintfXML(b *strings.Builder, n *Node, indent string, depth int) {
+	pad, nl := "", ""
+	if indent != "" {
+		pad, nl = strings.Repeat(indent, depth), "\n"
+	}
+	esc := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace
+	if n.IsLeaf() {
+		fmt.Fprintf(b, "%s<%s>%s</%s>%s", pad, n.Tag, esc(n.Value), n.Tag, nl)
+		return
+	}
+	fmt.Fprintf(b, "%s<%s>%s", pad, n.Tag, nl)
+	if n.Value != "" {
+		fmt.Fprintf(b, "%s%s%s", pad+indent, esc(n.Value), nl)
+	}
+	for _, c := range n.Children {
+		fprintfXML(b, c, indent, depth+1)
+	}
+	fmt.Fprintf(b, "%s</%s>%s", pad, n.Tag, nl)
+}
+
+// plainWriter is an io.Writer and nothing more, as an unbuffered sink would
+// be, and counts the Write calls it receives.
+type plainWriter struct {
+	b      strings.Builder
+	writes int
+}
+
+func (w *plainWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.b.Write(p)
+}
+
+// TestSerializationByteIdentical: compact and indented output, escaped
+// values, empty leaves and mixed content (a value on a non-leaf) all come
+// out exactly as the Fprintf serializer wrote them, through XMLString and
+// through a plain io.Writer — which is written to in blocks, not once per
+// tag fragment: store.Save hands WriteXML an unbuffered file.
+func TestSerializationByteIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	values := []string{"", "plain text", "a < b & c > d", "&&", "<tag>"}
+	for trial := 0; trial < 200; trial++ {
+		root := randomTree(r, 1+r.Intn(4))
+		root.Walk(func(n *Node) {
+			if n.IsLeaf() || r.Intn(4) == 0 { // some non-leaves get a value too
+				n.Value = values[r.Intn(len(values))]
+			}
+		})
+		for _, indent := range []string{"", "  ", "\t"} {
+			var want strings.Builder
+			var plain plainWriter
+			fprintfXML(&want, root, indent, 0)
+			if got := root.XMLString(indent); got != want.String() {
+				t.Fatalf("trial %d indent %q:\ngot  %q\nwant %q", trial, indent, got, want.String())
+			}
+			if err := root.WriteXML(&plain, indent); err != nil || plain.b.String() != want.String() {
+				t.Fatalf("trial %d indent %q through io.Writer: %v\ngot  %q\nwant %q", trial, indent, err, plain.b.String(), want.String())
+			}
+			if most := want.Len()/4096 + 1; plain.writes > most {
+				t.Fatalf("trial %d indent %q: %d Write calls for %d bytes, want at most %d", trial, indent, plain.writes, want.Len(), most)
+			}
+		}
+	}
+}
+
+// failingWriter rejects every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+func TestWriteXMLReturnsTheWriteError(t *testing.T) {
+	doc, err := ParseString("<a><b>text</b></a>", "t.xml", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Root.WriteXML(failingWriter{}, ""); err != io.ErrClosedPipe {
+		t.Fatalf("WriteXML to a failing writer returned %v", err)
 	}
 }

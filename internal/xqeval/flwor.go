@@ -2,6 +2,7 @@ package xqeval
 
 import (
 	"fmt"
+	"slices"
 
 	"vxml/internal/pred"
 	"vxml/internal/xmltree"
@@ -130,13 +131,16 @@ func (e *Evaluator) evalCall(x *xq.CallExpr, en *env) ([]Item, error) {
 	return e.Eval(fd.Body, fnEnv)
 }
 
-// joinIndex is the hash index built for the equality-join fast path: it
-// maps atomized join-key values of the loop sequence to the positions of
-// matching items.
-type joinIndex struct {
-	items   []Item
-	byKey   map[string][]int
-	keyExpr xq.Expr
+// joinPlan is what the equality-join fast path knows about one FLWOR. The
+// shape — whether it qualifies and which comparison side is keyed by the
+// loop variable — depends on the expression alone, so it is analysed on
+// the first visit and never again; the hash index, which maps atomized
+// join-key values of the loop sequence to the ascending positions of the
+// matching items, is built when the first binding probes it.
+type joinPlan struct {
+	keyExpr, probeExpr xq.Expr // both nil: the FLWOR does not qualify
+	items              []Item
+	byKey              map[string][]int // nil until built
 }
 
 func (e *Evaluator) evalFLWOR(x *xq.FLWORExpr, en *env) ([]Item, error) {
@@ -213,75 +217,83 @@ func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) ([]Item, erro
 	return out, nil
 }
 
+// planJoin analyses the FLWOR's last clause cl for the fast path: an
+// equality where-clause over a loop-invariant sequence with the loop
+// variable on exactly one side.
+func planJoin(x *xq.FLWORExpr, cl xq.ForLetClause) *joinPlan {
+	cmp, isCmp := x.Where.(*xq.CmpExpr)
+	if !isCmp || cmp.Op != pred.Eq || len(FreeVars(cl.In)) != 0 {
+		return &joinPlan{}
+	}
+	leftVars, rightVars := FreeVars(cmp.Left), FreeVars(cmp.Right)
+	switch {
+	case onlyVar(leftVars, cl.Var) && !rightVars[cl.Var]:
+		return &joinPlan{keyExpr: cmp.Left, probeExpr: cmp.Right}
+	case onlyVar(rightVars, cl.Var) && !leftVars[cl.Var]:
+		return &joinPlan{keyExpr: cmp.Right, probeExpr: cmp.Left}
+	}
+	return &joinPlan{}
+}
+
 // tryHashJoin applies the equality-join fast path when eligible. It
 // returns ok=false when the FLWOR shape does not qualify.
 func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) ([]Item, bool, error) {
-	cmp, isCmp := x.Where.(*xq.CmpExpr)
-	if !isCmp || cmp.Op != pred.Eq {
+	jp := e.joins[x]
+	if jp == nil {
+		jp = planJoin(x, cl)
+		e.joins[x] = jp
+	}
+	if jp.keyExpr == nil {
 		return nil, false, nil
 	}
-	if len(FreeVars(cl.In)) != 0 {
-		return nil, false, nil // loop sequence is not invariant
-	}
-	// Identify which comparison side is keyed by the loop variable.
-	leftVars, rightVars := FreeVars(cmp.Left), FreeVars(cmp.Right)
-	var keyExpr, probeExpr xq.Expr
-	switch {
-	case onlyVar(leftVars, cl.Var) && !rightVars[cl.Var]:
-		keyExpr, probeExpr = cmp.Left, cmp.Right
-	case onlyVar(rightVars, cl.Var) && !leftVars[cl.Var]:
-		keyExpr, probeExpr = cmp.Right, cmp.Left
-	default:
-		return nil, false, nil
-	}
-	ji := e.joinCache[x]
-	if ji == nil || ji.keyExpr != keyExpr {
+	if jp.byKey == nil {
 		seq, err := e.Eval(cl.In, en)
 		if err != nil {
 			return nil, true, err
 		}
-		ji = &joinIndex{items: seq, byKey: map[string][]int{}, keyExpr: keyExpr}
+		byKey := make(map[string][]int, len(seq))
 		for i, item := range seq {
 			if err := e.ctxErr(); err != nil {
 				return nil, true, err
 			}
-			keys, err := e.Eval(keyExpr, (*env)(nil).bind1(cl.Var, item))
+			keys, err := e.Eval(jp.keyExpr, (*env)(nil).bind1(cl.Var, item))
 			if err != nil {
 				return nil, true, err
 			}
-			seen := map[string]bool{}
 			for _, k := range keys {
+				// Positions are appended in ascending order, so an item
+				// whose keys repeat a value finds itself last in the list.
 				kv := Atomize(k)
-				if !seen[kv] {
-					seen[kv] = true
-					ji.byKey[kv] = append(ji.byKey[kv], i)
+				if l := byKey[kv]; len(l) == 0 || l[len(l)-1] != i {
+					byKey[kv] = append(l, i)
 				}
 			}
 		}
-		e.joinCache[x] = ji
+		jp.items, jp.byKey = seq, byKey
 	}
-	probes, err := e.Eval(probeExpr, en)
+	probes, err := e.Eval(jp.probeExpr, en)
 	if err != nil {
 		return nil, true, err
 	}
 	e.JoinProbes += len(probes)
-	matched := map[int]bool{}
+	// The matching positions, each once, in sequence order. One probe's
+	// list is that already; several are merged.
 	var order []int
-	for _, p := range probes {
-		for _, i := range ji.byKey[Atomize(p)] {
-			if !matched[i] {
-				matched[i] = true
-				order = append(order, i)
-			}
+	if len(probes) == 1 {
+		order = jp.byKey[Atomize(probes[0])]
+	} else {
+		for _, p := range probes {
+			order = append(order, jp.byKey[Atomize(p)]...)
 		}
+		slices.Sort(order)
+		order = slices.Compact(order)
 	}
-	sortInts(order)
-	var out []Item
+	out := make([]Item, 0, len(order)) // exact when each match returns one item
 	for _, i := range order {
 		if err := e.ctxErr(); err != nil {
 			return nil, true, err
 		}
-		v, err := e.Eval(x.Return, en.bind1(cl.Var, ji.items[i]))
+		v, err := e.Eval(x.Return, en.bind1(cl.Var, jp.items[i]))
 		if err != nil {
 			return nil, true, err
 		}
@@ -292,14 +304,6 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) ([
 
 func onlyVar(vars map[string]bool, v string) bool {
 	return len(vars) == 1 && vars[v]
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // FreeVars returns the set of free variable names in expr.

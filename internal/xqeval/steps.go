@@ -7,12 +7,20 @@ import (
 
 // evalSteps applies a path step sequence to every node of the base
 // sequence, deduplicating nodes while preserving encounter order (which is
-// document order when the base sequence is in document order).
+// document order when the base sequence is in document order). A step from
+// a single document node cannot meet a node twice and skips the seen set —
+// that is every step of a path rooted at a variable bound to one element;
+// the set remains for multi-node bases (nested matches under //a//b) and
+// for constructed elements, which hold their children by reference and may
+// hold one node twice.
 func evalSteps(base []Item, steps []pathindex.Step) []Item {
 	current := base
 	for _, st := range steps {
 		var next []Item
-		seen := map[*xmltree.Node]bool{}
+		var seen map[*xmltree.Node]bool
+		if !singleDocumentNode(current) {
+			seen = map[*xmltree.Node]bool{}
+		}
 		for _, item := range current {
 			n, ok := item.(*xmltree.Node)
 			if !ok {
@@ -21,7 +29,9 @@ func evalSteps(base []Item, steps []pathindex.Step) []Item {
 			if st.Axis == pathindex.Child {
 				for _, c := range n.Children {
 					if c.Tag == st.Tag && !seen[c] {
-						seen[c] = true
+						if seen != nil {
+							seen[c] = true
+						}
 						next = append(next, c)
 					}
 				}
@@ -34,10 +44,25 @@ func evalSteps(base []Item, steps []pathindex.Step) []Item {
 	return current
 }
 
+// singleDocumentNode reports whether the sequence is one node of a document
+// tree — base or PDT, both carry Dewey IDs — or the "#document" wrapper over
+// one (docNode), as opposed to an element built by a constructor.
+func singleDocumentNode(items []Item) bool {
+	if len(items) != 1 {
+		return false
+	}
+	n, ok := items[0].(*xmltree.Node)
+	return ok && (len(n.ID) > 0 || n.Tag == docNodeTag)
+}
+
+// collectDescendants appends the descendants of n with the given tag in
+// document order, skipping those in seen (nil: none can repeat).
 func collectDescendants(n *xmltree.Node, tag string, seen map[*xmltree.Node]bool, out *[]Item) {
 	for _, c := range n.Children {
 		if c.Tag == tag && !seen[c] {
-			seen[c] = true
+			if seen != nil {
+				seen[c] = true
+			}
 			*out = append(*out, c)
 		}
 		collectDescendants(c, tag, seen, out)

@@ -79,7 +79,7 @@ type Evaluator struct {
 	JoinProbes int
 
 	ctx       context.Context
-	joinCache map[*xq.FLWORExpr]*joinIndex
+	joins     map[*xq.FLWORExpr]*joinPlan
 	docNodes  map[*xmltree.Document]*xmltree.Node
 	callDepth int
 }
@@ -90,18 +90,18 @@ func New(catalog Catalog, funcs map[string]*xq.FuncDecl) *Evaluator {
 		funcs = map[string]*xq.FuncDecl{}
 	}
 	return &Evaluator{
-		catalog:   catalog,
-		funcs:     funcs,
-		HashJoin:  true,
-		joinCache: map[*xq.FLWORExpr]*joinIndex{},
-		docNodes:  map[*xmltree.Document]*xmltree.Node{},
+		catalog:  catalog,
+		funcs:    funcs,
+		HashJoin: true,
+		joins:    map[*xq.FLWORExpr]*joinPlan{},
+		docNodes: map[*xmltree.Document]*xmltree.Node{},
 	}
 }
 
 // EvalQuery evaluates the query body in an empty environment.
 func (e *Evaluator) EvalQuery(q *xq.Query) ([]Item, error) {
 	e.funcs = q.Functions
-	e.joinCache = map[*xq.FLWORExpr]*joinIndex{}
+	e.joins = map[*xq.FLWORExpr]*joinPlan{}
 	return e.Eval(q.Body, nil)
 }
 
@@ -121,6 +121,10 @@ func (e *Evaluator) ctxErr() error {
 	return e.ctx.Err()
 }
 
+// docNodeTag is the tag of the document-node wrapper; no element can have
+// it ('#' is not a name character).
+const docNodeTag = "#document"
+
 // docNode returns the cached document node for doc: a "#document" wrapper
 // whose single child is the root element, so a leading /roottag step works
 // as in XPath. The wrapper references the root without rewriting its
@@ -129,7 +133,7 @@ func (e *Evaluator) ctxErr() error {
 func (e *Evaluator) docNode(doc *xmltree.Document) *xmltree.Node {
 	dn := e.docNodes[doc]
 	if dn == nil {
-		dn = &xmltree.Node{Tag: "#document", Children: []*xmltree.Node{doc.Root}}
+		dn = &xmltree.Node{Tag: docNodeTag, Children: []*xmltree.Node{doc.Root}}
 		e.docNodes[doc] = dn
 	}
 	return dn
