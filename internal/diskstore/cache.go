@@ -226,7 +226,8 @@ func (c *docCache) resident() (int, int64) {
 	return len(c.entries), bytes
 }
 
-// indexCache memoizes decoded per-document indices, with the same
+// indexCache memoizes opened per-document indices (the decoded path index
+// and the inverted index as a view over its record), with the same
 // name+docID validation as docCache. Probe counters of evicted indices are
 // accumulated so Engine.IndexProbes stays monotonic across evictions.
 type indexCache struct {
@@ -246,6 +247,7 @@ type idxEntry struct {
 	docID int32
 	pix   *pathindex.Index
 	iix   *invindex.Index
+	bytes int64 // what the entry keeps resident (indexRecord.residentBytes)
 }
 
 func newIndexCache(maxDocs int) *indexCache {
@@ -272,9 +274,9 @@ func (c *indexCache) Get(name string, docID int32) (*pathindex.Index, *invindex.
 	return nil, nil, false
 }
 
-// Put caches a document's decoded indices, retiring whatever it displaces
+// Put caches a document's opened indices, retiring whatever it displaces
 // so probe counters stay monotonic.
-func (c *indexCache) Put(name string, docID int32, pix *pathindex.Index, iix *invindex.Index) {
+func (c *indexCache) Put(name string, docID int32, pix *pathindex.Index, iix *invindex.Index, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxDocs == 0 {
@@ -288,10 +290,10 @@ func (c *indexCache) Put(name string, docID int32, pix *pathindex.Index, iix *in
 			return // concurrent fill already landed
 		}
 		c.retire(e.pix, e.iix)
-		e.docID, e.pix, e.iix = docID, pix, iix
+		e.docID, e.pix, e.iix, e.bytes = docID, pix, iix, bytes
 		return
 	}
-	c.entries[name] = c.lru.PushFront(&idxEntry{name: name, docID: docID, pix: pix, iix: iix})
+	c.entries[name] = c.lru.PushFront(&idxEntry{name: name, docID: docID, pix: pix, iix: iix, bytes: bytes})
 	for c.lru.Len() > c.maxDocs {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -341,8 +343,13 @@ func (c *indexCache) probes() (pathProbes, keywordLookups int) {
 	return pathProbes, keywordLookups
 }
 
-func (c *indexCache) len() int {
+// resident returns (documents, summed resident bytes) currently cached.
+func (c *indexCache) resident() (int, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	var bytes int64
+	for _, el := range c.entries {
+		bytes += el.Value.(*idxEntry).bytes
+	}
+	return len(c.entries), bytes
 }

@@ -23,13 +23,19 @@ import (
 // after open, so a read-only open never pays the scan.
 type dagWriter struct {
 	keys        map[string]int64 // structural key -> node record offset
-	indexByRoot map[int64]int64  // root node offset -> index record offset
+	indexByRoot map[int64]extent // root node offset -> index record
 
 	// Cumulative dedup counters (committed mutations only): nodesWritten
 	// counts records appended, nodesShared counts references resolved to an
 	// existing record. Their ratio is the structure-sharing win.
 	nodesWritten int64
 	nodesShared  int64
+}
+
+// extent is a framed record's place in the data log.
+type extent struct {
+	off int64
+	n   int
 }
 
 // pending stages the data-log appends of one mutation. Records are
@@ -80,16 +86,19 @@ func (w *dagWriter) addTree(p *pending, n *xmltree.Node) (int64, int) {
 // addIndex encodes the document's indices, shared by root offset: two
 // documents with the same root record have identical content, and because
 // index records store root-relative Dewey IDs their index payloads are
-// byte-identical too — so they share one record.
-func (w *dagWriter) addIndex(p *pending, rootOff int64, pix *pathindex.Index, iix *invindex.Index) int64 {
-	if off, ok := w.indexByRoot[rootOff]; ok {
-		return off
+// byte-identical too — so they share one record. payload is the record's
+// payload when this call wrote it, nil when an existing record is shared.
+func (w *dagWriter) addIndex(p *pending, rootOff int64, pix *pathindex.Index, iix *invindex.Index) (at extent, payload []byte) {
+	if at, ok := w.indexByRoot[rootOff]; ok {
+		return at, nil
 	}
-	off := p.base + int64(len(p.buf))
-	p.buf = appendFrame(p.buf, kindIndex, encodeIndexPayload(pix, iix))
-	w.indexByRoot[rootOff] = off
+	payload = encodeIndexPayload(pix, iix)
+	start := len(p.buf)
+	p.buf = appendFrame(p.buf, kindIndex, payload)
+	at = extent{p.base + int64(start), len(p.buf) - start}
+	w.indexByRoot[rootOff] = at
 	p.newIndexRoots = append(p.newIndexRoots, rootOff)
-	return off
+	return at, payload
 }
 
 // commit folds the staged counters in; rollback removes the staged keys.
@@ -392,7 +401,7 @@ func (ds *Store) loadDedupLocked() error {
 	if ds.dag != nil {
 		return nil
 	}
-	w := &dagWriter{keys: map[string]int64{}, indexByRoot: map[int64]int64{}}
+	w := &dagWriter{keys: map[string]int64{}, indexByRoot: map[int64]extent{}}
 	committed := ds.dataLen.Load()
 	for off := int64(len(dataMagic)); off < committed; {
 		kind, payload, next, err := ds.frameAt(off)
@@ -413,7 +422,7 @@ func (ds *Store) loadDedupLocked() error {
 	// remains valid — contributes a root->index pairing.
 	for _, rec := range ds.history {
 		if rec.Op != opDelete && rec.Index > 0 {
-			w.indexByRoot[rec.Root] = rec.Index
+			w.indexByRoot[rec.Root] = extent{rec.Index, rec.IndexLen}
 		}
 	}
 	ds.dag = w

@@ -82,7 +82,7 @@ type docEntry struct {
 	name  string
 	docID int32
 	root  int64
-	index int64
+	index extent
 	bytes int
 	nodes int // expanded element count (0 for corpora written before tracking)
 }
@@ -228,6 +228,21 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Checked before anything is truncated: an older directory is refused
+	// as found, not "repaired".
+	dpath := filepath.Join(dir, dataName)
+	data, err := openAppend(dpath, opts.fault)
+	if err != nil {
+		return nil, err
+	}
+	var magic [len(dataMagic)]byte
+	if _, err := data.f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != dataMagic {
+		data.Close() //nolint:errcheck
+		if got := strings.TrimSpace(string(magic[:])); strings.HasPrefix(got, "vxdata") {
+			return nil, fmt.Errorf("%w: data log %s is %s, this build reads only %s", ErrFormatVersion, dataName, got, strings.TrimSpace(dataMagic))
+		}
+		return nil, corruptf("data log %s has no header", dataName)
+	}
 	recs, goodLen := foldManifest(mdata, recStart)
 
 	ds := &Store{
@@ -240,6 +255,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		shardDocs:  make([]int, shards),
 		shardBytes: make([]int, shards),
 		shardMut:   make([]int, shards),
+		data:       data,
 		blocks:     newBlockCache(opts.blockSize(), opts.cacheBytes()),
 		docsCache:  newDocCache(opts.docCacheSize()),
 		idxCache:   newIndexCache(opts.indexCacheSize()),
@@ -260,19 +276,14 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	// Discard uncommitted tails left by an interrupted writer.
 	ds.manifest, err = openAppend(mpath, opts.fault)
 	if err != nil {
+		ds.close() //nolint:errcheck
 		return nil, err
 	}
 	if ds.manifest.off > goodLen {
 		if err := ds.manifest.Truncate(goodLen); err != nil {
-			ds.manifest.Close() //nolint:errcheck
+			ds.close() //nolint:errcheck
 			return nil, err
 		}
-	}
-	dpath := filepath.Join(dir, dataName)
-	ds.data, err = openAppend(dpath, opts.fault)
-	if err != nil {
-		ds.manifest.Close() //nolint:errcheck
-		return nil, err
 	}
 	if ds.data.off < committed {
 		ds.close() //nolint:errcheck
@@ -284,12 +295,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	var magic [len(dataMagic)]byte
-	if _, err := ds.data.f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != dataMagic {
-		ds.close() //nolint:errcheck
-		return nil, corruptf("data log %s has no header", dataName)
-	}
-
 	// Reads go through a separate descriptor (pread).
 	rf, err := os.Open(dpath)
 	if err != nil {
@@ -324,7 +329,7 @@ func (ds *Store) applyRecordLocked(rec manifestRec, live bool) {
 			}
 		}
 	default: // opAdd, opReplace
-		e := &docEntry{name: rec.Name, docID: rec.DocID, root: rec.Root, index: rec.Index, bytes: rec.Bytes, nodes: rec.Nodes}
+		e := &docEntry{name: rec.Name, docID: rec.DocID, root: rec.Root, index: extent{rec.Index, rec.IndexLen}, bytes: rec.Bytes, nodes: rec.Nodes}
 		if old, ok := ds.docs[rec.Name]; ok {
 			ds.shardBytes[sh] -= old.bytes
 			ds.totalBytes -= old.bytes
@@ -384,7 +389,7 @@ func plausibleRecord(rec manifestRec, dataHigh int64) bool {
 		if rec.Root < int64(len(dataMagic)) || rec.Index < int64(len(dataMagic)) {
 			return false
 		}
-		if rec.Root >= rec.DataLen || rec.Index >= rec.DataLen {
+		if rec.Root >= rec.DataLen || rec.IndexLen <= 0 || rec.Index+int64(rec.IndexLen) > rec.DataLen {
 			return false
 		}
 	case opDelete:
@@ -428,7 +433,7 @@ func Create(c store.Corpus, dir string, opts Options, indices func(name string) 
 		return nil, err
 	}
 	data := &appendFile{f: df, fault: opts.fault}
-	w := &dagWriter{keys: map[string]int64{}, indexByRoot: map[int64]int64{}}
+	w := &dagWriter{keys: map[string]int64{}, indexByRoot: map[int64]extent{}}
 	var recs []manifestRec
 	writeAll := func() error {
 		if err := data.Write([]byte(dataMagic)); err != nil {
@@ -448,14 +453,14 @@ func Create(c store.Corpus, dir string, opts Options, indices func(name string) 
 			if pix == nil || iix == nil {
 				pix, iix = pathindex.Build(doc), invindex.Build(doc)
 			}
-			idxOff := w.addIndex(p, rootOff, pix, iix)
+			idx, _ := w.addIndex(p, rootOff, pix, iix)
 			if err := data.Write(p.buf); err != nil {
 				return err
 			}
 			w.commit(p)
 			recs = append(recs, manifestRec{
 				Op: opAdd, Name: doc.Name, DocID: doc.DocID,
-				Root: rootOff, Index: idxOff,
+				Root: rootOff, Index: idx.off, IndexLen: idx.n,
 				Bytes: doc.Root.ByteLen, Nodes: nodes, DataLen: data.off,
 			})
 		}
@@ -597,12 +602,7 @@ func (ds *Store) RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, ii
 	if _, dup := ds.docs[doc.Name]; dup {
 		return fmt.Errorf("diskstore: %w: %q", store.ErrDuplicateName, doc.Name)
 	}
-	rec, err := ds.appendDocLocked(opAdd, doc, pix, iix)
-	if err != nil {
-		return err
-	}
-	ds.commitDocLocked(rec, doc, pix, iix)
-	return nil
+	return ds.appendDocLocked(opAdd, doc, pix, iix)
 }
 
 // ReplaceIndexed swaps the document registered under doc.Name for doc,
@@ -618,12 +618,7 @@ func (ds *Store) ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix
 	if _, ok := ds.docs[doc.Name]; !ok {
 		return fmt.Errorf("diskstore: %w: %q", store.ErrUnknownName, doc.Name)
 	}
-	rec, err := ds.appendDocLocked(opReplace, doc, pix, iix)
-	if err != nil {
-		return err
-	}
-	ds.commitDocLocked(rec, doc, pix, iix)
-	return nil
+	return ds.appendDocLocked(opReplace, doc, pix, iix)
 }
 
 // Delete unregisters the document stored under name: a single manifest
@@ -660,31 +655,33 @@ func (ds *Store) writableLocked(doc *xmltree.Document) error {
 }
 
 // appendDocLocked stages and appends one document's data-log records and
-// its manifest record. The data append lands first and commits the new
-// data length; the manifest record is the commit point of the operation.
-func (ds *Store) appendDocLocked(op string, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) (manifestRec, error) {
+// its manifest record, then applies the operation in memory. The data
+// append lands first and commits the new data length; the manifest record
+// is the commit point of the operation.
+func (ds *Store) appendDocLocked(op string, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
 	p := &pending{base: ds.data.off}
 	rootOff, nodes := ds.dag.addTree(p, doc.Root)
-	idxOff := ds.dag.addIndex(p, rootOff, pix, iix)
+	idx, idxPayload := ds.dag.addIndex(p, rootOff, pix, iix)
 	if err := ds.data.Write(p.buf); err != nil {
 		// Torn data append: the staged keys point at bytes we now discard.
 		ds.dag.rollback(p)
 		if terr := ds.data.Truncate(ds.dataLen.Load()); terr != nil {
 			ds.broken = fmt.Errorf("diskstore: truncate after torn append: %w", terr)
 		}
-		return manifestRec{}, fmt.Errorf("diskstore: append data: %w", err)
+		return fmt.Errorf("diskstore: append data: %w", err)
 	}
 	ds.dag.commit(p)
 	ds.dataLen.Store(ds.data.off)
 	rec := manifestRec{
 		Op: op, Name: doc.Name, DocID: doc.DocID,
-		Root: rootOff, Index: idxOff,
+		Root: rootOff, Index: idx.off, IndexLen: idx.n,
 		Bytes: doc.Root.ByteLen, Nodes: nodes, DataLen: ds.data.off,
 	}
 	if err := ds.appendManifestLocked(rec); err != nil {
-		return manifestRec{}, err
+		return err
 	}
-	return rec, nil
+	ds.commitDocLocked(rec, doc, pix, idxPayload)
+	return nil
 }
 
 // appendManifestLocked appends one CRC-framed record; a torn append is
@@ -706,13 +703,23 @@ func (ds *Store) appendManifestLocked(rec manifestRec) error {
 
 // commitDocLocked applies a committed add/replace to the in-memory tables
 // and seeds the caches with the freshly parsed artifacts — the document
-// the caller just ingested is by definition hot.
-func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) {
+// the caller just ingested is by definition hot. The inverted index cached
+// is the view over the payload just written — what a later miss would load,
+// not the caller's index with every list resident — and nothing when the
+// document shares an existing record (idxPayload nil).
+func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, pix *pathindex.Index, idxPayload []byte) {
 	ds.applyRecordLocked(rec, true)
 	ds.EnsureNextID(rec.DocID + 1)
 	ds.gen.Add(1)
 	ds.docsCache.Put(rec.Name, rec.DocID, doc)
-	ds.idxCache.Put(rec.Name, rec.DocID, pix, iix)
+	// Just encoded from pix and its sibling: no checksum, no path decode.
+	if opened := (indexRecord{payload: idxPayload}); idxPayload != nil && opened.parseHeader() == nil {
+		if iix, err := opened.invIndex(rec.DocID, ds.noteDecodeErr); err == nil {
+			ds.idxCache.Put(rec.Name, rec.DocID, pix, iix, opened.residentBytes())
+			return
+		}
+	}
+	ds.idxCache.Drop(rec.Name)
 }
 
 // --- store.Corpus: pins and tombstones ---
@@ -977,8 +984,10 @@ func (ds *Store) noteDecodeErr(err error) {
 
 // --- core.IndexSource ---
 
-// StoredIndices returns the document's persisted indices, decoding the
-// index record through the block cache (memoized per document).
+// StoredIndices returns the document's persisted indices (memoized per
+// document). A miss reads the index record with one pread of its exact
+// extent, past the block cache (index records would thrash the node blocks
+// out of it), into the buffer the cached inverted index serves lookups from.
 func (ds *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, error) {
 	e := ds.entry(name)
 	if e == nil {
@@ -987,18 +996,22 @@ func (ds *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, 
 	if pix, iix, ok := ds.idxCache.Get(name, e.docID); ok {
 		return pix, iix, nil
 	}
-	kind, payload, _, err := ds.frameAt(e.index)
+	frame := make([]byte, e.index.n)
+	if err := ds.source.ReadAt(frame, e.index.off); err != nil {
+		return nil, nil, err
+	}
+	kind, payload, end, err := frameAt(frame, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	if kind != kindIndex {
-		return nil, nil, corruptf("record at %d is kind %q, want index", e.index, kind)
+	if kind != kindIndex || end != len(frame) {
+		return nil, nil, corruptf("record at %d is kind %q of %d bytes, want an index record of %d", e.index.off, kind, end, len(frame))
 	}
-	pix, iix, err := decodeIndexPayload(payload, e.docID)
+	pix, iix, resident, err := decodeIndexPayload(payload, e.docID, ds.noteDecodeErr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("diskstore: indices of %q: %w", name, err)
 	}
-	ds.idxCache.Put(name, e.docID, pix, iix)
+	ds.idxCache.Put(name, e.docID, pix, iix, resident)
 	return pix, iix, nil
 }
 
@@ -1071,7 +1084,8 @@ func (ds *Store) DiskStats() Stats {
 	entries, bytes, hits, misses := ds.blocks.stats()
 	st.BlockCache = CacheStats{Hits: hits, Misses: misses, Entries: entries, Bytes: bytes, Capacity: ds.blocks.maxBytes}
 	st.DocCache = CacheStats{Hits: ds.docsCache.hits.Load(), Misses: ds.docsCache.misses.Load(), Entries: st.ResidentDocs}
-	st.IndexCache = CacheStats{Hits: ds.idxCache.hits.Load(), Misses: ds.idxCache.misses.Load(), Entries: ds.idxCache.len()}
+	idxEntries, idxBytes := ds.idxCache.resident()
+	st.IndexCache = CacheStats{Hits: ds.idxCache.hits.Load(), Misses: ds.idxCache.misses.Load(), Entries: idxEntries, Bytes: idxBytes}
 	return st
 }
 

@@ -52,7 +52,7 @@ const dataFilePrefix = "CORPUS-"
 const manifestMagic = "#!vxdisk"
 
 // dataMagic is the 8-byte data-log header.
-const dataMagic = "vxdata1\n"
+const dataMagic = "vxdata2\n"
 
 // Record kinds in the data log.
 const (
@@ -69,6 +69,10 @@ const maxRecordLen = 64 << 20
 // classify with errors.Is. Decoders never panic on corrupt input — the
 // fuzz target pins that.
 var ErrCorrupt = errors.New("diskstore: corrupt corpus")
+
+// ErrFormatVersion reports a corpus whose data log was written in a format
+// version this build does not read (there is no reader for older versions).
+var ErrFormatVersion = errors.New("diskstore: unsupported corpus format version")
 
 // ErrNoCorpus reports that the directory holds no disk corpus (no
 // readable manifest).
@@ -251,12 +255,15 @@ func structKey(tag, value string, children []int64) string {
 
 // --- index records ---
 //
-// An index record serializes one document's path index (as
-// pathindex.Rows) and inverted index (as invindex posting lists). Dewey
-// IDs are stored RELATIVE to the document root (id[1:]): two documents
-// with identical content then produce byte-identical index records, and
-// the writer shares one record between them (keyed by the shared root
-// node offset). The document ID is prepended again at decode time.
+// An index record serializes one document's path index (as pathindex.Rows)
+// and inverted index so that a search can probe the inverted half without
+// decoding it: a checksum and a header sizing the path half, the path half,
+// then a sorted keyword directory giving each posting list's byte length,
+// ahead of the lists themselves (docs/ARCHITECTURE.md draws the layout).
+// Dewey IDs are stored RELATIVE to the document root (id[1:]): two documents
+// with identical content then produce byte-identical index records, and the
+// writer shares one record between them (keyed by the shared root node
+// offset). The document ID is prepended again at decode time.
 
 func appendRelID(dst []byte, id dewey.ID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(id)-1))
@@ -266,162 +273,264 @@ func appendRelID(dst []byte, id dewey.ID) []byte {
 	return dst
 }
 
-func decodeRelID(payload []byte, off int, docID int32) (dewey.ID, int, error) {
-	depth, off, err := uvarintLen(payload, off, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	id := make(dewey.ID, depth+1)
-	id[0] = docID
-	for i := 1; i <= depth; i++ {
-		v, o, err := uvarint(payload, off)
-		if err != nil {
-			return nil, 0, err
-		}
-		id[i], off = int32(v), o
-	}
-	return id, off, nil
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 // encodeIndexPayload serializes both indices of one document.
 func encodeIndexPayload(pix *pathindex.Index, iix *invindex.Index) []byte {
 	rows := pix.Rows()
-	lists := iix.Lists()
-	dst := binary.AppendUvarint(nil, uint64(iix.Elements()))
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	path := binary.AppendUvarint(nil, uint64(len(rows)))
+	pathPostings, pathComps := 0, 0
 	for _, r := range rows {
-		dst = binary.AppendUvarint(dst, uint64(len(r.Path)))
-		dst = append(dst, r.Path...)
+		path = appendString(path, r.Path)
 		if r.HasValue {
-			dst = append(dst, 1)
+			path = append(path, 1)
 		} else {
-			dst = append(dst, 0)
+			path = append(path, 0)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(r.Value)))
-		dst = append(dst, r.Value...)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Postings)))
+		path = appendString(path, r.Value)
+		path = binary.AppendUvarint(path, uint64(len(r.Postings)))
+		pathPostings += len(r.Postings)
 		for _, p := range r.Postings {
-			dst = appendRelID(dst, p.ID)
-			dst = binary.AppendUvarint(dst, uint64(p.ByteLen))
+			path = appendRelID(path, p.ID)
+			path = binary.AppendUvarint(path, uint64(p.ByteLen))
+			pathComps += len(p.ID) - 1
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(lists)))
-	for _, pl := range lists {
-		dst = binary.AppendUvarint(dst, uint64(len(pl.Keyword)))
-		dst = append(dst, pl.Keyword...)
-		dst = binary.AppendUvarint(dst, uint64(len(pl.Postings)))
+	var dir, lists []byte
+	pls := iix.Lists()
+	for _, pl := range pls {
+		start, comps := len(lists), 0
 		for _, p := range pl.Postings {
-			dst = appendRelID(dst, p.ID)
-			dst = binary.AppendUvarint(dst, uint64(p.TF))
-			dst = binary.AppendUvarint(dst, uint64(len(p.Positions)))
-			for _, pos := range p.Positions {
-				dst = binary.AppendUvarint(dst, uint64(pos))
-			}
+			comps += len(p.ID) - 1
 		}
+		lists = binary.AppendUvarint(lists, uint64(len(pl.Postings)))
+		lists = binary.AppendUvarint(lists, uint64(comps))
+		for _, p := range pl.Postings {
+			lists = appendRelID(lists, p.ID)
+			lists = binary.AppendUvarint(lists, uint64(p.TF))
+		}
+		dir = appendString(dir, pl.Keyword)
+		dir = binary.AppendUvarint(dir, uint64(len(lists)-start))
 	}
+	dst := make([]byte, 4, 64+len(path)+len(dir)+len(lists))
+	for _, v := range []int{iix.Elements(), len(path), pathPostings, pathComps} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	dst = append(dst, path...)
+	dst = binary.AppendUvarint(dst, uint64(len(pls)))
+	dst = binary.AppendUvarint(dst, uint64(len(dir)))
+	dst = append(append(dst, dir...), lists...)
+	binary.LittleEndian.PutUint32(dst, crc32.ChecksumIEEE(dst[4:]))
 	return dst
 }
 
-// decodeIndexPayload rebuilds both indices for the document with the
-// given ID. Posting values and row metadata reconstruct exactly what
-// pathindex.Build/invindex.Build produced for the document.
-func decodeIndexPayload(payload []byte, docID int32) (*pathindex.Index, *invindex.Index, error) {
-	elements, off, err := uvarintLen(payload, 0, 1)
-	if err != nil {
-		return nil, nil, err
+// cursor reads an index record's fields in order. The first failure sticks
+// and every later read returns zero, so a decoder checks for it once.
+type cursor struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (c *cursor) uvarint() (v uint64) {
+	if c.err == nil {
+		v, c.off, c.err = uvarint(c.buf, c.off)
 	}
-	nrows, off, err := uvarintLen(payload, off, 1)
-	if err != nil {
-		return nil, nil, err
+	return v
+}
+
+// count reads a varint counting items of at least elem bytes (uvarintLen).
+func (c *cursor) count(elem int) (n int) {
+	if c.err == nil {
+		n, c.off, c.err = uvarintLen(c.buf, c.off, elem)
 	}
-	rows := make([]pathindex.Row, nrows)
+	return n
+}
+
+func (c *cursor) bytes(n int) (b []byte) {
+	if c.err == nil {
+		b, c.off, c.err = getBytes(c.buf, c.off, n)
+	}
+	return b
+}
+
+// end returns the first failure; not having consumed all of buf is one.
+func (c *cursor) end(what string) error {
+	if c.err == nil && c.off != len(c.buf) {
+		c.err = corruptf("%s ends at %d of %d bytes", what, c.off, len(c.buf))
+	}
+	return c.err
+}
+
+// idSlab carves root-relative Dewey IDs, re-rooted under a document ID, out
+// of one allocation sized by the counts the record declares.
+type idSlab struct {
+	docID int32
+	free  []int32 // one cell per ID (the document ID) plus one per component
+}
+
+func (s *idSlab) next(c *cursor) dewey.ID {
+	depth := c.count(1)
+	if c.err == nil && depth >= len(s.free) {
+		c.err = corruptf("more Dewey components at %d than the record declares", c.off)
+	}
+	if c.err != nil {
+		return nil
+	}
+	id := s.free[: depth+1 : depth+1]
+	s.free = s.free[depth+1:]
+	id[0] = s.docID
+	for i := 1; i <= depth; i++ {
+		id[i] = int32(c.uvarint())
+	}
+	return id
+}
+
+// indexRecord is an index record's parsed header: the counts, and where the
+// two halves lie in the payload.
+type indexRecord struct {
+	payload                           []byte
+	elements, pathPostings, pathComps int
+	path                              []byte // the path half
+	inverted                          int    // payload offset of the inverted half
+}
+
+// parseHeader parses the header of a payload at least its checksum long,
+// without verifying it. A posting is at least two bytes, a component one:
+// that bounds the counts, and the slabs sized from them, by the record.
+func (rec *indexRecord) parseHeader() error {
+	c := cursor{buf: rec.payload, off: 4}
+	rec.elements = c.count(1)
+	pathLen := c.count(1)
+	rec.pathPostings, rec.pathComps = c.count(2), c.count(1)
+	rec.path = c.bytes(pathLen)
+	rec.inverted = c.off
+	return c.err
+}
+
+// residentBytes estimates what a cached index over the record keeps on the
+// heap: the record (the inverted half is served from it) plus the decoded
+// path half — each posting in its row and, for a multi-valued path, again in
+// the merged list; the IDs; the encoded size twice over for the strings (in
+// the rows, in the B+-tree keys). Tree nodes and the directory are left out.
+func (rec *indexRecord) residentBytes() int64 {
+	const postingBytes = 56 // unsafe.Sizeof(pathindex.Posting{})
+	return int64(len(rec.payload) + 2*len(rec.path) + 2*postingBytes*rec.pathPostings + 4*(rec.pathPostings+rec.pathComps))
+}
+
+// pathIndex decodes the path half, eagerly and whole (planning matches
+// patterns against all of its paths, and it is a tenth of the inverted half
+// in postings), reconstructing exactly what pathindex.Build produced.
+func (rec *indexRecord) pathIndex(docID int32) (*pathindex.Index, error) {
+	c := cursor{buf: rec.path}
+	rows := make([]pathindex.Row, c.count(4)) // a row is at least four bytes
+	ids := idSlab{docID, make([]int32, rec.pathPostings+rec.pathComps)}
+	postings := make([]pathindex.Posting, rec.pathPostings)
 	for i := range rows {
 		r := &rows[i]
-		n, o, err := uvarintLen(payload, off, 1)
-		if err != nil {
-			return nil, nil, err
+		r.Path = string(c.bytes(c.count(1)))
+		r.HasValue = c.uvarint() != 0
+		r.Value = string(c.bytes(c.count(1)))
+		np := c.count(2)
+		if np > len(postings) {
+			return nil, corruptf("more path postings at %d than the record declares", c.off)
 		}
-		b, o, err := getBytes(payload, o, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.Path = string(b)
-		if b, o, err = getBytes(payload, o, 1); err != nil {
-			return nil, nil, err
-		}
-		r.HasValue = b[0] != 0
-		if n, o, err = uvarintLen(payload, o, 1); err != nil {
-			return nil, nil, err
-		}
-		if b, o, err = getBytes(payload, o, n); err != nil {
-			return nil, nil, err
-		}
-		r.Value = string(b)
-		np, o, err := uvarintLen(payload, o, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.Postings = make([]pathindex.Posting, np)
+		// Capped: pathindex.FromRows shares a single-row path's slice and
+		// must copy, not grow into the next row's, when a path has several.
+		r.Postings, postings = postings[:np:np], postings[np:]
 		for j := range r.Postings {
-			p := &r.Postings[j]
-			if p.ID, o, err = decodeRelID(payload, o, docID); err != nil {
-				return nil, nil, err
-			}
-			v, o2, err := uvarint(payload, o)
-			if err != nil {
-				return nil, nil, err
-			}
-			p.ByteLen, o = int(v), o2
-			p.Value, p.HasValue = r.Value, r.HasValue
+			r.Postings[j] = pathindex.Posting{ID: ids.next(&c), ByteLen: int(c.uvarint()), Value: r.Value, HasValue: r.HasValue}
 		}
-		off = o
 	}
-	nlists, off, err := uvarintLen(payload, off, 1)
+	if err := c.end("path half"); err != nil {
+		return nil, err
+	}
+	return pathindex.FromRows(rows), nil
+}
+
+// listView is the inverted half of an index record as invindex's list
+// source: the list bytes and where each directory slot's list ends in them.
+type listView struct {
+	docID int32
+	lists []byte   // aliases the record
+	ends  []uint32 // ends[slot] = end of the slot's list in lists
+	note  func(error)
+}
+
+// invIndex parses the keyword directory and returns the inverted index as a
+// view over the record's lists. note receives the error of any list that
+// later fails to decode; such a list answers empty.
+func (rec *indexRecord) invIndex(docID int32, note func(error)) (*invindex.Index, error) {
+	c := cursor{buf: rec.payload, off: rec.inverted}
+	keywords := make([]string, c.count(2))
+	dir := cursor{buf: c.bytes(c.count(1))}
+	if c.err != nil {
+		return nil, c.err
+	}
+	v := &listView{docID: docID, lists: rec.payload[c.off:], ends: make([]uint32, len(keywords)), note: note}
+	// One string holds the directory; the keywords are slices of it.
+	blob, end := string(dir.buf), uint64(0)
+	for i := range keywords {
+		kw := dir.count(1)
+		if dir.bytes(kw); dir.err != nil {
+			return nil, dir.err
+		}
+		keywords[i] = blob[dir.off-kw : dir.off]
+		if end += dir.uvarint(); dir.err != nil || end > uint64(len(v.lists)) {
+			return nil, corruptf("keyword directory entry %d overruns the record's lists", i)
+		}
+		if v.ends[i] = uint32(end); i > 0 && keywords[i-1] >= keywords[i] {
+			return nil, corruptf("keyword directory out of order at entry %d", i)
+		}
+	}
+	if err := dir.end("keyword directory"); err != nil {
+		return nil, err
+	}
+	if end != uint64(len(v.lists)) {
+		return nil, corruptf("keyword directory covers %d of %d list bytes", end, len(v.lists))
+	}
+	return invindex.NewView(keywords, rec.elements, v.postings), nil
+}
+
+// postings decodes one slot's list: IDs in one slab, postings in one slice.
+func (v *listView) postings(slot int) []invindex.Posting {
+	start := uint32(0)
+	if slot > 0 {
+		start = v.ends[slot-1]
+	}
+	c := cursor{buf: v.lists[start:v.ends[slot]]}
+	ps := make([]invindex.Posting, c.count(2))
+	ids := idSlab{v.docID, make([]int32, len(ps)+c.count(1))}
+	for i := range ps {
+		ps[i] = invindex.Posting{ID: ids.next(&c), TF: int(c.uvarint())}
+	}
+	if err := c.end("posting list"); err != nil {
+		v.note(err)
+		return nil
+	}
+	return ps
+}
+
+// decodeIndexPayload opens an index record under the given document ID:
+// checksum verified, the path index decoded, the inverted index a view over
+// payload (which it keeps), and the pair's resident bytes.
+func decodeIndexPayload(payload []byte, docID int32, note func(error)) (*pathindex.Index, *invindex.Index, int64, error) {
+	if len(payload) < 4 || crc32.ChecksumIEEE(payload[4:]) != binary.LittleEndian.Uint32(payload) {
+		return nil, nil, 0, corruptf("index record of %d bytes fails its checksum", len(payload))
+	}
+	rec := indexRecord{payload: payload}
+	if err := rec.parseHeader(); err != nil {
+		return nil, nil, 0, err
+	}
+	pix, err := rec.pathIndex(docID)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	lists := make([]*invindex.PostingList, nlists)
-	for i := range lists {
-		n, o, err := uvarintLen(payload, off, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, o, err := getBytes(payload, o, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl := &invindex.PostingList{Keyword: string(b)}
-		np, o, err := uvarintLen(payload, o, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl.Postings = make([]invindex.Posting, np)
-		for j := range pl.Postings {
-			p := &pl.Postings[j]
-			if p.ID, o, err = decodeRelID(payload, o, docID); err != nil {
-				return nil, nil, err
-			}
-			v, o2, err := uvarint(payload, o)
-			if err != nil {
-				return nil, nil, err
-			}
-			p.TF, o = int(v), o2
-			npos, o2, err := uvarintLen(payload, o, 1)
-			if err != nil {
-				return nil, nil, err
-			}
-			p.Positions, o = make([]int32, npos), o2
-			for k := range p.Positions {
-				if v, o, err = uvarint(payload, o); err != nil {
-					return nil, nil, err
-				}
-				p.Positions[k] = int32(v)
-			}
-		}
-		lists[i] = pl
-		off = o
-	}
-	return pathindex.FromRows(rows), invindex.FromLists(lists, elements), nil
+	iix, err := rec.invIndex(docID, note)
+	return pix, iix, rec.residentBytes(), err
 }
 
 // --- manifest ---
@@ -430,14 +539,15 @@ func decodeIndexPayload(payload []byte, docID int32) (*pathindex.Index, *invinde
 // length at the time the record was written: the loader trusts exactly
 // that prefix, which is what makes torn data-log appends invisible.
 type manifestRec struct {
-	Op      string `json:"op"` // "add", "replace", "delete"
-	Name    string `json:"name"`
-	DocID   int32  `json:"id"`
-	Root    int64  `json:"root,omitempty"`  // data-log offset of the root node record
-	Index   int64  `json:"index,omitempty"` // data-log offset of the index record
-	Bytes   int    `json:"bytes,omitempty"` // serialized byte length of the document
-	Nodes   int    `json:"nodes,omitempty"` // expanded (pre-dedup) element count
-	DataLen int64  `json:"data"`
+	Op       string `json:"op"` // "add", "replace", "delete"
+	Name     string `json:"name"`
+	DocID    int32  `json:"id"`
+	Root     int64  `json:"root,omitempty"`  // data-log offset of the root node record
+	Index    int64  `json:"index,omitempty"` // data-log offset of the index record
+	IndexLen int    `json:"ilen,omitempty"`  // framed byte length of the index record
+	Bytes    int    `json:"bytes,omitempty"` // serialized byte length of the document
+	Nodes    int    `json:"nodes,omitempty"` // expanded (pre-dedup) element count
+	DataLen  int64  `json:"data"`
 }
 
 // frameManifestRec wraps a JSON-encoded manifest record in its

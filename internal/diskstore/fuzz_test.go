@@ -2,9 +2,12 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
+	"vxml/internal/dewey"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/xmltree"
@@ -52,15 +55,37 @@ func FuzzDecodeNodePayload(f *testing.F) {
 	})
 }
 
-// FuzzDecodeIndexPayload: the index-record decoder never panics and only
-// fails typed.
+// FuzzDecodeIndexPayload: opening an index record and probing the opened
+// view never panic and only fail typed. Each input is tried as found and
+// with its checksum made to match, so that the parsers behind the checksum
+// are reached; every directory keyword, and the input itself as a keyword,
+// is then looked up, which decodes every list the directory admits.
 func FuzzDecodeIndexPayload(f *testing.F) {
 	f.Add(seedIndexPayload())
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := decodeIndexPayload(data, 7); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("untyped decode error: %v", err)
+		note := func(err error) {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped list decode error: %v", err)
+			}
+		}
+		resealed := bytes.Clone(data)
+		if len(resealed) >= 4 {
+			binary.LittleEndian.PutUint32(resealed, crc32.ChecksumIEEE(resealed[4:]))
+		}
+		for _, payload := range [][]byte{data, resealed} {
+			_, iix, _, err := decodeIndexPayload(payload, 7, note)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("untyped decode error: %v", err)
+				}
+				continue
+			}
+			for _, pl := range iix.Lists() {
+				iix.Lookup(pl.Keyword).SubtreeTF(dewey.ID{7})
+			}
+			iix.Lookup(string(data)).ContainsSubtree(dewey.ID{7, 1})
 		}
 	})
 }
@@ -69,7 +94,7 @@ func FuzzDecodeIndexPayload(f *testing.F) {
 // fold either rejects the header (typed) or returns some valid prefix.
 func FuzzFoldManifest(f *testing.F) {
 	valid := []byte(manifestHeaderLine(4, "CORPUS-0000.vxd"))
-	valid = append(valid, frameManifestRec([]byte(`{"op":"add","name":"a.xml","id":1,"root":8,"index":20,"data":64}`))...)
+	valid = append(valid, frameManifestRec([]byte(`{"op":"add","name":"a.xml","id":1,"root":8,"index":20,"ilen":12,"data":64}`))...)
 	f.Add(valid)
 	f.Add([]byte("#!vxdisk shards=2 data=CORPUS-1.vxd\n\x03\x00\x00\x00garbage"))
 	f.Add([]byte{})

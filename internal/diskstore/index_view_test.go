@@ -1,0 +1,439 @@
+package diskstore
+
+// The inverted index of a disk-resident document is a view over its encoded
+// record: a sorted keyword directory, and one list decoded per lookup. These
+// tests pin that the view answers exactly as invindex.Build's resident index
+// does, that damage surfaces as ErrCorrupt, and what a miss and a lookup
+// allocate.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"vxml/internal/dewey"
+	"vxml/internal/inex"
+	"vxml/internal/invindex"
+	"vxml/internal/pathindex"
+	"vxml/internal/store"
+	"vxml/internal/xmltree"
+)
+
+// servedFrequent and servedTail are the body vocabulary of servedXML: ten frequent words (a
+// quarter of all body words, so most articles hold each) and a wide tail.
+var servedFrequent = []string{"copper", "quartz", "basalt", "granite", "mica", "shale", "survey", "archive", "ledger", "gneiss"}
+
+var servedTail = func() []string {
+	var words []string
+	for _, root := range []string{"system", "data", "model", "network", "algorithm", "query", "index", "process", "result", "method",
+		"value", "structure", "node", "graph", "path", "tree", "cache", "logic", "signal", "design", "theory", "analysis",
+		"storage", "protocol", "circuit", "filter", "kernel", "vector", "matrix", "layer", "agent", "schema", "stream", "buffer"} {
+		for _, suffix := range []string{"", "s", "ing", "ed", "al", "ic", "ion", "er"} {
+			words = append(words, root+suffix)
+		}
+	}
+	return words
+}()
+
+// servedXML builds a document of the shape the disk_served and
+// collection_fanout benchmark workloads serve: a books root holding
+// articles, each a small front matter and a body of minWords..minWords+59
+// words. The front matter depends on seed alone, so two calls that differ
+// only in minWords have identical path-index shapes.
+func servedXML(seed int64, articles, minWords int) string {
+	fm, body := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed+1))
+	var b strings.Builder
+	b.WriteString("<books>")
+	for a := 0; a < articles; a++ {
+		fmt.Fprintf(&b, "<article><fm><tl>study %d of part %d</tl><au>author%d</au><yr>%d</yr></fm><bdy>",
+			a, seed, fm.Intn(8), 1985+fm.Intn(16))
+		for w, n := 0, minWords+body.Intn(60); w < n; w++ {
+			if w > 0 {
+				b.WriteByte(' ')
+			}
+			if body.Intn(4) == 0 {
+				b.WriteString(servedFrequent[body.Intn(len(servedFrequent))])
+			} else {
+				b.WriteString(servedTail[body.Intn(len(servedTail))])
+			}
+		}
+		b.WriteString("</bdy></article>")
+	}
+	b.WriteString("</books>")
+	return b.String()
+}
+
+// servedDoc is the document the microbenchmarks and allocation pins use:
+// 38 articles of 45..104 body words, as disk_served generates them.
+func servedDoc(tb testing.TB, name string, docID int32, minWords int) *xmltree.Document {
+	tb.Helper()
+	doc, err := xmltree.ParseString(servedXML(7, 38, minWords), name, docID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return doc
+}
+
+// uncachedStore persists docs into a fresh disk store with the index
+// cache disabled, so every StoredIndices call is a miss.
+func uncachedStore(tb testing.TB, docs ...*xmltree.Document) *Store {
+	tb.Helper()
+	ds, err := Init(tb.TempDir(), 2, Options{IndexCacheSize: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ds.Close() }) //nolint:errcheck
+	for _, doc := range docs {
+		if err := ds.RegisterParsed(doc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ds
+}
+
+// absentKeywords returns n strings the index does not hold: the empty
+// string, one before the first and one after the last directory keyword,
+// proper prefixes and extensions of real ones, and random words.
+func absentKeywords(r *rand.Rand, lists []*invindex.PostingList, n int) []string {
+	present := map[string]bool{}
+	for _, pl := range lists {
+		present[pl.Keyword] = true
+	}
+	out := []string{"", "\x01"}
+	if len(lists) > 0 {
+		out = append(out, lists[len(lists)-1].Keyword+"z", lists[0].Keyword[:len(lists[0].Keyword)-1])
+	}
+	for len(out) < n {
+		var cand string
+		switch {
+		case len(lists) > 0 && r.Intn(3) == 0:
+			kw := lists[r.Intn(len(lists))].Keyword
+			cand = kw[:r.Intn(len(kw))]
+		case len(lists) > 0 && r.Intn(2) == 0:
+			cand = lists[r.Intn(len(lists))].Keyword + string(rune('a'+r.Intn(26)))
+		default:
+			cand = fmt.Sprintf("w%x", r.Int63())
+		}
+		out = append(out, cand)
+	}
+	kept := out[:0]
+	for _, kw := range out {
+		if !present[kw] {
+			kept = append(kept, kw)
+		}
+	}
+	return kept
+}
+
+// TestIndexViewMatchesBuild: for every directory keyword the list decoded
+// from the record equals Build's posting for posting, range sums and
+// containment agree on every element ID and on IDs that name no element,
+// and absent keywords answer empty.
+func TestIndexViewMatchesBuild(t *testing.T) {
+	corpus := inex.Generate(inex.Options{TargetBytes: 24 << 10, Seed: 5})
+	docs := map[string]*xmltree.Document{"inex": corpus.INEX, "authors": corpus.Authors}
+	for _, doc := range docs {
+		doc.DocID = 12
+		doc.Finalize()
+	}
+	for name, xml := range map[string]string{
+		"served":      servedXML(3, 38, 45),
+		"fanout":      servedXML(4, 6, 45),
+		"one-element": `<lonely/>`,
+		"wordless":    `<r><v>` + strings.Repeat("-- .. ", 100) + `</v><w>alpha beta alpha</w></r>`,
+	} {
+		doc, err := xmltree.ParseString(xml, name+".xml", 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = doc
+	}
+	r := rand.New(rand.NewSource(20))
+	for name, doc := range docs {
+		want := invindex.Build(doc)
+		var noted error
+		_, got, _, err := decodeIndexPayload(encodeIndexPayload(pathindex.Build(doc), want), doc.DocID, func(err error) { noted = err })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Elements() != want.Elements() || got.Keywords() != want.Keywords() {
+			t.Fatalf("%s: view has %d elements / %d keywords, Build %d / %d", name, got.Elements(), got.Keywords(), want.Elements(), want.Keywords())
+		}
+		var ids []dewey.ID
+		doc.Root.Walk(func(n *xmltree.Node) { ids = append(ids, n.ID) })
+		for i := 0; i < 40; i++ {
+			id := ids[r.Intn(len(ids))].Child(int32(50 + r.Intn(50)))
+			ids = append(ids, id, dewey.ID{doc.DocID + 1, int32(r.Intn(3))})
+		}
+		ids = append(ids, dewey.ID{}, dewey.ID{doc.DocID - 1})
+		lists := want.Lists()
+		for _, wl := range lists {
+			gl := got.Lookup(wl.Keyword)
+			if gl.Keyword != wl.Keyword || !reflect.DeepEqual(gl.Postings, wl.Postings) || gl.TotalTF() != wl.TotalTF() {
+				t.Fatalf("%s: list %q decodes differently from Build's", name, wl.Keyword)
+			}
+			for _, id := range ids {
+				if gl.SubtreeTF(id) != wl.SubtreeTF(id) || gl.ContainsSubtree(id) != wl.ContainsSubtree(id) {
+					t.Fatalf("%s: %q range probe at %v differs from Build's", name, wl.Keyword, id)
+				}
+			}
+		}
+		for _, kw := range absentKeywords(r, lists, 50) {
+			gl := got.Lookup(kw)
+			if gl.Len() != 0 || gl.TotalTF() != 0 || gl.SubtreeTF(doc.Root.ID) != 0 || gl.ContainsSubtree(doc.Root.ID) {
+				t.Fatalf("%s: absent keyword %q answers %+v", name, kw, gl)
+			}
+		}
+		if noted != nil {
+			t.Fatalf("%s: a valid record noted %v", name, noted)
+		}
+	}
+}
+
+// TestIdenticalDocumentsShareOneIndexRecord: two documents with the same
+// content store one index record and each decodes it under its own ID.
+func TestIdenticalDocumentsShareOneIndexRecord(t *testing.T) {
+	xml := servedXML(9, 5, 45)
+	a, err := xmltree.ParseString(xml, "a.xml", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := xmltree.ParseString(xml, "b.xml", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := uncachedStore(t, a, b)
+	if ea, eb := ds.entry("a.xml"), ds.entry("b.xml"); ea.index != eb.index {
+		t.Fatalf("identical documents store two index records: %+v and %+v", ea.index, eb.index)
+	}
+	for _, doc := range []*xmltree.Document{a, b} {
+		_, got, err := ds.StoredIndices(doc.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wl := range invindex.Build(doc).Lists() {
+			if gl := got.Lookup(wl.Keyword); !reflect.DeepEqual(gl.Postings, wl.Postings) {
+				t.Fatalf("%s: list %q not decoded under document ID %d", doc.Name, wl.Keyword, doc.DocID)
+			}
+		}
+	}
+}
+
+// TestFlippedIndexRecordByteIsRejected: whichever byte of a stored index
+// record changes — frame header, checksum, either half — StoredIndices
+// refuses the record as corrupt.
+func TestFlippedIndexRecordByteIsRejected(t *testing.T) {
+	doc, err := xmltree.ParseString(servedXML(2, 2, 8), "d.xml", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := uncachedStore(t, doc)
+	if _, _, err := ds.StoredIndices("d.xml"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(ds.dir, ds.dataName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	at := ds.entry("d.xml").index
+	frame := make([]byte, at.n)
+	if _, err := f.ReadAt(frame, at.off); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		for _, mask := range []byte{0x01, 0x80} {
+			if _, err := f.WriteAt([]byte{frame[i] ^ mask}, at.off+int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ds.StoredIndices("d.xml"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d of %d ^ %#x: StoredIndices = %v, want ErrCorrupt", i, len(frame), mask, err)
+			}
+		}
+		if _, err := f.WriteAt(frame[i:i+1], at.off+int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := ds.StoredIndices("d.xml"); err != nil {
+		t.Fatalf("restored record: %v", err)
+	}
+}
+
+// TestCorruptListAnswersEmpty: a list that stops parsing after the record
+// was opened is noted and answers empty, as Subtree answers nil.
+func TestCorruptListAnswersEmpty(t *testing.T) {
+	doc, err := xmltree.ParseString(`<a><b>hello world</b><c>hello again</c></a>`, "d.xml", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := encodeIndexPayload(pathindex.Build(doc), invindex.Build(doc))
+	var noted error
+	_, iix, _, err := decodeIndexPayload(payload, 3, func(err error) { noted = err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last list is the last bytes of the record; the view reads them at
+	// lookup time, so damage done now is damage after the checksum passed.
+	payload[len(payload)-1] = 0xff
+	lists := invindex.Build(doc).Lists()
+	if pl := iix.Lookup(lists[len(lists)-1].Keyword); pl.Len() != 0 || pl.SubtreeTF(dewey.ID{3}) != 0 {
+		t.Fatalf("damaged list answered %+v", pl)
+	}
+	if !errors.Is(noted, ErrCorrupt) {
+		t.Fatalf("damaged list noted %v, want ErrCorrupt", noted)
+	}
+}
+
+// TestOlderFormatIsRefused: a vxdata1 directory is refused with a typed
+// error naming the version, and left exactly as found.
+func TestOlderFormatIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := Create(buildHeap(t, seedDocs(3)), dir, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpath := filepath.Join(dir, ds.dataName)
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(dpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "vxdata1\n")
+	if err := os.WriteFile(dpath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, ManifestFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir)
+	if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "vxdata1") {
+		t.Fatalf("Open = %v, want ErrFormatVersion naming vxdata1", err)
+	}
+	if after, _ := os.ReadFile(dpath); !reflect.DeepEqual(after, raw) {
+		t.Fatal("refusing the directory changed its data log")
+	}
+	if after, _ := os.ReadFile(filepath.Join(dir, ManifestFileName)); !reflect.DeepEqual(after, manifest) {
+		t.Fatal("refusing the directory changed its manifest")
+	}
+}
+
+// TestIndexCacheReportsResidentBytes: DiskStats shows what the cached
+// indices keep resident — at least their records — and lets go of it.
+func TestIndexCacheReportsResidentBytes(t *testing.T) {
+	s := store.NewSharded(2)
+	var recordBytes int64
+	for i := 0; i < 3; i++ {
+		if _, err := s.AddXML(fmt.Sprintf("d%d.xml", i), servedXML(int64(i), 6, 45)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := createDisk(t, s, Options{})
+	if st := ds.DiskStats().IndexCache; st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("cold index cache reports %+v", st)
+	}
+	for _, info := range ds.Infos() {
+		if _, _, err := ds.StoredIndices(info.Name); err != nil {
+			t.Fatal(err)
+		}
+		recordBytes += int64(ds.entry(info.Name).index.n)
+	}
+	st := ds.DiskStats().IndexCache
+	if st.Entries != 3 || st.Bytes <= recordBytes || st.Bytes > 8*recordBytes {
+		t.Fatalf("index cache reports %+v for %d record bytes", st, recordBytes)
+	}
+	if err := ds.Delete("d1.xml"); err != nil {
+		t.Fatal(err)
+	}
+	if after := ds.DiskStats().IndexCache; after.Entries != 2 || after.Bytes >= st.Bytes {
+		t.Fatalf("after a delete the index cache reports %+v, before %+v", after, st)
+	}
+}
+
+// TestViewAllocations pins what the view costs in objects: a miss
+// allocates the same number whatever the inverted half holds (the large
+// document has three times the words per article), a lookup that
+// hits at most four (the list, its postings, their IDs, the prefix sums),
+// an absent keyword at most one.
+func TestViewAllocations(t *testing.T) {
+	small, large := servedDoc(t, "small.xml", 1, 45), servedDoc(t, "large.xml", 2, 150)
+	ds := uncachedStore(t, small, large)
+	miss := func(name string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := ds.StoredIndices(name); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	postings := func(doc *xmltree.Document) (n int) {
+		for _, pl := range invindex.Build(doc).Lists() {
+			n += pl.Len()
+		}
+		return n
+	}
+	if ps, pl := postings(small), postings(large); pl < ps*3/2 {
+		t.Fatalf("the large document has %d postings to the small one's %d: not a test of independence", pl, ps)
+	}
+	if ms, ml := miss("small.xml"), miss("large.xml"); ms != ml {
+		t.Errorf("a miss allocates %.0f objects over the small document, %.0f over the large", ms, ml)
+	}
+	_, iix, err := ds.StoredIndices("large.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink *invindex.PostingList
+	if hit := testing.AllocsPerRun(100, func() { sink = iix.Lookup("copper") }); hit > 4 || sink.Len() == 0 {
+		t.Errorf("a lookup that hits allocates %.0f objects for %d postings, want <= 4", hit, sink.Len())
+	}
+	if absent := testing.AllocsPerRun(100, func() { sink = iix.Lookup("nosuchword") }); absent > 1 || sink.Len() != 0 {
+		t.Errorf("an absent keyword allocates %.0f objects, want <= 1", absent)
+	}
+}
+
+// BenchmarkStoredIndicesMiss opens the stored indices of one
+// disk_served-shaped document with the index cache disabled: the pread,
+// the checksum, the path half and the keyword directory.
+func BenchmarkStoredIndicesMiss(b *testing.B) {
+	ds := uncachedStore(b, servedDoc(b, "served.xml", 1, 45))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ds.StoredIndices("served.xml"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var lookupSink *invindex.PostingList
+
+// BenchmarkLazyLookup decodes one posting list from the record per lookup:
+// a word most articles hold, one few do, and one the document lacks.
+func BenchmarkLazyLookup(b *testing.B) {
+	doc := servedDoc(b, "served.xml", 1, 45)
+	_, iix, err := uncachedStore(b, doc).StoredIndices("served.xml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rare := ""
+	for _, pl := range invindex.Build(doc).Lists() {
+		if pl.Len() == 3 {
+			rare = pl.Keyword
+		}
+	}
+	for _, c := range []struct{ name, keyword string }{{"frequent", "copper"}, {"infrequent", rare}, {"absent", "nosuchword"}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lookupSink = iix.Lookup(c.keyword)
+			}
+			b.ReportMetric(float64(lookupSink.Len()), "postings")
+		})
+	}
+}

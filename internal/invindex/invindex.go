@@ -1,6 +1,6 @@
 // Package invindex implements XML inverted-list indices (paper §3.2,
 // Figure 4b): for each keyword, the Dewey-ordered list of elements that
-// directly contain the keyword, with term frequency and word positions.
+// directly contain the keyword, with its term frequency there.
 //
 // Because IDs are Dewey IDs, the aggregate term frequency of a keyword in
 // an element's whole subtree is the sum of tf over the ID range
@@ -10,21 +10,19 @@
 package invindex
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
-	"vxml/internal/btree"
 	"vxml/internal/dewey"
 	"vxml/internal/intern"
 	"vxml/internal/xmltree"
 )
 
-// Posting records that one element directly contains a keyword TF times at
-// the given word offsets of its text content.
+// Posting records that one element directly contains a keyword TF times.
 type Posting struct {
-	ID        dewey.ID
-	TF        int
-	Positions []int32
+	ID dewey.ID
+	TF int
 }
 
 // PostingList is the Dewey-ordered list of postings for one keyword.
@@ -34,13 +32,18 @@ type PostingList struct {
 	tfPrefix []int // tfPrefix[i] = sum of TF of Postings[:i]
 }
 
-// Index is the inverted index of a single document. Once built it is
-// immutable apart from the atomic lookup counter, so concurrent searches
+// Index is the inverted index of a single document: a sorted keyword
+// directory and, per directory slot, that keyword's posting list — held
+// resident when the index was built from a tree, decoded from the stored
+// record on every lookup when it is a view over one (NewView). Once built it
+// is immutable apart from the atomic lookup counter, so concurrent searches
 // may probe it freely.
 type Index struct {
-	dict     *btree.Tree  // keyword -> *PostingList
-	elements int          // number of elements in the document
-	lookups  atomic.Int64 // number of keyword lookups served
+	keywords []string                 // sorted; slot i names resident[i]
+	resident []*PostingList           // one per slot; nil for a view
+	decode   func(slot int) []Posting // a view's list source; nil when resident
+	elements int                      // number of elements in the document
+	lookups  atomic.Int64             // number of keyword lookups served
 }
 
 // Lookups returns the number of keyword lookups served. Safe to call
@@ -53,21 +56,9 @@ func (ix *Index) Lookups() int { return int(ix.lookups.Load()) }
 // which is what lets the builder stream tokens straight into the lists with
 // one document-level map instead of allocating per-element scratch.
 func Build(doc *xmltree.Document) *Index {
-	ix := &Index{dict: btree.New()}
+	ix := &Index{}
 	lists := map[string]*PostingList{}
 	var curID dewey.ID
-	var pos int32
-	// Position slices are carved from chunked arenas: most postings hold a
-	// single position, and a full-capacity subslice keeps the rare multi-
-	// occurrence append from bleeding into a neighbor (it reallocates).
-	var posChunk []int32
-	newPositions := func(p int32) []int32 {
-		if len(posChunk) == cap(posChunk) {
-			posChunk = make([]int32, 0, 1024)
-		}
-		posChunk = append(posChunk, p)
-		return posChunk[len(posChunk)-1 : len(posChunk) : len(posChunk)]
-	}
 	add := func(tok string) bool {
 		pl := lists[tok]
 		if pl == nil {
@@ -79,13 +70,10 @@ func Build(doc *xmltree.Document) *Index {
 			lists[kw] = pl
 		}
 		if k := len(pl.Postings) - 1; k >= 0 && dewey.Equal(pl.Postings[k].ID, curID) {
-			p := &pl.Postings[k]
-			p.TF++
-			p.Positions = append(p.Positions, pos)
+			pl.Postings[k].TF++
 		} else {
-			pl.Postings = append(pl.Postings, Posting{ID: curID, TF: 1, Positions: newPositions(pos)})
+			pl.Postings = append(pl.Postings, Posting{ID: curID, TF: 1})
 		}
-		pos++
 		return true
 	}
 	doc.Root.Walk(func(n *xmltree.Node) {
@@ -93,14 +81,29 @@ func Build(doc *xmltree.Document) *Index {
 		if n.Value == "" {
 			return
 		}
-		curID, pos = n.ID, 0
+		curID = n.ID
 		xmltree.VisitTokens(n.Value, add)
 	})
-	for kw, pl := range lists {
+	ix.keywords = make([]string, 0, len(lists))
+	for kw := range lists {
+		ix.keywords = append(ix.keywords, kw)
+	}
+	slices.Sort(ix.keywords)
+	ix.resident = make([]*PostingList, len(ix.keywords))
+	for i, kw := range ix.keywords {
+		pl := lists[kw]
 		pl.buildPrefix()
-		ix.dict.Put([]byte(kw), pl)
+		ix.resident[i] = pl
 	}
 	return ix
+}
+
+// NewView returns an index over lists that stay in their stored form: the
+// sorted keyword directory is resident, and decode (safe for concurrent use)
+// produces a slot's Dewey-sorted postings each time its keyword is looked
+// up. Nothing decoded is kept: the view's footprint is its directory.
+func NewView(keywords []string, elements int, decode func(slot int) []Posting) *Index {
+	return &Index{keywords: keywords, decode: decode, elements: elements}
 }
 
 func (pl *PostingList) buildPrefix() {
@@ -110,18 +113,31 @@ func (pl *PostingList) buildPrefix() {
 	}
 }
 
-// Lookup returns the posting list for keyword (lowercase), or an empty list
-// if the keyword does not occur.
+// emptyPrefix is the prefix-sum array of every empty list (read-only).
+var emptyPrefix = []int{0}
+
+// Lookup returns the posting list for keyword (lowercase), found by binary
+// search of the directory, or an empty list if the keyword does not occur.
 func (ix *Index) Lookup(keyword string) *PostingList {
 	ix.lookups.Add(1)
-	if v, ok := ix.dict.Get([]byte(keyword)); ok {
-		return v.(*PostingList)
+	if slot, ok := slices.BinarySearch(ix.keywords, keyword); ok {
+		return ix.list(slot)
 	}
-	return &PostingList{Keyword: keyword, tfPrefix: []int{0}}
+	return &PostingList{Keyword: keyword, tfPrefix: emptyPrefix}
+}
+
+// list returns the posting list of a directory slot.
+func (ix *Index) list(slot int) *PostingList {
+	if ix.decode == nil {
+		return ix.resident[slot]
+	}
+	pl := &PostingList{Keyword: ix.keywords[slot], Postings: ix.decode(slot)}
+	pl.buildPrefix()
+	return pl
 }
 
 // Keywords returns the number of distinct keywords indexed.
-func (ix *Index) Keywords() int { return ix.dict.Len() }
+func (ix *Index) Keywords() int { return len(ix.keywords) }
 
 // Elements returns the number of elements in the indexed document.
 func (ix *Index) Elements() int { return ix.elements }
@@ -181,31 +197,15 @@ func (pl *PostingList) ContainsSubtree(id dewey.ID) bool {
 	return hi > lo
 }
 
-// Lists snapshots every posting list in keyword order. The lists are the
-// index's own — callers must treat them as read-only. Lists/FromLists are
-// the serialization seam the disk backend stores indices through.
+// Lists returns every posting list in keyword order — the serialization
+// seam the disk backend encodes indices through. A resident index returns
+// its own lists (read-only); a view decodes each of its lists.
 func (ix *Index) Lists() []*PostingList {
-	lists := make([]*PostingList, 0, ix.dict.Len())
-	for it := ix.dict.Min(); it.Valid(); it.Next() {
-		lists = append(lists, it.Value().(*PostingList))
+	lists := make([]*PostingList, len(ix.keywords))
+	for slot := range lists {
+		lists[slot] = ix.list(slot)
 	}
 	return lists
-}
-
-// FromLists rebuilds an index from per-keyword posting lists (keywords
-// distinct, postings Dewey-sorted — the shape Lists produces) plus the
-// indexed document's element count. Prefix sums are recomputed, so lists
-// deserialized without them work. For any document,
-// FromLists(Build(doc).Lists(), Build(doc).Elements()) answers every
-// lookup identically to Build(doc).
-func FromLists(lists []*PostingList, elements int) *Index {
-	ix := &Index{dict: btree.New(), elements: elements}
-	for _, pl := range lists {
-		pl.Keyword = intern.String(pl.Keyword)
-		pl.buildPrefix()
-		ix.dict.Put([]byte(pl.Keyword), pl)
-	}
-	return ix
 }
 
 // DirectTF returns the term frequency of the keyword directly inside the

@@ -36,10 +36,6 @@ func TestLookupDirectPostings(t *testing.T) {
 	if p.ID.String() != "2.1.2" || p.TF != 2 {
 		t.Errorf("posting = %+v", p)
 	}
-	// positions: "all about xml search and xml views" -> xml at 2 and 5
-	if len(p.Positions) != 2 || p.Positions[0] != 2 || p.Positions[1] != 5 {
-		t.Errorf("positions = %v", p.Positions)
-	}
 }
 
 func TestLookupMissingKeyword(t *testing.T) {
@@ -180,9 +176,6 @@ func TestQuickPostingsSortedWithPrefixSums(t *testing.T) {
 					return false
 				}
 				sum += p.TF
-				if p.TF != len(p.Positions) {
-					return false
-				}
 			}
 			if pl.TotalTF() != sum {
 				return false

@@ -251,9 +251,9 @@ func splitPath(p string) []string {
 // path's postings merged across all its (path, value) rows in Dewey order.
 // Without predicates that is the list the index keeps per path, returned
 // as-is: it (like Segs) is the index's own and read-only, as Rows' are.
-// Leaf predicates are applied to the values: a single equality predicate is
-// a composite-key point probe; anything else is one in-order filter pass
-// over the path's list (both are index-only operations).
+// Leaf predicates are applied to the values: a single equality with a
+// non-numeric literal is a composite-key point probe; anything else is one
+// in-order filter pass over the path's list (both are index-only operations).
 func (ix *Index) LookupPath(steps []Step, preds []pred.Predicate) []PathPostings {
 	var out []PathPostings
 	for i := range ix.lists {
@@ -270,13 +270,14 @@ func (ix *Index) LookupPath(steps []Step, preds []pred.Predicate) []PathPostings
 
 // lookupFullPath probes the i-th full data path of the dictionary.
 func (ix *Index) lookupFullPath(i int, preds []pred.Predicate) []Posting {
-	// Single equality predicate: point probe on the composite key.
-	if len(preds) == 1 && preds[0].Op == pred.Eq {
+	// A single equality with a non-numeric literal matches by spelling: a
+	// point probe on the composite key. A numeric literal matches every
+	// spelling of its value ("7", "07", "7.0"), which only the filter finds.
+	if len(preds) == 1 && preds[0].Op == pred.Eq && !preds[0].Compile().Numeric() {
 		if v, ok := ix.tree.Get(compositeKey(ix.paths[i], preds[0].Lit, true)); ok {
 			return v.(*row).postings
 		}
-		// Numeric equality may not match textually (e.g. "07" vs "7");
-		// fall through to the filter so semantics stay value-based.
+		return nil
 	}
 	ix.probes.Add(1)
 	all := ix.lists[i].postings

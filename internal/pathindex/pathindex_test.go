@@ -257,9 +257,10 @@ func TestQuickPostingsSorted(t *testing.T) {
 }
 
 // refLookupPath is the lookup this package used before it kept a merged
-// list per path, retained as the reference: per full data path, an equality
-// point probe, else a scan of the path's rows in the B+-tree, a filtered
-// copy of their postings and a sort by Dewey ID.
+// list per path, retained as the reference, less its equality point probe
+// (which answered a numeric literal by spelling): per full data path, a scan
+// of the path's rows in the B+-tree, a copy of the postings pred.All admits
+// and a sort by Dewey ID.
 func refLookupPath(ix *Index, steps []Step, preds []pred.Predicate) []PathPostings {
 	var out []PathPostings
 	for _, fp := range ix.MatchFullPaths(steps) {
@@ -271,11 +272,6 @@ func refLookupPath(ix *Index, steps []Step, preds []pred.Predicate) []PathPostin
 }
 
 func refLookupFullPath(ix *Index, fullPath string, preds []pred.Predicate) []Posting {
-	if len(preds) == 1 && preds[0].Op == pred.Eq {
-		if v, ok := ix.tree.Get(compositeKey(fullPath, preds[0].Lit, true)); ok {
-			return v.(*row).postings
-		}
-	}
 	var merged []Posting
 	ix.tree.ScanPrefix(append([]byte(fullPath), 0), func(_ []byte, v any) bool {
 		for _, p := range v.(*row).postings {
@@ -328,15 +324,15 @@ func builtAndReloaded(doc *xmltree.Document) map[string]*Index {
 // equality, range, two at once), LookupPath answers exactly as the reference
 // does — same full paths, segments and postings in the same order — from an
 // index built from the document and from one rebuilt from its rows, and it
-// counts one probe per full data path (two when an equality probe misses
-// and falls back to the filter), as the B+-tree lookups did.
+// counts one probe per full data path, whether the point probe or the
+// filter answers it.
 func TestLookupPathEqualsScanCopySort(t *testing.T) {
 	predSets := [][]pred.Predicate{
 		nil,
 		{{Op: pred.Eq, Lit: "x"}},
 		{{Op: pred.Eq, Lit: "7"}},
 		{{Op: pred.Eq, Lit: "07"}},
-		{{Op: pred.Eq, Lit: "7.00"}}, // matches no row textually: the filter answers
+		{{Op: pred.Eq, Lit: "7.00"}}, // a numeric literal: the filter answers
 		{{Op: pred.Gt, Lit: "5"}},
 		{{Op: pred.Lt, Lit: "x"}},
 		{{Op: pred.Gt, Lit: "3"}, {Op: pred.Lt, Lit: "12"}},
@@ -374,15 +370,7 @@ func TestLookupPathEqualsScanCopySort(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d %s: LookupPath(%s, %v)\n got %+v\nwant %+v", seed, name, FormatSteps(pattern), preds, got, want)
 					}
-					wantProbes := len(ix.MatchFullPaths(pattern))
-					if len(preds) == 1 && preds[0].Op == pred.Eq {
-						for _, fp := range ix.MatchFullPaths(pattern) {
-							if _, hit := ix.tree.Get(compositeKey(fp, preds[0].Lit, true)); !hit {
-								wantProbes++
-							}
-						}
-					}
-					if probes != wantProbes {
+					if wantProbes := len(ix.MatchFullPaths(pattern)); probes != wantProbes {
 						t.Fatalf("seed %d %s: LookupPath(%s, %v) counted %d probes, want %d", seed, name, FormatSteps(pattern), preds, probes, wantProbes)
 					}
 				}
@@ -451,12 +439,15 @@ func TestFilterPassKeepsValueSemantics(t *testing.T) {
 	ix := Build(doc)
 	steps := []Step{{Child, "r"}, {Child, "v"}}
 	for _, preds := range [][]pred.Predicate{
-		{{Op: pred.Eq, Lit: "007"}},                        // no such row, so the filter runs: 7, 07 and 7.0 are all 7
-		{{Op: pred.Eq, Lit: "7.00"}},                       // textually absent, numerically 7
-		{{Op: pred.Gt, Lit: "8"}},                          // "10x" > "8" is false as text, 9 and 10 pass as numbers
-		{{Op: pred.Lt, Lit: "9"}, {Op: pred.Gt, Lit: "1"}}, // two predicates
-		{{Op: pred.Gt, Lit: "10"}},                         // "10x" > "10" as text, "abc" too
-		{{Op: pred.Eq, Lit: "abc"}},
+		{{Op: pred.Eq, Lit: "7"}},                            // the row "7" exists, and is a third of the answer
+		{{Op: pred.Eq, Lit: "07"}},                           // so does "07"
+		{{Op: pred.Eq, Lit: "007"}},                          // no such row: 7, 07 and 7.0 are all 7
+		{{Op: pred.Eq, Lit: "7.00"}},                         // textually absent, numerically 7
+		{{Op: pred.Gt, Lit: "8"}},                            // "10x" > "8" is false as text, 9 and 10 pass as numbers
+		{{Op: pred.Lt, Lit: "9"}, {Op: pred.Gt, Lit: "1"}},   // two predicates
+		{{Op: pred.Gt, Lit: "10"}},                           // "10x" > "10" as text, "abc" too
+		{{Op: pred.Eq, Lit: "abc"}},                          // not a number: the point probe, by spelling
+		{{Op: pred.Eq, Lit: "abd"}},                          // and its miss
 		{{Op: pred.Lt, Lit: "zzz"}, {Op: pred.Gt, Lit: "0"}}, // non-numeric literal: all text
 	} {
 		var want []string

@@ -52,6 +52,9 @@ func (p Predicate) Compile() Compiled {
 	return Compiled{op: p.Op, lit: p.Lit, num: num, numeric: err == nil}
 }
 
+// Numeric reports whether the literal is a number, compared by value.
+func (c Compiled) Numeric() bool { return c.numeric }
+
 // Eval reports whether value satisfies the predicate: numerically when
 // both value and literal are numeric ("07" = "7"), as strings otherwise
 // ("10x").

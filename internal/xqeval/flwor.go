@@ -225,6 +225,12 @@ func planJoin(x *xq.FLWORExpr, cl xq.ForLetClause) *joinPlan {
 	if !isCmp || cmp.Op != pred.Eq || len(FreeVars(cl.In)) != 0 {
 		return &joinPlan{}
 	}
+	// Against a literal the where-clause is a selection by value ("07" = 7,
+	// as the path index answers it); a hash table would match by spelling.
+	_, litLeft := cmp.Left.(*xq.LiteralExpr)
+	if _, litRight := cmp.Right.(*xq.LiteralExpr); litLeft || litRight {
+		return &joinPlan{}
+	}
 	leftVars, rightVars := FreeVars(cmp.Left), FreeVars(cmp.Right)
 	switch {
 	case onlyVar(leftVars, cl.Var) && !rightVars[cl.Var]:

@@ -87,6 +87,47 @@ func TestPublicAPIApproachesAgree(t *testing.T) {
 	}
 }
 
+// TestNumericEqualityMatchesEverySpelling: `yr = 7` selects by value, so an
+// element spelled 07 or 7.0 is in the view as surely as one spelled 7 — in
+// the index-only pipeline as in the materializing one (Theorem 4.1). A
+// literal that is no number still selects by spelling.
+func TestNumericEqualityMatchesEverySpelling(t *testing.T) {
+	db := Open()
+	if err := db.Add("items.xml", `<items>
+  <item><yr>7</yr><name>plain seven</name></item>
+  <item><yr>07</yr><name>padded seven</name></item>
+  <item><yr>7.0</yr><name>decimal seven</name></item>
+  <item><yr>8</yr><name>eight</name></item>
+  <item><yr>vii</yr><name>roman seven</name></item>
+</items>`); err != nil {
+		t.Fatal(err)
+	}
+	for lit, want := range map[string]int{"7": 3, "7.00": 3, "8": 1, "9": 0, `"vii"`: 1, `"viii"`: 0} {
+		view, err := db.DefineView(`for $i in fn:doc(items.xml)/items//item where $i/yr = ` + lit + ` return <hit>{$i/name}</hit>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rendered []string
+		for _, ap := range []Approach{Efficient, Baseline, GTPTermJoin} {
+			results, _, err := db.Search(view, []string{"seven", "eight"}, &Options{Approach: ap, Disjunctive: true})
+			if err != nil {
+				t.Fatalf("yr = %s, approach %d: %v", lit, ap, err)
+			}
+			if len(results) != want {
+				t.Errorf("yr = %s, approach %d: %d results, want %d", lit, ap, len(results), want)
+			}
+			var b strings.Builder
+			for _, r := range results {
+				b.WriteString(r.XML)
+			}
+			rendered = append(rendered, b.String())
+		}
+		if rendered[0] != rendered[1] || rendered[0] != rendered[2] {
+			t.Errorf("yr = %s: approaches returned different results", lit)
+		}
+	}
+}
+
 func TestPublicAPIQueryFigure2(t *testing.T) {
 	db := openTestDB(t)
 	results, _, err := db.Query(`
