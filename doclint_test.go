@@ -80,11 +80,12 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 
 // symbolDocDirs are the package directories whose exported symbols must
 // all carry doc comments: the public root package, plus the internal
-// packages whose surfaces back the documentation set — the benchmark
-// substrate and the load harness (docs/BENCHMARKS.md describes both
-// report schemas), the view catalog (docs/ARCHITECTURE.md's "Catalog
-// and query planning"), the scoring module and the document store (both
-// central to docs/ARCHITECTURE.md and docs/TUNING.md).
+// packages whose surfaces back the documentation set — the paper's
+// figure harness and the load harness (docs/BENCHMARKS.md describes both,
+// and the vxmlload/1 report schema), the view catalog
+// (docs/ARCHITECTURE.md's "Catalog and query planning"), the scoring
+// module and the document store (both central to docs/ARCHITECTURE.md
+// and docs/TUNING.md).
 var symbolDocDirs = []string{".", "internal/benchkit", "internal/catalog", "internal/diskstore", "internal/loadkit", "internal/scoring", "internal/store"}
 
 // TestPublicAPIExportedSymbolsDocumented asserts every exported top-level

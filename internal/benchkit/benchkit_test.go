@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -133,34 +134,62 @@ func TestParamsTable(t *testing.T) {
 	}
 }
 
-// TestFigureRunnersSmall smoke-tests every figure scenario (fig13_approaches
-// … fig21_elem_size) at tiny scale: each must produce rows, and its text
-// table must carry one line per row.
-func TestFigureRunnersSmall(t *testing.T) {
-	cfg := Config{Profile: Profile{Name: "test", UnitBytes: 8 << 10, Budget: time.Millisecond, CollectionDocs: 4}, Seed: 42}
-	ran := 0
-	for _, def := range ScenarioCatalog() {
-		if def.Figure == "" {
-			continue
+// TestFiguresAreWellFormed: Figures 13-21 each appear once, in order
+// (bench_test.go indexes them by number), and the points of a sweep are distinct
+// configurations with distinct labels.
+func TestFiguresAreWellFormed(t *testing.T) {
+	figs := Figures()
+	if len(figs) != 9 {
+		t.Fatalf("%d figures, want 9 (Figures 13-21)", len(figs))
+	}
+	names := map[string]bool{}
+	for i, f := range figs {
+		if !strings.HasPrefix(f.Name, fmt.Sprintf("fig%d_", 13+i)) || f.Description == "" || len(f.Points) == 0 {
+			t.Fatalf("malformed figure %d: %+v", i, f)
 		}
-		ran++
-		s, err := def.Run(cfg)
-		if err != nil {
-			t.Errorf("%s: %v", def.Name, err)
-			continue
+		if names[f.Name] {
+			t.Fatalf("duplicate figure name %q", f.Name)
 		}
-		if len(s.Rows) == 0 {
-			t.Errorf("%s: no rows", def.Name)
-		}
-		out := s.Table().Render()
-		if lines := strings.Count(out, "\n"); lines != len(s.Rows)+2 {
-			t.Errorf("%s: table has %d lines for %d rows:\n%s", def.Name, lines, len(s.Rows), out)
-		}
-		if !strings.Contains(out, "pdt_ns") {
-			t.Errorf("%s: table lacks the module breakdown:\n%s", def.Name, out)
+		names[f.Name] = true
+		labels, configs := map[string]bool{}, map[Params]bool{}
+		for _, pt := range f.Points {
+			p := Default()
+			pt.Set(&p)
+			if labels[pt.Label] || configs[p] {
+				t.Errorf("%s: point %q repeats a label or a configuration", f.Name, pt.Label)
+			}
+			labels[pt.Label], configs[p] = true, true
 		}
 	}
-	if ran != 9 {
-		t.Errorf("catalog holds %d figure scenarios, want 9 (Figures 13-21)", ran)
+	if !figs[0].Comparators {
+		t.Error("Figure 13 must time the comparators")
+	}
+}
+
+// TestFigureRunnersSmall runs every figure at tiny scale: each table must
+// carry one line per sweep point and the module breakdown.
+func TestFigureRunnersSmall(t *testing.T) {
+	prof := Profile{Name: "test", UnitBytes: 8 << 10, Budget: time.Millisecond}
+	for _, f := range Figures() {
+		table, err := f.Run(prof, 42)
+		if err != nil {
+			t.Errorf("%s: %v", f.Name, err)
+			continue
+		}
+		if len(table.Rows) != len(f.Points) {
+			t.Errorf("%s: %d rows for %d points", f.Name, len(table.Rows), len(f.Points))
+		}
+		for _, row := range table.Rows {
+			if len(row) != len(table.Columns) {
+				t.Errorf("%s: row %v has %d cells for %d columns", f.Name, row, len(row), len(table.Columns))
+			}
+		}
+		out := table.Render()
+		if lines := strings.Count(out, "\n"); lines != len(f.Points)+2 {
+			t.Errorf("%s: table has %d lines for %d points:\n%s", f.Name, lines, len(f.Points), out)
+		}
+		if !strings.Contains(out, "pdt_ns") {
+			t.Errorf("%s: table lacks the module breakdown:\n%s", f.Name, out)
+		}
 	}
 }

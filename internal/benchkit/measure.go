@@ -9,16 +9,14 @@ import (
 // ns/op plus the allocation counters that make optimization work provable.
 type Measurement struct {
 	// Iters is the number of times the function ran inside the budget.
-	Iters int `json:"iters"`
+	Iters int
 	// NsPerOp is the mean wall-clock nanoseconds per run.
-	NsPerOp float64 `json:"ns_per_op"`
+	NsPerOp float64
 	// AllocsPerOp is the mean heap allocations per run, from the runtime's
-	// cumulative Mallocs counter. Process-global: concurrent scenarios
-	// attribute every goroutine's allocations to the measured op, which is
-	// the per-query cost a capacity planner wants anyway.
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	// cumulative Mallocs counter.
+	AllocsPerOp float64
 	// BytesPerOp is the mean heap bytes allocated per run (TotalAlloc).
-	BytesPerOp float64 `json:"bytes_per_op"`
+	BytesPerOp float64
 }
 
 // Measure runs fn repeatedly for at least budget (and at least once),

@@ -1,7 +1,9 @@
 // Package benchkit builds the experimental workloads of the paper's §5 and
-// runs the four competing pipelines over them. Every figure of the
-// evaluation section has a runner here; cmd/benchrunner and the top-level
-// benchmarks are thin wrappers around this package.
+// runs the four competing pipelines over them. Figures 13-21 of the
+// evaluation section are defined here; cmd/vxmlbench and the root
+// package's BenchmarkFig13…21 are thin wrappers around this package.
+// Post-paper performance is measured by the repository benchmark under
+// bench/, not here.
 package benchkit
 
 import (

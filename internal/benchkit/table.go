@@ -3,7 +3,6 @@ package benchkit
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -45,41 +44,6 @@ func (t *Table) Render() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Table renders the scenario's rows as a text table — what vxmlbench prints
-// for each scenario it ran: one line per sweep point with the measurement,
-// the tracked counters, and every Extra metric any row carries, in sorted
-// key order (a row without a metric shows "-").
-func (s *Scenario) Table() *Table {
-	seen := map[string]bool{}
-	var extras []string
-	for _, r := range s.Rows {
-		for k := range r.Extra {
-			if !seen[k] {
-				seen[k] = true
-				extras = append(extras, k)
-			}
-		}
-	}
-	sort.Strings(extras)
-	t := &Table{
-		Title:   s.Name + ": " + s.Description,
-		Columns: append([]string{"label", "iters", "ns/op", "allocs/op", "bytes/op", "bytes_fetched", "index_probes"}, extras...),
-	}
-	for _, r := range s.Rows {
-		row := []string{r.Label, strconv.Itoa(r.Iters), num(r.NsPerOp), num(r.AllocsPerOp),
-			num(r.BytesPerOp), num(r.BytesFetched), num(r.IndexProbes)}
-		for _, k := range extras {
-			cell := "-"
-			if v, ok := r.Extra[k]; ok {
-				cell = num(v)
-			}
-			row = append(row, cell)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }
 
 // num prints whole numbers bare and everything else to three decimals.

@@ -432,9 +432,6 @@ type Options struct {
 	// functions run at every pool size and results are byte-identical at
 	// every setting.
 	Parallelism int
-	// DisableHashJoin turns off the evaluator's equality-join fast path
-	// (used by ablation benchmarks).
-	DisableHashJoin bool
 	// SkipMaterialize leaves the winners pruned (used by benchmarks that
 	// measure phases separately).
 	SkipMaterialize bool

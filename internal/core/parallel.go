@@ -97,7 +97,6 @@ func chunkBounds(n, chunks int) [][2]int {
 func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, opts Options, workers int) (results []*xmltree.Node, bindings []xqeval.Item, counts []int, err error) {
 	newEval := func() *xqeval.Evaluator {
 		ev := xqeval.New(catalog, v.Funcs)
-		ev.HashJoin = !opts.DisableHashJoin
 		ev.SetContext(ctx)
 		return ev
 	}

@@ -103,7 +103,6 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 
 	start = time.Now()
 	ev := xqeval.New(catalog, v.Funcs)
-	ev.HashJoin = !opts.DisableHashJoin
 	ev.SetContext(ctx)
 	items, err := ev.Eval(v.Expr, nil)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Microbenchmarks for inverted-index construction and subtree-TF probing —
 // the two invindex paths on the ingest and PDT-generation hot loops.
-// vxmlbench's hot_paths scenario reports the same comparison
-// machine-readably.
+// TestRangeBoundsMatchesTwoBinarySearches keeps the range probe equal to
+// its reference.
 package invindex
 
 import (

@@ -1,7 +1,5 @@
 // The vxmlload/1 report: the machine-readable artifact of one load run,
-// emitted into the same BENCH_*.json family as vxmlbench's reports and
-// held to the same standard — strict structural validation before a byte
-// reaches disk.
+// held to strict structural validation before a byte reaches disk.
 package loadkit
 
 import (
@@ -9,8 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"vxml/internal/benchkit"
+	"path/filepath"
+	"runtime"
 )
 
 // SchemaVersion identifies the report layout this package emits and
@@ -36,9 +34,8 @@ type Report struct {
 	// mistaken for a full run.
 	DurationScale float64 `json:"duration_scale"`
 	RateScale     float64 `json:"rate_scale"`
-	// Host describes the measuring process's environment (shared with
-	// vxmlbench reports).
-	Host benchkit.Host `json:"host"`
+	// Host describes the measuring process's environment.
+	Host Host `json:"host"`
 	// DurationMillis is the whole run's wall-clock time, drain included.
 	DurationMillis int64 `json:"duration_ms"`
 	// Phases holds one entry per executed phase, in spec order.
@@ -174,8 +171,8 @@ func (r *Report) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteFile validates the report and writes it atomically through the
-// shared benchkit sink, so an invalid report is never written at all.
+// WriteFile validates the report and writes it atomically, so an invalid
+// report is never written at all.
 func (r *Report) WriteFile(path string) error {
 	data, err := r.Encode()
 	if err != nil {
@@ -184,7 +181,53 @@ func (r *Report) WriteFile(path string) error {
 	if err := Validate(data); err != nil {
 		return fmt.Errorf("loadkit: refusing to write invalid report: %w", err)
 	}
-	return benchkit.AtomicWriteFile(path, data)
+	return writeFileAtomic(path, data)
+}
+
+// Host is the measurement environment: perf numbers are meaningless
+// without it.
+type Host struct {
+	// GoVersion is runtime.Version().
+	GoVersion string `json:"go_version"`
+	// GOOS and GOARCH identify the platform.
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	// NumCPU is the machine's logical CPU count; GOMAXPROCS the scheduler
+	// limit the run used.
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+// hostInfo captures the current process's Host record.
+func hostInfo() Host {
+	return Host{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+// writeFileAtomic writes data to path via a same-directory temp file and
+// rename, so a crashed or interrupted writer never leaves a half-written
+// report behind.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".bench-*.json")
+	if err != nil {
+		return err
+	}
+	name := tmp.Name()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(name)
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(name)
+		return err
+	}
+	return os.Rename(name, path)
 }
 
 // checkLatency enforces the internal consistency of one summary: ordered

@@ -4,8 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"vxml/internal/benchkit"
 )
 
 // sampleReport builds a minimal structurally-valid report.
@@ -16,13 +14,13 @@ func sampleReport() *Report {
 	}
 	lat := h.Summary()
 	return &Report{
-		Schema:        SchemaVersion,
-		Spec:          "unit",
-		GeneratedBy:   "vxmlload",
-		Target:        "self",
-		DurationScale: 1,
-		RateScale:     1,
-		Host:          benchkit.HostInfo(),
+		Schema:         SchemaVersion,
+		Spec:           "unit",
+		GeneratedBy:    "vxmlload",
+		Target:         "self",
+		DurationScale:  1,
+		RateScale:      1,
+		Host:           hostInfo(),
 		DurationMillis: 1234,
 		Phases: []PhaseReport{{
 			Name:           "warm",

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"vxml/internal/benchkit"
 )
 
 // maxFailures caps the failure records a report carries; maxExplains caps
@@ -72,7 +70,7 @@ type opOutcome struct {
 	latency   time.Duration
 	completed bool // a response arrived; latency is meaningful
 	failed    bool
-	dropped   bool // the runner's own shutdown cut it — keep it off the books
+	dropped   bool             // the runner's own shutdown cut it — keep it off the books
 	errKey    string           // taxonomy key when failed
 	failure   *Failure         // detailed record, when worth keeping
 	template  *RequestTemplate // identity for explain capture
@@ -348,7 +346,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		Target:        r.TargetLabel,
 		DurationScale: r.durationScale(),
 		RateScale:     r.rateScale(),
-		Host:          benchkit.HostInfo(),
+		Host:          hostInfo(),
 		Resources: Resources{
 			Samples:              samples,
 			GoroutinesBaseline:   baselineG,

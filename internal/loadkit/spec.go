@@ -1,16 +1,15 @@
 // Package loadkit is the traffic-shaped load and soak harness behind
-// cmd/vxmlload. Where internal/benchkit measures ns/op per scenario in
-// isolation, loadkit drives declarative workload specs — phases with
+// cmd/vxmlload. It drives declarative workload specs — phases with
 // arrival rates, open- and closed-loop clients, read/stream/paginate
 // mixes, burst ramps, mid-run replace/delete churn and pathological
 // inputs — against a real internal/server over HTTP, records every
 // request's latency into a log-linear histogram, and emits a
 // schema-versioned vxmlload/1 report (p50/p95/p99/p999, sustained QPS, an
-// error taxonomy, goroutine/heap ceilings) into the same BENCH_*.json
-// family. In soak mode a single-threaded oracle Database mirrors every
-// mutation the churner sends and spot-checks response byte-identity;
-// flagged requests get their query plan captured through POST /v1/explain
-// the way vcltest attaches VCL line traces to failures.
+// error taxonomy, goroutine/heap ceilings). In soak mode a single-threaded
+// oracle Database mirrors every mutation the churner sends and
+// spot-checks response byte-identity; flagged requests get their query
+// plan captured through POST /v1/explain the way vcltest attaches VCL
+// line traces to failures.
 package loadkit
 
 import (

@@ -1,6 +1,7 @@
 // Microbenchmark for PDT generation — the per-candidate-document inner
-// loop of every Efficient search. vxmlbench's figure scenarios measure the
-// same pipeline end to end; this isolates Generate (merge + Candidate Tree
+// loop of every Efficient search. vxmlbench's figures and bench/'s
+// pdt.generate_us measure the same pipeline end to end; this isolates
+// Generate (merge + Candidate Tree
 // maintenance + emission) over prepared lists.
 package pdt
 

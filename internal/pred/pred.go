@@ -10,6 +10,7 @@ package pred
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Op is a comparison operator from the supported grammar (Comp ::= '=' |
@@ -48,8 +49,29 @@ type Compiled struct {
 
 // Compile parses the predicate's literal once.
 func (p Predicate) Compile() Compiled {
-	num, err := strconv.ParseFloat(p.Lit, 64)
-	return Compiled{op: p.Op, lit: p.Lit, num: num, numeric: err == nil}
+	num, numeric := Number(p.Lit)
+	return Compiled{op: p.Op, lit: p.Lit, num: num, numeric: numeric}
+}
+
+// Number reports whether s is a number and its value: the one rule by
+// which every comparison chooses between comparing by value and by
+// spelling. s is a number when strconv.ParseFloat accepts it.
+func Number(s string) (float64, bool) {
+	// ParseFloat allocates an error for every string it rejects, so the
+	// common non-numbers are turned away first: none it accepts starts
+	// with a byte other than a sign, point, digit or the "i" of "inf" or
+	// "n" of "nan", nor carries a sign anywhere but first and right after
+	// an exponent marker (which rejects keys like 123-45-6789).
+	if s == "" || !strings.ContainsRune("+-.0123456789iInN", rune(s[0])) {
+		return 0, false
+	}
+	for i := 1; i < len(s); i++ {
+		if (s[i] == '-' || s[i] == '+') && !strings.ContainsRune("eEpP", rune(s[i-1])) {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil
 }
 
 // Numeric reports whether the literal is a number, compared by value.
@@ -60,7 +82,7 @@ func (c Compiled) Numeric() bool { return c.numeric }
 // ("10x").
 func (c Compiled) Eval(value string) bool {
 	if c.numeric {
-		if v, err := strconv.ParseFloat(value, 64); err == nil {
+		if v, ok := Number(value); ok {
 			return compare(v, c.num, c.op)
 		}
 	}

@@ -1,6 +1,9 @@
 package pred
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func TestNumericComparison(t *testing.T) {
 	cases := []struct {
@@ -70,5 +73,22 @@ func TestUnknownOp(t *testing.T) {
 	}
 	if Compare("a", "a", Op('?')) {
 		t.Error("unknown op should be false (string path)")
+	}
+}
+
+// TestNumberIsParseFloat: the early rejects in Number never turn away a
+// string ParseFloat accepts, whatever byte it starts with and wherever it
+// carries a sign.
+func TestNumberIsParseFloat(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		for _, rest := range []string{"", "1", "7.5", "e3", "nf", "nfinity", "an", "x1p-2", "_1", "0",
+			"-1", "+1", "e-5", "E+5", ".5e-3", "x1.8p+3", "X1P-1", "23-45-6789", "e--5", "1e+-2", "nf-"} {
+			s := string([]byte{byte(b)}) + rest
+			v, ok := Number(s)
+			want, err := strconv.ParseFloat(s, 64)
+			if ok != (err == nil) || ok && v != want && v == v {
+				t.Errorf("Number(%q) = %v, %v; ParseFloat = %v, %v", s, v, ok, want, err)
+			}
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Microbenchmarks for the tokenization hot path: Tokenize/VisitTokens is
 // run for every text node during index construction and for every node of
 // every materialized subtree during FromBase scoring, so its per-token
-// allocation behavior dominates those paths. vxmlbench's hot_paths scenario
-// reports the same comparison machine-readably.
+// allocation behavior dominates those paths. FuzzVisitTokens and
+// TestCloneMatchesReference keep the optimized paths equal to their
+// references.
 package xmltree
 
 import (

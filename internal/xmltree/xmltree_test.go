@@ -211,6 +211,56 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// referenceClone is the deep copy Clone's arenas replaced, kept as its
+// oracle: one node, one ID and one child append chain per element.
+func referenceClone(n *Node) *Node {
+	c := &Node{Tag: n.Tag, Value: n.Value, ID: n.ID.Clone(), ByteLen: n.ByteLen}
+	for _, ch := range n.Children {
+		cc := referenceClone(ch)
+		cc.Parent = c
+		c.Children = append(c.Children, cc)
+	}
+	return c
+}
+
+// TestCloneMatchesReference: Clone copies every node as referenceClone
+// does — tag, value, byte length and Dewey ID — with parent links inside
+// the copy, for whole documents and subtrees.
+func TestCloneMatchesReference(t *testing.T) {
+	var same func(a, b *Node) bool
+	same = func(a, b *Node) bool {
+		if a.Tag != b.Tag || a.Value != b.Value || a.ByteLen != b.ByteLen ||
+			!dewey.Equal(a.ID, b.ID) || len(a.Children) != len(b.Children) {
+			return false
+		}
+		for i, c := range a.Children {
+			if c.Parent != a || !same(c, b.Children[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := &Document{Name: "t.xml", Root: randomTree(r, 3), DocID: 1}
+		doc.Finalize()
+		sub := doc.Root
+		if len(sub.Children) > 0 {
+			sub = sub.Children[r.Intn(len(sub.Children))]
+		}
+		for _, n := range []*Node{doc.Root, sub} {
+			got := n.Clone()
+			if got.Parent != nil || !same(got, referenceClone(n)) || got.XMLString(" ") != n.XMLString(" ") {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestLeafPaths(t *testing.T) {
 	doc := parseBooks(t)
 	paths := doc.LeafPaths()

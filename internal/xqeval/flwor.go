@@ -2,6 +2,7 @@ package xqeval
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"vxml/internal/pred"
@@ -140,7 +141,41 @@ func (e *Evaluator) evalCall(x *xq.CallExpr, en *env) ([]Item, error) {
 type joinPlan struct {
 	keyExpr, probeExpr xq.Expr // both nil: the FLWOR does not qualify
 	items              []Item
-	byKey              map[string][]int // nil until built
+	index              *joinIndex // nil until built
+}
+
+// joinIndex matches join keys as pred.Compare's equality does: numbers by
+// value in byNum, where Go's float keys fold -0 into 0, and everything
+// else by spelling in byStr. A number never equals a non-number, whose
+// spelling differs.
+type joinIndex struct {
+	byNum map[float64][]int
+	byStr map[string][]int
+}
+
+// add records position i under join key k. Positions arrive in ascending
+// order, so an item whose keys repeat a value finds itself last in the
+// list.
+func (ix *joinIndex) add(k string, i int) {
+	v, numeric := pred.Number(k)
+	switch {
+	case !numeric:
+		if l := ix.byStr[k]; len(l) == 0 || l[len(l)-1] != i {
+			ix.byStr[k] = append(l, i)
+		}
+	case !math.IsNaN(v): // NaN equals nothing, itself included
+		if l := ix.byNum[v]; len(l) == 0 || l[len(l)-1] != i {
+			ix.byNum[v] = append(l, i)
+		}
+	}
+}
+
+// lookup returns the ascending positions whose join key equals k.
+func (ix *joinIndex) lookup(k string) []int {
+	if v, ok := pred.Number(k); ok {
+		return ix.byNum[v]
+	}
+	return ix.byStr[k]
 }
 
 func (e *Evaluator) evalFLWOR(x *xq.FLWORExpr, en *env) ([]Item, error) {
@@ -252,12 +287,12 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) ([
 	if jp.keyExpr == nil {
 		return nil, false, nil
 	}
-	if jp.byKey == nil {
+	if jp.index == nil {
 		seq, err := e.Eval(cl.In, en)
 		if err != nil {
 			return nil, true, err
 		}
-		byKey := make(map[string][]int, len(seq))
+		index := &joinIndex{byNum: map[float64][]int{}, byStr: make(map[string][]int, len(seq))}
 		for i, item := range seq {
 			if err := e.ctxErr(); err != nil {
 				return nil, true, err
@@ -267,15 +302,10 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) ([
 				return nil, true, err
 			}
 			for _, k := range keys {
-				// Positions are appended in ascending order, so an item
-				// whose keys repeat a value finds itself last in the list.
-				kv := Atomize(k)
-				if l := byKey[kv]; len(l) == 0 || l[len(l)-1] != i {
-					byKey[kv] = append(l, i)
-				}
+				index.add(Atomize(k), i)
 			}
 		}
-		jp.items, jp.byKey = seq, byKey
+		jp.items, jp.index = seq, index
 	}
 	probes, err := e.Eval(jp.probeExpr, en)
 	if err != nil {
@@ -286,10 +316,10 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) ([
 	// list is that already; several are merged.
 	var order []int
 	if len(probes) == 1 {
-		order = jp.byKey[Atomize(probes[0])]
+		order = jp.index.lookup(Atomize(probes[0]))
 	} else {
 		for _, p := range probes {
-			order = append(order, jp.byKey[Atomize(p)]...)
+			order = append(order, jp.index.lookup(Atomize(p))...)
 		}
 		slices.Sort(order)
 		order = slices.Compact(order)

@@ -159,31 +159,65 @@ return <entry>
 	}
 }
 
+// TestJoinResultsIdenticalWithAndWithoutHashJoin: the hash join matches
+// what the nested loop's pred.Compare matches, numeric keys by value
+// included — 07 = 7 and -0 = 0, while nan equals nothing, itself
+// included.
 func TestJoinResultsIdenticalWithAndWithoutHashJoin(t *testing.T) {
-	cat := catalog(t)
-	query := `
+	numeric := func(t *testing.T) MapCatalog {
+		xs, err := xmltree.ParseString(`<xs><x><k>07</k></x><x><k>-0</k></x><x><k>nan</k></x><x><k>7x</k></x></xs>`, "x.xml", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys, err := xmltree.ParseString(`<ys><y><k>7</k><v>seven</v></y><y><k>0</k><v>zero</v></y><y><k>nan</k><v>nan</v></y><y><k>7.0x</k><v>spelt</v></y></ys>`, "y.xml", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MapCatalog{"x.xml": xs, "y.xml": ys}
+	}
+	for _, c := range []struct {
+		name    string
+		catalog func(*testing.T) MapCatalog
+		query   string
+		want    string // "" = only compare the two paths
+	}{
+		{"isbn", catalog, `
 for $b in fn:doc(books.xml)/books/book
 return <e>{$b/isbn}
   {for $r in fn:doc(reviews.xml)/reviews/review
    where $b/isbn = $r/isbn
    return $r/rate}
-</e>`
-	render := func(hash bool) string {
-		q := xq.MustParse(query)
-		ev := New(cat, q.Functions)
-		ev.HashJoin = hash
-		out, err := ev.EvalQuery(q)
-		if err != nil {
-			t.Fatal(err)
+</e>`, ""},
+		{"numeric keys", numeric, `
+for $x in fn:doc(x.xml)/xs/x
+return <e>{for $y in fn:doc(y.xml)/ys/y
+   where $x/k = $y/k
+   return $y/v}</e>`, "<e><v>seven</v></e><e><v>zero</v></e><e></e><e></e>"},
+	} {
+		render := func(hash bool) string {
+			q := xq.MustParse(c.query)
+			ev := New(c.catalog(t), q.Functions)
+			ev.HashJoin = hash
+			out, err := ev.EvalQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hash && ev.JoinProbes == 0 {
+				t.Errorf("%s: hash join was not exercised", c.name)
+			}
+			var b strings.Builder
+			for _, item := range out {
+				item.(*xmltree.Node).WriteXML(&b, "") //nolint:errcheck
+			}
+			return b.String()
 		}
-		var b strings.Builder
-		for _, item := range out {
-			item.(*xmltree.Node).WriteXML(&b, "") //nolint:errcheck
+		hash, loop := render(true), render(false)
+		if hash != loop {
+			t.Errorf("%s: hash join changed results:\n%s\nvs\n%s", c.name, hash, loop)
 		}
-		return b.String()
-	}
-	if a, b := render(true), render(false); a != b {
-		t.Errorf("hash join changed results:\n%s\nvs\n%s", a, b)
+		if c.want != "" && loop != c.want {
+			t.Errorf("%s: nested loop = %s, want %s", c.name, loop, c.want)
+		}
 	}
 }
 

@@ -5,26 +5,33 @@
 //
 //	go test -bench=ShardedParallel -benchtime=10x
 //
-// The corpus, view and keywords come from internal/benchkit's collection
-// builder — the same shape cmd/vxmlbench measures — so benchmark and
-// harness numbers are directly comparable. The parallel configuration must
+// The corpus and the join view come from internal/testkit, the shapes the
+// parallel equivalence suite checks. The parallel configuration must
 // return byte-identical results; the benchmark asserts that once before
-// measuring.
+// measuring. bench/'s core.parallel_speedup is the tracked number.
 package vxml_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"vxml"
-	"vxml/internal/benchkit"
+	"vxml/internal/testkit"
 )
 
-// buildBenchCorpus loads the deterministic 120-part collection corpus plus
-// the authors document the join view needs.
-func buildBenchCorpus(b *testing.B, nDocs, articlesPerDoc int) *vxml.Database {
+// buildBenchCorpus loads nDocs deterministic part documents plus the
+// authors document the join view needs.
+func buildBenchCorpus(b *testing.B, nDocs int) *vxml.Database {
 	b.Helper()
+	rng := rand.New(rand.NewSource(4242))
 	db := vxml.Open()
-	if err := benchkit.BuildCollectionCorpus(db, nDocs, articlesPerDoc, 4242); err != nil {
+	for d := 0; d < nDocs; d++ {
+		if err := db.Add(fmt.Sprintf("part-%03d.xml", d), testkit.RandomPartDoc(rng, d)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Add("authors.xml", testkit.AuthorsXML(rng)); err != nil {
 		b.Fatal(err)
 	}
 	return db
@@ -34,12 +41,12 @@ func buildBenchCorpus(b *testing.B, nDocs, articlesPerDoc int) *vxml.Database {
 // over a 120-document collection view at Parallelism 1 (a pool of one)
 // and Parallelism 0 (worker pool sized by GOMAXPROCS).
 func BenchmarkShardedParallelSearch(b *testing.B) {
-	db := buildBenchCorpus(b, 120, 8)
-	view, err := db.DefineView(benchkit.CollectionView)
+	db := buildBenchCorpus(b, 120)
+	view, err := db.DefineView(testkit.EqViews[1]) // the collection joined to authors.xml
 	if err != nil {
 		b.Fatal(err)
 	}
-	kws := benchkit.CollectionKeywords()
+	kws := []string{"copper", "quartz"}
 	seq, _, err := db.Search(view, kws, &vxml.Options{TopK: 10, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)

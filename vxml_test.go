@@ -90,7 +90,8 @@ func TestPublicAPIApproachesAgree(t *testing.T) {
 // TestNumericEqualityMatchesEverySpelling: `yr = 7` selects by value, so an
 // element spelled 07 or 7.0 is in the view as surely as one spelled 7 — in
 // the index-only pipeline as in the materializing one (Theorem 4.1). A
-// literal that is no number still selects by spelling.
+// literal that is no number still selects by spelling, and a join of two
+// paths compares by the same rule.
 func TestNumericEqualityMatchesEverySpelling(t *testing.T) {
 	db := Open()
 	if err := db.Add("items.xml", `<items>
@@ -102,8 +103,18 @@ func TestNumericEqualityMatchesEverySpelling(t *testing.T) {
 </items>`); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.Add("keys.xml", `<keys><key><yr>7.00</yr></key></keys>`); err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]int{ // view -> names in the results
+		`for $k in fn:doc(keys.xml)/keys//key
+		 return <hit>{for $i in fn:doc(items.xml)/items//item where $i/yr = $k/yr return $i/name}</hit>`: 3,
+	}
 	for lit, want := range map[string]int{"7": 3, "7.00": 3, "8": 1, "9": 0, `"vii"`: 1, `"viii"`: 0} {
-		view, err := db.DefineView(`for $i in fn:doc(items.xml)/items//item where $i/yr = ` + lit + ` return <hit>{$i/name}</hit>`)
+		views[`for $i in fn:doc(items.xml)/items//item where $i/yr = `+lit+` return <hit>{$i/name}</hit>`] = want
+	}
+	for text, want := range views {
+		view, err := db.DefineView(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,19 +122,19 @@ func TestNumericEqualityMatchesEverySpelling(t *testing.T) {
 		for _, ap := range []Approach{Efficient, Baseline, GTPTermJoin} {
 			results, _, err := db.Search(view, []string{"seven", "eight"}, &Options{Approach: ap, Disjunctive: true})
 			if err != nil {
-				t.Fatalf("yr = %s, approach %d: %v", lit, ap, err)
-			}
-			if len(results) != want {
-				t.Errorf("yr = %s, approach %d: %d results, want %d", lit, ap, len(results), want)
+				t.Fatalf("%s, approach %d: %v", text, ap, err)
 			}
 			var b strings.Builder
 			for _, r := range results {
 				b.WriteString(r.XML)
 			}
+			if got := strings.Count(b.String(), "<name>"); got != want {
+				t.Errorf("%s, approach %d: %d names, want %d", text, ap, got, want)
+			}
 			rendered = append(rendered, b.String())
 		}
 		if rendered[0] != rendered[1] || rendered[0] != rendered[2] {
-			t.Errorf("yr = %s: approaches returned different results", lit)
+			t.Errorf("%s: approaches returned different results", text)
 		}
 	}
 }
