@@ -19,20 +19,17 @@ const DefaultCacheBytes = 16 << 20
 // DefaultDocCacheSize bounds the hydrated-document cache (documents).
 const DefaultDocCacheSize = 64
 
-// DefaultIndexCacheSize bounds the decoded-index cache (documents).
+// DefaultIndexCacheSize bounds the opened-index cache (documents).
 const DefaultIndexCacheSize = 256
 
-// blockCache is the bounded LRU over data-log blocks. Entries are stamped
-// with the cache generation current when their read began; Invalidate
-// bumps the generation, so blocks cached before a file swap (Compact,
-// reopen) can never serve stale bytes — the same discard-if-stale
-// discipline the query cache uses for async fills.
+// blockCache is the bounded LRU over data-log blocks. Only whole blocks of
+// the committed prefix are cached (readData), and committed bytes never
+// change, so an entry cannot go stale.
 type blockCache struct {
 	mu       sync.Mutex
 	blockSiz int
 	maxBytes int64
 	curBytes int64
-	gen      int64
 	entries  map[int64]*list.Element
 	lru      list.List // front = most recently used
 
@@ -42,7 +39,6 @@ type blockCache struct {
 
 type blockEntry struct {
 	idx int64
-	gen int64
 	buf []byte
 }
 
@@ -56,23 +52,6 @@ func newBlockCache(blockSize int, maxBytes int64) *blockCache {
 	return &blockCache{blockSiz: blockSize, maxBytes: maxBytes, entries: map[int64]*list.Element{}}
 }
 
-// generation returns the stamp a fill beginning now must carry.
-func (c *blockCache) generation() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// Invalidate makes every cached block stale.
-func (c *blockCache) Invalidate() {
-	c.mu.Lock()
-	c.gen++
-	c.entries = map[int64]*list.Element{}
-	c.lru.Init()
-	c.curBytes = 0
-	c.mu.Unlock()
-}
-
 // Get returns the cached block idx, counting a hit or miss.
 func (c *blockCache) Get(idx int64) ([]byte, bool) {
 	c.mu.Lock()
@@ -80,7 +59,7 @@ func (c *blockCache) Get(idx int64) ([]byte, bool) {
 	var buf []byte
 	if ok {
 		c.lru.MoveToFront(el)
-		// Read under the lock: a concurrent PutAt of the same block
+		// Read under the lock: a concurrent Put of the same block
 		// replaces the entry's buf field.
 		buf = el.Value.(*blockEntry).buf
 	}
@@ -93,12 +72,11 @@ func (c *blockCache) Get(idx int64) ([]byte, bool) {
 	return buf, true
 }
 
-// PutAt inserts a block read under generation gen; the fill is discarded
-// if the cache was invalidated while the read was in flight.
-func (c *blockCache) PutAt(idx int64, gen int64, buf []byte) {
+// Put inserts block idx, evicting from the back past the byte budget.
+func (c *blockCache) Put(idx int64, buf []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gen != c.gen || c.maxBytes == 0 {
+	if c.maxBytes == 0 {
 		return
 	}
 	if el, ok := c.entries[idx]; ok {
@@ -107,7 +85,7 @@ func (c *blockCache) PutAt(idx int64, gen int64, buf []byte) {
 		c.curBytes += int64(len(buf)) - int64(len(e.buf))
 		e.buf = buf
 	} else {
-		c.entries[idx] = c.lru.PushFront(&blockEntry{idx: idx, gen: gen, buf: buf})
+		c.entries[idx] = c.lru.PushFront(&blockEntry{idx: idx, buf: buf})
 		c.curBytes += int64(len(buf))
 	}
 	for c.curBytes > c.maxBytes {
@@ -205,14 +183,6 @@ func (c *docCache) Drop(name string) {
 	c.mu.Unlock()
 }
 
-// Invalidate empties the cache (reopen/full-save paths).
-func (c *docCache) Invalidate() {
-	c.mu.Lock()
-	c.entries = map[string]*list.Element{}
-	c.lru.Init()
-	c.mu.Unlock()
-}
-
 // resident returns (documents, summed serialized bytes) currently cached.
 func (c *docCache) resident() (int, int64) {
 	c.mu.Lock()
@@ -226,10 +196,10 @@ func (c *docCache) resident() (int, int64) {
 	return len(c.entries), bytes
 }
 
-// indexCache memoizes opened per-document indices (the decoded path index
-// and the inverted index as a view over its record), with the same
-// name+docID validation as docCache. Probe counters of evicted indices are
-// accumulated so Engine.IndexProbes stays monotonic across evictions.
+// indexCache memoizes opened per-document indices (both views over their
+// stored record), with the same name+docID validation as docCache. Probe
+// counters of evicted indices are accumulated so Engine.IndexProbes stays
+// monotonic across evictions.
 type indexCache struct {
 	mu      sync.Mutex
 	maxDocs int
@@ -247,7 +217,7 @@ type idxEntry struct {
 	docID int32
 	pix   *pathindex.Index
 	iix   *invindex.Index
-	bytes int64 // what the entry keeps resident (indexRecord.residentBytes)
+	bytes int64 // what the entry keeps resident (storedIndex.residentBytes)
 }
 
 func newIndexCache(maxDocs int) *indexCache {

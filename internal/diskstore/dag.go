@@ -147,12 +147,11 @@ func (ds *Store) readData(off int64, n int) ([]byte, error) {
 		}
 		buf, ok := ds.blocks.Get(idx)
 		if !ok {
-			gen := ds.blocks.generation()
 			buf = make([]byte, bs)
 			if err := ds.source.ReadAt(buf, blockStart); err != nil {
 				return nil, err
 			}
-			ds.blocks.PutAt(idx, gen, buf)
+			ds.blocks.Put(idx, buf)
 		}
 		from := pos - blockStart
 		pos += int64(copy(out[pos-off:], buf[from:]))

@@ -38,7 +38,7 @@ type Options struct {
 	// DocCacheSize bounds the hydrated-document cache in documents
 	// (default 64; <0 none).
 	DocCacheSize int
-	// IndexCacheSize bounds the decoded-index cache in documents
+	// IndexCacheSize bounds the opened-index cache in documents
 	// (default 256; <0 none).
 	IndexCacheSize int
 
@@ -680,7 +680,7 @@ func (ds *Store) appendDocLocked(op string, doc *xmltree.Document, pix *pathinde
 	if err := ds.appendManifestLocked(rec); err != nil {
 		return err
 	}
-	ds.commitDocLocked(rec, doc, pix, idxPayload)
+	ds.commitDocLocked(rec, doc, idxPayload)
 	return nil
 }
 
@@ -703,19 +703,20 @@ func (ds *Store) appendManifestLocked(rec manifestRec) error {
 
 // commitDocLocked applies a committed add/replace to the in-memory tables
 // and seeds the caches with the freshly parsed artifacts — the document
-// the caller just ingested is by definition hot. The inverted index cached
-// is the view over the payload just written — what a later miss would load,
-// not the caller's index with every list resident — and nothing when the
+// the caller just ingested is by definition hot. The indices cached are the
+// views over the record just written — what a later miss would load, not
+// the caller's indices with every list resident — and nothing when the
 // document shares an existing record (idxPayload nil).
-func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, pix *pathindex.Index, idxPayload []byte) {
+func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, idxPayload []byte) {
 	ds.applyRecordLocked(rec, true)
 	ds.EnsureNextID(rec.DocID + 1)
 	ds.gen.Add(1)
 	ds.docsCache.Put(rec.Name, rec.DocID, doc)
-	// Just encoded from pix and its sibling: no checksum, no path decode.
-	if opened := (indexRecord{payload: idxPayload}); idxPayload != nil && opened.parseHeader() == nil {
-		if iix, err := opened.invIndex(rec.DocID, ds.noteDecodeErr); err == nil {
-			ds.idxCache.Put(rec.Name, rec.DocID, pix, iix, opened.residentBytes())
+	if idxPayload != nil {
+		// Just encoded: no checksum to verify.
+		if s, err := openIndexRecord(idxPayload, rec.DocID, ds.noteDecodeErr); err == nil {
+			pix, iix := s.indices()
+			ds.idxCache.Put(rec.Name, rec.DocID, pix, iix, s.residentBytes())
 			return
 		}
 	}
@@ -987,7 +988,8 @@ func (ds *Store) noteDecodeErr(err error) {
 // StoredIndices returns the document's persisted indices (memoized per
 // document). A miss reads the index record with one pread of its exact
 // extent, past the block cache (index records would thrash the node blocks
-// out of it), into the buffer the cached inverted index serves lookups from.
+// out of it), and copies out of that buffer what the cached indices keep:
+// the record's text and its lists, from which both serve lookups.
 func (ds *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, error) {
 	e := ds.entry(name)
 	if e == nil {

@@ -115,11 +115,8 @@ func TestStoredIndicesMatchFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StoredIndices(%s): %v", info.Name, err)
 		}
-		if !reflect.DeepEqual(gotP.Rows(), wantP.Rows()) {
-			t.Fatalf("path rows of %s differ", info.Name)
-		}
-		if !reflect.DeepEqual(gotP.Paths(), wantP.Paths()) {
-			t.Fatalf("path dictionary of %s differs", info.Name)
+		if err := samePathLists(gotP, wantP); err != nil {
+			t.Fatalf("path index of %s: %v", info.Name, err)
 		}
 		if gotI.Elements() != wantI.Elements() || gotI.Keywords() != wantI.Keywords() {
 			t.Fatalf("index shape of %s differs", info.Name)

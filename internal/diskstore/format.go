@@ -25,15 +25,18 @@
 package diskstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"sort"
 	"strconv"
 	"strings"
 
 	"vxml/internal/dewey"
+	"vxml/internal/intern"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 )
@@ -52,7 +55,7 @@ const dataFilePrefix = "CORPUS-"
 const manifestMagic = "#!vxdisk"
 
 // dataMagic is the 8-byte data-log header.
-const dataMagic = "vxdata2\n"
+const dataMagic = "vxdata3\n"
 
 // Record kinds in the data log.
 const (
@@ -255,15 +258,16 @@ func structKey(tag, value string, children []int64) string {
 
 // --- index records ---
 //
-// An index record serializes one document's path index (as pathindex.Rows)
-// and inverted index so that a search can probe the inverted half without
-// decoding it: a checksum and a header sizing the path half, the path half,
-// then a sorted keyword directory giving each posting list's byte length,
-// ahead of the lists themselves (docs/ARCHITECTURE.md draws the layout).
-// Dewey IDs are stored RELATIVE to the document root (id[1:]): two documents
-// with identical content then produce byte-identical index records, and the
-// writer shares one record between them (keyed by the shared root node
-// offset). The document ID is prepended again at decode time.
+// An index record serializes one document's path index and inverted index
+// so that a search probes either without decoding it whole: a checksum, a
+// header of counts, a directory (every path with its values' and its list's
+// byte lengths, every keyword with its list's), the text (every path's
+// values, then the keywords) and the lists (every path's, then every
+// keyword's); docs/ARCHITECTURE.md draws the layout. Dewey IDs are stored
+// RELATIVE to the document root (id[1:]): two documents with identical
+// content then produce byte-identical index records, and the writer shares
+// one record between them (keyed by the shared root node offset). The
+// document ID is prepended again at decode time.
 
 func appendRelID(dst []byte, id dewey.ID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(id)-1))
@@ -280,50 +284,72 @@ func appendString(dst []byte, s string) []byte {
 
 // encodeIndexPayload serializes both indices of one document.
 func encodeIndexPayload(pix *pathindex.Index, iix *invindex.Index) []byte {
-	rows := pix.Rows()
-	path := binary.AppendUvarint(nil, uint64(len(rows)))
-	pathPostings, pathComps := 0, 0
-	for _, r := range rows {
-		path = appendString(path, r.Path)
-		if r.HasValue {
-			path = append(path, 1)
-		} else {
-			path = append(path, 0)
+	var dir, text, lists []byte
+	paths, pl := pix.Paths(), pix.Lists()
+	values := 0
+	for slot, path := range paths {
+		nv := pl.Values(slot)
+		values += nv
+		dir = appendString(dir, path)
+		dir = binary.AppendUvarint(dir, uint64(nv))
+		for k := range nv {
+			v := pl.Value(slot, k)
+			dir = binary.AppendUvarint(dir, uint64(len(v)))
+			text = append(text, v...)
 		}
-		path = appendString(path, r.Value)
-		path = binary.AppendUvarint(path, uint64(len(r.Postings)))
-		pathPostings += len(r.Postings)
-		for _, p := range r.Postings {
-			path = appendRelID(path, p.ID)
-			path = binary.AppendUvarint(path, uint64(p.ByteLen))
-			pathComps += len(p.ID) - 1
-		}
+		start := len(lists)
+		lists = appendPathList(lists, pl, slot)
+		dir = binary.AppendUvarint(dir, uint64(len(lists)-start))
 	}
-	var dir, lists []byte
-	pls := iix.Lists()
-	for _, pl := range pls {
+	kls := iix.Lists()
+	for _, kl := range kls {
+		dir = binary.AppendUvarint(dir, uint64(len(kl.Keyword)))
+		text = append(text, kl.Keyword...)
 		start, comps := len(lists), 0
-		for _, p := range pl.Postings {
+		for _, p := range kl.Postings {
 			comps += len(p.ID) - 1
 		}
-		lists = binary.AppendUvarint(lists, uint64(len(pl.Postings)))
+		lists = binary.AppendUvarint(lists, uint64(len(kl.Postings)))
 		lists = binary.AppendUvarint(lists, uint64(comps))
-		for _, p := range pl.Postings {
+		for _, p := range kl.Postings {
 			lists = appendRelID(lists, p.ID)
 			lists = binary.AppendUvarint(lists, uint64(p.TF))
 		}
-		dir = appendString(dir, pl.Keyword)
 		dir = binary.AppendUvarint(dir, uint64(len(lists)-start))
 	}
-	dst := make([]byte, 4, 64+len(path)+len(dir)+len(lists))
-	for _, v := range []int{iix.Elements(), len(path), pathPostings, pathComps} {
+	dst := make([]byte, 4, 64+len(dir)+len(text)+len(lists))
+	for _, v := range []int{iix.Elements(), len(paths), values, len(kls), len(dir), len(text)} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	dst = append(dst, path...)
-	dst = binary.AppendUvarint(dst, uint64(len(pls)))
-	dst = binary.AppendUvarint(dst, uint64(len(dir)))
-	dst = append(append(dst, dir...), lists...)
+	dst = append(append(append(dst, dir...), text...), lists...)
 	binary.LittleEndian.PutUint32(dst, crc32.ChecksumIEEE(dst[4:]))
+	return dst
+}
+
+// appendPathList encodes one path's list: its posting count, the relative
+// Dewey components per ID (every element on a path sits at the same depth),
+// then per posting those components, its subtree byte length and its value
+// ordinal — 0 without a value, k+1 for the path's k-th value.
+func appendPathList(dst []byte, pl pathindex.Lists, slot int) []byte {
+	postings, nv := pl.Postings(slot, nil), pl.Values(slot)
+	comps := 0
+	if len(postings) > 0 {
+		comps = len(postings[0].ID) - 1
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(postings)))
+	dst = binary.AppendUvarint(dst, uint64(comps))
+	for _, p := range postings {
+		for _, c := range p.ID[1:] {
+			dst = binary.AppendUvarint(dst, uint64(c))
+		}
+		dst = binary.AppendUvarint(dst, uint64(p.ByteLen))
+		ord := 0
+		if p.HasValue {
+			k, _ := sort.Find(nv, func(k int) int { return strings.Compare(p.Value, pl.Value(slot, k)) })
+			ord = k + 1
+		}
+		dst = binary.AppendUvarint(dst, uint64(ord))
+	}
 	return dst
 }
 
@@ -365,6 +391,18 @@ func (c *cursor) end(what string) error {
 	return c.err
 }
 
+// appendEnd reads the byte length of the next string or list the directory
+// sizes and appends where it ends in its region of size bytes.
+func (c *cursor) appendEnd(ends []uint32, size int) []uint32 {
+	start := ends[len(ends)-1]
+	if n := c.uvarint(); c.err == nil && n > uint64(size)-uint64(start) {
+		c.err = corruptf("directory entry at %d overruns its region", c.off)
+	} else {
+		start += uint32(n)
+	}
+	return append(ends, start)
+}
+
 // idSlab carves root-relative Dewey IDs, re-rooted under a document ID, out
 // of one allocation sized by the counts the record declares.
 type idSlab struct {
@@ -389,119 +427,202 @@ func (s *idSlab) next(c *cursor) dewey.ID {
 	return id
 }
 
-// indexRecord is an index record's parsed header: the counts, and where the
-// two halves lie in the payload.
-type indexRecord struct {
-	payload                           []byte
-	elements, pathPostings, pathComps int
-	path                              []byte // the path half
-	inverted                          int    // payload offset of the inverted half
+// storedIndex is an opened index record: its directory parsed into offset
+// tables, and its text and lists — the only record bytes a cached index
+// keeps — copied out of the buffer the record was read into, once each. It
+// serves both indices' lists (pathLists, keywordLists).
+type storedIndex struct {
+	docID    int32
+	elements int
+	paths    []string // the path directory, interned
+	text     string   // every path's values, then the keywords
+	lists    []byte   // every path's list, then every keyword's
+	// String g of text (the paths' values, then the keywords) is
+	// text[strEnds[g]:strEnds[g+1]]; list s (the paths', then the
+	// keywords') is lists[listEnds[s]:listEnds[s+1]]; path p's values are
+	// strings firstValue[p] to firstValue[p+1]-1.
+	strEnds, listEnds, firstValue []uint32
+	note                          func(error) // receives a list's decode failure
 }
 
-// parseHeader parses the header of a payload at least its checksum long,
-// without verifying it. A posting is at least two bytes, a component one:
-// that bounds the counts, and the slabs sized from them, by the record.
-func (rec *indexRecord) parseHeader() error {
-	c := cursor{buf: rec.payload, off: 4}
-	rec.elements = c.count(1)
-	pathLen := c.count(1)
-	rec.pathPostings, rec.pathComps = c.count(2), c.count(1)
-	rec.path = c.bytes(pathLen)
-	rec.inverted = c.off
-	return c.err
-}
-
-// residentBytes estimates what a cached index over the record keeps on the
-// heap: the record (the inverted half is served from it) plus the decoded
-// path half — each posting in its row and, for a multi-valued path, again in
-// the merged list; the IDs; the encoded size twice over for the strings (in
-// the rows, in the B+-tree keys). Tree nodes and the directory are left out.
-func (rec *indexRecord) residentBytes() int64 {
-	const postingBytes = 56 // unsafe.Sizeof(pathindex.Posting{})
-	return int64(len(rec.payload) + 2*len(rec.path) + 2*postingBytes*rec.pathPostings + 4*(rec.pathPostings+rec.pathComps))
-}
-
-// pathIndex decodes the path half, eagerly and whole (planning matches
-// patterns against all of its paths, and it is a tenth of the inverted half
-// in postings), reconstructing exactly what pathindex.Build produced.
-func (rec *indexRecord) pathIndex(docID int32) (*pathindex.Index, error) {
-	c := cursor{buf: rec.path}
-	rows := make([]pathindex.Row, c.count(4)) // a row is at least four bytes
-	ids := idSlab{docID, make([]int32, rec.pathPostings+rec.pathComps)}
-	postings := make([]pathindex.Posting, rec.pathPostings)
-	for i := range rows {
-		r := &rows[i]
-		r.Path = string(c.bytes(c.count(1)))
-		r.HasValue = c.uvarint() != 0
-		r.Value = string(c.bytes(c.count(1)))
-		np := c.count(2)
-		if np > len(postings) {
-			return nil, corruptf("more path postings at %d than the record declares", c.off)
-		}
-		// Capped: pathindex.FromRows shares a single-row path's slice and
-		// must copy, not grow into the next row's, when a path has several.
-		r.Postings, postings = postings[:np:np], postings[np:]
-		for j := range r.Postings {
-			r.Postings[j] = pathindex.Posting{ID: ids.next(&c), ByteLen: int(c.uvarint()), Value: r.Value, HasValue: r.HasValue}
-		}
-	}
-	if err := c.end("path half"); err != nil {
-		return nil, err
-	}
-	return pathindex.FromRows(rows), nil
-}
-
-// listView is the inverted half of an index record as invindex's list
-// source: the list bytes and where each directory slot's list ends in them.
-type listView struct {
-	docID int32
-	lists []byte   // aliases the record
-	ends  []uint32 // ends[slot] = end of the slot's list in lists
-	note  func(error)
-}
-
-// invIndex parses the keyword directory and returns the inverted index as a
-// view over the record's lists. note receives the error of any list that
-// later fails to decode; such a list answers empty.
-func (rec *indexRecord) invIndex(docID int32, note func(error)) (*invindex.Index, error) {
-	c := cursor{buf: rec.payload, off: rec.inverted}
-	keywords := make([]string, c.count(2))
-	dir := cursor{buf: c.bytes(c.count(1))}
+// openIndexRecord parses the header and directory of a payload whose
+// checksum has been verified (or that was just encoded) and copies out what
+// the indices keep; payload itself is not retained. A path's directory
+// entry is at least five bytes, a value's one and a keyword's two: that
+// bounds the tables sized from the header's counts by the record.
+func openIndexRecord(payload []byte, docID int32, note func(error)) (*storedIndex, error) {
+	c := cursor{buf: payload, off: 4}
+	s := &storedIndex{docID: docID, note: note, elements: c.count(1)}
+	paths, values, keywords := c.count(5), c.count(1), c.count(2)
+	dirLen, textLen := c.count(1), c.count(1)
+	dir, text := cursor{buf: c.bytes(dirLen)}, c.bytes(textLen)
 	if c.err != nil {
 		return nil, c.err
 	}
-	v := &listView{docID: docID, lists: rec.payload[c.off:], ends: make([]uint32, len(keywords)), note: note}
-	// One string holds the directory; the keywords are slices of it.
-	blob, end := string(dir.buf), uint64(0)
-	for i := range keywords {
-		kw := dir.count(1)
-		if dir.bytes(kw); dir.err != nil {
-			return nil, dir.err
+	lists := payload[c.off:]
+	s.paths = make([]string, paths)
+	s.firstValue = make([]uint32, paths+1)
+	s.strEnds = make([]uint32, 1, values+keywords+1)
+	s.listEnds = make([]uint32, 1, paths+keywords+1)
+	str := func(g int) []byte { return text[s.strEnds[g]:s.strEnds[g+1]] }
+	for p := range s.paths {
+		path := dir.bytes(dir.count(1))
+		if dir.err == nil && (len(path) < 2 || path[0] != '/' || p > 0 && s.paths[p-1] >= string(path)) {
+			dir.err = corruptf("path directory entry %d is not a path in order", p)
 		}
-		keywords[i] = blob[dir.off-kw : dir.off]
-		if end += dir.uvarint(); dir.err != nil || end > uint64(len(v.lists)) {
-			return nil, corruptf("keyword directory entry %d overruns the record's lists", i)
+		s.paths[p] = intern.String(string(path))
+		for k := range dir.count(1) {
+			if s.strEnds = dir.appendEnd(s.strEnds, len(text)); dir.err == nil && k > 0 {
+				if g := len(s.strEnds) - 2; bytes.Compare(str(g-1), str(g)) >= 0 {
+					dir.err = corruptf("values of path %d out of order at %d", p, k)
+				}
+			}
 		}
-		if v.ends[i] = uint32(end); i > 0 && keywords[i-1] >= keywords[i] {
-			return nil, corruptf("keyword directory out of order at entry %d", i)
-		}
+		s.firstValue[p+1] = uint32(len(s.strEnds) - 1)
+		s.listEnds = dir.appendEnd(s.listEnds, len(lists))
 	}
-	if err := dir.end("keyword directory"); err != nil {
+	if dir.err == nil && len(s.strEnds)-1 != values {
+		dir.err = corruptf("path directory holds %d values, the header %d", len(s.strEnds)-1, values)
+	}
+	for k := range keywords {
+		if s.strEnds = dir.appendEnd(s.strEnds, len(text)); dir.err == nil && k > 0 {
+			if g := len(s.strEnds) - 2; bytes.Compare(str(g-1), str(g)) >= 0 {
+				dir.err = corruptf("keyword directory out of order at entry %d", k)
+			}
+		}
+		s.listEnds = dir.appendEnd(s.listEnds, len(lists))
+	}
+	if err := dir.end("directory"); err != nil {
 		return nil, err
 	}
-	if end != uint64(len(v.lists)) {
-		return nil, corruptf("keyword directory covers %d of %d list bytes", end, len(v.lists))
+	if s.strEnds[len(s.strEnds)-1] != uint32(len(text)) || s.listEnds[len(s.listEnds)-1] != uint32(len(lists)) {
+		return nil, corruptf("directory covers %d of %d text and %d of %d list bytes",
+			s.strEnds[len(s.strEnds)-1], len(text), s.listEnds[len(s.listEnds)-1], len(lists))
 	}
-	return invindex.NewView(keywords, rec.elements, v.postings), nil
+	s.text, s.lists = string(text), bytes.Clone(lists)
+	return s, nil
 }
 
-// postings decodes one slot's list: IDs in one slab, postings in one slice.
-func (v *listView) postings(slot int) []invindex.Posting {
-	start := uint32(0)
-	if slot > 0 {
-		start = v.ends[slot-1]
+// indices returns the record's path index and inverted index, both views
+// over what it keeps.
+func (s *storedIndex) indices() (*pathindex.Index, *invindex.Index) {
+	return pathindex.NewView(s.paths, pathLists{s}), invindex.NewView(s.elements, keywordLists{s})
+}
+
+// residentBytes is what a cached index over the record keeps on the heap:
+// the text and the lists, the offset tables, and the path directory with
+// its split segments (pathindex.NewView). Struct headers and allocator
+// rounding are left out.
+func (s *storedIndex) residentBytes() int64 {
+	const stringHeader, sliceHeader = 16, 24
+	n := len(s.text) + len(s.lists) + 4*(len(s.strEnds)+len(s.listEnds)+len(s.firstValue))
+	for _, p := range s.paths {
+		n += stringHeader + sliceHeader + stringHeader*strings.Count(p, "/")
 	}
-	c := cursor{buf: v.lists[start:v.ends[slot]]}
+	return int64(n)
+}
+
+func (s *storedIndex) str(g int) string     { return s.text[s.strEnds[g]:s.strEnds[g+1]] }
+func (s *storedIndex) list(slot int) []byte { return s.lists[s.listEnds[slot]:s.listEnds[slot+1]] }
+
+// pathLists is the path half of a stored index record as pathindex's
+// Lists: values are substrings of the record's text, and a path's list is
+// decoded on every call.
+type pathLists struct{ *storedIndex }
+
+// Values returns the number of distinct values on a path.
+func (v pathLists) Values(slot int) int { return int(v.firstValue[slot+1] - v.firstValue[slot]) }
+
+// Value returns a path's k-th value, a substring of the record's text.
+func (v pathLists) Value(slot, k int) string { return v.str(int(v.firstValue[slot]) + k) }
+
+// Postings decodes one path's list, keeping the postings whose value keep
+// marks (all when keep is nil): postings in one slice, the kept IDs in one
+// slab, values sliced from the text. A list that fails to decode is noted
+// and answers empty.
+func (v pathLists) Postings(slot int, keep []bool) []pathindex.Posting {
+	c := cursor{buf: v.list(slot)}
+	n, comps := c.uvarint(), c.uvarint()
+	if c.err == nil && (comps >= uint64(len(c.buf)) || n > uint64(len(c.buf))/(comps+2)) {
+		c.err = corruptf("path list of %d bytes claims %d postings of %d components", len(c.buf), n, comps)
+	}
+	if c.err != nil {
+		v.note(c.err)
+		return nil
+	}
+	width, kept, nv := int(comps)+1, int(n), uint64(v.Values(slot))
+	if keep != nil {
+		kept = countKept(c, kept, width-1, keep)
+	}
+	ps := make([]pathindex.Posting, 0, kept)
+	// One ID to spare: a posting not kept is decoded into the next free
+	// cell, which it does not claim.
+	ids := make([]int32, (kept+1)*width)
+	for range n {
+		if len(ids) < width {
+			c.err = corruptf("path list at %d keeps more postings than it counted", c.off)
+			break
+		}
+		id := ids[:width:width]
+		id[0] = v.docID
+		for j := 1; j < width; j++ {
+			id[j] = int32(c.uvarint())
+		}
+		byteLen, ord := c.uvarint(), c.uvarint()
+		if c.err == nil && ord > nv {
+			c.err = corruptf("value ordinal %d of %d at %d", ord, nv, c.off)
+		}
+		if c.err != nil {
+			break
+		}
+		if keep != nil && (ord == 0 || !keep[ord-1]) {
+			continue
+		}
+		p := pathindex.Posting{ID: id, ByteLen: int(byteLen)}
+		if ord > 0 {
+			p.Value, p.HasValue = v.Value(slot, int(ord-1)), true
+		}
+		ps = append(ps, p)
+		ids = ids[width:]
+	}
+	if err := c.end("path list"); err != nil {
+		v.note(err)
+		return nil
+	}
+	return ps
+}
+
+// countKept counts the postings of a path list (c past its header) whose
+// value keep marks.
+func countKept(c cursor, n, comps int, keep []bool) int {
+	kept := 0
+	for range n {
+		for range comps + 1 {
+			c.uvarint()
+		}
+		if ord := c.uvarint(); ord > 0 && ord <= uint64(len(keep)) && keep[ord-1] {
+			kept++
+		}
+	}
+	return kept
+}
+
+// keywordLists is the inverted half of a stored index record as invindex's
+// Stored: the keywords are substrings of the record's text, and a keyword's
+// list is decoded on every lookup.
+type keywordLists struct{ *storedIndex }
+
+// Keywords returns the number of keywords in the directory.
+func (v keywordLists) Keywords() int { return len(v.listEnds) - 1 - len(v.paths) }
+
+// Keyword returns a directory slot's keyword, a substring of the record's
+// text.
+func (v keywordLists) Keyword(slot int) string { return v.str(int(v.firstValue[len(v.paths)]) + slot) }
+
+// Postings decodes one keyword's list: IDs in one slab, postings in one
+// slice. A list that fails to decode is noted and answers empty.
+func (v keywordLists) Postings(slot int) []invindex.Posting {
+	c := cursor{buf: v.list(len(v.paths) + slot)}
 	ps := make([]invindex.Posting, c.count(2))
 	ids := idSlab{v.docID, make([]int32, len(ps)+c.count(1))}
 	for i := range ps {
@@ -515,22 +636,18 @@ func (v *listView) postings(slot int) []invindex.Posting {
 }
 
 // decodeIndexPayload opens an index record under the given document ID:
-// checksum verified, the path index decoded, the inverted index a view over
-// payload (which it keeps), and the pair's resident bytes.
+// checksum verified, both indices views over what the record keeps, and
+// their resident bytes.
 func decodeIndexPayload(payload []byte, docID int32, note func(error)) (*pathindex.Index, *invindex.Index, int64, error) {
 	if len(payload) < 4 || crc32.ChecksumIEEE(payload[4:]) != binary.LittleEndian.Uint32(payload) {
 		return nil, nil, 0, corruptf("index record of %d bytes fails its checksum", len(payload))
 	}
-	rec := indexRecord{payload: payload}
-	if err := rec.parseHeader(); err != nil {
-		return nil, nil, 0, err
-	}
-	pix, err := rec.pathIndex(docID)
+	s, err := openIndexRecord(payload, docID, note)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	iix, err := rec.invIndex(docID, note)
-	return pix, iix, rec.residentBytes(), err
+	pix, iix := s.indices()
+	return pix, iix, s.residentBytes(), nil
 }
 
 // --- manifest ---

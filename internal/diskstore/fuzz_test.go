@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"vxml/internal/dewey"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
+	"vxml/internal/pred"
 	"vxml/internal/xmltree"
 )
 
@@ -56,10 +58,12 @@ func FuzzDecodeNodePayload(f *testing.F) {
 }
 
 // FuzzDecodeIndexPayload: opening an index record and probing the opened
-// view never panic and only fail typed. Each input is tried as found and
+// views never panic and only fail typed. Each input is tried as found and
 // with its checksum made to match, so that the parsers behind the checksum
 // are reached; every directory keyword, and the input itself as a keyword,
-// is then looked up, which decodes every list the directory admits.
+// is then looked up, and every directory path matched and looked up with
+// no predicate, a range and a textual equality, which decodes every list
+// the directories admit.
 func FuzzDecodeIndexPayload(f *testing.F) {
 	f.Add(seedIndexPayload())
 	f.Add([]byte{})
@@ -75,7 +79,7 @@ func FuzzDecodeIndexPayload(f *testing.F) {
 			binary.LittleEndian.PutUint32(resealed, crc32.ChecksumIEEE(resealed[4:]))
 		}
 		for _, payload := range [][]byte{data, resealed} {
-			_, iix, _, err := decodeIndexPayload(payload, 7, note)
+			pix, iix, _, err := decodeIndexPayload(payload, 7, note)
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("untyped decode error: %v", err)
@@ -86,6 +90,16 @@ func FuzzDecodeIndexPayload(f *testing.F) {
 				iix.Lookup(pl.Keyword).SubtreeTF(dewey.ID{7})
 			}
 			iix.Lookup(string(data)).ContainsSubtree(dewey.ID{7, 1})
+			for _, path := range pix.Paths() {
+				var steps []pathindex.Step
+				for _, tag := range strings.Split(path[1:], "/") {
+					steps = append(steps, pathindex.Step{Axis: pathindex.Child, Tag: tag})
+				}
+				pix.MatchFullPaths(steps)
+				for _, preds := range [][]pred.Predicate{nil, {{Op: pred.Gt, Lit: "1"}}, {{Op: pred.Eq, Lit: "hello"}}} {
+					pix.LookupPath(steps, preds)
+				}
+			}
 		}
 	})
 }

@@ -1,10 +1,10 @@
 package diskstore
 
-// The inverted index of a disk-resident document is a view over its encoded
-// record: a sorted keyword directory, and one list decoded per lookup. These
-// tests pin that the view answers exactly as invindex.Build's resident index
-// does, that damage surfaces as ErrCorrupt, and what a miss and a lookup
-// allocate.
+// Both indices of a disk-resident document are views over its stored
+// record: a sorted path directory and a sorted keyword directory, and one
+// list decoded per lookup. These tests pin that the views answer exactly as
+// pathindex.Build's and invindex.Build's resident indices do, that damage
+// surfaces as ErrCorrupt, and what a miss and a lookup allocate.
 
 import (
 	"errors"
@@ -20,6 +20,7 @@ import (
 	"vxml/internal/inex"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
+	"vxml/internal/pred"
 	"vxml/internal/store"
 	"vxml/internal/xmltree"
 )
@@ -69,10 +70,11 @@ func servedXML(seed int64, articles, minWords int) string {
 }
 
 // servedDoc is the document the microbenchmarks and allocation pins use:
-// 38 articles of 45..104 body words, as disk_served generates them.
-func servedDoc(tb testing.TB, name string, docID int32, minWords int) *xmltree.Document {
+// by default 38 articles of 45..104 body words, as disk_served generates
+// them.
+func servedDoc(tb testing.TB, name string, docID int32, articles, minWords int) *xmltree.Document {
 	tb.Helper()
-	doc, err := xmltree.ParseString(servedXML(7, 38, minWords), name, docID)
+	doc, err := xmltree.ParseString(servedXML(7, articles, minWords), name, docID)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -130,11 +132,11 @@ func absentKeywords(r *rand.Rand, lists []*invindex.PostingList, n int) []string
 	return kept
 }
 
-// TestIndexViewMatchesBuild: for every directory keyword the list decoded
-// from the record equals Build's posting for posting, range sums and
-// containment agree on every element ID and on IDs that name no element,
-// and absent keywords answer empty.
-func TestIndexViewMatchesBuild(t *testing.T) {
+// oracleDocs are the documents the views are checked against Build on:
+// INEX-shaped ones, disk_served- and collection_fanout-shaped ones, a
+// single element, and one with almost no words.
+func oracleDocs(t *testing.T) map[string]*xmltree.Document {
+	t.Helper()
 	corpus := inex.Generate(inex.Options{TargetBytes: 24 << 10, Seed: 5})
 	docs := map[string]*xmltree.Document{"inex": corpus.INEX, "authors": corpus.Authors}
 	for _, doc := range docs {
@@ -153,8 +155,39 @@ func TestIndexViewMatchesBuild(t *testing.T) {
 		}
 		docs[name] = doc
 	}
+	return docs
+}
+
+// samePathLists reports how got's path directory or lists differ from
+// want's, if they do: every path, value and posting, in order.
+func samePathLists(got, want *pathindex.Index) error {
+	if !reflect.DeepEqual(got.Paths(), want.Paths()) {
+		return fmt.Errorf("directory %v, want %v", got.Paths(), want.Paths())
+	}
+	gl, wl := got.Lists(), want.Lists()
+	for slot, path := range want.Paths() {
+		if gl.Values(slot) != wl.Values(slot) {
+			return fmt.Errorf("%s has %d values, want %d", path, gl.Values(slot), wl.Values(slot))
+		}
+		for k := range wl.Values(slot) {
+			if gl.Value(slot, k) != wl.Value(slot, k) {
+				return fmt.Errorf("%s value %d is %q, want %q", path, k, gl.Value(slot, k), wl.Value(slot, k))
+			}
+		}
+		if !reflect.DeepEqual(gl.Postings(slot, nil), wl.Postings(slot, nil)) {
+			return fmt.Errorf("%s list differs", path)
+		}
+	}
+	return nil
+}
+
+// TestIndexViewMatchesBuild: for every directory keyword the list decoded
+// from the record equals Build's posting for posting, range sums and
+// containment agree on every element ID and on IDs that name no element,
+// and absent keywords answer empty.
+func TestIndexViewMatchesBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
-	for name, doc := range docs {
+	for name, doc := range oracleDocs(t) {
 		want := invindex.Build(doc)
 		var noted error
 		_, got, _, err := decodeIndexPayload(encodeIndexPayload(pathindex.Build(doc), want), doc.DocID, func(err error) { noted = err })
@@ -188,6 +221,93 @@ func TestIndexViewMatchesBuild(t *testing.T) {
 			if gl.Len() != 0 || gl.TotalTF() != 0 || gl.SubtreeTF(doc.Root.ID) != 0 || gl.ContainsSubtree(doc.Root.ID) {
 				t.Fatalf("%s: absent keyword %q answers %+v", name, kw, gl)
 			}
+		}
+		if noted != nil {
+			t.Fatalf("%s: a valid record noted %v", name, noted)
+		}
+	}
+}
+
+// TestPathViewMatchesBuild: the path index a record opens answers every
+// lookup exactly as pathindex.Build's resident index does — the same full
+// paths, segments and postings in the same order, for every pattern ×
+// predicate set of TestLookupPathEqualsScanCopySort plus equalities on
+// values the document holds — and counts the same probes; it agrees with
+// Build on the directory, MatchFullPaths, DistinctRowCount and TagPostings.
+func TestPathViewMatchesBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for name, doc := range oracleDocs(t) {
+		want := pathindex.Build(doc)
+		var noted error
+		got, _, _, err := decodeIndexPayload(encodeIndexPayload(want, invindex.Build(doc)), doc.DocID, func(err error) { noted = err })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := samePathLists(got, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.DistinctRowCount() != want.DistinctRowCount() {
+			t.Fatalf("%s: %d rows, Build %d", name, got.DistinctRowCount(), want.DistinctRowCount())
+		}
+		predSets := [][]pred.Predicate{
+			nil,
+			{{Op: pred.Eq, Lit: "x"}},
+			{{Op: pred.Eq, Lit: "7"}},
+			{{Op: pred.Eq, Lit: "07"}},
+			{{Op: pred.Eq, Lit: "7.00"}},
+			{{Op: pred.Eq, Lit: "1990"}},
+			{{Op: pred.Eq, Lit: "1990.0"}},
+			{{Op: pred.Gt, Lit: "5"}},
+			{{Op: pred.Lt, Lit: "x"}},
+			{{Op: pred.Gt, Lit: "3"}, {Op: pred.Lt, Lit: "12"}},
+			{{Op: pred.Eq, Lit: "7"}, {Op: pred.Gt, Lit: "1"}},
+		}
+		tags := map[string]bool{}
+		var patterns [][]pathindex.Step
+		var leafValues []string
+		doc.Root.Walk(func(n *xmltree.Node) {
+			tags[n.Tag] = true
+			if n.IsLeaf() {
+				leafValues = append(leafValues, n.Value)
+			}
+		})
+		for i := 0; i < 3 && len(leafValues) > 0; i++ {
+			predSets = append(predSets, []pred.Predicate{{Op: pred.Eq, Lit: leafValues[r.Intn(len(leafValues))]}})
+		}
+		for _, path := range want.Paths() {
+			var steps []pathindex.Step
+			for _, tag := range strings.Split(path[1:], "/") {
+				steps = append(steps, pathindex.Step{Axis: pathindex.Child, Tag: tag})
+			}
+			patterns = append(patterns, steps)
+		}
+		for tag := range tags {
+			patterns = append(patterns,
+				[]pathindex.Step{{Axis: pathindex.Descendant, Tag: tag}},
+				[]pathindex.Step{{Axis: pathindex.Child, Tag: doc.Root.Tag}, {Axis: pathindex.Descendant, Tag: tag}})
+		}
+		for _, pattern := range patterns {
+			if g, w := got.MatchFullPaths(pattern), want.MatchFullPaths(pattern); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: MatchFullPaths(%s) = %v, Build %v", name, pathindex.FormatSteps(pattern), g, w)
+			}
+			for _, preds := range predSets {
+				gp, wp := got.Probes(), want.Probes()
+				g, w := got.LookupPath(pattern, preds), want.LookupPath(pattern, preds)
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: LookupPath(%s, %v)\n got %+v\nwant %+v", name, pathindex.FormatSteps(pattern), preds, g, w)
+				}
+				if gp, wp = got.Probes()-gp, want.Probes()-wp; gp != wp {
+					t.Fatalf("%s: LookupPath(%s, %v) counted %d probes, Build %d", name, pathindex.FormatSteps(pattern), preds, gp, wp)
+				}
+			}
+		}
+		for tag := range tags {
+			if g, w := got.TagPostings(tag), want.TagPostings(tag); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: TagPostings(%s) differs from Build's", name, tag)
+			}
+		}
+		if got.TagPostings("nope") != nil {
+			t.Fatalf("%s: an absent tag has postings", name)
 		}
 		if noted != nil {
 			t.Fatalf("%s: a valid record noted %v", name, noted)
@@ -271,15 +391,15 @@ func TestCorruptListAnswersEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeIndexPayload(pathindex.Build(doc), invindex.Build(doc))
 	var noted error
-	_, iix, _, err := decodeIndexPayload(payload, 3, func(err error) { noted = err })
+	s, err := openIndexRecord(encodeIndexPayload(pathindex.Build(doc), invindex.Build(doc)), 3, func(err error) { noted = err })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The last list is the last bytes of the record; the view reads them at
-	// lookup time, so damage done now is damage after the checksum passed.
-	payload[len(payload)-1] = 0xff
+	_, iix := s.indices()
+	// The last list is the last bytes the record keeps; the view reads them
+	// at lookup time, so damage done now is damage after the checksum passed.
+	s.lists[len(s.lists)-1] = 0xff
 	lists := invindex.Build(doc).Lists()
 	if pl := iix.Lookup(lists[len(lists)-1].Keyword); pl.Len() != 0 || pl.SubtreeTF(dewey.ID{3}) != 0 {
 		t.Fatalf("damaged list answered %+v", pl)
@@ -289,7 +409,46 @@ func TestCorruptListAnswersEmpty(t *testing.T) {
 	}
 }
 
-// TestOlderFormatIsRefused: a vxdata1 directory is refused with a typed
+// TestCorruptPathListAnswersEmpty: a path list that stops parsing after
+// the record was opened — a varint that runs off its end, a value ordinal
+// past the path's values — is noted and answers empty, with or without
+// predicates, and the other paths still answer.
+func TestCorruptPathListAnswersEmpty(t *testing.T) {
+	doc, err := xmltree.ParseString(`<a><b>hello world</b><c>hello again</c></a>`, "d.xml", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noted error
+	s, err := openIndexRecord(encodeIndexPayload(pathindex.Build(doc), invindex.Build(doc)), 3, func(err error) { noted = err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	pix, _ := s.indices()
+	if got := pix.Paths(); !reflect.DeepEqual(got, []string{"/a", "/a/b", "/a/c"}) {
+		t.Fatalf("paths %v", got)
+	}
+	ac := []pathindex.Step{{Axis: pathindex.Child, Tag: "a"}, {Axis: pathindex.Child, Tag: "c"}}
+	ab := []pathindex.Step{{Axis: pathindex.Child, Tag: "a"}, {Axis: pathindex.Child, Tag: "b"}}
+	// The last byte of /a/c's list is its one posting's value ordinal.
+	last := s.listEnds[3] - 1
+	for _, damage := range []byte{0xff, 2} {
+		s.lists[last] = damage
+		for _, preds := range [][]pred.Predicate{nil, {{Op: pred.Eq, Lit: "hello again"}}, {{Op: pred.Gt, Lit: "a"}}} {
+			noted = nil
+			if got := pix.LookupPath(ac, preds); got != nil {
+				t.Fatalf("damage %#x, %v: the damaged list answered %+v", damage, preds, got)
+			}
+			if !errors.Is(noted, ErrCorrupt) {
+				t.Fatalf("damage %#x, %v: noted %v, want ErrCorrupt", damage, preds, noted)
+			}
+		}
+		if got := pix.LookupPath(ab, nil); len(got) != 1 || got[0].Postings[0].Value != "hello world" {
+			t.Fatalf("damage %#x: an intact path answered %+v", damage, got)
+		}
+	}
+}
+
+// TestOlderFormatIsRefused: a vxdata2 directory is refused with a typed
 // error naming the version, and left exactly as found.
 func TestOlderFormatIsRefused(t *testing.T) {
 	dir := t.TempDir()
@@ -305,7 +464,7 @@ func TestOlderFormatIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(raw, "vxdata1\n")
+	copy(raw, "vxdata2\n")
 	if err := os.WriteFile(dpath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +473,8 @@ func TestOlderFormatIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Open(dir)
-	if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "vxdata1") {
-		t.Fatalf("Open = %v, want ErrFormatVersion naming vxdata1", err)
+	if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), "vxdata2") {
+		t.Fatalf("Open = %v, want ErrFormatVersion naming vxdata2", err)
 	}
 	if after, _ := os.ReadFile(dpath); !reflect.DeepEqual(after, raw) {
 		t.Fatal("refusing the directory changed its data log")
@@ -326,7 +485,8 @@ func TestOlderFormatIsRefused(t *testing.T) {
 }
 
 // TestIndexCacheReportsResidentBytes: DiskStats shows what the cached
-// indices keep resident — at least their records — and lets go of it.
+// indices keep resident — their records' text and lists plus the
+// directories, so a little more than the records — and lets go of it.
 func TestIndexCacheReportsResidentBytes(t *testing.T) {
 	s := store.NewSharded(2)
 	var recordBytes int64
@@ -346,7 +506,7 @@ func TestIndexCacheReportsResidentBytes(t *testing.T) {
 		recordBytes += int64(ds.entry(info.Name).index.n)
 	}
 	st := ds.DiskStats().IndexCache
-	if st.Entries != 3 || st.Bytes <= recordBytes || st.Bytes > 8*recordBytes {
+	if st.Entries != 3 || st.Bytes <= recordBytes || 4*st.Bytes > 5*recordBytes {
 		t.Fatalf("index cache reports %+v for %d record bytes", st, recordBytes)
 	}
 	if err := ds.Delete("d1.xml"); err != nil {
@@ -357,14 +517,17 @@ func TestIndexCacheReportsResidentBytes(t *testing.T) {
 	}
 }
 
-// TestViewAllocations pins what the view costs in objects: a miss
-// allocates the same number whatever the inverted half holds (the large
-// document has three times the words per article), a lookup that
-// hits at most four (the list, its postings, their IDs, the prefix sums),
-// an absent keyword at most one.
+// TestViewAllocations pins what the views cost in objects: a miss
+// allocates the same number whatever the record's lists hold — for a
+// document with three times the words per article (inverted postings) and
+// for one with half as many articles again (path postings, values and
+// keywords) — a keyword lookup that hits at most four (the list, its
+// postings, their IDs, the prefix sums), an absent keyword at most one, and
+// a path lookup without predicates at most three (the result, the postings,
+// their IDs): none per value.
 func TestViewAllocations(t *testing.T) {
-	small, large := servedDoc(t, "small.xml", 1, 45), servedDoc(t, "large.xml", 2, 150)
-	ds := uncachedStore(t, small, large)
+	small, large, wide := servedDoc(t, "small.xml", 1, 38, 45), servedDoc(t, "large.xml", 2, 38, 150), servedDoc(t, "wide.xml", 3, 60, 45)
+	ds := uncachedStore(t, small, large, wide)
 	miss := func(name string) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, _, err := ds.StoredIndices(name); err != nil {
@@ -378,13 +541,26 @@ func TestViewAllocations(t *testing.T) {
 		}
 		return n
 	}
+	pathPostings := func(doc *xmltree.Document) (n int) {
+		pix := pathindex.Build(doc)
+		for slot := range pix.Paths() {
+			n += len(pix.Lists().Postings(slot, nil))
+		}
+		return n
+	}
 	if ps, pl := postings(small), postings(large); pl < ps*3/2 {
 		t.Fatalf("the large document has %d postings to the small one's %d: not a test of independence", pl, ps)
 	}
-	if ms, ml := miss("small.xml"), miss("large.xml"); ms != ml {
-		t.Errorf("a miss allocates %.0f objects over the small document, %.0f over the large", ms, ml)
+	if ps, pw := pathPostings(small), pathPostings(wide); pw < ps*3/2 {
+		t.Fatalf("the wide document has %d path postings to the small one's %d: not a test of independence", pw, ps)
 	}
-	_, iix, err := ds.StoredIndices("large.xml")
+	ms := miss("small.xml")
+	for _, name := range []string{"large.xml", "wide.xml"} {
+		if m := miss(name); m != ms {
+			t.Errorf("a miss allocates %.0f objects over the small document, %.0f over %s", ms, m, name)
+		}
+	}
+	pix, iix, err := ds.StoredIndices("large.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,13 +571,25 @@ func TestViewAllocations(t *testing.T) {
 	if absent := testing.AllocsPerRun(100, func() { sink = iix.Lookup("nosuchword") }); absent > 1 || sink.Len() != 0 {
 		t.Errorf("an absent keyword allocates %.0f objects, want <= 1", absent)
 	}
+	var res []pathindex.PathPostings
+	if hit := testing.AllocsPerRun(100, func() { res = pix.LookupPath(bdySteps, nil) }); hit > 3 || len(res) != 1 || len(res[0].Postings) != 38 || !res[0].Postings[0].HasValue {
+		t.Errorf("a path lookup that hits allocates %.0f objects for %+v, want <= 3", hit, res)
+	}
 }
+
+// bdySteps and yrSteps are the patterns of the disk_served view's body and
+// year probes.
+var (
+	bdySteps = []pathindex.Step{{Axis: pathindex.Child, Tag: "books"}, {Axis: pathindex.Descendant, Tag: "article"}, {Axis: pathindex.Child, Tag: "bdy"}}
+	yrSteps  = []pathindex.Step{{Axis: pathindex.Child, Tag: "books"}, {Axis: pathindex.Descendant, Tag: "article"}, {Axis: pathindex.Child, Tag: "fm"}, {Axis: pathindex.Child, Tag: "yr"}}
+	auSteps  = []pathindex.Step{{Axis: pathindex.Child, Tag: "books"}, {Axis: pathindex.Descendant, Tag: "article"}, {Axis: pathindex.Child, Tag: "fm"}, {Axis: pathindex.Child, Tag: "au"}}
+)
 
 // BenchmarkStoredIndicesMiss opens the stored indices of one
 // disk_served-shaped document with the index cache disabled: the pread,
 // the checksum, the path half and the keyword directory.
 func BenchmarkStoredIndicesMiss(b *testing.B) {
-	ds := uncachedStore(b, servedDoc(b, "served.xml", 1, 45))
+	ds := uncachedStore(b, servedDoc(b, "served.xml", 1, 38, 45))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -416,7 +604,7 @@ var lookupSink *invindex.PostingList
 // BenchmarkLazyLookup decodes one posting list from the record per lookup:
 // a word most articles hold, one few do, and one the document lacks.
 func BenchmarkLazyLookup(b *testing.B) {
-	doc := servedDoc(b, "served.xml", 1, 45)
+	doc := servedDoc(b, "served.xml", 1, 38, 45)
 	_, iix, err := uncachedStore(b, doc).StoredIndices("served.xml")
 	if err != nil {
 		b.Fatal(err)
@@ -434,6 +622,41 @@ func BenchmarkLazyLookup(b *testing.B) {
 				lookupSink = iix.Lookup(c.keyword)
 			}
 			b.ReportMetric(float64(lookupSink.Len()), "postings")
+		})
+	}
+}
+
+var pathSink []pathindex.PathPostings
+
+// BenchmarkLazyPathLookup decodes one path list from the record per lookup,
+// as the disk_served view probes it: a body list whole, the year list
+// filtered by a range, and the author list by a textual equality that one
+// value matches and one does not.
+func BenchmarkLazyPathLookup(b *testing.B) {
+	pix, _, err := uncachedStore(b, servedDoc(b, "served.xml", 1, 38, 45)).StoredIndices("served.xml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		steps []pathindex.Step
+		preds []pred.Predicate
+	}{
+		{"unfiltered", bdySteps, nil},
+		{"range", yrSteps, []pred.Predicate{{Op: pred.Gt, Lit: "1990"}}},
+		{"equality", auSteps, []pred.Predicate{{Op: pred.Eq, Lit: "author3"}}},
+		{"absent", auSteps, []pred.Predicate{{Op: pred.Eq, Lit: "nobody"}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				pathSink = pix.LookupPath(c.steps, c.preds)
+			}
+			for _, pp := range pathSink {
+				n += len(pp.Postings)
+			}
+			b.ReportMetric(float64(n), "postings")
 		})
 	}
 }

@@ -12,6 +12,7 @@ package invindex
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"vxml/internal/dewey"
@@ -39,11 +40,21 @@ type PostingList struct {
 // is immutable apart from the atomic lookup counter, so concurrent searches
 // may probe it freely.
 type Index struct {
-	keywords []string                 // sorted; slot i names resident[i]
-	resident []*PostingList           // one per slot; nil for a view
-	decode   func(slot int) []Posting // a view's list source; nil when resident
-	elements int                      // number of elements in the document
-	lookups  atomic.Int64             // number of keyword lookups served
+	keywords []string       // Build's directory: sorted; slot i names resident[i]
+	resident []*PostingList // one per slot; nil for a view
+	stored   Stored         // a view's directory and lists; nil when resident
+	elements int            // number of elements in the document
+	lookups  atomic.Int64   // number of keyword lookups served
+}
+
+// Stored is a view's keyword directory and lists in their stored form:
+// Keywords slots, Keyword the slot's keyword (ascending in slot order), and
+// Postings the slot's Dewey-sorted list, decoded on each call. It must be
+// safe for concurrent use.
+type Stored interface {
+	Keywords() int
+	Keyword(slot int) string
+	Postings(slot int) []Posting
 }
 
 // Lookups returns the number of keyword lookups served. Safe to call
@@ -99,11 +110,11 @@ func Build(doc *xmltree.Document) *Index {
 }
 
 // NewView returns an index over lists that stay in their stored form: the
-// sorted keyword directory is resident, and decode (safe for concurrent use)
-// produces a slot's Dewey-sorted postings each time its keyword is looked
-// up. Nothing decoded is kept: the view's footprint is its directory.
-func NewView(keywords []string, elements int, decode func(slot int) []Posting) *Index {
-	return &Index{keywords: keywords, decode: decode, elements: elements}
+// keyword directory is binary-searched where it is stored, and a slot's
+// postings are decoded each time its keyword is looked up. Nothing decoded
+// is kept: the view's footprint is the stored form's.
+func NewView(elements int, stored Stored) *Index {
+	return &Index{stored: stored, elements: elements}
 }
 
 func (pl *PostingList) buildPrefix() {
@@ -120,7 +131,13 @@ var emptyPrefix = []int{0}
 // search of the directory, or an empty list if the keyword does not occur.
 func (ix *Index) Lookup(keyword string) *PostingList {
 	ix.lookups.Add(1)
-	if slot, ok := slices.BinarySearch(ix.keywords, keyword); ok {
+	if ix.stored == nil {
+		if slot, ok := slices.BinarySearch(ix.keywords, keyword); ok {
+			return ix.resident[slot]
+		}
+	} else if slot, ok := sort.Find(ix.stored.Keywords(), func(i int) int {
+		return strings.Compare(keyword, ix.stored.Keyword(i))
+	}); ok {
 		return ix.list(slot)
 	}
 	return &PostingList{Keyword: keyword, tfPrefix: emptyPrefix}
@@ -128,16 +145,21 @@ func (ix *Index) Lookup(keyword string) *PostingList {
 
 // list returns the posting list of a directory slot.
 func (ix *Index) list(slot int) *PostingList {
-	if ix.decode == nil {
+	if ix.stored == nil {
 		return ix.resident[slot]
 	}
-	pl := &PostingList{Keyword: ix.keywords[slot], Postings: ix.decode(slot)}
+	pl := &PostingList{Keyword: ix.stored.Keyword(slot), Postings: ix.stored.Postings(slot)}
 	pl.buildPrefix()
 	return pl
 }
 
 // Keywords returns the number of distinct keywords indexed.
-func (ix *Index) Keywords() int { return len(ix.keywords) }
+func (ix *Index) Keywords() int {
+	if ix.stored == nil {
+		return len(ix.keywords)
+	}
+	return ix.stored.Keywords()
+}
 
 // Elements returns the number of elements in the indexed document.
 func (ix *Index) Elements() int { return ix.elements }
@@ -201,7 +223,7 @@ func (pl *PostingList) ContainsSubtree(id dewey.ID) bool {
 // seam the disk backend encodes indices through. A resident index returns
 // its own lists (read-only); a view decodes each of its lists.
 func (ix *Index) Lists() []*PostingList {
-	lists := make([]*PostingList, len(ix.keywords))
+	lists := make([]*PostingList, ix.Keywords())
 	for slot := range lists {
 		lists[slot] = ix.list(slot)
 	}

@@ -1,31 +1,34 @@
 // Package pathindex implements the Path-Values table of paper §3.2
-// (Figure 5): one row per distinct (root-to-element path, atomic value)
-// pair, each row holding the sorted list of Dewey IDs of the elements on
-// that path with that value, all indexed by a B+-tree on the composite
-// (Path, Value) key.
+// (Figure 5): for every root-to-element path and atomic value, the Dewey
+// IDs of the elements on that path with that value.
 //
-// Queries follow the paper exactly: a path query with an equality value
-// predicate probes the composite key; a path query without predicates reads
-// the path's rows merged into one ID list; a path with descendant axes is
-// first expanded against the path dictionary into the matching full data
-// paths, each of which is probed separately. The merge is a function of the
-// document alone, so it is done once, when the index is built or loaded:
-// every full data path keeps its Dewey-ordered posting list and its split
-// segments, and a lookup's cost does not grow with the list it returns.
+// The table is held per full data path: a sorted directory of the
+// document's distinct paths, each with its tags pre-split, its distinct
+// leaf values in ascending order and one posting list in Dewey order whose
+// postings carry their value. Queries follow the paper: a path query
+// without predicates reads the path's list; a single equality with a
+// non-numeric literal finds its (path, value) row by binary search over the
+// path's values; other predicates are decided once per distinct value; a
+// path with descendant axes is first expanded against the directory into
+// the matching full data paths, each of which is probed separately.
 //
-// The index additionally stores each element's subtree byte length in its
-// posting (needed by PDT generation for score normalization, §4.2.2.2) and
-// derives, on first use, a tag index (element IDs per tag) for the GTP
-// baseline's structural joins.
+// Build keeps the lists resident. NewView serves them from a stored form
+// (the disk store's index record) that decodes one path's list per lookup
+// and keeps nothing decoded.
+//
+// Each posting also carries its element's subtree byte length (needed by
+// PDT generation for score normalization, §4.2.2.2), and a tag index
+// (element IDs per tag) for the GTP baseline's structural joins is derived
+// on first use.
 package pathindex
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"vxml/internal/btree"
 	"vxml/internal/dewey"
 	"vxml/internal/intern"
 	"vxml/internal/pred"
@@ -66,7 +69,7 @@ func FormatSteps(steps []Step) string {
 	return b.String()
 }
 
-// Posting is one element occurrence in a row of the Path-Values table.
+// Posting is one element occurrence in the Path-Values table.
 type Posting struct {
 	ID       dewey.ID
 	Value    string
@@ -76,131 +79,193 @@ type Posting struct {
 
 // PathPostings groups the postings of one full data path, in Dewey order.
 // PDT generation needs the full path to map ID prefixes back to QPT nodes.
-// Segs and, for a lookup without predicates, Postings are the index's own:
-// callers must treat them as read-only.
+// Segs and, for a lookup without predicates on a built index, Postings are
+// the index's own: callers must treat them as read-only.
 type PathPostings struct {
 	FullPath string   // e.g. "/books/book/isbn"
 	Segs     []string // FullPath split into its tags
 	Postings []Posting
 }
 
-// row is the value stored under one (path, value) composite key.
-type row struct {
-	postings []Posting // document order == ascending Dewey ID
+// Lists is where an index's per-path data lives, addressed by directory
+// slot: Build's resident lists, or a stored record (NewView). Values is the
+// number of distinct leaf values on the path and Value the k-th of them in
+// ascending (byte-wise) order. Postings returns the path's list in Dewey
+// order — all of it when keep is nil, else the postings whose value keep
+// marks (keep has one entry per value; a posting without a value is never
+// kept). Implementations must be safe for concurrent use.
+type Lists interface {
+	Values(slot int) int
+	Value(slot, k int) string
+	Postings(slot int, keep []bool) []Posting
 }
 
-// pathList is one full data path of the dictionary: its tags and its
-// postings merged across all its (path, value) rows in Dewey order.
-type pathList struct {
-	segs     []string
-	postings []Posting
-}
-
-// Index is the path index of a single document. Once built it is immutable
-// apart from the atomic probe counters and the lazily derived tag index, so
-// concurrent searches may probe it freely.
+// Index is the path index of a single document: the sorted path directory
+// and its lists. Once built it is immutable apart from the atomic probe
+// counter and the lazily derived tag index, so concurrent searches may probe
+// it freely.
 type Index struct {
-	tree   *btree.Tree  // (path \x00 value) -> *row
-	paths  []string     // sorted dictionary of distinct element paths
-	lists  []pathList   // aligned with paths
-	probes atomic.Int64 // full-path lookups answered from lists, not the tree
+	paths  []string     // sorted distinct full data paths, interned
+	segs   [][]string   // aligned with paths: each split into its tags
+	lists  Lists        // the lists, by directory slot
+	probes atomic.Int64 // full-path lookups served
 
 	tagsOnce sync.Once
 	tags     map[string][]Posting
 }
 
-// pathRows is what Build and FromRows know about one path while they fill
-// the tree: its merged postings, its first row and its row count.
-type pathRows struct {
-	postings []Posting
-	first    *row
-	rows     int
+// resident is Build's Lists: per slot, the postings, the sorted distinct
+// values and each posting's value ordinal (-1 without a value; nil for a
+// path with no values).
+type resident struct {
+	lists  [][]Posting
+	values [][]string
+	ords   [][]int32
 }
 
-// addRow stores a new row of the path under key.
-func (pr *pathRows) addRow(tree *btree.Tree, key []byte, r *row) {
-	if pr.rows == 0 {
-		pr.first = r
+func (r *resident) Values(slot int) int      { return len(r.values[slot]) }
+func (r *resident) Value(slot, k int) string { return r.values[slot][k] }
+
+func (r *resident) Postings(slot int, keep []bool) []Posting {
+	all := r.lists[slot]
+	if keep == nil {
+		return all
 	}
-	pr.rows++
-	tree.Put(key, r)
+	n := 0
+	for _, o := range r.ords[slot] {
+		if o >= 0 && keep[o] {
+			n++
+		}
+	}
+	kept := make([]Posting, 0, n)
+	for i, o := range r.ords[slot] {
+		if o >= 0 && keep[o] {
+			kept = append(kept, all[i])
+		}
+	}
+	return kept
+}
+
+// builder assigns each element the slot of its full data path, found from
+// its parent's slot and its tag: a path string is built once per distinct
+// path, not once per element.
+type builder struct {
+	slots map[childPath]int
+	paths []string
+	lists [][]Posting
+}
+
+type childPath struct {
+	parent int
+	tag    string
+}
+
+func (b *builder) add(n *xmltree.Node, parent int) {
+	slot, ok := b.slots[childPath{parent, n.Tag}]
+	if !ok {
+		slot = len(b.paths)
+		prefix := ""
+		if parent >= 0 {
+			prefix = b.paths[parent]
+		}
+		b.paths = append(b.paths, prefix+"/"+n.Tag)
+		b.lists = append(b.lists, nil)
+		b.slots[childPath{parent, n.Tag}] = slot
+	}
+	p := Posting{ID: n.ID, ByteLen: n.ByteLen}
+	if n.IsLeaf() {
+		p.Value, p.HasValue = n.Value, true
+	}
+	b.lists[slot] = append(b.lists[slot], p)
+	for _, c := range n.Children {
+		b.add(c, slot)
+	}
 }
 
 // Build constructs the path index for doc in one document-order walk, so
-// every path's merged list arrives already Dewey-sorted.
+// every path's list arrives already Dewey-sorted.
 func Build(doc *xmltree.Document) *Index {
-	ix := &Index{tree: btree.New()}
-	byPath := map[string]*pathRows{}
-	doc.Root.Walk(func(n *xmltree.Node) {
-		path := n.PathFromRoot()
-		p := Posting{ID: n.ID, ByteLen: n.ByteLen}
-		if n.IsLeaf() {
-			p.Value = n.Value
-			p.HasValue = true
-		}
-		pr := byPath[path]
-		if pr == nil {
-			pr = &pathRows{}
-			byPath[path] = pr
-		}
-		pr.postings = append(pr.postings, p)
-		key := compositeKey(path, p.Value, p.HasValue)
-		if v, ok := ix.tree.Get(key); ok {
-			r := v.(*row)
-			r.postings = append(r.postings, p)
-		} else {
-			pr.addRow(ix.tree, key, &row{postings: []Posting{p}})
-		}
-	})
-	ix.finish(byPath)
-	return ix
-}
-
-// finish turns the per-path lists (postings already in Dewey order) into
-// the sorted dictionary. A path whose postings all live in one row shares
-// that row's list instead of holding a second copy, so the merged lists
-// cost memory only where a path has several values.
-func (ix *Index) finish(byPath map[string]*pathRows) {
-	ix.paths = make([]string, 0, len(byPath))
-	for p := range byPath {
-		ix.paths = append(ix.paths, p)
+	b := builder{slots: map[childPath]int{}}
+	b.add(doc.Root, -1)
+	order := make([]int, len(b.paths))
+	for i := range order {
+		order[i] = i
 	}
-	slices.Sort(ix.paths)
-	ix.lists = make([]pathList, len(ix.paths))
-	for i, p := range ix.paths {
-		pr := byPath[p]
-		if pr.rows == 1 {
-			pr.first.postings = pr.postings
-		}
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(b.paths[i], b.paths[j]) })
+	paths := make([]string, len(order))
+	r := &resident{lists: make([][]Posting, len(order)), values: make([][]string, len(order)), ords: make([][]int32, len(order))}
+	var scratch []string
+	for slot, i := range order {
 		// Full data paths recur across every document of a corpus-shaped
 		// collection (and across shards); retain the canonical copy.
-		ix.paths[i] = intern.String(p)
-		ix.lists[i] = pathList{segs: splitPath(ix.paths[i]), postings: pr.postings}
+		paths[slot] = intern.String(b.paths[i])
+		r.lists[slot] = b.lists[i]
+		scratch, r.values[slot], r.ords[slot] = valueTable(scratch, b.lists[i])
 	}
+	return newIndex(paths, r)
 }
 
-// compositeKey builds the (Path, Value) B+-tree key. Paths never contain
-// NUL, so "path\x00" is a proper prefix of every key for that path. Rows
-// without values (non-leaf elements) sort first under "\x00n\x00".
-func compositeKey(path, value string, hasValue bool) []byte {
-	marker := byte('n')
-	if hasValue {
-		marker = 'v'
+// valueTable returns the distinct values of a list in ascending order and
+// each posting's ordinal among them, sorting in scratch (returned for
+// reuse). A list without values gets neither.
+func valueTable(scratch []string, postings []Posting) ([]string, []string, []int32) {
+	scratch = scratch[:0]
+	for _, p := range postings {
+		if p.HasValue {
+			scratch = append(scratch, p.Value)
+		}
 	}
-	k := make([]byte, 0, len(path)+len(value)+3)
-	k = append(k, path...)
-	k = append(k, 0, marker, 0)
-	k = append(k, value...)
-	return k
+	if len(scratch) == 0 {
+		return scratch, nil, nil
+	}
+	slices.Sort(scratch)
+	values := slices.Clone(slices.Compact(scratch))
+	ords := make([]int32, len(postings))
+	for i, p := range postings {
+		ords[i] = -1
+		if p.HasValue {
+			k, _ := slices.BinarySearch(values, p.Value)
+			ords[i] = int32(k)
+		}
+	}
+	return scratch, values, ords
 }
 
-// Probes reports how many index probes have been served: B+-tree probes plus
-// full-path lookups answered from the merged lists, one per lookup either
-// way (paper Figure 7 counts probes per query, whatever serves them).
-func (ix *Index) Probes() int { return ix.tree.Probes() + int(ix.probes.Load()) }
+// NewView returns an index over lists kept in a stored form: paths is the
+// sorted directory (canonical strings, as intern.String returns them) and
+// lists decodes a path's postings each time a lookup reaches it. The view's
+// footprint is its directory.
+func NewView(paths []string, lists Lists) *Index { return newIndex(paths, lists) }
+
+// newIndex splits every directory path into its tags, carving the
+// segments of all of them from one slab.
+func newIndex(paths []string, lists Lists) *Index {
+	n := 0
+	for _, p := range paths {
+		n += strings.Count(p, "/")
+	}
+	slab := make([]string, 0, n)
+	segs := make([][]string, len(paths))
+	for i, p := range paths {
+		start := len(slab)
+		slab = append(slab, splitPath(p)...)
+		segs[i] = slab[start:len(slab):len(slab)]
+	}
+	return &Index{paths: paths, segs: segs, lists: lists}
+}
+
+// Probes reports how many index probes have been served: one per full data
+// path a lookup reached (paper Figure 7 counts probes per query, whatever
+// serves them).
+func (ix *Index) Probes() int { return int(ix.probes.Load()) }
 
 // Paths returns the path dictionary (sorted distinct element paths).
 func (ix *Index) Paths() []string { return ix.paths }
+
+// Lists returns the index's per-path data by directory slot — with Paths,
+// the serialization seam the disk store encodes indices through. What a
+// built index returns is its own: read-only.
+func (ix *Index) Lists() Lists { return ix.lists }
 
 // MatchFullPaths expands a root-anchored pattern with child/descendant axes
 // into the full data paths of the dictionary it matches (paper §3.2: "for
@@ -209,7 +274,7 @@ func (ix *Index) Paths() []string { return ix.paths }
 func (ix *Index) MatchFullPaths(steps []Step) []string {
 	var out []string
 	for i, p := range ix.paths {
-		if matchFrom(steps, ix.lists[i].segs, 0, 0) {
+		if matchFrom(steps, ix.segs[i], 0, 0) {
 			out = append(out, p)
 		}
 	}
@@ -248,70 +313,67 @@ func splitPath(p string) []string {
 }
 
 // LookupPath returns, for every full data path matching the pattern, that
-// path's postings merged across all its (path, value) rows in Dewey order.
-// Without predicates that is the list the index keeps per path, returned
-// as-is: it (like Segs) is the index's own and read-only, as Rows' are.
-// Leaf predicates are applied to the values: a single equality with a
-// non-numeric literal is a composite-key point probe; anything else is one
-// in-order filter pass over the path's list (both are index-only operations).
+// path's postings in Dewey order. Without predicates that is the path's
+// whole list — on a built index the list the index keeps, returned as-is
+// (read-only, like Segs). Leaf predicates are decided per distinct value
+// (lookupFullPath), so both are index-only operations.
 func (ix *Index) LookupPath(steps []Step, preds []pred.Predicate) []PathPostings {
 	var out []PathPostings
-	for i := range ix.lists {
-		pl := &ix.lists[i]
-		if !matchFrom(steps, pl.segs, 0, 0) {
+	var compiled []pred.Compiled
+	for i, segs := range ix.segs {
+		if !matchFrom(steps, segs, 0, 0) {
 			continue
 		}
-		if postings := ix.lookupFullPath(i, preds); len(postings) > 0 {
-			out = append(out, PathPostings{FullPath: ix.paths[i], Segs: pl.segs, Postings: postings})
+		if compiled == nil && len(preds) > 0 {
+			compiled = make([]pred.Compiled, len(preds))
+			for j, p := range preds {
+				compiled[j] = p.Compile()
+			}
+		}
+		if postings := ix.lookupFullPath(i, preds, compiled); len(postings) > 0 {
+			out = append(out, PathPostings{FullPath: ix.paths[i], Segs: segs, Postings: postings})
 		}
 	}
 	return out
 }
 
-// lookupFullPath probes the i-th full data path of the dictionary.
-func (ix *Index) lookupFullPath(i int, preds []pred.Predicate) []Posting {
-	// A single equality with a non-numeric literal matches by spelling: a
-	// point probe on the composite key. A numeric literal matches every
-	// spelling of its value ("7", "07", "7.0"), which only the filter finds.
-	if len(preds) == 1 && preds[0].Op == pred.Eq && !preds[0].Compile().Numeric() {
-		if v, ok := ix.tree.Get(compositeKey(ix.paths[i], preds[0].Lit, true)); ok {
-			return v.(*row).postings
-		}
-		return nil
-	}
+// lookupFullPath probes the i-th full data path of the directory. A single
+// equality with a non-numeric literal matches by spelling: a binary search
+// over the path's values finds its one (path, value) row, or that there is
+// none. A numeric literal matches every spelling of its number ("7", "07",
+// "7.0"), so it is decided like every other predicate: once per distinct
+// value, each literal parsed once. The list then yields the postings of the
+// values admitted.
+func (ix *Index) lookupFullPath(i int, preds []pred.Predicate, compiled []pred.Compiled) []Posting {
 	ix.probes.Add(1)
-	all := ix.lists[i].postings
 	if len(preds) == 0 {
-		return all
+		return ix.lists.Postings(i, nil)
 	}
-	// One pass decides (each literal parsed once, not once per posting),
-	// a second copies into a list sized for exactly the survivors.
-	compiled := make([]pred.Compiled, len(preds))
-	for j, p := range preds {
-		compiled[j] = p.Compile()
-	}
-	keep := make([]bool, len(all))
-	n := 0
-posting:
-	for i := range all {
-		if !all[i].HasValue {
-			continue
+	n := ix.lists.Values(i)
+	if len(preds) == 1 && preds[0].Op == pred.Eq && !compiled[0].Numeric() {
+		k, ok := sort.Find(n, func(k int) int { return strings.Compare(preds[0].Lit, ix.lists.Value(i, k)) })
+		if !ok {
+			return nil
 		}
+		keep := make([]bool, n)
+		keep[k] = true
+		return ix.lists.Postings(i, keep)
+	}
+	keep, admitted := make([]bool, n), false
+value:
+	for k := range keep {
+		v := ix.lists.Value(i, k)
 		for _, c := range compiled {
-			if !c.Eval(all[i].Value) {
-				continue posting
+			if !c.Eval(v) {
+				continue value
 			}
 		}
-		keep[i] = true
-		n++
+		keep[k], admitted = true, true
 	}
-	kept := make([]Posting, 0, n)
-	for i, ok := range keep {
-		if ok {
-			kept = append(kept, all[i])
-		}
+	if !admitted {
+		return nil
 	}
-	return kept
+	return ix.lists.Postings(i, keep)
 }
 
 // TagPostings returns the postings of every element with the given tag, in
@@ -321,9 +383,9 @@ posting:
 func (ix *Index) TagPostings(tag string) []Posting {
 	ix.tagsOnce.Do(func() {
 		ix.tags = map[string][]Posting{}
-		for _, pl := range ix.lists {
-			t := pl.segs[len(pl.segs)-1]
-			ix.tags[t] = append(ix.tags[t], pl.postings...)
+		for i, segs := range ix.segs {
+			t := segs[len(segs)-1]
+			ix.tags[t] = append(ix.tags[t], ix.lists.Postings(i, nil)...)
 		}
 		for _, ps := range ix.tags {
 			slices.SortFunc(ps, func(a, b Posting) int { return dewey.Compare(a.ID, b.ID) })
@@ -332,67 +394,17 @@ func (ix *Index) TagPostings(tag string) []Posting {
 	return ix.tags[tag]
 }
 
-// DistinctRowCount reports the number of (path, value) rows; used by tests
-// and diagnostics.
-func (ix *Index) DistinctRowCount() int { return ix.tree.Len() }
-
-// Row is one (path, value) row of the Path-Values table in exported form:
-// the composite key split back into its parts plus the row's postings in
-// Dewey order. Rows/FromRows are the serialization seam the disk backend
-// stores indices through, so a loaded index never has to re-walk the
-// document it indexes.
-type Row struct {
-	Path     string
-	Value    string
-	HasValue bool
-	Postings []Posting
-}
-
-// Rows snapshots every row in composite-key order. The postings slices are
-// the index's own — callers must treat them as read-only.
-func (ix *Index) Rows() []Row {
-	rows := make([]Row, 0, ix.tree.Len())
-	for it := ix.tree.Min(); it.Valid(); it.Next() {
-		key := it.Key()
-		i := strings.IndexByte(string(key), 0)
-		rows = append(rows, Row{
-			Path:     string(key[:i]),
-			Value:    string(key[i+3:]),
-			HasValue: key[i+1] == 'v',
-			Postings: it.Value().(*row).postings,
-		})
-	}
-	return rows
-}
-
-// FromRows rebuilds an index from a Rows snapshot: the B+-tree from the
-// composite keys, and the path dictionary with each path's merged list by
-// regrouping the rows' postings per path, once, in document (Dewey) order.
-// For any document, FromRows(Build(doc).Rows()) answers every probe
-// identically to Build(doc).
-func FromRows(rows []Row) *Index {
-	ix := &Index{tree: btree.New()}
-	byPath := map[string]*pathRows{}
-	for _, r := range rows {
-		pr := byPath[r.Path]
-		if pr == nil {
-			pr = &pathRows{}
-			byPath[r.Path] = pr
-		}
-		pr.addRow(ix.tree, compositeKey(r.Path, r.Value, r.HasValue), &row{postings: r.Postings})
-		if pr.rows == 1 {
-			// Shared while the path has one row; capped, so a second row's
-			// append copies instead of writing into the first row's storage.
-			pr.postings = r.Postings[:len(r.Postings):len(r.Postings)]
-		} else {
-			pr.postings = append(pr.postings, r.Postings...)
+// DistinctRowCount reports the number of (path, value) rows of the paper's
+// table: every distinct value of every path, plus a null-valued row for
+// each path holding non-leaf elements. Used by tests and diagnostics; a
+// view decodes every list to answer.
+func (ix *Index) DistinctRowCount() int {
+	n := 0
+	for i := range ix.paths {
+		n += ix.lists.Values(i)
+		if slices.ContainsFunc(ix.lists.Postings(i, nil), func(p Posting) bool { return !p.HasValue }) {
+			n++
 		}
 	}
-	for _, pr := range byPath {
-		if pr.rows > 1 {
-			slices.SortFunc(pr.postings, func(a, b Posting) int { return dewey.Compare(a.ID, b.ID) })
-		}
-	}
-	ix.finish(byPath)
-	return ix
+	return n
 }

@@ -3,8 +3,6 @@ package pathindex
 import (
 	"math/rand"
 	"reflect"
-	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -86,8 +84,8 @@ func TestLookupPathEqualityPredicate(t *testing.T) {
 	if len(res) != 1 || len(res[0].Postings) != 1 || res[0].Postings[0].ID.String() != "1.2.1" {
 		t.Fatalf("res = %+v", res)
 	}
-	if ix.Probes() == probesBefore {
-		t.Error("equality probe should hit the B+-tree")
+	if ix.Probes() != probesBefore+1 {
+		t.Errorf("an equality lookup of one full path counted %d probes, want 1", ix.Probes()-probesBefore)
 	}
 }
 
@@ -256,177 +254,6 @@ func TestQuickPostingsSorted(t *testing.T) {
 	}
 }
 
-// refLookupPath is the lookup this package used before it kept a merged
-// list per path, retained as the reference, less its equality point probe
-// (which answered a numeric literal by spelling): per full data path, a scan
-// of the path's rows in the B+-tree, a copy of the postings pred.All admits
-// and a sort by Dewey ID.
-func refLookupPath(ix *Index, steps []Step, preds []pred.Predicate) []PathPostings {
-	var out []PathPostings
-	for _, fp := range ix.MatchFullPaths(steps) {
-		if postings := refLookupFullPath(ix, fp, preds); len(postings) > 0 {
-			out = append(out, PathPostings{FullPath: fp, Segs: splitPath(fp), Postings: postings})
-		}
-	}
-	return out
-}
-
-func refLookupFullPath(ix *Index, fullPath string, preds []pred.Predicate) []Posting {
-	var merged []Posting
-	ix.tree.ScanPrefix(append([]byte(fullPath), 0), func(_ []byte, v any) bool {
-		for _, p := range v.(*row).postings {
-			if len(preds) == 0 || p.HasValue && pred.All(preds, p.Value) {
-				merged = append(merged, p)
-			}
-		}
-		return true
-	})
-	sort.Slice(merged, func(i, j int) bool { return dewey.Less(merged[i].ID, merged[j].ID) })
-	return merged
-}
-
-// valueDoc builds a random document over a tiny tag alphabet (so '//'
-// expansion and repeated tags are exercised) whose leaves carry values that
-// are numerically equal but textually different ("7", "07", "7.0"), plain
-// numbers and text. Some elements are empty, so a path can hold leaf and
-// non-leaf elements at once.
-func valueDoc(r *rand.Rand) *xmltree.Document {
-	tags := []string{"a", "b", "c"}
-	values := []string{"7", "07", "7.0", "12", "3", "x", "y"}
-	var build func(depth int) *xmltree.Node
-	build = func(depth int) *xmltree.Node {
-		n := xmltree.NewElement(tags[r.Intn(len(tags))])
-		if depth <= 0 || r.Intn(4) == 0 {
-			if r.Intn(8) != 0 {
-				n.Value = values[r.Intn(len(values))]
-			}
-			return n
-		}
-		for i := 0; i < 1+r.Intn(4); i++ {
-			n.AppendChild(build(depth - 1))
-		}
-		return n
-	}
-	doc := &xmltree.Document{Name: "t.xml", Root: build(4), DocID: 1}
-	doc.Finalize()
-	return doc
-}
-
-// builtAndReloaded returns the index built from doc and the one rebuilt from
-// its rows, which must answer alike.
-func builtAndReloaded(doc *xmltree.Document) map[string]*Index {
-	built := Build(doc)
-	return map[string]*Index{"Build": built, "FromRows": FromRows(built.Rows())}
-}
-
-// TestLookupPathEqualsScanCopySort: on generated documents × patterns
-// (child, descendant, repeated tags) × predicates (none, textual and numeric
-// equality, range, two at once), LookupPath answers exactly as the reference
-// does — same full paths, segments and postings in the same order — from an
-// index built from the document and from one rebuilt from its rows, and it
-// counts one probe per full data path, whether the point probe or the
-// filter answers it.
-func TestLookupPathEqualsScanCopySort(t *testing.T) {
-	predSets := [][]pred.Predicate{
-		nil,
-		{{Op: pred.Eq, Lit: "x"}},
-		{{Op: pred.Eq, Lit: "7"}},
-		{{Op: pred.Eq, Lit: "07"}},
-		{{Op: pred.Eq, Lit: "7.00"}}, // a numeric literal: the filter answers
-		{{Op: pred.Gt, Lit: "5"}},
-		{{Op: pred.Lt, Lit: "x"}},
-		{{Op: pred.Gt, Lit: "3"}, {Op: pred.Lt, Lit: "12"}},
-		{{Op: pred.Eq, Lit: "7"}, {Op: pred.Gt, Lit: "1"}},
-	}
-	for seed := int64(0); seed < 40; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		doc := valueDoc(r)
-		seen := map[string]bool{}
-		doc.Root.Walk(func(n *xmltree.Node) { seen[n.PathFromRoot()] = true })
-		var dict []string
-		for p := range seen {
-			dict = append(dict, p)
-		}
-		sort.Strings(dict)
-		for name, ix := range builtAndReloaded(doc) {
-			if !reflect.DeepEqual(ix.Paths(), dict) {
-				t.Fatalf("seed %d %s: dictionary %v, want %v", seed, name, ix.Paths(), dict)
-			}
-			root := Step{Child, doc.Root.Tag}
-			patterns := [][]Step{
-				{root},
-				{root, {Child, "a"}, {Child, "b"}},
-				{root, {Descendant, "c"}},
-				{{Descendant, "a"}, {Descendant, "a"}},
-				{root, {Descendant, "b"}, {Child, "b"}, {Descendant, "a"}},
-				{{Descendant, "c"}, {Child, "a"}},
-			}
-			for _, pattern := range patterns {
-				for _, preds := range predSets {
-					want := refLookupPath(ix, pattern, preds)
-					before := ix.Probes()
-					got := ix.LookupPath(pattern, preds)
-					probes := ix.Probes() - before
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s: LookupPath(%s, %v)\n got %+v\nwant %+v", seed, name, FormatSteps(pattern), preds, got, want)
-					}
-					if wantProbes := len(ix.MatchFullPaths(pattern)); probes != wantProbes {
-						t.Fatalf("seed %d %s: LookupPath(%s, %v) counted %d probes, want %d", seed, name, FormatSteps(pattern), preds, probes, wantProbes)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSingleRowPathSharesItsList: a path whose elements all live in one
-// (path, value) row — every path of non-leaf elements — does not hold a
-// second copy of its postings.
-func TestSingleRowPathSharesItsList(t *testing.T) {
-	doc, _ := buildBooks(t)
-	for name, ix := range builtAndReloaded(doc) {
-		res := ix.LookupPath(steps(Step{Child, "books"}, Step{Child, "book"}), nil)
-		v, ok := ix.tree.Get(compositeKey("/books/book", "", false))
-		if !ok || len(res) != 1 {
-			t.Fatalf("%s: /books/book not found", name)
-		}
-		if rowList := v.(*row).postings; &rowList[0] != &res[0].Postings[0] {
-			t.Errorf("%s: the row and the path hold separate copies of the postings", name)
-		}
-	}
-}
-
-// TestTagPostingsEqualsDocumentScan: the lazily derived tag index holds, per
-// tag, every element's posting in document order — what the eager tag index
-// Build used to fill during its walk held — and concurrent first calls are
-// safe (run with -race).
-func TestTagPostingsEqualsDocumentScan(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		doc := valueDoc(rand.New(rand.NewSource(seed)))
-		want := map[string][]Posting{}
-		doc.Root.Walk(func(n *xmltree.Node) {
-			p := Posting{ID: n.ID, ByteLen: n.ByteLen}
-			if n.IsLeaf() {
-				p.Value, p.HasValue = n.Value, true
-			}
-			want[n.Tag] = append(want[n.Tag], p)
-		})
-		for name, ix := range builtAndReloaded(doc) {
-			var wg sync.WaitGroup
-			for _, tag := range []string{"a", "b", "c", "nope", "a", "b"} {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if got := ix.TagPostings(tag); !reflect.DeepEqual(got, want[tag]) {
-						t.Errorf("seed %d %s: TagPostings(%s) = %+v, want %+v", seed, name, tag, got, want[tag])
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	}
-}
-
 // TestFilterPassKeepsValueSemantics: the filter pass parses each predicate
 // literal once per lookup; the comparison stays value-based — numeric when
 // both sides are numbers ("07" = "7"), textual otherwise ("10x") — and the
@@ -439,14 +266,14 @@ func TestFilterPassKeepsValueSemantics(t *testing.T) {
 	ix := Build(doc)
 	steps := []Step{{Child, "r"}, {Child, "v"}}
 	for _, preds := range [][]pred.Predicate{
-		{{Op: pred.Eq, Lit: "7"}},                            // the row "7" exists, and is a third of the answer
+		{{Op: pred.Eq, Lit: "7"}},                            // the value "7" exists, and is a third of the answer
 		{{Op: pred.Eq, Lit: "07"}},                           // so does "07"
-		{{Op: pred.Eq, Lit: "007"}},                          // no such row: 7, 07 and 7.0 are all 7
+		{{Op: pred.Eq, Lit: "007"}},                          // no such value: 7, 07 and 7.0 are all 7
 		{{Op: pred.Eq, Lit: "7.00"}},                         // textually absent, numerically 7
 		{{Op: pred.Gt, Lit: "8"}},                            // "10x" > "8" is false as text, 9 and 10 pass as numbers
 		{{Op: pred.Lt, Lit: "9"}, {Op: pred.Gt, Lit: "1"}},   // two predicates
 		{{Op: pred.Gt, Lit: "10"}},                           // "10x" > "10" as text, "abc" too
-		{{Op: pred.Eq, Lit: "abc"}},                          // not a number: the point probe, by spelling
+		{{Op: pred.Eq, Lit: "abc"}},                          // not a number: found by binary search, by spelling
 		{{Op: pred.Eq, Lit: "abd"}},                          // and its miss
 		{{Op: pred.Lt, Lit: "zzz"}, {Op: pred.Gt, Lit: "0"}}, // non-numeric literal: all text
 	} {
