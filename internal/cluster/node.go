@@ -271,17 +271,17 @@ func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch req.Op {
 	case "add":
-		if cur := n.engine.Store.Doc(req.Name); cur != nil && cur.DocID == req.DocID {
+		if cur, ok := n.engine.Store.Info(req.Name); ok && cur.DocID == req.DocID {
 			break // idempotent retry: already applied
 		}
 		err = n.engine.AddXMLAt(req.Name, req.XML, req.DocID)
 	case "replace":
-		if cur := n.engine.Store.Doc(req.Name); cur != nil && cur.DocID == req.DocID {
+		if cur, ok := n.engine.Store.Info(req.Name); ok && cur.DocID == req.DocID {
 			break // idempotent retry
 		}
 		err = n.engine.ReplaceXMLAt(req.Name, req.XML, req.DocID)
 	case "delete":
-		if n.engine.Store.Doc(req.Name) != nil {
+		if _, ok := n.engine.Store.Info(req.Name); ok {
 			err = n.engine.Delete(req.Name)
 		}
 	default:
@@ -294,8 +294,8 @@ func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 	}
 	n.gen = req.SetGen
 	resp := documentResponse{Gen: n.gen}
-	if doc := n.engine.Store.Doc(req.Name); doc != nil {
-		resp.ByteLen = doc.Root.ByteLen
+	if cur, ok := n.engine.Store.Info(req.Name); ok {
+		resp.ByteLen = cur.Bytes
 	}
 	nodeJSON(w, http.StatusOK, resp)
 }

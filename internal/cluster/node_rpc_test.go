@@ -13,8 +13,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"vxml/internal/diskstore"
 )
 
 // postNode posts one JSON request to a node route and decodes the JSON
@@ -143,6 +146,37 @@ func TestNodeMutationIdempotentRetry(t *testing.T) {
 	}
 	if n.Documents() != 0 || n.Gen() != 2 {
 		t.Fatalf("after idempotent delete: %d documents at generation %d, want 0 at 2", n.Documents(), n.Gen())
+	}
+}
+
+// TestDiskNodeMutationHydratesNothing: the mutation handler decides
+// idempotency and acknowledges from document metadata, so on a disk-backed
+// node an add, its retry and a replace never read a document through the
+// document cache. The acknowledged byte length is the document's.
+func TestDiskNodeMutationHydratesNothing(t *testing.T) {
+	n, err := NewDiskNode(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close() //nolint:errcheck
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	ds := n.engine.Store.(*diskstore.Store)
+	before := ds.DiskStats().DocCache
+
+	add := documentRequest{Schema: Schema, Op: "add", Name: "part-00.xml", XML: rpcTestDoc, DocID: 3, SetGen: 1}
+	replaced := strings.Replace(rpcTestDoc, "quartz", "quartz basalt", 1)
+	for i, req := range []documentRequest{add, add, {Schema: Schema, Op: "replace", Name: "part-00.xml", XML: replaced, DocID: 4, SetGen: 2}} {
+		var ack documentResponse
+		if code := postNode(t, srv.URL, "/documents", req, &ack); code != http.StatusOK {
+			t.Fatalf("mutation %d (%s): %d", i, req.Op, code)
+		}
+		if ack.ByteLen != len(req.XML) {
+			t.Fatalf("mutation %d (%s) acknowledged %d bytes, the document has %d", i, req.Op, ack.ByteLen, len(req.XML))
+		}
+	}
+	if after := ds.DiskStats().DocCache; after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("mutations read the document cache: %+v -> %+v", before, after)
 	}
 }
 

@@ -162,7 +162,7 @@ func (e *Engine) InvIndex(name string) *invindex.Index {
 }
 
 // IndexProbes sums the served index-probe counters across the whole
-// corpus: path-index B+-tree probes and inverted-list keyword lookups.
+// corpus: path-index full-path probes and inverted-list keyword lookups.
 // Benchmarks report deltas of these to show that the number of probes per
 // query depends on the query, never on the data size (paper Figure 7).
 func (e *Engine) IndexProbes() (pathProbes, keywordLookups int) {

@@ -197,20 +197,34 @@ func (c *docCache) resident() (int, int64) {
 }
 
 // indexCache memoizes opened per-document indices (both views over their
-// stored record), with the same name+docID validation as docCache. Probe
-// counters of evicted indices are accumulated so Engine.IndexProbes stays
-// monotonic across evictions.
+// stored record), with the same name+docID validation as docCache. It is an
+// LRU behind a frequency filter in the manner of TinyLFU (Einziger, Friedman
+// & Manes, ACM ToS 2017): every Get counts an access to its name, and when a
+// Put would evict, the candidate enters only if its name has been asked for
+// more often than the LRU victim's. A visit to a cold group of documents
+// therefore cannot flush the hot ones; a name that stays popular for about
+// one window outcounts the fading ones and gets in.
 type indexCache struct {
 	mu      sync.Mutex
 	maxDocs int
 	entries map[string]*list.Element
 	lru     list.List
 
-	evictedProbes  atomic.Int64
-	evictedLookups atomic.Int64
-	hits           atomic.Int64
-	misses         atomic.Int64
+	// freq counts Gets per name. After each window of counted Gets
+	// (indexCacheWindow × maxDocs) every count is halved and the zeros
+	// dropped, so old popularity fades and the table never holds more than
+	// two windows' names.
+	freq    map[string]int
+	counted int
+
+	hits    atomic.Int64
+	misses  atomic.Int64
+	refused atomic.Int64 // Puts the filter turned away
 }
+
+// indexCacheWindow is the number of counted Gets between halvings, in
+// multiples of the capacity.
+const indexCacheWindow = 10
 
 type idxEntry struct {
 	name  string
@@ -224,13 +238,16 @@ func newIndexCache(maxDocs int) *indexCache {
 	if maxDocs < 0 {
 		maxDocs = DefaultIndexCacheSize
 	}
-	return &indexCache{maxDocs: maxDocs, entries: map[string]*list.Element{}}
+	return &indexCache{maxDocs: maxDocs, entries: map[string]*list.Element{}, freq: map[string]int{}}
 }
 
 // Get returns the cached indices for name if its registration ID still
-// matches docID.
+// matches docID. Hit or miss, it counts an access to name.
 func (c *indexCache) Get(name string, docID int32) (*pathindex.Index, *invindex.Index, bool) {
 	c.mu.Lock()
+	if c.maxDocs > 0 {
+		c.countLocked(name)
+	}
 	el, ok := c.entries[name]
 	if ok && el.Value.(*idxEntry).docID == docID {
 		c.lru.MoveToFront(el)
@@ -244,73 +261,62 @@ func (c *indexCache) Get(name string, docID int32) (*pathindex.Index, *invindex.
 	return nil, nil, false
 }
 
-// Put caches a document's opened indices, retiring whatever it displaces
-// so probe counters stay monotonic.
+// countLocked adds one access to name, halving every count once a window
+// of accesses has been counted.
+func (c *indexCache) countLocked(name string) {
+	c.freq[name]++
+	if c.counted++; c.counted < indexCacheWindow*c.maxDocs {
+		return
+	}
+	c.counted = 0
+	for n, f := range c.freq {
+		if f /= 2; f == 0 {
+			delete(c.freq, n)
+		} else {
+			c.freq[n] = f
+		}
+	}
+}
+
+// Put caches a document's opened indices. A name already cached is updated
+// in place. Otherwise, when the cache is full, the indices enter only if
+// their name has been asked for more often than the least recently used
+// entry's, which they then evict; if not, they are refused and nothing is
+// evicted. Put counts no access: a write is not a read.
 func (c *indexCache) Put(name string, docID int32, pix *pathindex.Index, iix *invindex.Index, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxDocs == 0 {
-		c.retire(pix, iix)
 		return
 	}
 	if el, ok := c.entries[name]; ok {
 		c.lru.MoveToFront(el)
-		e := el.Value.(*idxEntry)
-		if e.docID == docID {
-			return // concurrent fill already landed
+		if e := el.Value.(*idxEntry); e.docID != docID { // equal: a concurrent fill already landed
+			e.docID, e.pix, e.iix, e.bytes = docID, pix, iix, bytes
 		}
-		c.retire(e.pix, e.iix)
-		e.docID, e.pix, e.iix, e.bytes = docID, pix, iix, bytes
 		return
 	}
-	c.entries[name] = c.lru.PushFront(&idxEntry{name: name, docID: docID, pix: pix, iix: iix, bytes: bytes})
-	for c.lru.Len() > c.maxDocs {
+	if c.lru.Len() >= c.maxDocs {
 		back := c.lru.Back()
+		victim := back.Value.(*idxEntry)
+		if c.freq[name] <= c.freq[victim.name] {
+			c.refused.Add(1)
+			return
+		}
 		c.lru.Remove(back)
-		e := back.Value.(*idxEntry)
-		delete(c.entries, e.name)
-		c.retire(e.pix, e.iix)
+		delete(c.entries, victim.name)
 	}
+	c.entries[name] = c.lru.PushFront(&idxEntry{name: name, docID: docID, pix: pix, iix: iix, bytes: bytes})
 }
 
-// retire folds a dropped index's probe counters into the evicted totals.
-func (c *indexCache) retire(pix *pathindex.Index, iix *invindex.Index) {
-	if pix != nil {
-		c.evictedProbes.Add(int64(pix.Probes()))
-	}
-	if iix != nil {
-		c.evictedLookups.Add(int64(iix.Lookups()))
-	}
-}
-
-// Drop evicts name, retiring its probe counters.
+// Drop evicts name.
 func (c *indexCache) Drop(name string) {
 	c.mu.Lock()
 	if el, ok := c.entries[name]; ok {
 		c.lru.Remove(el)
-		e := el.Value.(*idxEntry)
-		delete(c.entries, e.name)
-		c.retire(e.pix, e.iix)
+		delete(c.entries, name)
 	}
 	c.mu.Unlock()
-}
-
-// probes sums live and evicted probe counters.
-func (c *indexCache) probes() (pathProbes, keywordLookups int) {
-	c.mu.Lock()
-	for _, el := range c.entries {
-		e := el.Value.(*idxEntry)
-		if e.pix != nil {
-			pathProbes += e.pix.Probes()
-		}
-		if e.iix != nil {
-			keywordLookups += e.iix.Lookups()
-		}
-	}
-	c.mu.Unlock()
-	pathProbes += int(c.evictedProbes.Load())
-	keywordLookups += int(c.evictedLookups.Load())
-	return pathProbes, keywordLookups
 }
 
 // resident returns (documents, summed resident bytes) currently cached.

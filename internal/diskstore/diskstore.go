@@ -126,6 +126,7 @@ type Store struct {
 	blocks    *blockCache
 	docsCache *docCache
 	idxCache  *indexCache
+	served    viewCounters
 
 	subtreeFetches atomic.Int64
 	bytesFetched   atomic.Int64
@@ -133,6 +134,12 @@ type Store struct {
 
 	openWall time.Duration
 }
+
+// viewCounters is where every view over a store's index records counts the
+// probes and lookups it serves. It belongs to the store, not to a cached
+// index, so a probe counts whether or not the cache kept the index that
+// served it.
+type viewCounters struct{ probes, lookups atomic.Int64 }
 
 // Compile-time checks: the disk backend is a drop-in store.Corpus, and an
 // IndexSource in core's structural sense (core asserts the interface
@@ -702,11 +709,13 @@ func (ds *Store) appendManifestLocked(rec manifestRec) error {
 }
 
 // commitDocLocked applies a committed add/replace to the in-memory tables
-// and seeds the caches with the freshly parsed artifacts — the document
-// the caller just ingested is by definition hot. The indices cached are the
-// views over the record just written — what a later miss would load, not
-// the caller's indices with every list resident — and nothing when the
-// document shares an existing record (idxPayload nil).
+// and offers the caches the freshly parsed artifacts. The index cache
+// admits them by the same rule as a miss's: a replace updates its cached
+// entry in place, but a name that has not been asked for does not displace
+// one that has. The indices offered are the views over the record just
+// written — what a later miss would load, not the caller's indices with
+// every list resident — and nothing when the document shares an existing
+// record (idxPayload nil).
 func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, idxPayload []byte) {
 	ds.applyRecordLocked(rec, true)
 	ds.EnsureNextID(rec.DocID + 1)
@@ -715,7 +724,7 @@ func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, idxPayl
 	if idxPayload != nil {
 		// Just encoded: no checksum to verify.
 		if s, err := openIndexRecord(idxPayload, rec.DocID, ds.noteDecodeErr); err == nil {
-			pix, iix := s.indices()
+			pix, iix := s.indices(&ds.served)
 			ds.idxCache.Put(rec.Name, rec.DocID, pix, iix, s.residentBytes())
 			return
 		}
@@ -1009,7 +1018,7 @@ func (ds *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, 
 	if kind != kindIndex || end != len(frame) {
 		return nil, nil, corruptf("record at %d is kind %q of %d bytes, want an index record of %d", e.index.off, kind, end, len(frame))
 	}
-	pix, iix, resident, err := decodeIndexPayload(payload, e.docID, ds.noteDecodeErr)
+	pix, iix, resident, err := decodeIndexPayload(payload, e.docID, ds.noteDecodeErr, &ds.served)
 	if err != nil {
 		return nil, nil, fmt.Errorf("diskstore: indices of %q: %w", name, err)
 	}
@@ -1017,21 +1026,25 @@ func (ds *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, 
 	return pix, iix, nil
 }
 
-// IndexProbes sums the probe counters of every index decoded since open
-// (live plus evicted).
+// IndexProbes returns the probes and lookups served since open by every
+// index the store has opened, cached, evicted or refused by the cache.
 func (ds *Store) IndexProbes() (pathProbes, keywordLookups int) {
-	return ds.idxCache.probes()
+	return int(ds.served.probes.Load()), int(ds.served.lookups.Load())
 }
 
 // --- stats and snapshotting ---
 
-// CacheStats is one cache's hit/miss and occupancy counters.
+// CacheStats is one cache's hit/miss and occupancy counters. Capacity is
+// bytes for the block cache and entries for the other two.
 type CacheStats struct {
 	Hits     int64 `json:"hits"`
 	Misses   int64 `json:"misses"`
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes,omitempty"`
 	Capacity int64 `json:"capacity,omitempty"`
+	// Refused counts the indices the index cache's admission filter turned
+	// away (always 0 for the other caches).
+	Refused int64 `json:"refused,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the disk backend's resource
@@ -1085,9 +1098,11 @@ func (ds *Store) DiskStats() Stats {
 	st.ResidentDocs, st.ResidentBytes = ds.docsCache.resident()
 	entries, bytes, hits, misses := ds.blocks.stats()
 	st.BlockCache = CacheStats{Hits: hits, Misses: misses, Entries: entries, Bytes: bytes, Capacity: ds.blocks.maxBytes}
-	st.DocCache = CacheStats{Hits: ds.docsCache.hits.Load(), Misses: ds.docsCache.misses.Load(), Entries: st.ResidentDocs}
+	st.DocCache = CacheStats{Hits: ds.docsCache.hits.Load(), Misses: ds.docsCache.misses.Load(), Entries: st.ResidentDocs,
+		Bytes: st.ResidentBytes, Capacity: int64(ds.docsCache.maxDocs)}
 	idxEntries, idxBytes := ds.idxCache.resident()
-	st.IndexCache = CacheStats{Hits: ds.idxCache.hits.Load(), Misses: ds.idxCache.misses.Load(), Entries: idxEntries, Bytes: idxBytes}
+	st.IndexCache = CacheStats{Hits: ds.idxCache.hits.Load(), Misses: ds.idxCache.misses.Load(), Entries: idxEntries,
+		Bytes: idxBytes, Capacity: int64(ds.idxCache.maxDocs), Refused: ds.idxCache.refused.Load()}
 	return st
 }
 

@@ -504,9 +504,9 @@ func openIndexRecord(payload []byte, docID int32, note func(error)) (*storedInde
 }
 
 // indices returns the record's path index and inverted index, both views
-// over what it keeps.
-func (s *storedIndex) indices() (*pathindex.Index, *invindex.Index) {
-	return pathindex.NewView(s.paths, pathLists{s}), invindex.NewView(s.elements, keywordLists{s})
+// over what it keeps, counting what they serve into c.
+func (s *storedIndex) indices(c *viewCounters) (*pathindex.Index, *invindex.Index) {
+	return pathindex.NewView(s.paths, pathLists{s}, &c.probes), invindex.NewView(s.elements, keywordLists{s}, &c.lookups)
 }
 
 // residentBytes is what a cached index over the record keeps on the heap:
@@ -636,9 +636,9 @@ func (v keywordLists) Postings(slot int) []invindex.Posting {
 }
 
 // decodeIndexPayload opens an index record under the given document ID:
-// checksum verified, both indices views over what the record keeps, and
-// their resident bytes.
-func decodeIndexPayload(payload []byte, docID int32, note func(error)) (*pathindex.Index, *invindex.Index, int64, error) {
+// checksum verified, both indices views over what the record keeps counting
+// into c, and their resident bytes.
+func decodeIndexPayload(payload []byte, docID int32, note func(error), c *viewCounters) (*pathindex.Index, *invindex.Index, int64, error) {
 	if len(payload) < 4 || crc32.ChecksumIEEE(payload[4:]) != binary.LittleEndian.Uint32(payload) {
 		return nil, nil, 0, corruptf("index record of %d bytes fails its checksum", len(payload))
 	}
@@ -646,7 +646,7 @@ func decodeIndexPayload(payload []byte, docID int32, note func(error)) (*pathind
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	pix, iix := s.indices()
+	pix, iix := s.indices(c)
 	return pix, iix, s.residentBytes(), nil
 }
 

@@ -79,7 +79,7 @@ func FuzzDecodeIndexPayload(f *testing.F) {
 			binary.LittleEndian.PutUint32(resealed, crc32.ChecksumIEEE(resealed[4:]))
 		}
 		for _, payload := range [][]byte{data, resealed} {
-			pix, iix, _, err := decodeIndexPayload(payload, 7, note)
+			pix, iix, _, err := decodeIndexPayload(payload, 7, note, new(viewCounters))
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("untyped decode error: %v", err)

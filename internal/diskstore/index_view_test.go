@@ -190,7 +190,7 @@ func TestIndexViewMatchesBuild(t *testing.T) {
 	for name, doc := range oracleDocs(t) {
 		want := invindex.Build(doc)
 		var noted error
-		_, got, _, err := decodeIndexPayload(encodeIndexPayload(pathindex.Build(doc), want), doc.DocID, func(err error) { noted = err })
+		_, got, _, err := decodeIndexPayload(encodeIndexPayload(pathindex.Build(doc), want), doc.DocID, func(err error) { noted = err }, new(viewCounters))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -239,7 +239,7 @@ func TestPathViewMatchesBuild(t *testing.T) {
 	for name, doc := range oracleDocs(t) {
 		want := pathindex.Build(doc)
 		var noted error
-		got, _, _, err := decodeIndexPayload(encodeIndexPayload(want, invindex.Build(doc)), doc.DocID, func(err error) { noted = err })
+		got, _, _, err := decodeIndexPayload(encodeIndexPayload(want, invindex.Build(doc)), doc.DocID, func(err error) { noted = err }, new(viewCounters))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -396,7 +396,7 @@ func TestCorruptListAnswersEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, iix := s.indices()
+	_, iix := s.indices(new(viewCounters))
 	// The last list is the last bytes the record keeps; the view reads them
 	// at lookup time, so damage done now is damage after the checksum passed.
 	s.lists[len(s.lists)-1] = 0xff
@@ -423,7 +423,7 @@ func TestCorruptPathListAnswersEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pix, _ := s.indices()
+	pix, _ := s.indices(new(viewCounters))
 	if got := pix.Paths(); !reflect.DeepEqual(got, []string{"/a", "/a/b", "/a/c"}) {
 		t.Fatalf("paths %v", got)
 	}

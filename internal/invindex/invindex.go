@@ -44,7 +44,7 @@ type Index struct {
 	resident []*PostingList // one per slot; nil for a view
 	stored   Stored         // a view's directory and lists; nil when resident
 	elements int            // number of elements in the document
-	lookups  atomic.Int64   // number of keyword lookups served
+	lookups  *atomic.Int64  // keyword lookups served: the index's own, or a view's shared counter
 }
 
 // Stored is a view's keyword directory and lists in their stored form:
@@ -58,7 +58,8 @@ type Stored interface {
 }
 
 // Lookups returns the number of keyword lookups served. Safe to call
-// concurrently with reads.
+// concurrently with reads. A view reports its counter, shared with whatever
+// other views it was given to.
 func (ix *Index) Lookups() int { return int(ix.lookups.Load()) }
 
 // Build constructs the inverted index for doc in one walk. The walk is in
@@ -67,7 +68,7 @@ func (ix *Index) Lookups() int { return int(ix.lookups.Load()) }
 // which is what lets the builder stream tokens straight into the lists with
 // one document-level map instead of allocating per-element scratch.
 func Build(doc *xmltree.Document) *Index {
-	ix := &Index{}
+	ix := &Index{lookups: new(atomic.Int64)}
 	lists := map[string]*PostingList{}
 	var curID dewey.ID
 	add := func(tok string) bool {
@@ -112,9 +113,11 @@ func Build(doc *xmltree.Document) *Index {
 // NewView returns an index over lists that stay in their stored form: the
 // keyword directory is binary-searched where it is stored, and a slot's
 // postings are decoded each time its keyword is looked up. Nothing decoded
-// is kept: the view's footprint is the stored form's.
-func NewView(elements int, stored Stored) *Index {
-	return &Index{stored: stored, elements: elements}
+// is kept: the view's footprint is the stored form's. Its lookups are added
+// to lookups, which the caller may share between views: a count kept
+// outside the view survives the view being dropped.
+func NewView(elements int, stored Stored, lookups *atomic.Int64) *Index {
+	return &Index{stored: stored, elements: elements, lookups: lookups}
 }
 
 func (pl *PostingList) buildPrefix() {

@@ -105,10 +105,10 @@ type Lists interface {
 // counter and the lazily derived tag index, so concurrent searches may probe
 // it freely.
 type Index struct {
-	paths  []string     // sorted distinct full data paths, interned
-	segs   [][]string   // aligned with paths: each split into its tags
-	lists  Lists        // the lists, by directory slot
-	probes atomic.Int64 // full-path lookups served
+	paths  []string      // sorted distinct full data paths, interned
+	segs   [][]string    // aligned with paths: each split into its tags
+	lists  Lists         // the lists, by directory slot
+	probes *atomic.Int64 // full-path lookups served: the index's own, or a view's shared counter
 
 	tagsOnce sync.Once
 	tags     map[string][]Posting
@@ -202,7 +202,7 @@ func Build(doc *xmltree.Document) *Index {
 		r.lists[slot] = b.lists[i]
 		scratch, r.values[slot], r.ords[slot] = valueTable(scratch, b.lists[i])
 	}
-	return newIndex(paths, r)
+	return newIndex(paths, r, new(atomic.Int64))
 }
 
 // valueTable returns the distinct values of a list in ascending order and
@@ -234,12 +234,16 @@ func valueTable(scratch []string, postings []Posting) ([]string, []string, []int
 // NewView returns an index over lists kept in a stored form: paths is the
 // sorted directory (canonical strings, as intern.String returns them) and
 // lists decodes a path's postings each time a lookup reaches it. The view's
-// footprint is its directory.
-func NewView(paths []string, lists Lists) *Index { return newIndex(paths, lists) }
+// footprint is its directory. Its probes are added to probes, which the
+// caller may share between views: a count kept outside the view survives
+// the view being dropped.
+func NewView(paths []string, lists Lists, probes *atomic.Int64) *Index {
+	return newIndex(paths, lists, probes)
+}
 
 // newIndex splits every directory path into its tags, carving the
 // segments of all of them from one slab.
-func newIndex(paths []string, lists Lists) *Index {
+func newIndex(paths []string, lists Lists, probes *atomic.Int64) *Index {
 	n := 0
 	for _, p := range paths {
 		n += strings.Count(p, "/")
@@ -251,12 +255,13 @@ func newIndex(paths []string, lists Lists) *Index {
 		slab = append(slab, splitPath(p)...)
 		segs[i] = slab[start:len(slab):len(slab)]
 	}
-	return &Index{paths: paths, segs: segs, lists: lists}
+	return &Index{paths: paths, segs: segs, lists: lists, probes: probes}
 }
 
 // Probes reports how many index probes have been served: one per full data
 // path a lookup reached (paper Figure 7 counts probes per query, whatever
-// serves them).
+// serves them). A view reports its counter, shared with whatever other views
+// it was given to.
 func (ix *Index) Probes() int { return int(ix.probes.Load()) }
 
 // Paths returns the path dictionary (sorted distinct element paths).

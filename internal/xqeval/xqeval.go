@@ -6,10 +6,11 @@
 // on ("our proposed architecture requires no changes to the XML query
 // evaluator").
 //
-// The evaluator includes an optional hash-join fast path for equality
-// where-clauses over loop-invariant sequences; it stands in for the value
-// indexes a production engine such as Quark would use, and can be disabled
-// to measure its effect (see the ablation benchmarks).
+// The evaluator includes a hash-join fast path for equality where-clauses
+// over loop-invariant sequences; it stands in for the value indexes a
+// production engine such as Quark would use. Every pipeline runs with it
+// on; Evaluator.HashJoin turns it off only so the oracle tests can check
+// it against the nested-loop evaluation it replaces.
 package xqeval
 
 import (
