@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 
 	"vxml/internal/inex"
-	"vxml/internal/store"
 )
 
 func main() {
@@ -29,12 +28,12 @@ func main() {
 		Partitions:  *partitions,
 		ElemSizeX:   *elemSize,
 	})
-	st := store.New()
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatalf("%v", err)
 	}
-	for _, doc := range corpus.Docs() {
-		st.AddParsed(doc) // assigns IDs and computes sizes
+	for i, doc := range corpus.Docs() {
+		doc.DocID = int32(i + 1)
+		doc.Finalize() // assigns Dewey IDs and computes sizes
 		path := filepath.Join(*out, doc.Name)
 		f, err := os.Create(path)
 		if err != nil {

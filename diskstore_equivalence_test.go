@@ -288,33 +288,3 @@ func TestDiskBackendConcurrentSearches(t *testing.T) {
 		t.Errorf("block cache over budget: %d > %d", stats.BlockCache.Bytes, stats.BlockCache.Capacity)
 	}
 }
-
-// TestLoadWithStats pins satellite #1: Load reports its parse/index time
-// split and corpus totals.
-func TestLoadWithStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(9500))
-	db := testkit.BuildEqCorpus(t, rng, 8)
-	dir := t.TempDir()
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, stats, err := vxml.LoadWithStats(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats == nil {
-		t.Fatal("nil LoadStats")
-	}
-	if stats.Documents != len(db.DocumentNames()) {
-		t.Errorf("Documents = %d, want %d", stats.Documents, len(db.DocumentNames()))
-	}
-	if stats.TotalBytes != db.TotalBytes() {
-		t.Errorf("TotalBytes = %d, want %d", stats.TotalBytes, db.TotalBytes())
-	}
-	if stats.Total < stats.Parse || stats.Total < stats.Index || stats.Total <= 0 {
-		t.Errorf("implausible timing split: %+v", stats)
-	}
-	if got, want := loaded.DocumentNames(), db.DocumentNames(); len(got) != len(want) {
-		t.Errorf("loaded %d documents, want %d", len(got), len(want))
-	}
-}

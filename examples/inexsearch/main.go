@@ -12,7 +12,6 @@ import (
 	"vxml"
 	"vxml/internal/benchkit"
 	"vxml/internal/inex"
-	"vxml/internal/store"
 )
 
 func main() {
@@ -23,12 +22,8 @@ func main() {
 	p.SizeUnits = 2
 
 	corpus := inex.Generate(inex.Options{TargetBytes: p.TargetBytes(), Seed: p.Seed})
-	st := store.New()
-	for _, doc := range corpus.Docs() {
-		st.AddParsed(doc) // assign IDs and byte lengths before serializing
-	}
 	db := vxml.Open()
-	for _, doc := range st.Docs() {
+	for _, doc := range corpus.Docs() {
 		db.MustAdd(doc.Name, doc.Root.XMLString(""))
 	}
 

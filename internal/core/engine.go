@@ -3,11 +3,13 @@
 // query over the PDTs, and scoring with deferred top-k materialization.
 // This is the "Efficient" system of the experimental section.
 //
-// The engine partitions the corpus into shards (mirroring its
-// store.Store): each shard owns the path and inverted-list indices of the
-// documents hash-assigned to it, guarded by its own RWMutex, and a search
-// locks only the shards its view touches — so an ingest into one shard
-// never contends with a search over another. With Options.Parallelism > 1
+// Each document's path and inverted-list indices live in the storage
+// layer beside the document (store.Corpus: resident on the heap backend,
+// persisted on the disk backend); the engine reads them through one call,
+// Corpus.StoredIndices, whichever backend holds them. The engine mirrors
+// the corpus's shards with one RWMutex each, and a search read-locks only
+// the shards its view touches — so an ingest into one shard never
+// contends with a search over another. With Options.Parallelism > 1
 // the per-document pipeline (keyword lookup, QPT matching, PDT generation,
 // evaluation, stat collection) fans out over a bounded worker pool; the
 // same functions run at every pool size, so results are byte-identical at
@@ -53,36 +55,27 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// engineShard guards the per-document indices of one corpus shard. The
-// shard boundaries coincide with the store's (same name hash, same count),
-// so one write lock covers the publication of a document's store entry and
-// both its indices.
+// engineShard orders searches against mutations on one corpus shard. The
+// shard boundaries coincide with the store's (same name hash, same count):
+// a mutation holds the write lock across its store publication and the
+// catalog bump, and a search holds the read lock from planning until its
+// view output exists, so the corpus, its indices and the catalog
+// generation a search sees all belong to one point between mutations.
 type engineShard struct {
-	mu   sync.RWMutex
-	path map[string]*pathindex.Index
-	inv  map[string]*invindex.Index
-	// retiredProbes and retiredLookups hold the counters of indices this
-	// shard has dropped (replaced or deleted documents), so IndexProbes
-	// stays monotonic across mutations, as the disk backend's does.
-	retiredProbes, retiredLookups int
+	mu sync.RWMutex
 }
 
-// Engine owns the document store and the per-document path and
-// inverted-list indices, partitioned into shards aligned with the store's.
+// Engine runs searches over a document store whose documents carry their
+// own path and inverted-list indices, with one lock per store shard.
 //
 // The engine is safe for concurrent use: Search, Explain and view
 // compilation hold read locks on the shards they touch and proceed in
 // parallel, while AddXML and AddParsed take one shard's write lock, so a
-// search never observes a document whose indices are half-built and an
-// ingest stalls only the searches that touch its shard.
+// search never observes a document without its indices and an ingest
+// stalls only the searches that touch its shard.
 type Engine struct {
 	Store  store.Corpus
 	shards []*engineShard
-	// src is non-nil when Store persists per-document indices itself
-	// (IndexSource): the shard maps then stay empty, index lookups
-	// resolve through the source, and mutations publish document and
-	// indices to the backend in one operation.
-	src IndexSource
 	// Catalog is the view catalog the planner consults (always non-nil
 	// for engines built with New). Its generation is bumped inside every
 	// mutation's shard write lock, so a planned search — which checks
@@ -93,27 +86,6 @@ type Engine struct {
 	Catalog *catalog.Catalog
 	// promoteMu single-flights view materialization (see maybePromote).
 	promoteMu sync.Mutex
-}
-
-// IndexSource is the optional seam a storage backend implements when it
-// persists per-document indices alongside the documents (the disk backend
-// does). When a Corpus passed to New satisfies it, the engine skips the
-// eager whole-corpus index rebuild — startup cost becomes proportional to
-// the manifest, not the corpus — and resolves each document's indices
-// through StoredIndices on first use. Mutations flow through
-// RegisterIndexed/ReplaceIndexed so the backend persists a document and
-// its freshly built indices as one atomic publication; Delete remains a
-// Corpus operation (the backend drops its own index state).
-//
-// StoredIndices must be safe for concurrent use under the engine's shard
-// read locks; the engine calls the mutating methods only under the home
-// shard's write lock, mirroring the heap backend's publication discipline.
-type IndexSource interface {
-	StoredIndices(name string) (*pathindex.Index, *invindex.Index, error)
-	RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error
-	ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error
-	// IndexProbes mirrors Engine.IndexProbes for source-resident indices.
-	IndexProbes() (pathProbes, keywordLookups int)
 }
 
 // RLock takes every shard's read lock, in shard order. Comparator
@@ -133,31 +105,18 @@ func (e *Engine) RUnlock() {
 	}
 }
 
-// indices resolves the named document's path and inverted index — through
-// the index source when the backend stores them itself, else from the home
-// shard's maps (nil for an unknown name). The caller must hold a read lock
-// on the home shard: the maps are written only under shard write locks, so
-// any read lock makes the plain map read safe.
-func (e *Engine) indices(name string) (*pathindex.Index, *invindex.Index, error) {
-	if e.src != nil {
-		return e.src.StoredIndices(name)
-	}
-	sh := e.shards[e.Store.ShardOf(name)]
-	return sh.path[name], sh.inv[name], nil
-}
-
 // PathIndex returns the path index of the named document, or nil. The
 // caller must hold the engine's read lock (RLock, or the shard locks a
 // running Search holds).
 func (e *Engine) PathIndex(name string) *pathindex.Index {
-	pix, _, _ := e.indices(name) // a failed lookup has no index: nil
+	pix, _, _ := e.Store.StoredIndices(name) // a failed lookup has no index: nil
 	return pix
 }
 
 // InvIndex returns the inverted index of the named document, or nil. The
 // same locking requirement as PathIndex applies.
 func (e *Engine) InvIndex(name string) *invindex.Index {
-	_, iix, _ := e.indices(name) // a failed lookup has no index: nil
+	_, iix, _ := e.Store.StoredIndices(name) // a failed lookup has no index: nil
 	return iix
 }
 
@@ -166,29 +125,12 @@ func (e *Engine) InvIndex(name string) *invindex.Index {
 // Benchmarks report deltas of these to show that the number of probes per
 // query depends on the query, never on the data size (paper Figure 7).
 func (e *Engine) IndexProbes() (pathProbes, keywordLookups int) {
-	if e.src != nil {
-		return e.src.IndexProbes()
-	}
-	e.RLock()
-	defer e.RUnlock()
-	for _, sh := range e.shards {
-		pathProbes += sh.retiredProbes
-		keywordLookups += sh.retiredLookups
-		for _, ix := range sh.path {
-			pathProbes += ix.Probes()
-		}
-		for _, ix := range sh.inv {
-			keywordLookups += ix.Lookups()
-		}
-	}
-	return pathProbes, keywordLookups
+	return e.Store.IndexProbes()
 }
 
-// New builds an engine over an existing corpus. A heap corpus is indexed
-// eagerly, document by document; a corpus that persists its own indices
-// (IndexSource — the disk backend) is not: its stored indices are decoded
-// on first use, so opening a large saved corpus costs a manifest read, not
-// a rebuild.
+// New builds an engine over an existing corpus. The corpus already holds
+// every document's indices (built at registration on the heap backend,
+// persisted on the disk backend), so New does no per-document work.
 func New(st store.Corpus) *Engine {
 	e := &Engine{
 		Store:   st,
@@ -196,15 +138,7 @@ func New(st store.Corpus) *Engine {
 		Catalog: catalog.New(0),
 	}
 	for i := range e.shards {
-		e.shards[i] = &engineShard{path: map[string]*pathindex.Index{}, inv: map[string]*invindex.Index{}}
-	}
-	if src, ok := st.(IndexSource); ok {
-		e.src = src
-		return e
-	}
-	for _, doc := range st.Docs() {
-		sh := e.shards[st.ShardOf(doc.Name)]
-		sh.path[doc.Name], sh.inv[doc.Name] = buildIndices(doc)
+		e.shards[i] = &engineShard{}
 	}
 	return e
 }
@@ -247,11 +181,7 @@ func (e *Engine) ingest(name, xmlText string, docID int32, replace bool) error {
 	if err != nil {
 		return err
 	}
-	pix, iix := buildIndices(doc)
-	sh := e.shards[e.Store.ShardOf(name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := e.publishLocked(sh, doc, pix, iix, replace); err != nil {
+	if err := e.publish(doc, replace); err != nil {
 		if errors.Is(err, store.ErrUnknownName) {
 			return fmt.Errorf("core: replace: %w %q", ErrUnknownDocument, name)
 		}
@@ -260,45 +190,26 @@ func (e *Engine) ingest(name, xmlText string, docID int32, replace bool) error {
 	return nil
 }
 
-// publishLocked publishes a parsed document and its freshly built indices
-// under the home shard's write lock, which the caller holds: through the
-// index source when the backend persists indices itself, else to the heap
-// store plus the shard maps. replace swaps out the document registered
-// under the same name; otherwise the name must be new.
-func (e *Engine) publishLocked(sh *engineShard, doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index, replace bool) error {
+// publish builds doc's indices outside any lock, then takes the home
+// shard's write lock and hands document and indices to the store in one
+// call, which publishes all three together. replace swaps out the document
+// registered under the same name; otherwise the name must be new.
+func (e *Engine) publish(doc *xmltree.Document, replace bool) error {
+	pix, iix := pathindex.Build(doc), invindex.Build(doc)
+	sh := e.shards[e.Store.ShardOf(doc.Name)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	var err error
-	switch {
-	case e.src != nil && replace:
-		err = e.src.ReplaceIndexed(doc, pix, iix)
-	case e.src != nil:
-		err = e.src.RegisterIndexed(doc, pix, iix)
-	case replace:
-		err = e.Store.ReplaceParsed(doc)
-	default:
-		err = e.Store.RegisterParsed(doc)
+	if replace {
+		err = e.Store.ReplaceIndexed(doc, pix, iix)
+	} else {
+		err = e.Store.RegisterIndexed(doc, pix, iix)
 	}
 	if err != nil {
 		return err
 	}
-	if e.src == nil {
-		sh.retireLocked(doc.Name)
-		sh.path[doc.Name], sh.inv[doc.Name] = pix, iix
-	}
 	e.bumpCatalogLocked()
 	return nil
-}
-
-// retireLocked drops the named document's indices from the shard maps,
-// folding their served-probe counters into the shard's retired totals.
-func (sh *engineShard) retireLocked(name string) {
-	if ix := sh.path[name]; ix != nil {
-		sh.retiredProbes += ix.Probes()
-	}
-	if ix := sh.inv[name]; ix != nil {
-		sh.retiredLookups += ix.Lookups()
-	}
-	delete(sh.path, name)
-	delete(sh.inv, name)
 }
 
 // bumpCatalogLocked invalidates the catalog inside a mutation's shard
@@ -318,18 +229,14 @@ func (e *Engine) bumpCatalogLocked() { e.Catalog.Invalidate() }
 func (e *Engine) AddParsed(doc *xmltree.Document) {
 	doc.DocID = e.Store.ReserveID()
 	doc.Finalize()
-	pix, iix := buildIndices(doc)
-	sh := e.shards[e.Store.ShardOf(doc.Name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := e.publishLocked(sh, doc, pix, iix, false); err != nil {
+	if err := e.publish(doc, false); err != nil {
 		panic(err)
 	}
 }
 
 // ReplaceXML parses, indexes and atomically swaps the document registered
-// under name: one shard write lock covers unregistering the old document's
-// indices and publishing the replacement's store entry and indices, so a
+// under name: one store write under the home shard's write lock swaps the
+// old document and its indices for the replacement and its indices, so a
 // concurrent search sees entirely the old document or entirely the new one.
 // The replacement carries a fresh document ID — it is a new document in
 // global document order; only the name is stable — so collection views
@@ -340,8 +247,8 @@ func (e *Engine) ReplaceXML(name, xmlText string) error {
 	return e.ingest(name, xmlText, 0, true)
 }
 
-// Delete unregisters the named document and drops its path and inverted
-// indices under the home shard's write lock. Searches planned afterwards
+// Delete unregisters the named document, and with it the indices the store
+// keeps beside it, under the home shard's write lock. Searches planned afterwards
 // cannot see the document; searches already past planning keep materializing
 // its subtrees through the store's tombstones (see store.Store.Delete).
 // Deleting an unregistered name returns an error wrapping ErrUnknownDocument.
@@ -355,17 +262,8 @@ func (e *Engine) Delete(name string) error {
 		}
 		return err
 	}
-	sh.retireLocked(name)
 	e.bumpCatalogLocked()
 	return nil
-}
-
-// buildIndices builds both indices for doc. Ingest paths call it before
-// taking the write lock (the document is private until published) and
-// assign the results under it; New calls it during single-threaded
-// construction.
-func buildIndices(doc *xmltree.Document) (*pathindex.Index, *invindex.Index) {
-	return pathindex.Build(doc), invindex.Build(doc)
 }
 
 // View is a compiled virtual view: the parsed definition plus one QPT per
@@ -580,7 +478,7 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 				}
 				seen[info.Name] = q.Doc
 			}
-			pix, iix, err := e.indices(info.Name)
+			pix, iix, err := e.Store.StoredIndices(info.Name)
 			if err != nil {
 				p.unlock()
 				return nil, fmt.Errorf("core: indices of %q: %w", info.Name, err)
@@ -598,9 +496,6 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 // frequencies of the results that survive evaluation — so the keywords
 // reach PrepareLists only when a KeywordFilter prunes by them.
 func (u unit) generatePDT(kws []string, filter *pdt.KeywordFilter) *pdt.PDT {
-	if u.pix == nil || u.iix == nil {
-		return nil // unindexed document: empty PDT
-	}
 	if filter == nil {
 		kws = nil
 	}
@@ -614,14 +509,11 @@ func (u unit) generatePDT(kws []string, filter *pdt.KeywordFilter) *pdt.PDT {
 // keyword per candidate, under the plan's shard read locks. The lists are
 // immutable, so collect reads them after the locks drop. Lookup on an
 // absent keyword returns an empty list whose range sums are 0, so no nil
-// checks are needed per keyword; a candidate without indices has no entry.
+// checks are needed per keyword.
 func (p *plan) keywordLists(kws []string) map[int32][]*invindex.PostingList {
 	lists := make(map[int32][]*invindex.PostingList, len(p.units))
 	slab := make([]*invindex.PostingList, 0, len(p.units)*len(kws))
 	for _, u := range p.units {
-		if u.iix == nil {
-			continue
-		}
 		start := len(slab)
 		for _, kw := range kws {
 			slab = append(slab, u.iix.Lookup(kw))
@@ -655,9 +547,8 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // generatePDTs is the PDT-generation half of direct view output: one PDT per
 // candidate unit on a pool of stats.Workers, the node and byte tally and
 // PDTTime recorded in stats, and the PDTs assembled into the evaluation
-// catalog (a nil PDT or a PDT with no qualifying elements contributes
-// nothing, exactly like an unknown document). The caller holds the plan's
-// shard read locks.
+// catalog (a PDT with no qualifying elements contributes nothing, exactly
+// like an unknown document). The caller holds the plan's shard read locks.
 func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.KeywordFilter, stats *Stats) (*evalCatalog, error) {
 	start := time.Now()
 	pdts := make([]*pdt.PDT, len(p.units))
@@ -668,9 +559,6 @@ func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.Keywo
 	}
 	c := &evalCatalog{byName: map[string]*xmltree.Document{}}
 	for _, pd := range pdts {
-		if pd == nil {
-			continue
-		}
 		stats.PDTNodes += pd.Nodes
 		stats.PDTBytes += pd.Bytes
 		if pd.Doc == nil {

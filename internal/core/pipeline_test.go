@@ -20,6 +20,7 @@ import (
 	"vxml/internal/scoring"
 	"vxml/internal/store"
 	"vxml/internal/testkit"
+	"vxml/internal/xmltree"
 )
 
 // engineTarget adapts an engine to testkit's corpus fillers.
@@ -251,14 +252,14 @@ func TestOffsetsAgreeAcrossDeliveryPaths(t *testing.T) {
 
 // TestIndexProbesNeverDecrease: the served-probe counters are cumulative on
 // both backends — replacing or deleting a document must not take its
-// indices' counts out of the totals.
+// indices' counts out of the totals. Along the way it pins the store's
+// index seam on both: a replace publishes the replacement's indices, a
+// duplicate registration publishes nothing, and a deleted name has none.
 func TestIndexProbesNeverDecrease(t *testing.T) {
 	heap := eqEngine(t, 53, 6)
 	dir := t.TempDir()
 	heap.RLock()
-	_, err := diskstore.Create(heap.Store, dir, diskstore.Options{}, func(name string) (*pathindex.Index, *invindex.Index) {
-		return heap.PathIndex(name), heap.InvIndex(name)
-	})
+	_, err := diskstore.Create(heap.Store, dir, diskstore.Options{}, nil)
 	heap.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -289,19 +290,53 @@ func TestIndexProbesNeverDecrease(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// hasWord reports whether name's stored inverted index lists word.
+		hasWord := func(name, word string) bool {
+			t.Helper()
+			_, iix, err := e.Store.StoredIndices(name)
+			if err != nil {
+				t.Fatalf("%s: StoredIndices(%s): %v", name, name, err)
+			}
+			return iix.Lookup(word).Len() > 0
+		}
 		search()
 		step("search")
 		if lastProbes == 0 || lastLookups == 0 {
 			t.Fatalf("%s: a search served no index probes (%d/%d)", name, lastProbes, lastLookups)
 		}
-		if err := e.ReplaceXML("part-00.xml", "<books>"+testkit.RandomArticle(rand.New(rand.NewSource(1)), 1)+"</books>"); err != nil {
+		if hasWord("part-00.xml", "zyzzyva") {
+			t.Fatalf("%s: the original part-00.xml already lists the replacement's word", name)
+		}
+		if err := e.ReplaceXML("part-00.xml", "<books>"+testkit.RandomArticle(rand.New(rand.NewSource(1)), 1)+"<note>zyzzyva</note></books>"); err != nil {
 			t.Fatal(err)
+		}
+		if !hasWord("part-00.xml", "zyzzyva") {
+			t.Fatalf("%s: after the replace, StoredIndices still returns the old document's indices", name)
 		}
 		step("replace")
 		search()
 		step("search after replace")
+
+		before, _ := e.Store.Info("part-02.xml")
+		dup, err := xmltree.ParseString("<books><note>zyzzyvb</note></books>", "part-02.xml", e.Store.ReserveID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Store.RegisterIndexed(dup, pathindex.Build(dup), invindex.Build(dup)); !errors.Is(err, store.ErrDuplicateName) {
+			t.Fatalf("%s: duplicate RegisterIndexed = %v, want ErrDuplicateName", name, err)
+		}
+		if after, _ := e.Store.Info("part-02.xml"); after != before || hasWord("part-02.xml", "zyzzyvb") {
+			t.Fatalf("%s: a refused duplicate changed what part-02.xml resolves to", name)
+		}
+		if _, found := e.Store.InfoByID(dup.DocID); found {
+			t.Fatalf("%s: a refused duplicate published document ID %d", name, dup.DocID)
+		}
+
 		if err := e.Delete("part-01.xml"); err != nil {
 			t.Fatal(err)
+		}
+		if _, _, err := e.Store.StoredIndices("part-01.xml"); !errors.Is(err, store.ErrUnknownName) {
+			t.Fatalf("%s: StoredIndices of a deleted name = %v, want ErrUnknownName", name, err)
 		}
 		step("delete")
 		search()

@@ -143,19 +143,9 @@ func mustMatchStaged(t *testing.T, label string, e *core.Engine, v *core.View, k
 // term frequencies over Dewey ranges of the candidates' posting lists, which
 // must give exactly the Stats that PDT generation with keywords attaches and
 // scoring.Collect(FromPDT) reads — for every view shape, 0 to 5 keywords and
-// both semantics. The corpus includes a candidate document the engine holds
-// no indices for (an empty PDT on both routes), and view 1's results wrap 'c'
-// nodes from two documents.
+// both semantics. View 1's results wrap 'c' nodes from two documents.
 func TestCollectDerivesThePDTTermFrequencies(t *testing.T) {
 	e := eqEngine(t, 59, 12)
-	bare, err := xmltree.ParseString("<books>"+testkit.RandomArticle(rand.New(rand.NewSource(3)), 7)+"</books>",
-		"part-zz.xml", e.Store.ReserveID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Store.RegisterParsed(bare); err != nil { // in the store, never indexed
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	matchedCells := 0
 	for vi, text := range testkit.EqViews {

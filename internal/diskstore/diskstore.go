@@ -87,10 +87,10 @@ type docEntry struct {
 	nodes int // expanded element count (0 for corpora written before tracking)
 }
 
-// Store is the disk-resident corpus backend. It satisfies store.Corpus and
-// core's IndexSource, so an engine over it plans from manifest metadata,
-// reads indices and subtrees on demand through the block cache, and never
-// needs the whole corpus in memory.
+// Store is the disk-resident corpus backend. It satisfies store.Corpus,
+// persisting each document's indices beside it, so an engine over it plans
+// from manifest metadata, opens indices and reads subtrees on demand, and
+// never needs the whole corpus in memory.
 //
 // Concurrency: mutations serialize on mu (they append to shared files);
 // reads take mu only to resolve immutable docEntry pointers and then
@@ -141,16 +141,8 @@ type Store struct {
 // served it.
 type viewCounters struct{ probes, lookups atomic.Int64 }
 
-// Compile-time checks: the disk backend is a drop-in store.Corpus, and an
-// IndexSource in core's structural sense (core asserts the interface
-// itself; mirroring it here documents the full method set in one place).
+// Compile-time check: the disk backend is a drop-in store.Corpus.
 var _ store.Corpus = (*Store)(nil)
-var _ interface {
-	StoredIndices(name string) (*pathindex.Index, *invindex.Index, error)
-	RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error
-	ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error
-	IndexProbes() (pathProbes, keywordLookups int)
-} = (*Store)(nil)
 
 // Exists reports whether dir holds a disk corpus (a readable manifest).
 func Exists(dir string) bool {
@@ -427,9 +419,10 @@ func cleanupStale(dir, keepData string) {
 // Create writes the whole corpus c as a disk corpus in dir and opens it.
 // The data log is written under a fresh unique name and the manifest is
 // renamed into place last, so a crash mid-save leaves any previous corpus
-// in dir untouched. indices, when non-nil, supplies already-built indices
-// per document (the engine's, avoiding a rebuild); a nil func — or a nil
-// result — builds them from the tree.
+// in dir untouched. Each document's indices are the ones c keeps beside it
+// (StoredIndices), persisted as they are, never rebuilt; indices, when
+// non-nil, supplies them instead, and a nil result from it falls back to
+// c's.
 func Create(c store.Corpus, dir string, opts Options, indices func(name string) (*pathindex.Index, *invindex.Index)) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -458,7 +451,10 @@ func Create(c store.Corpus, dir string, opts Options, indices func(name string) 
 				pix, iix = indices(doc.Name)
 			}
 			if pix == nil || iix == nil {
-				pix, iix = pathindex.Build(doc), invindex.Build(doc)
+				var err error
+				if pix, iix, err = c.StoredIndices(doc.Name); err != nil {
+					return err
+				}
 			}
 			idx, _ := w.addIndex(p, rootOff, pix, iix)
 			if err := data.Write(p.buf); err != nil {
@@ -598,8 +594,8 @@ func (ds *Store) ReplaceParsed(doc *xmltree.Document) error {
 // RegisterIndexed registers a parsed document together with its indices:
 // DAG-encoded subtree records and the index record are appended to the
 // data log (only new structure is written), then one manifest record
-// commits the document. This is core's IndexSource write path — the
-// indices the engine just built are persisted, not rebuilt.
+// commits the document. This is the store.Corpus write path — the indices
+// the engine just built are persisted, not rebuilt.
 func (ds *Store) RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -992,7 +988,7 @@ func (ds *Store) noteDecodeErr(err error) {
 	ds.lastDecodeErr.Store(&err)
 }
 
-// --- core.IndexSource ---
+// --- store.Corpus: indices ---
 
 // StoredIndices returns the document's persisted indices (memoized per
 // document). A miss reads the index record with one pread of its exact

@@ -1,7 +1,7 @@
 // Package diskstore implements the disk-resident corpus backend: a
 // DAG-compressed block file of subtree records plus an append-only,
 // CRC-framed manifest, served through a bounded block cache. It satisfies
-// store.Corpus (and core's IndexSource), so a Database opened over a disk
+// store.Corpus, indices included, so a Database opened over a disk
 // directory answers every search byte-identically to the heap backend
 // while keeping only hot documents and blocks resident.
 //

@@ -16,7 +16,9 @@ import (
 	"strings"
 	"testing"
 
+	"vxml/internal/core"
 	"vxml/internal/dewey"
+	"vxml/internal/gtp"
 	"vxml/internal/inex"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
@@ -381,6 +383,54 @@ func TestFlippedIndexRecordByteIsRejected(t *testing.T) {
 	}
 	if _, _, err := ds.StoredIndices("d.xml"); err != nil {
 		t.Fatalf("restored record: %v", err)
+	}
+}
+
+// TestCorruptIndexFailsEverySearch: when one candidate's stored index record
+// fails its checksum, the Efficient engine and the GTP comparator both fail
+// the search with ErrCorrupt; neither answers from the other candidates.
+func TestCorruptIndexFailsEverySearch(t *testing.T) {
+	ds, err := Init(t.TempDir(), 2, Options{IndexCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close() //nolint:errcheck
+	for i, name := range []string{"a.xml", "b.xml"} {
+		doc, err := xmltree.ParseString(servedXML(int64(i+1), 4, 8), name, ds.ReserveID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.RegisterParsed(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := core.New(ds)
+	v, err := e.CompileView(`for $x in fn:collection("*.xml")/books//article return $x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kws := []string{"study"}
+	if res, _, err := e.Search(v, kws, core.Options{}); err != nil || len(res) != 8 {
+		t.Fatalf("intact corpus: %d results, %v; want 8", len(res), err)
+	}
+	f, err := os.OpenFile(filepath.Join(ds.dir, ds.dataName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	at := ds.entry("b.xml").index
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, at.off+int64(at.n)-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{last[0] ^ 0x01}, at.off+int64(at.n)-1); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := e.Search(v, kws, core.Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Efficient: %d results, error %v; want ErrCorrupt", len(res), err)
+	}
+	if res, _, err := gtp.Search(e, v, kws, core.Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GTP: %d results, error %v; want ErrCorrupt", len(res), err)
 	}
 }
 

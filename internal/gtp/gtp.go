@@ -24,6 +24,7 @@ import (
 
 	"vxml/internal/core"
 	"vxml/internal/dewey"
+	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/pdt"
 	"vxml/internal/pred"
@@ -67,8 +68,10 @@ func Search(e *core.Engine, v *core.View, keywords []string, opts core.Options) 
 // SearchContext is Search with cooperative cancellation: ctx is checked
 // between per-document structural-join passes, between FLWOR bindings
 // during evaluation (through the evaluator) and between winners during
-// materialization, and the returned error wraps ctx.Err(). The engine read
-// locks are released before SearchContext returns.
+// materialization, and the returned error wraps ctx.Err(). A candidate
+// whose stored indices cannot be read fails the search with the store's
+// error, as it fails the Efficient pipeline. The engine read locks are
+// released before SearchContext returns.
 func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords []string, opts core.Options) ([]core.Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("gtp: search interrupted: %w", err)
@@ -89,11 +92,11 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 			if err := ctx.Err(); err != nil {
 				return nil, nil, fmt.Errorf("gtp: search interrupted: %w", err)
 			}
-			pix := e.PathIndex(doc.Name)
-			if pix == nil {
-				continue
+			pix, iix, err := e.Store.StoredIndices(doc.Name)
+			if err != nil {
+				return nil, nil, fmt.Errorf("gtp: indices of %q: %w", doc.Name, err)
 			}
-			pruned := joinQPT(e, q, doc.Name, pix, kws, stats)
+			pruned := joinQPT(e, q, doc.Name, pix, iix, kws, stats)
 			if pruned.Doc != nil {
 				catalog[doc.Name] = pruned.Doc
 			}
@@ -180,8 +183,7 @@ func structuralJoin(ancs *candSet, descs *candSet, axis pathindex.Axis, stats *S
 // joinQPT computes the pruned tree for one QPT against one document it
 // resolved to, via structural joins over tag lists, fetching predicate and
 // join values from base data.
-func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, kws []string, stats *Stats) *pdt.PDT {
-	iix := e.InvIndex(docName)
+func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, iix *invindex.Index, kws []string, stats *Stats) *pdt.PDT {
 	// Bottom-up: candidate elements per QPT node (descendant constraints),
 	// computed with pair-producing binary structural joins.
 	ce := map[*qpt.Node]*candSet{}
@@ -231,7 +233,7 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, k
 				e.Store.Value(id) //nolint:errcheck
 			}
 		}
-		if n.C && iix != nil {
+		if n.C {
 			for _, id := range set.ids {
 				for _, k := range kws {
 					iix.Lookup(k).SubtreeTF(id) // TermJoin probe

@@ -6,6 +6,8 @@ import (
 
 	"vxml/internal/dewey"
 	"vxml/internal/docname"
+	"vxml/internal/invindex"
+	"vxml/internal/pathindex"
 	"vxml/internal/xmltree"
 )
 
@@ -25,9 +27,12 @@ type DocInfo struct {
 // against. *Store (the heap backend) satisfies it directly; the disk
 // backend in internal/diskstore satisfies it over a block file. The
 // contract mirrors Store's documented behavior exactly — document IDs,
-// shard assignment, tombstone semantics for pinned readers, and the
-// fetch counters — so the two backends are interchangeable under the
-// byte-identity oracle suites.
+// shard assignment, the indices kept beside each document, tombstone
+// semantics for pinned readers, and the fetch and probe counters — so the
+// two backends are interchangeable under the byte-identity oracle suites.
+// Each backend decides itself where a document's indices live: the heap
+// store holds them resident, the disk store persists them and opens them
+// on demand.
 //
 // Tree-returning methods (Doc, Docs, DocsMatching, Subtree) may hydrate
 // lazily on a disk backend; the Info methods never do. Planning code
@@ -45,11 +50,20 @@ type Corpus interface {
 	ReserveID() int32
 	EnsureNextID(id int32)
 
-	// Lifecycle. RegisterParsed and ReplaceParsed take documents with
-	// reserved IDs; Delete tombstones for pinned readers.
-	RegisterParsed(doc *xmltree.Document) error
-	ReplaceParsed(doc *xmltree.Document) error
+	// Lifecycle. RegisterIndexed and ReplaceIndexed take a document with a
+	// reserved ID together with its path and inverted indices, and publish
+	// all three in one write; Delete drops a document and its indices, and
+	// tombstones the document for pinned readers.
+	RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error
+	ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error
 	Delete(name string) error
+
+	// Index lookups. StoredIndices returns a registered document's indices
+	// (an error wrapping ErrUnknownName for any other name) and is safe for
+	// concurrent use with mutations; IndexProbes sums the probes and
+	// lookups every index of the corpus has served, dropped ones included.
+	StoredIndices(name string) (*pathindex.Index, *invindex.Index, error)
+	IndexProbes() (pathProbes, keywordLookups int)
 
 	// Pin/Unpin bracket lock-free read epochs: replaced and deleted
 	// documents stay resolvable by Dewey ID until the last reader unpins.
@@ -115,8 +129,8 @@ func (s *Store) Infos() []DocInfo {
 	var out []DocInfo
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for _, d := range sh.byName {
-			out = append(out, infoOf(d))
+		for _, e := range sh.byName {
+			out = append(out, infoOf(e.doc))
 		}
 		sh.mu.RUnlock()
 	}
@@ -136,9 +150,9 @@ func (s *Store) InfosMatching(pattern string) []DocInfo {
 	var out []DocInfo
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for name, d := range sh.byName {
+		for name, e := range sh.byName {
 			if docname.Match(pattern, name) {
-				out = append(out, infoOf(d))
+				out = append(out, infoOf(e.doc))
 			}
 		}
 		sh.mu.RUnlock()

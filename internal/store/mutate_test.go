@@ -207,3 +207,63 @@ func TestMutatedDeweyAddressing(t *testing.T) {
 		t.Errorf("deleted d1 subtree still resolves: %v", n)
 	}
 }
+
+// TestIndexProbesAcrossConcurrentReplaces: a document's indices live in its
+// name-table entry, which readers look up while a writer replaces and
+// deletes documents. Every lookup of a registered name finds indices that
+// answer for that entry's own content, and IndexProbes never decreases.
+func TestIndexProbesAcrossConcurrentReplaces(t *testing.T) {
+	s := NewSharded(2)
+	for i := 0; i < 4; i++ {
+		if _, err := s.AddXML(fmt.Sprintf("d%d", i), fmt.Sprintf("<r><v>word%d</v></r>", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		last := 0
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_, iix, err := s.StoredIndices("d0")
+			if err != nil {
+				errs <- err
+				return
+			}
+			if iix.Lookup("word0").Len() != 1 {
+				errs <- fmt.Errorf("d0's indices do not list its own word")
+				return
+			}
+			_, lookups := s.IndexProbes()
+			if lookups < last {
+				errs <- fmt.Errorf("IndexProbes went backwards: %d -> %d lookups", last, lookups)
+				return
+			}
+			last = lookups
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := s.ReplaceXML("d0", fmt.Sprintf("<r><v>word0 round%d</v></r>", i)); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("d%d", 1+i%3)
+		if err := s.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.StoredIndices(name); !errors.Is(err, ErrUnknownName) {
+			t.Fatalf("StoredIndices of deleted %s = %v, want ErrUnknownName", name, err)
+		}
+		if _, err := s.AddXML(name, "<r><v>back</v></r>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -168,8 +168,9 @@ type manifestEntry struct {
 	name  string
 }
 
-// Load reads a directory written by Save into a fresh store, preserving
-// shard count, document order and document IDs (and therefore Dewey IDs) —
+// Load reads a directory written by Save into a fresh store, indexing each
+// document as it registers it and preserving shard count, document order
+// and document IDs (and therefore Dewey IDs) —
 // a corpus saved after replacements and deletions loads with the same gapped
 // ID sequence it was saved with. Without a MANIFEST it loads every .xml
 // file in name order with fresh IDs.
@@ -191,7 +192,7 @@ func Load(dir string) (*Store, error) {
 			}
 			continue
 		}
-		doc, err := xmlDocAt(string(data), e.name, e.docID)
+		doc, err := xmltree.ParseString(string(data), e.name, e.docID)
 		if err != nil {
 			return nil, fmt.Errorf("store: load %s: %w", e.name, err)
 		}
@@ -272,10 +273,4 @@ func parseManifest(data string) ([]manifestEntry, int, error) {
 		entries = append(entries, manifestEntry{docID: int32(id), name: name})
 	}
 	return entries, shardCount, nil
-}
-
-// xmlDocAt parses xmlText under an explicit document ID (the one the
-// manifest recorded).
-func xmlDocAt(xmlText, name string, docID int32) (*xmltree.Document, error) {
-	return xmltree.ParseString(xmlText, name, docID)
 }

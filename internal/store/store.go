@@ -4,6 +4,12 @@
 // pipeline performs against base data, and only for the final top-k results
 // (paper §4.2.2.2). Access counters make that claim measurable.
 //
+// Beside each document the store keeps its path and inverted-list indices
+// (paper Figure 3: the indices sit next to the stored documents, and PDT
+// generation reads only them). One shard-map entry holds all three, so one
+// write under the shard lock publishes, replaces or drops a document and
+// both its indices together.
+//
 // The store is sharded: documents are hash-assigned to one of N shards by
 // name at ingest, and each shard guards its own name table with its own
 // RWMutex, so an ingest into one shard never contends with reads against
@@ -26,6 +32,8 @@ import (
 
 	"vxml/internal/dewey"
 	"vxml/internal/docname"
+	"vxml/internal/invindex"
+	"vxml/internal/pathindex"
 	"vxml/internal/xmltree"
 )
 
@@ -41,12 +49,30 @@ var ErrUnknownName = errors.New("unknown document name")
 // per-shard size counters for ShardInfos.
 type shard struct {
 	mu     sync.RWMutex
-	byName map[string]*xmltree.Document
+	byName map[string]entry
 	bytes  int // summed serialized size of the shard's documents
 	// mutations counts replacements and deletions applied to this shard
 	// (ingests are visible as Documents; mutations otherwise leave no
 	// trace, so dashboards need the counter to see corpus churn).
 	mutations int
+	// retired holds the served counters of indices this shard has dropped
+	// (replaced or deleted documents), so IndexProbes stays monotonic
+	// across mutations, as the disk backend's does.
+	retired struct{ probes, lookups int }
+}
+
+// entry is one registered document and its two indices.
+type entry struct {
+	doc *xmltree.Document
+	pix *pathindex.Index
+	iix *invindex.Index
+}
+
+// retireLocked folds the served counters of a dropped entry's indices into
+// the shard's retired totals; the caller holds the shard's write lock.
+func (sh *shard) retireLocked(old entry) {
+	sh.retired.probes += old.pix.Probes()
+	sh.retired.lookups += old.iix.Lookups()
 }
 
 // Store is a collection of named documents, partitioned into shards.
@@ -99,7 +125,7 @@ func NewSharded(n int) *Store {
 	}
 	s := &Store{shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &shard{byName: map[string]*xmltree.Document{}}
+		s.shards[i] = &shard{byName: map[string]entry{}}
 	}
 	s.nextID.Store(1)
 	return s
@@ -151,7 +177,7 @@ func (s *Store) NextDocID() int32 { return s.nextID.Load() }
 
 // ReserveID atomically allocates the next document ID, so a caller can
 // parse and index a document outside any lock before registering it with
-// RegisterParsed. A reservation wasted on a failed parse leaves a gap in
+// RegisterIndexed. A reservation wasted on a failed parse leaves a gap in
 // the ID sequence, which is harmless.
 func (s *Store) ReserveID() int32 { return s.nextID.Add(1) - 1 }
 
@@ -170,24 +196,24 @@ func (s *Store) EnsureNextID(id int32) {
 }
 
 // RegisterParsed registers a document whose DocID was allocated with
-// ReserveID. It returns an error wrapping ErrDuplicateName if the name is
-// already taken.
+// ReserveID, building its indices first (callers with indices in hand use
+// RegisterIndexed).
 func (s *Store) RegisterParsed(doc *xmltree.Document) error {
+	return s.RegisterIndexed(doc, pathindex.Build(doc), invindex.Build(doc))
+}
+
+// RegisterIndexed makes doc and its indices visible under its name and
+// DocID in one write under the home shard's lock. doc must own a DocID
+// allocated with ReserveID. It returns an error wrapping ErrDuplicateName,
+// and publishes nothing, if the name is already taken.
+func (s *Store) RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
 	sh := s.shards[s.ShardOf(doc.Name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.publishLocked(sh, doc)
-}
-
-// publishLocked makes doc visible under its name and DocID; the caller
-// holds sh's write lock, sh is doc's home shard, and doc already owns a
-// reserved DocID. This is the single publication path — every registration
-// goes through it so its invariants cannot diverge.
-func (s *Store) publishLocked(sh *shard, doc *xmltree.Document) error {
 	if _, dup := sh.byName[doc.Name]; dup {
 		return fmt.Errorf("store: %w: %q", ErrDuplicateName, doc.Name)
 	}
-	sh.byName[doc.Name] = doc
+	sh.byName[doc.Name] = entry{doc, pix, iix}
 	if doc.Root != nil {
 		sh.bytes += doc.Root.ByteLen
 	}
@@ -225,13 +251,21 @@ func (s *Store) AddParsed(doc *xmltree.Document) *xmltree.Document {
 	return doc
 }
 
-// ReplaceParsed atomically swaps the document registered under doc.Name for
-// doc, which must carry a freshly reserved DocID. The old document's byID
-// entry is tombstoned, not dropped: a reader that planned its search before
-// the swap may still materialize the old subtree (see Pin), while any search
-// planned afterwards resolves the name to the replacement only. It returns
-// an error wrapping ErrUnknownName if the name is not registered.
+// ReplaceParsed swaps the document registered under doc.Name, building the
+// replacement's indices first (see ReplaceIndexed).
 func (s *Store) ReplaceParsed(doc *xmltree.Document) error {
+	return s.ReplaceIndexed(doc, pathindex.Build(doc), invindex.Build(doc))
+}
+
+// ReplaceIndexed atomically swaps the document registered under doc.Name,
+// and its indices, for doc and pix/iix; doc must carry a freshly reserved
+// DocID. The old indices are dropped (their served counters kept for
+// IndexProbes). The old document's byID entry is tombstoned, not dropped: a
+// reader that planned its search before the swap may still materialize the
+// old subtree (see Pin), while any search planned afterwards resolves the
+// name to the replacement only. It returns an error wrapping ErrUnknownName
+// if the name is not registered.
+func (s *Store) ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
 	sh := s.shards[s.ShardOf(doc.Name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -239,16 +273,17 @@ func (s *Store) ReplaceParsed(doc *xmltree.Document) error {
 	if !ok {
 		return fmt.Errorf("store: %w: %q", ErrUnknownName, doc.Name)
 	}
-	sh.byName[doc.Name] = doc
-	if old.Root != nil {
-		sh.bytes -= old.Root.ByteLen
+	sh.byName[doc.Name] = entry{doc, pix, iix}
+	sh.retireLocked(old)
+	if old.doc.Root != nil {
+		sh.bytes -= old.doc.Root.ByteLen
 	}
 	if doc.Root != nil {
 		sh.bytes += doc.Root.ByteLen
 	}
 	sh.mutations++
 	s.byID.Store(doc.DocID, doc)
-	s.retire(old.DocID)
+	s.retire(old.doc.DocID)
 	return nil
 }
 
@@ -271,7 +306,8 @@ func (s *Store) ReplaceXML(name, xmlText string) (*xmltree.Document, error) {
 	return doc, nil
 }
 
-// Delete unregisters the document stored under name. The document vanishes
+// Delete unregisters the document stored under name and drops its indices
+// (their served counters kept for IndexProbes). The document vanishes
 // from every name-driven lookup (Doc, Docs, DocsMatching) immediately, so a
 // search planned after Delete returns cannot see it; its Dewey entries are
 // tombstoned rather than dropped, so a search planned before — which may
@@ -288,11 +324,12 @@ func (s *Store) Delete(name string) error {
 		return fmt.Errorf("store: %w: %q", ErrUnknownName, name)
 	}
 	delete(sh.byName, name)
-	if old.Root != nil {
-		sh.bytes -= old.Root.ByteLen
+	sh.retireLocked(old)
+	if old.doc.Root != nil {
+		sh.bytes -= old.doc.Root.ByteLen
 	}
 	sh.mutations++
-	s.retire(old.DocID)
+	s.retire(old.doc.DocID)
 	return nil
 }
 
@@ -355,7 +392,37 @@ func (s *Store) Doc(name string) *xmltree.Document {
 	sh := s.shards[s.ShardOf(name)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.byName[name]
+	return sh.byName[name].doc
+}
+
+// StoredIndices returns the path and inverted index registered with the
+// named document, or an error wrapping ErrUnknownName.
+func (s *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, error) {
+	sh := s.shards[s.ShardOf(name)]
+	sh.mu.RLock()
+	e, ok := sh.byName[name]
+	sh.mu.RUnlock()
+	if !ok {
+		return nil, nil, fmt.Errorf("store: %w: %q", ErrUnknownName, name)
+	}
+	return e.pix, e.iix, nil
+}
+
+// IndexProbes sums the served index-probe counters across the corpus:
+// path-index full-path probes and inverted-list keyword lookups, including
+// those served by indices since dropped, so the totals never decrease.
+func (s *Store) IndexProbes() (pathProbes, keywordLookups int) {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		pathProbes += sh.retired.probes
+		keywordLookups += sh.retired.lookups
+		for _, e := range sh.byName {
+			pathProbes += e.pix.Probes()
+			keywordLookups += e.iix.Lookups()
+		}
+		sh.mu.RUnlock()
+	}
+	return pathProbes, keywordLookups
 }
 
 // DocByID returns the document whose Dewey IDs start with docID, or nil.
@@ -372,8 +439,8 @@ func (s *Store) Docs() []*xmltree.Document {
 	var docs []*xmltree.Document
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for _, d := range sh.byName {
-			docs = append(docs, d)
+		for _, e := range sh.byName {
+			docs = append(docs, e.doc)
 		}
 		sh.mu.RUnlock()
 	}
@@ -394,9 +461,9 @@ func (s *Store) DocsMatching(pattern string) []*xmltree.Document {
 	var docs []*xmltree.Document
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for name, d := range sh.byName {
+		for name, e := range sh.byName {
 			if docname.Match(pattern, name) {
-				docs = append(docs, d)
+				docs = append(docs, e.doc)
 			}
 		}
 		sh.mu.RUnlock()

@@ -14,12 +14,8 @@
 package vxml
 
 import (
-	"time"
-
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
-	"vxml/internal/invindex"
-	"vxml/internal/pathindex"
 	"vxml/internal/store"
 )
 
@@ -43,43 +39,11 @@ func (db *Database) Save(dir string) error {
 // results to the database that was saved. The loaded database starts with
 // a fresh (empty) query-result cache.
 func Load(dir string) (*Database, error) {
-	db, _, err := LoadWithStats(dir)
-	return db, err
-}
-
-// LoadStats reports where a Load spent its time: parsing the documents
-// versus rebuilding their indices. The split is what motivates the disk
-// backend — OpenDisk pays neither cost at startup.
-type LoadStats struct {
-	Documents  int
-	TotalBytes int
-	// Parse covers reading and parsing every document file.
-	Parse time.Duration
-	// Index covers rebuilding every path and inverted-list index.
-	Index time.Duration
-	// Total is the whole Load wall time (parse + index + bookkeeping).
-	Total time.Duration
-}
-
-// LoadWithStats is Load, additionally reporting document counts and the
-// parse/index time split.
-func LoadWithStats(dir string) (*Database, *LoadStats, error) {
-	start := time.Now()
 	st, err := store.Load(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	parsed := time.Now()
-	eng := core.New(st)
-	indexed := time.Now()
-	stats := &LoadStats{
-		Documents:  len(st.Infos()),
-		TotalBytes: st.TotalBytes(),
-		Parse:      parsed.Sub(start),
-		Index:      indexed.Sub(parsed),
-		Total:      time.Since(start),
-	}
-	return newDatabase(eng), stats, nil
+	return newDatabase(core.New(st)), nil
 }
 
 // OpenDisk opens a database over a disk-resident corpus directory written
@@ -116,15 +80,12 @@ func OpenDiskOptions(dir string, opts diskstore.Options) (*Database, error) {
 // stored once, and each document's indices are persisted beside it so
 // OpenDisk never rebuilds them. The new store is committed by renaming its
 // manifest last — a crash mid-save leaves any previous corpus in dir
-// intact. On a heap-backed database the engine's existing indices are
-// reused, not rebuilt.
+// intact. The indices the corpus already keeps are persisted as they are,
+// not rebuilt.
 func (db *Database) SaveDisk(dir string) error {
 	db.engine.RLock()
 	defer db.engine.RUnlock()
-	ds, err := diskstore.Create(db.engine.Store, dir, diskstore.Options{},
-		func(name string) (*pathindex.Index, *invindex.Index) {
-			return db.engine.PathIndex(name), db.engine.InvIndex(name)
-		})
+	ds, err := diskstore.Create(db.engine.Store, dir, diskstore.Options{}, nil)
 	if err != nil {
 		return err
 	}

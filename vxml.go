@@ -30,17 +30,18 @@
 // # Sharding and concurrency
 //
 // A Database is safe for concurrent use. The corpus is partitioned into
-// shards (documents hash-assigned by name; see OpenShards): each shard
-// owns its documents' path and inverted-list indices behind its own lock.
-// Search, Query and Explain hold read locks only on the shards their view
-// touches and run in parallel with each other; Add and MustAdd take one
-// shard's write lock only to publish an already-parsed, already-indexed
-// document, so a concurrent search observes the document collection either
-// entirely before or entirely after an ingest — never a document whose
-// indices are half-built — stalls for the publication, not for the parse,
-// and an ingest into one shard never contends with a search over another.
-// The same guarantees hold one layer down for direct users of
-// internal/core.Engine.
+// shards (documents hash-assigned by name; see OpenShards), each behind its
+// own lock, and each document's path and inverted-list indices are stored
+// beside it, in the same shard entry. Search, Query and Explain hold read
+// locks only on the shards their view touches and run in parallel with
+// each other; Add and MustAdd parse and index outside any lock, then take
+// one shard's write lock for the single store write that publishes the
+// document and both its indices together. A concurrent search therefore
+// observes the document collection either entirely before or entirely
+// after an ingest — never a document without its indices — stalls for the
+// publication, not for the parse, and an ingest into one shard never
+// contends with a search over another. The same guarantees hold one layer
+// down for direct users of internal/core.Engine.
 //
 // # Parallel search
 //
