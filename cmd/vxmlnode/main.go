@@ -1,5 +1,5 @@
 // Command vxmlnode runs one cluster member: a full search engine over its
-// slice of the corpus, speaking the vxmlcluster/1 RPC protocol (rank,
+// slice of the corpus, speaking the vxmlcluster/2 RPC protocol (rank,
 // materialize, search, mutations, snapshot) under /cluster/v1. Nodes hold
 // no cluster-global state — document placement, generation vectors and the
 // view registry live on the coordinator (vxmlcoord), which is also the only

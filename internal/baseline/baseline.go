@@ -11,31 +11,25 @@ import (
 	"fmt"
 	"time"
 
+	"vxml/internal/catalog"
 	"vxml/internal/core"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
 	"vxml/internal/xqeval"
 )
 
-// Stats reports the Baseline cost breakdown.
+// Stats reports the Baseline cost breakdown in the shared core.Stats shape:
+// EvalTime is evaluating and writing out the view, PostTime tokenizing,
+// scoring and ranking; there is no PDT phase. Candidates counts the
+// documents the view's QPTs resolved to and ShardsSearched the corpus
+// shards whose read locks the run held (all of them: the comparator
+// brackets with Engine.RLock).
 type Stats struct {
-	MaterializeTime time.Duration // evaluating + writing out the view
-	SearchTime      time.Duration // tokenizing, scoring and ranking
-	ViewResults     int
-	Matched         int
+	core.Stats
 	// MaterializedBytes is the serialized size of the materialized view —
 	// the write volume Efficient never produces.
 	MaterializedBytes int
-	// Candidates counts the documents the view's QPTs resolved to and
-	// ShardsSearched the corpus shards whose read locks the run held (all
-	// of them: the comparator brackets with Engine.RLock). Mirrors
-	// core.Stats so dashboards read comparator runs the same way.
-	Candidates     int
-	ShardsSearched int
 }
-
-// Total returns the end-to-end time.
-func (s *Stats) Total() time.Duration { return s.MaterializeTime + s.SearchTime }
 
 // Search materializes the view and evaluates the ranked keyword query over
 // the materialized results. It never cancels; use SearchContext for
@@ -54,7 +48,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	}
 	e.RLock()
 	defer e.RUnlock()
-	stats := &Stats{ShardsSearched: e.Store.ShardCount()}
+	stats := &Stats{Stats: core.Stats{Workers: 1, ShardsSearched: e.Store.ShardCount(), PlanSource: catalog.PlanDirect}}
 	for _, q := range v.QPTs {
 		stats.Candidates += len(e.Store.DocsMatching(q.Doc))
 	}
@@ -80,8 +74,8 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	for _, n := range results {
 		stats.MaterializedBytes += len(n.XMLString(""))
 	}
-	stats.MaterializeTime = time.Since(start)
-	stats.ViewResults = len(results)
+	stats.EvalTime = time.Since(start)
+	stats.ViewSize = len(results)
 
 	start = time.Now()
 	ranking := scoring.Rank(results, kws, !opts.Disjunctive, opts.K, scoring.FromBase)
@@ -97,7 +91,8 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 		}
 		out = append(out, core.Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: elem})
 	}
-	stats.SearchTime = time.Since(start)
+	stats.PostTime = time.Since(start)
+	stats.Total = stats.EvalTime + stats.PostTime
 	return out, stats, nil
 }
 

@@ -55,10 +55,10 @@ func TestBaselineSearch(t *testing.T) {
 	if !strings.Contains(results[0].Element.XMLString(""), "search inside") {
 		t.Errorf("result = %s", results[0].Element.XMLString(""))
 	}
-	if stats.ViewResults != 1 || stats.Matched != 1 {
+	if stats.ViewSize != 1 || stats.Matched != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if stats.MaterializeTime <= 0 {
+	if stats.EvalTime <= 0 || stats.Total != stats.EvalTime+stats.PostTime {
 		t.Error("materialization not timed")
 	}
 	// Materialization produced the serialized view.
@@ -96,8 +96,8 @@ func TestBaselineNoMatches(t *testing.T) {
 	if len(results) != 0 || stats.Matched != 0 {
 		t.Errorf("expected no matches, got %d", len(results))
 	}
-	if stats.ViewResults != 1 {
-		t.Errorf("view still has %d results", stats.ViewResults)
+	if stats.ViewSize != 1 {
+		t.Errorf("view still has %d results", stats.ViewSize)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestBuildWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ViewResults == 0 {
+	if stats.ViewSize == 0 {
 		t.Error("view produced no results")
 	}
 	if d, nodes := w.RunProj(); d <= 0 || nodes == 0 {

@@ -150,7 +150,7 @@ func efficientRow(w *Workload, budget time.Duration) ([]string, float64, error) 
 		strconv.FormatInt(last.EvalTime.Nanoseconds(), 10),
 		strconv.FormatInt(last.PostTime.Nanoseconds(), 10),
 		strconv.Itoa(last.PDTNodes), strconv.Itoa(last.PDTBytes),
-		strconv.Itoa(last.ViewResults), strconv.Itoa(last.Matched),
+		strconv.Itoa(last.ViewSize), strconv.Itoa(last.Matched),
 		strconv.Itoa(w.Engine.Store.TotalBytes()),
 	}, m.NsPerOp, nil
 }

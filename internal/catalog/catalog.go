@@ -102,29 +102,42 @@ const (
 	PlanMaterialized = "materialized"
 )
 
-// Stats is a point-in-time snapshot of catalog effectiveness counters. The
-// first block is the exact-entry LRU (the former qcache.Stats, fields
-// unchanged); the second describes the view registry and planner tiers.
+// Stats is a point-in-time snapshot of catalog effectiveness counters, in
+// two blocks: the exact-entry result cache and the view registry with its
+// planner tiers. Both are embedded, so their fields read as Stats fields;
+// the JSON encoding (GET /v1/stats) keeps them as the "cache" and
+// "catalog" objects.
 type Stats struct {
-	Hits          int // lookups answered from an exact cache entry
-	Misses        int // lookups that fell through
-	Evictions     int // entries dropped by the LRU or byte bound
-	Invalidations int // generation bumps (corpus mutations)
-	Entries       int // entries currently resident
-	Capacity      int // maximum resident entries
-	Bytes         int // caller-reported bytes currently resident
-	MaxBytes      int // maximum resident bytes
-	Generation    int // current store generation
+	CacheStats   `json:"cache"`
+	PlannerStats `json:"catalog"`
+}
 
-	Views            int // compiled views tracked by the registry
-	Skeletons        int // live (current-generation) skeleton artifacts
-	Materialized     int // live materialized views
-	RewriteHits      int // searches answered by rewriting (skeleton or window)
-	MaterializedHits int // searches answered from a materialized view
-	Promotions       int // views promoted to materialized
-	Demotions        int // materialized views dropped by invalidation
-	ArtifactBytes    int // resident artifact bytes (skeletons + materialized)
-	ArtifactMaxBytes int // artifact byte budget
+// CacheStats counts the exact-entry LRU of query results.
+type CacheStats struct {
+	Hits          int `json:"hits"`          // lookups answered from an exact cache entry
+	Misses        int `json:"misses"`        // lookups that fell through
+	Evictions     int `json:"evictions"`     // entries dropped by the LRU or byte bound
+	Invalidations int `json:"invalidations"` // generation bumps (corpus mutations)
+	Entries       int `json:"entries"`       // entries currently resident
+	Capacity      int `json:"capacity"`      // maximum resident entries
+	Bytes         int `json:"bytes"`         // caller-reported bytes currently resident
+	MaxBytes      int `json:"max_bytes"`     // maximum resident bytes
+	Generation    int `json:"generation"`    // current store generation
+}
+
+// PlannerStats describes the view registry, the resident planner artifacts
+// (skeletons, materialized views, their byte footprint against the budget)
+// and how often each planner tier served.
+type PlannerStats struct {
+	Views            int `json:"views"`              // compiled views tracked by the registry
+	Skeletons        int `json:"skeletons"`          // live (current-generation) skeleton artifacts
+	Materialized     int `json:"materialized"`       // live materialized views
+	RewriteHits      int `json:"rewrite_hits"`       // searches answered by rewriting (skeleton or window)
+	MaterializedHits int `json:"materialized_hits"`  // searches answered from a materialized view
+	Promotions       int `json:"promotions"`         // views promoted to materialized
+	Demotions        int `json:"demotions"`          // materialized views dropped by invalidation
+	ArtifactBytes    int `json:"artifact_bytes"`     // resident artifact bytes (skeletons + materialized)
+	ArtifactMaxBytes int `json:"artifact_max_bytes"` // artifact byte budget
 }
 
 // Skeleton is a view's cached evaluation output: the result forest in view
@@ -559,23 +572,26 @@ func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Entries:       c.ll.Len(),
-		Capacity:      c.capacity,
-		Bytes:         c.curBytes,
-		MaxBytes:      c.maxBytes,
-		Generation:    c.gen,
-
-		Views:            len(c.views),
-		RewriteHits:      c.rewriteHits,
-		MaterializedHits: c.matHits,
-		Promotions:       c.promotions,
-		Demotions:        c.demotions,
-		ArtifactBytes:    c.artBytes,
-		ArtifactMaxBytes: c.artMaxBytes,
+		CacheStats: CacheStats{
+			Hits:          c.hits,
+			Misses:        c.misses,
+			Evictions:     c.evictions,
+			Invalidations: c.invalidations,
+			Entries:       c.ll.Len(),
+			Capacity:      c.capacity,
+			Bytes:         c.curBytes,
+			MaxBytes:      c.maxBytes,
+			Generation:    c.gen,
+		},
+		PlannerStats: PlannerStats{
+			Views:            len(c.views),
+			RewriteHits:      c.rewriteHits,
+			MaterializedHits: c.matHits,
+			Promotions:       c.promotions,
+			Demotions:        c.demotions,
+			ArtifactBytes:    c.artBytes,
+			ArtifactMaxBytes: c.artMaxBytes,
+		},
 	}
 	for _, ve := range c.views {
 		if ve.skeleton != nil && ve.skeleton.gen == c.gen {

@@ -22,7 +22,7 @@ const nodeMaxBodyBytes = 64 << 20
 
 // Node is one cluster member: a full single-process search engine over its
 // slice of the corpus (one hash partition plus every broadcast document),
-// exposed through the vxmlcluster/1 RPC surface. Create one with NewNode
+// exposed through the vxmlcluster/2 RPC surface. Create one with NewNode
 // (empty) or NewNodeFromSnapshot (replica bootstrap) and serve Handler.
 type Node struct {
 	// mu orders reads against mutations and is the node's entire
@@ -333,19 +333,7 @@ func (n *Node) handleRank(w http.ResponseWriter, r *http.Request) {
 		nodeErrorFor(w, err)
 		return
 	}
-	resp := rankResponse{
-		Schema:     Schema,
-		Gen:        n.gen,
-		ViewSize:   rk.ViewSize,
-		Contains:   rk.Contains,
-		Matched:    rk.Matched,
-		Candidates: make([]wireCandidate, len(rk.Candidates)),
-		Stats:      toWireStats(rk.Stats),
-	}
-	for i, c := range rk.Candidates {
-		resp.Candidates[i] = wireCandidate{Doc: c.Doc, Pos: c.Pos, TFs: c.TFs, ByteLen: c.ByteLen}
-	}
-	nodeJSON(w, http.StatusOK, resp)
+	nodeJSON(w, http.StatusOK, rankResponse{Schema: Schema, Gen: n.gen, ClusterRanking: *rk})
 }
 
 func (n *Node) handleMaterialize(w http.ResponseWriter, r *http.Request) {
@@ -417,25 +405,5 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	stats := toWireStats(cs)
-	_ = enc.Encode(searchChunk{Done: true, Gen: n.gen, Stats: &stats})
-}
-
-// toWireStats flattens a core stats block for the wire.
-func toWireStats(cs *core.Stats) wireNodeStats {
-	if cs == nil {
-		return wireNodeStats{}
-	}
-	return wireNodeStats{
-		PDTTimeUS:      cs.PDTTime.Microseconds(),
-		EvalTimeUS:     cs.EvalTime.Microseconds(),
-		PostTimeUS:     cs.PostTime.Microseconds(),
-		PDTNodes:       cs.PDTNodes,
-		ViewSize:       cs.ViewResults,
-		Matched:        cs.Matched,
-		BaseData:       cs.SubtreeFetches,
-		Workers:        cs.Workers,
-		Candidates:     cs.Candidates,
-		ShardsSearched: cs.ShardsSearched,
-	}
+	_ = enc.Encode(searchChunk{Done: true, Gen: n.gen, Stats: cs})
 }

@@ -1,5 +1,5 @@
 // Node RPC error taxonomy and protocol discipline, exercised at the wire
-// level (an in-package test so it can craft raw vxmlcluster/1 requests):
+// level (an in-package test so it can craft raw vxmlcluster/2 requests):
 // schema validation, stale-generation replies carrying the node's
 // generation, mutation idempotency under retry, view self-healing, and
 // per-node timeout failover.
@@ -113,6 +113,20 @@ func TestNodeStaleGenerationCarriesGen(t *testing.T) {
 	}
 	if rr.Gen != 1 || rr.ViewSize != 1 || len(rr.Contains) != 1 {
 		t.Fatalf("rank reply %+v, want gen=1 view_size=1 one contains entry", rr)
+	}
+	// Since vxmlcluster/2 the reply is core.ClusterRanking as it is, its
+	// stats the /v1 search stats shape with nanosecond timings.
+	if rr.Schema != "vxmlcluster/2" || rr.Stats == nil || rr.Stats.ViewSize != rr.ViewSize || rr.Stats.Matched != rr.Matched || rr.Stats.Total <= 0 {
+		t.Fatalf("rank reply schema %q stats %+v, want vxmlcluster/2 stats agreeing with view_size %d, matched %d", rr.Schema, rr.Stats, rr.ViewSize, rr.Matched)
+	}
+	var raw struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	postNode(t, srv.URL, "/rank", rankRequest{Schema: Schema, View: "v", Keywords: []string{"copper"}, Gen: 1}, &raw)
+	for _, key := range []string{"pdt_time_ns", "eval_time_ns", "post_time_ns", "total_ns", "view_size", "matched", "plan_source"} {
+		if _, ok := raw.Stats[key]; !ok {
+			t.Fatalf("rank reply stats %v lack %q", raw.Stats, key)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@
 // times before failing with ErrStaleGeneration, exactly as catalog.PutAt
 // discards inserts stamped with a stale generation.
 //
-// # Wire protocol (vxmlcluster/1)
+// # Wire protocol (vxmlcluster/2)
 //
 // Nodes speak JSON/NDJSON over HTTP under /cluster/v1 (shape derived from
 // the public /v1/search/stream route):
@@ -46,21 +46,20 @@
 //	POST /cluster/v1/search       {view, keywords, top_k, offset, …, gen} → NDJSON {rank, score, …}… {done, gen, stats}
 //	GET  /cluster/v1/snapshot     → NDJSON {schema, gen, views}, {file, data}…, {done}
 //
+// The stats object of rank and search replies is core.Stats, the same
+// shape as the stats of a public /v1 search response.
+//
 // Errors are JSON {error, code} bodies; code "stale_generation" (409)
 // additionally carries the node's current generation so the coordinator can
 // tell a lagging replica (fail over to the next member) from its own
 // outdated generation vector (retry the whole search).
 package cluster
 
-import (
-	"time"
-
-	"vxml"
-)
+import "vxml/internal/core"
 
 // Schema identifies the node RPC protocol version; every request and
 // response carries it and nodes reject mismatches.
-const Schema = "vxmlcluster/1"
+const Schema = "vxmlcluster/2"
 
 // pathPrefix is the route prefix all node RPC endpoints live under.
 const pathPrefix = "/cluster/v1"
@@ -132,57 +131,13 @@ type rankRequest struct {
 	Gen         uint64   `json:"gen"`
 }
 
-// wireCandidate is core.ClusterCandidate on the wire.
-type wireCandidate struct {
-	Doc     int32 `json:"doc"`
-	Pos     int   `json:"pos"`
-	TFs     []int `json:"tfs"`
-	ByteLen int   `json:"byte_len"`
-}
-
-// wireNodeStats is the node-local cost breakdown reported by rank and
-// search replies (microsecond timings, like the public /v1 stats shape).
-type wireNodeStats struct {
-	PDTTimeUS      int64 `json:"pdt_time_us"`
-	EvalTimeUS     int64 `json:"eval_time_us"`
-	PostTimeUS     int64 `json:"post_time_us"`
-	PDTNodes       int   `json:"pdt_nodes"`
-	ViewSize       int   `json:"view_size"`
-	Matched        int   `json:"matched"`
-	BaseData       int   `json:"base_data"`
-	Workers        int   `json:"workers"`
-	Candidates     int   `json:"candidates"`
-	ShardsSearched int   `json:"shards_searched"`
-}
-
-// addTo folds one node's reported cost breakdown into a search's stats —
-// the one wire → vxml.Stats conversion, shared by the scatter merge (one
-// call per answering slot) and the single-node route (one call into a zero
-// Stats). Phase times and counters sum across nodes; Workers reports the
-// widest pool any node ran.
-func (ws wireNodeStats) addTo(st *vxml.Stats) {
-	st.PDTTime += time.Duration(ws.PDTTimeUS) * time.Microsecond
-	st.EvalTime += time.Duration(ws.EvalTimeUS) * time.Microsecond
-	st.PostTime += time.Duration(ws.PostTimeUS) * time.Microsecond
-	st.PDTNodes += ws.PDTNodes
-	st.ViewSize += ws.ViewSize
-	st.Matched += ws.Matched
-	st.BaseData += ws.BaseData
-	st.Workers = max(st.Workers, ws.Workers)
-	st.Candidates += ws.Candidates
-	st.ShardsSearched += ws.ShardsSearched
-}
-
 // rankResponse is a node's scatter-phase reply: integer score statistics
-// plus every keyword-matching candidate, nothing materialized.
+// plus every keyword-matching candidate, nothing materialized, and the
+// node-local cost breakdown — core.ClusterRanking as it is.
 type rankResponse struct {
-	Schema     string          `json:"schema"`
-	Gen        uint64          `json:"gen"`
-	ViewSize   int             `json:"view_size"`
-	Contains   []int           `json:"contains"`
-	Matched    int             `json:"matched"`
-	Candidates []wireCandidate `json:"candidates"`
-	Stats      wireNodeStats   `json:"stats"`
+	Schema string `json:"schema"`
+	Gen    uint64 `json:"gen"`
+	core.ClusterRanking
 }
 
 // materializeRequest asks a node to expand the winning view positions of a
@@ -224,16 +179,16 @@ type searchRequest struct {
 // searchChunk is one NDJSON line of a single-node search response: a ranked
 // result (Rank set), the final summary (Done set), or an in-band error.
 type searchChunk struct {
-	Rank    int            `json:"rank,omitempty"`
-	Score   float64        `json:"score,omitempty"`
-	TFs     []int          `json:"tfs,omitempty"`
-	XML     string         `json:"xml,omitempty"`
-	Snippet string         `json:"snippet,omitempty"`
-	Done    bool           `json:"done,omitempty"`
-	Gen     uint64         `json:"gen,omitempty"`
-	Stats   *wireNodeStats `json:"stats,omitempty"`
-	Error   string         `json:"error,omitempty"`
-	Code    string         `json:"code,omitempty"`
+	Rank    int         `json:"rank,omitempty"`
+	Score   float64     `json:"score,omitempty"`
+	TFs     []int       `json:"tfs,omitempty"`
+	XML     string      `json:"xml,omitempty"`
+	Snippet string      `json:"snippet,omitempty"`
+	Done    bool        `json:"done,omitempty"`
+	Gen     uint64      `json:"gen,omitempty"`
+	Stats   *core.Stats `json:"stats,omitempty"`
+	Error   string      `json:"error,omitempty"`
+	Code    string      `json:"code,omitempty"`
 }
 
 // snapshotHeader is the first NDJSON line of a snapshot stream: the

@@ -166,7 +166,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 				contains[j] += resp.Contains[j]
 			}
 		}
-		resp.Stats.addTo(stats)
+		addNodeStats(stats, resp.Stats)
 	}
 	idfs := scoring.IDFsFromCounts(totalView, contains)
 	top := scoring.NewTopK(opts.TopK)
@@ -284,6 +284,26 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 		return results, stats, fmt.Errorf("cluster: %d of %d slot(s) missing from the results: %w", failedSlots, len(slots), vxml.ErrPartialCluster)
 	}
 	return results, stats, nil
+}
+
+// addNodeStats folds one node's reported cost breakdown into a scatter
+// search's stats, once per answering slot: phase times and counters sum
+// across nodes; Workers reports the widest pool any node ran.
+func addNodeStats(st, node *vxml.Stats) {
+	if node == nil {
+		return
+	}
+	st.PDTTime += node.PDTTime
+	st.EvalTime += node.EvalTime
+	st.PostTime += node.PostTime
+	st.PDTNodes += node.PDTNodes
+	st.PDTBytes += node.PDTBytes
+	st.ViewSize += node.ViewSize
+	st.Matched += node.Matched
+	st.BaseData += node.BaseData
+	st.Workers = max(st.Workers, node.Workers)
+	st.Candidates += node.Candidates
+	st.ShardsSearched += node.ShardsSearched
 }
 
 // flattenStatuses fills stats.Nodes with every member's outcome, in slot
@@ -547,11 +567,10 @@ func (c *Coordinator) searchMemberOnce(ctx context.Context, member string, req s
 		case chunk.Error != "":
 			return nil, nil, &nodeCallError{Code: chunk.Code, Msg: chunk.Error, Gen: chunk.Gen}
 		case chunk.Done:
-			stats := &vxml.Stats{}
-			if chunk.Stats != nil {
-				chunk.Stats.addTo(stats)
+			if chunk.Stats == nil {
+				return results, &vxml.Stats{}, nil
 			}
-			return results, stats, nil
+			return results, chunk.Stats, nil
 		default:
 			results = append(results, vxml.Result{
 				Rank:    chunk.Rank,

@@ -46,6 +46,22 @@ import (
 // that holds every referenced document.
 var ErrUnpartitionableView = errors.New("view cannot be partitioned over outer bindings")
 
+// NodeStatus is one cluster member's outcome within a distributed search
+// (see Stats.Nodes).
+type NodeStatus struct {
+	// URL is the member's base URL; Slot is the corpus partition it holds.
+	URL  string `json:"url"`
+	Slot int    `json:"slot"`
+	// State is "ok" for a member whose reply was merged, "failed" for one
+	// that was tried and gave none, and "skipped" for one never tried
+	// (an earlier member of its slot already answered).
+	State string `json:"state"`
+	// Gen is the corpus generation the member answered at (0 if none).
+	Gen uint64 `json:"gen,omitempty"`
+	// Err describes the failure when State is "failed".
+	Err string `json:"error,omitempty"`
+}
+
 // CompileViewUnchecked compiles a view definition without CompileParsedView's
 // literal-document existence check. A cluster node holds only its partition
 // of the corpus, so a view the coordinator validated against the
@@ -95,14 +111,14 @@ type ClusterCandidate struct {
 	// from. Partitioned documents live on exactly one node, so (Doc, Pos)
 	// orders candidates across nodes exactly as view positions order them
 	// in the equivalent single-node search.
-	Doc int32
+	Doc int32 `json:"doc"`
 	// Pos is the result's index in the node's full local view output — the
 	// handle MaterializeAt resolves.
-	Pos int
+	Pos int `json:"pos"`
 	// TFs are the per-keyword term frequencies of the result's subtree.
-	TFs []int
+	TFs []int `json:"tfs"`
 	// ByteLen is the aggregate serialized length scoring normalizes by.
-	ByteLen int
+	ByteLen int `json:"byte_len"`
 }
 
 // ClusterRanking is a node's reply to the scatter phase of a distributed
@@ -111,15 +127,15 @@ type ClusterCandidate struct {
 type ClusterRanking struct {
 	// ViewSize is the node-local |V(D)| — including results that did not
 	// match the keywords, which still count toward IDF denominators.
-	ViewSize int
+	ViewSize int `json:"view_size"`
 	// Contains counts, per keyword, the local view results containing it.
-	Contains []int
+	Contains []int `json:"contains"`
 	// Matched is len(Candidates), kept explicit for the wire.
-	Matched int
+	Matched int `json:"matched"`
 	// Candidates holds the matching results in local view order.
-	Candidates []ClusterCandidate
+	Candidates []ClusterCandidate `json:"candidates"`
 	// Stats is the node-local cost breakdown (materialization not included).
-	Stats *Stats
+	Stats *Stats `json:"stats"`
 }
 
 // ClusterRank runs the index-only phases of a search — PDT generation, view
@@ -174,7 +190,7 @@ type ClusterMaterialized struct {
 // this with a generation check — position i resolves to the same result the
 // ranking reported. A position out of range reports the corpus changed
 // underneath and is an error, never a silent skip. The int result counts
-// the base-data subtree fetches performed (Stats.SubtreeFetches of this
+// the base-data subtree fetches performed (Stats.BaseData of this
 // pass alone).
 func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, opts Options, positions []int) ([]ClusterMaterialized, int, error) {
 	// Pin before planning, exactly like SearchPage: materialization below

@@ -70,7 +70,7 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 						return
 					}
 				}
-				if stats.PDTNodes < 0 || stats.ViewResults < 0 || stats.SubtreeFetches < 0 {
+				if stats.PDTNodes < 0 || stats.ViewSize < 0 || stats.BaseData < 0 {
 					errCh <- fmt.Errorf("searcher %d: negative stats: %+v", g, stats)
 					return
 				}

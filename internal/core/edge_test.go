@@ -32,7 +32,7 @@ func TestEmptyPDTForOneSource(t *testing.T) {
 			t.Errorf("orphan review leaked into %s", r.Element.XMLString(""))
 		}
 	}
-	if stats.ViewResults == 0 {
+	if stats.ViewSize == 0 {
 		t.Error("view should still produce book records")
 	}
 }
@@ -52,7 +52,7 @@ func TestNoKeywordMatchesAnywhere(t *testing.T) {
 	if len(results) != 0 || stats.Matched != 0 {
 		t.Errorf("expected no results, got %d", len(results))
 	}
-	if stats.SubtreeFetches != 0 {
+	if stats.BaseData != 0 {
 		t.Error("no winners => no base-data access")
 	}
 }
@@ -69,8 +69,8 @@ func TestEmptyKeywordList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != stats.ViewResults {
-		t.Errorf("all view results should match: %d vs %d", len(results), stats.ViewResults)
+	if len(results) != stats.ViewSize {
+		t.Errorf("all view results should match: %d vs %d", len(results), stats.ViewSize)
 	}
 }
 

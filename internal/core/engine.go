@@ -361,45 +361,56 @@ func (o Options) workers() int {
 }
 
 // Stats reports the per-module cost breakdown of Figure 14 plus size
-// counters.
+// counters. It is the one per-search stats shape: vxml.Stats is this type,
+// the comparator pipelines embed it, and the /v1 and node RPC wires encode
+// it as it is (timings as integer nanoseconds).
 type Stats struct {
-	PDTTime  time.Duration // PDT generation (PrepareLists + GeneratePDT)
-	EvalTime time.Duration // query evaluation over the PDTs
-	PostTime time.Duration // scoring + top-k materialization
-	PDTNodes int
-	PDTBytes int
-	// ViewResults is |V(D)|; Matched counts results satisfying the
-	// keyword semantics.
-	ViewResults int
-	Matched     int
+	PDTTime  time.Duration `json:"pdt_time_ns"`  // PDT generation (PrepareLists + GeneratePDT)
+	EvalTime time.Duration `json:"eval_time_ns"` // query evaluation over the PDTs
+	PostTime time.Duration `json:"post_time_ns"` // scoring + top-k materialization
+	// Total is the end-to-end time: the sum of the three phases, or the
+	// coordinator's wall time for a distributed search.
+	Total    time.Duration `json:"total_ns"`
+	PDTNodes int           `json:"pdt_nodes"` // elements across all PDTs
+	PDTBytes int           `json:"pdt_bytes"` // serialized bytes across all PDTs
+	// ViewSize is |V(D)|, the number of view results; Matched counts the
+	// results satisfying the keyword semantics.
+	ViewSize int `json:"view_size"`
+	Matched  int `json:"matched"`
 	// KeywordPruned reports whether the selection-view keyword pruning
 	// optimization was applied.
-	KeywordPruned bool
-	// SubtreeFetches counts base-data accesses during materialization.
-	SubtreeFetches int
-	// Workers is the resolved worker-pool size the search ran with.
-	// Candidates counts the documents the view's QPTs
-	// resolved to, and ShardsSearched the corpus shards whose read locks
-	// the search held. These describe the execution, never the results.
-	Workers        int
-	Candidates     int
-	ShardsSearched int
-	// PlanSource reports how the answer was produced (catalog.PlanDirect /
-	// PlanRewritten / PlanMaterialized; the Database layer adds
-	// PlanCacheHit for exact result-cache hits). PlanView is the catalog
-	// ID of the serving view ("" on the direct path). Like the fields
-	// above they describe the execution — the results are byte-identical
-	// across every plan source.
-	PlanSource string
-	PlanView   string
+	KeywordPruned bool `json:"-"`
+	// BaseData counts base-data subtree fetches (top-k materialization
+	// only).
+	BaseData int `json:"base_data"`
+	// Workers is the resolved worker-pool size the search ran with
+	// (comparator pipelines always report 1). Candidates counts the
+	// documents the view's QPTs resolved to, and ShardsSearched the corpus
+	// shards whose read locks the search held. These describe the
+	// execution — on a cache hit, the original one — never the results.
+	Workers        int `json:"workers"`
+	Candidates     int `json:"candidates"`
+	ShardsSearched int `json:"shards_searched"`
+	// PlanSource reports how the answer was produced: "direct" (full
+	// pipeline, and every comparator run), "cache_hit" (exact result-cache
+	// entry; the timing fields then describe the original computation),
+	// "rewritten" (window slice of a cached unranked entry, or a re-scored
+	// view skeleton), or "materialized" (adaptively materialized view).
+	// PlanView is the catalog ID of the serving view ("" when the view is
+	// not in the catalog). Like the fields above they describe the
+	// execution — results are byte-identical across every plan source.
+	PlanSource string `json:"plan_source,omitempty"`
+	PlanView   string `json:"plan_view,omitempty"`
+	// Nodes reports the per-member outcome of a distributed search (one
+	// entry per cluster member the coordinator contacted, in slot order).
+	// Single-process searches leave it nil. When a search returns
+	// vxml.ErrPartialCluster, the failed members and their errors are here.
+	Nodes []NodeStatus `json:"nodes,omitempty"`
 	// promotable is set when this search pushed its view over the
 	// promotion threshold; the entry points run maybePromote after the
 	// shard locks are released.
 	promotable bool
 }
-
-// Total returns the end-to-end time.
-func (s *Stats) Total() time.Duration { return s.PDTTime + s.EvalTime + s.PostTime }
 
 // Result is one ranked, materialized search result.
 type Result struct {
@@ -615,7 +626,7 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 		results = append(results, r)
 	}
 	stats := out.closePost()
-	stats.SubtreeFetches = fetcher.Fetches
+	stats.BaseData = fetcher.Fetches
 	e.maybePromote(ctx, v, opts, stats)
 	return results, stats, nil
 }
@@ -650,11 +661,12 @@ type viewOutput struct {
 	post time.Time
 }
 
-// closePost writes Stats.PostTime — the one place it is written — and
-// returns the finished stats. The entry points that report stats call it
-// after their last scoring or materialization step.
+// closePost writes Stats.PostTime and Stats.Total — the one place either is
+// written — and returns the finished stats. The entry points that report
+// stats call it after their last scoring or materialization step.
 func (o *viewOutput) closePost() *Stats {
 	o.stats.PostTime = time.Since(o.post)
+	o.stats.Total = o.stats.PDTTime + o.stats.EvalTime + o.stats.PostTime
 	return o.stats
 }
 
@@ -724,7 +736,7 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	if out.rstats == nil {
 		out.lists = p.keywordLists(out.kws)
 	}
-	stats.ViewResults = len(out.results)
+	stats.ViewSize = len(out.results)
 	return out, nil
 }
 

@@ -59,9 +59,9 @@ func TestSearchFigure2(t *testing.T) {
 			t.Fatalf("element[%d] = %+v", i, r.Element)
 		}
 	}
-	if stats.ViewResults != 3 {
+	if stats.ViewSize != 3 {
 		// view has 3 books passing year > 1995... books 1,2,4
-		t.Errorf("ViewResults = %d", stats.ViewResults)
+		t.Errorf("ViewResults = %d", stats.ViewSize)
 	}
 	if stats.PDTNodes == 0 {
 		t.Error("PDT stats missing")
@@ -133,7 +133,7 @@ func TestSearchTopK(t *testing.T) {
 	if top1[0].Score != all[0].Score {
 		t.Errorf("top-1 score %f != best score %f", top1[0].Score, all[0].Score)
 	}
-	if stats.SubtreeFetches == 0 {
+	if stats.BaseData == 0 {
 		t.Error("expected materialization fetches for the winner")
 	}
 	// With SkipMaterialize no base data is touched at all.
@@ -141,8 +141,8 @@ func TestSearchTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.SubtreeFetches != 0 {
-		t.Errorf("SkipMaterialize still fetched %d subtrees", stats2.SubtreeFetches)
+	if stats2.BaseData != 0 {
+		t.Errorf("SkipMaterialize still fetched %d subtrees", stats2.BaseData)
 	}
 }
 

@@ -84,7 +84,7 @@ func clusterRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rk.Matched != len(rk.Candidates) || rk.Stats.ViewResults != rk.ViewSize {
+	if rk.Matched != len(rk.Candidates) || rk.Stats.ViewSize != rk.ViewSize {
 		t.Fatalf("ranking counters disagree: %+v", rk)
 	}
 	idfs := scoring.IDFsFromCounts(rk.ViewSize, rk.Contains)

@@ -124,9 +124,9 @@ func mustMatchStaged(t *testing.T, label string, e *core.Engine, v *core.View, k
 		t.Fatalf("%s: the search was not pruned", label)
 	}
 	want := scoring.RankWithStats(results, stats, normalized(kws), !opts.Disjunctive, 0)
-	if st.ViewResults != len(results) || st.Matched != want.Matched || len(got) != len(want.Results) {
+	if st.ViewSize != len(results) || st.Matched != want.Matched || len(got) != len(want.Results) {
 		t.Fatalf("%s: engine has %d results, %d matched, %d ranked; staged %d, %d, %d",
-			label, st.ViewResults, st.Matched, len(got), len(results), want.Matched, len(want.Results))
+			label, st.ViewSize, st.Matched, len(got), len(results), want.Matched, len(want.Results))
 	}
 	for i, w := range want.Results {
 		g := got[i]

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"time"
 
+	"vxml/internal/catalog"
 	"vxml/internal/core"
 	"vxml/internal/dewey"
 	"vxml/internal/invindex"
@@ -34,11 +35,14 @@ import (
 	"vxml/internal/xqeval"
 )
 
-// Stats reports the GTP cost breakdown.
+// Stats reports the GTP cost breakdown in the shared core.Stats shape:
+// PDTTime is the structural joins over tag lists, EvalTime view evaluation
+// over the joined trees, PostTime scoring + materialization. Candidates
+// counts the documents the view's QPTs resolved to and ShardsSearched the
+// corpus shards whose read locks the run held (all of them: the comparator
+// brackets with Engine.RLock).
 type Stats struct {
-	StructJoinTime time.Duration // structural joins over tag lists
-	EvalTime       time.Duration // view evaluation over the joined trees
-	PostTime       time.Duration // scoring + materialization
+	core.Stats
 	// BaseValueFetches counts base-data accesses for join values and
 	// predicates — the cost Efficient avoids via the Path-Values table.
 	BaseValueFetches int
@@ -46,18 +50,7 @@ type Stats struct {
 	// IntermediatePairs counts the (ancestor, descendant) tuples the
 	// binary structural joins materialize.
 	IntermediatePairs int
-	ViewResults       int
-	Matched           int
-	// Candidates counts the documents the view's QPTs resolved to and
-	// ShardsSearched the corpus shards whose read locks the run held (all
-	// of them: the comparator brackets with Engine.RLock). Mirrors
-	// core.Stats so dashboards read comparator runs the same way.
-	Candidates     int
-	ShardsSearched int
 }
-
-// Total returns the end-to-end time.
-func (s *Stats) Total() time.Duration { return s.StructJoinTime + s.EvalTime + s.PostTime }
 
 // Search evaluates the ranked keyword query using GTP with TermJoin. It
 // never cancels; use SearchContext for deadlines and cancellation.
@@ -78,14 +71,14 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	}
 	e.RLock()
 	defer e.RUnlock()
-	stats := &Stats{ShardsSearched: e.Store.ShardCount()}
+	stats := &Stats{Stats: core.Stats{Workers: 1, ShardsSearched: e.Store.ShardCount(), PlanSource: catalog.PlanDirect}}
 	kws := normalizeKeywords(keywords)
 
 	start := time.Now()
-	catalog := xqeval.MapCatalog{}
+	docs := xqeval.MapCatalog{}
 	for _, q := range v.QPTs {
 		// A collection pattern expands to one structural-join pass per
-		// matching document; the catalog resolves the pattern back to the
+		// matching document; docs resolves the pattern back to the
 		// pruned documents in corpus order.
 		for _, doc := range e.Store.DocsMatching(q.Doc) {
 			stats.Candidates++
@@ -98,14 +91,14 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 			}
 			pruned := joinQPT(e, q, doc.Name, pix, iix, kws, stats)
 			if pruned.Doc != nil {
-				catalog[doc.Name] = pruned.Doc
+				docs[doc.Name] = pruned.Doc
 			}
 		}
 	}
-	stats.StructJoinTime = time.Since(start)
+	stats.PDTTime = time.Since(start)
 
 	start = time.Now()
-	ev := xqeval.New(catalog, v.Funcs)
+	ev := xqeval.New(docs, v.Funcs)
 	ev.SetContext(ctx)
 	items, err := ev.Eval(v.Expr, nil)
 	if err != nil {
@@ -118,7 +111,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 		}
 	}
 	stats.EvalTime = time.Since(start)
-	stats.ViewResults = len(results)
+	stats.ViewSize = len(results)
 
 	start = time.Now()
 	ranking := scoring.Rank(results, kws, !opts.Disjunctive, opts.K, scoring.FromPDT)
@@ -135,6 +128,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 		out = append(out, core.Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: elem})
 	}
 	stats.PostTime = time.Since(start)
+	stats.Total = stats.PDTTime + stats.EvalTime + stats.PostTime
 	return out, stats, nil
 }
 

@@ -90,7 +90,7 @@ func TestGTPPhaseTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Total() <= 0 || stats.StructJoinTime <= 0 {
+	if stats.PDTTime <= 0 || stats.Total != stats.PDTTime+stats.EvalTime+stats.PostTime {
 		t.Errorf("timings not recorded: %+v", stats)
 	}
 }

@@ -50,19 +50,10 @@ func (o *Oracle) Delete(name string) error { return o.db.Delete(name) }
 // Add mirrors an add the server acknowledged.
 func (o *Oracle) Add(name, xml string) error { return o.db.Add(name, xml) }
 
-// oracleWireResult mirrors internal/server's wire shape exactly; with
-// encoding/json's deterministic struct-field order and sorted map keys,
-// marshaling it reproduces the server's result bytes.
-type oracleWireResult struct {
-	Rank    int            `json:"rank"`
-	Score   float64        `json:"score"`
-	TF      map[string]int `json:"tf"`
-	XML     string         `json:"xml"`
-	Snippet string         `json:"snippet"`
-}
-
 // Search runs the template sequentially (Parallelism 1, no cache) and
-// returns each result marshaled to the server's wire shape.
+// returns each result marshaled as it is: the server encodes vxml.Result
+// unchanged, and encoding/json's struct-field order and sorted map keys
+// make the bytes deterministic.
 func (o *Oracle) Search(t RequestTemplate) ([][]byte, error) {
 	view := o.views[t.View]
 	if view == nil {
@@ -82,7 +73,7 @@ func (o *Oracle) Search(t RequestTemplate) ([][]byte, error) {
 	}
 	out := make([][]byte, len(results))
 	for i, r := range results {
-		line, err := json.Marshal(oracleWireResult{Rank: r.Rank, Score: r.Score, TF: r.TF, XML: r.XML, Snippet: r.Snippet})
+		line, err := json.Marshal(r)
 		if err != nil {
 			return nil, err
 		}

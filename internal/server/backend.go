@@ -16,6 +16,7 @@ import (
 	"vxml/internal/catalog"
 	"vxml/internal/cluster"
 	"vxml/internal/diskstore"
+	"vxml/internal/store"
 )
 
 // Backend is the serving surface the HTTP handlers run against. Both
@@ -47,7 +48,7 @@ type Backend interface {
 	PlanProbe(view string, keywords []string) (source, viewID string, err error)
 	// Shards reports per-partition counters: corpus shards for a
 	// database, cluster slots for a coordinator.
-	Shards() []shardInfo
+	Shards() []store.ShardInfo
 	// DiskStats reports the disk backend's counters; ok is false when the
 	// corpus is heap-resident (or served through a coordinator).
 	DiskStats() (stats diskstore.Stats, ok bool)
@@ -154,14 +155,7 @@ func (b *dbBackend) PlanProbe(view string, keywords []string) (string, string, e
 
 func (b *dbBackend) DiskStats() (diskstore.Stats, bool) { return b.db.DiskStats() }
 
-func (b *dbBackend) Shards() []shardInfo {
-	shards := b.db.ShardStats()
-	out := make([]shardInfo, len(shards))
-	for i, sh := range shards {
-		out[i] = shardInfo{Shard: sh.Shard, Documents: sh.Documents, Bytes: sh.Bytes, Mutations: sh.Mutations}
-	}
-	return out
-}
+func (b *dbBackend) Shards() []store.ShardInfo { return b.db.ShardStats() }
 
 // coordBackend adapts a cluster coordinator; view registration, search
 // routing and mutation fan-out all live in internal/cluster.
@@ -188,10 +182,10 @@ func (b *coordBackend) DefineView(ctx context.Context, name, xquery string, repl
 	return b.coord.DefineView(ctx, name, xquery)
 }
 
-func (b *coordBackend) HasView(name string) bool { return b.coord.HasView(name) }
-func (b *coordBackend) ViewCount() int           { return b.coord.ViewCount() }
-func (b *coordBackend) DocumentNames() []string  { return b.coord.DocumentNames() }
-func (b *coordBackend) TotalBytes() int          { return b.coord.TotalBytes() }
+func (b *coordBackend) HasView(name string) bool  { return b.coord.HasView(name) }
+func (b *coordBackend) ViewCount() int            { return b.coord.ViewCount() }
+func (b *coordBackend) DocumentNames() []string   { return b.coord.DocumentNames() }
+func (b *coordBackend) TotalBytes() int           { return b.coord.TotalBytes() }
 func (b *coordBackend) CacheStats() catalog.Stats { return b.coord.CacheStats() }
 
 func (b *coordBackend) PlanProbe(view string, keywords []string) (string, string, error) {
@@ -214,13 +208,13 @@ func (b *coordBackend) Explain(ctx context.Context, view string, keywords []stri
 	return b.coord.Explain(ctx, view, keywords)
 }
 
-func (b *coordBackend) Shards() []shardInfo {
+func (b *coordBackend) Shards() []store.ShardInfo {
 	slots := b.coord.Slots()
-	out := make([]shardInfo, len(slots))
+	out := make([]store.ShardInfo, len(slots))
 	for i, sc := range slots {
 		// A slot's generation advances once per acknowledged mutation, so
 		// it doubles as the mutation counter single-process shards report.
-		out[i] = shardInfo{Shard: sc.Slot, Documents: sc.Documents, Bytes: sc.Bytes, Mutations: int(sc.Gen)}
+		out[i] = store.ShardInfo{Shard: sc.Slot, Documents: sc.Documents, Bytes: sc.Bytes, Mutations: int(sc.Gen)}
 	}
 	return out
 }

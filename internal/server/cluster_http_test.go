@@ -95,7 +95,7 @@ func TestClusterBackedServer(t *testing.T) {
 	var healthy struct {
 		Results []json.RawMessage `json:"results"`
 		Stats   struct {
-			Nodes []nodeStatus `json:"nodes"`
+			Nodes []vxml.NodeStatus `json:"nodes"`
 		} `json:"stats"`
 	}
 	if err := json.Unmarshal(body, &healthy); err != nil {
@@ -122,7 +122,7 @@ func TestClusterBackedServer(t *testing.T) {
 		Results []json.RawMessage `json:"results"`
 		Error   string            `json:"error"`
 		Stats   struct {
-			Nodes []nodeStatus `json:"nodes"`
+			Nodes []vxml.NodeStatus `json:"nodes"`
 		} `json:"stats"`
 	}
 	if err := json.Unmarshal(body, &degraded); err != nil {
@@ -138,7 +138,7 @@ func TestClusterBackedServer(t *testing.T) {
 	for _, ns := range degraded.Stats.Nodes {
 		if ns.Slot == 1 && ns.State == "failed" {
 			failed++
-			if ns.Error == "" {
+			if ns.Err == "" {
 				t.Fatal("failed node status has no error text")
 			}
 		}

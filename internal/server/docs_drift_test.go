@@ -17,7 +17,10 @@ import (
 	"testing"
 
 	"vxml"
+	"vxml/internal/catalog"
 	"vxml/internal/cluster"
+	"vxml/internal/diskstore"
+	"vxml/internal/store"
 )
 
 // apiDocPath locates docs/API.md relative to this package.
@@ -56,10 +59,12 @@ func TestDocsAPIMatchesRegisteredRoutes(t *testing.T) {
 }
 
 // TestDocsAPICoversWireFields holds docs/API.md to the JSON field names of
-// the response wire structs whose shapes the docs show: every json tag of
-// the search stats, the cache/catalog stats blocks and the explain response
-// must appear in the document (as a `"quoted"` example key or a `backtick`
-// reference), so a wire field added to a response — plan_source, a catalog
+// every type the /v1 responses encode: each response body and, recursively,
+// every struct it carries — vxml.Result, vxml.Stats and vxml.NodeStatus,
+// both catalog.Stats blocks, store.ShardInfo, diskstore.Stats and
+// diskstore.CacheStats. Every json tag must appear in the document (as a
+// `"quoted"` example key or a `backtick` reference), so a wire field added
+// anywhere in a response — plan_source, a catalog counter, a disk cache
 // counter — cannot ship undocumented.
 func TestDocsAPICoversWireFields(t *testing.T) {
 	data, err := os.ReadFile(filepath.FromSlash(apiDocPath))
@@ -67,24 +72,46 @@ func TestDocsAPICoversWireFields(t *testing.T) {
 		t.Fatalf("reading %s: %v", apiDocPath, err)
 	}
 	doc := string(data)
-	for _, s := range []struct {
-		name string
-		v    any
-	}{
-		{"searchStats", searchStats{}},
-		{"cacheStats", cacheStats{}},
-		{"catalogStats", catalogStats{}},
-		{"explainResponse", explainResponse{}},
-	} {
-		rt := reflect.TypeOf(s.v)
+	seen := map[reflect.Type]bool{}
+	var walk func(rt reflect.Type)
+	walk = func(rt reflect.Type) {
+		for rt.Kind() == reflect.Pointer || rt.Kind() == reflect.Slice || rt.Kind() == reflect.Map {
+			rt = rt.Elem()
+		}
+		if rt.Kind() != reflect.Struct || seen[rt] {
+			return
+		}
+		seen[rt] = true
 		for i := 0; i < rt.NumField(); i++ {
-			tag, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
-			if tag == "" || tag == "-" {
+			f := rt.Field(i)
+			tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if !f.IsExported() || tag == "-" {
 				continue
 			}
-			if !strings.Contains(doc, `"`+tag+`"`) && !strings.Contains(doc, "`"+tag+"`") {
-				t.Errorf("%s serves field %q but %s never mentions it", s.name, tag, apiDocPath)
+			if tag == "" && f.Anonymous {
+				walk(f.Type) // promoted into the enclosing object
+				continue
 			}
+			if tag == "" {
+				t.Errorf("%s.%s is encoded under its Go name; give it a json tag", rt, f.Name)
+			} else if !strings.Contains(doc, `"`+tag+`"`) && !strings.Contains(doc, "`"+tag+"`") {
+				t.Errorf("%s serves field %q but %s never mentions it", rt, tag, apiDocPath)
+			}
+			walk(f.Type)
+		}
+	}
+	for _, v := range []any{
+		errorBody{}, addDocumentResponse{}, defineViewResponse{},
+		searchResponse{}, explainResponse{}, statsResponse{},
+	} {
+		walk(reflect.TypeOf(v))
+	}
+	for _, v := range []any{
+		vxml.Result{}, vxml.Stats{}, vxml.NodeStatus{}, catalog.CacheStats{}, catalog.PlannerStats{},
+		store.ShardInfo{}, diskstore.Stats{}, diskstore.CacheStats{},
+	} {
+		if !seen[reflect.TypeOf(v)] {
+			t.Errorf("%T is no longer reached from a /v1 response; update this test", v)
 		}
 	}
 }

@@ -41,8 +41,10 @@ import (
 	"time"
 
 	"vxml"
+	"vxml/internal/catalog"
 	"vxml/internal/cluster"
 	"vxml/internal/diskstore"
+	"vxml/internal/store"
 )
 
 // Server routes HTTP requests to a shared Backend — a single-process
@@ -381,77 +383,14 @@ type searchRequest struct {
 	Parallelism int `json:"parallelism"`
 }
 
-type searchResult struct {
-	Rank    int            `json:"rank"`
-	Score   float64        `json:"score"`
-	TF      map[string]int `json:"tf"`
-	XML     string         `json:"xml"`
-	Snippet string         `json:"snippet"`
-}
-
-type searchStats struct {
-	PDTTimeMicros  int64 `json:"pdt_time_us"`
-	EvalTimeMicros int64 `json:"eval_time_us"`
-	PostTimeMicros int64 `json:"post_time_us"`
-	TotalMicros    int64 `json:"total_us"`
-	PDTNodes       int   `json:"pdt_nodes"`
-	ViewSize       int   `json:"view_size"`
-	Matched        int   `json:"matched"`
-	BaseData       int   `json:"base_data"`
-	Workers        int   `json:"workers"`
-	Candidates     int   `json:"candidates"`
-	ShardsSearched int   `json:"shards_searched"`
-	// PlanSource reports how the answer was produced ("direct",
-	// "cache_hit", "rewritten" or "materialized" — results are
-	// byte-identical across all four); PlanView is the catalog ID of the
-	// serving view. Both are empty on pipelines that never consult the
-	// catalog.
-	PlanSource string `json:"plan_source,omitempty"`
-	PlanView   string `json:"plan_view,omitempty"`
-	// Nodes is the per-member outcome of a distributed search (cluster
-	// backend only; absent on single-process servers).
-	Nodes []nodeStatus `json:"nodes,omitempty"`
-}
-
-// nodeStatus is one cluster member's outcome inside searchStats.
-type nodeStatus struct {
-	URL   string `json:"url"`
-	Slot  int    `json:"slot"`
-	State string `json:"state"`
-	Gen   uint64 `json:"gen,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
+// searchResponse is the body of POST /v1/search: the library's own result
+// and stats shapes, encoded as they are.
 type searchResponse struct {
-	Results []searchResult `json:"results"`
-	Stats   searchStats    `json:"stats"`
+	Results []vxml.Result `json:"results"`
+	Stats   *vxml.Stats   `json:"stats"`
 	// Error is set when the response is a degraded partial-cluster answer
 	// (status 502): Results covers only the surviving partitions.
 	Error string `json:"error,omitempty"`
-}
-
-// wireStats converts per-search stats to the wire shape (shared by the
-// one-shot search response and any stats-bearing degraded response).
-func wireStats(stats *vxml.Stats) searchStats {
-	out := searchStats{
-		PDTTimeMicros:  stats.PDTTime.Microseconds(),
-		EvalTimeMicros: stats.EvalTime.Microseconds(),
-		PostTimeMicros: stats.PostTime.Microseconds(),
-		TotalMicros:    stats.Total.Microseconds(),
-		PDTNodes:       stats.PDTNodes,
-		ViewSize:       stats.ViewSize,
-		Matched:        stats.Matched,
-		BaseData:       stats.BaseData,
-		Workers:        stats.Workers,
-		Candidates:     stats.Candidates,
-		ShardsSearched: stats.ShardsSearched,
-		PlanSource:     stats.PlanSource,
-		PlanView:       stats.PlanView,
-	}
-	for _, n := range stats.Nodes {
-		out.Nodes = append(out.Nodes, nodeStatus{URL: n.URL, Slot: n.Slot, State: n.State, Gen: n.Gen, Error: n.Err})
-	}
-	return out
 }
 
 // parseApproach maps the wire name to the pipeline selector; an unknown
@@ -524,13 +463,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), "search: %v", err)
 		return
 	}
-	resp := searchResponse{
-		Results: make([]searchResult, len(results)),
-		Stats:   wireStats(stats),
+	if results == nil {
+		results = []vxml.Result{}
 	}
-	for i, res := range results {
-		resp.Results[i] = wireResult(res)
-	}
+	resp := searchResponse{Results: results, Stats: stats}
 	if err != nil {
 		// Degraded mode: the surviving partitions' results travel with the
 		// 502, and stats.nodes names the members that were lost — the
@@ -540,13 +476,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// wireResult converts one search result to its wire shape (shared by the
-// one-shot and streaming search responses, which must agree byte-for-byte
-// per result).
-func wireResult(res vxml.Result) searchResult {
-	return searchResult{Rank: res.Rank, Score: res.Score, TF: res.TF, XML: res.XML, Snippet: res.Snippet}
 }
 
 // handleSearchStream is POST /v1/search/stream: the same request body as
@@ -615,7 +544,7 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 			start()
 		}
 		extendDeadline()
-		if err := enc.Encode(wireResult(res)); err != nil {
+		if err := enc.Encode(res); err != nil {
 			return // client went away; the ranged loop is not resumed
 		}
 		flush()
@@ -689,15 +618,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// statsResponse is the body of GET /v1/stats. The catalog counters
+// contribute the "cache" (exact result cache) and "catalog" (view registry
+// and planner tiers) objects.
 type statsResponse struct {
-	Documents  []string    `json:"documents"`
-	TotalBytes int         `json:"total_bytes"`
-	Views      int         `json:"views"`
-	Shards     []shardInfo `json:"shards"`
-	Cache      cacheStats  `json:"cache"`
-	// Catalog carries the view-catalog planner counters: registered views,
-	// resident artifacts and the per-tier serving statistics.
-	Catalog catalogStats `json:"catalog"`
+	Documents  []string `json:"documents"`
+	TotalBytes int      `json:"total_bytes"`
+	Views      int      `json:"views"`
+	// Shards holds one entry per corpus shard (per cluster slot behind a
+	// coordinator).
+	Shards []store.ShardInfo `json:"shards"`
+	catalog.Stats
 	// Disk carries the disk backend's counters (on-disk/resident bytes, DAG
 	// dedup, block/doc/index cache hit rates); absent on a heap-resident
 	// corpus.
@@ -705,72 +636,13 @@ type statsResponse struct {
 	Uptime string           `json:"uptime"`
 }
 
-// shardInfo is one corpus shard's counters in GET /stats. Mutations counts
-// the replace/delete operations applied to the shard — corpus churn that
-// document count and bytes alone cannot show.
-type shardInfo struct {
-	Shard     int `json:"shard"`
-	Documents int `json:"documents"`
-	Bytes     int `json:"bytes"`
-	Mutations int `json:"mutations"`
-}
-
-type cacheStats struct {
-	Hits          int `json:"hits"`
-	Misses        int `json:"misses"`
-	Evictions     int `json:"evictions"`
-	Invalidations int `json:"invalidations"`
-	Entries       int `json:"entries"`
-	Capacity      int `json:"capacity"`
-	Bytes         int `json:"bytes"`
-	MaxBytes      int `json:"max_bytes"`
-	Generation    int `json:"generation"`
-}
-
-// catalogStats is the view-catalog block of GET /v1/stats: registry size,
-// resident planner artifacts (skeletons, materialized views, their byte
-// footprint against the budget) and how often each planner tier served.
-type catalogStats struct {
-	Views            int `json:"views"`
-	Skeletons        int `json:"skeletons"`
-	Materialized     int `json:"materialized"`
-	RewriteHits      int `json:"rewrite_hits"`
-	MaterializedHits int `json:"materialized_hits"`
-	Promotions       int `json:"promotions"`
-	Demotions        int `json:"demotions"`
-	ArtifactBytes    int `json:"artifact_bytes"`
-	ArtifactMaxBytes int `json:"artifact_max_bytes"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.backend.CacheStats()
 	resp := statsResponse{
 		Documents:  s.backend.DocumentNames(),
 		TotalBytes: s.backend.TotalBytes(),
 		Views:      s.backend.ViewCount(),
 		Shards:     s.backend.Shards(),
-		Cache: cacheStats{
-			Hits:          cs.Hits,
-			Misses:        cs.Misses,
-			Evictions:     cs.Evictions,
-			Invalidations: cs.Invalidations,
-			Entries:       cs.Entries,
-			Capacity:      cs.Capacity,
-			Bytes:         cs.Bytes,
-			MaxBytes:      cs.MaxBytes,
-			Generation:    cs.Generation,
-		},
-		Catalog: catalogStats{
-			Views:            cs.Views,
-			Skeletons:        cs.Skeletons,
-			Materialized:     cs.Materialized,
-			RewriteHits:      cs.RewriteHits,
-			MaterializedHits: cs.MaterializedHits,
-			Promotions:       cs.Promotions,
-			Demotions:        cs.Demotions,
-			ArtifactBytes:    cs.ArtifactBytes,
-			ArtifactMaxBytes: cs.ArtifactMaxBytes,
-		},
+		Stats:      s.backend.CacheStats(),
 	}
 	if ds, ok := s.backend.DiskStats(); ok {
 		resp.Disk = &ds

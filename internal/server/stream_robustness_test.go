@@ -129,7 +129,7 @@ func TestStreamDeadlineUnsupportedFallsBackOnce(t *testing.T) {
 				i, len(lines), rec.flushed.String())
 		}
 		for _, line := range lines {
-			var res searchResult
+			var res vxml.Result
 			if err := json.Unmarshal([]byte(line), &res); err != nil || res.XML == "" {
 				t.Fatalf("request %d: malformed result line %q (err %v)", i, line, err)
 			}

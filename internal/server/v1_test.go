@@ -16,7 +16,7 @@ import (
 )
 
 // streamLines POSTs to /v1/search/stream and decodes the NDJSON lines.
-func streamLines(t *testing.T, base string, req map[string]any) (*http.Response, []searchResult) {
+func streamLines(t *testing.T, base string, req map[string]any) (*http.Response, []vxml.Result) {
 	t.Helper()
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -33,7 +33,7 @@ func streamLines(t *testing.T, base string, req map[string]any) (*http.Response,
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("stream Content-Type = %q", ct)
 	}
-	var out []searchResult
+	var out []vxml.Result
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -44,7 +44,7 @@ func streamLines(t *testing.T, base string, req map[string]any) (*http.Response,
 		if err := json.Unmarshal(line, &probe); err == nil && probe.Error != "" {
 			t.Fatalf("mid-stream error line: %s", line)
 		}
-		var res searchResult
+		var res vxml.Result
 		if err := json.Unmarshal(line, &res); err != nil {
 			t.Fatalf("undecodable stream line %q: %v", line, err)
 		}
@@ -137,7 +137,7 @@ func TestOffsetPaginationOverHTTP(t *testing.T) {
 		t.Fatalf("unpaged returned %d results, want 6", len(unpaged.Results))
 	}
 
-	var paged []searchResult
+	var paged []vxml.Result
 	sawHit := false
 	for off := 0; off < len(unpaged.Results); off += 2 {
 		req := map[string]any{"view": "all", "keywords": []string{"xml"}, "offset": off, "top_k": 2, "cache": true}
@@ -159,7 +159,7 @@ func TestOffsetPaginationOverHTTP(t *testing.T) {
 		t.Fatalf("pages concatenate to %d results, unpaged %d", len(paged), len(unpaged.Results))
 	}
 	for i := range paged {
-		// searchResult contains a map; compare via JSON.
+		// vxml.Result contains a map; compare via JSON.
 		a, _ := json.Marshal(paged[i])
 		b, _ := json.Marshal(unpaged.Results[i])
 		if !bytes.Equal(a, b) {

@@ -139,13 +139,15 @@ func (s *Store) ShardOf(name string) int {
 	return ShardIndex(name, len(s.shards))
 }
 
-// ShardInfo is a point-in-time snapshot of one shard's corpus counters.
+// ShardInfo is a point-in-time snapshot of one shard's corpus counters;
+// GET /v1/stats serves it as one element of "shards".
 type ShardInfo struct {
-	Shard     int
-	Documents int
-	Bytes     int
-	// Mutations counts the replacements and deletions applied to the shard.
-	Mutations int
+	Shard     int `json:"shard"`
+	Documents int `json:"documents"`
+	Bytes     int `json:"bytes"`
+	// Mutations counts the replacements and deletions applied to the shard
+	// — corpus churn that document count and bytes alone cannot show.
+	Mutations int `json:"mutations"`
 }
 
 // ShardInfos returns per-shard document counts, byte sizes and mutation

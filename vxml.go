@@ -110,7 +110,6 @@ package vxml
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"vxml/internal/baseline"
 	"vxml/internal/catalog"
@@ -370,70 +369,28 @@ const (
 	GTPTermJoin
 )
 
-// Result is one ranked search result.
+// Result is one ranked search result. Its JSON encoding is the /v1 wire
+// shape of a result: one element of a search response's results array, or
+// one line of a search stream.
 type Result struct {
-	Rank  int
-	Score float64
+	Rank  int     `json:"rank"`
+	Score float64 `json:"score"`
 	// TF maps each query keyword to its frequency in the result.
-	TF map[string]int
+	TF map[string]int `json:"tf"`
 	// XML is the fully materialized result element.
-	XML string
+	XML string `json:"xml"`
 	// Snippet is a keyword-in-context excerpt from the result.
-	Snippet string
+	Snippet string `json:"snippet"`
 }
 
-// Stats reports the per-phase cost of a search (paper Figure 14).
-type Stats struct {
-	PDTTime  time.Duration // PDT generation (index-only)
-	EvalTime time.Duration // view evaluation over the PDTs
-	PostTime time.Duration // scoring + top-k materialization
-	Total    time.Duration
-	PDTNodes int // elements across all PDTs
-	ViewSize int // |V(D)|: number of view results
-	Matched  int // results satisfying the keyword semantics
-	BaseData int // base-data subtree fetches (top-k materialization only)
-	// PlanSource reports how the answer was produced: "direct" (full
-	// pipeline), "cache_hit" (exact result-cache entry; the timing fields
-	// then describe the original computation), "rewritten" (window slice
-	// of a cached unranked entry, or a re-scored view skeleton), or
-	// "materialized" (adaptively materialized view). It describes the
-	// execution only — results are byte-identical across every source.
-	// PlanView is the catalog ID of the serving view ("" when the view is
-	// not in the catalog).
-	PlanSource string
-	PlanView   string
-	// Workers is the worker-pool size the search actually ran with
-	// (comparator pipelines always report 1). Candidates
-	// counts the documents the view resolved to and ShardsSearched the
-	// corpus shards whose locks the search held. Like the timing fields,
-	// they describe the execution — on a cache hit, the original one —
-	// never the results.
-	Workers        int
-	Candidates     int
-	ShardsSearched int
-	// Nodes reports the per-member outcome of a distributed search (one
-	// entry per cluster member the coordinator contacted, in slot order).
-	// Single-process searches leave it nil. When a search returns
-	// ErrPartialCluster, the failed members and their errors are here.
-	Nodes []NodeStatus
-}
+// Stats reports the per-phase cost of a search (paper Figure 14), its size
+// counters and how it was served; its JSON encoding is the stats object of
+// a /v1 search response. See core.Stats for the fields.
+type Stats = core.Stats
 
 // NodeStatus is one cluster member's outcome within a distributed search
-// (see Stats.Nodes). It is defined here rather than in internal/cluster so
-// Stats stays free of internal types.
-type NodeStatus struct {
-	// URL is the member's base URL; Slot is the corpus partition it holds.
-	URL  string
-	Slot int
-	// State is "ok" for a member whose reply was merged, "failed" for one
-	// that was tried and gave none, and "skipped" for one never tried
-	// (an earlier member of its slot already answered).
-	State string
-	// Gen is the corpus generation the member answered at (0 if none).
-	Gen uint64
-	// Err describes the failure when State is "failed".
-	Err string
-}
+// (see Stats.Nodes).
+type NodeStatus = core.NodeStatus
 
 // Search evaluates a ranked keyword query over the view. Keywords are
 // case-insensitive. A nil opts means conjunctive semantics, all results,
@@ -470,7 +427,7 @@ func (db *Database) searchUncached(ctx context.Context, v *View, keywords []stri
 	copts := core.Options{K: opts.TopK, Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism}
 	var (
 		results []core.Result
-		stats   = &Stats{Workers: 1, PlanSource: catalog.PlanDirect}
+		stats   *Stats
 		err     error
 	)
 	switch opts.Approach {
@@ -478,46 +435,17 @@ func (db *Database) searchUncached(ctx context.Context, v *View, keywords []stri
 		// Cache opts the search into the engine's planner tiers too; the
 		// comparator pipelines below always evaluate directly.
 		copts.Plan = opts.Cache
-		var cs *core.Stats
-		results, cs, err = db.engine.SearchPage(ctx, v.inner, keywords, copts, pageOffset)
+		results, stats, err = db.engine.SearchPage(ctx, v.inner, keywords, copts, pageOffset)
 		pageOffset = 0 // the engine already skipped the prefix
-		if err == nil {
-			stats.PDTTime, stats.EvalTime, stats.PostTime = cs.PDTTime, cs.EvalTime, cs.PostTime
-			stats.Total = cs.Total()
-			stats.PDTNodes = cs.PDTNodes
-			stats.ViewSize = cs.ViewResults
-			stats.Matched = cs.Matched
-			stats.BaseData = cs.SubtreeFetches
-			stats.Workers = cs.Workers
-			stats.Candidates = cs.Candidates
-			stats.ShardsSearched = cs.ShardsSearched
-			stats.PlanSource = cs.PlanSource
-			stats.PlanView = cs.PlanView
-		}
 	case Baseline:
 		var bs *baseline.Stats
-		results, bs, err = baseline.SearchContext(ctx, db.engine, v.inner, keywords, copts)
-		if err == nil {
-			stats.EvalTime = bs.MaterializeTime
-			stats.PostTime = bs.SearchTime
-			stats.Total = bs.Total()
-			stats.ViewSize = bs.ViewResults
-			stats.Matched = bs.Matched
-			stats.Candidates = bs.Candidates
-			stats.ShardsSearched = bs.ShardsSearched
+		if results, bs, err = baseline.SearchContext(ctx, db.engine, v.inner, keywords, copts); err == nil {
+			stats = &bs.Stats
 		}
 	case GTPTermJoin:
 		var gs *gtp.Stats
-		results, gs, err = gtp.SearchContext(ctx, db.engine, v.inner, keywords, copts)
-		if err == nil {
-			stats.PDTTime = gs.StructJoinTime
-			stats.EvalTime = gs.EvalTime
-			stats.PostTime = gs.PostTime
-			stats.Total = gs.Total()
-			stats.ViewSize = gs.ViewResults
-			stats.Matched = gs.Matched
-			stats.Candidates = gs.Candidates
-			stats.ShardsSearched = gs.ShardsSearched
+		if results, gs, err = gtp.SearchContext(ctx, db.engine, v.inner, keywords, copts); err == nil {
+			stats = &gs.Stats
 		}
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown approach %d", ErrInvalidOptions, opts.Approach)
