@@ -22,7 +22,8 @@
 // Degraded mode: when a slot stays unreachable through failover and
 // retries, searches return the surviving partitions' results with HTTP 502
 // and per-node status under stats.nodes — a lost node is always an explicit
-// error, never a silently smaller result set. The process drains in-flight
+// error, never a silently smaller result set. -pprof addr serves the
+// runtime profiles on a separate listener. The process drains in-flight
 // requests and exits cleanly on SIGINT/SIGTERM.
 package main
 
@@ -71,6 +72,7 @@ func main() {
 	retries := flag.Int("retries", 1, "extra attempts per member after a transport failure")
 	demo := flag.Bool("demo", false, "load the generated books/reviews corpus through the cluster and register a 'demo' view")
 	readonly := flag.Bool("readonly", false, "disable the corpus-mutating routes (POST/PUT/DELETE under /documents answer 403)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this separate address, e.g. 127.0.0.1:6061 (off when empty; never on the public listener)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "maximum time to drain in-flight requests on shutdown")
 	flag.Parse()
 
@@ -93,6 +95,7 @@ func main() {
 	}
 
 	srv := server.NewCluster(coord)
+	server.ServePprof(*pprofAddr)
 	srv.SetReadOnly(*readonly)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -6,8 +6,9 @@
 // intended client of this process.
 //
 // A node starts empty at generation zero, or bootstraps as a read replica
-// from another node's consistent snapshot with -bootstrap-from. The process
-// drains in-flight requests and exits cleanly on SIGINT/SIGTERM.
+// from another node's consistent snapshot with -bootstrap-from; -pprof addr
+// serves the runtime profiles on a separate listener. The process drains
+// in-flight requests and exits cleanly on SIGINT/SIGTERM.
 //
 // Examples:
 //
@@ -28,12 +29,14 @@ import (
 	"time"
 
 	"vxml/internal/cluster"
+	"vxml/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", ":8351", "listen address")
 	bootstrapFrom := flag.String("bootstrap-from", "", "base URL of a node to bootstrap this one from (snapshot shipping; replica starts at the snapshot's generation)")
 	diskDir := flag.String("disk", "", "keep this node's corpus slice in a disk-resident store at this directory (created if absent; survives restarts)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this separate address, e.g. 127.0.0.1:6061 (off when empty; never on the public listener)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "maximum time to drain in-flight requests on shutdown")
 	flag.Parse()
 
@@ -63,6 +66,7 @@ func main() {
 		node = cluster.NewNode()
 	}
 	defer node.Close()
+	server.ServePprof(*pprofAddr)
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

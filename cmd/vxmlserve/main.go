@@ -14,8 +14,10 @@
 // -readonly disables all three mutation routes. Every search runs under its
 // request's context — a disconnected or timed-out client cancels the
 // pipeline — and POST /v1/search/stream delivers results as NDJSON lines
-// the moment each ranked winner is materialized. The process drains
-// in-flight requests and exits cleanly on SIGINT/SIGTERM.
+// the moment each ranked winner is materialized. -pprof addr serves the
+// runtime profiles (net/http/pprof) on a separate listener, so a running
+// server can be profiled without a rebuild. The process drains in-flight
+// requests and exits cleanly on SIGINT/SIGTERM.
 //
 // Examples:
 //
@@ -70,6 +72,7 @@ func main() {
 	readonly := flag.Bool("readonly", false, "disable the corpus-mutating routes (POST/PUT/DELETE under /documents answer 403)")
 	diskDir := flag.String("disk", "", "serve a disk-resident corpus from this directory (created if absent); documents page in through a block cache and mutations persist across restarts")
 	diskCacheMB := flag.Int("disk-cache-mb", 0, "with -disk: block cache budget in MiB (0 = default 16)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this separate address, e.g. 127.0.0.1:6061 (off when empty; never on the public listener)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "maximum time to drain in-flight requests on shutdown")
 	flag.Parse()
 
@@ -123,6 +126,7 @@ func main() {
 	}
 
 	srv := server.New(db)
+	server.ServePprof(*pprofAddr)
 	srv.SetReadOnly(*readonly)
 	if *demo {
 		if err := srv.DefineView("demo", demoView); err != nil {

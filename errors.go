@@ -9,6 +9,7 @@
 //	ErrDuplicateView         define under an existing view name     409
 //	ErrInvalidOptions        unusable Options / request parameters  400
 //	ParseError               malformed XQuery (position + message)  400
+//	ErrDocumentTooDeep       document nests elements too deeply     400
 //	ErrPartialCluster        distributed search lost node(s)        502
 //	context.Canceled         caller canceled the context            499
 //	context.DeadlineExceeded the context's deadline passed          408
@@ -25,6 +26,7 @@ import (
 
 	"vxml/internal/core"
 	"vxml/internal/store"
+	"vxml/internal/xmltree"
 	"vxml/internal/xq"
 )
 
@@ -60,6 +62,11 @@ var ErrInvalidOptions = errors.New("vxml: invalid options")
 // parser stopped at and what it expected. DefineView and Query return it
 // (wrapped; retrieve with errors.As) for syntactically invalid input.
 type ParseError = xq.ParseError
+
+// ErrDocumentTooDeep reports an added or replacing document whose elements
+// nest deeper than the XML parser accepts (256 levels; compare with
+// errors.Is). An XQuery view nested too deeply is a ParseError instead.
+var ErrDocumentTooDeep = xmltree.ErrTooDeep
 
 // ErrPartialCluster reports a distributed search that completed without one
 // or more cluster nodes: the results returned alongside it cover only the

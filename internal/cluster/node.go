@@ -13,6 +13,7 @@ import (
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
 	"vxml/internal/store"
+	"vxml/internal/xmltree"
 	"vxml/internal/xq"
 )
 
@@ -197,7 +198,7 @@ func nodeErrorFor(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, codeUnknownDocument
 	case errors.Is(err, store.ErrDuplicateName):
 		status, code = http.StatusConflict, codeDuplicate
-	case errors.As(err, &pe), errors.Is(err, core.ErrUnpartitionableView):
+	case errors.As(err, &pe), errors.Is(err, xmltree.ErrTooDeep), errors.Is(err, core.ErrUnpartitionableView):
 		status, code = http.StatusBadRequest, codeInvalid
 	}
 	nodeJSON(w, status, errorBody{Error: err.Error(), Code: code})

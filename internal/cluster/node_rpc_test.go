@@ -70,6 +70,25 @@ func TestNodeSchemaValidation(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsDeepNesting: a view or document nested past its parser's
+// limit is a 400/invalid reply — the code the coordinator reports as the
+// client's fault — not a 500 it would count as the node failing.
+func TestNodeRejectsDeepNesting(t *testing.T) {
+	srv := httptest.NewServer(NewNode().Handler())
+	defer srv.Close()
+	for path, req := range map[string]any{
+		"/views": viewRequest{Schema: Schema, Name: "deep",
+			XQuery: strings.Repeat("(", 10_000) + "fn:doc(x.xml)//a" + strings.Repeat(")", 10_000)},
+		"/documents": documentRequest{Schema: Schema, Op: "add", Name: "deep.xml", DocID: 1, SetGen: 1,
+			XML: strings.Repeat("<a>", 1000) + "x" + strings.Repeat("</a>", 1000)},
+	} {
+		var eb errorBody
+		if code := postNode(t, srv.URL, path, req, &eb); code != http.StatusBadRequest || eb.Code != codeInvalid {
+			t.Errorf("%s: %d %q (%s), want 400 %q", path, code, eb.Code, eb.Error, codeInvalid)
+		}
+	}
+}
+
 // TestNodeStaleGenerationCarriesGen: a read at the wrong generation is
 // rejected with 409/stale_generation and the node's own generation, which
 // is what lets the coordinator tell a lagging replica from its own

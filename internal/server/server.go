@@ -154,7 +154,8 @@ func (s *Server) Handler() http.Handler {
 const statusClientClosedRequest = 499
 
 // statusFor maps the vxml error taxonomy to HTTP statuses:
-// ErrInvalidOptions, ParseError and cluster.ErrUnroutableView to 400,
+// ErrInvalidOptions, ParseError, ErrDocumentTooDeep and
+// cluster.ErrUnroutableView to 400,
 // ErrUnknownView and ErrUnknownDocument to 404, context.DeadlineExceeded
 // to 408, ErrDuplicateDocument and ErrDuplicateView to 409,
 // context.Canceled to 499, ErrPartialCluster to 502 (the response body
@@ -177,7 +178,8 @@ func statusFor(err error) int {
 		return http.StatusBadGateway
 	case errors.Is(err, cluster.ErrStaleGeneration):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, vxml.ErrInvalidOptions), errors.Is(err, cluster.ErrUnroutableView), errors.As(err, &pe):
+	case errors.Is(err, vxml.ErrInvalidOptions), errors.Is(err, cluster.ErrUnroutableView), errors.As(err, &pe),
+		errors.Is(err, vxml.ErrDocumentTooDeep):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -181,6 +181,42 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestDeepNestingReturns400: a view or a document nested past its parser's
+// limit is the client's bad body — 400, with the server still serving
+// afterwards — not a stack overflow or an allocation that takes the
+// process down.
+func TestDeepNestingReturns400(t *testing.T) {
+	ts, _ := newTestServer(t)
+	ingestCorpus(t, ts.URL)
+	deepView := strings.Repeat("(", 10_000) + "fn:doc(books.xml)//book" + strings.Repeat(")", 10_000)
+	deepDoc := strings.Repeat("<a>", 1000) + "x" + strings.Repeat("</a>", 1000)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/views", `{"name":"deep","xquery":"` + deepView + `"}`},
+		{"/v1/documents", `{"name":"deep.xml","xml":"` + deepDoc + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "deep") {
+			t.Errorf("POST %s: %d %q, want 400 naming the nesting", c.path, resp.StatusCode, out.Error)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats after the rejections: %d", resp.StatusCode)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestCorpus(t, ts.URL)

@@ -10,6 +10,7 @@ package xmltree
 import (
 	"bufio"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -71,8 +72,19 @@ func (n *Node) AppendLeaf(tag, value string) *Node {
 	return n.AppendChild(&Node{Tag: tag, Value: value})
 }
 
+// maxDepth bounds element nesting in a parsed document, at libxml2's
+// default. Every element's Dewey ID is as long as its depth, so ID storage
+// grows with the square of the depth: a 400 KB document nested 100,000
+// deep would take about 20 GB.
+const maxDepth = 256
+
+// ErrTooDeep reports a document whose elements nest deeper than Parse
+// accepts (compare with errors.Is).
+var ErrTooDeep = errors.New("elements nested too deeply")
+
 // Parse reads an XML document from r, converts attributes to subelements,
-// assigns Dewey IDs rooted at docID, and computes subtree byte lengths.
+// assigns Dewey IDs rooted at docID, and computes subtree byte lengths. A
+// document nested more than maxDepth elements deep fails with ErrTooDeep.
 func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
@@ -87,6 +99,9 @@ func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if len(stack) == maxDepth {
+				return nil, fmt.Errorf("xmltree: parse %s: %w (limit %d)", name, ErrTooDeep, maxDepth)
+			}
 			// Tag names recur across every element, document and shard;
 			// interning retains one canonical copy per distinct name instead
 			// of one per element.

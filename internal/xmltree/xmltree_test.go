@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -195,6 +196,26 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{"", "<a><b></a></b>", "<a></a><b></b>", "just text"} {
 		if _, err := ParseString(bad, "bad.xml", 1); err == nil {
 			t.Errorf("ParseString(%q): expected error", bad)
+		}
+	}
+}
+
+// TestParseRejectsDeepDocument: a document maxDepth elements deep parses,
+// and one level more fails with ErrTooDeep.
+func TestParseRejectsDeepDocument(t *testing.T) {
+	nested := func(depth int) string {
+		return strings.Repeat("<a>", depth) + "text" + strings.Repeat("</a>", depth)
+	}
+	doc, err := ParseString(nested(maxDepth), "deep.xml", 1)
+	if err != nil {
+		t.Fatalf("%d levels, the limit: %v", maxDepth, err)
+	}
+	if got := doc.ComputeStats().MaxDepth; got != maxDepth {
+		t.Fatalf("MaxDepth = %d, want %d", got, maxDepth)
+	}
+	for _, depth := range []int{maxDepth + 1, 4 * maxDepth} {
+		if _, err := ParseString(nested(depth), "deep.xml", 1); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%d levels: err = %v, want ErrTooDeep", depth, err)
 		}
 	}
 }

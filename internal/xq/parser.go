@@ -230,7 +230,29 @@ func (l *lexer) next() token {
 type parser struct {
 	lex   *lexer
 	funcs map[string]*FuncDecl
+	depth int // nesting levels entered, see nest
 }
+
+// maxNesting bounds how deeply expressions may nest. The parser recurses
+// once per level, and so do the analyses and the evaluator over the AST it
+// builds; without a bound a few megabytes of '(' overflow the goroutine
+// stack, a fatal error no caller can recover from. A level is an
+// expression, path or element constructor inside another, or a step or
+// filter applied to a path (each wraps the path in one more AST node), so
+// a parenthesis costs two.
+const maxNesting = 1000
+
+// nest enters one more nesting level, failing past maxNesting. A function
+// that nests first defers p.leave(p.depth), which undoes its levels.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errf("expression nested deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave(depth int) { p.depth = depth }
 
 // ParseError reports a syntax error with the byte offset it was detected
 // at, so callers (e.g. an HTTP API) can surface machine-readable
@@ -345,6 +367,10 @@ func (p *parser) parseExprSequence() (Expr, error) {
 }
 
 func (p *parser) parseExpr() (Expr, error) {
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	t := p.lex.peek(0)
 	switch {
 	case t.kind == tIdent && (t.text == "for" || t.text == "let"):
@@ -462,6 +488,10 @@ func (p *parser) parseCond() (Expr, error) {
 // expressions and nested constructors, optionally comma-separated as in the
 // paper's Figure 2.
 func (p *parser) parseElementCtor() (Expr, error) {
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	if _, err := p.expect(tLt, "'<'"); err != nil {
 		return nil, err
 	}
@@ -591,6 +621,10 @@ func (p *parser) parseFTContains(target Expr) (Expr, error) {
 
 // parsePath parses PathExpr (with filters) and function calls.
 func (p *parser) parsePath() (Expr, error) {
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	base, err := p.parsePathBase()
 	if err != nil {
 		return nil, err
@@ -619,8 +653,14 @@ func (p *parser) parsePath() (Expr, error) {
 				}
 				steps = append(steps, pathindex.Step{Axis: axis, Tag: tag.text})
 			}
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			base = &StepExpr{Base: base, Steps: steps}
 		case tLBrack:
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			p.lex.next()
 			cond, err := p.parsePred()
 			if err != nil {

@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -72,5 +73,38 @@ func TestDeepNestingNoStackOverflow(t *testing.T) {
 	}
 	if _, err := Parse("for $x in fn:doc(d.xml)/d return " + b.String()); err != nil {
 		t.Errorf("deep constructor nesting should parse: %v", err)
+	}
+}
+
+// TestParseRejectsDeepNesting: input nested past maxNesting is a
+// *ParseError, not a recursion as deep as the input. A parenthesis costs
+// two levels (an expression and a path), so 499 nest within the limit and
+// 500 do not; a filter costs one; and 100,000 parentheses fail as fast as
+// 500, where an unbounded parser overflows the goroutine stack.
+func TestParseRejectsDeepNesting(t *testing.T) {
+	parens := func(n int) string {
+		return strings.Repeat("(", n) + "$x" + strings.Repeat(")", n)
+	}
+	if _, err := Parse(parens(maxNesting/2 - 1)); err != nil {
+		t.Fatalf("%d parentheses, within the limit: %v", maxNesting/2-1, err)
+	}
+	for _, c := range []struct{ name, input string }{
+		{"parentheses just over the limit", parens(maxNesting / 2)},
+		{"100,000 parentheses", parens(100_000)},
+		{"filters", "$x" + strings.Repeat("[.]", maxNesting)},
+		{"steps and filters", "$x" + strings.Repeat("/a[b]", maxNesting/2)},
+		{"constructors", "for $x in fn:doc(d.xml)/d return " +
+			strings.Repeat("<a>", maxNesting) + "{$x}" + strings.Repeat("</a>", maxNesting)},
+		{"for clauses", strings.Repeat("for $x in ", maxNesting) + "$y" + strings.Repeat(" return $x", maxNesting)},
+	} {
+		q, err := Parse(c.input)
+		var pe *ParseError
+		if !errors.As(err, &pe) || q != nil {
+			t.Errorf("%s: err = %v (nil query: %v), want a *ParseError", c.name, err, q == nil)
+			continue
+		}
+		if !strings.Contains(pe.Msg, "nested deeper than") || pe.Pos < 0 || pe.Pos > len(c.input) {
+			t.Errorf("%s: %v", c.name, pe)
+		}
 	}
 }

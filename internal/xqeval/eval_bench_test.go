@@ -11,7 +11,7 @@ import (
 	"vxml/internal/xq"
 )
 
-func benchCatalog(b *testing.B, books, reviews int) MapCatalog {
+func benchCatalog(b testing.TB, books, reviews int) MapCatalog {
 	b.Helper()
 	var sb strings.Builder
 	sb.WriteString("<books>")
@@ -36,11 +36,19 @@ func benchCatalog(b *testing.B, books, reviews int) MapCatalog {
 	return MapCatalog{"books.xml": bdoc, "reviews.xml": rdoc}
 }
 
-// BenchmarkEvalFLWOR evaluates join views with a fresh evaluator per
-// iteration, as a search does: one_join returns a step expression from the
-// inner loop; direct_join is the benchmark workload's shape, the outer loop
+// directJoinBenchView is the benchmark workload's shape: the outer loop
 // over the small side and a constructor over two step expressions returned
 // per matching article.
+const directJoinBenchView = `
+for $book in fn:doc(books.xml)/books//book
+return <brec><t>{$book/title}</t>,
+  {for $rev in fn:doc(reviews.xml)/reviews//review
+   where $rev/isbn = $book/isbn
+   return <rev>{$rev/isbn}, {$rev/content}</rev>}</brec>`
+
+// BenchmarkEvalFLWOR evaluates join views with a fresh evaluator per
+// iteration, as a search does: one_join returns a step expression from the
+// inner loop; direct_join is directJoinBenchView.
 func BenchmarkEvalFLWOR(b *testing.B) {
 	cat := benchCatalog(b, 100, 200)
 	for _, bc := range []struct{ name, view string }{
@@ -51,12 +59,7 @@ return <r>{$book/title},
   {for $rev in fn:doc(reviews.xml)/reviews//review
    where $rev/isbn = $book/isbn
    return $rev/content}</r>`},
-		{"direct_join", `
-for $book in fn:doc(books.xml)/books//book
-return <brec><t>{$book/title}</t>,
-  {for $rev in fn:doc(reviews.xml)/reviews//review
-   where $rev/isbn = $book/isbn
-   return <rev>{$rev/isbn}, {$rev/content}</rev>}</brec>`},
+		{"direct_join", directJoinBenchView},
 	} {
 		q, err := xq.Parse(bc.view)
 		if err != nil {

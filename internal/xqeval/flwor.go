@@ -14,53 +14,60 @@ import (
 // comparisons are existential over atomized operands, ftcontains checks
 // keyword containment over materialized subtrees, and any other expression
 // is true iff its value sequence is non-empty.
+//
+// The operands evaluate onto the value stack and are cut off it again, so
+// the stack is as evalBool found it.
 func (e *Evaluator) evalBool(expr xq.Expr, en *env) (bool, error) {
+	mark := len(e.stack)
+	var ok bool
 	switch x := expr.(type) {
 	case *xq.CmpExpr:
-		left, err := e.Eval(x.Left, en)
-		if err != nil {
+		if err := e.eval(x.Left, en); err != nil {
 			return false, err
 		}
-		right, err := e.Eval(x.Right, en)
-		if err != nil {
+		mid := len(e.stack)
+		if err := e.eval(x.Right, en); err != nil {
 			return false, err
 		}
-		for _, l := range left {
-			lv := Atomize(l)
-			for _, r := range right {
-				if pred.Compare(lv, Atomize(r), x.Op) {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
+		ok = anyPair(e.stack[mark:mid], e.stack[mid:], x.Op)
 	case *xq.FTContainsExpr:
-		targets, err := e.Eval(x.Target, en)
-		if err != nil {
+		if err := e.eval(x.Target, en); err != nil {
 			return false, err
 		}
-		for _, item := range targets {
-			n, ok := item.(*xmltree.Node)
-			if !ok {
-				continue
-			}
-			if ContainsKeywords(n, x.Keywords, x.Conjunctive) {
-				return true, nil
+		for _, item := range e.stack[mark:] {
+			if n, isNode := item.(*xmltree.Node); isNode && ContainsKeywords(n, x.Keywords, x.Conjunctive) {
+				ok = true
+				break
 			}
 		}
-		return false, nil
 	default:
-		v, err := e.Eval(expr, en)
-		if err != nil {
+		if err := e.eval(expr, en); err != nil {
 			return false, err
 		}
+		v := e.stack[mark:]
+		ok = len(v) > 0
 		if len(v) == 1 {
-			if s, ok := v[0].(string); ok {
-				return s != "", nil
+			if s, isStr := v[0].(string); isStr {
+				ok = s != ""
 			}
 		}
-		return len(v) > 0, nil
 	}
+	e.stack = e.stack[:mark]
+	return ok, nil
+}
+
+// anyPair is the existential comparison: some left item compares to some
+// right item under op.
+func anyPair(left, right []Item, op pred.Op) bool {
+	for _, l := range left {
+		lv := Atomize(l)
+		for _, r := range right {
+			if pred.Compare(lv, Atomize(r), op) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ContainsKeywords reports whether the materialized subtree satisfies the
@@ -82,54 +89,66 @@ func ContainsKeywords(n *xmltree.Node, keywords []string, conjunctive bool) bool
 // evalCtor constructs a fresh element. Node children are attached by
 // reference (no deep copy) so that scoring can trace view results back to
 // base or PDT elements; parent pointers of referenced nodes are left
-// untouched.
-func (e *Evaluator) evalCtor(x *xq.ElementExpr, en *env) ([]Item, error) {
-	n := xmltree.NewElement(x.Tag)
+// untouched. The children's values collect on the stack first, so Children
+// is allocated once at its exact size.
+func (e *Evaluator) evalCtor(x *xq.ElementExpr, en *env) error {
+	mark := len(e.stack)
 	for _, childExpr := range x.Children {
-		items, err := e.Eval(childExpr, en)
-		if err != nil {
-			return nil, err
-		}
-		for _, item := range items {
-			switch c := item.(type) {
-			case *xmltree.Node:
-				n.Children = append(n.Children, c)
-			case string:
-				if n.Value != "" {
-					n.Value += " "
-				}
-				n.Value += c
-			}
+		if err := e.eval(childExpr, en); err != nil {
+			return err
 		}
 	}
-	return []Item{n}, nil
+	n := xmltree.NewElement(x.Tag)
+	nodes := 0
+	for _, item := range e.stack[mark:] {
+		if _, ok := item.(*xmltree.Node); ok {
+			nodes++
+		}
+	}
+	if nodes > 0 {
+		n.Children = make([]*xmltree.Node, 0, nodes)
+	}
+	for _, item := range e.stack[mark:] {
+		switch c := item.(type) {
+		case *xmltree.Node:
+			n.Children = append(n.Children, c)
+		case string:
+			if n.Value != "" {
+				n.Value += " "
+			}
+			n.Value += c
+		}
+	}
+	e.stack = append(e.stack[:mark], n)
+	return nil
 }
 
 const maxCallDepth = 64
 
-func (e *Evaluator) evalCall(x *xq.CallExpr, en *env) ([]Item, error) {
+func (e *Evaluator) evalCall(x *xq.CallExpr, en *env) error {
 	fd, ok := e.funcs[x.Name]
 	if !ok {
-		return nil, fmt.Errorf("xqeval: unknown function %q", x.Name)
+		return fmt.Errorf("xqeval: unknown function %q", x.Name)
 	}
 	if len(x.Args) != len(fd.Params) {
-		return nil, fmt.Errorf("xqeval: %s expects %d arguments, got %d", x.Name, len(fd.Params), len(x.Args))
+		return fmt.Errorf("xqeval: %s expects %d arguments, got %d", x.Name, len(fd.Params), len(x.Args))
 	}
 	if e.callDepth >= maxCallDepth {
-		return nil, fmt.Errorf("xqeval: call depth exceeded (recursive functions are not supported)")
+		return fmt.Errorf("xqeval: call depth exceeded (recursive functions are not supported)")
 	}
-	// Functions see only their parameters (no caller locals).
+	// Functions see only their parameters (no caller locals), each bound
+	// to a copy of its argument.
 	var fnEnv *env
 	for i, arg := range x.Args {
 		v, err := e.Eval(arg, en)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fnEnv = fnEnv.bind(fd.Params[i], v)
 	}
 	e.callDepth++
 	defer func() { e.callDepth-- }()
-	return e.Eval(fd.Body, fnEnv)
+	return e.eval(fd.Body, fnEnv)
 }
 
 // joinPlan is what the equality-join fast path knows about one FLWOR. The
@@ -178,10 +197,6 @@ func (ix *joinIndex) lookup(k string) []int {
 	return ix.byStr[k]
 }
 
-func (e *Evaluator) evalFLWOR(x *xq.FLWORExpr, en *env) ([]Item, error) {
-	return e.evalClauses(x, 0, en)
-}
-
 // OuterBindings evaluates the binding sequence of a top-level FLWOR's first
 // clause, the axis along which evaluation can be partitioned: FLWOR
 // semantics evaluates the remaining clauses independently per binding and
@@ -201,28 +216,35 @@ func (e *Evaluator) OuterBindings(x *xq.FLWORExpr) ([]Item, bool, error) {
 // evaluated by different Evaluators — over the same immutable catalog —
 // and the concatenation of their outputs in binding order reproduces the
 // single-evaluator result exactly.
+//
+// The binding's frame is recycled from one call to the next.
 func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
-	return e.evalClauses(x, 1, (*env)(nil).bind1(x.Clauses[0].Var, binding))
+	f := e.loopFrame(x.Clauses[0].Var, nil)
+	f.item[0] = binding
+	mark := len(e.stack)
+	err := e.evalClauses(x, 1, f)
+	if err == nil {
+		e.release(f)
+	}
+	return e.take(mark, err)
 }
 
-func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) ([]Item, error) {
+// evalClauses appends the FLWOR's value from clause idx on.
+func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) error {
 	if idx == len(x.Clauses) {
 		if x.Where != nil {
 			ok, err := e.evalBool(x.Where, en)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, nil
+			if err != nil || !ok {
+				return err
 			}
 		}
-		return e.Eval(x.Return, en)
+		return e.eval(x.Return, en)
 	}
 	cl := x.Clauses[idx]
 	if cl.IsLet {
 		v, err := e.Eval(cl.In, en)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		return e.evalClauses(x, idx+1, en.bind(cl.Var, v))
 	}
@@ -230,26 +252,30 @@ func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) ([]Item, erro
 	// loop-invariant and whose where-clause is an equality with the loop
 	// variable on exactly one side.
 	if e.HashJoin && idx == len(x.Clauses)-1 {
-		if out, ok, err := e.tryHashJoin(x, cl, en); ok || err != nil {
-			return out, err
+		if ok, err := e.tryHashJoin(x, cl, en); ok || err != nil {
+			return err
 		}
 	}
-	seq, err := e.Eval(cl.In, en)
-	if err != nil {
-		return nil, err
+	// The loop sequence is the region [mark, end). Each binding's results
+	// land above it, and the region is dropped from under them at the end.
+	mark := len(e.stack)
+	if err := e.eval(cl.In, en); err != nil {
+		return err
 	}
-	var out []Item
-	for _, item := range seq {
+	end := len(e.stack)
+	f := e.loopFrame(cl.Var, en)
+	for i := mark; i < end; i++ {
 		if err := e.ctxErr(); err != nil {
-			return nil, err
+			return err
 		}
-		v, err := e.evalClauses(x, idx+1, en.bind1(cl.Var, item))
-		if err != nil {
-			return nil, err
+		f.item[0] = e.stack[i]
+		if err := e.evalClauses(x, idx+1, f); err != nil {
+			return err
 		}
-		out = append(out, v...)
 	}
-	return out, nil
+	e.release(f)
+	e.stack = append(e.stack[:mark], e.stack[end:]...)
+	return nil
 }
 
 // planJoin analyses the FLWOR's last clause cl for the fast path: an
@@ -276,66 +302,88 @@ func planJoin(x *xq.FLWORExpr, cl xq.ForLetClause) *joinPlan {
 	return &joinPlan{}
 }
 
-// tryHashJoin applies the equality-join fast path when eligible. It
-// returns ok=false when the FLWOR shape does not qualify.
-func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) ([]Item, bool, error) {
+// tryHashJoin applies the equality-join fast path when eligible, appending
+// the FLWOR's value. It returns ok=false when the FLWOR shape does not
+// qualify.
+func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) (bool, error) {
 	jp := e.joins[x]
 	if jp == nil {
 		jp = planJoin(x, cl)
 		e.joins[x] = jp
 	}
 	if jp.keyExpr == nil {
-		return nil, false, nil
+		return false, nil
 	}
 	if jp.index == nil {
-		seq, err := e.Eval(cl.In, en)
-		if err != nil {
-			return nil, true, err
+		if err := e.buildJoinIndex(jp, cl, en); err != nil {
+			return true, err
 		}
-		index := &joinIndex{byNum: map[float64][]int{}, byStr: make(map[string][]int, len(seq))}
-		for i, item := range seq {
-			if err := e.ctxErr(); err != nil {
-				return nil, true, err
-			}
-			keys, err := e.Eval(jp.keyExpr, (*env)(nil).bind1(cl.Var, item))
-			if err != nil {
-				return nil, true, err
-			}
-			for _, k := range keys {
-				index.add(Atomize(k), i)
-			}
-		}
-		jp.items, jp.index = seq, index
 	}
-	probes, err := e.Eval(jp.probeExpr, en)
-	if err != nil {
-		return nil, true, err
+	mark := len(e.stack)
+	if err := e.eval(jp.probeExpr, en); err != nil {
+		return true, err
 	}
+	probes := e.stack[mark:]
 	e.JoinProbes += len(probes)
 	// The matching positions, each once, in sequence order. One probe's
-	// list is that already; several are merged.
+	// list is that already; several are merged in a region of e.positions,
+	// which a join nested in the return clause only appends above.
+	pmark := len(e.positions)
 	var order []int
 	if len(probes) == 1 {
 		order = jp.index.lookup(Atomize(probes[0]))
 	} else {
 		for _, p := range probes {
-			order = append(order, jp.index.lookup(Atomize(p))...)
+			e.positions = append(e.positions, jp.index.lookup(Atomize(p))...)
 		}
-		slices.Sort(order)
-		order = slices.Compact(order)
+		merged := e.positions[pmark:]
+		slices.Sort(merged)
+		order = slices.Compact(merged)
+		e.positions = e.positions[:pmark+len(order)]
 	}
-	out := make([]Item, 0, len(order)) // exact when each match returns one item
+	e.stack = e.stack[:mark]
+	f := e.loopFrame(cl.Var, en)
 	for _, i := range order {
 		if err := e.ctxErr(); err != nil {
-			return nil, true, err
+			return true, err
 		}
-		v, err := e.Eval(x.Return, en.bind1(cl.Var, jp.items[i]))
-		if err != nil {
-			return nil, true, err
+		f.item[0] = jp.items[i]
+		if err := e.eval(x.Return, f); err != nil {
+			return true, err
 		}
-		out = append(out, v...)
 	}
-	return out, true, nil
+	e.release(f)
+	e.positions = e.positions[:pmark]
+	return true, nil
+}
+
+// buildJoinIndex evaluates the loop sequence — kept as jp.items, an Eval
+// copy, since every later probe indexes into it — and hashes each item's
+// join keys.
+func (e *Evaluator) buildJoinIndex(jp *joinPlan, cl xq.ForLetClause, en *env) error {
+	seq, err := e.Eval(cl.In, en)
+	if err != nil {
+		return err
+	}
+	index := &joinIndex{byNum: map[float64][]int{}, byStr: make(map[string][]int, len(seq))}
+	f := e.loopFrame(cl.Var, nil)
+	for i, item := range seq {
+		if err := e.ctxErr(); err != nil {
+			return err
+		}
+		f.item[0] = item
+		mark := len(e.stack)
+		if err := e.eval(jp.keyExpr, f); err != nil {
+			return err
+		}
+		for _, k := range e.stack[mark:] {
+			index.add(Atomize(k), i)
+		}
+		e.stack = e.stack[:mark]
+	}
+	e.release(f)
+	jp.items, jp.index = seq, index
+	return nil
 }
 
 func onlyVar(vars map[string]bool, v string) bool {

@@ -5,21 +5,34 @@ import (
 	"vxml/internal/xmltree"
 )
 
-// evalSteps applies a path step sequence to every node of the base
-// sequence, deduplicating nodes while preserving encounter order (which is
-// document order when the base sequence is in document order). A step from
-// a single document node cannot meet a node twice and skips the seen set —
-// that is every step of a path rooted at a variable bound to one element;
-// the set remains for multi-node bases (nested matches under //a//b) and
-// for constructed elements, which hold their children by reference and may
-// hold one node twice.
-func evalSteps(base []Item, steps []pathindex.Step) []Item {
-	current := base
-	for _, st := range steps {
-		var next []Item
+// evalSteps replaces the stack's region from mark — a step expression's
+// base — with the result of applying the path steps to every node of it,
+// deduplicating nodes while preserving encounter order (which is document
+// order when the base sequence is in document order). The base moves to one
+// of the evaluator's two step buffers; intermediate steps alternate between
+// them and the last appends to the stack. A step from a single document
+// node cannot meet a node twice and skips the seen set — that is every step
+// of a path rooted at a variable bound to one element; the set remains for
+// multi-node bases (nested matches under //a//b) and for constructed
+// elements, which hold their children by reference and may hold one node
+// twice.
+func (e *Evaluator) evalSteps(mark int, steps []pathindex.Step) {
+	e.steps[0] = append(e.steps[0][:0], e.stack[mark:]...)
+	e.stack = e.stack[:mark]
+	for i, st := range steps {
+		current := e.steps[i%2]
+		last := i == len(steps)-1
+		next := e.stack
+		if !last {
+			next = e.steps[(i+1)%2][:0]
+		}
 		var seen map[*xmltree.Node]bool
 		if !singleDocumentNode(current) {
-			seen = map[*xmltree.Node]bool{}
+			if e.seen == nil {
+				e.seen = map[*xmltree.Node]bool{}
+			}
+			clear(e.seen)
+			seen = e.seen
 		}
 		for _, item := range current {
 			n, ok := item.(*xmltree.Node)
@@ -39,9 +52,12 @@ func evalSteps(base []Item, steps []pathindex.Step) []Item {
 				collectDescendants(n, st.Tag, seen, &next)
 			}
 		}
-		current = next
+		if last {
+			e.stack = next
+		} else {
+			e.steps[(i+1)%2] = next
+		}
 	}
-	return current
 }
 
 // singleDocumentNode reports whether the sequence is one node of a document

@@ -11,11 +11,22 @@
 // production engine such as Quark would use. Every pipeline runs with it
 // on; Evaluator.HashJoin turns it off only so the oracle tests can check
 // it against the nested-loop evaluation it replaces.
+//
+// Evaluation allocates per result, not per binding. Every expression
+// appends its value to one value stack per Evaluator, and each consumer —
+// a constructor's children, a comparison's operands, a filter's or loop's
+// sequence, a join's probes, a path step's base — reads its own region on
+// top of the stack and cuts the stack back when done. A loop binds one
+// frame and overwrites its item per iteration, and path steps run through
+// two reused buffers. What outlives an evaluation is what it constructed —
+// each element with an exact-size Children slice — and the one exact copy
+// Eval or EvalTail hands back.
 package xqeval
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vxml/internal/docname"
@@ -83,6 +94,18 @@ type Evaluator struct {
 	joins     map[*xq.FLWORExpr]*joinPlan
 	docNodes  map[*xmltree.Document]*xmltree.Node
 	callDepth int
+
+	// stack is the value stack every expression appends its value to (see
+	// eval); positions holds merged hash-join match positions under the same
+	// discipline.
+	stack     []Item
+	positions []int
+	// steps are evalSteps' two alternating buffers and seen its dedupe set,
+	// live only within one evalSteps call.
+	steps [2][]Item
+	seen  map[*xmltree.Node]bool
+	// free chains the binding frames of finished loops for reuse.
+	free *env
 }
 
 // New returns an evaluator for the query's function environment.
@@ -141,31 +164,19 @@ func (e *Evaluator) docNode(doc *xmltree.Document) *xmltree.Node {
 }
 
 // env is an immutable chain of variable bindings; the context item is bound
-// under the name ".".
+// under the name ".". A loop's frame (loopFrame) is the exception: the loop
+// overwrites its one item per iteration, which is safe because nothing
+// keeps an env once the iteration that saw it ends — let and call bindings
+// hold copies (Eval), never a frame's item.
 type env struct {
 	name   string
 	value  []Item
 	parent *env
+	item   [1]Item // value's storage in a loop frame
 }
 
 func (en *env) bind(name string, value []Item) *env {
 	return &env{name: name, value: value, parent: en}
-}
-
-// env1 carries a single-item binding and its one-item sequence in a single
-// allocation. FLWOR loops, filters and hash-join probes bind one item per
-// iteration, so the separate []Item{item} literal of the generic bind was
-// half the evaluator's environment churn.
-type env1 struct {
-	e   env
-	buf [1]Item
-}
-
-// bind1 binds a one-item sequence, allocating once instead of twice.
-func (en *env) bind1(name string, item Item) *env {
-	x := &env1{buf: [1]Item{item}}
-	x.e = env{name: name, value: x.buf[:1:1], parent: en}
-	return &x.e
 }
 
 func (en *env) lookup(name string) ([]Item, bool) {
@@ -177,8 +188,56 @@ func (en *env) lookup(name string) ([]Item, bool) {
 	return nil, false
 }
 
-// Eval evaluates expr in the given environment (nil for empty).
+// loopFrame binds name to a one-item sequence in front of parent for the
+// duration of one loop, which sets frame.item[0] per iteration and hands
+// the frame back with release when it ends. Frames are recycled, so a loop
+// costs no allocation once the evaluator has run a loop as deep.
+func (e *Evaluator) loopFrame(name string, parent *env) *env {
+	f := e.free
+	if f == nil {
+		f = &env{}
+	} else {
+		e.free = f.parent
+	}
+	f.name, f.parent = name, parent
+	f.value = f.item[:]
+	return f
+}
+
+// release returns a finished loop's frame for reuse. A loop that fails
+// skips it: the frame is simply not recycled.
+func (e *Evaluator) release(f *env) {
+	f.item[0] = nil
+	f.parent, e.free = e.free, f
+}
+
+// Eval evaluates expr in the given environment (nil for empty). The
+// returned slice is the caller's own: the one copy of the value, taken off
+// the evaluator's stack.
 func (e *Evaluator) Eval(expr xq.Expr, en *env) ([]Item, error) {
+	mark := len(e.stack)
+	return e.take(mark, e.eval(expr, en))
+}
+
+// take cuts the stack back to mark and returns, unless err is set, an
+// exact copy of the value above it.
+func (e *Evaluator) take(mark int, err error) ([]Item, error) {
+	var out []Item
+	if err == nil && len(e.stack) > mark {
+		out = slices.Clone(e.stack[mark:])
+	}
+	e.stack = e.stack[:mark]
+	return out, err
+}
+
+// eval appends the value of expr in environment en to e.stack. A consumer
+// of a subexpression's value notes mark := len(e.stack), evaluates onto the
+// stack, reads its region e.stack[mark:] and cuts the stack back to mark.
+// Regions therefore nest like calls: a nested evaluation writes only above
+// the regions live beneath it, and everyone appends to the field e.stack
+// rather than to a copy of its header, which would go on writing into a
+// backing array a nested region has since reused.
+func (e *Evaluator) eval(expr xq.Expr, en *env) error {
 	switch x := expr.(type) {
 	case *xq.DocExpr:
 		if docname.IsPattern(x.Name) {
@@ -188,98 +247,103 @@ func (e *Evaluator) Eval(expr xq.Expr, en *env) ([]Item, error) {
 			// like an unknown single document.
 			cc, ok := e.catalog.(CollectionCatalog)
 			if !ok {
-				return nil, nil
+				return nil
 			}
-			var out []Item
 			for _, doc := range cc.DocsMatching(x.Name) {
-				if doc == nil || doc.Root == nil {
-					continue
+				if doc != nil && doc.Root != nil {
+					e.stack = append(e.stack, e.docNode(doc))
 				}
-				out = append(out, e.docNode(doc))
 			}
-			return out, nil
+			return nil
 		}
-		doc := e.catalog.Doc(x.Name)
-		if doc == nil || doc.Root == nil {
-			return nil, nil
+		if doc := e.catalog.Doc(x.Name); doc != nil && doc.Root != nil {
+			e.stack = append(e.stack, e.docNode(doc))
 		}
-		return []Item{e.docNode(doc)}, nil
 	case *xq.VarExpr:
 		v, ok := en.lookup(x.Name)
 		if !ok {
-			return nil, fmt.Errorf("xqeval: unbound variable $%s", x.Name)
+			return fmt.Errorf("xqeval: unbound variable $%s", x.Name)
 		}
-		return v, nil
+		e.stack = append(e.stack, v...)
 	case *xq.DotExpr:
 		v, ok := en.lookup(".")
 		if !ok {
-			return nil, fmt.Errorf("xqeval: no context item for '.'")
+			return fmt.Errorf("xqeval: no context item for '.'")
 		}
-		return v, nil
+		e.stack = append(e.stack, v...)
 	case *xq.LiteralExpr:
-		return []Item{x.Value}, nil
+		e.stack = append(e.stack, x.Value)
 	case *xq.StepExpr:
-		base, err := e.Eval(x.Base, en)
-		if err != nil {
-			return nil, err
+		mark := len(e.stack)
+		if err := e.eval(x.Base, en); err != nil {
+			return err
 		}
-		return evalSteps(base, x.Steps), nil
+		e.evalSteps(mark, x.Steps)
 	case *xq.FilterExpr:
-		base, err := e.Eval(x.Base, en)
-		if err != nil {
-			return nil, err
-		}
-		var out []Item
-		for _, item := range base {
-			if err := e.ctxErr(); err != nil {
-				return nil, err
-			}
-			ok, err := e.evalBool(x.Pred, en.bind1(".", item))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, item)
-			}
-		}
-		return out, nil
+		return e.evalFilter(x, en)
 	case *xq.SeqExpr:
-		var out []Item
 		for _, it := range x.Items {
-			v, err := e.Eval(it, en)
-			if err != nil {
-				return nil, err
+			if err := e.eval(it, en); err != nil {
+				return err
 			}
-			out = append(out, v...)
 		}
-		return out, nil
 	case *xq.CondExpr:
 		cond, err := e.evalBool(x.Cond, en)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cond {
-			return e.Eval(x.Then, en)
+			return e.eval(x.Then, en)
 		}
-		return e.Eval(x.Else, en)
+		return e.eval(x.Else, en)
 	case *xq.ElementExpr:
 		return e.evalCtor(x, en)
 	case *xq.CallExpr:
 		return e.evalCall(x, en)
 	case *xq.FLWORExpr:
-		return e.evalFLWOR(x, en)
+		return e.evalClauses(x, 0, en)
 	case *xq.CmpExpr, *xq.FTContainsExpr:
 		// Predicates in item position yield their boolean as a string so
 		// that ebv works; the grammar only produces them in predicate
 		// positions.
 		ok, err := e.evalBool(expr, en)
+		if ok {
+			e.stack = append(e.stack, "true")
+		}
+		return err
+	default:
+		return fmt.Errorf("xqeval: unsupported expression %T", expr)
+	}
+	return nil
+}
+
+// evalFilter keeps the base items whose predicate holds, compacting the
+// base's region in place: each predicate evaluates above the region and
+// cuts back to its end.
+func (e *Evaluator) evalFilter(x *xq.FilterExpr, en *env) error {
+	mark := len(e.stack)
+	if err := e.eval(x.Base, en); err != nil {
+		return err
+	}
+	end := len(e.stack)
+	dot := e.loopFrame(".", en)
+	kept := mark
+	for i := mark; i < end; i++ {
+		if err := e.ctxErr(); err != nil {
+			return err
+		}
+		item := e.stack[i]
+		dot.item[0] = item
+		ok, err := e.evalBool(x.Pred, dot)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
-			return []Item{"true"}, nil
+			e.stack[kept] = item
+			kept++
 		}
-		return nil, nil
 	}
-	return nil, fmt.Errorf("xqeval: unsupported expression %T", expr)
+	e.release(dot)
+	e.stack = e.stack[:kept]
+	return nil
 }
