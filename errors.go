@@ -54,9 +54,10 @@ var ErrUnknownView = errors.New("vxml: unknown view")
 
 // ErrInvalidOptions reports Options (or transport-level request
 // parameters) that cannot be executed, such as an Approach value outside
-// the defined pipelines. Merely out-of-range numeric fields (negative
-// TopK, Offset or Parallelism) are normalized, not rejected.
-var ErrInvalidOptions = errors.New("vxml: invalid options")
+// the defined pipelines or a search naming more than 64 keywords. Merely
+// out-of-range numeric fields (negative TopK, Offset or Parallelism) are
+// normalized, not rejected.
+var ErrInvalidOptions = core.ErrInvalidOptions
 
 // ParseError is the diagnostic for malformed XQuery: the byte offset the
 // parser stopped at and what it expected. DefineView and Query return it

@@ -52,7 +52,10 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	for _, q := range v.QPTs {
 		stats.Candidates += len(e.Store.DocsMatching(q.Doc))
 	}
-	kws := normalize(keywords)
+	kws, err := core.NormalizeKeywords(keywords)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	start := time.Now()
 	ev := xqeval.New(storeCatalog{e}, v.Funcs)
@@ -104,12 +107,4 @@ func (c storeCatalog) Doc(name string) *xmltree.Document { return c.e.Store.Doc(
 
 func (c storeCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return c.e.Store.DocsMatching(pattern)
-}
-
-func normalize(keywords []string) []string {
-	out := make([]string, len(keywords))
-	for i, k := range keywords {
-		out[i] = core.NormalizeKeyword(k)
-	}
-	return out
 }

@@ -198,7 +198,8 @@ func nodeErrorFor(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, codeUnknownDocument
 	case errors.Is(err, store.ErrDuplicateName):
 		status, code = http.StatusConflict, codeDuplicate
-	case errors.As(err, &pe), errors.Is(err, xmltree.ErrTooDeep), errors.Is(err, core.ErrUnpartitionableView):
+	case errors.As(err, &pe), errors.Is(err, xmltree.ErrTooDeep), errors.Is(err, core.ErrUnpartitionableView),
+		errors.Is(err, core.ErrInvalidOptions):
 		status, code = http.StatusBadRequest, codeInvalid
 	}
 	nodeJSON(w, status, errorBody{Error: err.Error(), Code: code})

@@ -462,3 +462,34 @@ func TestBroadcastAddPartialFailureRepair(t *testing.T) {
 		t.Fatalf("documents after recovery: slot0=%d slot1=%d, want 2 and 1", n0.Documents(), n1.Documents())
 	}
 }
+
+// TestNodeRejectsTooManyKeywords: a rank or search naming more than 64
+// keywords is a 400/invalid reply, the client's fault, not a node failure.
+func TestNodeRejectsTooManyKeywords(t *testing.T) {
+	srv := httptest.NewServer(NewNode().Handler())
+	defer srv.Close()
+	if code := postNode(t, srv.URL, "/documents", documentRequest{
+		Schema: Schema, Op: "add", Name: "part-00.xml", XML: rpcTestDoc, DocID: 1, SetGen: 1,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("add: %d", code)
+	}
+	if code := postNode(t, srv.URL, "/views", viewRequest{
+		Schema: Schema, Name: "v",
+		XQuery: `for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("view push: %d", code)
+	}
+	kws := make([]string, 65)
+	for i := range kws {
+		kws[i] = fmt.Sprintf("k%d", i)
+	}
+	for path, req := range map[string]any{
+		"/rank":   rankRequest{Schema: Schema, View: "v", Keywords: kws, Gen: 1},
+		"/search": searchRequest{Schema: Schema, View: "v", Keywords: kws, Gen: 1},
+	} {
+		var eb errorBody
+		if code := postNode(t, srv.URL, path, req, &eb); code != http.StatusBadRequest || eb.Code != codeInvalid {
+			t.Errorf("%s: %d %q (%s), want 400 %q", path, code, eb.Code, eb.Error, codeInvalid)
+		}
+	}
+}

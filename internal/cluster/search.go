@@ -20,6 +20,7 @@ import (
 
 	"vxml"
 	"vxml/internal/catalog"
+	"vxml/internal/core"
 	"vxml/internal/scoring"
 )
 
@@ -39,6 +40,11 @@ func (c *Coordinator) Search(ctx context.Context, name string, keywords []string
 	}
 	if opts != nil && opts.Approach != vxml.Efficient {
 		return nil, nil, fmt.Errorf("%w: the cluster serves only the efficient approach", vxml.ErrInvalidOptions)
+	}
+	// Rejected here, where every node would reject it, rather than
+	// scattered and reported as a failed fan-out.
+	if _, err := core.NormalizeKeywords(keywords); err != nil {
+		return nil, nil, err
 	}
 	c.mu.RLock()
 	cv := c.views[name]

@@ -45,6 +45,11 @@ import (
 // they may legitimately match nothing today and many documents later.
 var ErrUnknownDocument = errors.New("unknown document")
 
+// ErrInvalidOptions reports search parameters that cannot be executed, such
+// as more than MaxKeywords keywords (compare with errors.Is; the root
+// package re-exports it).
+var ErrInvalidOptions = errors.New("vxml: invalid options")
+
 // ctxErr reports ctx's cancellation state, wrapped so callers can classify
 // the failure with errors.Is(err, context.Canceled) or
 // errors.Is(err, context.DeadlineExceeded).
@@ -417,7 +422,9 @@ type Result struct {
 	Rank  int
 	Score float64
 	TFs   []int
-	// Element is the materialized result (pruned if SkipMaterialize).
+	// Element is the materialized result (pruned if SkipMaterialize). It
+	// is read-only: it may share nodes with the corpus, the catalog's
+	// artifacts and other results.
 	Element *xmltree.Node
 	// Snippet is a keyword-in-context excerpt from the materialized
 	// element ("" when SkipMaterialize is set).
@@ -683,13 +690,17 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	kws, err := NormalizeKeywords(keywords)
+	if err != nil {
+		return nil, err
+	}
 	p, err := e.lockAndPlan(v)
 	if err != nil {
 		return nil, err
 	}
 	defer p.unlock()
 	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards), PlanSource: catalog.PlanDirect}
-	out := &viewOutput{kws: normalizeKeywords(keywords), stats: stats, post: time.Now()}
+	out := &viewOutput{kws: kws, stats: stats, post: time.Now()}
 
 	// planGen is read under the shard read locks, so a mutation touching
 	// this view's documents cannot land between here and the skeleton
@@ -723,10 +734,11 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		}
 		stats.EvalTime = time.Since(start)
 		// Record the skeleton — the eval output itself — for the next
-		// search over this view: its nodes never escape to callers (winners
-		// are materialized into fresh trees), so sharing them with future
-		// serves is safe. AccessDirect counts this search toward promotion;
-		// the entry points materialize after the locks drop.
+		// search over this view: its nodes never escape to callers (a
+		// winner's wrappers are built anew and its base subtrees come from
+		// the store), so sharing them with future serves is safe.
+		// AccessDirect counts this search toward promotion; the entry
+		// points materialize after the locks drop.
 		if planned {
 			e.Catalog.StoreSkeleton(v.Text, planGen, out.results, skeletonFootprint(out.results))
 			stats.promotable = e.Catalog.AccessDirect(v.Text)
@@ -771,9 +783,9 @@ const snippetWidth = 160
 // is delivered as the final (zero Result, error) pair. Rank numbers are
 // absolute positions in ranked. It needs no shard lock: subtree fetches
 // resolve through the store's lock-free Dewey map. Winners served from a
-// materialized view are already complete trees, so a clone replaces the
-// base-data fetch (Clone preserves everything XMLString and Snippet read,
-// keeping the output byte-identical to a fetched materialization).
+// materialized view are already complete trees and are handed out as they
+// are. Either way a Result's Element is read-only and may share nodes with
+// the store, the catalog and other results.
 func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offset int, opts Options, fetcher scoring.Fetcher) iter.Seq2[Result, error] {
 	// The sequence may outlive the search by a long time (a slow stream
 	// consumer): capture what it needs, not o, so the unranked remainder of
@@ -788,9 +800,7 @@ func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offse
 			sc := ranked[i]
 			r := Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: sc.Result}
 			if !opts.SkipMaterialize {
-				if prebuilt {
-					r.Element = sc.Result.Clone()
-				} else {
+				if !prebuilt {
 					r.Element = scoring.Materialize(sc.Result, fetcher)
 				}
 				r.Snippet = scoring.Snippet(r.Element, kws, snippetWidth)
@@ -843,12 +853,24 @@ func selectionFilterNode(v *View) *qpt.Node {
 // drift apart.
 func NormalizeKeyword(k string) string { return catalog.NormalizeKeyword(k) }
 
-func normalizeKeywords(keywords []string) []string {
+// MaxKeywords bounds the keywords one search may name. Each keyword costs a
+// posting list per candidate document and a term frequency per view
+// result, so without a bound a request's memory grows with its own length.
+const MaxKeywords = 64
+
+// NormalizeKeywords canonicalizes a search's keywords with NormalizeKeyword.
+// It is the one place every pipeline (core, baseline, gtp) reads its
+// keywords through: more than MaxKeywords fail with an error wrapping
+// ErrInvalidOptions.
+func NormalizeKeywords(keywords []string) ([]string, error) {
+	if len(keywords) > MaxKeywords {
+		return nil, fmt.Errorf("%w: %d keywords, at most %d", ErrInvalidOptions, len(keywords), MaxKeywords)
+	}
 	out := make([]string, len(keywords))
 	for i, k := range keywords {
 		out[i] = NormalizeKeyword(k)
 	}
-	return out
+	return out, nil
 }
 
 // appendNodes appends the element items of an evaluation result to dst

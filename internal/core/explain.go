@@ -11,9 +11,13 @@ import (
 
 // ExplainContext is Explain with a cancellation pre-flight: plan rendering
 // is cheap (no PDT is generated, no view evaluated), so one ctx check
-// before taking the read locks is the whole cooperation.
+// before taking the read locks is the whole cooperation. Keywords a search
+// would reject (NormalizeKeywords) are rejected here too.
 func (e *Engine) ExplainContext(ctx context.Context, v *View, keywords []string) (string, error) {
 	if err := ctxErr(ctx); err != nil {
+		return "", err
+	}
+	if _, err := NormalizeKeywords(keywords); err != nil {
 		return "", err
 	}
 	return e.Explain(v, keywords), nil
@@ -74,8 +78,14 @@ func (e *Engine) Explain(v *View, keywords []string) string {
 		}
 	}
 	if len(keywords) > 0 {
-		fmt.Fprintf(&b, "\ninverted list probes: %s\n",
-			strings.Join(normalizeKeywords(keywords), ", "))
+		b.WriteString("\ninverted list probes: ")
+		for i, k := range keywords {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(NormalizeKeyword(k))
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

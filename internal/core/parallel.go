@@ -210,10 +210,10 @@ func addResultStats(st *scoring.Stats, n *xmltree.Node, lists map[int32][]*invin
 		}
 		return
 	}
-	st.ByteLen += n.Meta.SrcLen
-	if len(n.Meta.SrcID) > 0 {
-		for j, pl := range lists[n.Meta.SrcID[0]] {
-			st.TFs[j] += pl.SubtreeTF(n.Meta.SrcID)
+	st.ByteLen += n.ByteLen
+	if len(n.ID) > 0 {
+		for j, pl := range lists[n.ID[0]] {
+			st.TFs[j] += pl.SubtreeTF(n.ID)
 		}
 	}
 }

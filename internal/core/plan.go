@@ -173,8 +173,9 @@ func treeTokens(n *xmltree.Node, counts map[string]int) {
 }
 
 // treeFootprint estimates the resident bytes of one artifact tree — a
-// skeleton result (whose PDT nodes carry Meta payloads: source ID and
-// length, no TFs) or a materialized one (which has none) — for the
+// skeleton result (PDT nodes, the 'c' ones Meta-marked, no TFs) or a
+// materialized one (new wrappers around the store's own base subtrees,
+// which the artifact keeps alive and so is charged for in full) — for the
 // artifact budget.
 func treeFootprint(root *xmltree.Node) int {
 	total := 0

@@ -204,18 +204,18 @@ func (ds *Store) readNodeAt(off int64) (nodeRec, error) {
 
 // decodeSubtree materializes the subtree whose root record is at off,
 // assigning per-occurrence Dewey IDs (root = id, i-th child = id.Child(i+1))
-// and parent pointers — the information the DAG deliberately does not
-// store, recovered from the navigation path.
-func (ds *Store) decodeSubtree(off int64, id dewey.ID, parent *xmltree.Node) (*xmltree.Node, error) {
+// — the information the DAG deliberately does not store, recovered from the
+// navigation path.
+func (ds *Store) decodeSubtree(off int64, id dewey.ID) (*xmltree.Node, error) {
 	rec, err := ds.readNodeAt(off)
 	if err != nil {
 		return nil, err
 	}
-	n := &xmltree.Node{Tag: rec.tag, Value: rec.value, ID: id, Parent: parent, ByteLen: rec.byteLen}
+	n := &xmltree.Node{Tag: rec.tag, Value: rec.value, ID: id, ByteLen: rec.byteLen}
 	if len(rec.children) > 0 {
 		n.Children = make([]*xmltree.Node, len(rec.children))
 		for i, c := range rec.children {
-			child, err := ds.decodeSubtree(c, id.Child(int32(i+1)), n)
+			child, err := ds.decodeSubtree(c, id.Child(int32(i+1)))
 			if err != nil {
 				return nil, err
 			}
@@ -227,7 +227,7 @@ func (ds *Store) decodeSubtree(off int64, id dewey.ID, parent *xmltree.Node) (*x
 
 // hydrate materializes a document from its root record.
 func (ds *Store) hydrate(e *docEntry) (*xmltree.Document, error) {
-	root, err := ds.decodeSubtree(e.root, dewey.ID{e.docID}, nil)
+	root, err := ds.decodeSubtree(e.root, dewey.ID{e.docID})
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: hydrate %q: %w", e.name, err)
 	}
@@ -251,7 +251,7 @@ func (ds *Store) subtreeAt(e *docEntry, id dewey.ID) (*xmltree.Node, error) {
 		}
 		off = rec.children[ord-1]
 	}
-	return ds.decodeSubtree(off, id, nil)
+	return ds.decodeSubtree(off, id)
 }
 
 // dagSubtreeTF computes per-keyword term frequencies of the subtree at

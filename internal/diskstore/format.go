@@ -121,8 +121,8 @@ func getBytes(buf []byte, off, n int) ([]byte, int, error) {
 
 // nodeRec is one decoded DAG subtree node: the element's tag, direct text
 // value and serialized subtree length, plus the data-log offsets of its
-// child records. Dewey IDs and parent pointers are per-occurrence — they
-// are derived by navigation ordinals at decode time, which is exactly what
+// child records. Dewey IDs are per-occurrence — they are derived by
+// navigation ordinals at decode time, which is exactly what
 // makes structurally identical subtrees shareable.
 type nodeRec struct {
 	hash     uint64

@@ -72,7 +72,10 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	e.RLock()
 	defer e.RUnlock()
 	stats := &Stats{Stats: core.Stats{Workers: 1, ShardsSearched: e.Store.ShardCount(), PlanSource: catalog.PlanDirect}}
-	kws := normalizeKeywords(keywords)
+	kws, err := core.NormalizeKeywords(keywords)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	start := time.Now()
 	docs := xqeval.MapCatalog{}
@@ -338,14 +341,6 @@ func dedupeSorted(ids []dewey.ID) []dewey.ID {
 		if len(out) == 0 || !dewey.Equal(out[len(out)-1], id) {
 			out = append(out, id)
 		}
-	}
-	return out
-}
-
-func normalizeKeywords(keywords []string) []string {
-	out := make([]string, len(keywords))
-	for i, k := range keywords {
-		out[i] = core.NormalizeKeyword(k)
 	}
 	return out
 }

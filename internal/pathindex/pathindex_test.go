@@ -219,8 +219,8 @@ func TestQuickLookupEqualsScan(t *testing.T) {
 		}
 		// reference: scan the document
 		want := map[string]bool{}
-		doc.Root.Walk(func(n *xmltree.Node) {
-			if MatchPath(pattern, n.PathFromRoot()) {
+		WalkPaths(doc, func(n *xmltree.Node, path string) {
+			if MatchPath(pattern, path) {
 				want[n.ID.String()] = true
 			}
 		})
@@ -293,4 +293,19 @@ func TestFilterPassKeepsValueSemantics(t *testing.T) {
 			t.Errorf("preds %v: got %v, want %v", preds, got, want)
 		}
 	}
+}
+
+// WalkPaths visits every element of doc in document order with its
+// root-to-element label path, e.g. "/books/book/isbn" — the data path the
+// index files the element under. (Exported for the external test package.)
+func WalkPaths(doc *xmltree.Document, visit func(n *xmltree.Node, path string)) {
+	var walk func(n *xmltree.Node, prefix string)
+	walk = func(n *xmltree.Node, prefix string) {
+		path := prefix + "/" + n.Tag
+		visit(n, path)
+		for _, c := range n.Children {
+			walk(c, path)
+		}
+	}
+	walk(doc.Root, "")
 }

@@ -82,8 +82,8 @@ func scanLookupPath(doc *xmltree.Document, dict []string, steps []pathindex.Step
 			continue
 		}
 		var postings []pathindex.Posting
-		doc.Root.Walk(func(n *xmltree.Node) {
-			if n.PathFromRoot() != fp || len(preds) > 0 && (!n.IsLeaf() || !pred.All(preds, n.Value)) {
+		pathindex.WalkPaths(doc, func(n *xmltree.Node, path string) {
+			if path != fp || len(preds) > 0 && (!n.IsLeaf() || !pred.All(preds, n.Value)) {
 				return
 			}
 			p := pathindex.Posting{ID: n.ID, ByteLen: n.ByteLen}
@@ -125,7 +125,7 @@ func TestLookupPathEqualsScanCopySort(t *testing.T) {
 	for seed, forms := range builtAndStored(t, docs) {
 		doc := docs[seed]
 		seen := map[string]bool{}
-		doc.Root.Walk(func(n *xmltree.Node) { seen[n.PathFromRoot()] = true })
+		pathindex.WalkPaths(doc, func(_ *xmltree.Node, path string) { seen[path] = true })
 		var dict []string
 		for p := range seen {
 			dict = append(dict, p)

@@ -12,9 +12,10 @@ import (
 
 // PDT is a generated Pruned Document Tree. Doc is an xmltree document whose
 // nodes keep their ORIGINAL base-document Dewey IDs (so provenance survives
-// evaluation); 'v' nodes carry materialized values and 'c' nodes carry a
-// NodeMeta payload (source ID, subtree byte length, per-keyword tf) exactly
-// as in the paper's Figure 6(b). Doc is nil when no element qualifies.
+// evaluation) and base subtree byte lengths; 'v' nodes carry materialized
+// values and 'c' nodes a Meta mark, with per-keyword term frequencies when
+// generated with keywords — the paper's Figure 6(b) payload, whose source ID
+// and byte length are the node's own. Doc is nil when no element qualifies.
 type PDT struct {
 	SourceName string
 	Doc        *xmltree.Document
@@ -583,22 +584,27 @@ func (g *generator) emit(seq int32, q *qpt.Node) {
 // its descendants', so src points at one of them if there is any. Term
 // frequencies are summed here, for the emitted 'c' elements only, and only
 // when the lists were prepared with keywords: a keyword-free PDT carries
-// none, and whoever scores its results derives them as the same
-// Dewey-range sums over the same lists (index-only either way).
+// none — its 'c' elements share xmltree.ContentMark — and whoever scores
+// its results derives them as the same Dewey-range sums over the same
+// lists (index-only either way).
 func (g *generator) build(sourceName string) *PDT {
 	nodes, metas := 0, 0
+	inv := g.lists.Inv
 	for _, m := range g.marks {
 		if m&markEmitted != 0 {
 			nodes++
-			if m&markC != 0 {
+			if m&markC != 0 && len(inv) > 0 {
 				metas++
 			}
 		}
 	}
 	slab := make([]xmltree.Node, 0, nodes)
-	metaSlab := make([]xmltree.NodeMeta, 0, metas)
-	inv := g.lists.Inv
-	tfSlab := make([]int, 0, metas*len(inv))
+	var metaSlab []xmltree.NodeMeta
+	var tfSlab []int
+	if metas > 0 {
+		metaSlab = make([]xmltree.NodeMeta, 0, metas)
+		tfSlab = make([]int, 0, metas*len(inv))
+	}
 	for seq, m := range g.marks {
 		if m&markEmitted == 0 {
 			continue
@@ -615,15 +621,20 @@ func (g *generator) build(sourceName string) *PDT {
 				node.Value = p.Value
 			}
 		}
-		if m&markC != 0 {
-			metaSlab = append(metaSlab, xmltree.NodeMeta{SrcID: node.ID, SrcLen: node.ByteLen})
-			node.Meta = &metaSlab[len(metaSlab)-1]
-			if own && len(inv) > 0 {
+		switch {
+		case m&markC == 0:
+		case len(inv) == 0:
+			node.Meta = xmltree.ContentMark
+		default:
+			var tfs []int
+			if own {
 				for _, il := range inv {
 					tfSlab = append(tfSlab, il.SubtreeTF(node.ID))
 				}
-				node.Meta.TFs = tfSlab[len(tfSlab)-len(inv) : len(tfSlab) : len(tfSlab)]
+				tfs = tfSlab[len(tfSlab)-len(inv) : len(tfSlab) : len(tfSlab)]
 			}
+			metaSlab = append(metaSlab, xmltree.NodeMeta{TFs: tfs})
+			node.Meta = &metaSlab[len(metaSlab)-1]
 		}
 	}
 	return link(slab, sourceName)
@@ -638,7 +649,7 @@ func BuildPruned(elements []*Element, sourceName string) *PDT {
 	slab := make([]xmltree.Node, len(sorted))
 	metas := 0
 	for _, el := range sorted {
-		if el.NeedC {
+		if el.NeedC && el.TFs != nil {
 			metas++
 		}
 	}
@@ -649,9 +660,12 @@ func BuildPruned(elements []*Element, sourceName string) *PDT {
 		if el.NeedV && el.HasValue {
 			node.Value = el.Value
 		}
-		if el.NeedC {
-			metaSlab = append(metaSlab, xmltree.NodeMeta{SrcID: el.ID, SrcLen: el.ByteLen, TFs: el.TFs})
+		switch {
+		case el.NeedC && el.TFs != nil:
+			metaSlab = append(metaSlab, xmltree.NodeMeta{TFs: el.TFs})
 			node.Meta = &metaSlab[len(metaSlab)-1]
+		case el.NeedC:
+			node.Meta = xmltree.ContentMark
 		}
 	}
 	return link(slab, sourceName)
@@ -659,50 +673,52 @@ func BuildPruned(elements []*Element, sourceName string) *PDT {
 
 // link turns a slab of elements in document order into a pruned xmltree
 // document: every element's parent is its closest emitted ancestor
-// (Definition 3). Child slices are carved from one slab sized by the
-// element count, so linking costs three allocations whatever the size.
+// (Definition 3), the top of the root-to-leaf chain of emitted elements
+// once the chain is cut back to the element's ancestors. Child slices are
+// carved from one slab sized by the element count, so linking costs three
+// allocations whatever the size.
 func link(slab []xmltree.Node, sourceName string) *PDT {
 	pdt := &PDT{SourceName: sourceName, Nodes: len(slab)}
 	if len(slab) == 0 {
 		return pdt
 	}
+	for i := range slab {
+		pdt.Bytes += 2*len(slab[i].Tag) + 5 + len(slab[i].Value)
+	}
 	// Every element but the root is the child of exactly one other.
 	kids := make([]*xmltree.Node, len(slab)-1)
 	var chainBuf [32]*xmltree.Node
-	chain := chainBuf[:0] // current root-to-leaf construction chain
-	// First pass: find the parents. A node's child count is carried as the
-	// length of its Children until the slices are carved.
-	for i := range slab {
-		node := &slab[i]
-		pdt.Bytes += 2*len(node.Tag) + 5 + len(node.Value)
-		// pop chain until top is an ancestor of node
-		for len(chain) > 0 && !chain[len(chain)-1].ID.IsAncestorOf(node.ID) {
-			chain = chain[:len(chain)-1]
-		}
-		if len(chain) > 0 {
-			parent := chain[len(chain)-1]
-			node.Parent = parent
-			parent.Children = kids[:len(parent.Children)+1]
-		} else if i > 0 {
-			// A second top-level element: a QPT rooted at '//x' can emit
-			// several with no common emitted ancestor. A document has one
-			// root, so only the first one's subtree is kept.
-			continue
-		}
-		chain = append(chain, node)
-	}
-	// Second pass: carve each node's exact child slice and fill it. The
-	// slab is in document order, so a parent is carved before any child
-	// appends to it and siblings append in order.
+	// Two walks down the same chain. The first counts each node's children
+	// in the length of its Children. The second carves each node's exact
+	// child slice and fills it: the slab is in document order, so a parent
+	// is carved before any child appends to it and siblings append in order.
 	carved := 0
-	for i := range slab {
-		node := &slab[i]
-		if n := len(node.Children); n > 0 {
-			node.Children = kids[carved : carved : carved+n]
-			carved += n
-		}
-		if node.Parent != nil {
-			node.Parent.Children = append(node.Parent.Children, node)
+	for pass := 0; pass < 2; pass++ {
+		chain := chainBuf[:0]
+		for i := range slab {
+			node := &slab[i]
+			for len(chain) > 0 && !chain[len(chain)-1].ID.IsAncestorOf(node.ID) {
+				chain = chain[:len(chain)-1]
+			}
+			if len(chain) == 0 && i > 0 {
+				// A second top-level element: a QPT rooted at '//x' can emit
+				// several with no common emitted ancestor. A document has one
+				// root, so only the first one's subtree is kept.
+				continue
+			}
+			if len(chain) > 0 {
+				parent := chain[len(chain)-1]
+				if pass == 0 {
+					parent.Children = kids[:len(parent.Children)+1]
+				} else {
+					parent.Children = append(parent.Children, node)
+				}
+			}
+			if n := len(node.Children); pass == 1 && n > 0 {
+				node.Children = kids[carved : carved : carved+n]
+				carved += n
+			}
+			chain = append(chain, node)
 		}
 	}
 	root := &slab[0]

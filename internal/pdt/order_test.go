@@ -93,9 +93,9 @@ func elementsOf(r *rand.Rand, p *pdt.PDT) []*pdt.Element {
 }
 
 // mustEqualTrees compares two pruned documents node for node: identity,
-// value, Meta payload, parent link and child order. (A node's own ByteLen
-// is compared through Meta.SrcLen only: the generator knows it for
-// elements that came off a list, the reference for every element.)
+// value, Meta payload and child order. (A node's own ByteLen is compared on
+// Meta nodes only: the generator knows it for elements that came off a
+// list, the reference for every element.)
 func mustEqualTrees(t *testing.T, label string, got, want *pdt.PDT) {
 	t.Helper()
 	if got.Nodes != want.Nodes || got.Bytes != want.Bytes || (got.Doc == nil) != (want.Doc == nil) {
@@ -106,29 +106,26 @@ func mustEqualTrees(t *testing.T, label string, got, want *pdt.PDT) {
 		return
 	}
 	visited := 0
-	var walk func(g, w, parent *xmltree.Node)
-	walk = func(g, w, parent *xmltree.Node) {
+	var walk func(g, w *xmltree.Node)
+	walk = func(g, w *xmltree.Node) {
 		visited++
 		if !dewey.Equal(g.ID, w.ID) || g.Tag != w.Tag || g.Value != w.Value {
 			t.Fatalf("%s: node %s <%s> %q, want %s <%s> %q", label, g.ID, g.Tag, g.Value, w.ID, w.Tag, w.Value)
 		}
-		if g.Parent != parent {
-			t.Fatalf("%s: node %s has the wrong parent link", label, g.ID)
-		}
 		if (g.Meta == nil) != (w.Meta == nil) {
 			t.Fatalf("%s: node %s Meta presence differs", label, g.ID)
 		}
-		if g.Meta != nil && (!dewey.Equal(g.Meta.SrcID, w.Meta.SrcID) || g.Meta.SrcLen != w.Meta.SrcLen || !slices.Equal(g.Meta.TFs, w.Meta.TFs)) {
-			t.Fatalf("%s: node %s Meta %+v, want %+v", label, g.ID, *g.Meta, *w.Meta)
+		if g.Meta != nil && (g.ByteLen != w.ByteLen || !slices.Equal(g.Meta.TFs, w.Meta.TFs)) {
+			t.Fatalf("%s: node %s len %d Meta %+v, want %d %+v", label, g.ID, g.ByteLen, *g.Meta, w.ByteLen, *w.Meta)
 		}
 		if len(g.Children) != len(w.Children) {
 			t.Fatalf("%s: node %s has %d children, want %d", label, g.ID, len(g.Children), len(w.Children))
 		}
 		for i := range g.Children {
-			walk(g.Children[i], w.Children[i], g)
+			walk(g.Children[i], w.Children[i])
 		}
 	}
-	walk(got.Doc.Root, want.Doc.Root, nil)
+	walk(got.Doc.Root, want.Doc.Root)
 	if visited != got.Nodes {
 		t.Fatalf("%s: tree holds %d nodes, PDT reports %d", label, visited, got.Nodes)
 	}

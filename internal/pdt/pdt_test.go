@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"vxml/internal/dewey"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/pred"
@@ -109,8 +108,8 @@ func TestFigure6bBooks(t *testing.T) {
 	if title.Meta.TFs[0] != 1 || title.Meta.TFs[1] != 0 {
 		t.Errorf("title TFs = %v", title.Meta.TFs)
 	}
-	if title.Meta.SrcLen == 0 || !dewey.Equal(title.Meta.SrcID, title.ID) {
-		t.Errorf("title Meta = %+v", title.Meta)
+	if title.ByteLen == 0 || title.ID.String() != "1.1.2" {
+		t.Errorf("title ID %s ByteLen %d, want the base title's", title.ID, title.ByteLen)
 	}
 }
 
@@ -233,7 +232,7 @@ func render(p *PDT) string {
 			fmt.Fprintf(&b, " val=%q", n.Value)
 		}
 		if n.Meta != nil {
-			fmt.Fprintf(&b, " tf=%v len=%d", n.Meta.TFs, n.Meta.SrcLen)
+			fmt.Fprintf(&b, " tf=%v len=%d", n.Meta.TFs, n.ByteLen)
 		}
 		b.WriteString("\n")
 		for _, c := range n.Children {
@@ -357,7 +356,7 @@ func TestQuickTFsMatchMaterialized(t *testing.T) {
 			if n.Meta == nil {
 				return
 			}
-			base := doc.FindByID(n.Meta.SrcID)
+			base := doc.FindByID(n.ID)
 			if base == nil {
 				ok = false
 				return
@@ -368,7 +367,7 @@ func TestQuickTFsMatchMaterialized(t *testing.T) {
 					ok = false
 				}
 			}
-			if n.Meta.SrcLen != base.ByteLen {
+			if n.ByteLen != base.ByteLen {
 				ok = false
 			}
 		})
@@ -376,6 +375,50 @@ func TestQuickTFsMatchMaterialized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestContentMarkShared: every 'c' node of a keyword-free PDT shares
+// xmltree.ContentMark, so such a PDT allocates no NodeMeta; the same nodes
+// of a PDT generated with keywords each carry their own term frequencies.
+func TestContentMarkShared(t *testing.T) {
+	keywords := []string{"xml", "search"}
+	marked := 0
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		doc := randomDoc(r, 1)
+		q := randomQPT(r)
+		pix, iix := pathindex.Build(doc), invindex.Build(doc)
+		bare := Generate(q, PrepareLists(q, pix, iix, nil), doc.Name)
+		scored := Generate(q, PrepareLists(q, pix, iix, keywords), doc.Name)
+		if bare.Doc == nil {
+			continue
+		}
+		var bareNodes, scoredNodes []*xmltree.Node
+		bare.Doc.Root.Walk(func(n *xmltree.Node) { bareNodes = append(bareNodes, n) })
+		scored.Doc.Root.Walk(func(n *xmltree.Node) { scoredNodes = append(scoredNodes, n) })
+		for i, n := range bareNodes {
+			s := scoredNodes[i]
+			if n.Meta == nil {
+				if s.Meta != nil {
+					t.Fatalf("seed %d: node %s marked only with keywords", seed, s.ID)
+				}
+				continue
+			}
+			marked++
+			if n.Meta != xmltree.ContentMark {
+				t.Fatalf("seed %d: keyword-free 'c' node %s has its own Meta %+v", seed, n.ID, *n.Meta)
+			}
+			if s.Meta == nil || s.Meta == xmltree.ContentMark || len(s.Meta.TFs) != len(keywords) {
+				t.Fatalf("seed %d: 'c' node %s with keywords has Meta %+v", seed, s.ID, s.Meta)
+			}
+		}
+	}
+	if marked == 0 {
+		t.Fatal("no 'c' node generated")
+	}
+	if len(xmltree.ContentMark.TFs) != 0 {
+		t.Fatalf("ContentMark written: %+v", *xmltree.ContentMark)
 	}
 }
 

@@ -74,7 +74,7 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 			ok := false
 			if parentEdge.From == q.Root {
 				if parentEdge.Axis == pathindex.Child {
-					ok = v.Parent == nil // the document root element
+					ok = v == doc.Root
 				} else {
 					ok = true
 				}

@@ -45,9 +45,6 @@ func Project(doc *xmltree.Document, q *qpt.QPT) *xmltree.Document {
 			return nil
 		}
 		out := &xmltree.Node{Tag: n.Tag, ID: n.ID, ByteLen: n.ByteLen, Children: kids}
-		for _, k := range kids {
-			k.Parent = out
-		}
 		if matched {
 			out.Value = n.Value
 		}

@@ -1,6 +1,6 @@
 // Microbenchmark for top-k materialization — the only base-data access of
-// the Efficient pipeline. Its cost is dominated by deep-copying the fetched
-// subtree, so Clone's allocation behavior is what this measures.
+// the Efficient pipeline. A winner standing for a base subtree is that
+// subtree, shared with the store, so this allocates nothing.
 package scoring
 
 import (
@@ -30,12 +30,13 @@ func BenchmarkMaterialize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A pruned winner referencing the whole document subtree via Meta, as
-	// PDT generation produces for a 'c' node.
+	// A pruned winner standing for the whole document subtree, as PDT
+	// generation produces for a 'c' node.
 	winner := &xmltree.Node{
-		Tag:  doc.Root.Tag,
-		ID:   doc.Root.ID,
-		Meta: &xmltree.NodeMeta{SrcID: doc.Root.ID, SrcLen: doc.Root.ByteLen},
+		Tag:     doc.Root.Tag,
+		ID:      doc.Root.ID,
+		ByteLen: doc.Root.ByteLen,
+		Meta:    xmltree.ContentMark,
 	}
 	f := docFetcher{doc: doc}
 	b.ReportAllocs()

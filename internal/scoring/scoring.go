@@ -4,8 +4,9 @@
 // materializes only the top-k winners from document storage.
 //
 // The same code scores both pipelines. For the Efficient pipeline the term
-// frequencies and byte lengths come from the NodeMeta payloads that PDT
-// generation attached to 'c' elements; for the Baseline pipeline they are
+// frequencies come from the NodeMeta payloads that PDT generation attached
+// to 'c' elements, and the byte lengths from those elements' own ByteLen
+// (which is the base subtree's); for the Baseline pipeline they are
 // computed from the materialized base subtrees referenced by the result.
 // Theorem 4.1 guarantees — and the test suite verifies — that both modes
 // produce identical scores and rank order.
@@ -25,7 +26,8 @@ type Mode int
 
 // Collection modes.
 const (
-	// FromPDT reads NodeMeta payloads attached by PDT generation.
+	// FromPDT reads the Meta-marked elements of PDT generation: their
+	// NodeMeta term frequencies and their own byte lengths.
 	FromPDT Mode = iota
 	// FromBase computes statistics from materialized base subtrees
 	// (elements that carry a Dewey ID).
@@ -55,7 +57,7 @@ func Collect(result *xmltree.Node, keywords []string, mode Mode) Stats {
 					st.TFs[i] += n.Meta.TFs[i]
 				}
 			}
-			st.ByteLen += n.Meta.SrcLen
+			st.ByteLen += n.ByteLen
 			return // Meta covers the whole base subtree
 		case mode == FromBase && len(n.ID) > 0:
 			tf := xmltree.SubtreeTF(n, keywords)
@@ -310,19 +312,17 @@ func (c *CountingFetcher) Subtree(id dewey.ID) *xmltree.Node {
 }
 
 // Materialize expands a (possibly pruned) view result into a complete tree:
-// PDT elements are replaced by their full base subtrees fetched from
-// document storage — the only base-data access of the Efficient pipeline,
-// performed for top-k winners only.
+// every element with a Dewey ID — a PDT element, or a base element of the
+// Baseline pipeline — stands for its full base subtree, fetched from
+// document storage: the only base-data access of the Efficient pipeline,
+// performed for top-k winners only. The fetched subtree is returned as it
+// is, not copied; only constructed wrappers are built anew. The result is
+// therefore read-only: it may share nodes with the store and with other
+// results.
 func Materialize(result *xmltree.Node, st Fetcher) *xmltree.Node {
-	if result.Meta != nil {
-		if full := st.Subtree(result.Meta.SrcID); full != nil {
-			return full.Clone()
-		}
-	}
-	if len(result.ID) > 0 && result.Meta == nil {
-		// Already a base subtree (Baseline pipeline): deep-copy it.
+	if len(result.ID) > 0 {
 		if full := st.Subtree(result.ID); full != nil {
-			return full.Clone()
+			return full
 		}
 	}
 	out := &xmltree.Node{Tag: result.Tag, Value: result.Value, ID: result.ID.Clone()}

@@ -13,10 +13,10 @@ import (
 // two pruned PDT elements with Meta payloads.
 func buildPDTResult(tfs1, tfs2 []int, len1, len2 int) *xmltree.Node {
 	wrapper := xmltree.NewElement("res")
-	a := &xmltree.Node{Tag: "title", ID: dewey.MustParse("1.1.1"),
-		Meta: &xmltree.NodeMeta{SrcID: dewey.MustParse("1.1.1"), SrcLen: len1, TFs: tfs1}}
-	b := &xmltree.Node{Tag: "content", ID: dewey.MustParse("2.1.2"),
-		Meta: &xmltree.NodeMeta{SrcID: dewey.MustParse("2.1.2"), SrcLen: len2, TFs: tfs2}}
+	a := &xmltree.Node{Tag: "title", ID: dewey.MustParse("1.1.1"), ByteLen: len1,
+		Meta: &xmltree.NodeMeta{TFs: tfs1}}
+	b := &xmltree.Node{Tag: "content", ID: dewey.MustParse("2.1.2"), ByteLen: len2,
+		Meta: &xmltree.NodeMeta{TFs: tfs2}}
 	wrapper.Children = append(wrapper.Children, a, b)
 	return wrapper
 }
@@ -35,10 +35,10 @@ func TestCollectFromPDT(t *testing.T) {
 func TestCollectSkipsNestedMeta(t *testing.T) {
 	// A Meta node's payload covers its whole subtree: nested Meta children
 	// must not double count.
-	outer := &xmltree.Node{Tag: "book", ID: dewey.MustParse("1.1"),
-		Meta: &xmltree.NodeMeta{SrcID: dewey.MustParse("1.1"), SrcLen: 200, TFs: []int{5}}}
-	inner := &xmltree.Node{Tag: "title", ID: dewey.MustParse("1.1.1"),
-		Meta: &xmltree.NodeMeta{SrcID: dewey.MustParse("1.1.1"), SrcLen: 50, TFs: []int{2}}}
+	outer := &xmltree.Node{Tag: "book", ID: dewey.MustParse("1.1"), ByteLen: 200,
+		Meta: &xmltree.NodeMeta{TFs: []int{5}}}
+	inner := &xmltree.Node{Tag: "title", ID: dewey.MustParse("1.1.1"), ByteLen: 50,
+		Meta: &xmltree.NodeMeta{TFs: []int{2}}}
 	outer.Children = append(outer.Children, inner)
 	st := Collect(outer, []string{"xml"}, FromPDT)
 	if st.TFs[0] != 5 || st.ByteLen != 200 {
@@ -157,18 +157,24 @@ func TestRankEmptyKeywords(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	st := store.New()
+// materializeBook stores one book document and materializes a pruned view
+// result over it: a constructed wrapper around a 'c' element standing for
+// the book.
+func materializeBook(t *testing.T) (st *store.Store, full *xmltree.Node) {
+	t.Helper()
+	st = store.New()
 	if _, err := st.AddXML("books.xml",
 		`<books><book><title>XML Web Services</title><year>2004</year></book></books>`); err != nil {
 		t.Fatal(err)
 	}
-	// a pruned result: wrapper with a Meta reference to the book
 	wrapper := xmltree.NewElement("res")
-	pruned := &xmltree.Node{Tag: "book", ID: dewey.MustParse("1.1"),
-		Meta: &xmltree.NodeMeta{SrcID: dewey.MustParse("1.1"), SrcLen: 10, TFs: []int{1}}}
+	pruned := &xmltree.Node{Tag: "book", ID: dewey.MustParse("1.1"), ByteLen: 10, Meta: xmltree.ContentMark}
 	wrapper.Children = append(wrapper.Children, pruned)
-	full := Materialize(wrapper, st)
+	return st, Materialize(wrapper, st)
+}
+
+func TestMaterialize(t *testing.T) {
+	st, full := materializeBook(t)
 	out := full.XMLString("")
 	if out != "<res><book><title>XML Web Services</title><year>2004</year></book></res>" {
 		t.Errorf("materialized = %s", out)
@@ -176,9 +182,17 @@ func TestMaterialize(t *testing.T) {
 	if st.SubtreeFetches() != 1 {
 		t.Errorf("fetches = %d", st.SubtreeFetches())
 	}
-	// the materialized tree is independent of the store's copy
-	full.Children[0].Children[0].Value = "mutated"
-	if st.Doc("books.xml").Root.Children[0].Children[0].Value == "mutated" {
-		t.Error("Materialize must deep-copy")
+}
+
+// TestMaterializeSharesBaseSubtrees: a winner's content is the store's own
+// base subtree, not a copy; only the constructed wrapper is new.
+func TestMaterializeSharesBaseSubtrees(t *testing.T) {
+	st, full := materializeBook(t)
+	base := st.Doc("books.xml").Root.Children[0]
+	if full.Children[0] != base {
+		t.Error("Materialize copied the base subtree instead of sharing it")
+	}
+	if full == base || full.Tag != "res" {
+		t.Errorf("wrapper = %+v, want a new <res>", full)
 	}
 }

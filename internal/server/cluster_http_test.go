@@ -173,3 +173,35 @@ func TestClusterBackedServer(t *testing.T) {
 		t.Fatal("no probe add routed to the dead slot, or its failure was silent")
 	}
 }
+
+// TestClusterTooManyKeywordsReturns400: the coordinator rejects a search
+// naming more than 64 keywords itself — the client's fault, a 400 — rather
+// than scattering it and reporting the nodes' refusals as a 502.
+func TestClusterTooManyKeywordsReturns400(t *testing.T) {
+	ns := httptest.NewServer(cluster.NewNode().Handler())
+	defer ns.Close()
+	coord, err := cluster.NewCoordinator(cluster.Config{Slots: [][]string{{ns.URL}}, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewCluster(coord).Handler())
+	defer ts.Close()
+	if resp, body := postJSON(t, ts.URL+"/v1/documents", map[string]any{"name": "part-00.xml", "xml": fmt.Sprintf(clusterPartDoc, 0)}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("add: %d %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/views", map[string]any{
+		"name": "arts", "xquery": `for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`,
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("define view: %d %s", resp.StatusCode, body)
+	}
+	kws := make([]string, 65)
+	for i := range kws {
+		kws[i] = fmt.Sprintf("k%d", i)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/search", map[string]any{"view": "arts", "keywords": kws}); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("65 keywords: %d %s, want 400", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/search", map[string]any{"view": "arts", "keywords": kws[:64]}); resp.StatusCode != http.StatusOK {
+		t.Errorf("64 keywords: %d %s, want 200", resp.StatusCode, body)
+	}
+}

@@ -438,3 +438,24 @@ func TestShardStatsAndParallelSearch(t *testing.T) {
 		t.Errorf("negative parallelism: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestTooManyKeywordsReturns400: a search naming more than 64 keywords is a
+// 400 on the one-shot and the streaming route (before any result line) and
+// on explain; 64 are served.
+func TestTooManyKeywordsReturns400(t *testing.T) {
+	ts, _ := newTestServer(t)
+	ingestCorpus(t, ts.URL)
+	kws := make([]string, 65)
+	for i := range kws {
+		kws[i] = fmt.Sprintf("k%d", i)
+	}
+	for _, path := range []string{"/v1/search", "/v1/search/stream", "/v1/explain"} {
+		resp, body := postJSON(t, ts.URL+path, map[string]any{"view": "bookrevs", "keywords": kws})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "at most 64") {
+			t.Errorf("POST %s with 65 keywords: %d %s, want 400", path, resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, ts.URL+path, map[string]any{"view": "bookrevs", "keywords": kws[:64]}); resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s with 64 keywords: %d %s, want 200", path, resp.StatusCode, body)
+		}
+	}
+}

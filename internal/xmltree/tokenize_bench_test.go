@@ -1,9 +1,8 @@
 // Microbenchmarks for the tokenization hot path: Tokenize/VisitTokens is
 // run for every text node during index construction and for every node of
 // every materialized subtree during FromBase scoring, so its per-token
-// allocation behavior dominates those paths. FuzzVisitTokens and
-// TestCloneMatchesReference keep the optimized paths equal to their
-// references.
+// allocation behavior dominates those paths. FuzzVisitTokens keeps the
+// optimized path equal to its reference.
 package xmltree
 
 import (
@@ -65,14 +64,5 @@ func BenchmarkContains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Contains(doc.Root, "moore")
-	}
-}
-
-func BenchmarkClone(b *testing.B) {
-	doc := benchDoc(b, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doc.Root.Clone()
 	}
 }

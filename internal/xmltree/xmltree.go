@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"vxml/internal/dewey"
@@ -24,29 +23,38 @@ import (
 // concatenated into Value; attributes are converted to leading child
 // elements. Children are ordered, and the i-th child (0-based) carries the
 // Dewey component i+1.
+//
+// A node has no parent pointer: a tree is read-only once built, and a
+// subtree may be shared — by a document, the pruned trees and view results
+// that link to it, and the search results that hand it out — so it cannot
+// name a single parent.
 type Node struct {
 	Tag      string
 	Value    string
 	Children []*Node
-	Parent   *Node
 	ID       dewey.ID
 	// ByteLen is the serialized byte length of the subtree rooted here,
 	// computed once at load time (paper: len(e), used for score
-	// normalization and verified by Theorem 4.1(b)).
+	// normalization and verified by Theorem 4.1(b)). A 'c' PDT element keeps
+	// its base element's ID and ByteLen, so it stands for the whole base
+	// subtree it was cut from.
 	ByteLen int
-	// Meta carries PDT provenance for pruned elements whose content is
-	// propagated to the view output ('c'-annotated QPT nodes): the base
-	// element's ID, its full subtree byte length, and its per-query-keyword
+	// Meta marks a pruned element whose content is propagated to the view
+	// output (a 'c'-annotated QPT node), optionally with its per-query-keyword
 	// term frequencies (paper Figure 6b). Nil for ordinary nodes.
 	Meta *NodeMeta
 }
 
-// NodeMeta is the scoring payload attached to 'c'-annotated PDT elements.
+// NodeMeta is the scoring payload of a 'c'-annotated PDT element: the base
+// subtree's term frequencies, aligned with the query keyword list. The
+// subtree's identity and length are the element's own ID and ByteLen.
 type NodeMeta struct {
-	SrcID  dewey.ID
-	SrcLen int
-	TFs    []int // aligned with the query keyword list
+	TFs []int
 }
+
+// ContentMark is the Meta of every 'c' element built without term
+// frequencies. It is shared and must not be written.
+var ContentMark = &NodeMeta{}
 
 // Document is a parsed XML document. DocID is the first Dewey component of
 // every element in the document, so IDs from different documents interleave
@@ -62,7 +70,6 @@ func NewElement(tag string) *Node { return &Node{Tag: tag} }
 
 // AppendChild attaches c as the last child of n and returns c.
 func (n *Node) AppendChild(c *Node) *Node {
-	c.Parent = n
 	n.Children = append(n.Children, c)
 	return c
 }
@@ -152,7 +159,7 @@ func ParseString(s, name string, docID int32) (*Document, error) {
 	return Parse(strings.NewReader(s), name, docID)
 }
 
-// Finalize (re)assigns Dewey IDs, parent pointers, and byte lengths for the
+// Finalize (re)assigns Dewey IDs and byte lengths for the
 // whole document. Call it after constructing or mutating a tree by hand.
 func (d *Document) Finalize() {
 	assignIDs(d.Root, dewey.ID{d.DocID})
@@ -162,7 +169,6 @@ func (d *Document) Finalize() {
 func assignIDs(n *Node, id dewey.ID) {
 	n.ID = id
 	for i, c := range n.Children {
-		c.Parent = n
 		assignIDs(c, id.Child(int32(i+1)))
 	}
 }
@@ -205,21 +211,6 @@ func (d *Document) FindByID(id dewey.ID) *Node {
 	return n
 }
 
-// PathFromRoot returns the slash-joined tag names from the document root to
-// n, e.g. "/books/book/isbn".
-func (n *Node) PathFromRoot() string {
-	var tags []string
-	for cur := n; cur != nil; cur = cur.Parent {
-		tags = append(tags, cur.Tag)
-	}
-	var b strings.Builder
-	for i := len(tags) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(tags[i])
-	}
-	return b.String()
-}
-
 // IsLeaf reports whether n has no element children.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
@@ -230,57 +221,6 @@ func (n *Node) NodeCount() int {
 		count += c.NodeCount()
 	}
 	return count
-}
-
-// Clone deep-copies the subtree rooted at n. The copy keeps IDs and byte
-// lengths but has a nil parent. Allocation is O(1) in the subtree size:
-// one sizing walk, then nodes, child-pointer slices and Dewey-ID storage
-// are carved from three arenas — materializing a top-k winner is a handful
-// of allocations instead of several per element.
-func (n *Node) Clone() *Node {
-	nodes, comps := cloneSize(n)
-	slab := make([]Node, nodes)
-	childArena := make([]*Node, nodes-1)
-	idArena := make([]int32, comps)
-	var nodeCur, childCur, idCur int
-	var build func(src *Node) *Node
-	build = func(src *Node) *Node {
-		dst := &slab[nodeCur]
-		nodeCur++
-		dst.Tag, dst.Value, dst.ByteLen = src.Tag, src.Value, src.ByteLen
-		if src.ID != nil {
-			// Full-capacity subslice: an append on the cloned ID can never
-			// bleed into the next node's components.
-			seg := idArena[idCur : idCur+len(src.ID) : idCur+len(src.ID)]
-			copy(seg, src.ID)
-			dst.ID = seg
-			idCur += len(src.ID)
-		}
-		if len(src.Children) > 0 {
-			seg := childArena[childCur : childCur+len(src.Children) : childCur+len(src.Children)]
-			childCur += len(src.Children)
-			dst.Children = seg
-			for i, c := range src.Children {
-				cc := build(c)
-				cc.Parent = dst
-				seg[i] = cc
-			}
-		}
-		return dst
-	}
-	return build(n)
-}
-
-// cloneSize sizes Clone's arenas: the subtree's node count and total Dewey
-// ID components.
-func cloneSize(n *Node) (nodes, comps int) {
-	nodes, comps = 1, len(n.ID)
-	for _, c := range n.Children {
-		cn, cc := cloneSize(c)
-		nodes += cn
-		comps += cc
-	}
-	return nodes, comps
 }
 
 // WriteXML serializes the subtree rooted at n to w with proper escaping.
@@ -505,20 +445,6 @@ func Contains(n *Node, k string) bool {
 		VisitTokens(x.Value, match)
 	})
 	return found
-}
-
-// LeafPaths returns the sorted set of distinct root-to-node label paths of
-// the document, one entry per distinct path that reaches any element (not
-// only leaves). The path index uses this as its path dictionary.
-func (d *Document) LeafPaths() []string {
-	set := map[string]bool{}
-	d.Root.Walk(func(n *Node) { set[n.PathFromRoot()] = true })
-	paths := make([]string, 0, len(set))
-	for p := range set {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
 }
 
 // Stats summarizes a document for diagnostics.

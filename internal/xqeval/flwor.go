@@ -88,8 +88,8 @@ func ContainsKeywords(n *xmltree.Node, keywords []string, conjunctive bool) bool
 
 // evalCtor constructs a fresh element. Node children are attached by
 // reference (no deep copy) so that scoring can trace view results back to
-// base or PDT elements; parent pointers of referenced nodes are left
-// untouched. The children's values collect on the stack first, so Children
+// base or PDT elements. The children's values collect on the stack first,
+// so Children
 // is allocated once at its exact size.
 func (e *Evaluator) evalCtor(x *xq.ElementExpr, en *env) error {
 	mark := len(e.stack)

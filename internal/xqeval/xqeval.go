@@ -151,9 +151,9 @@ const docNodeTag = "#document"
 
 // docNode returns the cached document node for doc: a "#document" wrapper
 // whose single child is the root element, so a leading /roottag step works
-// as in XPath. The wrapper references the root without rewriting its
-// parent pointer, keeping catalog documents immutable — which is what lets
-// concurrent evaluators share one catalog.
+// as in XPath. The wrapper only references the root, so catalog documents
+// stay unchanged — which is what lets concurrent evaluators share one
+// catalog.
 func (e *Evaluator) docNode(doc *xmltree.Document) *xmltree.Node {
 	dn := e.docNodes[doc]
 	if dn == nil {

@@ -393,7 +393,7 @@ type Stats = core.Stats
 type NodeStatus = core.NodeStatus
 
 // Search evaluates a ranked keyword query over the view. Keywords are
-// case-insensitive. A nil opts means conjunctive semantics, all results,
+// case-insensitive; more than 64 fail with ErrInvalidOptions. A nil opts means conjunctive semantics, all results,
 // Efficient pipeline, no caching. Search never cancels; use SearchContext
 // for deadlines and cancellation, or Results for incremental delivery.
 func (db *Database) Search(v *View, keywords []string, opts *Options) ([]Result, *Stats, error) {
@@ -484,7 +484,8 @@ func (db *Database) Explain(v *View, keywords []string) string {
 
 // ExplainContext is Explain with a cancellation pre-flight: plan rendering
 // is brief, so one ctx check before taking the read locks is the whole
-// cooperation, returning a wrapped ctx.Err() when it fails.
+// cooperation, returning a wrapped ctx.Err() when it fails. Keywords a
+// search would reject (more than 64) fail with ErrInvalidOptions.
 func (db *Database) ExplainContext(ctx context.Context, v *View, keywords []string) (string, error) {
 	return db.engine.ExplainContext(ctx, v.inner, keywords)
 }

@@ -1,6 +1,9 @@
 package vxml
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -212,5 +215,46 @@ func TestPublicAPIMetadata(t *testing.T) {
 	view, _ := db.DefineView(viewText)
 	if !strings.Contains(view.Definition(), "bookrevs") {
 		t.Error("Definition() lost text")
+	}
+}
+
+// TestSearchKeywordBound: a search may name at most 64 keywords. One more
+// fails with ErrInvalidOptions on every pipeline and delivery path, before
+// any per-keyword work; 64 are served.
+func TestSearchKeywordBound(t *testing.T) {
+	db := openTestDB(t)
+	view, err := db.DefineView(viewText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keywords := func(n int) []string {
+		kws := make([]string, n)
+		for i := range kws {
+			kws[i] = fmt.Sprintf("k%d", i)
+		}
+		kws[0] = "search"
+		return kws
+	}
+	for _, opts := range []Options{
+		{Approach: Efficient, Disjunctive: true},
+		{Approach: Efficient, Disjunctive: true, Cache: true},
+		{Approach: Baseline, Disjunctive: true},
+		{Approach: GTPTermJoin, Disjunctive: true},
+	} {
+		if _, _, err := db.Search(view, keywords(65), &opts); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%+v: 65 keywords: err = %v, want ErrInvalidOptions", opts, err)
+		}
+		for _, err := range db.Results(context.Background(), view, keywords(65), &opts) {
+			if !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%+v: streamed 65 keywords: err = %v, want ErrInvalidOptions", opts, err)
+			}
+			break
+		}
+		if results, _, err := db.Search(view, keywords(64), &opts); err != nil || len(results) == 0 {
+			t.Errorf("%+v: 64 keywords: %d results, err %v", opts, len(results), err)
+		}
+	}
+	if _, err := db.ExplainContext(context.Background(), view, keywords(65)); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("explain with 65 keywords: err = %v, want ErrInvalidOptions", err)
 	}
 }
