@@ -10,6 +10,7 @@
 //	ErrInvalidOptions        unusable Options / request parameters  400
 //	ParseError               malformed XQuery (position + message)  400
 //	ErrDocumentTooDeep       document nests elements too deeply     400
+//	ErrViewTooLarge          view expands past the QPT node bound   400
 //	ErrPartialCluster        distributed search lost node(s)        502
 //	context.Canceled         caller canceled the context            499
 //	context.DeadlineExceeded the context's deadline passed          408
@@ -25,6 +26,7 @@ import (
 	"errors"
 
 	"vxml/internal/core"
+	"vxml/internal/qpt"
 	"vxml/internal/store"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
@@ -68,6 +70,12 @@ type ParseError = xq.ParseError
 // nest deeper than the XML parser accepts (256 levels; compare with
 // errors.Is). An XQuery view nested too deeply is a ParseError instead.
 var ErrDocumentTooDeep = xmltree.ErrTooDeep
+
+// ErrViewTooLarge reports a view definition whose query pattern trees
+// would need more than 1,024 nodes to build (compare with errors.Is).
+// Function calls are expanded in place, so a short definition whose
+// functions call each other repeatedly can ask for exponentially many.
+var ErrViewTooLarge = qpt.ErrTooManyNodes
 
 // ErrPartialCluster reports a distributed search that completed without one
 // or more cluster nodes: the results returned alongside it cover only the

@@ -13,9 +13,8 @@ import (
 
 	"vxml"
 	"vxml/internal/catalog"
+	"vxml/internal/core"
 	"vxml/internal/docname"
-	"vxml/internal/qpt"
-	"vxml/internal/xq"
 )
 
 // ErrStaleGeneration reports a distributed search that could not observe a
@@ -79,22 +78,6 @@ type docInfo struct {
 	bytes int
 }
 
-// compiledView is the coordinator's compilation of a view: enough structure
-// to route searches, none of the per-corpus index state (nodes hold that).
-type compiledView struct {
-	text string
-	// refs are the distinct document references (names and patterns) of
-	// the view's QPTs.
-	refs []string
-	// outerRef is the document reference the outer FLWOR binding ranges
-	// over, or "" when the view has no such shape.
-	outerRef string
-	// refCount counts every fn:doc/fn:collection occurrence per reference
-	// across the whole query — an outer reference used again inside the
-	// view is a self-join and must not be scattered.
-	refCount map[string]int
-}
-
 // Coordinator owns the cluster-global state — document registry, document
 // ID allocation, per-slot generation vector, view registry, query-result
 // catalog — and serves the same search/mutation surface as a vxml.Database,
@@ -122,7 +105,7 @@ type Coordinator struct {
 	// advances it by one.
 	gens   []uint64
 	docs   map[string]*docInfo
-	views  map[string]*compiledView
+	views  map[string]*core.View
 	nextID int32
 }
 
@@ -166,7 +149,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cache:  catalog.New(0),
 		gens:   make([]uint64, len(cfg.Slots)),
 		docs:   map[string]*docInfo{},
-		views:  map[string]*compiledView{},
+		views:  map[string]*core.View{},
 		nextID: 1,
 	}, nil
 }
@@ -417,31 +400,21 @@ func (c *Coordinator) defineView(ctx context.Context, name, xquery string, repla
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("cluster: define view interrupted: %w", err)
 	}
-	q, err := xq.Parse(xquery)
+	v, err := core.Compile(xquery)
 	if err != nil {
 		return "", err
-	}
-	qpts, err := qpt.Generate(q.Body, q.Functions)
-	if err != nil {
-		return "", err
-	}
-	cv := &compiledView{text: xquery, outerRef: outerDocRef(q.Body), refCount: countDocRefs(q)}
-	for _, qp := range qpts {
-		cv.refs = append(cv.refs, qp.Doc)
 	}
 	c.mu.RLock()
 	_, dup := c.views[name]
-	for _, ref := range cv.refs {
-		if docname.IsPattern(ref) {
-			continue
-		}
-		if _, ok := c.docs[ref]; !ok {
-			c.mu.RUnlock()
-			return "", fmt.Errorf("cluster: view references %w %q", vxml.ErrUnknownDocument, ref)
-		}
-	}
+	err = v.CheckRefs(func(ref string) bool {
+		_, ok := c.docs[ref]
+		return ok
+	})
 	members := c.allMembersLocked()
 	c.mu.RUnlock()
+	if err != nil {
+		return "", err
+	}
 	if dup && !replace {
 		return "", fmt.Errorf("cluster: %w: %q", vxml.ErrDuplicateView, name)
 	}
@@ -449,7 +422,7 @@ func (c *Coordinator) defineView(ctx context.Context, name, xquery string, repla
 		_ = c.pushView(ctx, m, name, xquery) // best-effort; reads self-heal
 	}
 	c.mu.Lock()
-	c.views[name] = cv
+	c.views[name] = v
 	c.mu.Unlock()
 	// Catalog registration gives the view a stable ID ("cv1", "cv2", …)
 	// that plan stats and /v1/explain report — same discipline as
@@ -524,15 +497,15 @@ func (c *Coordinator) CacheStats() catalog.Stats { return c.cache.Stats() }
 // view.
 func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID string, err error) {
 	c.mu.RLock()
-	cv := c.views[name]
+	v := c.views[name]
 	c.mu.RUnlock()
-	if cv == nil {
+	if v == nil {
 		return "", "", fmt.Errorf("cluster: %w: %q", vxml.ErrUnknownView, name)
 	}
-	if vxml.PlannedHit(c.cache, cv.text, keywords) {
-		return catalog.PlanCacheHit, c.cache.IDOf(cv.text), nil
+	if vxml.PlannedHit(c.cache, v.Text, keywords) {
+		return catalog.PlanCacheHit, c.cache.IDOf(v.Text), nil
 	}
-	return catalog.PlanDirect, c.cache.IDOf(cv.text), nil
+	return catalog.PlanDirect, c.cache.IDOf(v.Text), nil
 }
 
 // GenVector returns a copy of the current generation vector (diagnostics
@@ -589,7 +562,7 @@ type route struct {
 	slot    int
 }
 
-// classifyLocked decides how to serve a search over cv against the current
+// classifyLocked decides how to serve a search over v against the current
 // registry. Caller holds mu (read). The decision is per-search because it
 // depends on what documents currently match each collection pattern.
 //
@@ -602,40 +575,31 @@ type route struct {
 // Otherwise the search runs whole on the single slot owning every
 // partitioned document it references — or fails with ErrUnroutableView
 // when no such slot exists.
-func (c *Coordinator) classifyLocked(cv *compiledView) (route, error) {
-	type expansion struct{ partitioned, broadcast []string }
-	expand := func(ref string) expansion {
-		var ex expansion
-		if docname.IsPattern(ref) {
-			for name, info := range c.docs {
-				if !docname.Match(ref, name) {
-					continue
-				}
-				if info.slot >= 0 {
-					ex.partitioned = append(ex.partitioned, name)
-				} else {
-					ex.broadcast = append(ex.broadcast, name)
-				}
+func (c *Coordinator) classifyLocked(v *core.View) (route, error) {
+	// matching resolves a reference to the registry entries it names.
+	matching := func(ref string) []*docInfo {
+		if !docname.IsPattern(ref) {
+			if info, ok := c.docs[ref]; ok {
+				return []*docInfo{info}
 			}
-			return ex
+			return nil
 		}
-		if info, ok := c.docs[ref]; ok {
-			if info.slot >= 0 {
-				ex.partitioned = append(ex.partitioned, ref)
-			} else {
-				ex.broadcast = append(ex.broadcast, ref)
+		var infos []*docInfo
+		for name, info := range c.docs {
+			if docname.Match(ref, name) {
+				infos = append(infos, info)
 			}
 		}
-		return ex
+		return infos
 	}
 
-	if outer := cv.outerRef; outer != "" && cv.refCount[outer] == 1 {
-		scatterable := len(expand(outer).broadcast) == 0
-		if scatterable {
-			for _, ref := range cv.refs {
-				if ref != outer && len(expand(ref).partitioned) > 0 {
+	if outer := v.Deps.Outer; outer != "" && v.Deps.Uses[outer] == 1 {
+		// Deps.Refs includes the outer reference: its binding path is a QPT.
+		scatterable := true
+		for _, ref := range v.Deps.Refs {
+			for _, info := range matching(ref) {
+				if partitioned := info.slot >= 0; partitioned != (ref == outer) {
 					scatterable = false
-					break
 				}
 			}
 		}
@@ -644,93 +608,18 @@ func (c *Coordinator) classifyLocked(cv *compiledView) (route, error) {
 		}
 	}
 	slot := -1
-	for _, ref := range cv.refs {
-		for _, name := range expand(ref).partitioned {
-			s := c.docs[name].slot
-			if slot == -1 {
-				slot = s
-			} else if slot != s {
+	for _, ref := range v.Deps.Refs {
+		for _, info := range matching(ref) {
+			switch {
+			case info.slot < 0 || info.slot == slot:
+			case slot == -1:
+				slot = info.slot
+			default:
 				return route{}, fmt.Errorf("%w: it references partitioned documents on multiple nodes", ErrUnroutableView)
 			}
 		}
 	}
 	return route{slot: slot}, nil
-}
-
-// outerDocRef walks the outer FLWOR binding expression down to its
-// document reference: for $x in fn:doc(name)/path… or a collection
-// pattern. "" means the view has no scatterable outer shape.
-func outerDocRef(e xq.Expr) string {
-	fl, ok := e.(*xq.FLWORExpr)
-	if !ok || len(fl.Clauses) == 0 || fl.Clauses[0].IsLet {
-		return ""
-	}
-	cur := fl.Clauses[0].In
-	for {
-		switch x := cur.(type) {
-		case *xq.DocExpr:
-			return x.Name
-		case *xq.StepExpr:
-			cur = x.Base
-		case *xq.FilterExpr:
-			cur = x.Base
-		default:
-			return ""
-		}
-	}
-}
-
-// countDocRefs counts fn:doc/fn:collection occurrences per reference across
-// the whole query, function bodies included (conservatively: a function
-// mentioning a reference counts even if never called — that can only
-// demote a view from scatter to single-node, never mis-scatter it).
-func countDocRefs(q *xq.Query) map[string]int {
-	counts := map[string]int{}
-	var walk func(e xq.Expr)
-	walk = func(e xq.Expr) {
-		switch x := e.(type) {
-		case nil:
-		case *xq.DocExpr:
-			counts[x.Name]++
-		case *xq.StepExpr:
-			walk(x.Base)
-		case *xq.FilterExpr:
-			walk(x.Base)
-			walk(x.Pred)
-		case *xq.CmpExpr:
-			walk(x.Left)
-			walk(x.Right)
-		case *xq.CondExpr:
-			walk(x.Cond)
-			walk(x.Then)
-			walk(x.Else)
-		case *xq.FLWORExpr:
-			for _, cl := range x.Clauses {
-				walk(cl.In)
-			}
-			walk(x.Where)
-			walk(x.Return)
-		case *xq.ElementExpr:
-			for _, ch := range x.Children {
-				walk(ch)
-			}
-		case *xq.SeqExpr:
-			for _, it := range x.Items {
-				walk(it)
-			}
-		case *xq.CallExpr:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *xq.FTContainsExpr:
-			walk(x.Target)
-		}
-	}
-	walk(q.Body)
-	for _, f := range q.Functions {
-		walk(f.Body)
-	}
-	return counts
 }
 
 // Explain renders the coordinator's routing plan for a search over the
@@ -743,19 +632,19 @@ func (c *Coordinator) Explain(ctx context.Context, name string, keywords []strin
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	cv := c.views[name]
-	if cv == nil {
+	v := c.views[name]
+	if v == nil {
 		return "", fmt.Errorf("cluster: %w: %q", vxml.ErrUnknownView, name)
 	}
 	var b strings.Builder
 	b.WriteString("view:\n")
-	for _, line := range strings.Split(strings.TrimSpace(cv.text), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(v.Text), "\n") {
 		b.WriteString("  ")
 		b.WriteString(strings.TrimSpace(line))
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "\npartition patterns: %s\n", strings.Join(c.cfg.Partition, ", "))
-	rt, err := c.classifyLocked(cv)
+	rt, err := c.classifyLocked(v)
 	switch {
 	case err != nil:
 		fmt.Fprintf(&b, "route: unroutable: %v\n", err)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 
+	"vxml"
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
 	"vxml/internal/store"
@@ -36,7 +37,6 @@ type Node struct {
 	engine *core.Engine
 	gen    uint64
 	views  map[string]*core.View
-	texts  map[string]string
 	// bootDir holds a disk-backed replica's received block files for the
 	// node's lifetime; Close removes it. Empty for heap-backed nodes.
 	bootDir string
@@ -66,7 +66,6 @@ func NewNode() *Node {
 	return &Node{
 		engine: core.New(store.NewSharded(0)),
 		views:  map[string]*core.View{},
-		texts:  map[string]string{},
 	}
 }
 
@@ -92,7 +91,6 @@ func NewDiskNode(dir string) (*Node, error) {
 	return &Node{
 		engine: core.New(ds),
 		views:  map[string]*core.View{},
-		texts:  map[string]string{},
 	}, nil
 }
 
@@ -199,7 +197,7 @@ func nodeErrorFor(w http.ResponseWriter, err error) {
 	case errors.Is(err, store.ErrDuplicateName):
 		status, code = http.StatusConflict, codeDuplicate
 	case errors.As(err, &pe), errors.Is(err, xmltree.ErrTooDeep), errors.Is(err, core.ErrUnpartitionableView),
-		errors.Is(err, core.ErrInvalidOptions):
+		errors.Is(err, core.ErrInvalidOptions), errors.Is(err, vxml.ErrViewTooLarge):
 		status, code = http.StatusBadRequest, codeInvalid
 	}
 	nodeJSON(w, status, errorBody{Error: err.Error(), Code: code})
@@ -228,11 +226,11 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleView registers a coordinator-pushed view. Compilation skips the
-// literal-document existence check (CompileViewUnchecked): the coordinator
-// validated the definition against the cluster-wide registry, and this node
-// holds only its partition. A re-push of an existing name overwrites —
-// pushes are idempotent and the coordinator is authoritative.
+// handleView registers a coordinator-pushed view. It is compiled without
+// the literal-document existence check (core.Compile alone): the
+// coordinator validated the definition against the cluster-wide registry,
+// and this node holds only its partition. A re-push of an existing name
+// overwrites — pushes are idempotent and the coordinator is authoritative.
 func (n *Node) handleView(w http.ResponseWriter, r *http.Request) {
 	var req viewRequest
 	if !nodeDecode(w, r, &req, &req.Schema) {
@@ -242,13 +240,13 @@ func (n *Node) handleView(w http.ResponseWriter, r *http.Request) {
 		nodeJSON(w, http.StatusBadRequest, errorBody{Error: "name and xquery are required", Code: codeInvalid})
 		return
 	}
-	v, err := n.engine.CompileViewUnchecked(req.XQuery)
+	v, err := core.Compile(req.XQuery)
 	if err != nil {
 		nodeErrorFor(w, err)
 		return
 	}
 	n.mu.Lock()
-	n.views[req.Name], n.texts[req.Name] = v, req.XQuery
+	n.views[req.Name] = v
 	n.mu.Unlock()
 	nodeJSON(w, http.StatusOK, map[string]string{"name": req.Name})
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"vxml/internal/diskstore"
+	"vxml/internal/testkit"
 )
 
 // postNode posts one JSON request to a node route and decodes the JSON
@@ -238,7 +239,6 @@ func TestCoordinatorHealsUnpushedView(t *testing.T) {
 	// corpus but not the pushes).
 	n.mu.Lock()
 	delete(n.views, "v")
-	delete(n.texts, "v")
 	n.mu.Unlock()
 
 	results, _, err := c.Search(ctx, "v", []string{"copper"}, nil)
@@ -491,5 +491,22 @@ func TestNodeRejectsTooManyKeywords(t *testing.T) {
 		if code := postNode(t, srv.URL, path, req, &eb); code != http.StatusBadRequest || eb.Code != codeInvalid {
 			t.Errorf("%s: %d %q (%s), want 400 %q", path, code, eb.Code, eb.Error, codeInvalid)
 		}
+	}
+}
+
+// TestNodeRejectsViewTooLarge: a pushed view whose function calls expand
+// past the QPT node bound is a 400/invalid reply, and the node does not
+// register it.
+func TestNodeRejectsViewTooLarge(t *testing.T) {
+	n := NewNode()
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	var eb errorBody
+	code := postNode(t, srv.URL, "/views", viewRequest{Schema: Schema, Name: "big", XQuery: testkit.DoublingView(20)}, &eb)
+	if code != http.StatusBadRequest || eb.Code != codeInvalid {
+		t.Errorf("doubling view push: %d %q (%s), want 400 %q", code, eb.Code, eb.Error, codeInvalid)
+	}
+	if len(n.views) != 0 {
+		t.Errorf("node registered %d views after the rejected push", len(n.views))
 	}
 }

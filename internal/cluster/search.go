@@ -47,14 +47,14 @@ func (c *Coordinator) Search(ctx context.Context, name string, keywords []string
 		return nil, nil, err
 	}
 	c.mu.RLock()
-	cv := c.views[name]
+	v := c.views[name]
 	c.mu.RUnlock()
-	if cv == nil {
+	if v == nil {
 		return nil, nil, fmt.Errorf("cluster: %w: %q", vxml.ErrUnknownView, name)
 	}
-	return vxml.PlannedSearch(ctx, c.cache, cv.text, keywords, opts,
+	return vxml.PlannedSearch(ctx, c.cache, v.Text, keywords, opts,
 		func(ctx context.Context, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
-			return c.searchUncached(ctx, name, cv, keywords, opts, pageOffset)
+			return c.searchUncached(ctx, name, v, keywords, opts, pageOffset)
 		})
 }
 
@@ -62,11 +62,11 @@ func (c *Coordinator) Search(ctx context.Context, name string, keywords []string
 // generations than the snapshot vector (a mutation landed mid-search); the
 // bounded budget turns a mutation storm into ErrStaleGeneration instead of
 // a livelock.
-func (c *Coordinator) searchUncached(ctx context.Context, name string, cv *compiledView, keywords []string, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
+func (c *Coordinator) searchUncached(ctx context.Context, name string, v *core.View, keywords []string, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
 	attempts := 1 + c.cfg.SearchRetries
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		results, stats, err := c.searchOnce(ctx, name, cv, keywords, opts, pageOffset)
+		results, stats, err := c.searchOnce(ctx, name, v, keywords, opts, pageOffset)
 		if err == nil || !errors.Is(err, ErrStaleGeneration) {
 			if err == nil && stats != nil {
 				stats.PlanSource = catalog.PlanDirect
@@ -80,11 +80,11 @@ func (c *Coordinator) searchUncached(ctx context.Context, name string, cv *compi
 
 // searchOnce snapshots the generation vector and routing decision, then
 // runs one scatter-gather or single-node pass against that snapshot.
-func (c *Coordinator) searchOnce(ctx context.Context, name string, cv *compiledView, keywords []string, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
+func (c *Coordinator) searchOnce(ctx context.Context, name string, v *core.View, keywords []string, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
 	c.mu.RLock()
 	vec := make([]uint64, len(c.gens))
 	copy(vec, c.gens)
-	rt, err := c.classifyLocked(cv)
+	rt, err := c.classifyLocked(v)
 	c.mu.RUnlock()
 	if err != nil {
 		return nil, nil, err
@@ -414,9 +414,9 @@ func (c *Coordinator) rankMember(ctx context.Context, member string, req rankReq
 // unknown_view (it was down or unborn when DefineView broadcast it).
 func (c *Coordinator) healView(ctx context.Context, member, name string) bool {
 	c.mu.RLock()
-	cv := c.views[name]
+	v := c.views[name]
 	c.mu.RUnlock()
-	return cv != nil && c.pushView(ctx, member, name, cv.text) == nil
+	return v != nil && c.pushView(ctx, member, name, v.Text) == nil
 }
 
 // materializeSlot streams the materialize phase for one slot's winner
@@ -591,12 +591,13 @@ func (c *Coordinator) searchMemberOnce(ctx context.Context, member string, req s
 
 // Results is the coordinator's streaming delivery, mirroring
 // vxml.Database.Results: the yielded sequence is byte-identical to what
-// Search returns for the same arguments; on the scatter route winners are
-// materialized slot by slot while earlier winners are already being
-// yielded. A slot lost mid-stream yields the in-order prefix followed by a
-// final (zero Result, error wrapping vxml.ErrPartialCluster) pair — never a
-// silently truncated sequence. Generation races are retried only before
-// the first yield; after it they surface as the final error pair.
+// Search returns for the same arguments, because it is that page. Search
+// computes it whole first — cache, routing, generation-race retries and
+// every winner's materialization included — and vxml.Replay then yields
+// it. A search that lost a slot yields the surviving in-order prefix
+// followed by a final (zero Result, error wrapping vxml.ErrPartialCluster)
+// pair — never a silently truncated sequence; any other failure is the one
+// pair yielded.
 func (c *Coordinator) Results(ctx context.Context, name string, keywords []string, opts *vxml.Options) iter.Seq2[vxml.Result, error] {
 	return func(yield func(vxml.Result, error) bool) {
 		// The eager path (compute the page, then replay) both serves the

@@ -50,9 +50,9 @@ type fileSnapshotter interface {
 func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	header := snapshotHeader{Schema: Schema, Gen: n.gen, Views: make([]viewSnapshot, 0, len(n.texts))}
-	for name, text := range n.texts {
-		header.Views = append(header.Views, viewSnapshot{Name: name, XQuery: text})
+	header := snapshotHeader{Schema: Schema, Gen: n.gen, Views: make([]viewSnapshot, 0, len(n.views))}
+	for name, v := range n.views {
+		header.Views = append(header.Views, viewSnapshot{Name: name, XQuery: v.Text})
 	}
 	sort.Slice(header.Views, func(i, j int) bool { return header.Views[i].Name < header.Views[j].Name })
 
@@ -176,17 +176,17 @@ func NewNodeFromSnapshot(ctx context.Context, client *http.Client, baseURL strin
 		}
 		eng = core.New(st)
 	}
-	n := &Node{engine: eng, views: map[string]*core.View{}, texts: map[string]string{}}
+	n := &Node{engine: eng, views: map[string]*core.View{}}
 	if isDisk {
 		n.bootDir = dir
 	}
 	for _, vs := range header.Views {
-		v, err := n.engine.CompileViewUnchecked(vs.XQuery)
+		v, err := core.Compile(vs.XQuery)
 		if err != nil {
 			n.Close()
 			return nil, fmt.Errorf("cluster: compiling shipped view %q: %w", vs.Name, err)
 		}
-		n.views[vs.Name], n.texts[vs.Name] = v, vs.XQuery
+		n.views[vs.Name] = v
 	}
 	n.gen = header.Gen
 	return n, nil

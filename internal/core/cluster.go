@@ -33,10 +33,8 @@ import (
 	"errors"
 	"fmt"
 
-	"vxml/internal/qpt"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
-	"vxml/internal/xq"
 )
 
 // ErrUnpartitionableView reports a view whose results cannot be attributed
@@ -60,24 +58,6 @@ type NodeStatus struct {
 	Gen uint64 `json:"gen,omitempty"`
 	// Err describes the failure when State is "failed".
 	Err string `json:"error,omitempty"`
-}
-
-// CompileViewUnchecked compiles a view definition without CompileParsedView's
-// literal-document existence check. A cluster node holds only its partition
-// of the corpus, so a view the coordinator validated against the
-// cluster-wide registry may legitimately reference documents absent here;
-// routing guarantees a node only serves searches whose referenced documents
-// it holds.
-func (e *Engine) CompileViewUnchecked(text string) (*View, error) {
-	q, err := xq.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	qpts, err := qpt.Generate(q.Body, q.Functions)
-	if err != nil {
-		return nil, err
-	}
-	return &View{Text: text, Expr: q.Body, Funcs: q.Functions, QPTs: qpts}, nil
 }
 
 // AddXMLAt is AddXML under an externally assigned document ID: the document

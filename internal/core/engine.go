@@ -271,54 +271,31 @@ func (e *Engine) Delete(name string) error {
 	return nil
 }
 
-// View is a compiled virtual view: the parsed definition plus one QPT per
-// referenced document or collection pattern.
-type View struct {
-	Text  string
-	Expr  xq.Expr
-	Funcs map[string]*xq.FuncDecl
-	QPTs  []*qpt.QPT
-}
-
-// CompileView parses a view definition (an XQuery expression without
-// ftcontains) and derives its QPTs.
+// CompileView compiles a view definition (Compile) and checks that every
+// literal document it references is in the corpus (View.CheckRefs).
+// Compilation is corpus-independent and runs unlocked; only the existence
+// check takes read locks (a long compile must not queue behind them and
+// stall a pending ingest, which would in turn stall every subsequent
+// search).
 func (e *Engine) CompileView(text string) (*View, error) {
-	q, err := xq.Parse(text)
+	v, err := Compile(text)
 	if err != nil {
 		return nil, err
 	}
-	v, err := e.CompileParsedView(text, q.Body, q.Functions)
-	if err != nil {
+	if err := v.CheckRefs(e.HasDocument); err != nil {
 		return nil, err
 	}
-	// Register here, not in CompileParsedView: synthetic per-query views
+	// Register here, not in Compile: synthetic per-query views
 	// (Database.Query compiles the verbatim query text) should not claim
 	// registry entries at compile time — planned searches register lazily.
 	e.Catalog.Register(text)
 	return v, nil
 }
 
-// CompileParsedView compiles an already-parsed view expression. QPT
-// generation is corpus-independent and runs unlocked; only the
-// referenced-document check takes read locks (a long compile must not
-// queue behind them and stall a pending ingest, which would in turn stall
-// every subsequent search). Collection patterns (fn:collection("part-*"))
-// are not checked against the corpus: a pattern may legitimately match
-// nothing today and many documents after the next ingest.
-func (e *Engine) CompileParsedView(text string, expr xq.Expr, funcs map[string]*xq.FuncDecl) (*View, error) {
-	qpts, err := qpt.Generate(expr, funcs)
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range qpts {
-		if docname.IsPattern(q.Doc) {
-			continue
-		}
-		if _, exists := e.Store.Info(q.Doc); !exists {
-			return nil, fmt.Errorf("core: view references %w %q", ErrUnknownDocument, q.Doc)
-		}
-	}
-	return &View{Text: text, Expr: expr, Funcs: funcs, QPTs: qpts}, nil
+// HasDocument reports whether a document is registered under name.
+func (e *Engine) HasDocument(name string) bool {
+	_, ok := e.Store.Info(name)
+	return ok
 }
 
 // Options configure a search.
@@ -467,12 +444,12 @@ func (p *plan) unlock() {
 func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 	needed := map[int]bool{}
 	all := false
-	for _, q := range v.QPTs {
-		if docname.IsPattern(q.Doc) {
+	for _, ref := range v.Deps.Refs {
+		if docname.IsPattern(ref) {
 			all = true
 			break
 		}
-		needed[e.Store.ShardOf(q.Doc)] = true
+		needed[e.Store.ShardOf(ref)] = true
 	}
 	p := &plan{}
 	for i, sh := range e.shards {

@@ -1,6 +1,7 @@
 package qpt
 
 import (
+	"errors"
 	"fmt"
 
 	"vxml/internal/pred"
@@ -8,6 +9,16 @@ import (
 )
 
 const maxExpandDepth = 32
+
+// MaxNodes bounds the pattern nodes Generate creates for one view, before
+// twigs merge. Every call expands its function body again, so nested calls
+// grow the pattern exponentially; the largest test or benchmark view
+// creates 46.
+const MaxNodes = 1024
+
+// ErrTooManyNodes reports a view whose QPT expansion passes MaxNodes
+// (compare with errors.Is).
+var ErrTooManyNodes = errors.New("qpt: view too large")
 
 // analyzeReturn analyzes an expression in output position: its results
 // contribute content to the view. Element constructors and sequences
@@ -61,20 +72,11 @@ func optionalizeVarRooted(ts []*twig) {
 func (g *generator) analyze(e xq.Expr, content bool) ([]*twig, error) {
 	switch x := e.(type) {
 	case *xq.DocExpr:
-		t := &twig{anchor: docAnchor(x.Name), root: &Node{}}
-		t.leaf = t.root
-		t.root.C = content
-		return []*twig{t}, nil
+		return g.anchorTwig(docAnchor(x.Name), content)
 	case *xq.VarExpr:
-		t := &twig{anchor: varAnchor(x.Name), root: &Node{}}
-		t.leaf = t.root
-		t.root.C = content
-		return []*twig{t}, nil
+		return g.anchorTwig(varAnchor(x.Name), content)
 	case *xq.DotExpr:
-		t := &twig{anchor: ".", root: &Node{}}
-		t.leaf = t.root
-		t.root.C = content
-		return []*twig{t}, nil
+		return g.anchorTwig(".", content)
 	case *xq.LiteralExpr:
 		return nil, nil
 	case *xq.StepExpr:
@@ -84,6 +86,9 @@ func (g *generator) analyze(e xq.Expr, content bool) ([]*twig, error) {
 		}
 		if len(ts) == 0 {
 			return nil, fmt.Errorf("qpt: path steps applied to literal")
+		}
+		if err := g.charge(len(x.Steps)); err != nil {
+			return nil, err
 		}
 		main := ts[0]
 		for _, st := range x.Steps {
@@ -152,6 +157,25 @@ func (g *generator) analyze(e xq.Expr, content bool) ([]*twig, error) {
 		return g.analyzeCall(x, content)
 	}
 	return nil, fmt.Errorf("qpt: unsupported expression %T in view", e)
+}
+
+// anchorTwig starts a twig at an anchor: one virtual node that is both its
+// root and its spine leaf.
+func (g *generator) anchorTwig(anchor string, content bool) ([]*twig, error) {
+	if err := g.charge(1); err != nil {
+		return nil, err
+	}
+	root := &Node{C: content}
+	return []*twig{{anchor: anchor, root: root, leaf: root}}, nil
+}
+
+// charge counts n newly created pattern nodes against MaxNodes.
+func (g *generator) charge(n int) error {
+	g.nodes += n
+	if g.nodes > MaxNodes {
+		return fmt.Errorf("%w: more than %d pattern nodes", ErrTooManyNodes, MaxNodes)
+	}
+	return nil
 }
 
 // analyzePred analyzes a predicate expression (where clause, filter, if

@@ -320,10 +320,12 @@ type twig struct {
 func docAnchor(name string) string { return "doc:" + name }
 func varAnchor(name string) string { return "$" + name }
 
-// generator carries the function environment during analysis.
+// generator carries the function environment during analysis, and the
+// number of pattern nodes created so far (see MaxNodes).
 type generator struct {
 	funcs map[string]*xq.FuncDecl
 	depth int
+	nodes int
 }
 
 // Generate derives the QPT set for a view definition: one QPT per document

@@ -10,10 +10,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vxml"
 	"vxml/internal/cluster"
+	"vxml/internal/testkit"
 )
 
 // TestStatusForClusterTaxonomy pins the rows the cluster backend adds to
@@ -203,5 +206,31 @@ func TestClusterTooManyKeywordsReturns400(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/search", map[string]any{"view": "arts", "keywords": kws[:64]}); resp.StatusCode != http.StatusOK {
 		t.Errorf("64 keywords: %d %s, want 200", resp.StatusCode, body)
+	}
+}
+
+// TestClusterViewTooLargeReturns400: the coordinator compiles a view
+// before pushing it, so a view past the QPT node bound is a 400 and no
+// member is contacted.
+func TestClusterViewTooLargeReturns400(t *testing.T) {
+	var calls atomic.Int64
+	node := cluster.NewNode().Handler()
+	ns := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		node.ServeHTTP(w, r)
+	}))
+	defer ns.Close()
+	coord, err := cluster.NewCoordinator(cluster.Config{Slots: [][]string{{ns.URL}}, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewCluster(coord).Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/v1/views", map[string]any{"name": "big", "xquery": testkit.DoublingView(20)})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too large") {
+		t.Errorf("doubling view: %d %s, want 400 naming the size", resp.StatusCode, body)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("coordinator contacted its member %d time(s) for a rejected view", n)
 	}
 }

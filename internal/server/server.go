@@ -179,7 +179,7 @@ func statusFor(err error) int {
 	case errors.Is(err, cluster.ErrStaleGeneration):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, vxml.ErrInvalidOptions), errors.Is(err, cluster.ErrUnroutableView), errors.As(err, &pe),
-		errors.Is(err, vxml.ErrDocumentTooDeep):
+		errors.Is(err, vxml.ErrDocumentTooDeep), errors.Is(err, vxml.ErrViewTooLarge):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"vxml"
+	"vxml/internal/testkit"
 )
 
 const booksXML = `<books>
@@ -457,5 +458,25 @@ func TestTooManyKeywordsReturns400(t *testing.T) {
 		if resp, body := postJSON(t, ts.URL+path, map[string]any{"view": "bookrevs", "keywords": kws[:64]}); resp.StatusCode != http.StatusOK {
 			t.Errorf("POST %s with 64 keywords: %d %s, want 200", path, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestViewTooLargeReturns400: a view whose function calls expand past the
+// QPT node bound is a 400 naming the cause, answered at once, and the
+// server keeps serving.
+func TestViewTooLargeReturns400(t *testing.T) {
+	ts, _ := newTestServer(t)
+	ingestCorpus(t, ts.URL)
+	resp, body := postJSON(t, ts.URL+"/v1/views", map[string]string{"name": "big", "xquery": testkit.DoublingView(20)})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too large") {
+		t.Errorf("doubling view: %d %s, want 400 naming the size", resp.StatusCode, body)
+	}
+	stats, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats.Body.Close() //nolint:errcheck
+	if stats.StatusCode != http.StatusOK {
+		t.Errorf("stats after the rejected view: %d", stats.StatusCode)
 	}
 }

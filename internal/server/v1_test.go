@@ -182,6 +182,7 @@ func TestStatusForTaxonomy(t *testing.T) {
 		{fmt.Errorf("wrap: %w", vxml.ErrInvalidOptions), http.StatusBadRequest},
 		{&vxml.ParseError{Pos: 3, Msg: "expected 'return'"}, http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", &vxml.ParseError{Pos: 1, Msg: "x"}), http.StatusBadRequest},
+		{fmt.Errorf("wrap: %w", vxml.ErrViewTooLarge), http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", vxml.ErrUnknownView), http.StatusNotFound},
 		{fmt.Errorf("wrap: %w", vxml.ErrUnknownDocument), http.StatusNotFound},
 		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), http.StatusRequestTimeout},

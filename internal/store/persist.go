@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -18,10 +17,8 @@ import (
 // would load back as a different corpus.
 const manifestName = "MANIFEST"
 
-// manifestHeader opens a v2 manifest and records the shard count; the lines
-// that follow are "<docID>:<name>". A v1 manifest (no header, bare names
-// per line) is still loadable: documents then receive fresh sequential IDs
-// in manifest order.
+// manifestHeader opens a manifest and records the shard count; the lines
+// that follow are "<docID>:<name>". Load refuses a manifest without it.
 const manifestHeader = "#!vxml"
 
 // Save writes every document to dir plus a manifest recording document IDs,
@@ -93,8 +90,8 @@ func SaveCorpus(c Corpus, dir string) error {
 		return fmt.Errorf("store: save: %w", err)
 	}
 	// Names of a previous save in this directory, for post-save cleanup of
-	// files whose documents no longer exist (best-effort: a missing or old
-	// manifest just means nothing to clean).
+	// files whose documents no longer exist (best-effort: a missing or
+	// unreadable manifest just means nothing to clean).
 	previous := map[string]bool{}
 	if oldEntries, _, err := manifestEntries(dir); err == nil {
 		for _, e := range oldEntries {
@@ -116,10 +113,9 @@ func SaveCorpus(c Corpus, dir string) error {
 		return err
 	}
 	// The new manifest is in place; remove files of documents a previous
-	// save wrote that no longer exist (e.g. deleted since). Left behind,
-	// they could resurrect through Load's no-MANIFEST *.xml fallback. Only
-	// names the old manifest listed are touched — never arbitrary
-	// directory contents.
+	// save wrote that no longer exist (e.g. deleted since), so the
+	// directory holds exactly the saved corpus. Only names the old
+	// manifest listed are touched — never arbitrary directory contents.
 	for name := range previous {
 		if !saved[name] && !strings.ContainsAny(name, "/\\") {
 			os.Remove(filepath.Join(dir, name)) //nolint:errcheck // best-effort cleanup
@@ -162,7 +158,7 @@ func writeFileAtomic(dir, name string, write func(*os.File) error) error {
 }
 
 // manifestEntry is one document line of a manifest: the name plus the saved
-// document ID (0 in a v1 manifest, meaning "assign the next sequential ID").
+// document ID.
 type manifestEntry struct {
 	docID int32
 	name  string
@@ -172,8 +168,8 @@ type manifestEntry struct {
 // document as it registers it and preserving shard count, document order
 // and document IDs (and therefore Dewey IDs) —
 // a corpus saved after replacements and deletions loads with the same gapped
-// ID sequence it was saved with. Without a MANIFEST it loads every .xml
-// file in name order with fresh IDs.
+// ID sequence it was saved with. A directory without a manifest Save wrote
+// is an error that names it.
 func Load(dir string) (*Store, error) {
 	entries, shardCount, err := manifestEntries(dir)
 	if err != nil {
@@ -185,12 +181,6 @@ func Load(dir string) (*Store, error) {
 		data, err := os.ReadFile(filepath.Join(dir, e.name))
 		if err != nil {
 			return nil, fmt.Errorf("store: load %s: %w", e.name, err)
-		}
-		if e.docID == 0 {
-			if _, err := s.AddXML(e.name, string(data)); err != nil {
-				return nil, fmt.Errorf("store: load %s: %w", e.name, err)
-			}
-			continue
 		}
 		doc, err := xmltree.ParseString(string(data), e.name, e.docID)
 		if err != nil {
@@ -209,60 +199,31 @@ func Load(dir string) (*Store, error) {
 	return s, nil
 }
 
-// manifestEntries reads the manifest (v1 or v2) or falls back to .xml
-// directory listing; shardCount is 0 (caller default) unless a v2 header
-// recorded one.
+// manifestEntries reads dir's manifest; shardCount is the one its header
+// records, or 0 (caller default) when the header names none.
 func manifestEntries(dir string) ([]manifestEntry, int, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err == nil {
-		return parseManifest(string(data))
-	}
-	dirEntries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: load: %w", err)
+		return nil, 0, fmt.Errorf("store: load %s: %w", dir, err)
 	}
-	var names []string
-	for _, e := range dirEntries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".xml") {
-			names = append(names, e.Name())
-		}
+	lines := strings.Split(string(data), "\n")
+	if !strings.HasPrefix(lines[0], manifestHeader) {
+		return nil, 0, fmt.Errorf("store: load %s: %s has no %s header", dir, manifestName, manifestHeader)
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, 0, fmt.Errorf("store: load: no MANIFEST and no .xml files in %s", dir)
-	}
-	entries := make([]manifestEntry, len(names))
-	for i, n := range names {
-		entries[i] = manifestEntry{name: n}
-	}
-	return entries, 0, nil
-}
-
-func parseManifest(data string) ([]manifestEntry, int, error) {
-	lines := strings.Split(data, "\n")
 	shardCount := 0
-	v2 := false
-	if len(lines) > 0 && strings.HasPrefix(lines[0], manifestHeader) {
-		v2 = true
-		for _, field := range strings.Fields(lines[0])[1:] {
-			if n, ok := strings.CutPrefix(field, "shards="); ok {
-				c, err := strconv.Atoi(n)
-				if err != nil || c < 1 {
-					return nil, 0, fmt.Errorf("store: load: bad manifest shard count %q", n)
-				}
-				shardCount = c
+	for _, field := range strings.Fields(lines[0])[1:] {
+		if n, ok := strings.CutPrefix(field, "shards="); ok {
+			c, err := strconv.Atoi(n)
+			if err != nil || c < 1 {
+				return nil, 0, fmt.Errorf("store: load: bad manifest shard count %q", n)
 			}
+			shardCount = c
 		}
-		lines = lines[1:]
 	}
 	var entries []manifestEntry
-	for _, line := range lines {
+	for _, line := range lines[1:] {
 		line = strings.TrimSpace(line)
 		if line == "" {
-			continue
-		}
-		if !v2 {
-			entries = append(entries, manifestEntry{name: line})
 			continue
 		}
 		idText, name, ok := strings.Cut(line, ":")

@@ -162,18 +162,6 @@ func TestSaveRemovesStaleDocumentFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "b.xml")); err == nil {
 		t.Error("deleted document's file survived the re-save")
 	}
-	// Without the cleanup, losing the MANIFEST would resurrect b.xml via
-	// the *.xml fallback; with it, the fallback load matches the corpus.
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if docs := loaded.Docs(); len(docs) != 1 || docs[0].Name != "a.xml" {
-		t.Errorf("fallback load = %v, want just a.xml", docs)
-	}
 }
 
 func TestSavedFilesAreWorldReadable(t *testing.T) {

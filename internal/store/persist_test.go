@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vxml/internal/dewey"
@@ -38,21 +39,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadWithoutManifest(t *testing.T) {
+// TestLoadRefusesDirectoryWithoutManifest: only a directory Save wrote
+// loads. Bare XML files without a MANIFEST, or a MANIFEST without the
+// #!vxml header (the old bare-name format), are refused with an error that
+// names the directory.
+func TestLoadRefusesDirectoryWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := newStore(t)
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
+	manifest := filepath.Join(dir, "MANIFEST")
+	if err := os.WriteFile(manifest, []byte("books.xml\nreviews.xml\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
-	if err != nil {
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "header") {
+		t.Errorf("headerless manifest: Load = %v, want an error naming %s and the missing header", err, dir)
+	}
+	if err := os.Remove(manifest); err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Docs()) != 2 {
-		t.Errorf("loaded %d docs without manifest", len(loaded.Docs()))
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("no manifest: Load = %v, want an error naming %s", err, dir)
 	}
 }
 

@@ -169,6 +169,20 @@ var MutViews = []string{
 	   {$a/bdy}</rec>`,
 }
 
+// DoublingView is a view whose QPT expansion doubles with every level:
+// function f<i> calls f<i-1> twice, and the view calls f<levels>. At 20
+// levels the text is about a kilobyte and asks for a million pattern
+// nodes, far past qpt.MaxNodes.
+func DoublingView(levels int) string {
+	var b strings.Builder
+	b.WriteString("declare function f0($x) { $x/title }\n")
+	for i := 1; i <= levels; i++ {
+		fmt.Fprintf(&b, "declare function f%d($x) { (f%d($x), f%d($x)) }\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "for $b in fn:doc(books.xml)//book return <r>{f%d($b)}</r>", levels)
+	return b.String()
+}
+
 // KeywordsFor draws 1-3 of the planted query keywords.
 func KeywordsFor(rng *rand.Rand) []string {
 	all := []string{"copper", "quartz", "survey"}

@@ -532,8 +532,11 @@ func (db *Database) QueryContext(ctx context.Context, fullQuery string, opts *Op
 	if err != nil {
 		return nil, nil, err
 	}
-	v, err := db.engine.CompileParsedView(fullQuery, kq.ViewExpr, kq.Funcs)
+	v, err := core.CompileParsed(fullQuery, kq.ViewExpr, kq.Funcs)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := v.CheckRefs(db.engine.HasDocument); err != nil {
 		return nil, nil, err
 	}
 	effective := *opts
