@@ -629,3 +629,44 @@ func TestSelfJoinRouting(t *testing.T) {
 		}
 	})
 }
+
+// TestDocumentNodeBindingScatters: a view whose outer for binds the
+// collection's document nodes is classified scatter, and every node
+// attributes its results to the document each came from, so the
+// coordinator answers it byte-identically to a single node at every slot
+// count. (Attributing by outer binding failed here: a document node is
+// not a base element, so every node refused the view.)
+func TestDocumentNodeBindingScatters(t *testing.T) {
+	const docNodes = `for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`
+	seeds := int64(12)
+	if testing.Short() {
+		seeds = 3
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, slots := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("seed%02d/slots%d", seed, slots), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed*1000 + int64(slots)))
+				tc := startCluster(t, slots, nil)
+				var rec recorder
+				testkit.FillEqCorpus(t, rng, 3+rng.Intn(10), &rec)
+				db := vxml.Open()
+				for _, d := range rec.docs {
+					db.MustAdd(d[0], d[1])
+					if err := tc.coord.AddDocument(context.Background(), d[0], d[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				view, err := db.DefineView(docNodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tc.coord.DefineView(context.Background(), "dn", docNodes); err != nil {
+					t.Fatal(err)
+				}
+				kws := testkit.KeywordsFor(rng)
+				mustSearchBoth(t, "full", db, view, tc.coord, "dn", kws, &vxml.Options{})
+				mustSearchBoth(t, "top3 disjunctive", db, view, tc.coord, "dn", kws, &vxml.Options{TopK: 3, Disjunctive: true})
+			})
+		}
+	}
+}

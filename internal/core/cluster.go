@@ -202,8 +202,10 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 // attributedOutput is viewOutput for the cluster primitives: a direct
 // (never planner-served, never keyword-pruned) evaluation, plus the owner
 // document ID of every result — the document its outer FLWOR binding came
-// from. This is the only place a view is rejected as unpartitionable: one
-// evalView had to evaluate whole (no top-level FLWOR, or a leading let
+// from. The per-document pipeline attributes its results itself, one unit
+// per document; a whole-view evaluation's come from its partitioned outer
+// bindings. This is the only place a view is rejected as unpartitionable:
+// one evalView had to evaluate whole (no top-level FLWOR, or a leading let
 // clause) has no bindings to attribute results to, and a binding that is
 // not a base element names no document.
 func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, []int32, error) {
@@ -211,6 +213,9 @@ func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []strin
 	out, err := e.viewOutput(ctx, v, keywords, opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	if out.owners != nil {
+		return out, out.owners, nil
 	}
 	if out.counts == nil {
 		return nil, nil, fmt.Errorf("core: %w: view is not a FLWOR expression over an outer for clause", ErrUnpartitionableView)

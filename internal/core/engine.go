@@ -347,6 +347,10 @@ func (o Options) workers() int {
 // the comparator pipelines embed it, and the /v1 and node RPC wires encode
 // it as it is (timings as integer nanoseconds).
 type Stats struct {
+	// A view that runs per document generates and evaluates in one pool
+	// pass; PDTTime and EvalTime then split the pass's wall time in
+	// proportion to the summed per-document generation and
+	// evaluation-plus-collection times.
 	PDTTime  time.Duration `json:"pdt_time_ns"`  // PDT generation (PrepareLists + GeneratePDT)
 	EvalTime time.Duration `json:"eval_time_ns"` // query evaluation over the PDTs
 	PostTime time.Duration `json:"post_time_ns"` // scoring + top-k materialization
@@ -569,6 +573,22 @@ func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.Keywo
 	return c, nil
 }
 
+// wholeViewOutput is direct view output for every view that does not run
+// per document: all PDTs first, then the unchanged evaluator runs the view
+// over the catalog of all of them (evalView).
+func (p *plan) wholeViewOutput(ctx context.Context, v *View, out *viewOutput, filter *pdt.KeywordFilter) error {
+	cat, err := p.generatePDTs(ctx, out.kws, filter, out.stats)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	if out.results, out.bindings, out.counts, err = evalView(ctx, v, cat, out.stats.Workers); err != nil {
+		return err
+	}
+	out.stats.EvalTime = time.Since(start)
+	return nil
+}
+
 // Search evaluates a ranked keyword query over the virtual view: the
 // Efficient pipeline of the paper. Scores and rank order are identical to
 // materializing the view and searching it (Theorem 4.1), and identical at
@@ -624,16 +644,21 @@ type viewOutput struct {
 	// direct evaluation or a skeleton, complete trees from a materialized
 	// view.
 	results []*xmltree.Node
-	// bindings are the outer FLWOR bindings evaluation was partitioned
-	// over and counts[i] the number of results bindings[i] produced (their
-	// sum is len(results)). Both are nil when the results did not come
-	// from a partitioned evaluation — a view that is not partitionable, or
-	// a planner tier.
+	// owners holds the document each result came from when the
+	// per-document pipeline produced them (non-nil exactly then).
+	owners []int32
+	// bindings are the outer FLWOR bindings whole-view evaluation was
+	// partitioned over and counts[i] the number of results bindings[i]
+	// produced (their sum is len(results)). Both are nil when the results
+	// did not come from a partitioned whole-view evaluation — the
+	// per-document pipeline, a view that is not partitionable, or a
+	// planner tier.
 	bindings []xqeval.Item
 	counts   []int
 	// rstats are the per-result scoring inputs when the serving tier
-	// brings them itself (a materialized view); nil for PDT-pruned results
-	// — direct or skeleton — whose stats collect derives from lists.
+	// brings them itself (a materialized view, the per-document pipeline);
+	// nil for the other PDT-pruned results — whole-view or skeleton —
+	// whose stats collect derives from lists.
 	rstats []scoring.Stats
 	// lists holds each candidate document's posting list per keyword
 	// (plan.keywordLists), for collect.
@@ -692,7 +717,9 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		}
 	}
 	if !served {
-		// QPTs are compile-time; generate the PDTs from the indices alone.
+		// QPTs are compile-time; generate the PDTs from the indices alone,
+		// then run the unchanged evaluator over them: one work unit per
+		// candidate document when the view allows it, else the whole view.
 		var filter *pdt.KeywordFilter
 		if opts.KeywordPruning && len(out.kws) > 0 {
 			if node := selectionFilterNode(v); node != nil {
@@ -700,16 +727,14 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 				stats.KeywordPruned = true
 			}
 		}
-		cat, err := p.generatePDTs(ctx, out.kws, filter, stats)
+		if v.perDocument {
+			err = p.perDocumentOutput(ctx, v, out, filter)
+		} else {
+			err = p.wholeViewOutput(ctx, v, out, filter)
+		}
 		if err != nil {
 			return nil, err
 		}
-		// The unchanged evaluator runs the view over the PDTs.
-		start := time.Now()
-		if out.results, out.bindings, out.counts, err = evalView(ctx, v, cat, opts, stats.Workers); err != nil {
-			return nil, err
-		}
-		stats.EvalTime = time.Since(start)
 		// Record the skeleton — the eval output itself — for the next
 		// search over this view: its nodes never escape to callers (a
 		// winner's wrappers are built anew and its base subtrees come from

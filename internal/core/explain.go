@@ -26,7 +26,8 @@ func (e *Engine) ExplainContext(ctx context.Context, v *View, keywords []string)
 // Explain renders the query plan for a keyword search over the view: the
 // QPT per document, the exact index probes PrepareLists will issue (with
 // '//' expansion against each document's path dictionary), and the
-// inverted-list probes for the keywords. No PDT is generated.
+// inverted-list probes for the keywords, and whether evaluation runs per
+// candidate document or over the whole view. No PDT is generated.
 func (e *Engine) Explain(v *View, keywords []string) string {
 	e.RLock()
 	defer e.RUnlock()
@@ -76,6 +77,11 @@ func (e *Engine) Explain(v *View, keywords []string) string {
 				}
 			}
 		}
+	}
+	if reason := perDocumentReason(v.Deps); reason == "" {
+		fmt.Fprintf(&b, "\nevaluation: per document (%d candidates)\n", len(e.Store.InfosMatching(v.Deps.Outer)))
+	} else {
+		fmt.Fprintf(&b, "\nevaluation: whole view (%s)\n", reason)
 	}
 	if len(keywords) > 0 {
 		b.WriteString("\ninverted list probes: ")

@@ -39,3 +39,26 @@ func TestExplainWithoutKeywords(t *testing.T) {
 		t.Error("no keywords means no inverted probes section")
 	}
 }
+
+// TestExplainNamesEvaluationMode: Explain says whether evaluation runs one
+// work unit per candidate document, and if not, why not.
+func TestExplainNamesEvaluationMode(t *testing.T) {
+	e := newCollectionEngine(t, 4)
+	for _, tc := range []struct{ view, want string }{
+		{collectionView, "evaluation: per document (4 candidates)"},
+		{`for $a in fn:doc(part-0.xml)/books//article return $a`,
+			"evaluation: whole view (outer binding is a literal document)"},
+		{`for $a in fn:collection("part-*")/books//article
+		  return <r>{for $b in fn:collection("part-*")/books//article where $b/tl = $a/tl return $b/bdy}</r>`,
+			"evaluation: whole view (outer collection is used more than once)"},
+		{`fn:collection("part-*")/books//article`, "evaluation: whole view (no outer for clause)"},
+	} {
+		v, err := e.CompileView(tc.view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := e.Explain(v, nil); !strings.Contains(out, tc.want) {
+			t.Errorf("Explain missing %q:\n%s", tc.want, out)
+		}
+	}
+}

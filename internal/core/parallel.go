@@ -4,8 +4,11 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"vxml/internal/docname"
 	"vxml/internal/invindex"
+	"vxml/internal/pdt"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
@@ -94,7 +97,7 @@ func chunkBounds(n, chunks int) [][2]int {
 // let) is evaluated whole by a single evaluator and returns nil bindings
 // and counts. Every evaluator carries ctx, so cancellation unwinds between
 // FLWOR bindings either way.
-func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, opts Options, workers int) (results []*xmltree.Node, bindings []xqeval.Item, counts []int, err error) {
+func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int) (results []*xmltree.Node, bindings []xqeval.Item, counts []int, err error) {
 	newEval := func() *xqeval.Evaluator {
 		ev := xqeval.New(catalog, v.Funcs)
 		ev.SetContext(ctx)
@@ -174,19 +177,21 @@ const collectChunk = 64
 
 // collect is the stat-collection phase: the per-result scoring inputs (term
 // frequencies and byte length), index-aligned with o.results. A
-// materialized view brings its own; for PDT-pruned results — fresh from
-// direct evaluation or a stored skeleton alike — one pooled loop derives
-// them (resultStats). It runs lock-free.
+// materialized view and the per-document pipeline bring their own; for the
+// other PDT-pruned results — fresh from whole-view evaluation or a stored
+// skeleton alike — one pooled loop derives them (addResultStats). It runs
+// lock-free.
 func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 	if o.rstats != nil {
 		return o.rstats, nil
 	}
 	rstats := make([]scoring.Stats, len(o.results))
 	chunks := chunkBounds(len(o.results), (len(o.results)+collectChunk-1)/collectChunk)
+	listsOf := func(doc int32) []*invindex.PostingList { return o.lists[doc] }
 	err := forEach(ctx, o.stats.Workers, len(chunks), func(c int) {
 		for i := chunks[c][0]; i < chunks[c][1]; i++ {
 			rstats[i] = scoring.Stats{TFs: make([]int, len(o.kws))}
-			addResultStats(&rstats[i], o.results[i], o.lists)
+			addResultStats(&rstats[i], o.results[i], listsOf)
 		}
 	})
 	return rstats, err
@@ -199,21 +204,155 @@ func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 // the search that built it), so each term frequency is the posting list's
 // Dewey-range sum over the Meta node's base subtree — by construction the
 // value PDT generation attaches when given keywords (the pdt property suite
-// pins Meta.TFs == SubtreeTF over the base subtree; Theorem 4.1(b)). Only
-// the 'c' nodes that reach a view result pay for it, each exactly once
-// (selection views visit every Meta node once per search, so there is
-// nothing for a memo to save; the range sums themselves are kept cheap).
-func addResultStats(st *scoring.Stats, n *xmltree.Node, lists map[int32][]*invindex.PostingList) {
+// pins Meta.TFs == SubtreeTF over the base subtree; Theorem 4.1(b)).
+// listsOf returns a document's posting list per keyword. Only the 'c'
+// nodes that reach a view result pay for it, each exactly once (selection
+// views visit every Meta node once per search, so there is nothing for a
+// memo to save; the range sums themselves are kept cheap).
+func addResultStats(st *scoring.Stats, n *xmltree.Node, listsOf func(doc int32) []*invindex.PostingList) {
 	if n.Meta == nil {
 		for _, c := range n.Children {
-			addResultStats(st, c, lists)
+			addResultStats(st, c, listsOf)
 		}
 		return
 	}
 	st.ByteLen += n.ByteLen
 	if len(n.ID) > 0 {
-		for j, pl := range lists[n.ID[0]] {
+		for j, pl := range listsOf(n.ID[0]) {
 			st.TFs[j] += pl.SubtreeTF(n.ID)
 		}
 	}
+}
+
+// docOutput is what one per-document work unit produced: its results in
+// view order with their scoring inputs, its PDT's size, and the time spent
+// generating the PDT and evaluating plus collecting.
+type docOutput struct {
+	results      []*xmltree.Node
+	rstats       []scoring.Stats
+	nodes, bytes int
+	gen, eval    time.Duration
+	err          error
+}
+
+// docWorker is one pool goroutine's state for per-document output: an
+// evaluator over a one-document catalog it re-points per unit, and the
+// unit's posting list per keyword.
+type docWorker struct {
+	ev    *xqeval.Evaluator
+	cat   docCatalog
+	lists []*invindex.PostingList
+}
+
+func (w *docWorker) listsOf(int32) []*invindex.PostingList { return w.lists }
+
+// docCatalog is the evaluation catalog of one per-document work unit: the
+// unit's (non-empty) PDT alone.
+type docCatalog struct {
+	docs [1]*xmltree.Document
+}
+
+func (c *docCatalog) Doc(name string) *xmltree.Document {
+	if c.docs[0].Name == name {
+		return c.docs[0]
+	}
+	return nil
+}
+
+func (c *docCatalog) DocsMatching(pattern string) []*xmltree.Document {
+	if docname.Match(pattern, c.docs[0].Name) {
+		return c.docs[:]
+	}
+	return nil
+}
+
+// run is one per-document work unit: PDT generation, then evaluate. An
+// empty PDT gives no outer binding and so no result.
+func (w *docWorker) run(u unit, v *View, kws []string, filter *pdt.KeywordFilter, d *docOutput) {
+	start := time.Now()
+	pd := u.generatePDT(kws, filter)
+	d.nodes, d.bytes = pd.Nodes, pd.Bytes
+	generated := time.Now()
+	d.gen = generated.Sub(start)
+	if pd.Doc != nil {
+		d.err = w.evaluate(u, pd.Doc, v, kws, d)
+	}
+	d.eval = time.Since(generated)
+}
+
+// evaluate runs the whole view over the unit's PDT alone, looks up the
+// unit's keyword lists and collects its results' scoring inputs, with term
+// frequencies carved from one slab.
+func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []string, d *docOutput) error {
+	w.cat.docs[0] = doc
+	w.ev.SetCatalog(&w.cat)
+	items, err := w.ev.Eval(v.Expr, nil)
+	if err != nil {
+		return err
+	}
+	d.results = appendNodes(nil, items)
+	if len(d.results) == 0 {
+		return nil
+	}
+	w.lists = w.lists[:0]
+	for _, kw := range kws {
+		w.lists = append(w.lists, u.iix.Lookup(kw))
+	}
+	k := len(kws)
+	d.rstats = make([]scoring.Stats, len(d.results))
+	tfs := make([]int, len(d.results)*k)
+	for i, r := range d.results {
+		d.rstats[i].TFs = tfs[i*k : (i+1)*k : (i+1)*k]
+		addResultStats(&d.rstats[i], r, w.listsOf)
+	}
+	return nil
+}
+
+// perDocumentOutput is direct view output for a view that runs per
+// document (perDocumentReason): one pass of work units over the plan's
+// candidates on a pool of stats.Workers, each unit a docWorker.run. The
+// units are in document-ID order, the order whole-view evaluation
+// enumerates the collection in, so concatenating their outputs reproduces
+// the whole view's results; each result's owner is its unit's document.
+// PDTTime and EvalTime split the pass's wall time in proportion to the
+// units' summed generation and evaluation-plus-collection times.
+func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput, filter *pdt.KeywordFilter) error {
+	stats := out.stats
+	start := time.Now()
+	docs := make([]docOutput, len(p.units))
+	if err := forEachWorker(ctx, stats.Workers, len(p.units), func() func(int) {
+		w := &docWorker{ev: xqeval.New(nil, v.Funcs)}
+		w.ev.SetContext(ctx)
+		return func(i int) { w.run(p.units[i], v, out.kws, filter, &docs[i]) }
+	}); err != nil {
+		return err
+	}
+	var gen, eval time.Duration
+	total := 0
+	for i := range docs {
+		d := &docs[i]
+		if d.err != nil {
+			return &evalError{d.err}
+		}
+		stats.PDTNodes += d.nodes
+		stats.PDTBytes += d.bytes
+		gen, eval = gen+d.gen, eval+d.eval
+		total += len(d.results)
+	}
+	out.results = make([]*xmltree.Node, 0, total)
+	out.rstats = make([]scoring.Stats, 0, total)
+	out.owners = make([]int32, 0, total)
+	for i := range docs {
+		out.results = append(out.results, docs[i].results...)
+		out.rstats = append(out.rstats, docs[i].rstats...)
+		for range docs[i].results {
+			out.owners = append(out.owners, p.units[i].docID)
+		}
+	}
+	wall := time.Since(start)
+	if busy := gen + eval; busy > 0 {
+		stats.PDTTime = time.Duration(float64(wall) * float64(gen) / float64(busy))
+	}
+	stats.EvalTime = wall - stats.PDTTime
+	return nil
 }

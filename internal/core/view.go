@@ -17,6 +17,9 @@ type View struct {
 	Funcs map[string]*xq.FuncDecl
 	QPTs  []*qpt.QPT
 	Deps  Deps
+	// perDocument is set when the view runs one work unit per candidate
+	// document (perDocumentReason).
+	perDocument bool
 }
 
 // Deps is what a view reads from the corpus, worked out once at compile
@@ -61,7 +64,28 @@ func CompileParsed(text string, expr xq.Expr, funcs map[string]*xq.FuncDecl) (*V
 	for _, f := range funcs {
 		countUses(f.Body, deps.Uses)
 	}
-	return &View{Text: text, Expr: expr, Funcs: funcs, QPTs: qpts, Deps: deps}, nil
+	return &View{Text: text, Expr: expr, Funcs: funcs, QPTs: qpts, Deps: deps, perDocument: perDocumentReason(deps) == ""}, nil
+}
+
+// perDocumentReason reports why a view cannot run one work unit per
+// candidate document, or "" when it can: its outer FLWOR opens with a for
+// over a collection pattern, that pattern is the view's only reference and
+// it is used once. This is the coordinator's scatter condition with no
+// side references. Each result then depends on the one document its outer
+// binding came from, so evaluating the view over one document's PDT at a
+// time and concatenating in document-ID order is whole-view evaluation.
+func perDocumentReason(d Deps) string {
+	switch {
+	case d.Outer == "":
+		return "no outer for clause"
+	case !docname.IsPattern(d.Outer):
+		return "outer binding is a literal document"
+	case d.Uses[d.Outer] != 1:
+		return "outer collection is used more than once"
+	case len(d.Refs) != 1 || d.Refs[0] != d.Outer:
+		return "view reads documents besides the outer collection"
+	}
+	return ""
 }
 
 // CheckRefs reports the first literal reference exists does not know,

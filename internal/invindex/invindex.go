@@ -127,11 +127,13 @@ func (pl *PostingList) buildPrefix() {
 	}
 }
 
-// emptyPrefix is the prefix-sum array of every empty list (read-only).
-var emptyPrefix = []int{0}
+// missing is the list Lookup returns for every keyword a document lacks:
+// one shared read-only value, so a miss allocates nothing.
+var missing = &PostingList{tfPrefix: []int{0}}
 
 // Lookup returns the posting list for keyword (lowercase), found by binary
-// search of the directory, or an empty list if the keyword does not occur.
+// search of the directory, or a shared read-only empty list (whose Keyword
+// is "") if the keyword does not occur.
 func (ix *Index) Lookup(keyword string) *PostingList {
 	ix.lookups.Add(1)
 	if ix.stored == nil {
@@ -143,7 +145,7 @@ func (ix *Index) Lookup(keyword string) *PostingList {
 	}); ok {
 		return ix.list(slot)
 	}
-	return &PostingList{Keyword: keyword, tfPrefix: emptyPrefix}
+	return missing
 }
 
 // list returns the posting list of a directory slot.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,31 @@ func TestLookupMissingKeyword(t *testing.T) {
 	}
 	if pl.SubtreeTF(dewey.MustParse("2")) != 0 {
 		t.Error("SubtreeTF of empty list should be 0")
+	}
+}
+
+// storedLists serves resident lists through the Stored seam, so a test can
+// build a view index without the disk backend.
+type storedLists []*PostingList
+
+func (s storedLists) Keywords() int               { return len(s) }
+func (s storedLists) Keyword(slot int) string     { return s[slot].Keyword }
+func (s storedLists) Postings(slot int) []Posting { return s[slot].Postings }
+
+// TestLookupMissAllocatesNothing: a keyword the document lacks is answered
+// with one shared empty list, on a resident index and on a view alike, so
+// the per-candidate misses of a collection search cost no allocation.
+func TestLookupMissAllocatesNothing(t *testing.T) {
+	_, resident := buildReviews(t)
+	var lookups atomic.Int64
+	view := NewView(resident.Elements(), storedLists(resident.Lists()), &lookups)
+	for name, ix := range map[string]*Index{"resident": resident, "view": view} {
+		if allocs := testing.AllocsPerRun(100, func() { ix.Lookup("quantum") }); allocs != 0 {
+			t.Errorf("%s: a missing keyword costs %.1f allocations per lookup, want 0", name, allocs)
+		}
+		if pl := ix.Lookup("quantum"); pl.Len() != 0 || pl.TotalTF() != 0 || pl.SubtreeTF(dewey.MustParse("2")) != 0 {
+			t.Errorf("%s: missing keyword: %+v", name, pl)
+		}
 	}
 }
 

@@ -363,3 +363,41 @@ return $bookrev`)
 		t.Errorf("result text = %q", joined)
 	}
 }
+
+// TestSetCatalogDropsDocumentState: an evaluator re-pointed at another
+// catalog answers from the new documents only. The view's last clause is a
+// hash join whose loop sequence is a document, so an index built over the
+// first catalog's document must not serve the second.
+func TestSetCatalogDropsDocumentState(t *testing.T) {
+	q, err := xq.Parse(`for $r in fn:doc(reviews.xml)/reviews/review for $b in fn:doc(books.xml)/books/book
+		where $b/isbn = $r/isbn return $b/title`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := catalog(t)
+	other, err := xmltree.ParseString(`<books><book><isbn>111-11-1111</isbn><title>Fresh</title></book></books>`, "books.xml", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := New(first, q.Functions)
+	for _, step := range []struct {
+		cat  Catalog
+		want string
+	}{
+		{first, "XML Web Services|XML Web Services|Artificial Intelligence"},
+		{MapCatalog{"books.xml": other, "reviews.xml": first["reviews.xml"]}, "Fresh|Fresh"},
+		{MapCatalog{"reviews.xml": first["reviews.xml"]}, ""},
+	} {
+		ev.SetCatalog(step.cat)
+		out, err := ev.Eval(q.Body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(values(out), "|"); got != step.want {
+			t.Errorf("titles = %q, want %q", got, step.want)
+		}
+	}
+	if ev.JoinProbes == 0 {
+		t.Fatal("the view never took the hash-join path")
+	}
+}
