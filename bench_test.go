@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"vxml/internal/benchkit"
-	"vxml/internal/core"
 )
 
 // benchUnit is the bench-scale stand-in for the paper's 100MB unit.
@@ -121,45 +120,6 @@ func BenchmarkFig20(b *testing.B) { benchFigure(b, 20) }
 // BenchmarkFig21 varies the average view element size (§5.2.3 "other
 // results"); the pdt-nodes metric is the PDT size it plots.
 func BenchmarkFig21(b *testing.B) { benchFigure(b, 21) }
-
-// BenchmarkAblationKeywordPruning measures the selection-view keyword
-// pruning extension (paper §7 future work, monotone case): rare keywords
-// over a selection view skip most PDT work.
-func BenchmarkAblationKeywordPruning(b *testing.B) {
-	p := benchParams()
-	p.Selectivity = "medium" // selective keywords: most articles prunable
-	w := buildWorkload(b, p)
-	// A true selection view (return the binding element directly) — the
-	// only shape where the monotone pruning extension is sound.
-	view, err := w.Engine.CompileView(`
-for $a in fn:doc(inex.xml)/books//article
-where $a/fm/yr > 1992
-return $a`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pruning := range []bool{false, true} {
-		name := "pruning=off"
-		if pruning {
-			name = "pruning=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var nodes int
-			for i := 0; i < b.N; i++ {
-				_, stats, err := w.Engine.Search(view, w.Keywords,
-					core.Options{K: w.Params.TopK, KeywordPruning: pruning, SkipMaterialize: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes = stats.PDTNodes
-				if pruning && !stats.KeywordPruned {
-					b.Fatal("pruning not applied")
-				}
-			}
-			b.ReportMetric(float64(nodes), "pdt-nodes")
-		})
-	}
-}
 
 // BenchmarkIndexBuild measures index construction cost per data size
 // (load-time cost, amortized across queries in the paper's setting).

@@ -88,10 +88,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("baseline: search interrupted: %w", err)
 		}
-		elem := sc.Result
-		if !opts.SkipMaterialize {
-			elem = scoring.Materialize(sc.Result, e.Store)
-		}
+		elem := scoring.Materialize(sc.Result, e.Store)
 		out = append(out, core.Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: elem})
 	}
 	stats.PostTime = time.Since(start)

@@ -100,15 +100,3 @@ func TestBaselineNoMatches(t *testing.T) {
 		t.Errorf("view still has %d results", stats.ViewSize)
 	}
 }
-
-func TestBaselineSkipMaterialize(t *testing.T) {
-	e, v := engine(t)
-	fetchesBefore := e.Store.SubtreeFetches()
-	_, _, err := Search(e, v, []string{"xml"}, core.Options{SkipMaterialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Store.SubtreeFetches() != fetchesBefore {
-		t.Error("SkipMaterialize should avoid top-k subtree fetches")
-	}
-}

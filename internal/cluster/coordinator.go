@@ -508,16 +508,6 @@ func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID 
 	return catalog.PlanDirect, c.cache.IDOf(v.Text), nil
 }
 
-// GenVector returns a copy of the current generation vector (diagnostics
-// and tests).
-func (c *Coordinator) GenVector() []uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]uint64, len(c.gens))
-	copy(out, c.gens)
-	return out
-}
-
 // SlotCounters is a point-in-time snapshot of one slot for stats surfaces.
 type SlotCounters struct {
 	Slot    int

@@ -123,9 +123,8 @@ type ClusterRanking struct {
 // every matching result as an unmaterialized candidate attributed to its
 // outer-binding document. Scoring and top-k selection are the coordinator's
 // job: a score depends on corpus-global IDFs no single node can know.
-// Options.K is ignored (every candidate is reported), KeywordPruning is not
-// applied (its context-sensitive IDF statistics cannot be merged) and the
-// planner is not consulted (its artifacts carry no binding attribution).
+// Options.K is ignored (every candidate is reported) and the planner is not
+// consulted (its artifacts carry no binding attribution).
 func (e *Engine) ClusterRank(ctx context.Context, v *View, keywords []string, opts Options) (*ClusterRanking, error) {
 	out, owners, err := e.attributedOutput(ctx, v, keywords, opts)
 	if err != nil {
@@ -190,7 +189,7 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 	}
 	fetcher := &scoring.CountingFetcher{Fetcher: e.Store}
 	mats := make([]ClusterMaterialized, 0, len(positions))
-	for r, err := range out.winners(ctx, picked, 0, Options{}, fetcher) {
+	for r, err := range out.winners(ctx, picked, 0, fetcher) {
 		if err != nil {
 			return nil, 0, err
 		}
@@ -200,16 +199,16 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 }
 
 // attributedOutput is viewOutput for the cluster primitives: a direct
-// (never planner-served, never keyword-pruned) evaluation, plus the owner
-// document ID of every result — the document its outer FLWOR binding came
-// from. The per-document pipeline attributes its results itself, one unit
-// per document; a whole-view evaluation's come from its partitioned outer
+// (never planner-served) evaluation, plus the owner document ID of every
+// result — the document its outer FLWOR binding came from. The
+// per-document pipeline attributes its results itself, one unit per
+// document; a whole-view evaluation's come from its partitioned outer
 // bindings. This is the only place a view is rejected as unpartitionable:
 // one evalView had to evaluate whole (no top-level FLWOR, or a leading let
 // clause) has no bindings to attribute results to, and a binding that is
 // not a base element names no document.
 func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, []int32, error) {
-	opts.Plan, opts.KeywordPruning = false, false
+	opts.Plan = false
 	out, err := e.viewOutput(ctx, v, keywords, opts)
 	if err != nil {
 		return nil, nil, err

@@ -312,25 +312,13 @@ type Options struct {
 	// functions run at every pool size and results are byte-identical at
 	// every setting.
 	Parallelism int
-	// SkipMaterialize leaves the winners pruned (used by benchmarks that
-	// measure phases separately).
-	SkipMaterialize bool
-	// KeywordPruning enables the monotone top-k extension sketched in the
-	// paper's conclusion: for selection-shaped views (a view result is a
-	// single base element), elements that cannot satisfy the keyword
-	// semantics are skipped during PDT generation. The result SET is
-	// unchanged; scores are computed with IDF statistics over the matching
-	// subset (context-sensitive flavor), so under conjunctive semantics
-	// the rank order can differ from the exact TF-IDF order. Ignored for
-	// views where it would be unsound (joins, nesting, constructors).
-	KeywordPruning bool
 	// Plan routes the search through the catalog planner: a live artifact
 	// of the view (skeleton or materialized view) serves the query instead
 	// of the PDT pipeline, and direct evaluations record artifacts and
 	// count toward adaptive materialization. Planned answers are
 	// byte-identical to direct evaluation at every option combination;
-	// Stats.PlanSource reports which path answered. Ignored (treated as
-	// false) when SkipMaterialize or KeywordPruning is set.
+	// Stats.PlanSource reports which path answered. The cluster
+	// primitives ignore it (ClusterRank, MaterializeAt).
 	Plan bool
 }
 
@@ -363,9 +351,6 @@ type Stats struct {
 	// results satisfying the keyword semantics.
 	ViewSize int `json:"view_size"`
 	Matched  int `json:"matched"`
-	// KeywordPruned reports whether the selection-view keyword pruning
-	// optimization was applied.
-	KeywordPruned bool `json:"-"`
 	// BaseData counts base-data subtree fetches (top-k materialization
 	// only).
 	BaseData int `json:"base_data"`
@@ -403,12 +388,10 @@ type Result struct {
 	Rank  int
 	Score float64
 	TFs   []int
-	// Element is the materialized result (pruned if SkipMaterialize). It
-	// is read-only: it may share nodes with the corpus, the catalog's
-	// artifacts and other results.
+	// Element is the materialized result. It is read-only: it may share
+	// nodes with the corpus, the catalog's artifacts and other results.
 	Element *xmltree.Node
-	// Snippet is a keyword-in-context excerpt from the materialized
-	// element ("" when SkipMaterialize is set).
+	// Snippet is a keyword-in-context excerpt from Element.
 	Snippet string
 }
 
@@ -492,14 +475,22 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 // probes and QPT (pattern) matching inside PrepareLists, then PDT
 // construction. The PDT is keyword-free — its shape, values and byte
 // lengths depend on (QPT, document) alone, and collect derives the term
-// frequencies of the results that survive evaluation — so the keywords
-// reach PrepareLists only when a KeywordFilter prunes by them.
-func (u unit) generatePDT(kws []string, filter *pdt.KeywordFilter) *pdt.PDT {
-	if filter == nil {
-		kws = nil
+// frequencies of the results that survive evaluation — so PrepareLists
+// gets no keywords.
+func (u unit) generatePDT() *pdt.PDT {
+	return pdt.Generate(u.q, pdt.PrepareLists(u.q, u.pix, u.iix, nil), u.name)
+}
+
+// document is the unit's PDT as evaluation sees it: the PDT's document or,
+// when no element qualified, a root-less document under the unit's name and
+// ID. Evaluation binds that as a childless document node, so a view that
+// binds document nodes yields a result for every candidate, as it does over
+// the base documents.
+func (u unit) document(pd *pdt.PDT) *xmltree.Document {
+	if pd.Doc != nil {
+		return pd.Doc
 	}
-	lists := pdt.PrepareLists(u.q, u.pix, u.iix, kws)
-	return pdt.GenerateFiltered(u.q, lists, u.name, filter)
+	return &xmltree.Document{Name: u.name, DocID: u.docID}
 }
 
 // keywordLists resolves every candidate document's posting list for each
@@ -546,25 +537,26 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // generatePDTs is the PDT-generation half of direct view output: one PDT per
 // candidate unit on a pool of stats.Workers, the node and byte tally and
 // PDTTime recorded in stats, and the PDTs assembled into the evaluation
-// catalog (a PDT with no qualifying elements contributes nothing, exactly
-// like an unknown document). The caller holds the plan's shard read locks.
-func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.KeywordFilter, stats *Stats) (*evalCatalog, error) {
+// catalog (a PDT with no qualifying elements as a root-less document, see
+// unit.document). The caller holds the plan's shard read locks.
+func (p *plan) generatePDTs(ctx context.Context, stats *Stats) (*evalCatalog, error) {
 	start := time.Now()
 	pdts := make([]*pdt.PDT, len(p.units))
 	if err := forEach(ctx, stats.Workers, len(p.units), func(i int) {
-		pdts[i] = p.units[i].generatePDT(kws, filter)
+		pdts[i] = p.units[i].generatePDT()
 	}); err != nil {
 		return nil, err
 	}
-	c := &evalCatalog{byName: map[string]*xmltree.Document{}}
-	for _, pd := range pdts {
+	c := &evalCatalog{
+		byName:  make(map[string]*xmltree.Document, len(pdts)),
+		ordered: make([]*xmltree.Document, len(pdts)),
+	}
+	for i, pd := range pdts {
 		stats.PDTNodes += pd.Nodes
 		stats.PDTBytes += pd.Bytes
-		if pd.Doc == nil {
-			continue
-		}
-		c.byName[pd.SourceName] = pd.Doc
-		c.ordered = append(c.ordered, pd.Doc)
+		doc := p.units[i].document(pd)
+		c.byName[doc.Name] = doc
+		c.ordered[i] = doc
 	}
 	// Units are ordered QPT-major; pattern expansion must follow corpus
 	// (document ID) order across the whole catalog.
@@ -576,8 +568,8 @@ func (p *plan) generatePDTs(ctx context.Context, kws []string, filter *pdt.Keywo
 // wholeViewOutput is direct view output for every view that does not run
 // per document: all PDTs first, then the unchanged evaluator runs the view
 // over the catalog of all of them (evalView).
-func (p *plan) wholeViewOutput(ctx context.Context, v *View, out *viewOutput, filter *pdt.KeywordFilter) error {
-	cat, err := p.generatePDTs(ctx, out.kws, filter, out.stats)
+func (p *plan) wholeViewOutput(ctx context.Context, v *View, out *viewOutput) error {
+	cat, err := p.generatePDTs(ctx, out.stats)
 	if err != nil {
 		return err
 	}
@@ -623,7 +615,7 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 	// even while concurrent searches drive the store's shared counters.
 	fetcher := &scoring.CountingFetcher{Fetcher: e.Store}
 	results := make([]Result, 0, max(0, len(ranked)-offset))
-	for r, err := range out.winners(ctx, ranked, offset, opts, fetcher) {
+	for r, err := range out.winners(ctx, ranked, offset, fetcher) {
 		if err != nil {
 			return nil, nil, err
 		}
@@ -708,9 +700,8 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	// this view's documents cannot land between here and the skeleton
 	// store below — a bump from an unrelated shard only makes the store a
 	// refused no-op.
-	planned := planEligible(opts)
 	planGen, served := 0, false
-	if planned {
+	if opts.Plan {
 		planGen = e.Catalog.Gen()
 		if served, err = e.tryPlan(ctx, v, p, out); err != nil {
 			return nil, err
@@ -720,17 +711,10 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		// QPTs are compile-time; generate the PDTs from the indices alone,
 		// then run the unchanged evaluator over them: one work unit per
 		// candidate document when the view allows it, else the whole view.
-		var filter *pdt.KeywordFilter
-		if opts.KeywordPruning && len(out.kws) > 0 {
-			if node := selectionFilterNode(v); node != nil {
-				filter = &pdt.KeywordFilter{Node: node, Conjunctive: !opts.Disjunctive}
-				stats.KeywordPruned = true
-			}
-		}
 		if v.perDocument {
-			err = p.perDocumentOutput(ctx, v, out, filter)
+			err = p.perDocumentOutput(ctx, v, out)
 		} else {
-			err = p.wholeViewOutput(ctx, v, out, filter)
+			err = p.wholeViewOutput(ctx, v, out)
 		}
 		if err != nil {
 			return nil, err
@@ -741,7 +725,7 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		// the store), so sharing them with future serves is safe.
 		// AccessDirect counts this search toward promotion; the entry
 		// points materialize after the locks drop.
-		if planned {
+		if opts.Plan {
 			e.Catalog.StoreSkeleton(v.Text, planGen, out.results, skeletonFootprint(out.results))
 			stats.promotable = e.Catalog.AccessDirect(v.Text)
 		}
@@ -788,7 +772,7 @@ const snippetWidth = 160
 // materialized view are already complete trees and are handed out as they
 // are. Either way a Result's Element is read-only and may share nodes with
 // the store, the catalog and other results.
-func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offset int, opts Options, fetcher scoring.Fetcher) iter.Seq2[Result, error] {
+func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offset int, fetcher scoring.Fetcher) iter.Seq2[Result, error] {
 	// The sequence may outlive the search by a long time (a slow stream
 	// consumer): capture what it needs, not o, so the unranked remainder of
 	// the view output is collectable meanwhile.
@@ -801,52 +785,15 @@ func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offse
 			}
 			sc := ranked[i]
 			r := Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: sc.Result}
-			if !opts.SkipMaterialize {
-				if !prebuilt {
-					r.Element = scoring.Materialize(sc.Result, fetcher)
-				}
-				r.Snippet = scoring.Snippet(r.Element, kws, snippetWidth)
+			if !prebuilt {
+				r.Element = scoring.Materialize(sc.Result, fetcher)
 			}
+			r.Snippet = scoring.Snippet(r.Element, kws, snippetWidth)
 			if !yield(r, nil) {
 				return
 			}
 		}
 	}
-}
-
-// selectionFilterNode decides whether a view is selection-shaped — every
-// view result is exactly one base element — and if so returns the QPT node
-// whose elements are the results. Shapes accepted: a FLWOR whose clauses
-// bind paths over a single document and whose return is the (last) loop
-// variable, or a bare (filtered) path expression. Exactly one QPT with
-// exactly one 'c'-annotated node is required; anything else (joins across
-// documents, constructors, nesting) is rejected as non-monotone.
-func selectionFilterNode(v *View) *qpt.Node {
-	if len(v.QPTs) != 1 {
-		return nil
-	}
-	switch x := v.Expr.(type) {
-	case *xq.FLWORExpr:
-		rv, ok := x.Return.(*xq.VarExpr)
-		if !ok || rv.Name != x.Clauses[len(x.Clauses)-1].Var {
-			return nil
-		}
-	case *xq.StepExpr, *xq.FilterExpr:
-		// bare path views return base elements directly
-		_ = x
-	default:
-		return nil
-	}
-	var cnode *qpt.Node
-	for _, n := range v.QPTs[0].Nodes() {
-		if n.C {
-			if cnode != nil {
-				return nil // multiple output nodes: not a selection view
-			}
-			cnode = n
-		}
-	}
-	return cnode
 }
 
 // NormalizeKeyword canonicalizes one query keyword the way every pipeline

@@ -136,14 +136,6 @@ func TestSearchTopK(t *testing.T) {
 	if stats.BaseData == 0 {
 		t.Error("expected materialization fetches for the winner")
 	}
-	// With SkipMaterialize no base data is touched at all.
-	_, stats2, err := e.Search(v, []string{"xml"}, Options{K: 1, SkipMaterialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.BaseData != 0 {
-		t.Errorf("SkipMaterialize still fetched %d subtrees", stats2.BaseData)
-	}
 }
 
 func TestSplitKeywordQuery(t *testing.T) {

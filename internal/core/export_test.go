@@ -1,5 +1,11 @@
 package core
 
+import (
+	"context"
+
+	"vxml/internal/scoring"
+)
+
 // PerDocumentReason exposes perDocumentReason to the external tests: ""
 // when v runs one work unit per candidate document, else why it does not.
 func PerDocumentReason(v *View) string { return perDocumentReason(v.Deps) }
@@ -13,4 +19,15 @@ func WholeViewCopy(v *View) *View {
 	w := *v
 	w.perDocument = false
 	return &w
+}
+
+// RankedPruned runs a search short of materialization — plan, view output,
+// collect, select — and returns its ranked winners as the pruned trees they
+// are, so the external tests can compare rankings without base data.
+func RankedPruned(e *Engine, v *View, keywords []string, opts Options) ([]scoring.Scored, *Stats, error) {
+	ranked, out, err := e.rankedSearch(context.Background(), v, keywords, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ranked, out.stats, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"vxml/internal/docname"
 	"vxml/internal/invindex"
-	"vxml/internal/pdt"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
@@ -247,7 +246,7 @@ type docWorker struct {
 func (w *docWorker) listsOf(int32) []*invindex.PostingList { return w.lists }
 
 // docCatalog is the evaluation catalog of one per-document work unit: the
-// unit's (non-empty) PDT alone.
+// unit's PDT document alone.
 type docCatalog struct {
 	docs [1]*xmltree.Document
 }
@@ -267,16 +266,14 @@ func (c *docCatalog) DocsMatching(pattern string) []*xmltree.Document {
 }
 
 // run is one per-document work unit: PDT generation, then evaluate. An
-// empty PDT gives no outer binding and so no result.
-func (w *docWorker) run(u unit, v *View, kws []string, filter *pdt.KeywordFilter, d *docOutput) {
+// empty PDT is evaluated as a root-less document (unit.document).
+func (w *docWorker) run(u unit, v *View, kws []string, d *docOutput) {
 	start := time.Now()
-	pd := u.generatePDT(kws, filter)
+	pd := u.generatePDT()
 	d.nodes, d.bytes = pd.Nodes, pd.Bytes
 	generated := time.Now()
 	d.gen = generated.Sub(start)
-	if pd.Doc != nil {
-		d.err = w.evaluate(u, pd.Doc, v, kws, d)
-	}
+	d.err = w.evaluate(u, u.document(pd), v, kws, d)
 	d.eval = time.Since(generated)
 }
 
@@ -316,14 +313,14 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 // the whole view's results; each result's owner is its unit's document.
 // PDTTime and EvalTime split the pass's wall time in proportion to the
 // units' summed generation and evaluation-plus-collection times.
-func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput, filter *pdt.KeywordFilter) error {
+func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) error {
 	stats := out.stats
 	start := time.Now()
 	docs := make([]docOutput, len(p.units))
 	if err := forEachWorker(ctx, stats.Workers, len(p.units), func() func(int) {
 		w := &docWorker{ev: xqeval.New(nil, v.Funcs)}
 		w.ev.SetContext(ctx)
-		return func(i int) { w.run(p.units[i], v, out.kws, filter, &docs[i]) }
+		return func(i int) { w.run(p.units[i], v, out.kws, &docs[i]) }
 	}); err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"vxml/internal/baseline"
 	"vxml/internal/core"
+	"vxml/internal/gtp"
 	"vxml/internal/testkit"
 )
 
@@ -55,20 +56,15 @@ func TestPerDocumentEligibility(t *testing.T) {
 }
 
 // perDocViews are per-document views covering a constructor, an equality
-// where, a selection (KeywordPruning's filter applies) and a
-// document-node binding.
-// The last is not held against Baseline: a part without articles has an
-// empty PDT, so no PDT pipeline (whole-view or per-document) binds its
-// document node, while Baseline binds it and returns an empty <n/>, which
-// changes |V(D)| and with it every IDF.
-var perDocViews = []struct {
-	text     string
-	baseline bool
-}{
-	{testkit.EqViews[0], true},
-	{testkit.EqViews[3], true},
-	{`for $a in fn:collection("part-*")/books//article where $a/fm/yr > 1990 return $a`, true},
-	{`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`, false},
+// where, a selection and a document-node binding. The last binds every
+// candidate's document node, including part-zz's, whose PDT is empty: the
+// PDT pipelines must still bind it and return an empty <n/>, as Baseline
+// does, or |V(D)| and with it every IDF would differ.
+var perDocViews = []string{
+	testkit.EqViews[0],
+	testkit.EqViews[3],
+	`for $a in fn:collection("part-*")/books//article where $a/fm/yr > 1990 return $a`,
+	`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`,
 }
 
 // TestPerDocumentMatchesWholeViewAndBaseline holds the per-document
@@ -88,8 +84,8 @@ func TestPerDocumentMatchesWholeViewAndBaseline(t *testing.T) {
 	}
 	kwSets := [][]string{{"copper"}, {"copper", "quartz"}, nil}
 	matched := 0
-	for vi, pv := range perDocViews {
-		v, err := e.CompileView(pv.text)
+	for vi, text := range perDocViews {
+		v, err := e.CompileView(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +99,7 @@ func TestPerDocumentMatchesWholeViewAndBaseline(t *testing.T) {
 					{Parallelism: par},
 					{Parallelism: par, K: 3},
 					{Parallelism: par, Disjunctive: true},
-					{Parallelism: par, KeywordPruning: true},
-					{Parallelism: par, KeywordPruning: true, Disjunctive: true, K: 4},
+					{Parallelism: par, Disjunctive: true, K: 4},
 				} {
 					label := fmt.Sprintf("view %d kws %v opts %+v", vi, kws, opts)
 					got, gotStats := statRows(t, e, v, kws, opts)
@@ -112,30 +107,30 @@ func TestPerDocumentMatchesWholeViewAndBaseline(t *testing.T) {
 					mustEqualRows(t, label+" vs whole view", want, got)
 					if gotStats.PDTNodes != wantStats.PDTNodes || gotStats.PDTBytes != wantStats.PDTBytes ||
 						gotStats.Candidates != wantStats.Candidates || gotStats.ViewSize != wantStats.ViewSize ||
-						gotStats.Matched != wantStats.Matched || gotStats.KeywordPruned != wantStats.KeywordPruned {
+						gotStats.Matched != wantStats.Matched {
 						t.Fatalf("%s: stats diverge from whole view\nwant %+v\ngot  %+v", label, wantStats, gotStats)
 					}
 					matched += gotStats.Matched
-					if opts.KeywordPruning {
-						continue // pruning rescores by design; Baseline and the cluster do not prune
-					}
 					mustEqualRows(t, label+" cluster", got, clusterRows(t, e, v, kws, opts))
 					mustAttributeLikeWholeView(t, label, e, v, whole, kws, opts)
-					if !pv.baseline {
-						continue
-					}
 					base, _, err := baseline.Search(e, v, kws, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(base) != len(got) {
-						t.Fatalf("%s: %d results, baseline has %d", label, len(got), len(base))
+					tj, _, err := gtp.Search(e, v, kws, opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i, r := range base {
-						w := rowOf(r)
-						w.snippet = got[i].snippet // Baseline cuts no snippets
-						if w != got[i] {
-							t.Fatalf("%s: result %d differs from baseline\nwant %+v\ngot  %+v", label, i, w, got[i])
+					for name, rs := range map[string][]core.Result{"baseline": base, "gtp": tj} {
+						if len(rs) != len(got) {
+							t.Fatalf("%s: %d results, %s has %d", label, len(got), name, len(rs))
+						}
+						for i, r := range rs {
+							w := rowOf(r)
+							w.snippet = got[i].snippet // the comparators cut no snippets
+							if w != got[i] {
+								t.Fatalf("%s: result %d differs from %s\nwant %+v\ngot  %+v", label, i, name, w, got[i])
+							}
 						}
 					}
 				}

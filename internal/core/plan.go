@@ -36,14 +36,6 @@ import (
 	"vxml/internal/xmltree"
 )
 
-// planEligible reports whether this search may serve from or record
-// catalog artifacts. SkipMaterialize hands internal (possibly shared)
-// trees to the caller and KeywordPruning changes scoring statistics by
-// design; both are benchmark/ablation modes the planner stays out of.
-func planEligible(opts Options) bool {
-	return opts.Plan && !opts.SkipMaterialize && !opts.KeywordPruning
-}
-
 // tryPlan is the artifact half of the view-output phase: when the view has
 // a live catalog artifact it fills out.results from it (and out.rstats from
 // a materialized view; a skeleton's results are scored by collect, like

@@ -35,6 +35,6 @@ func (e *Engine) ResultsSeq(ctx context.Context, v *View, keywords []string, opt
 		e.maybePromote(ctx, v, opts, out.stats)
 		// The store is the fetcher directly: the sequence yields no Stats,
 		// so there is no per-search fetch count to keep.
-		out.winners(ctx, ranked, offset, opts, e.Store)(yield)
+		out.winners(ctx, ranked, offset, e.Store)(yield)
 	}
 }

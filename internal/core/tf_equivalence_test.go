@@ -12,7 +12,6 @@ import (
 	"vxml/internal/core"
 	"vxml/internal/docname"
 	"vxml/internal/pdt"
-	"vxml/internal/qpt"
 	"vxml/internal/scoring"
 	"vxml/internal/testkit"
 	"vxml/internal/xmltree"
@@ -41,28 +40,26 @@ func (c *pdtCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // stagedStats is the paper's route to the scoring inputs, through the
 // layers' public functions: PDTs generated WITH the keywords (so 'c' nodes
 // carry Meta.TFs), the view evaluated over them, and every result's Stats
-// read off the payloads by scoring.Collect(FromPDT). filterFor, when
-// non-nil, supplies the KeywordFilter of a pruned search.
-func stagedStats(t *testing.T, e *core.Engine, v *core.View, kws []string, filterFor func(*qpt.QPT) *pdt.KeywordFilter) ([]*xmltree.Node, []scoring.Stats) {
+// read off the payloads by scoring.Collect(FromPDT).
+func stagedStats(t *testing.T, e *core.Engine, v *core.View, kws []string) ([]*xmltree.Node, []scoring.Stats) {
 	t.Helper()
 	e.RLock()
 	defer e.RUnlock()
 	cat := &pdtCatalog{byName: map[string]*xmltree.Document{}}
 	for _, q := range v.QPTs {
-		var filter *pdt.KeywordFilter
-		if filterFor != nil {
-			filter = filterFor(q)
-		}
 		for _, info := range e.Store.InfosMatching(q.Doc) {
 			pix, iix := e.PathIndex(info.Name), e.InvIndex(info.Name)
 			if pix == nil || iix == nil {
 				continue
 			}
-			p := pdt.GenerateFiltered(q, pdt.PrepareLists(q, pix, iix, kws), info.Name, filter)
-			if p.Doc != nil {
-				cat.byName[p.SourceName] = p.Doc
-				cat.ordered = append(cat.ordered, p.Doc)
+			// An empty PDT still binds as a root-less document, as the
+			// engine's units bind it.
+			doc := pdt.Generate(q, pdt.PrepareLists(q, pix, iix, kws), info.Name).Doc
+			if doc == nil {
+				doc = &xmltree.Document{Name: info.Name, DocID: info.DocID}
 			}
+			cat.byName[doc.Name] = doc
+			cat.ordered = append(cat.ordered, doc)
 		}
 	}
 	slices.SortFunc(cat.ordered, func(a, b *xmltree.Document) int { return cmp.Compare(a.DocID, b.DocID) })
@@ -115,13 +112,9 @@ func tfKeywordSets(rng *rand.Rand) [][]string {
 // results under the staged Stats: same ranks, score bits, TFs and trees.
 func mustMatchStaged(t *testing.T, label string, e *core.Engine, v *core.View, kws []string, opts core.Options, results []*xmltree.Node, stats []scoring.Stats) {
 	t.Helper()
-	opts.SkipMaterialize = true
-	got, st, err := e.Search(v, kws, opts)
+	got, st, err := core.RankedPruned(e, v, kws, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
-	}
-	if opts.KeywordPruning && !st.KeywordPruned {
-		t.Fatalf("%s: the search was not pruned", label)
 	}
 	want := scoring.RankWithStats(results, stats, normalized(kws), !opts.Disjunctive, 0)
 	if st.ViewSize != len(results) || st.Matched != want.Matched || len(got) != len(want.Results) {
@@ -130,10 +123,10 @@ func mustMatchStaged(t *testing.T, label string, e *core.Engine, v *core.View, k
 	}
 	for i, w := range want.Results {
 		g := got[i]
-		if math.Float64bits(g.Score) != math.Float64bits(w.Score) || fmt.Sprint(g.TFs) != fmt.Sprint(w.Stats.TFs) ||
-			g.Element.XMLString("") != w.Result.XMLString("") {
+		if math.Float64bits(g.Score) != math.Float64bits(w.Score) || fmt.Sprint(g.Stats.TFs) != fmt.Sprint(w.Stats.TFs) ||
+			g.Result.XMLString("") != w.Result.XMLString("") {
 			t.Fatalf("%s: rank %d differs\nengine score %v tfs %v %s\nstaged score %v tfs %v %s", label, i+1,
-				g.Score, g.TFs, g.Element.XMLString(""), w.Score, w.Stats.TFs, w.Result.XMLString(""))
+				g.Score, g.Stats.TFs, g.Result.XMLString(""), w.Score, w.Stats.TFs, w.Result.XMLString(""))
 		}
 	}
 }
@@ -154,7 +147,7 @@ func TestCollectDerivesThePDTTermFrequencies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kws := range tfKeywordSets(rand.New(rand.NewSource(int64(vi)))) {
-			results, stats := stagedStats(t, e, v, normalized(kws), nil)
+			results, stats := stagedStats(t, e, v, normalized(kws))
 			for _, disjunctive := range []bool{false, true} {
 				label := fmt.Sprintf("view %d kws %v disjunctive %v", vi, kws, disjunctive)
 				mustMatchStaged(t, label, e, v, kws, core.Options{Disjunctive: disjunctive, Parallelism: 1 + 3*(vi%2)}, results, stats)
@@ -188,35 +181,5 @@ func TestCollectDerivesThePDTTermFrequencies(t *testing.T) {
 	}
 	if matchedCells < 20 {
 		t.Fatalf("only %d cells matched anything; the corpus no longer exercises the derivation", matchedCells)
-	}
-}
-
-// TestKeywordPruningDerivesTheSameTermFrequencies: a pruned selection search
-// is the one engine path that still hands keywords to PrepareLists (the
-// KeywordFilter reads the inverted lists), and its Stats must still equal
-// those of the staged route under the same filter.
-func TestKeywordPruningDerivesTheSameTermFrequencies(t *testing.T) {
-	e := eqEngine(t, 61, 10)
-	v, err := e.CompileView(`for $a in fn:doc(part-00.xml)/books//article where $a/fm/yr > 1989 return $a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kws := range tfKeywordSets(rand.New(rand.NewSource(5))) {
-		if len(kws) == 0 {
-			continue // pruning is off without keywords
-		}
-		for _, disjunctive := range []bool{false, true} {
-			results, stats := stagedStats(t, e, v, normalized(kws), func(q *qpt.QPT) *pdt.KeywordFilter {
-				for _, n := range q.Nodes() {
-					if n.C {
-						return &pdt.KeywordFilter{Node: n, Conjunctive: !disjunctive}
-					}
-				}
-				t.Fatal("selection view has no 'c' node")
-				return nil
-			})
-			label := fmt.Sprintf("pruned kws %v disjunctive %v", kws, disjunctive)
-			mustMatchStaged(t, label, e, v, kws, core.Options{Disjunctive: disjunctive, KeywordPruning: true}, results, stats)
-		}
 	}
 }

@@ -1102,9 +1102,6 @@ func (ds *Store) DiskStats() Stats {
 	return st
 }
 
-// OpenDuration returns the wall time the Open call spent.
-func (ds *Store) OpenDuration() time.Duration { return ds.openWall }
-
 // SnapshotFiles emits the corpus's raw on-disk files (data log first,
 // manifest last, mirroring commit order) — the cluster ships these bytes
 // verbatim instead of re-serializing every document, so a snapshot of a

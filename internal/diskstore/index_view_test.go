@@ -213,14 +213,14 @@ func TestIndexViewMatchesBuild(t *testing.T) {
 				t.Fatalf("%s: list %q decodes differently from Build's", name, wl.Keyword)
 			}
 			for _, id := range ids {
-				if gl.SubtreeTF(id) != wl.SubtreeTF(id) || gl.ContainsSubtree(id) != wl.ContainsSubtree(id) {
+				if gl.SubtreeTF(id) != wl.SubtreeTF(id) {
 					t.Fatalf("%s: %q range probe at %v differs from Build's", name, wl.Keyword, id)
 				}
 			}
 		}
 		for _, kw := range absentKeywords(r, lists, 50) {
 			gl := got.Lookup(kw)
-			if gl.Len() != 0 || gl.TotalTF() != 0 || gl.SubtreeTF(doc.Root.ID) != 0 || gl.ContainsSubtree(doc.Root.ID) {
+			if gl.Len() != 0 || gl.TotalTF() != 0 || gl.SubtreeTF(doc.Root.ID) != 0 {
 				t.Fatalf("%s: absent keyword %q answers %+v", name, kw, gl)
 			}
 		}

@@ -93,9 +93,12 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 				return nil, nil, fmt.Errorf("gtp: indices of %q: %w", doc.Name, err)
 			}
 			pruned := joinQPT(e, q, doc.Name, pix, iix, kws, stats)
-			if pruned.Doc != nil {
-				docs[doc.Name] = pruned.Doc
+			if pruned.Doc == nil {
+				// No element qualified: the document still binds, as a
+				// childless document node, as in the Efficient pipeline.
+				pruned.Doc = &xmltree.Document{Name: doc.Name, DocID: doc.DocID}
 			}
+			docs[doc.Name] = pruned.Doc
 		}
 	}
 	stats.PDTTime = time.Since(start)
@@ -124,10 +127,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("gtp: search interrupted: %w", err)
 		}
-		elem := sc.Result
-		if !opts.SkipMaterialize {
-			elem = scoring.Materialize(sc.Result, e.Store)
-		}
+		elem := scoring.Materialize(sc.Result, e.Store)
 		out = append(out, core.Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: elem})
 	}
 	stats.PostTime = time.Since(start)

@@ -217,13 +217,6 @@ func (pl *PostingList) SubtreeTF(id dewey.ID) int {
 	return pl.tfPrefix[hi] - pl.tfPrefix[lo]
 }
 
-// ContainsSubtree reports whether the subtree rooted at id contains the
-// keyword (the paper's contains(e, k), answered from the index alone).
-func (pl *PostingList) ContainsSubtree(id dewey.ID) bool {
-	lo, hi := pl.rangeBounds(id)
-	return hi > lo
-}
-
 // Lists returns every posting list in keyword order — the serialization
 // seam the disk backend encodes indices through. A resident index returns
 // its own lists (read-only); a view decodes each of its lists.

@@ -61,17 +61,3 @@ func BenchmarkSubtreeTFProbe(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkContainsSubtreeProbe(b *testing.B) {
-	doc := benchDoc(b, 100)
-	ix := Build(doc)
-	pl := ix.Lookup("moore")
-	articles := doc.Root.Children
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range articles {
-			pl.ContainsSubtree(a.ID)
-		}
-	}
-}

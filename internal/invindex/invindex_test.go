@@ -90,16 +90,10 @@ func TestSubtreeTFAggregation(t *testing.T) {
 	if got := pl.SubtreeTF(dewey.MustParse("2.2")); got != 0 {
 		t.Errorf("SubtreeTF(2.2) = %d", got)
 	}
-}
-
-func TestContainsSubtree(t *testing.T) {
-	_, ix := buildReviews(t)
-	pl := ix.Lookup("read")
-	if !pl.ContainsSubtree(dewey.MustParse("2.2")) {
-		t.Error("review 2 contains 'read'")
-	}
-	if pl.ContainsSubtree(dewey.MustParse("2.1")) {
-		t.Error("review 1 does not contain 'read'")
+	// contains(e, k) is SubtreeTF > 0: review 2 has 'read', review 1 not.
+	read := ix.Lookup("read")
+	if read.SubtreeTF(dewey.MustParse("2.2")) == 0 || read.SubtreeTF(dewey.MustParse("2.1")) != 0 {
+		t.Error("only review 2 contains 'read'")
 	}
 }
 
@@ -171,9 +165,6 @@ func TestQuickSubtreeTFEqualsWalk(t *testing.T) {
 		doc.Root.Walk(func(n *xmltree.Node) {
 			want := xmltree.SubtreeTF(n, []string{kw})[0]
 			if pl.SubtreeTF(n.ID) != want {
-				ok = false
-			}
-			if pl.ContainsSubtree(n.ID) != (want > 0) {
 				ok = false
 			}
 		})
@@ -257,7 +248,7 @@ func TestRangeBoundsMatchesTwoBinarySearches(t *testing.T) {
 			for _, p := range pl.Postings[wantLo:wantHi] {
 				want += p.TF
 			}
-			if got := pl.SubtreeTF(id); got != want || pl.ContainsSubtree(id) != (want > 0) {
+			if got := pl.SubtreeTF(id); got != want {
 				t.Fatalf("trial %d: SubtreeTF(%s) = %d, want %d", trial, id, got, want)
 			}
 		}

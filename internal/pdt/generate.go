@@ -98,10 +98,9 @@ type Element struct {
 }
 
 type generator struct {
-	q      *qpt.QPT
-	lists  *Lists
-	stack  []*ctNode
-	filter *KeywordFilter
+	q     *qpt.QPT
+	lists *Lists
+	stack []*ctNode
 	// layout is the QPT's DescendantMap bit layout, computed once per QPT
 	// (qpt.MandatoryLayout) and shared read-only across generator runs.
 	layout *qpt.MandLayout
@@ -115,8 +114,7 @@ type generator struct {
 	entryPool freeList[cacheEntry]
 	groupPool freeList[entryGroup]
 	cursors   []int
-	qbuf      []*qpt.Node // filterQNodes' result
-	lift      []*ctItem   // finalize's rewritten ParentList
+	lift      []*ctItem // finalize's rewritten ParentList
 	// src and marks are indexed by push sequence number: where each pushed
 	// element lives in the lists, and whether (and how annotated) it was
 	// emitted. There is no emission record — an element's payload stays in
@@ -143,47 +141,27 @@ func (f *freeList[T]) get() *T {
 
 func (f *freeList[T]) put(x *T) { *f = append(*f, x) }
 
-// genPool recycles generators across GenerateFiltered calls: a search runs
+// genPool recycles generators across Generate calls: a search runs
 // one generation per candidate document, and the Candidate-Tree scratch
 // is identical in shape every time.
 var genPool = sync.Pool{New: func() any { return &generator{} }}
 
-// KeywordFilter enables the monotone special case of the paper's "avoid
-// producing pruned view elements that do not make it to the top few
-// results" future-work direction (§7): for selection views, a view result
-// is exactly one base element, so an element of Node whose subtree lacks a
-// required keyword can be skipped during PDT generation — it can never be
-// a query result. Joins and nesting make this unsound in general (the
-// paper's non-monotonicity discussion), so callers only pass a filter for
-// selection-shaped views.
-type KeywordFilter struct {
-	Node *qpt.Node
-	// Conjunctive requires every keyword in the element; otherwise any.
-	Conjunctive bool
-}
-
 // Generate builds the PDT for one QPT over one document's prepared lists,
-// using only index data (no base-document access).
+// using only index data (no base-document access). Generators are recycled
+// through a pool: the Candidate Tree and its free lists are scratch that
+// survives across candidate documents, so steady-state generation
+// allocates only for the PDT it emits.
 func Generate(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
-	return GenerateFiltered(q, lists, sourceName, nil)
-}
-
-// GenerateFiltered is Generate with an optional keyword filter for
-// selection views. Generators are recycled through a pool: the Candidate
-// Tree and its free lists are scratch that survives across candidate
-// documents, so steady-state generation allocates only for the PDT it
-// emits.
-func GenerateFiltered(q *qpt.QPT, lists *Lists, sourceName string, filter *KeywordFilter) *PDT {
 	g := genPool.Get().(*generator)
-	pdt := g.run(q, lists, sourceName, filter)
+	pdt := g.run(q, lists, sourceName)
 	genPool.Put(g)
 	return pdt
 }
 
 // run is one generation. It leaves g reset: scratch backings kept, nothing
 // that points into the document's index.
-func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string, filter *KeywordFilter) *PDT {
-	g.q, g.lists, g.filter, g.layout = q, lists, filter, q.MandatoryLayout()
+func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
+	g.q, g.lists, g.layout = q, lists, q.MandatoryLayout()
 	// Virtual root CT node: the document itself, always in the PDT.
 	virtual := g.newNode(nil, srcRef{})
 	rootItem := g.newItem(virtual, q.Root)
@@ -217,7 +195,7 @@ func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string, filter *Key
 // nodes are zeroed), so a pooled generator never keeps a replaced
 // document's index alive.
 func (g *generator) reset() {
-	g.q, g.lists, g.filter, g.layout = nil, nil, nil, nil
+	g.q, g.lists, g.layout = nil, nil, nil
 	g.src, g.marks = g.src[:0], g.marks[:0]
 }
 
@@ -264,11 +242,11 @@ func (g *generator) insert(list, posting int) {
 		top = g.stack[len(g.stack)-1]
 	}
 	// Push matched prefixes not yet on the stack. Those are all deeper than
-	// the top: the match set of a prefix depends only on its path (and the
-	// filter only on its ID), so a shallower prefix that is not on the
-	// stack was found unmatched when the top was pushed.
+	// the top: the match set of a prefix depends only on its path, so a
+	// shallower prefix that is not on the stack was found unmatched when
+	// the top was pushed.
 	for d := top.depth + 1; d <= len(id); d++ {
-		if qnodes := g.filterQNodes(pl.Matches[d-1], id[:d]); len(qnodes) > 0 {
+		if qnodes := pl.Matches[d-1]; len(qnodes) > 0 {
 			g.push(id[:d], at(d), qnodes)
 		}
 	}
@@ -287,45 +265,8 @@ func (g *generator) insert(list, posting int) {
 	// (a node pushed as a prefix only pointed at a descendant's).
 	g.src[target.seq] = at(len(id))
 	if len(pl.QNode.Preds) > 0 && !target.hasItemFor(pl.QNode) {
-		if g.filter == nil || pl.QNode != g.filter.Node || g.keywordEligible(id) {
-			g.newItem(target, pl.QNode)
-		}
+		g.newItem(target, pl.QNode)
 	}
-}
-
-// filterQNodes drops the keyword filter's node from a match set when the
-// element's subtree cannot satisfy the keyword semantics. The input slice
-// is shared across postings and never mutated; a filtered result lives in
-// the generator's scratch until the next call.
-func (g *generator) filterQNodes(qnodes []*qpt.Node, id dewey.ID) []*qpt.Node {
-	if g.filter == nil {
-		return qnodes
-	}
-	for i, q := range qnodes {
-		if q == g.filter.Node && !g.keywordEligible(id) {
-			g.qbuf = append(append(g.qbuf[:0], qnodes[:i]...), qnodes[i+1:]...)
-			return g.qbuf
-		}
-	}
-	return qnodes
-}
-
-// keywordEligible checks the subtree term frequencies of id against the
-// keyword filter (index-only).
-func (g *generator) keywordEligible(id dewey.ID) bool {
-	if len(g.lists.Inv) == 0 {
-		return true
-	}
-	for _, pl := range g.lists.Inv {
-		has := pl.ContainsSubtree(id)
-		if g.filter.Conjunctive && !has {
-			return false
-		}
-		if !g.filter.Conjunctive && has {
-			return true
-		}
-	}
-	return g.filter.Conjunctive
 }
 
 func (n *ctNode) hasItemFor(q *qpt.Node) bool {

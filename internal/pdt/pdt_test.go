@@ -509,10 +509,10 @@ func TestGenerateAllocationsIndependentOfDocumentSize(t *testing.T) {
 		sb.WriteString("</books>")
 		doc := parseDoc(t, sb.String(), "books.xml", 1)
 		lists := PrepareLists(q, pathindex.Build(doc), invindex.Build(doc), nil)
-		if n := g.run(q, lists, doc.Name, nil).Nodes; n < books { // also grows the scratch to this document
+		if n := g.run(q, lists, doc.Name).Nodes; n < books { // also grows the scratch to this document
 			t.Fatalf("%d books: PDT of %d nodes", books, n)
 		}
-		allocs = append(allocs, testing.AllocsPerRun(50, func() { g.run(q, lists, doc.Name, nil) }))
+		allocs = append(allocs, testing.AllocsPerRun(50, func() { g.run(q, lists, doc.Name) }))
 	}
 	if allocs[1] > allocs[0]+1 || allocs[0] > 8 {
 		t.Errorf("Generate allocates %v objects over 100 books and %v over 400, want the same handful", allocs[0], allocs[1])

@@ -50,8 +50,8 @@ type Lists struct {
 // size — and so does the work per probe: segments and unfiltered posting
 // lists come out of the index as stored and the per-depth match sets out of
 // the QPT's memo, so nothing is copied, split or sorted per call. Keywords
-// only feed Meta.TFs and the KeywordFilter; a caller that needs neither
-// passes none and gets keyword-free PDTs.
+// only feed Meta.TFs; a caller that does not need them passes none and gets
+// keyword-free PDTs.
 func PrepareLists(q *qpt.QPT, pix *pathindex.Index, iix *invindex.Index, keywords []string) *Lists {
 	probes := q.Probes()
 	out := &Lists{Keywords: keywords, Paths: make([]*PathList, 0, len(probes))} // usually one full path per probe

@@ -472,8 +472,3 @@ func (d *Document) ComputeStats() Stats {
 	s.Bytes = d.Root.ByteLen
 	return s
 }
-
-// FormatDocID renders id prefixed with the document name for error messages.
-func (d *Document) FormatDocID(id dewey.ID) string {
-	return d.Name + "#" + id.String()
-}

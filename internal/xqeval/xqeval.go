@@ -164,13 +164,18 @@ const docNodeTag = "#document"
 
 // docNode returns the cached document node for doc: a "#document" wrapper
 // whose single child is the root element, so a leading /roottag step works
-// as in XPath. The wrapper only references the root, so catalog documents
-// stay unchanged — which is what lets concurrent evaluators share one
-// catalog.
+// as in XPath. A root-less document (a PDT in which no element qualified)
+// is a childless document node: it still binds, as its base document
+// would, but no step below it finds anything. The wrapper only references
+// the root, so catalog documents stay unchanged — which is what lets
+// concurrent evaluators share one catalog.
 func (e *Evaluator) docNode(doc *xmltree.Document) *xmltree.Node {
 	dn := e.docNodes[doc]
 	if dn == nil {
-		dn = &xmltree.Node{Tag: docNodeTag, Children: []*xmltree.Node{doc.Root}}
+		dn = &xmltree.Node{Tag: docNodeTag}
+		if doc.Root != nil {
+			dn.Children = []*xmltree.Node{doc.Root}
+		}
 		e.docNodes[doc] = dn
 	}
 	return dn
@@ -263,13 +268,13 @@ func (e *Evaluator) eval(expr xq.Expr, en *env) error {
 				return nil
 			}
 			for _, doc := range cc.DocsMatching(x.Name) {
-				if doc != nil && doc.Root != nil {
+				if doc != nil {
 					e.stack = append(e.stack, e.docNode(doc))
 				}
 			}
 			return nil
 		}
-		if doc := e.catalog.Doc(x.Name); doc != nil && doc.Root != nil {
+		if doc := e.catalog.Doc(x.Name); doc != nil {
 			e.stack = append(e.stack, e.docNode(doc))
 		}
 	case *xq.VarExpr:
