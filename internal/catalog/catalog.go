@@ -201,8 +201,7 @@ const (
 	churnCap             = 6
 )
 
-// DefaultCapacity bounds the exact-entry count when the caller does not
-// choose one.
+// DefaultCapacity bounds the exact-entry count.
 const DefaultCapacity = 128
 
 // DefaultMaxBytes bounds the total caller-reported size of resident exact
@@ -240,38 +239,18 @@ type entry struct {
 	value any
 }
 
-// New returns an empty catalog holding at most capacity exact entries and
-// DefaultMaxBytes of caller-reported entry size; capacity <= 0 selects
-// DefaultCapacity. The promotion policy starts at the package defaults
-// (SetPolicy overrides).
-func New(capacity int) *Catalog {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
+// New returns an empty catalog holding at most DefaultCapacity exact
+// entries and DefaultMaxBytes of caller-reported entry size, promoting at
+// DefaultPromoteHits within DefaultArtifactBytes.
+func New() *Catalog {
 	return &Catalog{
-		capacity:    capacity,
+		capacity:    DefaultCapacity,
 		maxBytes:    DefaultMaxBytes,
 		ll:          list.New(),
 		items:       map[string]*list.Element{},
 		views:       map[string]*viewEntry{},
 		promoteHits: DefaultPromoteHits,
 		artMaxBytes: DefaultArtifactBytes,
-	}
-}
-
-// SetPolicy adjusts the materialization policy: promoteHits is the planned
-// search count after which a view becomes promotable (<= 0 keeps the
-// current value) and artifactBytes the shared byte budget for skeletons and
-// materialized views (<= 0 keeps the current value). Shrinking the budget
-// does not drop already-resident artifacts; the next invalidation does.
-func (c *Catalog) SetPolicy(promoteHits, artifactBytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if promoteHits > 0 {
-		c.promoteHits = promoteHits
-	}
-	if artifactBytes > 0 {
-		c.artMaxBytes = artifactBytes
 	}
 }
 

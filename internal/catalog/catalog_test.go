@@ -51,7 +51,8 @@ func TestKeyCollisionResistance(t *testing.T) {
 func putNow(c *Catalog, key string, v any) { c.PutAt(key, v, c.Gen(), 1) }
 
 func TestGetPutAndLRUEviction(t *testing.T) {
-	c := New(2)
+	c := New()
+	c.capacity = 2
 	putNow(c, "a", 1)
 	putNow(c, "b", 2)
 	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
@@ -74,7 +75,8 @@ func TestGetPutAndLRUEviction(t *testing.T) {
 }
 
 func TestGenerationInvalidation(t *testing.T) {
-	c := New(4)
+	c := New()
+	c.capacity = 4
 	putNow(c, "k", "v")
 	c.Invalidate()
 	if _, ok := c.Get("k"); ok {
@@ -94,7 +96,8 @@ func TestGenerationInvalidation(t *testing.T) {
 }
 
 func TestPutAtDiscardsStaleGeneration(t *testing.T) {
-	c := New(4)
+	c := New()
+	c.capacity = 4
 	gen := c.Gen()
 	c.Invalidate() // an ingest lands between the Gen read and the insert
 	c.PutAt("k", "stale", gen, 1)
@@ -109,7 +112,8 @@ func TestPutAtDiscardsStaleGeneration(t *testing.T) {
 }
 
 func TestPutRefreshesExistingKey(t *testing.T) {
-	c := New(2)
+	c := New()
+	c.capacity = 2
 	putNow(c, "k", 1)
 	putNow(c, "k", 2)
 	if c.Len() != 1 {
@@ -123,7 +127,8 @@ func TestPutRefreshesExistingKey(t *testing.T) {
 // TestByteBound: resident bytes are bounded independently of entry count,
 // and an oversized value is refused rather than evicting everything.
 func TestByteBound(t *testing.T) {
-	c := New(1024)
+	c := New()
+	c.capacity = 1024
 	c.maxBytes = 100
 	c.PutAt("big", "x", c.Gen(), 101) // over the bound: refused
 	if c.Len() != 0 {
@@ -155,7 +160,8 @@ func TestByteBound(t *testing.T) {
 }
 
 func TestConcurrentMixedUse(t *testing.T) {
-	c := New(32)
+	c := New()
+	c.capacity = 32
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -187,7 +193,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 }
 
 func TestRegisterStableIDs(t *testing.T) {
-	c := New(0)
+	c := New()
 	a := c.Register("view a")
 	b := c.Register("view b")
 	if a == b {
@@ -208,7 +214,7 @@ func TestRegisterStableIDs(t *testing.T) {
 }
 
 func TestSkeletonGenerationStamping(t *testing.T) {
-	c := New(0)
+	c := New()
 	forest := []*xmltree.Node{{Tag: "r"}}
 	gen := c.Gen()
 	c.Invalidate() // a mutation lands mid-evaluation: the store must refuse
@@ -235,8 +241,8 @@ func TestSkeletonGenerationStamping(t *testing.T) {
 }
 
 func TestSkeletonBudgetRefusal(t *testing.T) {
-	c := New(0)
-	c.SetPolicy(0, 100)
+	c := New()
+	c.artMaxBytes = 100
 	c.StoreSkeleton("a", c.Gen(), []*xmltree.Node{{Tag: "a"}}, 80)
 	c.StoreSkeleton("b", c.Gen(), []*xmltree.Node{{Tag: "b"}}, 30) // would overflow
 	if _, _, ok := c.Skeleton("b"); ok {
@@ -248,8 +254,8 @@ func TestSkeletonBudgetRefusal(t *testing.T) {
 }
 
 func TestPromotionPolicyAndChurn(t *testing.T) {
-	c := New(0)
-	c.SetPolicy(2, 1000)
+	c := New()
+	c.promoteHits, c.artMaxBytes = 2, 1000
 	if c.AccessDirect("v") {
 		t.Fatal("promotable after a single hit with threshold 2")
 	}
@@ -293,8 +299,8 @@ func TestPromotionPolicyAndChurn(t *testing.T) {
 }
 
 func TestStoreMaterializedOverBudgetCountsChurn(t *testing.T) {
-	c := New(0)
-	c.SetPolicy(1, 100)
+	c := New()
+	c.promoteHits, c.artMaxBytes = 1, 100
 	c.AccessDirect("v")
 	big := &MatView{Bytes: 200}
 	if c.StoreMaterialized("v", c.Gen(), big) {
@@ -311,7 +317,7 @@ func TestStoreMaterializedOverBudgetCountsChurn(t *testing.T) {
 }
 
 func TestAccessPlannedCounters(t *testing.T) {
-	c := New(0)
+	c := New()
 	c.AccessPlanned("v", PlanRewritten)
 	c.AccessPlanned("v", PlanMaterialized)
 	c.AccessPlanned("v", PlanMaterialized)

@@ -40,9 +40,12 @@ var ErrNodeUnavailable = errors.New("cluster: node unavailable")
 
 // Defaults for Config's zero fields.
 const (
-	defaultTimeout       = 30 * time.Second
-	defaultRetries       = 1
-	defaultSearchRetries = 3
+	defaultTimeout = 30 * time.Second
+	defaultRetries = 1
+	// searchRetries is the number of times a whole search is re-issued
+	// when a node answers at an unexpectedly newer generation (a mutation
+	// landed mid-search).
+	searchRetries = 3
 )
 
 // Config describes a cluster to a Coordinator.
@@ -62,10 +65,6 @@ type Config struct {
 	// Retries is the number of extra attempts per member after a transport
 	// failure. 0 defaults to 1; negative means none.
 	Retries int
-	// SearchRetries is the number of times a whole search is re-issued
-	// when a node answers at an unexpectedly newer generation (a mutation
-	// landed mid-search). 0 defaults to 3; negative means none.
-	SearchRetries int
 	// Client is the HTTP client for node RPCs; nil uses a private default.
 	Client *http.Client
 }
@@ -133,12 +132,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	case cfg.Retries < 0:
 		cfg.Retries = 0
 	}
-	switch {
-	case cfg.SearchRetries == 0:
-		cfg.SearchRetries = defaultSearchRetries
-	case cfg.SearchRetries < 0:
-		cfg.SearchRetries = 0
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{}
@@ -146,7 +139,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return &Coordinator{
 		cfg:    cfg,
 		client: client,
-		cache:  catalog.New(0),
+		cache:  catalog.New(),
 		gens:   make([]uint64, len(cfg.Slots)),
 		docs:   map[string]*docInfo{},
 		views:  map[string]*core.View{},
@@ -546,25 +539,25 @@ func (c *Coordinator) Slots() []SlotCounters {
 }
 
 // route is a classification decision: scatter over every slot, or serve
-// whole on one slot (slot -1: any slot works).
+// whole on one slot (slot -1: any slot works) for the reason why.
 type route struct {
 	scatter bool
 	slot    int
+	why     string
 }
 
 // classifyLocked decides how to serve a search over v against the current
 // registry. Caller holds mu (read). The decision is per-search because it
 // depends on what documents currently match each collection pattern.
 //
-// Scatter requires: the outer FLWOR binding ranges over a reference that
-// resolves to partitioned documents only (each lives on exactly one node,
-// so concatenating per-node view outputs in document-ID order reproduces
-// the global view output), the outer reference is used exactly once (a
-// second use is a self-join across partitions), and every other reference
-// resolves to broadcast documents only (bit-identical on every node).
-// Otherwise the search runs whole on the single slot owning every
-// partitioned document it references — or fails with ErrUnroutableView
-// when no such slot exists.
+// Scatter requires the partition rule core runs per-document units by
+// (core.Deps.Partition: the outer FLWOR opens with a for over a reference
+// used nowhere else), every outer document partitioned (each lives on
+// exactly one node, so concatenating per-node view outputs in document-ID
+// order reproduces the global view output) and every other reference's
+// documents broadcast (bit-identical on every node). Otherwise the search
+// runs whole on the single slot owning every partitioned document it
+// references — or fails with ErrUnroutableView when no such slot exists.
 func (c *Coordinator) classifyLocked(v *core.View) (route, error) {
 	// matching resolves a reference to the registry entries it names.
 	matching := func(ref string) []*docInfo {
@@ -583,19 +576,20 @@ func (c *Coordinator) classifyLocked(v *core.View) (route, error) {
 		return infos
 	}
 
-	if outer := v.Deps.Outer; outer != "" && v.Deps.Uses[outer] == 1 {
-		// Deps.Refs includes the outer reference: its binding path is a QPT.
-		scatterable := true
-		for _, ref := range v.Deps.Refs {
-			for _, info := range matching(ref) {
-				if partitioned := info.slot >= 0; partitioned != (ref == outer) {
-					scatterable = false
-				}
+	why := v.Deps.Partition()
+	for _, ref := range v.Deps.Refs {
+		for _, info := range matching(ref) {
+			switch partitioned := info.slot >= 0; {
+			case why != "": // the first reason stands
+			case ref == v.Deps.Outer && !partitioned:
+				why = "an outer document is broadcast"
+			case ref != v.Deps.Outer && partitioned:
+				why = "a side document is partitioned"
 			}
 		}
-		if scatterable {
-			return route{scatter: true}, nil
-		}
+	}
+	if why == "" {
+		return route{scatter: true}, nil
 	}
 	slot := -1
 	for _, ref := range v.Deps.Refs {
@@ -605,11 +599,11 @@ func (c *Coordinator) classifyLocked(v *core.View) (route, error) {
 			case slot == -1:
 				slot = info.slot
 			default:
-				return route{}, fmt.Errorf("%w: it references partitioned documents on multiple nodes", ErrUnroutableView)
+				return route{}, fmt.Errorf("%w: it does not scatter (%s) and references partitioned documents on multiple nodes", ErrUnroutableView, why)
 			}
 		}
 	}
-	return route{slot: slot}, nil
+	return route{slot: slot, why: why}, nil
 }
 
 // Explain renders the coordinator's routing plan for a search over the
@@ -641,9 +635,9 @@ func (c *Coordinator) Explain(ctx context.Context, name string, keywords []strin
 	case rt.scatter:
 		fmt.Fprintf(&b, "route: scatter-gather over %d slot(s)\n", len(c.cfg.Slots))
 	case rt.slot >= 0:
-		fmt.Fprintf(&b, "route: single node, slot %d\n", rt.slot)
+		fmt.Fprintf(&b, "route: single node, slot %d (%s)\n", rt.slot, rt.why)
 	default:
-		b.WriteString("route: single node, any slot\n")
+		fmt.Fprintf(&b, "route: single node, any slot (%s)\n", rt.why)
 	}
 	for s, members := range c.cfg.Slots {
 		fmt.Fprintf(&b, "slot %d @ gen %d: %s\n", s, c.gens[s], strings.Join(members, ", "))

@@ -637,7 +637,37 @@ func TestSelfJoinRouting(t *testing.T) {
 // count. (Attributing by outer binding failed here: a document node is
 // not a base element, so every node refused the view.)
 func TestDocumentNodeBindingScatters(t *testing.T) {
-	const docNodes = `for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`
+	mustScatterLikeOneNode(t, `for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`)
+}
+
+// TestDocumentNodeJoinScatters: the same document-node binding joined to
+// the broadcast authors.xml. The coordinator scatters it, and each node
+// must run it one unit per document, as a single Database does, to
+// attribute its results. (Evaluated whole, the view could not be
+// attributed, and every node refused it.)
+func TestDocumentNodeJoinScatters(t *testing.T) {
+	mustScatterLikeOneNode(t, testkit.DocNodeJoin)
+}
+
+// TestSideEqualityJoinScatters: a one-clause collection view whose where
+// compares each article with the broadcast authors.xml. Each node runs it
+// one unit per document; a unit must not answer from an earlier unit's
+// articles.
+func TestSideEqualityJoinScatters(t *testing.T) {
+	mustScatterLikeOneNode(t, testkit.SideEqJoin)
+}
+
+// TestLiteralDocumentNodeScatters: a view whose outer for binds one
+// partitioned document's node scatters too. The node holding part-00.xml
+// owns every result by that document's ID; the other nodes have none.
+func TestLiteralDocumentNodeScatters(t *testing.T) {
+	mustScatterLikeOneNode(t, `for $d in fn:doc(part-00.xml) return <n>{$d/books//article/fm/tl}</n>`)
+}
+
+// mustScatterLikeOneNode searches view on a single Database and on
+// clusters of one to three slots over the same random corpora, in full
+// and as a top-3 disjunctive search, and requires identical answers.
+func mustScatterLikeOneNode(t *testing.T, view string) {
 	seeds := int64(12)
 	if testing.Short() {
 		seeds = 3
@@ -656,16 +686,16 @@ func TestDocumentNodeBindingScatters(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				view, err := db.DefineView(docNodes)
+				v, err := db.DefineView(view)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := tc.coord.DefineView(context.Background(), "dn", docNodes); err != nil {
+				if _, err := tc.coord.DefineView(context.Background(), "dn", view); err != nil {
 					t.Fatal(err)
 				}
 				kws := testkit.KeywordsFor(rng)
-				mustSearchBoth(t, "full", db, view, tc.coord, "dn", kws, &vxml.Options{})
-				mustSearchBoth(t, "top3 disjunctive", db, view, tc.coord, "dn", kws, &vxml.Options{TopK: 3, Disjunctive: true})
+				mustSearchBoth(t, "full", db, v, tc.coord, "dn", kws, &vxml.Options{})
+				mustSearchBoth(t, "top3 disjunctive", db, v, tc.coord, "dn", kws, &vxml.Options{TopK: 3, Disjunctive: true})
 			})
 		}
 	}

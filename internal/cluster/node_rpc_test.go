@@ -402,6 +402,49 @@ func TestRoutingClassification(t *testing.T) {
 	}
 }
 
+// TestExplainNamesRouteReason: the coordinator's explain names why a view
+// that does not scatter does not — the partition rule's reason, or the
+// registry check that follows it.
+func TestExplainNamesRouteReason(t *testing.T) {
+	c, err := NewCoordinator(Config{
+		Slots:   [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:2"}},
+		Timeout: 50 * time.Millisecond,
+		Retries: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.docs["cat.xml"] = &docInfo{id: 1, slot: -1}
+	c.docs["part-a.xml"] = &docInfo{id: 2, slot: 0}
+	c.docs["part-c.xml"] = &docInfo{id: 3, slot: 0}
+	ctx := context.Background()
+	for _, tt := range []struct{ name, xquery, want string }{
+		{"scatter", `for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`,
+			"route: scatter-gather over 2 slot(s)"},
+		{"self-join", `for $a in fn:doc(part-a.xml)/books//article
+			 return <r>{for $b in fn:doc(part-a.xml)/books//article where $b/fm/yr = $a/fm/yr return $b/fm/au}</r>`,
+			"route: single node, slot 0 (outer reference is used more than once)"},
+		{"bare-path", `fn:doc(cat.xml)/authors//author`,
+			"route: single node, any slot (no outer for clause)"},
+		{"broadcast-outer", `for $u in fn:doc(cat.xml)/authors//author return <r>{$u/affil}</r>`,
+			"route: single node, any slot (an outer document is broadcast)"},
+		{"partitioned-side", `for $a in fn:doc(part-a.xml)/books//article
+			 return <r>{for $c in fn:doc(part-c.xml)/books//article where $c/fm/au = $a/fm/au return $c/fm/tl}</r>`,
+			"route: single node, slot 0 (a side document is partitioned)"},
+	} {
+		if _, err := c.DefineView(ctx, tt.name, tt.xquery); err != nil {
+			t.Fatalf("%s: define: %v", tt.name, err)
+		}
+		out, err := c.Explain(ctx, tt.name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, tt.want) {
+			t.Errorf("%s: explain missing %q:\n%s", tt.name, tt.want, out)
+		}
+	}
+}
+
 // TestBroadcastAddPartialFailureRepair: a broadcast add that acks on one
 // slot and fails on another must not poison the write path. Three
 // properties pin the repair: the consumed document ID is burned (a later

@@ -63,7 +63,7 @@ func (c *Coordinator) Search(ctx context.Context, name string, keywords []string
 // bounded budget turns a mutation storm into ErrStaleGeneration instead of
 // a livelock.
 func (c *Coordinator) searchUncached(ctx context.Context, name string, v *core.View, keywords []string, opts *vxml.Options, pageOffset int) ([]vxml.Result, *vxml.Stats, error) {
-	attempts := 1 + c.cfg.SearchRetries
+	attempts := 1 + searchRetries
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		results, stats, err := c.searchOnce(ctx, name, v, keywords, opts, pageOffset)

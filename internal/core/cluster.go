@@ -22,11 +22,11 @@ package core
 //     materialization property across the process boundary: no node touches
 //     base data for a result that did not win globally.
 //
-// Both phases attribute every view result to the document its outer FLWOR
-// binding came from (owners), which is what gives the coordinator a global
-// (document ID, view position) sort key; views whose results cannot be
-// attributed that way are rejected with ErrUnpartitionableView and must be
-// served by a single node instead.
+// Both phases attribute every view result to the outer document it came
+// from (owners), which is what gives the coordinator a global (document
+// ID, view position) sort key; views the partition rule (Deps.Partition)
+// refuses cannot be attributed that way, are rejected with
+// ErrUnpartitionableView and must be served by a single node instead.
 
 import (
 	"context"
@@ -37,9 +37,10 @@ import (
 	"vxml/internal/xmltree"
 )
 
-// ErrUnpartitionableView reports a view whose results cannot be attributed
-// one-to-one to outer-binding documents — there is no sound way to scatter
-// its evaluation over disjoint corpus partitions (compare with errors.Is).
+// ErrUnpartitionableView reports a view the partition rule refuses
+// (Deps.Partition): its results cannot be attributed to outer documents,
+// so there is no sound way to scatter its evaluation over disjoint corpus
+// partitions (compare with errors.Is).
 // Such views are still servable by routing the whole search to one node
 // that holds every referenced document.
 var ErrUnpartitionableView = errors.New("view cannot be partitioned over outer bindings")
@@ -87,10 +88,10 @@ func (e *Engine) ReplaceXMLAt(name, xmlText string, docID int32) error {
 // ranking pass, reduced to what the coordinator needs to score and order it
 // globally: nothing is materialized.
 type ClusterCandidate struct {
-	// Doc is the ID of the document the result's outer FLWOR binding came
-	// from. Partitioned documents live on exactly one node, so (Doc, Pos)
-	// orders candidates across nodes exactly as view positions order them
-	// in the equivalent single-node search.
+	// Doc is the ID of the outer document the result came from.
+	// Partitioned documents live on exactly one node, so (Doc, Pos) orders
+	// candidates across nodes exactly as view positions order them in the
+	// equivalent single-node search.
 	Doc int32 `json:"doc"`
 	// Pos is the result's index in the node's full local view output — the
 	// handle MaterializeAt resolves.
@@ -121,10 +122,10 @@ type ClusterRanking struct {
 // ClusterRank runs the index-only phases of a search — PDT generation, view
 // evaluation, stat collection, keyword-semantics filtering — and returns
 // every matching result as an unmaterialized candidate attributed to its
-// outer-binding document. Scoring and top-k selection are the coordinator's
+// outer document. Scoring and top-k selection are the coordinator's
 // job: a score depends on corpus-global IDFs no single node can know.
 // Options.K is ignored (every candidate is reported) and the planner is not
-// consulted (its artifacts carry no binding attribution).
+// consulted (its artifacts carry no owners).
 func (e *Engine) ClusterRank(ctx context.Context, v *View, keywords []string, opts Options) (*ClusterRanking, error) {
 	out, owners, err := e.attributedOutput(ctx, v, keywords, opts)
 	if err != nil {
@@ -200,33 +201,25 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 
 // attributedOutput is viewOutput for the cluster primitives: a direct
 // (never planner-served) evaluation, plus the owner document ID of every
-// result — the document its outer FLWOR binding came from. The
-// per-document pipeline attributes its results itself, one unit per
-// document; a whole-view evaluation's come from its partitioned outer
-// bindings. This is the only place a view is rejected as unpartitionable:
-// one evalView had to evaluate whole (no top-level FLWOR, or a leading let
-// clause) has no bindings to attribute results to, and a binding that is
-// not a base element names no document.
+// result. A view the partition rule (Deps.Partition) refuses is rejected
+// with ErrUnpartitionableView; this is the only place a view is. A view
+// that runs per document returns its units' documents. A literal outer
+// document owns every result: every outer binding is a node of it, its
+// document node included, and a node that lacks it has no results.
 func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, []int32, error) {
+	if reason := v.Deps.Partition(); reason != "" {
+		return nil, nil, fmt.Errorf("core: %w: %s", ErrUnpartitionableView, reason)
+	}
 	opts.Plan = false
 	out, err := e.viewOutput(ctx, v, keywords, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if out.owners != nil {
-		return out, out.owners, nil
-	}
-	if out.counts == nil {
-		return nil, nil, fmt.Errorf("core: %w: view is not a FLWOR expression over an outer for clause", ErrUnpartitionableView)
-	}
-	owners := make([]int32, 0, len(out.results))
-	for i, b := range out.bindings {
-		n, isNode := b.(*xmltree.Node)
-		if !isNode || len(n.ID) == 0 {
-			return nil, nil, fmt.Errorf("core: %w: outer binding %d is not a base element", ErrUnpartitionableView, i)
-		}
-		for range out.counts[i] {
-			owners = append(owners, n.ID[0])
+	owners := out.owners
+	if owners == nil {
+		owners = make([]int32, len(out.results))
+		for i := range owners {
+			owners[i] = out.outer
 		}
 	}
 	return out, owners, nil

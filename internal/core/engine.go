@@ -140,7 +140,7 @@ func New(st store.Corpus) *Engine {
 	e := &Engine{
 		Store:   st,
 		shards:  make([]*engineShard, st.ShardCount()),
-		Catalog: catalog.New(0),
+		Catalog: catalog.New(),
 	}
 	for i := range e.shards {
 		e.shards[i] = &engineShard{}
@@ -493,17 +493,29 @@ func (u unit) document(pd *pdt.PDT) *xmltree.Document {
 	return &xmltree.Document{Name: u.name, DocID: u.docID}
 }
 
-// keywordLists resolves every candidate document's posting list for each
-// keyword, keyed by document ID (Meta payloads name their source document
-// through the leading Dewey component): one inverted-list lookup per
-// keyword per candidate, under the plan's shard read locks. The lists are
-// immutable, so collect reads them after the locks drop. Lookup on an
-// absent keyword returns an empty list whose range sums are 0, so no nil
-// checks are needed per keyword.
-func (p *plan) keywordLists(kws []string) map[int32][]*invindex.PostingList {
-	lists := make(map[int32][]*invindex.PostingList, len(p.units))
-	slab := make([]*invindex.PostingList, 0, len(p.units)*len(kws))
-	for _, u := range p.units {
+// split parts the plan's units into the outer reference's candidates,
+// contiguous since lockAndPlan plans QPT-major, and the side units around
+// them (sharing the plan's array when the outer candidates come last).
+func (p *plan) split(outer string) (units, sides []unit) {
+	lo := max(0, slices.IndexFunc(p.units, func(u unit) bool { return u.q.Doc == outer }))
+	hi := lo
+	for hi < len(p.units) && p.units[hi].q.Doc == outer {
+		hi++
+	}
+	return p.units[lo:hi], append(p.units[:lo:lo], p.units[hi:]...)
+}
+
+// keywordLists resolves each unit's posting list for each keyword, keyed
+// by document ID (Meta payloads name their source document through the
+// leading Dewey component): one inverted-list lookup per keyword per unit,
+// under the plan's shard read locks. The lists are immutable, so collect
+// reads them after the locks drop. Lookup on an absent keyword returns an
+// empty list whose range sums are 0, so no nil checks are needed per
+// keyword.
+func keywordLists(units []unit, kws []string) map[int32][]*invindex.PostingList {
+	lists := make(map[int32][]*invindex.PostingList, len(units))
+	slab := make([]*invindex.PostingList, 0, len(units)*len(kws))
+	for _, u := range units {
 		start := len(slab)
 		for _, kw := range kws {
 			slab = append(slab, u.iix.Lookup(kw))
@@ -534,16 +546,17 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return out
 }
 
-// generatePDTs is the PDT-generation half of direct view output: one PDT per
-// candidate unit on a pool of stats.Workers, the node and byte tally and
-// PDTTime recorded in stats, and the PDTs assembled into the evaluation
-// catalog (a PDT with no qualifying elements as a root-less document, see
-// unit.document). The caller holds the plan's shard read locks.
-func (p *plan) generatePDTs(ctx context.Context, stats *Stats) (*evalCatalog, error) {
+// generatePDTs generates one PDT per unit on a pool of stats.Workers, adds
+// the node and byte tally and the time taken to stats, and assembles the
+// PDTs into an evaluation catalog (a PDT with no qualifying elements as a
+// root-less document, see unit.document): the PDT half of whole-view
+// output, and the side documents of per-document output. The caller holds
+// the plan's shard read locks.
+func generatePDTs(ctx context.Context, units []unit, stats *Stats) (*evalCatalog, error) {
 	start := time.Now()
-	pdts := make([]*pdt.PDT, len(p.units))
-	if err := forEach(ctx, stats.Workers, len(p.units), func(i int) {
-		pdts[i] = p.units[i].generatePDT()
+	pdts := make([]*pdt.PDT, len(units))
+	if err := forEach(ctx, stats.Workers, len(units), func(i int) {
+		pdts[i] = units[i].generatePDT()
 	}); err != nil {
 		return nil, err
 	}
@@ -554,27 +567,33 @@ func (p *plan) generatePDTs(ctx context.Context, stats *Stats) (*evalCatalog, er
 	for i, pd := range pdts {
 		stats.PDTNodes += pd.Nodes
 		stats.PDTBytes += pd.Bytes
-		doc := p.units[i].document(pd)
+		doc := units[i].document(pd)
 		c.byName[doc.Name] = doc
 		c.ordered[i] = doc
 	}
 	// Units are ordered QPT-major; pattern expansion must follow corpus
 	// (document ID) order across the whole catalog.
 	slices.SortFunc(c.ordered, func(a, b *xmltree.Document) int { return cmp.Compare(a.DocID, b.DocID) })
-	stats.PDTTime = time.Since(start)
+	stats.PDTTime += time.Since(start)
 	return c, nil
 }
 
 // wholeViewOutput is direct view output for every view that does not run
 // per document: all PDTs first, then the unchanged evaluator runs the view
-// over the catalog of all of them (evalView).
+// over the catalog of all of them (evalView). A literal outer document's
+// ID is recorded as the owner of every result (attributedOutput).
 func (p *plan) wholeViewOutput(ctx context.Context, v *View, out *viewOutput) error {
-	cat, err := p.generatePDTs(ctx, out.stats)
+	cat, err := generatePDTs(ctx, p.units, out.stats)
 	if err != nil {
 		return err
 	}
+	for _, u := range p.units {
+		if u.q.Doc == v.Deps.Outer && !docname.IsPattern(u.q.Doc) {
+			out.outer = u.docID
+		}
+	}
 	start := time.Now()
-	if out.results, out.bindings, out.counts, err = evalView(ctx, v, cat, out.stats.Workers); err != nil {
+	if out.results, err = evalView(ctx, v, cat, out.stats.Workers); err != nil {
 		return err
 	}
 	out.stats.EvalTime = time.Since(start)
@@ -637,16 +656,11 @@ type viewOutput struct {
 	// view.
 	results []*xmltree.Node
 	// owners holds the document each result came from when the
-	// per-document pipeline produced them (non-nil exactly then).
+	// per-document pipeline produced them (non-nil exactly then); outer is
+	// the ID of the outer reference's document when whole-view evaluation
+	// ran over a literal one (0 when the corpus lacks it).
 	owners []int32
-	// bindings are the outer FLWOR bindings whole-view evaluation was
-	// partitioned over and counts[i] the number of results bindings[i]
-	// produced (their sum is len(results)). Both are nil when the results
-	// did not come from a partitioned whole-view evaluation — the
-	// per-document pipeline, a view that is not partitionable, or a
-	// planner tier.
-	bindings []xqeval.Item
-	counts   []int
+	outer  int32
 	// rstats are the per-result scoring inputs when the serving tier
 	// brings them itself (a materialized view, the per-document pipeline);
 	// nil for the other PDT-pruned results — whole-view or skeleton —
@@ -732,7 +746,7 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		out.post = time.Now()
 	}
 	if out.rstats == nil {
-		out.lists = p.keywordLists(out.kws)
+		out.lists = keywordLists(p.units, out.kws)
 	}
 	stats.ViewSize = len(out.results)
 	return out, nil

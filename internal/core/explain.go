@@ -79,7 +79,11 @@ func (e *Engine) Explain(v *View, keywords []string) string {
 		}
 	}
 	if reason := perDocumentReason(v.Deps); reason == "" {
-		fmt.Fprintf(&b, "\nevaluation: per document (%d candidates)\n", len(e.Store.InfosMatching(v.Deps.Outer)))
+		candidates, all := len(e.Store.InfosMatching(v.Deps.Outer)), 0
+		for _, ref := range v.Deps.Refs {
+			all += len(e.Store.InfosMatching(ref))
+		}
+		fmt.Fprintf(&b, "\nevaluation: per document (%d candidates, %d side documents)\n", candidates, all-candidates)
 	} else {
 		fmt.Fprintf(&b, "\nevaluation: whole view (%s)\n", reason)
 	}

@@ -41,16 +41,23 @@ func TestExplainWithoutKeywords(t *testing.T) {
 }
 
 // TestExplainNamesEvaluationMode: Explain says whether evaluation runs one
-// work unit per candidate document, and if not, why not.
+// work unit per candidate document, over how many side documents, and if
+// not, why not — the partition rule's reason or a literal outer document.
 func TestExplainNamesEvaluationMode(t *testing.T) {
 	e := newCollectionEngine(t, 4)
+	if err := e.AddXML("tags.xml", "<tags><tag><tl>study 1</tl><name>one</name></tag></tags>"); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ view, want string }{
-		{collectionView, "evaluation: per document (4 candidates)"},
+		{collectionView, "evaluation: per document (4 candidates, 0 side documents)"},
+		{`for $a in fn:collection("part-*")/books//article
+		  return <r>{$a/bdy}, {for $g in fn:doc(tags.xml)/tags/tag where $g/tl = $a/tl return $g/name}</r>`,
+			"evaluation: per document (4 candidates, 1 side documents)"},
 		{`for $a in fn:doc(part-0.xml)/books//article return $a`,
 			"evaluation: whole view (outer binding is a literal document)"},
 		{`for $a in fn:collection("part-*")/books//article
 		  return <r>{for $b in fn:collection("part-*")/books//article where $b/tl = $a/tl return $b/bdy}</r>`,
-			"evaluation: whole view (outer collection is used more than once)"},
+			"evaluation: whole view (outer reference is used more than once)"},
 		{`fn:collection("part-*")/books//article`, "evaluation: whole view (no outer for clause)"},
 	} {
 		v, err := e.CompileView(tc.view)

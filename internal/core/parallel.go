@@ -83,20 +83,17 @@ func chunkBounds(n, chunks int) [][2]int {
 }
 
 // evalView runs the view expression over the PDT catalog — the one
-// evaluator every search path uses, at every pool size. A top-level FLWOR
-// that opens with a for clause is partitioned over that clause's binding
-// sequence: the bindings are split into contiguous chunks and each worker
-// evaluates the remaining clauses for its chunks with its own evaluator
-// over the shared immutable catalog. FLWOR evaluates bindings
+// evaluator every whole-view search uses, at every pool size. A top-level
+// FLWOR that opens with a for clause is partitioned over that clause's
+// binding sequence: the bindings are split into contiguous chunks and each
+// worker evaluates the remaining clauses for its chunks with its own
+// evaluator over the shared immutable catalog. FLWOR evaluates bindings
 // independently, so concatenating the chunk outputs in order is exactly
-// the whole-expression result (xqeval.OuterBindings). It returns the
-// results in view order plus the bindings and how many results each
-// produced, which is what lets the cluster primitives attribute results to
-// documents. Any other view (no top-level FLWOR, or one that opens with a
-// let) is evaluated whole by a single evaluator and returns nil bindings
-// and counts. Every evaluator carries ctx, so cancellation unwinds between
-// FLWOR bindings either way.
-func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int) (results []*xmltree.Node, bindings []xqeval.Item, counts []int, err error) {
+// the whole-expression result (xqeval.OuterBindings). Any other view (no
+// top-level FLWOR, or one that opens with a let) is evaluated whole by a
+// single evaluator. Every evaluator carries ctx, so cancellation unwinds
+// between FLWOR bindings either way.
+func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int) (results []*xmltree.Node, err error) {
 	newEval := func() *xqeval.Evaluator {
 		ev := xqeval.New(catalog, v.Funcs)
 		ev.SetContext(ctx)
@@ -104,18 +101,19 @@ func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int)
 	}
 	primary := newEval()
 	fl, _ := v.Expr.(*xq.FLWORExpr)
+	var bindings []xqeval.Item
 	partitionable := false
 	if fl != nil {
 		if bindings, partitionable, err = primary.OuterBindings(fl); err != nil {
-			return nil, nil, nil, &evalError{err}
+			return nil, &evalError{err}
 		}
 	}
 	if !partitionable {
 		items, err := primary.Eval(v.Expr, nil)
 		if err != nil {
-			return nil, nil, nil, &evalError{err}
+			return nil, &evalError{err}
 		}
-		return appendNodes(nil, items), nil, nil, nil
+		return appendNodes(nil, items), nil
 	}
 	// More chunks than workers lets fast workers steal from slow ones;
 	// outputs are stitched back in chunk order so the partition is
@@ -123,7 +121,6 @@ func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int)
 	chunks := chunkBounds(len(bindings), workers*4)
 	outs := make([][]*xmltree.Node, len(chunks))
 	errs := make([]error, len(chunks))
-	counts = make([]int, len(bindings))
 	poolErr := forEachWorker(ctx, workers, len(chunks), func() func(int) {
 		ev := newEval() // evaluators are single-threaded; one per worker
 		return func(c int) {
@@ -138,19 +135,17 @@ func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int)
 					errs[c] = err
 					return
 				}
-				before := len(outs[c])
 				outs[c] = appendNodes(outs[c], items)
-				counts[bi] = len(outs[c]) - before
 			}
 		}
 	})
 	if poolErr != nil {
-		return nil, nil, nil, poolErr
+		return nil, poolErr
 	}
 	total := 0
 	for c := range chunks {
 		if errs[c] != nil {
-			return nil, nil, nil, &evalError{errs[c]}
+			return nil, &evalError{errs[c]}
 		}
 		total += len(outs[c])
 	}
@@ -158,7 +153,7 @@ func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int)
 	for _, out := range outs {
 		results = append(results, out...)
 	}
-	return results, bindings, counts, nil
+	return results, nil
 }
 
 // evalError marks an evaluation failure so Search can report its phase. It
@@ -235,34 +230,46 @@ type docOutput struct {
 }
 
 // docWorker is one pool goroutine's state for per-document output: an
-// evaluator over a one-document catalog it re-points per unit, and the
-// unit's posting list per keyword.
+// evaluator over a unit catalog it re-points per unit, the unit's posting
+// list per keyword and the side documents' lists, shared by every worker.
 type docWorker struct {
-	ev    *xqeval.Evaluator
-	cat   docCatalog
-	lists []*invindex.PostingList
+	ev        *xqeval.Evaluator
+	cat       unitCatalog
+	doc       int32
+	lists     []*invindex.PostingList
+	sideLists map[int32][]*invindex.PostingList
 }
 
-func (w *docWorker) listsOf(int32) []*invindex.PostingList { return w.lists }
-
-// docCatalog is the evaluation catalog of one per-document work unit: the
-// unit's PDT document alone.
-type docCatalog struct {
-	docs [1]*xmltree.Document
+// listsOf returns a document's posting list per keyword: a result's Meta
+// nodes come from the unit's document or from a side document.
+func (w *docWorker) listsOf(doc int32) []*invindex.PostingList {
+	if doc == w.doc {
+		return w.lists
+	}
+	return w.sideLists[doc]
 }
 
-func (c *docCatalog) Doc(name string) *xmltree.Document {
+// unitCatalog is the evaluation catalog of one per-document work unit: the
+// unit's PDT document plus the side documents every unit shares read-only.
+// No side reference matches an outer document (lockAndPlan), so a pattern
+// matching the unit's document is the outer one and matches nothing else.
+type unitCatalog struct {
+	docs  [1]*xmltree.Document
+	sides *evalCatalog
+}
+
+func (c *unitCatalog) Doc(name string) *xmltree.Document {
 	if c.docs[0].Name == name {
 		return c.docs[0]
 	}
-	return nil
+	return c.sides.Doc(name)
 }
 
-func (c *docCatalog) DocsMatching(pattern string) []*xmltree.Document {
+func (c *unitCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	if docname.Match(pattern, c.docs[0].Name) {
 		return c.docs[:]
 	}
-	return nil
+	return c.sides.DocsMatching(pattern)
 }
 
 // run is one per-document work unit: PDT generation, then evaluate. An
@@ -277,13 +284,15 @@ func (w *docWorker) run(u unit, v *View, kws []string, d *docOutput) {
 	d.eval = time.Since(generated)
 }
 
-// evaluate runs the whole view over the unit's PDT alone, looks up the
-// unit's keyword lists and collects its results' scoring inputs, with term
-// frequencies carved from one slab.
+// evaluate runs the whole view over the unit's PDT and the side documents,
+// with the side join indices the worker's evaluator keeps (EvalUnit), looks
+// up the unit's keyword lists and collects its results' scoring inputs,
+// with term frequencies carved from one slab.
 func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []string, d *docOutput) error {
+	prev := w.cat.docs[0]
 	w.cat.docs[0] = doc
-	w.ev.SetCatalog(&w.cat)
-	items, err := w.ev.Eval(v.Expr, nil)
+	// The partition rule's Outer is a top-level for clause's.
+	items, err := w.ev.EvalUnit(v.Expr.(*xq.FLWORExpr), prev)
 	if err != nil {
 		return err
 	}
@@ -291,6 +300,7 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 	if len(d.results) == 0 {
 		return nil
 	}
+	w.doc = u.docID
 	w.lists = w.lists[:0]
 	for _, kw := range kws {
 		w.lists = append(w.lists, u.iix.Lookup(kw))
@@ -306,21 +316,31 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 }
 
 // perDocumentOutput is direct view output for a view that runs per
-// document (perDocumentReason): one pass of work units over the plan's
-// candidates on a pool of stats.Workers, each unit a docWorker.run. The
-// units are in document-ID order, the order whole-view evaluation
-// enumerates the collection in, so concatenating their outputs reproduces
-// the whole view's results; each result's owner is its unit's document.
-// PDTTime and EvalTime split the pass's wall time in proportion to the
-// units' summed generation and evaluation-plus-collection times.
+// document (perDocumentReason). The side documents, the candidates of the
+// other references, get their PDTs (counted once in stats) and keyword
+// lists first, once. Then one pass of work units over the outer candidates
+// runs on a pool of stats.Workers, each a docWorker.run over its own PDT
+// plus the shared sides. The units are in document-ID order, the order
+// whole-view evaluation enumerates the collection in, so concatenating
+// their outputs reproduces the whole view's results; each result's owner
+// is its unit's document. The pass's wall time is split between PDTTime
+// and EvalTime in proportion to the units' summed generation and
+// evaluation-plus-collection times.
 func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) error {
 	stats := out.stats
+	units, sides := p.split(v.Deps.Outer)
+	sideCat, err := generatePDTs(ctx, sides, stats)
+	if err != nil {
+		return err
+	}
+	sideLists := keywordLists(sides, out.kws)
 	start := time.Now()
-	docs := make([]docOutput, len(p.units))
-	if err := forEachWorker(ctx, stats.Workers, len(p.units), func() func(int) {
-		w := &docWorker{ev: xqeval.New(nil, v.Funcs)}
+	docs := make([]docOutput, len(units))
+	if err := forEachWorker(ctx, stats.Workers, len(units), func() func(int) {
+		w := &docWorker{cat: unitCatalog{sides: sideCat}, sideLists: sideLists}
+		w.ev = xqeval.New(&w.cat, v.Funcs)
 		w.ev.SetContext(ctx)
-		return func(i int) { w.run(p.units[i], v, out.kws, &docs[i]) }
+		return func(i int) { w.run(units[i], v, out.kws, &docs[i]) }
 	}); err != nil {
 		return err
 	}
@@ -343,13 +363,13 @@ func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) 
 		out.results = append(out.results, docs[i].results...)
 		out.rstats = append(out.rstats, docs[i].rstats...)
 		for range docs[i].results {
-			out.owners = append(out.owners, p.units[i].docID)
+			out.owners = append(out.owners, units[i].docID)
 		}
 	}
-	wall := time.Since(start)
+	wall, sideTime := time.Since(start), stats.PDTTime
 	if busy := gen + eval; busy > 0 {
-		stats.PDTTime = time.Duration(float64(wall) * float64(gen) / float64(busy))
+		stats.PDTTime += time.Duration(float64(wall) * float64(gen) / float64(busy))
 	}
-	stats.EvalTime = wall - stats.PDTTime
+	stats.EvalTime = wall - (stats.PDTTime - sideTime)
 	return nil
 }

@@ -2,11 +2,8 @@ package core_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,12 +12,16 @@ import (
 	"vxml/internal/core"
 	"vxml/internal/gtp"
 	"vxml/internal/testkit"
+	"vxml/internal/xmltree"
+	"vxml/internal/xq"
+	"vxml/internal/xqeval"
 )
 
 // TestPerDocumentEligibility pins which views run one work unit per
-// candidate document: exactly those whose outer FLWOR opens with a for over
-// a collection pattern that is the view's only reference, used once (the
-// coordinator's scatter condition with no side references).
+// candidate document: exactly those the partition rule admits
+// (Deps.Partition: the outer FLWOR opens with a for over a reference used
+// nowhere else) whose outer reference is a collection pattern. Side
+// documents do not matter.
 func TestPerDocumentEligibility(t *testing.T) {
 	for _, tc := range []struct {
 		name, view string
@@ -36,7 +37,9 @@ func TestPerDocumentEligibility(t *testing.T) {
 			`for $a in fn:collection("part-*")/books//article
 			 return <r>{$a/fm/tl}, {for $b in fn:collection("part-*")/books//article
 			   where $b/fm/yr = $a/fm/yr return $b/fm/au}</r>`, false},
-		{"collection joined to a literal document", testkit.EqViews[1], false},
+		{"collection joined to a literal document", testkit.EqViews[1], true},
+		{"document-node binding joined to a literal document", testkit.DocNodeJoin, true},
+		{"single clause compared with a literal document", testkit.SideEqJoin, true},
 		{"literal-document outer", testkit.EqViews[2], false},
 		{"let first",
 			`let $as := fn:collection("part-*")/books//article for $a in $as return $a`, false},
@@ -56,22 +59,28 @@ func TestPerDocumentEligibility(t *testing.T) {
 }
 
 // perDocViews are per-document views covering a constructor, an equality
-// where, a selection and a document-node binding. The last binds every
-// candidate's document node, including part-zz's, whose PDT is empty: the
-// PDT pipelines must still bind it and return an empty <n/>, as Baseline
-// does, or |V(D)| and with it every IDF would differ.
+// where, a selection, a document-node binding, two joins to the side
+// document authors.xml and a single-clause where comparing with it. The
+// document-node views bind every candidate's document node, including
+// part-zz's, whose PDT is empty: the PDT pipelines must still bind it and
+// return an <n/>, as Baseline does, or |V(D)| and with it every IDF would
+// differ.
 var perDocViews = []string{
 	testkit.EqViews[0],
 	testkit.EqViews[3],
 	`for $a in fn:collection("part-*")/books//article where $a/fm/yr > 1990 return $a`,
 	`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`,
+	testkit.EqViews[1],
+	testkit.DocNodeJoin,
+	testkit.SideEqJoin,
 }
 
 // TestPerDocumentMatchesWholeViewAndBaseline holds the per-document
 // pipeline against the whole-view pipeline on the same engine (every
 // observable byte plus the PDT, candidate and view-size counters), against
-// the Baseline comparator (materialize, then search) and against the
-// cluster primitives' attribution, at pools of one and four. The corpus has
+// the Baseline and GTP comparators (materialize, then search) and against
+// the cluster primitives, whose owners are held against attribution by
+// outer binding, at pools of one and four. The corpus has
 // a candidate whose PDT is empty and a replaced part whose fresh document ID
 // moves it last in enumeration.
 func TestPerDocumentMatchesWholeViewAndBaseline(t *testing.T) {
@@ -112,7 +121,7 @@ func TestPerDocumentMatchesWholeViewAndBaseline(t *testing.T) {
 					}
 					matched += gotStats.Matched
 					mustEqualRows(t, label+" cluster", got, clusterRows(t, e, v, kws, opts))
-					mustAttributeLikeWholeView(t, label, e, v, whole, kws, opts)
+					mustAttributeByBinding(t, label, e, v, kws, opts)
 					base, _, err := baseline.Search(e, v, kws, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -142,27 +151,56 @@ func TestPerDocumentMatchesWholeViewAndBaseline(t *testing.T) {
 	}
 }
 
-// mustAttributeLikeWholeView holds ClusterRank's candidates — document,
-// view position, TFs and byte length — equal between the per-document
-// pipeline, which attributes by unit, and the whole-view pipeline, which
-// attributes by outer binding. A view binding document nodes has no base
-// element to attribute by, so the whole-view pipeline refuses it.
-func mustAttributeLikeWholeView(t *testing.T, label string, e *core.Engine, v, whole *core.View, kws []string, opts core.Options) {
+// mustAttributeByBinding holds ClusterRank's owners, which the
+// per-document pipeline takes from its units, against the reference
+// attribution by outer binding: the view evaluated over the base documents
+// one outer binding at a time, each result owned by the document the
+// binding came from — a document node's by its root element.
+func mustAttributeByBinding(t *testing.T, label string, e *core.Engine, v *core.View, kws []string, opts core.Options) {
 	t.Helper()
-	got, err := e.ClusterRank(context.Background(), v, kws, opts)
+	rk, err := e.ClusterRank(context.Background(), v, kws, opts)
 	if err != nil {
 		t.Fatalf("%s: ClusterRank: %v", label, err)
 	}
-	want, err := e.ClusterRank(context.Background(), whole, kws, opts)
-	if errors.Is(err, core.ErrUnpartitionableView) {
-		return
-	}
+	fl := v.Expr.(*xq.FLWORExpr)
+	ev := xqeval.New(baseCatalog{e}, v.Funcs)
+	bindings, _, err := ev.OuterBindings(fl)
 	if err != nil {
-		t.Fatalf("%s: whole-view ClusterRank: %v", label, err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Candidates, want.Candidates) || got.ViewSize != want.ViewSize || !slices.Equal(got.Contains, want.Contains) {
-		t.Fatalf("%s: cluster ranking differs from the whole view's\nwant %+v\ngot  %+v", label, want, got)
+	var owners []int32
+	for _, b := range bindings {
+		n := b.(*xmltree.Node)
+		if len(n.ID) == 0 {
+			n = n.Children[0]
+		}
+		items, err := ev.EvalTail(fl, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items {
+			if _, isNode := it.(*xmltree.Node); isNode {
+				owners = append(owners, n.ID[0])
+			}
+		}
 	}
+	if len(owners) != rk.ViewSize {
+		t.Fatalf("%s: %d view results by binding, ClusterRank has %d", label, len(owners), rk.ViewSize)
+	}
+	for _, c := range rk.Candidates {
+		if c.Doc != owners[c.Pos] {
+			t.Fatalf("%s: result %d owned by document %d, its outer binding's is %d", label, c.Pos, c.Doc, owners[c.Pos])
+		}
+	}
+}
+
+// baseCatalog evaluates a view over the engine's base documents.
+type baseCatalog struct{ e *core.Engine }
+
+func (c baseCatalog) Doc(name string) *xmltree.Document { return c.e.Store.Doc(name) }
+
+func (c baseCatalog) DocsMatching(pattern string) []*xmltree.Document {
+	return c.e.Store.DocsMatching(pattern)
 }
 
 // statRows is searchRows that also returns the search's stats.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"vxml/internal/catalog"
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
 	"vxml/internal/scoring"
@@ -39,9 +40,6 @@ func TestResultsShareReadOnlyTrees(t *testing.T) {
 }
 
 func searchWithoutWrites(t *testing.T, e *core.Engine) {
-	// Promote a view on its first planned search, so the materialized tier
-	// hands out its trees too.
-	e.Catalog.SetPolicy(1, 0)
 	docs := e.Store.Docs()
 	before := make([]string, len(docs))
 	for i, d := range docs {
@@ -54,6 +52,16 @@ func searchWithoutWrites(t *testing.T, e *core.Engine) {
 			t.Fatal(err)
 		}
 		views[i] = v
+		// Promote every view before the searchers start, so the
+		// materialized tier hands out its trees too.
+		for range catalog.DefaultPromoteHits {
+			if _, _, err := e.Search(v, []string{"copper"}, core.Options{Plan: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := e.Catalog.Stats(); st.Materialized != len(views) {
+		t.Fatalf("%d of %d views materialized before the searchers start", st.Materialized, len(views))
 	}
 
 	const searchers = 6

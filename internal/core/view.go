@@ -67,23 +67,32 @@ func CompileParsed(text string, expr xq.Expr, funcs map[string]*xq.FuncDecl) (*V
 	return &View{Text: text, Expr: expr, Funcs: funcs, QPTs: qpts, Deps: deps, perDocument: perDocumentReason(deps) == ""}, nil
 }
 
-// perDocumentReason reports why a view cannot run one work unit per
-// candidate document, or "" when it can: its outer FLWOR opens with a for
-// over a collection pattern, that pattern is the view's only reference and
-// it is used once. This is the coordinator's scatter condition with no
-// side references. Each result then depends on the one document its outer
-// binding came from, so evaluating the view over one document's PDT at a
-// time and concatenating in document-ID order is whole-view evaluation.
-func perDocumentReason(d Deps) string {
+// Partition is the partition rule core and the cluster coordinator share:
+// "" when the outer FLWOR opens with a for over a reference the view uses
+// nowhere else, else why not. FLWOR evaluates each outer binding on its
+// own and nothing else reads an outer document (lockAndPlan refuses a
+// document two references match), so the view's results are its results
+// over one outer document at a time, in document-ID order.
+func (d Deps) Partition() string {
 	switch {
 	case d.Outer == "":
 		return "no outer for clause"
-	case !docname.IsPattern(d.Outer):
-		return "outer binding is a literal document"
 	case d.Uses[d.Outer] != 1:
-		return "outer collection is used more than once"
-	case len(d.Refs) != 1 || d.Refs[0] != d.Outer:
-		return "view reads documents besides the outer collection"
+		return "outer reference is used more than once"
+	}
+	return ""
+}
+
+// perDocumentReason reports why a view does not run one work unit per
+// candidate document, or "" when it does: the partition rule holds over a
+// collection pattern. A literal outer document runs whole, chunking its
+// outer bindings (evalView).
+func perDocumentReason(d Deps) string {
+	if reason := d.Partition(); reason != "" {
+		return reason
+	}
+	if !docname.IsPattern(d.Outer) {
+		return "outer binding is a literal document"
 	}
 	return ""
 }

@@ -91,10 +91,6 @@ func Less(a, b ID) bool { return Compare(a, b) < 0 }
 // Equal reports whether the two IDs are identical.
 func Equal(a, b ID) bool { return Compare(a, b) == 0 }
 
-// Prefix returns the prefix of id with the given depth. It panics if depth
-// is negative or exceeds the depth of id.
-func (id ID) Prefix(depth int) ID { return id[:depth] }
-
 // Parent returns the ID of the parent element, or nil for a depth-1 ID.
 func (id ID) Parent() ID {
 	if len(id) == 0 {

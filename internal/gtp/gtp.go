@@ -140,11 +140,6 @@ type candSet struct {
 	ids []dewey.ID
 }
 
-func (c *candSet) containsInRange(lo, hi dewey.ID) bool {
-	i := sort.Search(len(c.ids), func(i int) bool { return dewey.Compare(c.ids[i], lo) >= 0 })
-	return i < len(c.ids) && dewey.Compare(c.ids[i], hi) < 0
-}
-
 func (c *candSet) has(id dewey.ID) bool {
 	i := sort.Search(len(c.ids), func(i int) bool { return dewey.Compare(c.ids[i], id) >= 0 })
 	return i < len(c.ids) && dewey.Equal(c.ids[i], id)

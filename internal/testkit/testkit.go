@@ -152,6 +152,23 @@ var EqViews = []string{
 	 return <art>{$a/fm/tl}, {$a/bdy}</art>`,
 }
 
+// DocNodeJoin binds each collection document's node and joins it on a
+// value to the fixed authors document: a per-document view with a side
+// document whose outer bindings are no base elements.
+const DocNodeJoin = `for $d in fn:collection("part-*")
+	return <n>{$d/books//article/fm/tl},
+	  {for $u in fn:doc(authors.xml)/authors//author
+	   where $u/name = $d/books//article/fm/au
+	   return <inst>{$u/affil}</inst>}</n>`
+
+// SideEqJoin is a single-clause collection view whose where compares each
+// article with the fixed authors document: per document, its only for
+// clause ranges over the unit's own articles, so a hash join over that
+// clause would be an index of one unit's document.
+const SideEqJoin = `for $a in fn:collection("part-*")/books//article
+	where $a/fm/au = fn:doc(authors.xml)/authors//author/name
+	return <art>{$a/fm/tl}, {$a/bdy}</art>`
+
 // MutViews are the shapes the lifecycle trials are searched through: a
 // collection selection (replacements re-enter enumeration at their new
 // position) and a collection-to-fixed-document join (exercises the

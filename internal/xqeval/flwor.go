@@ -229,6 +229,18 @@ func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
 	return e.take(mark, err)
 }
 
+// EvalUnit evaluates a FLWOR that opens with a for clause, as Eval does,
+// over the next unit document of a per-document pass; prev, the unit
+// before (or nil), loses its document node. Built hash-join indices are
+// kept, so a join over a side document is built once per evaluator: sound
+// when only the first clause reads the unit document (core's partition
+// rule), as EvalUnit loops over that clause and never hash-joins it.
+func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, prev *xmltree.Document) ([]Item, error) {
+	delete(e.docNodes, prev)
+	mark := len(e.stack)
+	return e.take(mark, e.loop(x, 0, nil))
+}
+
 // evalClauses appends the FLWOR's value from clause idx on.
 func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) error {
 	if idx == len(x.Clauses) {
@@ -256,6 +268,13 @@ func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) error {
 			return err
 		}
 	}
+	return e.loop(x, idx, en)
+}
+
+// loop appends the FLWOR's value from its for clause idx on, binding the
+// clause's sequence one item at a time.
+func (e *Evaluator) loop(x *xq.FLWORExpr, idx int, en *env) error {
+	cl := x.Clauses[idx]
 	// The loop sequence is the region [mark, end). Each binding's results
 	// land above it, and the region is dropped from under them at the end.
 	mark := len(e.stack)

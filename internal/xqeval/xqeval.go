@@ -137,19 +137,6 @@ func (e *Evaluator) EvalQuery(q *xq.Query) ([]Item, error) {
 // single-threaded, so SetContext must not race with Eval.
 func (e *Evaluator) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// SetCatalog points the evaluator at catalog — a new one, or the same one
-// after its documents changed. Everything derived from the previous
-// documents is dropped (document nodes, built hash-join indices); join
-// plans and scratch buffers are kept, so one evaluator serves a view over
-// many catalogs in turn without re-allocating them.
-func (e *Evaluator) SetCatalog(catalog Catalog) {
-	e.catalog = catalog
-	clear(e.docNodes)
-	for _, jp := range e.joins {
-		jp.items, jp.index = nil, nil
-	}
-}
-
 // ctxErr reports the armed context's error, nil when no context is set.
 func (e *Evaluator) ctxErr() error {
 	if e.ctx == nil {

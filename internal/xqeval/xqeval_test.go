@@ -1,6 +1,7 @@
 package xqeval
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -364,40 +365,74 @@ return $bookrev`)
 	}
 }
 
-// TestSetCatalogDropsDocumentState: an evaluator re-pointed at another
-// catalog answers from the new documents only. The view's last clause is a
-// hash join whose loop sequence is a document, so an index built over the
-// first catalog's document must not serve the second.
-func TestSetCatalogDropsDocumentState(t *testing.T) {
-	q, err := xq.Parse(`for $r in fn:doc(reviews.xml)/reviews/review for $b in fn:doc(books.xml)/books/book
-		where $b/isbn = $r/isbn return $b/title`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := catalog(t)
-	other, err := xmltree.ParseString(`<books><book><isbn>111-11-1111</isbn><title>Fresh</title></book></books>`, "books.xml", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := New(first, q.Functions)
-	for _, step := range []struct {
-		cat  Catalog
-		want string
+// TestEvalUnitKeepsSideJoins runs collection views one unit document at a
+// time, as core's per-document pass does: one evaluator, its catalog
+// holding the unit's document plus a shared side document, EvalUnit per
+// unit. Three things must hold: the finished unit's document node does not
+// leak into the next unit, a side join index is built once and reused, and
+// every unit's output equals a fresh evaluator's. The first view's inner FLWOR
+// is a hash join over the side document. The second has one clause, whose
+// where compares with the side document: Eval would hash-join the unit's
+// own reviews, an index no later unit may reuse.
+func TestEvalUnitKeepsSideJoins(t *testing.T) {
+	for _, tc := range []struct {
+		view            string
+		indices, probes int
 	}{
-		{first, "XML Web Services|XML Web Services|Artificial Intelligence"},
-		{MapCatalog{"books.xml": other, "reviews.xml": first["reviews.xml"]}, "Fresh|Fresh"},
-		{MapCatalog{"reviews.xml": first["reviews.xml"]}, ""},
+		{`for $r in fn:collection("rev-*")/reviews/review
+			return <r>{$r/rate}, {for $b in fn:doc(books.xml)/books/book where $b/isbn = $r/isbn return $b/title}</r>`, 1, 4},
+		{`for $r in fn:collection("rev-*")/reviews/review
+			where $r/isbn = fn:doc(books.xml)/books/book/isbn return $r/rate`, 0, 0},
 	} {
-		ev.SetCatalog(step.cat)
-		out, err := ev.Eval(q.Body, nil)
+		q, err := xq.Parse(tc.view)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Join(values(out), "|"); got != step.want {
-			t.Errorf("titles = %q, want %q", got, step.want)
+		fl := q.Body.(*xq.FLWORExpr)
+		cat := MapCatalog{"books.xml": catalog(t)["books.xml"]}
+		ev := New(cat, q.Functions)
+		var prev *xmltree.Document
+		var index *joinIndex
+		for i, isbn := range []string{"111-11-1111", "222-22-2222", "999-99-9999", "111-11-1111"} {
+			unit, err := xmltree.ParseString(`<reviews><review><isbn>`+isbn+`</isbn><rate>r`+isbn[:1]+`</rate></review></reviews>`,
+				fmt.Sprintf("rev-%d.xml", i), int32(10+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil {
+				delete(cat, prev.Name)
+			}
+			cat[unit.Name] = unit
+			got, err := ev.EvalUnit(fl, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(cat, q.Functions).Eval(q.Body, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := show(got), show(want); g != w {
+				t.Fatalf("unit %d: got %s, a fresh evaluator gives %s", i, g, w)
+			}
+			if _, leaked := ev.docNodes[prev]; leaked || len(ev.docNodes) != 2 {
+				t.Fatalf("unit %d: %d document nodes cached, the previous unit's leaked = %v", i, len(ev.docNodes), leaked)
+			}
+			var built []*joinIndex
+			for _, jp := range ev.joins {
+				if jp.index != nil {
+					built = append(built, jp.index)
+				}
+			}
+			if len(built) != tc.indices || (index != nil && built[0] != index) {
+				t.Fatalf("unit %d: join indices %v, want %d, the first unit's %p", i, built, tc.indices, index)
+			}
+			if len(built) > 0 {
+				index = built[0]
+			}
+			prev = unit
 		}
-	}
-	if ev.JoinProbes == 0 {
-		t.Fatal("the view never took the hash-join path")
+		if ev.JoinProbes != tc.probes {
+			t.Fatalf("%d join probes, want %d", ev.JoinProbes, tc.probes)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package vxml_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vxml"
@@ -67,6 +68,51 @@ func BenchmarkShardedParallelSearch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opts := &vxml.Options{TopK: 10, Parallelism: parallelism}
 			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := db.Search(view, kws, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCollectionJoin measures a collection view joined on a value to
+// one literal side document — 240 part documents against a 400-record
+// authors.xml (testkit.EqViews[1]) — at pools of one and two: a top-10
+// ranked search, every part a per-document work unit over the shared side
+// document.
+func BenchmarkCollectionJoin(b *testing.B) {
+	rng := rand.New(rand.NewSource(4243))
+	db := vxml.Open()
+	for d := 0; d < 240; d++ {
+		if err := db.Add(fmt.Sprintf("part-%03d.xml", d), testkit.RandomPartDoc(rng, d)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var authors strings.Builder
+	authors.WriteString("<authors>")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&authors, `<author><name>author%d</name><affil>inst %s %d</affil></author>`,
+			i, testkit.Vocabulary[rng.Intn(len(testkit.Vocabulary))], i)
+	}
+	authors.WriteString("</authors>")
+	if err := db.Add("authors.xml", authors.String()); err != nil {
+		b.Fatal(err)
+	}
+	view, err := db.DefineView(testkit.EqViews[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	kws := []string{"copper", "inst"}
+	for _, pool := range []int{1, 2} {
+		b.Run(fmt.Sprintf("pool%d", pool), func(b *testing.B) {
+			opts := &vxml.Options{TopK: 10, Parallelism: pool}
+			if rs, _, err := db.Search(view, kws, opts); err != nil || len(rs) == 0 {
+				b.Fatalf("search: %d results, %v", len(rs), err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := db.Search(view, kws, opts); err != nil {
 					b.Fatal(err)

@@ -119,7 +119,7 @@ func TestPlannedSearchProtocol(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &fakeRun{cat: catalog.New(0)}
+			f := &fakeRun{cat: catalog.New()}
 			for i, st := range tc.steps {
 				f.fault = st.fault
 				got, stats, err := vxml.PlannedSearch(context.Background(), f.cat, "view text", []string{"Copper"}, st.opts, f.run)

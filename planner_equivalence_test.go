@@ -14,10 +14,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"vxml"
+	"vxml/internal/catalog"
 	"vxml/internal/testkit"
 )
 
@@ -68,9 +70,6 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(0x9107 + int64(trial)*7919))
 			db := testkit.BuildEqCorpus(t, rng, 3+rng.Intn(4))
-			// Promote after two planned searches so the materialized tier is
-			// reached within each trial's short search sequence.
-			db.SetPlanPolicy(2, 0)
 			view, err := db.DefineView(testkit.EqViews[trial%len(testkit.EqViews)])
 			if err != nil {
 				t.Fatal(err)
@@ -120,6 +119,7 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 		// Every tier must actually have served somewhere across the 48
 		// trials, or the suite is vacuously passing against a planner that
 		// never engages.
+		t.Logf("plan sources observed: %v", observed)
 		for _, want := range []string{"direct", "cache_hit", "rewritten", "materialized"} {
 			if observed[want] == 0 {
 				t.Errorf("plan source %q never observed across trials (got %v)", want, observed)
@@ -130,38 +130,61 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 
 // TestPlannerPromotionLifecycle pins the adaptive-materialization policy
 // end to end on one database: skeleton after the first planned search,
-// materialized after the threshold, demotion on mutation, and a doubled
-// re-promotion bar afterwards (churn) — all visible through CacheStats.
+// materialized after the threshold (catalog.DefaultPromoteHits), demotion
+// on mutation, and a doubled re-promotion bar afterwards (churn) — all
+// visible through CacheStats. Distinct keyword sets make each search reach
+// the engine (an exact repeat would serve from the result cache without
+// counting heat).
 func TestPlannerPromotionLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := testkit.BuildEqCorpus(t, rng, 4)
-	db.SetPlanPolicy(2, 0)
 	view, err := db.DefineView(testkit.EqViews[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := vxml.Options{}
-
-	if src := plannedVsDirect(t, "first", db, view, []string{"copper"}, opts); src != "direct" {
-		t.Fatalf("first planned search served from %q, want direct", src)
+	const threshold = catalog.DefaultPromoteHits
+	// 2*threshold+1 distinct keyword sets: the nonempty subsets of words,
+	// in bitmask order.
+	words := []string{"copper", "quartz", "survey", "basalt", "granite", "mica"}
+	var kwSets [][]string
+	for mask := 1; mask < 1<<len(words) && len(kwSets) <= 2*threshold; mask++ {
+		var kws []string
+		for b, w := range words {
+			if mask>>b&1 == 1 {
+				kws = append(kws, w)
+			}
+		}
+		kwSets = append(kwSets, kws)
 	}
-	if cs := db.CacheStats(); cs.Skeletons != 1 {
-		t.Fatalf("after first planned search: %d skeletons, want 1", cs.Skeletons)
+	if len(kwSets) <= 2*threshold {
+		t.Fatalf("%d keyword sets for a promotion threshold of %d, want %d", len(kwSets), threshold, 2*threshold+1)
 	}
-	// Hit 2 crosses the threshold (promoteHits=2) and promotes inline.
-	if src := plannedVsDirect(t, "second", db, view, []string{"quartz"}, opts); src != "rewritten" {
-		t.Fatalf("second planned search served from %q, want rewritten", src)
+	// heat runs the first n keyword sets as planned searches and returns
+	// the tier each was served from.
+	heat := func(label string, n int) []string {
+		var sources []string
+		for i, kws := range kwSets[:n] {
+			sources = append(sources, plannedVsDirect(t, fmt.Sprintf("%s-%d", label, i), db, view, kws, opts))
+		}
+		return sources
+	}
+	// The first search evaluates directly and leaves a skeleton; the rest
+	// rewrite it, and the one that reaches the threshold promotes inline.
+	rewrites := slices.Repeat([]string{"rewritten"}, threshold-1)
+	if got, want := heat("cold", threshold), append([]string{"direct"}, rewrites...); !slices.Equal(got, want) {
+		t.Fatalf("cold sequence served from %v, want %v", got, want)
 	}
 	cs := db.CacheStats()
-	if cs.Materialized != 1 || cs.Promotions != 1 {
-		t.Fatalf("after threshold: materialized=%d promotions=%d, want 1/1", cs.Materialized, cs.Promotions)
+	if cs.Skeletons != 1 || cs.Materialized != 1 || cs.Promotions != 1 {
+		t.Fatalf("after threshold: skeletons=%d materialized=%d promotions=%d, want 1/1/1", cs.Skeletons, cs.Materialized, cs.Promotions)
 	}
-	if src := plannedVsDirect(t, "third", db, view, []string{"survey", "copper"}, opts); src != "materialized" {
+	if src := plannedVsDirect(t, "promoted", db, view, kwSets[threshold], opts); src != "materialized" {
 		t.Fatalf("post-promotion search served from %q, want materialized", src)
 	}
 
 	// A mutation demotes: the artifact is dropped, the demotion counted,
-	// and the doubled threshold (churn) delays re-promotion to hit 4.
+	// and the doubled threshold (churn) delays re-promotion.
 	if err := db.Replace("part-00.xml", testkit.RandomPartDoc(rng, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -169,19 +192,14 @@ func TestPlannerPromotionLifecycle(t *testing.T) {
 	if cs.Materialized != 0 || cs.Demotions != 1 {
 		t.Fatalf("after mutation: materialized=%d demotions=%d, want 0/1", cs.Materialized, cs.Demotions)
 	}
-	sources := []string{}
-	// Distinct keyword sets so each search reaches the engine (an exact
-	// repeat would serve from the result cache without counting heat).
-	for i, kw := range []string{"copper", "quartz", "survey", "basalt"} {
-		sources = append(sources, plannedVsDirect(t, fmt.Sprintf("churned-%d", i), db, view, []string{kw}, vxml.Options{}))
-	}
-	if want := []string{"direct", "rewritten", "rewritten", "rewritten"}; fmt.Sprint(sources) != fmt.Sprint(want) {
-		t.Fatalf("churned sequence served from %v, want %v", sources, want)
+	rewrites = slices.Repeat([]string{"rewritten"}, 2*threshold-1)
+	if got, want := heat("churned", 2*threshold), append([]string{"direct"}, rewrites...); !slices.Equal(got, want) {
+		t.Fatalf("churned sequence served from %v, want %v", got, want)
 	}
 	if cs = db.CacheStats(); cs.Promotions != 2 {
-		t.Fatalf("after churned re-heat: promotions=%d, want 2 (threshold doubled to 4 hits)", cs.Promotions)
+		t.Fatalf("after churned re-heat: promotions=%d, want 2 (threshold doubled)", cs.Promotions)
 	}
-	if src := plannedVsDirect(t, "re-promoted", db, view, []string{"quartz", "survey"}, opts); src != "materialized" {
+	if src := plannedVsDirect(t, "re-promoted", db, view, kwSets[2*threshold], opts); src != "materialized" {
 		t.Fatalf("re-promoted search served from %q, want materialized", src)
 	}
 }
@@ -196,7 +214,6 @@ func TestPlannerConcurrentMutationRace(t *testing.T) {
 	baselineGoroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(4242))
 	db := testkit.BuildEqCorpus(t, rng, 5)
-	db.SetPlanPolicy(2, 0)
 	views := make([]*vxml.View, 2)
 	for i, text := range []string{testkit.EqViews[0], testkit.EqViews[1]} {
 		v, err := db.DefineView(text)

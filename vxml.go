@@ -151,16 +151,6 @@ func OpenShards(n int) *Database {
 	return newDatabase(core.New(store.NewSharded(n)))
 }
 
-// SetPlanPolicy tunes the catalog's adaptive-materialization policy: a
-// view is promoted to fully materialized after promoteHits planned
-// searches since the last corpus change (doubling per demotion-churn
-// step), and skeletons plus materialized views together may hold
-// artifactBytes resident bytes. Non-positive values keep the current
-// setting. See docs/TUNING.md for guidance.
-func (db *Database) SetPlanPolicy(promoteHits, artifactBytes int) {
-	db.catalog.SetPolicy(promoteHits, artifactBytes)
-}
-
 // Add parses, stores and indexes an XML document under the given name
 // (referenced from views as fn:doc(name)). It invalidates the catalog —
 // the query-result cache and every planner artifact — so every subsequent
