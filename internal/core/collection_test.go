@@ -8,6 +8,9 @@ import (
 	"vxml/internal/store"
 )
 
+// raceDetector reports a build with the race detector (race_test.go).
+var raceDetector bool
+
 // newCollectionEngine loads n small part documents whose bodies embed the
 // doc index, so result provenance is visible in the output.
 func newCollectionEngine(t *testing.T, n int) *Engine {
@@ -88,5 +91,60 @@ func TestExplainMentionsCollectionPattern(t *testing.T) {
 	out := e.Explain(v, []string{"xml"})
 	if !strings.Contains(out, "collection pattern: 4 matching document(s)") {
 		t.Errorf("Explain missing pattern note:\n%s", out)
+	}
+}
+
+// allocsPerCandidate is what one more candidate of a collection view costs
+// a search, object by object: the unit's PDT (build's element slab, link's
+// child slab, the PDT and its document: 4); its evaluation (the
+// evaluator's document node and its one-child slice: 2; the where
+// clause's literal boxed as an item: 1; EvalUnit's exact-size result
+// slice: 1); and its results' scoring inputs (their Stats and the
+// term-frequency slab they are carved from: 2).
+const allocsPerCandidate = 10
+
+// TestPerDocumentAllocationsPerCandidate: a collection view's search costs
+// allocsPerCandidate allocations per candidate document, whatever the
+// candidate count: list preparation, the lookups and the unit's plumbing
+// allocate nothing per candidate once warm. Every part is alike, so the
+// difference between a search over 128 parts and one over 64 is 64
+// candidates' worth, plus the growth of the per-search tables that append
+// per candidate (the plan's units, the store's matching documents): a
+// tenth of an allocation per candidate covers those. The race detector
+// drops pooled generators at random, and a dropped one re-grows its
+// scratch, so the count holds only without it (CI runs the allocation
+// tests without the detector too).
+func TestPerDocumentAllocationsPerCandidate(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const view = `for $a in fn:collection("part-*")/books//article where $a/fm/yr > 1990 return $a`
+	perSearch := func(parts int) float64 {
+		e := New(store.New())
+		for i := 0; i < parts; i++ {
+			xml := fmt.Sprintf(`<books><article><fm><tl>study %d</tl><au>author</au><yr>1995</yr></fm><bdy>xml search</bdy></article>`+
+				`<article><fm><tl>note %d</tl><au>author</au><yr>1989</yr></fm><bdy>xml index</bdy></article></books>`, i, i)
+			if err := e.AddXML(fmt.Sprintf("part-%03d.xml", i), xml); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := e.CompileView(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		search := func() {
+			results, _, err := e.Search(v, []string{"xml", "search"}, Options{K: 10, Parallelism: 1})
+			if err != nil || len(results) != 10 {
+				t.Fatalf("%d results, err %v", len(results), err)
+			}
+		}
+		search() // fills the QPT's memos and warms a pooled generator
+		return testing.AllocsPerRun(20, search)
+	}
+	a64, a128 := perSearch(64), perSearch(128)
+	t.Logf("%v allocations over 64 parts, %v over 128", a64, a128)
+	if per := (a128 - a64) / 64; per > allocsPerCandidate+0.1 {
+		t.Errorf("%.2f allocations per extra candidate (%v over 64 parts, %v over 128), want %d",
+			per, a64, a128, allocsPerCandidate)
 	}
 }

@@ -472,13 +472,13 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 }
 
 // generatePDT runs the per-document index pipeline for one unit: path-index
-// probes and QPT (pattern) matching inside PrepareLists, then PDT
-// construction. The PDT is keyword-free — its shape, values and byte
-// lengths depend on (QPT, document) alone, and collect derives the term
-// frequencies of the results that survive evaluation — so PrepareLists
-// gets no keywords.
+// probes and QPT (pattern) matching, then PDT construction, in a pooled
+// generator's memory (pdt.GenerateFromIndex). The PDT is keyword-free — its
+// shape, values and byte lengths depend on (QPT, document) alone, and
+// collect derives the term frequencies of the results that survive
+// evaluation.
 func (u unit) generatePDT() *pdt.PDT {
-	return pdt.Generate(u.q, pdt.PrepareLists(u.q, u.pix, u.iix, nil), u.name)
+	return pdt.GenerateFromIndex(u.q, u.pix, u.name)
 }
 
 // document is the unit's PDT as evaluation sees it: the PDT's document or,

@@ -292,11 +292,10 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 	prev := w.cat.docs[0]
 	w.cat.docs[0] = doc
 	// The partition rule's Outer is a top-level for clause's.
-	items, err := w.ev.EvalUnit(v.Expr.(*xq.FLWORExpr), prev)
-	if err != nil {
+	var err error
+	if d.results, err = w.ev.EvalUnit(v.Expr.(*xq.FLWORExpr), prev); err != nil {
 		return err
 	}
-	d.results = appendNodes(nil, items)
 	if len(d.results) == 0 {
 		return nil
 	}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -331,7 +332,7 @@ func encodeIndexPayload(pix *pathindex.Index, iix *invindex.Index) []byte {
 // then per posting those components, its subtree byte length and its value
 // ordinal — 0 without a value, k+1 for the path's k-th value.
 func appendPathList(dst []byte, pl pathindex.Lists, slot int) []byte {
-	postings, nv := pl.Postings(slot, nil), pl.Values(slot)
+	postings, nv := pl.Postings(slot, nil, nil), pl.Values(slot)
 	comps := 0
 	if len(postings) > 0 {
 		comps = len(postings[0].ID) - 1
@@ -537,10 +538,14 @@ func (v pathLists) Values(slot int) int { return int(v.firstValue[slot+1] - v.fi
 func (v pathLists) Value(slot, k int) string { return v.str(int(v.firstValue[slot]) + k) }
 
 // Postings decodes one path's list, keeping the postings whose value keep
-// marks (all when keep is nil): postings in one slice, the kept IDs in one
-// slab, values sliced from the text. A list that fails to decode is noted
-// and answers empty.
-func (v pathLists) Postings(slot int, keep []bool) []pathindex.Posting {
+// marks (all when keep is nil): postings in a fresh slice, or appended to
+// dst when keep is set; the kept IDs in one fresh slab, since PDT nodes
+// keep sub-slices of them; values sliced from the text. A list that fails
+// to decode is noted and answers empty (dst as it was).
+func (v pathLists) Postings(slot int, keep []bool, dst []pathindex.Posting) []pathindex.Posting {
+	if keep == nil {
+		dst = nil
+	}
 	c := cursor{buf: v.list(slot)}
 	n, comps := c.uvarint(), c.uvarint()
 	if c.err == nil && (comps >= uint64(len(c.buf)) || n > uint64(len(c.buf))/(comps+2)) {
@@ -548,13 +553,18 @@ func (v pathLists) Postings(slot int, keep []bool) []pathindex.Posting {
 	}
 	if c.err != nil {
 		v.note(c.err)
-		return nil
+		return dst
 	}
 	width, kept, nv := int(comps)+1, int(n), uint64(v.Values(slot))
 	if keep != nil {
 		kept = countKept(c, kept, width-1, keep)
 	}
-	ps := make([]pathindex.Posting, 0, kept)
+	ps := dst
+	if ps == nil {
+		ps = make([]pathindex.Posting, 0, kept) // one allocation, also under the race detector
+	} else {
+		ps = slices.Grow(ps, kept)
+	}
 	// One ID to spare: a posting not kept is decoded into the next free
 	// cell, which it does not claim.
 	ids := make([]int32, (kept+1)*width)
@@ -587,7 +597,8 @@ func (v pathLists) Postings(slot int, keep []bool) []pathindex.Posting {
 	}
 	if err := c.end("path list"); err != nil {
 		v.note(err)
-		return nil
+		clear(ps[len(dst):]) // what was decoded into dst's spare capacity
+		return dst
 	}
 	return ps
 }

@@ -15,26 +15,28 @@ func IsPattern(s string) bool { return strings.Contains(s, "*") }
 
 // Match reports whether name matches pattern, where each '*' in pattern
 // matches any (possibly empty) substring. A pattern without '*' matches
-// only the identical name.
+// only the identical name. It runs for every candidate document of a
+// collection view, so it allocates nothing: the parts between stars are
+// cut from the pattern one at a time, each found at its leftmost place
+// after the previous one, and the last must end the name.
 func Match(pattern, name string) bool {
-	parts := strings.Split(pattern, "*")
-	if len(parts) == 1 {
+	prefix, rest, ok := strings.Cut(pattern, "*")
+	if !ok {
 		return pattern == name
 	}
-	if !strings.HasPrefix(name, parts[0]) {
+	if !strings.HasPrefix(name, prefix) {
 		return false
 	}
-	name = name[len(parts[0]):]
-	last := parts[len(parts)-1]
-	for _, part := range parts[1 : len(parts)-1] {
-		if part == "" {
-			continue
+	name = name[len(prefix):]
+	for {
+		part, tail, more := strings.Cut(rest, "*")
+		if !more {
+			return strings.HasSuffix(name, part)
 		}
 		i := strings.Index(name, part)
 		if i < 0 {
 			return false
 		}
-		name = name[i+len(part):]
+		name, rest = name[i+len(part):], tail
 	}
-	return strings.HasSuffix(name, last) && len(name) >= len(last)
 }

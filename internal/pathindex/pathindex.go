@@ -91,13 +91,19 @@ type PathPostings struct {
 // slot: Build's resident lists, or a stored record (NewView). Values is the
 // number of distinct leaf values on the path and Value the k-th of them in
 // ascending (byte-wise) order. Postings returns the path's list in Dewey
-// order — all of it when keep is nil, else the postings whose value keep
-// marks (keep has one entry per value; a posting without a value is never
-// kept). Implementations must be safe for concurrent use.
+// order. With keep nil that is all of it, and dst is not touched: resident
+// lists return the list they keep (read-only), stored ones a fresh decode.
+// Otherwise keep has one entry per value and Postings appends the postings
+// whose value it marks (a posting without a value is never kept) to dst,
+// returning the extended slice as append does: the kept postings are the
+// result's tail from len(dst), and dst's earlier entries are left as they
+// were. Anything a posting points to (its ID, its value) is not carved
+// from dst, so it outlives dst's reuse. Implementations must be safe for
+// concurrent use.
 type Lists interface {
 	Values(slot int) int
 	Value(slot, k int) string
-	Postings(slot int, keep []bool) []Posting
+	Postings(slot int, keep []bool, dst []Posting) []Posting
 }
 
 // Index is the path index of a single document: the sorted path directory
@@ -126,7 +132,7 @@ type resident struct {
 func (r *resident) Values(slot int) int      { return len(r.values[slot]) }
 func (r *resident) Value(slot, k int) string { return r.values[slot][k] }
 
-func (r *resident) Postings(slot int, keep []bool) []Posting {
+func (r *resident) Postings(slot int, keep []bool, dst []Posting) []Posting {
 	all := r.lists[slot]
 	if keep == nil {
 		return all
@@ -137,13 +143,13 @@ func (r *resident) Postings(slot int, keep []bool) []Posting {
 			n++
 		}
 	}
-	kept := make([]Posting, 0, n)
+	dst = slices.Grow(dst, n)
 	for i, o := range r.ords[slot] {
 		if o >= 0 && keep[o] {
-			kept = append(kept, all[i])
+			dst = append(dst, all[i])
 		}
 	}
-	return kept
+	return dst
 }
 
 // builder assigns each element the slot of its full data path, found from
@@ -323,23 +329,38 @@ func splitPath(p string) []string {
 // (read-only, like Segs). Leaf predicates are decided per distinct value
 // (lookupFullPath), so both are index-only operations.
 func (ix *Index) LookupPath(steps []Step, preds []pred.Predicate) []PathPostings {
-	var out []PathPostings
 	var compiled []pred.Compiled
+	for _, p := range preds {
+		compiled = append(compiled, p.Compile())
+	}
+	return ix.AppendLookup(nil, new(Scratch), steps, compiled)
+}
+
+// Scratch is the memory AppendLookup works in: the predicate bitmap and
+// the postings predicates filter, appended across lookups so that every
+// returned list stays intact until the owner truncates Postings. Postings
+// point into the index (their IDs), so an owner that keeps a Scratch past
+// the lookups' use must zero Postings to let a replaced index go.
+type Scratch struct {
+	Keep     []bool
+	Postings []Posting
+}
+
+// AppendLookup is LookupPath for a caller that looks up again and again:
+// it appends one PathPostings per matching full data path to dst and
+// returns the extended slice, taking predicates compiled and writing the
+// postings they filter into s. An unfiltered list is the index's own, as
+// in LookupPath.
+func (ix *Index) AppendLookup(dst []PathPostings, s *Scratch, steps []Step, preds []pred.Compiled) []PathPostings {
 	for i, segs := range ix.segs {
 		if !matchFrom(steps, segs, 0, 0) {
 			continue
 		}
-		if compiled == nil && len(preds) > 0 {
-			compiled = make([]pred.Compiled, len(preds))
-			for j, p := range preds {
-				compiled[j] = p.Compile()
-			}
-		}
-		if postings := ix.lookupFullPath(i, preds, compiled); len(postings) > 0 {
-			out = append(out, PathPostings{FullPath: ix.paths[i], Segs: segs, Postings: postings})
+		if postings := ix.lookupFullPath(i, preds, s); len(postings) > 0 {
+			dst = append(dst, PathPostings{FullPath: ix.paths[i], Segs: segs, Postings: postings})
 		}
 	}
-	return out
+	return dst
 }
 
 // lookupFullPath probes the i-th full data path of the directory. A single
@@ -347,38 +368,42 @@ func (ix *Index) LookupPath(steps []Step, preds []pred.Predicate) []PathPostings
 // over the path's values finds its one (path, value) row, or that there is
 // none. A numeric literal matches every spelling of its number ("7", "07",
 // "7.0"), so it is decided like every other predicate: once per distinct
-// value, each literal parsed once. The list then yields the postings of the
-// values admitted.
-func (ix *Index) lookupFullPath(i int, preds []pred.Predicate, compiled []pred.Compiled) []Posting {
+// value. The list then yields the postings of the values admitted, appended
+// to s.Postings.
+func (ix *Index) lookupFullPath(i int, preds []pred.Compiled, s *Scratch) []Posting {
 	ix.probes.Add(1)
 	if len(preds) == 0 {
-		return ix.lists.Postings(i, nil)
+		return ix.lists.Postings(i, nil, nil)
 	}
 	n := ix.lists.Values(i)
-	if len(preds) == 1 && preds[0].Op == pred.Eq && !compiled[0].Numeric() {
-		k, ok := sort.Find(n, func(k int) int { return strings.Compare(preds[0].Lit, ix.lists.Value(i, k)) })
+	keep := slices.Grow(s.Keep[:0], n)[:n]
+	clear(keep)
+	s.Keep = keep
+	if len(preds) == 1 && preds[0].Op() == pred.Eq && !preds[0].Numeric() {
+		k, ok := sort.Find(n, func(k int) int { return strings.Compare(preds[0].Lit(), ix.lists.Value(i, k)) })
 		if !ok {
 			return nil
 		}
-		keep := make([]bool, n)
 		keep[k] = true
-		return ix.lists.Postings(i, keep)
-	}
-	keep, admitted := make([]bool, n), false
-value:
-	for k := range keep {
-		v := ix.lists.Value(i, k)
-		for _, c := range compiled {
-			if !c.Eval(v) {
-				continue value
+	} else {
+		admitted := false
+	value:
+		for k := range keep {
+			v := ix.lists.Value(i, k)
+			for _, c := range preds {
+				if !c.Eval(v) {
+					continue value
+				}
 			}
+			keep[k], admitted = true, true
 		}
-		keep[k], admitted = true, true
+		if !admitted {
+			return nil
+		}
 	}
-	if !admitted {
-		return nil
-	}
-	return ix.lists.Postings(i, keep)
+	start := len(s.Postings)
+	s.Postings = ix.lists.Postings(i, keep, s.Postings)
+	return s.Postings[start:len(s.Postings):len(s.Postings)]
 }
 
 // TagPostings returns the postings of every element with the given tag, in
@@ -390,7 +415,7 @@ func (ix *Index) TagPostings(tag string) []Posting {
 		ix.tags = map[string][]Posting{}
 		for i, segs := range ix.segs {
 			t := segs[len(segs)-1]
-			ix.tags[t] = append(ix.tags[t], ix.lists.Postings(i, nil)...)
+			ix.tags[t] = append(ix.tags[t], ix.lists.Postings(i, nil, nil)...)
 		}
 		for _, ps := range ix.tags {
 			slices.SortFunc(ps, func(a, b Posting) int { return dewey.Compare(a.ID, b.ID) })
@@ -407,7 +432,7 @@ func (ix *Index) DistinctRowCount() int {
 	n := 0
 	for i := range ix.paths {
 		n += ix.lists.Values(i)
-		if slices.ContainsFunc(ix.lists.Postings(i, nil), func(p Posting) bool { return !p.HasValue }) {
+		if slices.ContainsFunc(ix.lists.Postings(i, nil, nil), func(p Posting) bool { return !p.HasValue }) {
 			n++
 		}
 	}

@@ -123,6 +123,12 @@ type generator struct {
 	// PDT's elements in document order without a sort.
 	src   []srcRef
 	marks []uint8
+	// prepared is the lists of the pooled entry, GenerateFromIndex, and the
+	// memory they are prepared in. build takes tags, ID prefixes and values
+	// from the lists, and none of them lives in that memory (a filtered
+	// posting's header does; the ID and value it points to do not), so no
+	// region of it reaches a returned PDT.
+	prepared listMemory
 }
 
 // freeList recycles structs that die in bulk and are needed again at once.
@@ -158,6 +164,24 @@ func Generate(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 	return pdt
 }
 
+// GenerateFromIndex is PrepareLists without keywords followed by Generate,
+// with the lists prepared in the pooled generator's memory: the
+// per-candidate pipeline of a search, which allocates, once warm, only the
+// PDT it returns and what the index allocates per lookup (a stored index
+// decodes its lists afresh).
+func GenerateFromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
+	g := genPool.Get().(*generator)
+	pdt := g.fromIndex(q, pix, sourceName)
+	genPool.Put(g)
+	return pdt
+}
+
+// fromIndex is one GenerateFromIndex on g.
+func (g *generator) fromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
+	g.prepared.prepare(q, pix, nil, nil)
+	return g.run(q, &g.prepared.Lists, sourceName)
+}
+
 // run is one generation. It leaves g reset: scratch backings kept, nothing
 // that points into the document's index.
 func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
@@ -191,12 +215,14 @@ func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 }
 
 // reset clears the per-run state while keeping the scratch backings for the
-// next run. Nothing kept points into the document's index (released CT
-// nodes are zeroed), so a pooled generator never keeps a replaced
-// document's index alive.
+// next run. Nothing kept points into the document's index — released CT
+// nodes are zeroed, and so are the prepared lists' PathLists, lookup
+// results and filtered postings — so a pooled generator never keeps a
+// replaced document's index alive.
 func (g *generator) reset() {
 	g.q, g.lists, g.layout = nil, nil, nil
 	g.src, g.marks = g.src[:0], g.marks[:0]
+	g.prepared.reset()
 }
 
 // mergeLists is the single k-way merge pass over the ordered ID lists.
@@ -210,7 +236,8 @@ func (g *generator) mergeLists() {
 	}
 	for {
 		minIdx := -1
-		for i, pl := range g.lists.Paths {
+		for i := range g.lists.Paths {
+			pl := &g.lists.Paths[i]
 			if cursors[i] >= len(pl.Postings) {
 				continue
 			}
@@ -230,7 +257,7 @@ func (g *generator) mergeLists() {
 // insert pushes the element of one posting (and its matched prefixes) onto
 // the CT, finalizing nodes that are no longer ancestors of the incoming ID.
 func (g *generator) insert(list, posting int) {
-	pl := g.lists.Paths[list]
+	pl := &g.lists.Paths[list]
 	id := pl.Postings[posting].ID
 	at := func(depth int) srcRef { return srcRef{int32(list), int32(posting), int32(depth)} }
 	// Pop completed branches: everything on the stack that is not a prefix
@@ -551,7 +578,7 @@ func (g *generator) build(sourceName string) *PDT {
 			continue
 		}
 		at := g.src[seq]
-		pl := g.lists.Paths[at.list]
+		pl := &g.lists.Paths[at.list]
 		p := &pl.Postings[at.posting]
 		slab = append(slab, xmltree.Node{Tag: pl.Segs[at.depth-1], ID: p.ID[:at.depth]})
 		node := &slab[len(slab)-1]

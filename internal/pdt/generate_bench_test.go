@@ -57,7 +57,10 @@ func benchWorkload(b *testing.B, articles int) (*qpt.QPT, *Lists) {
 // BenchmarkPrepareLists isolates the index half of PDT generation — the
 // Figure-7 probes of one candidate document — with and without keywords.
 // Only the predicate-filtered list (year > 1995) should cost in proportion
-// to the document.
+// to the document. At 8 articles, the size of a collection_fanout part, it
+// also runs the engine's per-candidate pipeline, list preparation and
+// generation in a pooled generator's memory (GenerateFromIndex), whose
+// allocations are the PDT's alone.
 func BenchmarkPrepareLists(b *testing.B) {
 	for _, articles := range []int{8, 200, 3200} {
 		q, pix, iix := benchIndices(b, articles)
@@ -67,6 +70,16 @@ func BenchmarkPrepareLists(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if lists := PrepareLists(q, pix, iix, kws); len(lists.Paths) == 0 {
 						b.Fatal("no lists")
+					}
+				}
+			})
+		}
+		if articles == 8 {
+			b.Run("articles=8/pooled-generate", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if p := GenerateFromIndex(q, pix, "books.xml"); p.Nodes == 0 {
+						b.Fatal("empty PDT")
 					}
 				}
 			})

@@ -3,6 +3,7 @@ package pdt
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -492,14 +493,16 @@ func TestPrepareListsCostIndependentOfListLength(t *testing.T) {
 
 // TestGenerateAllocationsIndependentOfDocumentSize: a warm generator
 // allocates the PDT it returns — a fixed number of slabs — and nothing per
-// element, so a document four times the size costs no more allocations. The
+// element, so a document four times the size costs no more allocations;
+// and so does the engine's pooled entry, which prepares the lists in the
+// generator's memory too, the predicate-filtered year list included. The
 // test holds one generator itself: sync.Pool may drop genPool's at any GC
 // (and drops at random under the race detector), after which a run re-grows
 // the scratch, which is a property of the pool and not of the generator.
 func TestGenerateAllocationsIndependentOfDocumentSize(t *testing.T) {
 	q := viewQPTs(t, `for $b in fn:doc(books.xml)/books//book where $b/year > 1995 return <r>{$b/isbn}, {$b/title}</r>`)[0]
 	g := &generator{}
-	var allocs []float64
+	var allocs, pooled []float64
 	for _, books := range []int{100, 400} {
 		var sb strings.Builder
 		sb.WriteString("<books>")
@@ -508,13 +511,104 @@ func TestGenerateAllocationsIndependentOfDocumentSize(t *testing.T) {
 		}
 		sb.WriteString("</books>")
 		doc := parseDoc(t, sb.String(), "books.xml", 1)
-		lists := PrepareLists(q, pathindex.Build(doc), invindex.Build(doc), nil)
+		pix := pathindex.Build(doc)
+		lists := PrepareLists(q, pix, invindex.Build(doc), nil)
 		if n := g.run(q, lists, doc.Name).Nodes; n < books { // also grows the scratch to this document
 			t.Fatalf("%d books: PDT of %d nodes", books, n)
 		}
 		allocs = append(allocs, testing.AllocsPerRun(50, func() { g.run(q, lists, doc.Name) }))
+		if n := g.fromIndex(q, pix, doc.Name).Nodes; n < books {
+			t.Fatalf("%d books: pooled PDT of %d nodes", books, n)
+		}
+		pooled = append(pooled, testing.AllocsPerRun(50, func() { g.fromIndex(q, pix, doc.Name) }))
 	}
+	t.Logf("Generate: %v and %v objects; pooled prepare and generate: %v and %v", allocs[0], allocs[1], pooled[0], pooled[1])
 	if allocs[1] > allocs[0]+1 || allocs[0] > 8 {
 		t.Errorf("Generate allocates %v objects over 100 books and %v over 400, want the same handful", allocs[0], allocs[1])
+	}
+	if pooled[1] != pooled[0] || pooled[0] > allocs[0] {
+		t.Errorf("the pooled prepare and generate allocates %v objects over 100 books and %v over 400, want Generate's %v", pooled[0], pooled[1], allocs[0])
+	}
+}
+
+// multiRegionView's predicate path $x//b expands to one full data path per
+// nesting of b under a, each with its own predicate-filtered list.
+const multiRegionView = `for $x in fn:doc(r.xml)/r//a where $x//b = 'xml' return <o>{$x//b}, {$x/c}</o>`
+
+var multiRegionDocs = []string{
+	`<r><a><b>xml</b><c>1</c><a><b>xml</b><d><b>xml</b></d></a></a><a><d><b>search</b></d><b>xml</b></a></r>`,
+	`<r><a><d><b>xml</b></d><c>2</c></a><a><a><a><b>xml</b></a><b>1</b></a><c>3</c></a><a><b>search</b></a></r>`,
+}
+
+// TestPooledPrepareKeepsEveryRegion: the pooled entry appends the filtered
+// postings of every full data path a predicate expands to into one scratch
+// slab, one region per path. Through one warm generator over two different
+// documents, each PDT equals the one fresh PrepareLists and Generate build,
+// and the first is unchanged by the second run: every region survives the
+// lookups after it, and none reaches a returned PDT.
+func TestPooledPrepareKeepsEveryRegion(t *testing.T) {
+	q := viewQPTs(t, multiRegionView)[0]
+	g := &generator{}
+	var first *PDT
+	var firstTree string
+	for i, text := range multiRegionDocs {
+		doc := parseDoc(t, text, "r.xml", int32(i+1))
+		pix := pathindex.Build(doc)
+		fresh := PrepareLists(q, pix, invindex.Build(doc), nil)
+		regions := 0
+		for _, pl := range fresh.Paths {
+			if len(pl.QNode.Preds) > 0 {
+				regions++
+			}
+		}
+		if regions < 2 {
+			t.Fatalf("document %d: %d predicate-filtered lists, want several", i, regions)
+		}
+		want := Generate(q, fresh, doc.Name)
+		got := g.fromIndex(q, pix, doc.Name)
+		if render(got) != render(want) || got.Nodes != want.Nodes || got.Bytes != want.Bytes {
+			t.Fatalf("document %d: pooled PDT\n%s want\n%s", i, render(got), render(want))
+		}
+		if i == 0 {
+			first, firstTree = got, render(got)
+		}
+	}
+	if render(first) != firstTree {
+		t.Fatalf("the first PDT changed under the second run:\n%s was\n%s", render(first), firstTree)
+	}
+}
+
+// TestResetDropsPreparedLists: after a run, the prepared lists' scratch —
+// PathLists, lookup results, filtered postings and keyword lists — holds
+// no non-zero entry anywhere in its capacity, so a pooled generator never
+// keeps a replaced document's index alive.
+func TestResetDropsPreparedLists(t *testing.T) {
+	q := viewQPTs(t, multiRegionView)[0]
+	g := &generator{}
+	for i, text := range multiRegionDocs {
+		doc := parseDoc(t, text, "r.xml", int32(i+1))
+		if p := g.fromIndex(q, pathindex.Build(doc), doc.Name); p.Nodes == 0 {
+			t.Fatalf("document %d: empty PDT", i)
+		}
+		m := &g.prepared
+		if cap(m.Paths) == 0 || cap(m.lookup.Postings) == 0 {
+			t.Fatalf("document %d: no scratch kept (%d PathLists, %d postings)", i, cap(m.Paths), cap(m.lookup.Postings))
+		}
+		mustBeZero(t, "PathList", m.Paths[:cap(m.Paths)])
+		mustBeZero(t, "PathPostings", m.found[:cap(m.found)])
+		mustBeZero(t, "posting", m.lookup.Postings[:cap(m.lookup.Postings)])
+		mustBeZero(t, "keyword list", m.Inv[:cap(m.Inv)])
+		if g.lists != nil || m.Keywords != nil {
+			t.Fatalf("document %d: the generator still holds its lists", i)
+		}
+	}
+}
+
+func mustBeZero[T any](t *testing.T, what string, entries []T) {
+	t.Helper()
+	for k := range entries {
+		if !reflect.ValueOf(&entries[k]).Elem().IsZero() {
+			t.Fatalf("%s %d of %d survives reset: %+v", what, k, len(entries), entries[k])
+		}
 	}
 }

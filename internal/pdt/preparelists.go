@@ -28,10 +28,8 @@ import (
 // one full data path serving one QPT node, together with the per-depth QPT
 // match sets of that full path (used to map ID prefixes back to QPT nodes).
 type PathList struct {
-	QNode    *qpt.Node
-	FullPath string
-	Segs     []string
-	Postings []pathindex.Posting
+	QNode *qpt.Node
+	pathindex.PathPostings
 	// Matches[d] holds the QPT nodes matched by the prefix of depth d+1
 	// (Matches[len(Segs)-1] always contains QNode).
 	Matches [][]*qpt.Node
@@ -39,7 +37,7 @@ type PathList struct {
 
 // Lists is the output of PrepareLists.
 type Lists struct {
-	Paths    []*PathList
+	Paths    []PathList
 	Keywords []string
 	Inv      []*invindex.PostingList // one per keyword
 }
@@ -48,27 +46,49 @@ type Lists struct {
 // path lookups (qpt.QPT.Probes) plus one inverted-list lookup per query
 // keyword. The number of probes depends only on the query, never on the data
 // size — and so does the work per probe: segments and unfiltered posting
-// lists come out of the index as stored and the per-depth match sets out of
-// the QPT's memo, so nothing is copied, split or sorted per call. Keywords
-// only feed Meta.TFs; a caller that does not need them passes none and gets
-// keyword-free PDTs.
+// lists come out of the index as stored, predicates compiled and the
+// per-depth match sets out of the QPT's memo, so nothing is copied, split
+// or sorted per call. Keywords only feed Meta.TFs; a caller that does not
+// need them passes none and gets keyword-free PDTs.
 func PrepareLists(q *qpt.QPT, pix *pathindex.Index, iix *invindex.Index, keywords []string) *Lists {
-	probes := q.Probes()
-	out := &Lists{Keywords: keywords, Paths: make([]*PathList, 0, len(probes))} // usually one full path per probe
-	for _, pr := range probes {
-		for _, pp := range pix.LookupPath(pr.Steps, pr.Node.Preds) {
-			out.Paths = append(out.Paths, &PathList{
-				QNode:    pr.Node,
-				FullPath: pp.FullPath,
-				Segs:     pp.Segs,
-				Postings: pp.Postings,
-				Matches:  q.MatchSets(pp.FullPath, pp.Segs),
-			})
+	n := len(q.Probes()) // usually one full path per probe
+	m := listMemory{Lists: Lists{Paths: make([]PathList, 0, n)}, found: make([]pathindex.PathPostings, 0, n)}
+	m.prepare(q, pix, iix, keywords)
+	return &m.Lists
+}
+
+// listMemory is prepared Lists together with the memory they are prepared
+// in: the path lookups' results and their scratch (the predicate bitmap
+// and the predicate-filtered postings). A generator keeps one, so that
+// preparing a candidate document's lists allocates nothing once warm.
+type listMemory struct {
+	Lists
+	found  []pathindex.PathPostings
+	lookup pathindex.Scratch
+}
+
+// prepare is PrepareLists into m, which must be reset.
+func (m *listMemory) prepare(q *qpt.QPT, pix *pathindex.Index, iix *invindex.Index, keywords []string) {
+	for _, pr := range q.Probes() {
+		start := len(m.found)
+		m.found = pix.AppendLookup(m.found, &m.lookup, pr.Steps, pr.Preds)
+		for _, pp := range m.found[start:] {
+			m.Paths = append(m.Paths, PathList{QNode: pr.Node, PathPostings: pp, Matches: q.MatchSets(pp.FullPath, pp.Segs)})
 		}
 	}
-	out.Inv = make([]*invindex.PostingList, len(keywords))
-	for i, k := range keywords {
-		out.Inv[i] = iix.Lookup(k)
+	m.Keywords = keywords
+	for _, k := range keywords {
+		m.Inv = append(m.Inv, iix.Lookup(k))
 	}
-	return out
+}
+
+// reset zeroes everything in m that points into a document's index,
+// keeping the backings for the next document.
+func (m *listMemory) reset() {
+	clear(m.Paths)
+	clear(m.Inv)
+	clear(m.found)
+	clear(m.lookup.Postings)
+	m.Paths, m.Keywords, m.Inv = m.Paths[:0], nil, m.Inv[:0]
+	m.found, m.lookup.Postings = m.found[:0], m.lookup.Postings[:0]
 }

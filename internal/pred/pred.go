@@ -77,6 +77,12 @@ func Number(s string) (float64, bool) {
 // Numeric reports whether the literal is a number, compared by value.
 func (c Compiled) Numeric() bool { return c.numeric }
 
+// Op is the predicate's operator.
+func (c Compiled) Op() Op { return c.op }
+
+// Lit is the predicate's literal as written.
+func (c Compiled) Lit() string { return c.lit }
+
 // Eval reports whether value satisfies the predicate: numerically when
 // both value and literal are numeric ("07" = "7"), as strings otherwise
 // ("10x").

@@ -101,10 +101,13 @@ func (q *QPT) MandatoryLayout() *MandLayout {
 }
 
 // Probe is one path-index lookup PDT generation issues for the QPT: the node
-// it serves and the root-anchored pattern leading to it.
+// it serves, the root-anchored pattern leading to it and the node's
+// predicates, compiled once per QPT rather than once per candidate
+// document.
 type Probe struct {
 	Node  *Node
 	Steps []pathindex.Step
+	Preds []pred.Compiled
 }
 
 // Probes returns the fixed probe set of Figure 7, in pre-order: one path
@@ -118,7 +121,11 @@ func (q *QPT) Probes() []Probe {
 	q.probesOnce.Do(func() {
 		for _, n := range q.Nodes() {
 			if !n.HasMandatoryChild() || n.V || n.C {
-				q.probes = append(q.probes, Probe{Node: n, Steps: n.StepsFromRoot()})
+				pr := Probe{Node: n, Steps: n.StepsFromRoot()}
+				for _, p := range n.Preds {
+					pr.Preds = append(pr.Preds, p.Compile())
+				}
+				q.probes = append(q.probes, pr)
 			}
 		}
 	})

@@ -230,15 +230,36 @@ func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
 }
 
 // EvalUnit evaluates a FLWOR that opens with a for clause, as Eval does,
-// over the next unit document of a per-document pass; prev, the unit
-// before (or nil), loses its document node. Built hash-join indices are
-// kept, so a join over a side document is built once per evaluator: sound
-// when only the first clause reads the unit document (core's partition
-// rule), as EvalUnit loops over that clause and never hash-joins it.
-func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, prev *xmltree.Document) ([]Item, error) {
+// over the next unit document of a per-document pass, and returns the
+// nodes of its value (atomic values are not view results) in one slice of
+// exactly their number; prev, the unit before (or nil), loses its document
+// node. Built hash-join indices are kept, so a join over a side document
+// is built once per evaluator: sound when only the first clause reads the
+// unit document (core's partition rule), as EvalUnit loops over that
+// clause and never hash-joins it.
+func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, prev *xmltree.Document) ([]*xmltree.Node, error) {
 	delete(e.docNodes, prev)
 	mark := len(e.stack)
-	return e.take(mark, e.loop(x, 0, nil))
+	err := e.loop(x, 0, nil)
+	var out []*xmltree.Node
+	if err == nil {
+		n := 0
+		for _, it := range e.stack[mark:] {
+			if _, ok := it.(*xmltree.Node); ok {
+				n++
+			}
+		}
+		if n > 0 {
+			out = make([]*xmltree.Node, 0, n)
+			for _, it := range e.stack[mark:] {
+				if node, ok := it.(*xmltree.Node); ok {
+					out = append(out, node)
+				}
+			}
+		}
+	}
+	e.stack = e.stack[:mark]
+	return out, err
 }
 
 // evalClauses appends the FLWOR's value from clause idx on.

@@ -411,8 +411,12 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g, w := show(got), show(want); g != w {
-				t.Fatalf("unit %d: got %s, a fresh evaluator gives %s", i, g, w)
+			items := make([]Item, len(got))
+			for j, n := range got {
+				items[j] = n
+			}
+			if g, w := show(items), show(want); g != w || cap(got) != len(got) {
+				t.Fatalf("unit %d: got %s (capacity %d), a fresh evaluator gives %s", i, g, cap(got), w)
 			}
 			if _, leaked := ev.docNodes[prev]; leaked || len(ev.docNodes) != 2 {
 				t.Fatalf("unit %d: %d document nodes cached, the previous unit's leaked = %v", i, len(ev.docNodes), leaked)
