@@ -1,7 +1,6 @@
 package scoring
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -9,42 +8,23 @@ import (
 )
 
 // Snippet extracts a short keyword-in-context excerpt from a materialized
-// result: the first text value containing any query keyword, clipped to
-// about width bytes around the earliest hit of any keyword. Picking the
-// earliest occurrence (rather than the first keyword in list order) makes
-// the snippet invariant under keyword permutation, so the query-result
-// cache — which shares one entry across keyword orderings — returns
-// exactly what the uncached path would. The clip window is snapped to rune
-// boundaries, so the excerpt is always valid UTF-8 even when the raw byte
-// window would split a multi-byte rune. Returns "" when no keyword occurs
-// in text content.
+// result: the first text value in pre-order containing any query keyword,
+// clipped to about width bytes around the earliest hit of any keyword.
+// Picking the earliest occurrence (rather than the first keyword in list
+// order) makes the snippet invariant under keyword permutation, so the
+// query-result cache — which shares one entry across keyword orderings —
+// returns exactly what the uncached path would. Keywords are matched in
+// place by matchToken: whole tokens only, under simple rune-wise case
+// folding, with no lowered copy of the value; the walk ends at the first
+// value with a hit. The clip window is snapped to rune boundaries, so the
+// excerpt is always valid UTF-8 even when the raw byte window would split a
+// multi-byte rune. Returns "" when no keyword occurs in text content.
 func Snippet(result *xmltree.Node, keywords []string, width int) string {
 	if width <= 0 {
 		width = 160
 	}
-	var found string
-	var hitPos int
-	result.Walk(func(n *xmltree.Node) {
-		if found != "" || n.Value == "" {
-			return
-		}
-		// Keyword matching runs over the lowercased copy, but the window is
-		// cut from the original value — and lowercasing can change byte
-		// lengths (İ U+0130 → i, K U+212A → k), so a match offset in the
-		// copy is mapped back to the original through offs before use.
-		lower, offs := foldOffsets(n.Value)
-		best := -1
-		for _, k := range keywords {
-			if pos := indexToken(lower, k); pos >= 0 && (best < 0 || pos < best) {
-				best = pos
-			}
-		}
-		if best >= 0 {
-			found = n.Value
-			hitPos = offs(best)
-		}
-	})
-	if found == "" {
+	found, hitPos := firstHit(result, keywords)
+	if hitPos < 0 {
 		return ""
 	}
 	start := hitPos - width/2
@@ -70,82 +50,127 @@ func Snippet(result *xmltree.Node, keywords []string, width int) string {
 	for end < len(found) && !utf8.RuneStart(found[end]) {
 		end++
 	}
+	// One concatenation per case, so the excerpt is the only allocation.
 	out := found[start:end]
-	if start > 0 {
-		out = "…" + out
-	}
-	if end < len(found) {
-		out += "…"
+	switch {
+	case start > 0 && end < len(found):
+		return "…" + out + "…"
+	case start > 0:
+		return "…" + out
+	case end < len(found):
+		return out + "…"
 	}
 	return out
 }
 
-// foldOffsets lowercases s rune-by-rune (the same simple case mapping
-// strings.ToLower applies) and returns the folded string plus a function
-// mapping a byte offset in the folded string back to the byte offset of
-// the corresponding rune in s. For the common case where folding changes
-// no byte lengths, the mapping is the identity and costs nothing extra.
-func foldOffsets(s string) (string, func(int) int) {
-	aligned := true
-	for _, r := range s {
-		if utf8.RuneLen(unicode.ToLower(r)) != utf8.RuneLen(r) {
-			aligned = false
-			break
+// firstHit returns the first text value under n, in pre-order, holding a
+// whole-token hit of some keyword, with the byte offset of its earliest
+// hit; -1 when no value holds one.
+func firstHit(n *xmltree.Node, keywords []string) (string, int) {
+	if n.Value != "" {
+		best := -1
+		for _, k := range keywords {
+			if pos := matchToken(n.Value, k); pos >= 0 && (best < 0 || pos < best) {
+				best = pos
+			}
+		}
+		if best >= 0 {
+			return n.Value, best
 		}
 	}
-	if aligned {
-		// Every rune folds to the same byte length, so every folded rune
-		// occupies exactly its original byte range.
-		return strings.ToLower(s), func(p int) int { return p }
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	offs := make([]int, 0, len(s))
-	for i, r := range s {
-		start := b.Len()
-		b.WriteRune(unicode.ToLower(r))
-		for j := start; j < b.Len(); j++ {
-			offs = append(offs, i)
+	for _, c := range n.Children {
+		if v, pos := firstHit(c, keywords); pos >= 0 {
+			return v, pos
 		}
 	}
-	return b.String(), func(p int) int {
-		if p < 0 || p >= len(offs) {
-			return len(s)
-		}
-		return offs[p]
-	}
+	return "", -1
 }
 
-// indexToken finds keyword k as a whole token inside lowercase text,
-// returning its byte offset or -1. An empty keyword (whitespace-only client
-// input normalizes to "") matches nothing — without this guard the scan
-// below would never advance.
-func indexToken(lower, k string) int {
+// matchToken returns the byte offset in s of the first whole-token
+// occurrence of keyword k, or -1. k is compared against s lowercased rune
+// by rune — the simple mapping strings.ToLower applies — so k must already
+// be lowercase, as NormalizeKeyword leaves it. ASCII bytes fold by
+// arithmetic; only other runes are decoded. Candidate starts are rune
+// starts in ascending order, and the token boundary is checked only at a
+// full match: the folded runes on either side must not be ASCII letters or
+// digits. An empty keyword (whitespace-only client input normalizes to "")
+// matches nothing.
+func matchToken(s, k string) int {
 	if k == "" {
 		return -1
 	}
-	from := 0
-	for {
-		i := strings.Index(lower[from:], k)
-		if i < 0 {
-			return -1
+	for i := 0; i < len(s); {
+		// An ASCII start whose folded byte is not k's first cannot match:
+		// skip it without a call.
+		if c := s[i]; c < utf8.RuneSelf && foldByte(c) != k[0] {
+			i++
+			continue
 		}
-		pos := from + i
-		beforeOK := pos == 0 || !isAlnum(lower[pos-1])
-		afterOK := pos+len(k) >= len(lower) || !isAlnum(lower[pos+len(k)])
-		if beforeOK && afterOK {
-			return pos
+		if end := foldPrefix(s, i, k); end >= 0 && wholeToken(s, i, end) {
+			return i
 		}
-		// Advance by one byte, not len(k): a valid whole-token occurrence
-		// can overlap a rejected one (e.g. "a-a" in "aa-a-a" at offset 3,
-		// overlapping the rejected occurrence at offset 1).
-		from = pos + 1
-		if from >= len(lower) {
-			return -1
+		for i++; i < len(s) && !utf8.RuneStart(s[i]); i++ {
 		}
 	}
+	return -1
 }
 
-func isAlnum(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9'
+// foldPrefix returns the end in s of a match of k starting at rune start
+// i, with s folded rune by rune, or -1 when k does not match there. A
+// folded rune matches only its exact UTF-8 encoding in k.
+func foldPrefix(s string, i int, k string) int {
+	for p := 0; p < len(k); {
+		if i >= len(s) {
+			return -1
+		}
+		if c := s[i]; c < utf8.RuneSelf {
+			if foldByte(c) != k[p] {
+				return -1
+			}
+			i++
+			p++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		r = unicode.ToLower(r)
+		kr, kn := utf8.DecodeRuneInString(k[p:])
+		if kr != r || kn != utf8.RuneLen(r) {
+			return -1
+		}
+		i += n
+		p += kn
+	}
+	return i
+}
+
+// foldByte lowercases an ASCII byte.
+func foldByte(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// wholeToken reports whether the match s[i:end] is a whole token: the
+// folded runes on either side of it, if any, do not continue a token.
+func wholeToken(s string, i, end int) bool {
+	if i > 0 {
+		if r, _ := utf8.DecodeLastRuneInString(s[:i]); tokenRune(r) {
+			return false
+		}
+	}
+	if end < len(s) {
+		if r, _ := utf8.DecodeRuneInString(s[end:]); tokenRune(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// tokenRune reports whether r, folded, continues a token: an ASCII letter
+// or digit. A rune folding to anything else — even a non-ASCII letter —
+// ends a token, as it does in xmltree.Tokenize.
+func tokenRune(r rune) bool {
+	r = unicode.ToLower(r)
+	return 'a' <= r && r <= 'z' || '0' <= r && r <= '9'
 }

@@ -3,8 +3,10 @@ package scoring
 import (
 	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 
+	"vxml/internal/catalog"
 	"vxml/internal/xmltree"
 )
 
@@ -66,7 +68,7 @@ func TestSnippetStartOfText(t *testing.T) {
 }
 
 // TestSnippetEmptyKeyword: a whitespace-only client keyword normalizes to
-// "", which must match nothing rather than loop forever in indexToken
+// "", which must match nothing rather than loop forever in matchToken
 // (reachable remotely via the HTTP server's disjunctive search).
 func TestSnippetEmptyKeyword(t *testing.T) {
 	res := mkResult("alphanumeric start so afterOK is false at offset zero")
@@ -76,8 +78,8 @@ func TestSnippetEmptyKeyword(t *testing.T) {
 	if got := Snippet(res, []string{""}, 160); got != "" {
 		t.Errorf("Snippet with only an empty keyword = %q, want empty", got)
 	}
-	if got := indexToken("text", ""); got != -1 {
-		t.Errorf("indexToken(_, \"\") = %d, want -1", got)
+	if got := matchToken("text", ""); got != -1 {
+		t.Errorf("matchToken(_, \"\") = %d, want -1", got)
 	}
 }
 
@@ -88,7 +90,9 @@ func TestSnippetDefaultWidth(t *testing.T) {
 	}
 }
 
-func TestIndexToken(t *testing.T) {
+// TestMatchToken carries the cases of the lowered-copy matcher it
+// replaced, with offsets counted in the original string.
+func TestMatchToken(t *testing.T) {
 	cases := []struct {
 		text, k string
 		want    int
@@ -99,14 +103,33 @@ func TestIndexToken(t *testing.T) {
 		{"prexml postxml", "xml", -1},
 		{"a-xml-b", "xml", 2},
 		{"", "xml", -1},
+		{"xml", "", -1},
 		// A valid occurrence overlapping a rejected one must still be found.
 		{"aa-a-a", "a-a", 3},
 		{"xe-come-commerce text", "e-com", -1},
 		{"xe-e-e", "e-e", 3},
+		// Case folding, in place: offsets are the original's.
+		{"The XML", "xml", 4},
+		{"AbİCd", "abicd", 0},
+		{"Ab İCd", "icd", 3},
+		{"Ab-İ-Cd", "cd", 6},
+		{"Hello Ünïcode", "ünïcode", 6},
+		{"İ", "i", 0},
+		{"\u212aELVİN", "kelvin", 0}, // Kelvin sign K (3 bytes) folds to k
+		// A non-ASCII rune folding to an ASCII letter blocks the token.
+		{"İxml", "xml", -1},
+		{"xmlİ", "xml", -1},
+		{"\u212axml xml", "xml", 7},
+		{"xml\u212a", "xml", -1},
+		// A non-ASCII letter folding to itself does not.
+		{"éxmlü", "xml", 2},
+		{"Ünïcode", "nïcode", 2},
+		{"ünïcode", "ünïcode", 0},
+		{"xml", "xmlx", -1},
 	}
 	for _, c := range cases {
-		if got := indexToken(c.text, c.k); got != c.want {
-			t.Errorf("indexToken(%q,%q) = %d, want %d", c.text, c.k, got, c.want)
+		if got := matchToken(c.text, c.k); got != c.want {
+			t.Errorf("matchToken(%q,%q) = %d, want %d", c.text, c.k, got, c.want)
 		}
 	}
 }
@@ -165,26 +188,140 @@ func TestSnippetLengthChangingFold(t *testing.T) {
 	}
 }
 
-// TestFoldOffsets pins the offset mapping itself.
-func TestFoldOffsets(t *testing.T) {
-	lower, offs := foldOffsets("AbİCd")
-	if lower != "abicd" {
-		t.Fatalf("folded = %q", lower)
+// TestSnippetAllocations: matching reads the values in place, so a
+// snippet allocates only its output — one string, ellipses included — and
+// nothing at all when the excerpt is the whole value.
+func TestSnippetAllocations(t *testing.T) {
+	res := mkResult("Nothing To See Here", "Still Nothing Of Note",
+		strings.Repeat("Padding Words ", 20)+"The XML Needle Sits Here"+strings.Repeat(" More Padding", 20))
+	kws := []string{"absent", "needle"}
+	var got string
+	allocs := testing.AllocsPerRun(100, func() { got = Snippet(res, kws, 60) })
+	if !strings.HasPrefix(got, "…") || !strings.HasSuffix(got, "…") || !strings.Contains(got, "Needle") {
+		t.Fatalf("Snippet = %q, want the hit with both ellipses", got)
 	}
-	// 'c' is at folded offset 3; in the original, 'C' is at byte 4
-	// (A=0, b=1, İ=2..3, C=4).
-	if got := offs(3); got != 4 {
-		t.Errorf("offs(3) = %d, want 4", got)
+	if allocs != 1 {
+		t.Errorf("clipped snippet: %.0f allocations, want 1 (the excerpt)", allocs)
 	}
-	if got := offs(0); got != 0 {
-		t.Errorf("offs(0) = %d, want 0", got)
+	whole := mkResult("A Short Value With The Needle")
+	allocs = testing.AllocsPerRun(100, func() { got = Snippet(whole, kws, 160) })
+	if got != "A Short Value With The Needle" {
+		t.Fatalf("Snippet = %q, want the whole value", got)
 	}
-	// Identity fast path for pure ASCII and for same-length folds.
-	lower, offs = foldOffsets("Hello Ünïcode")
-	if lower != "hello ünïcode" {
-		t.Fatalf("folded = %q", lower)
+	if allocs != 0 {
+		t.Errorf("whole-value snippet: %.0f allocations, want 0", allocs)
 	}
-	if got := offs(7); got != 7 {
-		t.Errorf("aligned offs(7) = %d, want 7", got)
+}
+
+// FuzzSnippetMatch: on valid UTF-8 and normalized keywords, matchToken
+// finds what the lowered-copy reference below finds, at the same offset
+// of the original value. On invalid UTF-8 — which neither documents nor
+// views let through — it must still stay inside the value.
+func FuzzSnippetMatch(f *testing.F) {
+	seeds := [][2]string{
+		{"AbİCd", "c"},
+		{"İ", "i"},
+		{"İxml xml", "xml"},
+		{"\u212axml xml", "xml"},
+		{"xml\u212a", "xml"},
+		{"\u212aELVİN", "Kelvin"},
+		{"Hello Ünïcode", "ünïcode"},
+		{"Ünïcode", "nïcode"},
+		{"aa-a-a", "a-a"},
+		{"xe-come-commerce text", "e-com"},
+		{"xe-e-e", "e-e"},
+		{"xmlish XML", " XML "},
+		{strings.Repeat("\xff", 60) + " needle here", "needle"},
 	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, s, k string) {
+		k = catalog.NormalizeKeyword(k)
+		got := matchToken(s, k)
+		if !utf8.ValidString(s) {
+			if got < -1 || got >= len(s) {
+				t.Fatalf("matchToken(%q, %q) = %d outside the value", s, k, got)
+			}
+			return
+		}
+		lower, offs := foldOffsets(s)
+		want := indexToken(lower, k)
+		if want >= 0 {
+			want = offs(want)
+		}
+		if got != want {
+			t.Fatalf("matchToken(%q, %q) = %d, reference %d", s, k, got, want)
+		}
+	})
+}
+
+// foldOffsets and indexToken are the reference matcher: lowercase a copy
+// of the value, search it byte-wise, and map the hit back to the original.
+
+// foldOffsets lowercases s rune-by-rune (the same simple case mapping
+// strings.ToLower applies) and returns the folded string plus a function
+// mapping a byte offset in the folded string back to the byte offset of
+// the corresponding rune in s. For the common case where folding changes
+// no byte lengths, the mapping is the identity and costs nothing extra.
+func foldOffsets(s string) (string, func(int) int) {
+	aligned := true
+	for _, r := range s {
+		if utf8.RuneLen(unicode.ToLower(r)) != utf8.RuneLen(r) {
+			aligned = false
+			break
+		}
+	}
+	if aligned {
+		// Every rune folds to the same byte length, so every folded rune
+		// occupies exactly its original byte range.
+		return strings.ToLower(s), func(p int) int { return p }
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	offs := make([]int, 0, len(s))
+	for i, r := range s {
+		start := b.Len()
+		b.WriteRune(unicode.ToLower(r))
+		for j := start; j < b.Len(); j++ {
+			offs = append(offs, i)
+		}
+	}
+	return b.String(), func(p int) int {
+		if p < 0 || p >= len(offs) {
+			return len(s)
+		}
+		return offs[p]
+	}
+}
+
+// indexToken finds keyword k as a whole token inside lowercase text,
+// returning its byte offset or -1. An empty keyword matches nothing.
+func indexToken(lower, k string) int {
+	if k == "" {
+		return -1
+	}
+	from := 0
+	for {
+		i := strings.Index(lower[from:], k)
+		if i < 0 {
+			return -1
+		}
+		pos := from + i
+		beforeOK := pos == 0 || !isAlnum(lower[pos-1])
+		afterOK := pos+len(k) >= len(lower) || !isAlnum(lower[pos+len(k)])
+		if beforeOK && afterOK {
+			return pos
+		}
+		// Advance by one byte, not len(k): a valid whole-token occurrence
+		// can overlap a rejected one.
+		from = pos + 1
+		if from >= len(lower) {
+			return -1
+		}
+	}
+}
+
+func isAlnum(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9'
 }

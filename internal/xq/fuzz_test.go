@@ -27,6 +27,8 @@ func FuzzParseQuery(f *testing.F) {
 		`for $a in fn:doc(books.xml)//a return <r>{$a`,
 		`for $$ in x return 1`,
 		"for $a in fn:doc(b.xml)//x return \x00",
+		// Invalid UTF-8 in a string literal is refused at the bad byte.
+		"for $p in fn:doc(d.xml)/r/p return <hit>{\"\xff needle\"}, {$p}</hit>",
 		"",
 		"<",
 		strings.Repeat("(", 100),

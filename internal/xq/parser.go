@@ -3,14 +3,20 @@ package xq
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"vxml/internal/pathindex"
 	"vxml/internal/pred"
 )
 
 // Parse parses a complete program (function declarations followed by a body
-// expression) in the supported grammar of Appendix A.
+// expression) in the supported grammar of Appendix A. Text that is not
+// valid UTF-8 is refused at its first bad byte, as documents are, so every
+// value a view constructs is valid UTF-8.
 func Parse(input string) (*Query, error) {
+	if !utf8.ValidString(input) {
+		return nil, invalidUTF8(input)
+	}
 	p := &parser{lex: newLexer(input), funcs: map[string]*FuncDecl{}}
 	q, err := p.parseQuery()
 	if err != nil {
@@ -269,6 +275,19 @@ type ParseError struct {
 // N: msg").
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("xq: parse error at offset %d: %s", e.Pos, e.Msg)
+}
+
+// invalidUTF8 reports the first byte of s that does not start a valid
+// UTF-8 sequence; s must hold one.
+func invalidUTF8(s string) *ParseError {
+	i := 0
+	for {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 {
+			return &ParseError{Pos: i, Msg: fmt.Sprintf("invalid UTF-8 byte %#x", s[i])}
+		}
+		i += n
+	}
 }
 
 func (p *parser) errf(format string, args ...any) error {

@@ -271,9 +271,9 @@ func (v *View) Definition() string { return v.inner.Text }
 
 // DefineView compiles a view definition: an XQuery expression in the
 // supported grammar (FLWOR, child/descendant paths, leaf-value predicates,
-// element constructors, non-recursive functions). Malformed input returns
-// a wrapped *ParseError; a reference to an absent document returns a
-// wrapped ErrUnknownDocument.
+// element constructors, non-recursive functions). Malformed input,
+// including text that is not valid UTF-8, returns a wrapped *ParseError; a
+// reference to an absent document returns a wrapped ErrUnknownDocument.
 func (db *Database) DefineView(xquery string) (*View, error) {
 	return db.DefineViewContext(context.Background(), xquery)
 }

@@ -203,6 +203,30 @@ func TestPublicAPISnippets(t *testing.T) {
 	}
 }
 
+// TestViewRefusesInvalidUTF8: a view whose string literal holds invalid
+// UTF-8 is refused at its first bad byte, as a document is. Such a literal
+// used to reach search, where lowercasing for the snippet widened each bad
+// byte to a 3-byte U+FFFD and the hit's offset ran past the value: the
+// search panicked.
+func TestViewRefusesInvalidUTF8(t *testing.T) {
+	db := Open()
+	if err := db.Add("d.xml", "<r><p>a needle in the data</p></r>"); err != nil {
+		t.Fatal(err)
+	}
+	text := `for $p in fn:doc(d.xml)/r/p return <hit>{"` + strings.Repeat("\xff", 60) + ` needle here"}, {$p}</hit>`
+	view, err := db.DefineView(text)
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		if err == nil {
+			_, _, err = db.Search(view, []string{"needle"}, &Options{TopK: 1})
+		}
+		t.Fatalf("DefineView, then Search: %v; want a *ParseError from DefineView", err)
+	}
+	if want := strings.IndexByte(text, 0xff); pe.Pos != want {
+		t.Errorf("ParseError.Pos = %d, want %d (the first bad byte)", pe.Pos, want)
+	}
+}
+
 func TestPublicAPIMetadata(t *testing.T) {
 	db := openTestDB(t)
 	names := db.DocumentNames()
