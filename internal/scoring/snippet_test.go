@@ -258,6 +258,55 @@ func FuzzSnippetMatch(f *testing.F) {
 
 // foldOffsets and indexToken are the reference matcher: lowercase a copy
 // of the value, search it byte-wise, and map the hit back to the original.
+// TestIndexToken and TestFoldOffsets pin the reference itself, so a
+// FuzzSnippetMatch agreement means agreement with a known-good oracle.
+
+func TestIndexToken(t *testing.T) {
+	cases := []struct {
+		text, k string
+		want    int
+	}{
+		{"xml views", "xml", 0},
+		{"the xml", "xml", 4},
+		{"xmlish xml", "xml", 7},
+		{"prexml postxml", "xml", -1},
+		{"a-xml-b", "xml", 2},
+		{"", "xml", -1},
+		// A valid occurrence overlapping a rejected one must still be found.
+		{"aa-a-a", "a-a", 3},
+		{"xe-come-commerce text", "e-com", -1},
+		{"xe-e-e", "e-e", 3},
+	}
+	for _, c := range cases {
+		if got := indexToken(c.text, c.k); got != c.want {
+			t.Errorf("indexToken(%q,%q) = %d, want %d", c.text, c.k, got, c.want)
+		}
+	}
+}
+
+// TestFoldOffsets pins the offset mapping itself.
+func TestFoldOffsets(t *testing.T) {
+	lower, offs := foldOffsets("AbİCd")
+	if lower != "abicd" {
+		t.Fatalf("folded = %q", lower)
+	}
+	// 'c' is at folded offset 3; in the original, 'C' is at byte 4
+	// (A=0, b=1, İ=2..3, C=4).
+	if got := offs(3); got != 4 {
+		t.Errorf("offs(3) = %d, want 4", got)
+	}
+	if got := offs(0); got != 0 {
+		t.Errorf("offs(0) = %d, want 0", got)
+	}
+	// Identity fast path for pure ASCII and for same-length folds.
+	lower, offs = foldOffsets("Hello Ünïcode")
+	if lower != "hello ünïcode" {
+		t.Fatalf("folded = %q", lower)
+	}
+	if got := offs(7); got != 7 {
+		t.Errorf("aligned offs(7) = %d, want 7", got)
+	}
+}
 
 // foldOffsets lowercases s rune-by-rune (the same simple case mapping
 // strings.ToLower applies) and returns the folded string plus a function
