@@ -29,12 +29,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -49,18 +46,6 @@ type stringList []string
 
 func (s *stringList) String() string     { return strings.Join(*s, ",") }
 func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
-
-// demoView is the view registered under the name "demo" by -demo — the same
-// books & reviews join vxmlserve's demo mode registers, so a coordinator
-// answers the demo workload byte-identically to a single-process server.
-const demoView = `
-for $book in fn:doc(books.xml)/books//book
-return <bookrevs>
-         <book>{$book/title}</book>,
-         {for $rev in fn:doc(reviews.xml)/reviews//review
-          where $rev/isbn = $book/isbn
-          return $rev/content}
-       </bookrevs>`
 
 func main() {
 	var slots stringList
@@ -102,46 +87,18 @@ func main() {
 	defer stop()
 
 	if *demo {
-		booksXML, reviewsXML := inex.GenerateBooksReviews(200, 7)
+		booksXML, reviewsXML := inex.DemoCorpus()
 		if err := coord.AddDocument(ctx, "books.xml", booksXML); err != nil {
 			log.Fatalf("loading demo corpus: %v", err)
 		}
 		if err := coord.AddDocument(ctx, "reviews.xml", reviewsXML); err != nil {
 			log.Fatalf("loading demo corpus: %v", err)
 		}
-		if err := srv.DefineView("demo", demoView); err != nil {
+		if err := srv.DefineView("demo", inex.DemoView); err != nil {
 			log.Fatalf("registering demo view: %v", err)
 		}
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("vxmlcoord listening on %s (%d slot(s))", *addr, len(cfg.Slots))
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("serve: %v", err)
-		}
-	case <-ctx.Done():
-		log.Printf("shutting down, draining for up to %s", *shutdownGrace)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("bye")
-	}
+	server.Serve(ctx, *addr, srv.Handler(), *shutdownGrace,
+		fmt.Sprintf("vxmlcoord listening on %s (%d slot(s))", *addr, len(cfg.Slots)))
 }

@@ -18,12 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -68,37 +65,6 @@ func main() {
 	defer node.Close()
 	server.ServePprof(*pprofAddr)
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           node.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Same bounds as the public server: documents up to the 64MB body
-		// cap must fit, streamed rank/materialize replies must not be cut
-		// short by an aggressive write timeout.
-		ReadTimeout:  5 * time.Minute,
-		WriteTimeout: 60 * time.Second,
-		IdleTimeout:  2 * time.Minute,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("vxmlnode listening on %s (%d documents, generation %d)", *addr, node.Documents(), node.Gen())
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("serve: %v", err)
-		}
-	case <-ctx.Done():
-		log.Printf("shutting down, draining for up to %s", *shutdownGrace)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("bye")
-	}
+	server.Serve(ctx, *addr, node.Handler(), *shutdownGrace,
+		fmt.Sprintf("vxmlnode listening on %s (%d documents, generation %d)", *addr, node.Documents(), node.Gen()))
 }

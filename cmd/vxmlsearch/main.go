@@ -80,7 +80,7 @@ func main() {
 
 	db := vxml.Open()
 	if *demo {
-		booksXML, reviewsXML := inex.GenerateBooksReviews(200, 7)
+		booksXML, reviewsXML := inex.DemoCorpus()
 		db.MustAdd("books.xml", booksXML)
 		db.MustAdd("reviews.xml", reviewsXML)
 	}

@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -53,16 +52,6 @@ type stringList []string
 
 func (s *stringList) String() string     { return strings.Join(*s, ",") }
 func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
-
-// demoView is the view registered under the name "demo" by -demo.
-const demoView = `
-for $book in fn:doc(books.xml)/books//book
-return <bookrevs>
-         <book>{$book/title}</book>,
-         {for $rev in fn:doc(reviews.xml)/reviews//review
-          where $rev/isbn = $book/isbn
-          return $rev/content}
-       </bookrevs>`
 
 func main() {
 	var docs stringList
@@ -100,7 +89,7 @@ func main() {
 		for _, name := range db.DocumentNames() {
 			existing[name] = true
 		}
-		booksXML, reviewsXML := inex.GenerateBooksReviews(200, 7)
+		booksXML, reviewsXML := inex.DemoCorpus()
 		if !existing["books.xml"] {
 			db.MustAdd("books.xml", booksXML)
 		}
@@ -129,46 +118,13 @@ func main() {
 	server.ServePprof(*pprofAddr)
 	srv.SetReadOnly(*readonly)
 	if *demo {
-		if err := srv.DefineView("demo", demoView); err != nil {
+		if err := srv.DefineView("demo", inex.DemoView); err != nil {
 			log.Fatalf("registering demo view: %v", err)
 		}
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Bound the whole request/response, not just the headers: a
-		// slow-trickling client must not pin a goroutine and connection
-		// forever. The read bound is sized so a document at the server's
-		// 64MB body cap still fits over a slow uplink (~2 Mbps).
-		ReadTimeout:  5 * time.Minute,
-		WriteTimeout: 60 * time.Second,
-		IdleTimeout:  2 * time.Minute,
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("vxmlserve listening on %s (%d documents)", *addr, len(db.DocumentNames()))
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("serve: %v", err)
-		}
-	case <-ctx.Done():
-		log.Printf("shutting down, draining for up to %s", *shutdownGrace)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("bye")
-	}
+	server.Serve(ctx, *addr, srv.Handler(), *shutdownGrace,
+		fmt.Sprintf("vxmlserve listening on %s (%d documents)", *addr, len(db.DocumentNames())))
 }

@@ -24,15 +24,6 @@ func (e *nodeCallError) Error() string {
 	return fmt.Sprintf("node replied %d (%s): %s", e.Status, e.Code, e.Msg)
 }
 
-// readNodeError renders a non-2xx reply body for a wrap message.
-func readNodeError(resp *http.Response) string {
-	var body errorBody
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil && body.Error != "" {
-		return fmt.Sprintf("%d (%s): %s", resp.StatusCode, body.Code, body.Error)
-	}
-	return fmt.Sprintf("status %d", resp.StatusCode)
-}
-
 // errorFromResponse drains a non-2xx reply into a nodeCallError.
 func errorFromResponse(resp *http.Response) error {
 	var body errorBody
@@ -113,4 +104,15 @@ func staleGen(err error) (uint64, bool) {
 func isUnknownView(err error) bool {
 	var ne *nodeCallError
 	return errors.As(err, &ne) && ne.Code == codeUnknownView
+}
+
+// invalidReply returns the node's message on an invalid reply: a
+// deterministic rejection, since every member of a slot holds the same
+// corpus and views at one generation.
+func invalidReply(err error) (string, bool) {
+	var ne *nodeCallError
+	if errors.As(err, &ne) && ne.Code == codeInvalid {
+		return ne.Msg, true
+	}
+	return "", false
 }

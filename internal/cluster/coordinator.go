@@ -172,38 +172,7 @@ func (c *Coordinator) slotOf(name string) int {
 // allocated cluster-global document ID, then invalidates the query-result
 // cache — the cluster-wide equivalent of Database.Add.
 func (c *Coordinator) AddDocument(ctx context.Context, name, xmlText string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("cluster: add interrupted: %w", err)
-	}
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-	c.mu.Lock()
-	_, dup := c.docs[name]
-	id := c.nextID
-	if !dup {
-		// Reserve the ID before pushing: a failed mutation may still have
-		// landed on some node (partial broadcast, ambiguous timeout), so the
-		// ID is consumed either way and must never be handed to a different
-		// document.
-		c.nextID = id + 1
-	}
-	c.mu.Unlock()
-	if dup {
-		return fmt.Errorf("cluster: add: %w: %q", vxml.ErrDuplicateDocument, name)
-	}
-	slot := -1
-	if c.partitioned(name) {
-		slot = c.slotOf(name)
-	}
-	byteLen, err := c.mutate(ctx, "add", slot, documentRequest{Schema: Schema, Op: "add", Name: name, XML: xmlText, DocID: id})
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.docs[name] = &docInfo{id: id, slot: slot, bytes: byteLen}
-	c.mu.Unlock()
-	c.cache.Invalidate()
-	return nil
+	return c.put(ctx, "add", name, xmlText)
 }
 
 // ReplaceDocument atomically swaps a document's content cluster-wide. Like
@@ -211,26 +180,42 @@ func (c *Coordinator) AddDocument(ctx context.Context, name, xmlText string) err
 // receives a fresh coordinator-assigned ID, so collection views on every
 // node enumerate it last.
 func (c *Coordinator) ReplaceDocument(ctx context.Context, name, xmlText string) error {
+	return c.put(ctx, "replace", name, xmlText)
+}
+
+// put stores a document under a freshly allocated cluster-global ID: op
+// "add" requires an unregistered name and places it by the partition rule,
+// op "replace" requires a registered one and keeps its slot.
+func (c *Coordinator) put(ctx context.Context, op, name, xmlText string) error {
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("cluster: replace interrupted: %w", err)
+		return fmt.Errorf("cluster: %s interrupted: %w", op, err)
 	}
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 	c.mu.Lock()
-	info, ok := c.docs[name]
-	id := c.nextID
-	var slot int
-	if ok {
-		slot = info.slot
-		// Reserved up front for the same reason AddDocument reserves: a
-		// failed push may have consumed the ID on some node.
-		c.nextID = id + 1
-	}
-	c.mu.Unlock()
-	if !ok {
+	info, registered := c.docs[name]
+	if registered != (op == "replace") {
+		c.mu.Unlock()
+		if registered {
+			return fmt.Errorf("cluster: add: %w: %q", vxml.ErrDuplicateDocument, name)
+		}
 		return fmt.Errorf("cluster: replace: %w %q", vxml.ErrUnknownDocument, name)
 	}
-	byteLen, err := c.mutate(ctx, "replace", slot, documentRequest{Schema: Schema, Op: "replace", Name: name, XML: xmlText, DocID: id})
+	// Reserve the ID before pushing: a failed mutation may still have
+	// landed on some node (partial broadcast, ambiguous timeout), so the ID
+	// is consumed either way and must never be handed to a different
+	// document.
+	id := c.nextID
+	c.nextID = id + 1
+	c.mu.Unlock()
+	slot := -1
+	switch {
+	case registered:
+		slot = info.slot
+	case c.partitioned(name):
+		slot = c.slotOf(name)
+	}
+	byteLen, err := c.mutate(ctx, slot, documentRequest{Schema: Schema, Op: op, Name: name, XML: xmlText, DocID: id})
 	if err != nil {
 		return err
 	}
@@ -255,7 +240,7 @@ func (c *Coordinator) DeleteDocument(ctx context.Context, name string) error {
 	if !ok {
 		return fmt.Errorf("cluster: delete: %w %q", vxml.ErrUnknownDocument, name)
 	}
-	if _, err := c.mutate(ctx, "delete", info.slot, documentRequest{Schema: Schema, Op: "delete", Name: name}); err != nil {
+	if _, err := c.mutate(ctx, info.slot, documentRequest{Schema: Schema, Op: "delete", Name: name}); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -277,7 +262,7 @@ func (c *Coordinator) DeleteDocument(ctx context.Context, name string) error {
 // slot recovers — the coordinator keeps the old registry entry, and only
 // broadcast documents can be mid-replace, so partitioned reads are never
 // affected.
-func (c *Coordinator) mutate(ctx context.Context, verb string, slot int, req documentRequest) (int, error) {
+func (c *Coordinator) mutate(ctx context.Context, slot int, req documentRequest) (int, error) {
 	targets := make([]int, 0, len(c.cfg.Slots))
 	if slot >= 0 {
 		targets = append(targets, slot)
@@ -308,7 +293,7 @@ func (c *Coordinator) mutate(ctx context.Context, verb string, slot int, req doc
 			if req.Op == "add" {
 				c.undoAdd(ctx, req.Name, append(acked, s))
 			}
-			return 0, c.mutationError(ctx, verb, req.Name, s, err)
+			return 0, c.mutationError(ctx, req.Op, req.Name, s, err)
 		}
 		byteLen = resp.ByteLen
 		c.mu.Lock()

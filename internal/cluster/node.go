@@ -300,73 +300,74 @@ func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 	nodeJSON(w, http.StatusOK, resp)
 }
 
-// lockedView resolves a read request's view under the already-held read
-// lock, writing the error reply itself when the generation or name does not
-// check out.
-func (n *Node) lockedView(w http.ResponseWriter, name string, gen uint64) (*core.View, bool) {
-	if gen != n.gen {
-		staleError(w, gen, n.gen)
-		return nil, false
+// serveRead is the preamble every read handler shares: decode req
+// strictly, then hold the read lock while the requested generation and view
+// check out and serve runs, so a reply stamped gen was computed on exactly
+// the generation-gen corpus. schema, view and gen point into req (they can
+// only be read after the decode fills it). A check that fails writes its
+// own error reply.
+func (n *Node) serveRead(w http.ResponseWriter, r *http.Request, req any, schema, view *string, gen *uint64, serve func(v *core.View)) {
+	if !nodeDecode(w, r, req, schema) {
+		return
 	}
-	v := n.views[name]
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if *gen != n.gen {
+		staleError(w, *gen, n.gen)
+		return
+	}
+	v := n.views[*view]
 	if v == nil {
-		nodeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown view %q", name), Code: codeUnknownView})
-		return nil, false
+		nodeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown view %q", *view), Code: codeUnknownView})
+		return
 	}
-	return v, true
+	serve(v)
 }
 
-func (n *Node) handleRank(w http.ResponseWriter, r *http.Request) {
-	var req rankRequest
-	if !nodeDecode(w, r, &req, &req.Schema) {
-		return
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	v, ok := n.lockedView(w, req.View, req.Gen)
-	if !ok {
-		return
-	}
-	rk, err := n.engine.ClusterRank(r.Context(), v, req.Keywords,
-		core.Options{Disjunctive: req.Disjunctive, Parallelism: req.Parallelism})
-	if err != nil {
-		nodeErrorFor(w, err)
-		return
-	}
-	nodeJSON(w, http.StatusOK, rankResponse{Schema: Schema, Gen: n.gen, ClusterRanking: *rk})
-}
-
-func (n *Node) handleMaterialize(w http.ResponseWriter, r *http.Request) {
-	var req materializeRequest
-	if !nodeDecode(w, r, &req, &req.Schema) {
-		return
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	v, ok := n.lockedView(w, req.View, req.Gen)
-	if !ok {
-		return
-	}
-	out, fetches, err := n.engine.MaterializeAt(r.Context(), v, req.Keywords,
-		core.Options{Disjunctive: req.Disjunctive, Parallelism: req.Parallelism}, req.Positions)
-	if err != nil {
-		nodeErrorFor(w, err)
-		return
-	}
+// writeLines streams a read reply as NDJSON: count data lines, each
+// flushed as it is written, then the done line. A failed write means the
+// client is gone; the missing done line reports the truncation.
+func writeLines(w http.ResponseWriter, count int, line func(i int) replyLine, done replyLine) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	for i := range out {
-		pos := out[i].Pos
-		line := materializeChunk{Pos: &pos, XML: out[i].Element.XMLString(""), Snippet: out[i].Snippet}
-		if err := enc.Encode(line); err != nil {
-			return // client gone; the missing done-marker reports truncation
+	for i := 0; i < count; i++ {
+		if err := enc.Encode(line(i)); err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	_ = enc.Encode(materializeChunk{Done: true, Gen: n.gen, Fetches: fetches})
+	_ = enc.Encode(done)
+}
+
+func (n *Node) handleRank(w http.ResponseWriter, r *http.Request) {
+	var req rankRequest
+	n.serveRead(w, r, &req, &req.Schema, &req.View, &req.Gen, func(v *core.View) {
+		rk, err := n.engine.ClusterRank(r.Context(), v, req.Keywords,
+			core.Options{Disjunctive: req.Disjunctive, Parallelism: req.Parallelism})
+		if err != nil {
+			nodeErrorFor(w, err)
+			return
+		}
+		nodeJSON(w, http.StatusOK, rankResponse{Schema: Schema, Gen: n.gen, ClusterRanking: *rk})
+	})
+}
+
+func (n *Node) handleMaterialize(w http.ResponseWriter, r *http.Request) {
+	var req materializeRequest
+	n.serveRead(w, r, &req, &req.Schema, &req.View, &req.Gen, func(v *core.View) {
+		out, fetches, err := n.engine.MaterializeAt(r.Context(), v, req.Keywords,
+			core.Options{Disjunctive: req.Disjunctive, Parallelism: req.Parallelism}, req.Positions)
+		if err != nil {
+			nodeErrorFor(w, err)
+			return
+		}
+		writeLines(w, len(out), func(i int) replyLine {
+			return replyLine{Pos: &out[i].Pos, XML: out[i].Element.XMLString(""), Snippet: out[i].Snippet}
+		}, replyLine{Done: true, Gen: n.gen, Fetches: fetches})
+	})
 }
 
 // handleSearch serves a complete search on this node — the route for views
@@ -377,33 +378,17 @@ func (n *Node) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 // ranks.
 func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if !nodeDecode(w, r, &req, &req.Schema) {
-		return
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	v, ok := n.lockedView(w, req.View, req.Gen)
-	if !ok {
-		return
-	}
-	copts := core.Options{K: req.TopK, Disjunctive: req.Disjunctive, Parallelism: req.Parallelism}
-	results, cs, err := n.engine.SearchPage(r.Context(), v, req.Keywords, copts, req.Offset)
-	if err != nil {
-		nodeErrorFor(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for _, res := range results {
-		line := searchChunk{Rank: res.Rank, Score: res.Score, TFs: res.TFs,
-			XML: res.Element.XMLString(""), Snippet: res.Snippet}
-		if err := enc.Encode(line); err != nil {
+	n.serveRead(w, r, &req, &req.Schema, &req.View, &req.Gen, func(v *core.View) {
+		copts := core.Options{K: req.TopK, Disjunctive: req.Disjunctive, Parallelism: req.Parallelism}
+		results, cs, err := n.engine.SearchPage(r.Context(), v, req.Keywords, copts, req.Offset)
+		if err != nil {
+			nodeErrorFor(w, err)
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_ = enc.Encode(searchChunk{Done: true, Gen: n.gen, Stats: cs})
+		writeLines(w, len(results), func(i int) replyLine {
+			res := results[i]
+			return replyLine{Rank: res.Rank, Score: res.Score, TFs: res.TFs,
+				XML: res.Element.XMLString(""), Snippet: res.Snippet}
+		}, replyLine{Done: true, Gen: n.gen, Stats: cs})
+	})
 }

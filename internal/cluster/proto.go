@@ -147,20 +147,6 @@ type materializeRequest struct {
 	Positions []int `json:"positions"`
 }
 
-// materializeChunk is one NDJSON line of a materialize response: either a
-// materialized position (Pos set), the final summary (Done set), or an
-// in-band error (Error set).
-type materializeChunk struct {
-	Pos     *int   `json:"pos,omitempty"`
-	XML     string `json:"xml,omitempty"`
-	Snippet string `json:"snippet,omitempty"`
-	Done    bool   `json:"done,omitempty"`
-	Gen     uint64 `json:"gen,omitempty"`
-	Fetches int    `json:"fetches,omitempty"`
-	Error   string `json:"error,omitempty"`
-	Code    string `json:"code,omitempty"`
-}
-
 // searchRequest runs a complete single-node search (the route for views the
 // coordinator cannot scatter: every referenced document lives on the target
 // node). TopK and Offset follow vxml's window semantics: rank the top TopK,
@@ -176,9 +162,14 @@ type searchRequest struct {
 	Gen         uint64   `json:"gen"`
 }
 
-// searchChunk is one NDJSON line of a single-node search response: a ranked
-// result (Rank set), the final summary (Done set), or an in-band error.
-type searchChunk struct {
+// replyLine is one NDJSON line of a streamed read reply — /materialize and
+// /search share the shape: a data line (a materialized position with Pos
+// set, or a ranked result with Rank set), the final summary (Done set, with
+// Fetches on materialize and Stats on search), or an in-band error (Error
+// set). Every field is omitted when empty, so each stream carries only its
+// own fields.
+type replyLine struct {
+	Pos     *int        `json:"pos,omitempty"`
 	Rank    int         `json:"rank,omitempty"`
 	Score   float64     `json:"score,omitempty"`
 	TFs     []int       `json:"tfs,omitempty"`
@@ -186,6 +177,7 @@ type searchChunk struct {
 	Snippet string      `json:"snippet,omitempty"`
 	Done    bool        `json:"done,omitempty"`
 	Gen     uint64      `json:"gen,omitempty"`
+	Fetches int         `json:"fetches,omitempty"`
 	Stats   *core.Stats `json:"stats,omitempty"`
 	Error   string      `json:"error,omitempty"`
 	Code    string      `json:"code,omitempty"`

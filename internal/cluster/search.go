@@ -102,12 +102,63 @@ type candRef struct {
 	pos  int
 }
 
-// slotRank is one slot's scatter-phase outcome.
-type slotRank struct {
-	resp     *rankResponse
-	member   int // index of the member that answered; -1 if none
-	err      error
+// slotOutcome is one slot call's result: the member that answered (-1 if
+// none), every member's outcome in member order, and the error that ended
+// the call.
+type slotOutcome struct {
+	member   int
 	statuses []vxml.NodeStatus
+	err      error
+}
+
+// slotCall is the one failover loop every coordinator read goes through.
+// It calls the slot's members in order, preferred first (unless -1), and
+// records each as ok, failed (with the node's generation on a stale reply)
+// or skipped. It stops at the first answer, and early when no other member
+// can help: a member at a newer generation than gen (ErrStaleGeneration —
+// the whole search retries), a done ctx, or an invalid reply (returned as
+// the *nodeCallError; callers map it). Any other failure — a member down,
+// timed out, or lagging behind gen — moves on to the next member.
+func (c *Coordinator) slotCall(ctx context.Context, slot, preferred int, gen uint64, call func(member string) error) slotOutcome {
+	members := c.cfg.Slots[slot]
+	out := slotOutcome{member: -1, statuses: make([]vxml.NodeStatus, len(members))}
+	order := make([]int, 0, len(members))
+	if preferred >= 0 {
+		order = append(order, preferred)
+	}
+	for i, m := range members {
+		out.statuses[i] = vxml.NodeStatus{URL: m, Slot: slot, State: "skipped"}
+		if i != preferred {
+			order = append(order, i)
+		}
+	}
+	var lastErr error
+	for _, i := range order {
+		st := &out.statuses[i]
+		err := call(members[i])
+		if err == nil {
+			st.State, st.Gen = "ok", gen
+			out.member = i
+			return out
+		}
+		st.State, st.Err = "failed", err.Error()
+		if have, ok := staleGen(err); ok {
+			st.Gen = have
+			if have > gen {
+				out.err = fmt.Errorf("%w: slot %d answered generation %d, expected %d", ErrStaleGeneration, slot, have, gen)
+				return out
+			}
+		} else if ctxErr := ctx.Err(); ctxErr != nil {
+			out.err = fmt.Errorf("cluster: search interrupted: %w", ctxErr)
+			return out
+		} else if _, invalid := invalidReply(err); invalid {
+			out.err = err
+			return out
+		}
+		lastErr = err
+	}
+	out.err = fmt.Errorf("slot %d unavailable: %w", slot, lastErr)
+	return out
 }
 
 // scatterSearch is the distributed route: rank on every slot, merge
@@ -118,7 +169,8 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	base := rankRequest{Schema: Schema, View: name, Keywords: keywords, Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism}
 
 	// Phase 1: rank everywhere, concurrently.
-	ranks := make([]slotRank, len(slots))
+	ranks := make([]slotOutcome, len(slots))
+	resps := make([]*rankResponse, len(slots))
 	var wg sync.WaitGroup
 	for s := range slots {
 		wg.Add(1)
@@ -126,7 +178,11 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 			defer wg.Done()
 			req := base
 			req.Gen = vec[s]
-			ranks[s] = c.rankSlot(ctx, s, req)
+			ranks[s] = c.slotCall(ctx, s, -1, vec[s], func(member string) error {
+				var err error
+				resps[s], err = c.rankMember(ctx, member, req)
+				return err
+			})
 		}(s)
 	}
 	wg.Wait()
@@ -139,21 +195,19 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	for s := range ranks {
 		if err := ranks[s].err; err != nil {
 			if errors.Is(err, ErrStaleGeneration) {
-				c.flattenStatuses(stats, ranks)
+				flattenStatuses(stats, ranks)
 				return nil, stats, err
 			}
-			var ne *nodeCallError
-			if errors.As(err, &ne) && ne.Code == codeInvalid {
-				// Deterministic rejection (the view is not scatterable on
-				// the node either): no amount of failover helps.
-				c.flattenStatuses(stats, ranks)
-				return nil, stats, fmt.Errorf("%w: %s", ErrUnroutableView, ne.Msg)
+			if msg, invalid := invalidReply(err); invalid {
+				// The view is not scatterable on the node either.
+				flattenStatuses(stats, ranks)
+				return nil, stats, fmt.Errorf("%w: %s", ErrUnroutableView, msg)
 			}
 			failedSlots++
 		}
 	}
 	if failedSlots == len(slots) {
-		c.flattenStatuses(stats, ranks)
+		flattenStatuses(stats, ranks)
 		return nil, stats, fmt.Errorf("cluster: all %d slot(s) failed: %w", len(slots), vxml.ErrPartialCluster)
 	}
 
@@ -161,8 +215,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	// and per-candidate scoring exactly as a single node would.
 	totalView := 0
 	contains := make([]int, len(keywords))
-	for s := range ranks {
-		resp := ranks[s].resp
+	for _, resp := range resps {
 		if resp == nil {
 			continue
 		}
@@ -177,8 +230,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	idfs := scoring.IDFsFromCounts(totalView, contains)
 	top := scoring.NewTopK(opts.TopK)
 	refs := map[int]candRef{}
-	for s := range ranks {
-		resp := ranks[s].resp
+	for s, resp := range resps {
 		if resp == nil {
 			continue
 		}
@@ -226,29 +278,37 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	}
 	outs := make([]matOut, len(winners))
 	slotErrs := make([]error, len(slots))
-	var (
-		matMu sync.Mutex
-		matWg sync.WaitGroup
-	)
+	fetches := make([]int, len(slots))
+	var matWg sync.WaitGroup
 	for s, b := range bySlot {
 		matWg.Add(1)
 		go func(s int, b *slotBatch) {
 			defer matWg.Done()
 			req := materializeRequest{rankRequest: base, Positions: b.positions}
 			req.Gen = vec[s]
-			fetches, err := c.materializeSlot(ctx, s, ranks[s].member, req, func(k int, chunk materializeChunk) {
-				outs[b.winnerIdx[k]] = matOut{xml: chunk.XML, snippet: chunk.Snippet, ok: true}
-			})
-			matMu.Lock()
-			if err != nil {
-				slotErrs[s] = err
+			// Members are called directly, not through callMember: the
+			// rank that named these positions just succeeded on the slot.
+			slotErrs[s] = c.slotCall(ctx, s, ranks[s].member, vec[s], func(member string) error {
+				k := 0
+				done, err := c.readReply(ctx, member, "/materialize", req, func(line replyLine) error {
+					if line.Pos == nil || k >= len(b.positions) || *line.Pos != b.positions[k] {
+						return fmt.Errorf("materialize stream from %s: position out of order", member)
+					}
+					outs[b.winnerIdx[k]] = matOut{xml: line.XML, snippet: line.Snippet, ok: true}
+					k++
+					return nil
+				})
+				if err == nil && k != len(b.positions) {
+					err = fmt.Errorf("materialize stream from %s: %d of %d positions delivered", member, k, len(b.positions))
+				}
+				fetches[s] = done.Fetches
+				return err
+			}).err
+			if slotErrs[s] != nil {
 				for _, j := range b.winnerIdx {
 					outs[j] = matOut{}
 				}
-			} else {
-				stats.BaseData += fetches
 			}
-			matMu.Unlock()
 		}(s, b)
 	}
 	matWg.Wait()
@@ -256,14 +316,15 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 		return nil, nil, fmt.Errorf("cluster: search interrupted: %w", err)
 	}
 	for s, err := range slotErrs {
-		if err != nil && errors.Is(err, ErrStaleGeneration) {
-			c.flattenStatuses(stats, ranks)
+		switch {
+		case err == nil:
+			stats.BaseData += fetches[s]
+		case errors.Is(err, ErrStaleGeneration):
+			flattenStatuses(stats, ranks)
 			return nil, stats, err
-		}
-		if err != nil && ranks[s].member >= 0 {
+		default:
 			st := &ranks[s].statuses[ranks[s].member]
-			st.State = "failed"
-			st.Err = err.Error()
+			st.State, st.Err = "failed", err.Error()
 			failedSlots++
 		}
 	}
@@ -285,7 +346,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 		})
 	}
 	stats.Total = time.Since(start)
-	c.flattenStatuses(stats, ranks)
+	flattenStatuses(stats, ranks)
 	if failedSlots > 0 {
 		return results, stats, fmt.Errorf("cluster: %d of %d slot(s) missing from the results: %w", failedSlots, len(slots), vxml.ErrPartialCluster)
 	}
@@ -314,64 +375,18 @@ func addNodeStats(st, node *vxml.Stats) {
 
 // flattenStatuses fills stats.Nodes with every member's outcome, in slot
 // then member order.
-func (c *Coordinator) flattenStatuses(stats *vxml.Stats, ranks []slotRank) {
+func flattenStatuses(stats *vxml.Stats, slots []slotOutcome) {
 	stats.Nodes = stats.Nodes[:0]
-	for s := range ranks {
-		stats.Nodes = append(stats.Nodes, ranks[s].statuses...)
+	for s := range slots {
+		stats.Nodes = append(stats.Nodes, slots[s].statuses...)
 	}
 }
 
-// rankSlot runs the scatter phase against one slot, failing over across its
-// members: primary first, then replicas. A member answering at a newer
-// generation than the snapshot vector means a mutation landed — the whole
-// search must retry (ErrStaleGeneration); an older one is a lagging replica
-// and the next member is tried.
-func (c *Coordinator) rankSlot(ctx context.Context, slot int, req rankRequest) slotRank {
-	members := c.cfg.Slots[slot]
-	out := slotRank{member: -1, statuses: make([]vxml.NodeStatus, len(members))}
-	for i, m := range members {
-		out.statuses[i] = vxml.NodeStatus{URL: m, Slot: slot, State: "skipped"}
-	}
-	var lastErr error
-	for i, m := range members {
-		resp, err := c.rankMember(ctx, m, req)
-		if err == nil {
-			out.statuses[i].State = "ok"
-			out.statuses[i].Gen = resp.Gen
-			out.resp, out.member = resp, i
-			return out
-		}
-		out.statuses[i].State = "failed"
-		out.statuses[i].Err = err.Error()
-		if gen, ok := staleGen(err); ok {
-			out.statuses[i].Gen = gen
-			if gen > req.Gen {
-				out.err = fmt.Errorf("%w: slot %d answered generation %d, expected %d", ErrStaleGeneration, slot, gen, req.Gen)
-				return out
-			}
-			lastErr = err
-			continue // lagging replica; the next member may be current
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			out.err = fmt.Errorf("cluster: search interrupted: %w", ctxErr)
-			return out
-		}
-		var ne *nodeCallError
-		if errors.As(err, &ne) && ne.Code == codeInvalid {
-			out.err = err // deterministic rejection; failover cannot help
-			return out
-		}
-		lastErr = err
-	}
-	out.err = fmt.Errorf("slot %d unavailable: %w", slot, lastErr)
-	return out
-}
-
-// callMember runs one member RPC under the per-member discipline every
-// read shares: transport failures are retried up to the configured budget,
-// a missed view push self-heals once (unknown_view → push the definition,
-// retry), and an answer from the node — any nodeCallError — is final, since
-// repeating the request would be futile.
+// callMember runs one member RPC under the per-member discipline rank and
+// single-node search share: transport failures are retried up to the
+// configured budget, a missed view push self-heals once (unknown_view →
+// push the definition, retry), and an answer from the node — any
+// nodeCallError — is final, since repeating the request would be futile.
 func (c *Coordinator) callMember(ctx context.Context, member, view string, call func() error) error {
 	attempts := 1 + c.cfg.Retries
 	healed := false
@@ -419,68 +434,33 @@ func (c *Coordinator) healView(ctx context.Context, member, name string) bool {
 	return v != nil && c.pushView(ctx, member, name, v.Text) == nil
 }
 
-// materializeSlot streams the materialize phase for one slot's winner
-// batch, failing over across members (preferring the member that served
-// the rank). deliver is called once per position, in request order.
-func (c *Coordinator) materializeSlot(ctx context.Context, slot, preferred int, req materializeRequest, deliver func(k int, chunk materializeChunk)) (int, error) {
-	members := c.cfg.Slots[slot]
-	order := make([]int, 0, len(members))
-	if preferred >= 0 && preferred < len(members) {
-		order = append(order, preferred)
-	}
-	for i := range members {
-		if i != preferred {
-			order = append(order, i)
-		}
-	}
-	var lastErr error
-	for _, i := range order {
-		fetches, err := c.materializeMember(ctx, members[i], req, deliver)
-		if err == nil {
-			return fetches, nil
-		}
-		if gen, ok := staleGen(err); ok && gen > req.Gen {
-			return 0, fmt.Errorf("%w: slot %d moved to generation %d during materialization", ErrStaleGeneration, slot, gen)
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return 0, fmt.Errorf("cluster: search interrupted: %w", ctxErr)
-		}
-		lastErr = err
-	}
-	return 0, fmt.Errorf("slot %d unavailable for materialization: %w", slot, lastErr)
-}
-
-// materializeMember runs one materialize stream against one member. A
-// failover retry re-delivers from position zero; re-delivery is harmless
-// because materialization is deterministic at a pinned generation.
-func (c *Coordinator) materializeMember(ctx context.Context, member string, req materializeRequest, deliver func(k int, chunk materializeChunk)) (int, error) {
-	resp, cancel, err := c.postStream(ctx, member, "/materialize", req)
+// readReply runs one streamed read RPC (/materialize or /search) against
+// one member: it hands each data line to data in order, turns an error line
+// into a *nodeCallError, and returns the done line. A stream that ends
+// before its done line is truncated and fails. A failover retry re-reads
+// from the first line; re-delivery is harmless because a reply is
+// deterministic at a pinned generation.
+func (c *Coordinator) readReply(ctx context.Context, member, path string, req any, data func(replyLine) error) (replyLine, error) {
+	resp, cancel, err := c.postStream(ctx, member, path, req)
 	if err != nil {
-		return 0, err
+		return replyLine{}, err
 	}
 	defer cancel()
 	defer resp.Body.Close()
 	dec := json.NewDecoder(resp.Body)
-	k := 0
 	for {
-		var chunk materializeChunk
-		if err := dec.Decode(&chunk); err != nil {
-			return 0, fmt.Errorf("materialize stream from %s: %w", member, err)
+		var line replyLine
+		if err := dec.Decode(&line); err != nil {
+			return replyLine{}, fmt.Errorf("%s stream from %s: %w", path[1:], member, err)
 		}
 		switch {
-		case chunk.Error != "":
-			return 0, &nodeCallError{Code: chunk.Code, Msg: chunk.Error, Gen: chunk.Gen}
-		case chunk.Done:
-			if k != len(req.Positions) {
-				return 0, fmt.Errorf("materialize stream from %s: %d of %d positions delivered", member, k, len(req.Positions))
-			}
-			return chunk.Fetches, nil
-		default:
-			if chunk.Pos == nil || k >= len(req.Positions) || *chunk.Pos != req.Positions[k] {
-				return 0, fmt.Errorf("materialize stream from %s: position out of order", member)
-			}
-			deliver(k, chunk)
-			k++
+		case line.Error != "":
+			return replyLine{}, &nodeCallError{Code: line.Code, Msg: line.Error, Gen: line.Gen}
+		case line.Done:
+			return line, nil
+		}
+		if err := data(line); err != nil {
+			return replyLine{}, err
 		}
 	}
 }
@@ -498,8 +478,7 @@ func (c *Coordinator) singleSearch(ctx context.Context, name string, keywords []
 			targets = append(targets, s)
 		}
 	}
-	var statuses []vxml.NodeStatus
-	var lastErr error
+	var tried []slotOutcome
 	for _, s := range targets {
 		req := searchRequest{
 			Schema: Schema, View: name, Keywords: keywords,
@@ -507,86 +486,47 @@ func (c *Coordinator) singleSearch(ctx context.Context, name string, keywords []
 			Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism,
 			Gen: vec[s],
 		}
-		for i, m := range c.cfg.Slots[s] {
-			results, stats, err := c.searchMember(ctx, m, req)
-			if err == nil {
-				stats.Total = time.Since(start)
-				status := vxml.NodeStatus{URL: m, Slot: s, State: "ok", Gen: vec[s]}
-				stats.Nodes = append(statuses, status)
-				for _, rest := range c.cfg.Slots[s][i+1:] {
-					stats.Nodes = append(stats.Nodes, vxml.NodeStatus{URL: rest, Slot: s, State: "skipped"})
-				}
-				return results, stats, nil
-			}
-			status := vxml.NodeStatus{URL: m, Slot: s, State: "failed", Err: err.Error()}
-			if gen, ok := staleGen(err); ok {
-				status.Gen = gen
-				if gen > req.Gen {
-					statuses = append(statuses, status)
-					st := &vxml.Stats{Nodes: statuses}
-					return nil, st, fmt.Errorf("%w: slot %d answered generation %d, expected %d", ErrStaleGeneration, s, gen, req.Gen)
-				}
-			}
-			statuses = append(statuses, status)
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, nil, fmt.Errorf("cluster: search interrupted: %w", ctxErr)
-			}
-			var ne *nodeCallError
-			if errors.As(err, &ne) && ne.Code == codeInvalid {
-				return nil, &vxml.Stats{Nodes: statuses}, fmt.Errorf("%w: %s", vxml.ErrInvalidOptions, ne.Msg)
-			}
-			lastErr = err
-		}
-	}
-	st := &vxml.Stats{Nodes: statuses}
-	return nil, st, fmt.Errorf("cluster: no node can serve the view (%d member(s) tried, last: %v): %w", len(statuses), lastErr, vxml.ErrPartialCluster)
-}
-
-// searchMember runs one complete streamed search against one member,
-// buffering the ranked page.
-func (c *Coordinator) searchMember(ctx context.Context, member string, req searchRequest) (results []vxml.Result, stats *vxml.Stats, err error) {
-	err = c.callMember(ctx, member, req.View, func() (err error) {
-		results, stats, err = c.searchMemberOnce(ctx, member, req)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, stats, nil
-}
-
-func (c *Coordinator) searchMemberOnce(ctx context.Context, member string, req searchRequest) ([]vxml.Result, *vxml.Stats, error) {
-	resp, cancel, err := c.postStream(ctx, member, "/search", req)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	var results []vxml.Result
-	for {
-		var chunk searchChunk
-		if err := dec.Decode(&chunk); err != nil {
-			return nil, nil, fmt.Errorf("search stream from %s: %w", member, err)
-		}
-		switch {
-		case chunk.Error != "":
-			return nil, nil, &nodeCallError{Code: chunk.Code, Msg: chunk.Error, Gen: chunk.Gen}
-		case chunk.Done:
-			if chunk.Stats == nil {
-				return results, &vxml.Stats{}, nil
-			}
-			return results, chunk.Stats, nil
-		default:
-			results = append(results, vxml.Result{
-				Rank:    chunk.Rank,
-				Score:   chunk.Score,
-				TF:      tfMap(req.Keywords, chunk.TFs),
-				XML:     chunk.XML,
-				Snippet: chunk.Snippet,
+		var results []vxml.Result
+		var done replyLine
+		out := c.slotCall(ctx, s, -1, vec[s], func(member string) error {
+			return c.callMember(ctx, member, name, func() (err error) {
+				results = nil
+				done, err = c.readReply(ctx, member, "/search", req, func(line replyLine) error {
+					results = append(results, vxml.Result{
+						Rank:    line.Rank,
+						Score:   line.Score,
+						TF:      tfMap(keywords, line.TFs),
+						XML:     line.XML,
+						Snippet: line.Snippet,
+					})
+					return nil
+				})
+				return err
 			})
+		})
+		tried = append(tried, out)
+		stats := &vxml.Stats{}
+		flattenStatuses(stats, tried)
+		switch {
+		case out.err == nil:
+			if done.Stats != nil {
+				done.Stats.Nodes = stats.Nodes
+				stats = done.Stats
+			}
+			stats.Total = time.Since(start)
+			return results, stats, nil
+		case errors.Is(out.err, ErrStaleGeneration):
+			return nil, stats, out.err
+		case ctx.Err() != nil && errors.Is(out.err, ctx.Err()):
+			return nil, nil, out.err
+		}
+		if msg, invalid := invalidReply(out.err); invalid {
+			return nil, stats, fmt.Errorf("%w: %s", vxml.ErrInvalidOptions, msg)
 		}
 	}
+	stats := &vxml.Stats{}
+	flattenStatuses(stats, tried)
+	return nil, stats, fmt.Errorf("cluster: no node can serve the view (%d member(s) tried, last: %v): %w", len(stats.Nodes), tried[len(tried)-1].err, vxml.ErrPartialCluster)
 }
 
 // Results is the coordinator's streaming delivery, mirroring

@@ -108,7 +108,7 @@ func NewNodeFromSnapshot(ctx context.Context, client *http.Client, baseURL strin
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: snapshot from %s: %s", baseURL, readNodeError(resp))
+		return nil, fmt.Errorf("cluster: snapshot from %s: %w", baseURL, errorFromResponse(resp))
 	}
 	dec := json.NewDecoder(resp.Body)
 	var header snapshotHeader

@@ -377,10 +377,6 @@ type Stats struct {
 	// Single-process searches leave it nil. When a search returns
 	// vxml.ErrPartialCluster, the failed members and their errors are here.
 	Nodes []NodeStatus `json:"nodes,omitempty"`
-	// promotable is set when this search pushed its view over the
-	// promotion threshold; the entry points run maybePromote after the
-	// shard locks are released.
-	promotable bool
 }
 
 // Result is one ranked, materialized search result.
@@ -642,7 +638,7 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 	}
 	stats := out.closePost()
 	stats.BaseData = fetcher.Fetches
-	e.maybePromote(ctx, v, opts, stats)
+	e.maybePromote(ctx, v, out)
 	return results, stats, nil
 }
 
@@ -661,16 +657,22 @@ type viewOutput struct {
 	// ran over a literal one (0 when the corpus lacks it).
 	owners []int32
 	outer  int32
-	// rstats are the per-result scoring inputs when the serving tier
-	// brings them itself (a materialized view, the per-document pipeline);
-	// nil for the other PDT-pruned results — whole-view or skeleton —
-	// whose stats collect derives from lists.
+	// rstats are the per-result scoring inputs. The serving tier brings
+	// them itself for a materialized view and the per-document pipeline;
+	// for the other PDT-pruned results — whole-view or skeleton — collect
+	// derives them from lists and keeps them here.
 	rstats []scoring.Stats
 	// lists holds each candidate document's posting list per keyword
 	// (plan.keywordLists), for collect.
 	lists map[int32][]*invindex.PostingList
 	kws   []string // normalized keywords
 	stats *Stats
+	// promotable is set when this search pushed its view over the
+	// promotion threshold, and planGen is the catalog generation read
+	// under the shard read locks; the entry points run maybePromote with
+	// both after the locks are released.
+	promotable bool
+	planGen    int
 	// post is when the view's results came into existence — the start of
 	// the scoring + materialization time Stats.PostTime reports.
 	post time.Time
@@ -714,9 +716,9 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	// this view's documents cannot land between here and the skeleton
 	// store below — a bump from an unrelated shard only makes the store a
 	// refused no-op.
-	planGen, served := 0, false
+	served := false
 	if opts.Plan {
-		planGen = e.Catalog.Gen()
+		out.planGen = e.Catalog.Gen()
 		if served, err = e.tryPlan(ctx, v, p, out); err != nil {
 			return nil, err
 		}
@@ -740,8 +742,8 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		// AccessDirect counts this search toward promotion; the entry
 		// points materialize after the locks drop.
 		if opts.Plan {
-			e.Catalog.StoreSkeleton(v.Text, planGen, out.results, skeletonFootprint(out.results))
-			stats.promotable = e.Catalog.AccessDirect(v.Text)
+			e.Catalog.StoreSkeleton(v.Text, out.planGen, out.results, skeletonFootprint(out.results))
+			out.promotable = e.Catalog.AccessDirect(v.Text)
 		}
 		out.post = time.Now()
 	}

@@ -188,7 +188,11 @@ func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
 			addResultStats(&rstats[i], o.results[i], listsOf)
 		}
 	})
-	return rstats, err
+	if err != nil {
+		return nil, err
+	}
+	o.rstats = rstats
+	return rstats, nil
 }
 
 // addResultStats adds one PDT-pruned view result's scoring inputs to st,

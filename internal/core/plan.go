@@ -70,7 +70,7 @@ func (e *Engine) tryPlan(ctx context.Context, v *View, p *plan, out *viewOutput)
 		stats.PlanSource, stats.PlanView = catalog.PlanRewritten, id
 		// Rewrite serves count toward promotion too: a view whose skeleton
 		// keeps answering is the one worth materializing fully.
-		stats.promotable = e.Catalog.AccessPlanned(v.Text, catalog.PlanRewritten)
+		out.promotable = e.Catalog.AccessPlanned(v.Text, catalog.PlanRewritten)
 		return true, nil
 	}
 	return false, nil
@@ -86,36 +86,29 @@ func skeletonFootprint(results []*xmltree.Node) int {
 	return total
 }
 
-// maybePromote materializes the view inline when the search that just
-// completed pushed it over the promotion threshold. It must run after the
-// search has released its shard read locks (it re-enters the pipeline
-// through viewOutput) but while the caller's store pin is held
+// maybePromote materializes the view inline when the search that produced
+// out pushed it over the promotion threshold. It runs after the search has
+// released its shard read locks but while the caller's store pin is held
 // (materialization fetches base subtrees). promoteMu single-flights
 // concurrent promotions; a loser re-checks under the lock and finds the
 // artifact already live.
 //
-// The keyword-less direct evaluation yields every view result in view
-// order, and collect its exact FromPDT byte lengths, so the stored artifact
-// carries precisely the ByteLen a direct search would compute. The token
-// histogram is built over the materialized trees with the same scoping as
-// scoring.Collect(FromBase), which the Baseline-vs-Efficient equivalence
-// suites pin equal to the PDT-derived statistics.
-func (e *Engine) maybePromote(ctx context.Context, v *View, opts Options, stats *Stats) {
-	if !stats.promotable {
+// Whichever tier produced out — direct evaluation or a skeleton — it holds
+// every view result in view order and, once collected, each result's exact
+// FromPDT byte length, so the stored artifact carries precisely the
+// ByteLen a direct search computes. The token histogram is built over the
+// materialized trees with the same scoping as scoring.Collect(FromBase),
+// which the Baseline-vs-Efficient equivalence suites pin equal to the
+// PDT-derived statistics. The artifact is stamped with the generation the
+// search read under its shard locks, so a promotion that races a mutation
+// is refused.
+func (e *Engine) maybePromote(ctx context.Context, v *View, out *viewOutput) {
+	if !out.promotable {
 		return
 	}
 	e.promoteMu.Lock()
 	defer e.promoteMu.Unlock()
 	if _, _, ok := e.Catalog.Materialized(v.Text); ok {
-		return
-	}
-	gen := e.Catalog.Gen()
-	out, err := e.viewOutput(ctx, v, nil, Options{Parallelism: opts.Parallelism})
-	if err != nil {
-		return
-	}
-	rstats, err := out.collect(ctx)
-	if err != nil {
 		return
 	}
 	mv := &catalog.MatView{
@@ -129,7 +122,7 @@ func (e *Engine) maybePromote(ctx context.Context, v *View, opts Options, stats 
 		}
 		tree := scoring.Materialize(res, e.Store)
 		mv.Trees[i] = tree
-		mv.ByteLens[i] = rstats[i].ByteLen
+		mv.ByteLens[i] = out.rstats[i].ByteLen
 		counts := map[string]int{}
 		treeTokens(tree, counts)
 		for tok, c := range counts {
@@ -140,9 +133,10 @@ func (e *Engine) maybePromote(ctx context.Context, v *View, opts Options, stats 
 	for tok, entries := range mv.Tokens {
 		mv.Bytes += len(tok) + 16*len(entries)
 	}
-	// A mutation since gen was read makes the stamp stale and the store a
-	// no-op — the artifact would describe a corpus that no longer exists.
-	e.Catalog.StoreMaterialized(v.Text, gen, mv)
+	// A mutation since planGen was read makes the stamp stale and the
+	// store a no-op — the artifact would describe a corpus that no longer
+	// exists.
+	e.Catalog.StoreMaterialized(v.Text, out.planGen, mv)
 }
 
 // treeTokens accumulates one materialized result's token histogram with

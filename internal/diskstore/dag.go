@@ -254,143 +254,6 @@ func (ds *Store) subtreeAt(e *docEntry, id dewey.ID) (*xmltree.Node, error) {
 	return ds.decodeSubtree(off, id)
 }
 
-// dagSubtreeTF computes per-keyword term frequencies of the subtree at
-// off without materializing it, memoizing per distinct record: a subtree
-// shared N times is tokenized once and its counts added N times. The token
-// matching mirrors xmltree.SubtreeTF exactly (exact match on normalized
-// keywords).
-func (ds *Store) dagSubtreeTF(off int64, keywords []string, memo map[int64][]int) ([]int, error) {
-	if tf, ok := memo[off]; ok {
-		return tf, nil
-	}
-	rec, err := ds.readNodeAt(off)
-	if err != nil {
-		return nil, err
-	}
-	tf := make([]int, len(keywords))
-	if rec.value != "" {
-		xmltree.VisitTokens(rec.value, func(tok string) bool {
-			for i, k := range keywords {
-				if tok == k {
-					tf[i]++
-				}
-			}
-			return true
-		})
-	}
-	for _, c := range rec.children {
-		ctf, err := ds.dagSubtreeTF(c, keywords, memo)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range ctf {
-			tf[i] += v
-		}
-	}
-	memo[off] = tf
-	return tf, nil
-}
-
-// dagContains reports whether the subtree at off contains the keyword,
-// again directly over the DAG with per-record memoization.
-func (ds *Store) dagContains(off int64, keyword string, memo map[int64]bool) (bool, error) {
-	if found, ok := memo[off]; ok {
-		return found, nil
-	}
-	rec, err := ds.readNodeAt(off)
-	if err != nil {
-		return false, err
-	}
-	found := false
-	if rec.value != "" {
-		xmltree.VisitTokens(rec.value, func(tok string) bool {
-			if tok == keyword {
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	for _, c := range rec.children {
-		if found {
-			break
-		}
-		cf, err := ds.dagContains(c, keyword, memo)
-		if err != nil {
-			return false, err
-		}
-		found = found || cf
-	}
-	memo[off] = found
-	return found, nil
-}
-
-// navigateTo resolves a Dewey ID to its node record offset (found=false
-// when the path walks off the tree).
-func (ds *Store) navigateTo(id dewey.ID) (off int64, found bool, err error) {
-	if len(id) == 0 {
-		return 0, false, nil
-	}
-	ds.mu.RLock()
-	e := ds.byID[id[0]]
-	ds.mu.RUnlock()
-	if e == nil {
-		return 0, false, nil
-	}
-	off = e.root
-	for depth := 1; depth < len(id); depth++ {
-		rec, err := ds.readNodeAt(off)
-		if err != nil {
-			return 0, false, err
-		}
-		ord := int(id[depth])
-		if ord < 1 || ord > len(rec.children) {
-			return 0, false, nil
-		}
-		off = rec.children[ord-1]
-	}
-	return off, true, nil
-}
-
-// SubtreeTF computes the per-keyword term frequencies of the subtree at
-// id directly over the compressed representation — no node of the subtree
-// is materialized, and a DAG node shared N times within the subtree is
-// tokenized once. Equivalent to xmltree.SubtreeTF over the hydrated
-// subtree (the equivalence suite pins this).
-func (ds *Store) SubtreeTF(id dewey.ID, keywords []string) ([]int, bool) {
-	off, found, err := ds.navigateTo(id)
-	if err != nil || !found {
-		if err != nil {
-			ds.noteDecodeErr(err)
-		}
-		return nil, false
-	}
-	tf, err := ds.dagSubtreeTF(off, keywords, map[int64][]int{})
-	if err != nil {
-		ds.noteDecodeErr(err)
-		return nil, false
-	}
-	return tf, true
-}
-
-// ContainsKeyword reports whether the subtree at id contains the
-// normalized keyword, directly over the compressed representation.
-func (ds *Store) ContainsKeyword(id dewey.ID, keyword string) (contains, found bool) {
-	off, ok, err := ds.navigateTo(id)
-	if err != nil || !ok {
-		if err != nil {
-			ds.noteDecodeErr(err)
-		}
-		return false, false
-	}
-	c, err := ds.dagContains(off, keyword, map[int64]bool{})
-	if err != nil {
-		ds.noteDecodeErr(err)
-		return false, false
-	}
-	return c, true
-}
-
 // loadDedupLocked rebuilds the dedup maps by scanning every committed
 // record. It runs at most once per open, lazily before the first mutation,
 // so opening a corpus for reading stays O(manifest) — the scan is the

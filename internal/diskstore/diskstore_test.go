@@ -171,31 +171,6 @@ func TestSubtreeDirectDecode(t *testing.T) {
 	}
 }
 
-func TestDAGSubtreeTFAndContains(t *testing.T) {
-	s := buildHeap(t, seedDocs(6))
-	ds := createDisk(t, s, Options{DocCacheSize: -1})
-	keywords := []string{"widget", "acme", "analytical", "nosuchword"}
-	for _, doc := range s.Docs() {
-		doc.Root.Walk(func(n *xmltree.Node) {
-			wantTF := xmltree.SubtreeTF(n, keywords)
-			gotTF, ok := ds.SubtreeTF(n.ID, keywords)
-			if !ok || !reflect.DeepEqual(gotTF, wantTF) {
-				t.Fatalf("SubtreeTF(%v) = %v/%v, want %v", n.ID, gotTF, ok, wantTF)
-			}
-			for _, k := range keywords {
-				want := xmltree.Contains(n, k)
-				got, ok := ds.ContainsKeyword(n.ID, k)
-				if !ok || got != want {
-					t.Fatalf("ContainsKeyword(%v, %q) = %v/%v, want %v", n.ID, k, got, ok, want)
-				}
-			}
-		})
-	}
-	if _, ok := ds.SubtreeTF(dewey.ID{99}, keywords); ok {
-		t.Fatal("SubtreeTF of unknown doc should report not found")
-	}
-}
-
 func TestDAGDedupCompression(t *testing.T) {
 	// 40 documents, 4 distinct trees: the data log should hold roughly 4
 	// documents' worth of structure.

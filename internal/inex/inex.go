@@ -294,3 +294,18 @@ func GenerateBooksReviews(nBooks int, seed int64) (booksXML, reviewsXML string) 
 	reviews.WriteString("</reviews>")
 	return books.String(), reviews.String()
 }
+
+// DemoView is the books & reviews join the serving commands register as
+// "demo" over DemoCorpus, so a coordinator answers the demo workload
+// byte-identically to a single-process server.
+const DemoView = `
+for $book in fn:doc(books.xml)/books//book
+return <bookrevs>
+         <book>{$book/title}</book>,
+         {for $rev in fn:doc(reviews.xml)/reviews//review
+          where $rev/isbn = $book/isbn
+          return $rev/content}
+       </bookrevs>`
+
+// DemoCorpus generates the demo's books.xml and reviews.xml.
+func DemoCorpus() (booksXML, reviewsXML string) { return GenerateBooksReviews(200, 7) }

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"time"
 
 	"vxml"
@@ -53,7 +52,7 @@ func buildDatabase(spec *Spec) (*vxml.Database, error) {
 }
 
 // SelfServe boots an internal/server over the spec's corpus and views on
-// a loopback listener with the same timeout posture as cmd/vxmlserve, and
+// a loopback listener with the timeouts every serving command uses, and
 // returns its base URL plus a shutdown func that drains in-flight
 // requests.
 func SelfServe(spec *Spec) (base string, shutdown func(), err error) {
@@ -71,13 +70,7 @@ func SelfServe(spec *Spec) (base string, shutdown func(), err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := server.HTTPServer("", srv.Handler())
 	done := make(chan struct{})
 	go func() {
 		httpSrv.Serve(ln) //nolint:errcheck // Shutdown's ErrServerClosed is the clean exit
