@@ -14,6 +14,7 @@ import (
 	"vxml/internal/catalog"
 	"vxml/internal/core"
 	"vxml/internal/scoring"
+	"vxml/internal/store"
 	"vxml/internal/xmltree"
 	"vxml/internal/xqeval"
 )
@@ -50,7 +51,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	defer e.RUnlock()
 	stats := &Stats{Stats: core.Stats{Workers: 1, ShardsSearched: e.Store.ShardCount(), PlanSource: catalog.PlanDirect}}
 	for _, q := range v.QPTs {
-		stats.Candidates += len(e.Store.DocsMatching(q.Doc))
+		stats.Candidates += len(e.Store.InfosMatching(q.Doc))
 	}
 	kws, err := core.NormalizeKeywords(keywords)
 	if err != nil {
@@ -103,5 +104,5 @@ type storeCatalog struct{ e *core.Engine }
 func (c storeCatalog) Doc(name string) *xmltree.Document { return c.e.Store.Doc(name) }
 
 func (c storeCatalog) DocsMatching(pattern string) []*xmltree.Document {
-	return c.e.Store.DocsMatching(pattern)
+	return store.DocsMatching(c.e.Store, pattern)
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vxml"
@@ -106,6 +107,11 @@ type Coordinator struct {
 	docs   map[string]*docInfo
 	views  map[string]*core.View
 	nextID int32
+	// answered[s] is the member of slot s that last answered a read (0,
+	// the primary, until one fails over). Rank and single-node reads try
+	// it first, so a hanging member costs its per-RPC timeout once, not on
+	// every read.
+	answered []atomic.Int32
 }
 
 // NewCoordinator validates cfg, applies defaults and returns an empty
@@ -137,13 +143,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		client = &http.Client{}
 	}
 	return &Coordinator{
-		cfg:    cfg,
-		client: client,
-		cache:  catalog.New(),
-		gens:   make([]uint64, len(cfg.Slots)),
-		docs:   map[string]*docInfo{},
-		views:  map[string]*core.View{},
-		nextID: 1,
+		cfg:      cfg,
+		client:   client,
+		cache:    catalog.New(),
+		gens:     make([]uint64, len(cfg.Slots)),
+		docs:     map[string]*docInfo{},
+		views:    map[string]*core.View{},
+		nextID:   1,
+		answered: make([]atomic.Int32, len(cfg.Slots)),
 	}, nil
 }
 

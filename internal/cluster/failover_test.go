@@ -43,6 +43,8 @@ type failoverFixture struct {
 	replicaSrv *httptest.Server
 	replica    atomic.Pointer[Node]
 	mode       atomic.Int32
+	// hung counts the requests the primary received while hanging.
+	hung atomic.Int32
 }
 
 func newFailoverFixture(t *testing.T, view string, timeout time.Duration) *failoverFixture {
@@ -53,6 +55,7 @@ func newFailoverFixture(t *testing.T, view string, timeout time.Duration) *failo
 	f.primarySrv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch f.mode.Load() {
 		case memberHangs:
+			f.hung.Add(1)
 			select {
 			case <-release:
 			case <-r.Context().Done():
@@ -193,10 +196,36 @@ func TestEveryReadRouteFailsOverAlike(t *testing.T) {
 					f := newFailoverFixture(t, rt.view, 5*time.Second)
 					f.bootstrapReplica(t)
 					f.mode.Store(memberFailsMaterialize)
-					got, _, err := f.search()
+					got, stats, err := f.search()
 					f.mustMatchOracle(t, got, err)
+					if p, r := stateOf(stats, f.primarySrv.URL), stateOf(stats, f.replicaSrv.URL); p != "failed" || r != "ok" {
+						t.Fatalf("primary %q, replica %q; want failed, ok: %+v", p, r, stats.Nodes)
+					}
 				})
 			}
+
+			// The replica that answered for a hanging primary is tried first
+			// by the next read: the hang costs one per-RPC timeout, not one
+			// per search.
+			t.Run("sticky-member", func(t *testing.T) {
+				f := newFailoverFixture(t, rt.view, 250*time.Millisecond)
+				f.bootstrapReplica(t)
+				f.mode.Store(memberHangs)
+				for i := 0; i < 2; i++ {
+					got, stats, err := f.search()
+					f.mustMatchOracle(t, got, err)
+					want := [2]string{"failed", "ok"}
+					if i > 0 {
+						want[0] = "skipped"
+					}
+					if p, r := stateOf(stats, f.primarySrv.URL), stateOf(stats, f.replicaSrv.URL); p != want[0] || r != want[1] {
+						t.Fatalf("search %d: primary %q, replica %q; want %s, %s: %+v", i+1, p, r, want[0], want[1], stats.Nodes)
+					}
+				}
+				if n := f.hung.Load(); n != 1 {
+					t.Fatalf("the hanging primary received %d requests over two searches, want 1", n)
+				}
+			})
 
 			// The only live member is one generation behind: it must not
 			// answer from its older corpus.

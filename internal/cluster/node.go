@@ -105,7 +105,17 @@ func (n *Node) Gen() uint64 {
 func (n *Node) Documents() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.engine.Store.Docs())
+	return n.documentsLocked()
+}
+
+// documentsLocked counts the node's documents from the corpus metadata, so
+// a health probe of a disk node pages no tree in.
+func (n *Node) documentsLocked() int {
+	total := 0
+	for _, sh := range n.engine.Store.ShardInfos() {
+		total += sh.Documents
+	}
+	return total
 }
 
 // nodeRoutes is the single source of the RPC routing table: Handler
@@ -220,7 +230,7 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	nodeJSON(w, http.StatusOK, healthResponse{
 		Schema:     Schema,
 		Gen:        n.gen,
-		Documents:  len(n.engine.Store.Docs()),
+		Documents:  n.documentsLocked(),
 		TotalBytes: n.engine.Store.TotalBytes(),
 		Views:      len(n.views),
 	})

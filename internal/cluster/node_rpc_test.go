@@ -214,6 +214,56 @@ func TestDiskNodeMutationHydratesNothing(t *testing.T) {
 	}
 }
 
+// TestDiskNodeHealthHydratesNothing: a health probe counts a disk node's
+// documents from metadata, so probing a reopened node — its documents on
+// disk, none in memory — reads no document through the document cache and
+// evicts none of the hot ones.
+func TestDiskNodeHealthHydratesNothing(t *testing.T) {
+	dir := t.TempDir()
+	n, err := NewDiskNode(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(n.Handler())
+	const docs = 3
+	for i := 0; i < docs; i++ {
+		req := documentRequest{Schema: Schema, Op: "add", Name: fmt.Sprintf("part-%02d.xml", i), XML: rpcTestDoc, DocID: int32(i + 1), SetGen: uint64(i + 1)}
+		if code := postNode(t, srv.URL, "/documents", req, nil); code != http.StatusOK {
+			t.Fatalf("adding %s: %d", req.Name, code)
+		}
+	}
+	srv.Close()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, err = NewDiskNode(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close() //nolint:errcheck
+	srv = httptest.NewServer(n.Handler())
+	defer srv.Close()
+	ds := n.engine.Store.(*diskstore.Store)
+	before := ds.DiskStats()
+	resp, err := http.Get(srv.URL + pathPrefix + "/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health healthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Documents != docs || n.Documents() != docs {
+		t.Fatalf("health reports %d documents, Documents %d; want %d", health.Documents, n.Documents(), docs)
+	}
+	after := ds.DiskStats()
+	if after.DocCache.Misses != before.DocCache.Misses || after.ResidentDocs != before.ResidentDocs {
+		t.Fatalf("the health probe hydrated documents: misses %d -> %d, resident %d -> %d",
+			before.DocCache.Misses, after.DocCache.Misses, before.ResidentDocs, after.ResidentDocs)
+	}
+}
+
 // TestCoordinatorHealsUnpushedView: a node that answers unknown_view (a
 // restarted member, or one that missed the define-time push) is healed by
 // re-pushing the registered definition and the search retried — the caller

@@ -111,21 +111,20 @@ type slotOutcome struct {
 	err      error
 }
 
-// slotCall is the one failover loop every coordinator read goes through.
-// It calls the slot's members in order, preferred first (unless -1), and
-// records each as ok, failed (with the node's generation on a stale reply)
-// or skipped. It stops at the first answer, and early when no other member
-// can help: a member at a newer generation than gen (ErrStaleGeneration —
-// the whole search retries), a done ctx, or an invalid reply (returned as
-// the *nodeCallError; callers map it). Any other failure — a member down,
-// timed out, or lagging behind gen — moves on to the next member.
+// slotCall is the one failover loop every coordinator read goes through. It
+// calls the slot's members in order, preferred first, and records each as
+// ok, failed (with the node's generation on a stale reply) or skipped. The
+// member that answers becomes the slot's sticky member (c.answered), which
+// the next rank or single-node read prefers. It stops at the first answer,
+// and early when no other member can help: a member at a newer generation
+// than gen (ErrStaleGeneration — the whole search retries), a done ctx, or
+// an invalid reply (returned as the *nodeCallError; callers map it). Any
+// other failure — a member down, timed out, or lagging behind gen — moves on
+// to the next member.
 func (c *Coordinator) slotCall(ctx context.Context, slot, preferred int, gen uint64, call func(member string) error) slotOutcome {
 	members := c.cfg.Slots[slot]
 	out := slotOutcome{member: -1, statuses: make([]vxml.NodeStatus, len(members))}
-	order := make([]int, 0, len(members))
-	if preferred >= 0 {
-		order = append(order, preferred)
-	}
+	order := append(make([]int, 0, len(members)), preferred)
 	for i, m := range members {
 		out.statuses[i] = vxml.NodeStatus{URL: m, Slot: slot, State: "skipped"}
 		if i != preferred {
@@ -139,6 +138,7 @@ func (c *Coordinator) slotCall(ctx context.Context, slot, preferred int, gen uin
 		if err == nil {
 			st.State, st.Gen = "ok", gen
 			out.member = i
+			c.answered[slot].Store(int32(i))
 			return out
 		}
 		st.State, st.Err = "failed", err.Error()
@@ -161,6 +161,9 @@ func (c *Coordinator) slotCall(ctx context.Context, slot, preferred int, gen uin
 	return out
 }
 
+// sticky returns the member of slot s that last answered a read.
+func (c *Coordinator) sticky(s int) int { return int(c.answered[s].Load()) }
+
 // scatterSearch is the distributed route: rank on every slot, merge
 // centrally, materialize winners where they live.
 func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords []string, opts *vxml.Options, pageOffset int, vec []uint64) ([]vxml.Result, *vxml.Stats, error) {
@@ -178,7 +181,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 			defer wg.Done()
 			req := base
 			req.Gen = vec[s]
-			ranks[s] = c.slotCall(ctx, s, -1, vec[s], func(member string) error {
+			ranks[s] = c.slotCall(ctx, s, c.sticky(s), vec[s], func(member string) error {
 				var err error
 				resps[s], err = c.rankMember(ctx, member, req)
 				return err
@@ -277,7 +280,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 		ok           bool
 	}
 	outs := make([]matOut, len(winners))
-	slotErrs := make([]error, len(slots))
+	mats := make([]slotOutcome, len(slots))
 	fetches := make([]int, len(slots))
 	var matWg sync.WaitGroup
 	for s, b := range bySlot {
@@ -288,7 +291,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 			req.Gen = vec[s]
 			// Members are called directly, not through callMember: the
 			// rank that named these positions just succeeded on the slot.
-			slotErrs[s] = c.slotCall(ctx, s, ranks[s].member, vec[s], func(member string) error {
+			mats[s] = c.slotCall(ctx, s, ranks[s].member, vec[s], func(member string) error {
 				k := 0
 				done, err := c.readReply(ctx, member, "/materialize", req, func(line replyLine) error {
 					if line.Pos == nil || k >= len(b.positions) || *line.Pos != b.positions[k] {
@@ -303,8 +306,8 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 				}
 				fetches[s] = done.Fetches
 				return err
-			}).err
-			if slotErrs[s] != nil {
+			})
+			if mats[s].err != nil {
 				for _, j := range b.winnerIdx {
 					outs[j] = matOut{}
 				}
@@ -315,16 +318,22 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("cluster: search interrupted: %w", err)
 	}
-	for s, err := range slotErrs {
-		switch {
+	for s := range mats {
+		// A member the materialize call reached reports that outcome: a
+		// primary that ranked but failed to materialize is failed, and the
+		// replica that served its winners instead is ok.
+		for i, st := range mats[s].statuses {
+			if st.State != "skipped" {
+				ranks[s].statuses[i] = st
+			}
+		}
+		switch err := mats[s].err; {
 		case err == nil:
 			stats.BaseData += fetches[s]
 		case errors.Is(err, ErrStaleGeneration):
 			flattenStatuses(stats, ranks)
 			return nil, stats, err
 		default:
-			st := &ranks[s].statuses[ranks[s].member]
-			st.State, st.Err = "failed", err.Error()
 			failedSlots++
 		}
 	}
@@ -488,7 +497,7 @@ func (c *Coordinator) singleSearch(ctx context.Context, name string, keywords []
 		}
 		var results []vxml.Result
 		var done replyLine
-		out := c.slotCall(ctx, s, -1, vec[s], func(member string) error {
+		out := c.slotCall(ctx, s, c.sticky(s), vec[s], func(member string) error {
 			return c.callMember(ctx, member, name, func() (err error) {
 				results = nil
 				done, err = c.readReply(ctx, member, "/search", req, func(line replyLine) error {

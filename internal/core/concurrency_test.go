@@ -106,7 +106,7 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 	}
 	// After the storm, the collection holds every ingested document and
 	// both original ones, each with its two indices.
-	docs := e.Store.Docs()
+	docs := e.Store.Infos()
 	wantDocs := 2 + writers*documentsPerWriter
 	if len(docs) != wantDocs {
 		t.Errorf("documents = %d, want %d", len(docs), wantDocs)

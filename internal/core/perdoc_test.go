@@ -11,6 +11,7 @@ import (
 	"vxml/internal/baseline"
 	"vxml/internal/core"
 	"vxml/internal/gtp"
+	"vxml/internal/store"
 	"vxml/internal/testkit"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
@@ -200,7 +201,7 @@ type baseCatalog struct{ e *core.Engine }
 func (c baseCatalog) Doc(name string) *xmltree.Document { return c.e.Store.Doc(name) }
 
 func (c baseCatalog) DocsMatching(pattern string) []*xmltree.Document {
-	return c.e.Store.DocsMatching(pattern)
+	return store.DocsMatching(c.e.Store, pattern)
 }
 
 // statRows is searchRows that also returns the search's stats.

@@ -10,6 +10,7 @@ import (
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
 	"vxml/internal/scoring"
+	"vxml/internal/store"
 	"vxml/internal/testkit"
 )
 
@@ -40,7 +41,7 @@ func TestResultsShareReadOnlyTrees(t *testing.T) {
 }
 
 func searchWithoutWrites(t *testing.T, e *core.Engine) {
-	docs := e.Store.Docs()
+	docs := store.DocsMatching(e.Store, "*")
 	before := make([]string, len(docs))
 	for i, d := range docs {
 		before[i] = d.Root.XMLString("")

@@ -6,14 +6,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vxml/internal/dewey"
-	"vxml/internal/docname"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/store"
@@ -87,40 +85,44 @@ type docEntry struct {
 	nodes int // expanded element count (0 for corpora written before tracking)
 }
 
+// Info implements store.Entry, straight from the manifest-backed record.
+func (e *docEntry) Info() store.DocInfo {
+	return store.DocInfo{Name: e.name, DocID: e.docID, Bytes: e.bytes}
+}
+
+// entryOf is the document-table entry a committed add or replace record
+// describes.
+func entryOf(rec manifestRec) *docEntry {
+	return &docEntry{name: rec.Name, docID: rec.DocID, root: rec.Root, index: extent{rec.Index, rec.IndexLen}, bytes: rec.Bytes, nodes: rec.Nodes}
+}
+
 // Store is the disk-resident corpus backend. It satisfies store.Corpus,
 // persisting each document's indices beside it, so an engine over it plans
 // from manifest metadata, opens indices and reads subtrees on demand, and
-// never needs the whole corpus in memory.
+// never needs the whole corpus in memory. Its document table is the
+// store.Table both backends share, over immutable docEntry records.
 //
-// Concurrency: mutations serialize on mu (they append to shared files);
-// reads take mu only to resolve immutable docEntry pointers and then
-// decode outside the lock from the committed data-log prefix, which no
-// mutation ever rewrites.
+// Concurrency: mutations serialize on mu (they append to shared files) and
+// publish to the table only once their manifest record is committed;
+// reads resolve docEntry records through the table and then decode
+// outside any lock from the committed data-log prefix, which no mutation
+// ever rewrites.
 type Store struct {
+	*store.Table[*docEntry]
+
 	dir      string
 	dataName string
 	opts     Options
 
-	mu         sync.RWMutex
-	docs       map[string]*docEntry
-	byID       map[int32]*docEntry
-	history    []manifestRec
-	shardDocs  []int
-	shardBytes []int
-	shardMut   []int
-	totalBytes int
-	data       *appendFile
-	manifest   *appendFile
-	dag        *dagWriter
-	broken     error
+	mu       sync.RWMutex
+	history  []manifestRec
+	data     *appendFile
+	manifest *appendFile
+	dag      *dagWriter
+	broken   error
 
 	dataLen atomic.Int64 // committed data-log length
-	nextID  atomic.Int32
 	gen     atomic.Int64 // committed mutations since open
-
-	graveMu sync.Mutex
-	grave   []int32
-	pins    atomic.Int64
 
 	source    *fileSource
 	blocks    *blockCache
@@ -128,9 +130,7 @@ type Store struct {
 	idxCache  *indexCache
 	served    viewCounters
 
-	subtreeFetches atomic.Int64
-	bytesFetched   atomic.Int64
-	lastDecodeErr  atomic.Pointer[error]
+	lastDecodeErr atomic.Pointer[error]
 
 	openWall time.Duration
 }
@@ -245,30 +245,33 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	recs, goodLen := foldManifest(mdata, recStart)
 
 	ds := &Store{
-		dir:        dir,
-		dataName:   dataName,
-		opts:       opts,
-		docs:       map[string]*docEntry{},
-		byID:       map[int32]*docEntry{},
-		history:    recs,
-		shardDocs:  make([]int, shards),
-		shardBytes: make([]int, shards),
-		shardMut:   make([]int, shards),
-		data:       data,
-		blocks:     newBlockCache(opts.blockSize(), opts.cacheBytes()),
-		docsCache:  newDocCache(opts.docCacheSize()),
-		idxCache:   newIndexCache(opts.indexCacheSize()),
+		Table:     store.NewTable[*docEntry](shards),
+		dir:       dir,
+		dataName:  dataName,
+		opts:      opts,
+		history:   recs,
+		data:      data,
+		blocks:    newBlockCache(opts.blockSize(), opts.cacheBytes()),
+		docsCache: newDocCache(opts.docCacheSize()),
+		idxCache:  newIndexCache(opts.indexCacheSize()),
 	}
-	ds.nextID.Store(1)
 
-	// Committed data-log length: the high-water mark of the folded records.
-	committed := int64(len(dataMagic))
+	// Replay: fold the records into the surviving documents, then publish
+	// those. Replay counts no mutation and leaves no tombstone, so the
+	// mutation counters start at zero, as after the heap backend's Load.
+	committed := int64(len(dataMagic)) // the high-water mark of the records
+	live := map[string]*docEntry{}
 	for _, rec := range recs {
-		if rec.DataLen > committed {
-			committed = rec.DataLen
-		}
-		ds.applyRecordLocked(rec, false)
+		committed = max(committed, rec.DataLen)
 		ds.EnsureNextID(rec.DocID + 1)
+		if rec.Op == opDelete {
+			delete(live, rec.Name)
+		} else {
+			live[rec.Name] = entryOf(rec)
+		}
+	}
+	for _, e := range live {
+		ds.Add(e) //nolint:errcheck // names are unique in live
 	}
 	ds.dataLen.Store(committed)
 
@@ -307,44 +310,17 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	return ds, nil
 }
 
-// applyRecordLocked folds one manifest record into the document table.
-// live=true counts the operation in the per-shard mutation counters (used
-// for in-process mutations; replay at open starts the counters at zero,
-// matching the heap backend's behavior after Load).
-func (ds *Store) applyRecordLocked(rec manifestRec, live bool) {
-	sh := store.ShardIndex(rec.Name, len(ds.shardDocs))
+// applyLocked publishes one committed mutation record to the document
+// table. It cannot fail: the caller holds mu, which serializes mutations,
+// and checked the name before committing.
+func (ds *Store) applyLocked(rec manifestRec) {
 	switch rec.Op {
 	case opDelete:
-		if old, ok := ds.docs[rec.Name]; ok {
-			delete(ds.docs, rec.Name)
-			ds.shardDocs[sh]--
-			ds.shardBytes[sh] -= old.bytes
-			ds.totalBytes -= old.bytes
-			if live {
-				ds.shardMut[sh]++
-				ds.retireLocked(old.docID)
-			} else {
-				delete(ds.byID, old.docID)
-			}
-		}
-	default: // opAdd, opReplace
-		e := &docEntry{name: rec.Name, docID: rec.DocID, root: rec.Root, index: extent{rec.Index, rec.IndexLen}, bytes: rec.Bytes, nodes: rec.Nodes}
-		if old, ok := ds.docs[rec.Name]; ok {
-			ds.shardBytes[sh] -= old.bytes
-			ds.totalBytes -= old.bytes
-			if live {
-				ds.shardMut[sh]++
-				ds.retireLocked(old.docID)
-			} else {
-				delete(ds.byID, old.docID)
-			}
-		} else {
-			ds.shardDocs[sh]++
-		}
-		ds.docs[rec.Name] = e
-		ds.byID[rec.DocID] = e
-		ds.shardBytes[sh] += e.bytes
-		ds.totalBytes += e.bytes
+		ds.Remove(rec.Name, nil) //nolint:errcheck
+	case opReplace:
+		ds.Replace(entryOf(rec), nil) //nolint:errcheck
+	default:
+		ds.Add(entryOf(rec)) //nolint:errcheck
 	}
 }
 
@@ -439,8 +415,8 @@ func Create(c store.Corpus, dir string, opts Options, indices func(name string) 
 		if err := data.Write([]byte(dataMagic)); err != nil {
 			return err
 		}
-		for _, doc := range c.Docs() {
-			if doc == nil || doc.Root == nil {
+		for _, doc := range store.DocsMatching(c, "*") {
+			if doc.Root == nil {
 				continue
 			}
 			p := &pending{base: data.off}
@@ -529,55 +505,6 @@ func (ds *Store) Close() error {
 	return ds.close()
 }
 
-// --- store.Corpus: topology and IDs ---
-
-// ShardCount returns the shard count recorded in the manifest header.
-func (ds *Store) ShardCount() int { return len(ds.shardDocs) }
-
-// ShardOf returns the shard index the given document name hashes to.
-func (ds *Store) ShardOf(name string) int { return store.ShardIndex(name, len(ds.shardDocs)) }
-
-// ShardInfos returns per-shard document counts, byte sizes and mutation
-// counters (mutations counted since open, like a freshly loaded heap
-// store).
-func (ds *Store) ShardInfos() []store.ShardInfo {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	out := make([]store.ShardInfo, len(ds.shardDocs))
-	for i := range out {
-		out[i] = store.ShardInfo{Shard: i, Documents: ds.shardDocs[i], Bytes: ds.shardBytes[i], Mutations: ds.shardMut[i]}
-	}
-	return out
-}
-
-// Mutations returns the total replacements and deletions since open.
-func (ds *Store) Mutations() int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	total := 0
-	for _, m := range ds.shardMut {
-		total += m
-	}
-	return total
-}
-
-// NextDocID returns the next document ID to be reserved.
-func (ds *Store) NextDocID() int32 { return ds.nextID.Load() }
-
-// ReserveID atomically allocates the next document ID.
-func (ds *Store) ReserveID() int32 { return ds.nextID.Add(1) - 1 }
-
-// EnsureNextID raises the ID sequence so the next reservation returns at
-// least id.
-func (ds *Store) EnsureNextID(id int32) {
-	for {
-		cur := ds.nextID.Load()
-		if cur >= id || ds.nextID.CompareAndSwap(cur, id) {
-			return
-		}
-	}
-}
-
 // --- store.Corpus: lifecycle ---
 
 // RegisterParsed registers a document with a reserved DocID, building its
@@ -602,7 +529,7 @@ func (ds *Store) RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, ii
 	if err := ds.writableLocked(doc); err != nil {
 		return err
 	}
-	if _, dup := ds.docs[doc.Name]; dup {
+	if _, dup := ds.Entry(doc.Name); dup {
 		return fmt.Errorf("diskstore: %w: %q", store.ErrDuplicateName, doc.Name)
 	}
 	return ds.appendDocLocked(opAdd, doc, pix, iix)
@@ -618,7 +545,7 @@ func (ds *Store) ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix
 	if err := ds.writableLocked(doc); err != nil {
 		return err
 	}
-	if _, ok := ds.docs[doc.Name]; !ok {
+	if _, ok := ds.Entry(doc.Name); !ok {
 		return fmt.Errorf("diskstore: %w: %q", store.ErrUnknownName, doc.Name)
 	}
 	return ds.appendDocLocked(opReplace, doc, pix, iix)
@@ -632,7 +559,7 @@ func (ds *Store) Delete(name string) error {
 	if ds.broken != nil {
 		return ds.broken
 	}
-	old, ok := ds.docs[name]
+	old, ok := ds.Entry(name)
 	if !ok {
 		return fmt.Errorf("diskstore: %w: %q", store.ErrUnknownName, name)
 	}
@@ -640,7 +567,7 @@ func (ds *Store) Delete(name string) error {
 	if err := ds.appendManifestLocked(rec); err != nil {
 		return err
 	}
-	ds.applyRecordLocked(rec, true)
+	ds.applyLocked(rec)
 	ds.gen.Add(1)
 	ds.docsCache.Drop(name)
 	ds.idxCache.Drop(name)
@@ -713,7 +640,7 @@ func (ds *Store) appendManifestLocked(rec manifestRec) error {
 // every list resident — and nothing when the document shares an existing
 // record (idxPayload nil).
 func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, idxPayload []byte) {
-	ds.applyRecordLocked(rec, true)
+	ds.applyLocked(rec)
 	ds.EnsureNextID(rec.DocID + 1)
 	ds.gen.Add(1)
 	ds.docsCache.Put(rec.Name, rec.DocID, doc)
@@ -728,129 +655,15 @@ func (ds *Store) commitDocLocked(rec manifestRec, doc *xmltree.Document, idxPayl
 	ds.idxCache.Drop(rec.Name)
 }
 
-// --- store.Corpus: pins and tombstones ---
+// --- store.Corpus: tree and base-data access ---
 
-// Pin marks the start of a lock-free read epoch (see store.Store.Pin).
-func (ds *Store) Pin() { ds.pins.Add(1) }
-
-// Unpin ends a Pin epoch, sweeping tombstones when the last reader leaves.
-func (ds *Store) Unpin() {
-	if ds.pins.Add(-1) == 0 {
-		ds.sweep()
-	}
-}
-
-// retireLocked tombstones the byID entry of a replaced or deleted
-// document; the caller holds ds.mu for writing, so the sweep happens in
-// place when no readers are pinned.
-func (ds *Store) retireLocked(docID int32) {
-	ds.graveMu.Lock()
-	ds.grave = append(ds.grave, docID)
-	ds.graveMu.Unlock()
-	if ds.pins.Load() == 0 {
-		ds.sweepLocked()
-	}
-}
-
-// sweep acquires ds.mu and drops every tombstoned byID entry (the Unpin
-// path, which never holds the lock).
-func (ds *Store) sweep() {
-	ds.mu.Lock()
-	ds.sweepLocked()
-	ds.mu.Unlock()
-}
-
-func (ds *Store) sweepLocked() {
-	ds.graveMu.Lock()
-	ids := ds.grave
-	ds.grave = nil
-	ds.graveMu.Unlock()
-	for _, id := range ids {
-		// Drop the entry only if it is no longer live under its name
-		// (IDs are never reused, so this is belt and suspenders).
-		if e, ok := ds.byID[id]; ok && ds.docs[e.name] != e {
-			delete(ds.byID, id)
-		}
-	}
-}
-
-// Tombstones returns the number of retired documents awaiting sweep.
-func (ds *Store) Tombstones() int {
-	ds.graveMu.Lock()
-	defer ds.graveMu.Unlock()
-	return len(ds.grave)
-}
-
-// --- store.Corpus: metadata lookups (never hydrate) ---
-
-func infoOf(e *docEntry) store.DocInfo {
-	return store.DocInfo{Name: e.name, DocID: e.docID, Bytes: e.bytes}
-}
-
-// Info returns the metadata of the document registered under name,
-// straight from the manifest-backed table — no tree is paged in.
-func (ds *Store) Info(name string) (store.DocInfo, bool) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if e, ok := ds.docs[name]; ok {
-		return infoOf(e), true
-	}
-	return store.DocInfo{}, false
-}
-
-// InfoByID returns the metadata of the document whose Dewey IDs start
-// with docID, resolving tombstoned documents like the heap backend.
-func (ds *Store) InfoByID(docID int32) (store.DocInfo, bool) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if e, ok := ds.byID[docID]; ok {
-		return infoOf(e), true
-	}
-	return store.DocInfo{}, false
-}
-
-// Infos returns the metadata of all documents in document ID order.
-func (ds *Store) Infos() []store.DocInfo {
-	ds.mu.RLock()
-	out := make([]store.DocInfo, 0, len(ds.docs))
-	for _, e := range ds.docs {
-		out = append(out, infoOf(e))
-	}
-	ds.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
-	return out
-}
-
-// InfosMatching returns the metadata of documents whose names match the
-// pattern, in document ID order.
-func (ds *Store) InfosMatching(pattern string) []store.DocInfo {
-	if !docname.IsPattern(pattern) {
-		if info, ok := ds.Info(pattern); ok {
-			return []store.DocInfo{info}
-		}
+// Doc returns the document registered under name, hydrating it from the
+// data log (or the document cache) on demand.
+func (ds *Store) Doc(name string) *xmltree.Document {
+	e, ok := ds.Entry(name)
+	if !ok {
 		return nil
 	}
-	ds.mu.RLock()
-	var out []store.DocInfo
-	for name, e := range ds.docs {
-		if docname.Match(pattern, name) {
-			out = append(out, infoOf(e))
-		}
-	}
-	ds.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
-	return out
-}
-
-// --- store.Corpus: tree lookups (hydrate through the document cache) ---
-
-func (ds *Store) entry(name string) *docEntry {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.docs[name]
-}
-
-func (ds *Store) docForEntry(e *docEntry) *xmltree.Document {
 	if doc, ok := ds.docsCache.Get(e.name, e.docID); ok {
 		return doc
 	}
@@ -863,59 +676,6 @@ func (ds *Store) docForEntry(e *docEntry) *xmltree.Document {
 	return doc
 }
 
-// Doc returns the document registered under name, hydrating it from the
-// data log (or the document cache) on demand.
-func (ds *Store) Doc(name string) *xmltree.Document {
-	e := ds.entry(name)
-	if e == nil {
-		return nil
-	}
-	return ds.docForEntry(e)
-}
-
-// Docs returns all documents in document ID order, hydrating each.
-// Intended for persistence and snapshotting, not the serving path.
-func (ds *Store) Docs() []*xmltree.Document {
-	return ds.docsForEntries(ds.sortedEntries(""))
-}
-
-// DocsMatching returns the documents whose names match the pattern in
-// document ID order, hydrating each.
-func (ds *Store) DocsMatching(pattern string) []*xmltree.Document {
-	if !docname.IsPattern(pattern) {
-		if d := ds.Doc(pattern); d != nil {
-			return []*xmltree.Document{d}
-		}
-		return nil
-	}
-	return ds.docsForEntries(ds.sortedEntries(pattern))
-}
-
-func (ds *Store) sortedEntries(pattern string) []*docEntry {
-	ds.mu.RLock()
-	entries := make([]*docEntry, 0, len(ds.docs))
-	for name, e := range ds.docs {
-		if pattern == "" || docname.Match(pattern, name) {
-			entries = append(entries, e)
-		}
-	}
-	ds.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].docID < entries[j].docID })
-	return entries
-}
-
-func (ds *Store) docsForEntries(entries []*docEntry) []*xmltree.Document {
-	var docs []*xmltree.Document
-	for _, e := range entries {
-		if d := ds.docForEntry(e); d != nil {
-			docs = append(docs, d)
-		}
-	}
-	return docs
-}
-
-// --- store.Corpus: base-data access ---
-
 // Subtree fetches the element with the given Dewey ID directly over the
 // compressed representation: child-offset ordinals are navigated from the
 // document's root record and only the target subtree is materialized, so
@@ -925,64 +685,20 @@ func (ds *Store) Subtree(id dewey.ID) *xmltree.Node {
 	if len(id) == 0 {
 		return nil
 	}
-	ds.mu.RLock()
-	e := ds.byID[id[0]]
-	ds.mu.RUnlock()
-	if e == nil {
+	e, ok := ds.EntryByID(id[0])
+	if !ok {
 		return nil
 	}
-	var n *xmltree.Node
 	if doc, ok := ds.docsCache.Get(e.name, e.docID); ok {
-		n = doc.FindByID(id)
-	} else {
-		var err error
-		n, err = ds.subtreeAt(e, id)
-		if err != nil {
-			ds.noteDecodeErr(err)
-			return nil
-		}
+		return ds.CountFetch(doc.FindByID(id))
 	}
-	if n != nil {
-		ds.subtreeFetches.Add(1)
-		ds.bytesFetched.Add(int64(n.ByteLen))
+	n, err := ds.subtreeAt(e, id)
+	if err != nil {
+		ds.noteDecodeErr(err)
+		return nil
 	}
-	return n
+	return ds.CountFetch(n)
 }
-
-// Value fetches the atomic value of the element with the given ID.
-func (ds *Store) Value(id dewey.ID) (string, bool) {
-	n := ds.Subtree(id)
-	if n == nil {
-		return "", false
-	}
-	return n.Value, true
-}
-
-// SubtreeFetches returns the number of counted Subtree/Value calls.
-func (ds *Store) SubtreeFetches() int { return int(ds.subtreeFetches.Load()) }
-
-// BytesFetched returns the summed serialized byte length of fetched
-// subtrees.
-func (ds *Store) BytesFetched() int { return int(ds.bytesFetched.Load()) }
-
-// ResetCounters zeroes the access counters.
-func (ds *Store) ResetCounters() {
-	ds.subtreeFetches.Store(0)
-	ds.bytesFetched.Store(0)
-}
-
-// TotalBytes returns the summed serialized size of all documents — the
-// corpus's uncompressed size, from metadata alone.
-func (ds *Store) TotalBytes() int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.totalBytes
-}
-
-// Save writes the corpus as a plain store.Save directory (hydrating every
-// document); SaveCorpus is the shared writer, so the formats stay
-// interchangeable in both directions.
-func (ds *Store) Save(dir string) error { return store.SaveCorpus(ds, dir) }
 
 func (ds *Store) noteDecodeErr(err error) {
 	ds.lastDecodeErr.Store(&err)
@@ -996,8 +712,8 @@ func (ds *Store) noteDecodeErr(err error) {
 // out of it), and copies out of that buffer what the cached indices keep:
 // the record's text and its lists, from which both serve lookups.
 func (ds *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, error) {
-	e := ds.entry(name)
-	if e == nil {
+	e, ok := ds.Entry(name)
+	if !ok {
 		return nil, nil, fmt.Errorf("diskstore: %w: %q", store.ErrUnknownName, name)
 	}
 	if pix, iix, ok := ds.idxCache.Get(name, e.docID); ok {
@@ -1076,17 +792,17 @@ type Stats struct {
 
 // DiskStats returns the current stats snapshot.
 func (ds *Store) DiskStats() Stats {
-	ds.mu.RLock()
 	st := Stats{
-		Dir:           ds.dir,
-		Documents:     len(ds.docs),
-		DataBytes:     ds.dataLen.Load(),
-		ManifestBytes: ds.manifest.off,
-		TotalBytes:    ds.totalBytes,
-		BlockSize:     ds.blocks.blockSiz,
-		Generation:    ds.gen.Load(),
-		OpenMillis:    float64(ds.openWall.Microseconds()) / 1000,
+		Dir:        ds.dir,
+		TotalBytes: ds.TotalBytes(),
+		BlockSize:  ds.blocks.blockSiz,
+		OpenMillis: float64(ds.openWall.Microseconds()) / 1000,
 	}
+	for _, sh := range ds.ShardInfos() {
+		st.Documents += sh.Documents
+	}
+	ds.mu.RLock()
+	st.DataBytes, st.ManifestBytes, st.Generation = ds.dataLen.Load(), ds.manifest.off, ds.gen.Load()
 	if ds.dag != nil {
 		st.NodesWritten, st.NodesShared = ds.dag.nodesWritten, ds.dag.nodesShared
 	}

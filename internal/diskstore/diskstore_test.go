@@ -137,7 +137,7 @@ func TestSubtreeDirectDecode(t *testing.T) {
 	s := buildHeap(t, seedDocs(6))
 	// Disable the document cache so every fetch exercises the DAG path.
 	ds := createDisk(t, s, Options{DocCacheSize: -1})
-	for _, doc := range s.Docs() {
+	for _, doc := range store.DocsMatching(s, "*") {
 		doc.Root.Walk(func(n *xmltree.Node) {
 			got := ds.Subtree(n.ID)
 			if got == nil {
@@ -159,15 +159,15 @@ func TestSubtreeDirectDecode(t *testing.T) {
 		t.Fatal("out-of-range Subtree should be nil")
 	}
 	// Counters count found fetches only, mirroring the heap backend.
-	ds.ResetCounters()
-	s.ResetCounters()
+	dFetches, dBytes, hFetches, hBytes := ds.SubtreeFetches(), ds.BytesFetched(), s.SubtreeFetches(), s.BytesFetched()
 	for _, id := range []dewey.ID{{1}, {1, 2}, {1, 99}, {2, 1}} {
 		ds.Subtree(id)
 		s.Subtree(id)
 	}
-	if ds.SubtreeFetches() != s.SubtreeFetches() || ds.BytesFetched() != s.BytesFetched() {
-		t.Fatalf("counters diverge: disk %d/%d heap %d/%d",
-			ds.SubtreeFetches(), ds.BytesFetched(), s.SubtreeFetches(), s.BytesFetched())
+	dFetches, dBytes = ds.SubtreeFetches()-dFetches, ds.BytesFetched()-dBytes
+	hFetches, hBytes = s.SubtreeFetches()-hFetches, s.BytesFetched()-hBytes
+	if dFetches != hFetches || dBytes != hBytes || dFetches != 3 {
+		t.Fatalf("counters diverge: disk %d/%d heap %d/%d, want 3 fetches each", dFetches, dBytes, hFetches, hBytes)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestMutationsAndTombstones(t *testing.T) {
 	if err := ds.RegisterParsed(dup); !errors.Is(err, store.ErrDuplicateName) {
 		t.Fatalf("duplicate register: %v", err)
 	}
-	if got, want := ds.Mutations(), 3; got != want {
-		t.Fatalf("Mutations = %d, want %d", got, want)
+	if got, want := mutations(ds), 3; got != want {
+		t.Fatalf("mutations = %d, want %d", got, want)
 	}
 }
 
@@ -276,7 +276,6 @@ func TestReopenAfterMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantInfos := ds.Infos()
-	wantNext := ds.NextDocID()
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +288,11 @@ func TestReopenAfterMutations(t *testing.T) {
 	if !reflect.DeepEqual(re.Infos(), wantInfos) {
 		t.Fatalf("Infos after reopen:\n%v\nwant\n%v", re.Infos(), wantInfos)
 	}
-	if re.NextDocID() != wantNext {
-		t.Fatalf("NextDocID after reopen = %d, want %d", re.NextDocID(), wantNext)
+	if id := re.ReserveID(); id != repl.DocID+1 {
+		t.Fatalf("ReserveID after reopen = %d, want %d", id, repl.DocID+1)
 	}
-	if re.Mutations() != 0 {
-		t.Fatalf("Mutations after reopen = %d, want 0", re.Mutations())
+	if got := mutations(re); got != 0 {
+		t.Fatalf("mutations after reopen = %d, want 0", got)
 	}
 	if d := re.Doc("part-01.xml"); d == nil || xmlOf(t, d.Root) != xmlOf(t, repl.Root) {
 		t.Fatal("replaced doc wrong after reopen")
@@ -340,8 +339,8 @@ func TestInitEmptyAndGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close() //nolint:errcheck
-	if v, ok := re.Value(dewey.ID{doc.DocID, 1}); !ok || v != "hello world" {
-		t.Fatalf("Value = %q/%v", v, ok)
+	if n := re.Subtree(dewey.ID{doc.DocID, 1}); n == nil || n.Value != "hello world" {
+		t.Fatalf("Subtree = %v, want the leaf valued hello world", n)
 	}
 	if _, err := Init(dir, 4, Options{}); err == nil {
 		t.Fatal("Init over existing corpus should fail")
@@ -439,7 +438,7 @@ func TestCrashSafetyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed := map[string]string{}
-	for _, d := range base.Docs() {
+	for _, d := range store.DocsMatching(base, "*") {
 		committed[d.Name] = xmlOf(t, d.Root)
 	}
 	names := sortedNames(committed)
@@ -613,4 +612,13 @@ func TestCorruptDataRecords(t *testing.T) {
 	if errp := re.lastDecodeErr.Load(); errp != nil && !errors.Is(*errp, ErrCorrupt) {
 		t.Fatalf("decode error not typed: %v", *errp)
 	}
+}
+
+// mutations sums a corpus's per-shard mutation counters.
+func mutations(c store.Corpus) int {
+	total := 0
+	for _, sh := range c.ShardInfos() {
+		total += sh.Mutations
+	}
+	return total
 }

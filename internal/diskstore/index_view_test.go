@@ -331,7 +331,7 @@ func TestIdenticalDocumentsShareOneIndexRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := uncachedStore(t, a, b)
-	if ea, eb := ds.entry("a.xml"), ds.entry("b.xml"); ea.index != eb.index {
+	if ea, eb := entryNamed(ds, "a.xml"), entryNamed(ds, "b.xml"); ea.index != eb.index {
 		t.Fatalf("identical documents store two index records: %+v and %+v", ea.index, eb.index)
 	}
 	for _, doc := range []*xmltree.Document{a, b} {
@@ -364,7 +364,7 @@ func TestFlippedIndexRecordByteIsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck
-	at := ds.entry("d.xml").index
+	at := entryNamed(ds, "d.xml").index
 	frame := make([]byte, at.n)
 	if _, err := f.ReadAt(frame, at.off); err != nil {
 		t.Fatal(err)
@@ -419,7 +419,7 @@ func TestCorruptIndexFailsEverySearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck
-	at := ds.entry("b.xml").index
+	at := entryNamed(ds, "b.xml").index
 	last := make([]byte, 1)
 	if _, err := f.ReadAt(last, at.off+int64(at.n)-1); err != nil {
 		t.Fatal(err)
@@ -554,7 +554,7 @@ func TestIndexCacheReportsResidentBytes(t *testing.T) {
 		if _, _, err := ds.StoredIndices(info.Name); err != nil {
 			t.Fatal(err)
 		}
-		recordBytes += int64(ds.entry(info.Name).index.n)
+		recordBytes += int64(entryNamed(ds, info.Name).index.n)
 	}
 	st := ds.DiskStats().IndexCache
 	if st.Entries != 3 || st.Bytes <= recordBytes || 4*st.Bytes > 5*recordBytes {
@@ -717,4 +717,10 @@ func BenchmarkLazyPathLookup(b *testing.B) {
 			b.ReportMetric(float64(n), "postings")
 		})
 	}
+}
+
+// entryNamed returns the document-table entry registered under name, or nil.
+func entryNamed(ds *Store, name string) *docEntry {
+	e, _ := ds.Entry(name)
+	return e
 }

@@ -9,6 +9,7 @@ package diskstore
 import (
 	"testing"
 
+	"vxml/internal/store"
 	"vxml/internal/xmltree"
 )
 
@@ -34,7 +35,7 @@ func TestColdOpenDefersDedupUntilFirstWrite(t *testing.T) {
 
 	// A full read workload — document trees, subtrees, persisted indices —
 	// must be served without ever touching the dedup tables.
-	for _, doc := range reopened.Docs() {
+	for _, doc := range store.DocsMatching(reopened, "*") {
 		if doc.Root == nil {
 			t.Fatalf("document %q paged in without a root", doc.Name)
 		}

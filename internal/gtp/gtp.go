@@ -83,22 +83,22 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 		// A collection pattern expands to one structural-join pass per
 		// matching document; docs resolves the pattern back to the
 		// pruned documents in corpus order.
-		for _, doc := range e.Store.DocsMatching(q.Doc) {
+		for _, info := range e.Store.InfosMatching(q.Doc) {
 			stats.Candidates++
 			if err := ctx.Err(); err != nil {
 				return nil, nil, fmt.Errorf("gtp: search interrupted: %w", err)
 			}
-			pix, iix, err := e.Store.StoredIndices(doc.Name)
+			pix, iix, err := e.Store.StoredIndices(info.Name)
 			if err != nil {
-				return nil, nil, fmt.Errorf("gtp: indices of %q: %w", doc.Name, err)
+				return nil, nil, fmt.Errorf("gtp: indices of %q: %w", info.Name, err)
 			}
-			pruned := joinQPT(e, q, doc.Name, pix, iix, kws, stats)
+			pruned := joinQPT(e, q, info.Name, pix, iix, kws, stats)
 			if pruned.Doc == nil {
 				// No element qualified: the document still binds, as a
 				// childless document node, as in the Efficient pipeline.
-				pruned.Doc = &xmltree.Document{Name: doc.Name, DocID: doc.DocID}
+				pruned.Doc = &xmltree.Document{Name: info.Name, DocID: info.DocID}
 			}
-			docs[doc.Name] = pruned.Doc
+			docs[info.Name] = pruned.Doc
 		}
 	}
 	stats.PDTTime = time.Since(start)
@@ -222,7 +222,7 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, i
 		if n.V {
 			for _, id := range set.ids {
 				stats.BaseValueFetches++
-				e.Store.Value(id) //nolint:errcheck
+				e.Store.Subtree(id)
 			}
 		}
 		if n.C {

@@ -2,10 +2,8 @@ package store
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"vxml/internal/dewey"
-	"vxml/internal/docname"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/xmltree"
@@ -25,28 +23,25 @@ type DocInfo struct {
 
 // Corpus is the storage seam the engine and every comparator pipeline run
 // against. *Store (the heap backend) satisfies it directly; the disk
-// backend in internal/diskstore satisfies it over a block file. The
-// contract mirrors Store's documented behavior exactly — document IDs,
-// shard assignment, the indices kept beside each document, tombstone
-// semantics for pinned readers, and the fetch and probe counters — so the
-// two backends are interchangeable under the byte-identity oracle suites.
-// Each backend decides itself where a document's indices live: the heap
-// store holds them resident, the disk store persists them and opens them
-// on demand.
+// backend in internal/diskstore satisfies it over a block file. Both embed
+// one Table, which supplies the shard topology, the ID sequence, the
+// tombstones, the metadata lookups and the fetch counters, so those behave
+// identically by construction; each backend supplies only where trees and
+// indices live — the heap store holds them resident, the disk store
+// persists them and opens them on demand. The byte-identity oracle suites
+// hold the two interchangeable.
 //
-// Tree-returning methods (Doc, Docs, DocsMatching, Subtree) may hydrate
-// lazily on a disk backend; the Info methods never do. Planning code
-// should prefer Info/Infos/InfoByID for existence and routing checks.
+// Tree-returning methods (Doc, Subtree) may hydrate lazily on a disk
+// backend; the Info methods never do. Planning code should prefer
+// Info/Infos/InfoByID for existence and routing checks.
 type Corpus interface {
 	// Shard topology. Shard assignment is a pure function of name and
 	// shard count (ShardIndex), so both backends route identically.
 	ShardCount() int
 	ShardOf(name string) int
 	ShardInfos() []ShardInfo
-	Mutations() int
 
 	// Document ID sequence.
-	NextDocID() int32
 	ReserveID() int32
 	EnsureNextID(id int32)
 
@@ -79,21 +74,33 @@ type Corpus interface {
 	Infos() []DocInfo
 	InfosMatching(pattern string) []DocInfo
 
-	// Tree lookups (may hydrate on a disk backend).
+	// Tree lookup (may hydrate on a disk backend).
 	Doc(name string) *xmltree.Document
-	Docs() []*xmltree.Document
-	DocsMatching(pattern string) []*xmltree.Document
 
 	// Base-data access (counted).
 	Subtree(id dewey.ID) *xmltree.Node
-	Value(id dewey.ID) (string, bool)
 	SubtreeFetches() int
 	BytesFetched() int
-	ResetCounters()
 
-	// Size accounting and persistence.
+	// Size accounting.
 	TotalBytes() int
-	Save(dir string) error
+}
+
+// DocsMatching returns the trees of the documents whose names match the
+// pattern (docname.Match; "*" matches every name) in document ID order,
+// hydrating each on a disk backend. A document deleted between the
+// enumeration and its fetch is skipped. It is for persistence, snapshots
+// and the comparators that evaluate views over whole base documents — not
+// the Efficient pipeline's serving path, which plans from metadata.
+func DocsMatching(c Corpus, pattern string) []*xmltree.Document {
+	infos := c.InfosMatching(pattern)
+	docs := make([]*xmltree.Document, 0, len(infos))
+	for _, info := range infos {
+		if d := c.Doc(info.Name); d != nil {
+			docs = append(docs, d)
+		}
+	}
+	return docs
 }
 
 // ShardIndex returns the shard a document name hashes to among n shards.
@@ -104,69 +111,6 @@ func ShardIndex(name string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(name)) //nolint:errcheck
 	return int(h.Sum32() % uint32(n))
-}
-
-// Info returns the metadata of the document registered under name.
-func (s *Store) Info(name string) (DocInfo, bool) {
-	if d := s.Doc(name); d != nil {
-		return infoOf(d), true
-	}
-	return DocInfo{}, false
-}
-
-// InfoByID returns the metadata of the document whose Dewey IDs start with
-// docID. Like DocByID it resolves tombstoned documents for as long as a
-// pinned reader may hold their IDs.
-func (s *Store) InfoByID(docID int32) (DocInfo, bool) {
-	if d := s.DocByID(docID); d != nil {
-		return infoOf(d), true
-	}
-	return DocInfo{}, false
-}
-
-// Infos returns the metadata of all documents in document ID order.
-func (s *Store) Infos() []DocInfo {
-	var out []DocInfo
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.byName {
-			out = append(out, infoOf(e.doc))
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
-	return out
-}
-
-// InfosMatching returns the metadata of documents whose names match the
-// pattern (docname.Match) in document ID order.
-func (s *Store) InfosMatching(pattern string) []DocInfo {
-	if !docname.IsPattern(pattern) {
-		if info, ok := s.Info(pattern); ok {
-			return []DocInfo{info}
-		}
-		return nil
-	}
-	var out []DocInfo
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for name, e := range sh.byName {
-			if docname.Match(pattern, name) {
-				out = append(out, infoOf(e.doc))
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
-	return out
-}
-
-func infoOf(d *xmltree.Document) DocInfo {
-	info := DocInfo{Name: d.Name, DocID: d.DocID}
-	if d.Root != nil {
-		info.Bytes = d.Root.ByteLen
-	}
-	return info
 }
 
 // compile-time check: the heap backend satisfies the storage seam.

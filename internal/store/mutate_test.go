@@ -24,14 +24,14 @@ func TestReplaceXML(t *testing.T) {
 	if got := s.Doc("a.xml"); got != repl {
 		t.Fatalf("Doc resolves to %v, want replacement", got)
 	}
-	if docs := s.Docs(); len(docs) != 1 || docs[0] != repl {
+	if docs := DocsMatching(s, "*"); len(docs) != 1 || docs[0] != repl {
 		t.Fatalf("Docs = %v", docs)
 	}
 	if got := s.TotalBytes(); got != repl.Root.ByteLen {
 		t.Errorf("TotalBytes = %d, want %d (old document's bytes still counted?)", got, repl.Root.ByteLen)
 	}
-	if s.Mutations() != 1 {
-		t.Errorf("Mutations = %d, want 1", s.Mutations())
+	if got := mutations(s); got != 1 {
+		t.Errorf("mutations = %d, want 1", got)
 	}
 }
 
@@ -57,13 +57,13 @@ func TestDelete(t *testing.T) {
 	if s.Doc("a.xml") != nil {
 		t.Error("deleted document still resolvable by name")
 	}
-	if docs := s.Docs(); len(docs) != 1 || docs[0].Name != "b.xml" {
+	if docs := DocsMatching(s, "*"); len(docs) != 1 || docs[0].Name != "b.xml" {
 		t.Errorf("Docs = %v", docs)
 	}
-	if got := s.DocsMatching("*.xml"); len(got) != 1 {
+	if got := DocsMatching(s, "*.xml"); len(got) != 1 {
 		t.Errorf("DocsMatching still sees %d docs", len(got))
 	}
-	if s.DocByID(doc.DocID) != nil {
+	if _, ok := s.InfoByID(doc.DocID); ok {
 		t.Error("deleted document's ID entry not swept with no pinned readers")
 	}
 	if err := s.Delete("a.xml"); !errors.Is(err, ErrUnknownName) {
@@ -94,7 +94,7 @@ func TestTombstonesSurviveUntilUnpin(t *testing.T) {
 		t.Errorf("Tombstones = %d, want 1", s.Tombstones())
 	}
 	// Name lookups — what any new search plans from — already miss.
-	if s.Doc("a.xml") != nil || len(s.DocsMatching("*")) != 0 {
+	if s.Doc("a.xml") != nil || len(s.InfosMatching("*")) != 0 {
 		t.Error("deleted document still visible to name lookups while pinned")
 	}
 	s.Unpin()
@@ -148,11 +148,11 @@ func TestOverlappingPinsDelaySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Unpin()
-	if s.DocByID(doc.DocID) == nil {
+	if _, ok := s.InfoByID(doc.DocID); !ok {
 		t.Fatal("tombstone swept while a reader was still pinned")
 	}
 	s.Unpin()
-	if s.DocByID(doc.DocID) != nil {
+	if _, ok := s.InfoByID(doc.DocID); ok {
 		t.Fatal("tombstone survived the last unpin")
 	}
 }
@@ -171,12 +171,8 @@ func TestShardInfoMutations(t *testing.T) {
 	if err := s.Delete("doc-5.xml"); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, info := range s.ShardInfos() {
-		total += info.Mutations
-	}
-	if total != 2 || s.Mutations() != 2 {
-		t.Errorf("mutations: per-shard sum %d, aggregate %d, want 2", total, s.Mutations())
+	if total := mutations(s); total != 2 {
+		t.Errorf("mutations: per-shard sum %d, want 2", total)
 	}
 	// The replace counter landed on the replaced doc's shard.
 	if got := s.ShardInfos()[s.ShardOf("doc-3.xml")].Mutations; got < 1 {

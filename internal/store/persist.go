@@ -21,19 +21,6 @@ const manifestName = "MANIFEST"
 // that follow are "<docID>:<name>". Load refuses a manifest without it.
 const manifestHeader = "#!vxml"
 
-// Save writes every document to dir plus a manifest recording document IDs,
-// load order and the shard count, so Dewey IDs and shard assignment are
-// stable across a save/load round trip — including for a corpus that has
-// seen replacements and deletions, whose ID sequence has gaps. Indices are
-// rebuilt on load; they are deterministic functions of the documents.
-//
-// Every file, the manifest included, is written to a temporary name in dir
-// and renamed into place, and the manifest is renamed last: a save that
-// fails part-way never leaves a directory that half-loads — Load is driven
-// by the manifest, which at every instant is either the previous complete
-// one or the new complete one.
-func (s *Store) Save(dir string) error { return SaveCorpus(s, dir) }
-
 // SaveFile is one serialized corpus file as EmitSaveFiles produces it.
 type SaveFile struct {
 	// Name is the file's base name within a save directory: a document
@@ -43,10 +30,10 @@ type SaveFile struct {
 	WriteTo func(w io.Writer) error
 }
 
-// EmitSaveFiles serializes the corpus in Save's on-disk format and passes
-// each file to emit — every document first, the manifest last. It is the
-// single serialization path shared by Save (which writes the files to a
-// directory) and cluster snapshot shipping (which streams them over HTTP),
+// EmitSaveFiles serializes the corpus in SaveCorpus's on-disk format and
+// passes each file to emit — every document first, the manifest last. It is
+// the single serialization path shared by SaveCorpus (which writes the
+// files to a directory) and cluster snapshot shipping (which streams them over HTTP),
 // so a snapshot never re-serializes a corpus the save path already knows
 // how to write, and the two cannot drift. Name validation happens here:
 // an unsafe or reserved document name fails the whole emission before the
@@ -54,7 +41,7 @@ type SaveFile struct {
 func EmitSaveFiles(c Corpus, emit func(SaveFile) error) error {
 	var manifest strings.Builder
 	fmt.Fprintf(&manifest, "%s shards=%d\n", manifestHeader, c.ShardCount())
-	for _, doc := range c.Docs() {
+	for _, doc := range DocsMatching(c, "*") {
 		// EqualFold: on a case-insensitive filesystem (macOS, Windows) a
 		// document named "manifest" would resolve to the same file the
 		// manifest rename targets and be silently clobbered.
@@ -81,10 +68,20 @@ func EmitSaveFiles(c Corpus, emit func(SaveFile) error) error {
 	return nil
 }
 
-// SaveCorpus writes any Corpus to dir in Save's format: every file via
-// temp-file plus rename, the manifest renamed last, then best-effort
-// cleanup of files a previous save in dir wrote for documents that no
-// longer exist.
+// SaveCorpus writes every document of c to dir plus a manifest recording
+// document IDs, load order and the shard count, so Dewey IDs and shard
+// assignment are stable across a save/load round trip — including for a
+// corpus that has seen replacements and deletions, whose ID sequence has
+// gaps. Indices are rebuilt on load; they are deterministic functions of
+// the documents. It works for either backend, so the formats stay
+// interchangeable in both directions.
+//
+// Every file, the manifest included, is written to a temporary name in dir
+// and renamed into place, and the manifest is renamed last: a save that
+// fails part-way never leaves a directory that half-loads — Load is driven
+// by the manifest, which at every instant is either the previous complete
+// one or the new complete one. Files a previous save in dir wrote for
+// documents that no longer exist are then removed, best-effort.
 func SaveCorpus(c Corpus, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: save: %w", err)
@@ -164,12 +161,12 @@ type manifestEntry struct {
 	name  string
 }
 
-// Load reads a directory written by Save into a fresh store, indexing each
+// Load reads a directory written by SaveCorpus into a fresh store, indexing each
 // document as it registers it and preserving shard count, document order
 // and document IDs (and therefore Dewey IDs) —
 // a corpus saved after replacements and deletions loads with the same gapped
-// ID sequence it was saved with. A directory without a manifest Save wrote
-// is an error that names it.
+// ID sequence it was saved with. A directory without a manifest SaveCorpus
+// wrote is an error that names it.
 func Load(dir string) (*Store, error) {
 	entries, shardCount, err := manifestEntries(dir)
 	if err != nil {
@@ -193,9 +190,7 @@ func Load(dir string) (*Store, error) {
 			maxID = e.docID
 		}
 	}
-	if next := maxID + 1; next > s.nextID.Load() {
-		s.nextID.Store(next)
-	}
+	s.EnsureNextID(maxID + 1)
 	return s, nil
 }
 

@@ -14,7 +14,7 @@ func TestSaveRejectsManifestName(t *testing.T) {
 	if _, err := s.AddXML("MANIFEST", "<a><b>x</b></a>"); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Save(dir)
+	err := SaveCorpus(s, dir)
 	if err == nil || !strings.Contains(err.Error(), "MANIFEST") {
 		t.Fatalf("Save with a document named MANIFEST: err = %v, want rejection", err)
 	}
@@ -38,7 +38,7 @@ func TestFailedSaveKeepsOldStateLoadable(t *testing.T) {
 	if _, err := good.AddXML("b.xml", "<b><t>beta</t></b>"); err != nil {
 		t.Fatal(err)
 	}
-	if err := good.Save(dir); err != nil {
+	if err := SaveCorpus(good, dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,7 +49,7 @@ func TestFailedSaveKeepsOldStateLoadable(t *testing.T) {
 	if _, err := bad.AddXML("MANIFEST", "<m><t>poison</t></m>"); err != nil {
 		t.Fatal(err)
 	}
-	if err := bad.Save(dir); err == nil {
+	if err := SaveCorpus(bad, dir); err == nil {
 		t.Fatal("save of corpus with reserved name should fail")
 	}
 
@@ -57,7 +57,7 @@ func TestFailedSaveKeepsOldStateLoadable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("directory no longer loads after failed save: %v", err)
 	}
-	docs := loaded.Docs()
+	docs := DocsMatching(loaded, "*")
 	if len(docs) != 2 || loaded.Doc("a.xml") == nil || loaded.Doc("b.xml") == nil {
 		t.Fatalf("loaded %d docs %v, want the pre-failure corpus", len(docs), docs)
 	}
@@ -92,7 +92,7 @@ func TestMutatedCorpusRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
+	if err := SaveCorpus(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(dir)
@@ -102,8 +102,8 @@ func TestMutatedCorpusRoundTrip(t *testing.T) {
 	if got, want := loaded.ShardCount(), s.ShardCount(); got != want {
 		t.Errorf("shard count %d, want %d", got, want)
 	}
-	want := s.Docs()
-	got := loaded.Docs()
+	want := DocsMatching(s, "*")
+	got := DocsMatching(loaded, "*")
 	if len(got) != len(want) {
 		t.Fatalf("loaded %d docs, want %d", len(got), len(want))
 	}
@@ -135,7 +135,7 @@ func TestSaveRejectsManifestNameCaseInsensitively(t *testing.T) {
 		if _, err := s.AddXML(name, "<a><b>x</b></a>"); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Save(t.TempDir()); err == nil {
+		if err := SaveCorpus(s, t.TempDir()); err == nil {
 			t.Errorf("Save with document %q should be rejected", name)
 		}
 	}
@@ -150,13 +150,13 @@ func TestSaveRemovesStaleDocumentFiles(t *testing.T) {
 	if _, err := s.AddXML("b.xml", "<b><t>beta</t></b>"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(dir); err != nil {
+	if err := SaveCorpus(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete("b.xml"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(dir); err != nil {
+	if err := SaveCorpus(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "b.xml")); err == nil {
@@ -170,7 +170,7 @@ func TestSavedFilesAreWorldReadable(t *testing.T) {
 	if _, err := s.AddXML("a.xml", "<a><t>x</t></a>"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(dir); err != nil {
+	if err := SaveCorpus(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a.xml", "MANIFEST"} {

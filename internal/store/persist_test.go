@@ -12,18 +12,18 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := newStore(t)
-	if err := s.Save(dir); err != nil {
+	if err := SaveCorpus(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Docs()) != 2 {
-		t.Fatalf("loaded %d docs", len(loaded.Docs()))
+	if len(DocsMatching(loaded, "*")) != 2 {
+		t.Fatalf("loaded %d docs", len(DocsMatching(loaded, "*")))
 	}
 	// Document IDs — and content — survive the round trip.
-	for _, doc := range s.Docs() {
+	for _, doc := range DocsMatching(s, "*") {
 		got := loaded.Doc(doc.Name)
 		if got == nil || got.DocID != doc.DocID {
 			t.Fatalf("doc %s: id %v vs %v", doc.Name, got, doc.DocID)
@@ -46,7 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRefusesDirectoryWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := newStore(t)
-	if err := s.Save(dir); err != nil {
+	if err := SaveCorpus(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(dir, "MANIFEST")
@@ -78,7 +78,7 @@ func TestSaveRejectsUnsafeNames(t *testing.T) {
 	if _, err := s.AddXML("../evil.xml", "<a><b>x</b></a>"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(t.TempDir()); err == nil {
+	if err := SaveCorpus(s, t.TempDir()); err == nil {
 		t.Error("path traversal in name should be rejected")
 	}
 }

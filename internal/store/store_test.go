@@ -28,19 +28,19 @@ func TestDocIDsAssignedSequentially(t *testing.T) {
 	if s.Doc("books.xml").DocID != 1 || s.Doc("reviews.xml").DocID != 2 {
 		t.Errorf("doc IDs: %d, %d", s.Doc("books.xml").DocID, s.Doc("reviews.xml").DocID)
 	}
-	if s.DocByID(2).Name != "reviews.xml" {
-		t.Error("DocByID(2) wrong")
+	if info, _ := s.InfoByID(2); info.Name != "reviews.xml" {
+		t.Error("InfoByID(2) wrong")
 	}
-	if s.NextDocID() != 3 {
-		t.Errorf("NextDocID = %d", s.NextDocID())
+	if id := s.ReserveID(); id != 3 {
+		t.Errorf("ReserveID = %d, want 3", id)
 	}
 }
 
 func TestDocsOrdered(t *testing.T) {
 	s := newStore(t)
-	docs := s.Docs()
+	docs := DocsMatching(s, "*")
 	if len(docs) != 2 || docs[0].Name != "books.xml" || docs[1].Name != "reviews.xml" {
-		t.Errorf("Docs() = %v", docs)
+		t.Errorf("DocsMatching(*) = %v", docs)
 	}
 }
 
@@ -59,20 +59,15 @@ func TestSubtreeFetchCounted(t *testing.T) {
 	if s.Subtree(nil) != nil {
 		t.Error("empty ID should return nil")
 	}
-	s.ResetCounters()
-	if s.SubtreeFetches() != 0 || s.BytesFetched() != 0 {
-		t.Error("ResetCounters failed")
-	}
 }
 
 func TestValue(t *testing.T) {
 	s := newStore(t)
-	v, ok := s.Value(dewey.MustParse("1.1.1"))
-	if !ok || v != "111" {
-		t.Errorf("Value = %q, %v", v, ok)
+	if n := s.Subtree(dewey.MustParse("1.1.1")); n == nil || n.Value != "111" {
+		t.Errorf("Subtree(1.1.1) = %v, want the leaf valued 111", n)
 	}
-	if _, ok := s.Value(dewey.MustParse("1.1.9")); ok {
-		t.Error("missing element should not have a value")
+	if n := s.Subtree(dewey.MustParse("1.1.9")); n != nil {
+		t.Errorf("missing element fetched as %v", n)
 	}
 }
 
@@ -141,7 +136,7 @@ func TestShardingInvariants(t *testing.T) {
 		}
 	}
 	// DocsMatching returns pattern matches in document ID order.
-	matched := s.DocsMatching("part-*")
+	matched := DocsMatching(s, "part-*")
 	if len(matched) != 5 {
 		t.Fatalf("DocsMatching(part-*) = %d docs, want 5", len(matched))
 	}
@@ -150,17 +145,17 @@ func TestShardingInvariants(t *testing.T) {
 			t.Fatalf("DocsMatching not in document ID order")
 		}
 	}
-	if got := s.DocsMatching("other.xml"); len(got) != 1 || got[0].Name != "other.xml" {
+	if got := DocsMatching(s, "other.xml"); len(got) != 1 || got[0].Name != "other.xml" {
 		t.Fatalf("DocsMatching(exact) = %v", got)
 	}
-	if got := s.DocsMatching("missing-*"); len(got) != 0 {
+	if got := DocsMatching(s, "missing-*"); len(got) != 0 {
 		t.Fatalf("DocsMatching(missing-*) = %v, want empty", got)
 	}
-	// Docs() remains insertion-ordered across shards.
-	all := s.Docs()
+	// Infos() remains insertion-ordered across shards.
+	all := s.Infos()
 	for i := range all {
 		if all[i].DocID != int32(i+1) {
-			t.Fatalf("Docs() out of insertion order: %v", all[i])
+			t.Fatalf("Infos() out of insertion order: %v", all[i])
 		}
 	}
 }
@@ -171,10 +166,19 @@ func TestDocByIDLockFreeAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DocByID(doc.DocID); got != doc {
-		t.Fatalf("DocByID(%d) = %v", doc.DocID, got)
+	if got, _ := s.EntryByID(doc.DocID); got.doc != doc {
+		t.Fatalf("EntryByID(%d) = %v", doc.DocID, got.doc)
 	}
-	if got := s.DocByID(99); got != nil {
-		t.Fatalf("DocByID(unknown) = %v, want nil", got)
+	if got, ok := s.EntryByID(99); ok {
+		t.Fatalf("EntryByID(unknown) = %v, want none", got.doc)
 	}
+}
+
+// mutations sums the per-shard mutation counters.
+func mutations(c Corpus) int {
+	total := 0
+	for _, info := range c.ShardInfos() {
+		total += info.Mutations
+	}
+	return total
 }

@@ -30,7 +30,7 @@ import (
 // with an error before anything is written over it. Works on every
 // backend: a disk-resident corpus is hydrated document by document.
 func (db *Database) Save(dir string) error {
-	return db.engine.Store.Save(dir)
+	return store.SaveCorpus(db.engine.Store, dir)
 }
 
 // Load opens a database over a directory written by Save, rebuilding the
