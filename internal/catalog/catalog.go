@@ -1,39 +1,39 @@
 // Package catalog is the view catalog and query-planning substrate: it
 // owns the bounded LRU cache of ranked query results (formerly package
 // qcache, semantics preserved), a registry of compiled views with per-view
-// hit statistics, and the cached artifacts the planner rewrites against —
-// evaluation skeletons (pruned view output, keyword-independent) and fully
-// materialized views (result trees plus a per-view token index).
+// hit statistics, and one cached artifact per view that the planner
+// rewrites against.
 //
 // The cache tiers, weakest to strongest:
 //
 //   - Exact result entries (Get/PutAt): memoize one (view, keywords,
 //     options) triple. Any variation misses.
-//   - Skeletons (Skeleton/StoreSkeleton): the view's evaluated result
-//     forest with PDT provenance but before scoring. The skeleton is
+//   - Skeletons (StoreSkeleton): the view's evaluated result forest with
+//     PDT provenance but before scoring. The skeleton is
 //     keyword-independent — term frequencies live in the inverted indices,
 //     not the skeleton — so one skeleton answers any keyword query over
 //     the view (keyword supersets, disjoint sets, either semantics) by
 //     re-probing the indices. core.Engine's planner serves this tier.
-//   - Materialized views (Materialized/StoreMaterialized): every view
-//     result fully materialized, with byte lengths and a token histogram
-//     per result. Searches over a materialized view touch neither the PDT
-//     pipeline nor base storage.
+//   - Materialized views (Promote): the same artifact once every result's
+//     tree has been prebuilt. It is scored exactly like a skeleton; only
+//     the winners' trees come ready-made, so a search over a materialized
+//     view touches neither the PDT pipeline nor base storage.
 //
 // Every tier is generation-stamped exactly like the old qcache: any corpus
 // mutation bumps the generation and drops all entries and artifacts
-// (Invalidate), and stores stamped with a pre-bump generation are refused.
-// A planned answer is therefore always computed against the same corpus
-// snapshot a direct evaluation would see, which is what keeps planned
-// output byte-identical to direct output.
+// (Invalidate), and stores stamped with a pre-bump generation are refused,
+// so every resident artifact is current. A planned answer is therefore
+// always computed against the same corpus snapshot a direct evaluation
+// would see, which is what keeps planned output byte-identical to direct
+// output.
 //
 // Promotion is driven by AccessDirect hit counting: a view that keeps
-// being planned without a materialized artifact becomes promotable once
-// its post-invalidation hit count reaches the promotion threshold, bar
-// room under the artifact byte budget. Mutation churn demotes: an
-// invalidation that drops a live materialized view raises that view's
-// re-promotion bar (threshold doubles per churn step, capped), so a
-// write-heavy view stops being re-materialized just to be thrown away.
+// being planned without prebuilt trees becomes promotable once its
+// post-invalidation hit count reaches the promotion threshold, bar room
+// under the artifact byte budget. Mutation churn demotes: an invalidation
+// that drops a materialized view raises that view's re-promotion bar
+// (threshold doubles per churn step, capped), so a write-heavy view stops
+// being re-materialized just to be thrown away.
 package catalog
 
 import (
@@ -130,8 +130,8 @@ type CacheStats struct {
 // and how often each planner tier served.
 type PlannerStats struct {
 	Views            int `json:"views"`              // compiled views tracked by the registry
-	Skeletons        int `json:"skeletons"`          // live (current-generation) skeleton artifacts
-	Materialized     int `json:"materialized"`       // live materialized views
+	Skeletons        int `json:"skeletons"`          // resident artifacts (each holds a skeleton)
+	Materialized     int `json:"materialized"`       // resident artifacts holding prebuilt trees
 	RewriteHits      int `json:"rewrite_hits"`       // searches answered by rewriting (skeleton or window)
 	MaterializedHits int `json:"materialized_hits"`  // searches answered from a materialized view
 	Promotions       int `json:"promotions"`         // views promoted to materialized
@@ -140,43 +140,17 @@ type PlannerStats struct {
 	ArtifactMaxBytes int `json:"artifact_max_bytes"` // artifact byte budget
 }
 
-// Skeleton is a view's cached evaluation output: the result forest in view
-// order, pruned (PDT provenance intact, never materialized). The nodes are
-// shared with every search that serves from the skeleton and must be
-// treated as read-only.
-type Skeleton struct {
+// Artifact is a view's cached evaluation output, one record per view.
+// Results is the skeleton: the view's results in view order, pruned (PDT
+// provenance intact, never materialized). Trees is nil until the view is
+// promoted, and then holds each result's prebuilt tree at the same
+// position. A resident artifact is never modified (Promote replaces it),
+// and its nodes are shared with every search that serves from it, so all
+// of it must be treated as read-only.
+type Artifact struct {
 	Results []*xmltree.Node
+	Trees   []*xmltree.Node
 	Bytes   int
-	gen     int
-}
-
-// TokenCount is one posting of a materialized view's token index: result
-// Index (view position) contains the token TF times.
-type TokenCount struct {
-	Index int
-	TF    int
-}
-
-// MatView is a fully materialized view: every view result as a complete
-// tree (no PDT pruning, no Meta payloads), its scoring byte length, and a
-// token index mapping each token to the results containing it. Trees are
-// shared across searches and must be treated as read-only (serve clones).
-type MatView struct {
-	Trees    []*xmltree.Node
-	ByteLens []int
-	Tokens   map[string][]TokenCount
-	Bytes    int
-	gen      int
-}
-
-// TF returns the per-result subtree term frequencies of one normalized
-// keyword as a dense vector aligned with Trees.
-func (m *MatView) TF(keyword string) []int {
-	tfs := make([]int, len(m.Trees))
-	for _, tc := range m.Tokens[keyword] {
-		tfs[tc.Index] = tc.TF
-	}
-	return tfs
 }
 
 // viewEntry is the registry record of one compiled view.
@@ -188,8 +162,7 @@ type viewEntry struct {
 	hitsSinceInval int // planned searches since the last invalidation
 	churn          int // invalidations that dropped a live materialized view
 
-	skeleton *Skeleton
-	mat      *MatView
+	art *Artifact
 }
 
 // Promotion policy defaults: a view becomes promotable after PromoteHits
@@ -350,14 +323,13 @@ func (c *Catalog) Invalidate() {
 	clear(c.items)
 	c.curBytes = 0
 	for _, ve := range c.views {
-		if ve.mat != nil {
+		if ve.promoted() {
 			c.demotions++
 			if ve.churn < churnCap {
 				ve.churn++
 			}
 		}
-		ve.mat = nil
-		ve.skeleton = nil
+		ve.art = nil
 		ve.hitsSinceInval = 0
 	}
 	c.artBytes = 0
@@ -392,13 +364,13 @@ func (c *Catalog) registerLocked(viewText string) *viewEntry {
 }
 
 // evictColdestViewLocked drops the registry entry with the fewest lifetime
-// hits, preferring entries without live artifacts (an entry holding one is
+// hits, preferring entries without an artifact (an entry holding one is
 // only chosen when every entry does, and its artifact bytes are released).
 func (c *Catalog) evictColdestViewLocked() {
 	victim, best := "", -1
 	for text, ve := range c.views {
 		score := ve.hits
-		if (ve.skeleton != nil && ve.skeleton.gen == c.gen) || (ve.mat != nil && ve.mat.gen == c.gen) {
+		if ve.art != nil {
 			score += 1 << 30
 		}
 		if best == -1 || score < best {
@@ -408,15 +380,14 @@ func (c *Catalog) evictColdestViewLocked() {
 	if victim == "" {
 		return
 	}
-	ve := c.views[victim]
-	if ve.skeleton != nil && ve.skeleton.gen == c.gen {
-		c.artBytes -= ve.skeleton.Bytes
-	}
-	if ve.mat != nil && ve.mat.gen == c.gen {
-		c.artBytes -= ve.mat.Bytes
+	if ve := c.views[victim]; ve.art != nil {
+		c.artBytes -= ve.art.Bytes
 	}
 	delete(c.views, victim)
 }
+
+// promoted reports whether the view's artifact holds prebuilt trees.
+func (ve *viewEntry) promoted() bool { return ve.art != nil && ve.art.Trees != nil }
 
 // IDOf returns the catalog ID of a registered view ("" if the text was
 // never registered).
@@ -432,15 +403,15 @@ func (c *Catalog) IDOf(viewText string) string {
 // AccessDirect records one planned search over the view that fell through
 // to direct evaluation, and reports whether the view is now promotable: hot
 // enough under its churn-adjusted threshold, not already materialized, and
-// with room left in the artifact budget. The caller (the engine) performs
-// the promotion and stores it with StoreMaterialized.
+// with room left in the artifact budget. The caller (the engine) builds the
+// trees and stores them with Promote.
 func (c *Catalog) AccessDirect(viewText string) (promotable bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ve := c.registerLocked(viewText)
 	ve.hits++
 	ve.hitsSinceInval++
-	if ve.mat != nil {
+	if ve.promoted() {
 		return false
 	}
 	return ve.hitsSinceInval >= c.promoteHits<<min(ve.churn, churnCap) && c.artBytes < c.artMaxBytes
@@ -464,30 +435,38 @@ func (c *Catalog) AccessPlanned(viewText, source string) (promotable bool) {
 	case PlanMaterialized:
 		c.matHits++
 	}
-	if source != PlanRewritten || ve.mat != nil {
+	if source != PlanRewritten || ve.promoted() {
 		return false
 	}
 	return ve.hitsSinceInval >= c.promoteHits<<min(ve.churn, churnCap) && c.artBytes < c.artMaxBytes
 }
 
-// Skeleton returns the view's current-generation skeleton and the view's
-// catalog ID, or ok = false when none is live. The caller must hold
+// Artifact returns the view's artifact, the planner tier it serves
+// (PlanMaterialized once promoted, else PlanRewritten) and the view's
+// catalog ID. With no artifact resident it returns nil, PlanDirect and the
+// ID ("" when the text was never registered). The caller must hold
 // whatever locks make the current generation stable for the duration of
-// its use (the engine serves skeletons under the search's shard read
+// its use (the engine serves artifacts under the search's shard read
 // locks).
-func (c *Catalog) Skeleton(viewText string) (sk *Skeleton, viewID string, ok bool) {
+func (c *Catalog) Artifact(viewText string) (a *Artifact, source, viewID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ve, exists := c.views[viewText]
-	if !exists || ve.skeleton == nil || ve.skeleton.gen != c.gen {
-		return nil, "", false
+	ve, ok := c.views[viewText]
+	switch {
+	case !ok:
+		return nil, PlanDirect, ""
+	case ve.art == nil:
+		return nil, PlanDirect, ve.id
+	case ve.art.Trees == nil:
+		return ve.art, PlanRewritten, ve.id
 	}
-	return ve.skeleton, ve.id, true
+	return ve.art, PlanMaterialized, ve.id
 }
 
-// StoreSkeleton records a view's evaluation output as a skeleton artifact,
+// StoreSkeleton records a view's evaluation output as its artifact,
 // stamped with gen: a stale stamp (a mutation landed since the search
-// planned) or an artifact-budget overflow refuses the store. Results must
+// planned) or an artifact-budget overflow refuses the store, and so does a
+// resident artifact (an identical skeleton is already there). Results must
 // be in view order and are retained by reference — the engine only stores
 // forests whose nodes no caller can mutate.
 func (c *Catalog) StoreSkeleton(viewText string, gen int, results []*xmltree.Node, bytes int) {
@@ -497,51 +476,35 @@ func (c *Catalog) StoreSkeleton(viewText string, gen int, results []*xmltree.Nod
 		return
 	}
 	ve := c.registerLocked(viewText)
-	if ve.skeleton != nil && ve.skeleton.gen == c.gen {
-		return // an identical skeleton is already live
+	if ve.art != nil {
+		return
 	}
-	ve.skeleton = &Skeleton{Results: results, Bytes: bytes, gen: gen}
+	ve.art = &Artifact{Results: results, Bytes: bytes}
 	c.artBytes += bytes
 }
 
-// Materialized returns the view's current-generation materialized artifact
-// and the view's catalog ID, or ok = false when none is live. The same
-// lock discipline as Skeleton applies.
-func (c *Catalog) Materialized(viewText string) (mv *MatView, viewID string, ok bool) {
+// Promote adds prebuilt trees, index-aligned with the resident skeleton's
+// results, to the view's artifact, stamped with gen. It reports whether
+// they were accepted: a stale stamp, a missing skeleton or trees already
+// resident refuse them, and trees that would overflow the byte budget are
+// refused AND counted as churn, so an over-budget view stops being rebuilt
+// on every search. bytes is the trees' footprint alone.
+func (c *Catalog) Promote(viewText string, gen int, trees []*xmltree.Node, bytes int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ve, exists := c.views[viewText]
-	if !exists || ve.mat == nil || ve.mat.gen != c.gen {
-		return nil, "", false
-	}
-	return ve.mat, ve.id, true
-}
-
-// StoreMaterialized records a fully materialized view, stamped with gen.
-// It reports whether the artifact was accepted: a stale stamp refuses it,
-// and an artifact that would overflow the byte budget is refused AND
-// counted as churn, so an over-budget view stops being rebuilt on every
-// search.
-func (c *Catalog) StoreMaterialized(viewText string, gen int, mv *MatView) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
+	ve, ok := c.views[viewText]
+	if gen != c.gen || !ok || ve.art == nil || ve.promoted() {
 		return false
 	}
-	ve := c.registerLocked(viewText)
-	if ve.mat != nil && ve.mat.gen == c.gen {
-		return false // lost a promotion race: an identical artifact is live
-	}
-	if c.artBytes+mv.Bytes > c.artMaxBytes {
+	if c.artBytes+bytes > c.artMaxBytes {
 		if ve.churn < churnCap {
 			ve.churn++
 		}
 		ve.hitsSinceInval = 0
 		return false
 	}
-	mv.gen = gen
-	ve.mat = mv
-	c.artBytes += mv.Bytes
+	ve.art = &Artifact{Results: ve.art.Results, Trees: trees, Bytes: ve.art.Bytes + bytes}
+	c.artBytes += bytes
 	c.promotions++
 	return true
 }
@@ -573,10 +536,10 @@ func (c *Catalog) Stats() Stats {
 		},
 	}
 	for _, ve := range c.views {
-		if ve.skeleton != nil && ve.skeleton.gen == c.gen {
+		if ve.art != nil {
 			st.Skeletons++
 		}
-		if ve.mat != nil && ve.mat.gen == c.gen {
+		if ve.promoted() {
 			st.Materialized++
 		}
 	}

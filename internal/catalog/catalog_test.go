@@ -219,24 +219,27 @@ func TestSkeletonGenerationStamping(t *testing.T) {
 	gen := c.Gen()
 	c.Invalidate() // a mutation lands mid-evaluation: the store must refuse
 	c.StoreSkeleton("v", gen, forest, 10)
-	if _, _, ok := c.Skeleton("v"); ok {
+	if art, _, _ := c.Artifact("v"); art != nil {
 		t.Fatal("stale-generation skeleton was stored")
 	}
 	gen = c.Gen()
 	c.StoreSkeleton("v", gen, forest, 10)
-	sk, id, ok := c.Skeleton("v")
-	if !ok || len(sk.Results) != 1 || id == "" {
-		t.Fatalf("live skeleton missing: ok=%v id=%q", ok, id)
+	art, source, id := c.Artifact("v")
+	if art == nil || len(art.Results) != 1 || art.Trees != nil || source != PlanRewritten || id == "" {
+		t.Fatalf("resident skeleton missing: art=%v source=%q id=%q", art, source, id)
 	}
-	if st := c.Stats(); st.Skeletons != 1 || st.ArtifactBytes != 10 {
-		t.Errorf("Skeletons=%d ArtifactBytes=%d, want 1/10", st.Skeletons, st.ArtifactBytes)
+	if st := c.Stats(); st.Skeletons != 1 || st.Materialized != 0 || st.ArtifactBytes != 10 {
+		t.Errorf("Skeletons=%d Materialized=%d ArtifactBytes=%d, want 1/0/10", st.Skeletons, st.Materialized, st.ArtifactBytes)
 	}
 	c.Invalidate()
-	if _, _, ok := c.Skeleton("v"); ok {
-		t.Error("skeleton survived invalidation")
+	if art, source, id := c.Artifact("v"); art != nil || source != PlanDirect || id == "" {
+		t.Errorf("after invalidation: art=%v source=%q id=%q, want nil, direct and the view's ID", art, source, id)
 	}
 	if st := c.Stats(); st.ArtifactBytes != 0 {
 		t.Errorf("invalidation leaked artifact bytes: %d", st.ArtifactBytes)
+	}
+	if _, source, id := c.Artifact("never seen"); source != PlanDirect || id != "" {
+		t.Errorf("unregistered view: source=%q id=%q, want direct and no ID", source, id)
 	}
 }
 
@@ -245,41 +248,55 @@ func TestSkeletonBudgetRefusal(t *testing.T) {
 	c.artMaxBytes = 100
 	c.StoreSkeleton("a", c.Gen(), []*xmltree.Node{{Tag: "a"}}, 80)
 	c.StoreSkeleton("b", c.Gen(), []*xmltree.Node{{Tag: "b"}}, 30) // would overflow
-	if _, _, ok := c.Skeleton("b"); ok {
+	if art, _, _ := c.Artifact("b"); art != nil {
 		t.Error("over-budget skeleton was stored")
 	}
-	if _, _, ok := c.Skeleton("a"); !ok {
+	if art, _, _ := c.Artifact("a"); art == nil {
 		t.Error("in-budget skeleton missing")
+	}
+	// Promoting needs the skeleton the trees line up with.
+	if c.Promote("b", c.Gen(), []*xmltree.Node{{Tag: "b"}}, 1) {
+		t.Error("trees promoted without a skeleton")
 	}
 }
 
 func TestPromotionPolicyAndChurn(t *testing.T) {
 	c := New()
 	c.promoteHits, c.artMaxBytes = 2, 1000
+	skeleton := []*xmltree.Node{{Tag: "r"}}
+	c.StoreSkeleton("v", c.Gen(), skeleton, 10)
 	if c.AccessDirect("v") {
 		t.Fatal("promotable after a single hit with threshold 2")
 	}
 	if !c.AccessDirect("v") {
 		t.Fatal("not promotable after reaching the threshold")
 	}
-	mv := &MatView{Trees: []*xmltree.Node{{Tag: "r"}}, ByteLens: []int{1}, Tokens: map[string][]TokenCount{}, Bytes: 50}
-	if !c.StoreMaterialized("v", c.Gen(), mv) {
-		t.Fatal("in-budget materialization refused")
+	stale := c.Gen() - 1
+	if c.Promote("v", stale, []*xmltree.Node{{Tag: "r"}}, 50) {
+		t.Fatal("stale-generation trees accepted")
 	}
-	if got, _, ok := c.Materialized("v"); !ok || got != mv {
-		t.Fatal("live materialized view missing")
+	trees := []*xmltree.Node{{Tag: "r"}}
+	if !c.Promote("v", c.Gen(), trees, 50) {
+		t.Fatal("in-budget promotion refused")
+	}
+	art, source, _ := c.Artifact("v")
+	if art == nil || source != PlanMaterialized || art.Results[0] != skeleton[0] || art.Trees[0] != trees[0] {
+		t.Fatalf("promoted artifact: art=%v source=%q, want the skeleton with its trees", art, source)
+	}
+	if c.Promote("v", c.Gen(), trees, 50) {
+		t.Error("a second promotion of a promoted view was accepted")
 	}
 	if c.AccessDirect("v") {
 		t.Error("already-materialized view reported promotable")
 	}
 	st := c.Stats()
-	if st.Promotions != 1 || st.Materialized != 1 {
-		t.Errorf("Promotions=%d Materialized=%d, want 1/1", st.Promotions, st.Materialized)
+	if st.Promotions != 1 || st.Skeletons != 1 || st.Materialized != 1 || st.ArtifactBytes != 60 {
+		t.Errorf("Promotions=%d Skeletons=%d Materialized=%d ArtifactBytes=%d, want 1/1/1/60", st.Promotions, st.Skeletons, st.Materialized, st.ArtifactBytes)
 	}
 
 	// A mutation demotes and doubles the re-promotion bar.
 	c.Invalidate()
-	if _, _, ok := c.Materialized("v"); ok {
+	if art, _, _ := c.Artifact("v"); art != nil {
 		t.Fatal("materialized view survived invalidation")
 	}
 	st = c.Stats()
@@ -301,18 +318,18 @@ func TestPromotionPolicyAndChurn(t *testing.T) {
 func TestStoreMaterializedOverBudgetCountsChurn(t *testing.T) {
 	c := New()
 	c.promoteHits, c.artMaxBytes = 1, 100
+	c.StoreSkeleton("v", c.Gen(), []*xmltree.Node{{Tag: "r"}}, 10)
 	c.AccessDirect("v")
-	big := &MatView{Bytes: 200}
-	if c.StoreMaterialized("v", c.Gen(), big) {
-		t.Fatal("over-budget materialization accepted")
+	if c.Promote("v", c.Gen(), []*xmltree.Node{{Tag: "r"}}, 200) {
+		t.Fatal("over-budget promotion accepted")
 	}
 	// The refusal resets heat and raises the bar, so the view is not
 	// immediately re-promotable on the next search.
 	if c.AccessDirect("v") {
 		t.Error("over-budget view promotable again after one hit")
 	}
-	if st := c.Stats(); st.Promotions != 0 {
-		t.Errorf("Promotions = %d, want 0", st.Promotions)
+	if st := c.Stats(); st.Promotions != 0 || st.Materialized != 0 || st.ArtifactBytes != 10 {
+		t.Errorf("Promotions=%d Materialized=%d ArtifactBytes=%d, want 0/0/10", st.Promotions, st.Materialized, st.ArtifactBytes)
 	}
 }
 
@@ -324,22 +341,5 @@ func TestAccessPlannedCounters(t *testing.T) {
 	st := c.Stats()
 	if st.RewriteHits != 1 || st.MaterializedHits != 2 {
 		t.Errorf("RewriteHits=%d MaterializedHits=%d, want 1/2", st.RewriteHits, st.MaterializedHits)
-	}
-}
-
-func TestMatViewTF(t *testing.T) {
-	mv := &MatView{
-		Trees:  make([]*xmltree.Node, 3),
-		Tokens: map[string][]TokenCount{"xml": {{Index: 0, TF: 2}, {Index: 2, TF: 1}}},
-	}
-	got := mv.TF("xml")
-	want := []int{2, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TF(xml) = %v, want %v", got, want)
-		}
-	}
-	if tfs := mv.TF("absent"); len(tfs) != 3 || tfs[0] != 0 || tfs[1] != 0 || tfs[2] != 0 {
-		t.Errorf("TF(absent) = %v, want zeros", tfs)
 	}
 }

@@ -87,8 +87,9 @@ type docInfo struct {
 //
 // The catalog is the same type the single-process engine uses
 // (internal/catalog): the coordinator's tiers are the exact result cache
-// and the TopK-window rewrite over the shared unpaged entry; skeleton and
-// materialized artifacts live node-side, inside each member's own engine.
+// and the TopK-window rewrite over the shared unpaged entry. There are no
+// skeleton or materialized tiers anywhere in a cluster: no node request
+// turns on the engine planner, so a node never serves from an artifact.
 type Coordinator struct {
 	cfg    Config
 	client *http.Client
@@ -477,9 +478,8 @@ func (c *Coordinator) CacheStats() catalog.Stats { return c.cache.Stats() }
 // the named view with the given keywords, without evaluating anything:
 // "cache_hit" when the shared unpaged result-cache entry is resident (both
 // exact and TopK-window queries are served from it), otherwise "direct".
-// The coordinator has no skeleton or materialized tiers — those artifacts
-// live inside each member node's engine. viewID is the catalog ID of the
-// view.
+// A cluster has no skeleton or materialized tiers: nodes always evaluate
+// directly. viewID is the catalog ID of the view.
 func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID string, err error) {
 	c.mu.RLock()
 	v := c.views[name]

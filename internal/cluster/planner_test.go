@@ -41,6 +41,17 @@ func TestClusterPlannerEquivalence(t *testing.T) {
 			}
 
 			kws := testkit.KeywordsFor(rng)
+			// Only the coordinator plans: no node request turns on the
+			// engine planner, so however many cached searches ran, no node
+			// engine holds an artifact.
+			noNodeArtifacts := func(label string) {
+				t.Helper()
+				for i, n := range tc.nodes {
+					if ns := n.CatalogStats(); ns.Skeletons != 0 || ns.Materialized != 0 {
+						t.Fatalf("%s: node %d holds %d skeletons and %d materialized views, want none", label, i, ns.Skeletons, ns.Materialized)
+					}
+				}
+			}
 			search := func(label string, opts *vxml.Options) *vxml.Stats {
 				t.Helper()
 				want, _, err := db.Search(view, kws, &vxml.Options{TopK: opts.TopK, Disjunctive: opts.Disjunctive})
@@ -83,6 +94,8 @@ func TestClusterPlannerEquivalence(t *testing.T) {
 				t.Fatalf("RewriteHits = %d after window serve, want 1", cs.RewriteHits)
 			}
 
+			noNodeArtifacts("before-mutations")
+
 			// PlanProbe agrees with what a search would do.
 			source, viewID, err := tc.coord.PlanProbe("v", kws)
 			if err != nil {
@@ -119,6 +132,7 @@ func TestClusterPlannerEquivalence(t *testing.T) {
 			if st = search("after-delete", &vxml.Options{Cache: true}); st.PlanSource != catalog.PlanDirect {
 				t.Fatalf("post-delete search served from %q, want direct", st.PlanSource)
 			}
+			noNodeArtifacts("after-delete")
 		})
 	}
 }

@@ -312,9 +312,9 @@ type Options struct {
 	// functions run at every pool size and results are byte-identical at
 	// every setting.
 	Parallelism int
-	// Plan routes the search through the catalog planner: a live artifact
-	// of the view (skeleton or materialized view) serves the query instead
-	// of the PDT pipeline, and direct evaluations record artifacts and
+	// Plan routes the search through the catalog planner: the view's
+	// artifact (its skeleton, with prebuilt trees once promoted) serves the
+	// query instead of the PDT pipeline, and direct evaluations record artifacts and
 	// count toward adaptive materialization. Planned answers are
 	// byte-identical to direct evaluation at every option combination;
 	// Stats.PlanSource reports which path answered. The cluster
@@ -648,19 +648,19 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 // expand them.
 type viewOutput struct {
 	// results are the view's results, in view order: PDT-pruned trees from
-	// direct evaluation or a skeleton, complete trees from a materialized
-	// view.
+	// direct evaluation or a skeleton. trees holds their prebuilt complete
+	// trees, index-aligned, when a promoted artifact served them (else nil).
 	results []*xmltree.Node
+	trees   []*xmltree.Node
 	// owners holds the document each result came from when the
 	// per-document pipeline produced them (non-nil exactly then); outer is
 	// the ID of the outer reference's document when whole-view evaluation
 	// ran over a literal one (0 when the corpus lacks it).
 	owners []int32
 	outer  int32
-	// rstats are the per-result scoring inputs. The serving tier brings
-	// them itself for a materialized view and the per-document pipeline;
-	// for the other PDT-pruned results — whole-view or skeleton — collect
-	// derives them from lists and keeps them here.
+	// rstats are the per-result scoring inputs. The per-document pipeline
+	// brings them itself; for the other results — whole-view or artifact —
+	// collect derives them from lists and keeps them here.
 	rstats []scoring.Stats
 	// lists holds each candidate document's posting list per keyword
 	// (plan.keywordLists), for collect.
@@ -689,11 +689,10 @@ func (o *viewOutput) closePost() *Stats {
 
 // viewOutput runs the locked phases every search path starts with. Plan:
 // lock the touched shards and resolve the candidate documents. View
-// output: produce the view's results in view order from the strongest
-// source available — a live materialized artifact, a live skeleton (both
-// only for planner-eligible options, see tryPlan), else index-only PDT
-// generation plus evaluation of the unchanged view over the PDTs, which
-// also records the skeleton for the next planned search. Every shard read
+// output: produce the view's results in view order from the view's
+// catalog artifact when a planned search finds one (see tryPlan), else by
+// index-only PDT generation plus evaluation of the unchanged view over the
+// PDTs, which also records the skeleton for the next planned search. Every shard read
 // lock is released by return time: the later phases read only the returned
 // trees, and Dewey-ID subtree fetches are lock-free.
 func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, error) {
@@ -719,9 +718,7 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	served := false
 	if opts.Plan {
 		out.planGen = e.Catalog.Gen()
-		if served, err = e.tryPlan(ctx, v, p, out); err != nil {
-			return nil, err
-		}
+		served = e.tryPlan(v, out)
 	}
 	if !served {
 		// QPTs are compile-time; generate the PDTs from the indices alone,
@@ -742,7 +739,7 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		// AccessDirect counts this search toward promotion; the entry
 		// points materialize after the locks drop.
 		if opts.Plan {
-			e.Catalog.StoreSkeleton(v.Text, out.planGen, out.results, skeletonFootprint(out.results))
+			e.Catalog.StoreSkeleton(v.Text, out.planGen, out.results, artifactFootprint(out.results))
 			out.promotable = e.Catalog.AccessDirect(v.Text)
 		}
 		out.post = time.Now()
@@ -785,14 +782,14 @@ const snippetWidth = 160
 // is delivered as the final (zero Result, error) pair. Rank numbers are
 // absolute positions in ranked. It needs no shard lock: subtree fetches
 // resolve through the store's lock-free Dewey map. Winners served from a
-// materialized view are already complete trees and are handed out as they
-// are. Either way a Result's Element is read-only and may share nodes with
-// the store, the catalog and other results.
+// promoted artifact are taken prebuilt from it by view position. Either
+// way a Result's Element is read-only and may share nodes with the store,
+// the catalog and other results.
 func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offset int, fetcher scoring.Fetcher) iter.Seq2[Result, error] {
 	// The sequence may outlive the search by a long time (a slow stream
 	// consumer): capture what it needs, not o, so the unranked remainder of
 	// the view output is collectable meanwhile.
-	kws, prebuilt := o.kws, o.stats.PlanSource == catalog.PlanMaterialized
+	kws, trees := o.kws, o.trees
 	return func(yield func(Result, error) bool) {
 		for i := max(0, offset); i < len(ranked); i++ {
 			if err := ctxErr(ctx); err != nil {
@@ -800,8 +797,10 @@ func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offse
 				return
 			}
 			sc := ranked[i]
-			r := Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs, Element: sc.Result}
-			if !prebuilt {
+			r := Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs}
+			if trees != nil {
+				r.Element = trees[sc.Index]
+			} else {
 				r.Element = scoring.Materialize(sc.Result, fetcher)
 			}
 			r.Snippet = scoring.Snippet(r.Element, kws, snippetWidth)

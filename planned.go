@@ -96,12 +96,7 @@ func PlannedSearch(ctx context.Context, cat *catalog.Catalog, viewText string, k
 			results, stats, err := PlannedSearch(ctx, cat, viewText, keywords, &full, run)
 			return pageSlice(results, opts.Offset, opts.TopK), stats, err
 		}
-		window := *opts
-		window.Offset = 0
-		if opts.TopK > 0 {
-			window.TopK = opts.Offset + opts.TopK
-		}
-		return run(ctx, &window, opts.Offset)
+		return run(ctx, rankWindow(opts), opts.Offset)
 	}
 	if !opts.Cache {
 		return run(ctx, opts, 0)
@@ -182,6 +177,19 @@ func normalizeOptions(opts *Options) *Options {
 	return opts
 }
 
+// rankWindow is the uncached search of opts' page: Offset folded into a
+// ranking just deep enough to cover the window (the top Offset+TopK, or
+// every result when TopK is 0), with Offset 0. The caller leaves the first
+// opts.Offset winners out of what that search returns.
+func rankWindow(opts *Options) *Options {
+	w := *opts
+	w.Offset = 0
+	if opts.TopK > 0 {
+		w.TopK = opts.Offset + opts.TopK
+	}
+	return &w
+}
+
 // pageSlice cuts the [offset, offset+k) window out of the full ranked
 // result list (k = 0: everything from offset on). The slice aliases the
 // input, which the caller owns.
@@ -215,29 +223,16 @@ func resultsFootprint(in []Result) int {
 // in any caller's keyword forms. The copy also keeps cache entries immutable
 // no matter what callers do with the originally returned values.
 func storedResults(in []Result) []Result {
-	return copyResultsKeyed(in, core.NormalizeKeyword)
-}
-
-// copyResultsKeyed deep-copies a result slice, rewriting each TF key
-// through keyFn.
-func copyResultsKeyed(in []Result, keyFn func(string) string) []Result {
 	out := make([]Result, len(in))
 	for i, r := range in {
 		tf := make(map[string]int, len(r.TF))
 		for k, v := range r.TF {
-			tf[keyFn(k)] = v
+			tf[core.NormalizeKeyword(k)] = v
 		}
 		r.TF = tf
 		out[i] = r
 	}
 	return out
-}
-
-// copyResults deep-copies a result slice (including TF maps) without
-// rekeying, for Query's text-keyed cache entries whose TF maps are already
-// in the query's own keyword forms.
-func copyResults(in []Result) []Result {
-	return copyResultsKeyed(in, func(k string) string { return k })
 }
 
 // remapTF copies cached results for return to a caller, keying each TF map

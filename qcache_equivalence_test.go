@@ -307,10 +307,10 @@ func TestCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestQueryCacheEquivalence: the Query entry point consults the cache on the
-// verbatim query text before parsing or QPT generation; a warm hit must be
-// byte-identical to the cold and uncached paths, survive caller mutation,
-// and be invalidated by an ingest.
+// TestQueryCacheEquivalence: a cached Query is an ordinary planned search
+// of the view its text defines; a warm hit must be byte-identical to the
+// cold and uncached paths, survive caller mutation, and be invalidated by
+// an ingest.
 func TestQueryCacheEquivalence(t *testing.T) {
 	db, _ := testkit.CorpusDB(t, 7)
 	p := benchkit.Default()
@@ -378,5 +378,49 @@ func TestQueryCacheEquivalence(t *testing.T) {
 	}
 	if testkit.RenderResults(after) != testkit.RenderResults(fresh) {
 		t.Fatal("post-invalidation Query differs from the uncached path")
+	}
+}
+
+// TestQueryPagesShareUnpagedEntry: a cached Query caches through the same
+// protocol as Search, so a page of it (Offset > 0) is sliced from the
+// unpaged (TopK 0) entry of the same Query — a cache hit, not a fresh
+// evaluation — and the pages concatenate to the unpaged answer.
+func TestQueryPagesShareUnpagedEntry(t *testing.T) {
+	db, _ := testkit.CorpusDB(t, 7)
+	full := `let $view := for $a in fn:doc(inex.xml)/books//article return <art>{$a/fm/tl}, {$a/bdy}</art>
+for $r in $view
+where $r ftcontains('data' | 'system')
+return $r`
+
+	unpaged, st, err := db.Query(full, &vxml.Options{Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PlanSource != "direct" {
+		t.Fatalf("first cached Query served from %q, want direct", st.PlanSource)
+	}
+	const size = 5
+	if len(unpaged) <= size {
+		t.Fatalf("%d results, want more than one page of %d", len(unpaged), size)
+	}
+	var pages []vxml.Result
+	for off := 0; off < len(unpaged); off += size {
+		page, st, err := db.Query(full, &vxml.Options{TopK: size, Offset: off, Cache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first page is a TopK window over the unpaged entry; every
+		// later one is sliced from that entry itself.
+		want := "cache_hit"
+		if off == 0 {
+			want = "rewritten"
+		}
+		if st.PlanSource != want {
+			t.Fatalf("page at offset %d served from %q, want %s", off, st.PlanSource, want)
+		}
+		pages = append(pages, page...)
+	}
+	if testkit.RenderResults(pages) != testkit.RenderResults(unpaged) || !testkit.SameTF(pages, unpaged) {
+		t.Fatal("concatenated Query pages differ from the unpaged Query")
 	}
 }

@@ -8,8 +8,6 @@ package vxml
 import (
 	"context"
 	"iter"
-
-	"vxml/internal/core"
 )
 
 // Results evaluates the ranked keyword query and yields results one at a
@@ -49,11 +47,7 @@ func (db *Database) Results(ctx context.Context, v *View, keywords []string, opt
 		}
 		// Rank deep enough to cover the requested window, then let the
 		// engine skip the first Offset winners unmaterialized.
-		depth := 0
-		if opts.TopK > 0 {
-			depth = opts.Offset + opts.TopK
-		}
-		copts := core.Options{K: depth, Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism}
+		copts := engineOptions(rankWindow(opts))
 		for r, err := range db.engine.ResultsSeq(ctx, v.inner, keywords, copts, opts.Offset) {
 			if err != nil {
 				yield(Result{}, err)

@@ -89,9 +89,11 @@
 // resident entries, so a cached response is never served across a change. Hits are observable
 // via Stats.PlanSource ("cache_hit") and aggregate counters via CacheStats. Cached and
 // uncached paths return identical results, scores and rank order; cache
-// misses cost one map lookup. Query additionally caches on the verbatim
-// query text (the keywords and semantics are part of the text), so a
-// repeat Query skips parsing and QPT generation as well as evaluation.
+// misses cost one map lookup. Query caches exactly like Search: its
+// entries are keyed by the query text (which defines the view) and the
+// keywords and semantics its ftcontains clause names, so a repeat Query
+// still parses and compiles its text but skips evaluation, and its pages
+// share one unpaged entry like any other search's.
 //
 // # HTTP service
 //
@@ -254,7 +256,8 @@ func (db *Database) PlanProbe(v *View, keywords []string) (source, viewID string
 	if PlannedHit(db.catalog, v.inner.Text, keywords) {
 		return catalog.PlanCacheHit, db.catalog.IDOf(v.inner.Text)
 	}
-	return db.engine.PlanProbe(v.inner)
+	_, source, viewID = db.catalog.Artifact(v.inner.Text)
+	return source, viewID
 }
 
 // ShardStats returns a snapshot of per-shard corpus counters (document
@@ -414,7 +417,7 @@ func (db *Database) SearchContext(ctx context.Context, v *View, keywords []strin
 // materializing it, while the comparators — which materialize as part of
 // their cost model — slice afterwards.
 func (db *Database) searchUncached(ctx context.Context, v *View, keywords []string, opts *Options, pageOffset int) ([]Result, *Stats, error) {
-	copts := core.Options{K: opts.TopK, Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism}
+	copts := engineOptions(opts)
 	var (
 		results []core.Result
 		stats   *Stats
@@ -422,9 +425,6 @@ func (db *Database) searchUncached(ctx context.Context, v *View, keywords []stri
 	)
 	switch opts.Approach {
 	case Efficient:
-		// Cache opts the search into the engine's planner tiers too; the
-		// comparator pipelines below always evaluate directly.
-		copts.Plan = opts.Cache
 		results, stats, err = db.engine.SearchPage(ctx, v.inner, keywords, copts, pageOffset)
 		pageOffset = 0 // the engine already skipped the prefix
 	case Baseline:
@@ -451,6 +451,13 @@ func (db *Database) searchUncached(ctx context.Context, v *View, keywords []stri
 		out = pageSlice(out, pageOffset, 0)
 	}
 	return out, stats, nil
+}
+
+// engineOptions translates normalized options into the engine's. Cache
+// opts the search into the engine's planner tiers too; the comparator
+// pipelines ignore Plan and always evaluate directly.
+func engineOptions(opts *Options) core.Options {
+	return core.Options{K: opts.TopK, Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism, Plan: opts.Cache}
 }
 
 // toResult converts one engine result into the caller-facing form, keying
@@ -489,30 +496,14 @@ func (db *Database) Query(fullQuery string, opts *Options) ([]Result, *Stats, er
 
 // QueryContext is Query with cooperative cancellation, propagated through
 // the inner search exactly as in SearchContext; the returned error wraps
-// ctx.Err(), and a canceled query inserts nothing into the cache.
+// ctx.Err(), and a canceled query inserts nothing into the cache. The
+// query's own text is the view's definition and its ftcontains clause
+// supplies the keywords and the semantics; every other option is the
+// caller's, so a cached Query is an ordinary SearchContext entry of that
+// view, paged the same way.
 func (db *Database) QueryContext(ctx context.Context, fullQuery string, opts *Options) ([]Result, *Stats, error) {
-	opts = normalizeOptions(opts)
-	// The keywords and the conjunctive/disjunctive flag are part of the
-	// query text itself, so the cache is consulted on the verbatim text
-	// before any parsing: a repeat Query skips xq.Parse and QPT
-	// generation (which grows with the corpus's path dictionary), not
-	// just evaluation. Entries here store the final caller-facing
-	// results, already keyed by the query's own keyword forms.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("vxml: query interrupted: %w", err)
-	}
-	var key string
-	var gen int
-	if opts.Cache {
-		key = catalog.Key("query:"+fullQuery, nil,
-			catalog.IntPart(opts.TopK),
-			catalog.IntPart(opts.Offset),
-			catalog.IntPart(int(opts.Approach)))
-		gen = db.catalog.Gen()
-		if val, ok := db.catalog.Get(key); ok {
-			hit := val.(*cachedSearch)
-			return copyResults(hit.results), hit.statsFor(catalog.PlanCacheHit, hit.stats.PlanView), nil
-		}
 	}
 	parsed, err := xq.Parse(fullQuery)
 	if err != nil {
@@ -529,19 +520,7 @@ func (db *Database) QueryContext(ctx context.Context, fullQuery string, opts *Op
 	if err := v.CheckRefs(db.engine.HasDocument); err != nil {
 		return nil, nil, err
 	}
-	effective := *opts
+	effective := *normalizeOptions(opts)
 	effective.Disjunctive = !kq.Conjunctive
-	// The text-keyed entry below is the one a repeat Query hits, and no
-	// caller can reach the inner Search with this synthetic view; leaving
-	// Search's own caching on would just burn a second LRU slot per query.
-	effective.Cache = false
-	out, stats, err := db.SearchContext(ctx, &View{inner: v}, kq.Keywords, &effective)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Cache {
-		stored := copyResults(out)
-		db.catalog.PutAt(key, newCachedSearch(stored, stats), gen, resultsFootprint(stored))
-	}
-	return out, stats, nil
+	return db.SearchContext(ctx, &View{inner: v}, kq.Keywords, &effective)
 }
