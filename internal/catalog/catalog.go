@@ -1,8 +1,7 @@
 // Package catalog is the view catalog and query-planning substrate: it
-// owns the bounded LRU cache of ranked query results (formerly package
-// qcache, semantics preserved), a registry of compiled views with per-view
-// hit statistics, and one cached artifact per view that the planner
-// rewrites against.
+// owns the bounded LRU cache of ranked query results, a registry of
+// compiled views with per-view hit statistics, and one cached skeleton per
+// view that the planner rewrites against.
 //
 // The cache tiers, weakest to strongest:
 //
@@ -13,27 +12,16 @@
 //     keyword-independent — term frequencies live in the inverted indices,
 //     not the skeleton — so one skeleton answers any keyword query over
 //     the view (keyword supersets, disjoint sets, either semantics) by
-//     re-probing the indices. core.Engine's planner serves this tier.
-//   - Materialized views (Promote): the same artifact once every result's
-//     tree has been prebuilt. It is scored exactly like a skeleton; only
-//     the winners' trees come ready-made, so a search over a materialized
-//     view touches neither the PDT pipeline nor base storage.
+//     re-probing the indices. core.Engine's planner serves this tier; the
+//     winners are then materialized from base data like any direct
+//     search's, so views stay virtual.
 //
-// Every tier is generation-stamped exactly like the old qcache: any corpus
-// mutation bumps the generation and drops all entries and artifacts
-// (Invalidate), and stores stamped with a pre-bump generation are refused,
-// so every resident artifact is current. A planned answer is therefore
-// always computed against the same corpus snapshot a direct evaluation
-// would see, which is what keeps planned output byte-identical to direct
-// output.
-//
-// Promotion is driven by AccessDirect hit counting: a view that keeps
-// being planned without prebuilt trees becomes promotable once its
-// post-invalidation hit count reaches the promotion threshold, bar room
-// under the artifact byte budget. Mutation churn demotes: an invalidation
-// that drops a materialized view raises that view's re-promotion bar
-// (threshold doubles per churn step, capped), so a write-heavy view stops
-// being re-materialized just to be thrown away.
+// Every tier is generation-stamped: any corpus mutation bumps the
+// generation and drops all entries and skeletons (Invalidate), and stores
+// stamped with a pre-bump generation are refused, so every resident
+// artifact is current. A planned answer is therefore always computed
+// against the same corpus snapshot a direct evaluation would see, which is
+// what keeps planned output byte-identical to direct output.
 package catalog
 
 import (
@@ -97,8 +85,7 @@ const (
 	// re-scored from a skeleton, or a TopK window sliced from a cached
 	// unranked entry.
 	PlanRewritten = "rewritten"
-	// PlanMaterialized: answered from a materialized view, skipping PDT
-	// generation and base-data access entirely.
+	// PlanMaterialized is never reported; only bench/ reads it (ROADMAP item 3 step A).
 	PlanMaterialized = "materialized"
 )
 
@@ -125,31 +112,26 @@ type CacheStats struct {
 	Generation    int `json:"generation"`    // current store generation
 }
 
-// PlannerStats describes the view registry, the resident planner artifacts
-// (skeletons, materialized views, their byte footprint against the budget)
-// and how often each planner tier served.
+// PlannerStats describes the view registry, the resident skeletons and
+// their byte footprint against the budget, and how often the rewrite tier
+// served.
 type PlannerStats struct {
 	Views            int `json:"views"`              // compiled views tracked by the registry
 	Skeletons        int `json:"skeletons"`          // resident artifacts (each holds a skeleton)
-	Materialized     int `json:"materialized"`       // resident artifacts holding prebuilt trees
 	RewriteHits      int `json:"rewrite_hits"`       // searches answered by rewriting (skeleton or window)
-	MaterializedHits int `json:"materialized_hits"`  // searches answered from a materialized view
-	Promotions       int `json:"promotions"`         // views promoted to materialized
-	Demotions        int `json:"demotions"`          // materialized views dropped by invalidation
-	ArtifactBytes    int `json:"artifact_bytes"`     // resident artifact bytes (skeletons + materialized)
+	ArtifactBytes    int `json:"artifact_bytes"`     // resident skeleton bytes
 	ArtifactMaxBytes int `json:"artifact_max_bytes"` // artifact byte budget
+	Promotions       int `json:"-"`                  // never set; only bench/ reads it (ROADMAP item 3 step A)
+	Demotions        int `json:"-"`                  // never set; only bench/ reads it (ROADMAP item 3 step A)
 }
 
 // Artifact is a view's cached evaluation output, one record per view.
 // Results is the skeleton: the view's results in view order, pruned (PDT
-// provenance intact, never materialized). Trees is nil until the view is
-// promoted, and then holds each result's prebuilt tree at the same
-// position. A resident artifact is never modified (Promote replaces it),
-// and its nodes are shared with every search that serves from it, so all
-// of it must be treated as read-only.
+// provenance intact, never materialized). A resident artifact is never
+// modified, and its nodes are shared with every search that serves from
+// it, so all of it must be treated as read-only.
 type Artifact struct {
 	Results []*xmltree.Node
-	Trees   []*xmltree.Node
 	Bytes   int
 }
 
@@ -158,21 +140,14 @@ type viewEntry struct {
 	id   string
 	text string
 
-	hits           int // planned searches over this view, lifetime
-	hitsSinceInval int // planned searches since the last invalidation
-	churn          int // invalidations that dropped a live materialized view
+	hits int // planned searches over this view, lifetime
 
 	art *Artifact
 }
 
-// Promotion policy defaults: a view becomes promotable after PromoteHits
-// planned searches since the last invalidation (doubled per churn step up
-// to churnCap), and all artifacts together may hold DefaultArtifactBytes.
-const (
-	DefaultPromoteHits   = 3
-	DefaultArtifactBytes = 64 << 20
-	churnCap             = 6
-)
+// DefaultArtifactBytes bounds the bytes all resident skeletons together
+// may hold.
+const DefaultArtifactBytes = 64 << 20
 
 // DefaultCapacity bounds the exact-entry count.
 const DefaultCapacity = 128
@@ -199,11 +174,10 @@ type Catalog struct {
 
 	views       map[string]*viewEntry // keyed by view definition text
 	nextID      int
-	promoteHits int
 	artBytes    int
 	artMaxBytes int
 
-	rewriteHits, matHits, promotions, demotions int
+	rewriteHits int
 }
 
 type entry struct {
@@ -213,8 +187,8 @@ type entry struct {
 }
 
 // New returns an empty catalog holding at most DefaultCapacity exact
-// entries and DefaultMaxBytes of caller-reported entry size, promoting at
-// DefaultPromoteHits within DefaultArtifactBytes.
+// entries and DefaultMaxBytes of caller-reported entry size, and at most
+// DefaultArtifactBytes of skeletons.
 func New() *Catalog {
 	return &Catalog{
 		capacity:    DefaultCapacity,
@@ -222,7 +196,6 @@ func New() *Catalog {
 		ll:          list.New(),
 		items:       map[string]*list.Element{},
 		views:       map[string]*viewEntry{},
-		promoteHits: DefaultPromoteHits,
 		artMaxBytes: DefaultArtifactBytes,
 	}
 }
@@ -307,13 +280,11 @@ func (c *Catalog) Gen() int {
 	return c.gen
 }
 
-// Invalidate bumps the generation, drops every resident exact entry and
-// every artifact, and resets per-view heat. Call it whenever the underlying
-// document collection changes. The bump (not the drop) is what keeps
-// in-flight computations out: a store stamped with the old generation is
-// refused, so a result computed across the change can never be inserted
-// afterwards. An invalidation that drops a live materialized view counts as
-// a demotion and raises that view's re-promotion bar (churn).
+// Invalidate bumps the generation and drops every resident exact entry and
+// every artifact. Call it whenever the underlying document collection
+// changes. The bump (not the drop) is what keeps in-flight computations
+// out: a store stamped with the old generation is refused, so a result
+// computed across the change can never be inserted afterwards.
 func (c *Catalog) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -323,14 +294,7 @@ func (c *Catalog) Invalidate() {
 	clear(c.items)
 	c.curBytes = 0
 	for _, ve := range c.views {
-		if ve.promoted() {
-			c.demotions++
-			if ve.churn < churnCap {
-				ve.churn++
-			}
-		}
 		ve.art = nil
-		ve.hitsSinceInval = 0
 	}
 	c.artBytes = 0
 }
@@ -386,9 +350,6 @@ func (c *Catalog) evictColdestViewLocked() {
 	delete(c.views, victim)
 }
 
-// promoted reports whether the view's artifact holds prebuilt trees.
-func (ve *viewEntry) promoted() bool { return ve.art != nil && ve.art.Trees != nil }
-
 // IDOf returns the catalog ID of a registered view ("" if the text was
 // never registered).
 func (c *Catalog) IDOf(viewText string) string {
@@ -400,51 +361,22 @@ func (c *Catalog) IDOf(viewText string) string {
 	return ""
 }
 
-// AccessDirect records one planned search over the view that fell through
-// to direct evaluation, and reports whether the view is now promotable: hot
-// enough under its churn-adjusted threshold, not already materialized, and
-// with room left in the artifact budget. The caller (the engine) builds the
-// trees and stores them with Promote.
-func (c *Catalog) AccessDirect(viewText string) (promotable bool) {
+// Access records one planned search over the view, answered by source
+// (PlanDirect or PlanRewritten). Every access heats the view against
+// registry eviction; a rewrite also counts toward RewriteHits.
+func (c *Catalog) Access(viewText, source string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ve := c.registerLocked(viewText)
-	ve.hits++
-	ve.hitsSinceInval++
-	if ve.promoted() {
-		return false
-	}
-	return ve.hitsSinceInval >= c.promoteHits<<min(ve.churn, churnCap) && c.artBytes < c.artMaxBytes
-}
-
-// AccessPlanned records one search answered by a planner tier (source
-// PlanRewritten or PlanMaterialized) over the view. Like AccessDirect it
-// reports whether the view is now promotable: rewrite serves count toward
-// the promotion threshold — a view hot enough that its skeleton keeps
-// answering is exactly the one worth upgrading to a materialized view —
-// while a materialized serve never is (the strongest tier already holds).
-func (c *Catalog) AccessPlanned(viewText, source string) (promotable bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ve := c.registerLocked(viewText)
-	ve.hits++
-	ve.hitsSinceInval++
-	switch source {
-	case PlanRewritten:
+	c.registerLocked(viewText).hits++
+	if source == PlanRewritten {
 		c.rewriteHits++
-	case PlanMaterialized:
-		c.matHits++
 	}
-	if source != PlanRewritten || ve.promoted() {
-		return false
-	}
-	return ve.hitsSinceInval >= c.promoteHits<<min(ve.churn, churnCap) && c.artBytes < c.artMaxBytes
 }
 
 // Artifact returns the view's artifact, the planner tier it serves
-// (PlanMaterialized once promoted, else PlanRewritten) and the view's
-// catalog ID. With no artifact resident it returns nil, PlanDirect and the
-// ID ("" when the text was never registered). The caller must hold
+// (PlanRewritten) and the view's catalog ID. With no artifact resident it
+// returns nil, PlanDirect and the ID ("" when the text was never
+// registered). The caller must hold
 // whatever locks make the current generation stable for the duration of
 // its use (the engine serves artifacts under the search's shard read
 // locks).
@@ -457,10 +389,8 @@ func (c *Catalog) Artifact(viewText string) (a *Artifact, source, viewID string)
 		return nil, PlanDirect, ""
 	case ve.art == nil:
 		return nil, PlanDirect, ve.id
-	case ve.art.Trees == nil:
-		return ve.art, PlanRewritten, ve.id
 	}
-	return ve.art, PlanMaterialized, ve.id
+	return ve.art, PlanRewritten, ve.id
 }
 
 // StoreSkeleton records a view's evaluation output as its artifact,
@@ -483,32 +413,6 @@ func (c *Catalog) StoreSkeleton(viewText string, gen int, results []*xmltree.Nod
 	c.artBytes += bytes
 }
 
-// Promote adds prebuilt trees, index-aligned with the resident skeleton's
-// results, to the view's artifact, stamped with gen. It reports whether
-// they were accepted: a stale stamp, a missing skeleton or trees already
-// resident refuse them, and trees that would overflow the byte budget are
-// refused AND counted as churn, so an over-budget view stops being rebuilt
-// on every search. bytes is the trees' footprint alone.
-func (c *Catalog) Promote(viewText string, gen int, trees []*xmltree.Node, bytes int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ve, ok := c.views[viewText]
-	if gen != c.gen || !ok || ve.art == nil || ve.promoted() {
-		return false
-	}
-	if c.artBytes+bytes > c.artMaxBytes {
-		if ve.churn < churnCap {
-			ve.churn++
-		}
-		ve.hitsSinceInval = 0
-		return false
-	}
-	ve.art = &Artifact{Results: ve.art.Results, Trees: trees, Bytes: ve.art.Bytes + bytes}
-	c.artBytes += bytes
-	c.promotions++
-	return true
-}
-
 // Stats returns a snapshot of the catalog counters.
 func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
@@ -528,9 +432,6 @@ func (c *Catalog) Stats() Stats {
 		PlannerStats: PlannerStats{
 			Views:            len(c.views),
 			RewriteHits:      c.rewriteHits,
-			MaterializedHits: c.matHits,
-			Promotions:       c.promotions,
-			Demotions:        c.demotions,
 			ArtifactBytes:    c.artBytes,
 			ArtifactMaxBytes: c.artMaxBytes,
 		},
@@ -538,9 +439,6 @@ func (c *Catalog) Stats() Stats {
 	for _, ve := range c.views {
 		if ve.art != nil {
 			st.Skeletons++
-		}
-		if ve.promoted() {
-			st.Materialized++
 		}
 	}
 	return st

@@ -225,11 +225,11 @@ func TestSkeletonGenerationStamping(t *testing.T) {
 	gen = c.Gen()
 	c.StoreSkeleton("v", gen, forest, 10)
 	art, source, id := c.Artifact("v")
-	if art == nil || len(art.Results) != 1 || art.Trees != nil || source != PlanRewritten || id == "" {
+	if art == nil || len(art.Results) != 1 || source != PlanRewritten || id == "" {
 		t.Fatalf("resident skeleton missing: art=%v source=%q id=%q", art, source, id)
 	}
-	if st := c.Stats(); st.Skeletons != 1 || st.Materialized != 0 || st.ArtifactBytes != 10 {
-		t.Errorf("Skeletons=%d Materialized=%d ArtifactBytes=%d, want 1/0/10", st.Skeletons, st.Materialized, st.ArtifactBytes)
+	if st := c.Stats(); st.Skeletons != 1 || st.ArtifactBytes != 10 {
+		t.Errorf("Skeletons=%d ArtifactBytes=%d, want 1/10", st.Skeletons, st.ArtifactBytes)
 	}
 	c.Invalidate()
 	if art, source, id := c.Artifact("v"); art != nil || source != PlanDirect || id == "" {
@@ -254,92 +254,25 @@ func TestSkeletonBudgetRefusal(t *testing.T) {
 	if art, _, _ := c.Artifact("a"); art == nil {
 		t.Error("in-budget skeleton missing")
 	}
-	// Promoting needs the skeleton the trees line up with.
-	if c.Promote("b", c.Gen(), []*xmltree.Node{{Tag: "b"}}, 1) {
-		t.Error("trees promoted without a skeleton")
-	}
 }
 
-func TestPromotionPolicyAndChurn(t *testing.T) {
-	c := New()
-	c.promoteHits, c.artMaxBytes = 2, 1000
-	skeleton := []*xmltree.Node{{Tag: "r"}}
-	c.StoreSkeleton("v", c.Gen(), skeleton, 10)
-	if c.AccessDirect("v") {
-		t.Fatal("promotable after a single hit with threshold 2")
-	}
-	if !c.AccessDirect("v") {
-		t.Fatal("not promotable after reaching the threshold")
-	}
-	stale := c.Gen() - 1
-	if c.Promote("v", stale, []*xmltree.Node{{Tag: "r"}}, 50) {
-		t.Fatal("stale-generation trees accepted")
-	}
-	trees := []*xmltree.Node{{Tag: "r"}}
-	if !c.Promote("v", c.Gen(), trees, 50) {
-		t.Fatal("in-budget promotion refused")
-	}
-	art, source, _ := c.Artifact("v")
-	if art == nil || source != PlanMaterialized || art.Results[0] != skeleton[0] || art.Trees[0] != trees[0] {
-		t.Fatalf("promoted artifact: art=%v source=%q, want the skeleton with its trees", art, source)
-	}
-	if c.Promote("v", c.Gen(), trees, 50) {
-		t.Error("a second promotion of a promoted view was accepted")
-	}
-	if c.AccessDirect("v") {
-		t.Error("already-materialized view reported promotable")
-	}
-	st := c.Stats()
-	if st.Promotions != 1 || st.Skeletons != 1 || st.Materialized != 1 || st.ArtifactBytes != 60 {
-		t.Errorf("Promotions=%d Skeletons=%d Materialized=%d ArtifactBytes=%d, want 1/1/1/60", st.Promotions, st.Skeletons, st.Materialized, st.ArtifactBytes)
-	}
-
-	// A mutation demotes and doubles the re-promotion bar.
-	c.Invalidate()
-	if art, _, _ := c.Artifact("v"); art != nil {
-		t.Fatal("materialized view survived invalidation")
-	}
-	st = c.Stats()
-	if st.Demotions != 1 || st.ArtifactBytes != 0 {
-		t.Errorf("Demotions=%d ArtifactBytes=%d, want 1/0", st.Demotions, st.ArtifactBytes)
-	}
-	hits := 0
-	for !c.AccessDirect("v") {
-		hits++
-		if hits > 10 {
-			t.Fatal("view never became promotable again")
-		}
-	}
-	if hits+1 != 4 { // threshold 2 doubled once by churn
-		t.Errorf("re-promotion after %d hits, want 4", hits+1)
-	}
-}
-
-func TestStoreMaterializedOverBudgetCountsChurn(t *testing.T) {
-	c := New()
-	c.promoteHits, c.artMaxBytes = 1, 100
-	c.StoreSkeleton("v", c.Gen(), []*xmltree.Node{{Tag: "r"}}, 10)
-	c.AccessDirect("v")
-	if c.Promote("v", c.Gen(), []*xmltree.Node{{Tag: "r"}}, 200) {
-		t.Fatal("over-budget promotion accepted")
-	}
-	// The refusal resets heat and raises the bar, so the view is not
-	// immediately re-promotable on the next search.
-	if c.AccessDirect("v") {
-		t.Error("over-budget view promotable again after one hit")
-	}
-	if st := c.Stats(); st.Promotions != 0 || st.Materialized != 0 || st.ArtifactBytes != 10 {
-		t.Errorf("Promotions=%d Materialized=%d ArtifactBytes=%d, want 0/0/10", st.Promotions, st.Materialized, st.ArtifactBytes)
-	}
-}
-
+// TestAccessPlannedCounters: Access registers the view and counts only
+// rewrites as RewriteHits; every access heats the view, so registry
+// eviction drops the coldest view first.
 func TestAccessPlannedCounters(t *testing.T) {
 	c := New()
-	c.AccessPlanned("v", PlanRewritten)
-	c.AccessPlanned("v", PlanMaterialized)
-	c.AccessPlanned("v", PlanMaterialized)
+	c.Access("v", PlanRewritten)
+	c.Access("v", PlanDirect)
+	c.Access("v", PlanRewritten)
+	c.Access("w", PlanDirect)
 	st := c.Stats()
-	if st.RewriteHits != 1 || st.MaterializedHits != 2 {
-		t.Errorf("RewriteHits=%d MaterializedHits=%d, want 1/2", st.RewriteHits, st.MaterializedHits)
+	if st.RewriteHits != 2 || st.Views != 2 {
+		t.Errorf("RewriteHits=%d Views=%d, want 2/2", st.RewriteHits, st.Views)
+	}
+	c.mu.Lock()
+	c.evictColdestViewLocked()
+	c.mu.Unlock()
+	if c.IDOf("w") != "" || c.IDOf("v") == "" {
+		t.Errorf("eviction kept w=%q and dropped v=%q, want the colder w dropped", c.IDOf("w"), c.IDOf("v"))
 	}
 }

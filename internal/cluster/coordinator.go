@@ -87,9 +87,9 @@ type docInfo struct {
 //
 // The catalog is the same type the single-process engine uses
 // (internal/catalog): the coordinator's tiers are the exact result cache
-// and the TopK-window rewrite over the shared unpaged entry. There are no
-// skeleton or materialized tiers anywhere in a cluster: no node request
-// turns on the engine planner, so a node never serves from an artifact.
+// and the TopK-window rewrite over the shared unpaged entry. There is no
+// skeleton tier anywhere in a cluster: no node request turns on the
+// engine planner, so a node never serves from an artifact.
 type Coordinator struct {
 	cfg    Config
 	client *http.Client
@@ -475,11 +475,10 @@ func (c *Coordinator) TotalBytes() int {
 func (c *Coordinator) CacheStats() catalog.Stats { return c.cache.Stats() }
 
 // PlanProbe reports which catalog tier would answer a cached search over
-// the named view with the given keywords, without evaluating anything:
-// "cache_hit" when the shared unpaged result-cache entry is resident (both
-// exact and TopK-window queries are served from it), otherwise "direct".
-// A cluster has no skeleton or materialized tiers: nodes always evaluate
-// directly. viewID is the catalog ID of the view.
+// the named view with the given keywords, without evaluating anything (see
+// vxml.PlanProbe). The coordinator's catalog never holds a skeleton — nodes
+// always evaluate directly — so the answer is "cache_hit" or "direct".
+// viewID is the catalog ID of the view.
 func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID string, err error) {
 	c.mu.RLock()
 	v := c.views[name]
@@ -487,10 +486,8 @@ func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID 
 	if v == nil {
 		return "", "", fmt.Errorf("cluster: %w: %q", vxml.ErrUnknownView, name)
 	}
-	if vxml.PlannedHit(c.cache, v.Text, keywords) {
-		return catalog.PlanCacheHit, c.cache.IDOf(v.Text), nil
-	}
-	return catalog.PlanDirect, c.cache.IDOf(v.Text), nil
+	source, viewID = vxml.PlanProbe(c.cache, v.Text, keywords)
+	return source, viewID, nil
 }
 
 // SlotCounters is a point-in-time snapshot of one slot for stats surfaces.

@@ -89,8 +89,6 @@ type Engine struct {
 	// Layers above (the Database, the HTTP server) share this same
 	// catalog for their exact result-cache tier.
 	Catalog *catalog.Catalog
-	// promoteMu single-flights view materialization (see maybePromote).
-	promoteMu sync.Mutex
 }
 
 // RLock takes every shard's read lock, in shard order. Comparator
@@ -313,9 +311,8 @@ type Options struct {
 	// every setting.
 	Parallelism int
 	// Plan routes the search through the catalog planner: the view's
-	// artifact (its skeleton, with prebuilt trees once promoted) serves the
-	// query instead of the PDT pipeline, and direct evaluations record artifacts and
-	// count toward adaptive materialization. Planned answers are
+	// skeleton serves the query instead of the PDT pipeline, and direct
+	// evaluations record the skeleton. Planned answers are
 	// byte-identical to direct evaluation at every option combination;
 	// Stats.PlanSource reports which path answered. The cluster
 	// primitives ignore it (ClusterRank, MaterializeAt).
@@ -365,8 +362,8 @@ type Stats struct {
 	// PlanSource reports how the answer was produced: "direct" (full
 	// pipeline, and every comparator run), "cache_hit" (exact result-cache
 	// entry; the timing fields then describe the original computation),
-	// "rewritten" (window slice of a cached unranked entry, or a re-scored
-	// view skeleton), or "materialized" (adaptively materialized view).
+	// or "rewritten" (window slice of a cached unranked entry, or a
+	// re-scored view skeleton).
 	// PlanView is the catalog ID of the serving view ("" when the view is
 	// not in the catalog). Like the fields above they describe the
 	// execution — results are byte-identical across every plan source.
@@ -385,7 +382,7 @@ type Result struct {
 	Score float64
 	TFs   []int
 	// Element is the materialized result. It is read-only: it may share
-	// nodes with the corpus, the catalog's artifacts and other results.
+	// nodes with the corpus and other results.
 	Element *xmltree.Node
 	// Snippet is a keyword-in-context excerpt from Element.
 	Snippet string
@@ -638,7 +635,6 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 	}
 	stats := out.closePost()
 	stats.BaseData = fetcher.Fetches
-	e.maybePromote(ctx, v, out)
 	return results, stats, nil
 }
 
@@ -648,10 +644,8 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 // expand them.
 type viewOutput struct {
 	// results are the view's results, in view order: PDT-pruned trees from
-	// direct evaluation or a skeleton. trees holds their prebuilt complete
-	// trees, index-aligned, when a promoted artifact served them (else nil).
+	// direct evaluation or a skeleton.
 	results []*xmltree.Node
-	trees   []*xmltree.Node
 	// owners holds the document each result came from when the
 	// per-document pipeline produced them (non-nil exactly then); outer is
 	// the ID of the outer reference's document when whole-view evaluation
@@ -667,12 +661,6 @@ type viewOutput struct {
 	lists map[int32][]*invindex.PostingList
 	kws   []string // normalized keywords
 	stats *Stats
-	// promotable is set when this search pushed its view over the
-	// promotion threshold, and planGen is the catalog generation read
-	// under the shard read locks; the entry points run maybePromote with
-	// both after the locks are released.
-	promotable bool
-	planGen    int
 	// post is when the view's results came into existence — the start of
 	// the scoring + materialization time Stats.PostTime reports.
 	post time.Time
@@ -711,13 +699,13 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards), PlanSource: catalog.PlanDirect}
 	out := &viewOutput{kws: kws, stats: stats, post: time.Now()}
 
-	// planGen is read under the shard read locks, so a mutation touching
-	// this view's documents cannot land between here and the skeleton
-	// store below — a bump from an unrelated shard only makes the store a
+	// gen is read under the shard read locks, so a mutation touching this
+	// view's documents cannot land between here and the skeleton store
+	// below — a bump from an unrelated shard only makes the store a
 	// refused no-op.
-	served := false
+	served, gen := false, 0
 	if opts.Plan {
-		out.planGen = e.Catalog.Gen()
+		gen = e.Catalog.Gen()
 		served = e.tryPlan(v, out)
 	}
 	if !served {
@@ -736,11 +724,9 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 		// search over this view: its nodes never escape to callers (a
 		// winner's wrappers are built anew and its base subtrees come from
 		// the store), so sharing them with future serves is safe.
-		// AccessDirect counts this search toward promotion; the entry
-		// points materialize after the locks drop.
 		if opts.Plan {
-			e.Catalog.StoreSkeleton(v.Text, out.planGen, out.results, artifactFootprint(out.results))
-			out.promotable = e.Catalog.AccessDirect(v.Text)
+			e.Catalog.StoreSkeleton(v.Text, gen, out.results, artifactFootprint(out.results))
+			e.Catalog.Access(v.Text, catalog.PlanDirect)
 		}
 		out.post = time.Now()
 	}
@@ -781,15 +767,13 @@ const snippetWidth = 160
 // pays for the rest; ctx is checked before each winner and a cancellation
 // is delivered as the final (zero Result, error) pair. Rank numbers are
 // absolute positions in ranked. It needs no shard lock: subtree fetches
-// resolve through the store's lock-free Dewey map. Winners served from a
-// promoted artifact are taken prebuilt from it by view position. Either
-// way a Result's Element is read-only and may share nodes with the store,
-// the catalog and other results.
+// resolve through the store's lock-free Dewey map. A Result's Element is
+// read-only and may share nodes with the store and other results.
 func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offset int, fetcher scoring.Fetcher) iter.Seq2[Result, error] {
 	// The sequence may outlive the search by a long time (a slow stream
 	// consumer): capture what it needs, not o, so the unranked remainder of
 	// the view output is collectable meanwhile.
-	kws, trees := o.kws, o.trees
+	kws := o.kws
 	return func(yield func(Result, error) bool) {
 		for i := max(0, offset); i < len(ranked); i++ {
 			if err := ctxErr(ctx); err != nil {
@@ -798,11 +782,7 @@ func (o *viewOutput) winners(ctx context.Context, ranked []scoring.Scored, offse
 			}
 			sc := ranked[i]
 			r := Result{Rank: i + 1, Score: sc.Score, TFs: sc.Stats.TFs}
-			if trees != nil {
-				r.Element = trees[sc.Index]
-			} else {
-				r.Element = scoring.Materialize(sc.Result, fetcher)
-			}
+			r.Element = scoring.Materialize(sc.Result, fetcher)
 			r.Snippet = scoring.Snippet(r.Element, kws, snippetWidth)
 			if !yield(r, nil) {
 				return

@@ -170,9 +170,8 @@ func (e *evalError) Unwrap() error { return e.err }
 const collectChunk = 64
 
 // collect is the stat-collection phase: the per-result scoring inputs (term
-// frequencies and byte length), index-aligned with o.results. A
-// materialized view and the per-document pipeline bring their own; for the
-// other PDT-pruned results — fresh from whole-view evaluation or a stored
+// frequencies and byte length), index-aligned with o.results. The
+// per-document pipeline brings its own; for the other PDT-pruned results — fresh from whole-view evaluation or a stored
 // skeleton alike — one pooled loop derives them (addResultStats). It runs
 // lock-free.
 func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"vxml/internal/catalog"
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
 	"vxml/internal/scoring"
@@ -15,8 +14,9 @@ import (
 )
 
 // TestResultsShareReadOnlyTrees: a result shares nodes with the corpus —
-// Materialize hands out the store's base subtrees and a materialized view
-// its own trees — so no search, snippet or mutation may write into them.
+// Materialize hands out the store's base subtrees, and a planned search
+// re-scores the catalog's shared skeleton — so no search, snippet or
+// mutation may write into them.
 // Every stored document serializes byte-identically before and after many
 // concurrent searches (direct and planned, sequential and pooled) racing a
 // Replace, on the heap store and on the disk store. Under -race any write
@@ -53,16 +53,14 @@ func searchWithoutWrites(t *testing.T, e *core.Engine) {
 			t.Fatal(err)
 		}
 		views[i] = v
-		// Promote every view before the searchers start, so the
-		// materialized tier hands out its trees too.
-		for range catalog.DefaultPromoteHits {
-			if _, _, err := e.Search(v, []string{"copper"}, core.Options{Plan: true}); err != nil {
-				t.Fatal(err)
-			}
+		// Record every view's skeleton before the searchers start, so the
+		// planned searches below share it.
+		if _, _, err := e.Search(v, []string{"copper"}, core.Options{Plan: true}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if st := e.Catalog.Stats(); st.Materialized != len(views) {
-		t.Fatalf("%d of %d views materialized before the searchers start", st.Materialized, len(views))
+	if st := e.Catalog.Stats(); st.Skeletons != len(views) {
+		t.Fatalf("%d of %d views hold a skeleton before the searchers start", st.Skeletons, len(views))
 	}
 
 	const searchers = 6

@@ -32,7 +32,6 @@ func (e *Engine) ResultsSeq(ctx context.Context, v *View, keywords []string, opt
 			yield(Result{}, err)
 			return
 		}
-		e.maybePromote(ctx, v, out)
 		// The store is the fetcher directly: the sequence yields no Stats,
 		// so there is no per-search fetch count to keep.
 		out.winners(ctx, ranked, offset, e.Store)(yield)

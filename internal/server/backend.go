@@ -43,8 +43,8 @@ type Backend interface {
 	Explain(ctx context.Context, view string, keywords []string) (string, error)
 	CacheStats() catalog.Stats
 	// PlanProbe reports which catalog tier would answer a cached search
-	// over the view — "cache_hit", "materialized", "rewritten" or
-	// "direct" — plus the view's catalog ID, without evaluating anything.
+	// over the view — "cache_hit", "rewritten" or "direct" — plus the
+	// view's catalog ID, without evaluating anything.
 	PlanProbe(view string, keywords []string) (source, viewID string, err error)
 	// Shards reports per-partition counters: corpus shards for a
 	// database, cluster slots for a coordinator.

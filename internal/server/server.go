@@ -573,10 +573,10 @@ type explainRequest struct {
 // so a captured explanation is self-describing when attached to a load
 // harness failure or stored next to other evidence. PlanSource and
 // PlanView report which catalog tier would answer a cached search right
-// now ("direct", "cache_hit", "rewritten" or "materialized", plus the
-// serving view's catalog ID) — a point-in-time probe, not a promise: a
-// mutation or eviction between explain and search can change the tier
-// (never the results).
+// now ("direct", "cache_hit" or "rewritten", plus the serving view's
+// catalog ID) — a point-in-time probe, not a promise: a mutation or
+// eviction between explain and search can change the tier (never the
+// results).
 type explainResponse struct {
 	View       string   `json:"view"`
 	Keywords   []string `json:"keywords"`

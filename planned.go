@@ -60,13 +60,20 @@ func resultKey(viewText string, keywords []string, topK int, disjunctive bool, a
 		catalog.IntPart(int(approach)))
 }
 
-// PlannedHit reports whether cat holds the shared unpaged entry that
-// answers every cached conjunctive Efficient search over viewText with
-// these keywords — exact and TopK-window queries alike. It is the
-// "cache_hit" half of a plan probe and touches no counter.
-func PlannedHit(cat *catalog.Catalog, viewText string, keywords []string) bool {
-	_, ok := cat.Probe(resultKey(viewText, keywords, 0, false, Efficient))
-	return ok
+// PlanProbe reports which of cat's tiers would answer a cached (Cache:
+// true) conjunctive Efficient search over viewText with these keywords,
+// without evaluating anything: "cache_hit" when the shared unpaged
+// result-cache entry is resident (exact and TopK-window queries are both
+// served from it), "rewritten" when cat holds the view's skeleton, else
+// "direct". viewID is the view's catalog ID ("" when it is not
+// registered). The probe touches no counter and no LRU recency beyond a
+// cache touch, so it is safe to call from diagnostics surfaces.
+func PlanProbe(cat *catalog.Catalog, viewText string, keywords []string) (source, viewID string) {
+	if _, ok := cat.Probe(resultKey(viewText, keywords, 0, false, Efficient)); ok {
+		return catalog.PlanCacheHit, cat.IDOf(viewText)
+	}
+	_, source, viewID = cat.Artifact(viewText)
+	return source, viewID
 }
 
 // PlannedSearch serves one search over the view with definition viewText
@@ -120,7 +127,7 @@ func PlannedSearch(ctx context.Context, cat *catalog.Catalog, viewText string, k
 		fullKey := resultKey(viewText, keywords, 0, opts.Disjunctive, opts.Approach)
 		if val, ok := cat.Probe(fullKey); ok {
 			hit := val.(*cachedSearch)
-			cat.AccessPlanned(viewText, catalog.PlanRewritten)
+			cat.Access(viewText, catalog.PlanRewritten)
 			return remapTF(pageSlice(hit.results, 0, opts.TopK), keywords), hit.statsFor(catalog.PlanRewritten, cat.IDOf(viewText)), nil
 		}
 	}

@@ -2,24 +2,21 @@ package vxml_test
 
 // Property-style equivalence tests for the catalog query planner: every
 // planner tier — exact cache hit, TopK-window rewrite, skeleton rewrite
-// with different keywords, adaptively materialized view — must return
-// byte-identical results (rank, score, TF map, materialized XML, snippet)
-// to direct evaluation of the same search, across randomized corpora,
-// view shapes, keyword sets, both parallelism settings and interleaved
-// Replace/Delete mutations (which must invalidate every artifact). Run
-// with -race: the concurrent trial races planned searches against
-// mutations and promotions.
+// with different keywords — must return byte-identical results (rank,
+// score, TF map, materialized XML, snippet) to direct evaluation of the
+// same search, across randomized corpora, view shapes, keyword sets, both
+// parallelism settings and interleaved Replace/Delete mutations (which
+// must invalidate every artifact). Run with -race: the concurrent trial
+// races planned searches against mutations.
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
 	"vxml"
-	"vxml/internal/catalog"
 	"vxml/internal/testkit"
 )
 
@@ -28,32 +25,39 @@ import (
 // the planned search's plan source.
 func plannedVsDirect(t *testing.T, label string, db *vxml.Database, view *vxml.View, kws []string, opts vxml.Options) string {
 	t.Helper()
-	direct := opts
-	direct.Cache = false
-	want, _, err := db.Search(view, kws, &direct)
+	planned, _ := plannedAndDirect(t, label, db, view, kws, opts)
+	return planned.PlanSource
+}
+
+// plannedAndDirect is plannedVsDirect returning both searches' stats,
+// planned first.
+func plannedAndDirect(t *testing.T, label string, db *vxml.Database, view *vxml.View, kws []string, opts vxml.Options) (planned, direct *vxml.Stats) {
+	t.Helper()
+	directOpts := opts
+	directOpts.Cache = false
+	want, direct, err := db.Search(view, kws, &directOpts)
 	if err != nil {
 		t.Fatalf("%s: direct: %v", label, err)
 	}
-	planned := opts
-	planned.Cache = true
-	got, stats, err := db.Search(view, kws, &planned)
+	plannedOpts := opts
+	plannedOpts.Cache = true
+	got, planned, err := db.Search(view, kws, &plannedOpts)
 	if err != nil {
 		t.Fatalf("%s: planned: %v", label, err)
 	}
 	testkit.MustEqualResults(t, label, want, got)
-	if stats.PlanSource == "" {
+	if planned.PlanSource == "" {
 		t.Fatalf("%s: planned search reported no plan source", label)
 	}
-	return stats.PlanSource
+	return planned, direct
 }
 
 // TestPlannerEquivalenceRandomized drives 48 randomized corpora through a
 // search sequence designed to hit every planner tier in turn — first
 // search direct (records the skeleton), different-keyword searches off the
 // skeleton, a TopK window off the cached full entry, an exact repeat, then
-// enough heat to cross the promotion threshold and serve from the
-// materialized view — asserting byte identity with direct evaluation at
-// every step, then interleaves Replace and Delete and re-asserts (stale
+// more keyword sets off the skeleton — asserting byte identity with direct
+// evaluation at every step, then interleaves Replace and Delete and re-asserts (stale
 // artifacts must never serve). Trials alternate sequential and parallel
 // pipelines and run concurrently with each other.
 func TestPlannerEquivalenceRandomized(t *testing.T) {
@@ -94,11 +98,10 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 			note(plannedVsDirect(t, "window", db, view, kwsA, topk))
 			note(plannedVsDirect(t, "exact-repeat", db, view, kwsA, base))
 
-			// The view has been served several times over the threshold by
-			// now; the promoted materialized view must answer new keyword
-			// sets byte-identically.
-			note(plannedVsDirect(t, "hot", db, view, []string{"quartz", "survey"}, base))
-			note(plannedVsDirect(t, "hot-window", db, view, []string{"quartz"}, topk))
+			// Further new keyword sets, unpaged and windowed, still rewrite
+			// the same skeleton.
+			note(plannedVsDirect(t, "more-keywords", db, view, []string{"quartz", "survey"}, base))
+			note(plannedVsDirect(t, "more-keywords-window", db, view, []string{"quartz"}, topk))
 
 			// Mutations invalidate every artifact: each planned search after
 			// one must match a fresh direct evaluation, never a stale tier.
@@ -120,7 +123,7 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 		// trials, or the suite is vacuously passing against a planner that
 		// never engages.
 		t.Logf("plan sources observed: %v", observed)
-		for _, want := range []string{"direct", "cache_hit", "rewritten", "materialized"} {
+		for _, want := range []string{"direct", "cache_hit", "rewritten"} {
 			if observed[want] == 0 {
 				t.Errorf("plan source %q never observed across trials (got %v)", want, observed)
 			}
@@ -128,14 +131,15 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 	})
 }
 
-// TestPlannerPromotionLifecycle pins the adaptive-materialization policy
-// end to end on one database: skeleton after the first planned search,
-// materialized after the threshold (catalog.DefaultPromoteHits), demotion
-// on mutation, and a doubled re-promotion bar afterwards (churn) — all
-// visible through CacheStats. Distinct keyword sets make each search reach
-// the engine (an exact repeat would serve from the result cache without
-// counting heat).
-func TestPlannerPromotionLifecycle(t *testing.T) {
+// TestPlannerSkeletonLifecycle pins the skeleton tier end to end on one
+// database: the first planned search evaluates directly and leaves a
+// skeleton; every later search with new keywords rewrites it, however hot
+// the view gets, and fetches from base data exactly what the matching
+// direct search fetches (the winners, and nothing prebuilt); a mutation
+// drops the skeleton and the next search evaluates directly again.
+// Distinct keyword sets make each search reach the engine (an exact repeat
+// would serve from the result cache).
+func TestPlannerSkeletonLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	db := testkit.BuildEqCorpus(t, rng, 4)
 	view, err := db.DefineView(testkit.EqViews[0])
@@ -143,12 +147,14 @@ func TestPlannerPromotionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := vxml.Options{}
-	const threshold = catalog.DefaultPromoteHits
-	// 2*threshold+1 distinct keyword sets: the nonempty subsets of words,
-	// in bitmask order.
+	// rewrites is twice a hit-count promotion threshold of 3, plus one: a
+	// prebuilt-tree tier that promoted on heat would show within it. The
+	// keyword sets are the nonempty subsets of words, in bitmask order: one
+	// cold search, the rewrites, one after the mutation.
+	const rewrites = 2*3 + 1
 	words := []string{"copper", "quartz", "survey", "basalt", "granite", "mica"}
 	var kwSets [][]string
-	for mask := 1; mask < 1<<len(words) && len(kwSets) <= 2*threshold; mask++ {
+	for mask := 1; len(kwSets) < rewrites+2; mask++ {
 		var kws []string
 		for b, w := range words {
 			if mask>>b&1 == 1 {
@@ -157,50 +163,37 @@ func TestPlannerPromotionLifecycle(t *testing.T) {
 		}
 		kwSets = append(kwSets, kws)
 	}
-	if len(kwSets) <= 2*threshold {
-		t.Fatalf("%d keyword sets for a promotion threshold of %d, want %d", len(kwSets), threshold, 2*threshold+1)
+
+	if src := plannedVsDirect(t, "cold", db, view, kwSets[0], opts); src != "direct" {
+		t.Fatalf("first search served from %q, want direct", src)
 	}
-	// heat runs the first n keyword sets as planned searches and returns
-	// the tier each was served from.
-	heat := func(label string, n int) []string {
-		var sources []string
-		for i, kws := range kwSets[:n] {
-			sources = append(sources, plannedVsDirect(t, fmt.Sprintf("%s-%d", label, i), db, view, kws, opts))
+	fetched := 0
+	for i, kws := range kwSets[1 : rewrites+1] {
+		label := fmt.Sprintf("warm-%d", i)
+		planned, direct := plannedAndDirect(t, label, db, view, kws, opts)
+		if planned.PlanSource != "rewritten" {
+			t.Fatalf("%s served from %q, want rewritten", label, planned.PlanSource)
 		}
-		return sources
+		if planned.BaseData != direct.BaseData {
+			t.Fatalf("%s fetched %d base subtrees, the direct search %d", label, planned.BaseData, direct.BaseData)
+		}
+		fetched += planned.BaseData
 	}
-	// The first search evaluates directly and leaves a skeleton; the rest
-	// rewrite it, and the one that reaches the threshold promotes inline.
-	rewrites := slices.Repeat([]string{"rewritten"}, threshold-1)
-	if got, want := heat("cold", threshold), append([]string{"direct"}, rewrites...); !slices.Equal(got, want) {
-		t.Fatalf("cold sequence served from %v, want %v", got, want)
+	if fetched == 0 {
+		t.Fatal("no rewritten search fetched base data: the keyword sets match nothing")
 	}
-	cs := db.CacheStats()
-	if cs.Skeletons != 1 || cs.Materialized != 1 || cs.Promotions != 1 {
-		t.Fatalf("after threshold: skeletons=%d materialized=%d promotions=%d, want 1/1/1", cs.Skeletons, cs.Materialized, cs.Promotions)
-	}
-	if src := plannedVsDirect(t, "promoted", db, view, kwSets[threshold], opts); src != "materialized" {
-		t.Fatalf("post-promotion search served from %q, want materialized", src)
+	if cs := db.CacheStats(); cs.Skeletons != 1 || cs.RewriteHits != rewrites {
+		t.Fatalf("after warm-up: skeletons=%d rewrite_hits=%d, want 1/%d", cs.Skeletons, cs.RewriteHits, rewrites)
 	}
 
-	// A mutation demotes: the artifact is dropped, the demotion counted,
-	// and the doubled threshold (churn) delays re-promotion.
 	if err := db.Replace("part-00.xml", testkit.RandomPartDoc(rng, 9)); err != nil {
 		t.Fatal(err)
 	}
-	cs = db.CacheStats()
-	if cs.Materialized != 0 || cs.Demotions != 1 {
-		t.Fatalf("after mutation: materialized=%d demotions=%d, want 0/1", cs.Materialized, cs.Demotions)
+	if cs := db.CacheStats(); cs.Skeletons != 0 {
+		t.Fatalf("after mutation: skeletons=%d, want 0", cs.Skeletons)
 	}
-	rewrites = slices.Repeat([]string{"rewritten"}, 2*threshold-1)
-	if got, want := heat("churned", 2*threshold), append([]string{"direct"}, rewrites...); !slices.Equal(got, want) {
-		t.Fatalf("churned sequence served from %v, want %v", got, want)
-	}
-	if cs = db.CacheStats(); cs.Promotions != 2 {
-		t.Fatalf("after churned re-heat: promotions=%d, want 2 (threshold doubled)", cs.Promotions)
-	}
-	if src := plannedVsDirect(t, "re-promoted", db, view, kwSets[2*threshold], opts); src != "materialized" {
-		t.Fatalf("re-promoted search served from %q, want materialized", src)
+	if src := plannedVsDirect(t, "after-replace", db, view, kwSets[rewrites+1], opts); src != "direct" {
+		t.Fatalf("post-mutation search served from %q, want direct", src)
 	}
 }
 

@@ -246,18 +246,9 @@ func (db *Database) CacheStats() catalog.Stats { return db.catalog.Stats() }
 
 // PlanProbe reports which catalog tier would answer a cached (Cache: true)
 // conjunctive Efficient search over v with the given keywords, without
-// evaluating anything: "cache_hit" when the shared unpaged result-cache
-// entry is resident (exact and TopK-window queries are both served from
-// it), "materialized" or "rewritten" when the catalog holds that artifact
-// for the view, else "direct". viewID is the view's catalog ID ("" when it
-// is not registered). The probe mutates no counters and no LRU recency
-// beyond a cache touch, so it is safe to call from diagnostics surfaces.
+// evaluating anything (see the package-level PlanProbe).
 func (db *Database) PlanProbe(v *View, keywords []string) (source, viewID string) {
-	if PlannedHit(db.catalog, v.inner.Text, keywords) {
-		return catalog.PlanCacheHit, db.catalog.IDOf(v.inner.Text)
-	}
-	_, source, viewID = db.catalog.Artifact(v.inner.Text)
-	return source, viewID
+	return PlanProbe(db.catalog, v.inner.Text, keywords)
 }
 
 // ShardStats returns a snapshot of per-shard corpus counters (document
@@ -342,8 +333,8 @@ type Options struct {
 	// Cache also opts the search into the catalog planner (Efficient
 	// pipeline only): on an exact-entry miss the query may still be
 	// answered by rewriting — a TopK window sliced from a cached unranked
-	// entry, or a re-scored view skeleton — or from an adaptively
-	// materialized view, all byte-identical to direct evaluation.
+	// entry, or a re-scored view skeleton — byte-identically to direct
+	// evaluation.
 	// Stats.PlanSource reports which path answered.
 	Cache bool
 }
