@@ -79,7 +79,7 @@ func main() {
 		log.Fatalf("configuring cluster: %v (give at least one -slot URL)", err)
 	}
 
-	srv := server.NewCluster(coord)
+	srv := server.NewBackend(coord)
 	server.ServePprof(*pprofAddr)
 	srv.SetReadOnly(*readonly)
 

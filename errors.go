@@ -12,11 +12,15 @@
 //	ErrDocumentTooDeep       document nests elements too deeply     400
 //	ErrViewTooLarge          view expands past the QPT node bound   400
 //	ErrPartialCluster        distributed search lost node(s)        502
+//	ErrNodeUnavailable       mutation could not reach a primary     502
+//	ErrStaleGeneration       search kept racing mutations; retry    503
+//	ErrUnroutableView        view's references span cluster slots   400
 //	context.Canceled         caller canceled the context            499
 //	context.DeadlineExceeded the context's deadline passed          408
 //
-// The HTTP column is the mapping internal/server applies on the /v1
-// routes. Context errors are always wrapped (never returned bare), so
+// The HTTP column is the mapping internal/httpkit applies on the /v1
+// routes and, with a typed code beside it, on a cluster node's
+// /cluster/v1 routes. Context errors are always wrapped (never returned bare), so
 // errors.Is(err, context.Canceled) classifies them while the message still
 // names the phase that was interrupted.
 
@@ -83,3 +87,22 @@ var ErrViewTooLarge = qpt.ErrTooManyNodes
 // is the marker). Stats.Nodes carries the per-member outcome. Single-process
 // searches never return it.
 var ErrPartialCluster = errors.New("vxml: partial cluster results")
+
+// ErrStaleGeneration reports a distributed search that could not observe a
+// stable generation vector within the bounded retry budget: some node kept
+// answering at a generation other than the coordinator expected (a mutation
+// storm, or a replica that was bootstrapped from an outdated snapshot).
+// The condition is transient and the request is safe to retry.
+var ErrStaleGeneration = errors.New("cluster: generation vector stale")
+
+// ErrUnroutableView reports a search over a view that references
+// partitioned documents on more than one cluster node without being
+// scatterable: no node holds every document the evaluation needs, and
+// cross-node joins are not implemented.
+var ErrUnroutableView = errors.New("cluster: view cannot be routed over the partitioned corpus")
+
+// ErrNodeUnavailable reports a mutation that could not reach the owning
+// cluster slot's primary (connection failure or per-RPC timeout): the
+// corpus is unchanged on that slot and the request is safe to retry once
+// the node returns. The failure is the cluster's, not the client's.
+var ErrNodeUnavailable = errors.New("cluster: node unavailable")

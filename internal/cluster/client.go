@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"vxml/internal/httpkit"
 )
 
 // nodeCallError is a decoded non-2xx node reply, kept structured so retry
@@ -26,7 +28,7 @@ func (e *nodeCallError) Error() string {
 
 // errorFromResponse drains a non-2xx reply into a nodeCallError.
 func errorFromResponse(resp *http.Response) error {
-	var body errorBody
+	var body httpkit.ErrorBody
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body)
 	if body.Error == "" {
 		body.Error = http.StatusText(resp.StatusCode)
@@ -37,16 +39,12 @@ func errorFromResponse(resp *http.Response) error {
 // postJSON performs one JSON round trip against a node, bounded by the
 // per-RPC timeout. A non-200 reply decodes into a *nodeCallError.
 func (c *Coordinator) postJSON(ctx context.Context, baseURL, path string, in, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	resp, err := c.post(ctx, baseURL, path, in)
+	resp, cancel, err := c.postStream(ctx, baseURL, path, in)
 	if err != nil {
 		return err
 	}
+	defer cancel()
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errorFromResponse(resp)
-	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
@@ -57,9 +55,10 @@ func (c *Coordinator) postJSON(ctx context.Context, baseURL, path string, in, ou
 	return nil
 }
 
-// postStream performs one streaming POST against a node. The returned
-// cancel releases the per-RPC timeout that bounds the whole body read and
-// must be called when the caller is done with the response.
+// postStream performs one POST against a node whose reply the caller
+// reads. The returned cancel releases the per-RPC timeout that bounds the
+// whole body read and must be called when the caller is done with the
+// response. A non-200 reply decodes into a *nodeCallError.
 func (c *Coordinator) postStream(ctx context.Context, baseURL, path string, in any) (*http.Response, context.CancelFunc, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	resp, err := c.post(ctx, baseURL, path, in)

@@ -15,29 +15,10 @@ import (
 	"vxml"
 	"vxml/internal/catalog"
 	"vxml/internal/core"
+	"vxml/internal/diskstore"
 	"vxml/internal/docname"
+	"vxml/internal/store"
 )
-
-// ErrStaleGeneration reports a distributed search that could not observe a
-// stable generation vector within the bounded retry budget: some node kept
-// answering at a generation other than the coordinator expected (a mutation
-// storm, or a replica that was bootstrapped from an outdated snapshot).
-// The HTTP layer maps it to 503 — the condition is transient and the
-// request is safe to retry.
-var ErrStaleGeneration = errors.New("cluster: generation vector stale")
-
-// ErrUnroutableView reports a search over a view that references
-// partitioned documents on more than one node without being scatterable:
-// no node holds every document the evaluation needs, and cross-node joins
-// are not implemented. The HTTP layer maps it to 400.
-var ErrUnroutableView = errors.New("cluster: view cannot be routed over the partitioned corpus")
-
-// ErrNodeUnavailable reports a mutation that could not reach the owning
-// slot's primary (connection failure or per-RPC timeout): the corpus is
-// unchanged on that slot and the request is safe to retry once the node
-// returns. The HTTP layer maps it to 502 — the failure is the cluster's,
-// not the client's.
-var ErrNodeUnavailable = errors.New("cluster: node unavailable")
 
 // Defaults for Config's zero fields.
 const (
@@ -83,7 +64,8 @@ type docInfo struct {
 // catalog — and serves the same search/mutation surface as a vxml.Database,
 // scatter-gathering over the configured nodes. Results are byte-identical
 // to a single-process database holding the same corpus (see the package
-// documentation for the argument). It is safe for concurrent use.
+// documentation for the argument). It is safe for concurrent use, and it
+// is the server.Backend the public /v1 API serves a cluster through.
 //
 // The catalog is the same type the single-process engine uses
 // (internal/catalog): the coordinator's tiers are the exact result cache
@@ -362,7 +344,7 @@ func (c *Coordinator) mutationError(ctx context.Context, verb, name string, slot
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return fmt.Errorf("cluster: %s %q interrupted: %w", verb, name, ctxErr)
 	}
-	return fmt.Errorf("%s %q on slot %d primary: %w: %v", verb, name, slot, ErrNodeUnavailable, err)
+	return fmt.Errorf("%s %q on slot %d primary: %w: %v", verb, name, slot, vxml.ErrNodeUnavailable, err)
 }
 
 // DefineView compiles and registers a named view cluster-wide: the
@@ -370,19 +352,9 @@ func (c *Coordinator) mutationError(ctx context.Context, verb, name string, slot
 // references must name registered documents), classified for routing, and
 // pushed to every member. A member that is down simply learns the view
 // later through the self-healing re-push a read triggers on unknown_view.
-// Defining an already-registered name fails with vxml.ErrDuplicateView.
-func (c *Coordinator) DefineView(ctx context.Context, name, xquery string) (string, error) {
-	return c.defineView(ctx, name, xquery, false)
-}
-
-// ForceDefineView is DefineView that silently replaces an existing
-// registration — the pre-traffic setup path binaries use, mirroring
-// server.Server.DefineView.
-func (c *Coordinator) ForceDefineView(ctx context.Context, name, xquery string) (string, error) {
-	return c.defineView(ctx, name, xquery, true)
-}
-
-func (c *Coordinator) defineView(ctx context.Context, name, xquery string, replace bool) (string, error) {
+// With replace unset, defining an already-registered name fails with
+// vxml.ErrDuplicateView; with it set, the registration is replaced.
+func (c *Coordinator) DefineView(ctx context.Context, name, xquery string, replace bool) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("cluster: define view interrupted: %w", err)
 	}
@@ -490,28 +462,17 @@ func (c *Coordinator) PlanProbe(name string, keywords []string) (source, viewID 
 	return source, viewID, nil
 }
 
-// SlotCounters is a point-in-time snapshot of one slot for stats surfaces.
-type SlotCounters struct {
-	Slot    int
-	Members []string
-	// Documents and Bytes count the documents resident on the slot —
-	// broadcast documents count on every slot, partitioned ones on their
-	// owner only.
-	Documents int
-	Bytes     int
-	// Gen is the slot's current generation; since every acknowledged
-	// mutation advances it by exactly one, it doubles as the slot's
-	// mutation count.
-	Gen uint64
-}
-
-// Slots snapshots per-slot counters in slot order.
-func (c *Coordinator) Slots() []SlotCounters {
+// Shards reports one entry per slot, in slot order. Documents and Bytes
+// count the documents resident on the slot — broadcast documents count on
+// every slot, partitioned ones on their owner only. A slot's generation
+// advances once per acknowledged mutation, so it doubles as the mutation
+// count a single-process shard reports.
+func (c *Coordinator) Shards() []store.ShardInfo {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]SlotCounters, len(c.cfg.Slots))
-	for s := range c.cfg.Slots {
-		out[s] = SlotCounters{Slot: s, Members: append([]string(nil), c.cfg.Slots[s]...), Gen: c.gens[s]}
+	out := make([]store.ShardInfo, len(c.cfg.Slots))
+	for s := range out {
+		out[s] = store.ShardInfo{Shard: s, Mutations: int(c.gens[s])}
 	}
 	for _, info := range c.docs {
 		if info.slot >= 0 {
@@ -526,6 +487,10 @@ func (c *Coordinator) Slots() []SlotCounters {
 	}
 	return out
 }
+
+// DiskStats reports ok=false: a coordinator has no local corpus, and each
+// node's disk counters stay on that node.
+func (c *Coordinator) DiskStats() (stats diskstore.Stats, ok bool) { return diskstore.Stats{}, false }
 
 // route is a classification decision: scatter over every slot, or serve
 // whole on one slot (slot -1: any slot works) for the reason why.
@@ -588,7 +553,7 @@ func (c *Coordinator) classifyLocked(v *core.View) (route, error) {
 			case slot == -1:
 				slot = info.slot
 			default:
-				return route{}, fmt.Errorf("%w: it does not scatter (%s) and references partitioned documents on multiple nodes", ErrUnroutableView, why)
+				return route{}, fmt.Errorf("%w: it does not scatter (%s) and references partitioned documents on multiple nodes", vxml.ErrUnroutableView, why)
 			}
 		}
 	}

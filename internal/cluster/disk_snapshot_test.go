@@ -51,7 +51,7 @@ func TestDiskNodeSnapshotAndFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[1]); err != nil {
+	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[1], false); err != nil {
 		t.Fatal(err)
 	}
 	kws := []string{"copper", "quartz"}

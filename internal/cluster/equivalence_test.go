@@ -166,7 +166,7 @@ func TestDistributedByteIdentity(t *testing.T) {
 						t.Fatalf("oracle view %d: %v", i, err)
 					}
 					views[i] = v
-					if _, err := tc.coord.DefineView(context.Background(), fmt.Sprintf("v%d", i), text); err != nil {
+					if _, err := tc.coord.DefineView(context.Background(), fmt.Sprintf("v%d", i), text, false); err != nil {
 						t.Fatalf("cluster view %d: %v", i, err)
 					}
 				}
@@ -280,7 +280,7 @@ func TestClusterMutationThroughCoordinatorMatchesFreshBuild(t *testing.T) {
 			kws := testkit.KeywordsFor(rng)
 			for vi, text := range testkit.MutViews {
 				name := fmt.Sprintf("m%d", vi)
-				if _, err := tc.coord.DefineView(context.Background(), name, text); err != nil {
+				if _, err := tc.coord.DefineView(context.Background(), name, text, false); err != nil {
 					t.Fatal(err)
 				}
 				fv, err := fresh.DefineView(text)
@@ -320,7 +320,7 @@ func TestNodeDownYieldsPartialCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tc.coord.DefineView(context.Background(), "v", testkit.EqViews[0]); err != nil {
+	if _, err := tc.coord.DefineView(context.Background(), "v", testkit.EqViews[0], false); err != nil {
 		t.Fatal(err)
 	}
 	kws := []string{"copper"}
@@ -432,7 +432,7 @@ func TestMaterializePhaseFailureDeliversExactPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[0]); err != nil {
+	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[0], false); err != nil {
 		t.Fatal(err)
 	}
 	kws := []string{"copper"}
@@ -491,7 +491,7 @@ func TestReplicaFailoverAfterSnapshotBootstrap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[1]); err != nil {
+	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[1], false); err != nil {
 		t.Fatal(err)
 	}
 	kws := []string{"copper", "quartz"}
@@ -566,7 +566,7 @@ func TestLaggingReplicaIsNotServed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[0]); err != nil {
+	if _, err := coord.DefineView(context.Background(), "v", testkit.EqViews[0], false); err != nil {
 		t.Fatal(err)
 	}
 	primarySrv.Close()
@@ -600,7 +600,7 @@ func TestSelfJoinRouting(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := tc.coord.DefineView(context.Background(), "sj", selfJoin); err != nil {
+		if _, err := tc.coord.DefineView(context.Background(), "sj", selfJoin, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -624,7 +624,7 @@ func TestSelfJoinRouting(t *testing.T) {
 		tc := startCluster(t, 3, nil)
 		load(t, tc)
 		_, _, err := tc.coord.Search(context.Background(), "sj", []string{"copper"}, nil)
-		if !errors.Is(err, cluster.ErrUnroutableView) {
+		if !errors.Is(err, vxml.ErrUnroutableView) {
 			t.Fatalf("self-join over 3 slots: %v, want ErrUnroutableView", err)
 		}
 	})
@@ -690,7 +690,7 @@ func mustScatterLikeOneNode(t *testing.T, view string) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := tc.coord.DefineView(context.Background(), "dn", view); err != nil {
+				if _, err := tc.coord.DefineView(context.Background(), "dn", view, false); err != nil {
 					t.Fatal(err)
 				}
 				kws := testkit.KeywordsFor(rng)

@@ -91,7 +91,7 @@ func newFailoverFixture(t *testing.T, view string, timeout time.Duration) *failo
 	if f.view, err = f.db.DefineView(view); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.DefineView(ctx, "v", view); err != nil {
+	if _, err := coord.DefineView(ctx, "v", view, false); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -259,7 +259,7 @@ func TestEveryReadRouteFailsOverAlike(t *testing.T) {
 					t.Fatalf("mutating the primary directly: %d", code)
 				}
 				_, _, err := f.search()
-				if !errors.Is(err, ErrStaleGeneration) {
+				if !errors.Is(err, vxml.ErrStaleGeneration) {
 					t.Fatalf("search over a member ahead of the coordinator: %v, want ErrStaleGeneration", err)
 				}
 			})

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"vxml/internal/httpkit"
 	"vxml/internal/testkit"
 )
 
@@ -94,7 +95,7 @@ func FuzzNodeRequest(f *testing.F) {
 		if rec.Code >= 200 && rec.Code < 300 {
 			return
 		}
-		var eb errorBody
+		var eb httpkit.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Code == "" {
 			t.Fatalf("POST %s %q: %d with no typed error code: %s", path, body, rec.Code, rec.Body)
 		}

@@ -1,26 +1,17 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"sync"
 
-	"vxml"
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
+	"vxml/internal/httpkit"
 	"vxml/internal/store"
-	"vxml/internal/xmltree"
-	"vxml/internal/xq"
 )
-
-// nodeMaxBodyBytes caps node RPC request bodies, matching the public HTTP
-// layer's document cap.
-const nodeMaxBodyBytes = 64 << 20
 
 // Node is one cluster member: a full single-process search engine over its
 // slice of the corpus (one hash partition plus every broadcast document),
@@ -40,6 +31,9 @@ type Node struct {
 	// bootDir holds a disk-backed replica's received block files for the
 	// node's lifetime; Close removes it. Empty for heap-backed nodes.
 	bootDir string
+	// streams writes the NDJSON replies of /materialize, /search and
+	// /snapshot, rolling each line's write deadline.
+	streams httpkit.Streams
 }
 
 // Close releases backend resources: a disk-backed node's store file
@@ -62,11 +56,11 @@ func (n *Node) Close() error {
 }
 
 // NewNode creates an empty node at generation zero.
-func NewNode() *Node {
-	return &Node{
-		engine: core.New(store.NewSharded(0)),
-		views:  map[string]*core.View{},
-	}
+func NewNode() *Node { return newNode(store.NewSharded(0)) }
+
+// newNode creates a node at generation zero over corpus.
+func newNode(corpus store.Corpus) *Node {
+	return &Node{engine: core.New(corpus), views: map[string]*core.View{}}
 }
 
 // NewDiskNode creates a node whose corpus slice lives in a disk-resident,
@@ -78,20 +72,11 @@ func NewNode() *Node {
 // decides whether that slice is current. Snapshots from a disk node ship
 // its block files verbatim.
 func NewDiskNode(dir string) (*Node, error) {
-	var ds *diskstore.Store
-	var err error
-	if diskstore.Exists(dir) {
-		ds, err = diskstore.Open(dir)
-	} else {
-		ds, err = diskstore.Init(dir, 0, diskstore.Options{})
-	}
+	ds, err := diskstore.OpenOrInit(dir, diskstore.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
-		engine: core.New(ds),
-		views:  map[string]*core.View{},
-	}, nil
+	return newNode(ds), nil
 }
 
 // Gen returns the node's current corpus generation.
@@ -118,116 +103,71 @@ func (n *Node) documentsLocked() int {
 	return total
 }
 
-// nodeRoutes is the single source of the RPC routing table: Handler
-// registers it and Routes exposes it, so the docs-drift test can hold
-// docs/API.md to exactly this list.
-func (n *Node) nodeRoutes() []struct {
-	method, path string
-	handler      http.HandlerFunc
-} {
-	return []struct {
-		method, path string
-		handler      http.HandlerFunc
-	}{
-		{"GET", "/health", n.handleHealth},
-		{"POST", "/views", n.handleView},
-		{"POST", "/documents", n.handleDocument},
-		{"POST", "/rank", n.handleRank},
-		{"POST", "/materialize", n.handleMaterialize},
-		{"POST", "/search", n.handleSearch},
-		{"GET", "/snapshot", n.handleSnapshot},
+// table is the node's single routing table, under pathPrefix.
+func (n *Node) table() httpkit.Table {
+	return httpkit.Table{
+		{Method: "GET", Path: "/health", Handler: n.handleHealth},
+		{Method: "POST", Path: "/views", Handler: n.handleView},
+		{Method: "POST", Path: "/documents", Handler: n.handleDocument},
+		{Method: "POST", Path: "/rank", Handler: n.handleRank},
+		{Method: "POST", Path: "/materialize", Handler: n.handleMaterialize},
+		{Method: "POST", Path: "/search", Handler: n.handleSearch},
+		{Method: "GET", Path: "/snapshot", Handler: n.handleSnapshot},
 	}
 }
 
 // Handler returns the node's RPC surface (all routes under /cluster/v1).
-func (n *Node) Handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, r := range n.nodeRoutes() {
-		mux.HandleFunc(r.method+" "+pathPrefix+r.path, r.handler)
-	}
-	return mux
-}
+func (n *Node) Handler() http.Handler { return n.table().Handler(pathPrefix) }
 
 // Routes lists the node RPC surface as "METHOD /cluster/v1/path" strings,
 // in registration order — the docs-drift test's source of truth.
-func (n *Node) Routes() []string {
-	var out []string
-	for _, r := range n.nodeRoutes() {
-		out = append(out, r.method+" "+pathPrefix+r.path)
-	}
-	return out
-}
+func (n *Node) Routes() []string { return n.table().Routes(pathPrefix) }
 
-// nodeDecode decodes a JSON request body strictly (unknown fields rejected,
-// size-capped) and validates the protocol schema. schema points into dst
-// (it can only be read after the decode fills it).
-func nodeDecode(w http.ResponseWriter, r *http.Request, dst any, schema *string) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, nodeMaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		nodeJSON(w, status, errorBody{Error: "decoding request: " + err.Error(), Code: codeInvalid})
+// decodeRequest reads a request body through the shared strict decoder,
+// then checks its protocol schema (schema points into dst, so it is read
+// only after the decode fills it). A failure writes its own reply.
+func decodeRequest(w http.ResponseWriter, r *http.Request, dst any, schema *string) bool {
+	if status, err := httpkit.Decode(w, r, dst); err != nil {
+		writeError(w, status, "decoding request: "+err.Error())
 		return false
 	}
 	if *schema != Schema {
-		nodeJSON(w, http.StatusBadRequest, errorBody{
-			Error: fmt.Sprintf("schema %q not supported (want %q)", *schema, Schema), Code: codeInvalid})
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("schema %q not supported (want %q)", *schema, Schema))
 		return false
 	}
 	return true
 }
 
-// nodeJSON writes one JSON response with the given status.
-func nodeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// statusClientClosedRequest mirrors the public HTTP layer's non-standard
-// nginx convention for a canceled request context.
-const statusClientClosedRequest = 499
-
-// nodeErrorFor maps an engine error onto the node error taxonomy.
-func nodeErrorFor(w http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, codeInternal
-	var pe *xq.ParseError
-	switch {
-	case errors.Is(err, context.Canceled):
-		status, code = statusClientClosedRequest, codeCanceled
-	case errors.Is(err, context.DeadlineExceeded):
-		status, code = http.StatusRequestTimeout, codeDeadline
-	case errors.Is(err, core.ErrUnknownDocument):
-		status, code = http.StatusNotFound, codeUnknownDocument
-	case errors.Is(err, store.ErrDuplicateName):
-		status, code = http.StatusConflict, codeDuplicate
-	case errors.As(err, &pe), errors.Is(err, xmltree.ErrTooDeep), errors.Is(err, core.ErrUnpartitionableView),
-		errors.Is(err, core.ErrInvalidOptions), errors.Is(err, vxml.ErrViewTooLarge):
-		status, code = http.StatusBadRequest, codeInvalid
+// writeError writes a node error reply whose typed code follows from its
+// status. The two codes a status cannot tell apart from another —
+// unknown_view and stale_generation — are written by their handlers.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	code := codeInternal
+	switch status {
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		code = codeInvalid
+	case http.StatusNotFound:
+		code = codeUnknownDocument
+	case http.StatusConflict:
+		code = codeDuplicate
+	case http.StatusRequestTimeout:
+		code = codeDeadline
+	case httpkit.StatusClientClosedRequest:
+		code = codeCanceled
 	}
-	nodeJSON(w, status, errorBody{Error: err.Error(), Code: code})
+	httpkit.WriteJSON(w, status, httpkit.ErrorBody{Error: msg, Code: code})
 }
 
-// staleError rejects a read or mutation whose generation does not match,
-// reporting the node's current generation so the coordinator can tell a
-// lagging replica from its own outdated vector.
-func staleError(w http.ResponseWriter, want, have uint64) {
-	nodeJSON(w, http.StatusConflict, errorBody{
-		Error: fmt.Sprintf("request generation %d, node at %d", want, have),
-		Code:  codeStaleGeneration,
-		Gen:   have,
-	})
+// writeEngineError replies to an engine failure with the shared taxonomy's
+// status.
+func writeEngineError(w http.ResponseWriter, err error) {
+	writeError(w, httpkit.StatusFor(err), err.Error())
 }
 
 func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	nodeJSON(w, http.StatusOK, healthResponse{
+	httpkit.WriteJSON(w, http.StatusOK, healthResponse{
 		Schema:     Schema,
 		Gen:        n.gen,
 		Documents:  n.documentsLocked(),
@@ -243,22 +183,22 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // overwrites — pushes are idempotent and the coordinator is authoritative.
 func (n *Node) handleView(w http.ResponseWriter, r *http.Request) {
 	var req viewRequest
-	if !nodeDecode(w, r, &req, &req.Schema) {
+	if !decodeRequest(w, r, &req, &req.Schema) {
 		return
 	}
 	if req.Name == "" || req.XQuery == "" {
-		nodeJSON(w, http.StatusBadRequest, errorBody{Error: "name and xquery are required", Code: codeInvalid})
+		writeError(w, http.StatusBadRequest, "name and xquery are required")
 		return
 	}
 	v, err := core.Compile(req.XQuery)
 	if err != nil {
-		nodeErrorFor(w, err)
+		writeEngineError(w, err)
 		return
 	}
 	n.mu.Lock()
 	n.views[req.Name] = v
 	n.mu.Unlock()
-	nodeJSON(w, http.StatusOK, map[string]string{"name": req.Name})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"name": req.Name})
 }
 
 // handleDocument applies one coordinator-routed mutation and adopts the
@@ -269,11 +209,11 @@ func (n *Node) handleView(w http.ResponseWriter, r *http.Request) {
 // that was never added.
 func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 	var req documentRequest
-	if !nodeDecode(w, r, &req, &req.Schema) {
+	if !decodeRequest(w, r, &req, &req.Schema) {
 		return
 	}
 	if req.Name == "" {
-		nodeJSON(w, http.StatusBadRequest, errorBody{Error: "name is required", Code: codeInvalid})
+		writeError(w, http.StatusBadRequest, "name is required")
 		return
 	}
 	n.mu.Lock()
@@ -295,11 +235,11 @@ func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 			err = n.engine.Delete(req.Name)
 		}
 	default:
-		nodeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown op %q", req.Op), Code: codeInvalid})
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown op %q", req.Op))
 		return
 	}
 	if err != nil {
-		nodeErrorFor(w, err)
+		writeEngineError(w, err)
 		return
 	}
 	n.gen = req.SetGen
@@ -307,7 +247,7 @@ func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 	if cur, ok := n.engine.Store.Info(req.Name); ok {
 		resp.ByteLen = cur.Bytes
 	}
-	nodeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }
 
 // serveRead is the preamble every read handler shares: decode req
@@ -317,39 +257,24 @@ func (n *Node) handleDocument(w http.ResponseWriter, r *http.Request) {
 // only be read after the decode fills it). A check that fails writes its
 // own error reply.
 func (n *Node) serveRead(w http.ResponseWriter, r *http.Request, req any, schema, view *string, gen *uint64, serve func(v *core.View)) {
-	if !nodeDecode(w, r, req, schema) {
+	if !decodeRequest(w, r, req, schema) {
 		return
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if *gen != n.gen {
-		staleError(w, *gen, n.gen)
+		// The node's own generation lets the coordinator tell a lagging
+		// replica from its own outdated vector.
+		httpkit.WriteJSON(w, http.StatusConflict, httpkit.ErrorBody{
+			Error: fmt.Sprintf("request generation %d, node at %d", *gen, n.gen), Code: codeStaleGeneration, Gen: n.gen})
 		return
 	}
 	v := n.views[*view]
 	if v == nil {
-		nodeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown view %q", *view), Code: codeUnknownView})
+		httpkit.WriteJSON(w, http.StatusNotFound, httpkit.ErrorBody{Error: fmt.Sprintf("unknown view %q", *view), Code: codeUnknownView})
 		return
 	}
 	serve(v)
-}
-
-// writeLines streams a read reply as NDJSON: count data lines, each
-// flushed as it is written, then the done line. A failed write means the
-// client is gone; the missing done line reports the truncation.
-func writeLines(w http.ResponseWriter, count int, line func(i int) replyLine, done replyLine) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := 0; i < count; i++ {
-		if err := enc.Encode(line(i)); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_ = enc.Encode(done)
 }
 
 func (n *Node) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -358,10 +283,10 @@ func (n *Node) handleRank(w http.ResponseWriter, r *http.Request) {
 		rk, err := n.engine.ClusterRank(r.Context(), v, req.Keywords,
 			core.Options{Disjunctive: req.Disjunctive, Parallelism: req.Parallelism})
 		if err != nil {
-			nodeErrorFor(w, err)
+			writeEngineError(w, err)
 			return
 		}
-		nodeJSON(w, http.StatusOK, rankResponse{Schema: Schema, Gen: n.gen, ClusterRanking: *rk})
+		httpkit.WriteJSON(w, http.StatusOK, rankResponse{Schema: Schema, Gen: n.gen, ClusterRanking: *rk})
 	})
 }
 
@@ -371,12 +296,16 @@ func (n *Node) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 		out, fetches, err := n.engine.MaterializeAt(r.Context(), v, req.Keywords,
 			core.Options{Disjunctive: req.Disjunctive, Parallelism: req.Parallelism}, req.Positions)
 		if err != nil {
-			nodeErrorFor(w, err)
+			writeEngineError(w, err)
 			return
 		}
-		writeLines(w, len(out), func(i int) replyLine {
-			return replyLine{Pos: &out[i].Pos, XML: out[i].Element.XMLString(""), Snippet: out[i].Snippet}
-		}, replyLine{Done: true, Gen: n.gen, Fetches: fetches})
+		st := n.streams.Open(w)
+		for i := range out {
+			if st.Line(replyLine{Pos: &out[i].Pos, XML: out[i].Element.XMLString(""), Snippet: out[i].Snippet}) != nil {
+				return // the client is gone; the missing done line reports it
+			}
+		}
+		st.Line(replyLine{Done: true, Gen: n.gen, Fetches: fetches}) //nolint:errcheck
 	})
 }
 
@@ -392,13 +321,16 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 		copts := core.Options{K: req.TopK, Disjunctive: req.Disjunctive, Parallelism: req.Parallelism}
 		results, cs, err := n.engine.SearchPage(r.Context(), v, req.Keywords, copts, req.Offset)
 		if err != nil {
-			nodeErrorFor(w, err)
+			writeEngineError(w, err)
 			return
 		}
-		writeLines(w, len(results), func(i int) replyLine {
-			res := results[i]
-			return replyLine{Rank: res.Rank, Score: res.Score, TFs: res.TFs,
-				XML: res.Element.XMLString(""), Snippet: res.Snippet}
-		}, replyLine{Done: true, Gen: n.gen, Stats: cs})
+		st := n.streams.Open(w)
+		for _, res := range results {
+			if st.Line(replyLine{Rank: res.Rank, Score: res.Score, TFs: res.TFs,
+				XML: res.Element.XMLString(""), Snippet: res.Snippet}) != nil {
+				return // the client is gone; the missing done line reports it
+			}
+		}
+		st.Line(replyLine{Done: true, Gen: n.gen, Stats: cs}) //nolint:errcheck
 	})
 }

@@ -17,7 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"vxml"
+	"vxml/internal/core"
 	"vxml/internal/diskstore"
+	"vxml/internal/httpkit"
 	"vxml/internal/testkit"
 )
 
@@ -60,7 +63,7 @@ func TestNodeSchemaValidation(t *testing.T) {
 		t.Fatalf("well-formed %s request rejected with %d", Schema, code)
 	}
 
-	var eb errorBody
+	var eb httpkit.ErrorBody
 	if code := postNode(t, srv.URL, "/views", viewRequest{
 		Schema: "vxmlcluster/99", Name: "v", XQuery: "x",
 	}, &eb); code != http.StatusBadRequest {
@@ -83,9 +86,56 @@ func TestNodeRejectsDeepNesting(t *testing.T) {
 		"/documents": documentRequest{Schema: Schema, Op: "add", Name: "deep.xml", DocID: 1, SetGen: 1,
 			XML: strings.Repeat("<a>", 1000) + "x" + strings.Repeat("</a>", 1000)},
 	} {
-		var eb errorBody
+		var eb httpkit.ErrorBody
 		if code := postNode(t, srv.URL, path, req, &eb); code != http.StatusBadRequest || eb.Code != codeInvalid {
 			t.Errorf("%s: %d %q (%s), want 400 %q", path, code, eb.Code, eb.Error, codeInvalid)
+		}
+	}
+}
+
+// TestNodeErrorTaxonomy is the node half of the server's
+// TestStatusForTaxonomy and TestStatusForClusterTaxonomy: every sentinel
+// of the error taxonomy, sent through the node's error writer, answers the
+// status the shared table gives /v1 plus the typed code the coordinator
+// classifies by, so the two surfaces cannot drift apart. (A node never
+// meets the view-registry and coordinator sentinels from its engine; they
+// are here so the derivation is total.)
+func TestNodeErrorTaxonomy(t *testing.T) {
+	cases := []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{vxml.ErrInvalidOptions, http.StatusBadRequest, codeInvalid},
+		{&vxml.ParseError{Pos: 3, Msg: "expected 'return'"}, http.StatusBadRequest, codeInvalid},
+		{vxml.ErrDocumentTooDeep, http.StatusBadRequest, codeInvalid},
+		{vxml.ErrViewTooLarge, http.StatusBadRequest, codeInvalid},
+		{vxml.ErrUnroutableView, http.StatusBadRequest, codeInvalid},
+		{core.ErrUnpartitionableView, http.StatusBadRequest, codeInvalid},
+		{vxml.ErrUnknownView, http.StatusNotFound, codeUnknownDocument},
+		{vxml.ErrUnknownDocument, http.StatusNotFound, codeUnknownDocument},
+		{context.DeadlineExceeded, http.StatusRequestTimeout, codeDeadline},
+		{vxml.ErrDuplicateDocument, http.StatusConflict, codeDuplicate},
+		{vxml.ErrDuplicateView, http.StatusConflict, codeDuplicate},
+		{context.Canceled, httpkit.StatusClientClosedRequest, codeCanceled},
+		{vxml.ErrPartialCluster, http.StatusBadGateway, codeInternal},
+		{vxml.ErrNodeUnavailable, http.StatusBadGateway, codeInternal},
+		{vxml.ErrStaleGeneration, http.StatusServiceUnavailable, codeInternal},
+		{errors.New("opaque failure"), http.StatusInternalServerError, codeInternal},
+	}
+	for _, tc := range cases {
+		err := fmt.Errorf("wrap: %w", tc.err)
+		rec := httptest.NewRecorder()
+		writeEngineError(rec, err)
+		var eb httpkit.ErrorBody
+		if jerr := json.Unmarshal(rec.Body.Bytes(), &eb); jerr != nil {
+			t.Fatalf("%v: reply is not an error body: %v", tc.err, jerr)
+		}
+		if shared := httpkit.StatusFor(err); rec.Code != shared || rec.Code != tc.status || eb.Code != tc.code {
+			t.Errorf("%v: node replied %d %q, want %d %q (shared table: %d)", tc.err, rec.Code, eb.Code, tc.status, tc.code, shared)
+		}
+		if eb.Error != err.Error() {
+			t.Errorf("%v: error text %q, want %q", tc.err, eb.Error, err.Error())
 		}
 	}
 }
@@ -111,7 +161,7 @@ func TestNodeStaleGenerationCarriesGen(t *testing.T) {
 		t.Fatalf("view push: %d", code)
 	}
 
-	var eb errorBody
+	var eb httpkit.ErrorBody
 	if code := postNode(t, srv.URL, "/rank", rankRequest{
 		Schema: Schema, View: "v", Keywords: []string{"copper"}, Gen: 7,
 	}, &eb); code != http.StatusConflict {
@@ -281,7 +331,7 @@ func TestCoordinatorHealsUnpushedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.DefineView(ctx, "v",
-		`for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`); err != nil {
+		`for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,7 +385,7 @@ func TestNodeTimeoutFailsOver(t *testing.T) {
 		t.Fatalf("seeding good member: %d", code)
 	}
 	if _, err := c.DefineView(ctx, "v",
-		`for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`); err != nil {
+		`for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -427,7 +477,7 @@ func TestRoutingClassification(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := c.DefineView(ctx, tt.name, tt.xquery); err != nil {
+			if _, err := c.DefineView(ctx, tt.name, tt.xquery, false); err != nil {
 				t.Fatalf("define: %v", err)
 			}
 			c.mu.RLock()
@@ -482,7 +532,7 @@ func TestExplainNamesRouteReason(t *testing.T) {
 			 return <r>{for $c in fn:doc(part-c.xml)/books//article where $c/fm/au = $a/fm/au return $c/fm/tl}</r>`,
 			"route: single node, slot 0 (a side document is partitioned)"},
 	} {
-		if _, err := c.DefineView(ctx, tt.name, tt.xquery); err != nil {
+		if _, err := c.DefineView(ctx, tt.name, tt.xquery, false); err != nil {
 			t.Fatalf("%s: define: %v", tt.name, err)
 		}
 		out, err := c.Explain(ctx, tt.name, nil)
@@ -518,7 +568,7 @@ func TestBroadcastAddPartialFailureRepair(t *testing.T) {
 	// cat.xml does not match the partition patterns, so the add broadcasts:
 	// slot 0 acks, slot 1 is unreachable.
 	err = c.AddDocument(ctx, "cat.xml", rpcTestDoc)
-	if !errors.Is(err, ErrNodeUnavailable) {
+	if !errors.Is(err, vxml.ErrNodeUnavailable) {
 		t.Fatalf("broadcast add with a dead slot: %v, want ErrNodeUnavailable", err)
 	}
 	if n0.Documents() != 0 {
@@ -580,7 +630,7 @@ func TestNodeRejectsTooManyKeywords(t *testing.T) {
 		"/rank":   rankRequest{Schema: Schema, View: "v", Keywords: kws, Gen: 1},
 		"/search": searchRequest{Schema: Schema, View: "v", Keywords: kws, Gen: 1},
 	} {
-		var eb errorBody
+		var eb httpkit.ErrorBody
 		if code := postNode(t, srv.URL, path, req, &eb); code != http.StatusBadRequest || eb.Code != codeInvalid {
 			t.Errorf("%s: %d %q (%s), want 400 %q", path, code, eb.Code, eb.Error, codeInvalid)
 		}
@@ -594,7 +644,7 @@ func TestNodeRejectsViewTooLarge(t *testing.T) {
 	n := NewNode()
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
-	var eb errorBody
+	var eb httpkit.ErrorBody
 	code := postNode(t, srv.URL, "/views", viewRequest{Schema: Schema, Name: "big", XQuery: testkit.DoublingView(20)}, &eb)
 	if code != http.StatusBadRequest || eb.Code != codeInvalid {
 		t.Errorf("doubling view push: %d %q (%s), want 400 %q", code, eb.Code, eb.Error, codeInvalid)

@@ -36,7 +36,7 @@ func TestClusterPlannerEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tc.coord.DefineView(context.Background(), "v", testkit.EqViews[0]); err != nil {
+			if _, err := tc.coord.DefineView(context.Background(), "v", testkit.EqViews[0], false); err != nil {
 				t.Fatal(err)
 			}
 

@@ -64,7 +64,8 @@ const Schema = "vxmlcluster/2"
 // pathPrefix is the route prefix all node RPC endpoints live under.
 const pathPrefix = "/cluster/v1"
 
-// Node error codes (the "code" field of error bodies).
+// Node error codes (the "code" field of httpkit.ErrorBody). Every code but
+// unknown_view and stale_generation follows from the reply's status.
 const (
 	codeUnknownView     = "unknown_view"     // 404: view name not pushed to this node
 	codeUnknownDocument = "unknown_document" // 404: mutation names an absent document
@@ -75,15 +76,6 @@ const (
 	codeDeadline        = "deadline"         // 408: request context deadline exceeded
 	codeInternal        = "internal"         // 500
 )
-
-// errorBody is the JSON error shape of every non-2xx node reply (and of
-// in-band NDJSON error lines).
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-	// Gen is the node's current generation, set on stale_generation errors.
-	Gen uint64 `json:"gen,omitempty"`
-}
 
 // healthResponse answers GET /cluster/v1/health.
 type healthResponse struct {

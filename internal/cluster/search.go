@@ -67,7 +67,7 @@ func (c *Coordinator) searchUncached(ctx context.Context, name string, v *core.V
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		results, stats, err := c.searchOnce(ctx, name, v, keywords, opts, pageOffset)
-		if err == nil || !errors.Is(err, ErrStaleGeneration) {
+		if err == nil || !errors.Is(err, vxml.ErrStaleGeneration) {
 			if err == nil && stats != nil {
 				stats.PlanSource = catalog.PlanDirect
 			}
@@ -145,7 +145,7 @@ func (c *Coordinator) slotCall(ctx context.Context, slot, preferred int, gen uin
 		if have, ok := staleGen(err); ok {
 			st.Gen = have
 			if have > gen {
-				out.err = fmt.Errorf("%w: slot %d answered generation %d, expected %d", ErrStaleGeneration, slot, have, gen)
+				out.err = fmt.Errorf("%w: slot %d answered generation %d, expected %d", vxml.ErrStaleGeneration, slot, have, gen)
 				return out
 			}
 		} else if ctxErr := ctx.Err(); ctxErr != nil {
@@ -197,14 +197,14 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 	failedSlots := 0
 	for s := range ranks {
 		if err := ranks[s].err; err != nil {
-			if errors.Is(err, ErrStaleGeneration) {
+			if errors.Is(err, vxml.ErrStaleGeneration) {
 				flattenStatuses(stats, ranks)
 				return nil, stats, err
 			}
 			if msg, invalid := invalidReply(err); invalid {
 				// The view is not scatterable on the node either.
 				flattenStatuses(stats, ranks)
-				return nil, stats, fmt.Errorf("%w: %s", ErrUnroutableView, msg)
+				return nil, stats, fmt.Errorf("%w: %s", vxml.ErrUnroutableView, msg)
 			}
 			failedSlots++
 		}
@@ -330,7 +330,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 		switch err := mats[s].err; {
 		case err == nil:
 			stats.BaseData += fetches[s]
-		case errors.Is(err, ErrStaleGeneration):
+		case errors.Is(err, vxml.ErrStaleGeneration):
 			flattenStatuses(stats, ranks)
 			return nil, stats, err
 		default:
@@ -349,7 +349,7 @@ func (c *Coordinator) scatterSearch(ctx context.Context, name string, keywords [
 		results = append(results, vxml.Result{
 			Rank:    pageOffset + j + 1,
 			Score:   w.Score,
-			TF:      tfMap(keywords, w.Stats.TFs),
+			TF:      core.TFMap(keywords, w.Stats.TFs),
 			XML:     outs[j].xml,
 			Snippet: outs[j].snippet,
 		})
@@ -504,7 +504,7 @@ func (c *Coordinator) singleSearch(ctx context.Context, name string, keywords []
 					results = append(results, vxml.Result{
 						Rank:    line.Rank,
 						Score:   line.Score,
-						TF:      tfMap(keywords, line.TFs),
+						TF:      core.TFMap(keywords, line.TFs),
 						XML:     line.XML,
 						Snippet: line.Snippet,
 					})
@@ -524,7 +524,7 @@ func (c *Coordinator) singleSearch(ctx context.Context, name string, keywords []
 			}
 			stats.Total = time.Since(start)
 			return results, stats, nil
-		case errors.Is(out.err, ErrStaleGeneration):
+		case errors.Is(out.err, vxml.ErrStaleGeneration):
 			return nil, stats, out.err
 		case ctx.Err() != nil && errors.Is(out.err, ctx.Err()):
 			return nil, nil, out.err
@@ -555,14 +555,4 @@ func (c *Coordinator) Results(ctx context.Context, name string, keywords []strin
 		results, _, err := c.Search(ctx, name, keywords, opts)
 		vxml.Replay(ctx, results, err)(yield)
 	}
-}
-
-// tfMap keys a candidate's per-keyword term frequencies by the caller's own
-// keyword spellings, exactly as the in-process pipeline's toResult does.
-func tfMap(keywords []string, tfs []int) map[string]int {
-	tf := make(map[string]int, len(keywords))
-	for i := 0; i < len(keywords) && i < len(tfs); i++ {
-		tf[keywords[i]] = tfs[i]
-	}
-	return tf
 }

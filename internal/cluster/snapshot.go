@@ -56,13 +56,12 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	}
 	sort.Slice(header.Views, func(i, j int) bool { return header.Views[i].Name < header.Views[j].Name })
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(header); err != nil {
+	st := n.streams.Open(w)
+	if err := st.Line(header); err != nil {
 		return
 	}
 	sendFile := func(name string, data []byte) error {
-		return enc.Encode(snapshotChunk{File: name, Data: base64.StdEncoding.EncodeToString(data)})
+		return st.Line(snapshotChunk{File: name, Data: base64.StdEncoding.EncodeToString(data)})
 	}
 	var err error
 	if fs, ok := n.engine.Store.(fileSnapshotter); ok {
@@ -79,10 +78,10 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if err != nil {
 		// Headers are long gone; an in-stream error line is all we can do,
 		// and the absent done marker makes truncation unmistakable anyway.
-		_ = enc.Encode(snapshotChunk{Error: err.Error(), Code: codeInternal})
+		st.Line(snapshotChunk{Error: err.Error(), Code: codeInternal}) //nolint:errcheck
 		return
 	}
-	_ = enc.Encode(snapshotChunk{Done: true})
+	st.Line(snapshotChunk{Done: true}) //nolint:errcheck
 }
 
 // NewNodeFromSnapshot bootstraps a node (typically a read replica) from
@@ -161,24 +160,20 @@ func NewNodeFromSnapshot(ctx context.Context, client *http.Client, baseURL strin
 	if !done {
 		return nil, fmt.Errorf("cluster: snapshot from %s truncated (no done marker)", baseURL)
 	}
-	var eng *core.Engine
+	var n *Node
 	if isDisk {
 		ds, err := diskstore.Open(dir)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: restoring disk snapshot: %w", err)
 		}
-		eng = core.New(ds)
-		keepDir = true
+		n = newNode(ds)
+		n.bootDir, keepDir = dir, true
 	} else {
 		st, err := store.Load(dir)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: restoring snapshot: %w", err)
 		}
-		eng = core.New(st)
-	}
-	n := &Node{engine: eng, views: map[string]*core.View{}}
-	if isDisk {
-		n.bootDir = dir
+		n = newNode(st)
 	}
 	for _, vs := range header.Views {
 		v, err := core.Compile(vs.XQuery)

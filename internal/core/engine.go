@@ -388,6 +388,19 @@ type Result struct {
 	Snippet string
 }
 
+// TFMap keys a result's per-keyword term frequencies by the caller's own
+// keyword spellings — the TF field of every vxml.Result, in process and
+// through a cluster coordinator alike.
+func TFMap(keywords []string, tfs []int) map[string]int {
+	tf := map[string]int{}
+	for j, k := range keywords {
+		if j < len(tfs) {
+			tf[k] = tfs[j]
+		}
+	}
+	return tf
+}
+
 // unit is one candidate-document work item of a search: a QPT paired with
 // the name and ID of one document it resolved to and that document's
 // indices, snapshotted under the shard read locks the search holds.

@@ -204,6 +204,15 @@ func writeFileAtomic(dir, name string, data []byte, fault *faultPlan) error {
 	return os.Rename(tmp.Name(), filepath.Join(dir, name))
 }
 
+// OpenOrInit opens the disk corpus in dir, or creates an empty one with
+// the default shard count when dir holds none yet.
+func OpenOrInit(dir string, opts Options) (*Store, error) {
+	if Exists(dir) {
+		return OpenWith(dir, opts)
+	}
+	return Init(dir, 0, opts)
+}
+
 // Open opens the disk corpus in dir with default options.
 func Open(dir string) (*Store, error) { return OpenWith(dir, Options{}) }
 

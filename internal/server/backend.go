@@ -1,5 +1,5 @@
 // The Backend seam: the HTTP layer serves either a single-process
-// vxml.Database or a cluster.Coordinator through one interface, so the
+// vxml.Database or a cluster coordinator through one interface, so the
 // routes, validation, error mapping and wire shapes are written once and
 // the distributed deployment is byte-identical to the single-process one at
 // the API boundary.
@@ -14,15 +14,14 @@ import (
 
 	"vxml"
 	"vxml/internal/catalog"
-	"vxml/internal/cluster"
 	"vxml/internal/diskstore"
 	"vxml/internal/store"
 )
 
 // Backend is the serving surface the HTTP handlers run against. Both
-// implementations — dbBackend around a *vxml.Database, coordBackend around
-// a *cluster.Coordinator — resolve views by registered name and return
-// byte-identical results for the same corpus and arguments.
+// implementations — dbBackend around a *vxml.Database, and
+// *cluster.Coordinator itself — resolve views by registered name and
+// return byte-identical results for the same corpus and arguments.
 type Backend interface {
 	// AddDocument, ReplaceDocument and DeleteDocument mutate the corpus
 	// (vxml error taxonomy: ErrDuplicateDocument, ErrUnknownDocument,
@@ -156,65 +155,3 @@ func (b *dbBackend) PlanProbe(view string, keywords []string) (string, string, e
 func (b *dbBackend) DiskStats() (diskstore.Stats, bool) { return b.db.DiskStats() }
 
 func (b *dbBackend) Shards() []store.ShardInfo { return b.db.ShardStats() }
-
-// coordBackend adapts a cluster coordinator; view registration, search
-// routing and mutation fan-out all live in internal/cluster.
-type coordBackend struct {
-	coord *cluster.Coordinator
-}
-
-func (b *coordBackend) AddDocument(ctx context.Context, name, xml string) error {
-	return b.coord.AddDocument(ctx, name, xml)
-}
-
-func (b *coordBackend) ReplaceDocument(ctx context.Context, name, xml string) error {
-	return b.coord.ReplaceDocument(ctx, name, xml)
-}
-
-func (b *coordBackend) DeleteDocument(ctx context.Context, name string) error {
-	return b.coord.DeleteDocument(ctx, name)
-}
-
-func (b *coordBackend) DefineView(ctx context.Context, name, xquery string, replace bool) (string, error) {
-	if replace {
-		return b.coord.ForceDefineView(ctx, name, xquery)
-	}
-	return b.coord.DefineView(ctx, name, xquery)
-}
-
-func (b *coordBackend) HasView(name string) bool  { return b.coord.HasView(name) }
-func (b *coordBackend) ViewCount() int            { return b.coord.ViewCount() }
-func (b *coordBackend) DocumentNames() []string   { return b.coord.DocumentNames() }
-func (b *coordBackend) TotalBytes() int           { return b.coord.TotalBytes() }
-func (b *coordBackend) CacheStats() catalog.Stats { return b.coord.CacheStats() }
-
-func (b *coordBackend) PlanProbe(view string, keywords []string) (string, string, error) {
-	return b.coord.PlanProbe(view, keywords)
-}
-
-// DiskStats: a coordinator has no local corpus; per-node disk counters
-// live on the nodes' own stats surfaces.
-func (b *coordBackend) DiskStats() (diskstore.Stats, bool) { return diskstore.Stats{}, false }
-
-func (b *coordBackend) Search(ctx context.Context, view string, keywords []string, opts *vxml.Options) ([]vxml.Result, *vxml.Stats, error) {
-	return b.coord.Search(ctx, view, keywords, opts)
-}
-
-func (b *coordBackend) Results(ctx context.Context, view string, keywords []string, opts *vxml.Options) iter.Seq2[vxml.Result, error] {
-	return b.coord.Results(ctx, view, keywords, opts)
-}
-
-func (b *coordBackend) Explain(ctx context.Context, view string, keywords []string) (string, error) {
-	return b.coord.Explain(ctx, view, keywords)
-}
-
-func (b *coordBackend) Shards() []store.ShardInfo {
-	slots := b.coord.Slots()
-	out := make([]store.ShardInfo, len(slots))
-	for i, sc := range slots {
-		// A slot's generation advances once per acknowledged mutation, so
-		// it doubles as the mutation counter single-process shards report.
-		out[i] = store.ShardInfo{Shard: sc.Slot, Documents: sc.Documents, Bytes: sc.Bytes, Mutations: int(sc.Gen)}
-	}
-	return out
-}

@@ -16,8 +16,13 @@ import (
 
 	"vxml"
 	"vxml/internal/cluster"
+	"vxml/internal/core"
+	"vxml/internal/httpkit"
 	"vxml/internal/testkit"
 )
+
+// The coordinator is served as it is: it implements Backend itself.
+var _ Backend = (*cluster.Coordinator)(nil)
 
 // TestStatusForClusterTaxonomy pins the rows the cluster backend adds to
 // the error → status table.
@@ -27,14 +32,15 @@ func TestStatusForClusterTaxonomy(t *testing.T) {
 		want int
 	}{
 		{fmt.Errorf("wrap: %w", vxml.ErrPartialCluster), http.StatusBadGateway},
-		{fmt.Errorf("wrap: %w", cluster.ErrNodeUnavailable), http.StatusBadGateway},
-		{fmt.Errorf("wrap: %w", cluster.ErrStaleGeneration), http.StatusServiceUnavailable},
-		{fmt.Errorf("wrap: %w", cluster.ErrUnroutableView), http.StatusBadRequest},
+		{fmt.Errorf("wrap: %w", vxml.ErrNodeUnavailable), http.StatusBadGateway},
+		{fmt.Errorf("wrap: %w", vxml.ErrStaleGeneration), http.StatusServiceUnavailable},
+		{fmt.Errorf("wrap: %w", vxml.ErrUnroutableView), http.StatusBadRequest},
+		{fmt.Errorf("wrap: %w", core.ErrUnpartitionableView), http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", vxml.ErrDuplicateView), http.StatusConflict},
 	}
 	for _, tc := range cases {
-		if got := statusFor(tc.err); got != tc.want {
-			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		if got := httpkit.StatusFor(tc.err); got != tc.want {
+			t.Errorf("httpkit.StatusFor(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }
@@ -56,7 +62,7 @@ func TestClusterBackedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewCluster(coord).Handler())
+	ts := httptest.NewServer(NewBackend(coord).Handler())
 	defer ts.Close()
 
 	// Enough partitioned documents that both slots own at least one.
@@ -70,8 +76,8 @@ func TestClusterBackedServer(t *testing.T) {
 			t.Fatalf("add %s: %d %s", name, resp.StatusCode, body)
 		}
 	}
-	for _, st := range coord.Slots() {
-		perSlot[st.Slot] = st.Documents
+	for _, st := range coord.Shards() {
+		perSlot[st.Shard] = st.Documents
 	}
 	if perSlot[0] == 0 || perSlot[1] == 0 {
 		t.Fatalf("document names did not spread over both slots: %v", perSlot)
@@ -187,7 +193,7 @@ func TestClusterTooManyKeywordsReturns400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewCluster(coord).Handler())
+	ts := httptest.NewServer(NewBackend(coord).Handler())
 	defer ts.Close()
 	if resp, body := postJSON(t, ts.URL+"/v1/documents", map[string]any{"name": "part-00.xml", "xml": fmt.Sprintf(clusterPartDoc, 0)}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("add: %d %s", resp.StatusCode, body)
@@ -224,7 +230,7 @@ func TestClusterViewTooLargeReturns400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewCluster(coord).Handler())
+	ts := httptest.NewServer(NewBackend(coord).Handler())
 	defer ts.Close()
 	resp, body := postJSON(t, ts.URL+"/v1/views", map[string]any{"name": "big", "xquery": testkit.DoublingView(20)})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too large") {

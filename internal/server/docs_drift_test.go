@@ -20,6 +20,7 @@ import (
 	"vxml/internal/catalog"
 	"vxml/internal/cluster"
 	"vxml/internal/diskstore"
+	"vxml/internal/httpkit"
 	"vxml/internal/store"
 )
 
@@ -101,7 +102,7 @@ func TestDocsAPICoversWireFields(t *testing.T) {
 		}
 	}
 	for _, v := range []any{
-		errorBody{}, addDocumentResponse{}, defineViewResponse{},
+		httpkit.ErrorBody{}, addDocumentResponse{}, defineViewResponse{},
 		searchResponse{}, explainResponse{}, statsResponse{},
 	} {
 		walk(reflect.TypeOf(v))

@@ -14,7 +14,8 @@ import (
 // It bounds the whole request and response, not just the headers, so a
 // slow-trickling client cannot pin a goroutine and connection forever. The
 // read bound is sized so a document at the 64MB body cap still fits over a
-// slow uplink (~2 Mbps); the write bound leaves streamed replies room.
+// slow uplink (~2 Mbps). The write bound covers one-shot replies; an NDJSON
+// stream, public or node, rolls its own per-line deadline past it.
 func HTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,

@@ -1,7 +1,10 @@
-// Package server exposes a vxml.Database as a JSON HTTP service. All
-// handlers share one Database; its internal locking makes concurrent
-// requests safe, so the server adds synchronization only for its own named
-// view registry.
+// Package server exposes a search backend as a JSON HTTP service: a
+// single-process vxml.Database (New) or a cluster coordinator, which is a
+// Backend itself (NewBackend). All handlers share the one backend; its
+// internal locking makes concurrent requests safe, so the server adds
+// synchronization only for a database's named view registry. Routing,
+// decoding, error bodies, the status taxonomy and NDJSON streaming come
+// from internal/httpkit, which a cluster node's /cluster/v1 surface shares.
 //
 // Endpoints (all under /v1; there are no unversioned paths):
 //
@@ -31,19 +34,16 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"vxml"
 	"vxml/internal/catalog"
-	"vxml/internal/cluster"
 	"vxml/internal/diskstore"
+	"vxml/internal/httpkit"
 	"vxml/internal/store"
 )
 
@@ -53,16 +53,9 @@ type Server struct {
 	backend  Backend
 	started  time.Time
 	readOnly atomic.Bool
-
-	// streamGrace is the rolling per-line write deadline for the NDJSON
-	// streaming endpoint (streamWriteGrace by default; tests shorten it).
-	streamGrace time.Duration
-	// logf is the server's log sink (log.Printf by default; tests capture
-	// it). deadlineLogOnce rate-limits the write-deadline-unsupported
-	// warning to once per server — the condition is a property of the
-	// middleware stack, not of any one request.
-	logf            func(format string, args ...any)
-	deadlineLogOnce sync.Once
+	// streams writes /v1/search/stream replies (tests shorten its grace
+	// and capture its log).
+	streams httpkit.Streams
 }
 
 // New builds a server around a single-process database with an empty view
@@ -71,22 +64,13 @@ func New(db *vxml.Database) *Server {
 	return NewBackend(newDBBackend(db))
 }
 
-// NewCluster builds a server that serves the public /v1 API through a
-// cluster coordinator: same routes, same wire shapes, byte-identical
-// results — plus the degraded-mode surface (502 partial results with
-// per-node status) only a distributed backend can produce.
-func NewCluster(coord *cluster.Coordinator) *Server {
-	return NewBackend(&coordBackend{coord: coord})
-}
-
-// NewBackend builds a server around an arbitrary Backend.
+// NewBackend builds a server around an arbitrary Backend. A
+// *cluster.Coordinator serves the public /v1 API through it with the same
+// routes, wire shapes and byte-identical results — plus the degraded-mode
+// surface (502 partial results with per-node status) only a distributed
+// backend can produce.
 func NewBackend(b Backend) *Server {
-	return &Server{
-		backend:     b,
-		started:     time.Now(),
-		streamGrace: streamWriteGrace,
-		logf:        log.Printf,
-	}
+	return &Server{backend: b, started: time.Now()}
 }
 
 // SetReadOnly gates the corpus-mutating routes (POST/PUT/DELETE under
@@ -105,118 +89,52 @@ func (s *Server) DefineView(name, xquery string) error {
 	return err
 }
 
-// route is one entry of the server's routing table: method, path below
-// the /v1 prefix, and handler.
-type route struct {
-	method  string
-	path    string // versionless, e.g. "/documents/{name}"
-	handler http.HandlerFunc
-}
-
-// routes is the single source of the routing table: Handler registers it
-// and Routes exposes it, so the docs-drift test can hold docs/API.md to
-// exactly this list.
-func (s *Server) routes() []route {
-	return []route{
-		{method: "POST", path: "/documents", handler: s.handleAddDocument},
-		{method: "PUT", path: "/documents/{name}", handler: s.handleReplaceDocument},
-		{method: "DELETE", path: "/documents/{name}", handler: s.handleDeleteDocument},
-		{method: "POST", path: "/views", handler: s.handleDefineView},
-		{method: "POST", path: "/search", handler: s.handleSearch},
-		{method: "POST", path: "/search/stream", handler: s.handleSearchStream},
-		{method: "POST", path: "/explain", handler: s.handleExplain},
-		{method: "GET", path: "/stats", handler: s.handleStats},
+// table is the server's single routing table, under /v1.
+func (s *Server) table() httpkit.Table {
+	return httpkit.Table{
+		{Method: "POST", Path: "/documents", Handler: s.handleAddDocument},
+		{Method: "PUT", Path: "/documents/{name}", Handler: s.handleReplaceDocument},
+		{Method: "DELETE", Path: "/documents/{name}", Handler: s.handleDeleteDocument},
+		{Method: "POST", Path: "/views", Handler: s.handleDefineView},
+		{Method: "POST", Path: "/search", Handler: s.handleSearch},
+		{Method: "POST", Path: "/search/stream", Handler: s.handleSearchStream},
+		{Method: "POST", Path: "/explain", Handler: s.handleExplain},
+		{Method: "GET", Path: "/stats", Handler: s.handleStats},
 	}
 }
 
 // Routes returns every registered route in its canonical /v1 form, e.g.
 // "POST /v1/search". The docs-drift test cross-checks this list against
 // docs/API.md in both directions, so the API reference cannot rot silently.
-func (s *Server) Routes() []string {
-	var out []string
-	for _, r := range s.routes() {
-		out = append(out, r.method+" /v1"+r.path)
-	}
-	return out
-}
+func (s *Server) Routes() []string { return s.table().Routes("/v1") }
 
 // Handler returns the HTTP routing table: every route, under /v1 only.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, r := range s.routes() {
-		mux.HandleFunc(r.method+" /v1"+r.path, r.handler)
-	}
-	return mux
-}
+func (s *Server) Handler() http.Handler { return s.table().Handler("/v1") }
 
-// statusClientClosedRequest is the de-facto (nginx) status for a request
-// whose client went away before the response; net/http has no name for it.
-const statusClientClosedRequest = 499
-
-// statusFor maps the vxml error taxonomy to HTTP statuses:
-// ErrInvalidOptions, ParseError, ErrDocumentTooDeep and
-// cluster.ErrUnroutableView to 400,
-// ErrUnknownView and ErrUnknownDocument to 404, context.DeadlineExceeded
-// to 408, ErrDuplicateDocument and ErrDuplicateView to 409,
-// context.Canceled to 499, ErrPartialCluster to 502 (the response body
-// still carries the surviving partitions' results),
-// cluster.ErrNodeUnavailable to 502 (a mutation could not reach the
-// owning primary), cluster.ErrStaleGeneration to 503 (transient: the
-// search kept racing mutations; retry), anything unclassified to 500.
-func statusFor(err error) int {
-	var pe *vxml.ParseError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, vxml.ErrUnknownView), errors.Is(err, vxml.ErrUnknownDocument):
-		return http.StatusNotFound
-	case errors.Is(err, vxml.ErrDuplicateDocument), errors.Is(err, vxml.ErrDuplicateView):
-		return http.StatusConflict
-	case errors.Is(err, vxml.ErrPartialCluster), errors.Is(err, cluster.ErrNodeUnavailable):
-		return http.StatusBadGateway
-	case errors.Is(err, cluster.ErrStaleGeneration):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, vxml.ErrInvalidOptions), errors.Is(err, cluster.ErrUnroutableView), errors.As(err, &pe),
-		errors.Is(err, vxml.ErrDocumentTooDeep), errors.Is(err, vxml.ErrViewTooLarge):
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
-// errorBody is the JSON shape of every non-2xx response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
+// writeError writes a /v1 error reply: the message alone, with no code.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+	httpkit.WriteJSON(w, status, httpkit.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes bounds request bodies (documents included) so a single
-// oversized POST cannot drive the process out of memory.
-const maxBodyBytes = 64 << 20
-
+// decodeBody decodes a request body through the shared strict decoder,
+// writing the error reply itself when it returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
+	if status, err := httpkit.Decode(w, r, into); err != nil {
 		writeError(w, status, "decoding request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// bodyStatus is StatusFor for a failure of what the request body carried
+// — a document or a view definition. A failure the taxonomy leaves
+// unclassified (an XML parse error, a compile rejection) still means the
+// client's body was unusable, so it answers 400, not 500.
+func bodyStatus(err error) int {
+	if status := httpkit.StatusFor(err); status != http.StatusInternalServerError {
+		return status
+	}
+	return http.StatusBadRequest
 }
 
 type addDocumentRequest struct {
@@ -254,17 +172,10 @@ func (s *Server) handleAddDocument(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.backend.AddDocument(r.Context(), req.Name, req.XML); err != nil {
-		// statusFor classifies duplicates (409) and cluster conditions
-		// (502); an XML parse failure is unclassified but still the
-		// client's bad body, so the fallback is 400, not 500.
-		status := statusFor(err)
-		if status == http.StatusInternalServerError {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, "adding document: %v", err)
+		writeError(w, bodyStatus(err), "adding document: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, addDocumentResponse{Name: req.Name, Documents: s.backend.DocumentNames()})
+	httpkit.WriteJSON(w, http.StatusCreated, addDocumentResponse{Name: req.Name, Documents: s.backend.DocumentNames()})
 }
 
 // replaceDocumentRequest is the body of PUT /v1/documents/{name}; the name
@@ -293,17 +204,10 @@ func (s *Server) handleReplaceDocument(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.backend.ReplaceDocument(r.Context(), name, req.XML); err != nil {
-		// statusFor classifies unknown-name (404) and context failures; an
-		// XML parse failure is unclassified but still the client's bad
-		// body, so the fallback is 400, not 500.
-		status := statusFor(err)
-		if status == http.StatusInternalServerError {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, "replacing document: %v", err)
+		writeError(w, bodyStatus(err), "replacing document: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, addDocumentResponse{Name: name, Documents: s.backend.DocumentNames()})
+	httpkit.WriteJSON(w, http.StatusOK, addDocumentResponse{Name: name, Documents: s.backend.DocumentNames()})
 }
 
 // handleDeleteDocument is DELETE /v1/documents/{name}: remove the named
@@ -317,10 +221,10 @@ func (s *Server) handleDeleteDocument(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if err := s.backend.DeleteDocument(r.Context(), name); err != nil {
-		writeError(w, statusFor(err), "deleting document: %v", err)
+		writeError(w, httpkit.StatusFor(err), "deleting document: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, addDocumentResponse{Name: name, Documents: s.backend.DocumentNames()})
+	httpkit.WriteJSON(w, http.StatusOK, addDocumentResponse{Name: name, Documents: s.backend.DocumentNames()})
 }
 
 type defineViewRequest struct {
@@ -357,16 +261,11 @@ func (s *Server) handleDefineView(w http.ResponseWriter, r *http.Request) {
 		}
 		// Parse and compile diagnostics go to the caller: a ParseError is
 		// the malformed-XQuery → 400 path, an unknown fn:doc reference →
-		// 404; any other compile rejection still means the client's query
-		// was unusable, so the fallback is 400, not 500.
-		status := statusFor(err)
-		if status == http.StatusInternalServerError {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, "compiling view: %v", err)
+		// 404.
+		writeError(w, bodyStatus(err), "compiling view: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, defineViewResponse{Name: req.Name, Definition: definition})
+	httpkit.WriteJSON(w, http.StatusCreated, defineViewResponse{Name: req.Name, Definition: definition})
 }
 
 type searchRequest struct {
@@ -437,12 +336,12 @@ func (s *Server) resolveSearch(w http.ResponseWriter, r *http.Request) (string, 
 		return "", nil, nil, false
 	}
 	if !s.backend.HasView(req.View) {
-		writeError(w, statusFor(vxml.ErrUnknownView), "unknown view %q", req.View)
+		writeError(w, httpkit.StatusFor(vxml.ErrUnknownView), "unknown view %q", req.View)
 		return "", nil, nil, false
 	}
 	approach, err := parseApproach(req.Approach)
 	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
+		writeError(w, httpkit.StatusFor(err), "%v", err)
 		return "", nil, nil, false
 	}
 	return req.View, &vxml.Options{
@@ -462,7 +361,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, stats, err := s.backend.Search(r.Context(), view, keywords, opts)
 	if err != nil && !(errors.Is(err, vxml.ErrPartialCluster) && stats != nil) {
-		writeError(w, statusFor(err), "search: %v", err)
+		writeError(w, httpkit.StatusFor(err), "search: %v", err)
 		return
 	}
 	if results == nil {
@@ -474,10 +373,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// 502, and stats.nodes names the members that were lost — the
 		// status is the truncation marker, never a silent one.
 		resp.Error = err.Error()
-		writeJSON(w, statusFor(err), resp)
+		httpkit.WriteJSON(w, httpkit.StatusFor(err), resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSearchStream is POST /v1/search/stream: the same request body as
@@ -494,72 +393,23 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// The server's global WriteTimeout is one absolute deadline for the
-	// whole response — fine for one-shot JSON, fatal for a long stream.
-	// Roll the write deadline forward per line instead: a healthy stream
-	// of any length survives, a stalled client still trips it. A
-	// middleware-wrapped ResponseWriter may not support per-response
-	// deadlines (http.ErrNotSupported): detect that on the first failure,
-	// log it once per server, and fall back explicitly to the global
-	// WriteTimeout instead of silently retrying every line.
-	rc := http.NewResponseController(w)
-	deadlineSupported := true
-	extendDeadline := func() {
-		if !deadlineSupported {
-			return
-		}
-		if err := rc.SetWriteDeadline(time.Now().Add(s.streamGrace)); err != nil {
-			deadlineSupported = false
-			s.deadlineLogOnce.Do(func() {
-				s.logf("search/stream: ResponseWriter does not support per-response write deadlines (%v); long streams fall back to the server's global WriteTimeout", err)
-			})
-		}
-	}
-	started := false
-	start := func() {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		started = true
-	}
+	st := s.streams.Open(w)
 	for res, err := range s.backend.Results(r.Context(), view, keywords, opts) {
 		if err != nil {
-			if !started {
-				writeError(w, statusFor(err), "search: %v", err)
+			if !st.Started() {
+				writeError(w, httpkit.StatusFor(err), "search: %v", err)
 				return
 			}
-			extendDeadline()
-			enc.Encode(errorBody{Error: err.Error()}) //nolint:errcheck
-			// Flush the in-band error line too: behind a buffering proxy an
-			// unflushed error can sit until connection teardown,
-			// indistinguishable from a truncated stream.
-			flush()
+			st.Line(httpkit.ErrorBody{Error: err.Error()}) //nolint:errcheck
 			return
 		}
-		if !started {
-			start()
-		}
-		extendDeadline()
-		if err := enc.Encode(res); err != nil {
+		if st.Line(res) != nil {
 			return // client went away; the ranged loop is not resumed
 		}
-		flush()
 	}
 	// An empty result set is still a successful, empty stream.
-	if !started {
-		start()
-	}
+	st.Start()
 }
-
-// streamWriteGrace is how long one NDJSON line may take to reach the
-// client before the stream's rolling write deadline kills the connection.
-const streamWriteGrace = 60 * time.Second
 
 // explainRequest is the body of POST /v1/explain: the same view/keywords
 // pair a search takes, with none of the execution options — the plan does
@@ -602,19 +452,19 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.backend.HasView(req.View) {
-		writeError(w, statusFor(vxml.ErrUnknownView), "unknown view %q", req.View)
+		writeError(w, httpkit.StatusFor(vxml.ErrUnknownView), "unknown view %q", req.View)
 		return
 	}
 	plan, err := s.backend.Explain(r.Context(), req.View, req.Keywords)
 	if err != nil {
-		writeError(w, statusFor(err), "explain: %v", err)
+		writeError(w, httpkit.StatusFor(err), "explain: %v", err)
 		return
 	}
 	// The probe can only fail if the view vanished between HasView and
 	// here; the plan text is still worth returning, so a failed probe just
 	// leaves the plan fields empty.
 	source, viewID, _ := s.backend.PlanProbe(req.View, req.Keywords)
-	writeJSON(w, http.StatusOK, explainResponse{
+	httpkit.WriteJSON(w, http.StatusOK, explainResponse{
 		View: req.View, Keywords: req.Keywords, Plan: plan,
 		PlanSource: source, PlanView: viewID,
 	})
@@ -650,5 +500,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Disk = &ds
 	}
 	resp.Uptime = time.Since(s.started).Round(time.Millisecond).String()
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }

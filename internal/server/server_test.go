@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"vxml"
+	"vxml/internal/httpkit"
 	"vxml/internal/testkit"
 )
 
@@ -199,7 +200,7 @@ func TestDeepNestingReturns400(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out errorBody
+		var out httpkit.ErrorBody
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"vxml"
+	"vxml/internal/httpkit"
 )
 
 // bufferedStreamRecorder is a ResponseWriter test double that models a
@@ -68,7 +69,7 @@ func newStreamTestServer(t *testing.T) *Server {
 	db.MustAdd("books.xml", booksXML)
 	db.MustAdd("reviews.xml", reviewsXML)
 	srv := New(db)
-	srv.logf = t.Logf
+	srv.streams.Logf = t.Logf
 	if err := srv.DefineView("bookrevs", bookrevsView); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestStreamMidStreamErrorLineFlushed(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("want at least one result line and the error line flushed, got %d lines: %q", len(lines), flushed)
 	}
-	var last errorBody
+	var last httpkit.ErrorBody
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Error == "" {
 		t.Fatalf("final flushed line is not an in-band error: %q (unmarshal err %v)", lines[len(lines)-1], err)
 	}
@@ -116,7 +117,7 @@ func TestStreamMidStreamErrorLineFlushed(t *testing.T) {
 func TestStreamDeadlineUnsupportedFallsBackOnce(t *testing.T) {
 	srv := newStreamTestServer(t)
 	var logs []string
-	srv.logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	srv.streams.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
 
 	for i := 0; i < 2; i++ {
 		body := `{"view":"bookrevs","keywords":["xml","search"],"disjunctive":true}`
@@ -175,8 +176,8 @@ func newBigStreamServer(t *testing.T, grace time.Duration) *httptest.Server {
 	sb.WriteString("</notes>")
 	db.MustAdd("big.xml", sb.String())
 	srv := New(db)
-	srv.streamGrace = grace
-	srv.logf = t.Logf
+	srv.streams.Grace = grace
+	srv.streams.Logf = t.Logf
 	if err := srv.DefineView("big", `for $n in fn:doc(big.xml)/notes//note return <hit>{$n/body}</hit>`); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"vxml"
+	"vxml/internal/httpkit"
 )
 
 // streamLines POSTs to /v1/search/stream and decodes the NDJSON lines.
@@ -187,12 +188,12 @@ func TestStatusForTaxonomy(t *testing.T) {
 		{fmt.Errorf("wrap: %w", vxml.ErrUnknownDocument), http.StatusNotFound},
 		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), http.StatusRequestTimeout},
 		{fmt.Errorf("wrap: %w", vxml.ErrDuplicateDocument), http.StatusConflict},
-		{fmt.Errorf("wrap: %w", context.Canceled), statusClientClosedRequest},
+		{fmt.Errorf("wrap: %w", context.Canceled), httpkit.StatusClientClosedRequest},
 		{fmt.Errorf("opaque failure"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
-		if got := statusFor(tc.err); got != tc.want {
-			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		if got := httpkit.StatusFor(tc.err); got != tc.want {
+			t.Errorf("httpkit.StatusFor(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }
@@ -203,8 +204,8 @@ func TestStatusForTaxonomy(t *testing.T) {
 // 499. The HTTP-level disconnect itself is exercised by the CI smoke test
 // with curl --max-time.
 func TestCanceledRequestStopsSearch(t *testing.T) {
-	if !strings.Contains(fmt.Sprint(statusClientClosedRequest), "499") {
-		t.Fatalf("statusClientClosedRequest = %d, want 499", statusClientClosedRequest)
+	if !strings.Contains(fmt.Sprint(httpkit.StatusClientClosedRequest), "499") {
+		t.Fatalf("httpkit.StatusClientClosedRequest = %d, want 499", httpkit.StatusClientClosedRequest)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -218,7 +219,7 @@ func TestCanceledRequestStopsSearch(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
-	if got := statusFor(err); got != statusClientClosedRequest {
-		t.Fatalf("statusFor(canceled search) = %d, want 499", got)
+	if got := httpkit.StatusFor(err); got != httpkit.StatusClientClosedRequest {
+		t.Fatalf("httpkit.StatusFor(canceled search) = %d, want 499", got)
 	}
 }

@@ -71,7 +71,7 @@ func TestWireIsTheLibraryShape(t *testing.T) {
 		cacheStats func() catalog.Stats
 	}{
 		{"heap", New(heap), heap.CacheStats},
-		{"cluster", NewCluster(coord), coord.CacheStats},
+		{"cluster", NewBackend(coord), coord.CacheStats},
 	} {
 		t.Run(backend.name, func(t *testing.T) {
 			ts := httptest.NewServer(backend.srv.Handler())

@@ -62,13 +62,7 @@ func OpenDisk(dir string) (*Database, error) {
 // OpenDiskOptions is OpenDisk with explicit cache and I/O tuning (block
 // size, block/document/index cache bounds).
 func OpenDiskOptions(dir string, opts diskstore.Options) (*Database, error) {
-	var ds *diskstore.Store
-	var err error
-	if diskstore.Exists(dir) {
-		ds, err = diskstore.OpenWith(dir, opts)
-	} else {
-		ds, err = diskstore.Init(dir, 0, opts)
-	}
+	ds, err := diskstore.OpenOrInit(dir, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -451,16 +451,9 @@ func engineOptions(opts *Options) core.Options {
 	return core.Options{K: opts.TopK, Disjunctive: opts.Disjunctive, Parallelism: opts.Parallelism, Plan: opts.Cache}
 }
 
-// toResult converts one engine result into the caller-facing form, keying
-// the TF map by the caller's own keyword spellings.
+// toResult converts one engine result into the caller-facing form.
 func toResult(r core.Result, keywords []string) Result {
-	tf := map[string]int{}
-	for j, k := range keywords {
-		if j < len(r.TFs) {
-			tf[k] = r.TFs[j]
-		}
-	}
-	return Result{Rank: r.Rank, Score: r.Score, TF: tf, XML: r.Element.XMLString(""), Snippet: r.Snippet}
+	return Result{Rank: r.Rank, Score: r.Score, TF: core.TFMap(keywords, r.TFs), XML: r.Element.XMLString(""), Snippet: r.Snippet}
 }
 
 // Explain renders the query plan for a keyword search over the view: the
