@@ -10,6 +10,7 @@
 //	ErrInvalidOptions        unusable Options / request parameters  400
 //	ParseError               malformed XQuery (position + message)  400
 //	ErrDocumentTooDeep       document nests elements too deeply     400
+//	ErrMalformedDocument     document is not well-formed XML        400
 //	ErrViewTooLarge          view expands past the QPT node bound   400
 //	ErrPartialCluster        distributed search lost node(s)        502
 //	ErrNodeUnavailable       mutation could not reach a primary     502
@@ -74,6 +75,11 @@ type ParseError = xq.ParseError
 // nest deeper than the XML parser accepts (256 levels; compare with
 // errors.Is). An XQuery view nested too deeply is a ParseError instead.
 var ErrDocumentTooDeep = xmltree.ErrTooDeep
+
+// ErrMalformedDocument reports an added or replacing document that is not
+// well-formed XML — a syntax error, a second root element, an unbalanced
+// end tag or no element at all (compare with errors.Is).
+var ErrMalformedDocument = xmltree.ErrMalformed
 
 // ErrViewTooLarge reports a view definition whose query pattern trees
 // would need more than 1,024 nodes to build (compare with errors.Is).

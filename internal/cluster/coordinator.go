@@ -338,7 +338,7 @@ func (c *Coordinator) mutationError(ctx context.Context, verb, name string, slot
 		case codeInvalid:
 			// The node rejected the request body (malformed XML) — the
 			// client's fault, not the cluster's.
-			return fmt.Errorf("cluster: %s %q: %w", verb, name, err)
+			return fmt.Errorf("cluster: %s %q: %w: %s", verb, name, vxml.ErrInvalidOptions, ne.Msg)
 		}
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil {

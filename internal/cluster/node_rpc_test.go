@@ -109,6 +109,7 @@ func TestNodeErrorTaxonomy(t *testing.T) {
 		{vxml.ErrInvalidOptions, http.StatusBadRequest, codeInvalid},
 		{&vxml.ParseError{Pos: 3, Msg: "expected 'return'"}, http.StatusBadRequest, codeInvalid},
 		{vxml.ErrDocumentTooDeep, http.StatusBadRequest, codeInvalid},
+		{vxml.ErrMalformedDocument, http.StatusBadRequest, codeInvalid},
 		{vxml.ErrViewTooLarge, http.StatusBadRequest, codeInvalid},
 		{vxml.ErrUnroutableView, http.StatusBadRequest, codeInvalid},
 		{core.ErrUnpartitionableView, http.StatusBadRequest, codeInvalid},
@@ -136,6 +137,36 @@ func TestNodeErrorTaxonomy(t *testing.T) {
 		}
 		if eb.Error != err.Error() {
 			t.Errorf("%v: error text %q, want %q", tc.err, eb.Error, err.Error())
+		}
+	}
+}
+
+// TestNodeMaterializeOutOfRange: a /materialize position outside the view
+// is the client's fault, a 400/invalid reply — before MaterializeAt's range
+// error wrapped ErrInvalidOptions it was a 500/internal, which the
+// coordinator counts as the node failing.
+func TestNodeMaterializeOutOfRange(t *testing.T) {
+	srv := httptest.NewServer(NewNode().Handler())
+	defer srv.Close()
+	if code := postNode(t, srv.URL, "/documents", documentRequest{
+		Schema: Schema, Op: "add", Name: "part-00.xml", XML: rpcTestDoc, DocID: 1, SetGen: 1,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("add: %d", code)
+	}
+	if code := postNode(t, srv.URL, "/views", viewRequest{
+		Schema: Schema, Name: "v",
+		XQuery: `for $a in fn:collection("part-*")/books//article return <r>{$a/bdy}</r>`,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("view push: %d", code)
+	}
+	for _, pos := range []int{1, -1} {
+		req := materializeRequest{
+			rankRequest: rankRequest{Schema: Schema, View: "v", Keywords: []string{"copper"}, Gen: 1},
+			Positions:   []int{pos},
+		}
+		var eb httpkit.ErrorBody
+		if code := postNode(t, srv.URL, "/materialize", req, &eb); code != http.StatusBadRequest || eb.Code != codeInvalid {
+			t.Errorf("position %d of a one-result view: %d %q (%s), want 400 %q", pos, code, eb.Code, eb.Error, codeInvalid)
 		}
 	}
 }

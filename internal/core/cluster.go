@@ -168,8 +168,8 @@ type ClusterMaterialized struct {
 // handles), in the order requested. The re-run is deterministic, so as long
 // as the corpus has not mutated in between — the cluster RPC layer guards
 // this with a generation check — position i resolves to the same result the
-// ranking reported. A position out of range reports the corpus changed
-// underneath and is an error, never a silent skip. The int result counts
+// ranking reported. A position out of range is an error wrapping
+// ErrInvalidOptions, never a silent skip. The int result counts
 // the base-data subtree fetches performed (Stats.BaseData of this
 // pass alone).
 func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, opts Options, positions []int) ([]ClusterMaterialized, int, error) {
@@ -184,7 +184,7 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 	picked := make([]scoring.Scored, len(positions))
 	for i, pos := range positions {
 		if pos < 0 || pos >= len(out.results) {
-			return nil, 0, fmt.Errorf("core: materialize position %d out of range (view has %d results)", pos, len(out.results))
+			return nil, 0, fmt.Errorf("core: %w: materialize position %d out of range (view has %d results)", ErrInvalidOptions, pos, len(out.results))
 		}
 		picked[i] = scoring.Scored{Result: out.results[pos]}
 	}

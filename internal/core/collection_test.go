@@ -95,13 +95,14 @@ func TestExplainMentionsCollectionPattern(t *testing.T) {
 }
 
 // allocsPerCandidate is what one more candidate of a collection view costs
-// a search, object by object: the unit's PDT (build's element slab, link's
-// child slab, the PDT and its document: 4); its evaluation (the
-// evaluator's document node and its one-child slice: 2; the where
-// clause's literal boxed as an item: 1; EvalUnit's exact-size result
-// slice: 1); and its results' scoring inputs (their Stats and the
-// term-frequency slab they are carved from: 2).
-const allocsPerCandidate = 10
+// a search, object by object: its evaluation (the where clause's literal
+// boxed as an item: 1; EvalUnit's exact-size result slice: 1); its
+// results' scoring inputs (their Stats and the term-frequency slab they
+// are carved from: 2); and detach's slab of the results' copies, each a
+// Meta node copied without children (1). The unit's PDT, its document and
+// its document node cost nothing: they live in the worker's arena and the
+// evaluator, reused from unit to unit.
+const allocsPerCandidate = 5
 
 // TestPerDocumentAllocationsPerCandidate: a collection view's search costs
 // allocsPerCandidate allocations per candidate document, whatever the
@@ -111,8 +112,8 @@ const allocsPerCandidate = 10
 // candidates' worth, plus the growth of the per-search tables that append
 // per candidate (the plan's units, the store's matching documents): a
 // tenth of an allocation per candidate covers those. The race detector
-// drops pooled generators at random, and a dropped one re-grows its
-// scratch, so the count holds only without it (CI runs the allocation
+// drops pooled generators and arenas at random, and a dropped one re-grows
+// its scratch, so the count holds only without it (CI runs the allocation
 // tests without the detector too).
 func TestPerDocumentAllocationsPerCandidate(t *testing.T) {
 	if raceDetector {
@@ -138,7 +139,7 @@ func TestPerDocumentAllocationsPerCandidate(t *testing.T) {
 				t.Fatalf("%d results, err %v", len(results), err)
 			}
 		}
-		search() // fills the QPT's memos and warms a pooled generator
+		search() // fills the QPT's memos and warms a pooled generator and arena
 		return testing.AllocsPerRun(20, search)
 	}
 	a64, a128 := perSearch(64), perSearch(128)

@@ -479,24 +479,30 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 
 // generatePDT runs the per-document index pipeline for one unit: path-index
 // probes and QPT (pattern) matching, then PDT construction, in a pooled
-// generator's memory (pdt.GenerateFromIndex). The PDT is keyword-free — its
-// shape, values and byte lengths depend on (QPT, document) alone, and
-// collect derives the term frequencies of the results that survive
-// evaluation.
+// generator's memory (pdt.GenerateFromIndex), into memory of the PDT's own:
+// the whole-view path's PDTs and the side documents' are all alive
+// together. (A per-document unit generates into its worker's arena
+// instead, docWorker.run.) The PDT is keyword-free — its shape, values and
+// byte lengths depend on (QPT, document) alone, and collect derives the
+// term frequencies of the results that survive evaluation.
 func (u unit) generatePDT() *pdt.PDT {
 	return pdt.GenerateFromIndex(u.q, u.pix, u.name)
 }
 
 // document is the unit's PDT as evaluation sees it: the PDT's document or,
 // when no element qualified, a root-less document under the unit's name and
-// ID. Evaluation binds that as a childless document node, so a view that
-// binds document nodes yields a result for every candidate, as it does over
-// the base documents.
-func (u unit) document(pd *pdt.PDT) *xmltree.Document {
+// ID, written to empty (a new one if nil). Evaluation binds that as a
+// childless document node, so a view that binds document nodes yields a
+// result for every candidate, as it does over the base documents.
+func (u unit) document(pd *pdt.PDT, empty *xmltree.Document) *xmltree.Document {
 	if pd.Doc != nil {
 		return pd.Doc
 	}
-	return &xmltree.Document{Name: u.name, DocID: u.docID}
+	if empty == nil {
+		empty = new(xmltree.Document)
+	}
+	*empty = xmltree.Document{Name: u.name, DocID: u.docID}
+	return empty
 }
 
 // split parts the plan's units into the outer reference's candidates,
@@ -573,7 +579,7 @@ func generatePDTs(ctx context.Context, units []unit, stats *Stats) (*evalCatalog
 	for i, pd := range pdts {
 		stats.PDTNodes += pd.Nodes
 		stats.PDTBytes += pd.Bytes
-		doc := units[i].document(pd)
+		doc := units[i].document(pd, nil)
 		c.byName[doc.Name] = doc
 		c.ordered[i] = doc
 	}

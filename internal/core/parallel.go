@@ -8,6 +8,7 @@ import (
 
 	"vxml/internal/docname"
 	"vxml/internal/invindex"
+	"vxml/internal/pdt"
 	"vxml/internal/scoring"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
@@ -22,18 +23,19 @@ import (
 // for the in-flight items to finish (no goroutine outlives the call) and
 // returns the wrapped ctx error if the loop was cut short.
 func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
-	return forEachWorker(ctx, workers, n, func() func(int) { return fn })
+	return forEachWorker(ctx, workers, n, func(int) func(int) { return fn })
 }
 
 // forEachWorker is forEach for work that needs per-worker state (e.g. a
-// single-threaded evaluator): newWorker runs once per pool goroutine and
-// returns that worker's item function.
-func forEachWorker(ctx context.Context, workers, n int, newWorker func() func(i int)) error {
+// single-threaded evaluator): newWorker runs once per pool goroutine, with
+// the worker's number (0 to min(workers, n)-1), and returns that worker's
+// item function.
+func forEachWorker(ctx context.Context, workers, n int, newWorker func(worker int) func(i int)) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 || n <= 1 {
-		fn := newWorker()
+		fn := newWorker(0)
 		for i := 0; i < n; i++ {
 			if err := ctxErr(ctx); err != nil {
 				return err
@@ -48,7 +50,7 @@ func forEachWorker(ctx context.Context, workers, n int, newWorker func() func(i 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn := newWorker()
+			fn := newWorker(w)
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -121,7 +123,7 @@ func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int)
 	chunks := chunkBounds(len(bindings), workers*4)
 	outs := make([][]*xmltree.Node, len(chunks))
 	errs := make([]error, len(chunks))
-	poolErr := forEachWorker(ctx, workers, len(chunks), func() func(int) {
+	poolErr := forEachWorker(ctx, workers, len(chunks), func(int) func(int) {
 		ev := newEval() // evaluators are single-threaded; one per worker
 		return func(c int) {
 			for bi := chunks[c][0]; bi < chunks[c][1]; bi++ {
@@ -232,15 +234,21 @@ type docOutput struct {
 	err          error
 }
 
-// docWorker is one pool goroutine's state for per-document output: an
-// evaluator over a unit catalog it re-points per unit, the unit's posting
-// list per keyword and the side documents' lists, shared by every worker.
+// docWorker is one pool goroutine's state for per-document output: the
+// arena its units' PDTs are generated into, an evaluator over a unit
+// catalog it re-points per unit, the unit's posting list per keyword, the
+// side documents' lists, shared by every worker, and detach's scratch.
 type docWorker struct {
+	arena     *pdt.Arena
+	empty     xmltree.Document // the unit document of an empty PDT
 	ev        *xqeval.Evaluator
 	cat       unitCatalog
 	doc       int32
 	lists     []*invindex.PostingList
 	sideLists map[int32][]*invindex.PostingList
+	// nodes and kids are detach's slabs for the unit's copies.
+	nodes []xmltree.Node
+	kids  []*xmltree.Node
 }
 
 // listsOf returns a document's posting list per keyword: a result's Meta
@@ -275,28 +283,29 @@ func (c *unitCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return c.sides.DocsMatching(pattern)
 }
 
-// run is one per-document work unit: PDT generation, then evaluate. An
-// empty PDT is evaluated as a root-less document (unit.document).
+// run is one per-document work unit: PDT generation into the worker's
+// arena, then evaluate. An empty PDT is evaluated as a root-less document
+// (unit.document).
 func (w *docWorker) run(u unit, v *View, kws []string, d *docOutput) {
 	start := time.Now()
-	pd := u.generatePDT()
+	pd := pdt.GenerateInto(w.arena, u.q, u.pix, u.name)
 	d.nodes, d.bytes = pd.Nodes, pd.Bytes
 	generated := time.Now()
 	d.gen = generated.Sub(start)
-	d.err = w.evaluate(u, u.document(pd), v, kws, d)
+	d.err = w.evaluate(u, u.document(pd, &w.empty), v, kws, d)
 	d.eval = time.Since(generated)
 }
 
 // evaluate runs the whole view over the unit's PDT and the side documents,
 // with the side join indices the worker's evaluator keeps (EvalUnit), looks
-// up the unit's keyword lists and collects its results' scoring inputs,
-// with term frequencies carved from one slab.
+// up the unit's keyword lists, collects its results' scoring inputs, with
+// term frequencies carved from one slab, and detaches the results from the
+// memory the next unit reuses.
 func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []string, d *docOutput) error {
-	prev := w.cat.docs[0]
 	w.cat.docs[0] = doc
 	// The partition rule's Outer is a top-level for clause's.
 	var err error
-	if d.results, err = w.ev.EvalUnit(v.Expr.(*xq.FLWORExpr), prev); err != nil {
+	if d.results, err = w.ev.EvalUnit(v.Expr.(*xq.FLWORExpr), doc); err != nil {
 		return err
 	}
 	if len(d.results) == 0 {
@@ -314,7 +323,118 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 		d.rstats[i].TFs = tfs[i*k : (i+1)*k : (i+1)*k]
 		addResultStats(&d.rstats[i], r, w.listsOf)
 	}
+	w.detach(d.results)
 	return nil
+}
+
+// detach makes a unit's results independent of the memory the worker's
+// next unit reuses — the arena's PDT and the evaluator's unit document
+// node — by copying every such node the results reach into one slab, and
+// the copies' child pointers into a second, each sized by a first walk:
+//
+//   - A Meta node is copied without children: nothing reads below one once
+//     its scoring inputs are collected (addResultStats stops there, and
+//     scoring.Materialize fetches a node with an ID whole from base data).
+//   - Any other PDT node, and the document node, is copied with its
+//     children detached.
+//   - A constructed node keeps its identity; its children are re-pointed
+//     to their copies.
+//   - A side document's node is left as it is: its PDT lives as long as
+//     the search.
+//
+// A node reached along two paths is copied once per path, as both walks
+// count it. A constructed node reached twice is walked twice, the second
+// time over the copies the first made, which are copied again: the second
+// walk copies no node the first did not count, so the slabs never grow.
+func (w *docWorker) detach(results []*xmltree.Node) {
+	nodes, kids := 0, 0
+	for _, r := range results {
+		w.count(r, &nodes, &kids)
+	}
+	if nodes == 0 {
+		return
+	}
+	w.nodes, w.kids = make([]xmltree.Node, 0, nodes), make([]*xmltree.Node, 0, kids)
+	for i, r := range results {
+		results[i] = w.copyOut(r)
+	}
+	w.nodes, w.kids = nil, nil
+}
+
+// reused reports whether n is memory the worker's next unit overwrites: a
+// node of the unit's PDT (its Dewey ID names the unit's document; a side
+// document's names its own) or the evaluator's unit document node.
+func (w *docWorker) reused(n *xmltree.Node) bool {
+	return n == w.ev.UnitNode() || len(n.ID) > 0 && n.ID[0] == w.doc
+}
+
+// count adds to nodes and kids the copies and copied child pointers that
+// copyOut(n) makes.
+func (w *docWorker) count(n *xmltree.Node, nodes, kids *int) {
+	switch {
+	case w.reused(n):
+		*nodes++
+		if n.Meta != nil {
+			return
+		}
+		*kids += len(n.Children)
+	case len(n.ID) > 0:
+		return // a side document's node
+	}
+	for _, c := range n.Children {
+		w.count(c, nodes, kids)
+	}
+}
+
+// copyOut returns what stands for n once the worker's memory is reused:
+// a copy of reused memory, and n itself otherwise, a constructed node's
+// children re-pointed.
+func (w *docWorker) copyOut(n *xmltree.Node) *xmltree.Node {
+	if !w.reused(n) {
+		if len(n.ID) == 0 {
+			for j, c := range n.Children {
+				if cc := w.copyOut(c); cc != c {
+					n.Children[j] = cc
+				}
+			}
+		}
+		return n
+	}
+	w.nodes = append(w.nodes, *n)
+	c := &w.nodes[len(w.nodes)-1]
+	c.Children = nil
+	if n.Meta == nil && len(n.Children) > 0 {
+		at := len(w.kids)
+		w.kids = append(w.kids, n.Children...)
+		c.Children = w.kids[at:len(w.kids):len(w.kids)]
+		for j, ch := range c.Children {
+			c.Children[j] = w.copyOut(ch)
+		}
+	}
+	return c
+}
+
+// arenaPool recycles the per-document pass's PDT arenas across searches.
+// An arena grown past maxPooledArena nodes is left to the collector, so a
+// search over one large document does not keep its slabs resident.
+var arenaPool = sync.Pool{New: func() any { return new(pdt.Arena) }}
+
+const maxPooledArena = 1 << 10
+
+// releaseArenas ends a per-document pass's use of its workers' arenas:
+// each is cleared — no result points into it any more (detach), and a
+// cleared arena keeps no document's index alive — and pooled unless it
+// grew too large.
+func releaseArenas(arenas []*pdt.Arena) {
+	for _, a := range arenas {
+		if a == nil {
+			continue
+		}
+		a.Clear()
+		if a.Cap() <= maxPooledArena {
+			arenaPool.Put(a)
+		}
+	}
 }
 
 // perDocumentOutput is direct view output for a view that runs per
@@ -322,12 +442,14 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 // other references, get their PDTs (counted once in stats) and keyword
 // lists first, once. Then one pass of work units over the outer candidates
 // runs on a pool of stats.Workers, each a docWorker.run over its own PDT
-// plus the shared sides. The units are in document-ID order, the order
-// whole-view evaluation enumerates the collection in, so concatenating
-// their outputs reproduces the whole view's results; each result's owner
-// is its unit's document. The pass's wall time is split between PDTTime
-// and EvalTime in proportion to the units' summed generation and
-// evaluation-plus-collection times.
+// plus the shared sides. A unit's PDT is scratch: each worker generates
+// its units' PDTs into one pooled arena, and the results a unit keeps are
+// detached from it before the next unit runs. The units are in
+// document-ID order, the order whole-view evaluation enumerates the
+// collection in, so concatenating their outputs reproduces the whole
+// view's results; each result's owner is its unit's document. The pass's
+// wall time is split between PDTTime and EvalTime in proportion to the
+// units' summed generation and evaluation-plus-collection times.
 func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) error {
 	stats := out.stats
 	units, sides := p.split(v.Deps.Outer)
@@ -338,12 +460,16 @@ func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) 
 	sideLists := keywordLists(sides, out.kws)
 	start := time.Now()
 	docs := make([]docOutput, len(units))
-	if err := forEachWorker(ctx, stats.Workers, len(units), func() func(int) {
-		w := &docWorker{cat: unitCatalog{sides: sideCat}, sideLists: sideLists}
+	arenas := make([]*pdt.Arena, max(1, min(stats.Workers, len(units))))
+	err = forEachWorker(ctx, stats.Workers, len(units), func(worker int) func(int) {
+		w := &docWorker{arena: arenaPool.Get().(*pdt.Arena), cat: unitCatalog{sides: sideCat}, sideLists: sideLists}
+		arenas[worker] = w.arena
 		w.ev = xqeval.New(&w.cat, v.Funcs)
 		w.ev.SetContext(ctx)
 		return func(i int) { w.run(units[i], v, out.kws, &docs[i]) }
-	}); err != nil {
+	})
+	releaseArenas(arenas)
+	if err != nil {
 		return err
 	}
 	var gen, eval time.Duration

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"vxml/internal/baseline"
+	"vxml/internal/catalog"
 	"vxml/internal/core"
 	"vxml/internal/gtp"
+	"vxml/internal/scoring"
 	"vxml/internal/store"
 	"vxml/internal/testkit"
 	"vxml/internal/xmltree"
@@ -273,6 +275,143 @@ func TestPerDocumentCancelMidPool(t *testing.T) {
 		}
 		if _, _, err := e.Search(v, []string{"copper"}, core.Options{Parallelism: par}); err != nil {
 			t.Fatalf("pool %d: search after cancel: %v", par, err)
+		}
+	}
+}
+
+// arenaViews are per-document views whose results reach every kind of
+// node the per-document pass detaches from its workers' arenas: an arena
+// node as the result ($a), arena nodes under a constructed wrapper and
+// under a wrapper of a bound document node, the side document's PDT nodes
+// of two equality joins, and the unit's document node itself, as the
+// result and inside a wrapper beside nodes of its own subtree. The last
+// two are held against the whole-view pipeline instead of Baseline: the
+// PDT of a view that returns a bound document node does not carry the
+// document's root element as content, so both PDT pipelines score such a
+// result from what its other paths kept, where Baseline scores the whole
+// document.
+var arenaViews = []struct {
+	view      string
+	wholeView bool
+}{
+	{`for $a in fn:collection("part-*")/books//article return $a`, false},
+	{testkit.EqViews[0], false},
+	{`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`, false},
+	{testkit.EqViews[1], false},
+	{testkit.DocNodeJoin, false},
+	{`for $d in fn:collection("part-*") return $d`, true},
+	{`for $d in fn:collection("part-*") return <n>{$d}, {$d/books//article/fm/tl}</n>`, true},
+}
+
+// TestPerDocumentArenaDetachMatchesBaseline: every worker generates its
+// units' PDTs into one pooled arena, and the pass clears each arena once
+// its units are done, so a result still pointing into one would read
+// zeroed nodes, and a later search reusing the arena would overwrite them.
+// Over a corpus with an empty-PDT candidate between non-empty ones, at
+// pools of one and four, each view's results are byte-identical to its
+// reference's — Baseline's, or the whole-view pipeline's (arenaViews) —
+// three ways: as searched; as ranked pruned trees, which must hold no
+// zeroed node, materialized after the pass; and served from the catalog
+// skeleton a planned search recorded, after searches over the other views
+// have reused the pooled arenas.
+func TestPerDocumentArenaDetachMatchesBaseline(t *testing.T) {
+	e := eqEngine(t, 71, 6)
+	rng := rand.New(rand.NewSource(72))
+	if err := e.AddXML("part-empty.xml", "<books><misc>copper quartz</misc></books>"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := e.AddXML(fmt.Sprintf("part-late-%d.xml", i), "<books>"+testkit.RandomArticle(rng, 9100+i)+"</books>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views := make([]*core.View, len(arenaViews))
+	for vi, av := range arenaViews {
+		v, err := e.CompileView(av.view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !core.RunsPerDocument(v) {
+			t.Fatalf("view %d does not run per document", vi)
+		}
+		views[vi] = v
+	}
+	reference := func(vi int, kws []string, opts core.Options) []row {
+		if arenaViews[vi].wholeView {
+			rows, _ := statRows(t, e, core.WholeViewCopy(views[vi]), kws, opts)
+			return rows
+		}
+		base, _, err := baseline.Search(e, views[vi], kws, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]row, len(base))
+		for i, r := range base {
+			rows[i] = rowOf(r)
+		}
+		return rows
+	}
+	matched := 0
+	for _, par := range []int{1, 4} {
+		for _, kws := range [][]string{{"copper"}, {"copper", "quartz"}} {
+			opts := core.Options{Parallelism: par, Disjunctive: len(kws) > 1}
+			planned := opts
+			planned.Plan = true
+			for vi, v := range views {
+				label := fmt.Sprintf("view %d pool %d kws %v", vi, par, kws)
+				want := reference(vi, kws, opts)
+				got, stats := statRows(t, e, v, kws, opts)
+				matched += stats.Matched
+				mustMatchReference(t, label, want, got)
+				// The skeleton of every view is recorded first, then served
+				// once the other views' passes have reused the arenas.
+				statRows(t, e, v, kws, planned)
+
+				ranked, _, err := core.RankedPruned(e, v, kws, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ranked) != len(want) {
+					t.Fatalf("%s: %d ranked, the reference has %d", label, len(ranked), len(want))
+				}
+				for i, sc := range ranked {
+					sc.Result.Walk(func(n *xmltree.Node) {
+						if n.Tag == "" {
+							t.Fatalf("%s: ranked result %d reaches a zeroed node", label, i)
+						}
+					})
+					if x := scoring.Materialize(sc.Result, e.Store).XMLString(""); x != want[i].xml {
+						t.Fatalf("%s: ranked result %d materializes to\n%s\nthe reference's is\n%s", label, i, x, want[i].xml)
+					}
+				}
+			}
+			for vi, v := range views {
+				label := fmt.Sprintf("view %d pool %d kws %v (skeleton)", vi, par, kws)
+				got, stats := statRows(t, e, v, kws, planned)
+				if stats.PlanSource == catalog.PlanDirect {
+					t.Fatalf("%s: the planned search was not served from the skeleton", label)
+				}
+				mustMatchReference(t, label, reference(vi, kws, opts), got)
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no search matched anything; the corpus no longer exercises the pipeline")
+	}
+}
+
+// mustMatchReference holds searched rows against a reference's, whose
+// snippets are not compared: Baseline cuts none.
+func mustMatchReference(t *testing.T, label string, want, got []row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, the reference has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		w := want[i]
+		w.snippet = got[i].snippet
+		if w != got[i] {
+			t.Fatalf("%s: result %d differs from the reference\nwant %+v\ngot  %+v", label, i, w, got[i])
 		}
 	}
 }

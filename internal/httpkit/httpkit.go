@@ -113,7 +113,7 @@ func StatusFor(err error) int {
 	case errors.Is(err, vxml.ErrStaleGeneration):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, vxml.ErrInvalidOptions), errors.Is(err, vxml.ErrUnroutableView), errors.As(err, &pe),
-		errors.Is(err, vxml.ErrDocumentTooDeep), errors.Is(err, vxml.ErrViewTooLarge),
+		errors.Is(err, vxml.ErrDocumentTooDeep), errors.Is(err, vxml.ErrMalformedDocument), errors.Is(err, vxml.ErrViewTooLarge),
 		errors.Is(err, core.ErrUnpartitionableView):
 		return http.StatusBadRequest
 	}

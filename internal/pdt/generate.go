@@ -1,6 +1,7 @@
 package pdt
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -159,7 +160,7 @@ var genPool = sync.Pool{New: func() any { return &generator{} }}
 // allocates only for the PDT it emits.
 func Generate(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 	g := genPool.Get().(*generator)
-	pdt := g.run(q, lists, sourceName)
+	pdt := g.run(q, lists, sourceName, new(Arena))
 	genPool.Put(g)
 	return pdt
 }
@@ -170,21 +171,68 @@ func Generate(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 // PDT it returns and what the index allocates per lookup (a stored index
 // decodes its lists afresh).
 func GenerateFromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
+	return GenerateInto(new(Arena), q, pix, sourceName)
+}
+
+// GenerateInto is GenerateFromIndex into a: the PDT, its document and its
+// nodes are a's memory, overwritten by the next GenerateInto or Clear on
+// a. Generation into a warm arena allocates only what the index allocates
+// per lookup.
+func GenerateInto(a *Arena, q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
 	g := genPool.Get().(*generator)
-	pdt := g.fromIndex(q, pix, sourceName)
+	pdt := g.fromIndex(q, pix, sourceName, a)
 	genPool.Put(g)
 	return pdt
 }
 
-// fromIndex is one GenerateFromIndex on g.
-func (g *generator) fromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
+// fromIndex is one GenerateInto on g.
+func (g *generator) fromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName string, a *Arena) *PDT {
 	g.prepared.prepare(q, pix, nil, nil)
-	return g.run(q, &g.prepared.Lists, sourceName)
+	return g.run(q, &g.prepared.Lists, sourceName, a)
 }
 
-// run is one generation. It leaves g reset: scratch backings kept, nothing
-// that points into the document's index.
-func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
+// Arena is the memory of one PDT at a time, reused from one generation to
+// the next: a node slab, a child-pointer slab and the PDT and Document
+// headers. A fresh arena's slabs are sized exactly; a reused one's are
+// cleared and grown. An Arena is not safe for concurrent use.
+type Arena struct {
+	nodes []xmltree.Node
+	kids  []*xmltree.Node
+	pdt   PDT
+	doc   xmltree.Document
+}
+
+// Clear zeroes the arena's PDT, keeping the slabs' capacity: every node of
+// it reads as the zero node, and the arena keeps nothing of the document
+// the PDT came from alive — no tag, value or ID, all of which point into
+// the document's index.
+func (a *Arena) Clear() {
+	clear(a.nodes)
+	clear(a.kids)
+	a.nodes, a.kids = a.nodes[:0], a.kids[:0]
+	a.pdt, a.doc = PDT{}, xmltree.Document{}
+}
+
+// Cap is the number of nodes the arena holds without growing.
+func (a *Arena) Cap() int { return cap(a.nodes) }
+
+// nodeSlab returns the arena's node slab, cleared, with room for n nodes.
+func (a *Arena) nodeSlab(n int) []xmltree.Node {
+	clear(a.nodes)
+	a.nodes = slices.Grow(a.nodes[:0], n)
+	return a.nodes
+}
+
+// kidSlab returns the arena's child-pointer slab, cleared, n long.
+func (a *Arena) kidSlab(n int) []*xmltree.Node {
+	clear(a.kids)
+	a.kids = slices.Grow(a.kids[:0], n)[:n]
+	return a.kids
+}
+
+// run is one generation, into a. It leaves g reset: scratch backings kept,
+// nothing that points into the document's index.
+func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string, a *Arena) *PDT {
 	g.q, g.lists, g.layout = q, lists, q.MandatoryLayout()
 	// Virtual root CT node: the document itself, always in the PDT.
 	virtual := g.newNode(nil, srcRef{})
@@ -209,7 +257,7 @@ func (g *generator) run(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 		g.freeEntry(x)
 	}
 	g.release(g.pop())
-	pdt := g.build(sourceName)
+	pdt := g.build(sourceName, a)
 	g.reset()
 	return pdt
 }
@@ -546,16 +594,16 @@ func (g *generator) emit(seq int32, q *qpt.Node) {
 	g.marks[seq] |= m
 }
 
-// build copies the emitted elements out of the lists into the PDT's slabs,
-// in push order — which is document order, so nothing is sorted — and
-// links them. Payloads are final by now: an element's own postings precede
+// build copies the emitted elements out of the lists into a's slabs, in
+// push order — which is document order, so nothing is sorted — and links
+// them. Payloads are final by now: an element's own postings precede
 // its descendants', so src points at one of them if there is any. Term
 // frequencies are summed here, for the emitted 'c' elements only, and only
 // when the lists were prepared with keywords: a keyword-free PDT carries
 // none — its 'c' elements share xmltree.ContentMark — and whoever scores
 // its results derives them as the same Dewey-range sums over the same
 // lists (index-only either way).
-func (g *generator) build(sourceName string) *PDT {
+func (g *generator) build(sourceName string, a *Arena) *PDT {
 	nodes, metas := 0, 0
 	inv := g.lists.Inv
 	for _, m := range g.marks {
@@ -566,7 +614,7 @@ func (g *generator) build(sourceName string) *PDT {
 			}
 		}
 	}
-	slab := make([]xmltree.Node, 0, nodes)
+	slab := a.nodeSlab(nodes)
 	var metaSlab []xmltree.NodeMeta
 	var tfSlab []int
 	if metas > 0 {
@@ -605,7 +653,8 @@ func (g *generator) build(sourceName string) *PDT {
 			node.Meta = &metaSlab[len(metaSlab)-1]
 		}
 	}
-	return link(slab, sourceName)
+	a.nodes = slab
+	return a.link(sourceName)
 }
 
 // BuildPruned assembles a pruned document from an element list (in any
@@ -614,7 +663,8 @@ func (g *generator) build(sourceName string) *PDT {
 func BuildPruned(elements []*Element, sourceName string) *PDT {
 	sorted := append([]*Element(nil), elements...)
 	sort.Slice(sorted, func(i, j int) bool { return dewey.Less(sorted[i].ID, sorted[j].ID) })
-	slab := make([]xmltree.Node, len(sorted))
+	a := &Arena{nodes: make([]xmltree.Node, len(sorted))}
+	slab := a.nodes
 	metas := 0
 	for _, el := range sorted {
 		if el.NeedC && el.TFs != nil {
@@ -636,17 +686,19 @@ func BuildPruned(elements []*Element, sourceName string) *PDT {
 			node.Meta = xmltree.ContentMark
 		}
 	}
-	return link(slab, sourceName)
+	return a.link(sourceName)
 }
 
-// link turns a slab of elements in document order into a pruned xmltree
-// document: every element's parent is its closest emitted ancestor
+// link turns a's node slab, elements in document order, into a pruned
+// xmltree document: every element's parent is its closest emitted ancestor
 // (Definition 3), the top of the root-to-leaf chain of emitted elements
 // once the chain is cut back to the element's ancestors. Child slices are
-// carved from one slab sized by the element count, so linking costs three
-// allocations whatever the size.
-func link(slab []xmltree.Node, sourceName string) *PDT {
-	pdt := &PDT{SourceName: sourceName, Nodes: len(slab)}
+// carved from a's child slab, and the PDT and its document are a's
+// headers, so linking allocates at most the child slab whatever the size.
+func (a *Arena) link(sourceName string) *PDT {
+	slab := a.nodes
+	pdt := &a.pdt
+	*pdt = PDT{SourceName: sourceName, Nodes: len(slab)}
 	if len(slab) == 0 {
 		return pdt
 	}
@@ -654,7 +706,7 @@ func link(slab []xmltree.Node, sourceName string) *PDT {
 		pdt.Bytes += 2*len(slab[i].Tag) + 5 + len(slab[i].Value)
 	}
 	// Every element but the root is the child of exactly one other.
-	kids := make([]*xmltree.Node, len(slab)-1)
+	kids := a.kidSlab(len(slab) - 1)
 	var chainBuf [32]*xmltree.Node
 	// Two walks down the same chain. The first counts each node's children
 	// in the length of its Children. The second carves each node's exact
@@ -690,6 +742,7 @@ func link(slab []xmltree.Node, sourceName string) *PDT {
 		}
 	}
 	root := &slab[0]
-	pdt.Doc = &xmltree.Document{Name: sourceName, Root: root, DocID: root.ID[0]}
+	a.doc = xmltree.Document{Name: sourceName, Root: root, DocID: root.ID[0]}
+	pdt.Doc = &a.doc
 	return pdt
 }

@@ -513,14 +513,14 @@ func TestGenerateAllocationsIndependentOfDocumentSize(t *testing.T) {
 		doc := parseDoc(t, sb.String(), "books.xml", 1)
 		pix := pathindex.Build(doc)
 		lists := PrepareLists(q, pix, invindex.Build(doc), nil)
-		if n := g.run(q, lists, doc.Name).Nodes; n < books { // also grows the scratch to this document
+		if n := g.run(q, lists, doc.Name, new(Arena)).Nodes; n < books { // also grows the scratch to this document
 			t.Fatalf("%d books: PDT of %d nodes", books, n)
 		}
-		allocs = append(allocs, testing.AllocsPerRun(50, func() { g.run(q, lists, doc.Name) }))
-		if n := g.fromIndex(q, pix, doc.Name).Nodes; n < books {
+		allocs = append(allocs, testing.AllocsPerRun(50, func() { g.run(q, lists, doc.Name, new(Arena)) }))
+		if n := g.fromIndex(q, pix, doc.Name, new(Arena)).Nodes; n < books {
 			t.Fatalf("%d books: pooled PDT of %d nodes", books, n)
 		}
-		pooled = append(pooled, testing.AllocsPerRun(50, func() { g.fromIndex(q, pix, doc.Name) }))
+		pooled = append(pooled, testing.AllocsPerRun(50, func() { g.fromIndex(q, pix, doc.Name, new(Arena)) }))
 	}
 	t.Logf("Generate: %v and %v objects; pooled prepare and generate: %v and %v", allocs[0], allocs[1], pooled[0], pooled[1])
 	if allocs[1] > allocs[0]+1 || allocs[0] > 8 {
@@ -565,7 +565,7 @@ func TestPooledPrepareKeepsEveryRegion(t *testing.T) {
 			t.Fatalf("document %d: %d predicate-filtered lists, want several", i, regions)
 		}
 		want := Generate(q, fresh, doc.Name)
-		got := g.fromIndex(q, pix, doc.Name)
+		got := g.fromIndex(q, pix, doc.Name, new(Arena))
 		if render(got) != render(want) || got.Nodes != want.Nodes || got.Bytes != want.Bytes {
 			t.Fatalf("document %d: pooled PDT\n%s want\n%s", i, render(got), render(want))
 		}
@@ -587,7 +587,7 @@ func TestResetDropsPreparedLists(t *testing.T) {
 	g := &generator{}
 	for i, text := range multiRegionDocs {
 		doc := parseDoc(t, text, "r.xml", int32(i+1))
-		if p := g.fromIndex(q, pathindex.Build(doc), doc.Name); p.Nodes == 0 {
+		if p := g.fromIndex(q, pathindex.Build(doc), doc.Name, new(Arena)); p.Nodes == 0 {
 			t.Fatalf("document %d: empty PDT", i)
 		}
 		m := &g.prepared
@@ -610,5 +610,49 @@ func mustBeZero[T any](t *testing.T, what string, entries []T) {
 		if !reflect.ValueOf(&entries[k]).Elem().IsZero() {
 			t.Fatalf("%s %d of %d survives reset: %+v", what, k, len(entries), entries[k])
 		}
+	}
+}
+
+// TestGenerateIntoReusesArena runs documents of growing, shrinking and no
+// PDT through one arena. Each PDT equals a fresh GenerateFromIndex's and
+// is the arena's memory. Once the arena has grown to the largest,
+// generating into it allocates nothing. Clear zeroes everything in the slabs' capacity and both
+// headers, so a cleared arena keeps no document's index alive.
+func TestGenerateIntoReusesArena(t *testing.T) {
+	q := viewQPTs(t, multiRegionView)[0]
+	texts := append([]string{`<r><x><b>xml</b></x></r>`}, multiRegionDocs...)
+	texts = append(texts, multiRegionDocs[0])
+	a := new(Arena)
+	g := &generator{}
+	for i, text := range texts {
+		doc := parseDoc(t, text, "r.xml", int32(i+1))
+		pix := pathindex.Build(doc)
+		want := GenerateFromIndex(q, pix, doc.Name)
+		got := g.fromIndex(q, pix, doc.Name, a)
+		if render(got) != render(want) || got.Nodes != want.Nodes || got.Bytes != want.Bytes || (got.Doc == nil) != (want.Doc == nil) {
+			t.Fatalf("document %d: arena PDT\n%s want\n%s", i, render(got), render(want))
+		}
+		if i == 0 && got.Doc != nil {
+			t.Fatalf("document 0 has no <a>, yet its PDT is\n%s", render(got))
+		}
+		if len(a.nodes) != got.Nodes || got != &a.pdt || (got.Doc != nil && (got.Doc != &a.doc || got.Doc.Root != &a.nodes[0])) {
+			t.Fatalf("document %d: the PDT of %d nodes is not the arena's %d", i, got.Nodes, len(a.nodes))
+		}
+		if i == len(texts)-1 {
+			if n := testing.AllocsPerRun(20, func() { g.fromIndex(q, pix, doc.Name, a) }); n != 0 {
+				t.Errorf("generating into a warm arena allocates %v objects", n)
+			}
+		}
+	}
+	if a.Cap() == 0 || cap(a.kids) == 0 {
+		t.Fatal("the arena kept no slab")
+	}
+	a.Clear()
+	mustBeZero(t, "node", a.nodes[:cap(a.nodes)])
+	mustBeZero(t, "child pointer", a.kids[:cap(a.kids)])
+	mustBeZero(t, "header", []PDT{a.pdt})
+	mustBeZero(t, "document", []xmltree.Document{a.doc})
+	if len(a.nodes) != 0 {
+		t.Fatalf("a cleared arena holds %d nodes", len(a.nodes))
 	}
 }

@@ -47,6 +47,41 @@ func TestStatusForClusterTaxonomy(t *testing.T) {
 
 const clusterPartDoc = `<books><article><fm><tl>copper mining</tl><au>author%d</au><yr>1999</yr></fm><bdy>copper quartz survey</bdy></article></books>`
 
+// TestMalformedDocumentIs400OnBothSurfaces: a document that is not
+// well-formed XML is the client's fault on a single-process server and on
+// a coordinator over two nodes alike. Before the parser's errors wrapped
+// vxml.ErrMalformedDocument the node answered 500/internal, and the
+// coordinator reported its own client's mistake as 502 "node unavailable".
+func TestMalformedDocumentIs400OnBothSurfaces(t *testing.T) {
+	var slots [][]string
+	for i := 0; i < 2; i++ {
+		ns := httptest.NewServer(cluster.NewNode().Handler())
+		defer ns.Close()
+		slots = append(slots, []string{ns.URL})
+	}
+	coord, err := cluster.NewCoordinator(cluster.Config{Slots: slots, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]http.Handler{
+		"coordinator": NewBackend(coord).Handler(),
+		"single":      New(vxml.Open()).Handler(),
+	} {
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		for _, doc := range []string{"<notes>", "<a/><b/>", "text"} {
+			resp, body := postJSON(t, ts.URL+"/v1/documents", map[string]any{"name": "bad.xml", "xml": doc})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: adding %q answered %d %s, want 400", name, doc, resp.StatusCode, body)
+			}
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/documents", map[string]any{"name": "bad.xml", "xml": "<notes/>"})
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("%s: a well-formed add after the rejected ones answered %d %s", name, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestClusterBackedServer serves the public API through a two-slot
 // cluster and checks the full degraded-mode round trip over HTTP.
 func TestClusterBackedServer(t *testing.T) {

@@ -184,6 +184,7 @@ func TestStatusForTaxonomy(t *testing.T) {
 		{&vxml.ParseError{Pos: 3, Msg: "expected 'return'"}, http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", &vxml.ParseError{Pos: 1, Msg: "x"}), http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", vxml.ErrViewTooLarge), http.StatusBadRequest},
+		{fmt.Errorf("wrap: %w", vxml.ErrMalformedDocument), http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", vxml.ErrUnknownView), http.StatusNotFound},
 		{fmt.Errorf("wrap: %w", vxml.ErrUnknownDocument), http.StatusNotFound},
 		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), http.StatusRequestTimeout},

@@ -89,9 +89,15 @@ const maxDepth = 256
 // accepts (compare with errors.Is).
 var ErrTooDeep = errors.New("elements nested too deeply")
 
+// ErrMalformed reports a document that is not well-formed XML: a syntax
+// error, a second root element, an unbalanced end tag or no element at
+// all. Every Parse error but ErrTooDeep wraps it (compare with errors.Is).
+var ErrMalformed = errors.New("malformed XML")
+
 // Parse reads an XML document from r, converts attributes to subelements,
 // assigns Dewey IDs rooted at docID, and computes subtree byte lengths. A
-// document nested more than maxDepth elements deep fails with ErrTooDeep.
+// document nested more than maxDepth elements deep fails with ErrTooDeep,
+// one that is not well-formed with ErrMalformed.
 func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
@@ -102,7 +108,7 @@ func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse %s: %w", name, err)
+			return nil, fmt.Errorf("xmltree: parse %s: %w: %w", name, ErrMalformed, err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
@@ -121,7 +127,7 @@ func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 			}
 			if len(stack) == 0 {
 				if root != nil {
-					return nil, fmt.Errorf("xmltree: parse %s: multiple roots", name)
+					return nil, fmt.Errorf("xmltree: parse %s: %w: multiple roots", name, ErrMalformed)
 				}
 				root = n
 			} else {
@@ -130,7 +136,7 @@ func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 			stack = append(stack, n)
 		case xml.EndElement:
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse %s: unbalanced end tag", name)
+				return nil, fmt.Errorf("xmltree: parse %s: %w: unbalanced end tag", name, ErrMalformed)
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
@@ -147,7 +153,7 @@ func Parse(r io.Reader, name string, docID int32) (*Document, error) {
 		}
 	}
 	if root == nil {
-		return nil, fmt.Errorf("xmltree: parse %s: empty document", name)
+		return nil, fmt.Errorf("xmltree: parse %s: %w: empty document", name, ErrMalformed)
 	}
 	doc := &Document{Name: name, Root: root, DocID: docID}
 	doc.Finalize()

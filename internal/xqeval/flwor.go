@@ -230,15 +230,26 @@ func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
 }
 
 // EvalUnit evaluates a FLWOR that opens with a for clause, as Eval does,
-// over the next unit document of a per-document pass, and returns the
-// nodes of its value (atomic values are not view results) in one slice of
-// exactly their number; prev, the unit before (or nil), loses its document
-// node. Built hash-join indices are kept, so a join over a side document
-// is built once per evaluator: sound when only the first clause reads the
-// unit document (core's partition rule), as EvalUnit loops over that
-// clause and never hash-joins it.
-func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, prev *xmltree.Document) ([]*xmltree.Node, error) {
-	delete(e.docNodes, prev)
+// over doc, the next unit document of a per-document pass, which the
+// catalog must resolve, and returns the nodes of its value (atomic values
+// are not view results) in one slice of exactly their number.
+//
+// Nothing of a unit outlives the next EvalUnit in the evaluator, so the
+// unit's document and nodes may be memory the caller reuses. The document
+// node doc binds to is the evaluator's own, rebound by the next EvalUnit
+// (UnitNode); no other document node of a unit is cached. Built hash-join
+// indices are kept, so a join over a side document is built once per
+// evaluator: sound when only the first clause reads the unit document
+// (core's partition rule), as EvalUnit loops over that clause and never
+// hash-joins it. Everything else that holds nodes — the value stack, the
+// step buffers, the dedupe set and the loop frames — is scratch, rewritten
+// before it is read.
+func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, doc *xmltree.Document) ([]*xmltree.Node, error) {
+	e.unit, e.unitNode = doc, xmltree.Node{Tag: docNodeTag}
+	if doc.Root != nil {
+		e.unitKid[0] = doc.Root
+		e.unitNode.Children = e.unitKid[:]
+	}
 	mark := len(e.stack)
 	err := e.loop(x, 0, nil)
 	var out []*xmltree.Node
@@ -261,6 +272,11 @@ func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, prev *xmltree.Document) ([]*xmltre
 	e.stack = e.stack[:mark]
 	return out, err
 }
+
+// UnitNode is the document node EvalUnit bound its last unit document to.
+// The next EvalUnit rebinds it, so a caller that keeps results past that
+// copies it wherever they reach it.
+func (e *Evaluator) UnitNode() *xmltree.Node { return &e.unitNode }
 
 // evalClauses appends the FLWOR's value from clause idx on.
 func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) error {

@@ -94,6 +94,11 @@ type Evaluator struct {
 	joins     map[*xq.FLWORExpr]*joinPlan
 	docNodes  map[*xmltree.Document]*xmltree.Node
 	callDepth int
+	// unit is EvalUnit's current unit document and unitNode its document
+	// node, rebound by every EvalUnit over the one-child slice unitKid.
+	unit     *xmltree.Document
+	unitNode xmltree.Node
+	unitKid  [1]*xmltree.Node
 
 	// stack is the value stack every expression appends its value to (see
 	// eval); positions holds merged hash-join match positions under the same
@@ -155,8 +160,12 @@ const docNodeTag = "#document"
 // is a childless document node: it still binds, as its base document
 // would, but no step below it finds anything. The wrapper only references
 // the root, so catalog documents stay unchanged — which is what lets
-// concurrent evaluators share one catalog.
+// concurrent evaluators share one catalog. EvalUnit's unit document has
+// the evaluator's own document node (UnitNode) instead of a cached one.
 func (e *Evaluator) docNode(doc *xmltree.Document) *xmltree.Node {
+	if doc == e.unit {
+		return &e.unitNode
+	}
 	dn := e.docNodes[doc]
 	if dn == nil {
 		dn = &xmltree.Node{Tag: docNodeTag}

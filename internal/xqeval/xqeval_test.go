@@ -368,12 +368,12 @@ return $bookrev`)
 // TestEvalUnitKeepsSideJoins runs collection views one unit document at a
 // time, as core's per-document pass does: one evaluator, its catalog
 // holding the unit's document plus a shared side document, EvalUnit per
-// unit. Three things must hold: the finished unit's document node does not
-// leak into the next unit, a side join index is built once and reused, and
-// every unit's output equals a fresh evaluator's. The first view's inner FLWOR
-// is a hash join over the side document. The second has one clause, whose
-// where compares with the side document: Eval would hash-join the unit's
-// own reviews, an index no later unit may reuse.
+// unit. Three things must hold: no unit's document node is cached — the
+// unit binds the evaluator's own (UnitNode) — a side join index is built
+// once and reused, and every unit's output equals a fresh evaluator's. The
+// first view's inner FLWOR is a hash join over the side document. The
+// second has one clause, whose where compares with the side document: Eval
+// would hash-join the unit's own reviews, an index no later unit may reuse.
 func TestEvalUnitKeepsSideJoins(t *testing.T) {
 	for _, tc := range []struct {
 		view            string
@@ -403,7 +403,7 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 				delete(cat, prev.Name)
 			}
 			cat[unit.Name] = unit
-			got, err := ev.EvalUnit(fl, prev)
+			got, err := ev.EvalUnit(fl, unit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -418,8 +418,11 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 			if g, w := show(items), show(want); g != w || cap(got) != len(got) {
 				t.Fatalf("unit %d: got %s (capacity %d), a fresh evaluator gives %s", i, g, cap(got), w)
 			}
-			if _, leaked := ev.docNodes[prev]; leaked || len(ev.docNodes) != 2 {
-				t.Fatalf("unit %d: %d document nodes cached, the previous unit's leaked = %v", i, len(ev.docNodes), leaked)
+			if _, cached := ev.docNodes[unit]; cached || len(ev.docNodes) != 1 {
+				t.Fatalf("unit %d: %d document nodes cached, the unit's among them = %v", i, len(ev.docNodes), cached)
+			}
+			if un := ev.UnitNode(); len(un.Children) != 1 || un.Children[0] != unit.Root {
+				t.Fatalf("unit %d: the unit's document node is not over its root", i)
 			}
 			var built []*joinIndex
 			for _, jp := range ev.joins {
