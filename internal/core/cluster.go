@@ -127,7 +127,7 @@ type ClusterRanking struct {
 // Options.K is ignored (every candidate is reported) and the planner is not
 // consulted (its artifacts carry no owners).
 func (e *Engine) ClusterRank(ctx context.Context, v *View, keywords []string, opts Options) (*ClusterRanking, error) {
-	out, owners, err := e.attributedOutput(ctx, v, keywords, opts)
+	out, owners, err := e.attributedOutput(ctx, v, keywords, opts, keepNone)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 	// runs after the shard locks are released.
 	e.Store.Pin()
 	defer e.Store.Unpin()
-	out, _, err := e.attributedOutput(ctx, v, keywords, opts)
+	out, _, err := e.attributedOutput(ctx, v, keywords, opts, keepAll)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -205,13 +205,14 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 // with ErrUnpartitionableView; this is the only place a view is. A view
 // that runs per document returns its units' documents. A literal outer
 // document owns every result: every outer binding is a node of it, its
-// document node included, and a node that lacks it has no results.
-func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, []int32, error) {
+// document node included, and a node that lacks it has no results. k is
+// which results the caller reads (keep).
+func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options, k keep) (*viewOutput, []int32, error) {
 	if reason := v.Deps.Partition(); reason != "" {
 		return nil, nil, fmt.Errorf("core: %w: %s", ErrUnpartitionableView, reason)
 	}
 	opts.Plan = false
-	out, err := e.viewOutput(ctx, v, keywords, opts)
+	out, err := e.viewOutput(ctx, v, keywords, opts, k)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -95,30 +96,30 @@ func TestExplainMentionsCollectionPattern(t *testing.T) {
 }
 
 // allocsPerCandidate is what one more candidate of a collection view costs
-// a search, object by object: its evaluation (the where clause's literal
-// boxed as an item: 1; EvalUnit's exact-size result slice: 1); its
-// results' scoring inputs (their Stats and the term-frequency slab they
-// are carved from: 2); and detach's slab of the results' copies, each a
-// Meta node copied without children (1). The unit's PDT, its document and
-// its document node cost nothing: they live in the worker's arena and the
-// evaluator, reused from unit to unit.
-const allocsPerCandidate = 5
+// a search that ranks locally, object by object: EvalUnit's exact-size
+// result slice (1); the unit's stats slab, every result's term
+// frequencies and byte length (1); and detach's slab of the copies of the
+// results that match the keywords, each a Meta node copied without
+// children (1). The unit's PDT, its document and its document node cost
+// nothing: they live in the worker's arena and the evaluator, reused from
+// unit to unit; nor does the where clause's literal, boxed once at parse
+// time. The results' scoring.Stats are one array per search.
+const allocsPerCandidate = 3
 
-// TestPerDocumentAllocationsPerCandidate: a collection view's search costs
-// allocsPerCandidate allocations per candidate document, whatever the
-// candidate count: list preparation, the lookups and the unit's plumbing
-// allocate nothing per candidate once warm. Every part is alike, so the
-// difference between a search over 128 parts and one over 64 is 64
+// clusterAllocsPerCandidate is what one more candidate costs ClusterRank,
+// which reads only the results' stats and owners: the result slice and the
+// stats slab, and no detach slab.
+const clusterAllocsPerCandidate = 2
+
+// allocsPerExtraCandidate measures what one more candidate of a collection
+// selection view costs search, run over an engine of 64 parts and one of
+// 128. Every part is alike, so the difference between the two is 64
 // candidates' worth, plus the growth of the per-search tables that append
 // per candidate (the plan's units, the store's matching documents): a
-// tenth of an allocation per candidate covers those. The race detector
-// drops pooled generators and arenas at random, and a dropped one re-grows
-// its scratch, so the count holds only without it (CI runs the allocation
-// tests without the detector too).
-func TestPerDocumentAllocationsPerCandidate(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
+// tenth of an allocation per candidate covers those. search runs once
+// first, to fill the QPT's memos and warm a pooled generator and arena.
+func allocsPerExtraCandidate(t *testing.T, search func(t *testing.T, e *Engine, v *View)) float64 {
+	t.Helper()
 	const view = `for $a in fn:collection("part-*")/books//article where $a/fm/yr > 1990 return $a`
 	perSearch := func(parts int) float64 {
 		e := New(store.New())
@@ -133,19 +134,50 @@ func TestPerDocumentAllocationsPerCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		search := func() {
-			results, _, err := e.Search(v, []string{"xml", "search"}, Options{K: 10, Parallelism: 1})
-			if err != nil || len(results) != 10 {
-				t.Fatalf("%d results, err %v", len(results), err)
-			}
-		}
-		search() // fills the QPT's memos and warms a pooled generator and arena
-		return testing.AllocsPerRun(20, search)
+		search(t, e, v)
+		return testing.AllocsPerRun(20, func() { search(t, e, v) })
 	}
 	a64, a128 := perSearch(64), perSearch(128)
 	t.Logf("%v allocations over 64 parts, %v over 128", a64, a128)
-	if per := (a128 - a64) / 64; per > allocsPerCandidate+0.1 {
-		t.Errorf("%.2f allocations per extra candidate (%v over 64 parts, %v over 128), want %d",
-			per, a64, a128, allocsPerCandidate)
+	return (a128 - a64) / 64
+}
+
+// TestPerDocumentAllocationsPerCandidate: a collection view's search costs
+// allocsPerCandidate allocations per candidate document, whatever the
+// candidate count: list preparation, the lookups and the unit's plumbing
+// allocate nothing per candidate once warm. The race detector drops pooled
+// generators and arenas at random, and a dropped one re-grows its scratch,
+// so the count holds only without it (CI runs the allocation tests without
+// the detector too).
+func TestPerDocumentAllocationsPerCandidate(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	per := allocsPerExtraCandidate(t, func(t *testing.T, e *Engine, v *View) {
+		results, _, err := e.Search(v, []string{"xml", "search"}, Options{K: 10, Parallelism: 1})
+		if err != nil || len(results) != 10 {
+			t.Fatalf("%d results, err %v", len(results), err)
+		}
+	})
+	if per > allocsPerCandidate+0.1 {
+		t.Errorf("%.2f allocations per extra candidate, want %d", per, allocsPerCandidate)
+	}
+}
+
+// TestPerDocumentClusterRankAllocationsPerCandidate: ClusterRank detaches
+// no result, so a candidate costs it clusterAllocsPerCandidate
+// allocations, whatever the candidate count.
+func TestPerDocumentClusterRankAllocationsPerCandidate(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	per := allocsPerExtraCandidate(t, func(t *testing.T, e *Engine, v *View) {
+		rk, err := e.ClusterRank(context.Background(), v, []string{"xml", "search"}, Options{Parallelism: 1})
+		if err != nil || rk.Matched == 0 {
+			t.Fatalf("%v matched, err %v", rk, err)
+		}
+	})
+	if per > clusterAllocsPerCandidate+0.1 {
+		t.Errorf("%.2f allocations per extra candidate, want %d", per, clusterAllocsPerCandidate)
 	}
 }

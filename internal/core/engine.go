@@ -675,6 +675,10 @@ type viewOutput struct {
 	// brings them itself; for the other results — whole-view or artifact —
 	// collect derives them from lists and keeps them here.
 	rstats []scoring.Stats
+	// keep is which results the per-document pipeline detaches (the rest
+	// are nil slots in results), deciding a match under conjunctive.
+	keep        keep
+	conjunctive bool
 	// lists holds each candidate document's posting list per keyword
 	// (plan.keywordLists), for collect.
 	lists map[int32][]*invindex.PostingList
@@ -701,8 +705,10 @@ func (o *viewOutput) closePost() *Stats {
 // index-only PDT generation plus evaluation of the unchanged view over the
 // PDTs, which also records the skeleton for the next planned search. Every shard read
 // lock is released by return time: the later phases read only the returned
-// trees, and Dewey-ID subtree fetches are lock-free.
-func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opts Options) (*viewOutput, error) {
+// trees, and Dewey-ID subtree fetches are lock-free. k is which results
+// the caller reads past this point; a search that records a skeleton keeps
+// them all.
+func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opts Options, k keep) (*viewOutput, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -716,7 +722,10 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	}
 	defer p.unlock()
 	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards), PlanSource: catalog.PlanDirect}
-	out := &viewOutput{kws: kws, stats: stats, post: time.Now()}
+	if opts.Plan {
+		k = keepAll
+	}
+	out := &viewOutput{kws: kws, stats: stats, post: time.Now(), keep: k, conjunctive: !opts.Disjunctive}
 
 	// gen is read under the shard read locks, so a mutation touching this
 	// view's documents cannot land between here and the skeleton store
@@ -762,7 +771,7 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 // return, so callers materialize the winners afterwards all at once
 // (SearchPage) or one by one as a consumer pulls them (ResultsSeq).
 func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, opts Options) ([]scoring.Scored, *viewOutput, error) {
-	out, err := e.viewOutput(ctx, v, keywords, opts)
+	out, err := e.viewOutput(ctx, v, keywords, opts, keepMatching)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,3 +31,19 @@ func RankedPruned(e *Engine, v *View, keywords []string, opts Options) ([]scorin
 	}
 	return ranked, out.stats, nil
 }
+
+// KeptResults runs a local ranking's view output and reports how many of
+// the view's results it kept — detached, not nil slots — and the view's
+// size.
+func KeptResults(e *Engine, v *View, keywords []string, opts Options) (kept, size int, err error) {
+	_, out, err := e.rankedSearch(context.Background(), v, keywords, opts)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, r := range out.results {
+		if r != nil {
+			kept++
+		}
+	}
+	return kept, len(out.results), nil
+}

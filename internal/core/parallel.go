@@ -224,14 +224,43 @@ func addResultStats(st *scoring.Stats, n *xmltree.Node, listsOf func(doc int32) 
 }
 
 // docOutput is what one per-document work unit produced: its results in
-// view order with their scoring inputs, its PDT's size, and the time spent
-// generating the PDT and evaluating plus collecting.
+// view order, a nil slot for each its caller does not read (keep), their
+// scoring inputs, its PDT's size, and the time spent generating the PDT and
+// evaluating plus collecting. stats holds k+1 ints per result, k the
+// keyword count: its term frequencies, then its byte length.
 type docOutput struct {
 	results      []*xmltree.Node
-	rstats       []scoring.Stats
+	stats        []int
 	nodes, bytes int
 	gen, eval    time.Duration
 	err          error
+}
+
+// keep is which of a per-document unit's results its caller reads once the
+// pass is over, and so which the unit detaches from its worker's memory
+// (docWorker.evaluate); every other result becomes a nil slot. Each entry
+// point picks its own: a direct evaluation that records the view's
+// skeleton, and MaterializeAt, keep every result; a local ranking keeps the
+// results that satisfy the keyword semantics, the only ones it can rank;
+// ClusterRank, which reads stats and owners alone, keeps none.
+type keep uint8
+
+const (
+	keepAll keep = iota
+	keepMatching
+	keepNone
+)
+
+// keeps reports whether a result with term frequencies tfs is kept under
+// the keyword semantics conjunctive.
+func (k keep) keeps(tfs []int, conjunctive bool) bool {
+	switch k {
+	case keepAll:
+		return true
+	case keepMatching:
+		return scoring.Satisfies(tfs, conjunctive)
+	}
+	return false
 }
 
 // docWorker is one pool goroutine's state for per-document output: the
@@ -286,22 +315,22 @@ func (c *unitCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // run is one per-document work unit: PDT generation into the worker's
 // arena, then evaluate. An empty PDT is evaluated as a root-less document
 // (unit.document).
-func (w *docWorker) run(u unit, v *View, kws []string, d *docOutput) {
+func (w *docWorker) run(u unit, v *View, out *viewOutput, d *docOutput) {
 	start := time.Now()
 	pd := pdt.GenerateInto(w.arena, u.q, u.pix, u.name)
 	d.nodes, d.bytes = pd.Nodes, pd.Bytes
 	generated := time.Now()
 	d.gen = generated.Sub(start)
-	d.err = w.evaluate(u, u.document(pd, &w.empty), v, kws, d)
+	d.err = w.evaluate(u, u.document(pd, &w.empty), v, out, d)
 	d.eval = time.Since(generated)
 }
 
 // evaluate runs the whole view over the unit's PDT and the side documents,
 // with the side join indices the worker's evaluator keeps (EvalUnit), looks
-// up the unit's keyword lists, collects its results' scoring inputs, with
-// term frequencies carved from one slab, and detaches the results from the
-// memory the next unit reuses.
-func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []string, d *docOutput) error {
+// up the unit's keyword lists, collects its results' scoring inputs into
+// one slab, and detaches the results out.keep keeps from the memory the
+// next unit reuses, leaving a nil slot for every other.
+func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, out *viewOutput, d *docOutput) error {
 	w.cat.docs[0] = doc
 	// The partition rule's Outer is a top-level for clause's.
 	var err error
@@ -313,24 +342,36 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 	}
 	w.doc = u.docID
 	w.lists = w.lists[:0]
-	for _, kw := range kws {
+	for _, kw := range out.kws {
 		w.lists = append(w.lists, u.iix.Lookup(kw))
 	}
-	k := len(kws)
-	d.rstats = make([]scoring.Stats, len(d.results))
-	tfs := make([]int, len(d.results)*k)
+	k := len(out.kws)
+	d.stats = make([]int, len(d.results)*(k+1))
 	for i, r := range d.results {
-		d.rstats[i].TFs = tfs[i*k : (i+1)*k : (i+1)*k]
-		addResultStats(&d.rstats[i], r, w.listsOf)
+		st := statsAt(d.stats, k, i)
+		addResultStats(&st, r, w.listsOf)
+		d.stats[i*(k+1)+k] = st.ByteLen
+		if !out.keep.keeps(st.TFs, out.conjunctive) {
+			d.results[i] = nil
+		}
 	}
 	w.detach(d.results)
 	return nil
 }
 
-// detach makes a unit's results independent of the memory the worker's
-// next unit reuses — the arena's PDT and the evaluator's unit document
-// node — by copying every such node the results reach into one slab, and
-// the copies' child pointers into a second, each sized by a first walk:
+// statsAt is result i's scoring inputs in a unit's stats slab of k+1 ints
+// per result: its term frequencies, carved from the slab, and its byte
+// length.
+func statsAt(slab []int, k, i int) scoring.Stats {
+	at := i * (k + 1)
+	return scoring.Stats{TFs: slab[at : at+k : at+k], ByteLen: slab[at+k]}
+}
+
+// detach makes a unit's kept results (the non-nil slots) independent of
+// the memory the worker's next unit reuses — the arena's PDT and the
+// evaluator's unit document node — by copying every such node they reach
+// into one slab, and the copies' child pointers into a second, each sized
+// by a first walk:
 //
 //   - A Meta node is copied without children: nothing reads below one once
 //     its scoring inputs are collected (addResultStats stops there, and
@@ -349,14 +390,18 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, kws []strin
 func (w *docWorker) detach(results []*xmltree.Node) {
 	nodes, kids := 0, 0
 	for _, r := range results {
-		w.count(r, &nodes, &kids)
+		if r != nil {
+			w.count(r, &nodes, &kids)
+		}
 	}
 	if nodes == 0 {
 		return
 	}
 	w.nodes, w.kids = make([]xmltree.Node, 0, nodes), make([]*xmltree.Node, 0, kids)
 	for i, r := range results {
-		results[i] = w.copyOut(r)
+		if r != nil {
+			results[i] = w.copyOut(r)
+		}
 	}
 	w.nodes, w.kids = nil, nil
 }
@@ -443,13 +488,15 @@ func releaseArenas(arenas []*pdt.Arena) {
 // lists first, once. Then one pass of work units over the outer candidates
 // runs on a pool of stats.Workers, each a docWorker.run over its own PDT
 // plus the shared sides. A unit's PDT is scratch: each worker generates
-// its units' PDTs into one pooled arena, and the results a unit keeps are
-// detached from it before the next unit runs. The units are in
-// document-ID order, the order whole-view evaluation enumerates the
-// collection in, so concatenating their outputs reproduces the whole
-// view's results; each result's owner is its unit's document. The pass's
-// wall time is split between PDTTime and EvalTime in proportion to the
-// units' summed generation and evaluation-plus-collection times.
+// its units' PDTs into one pooled arena, and the results its caller reads
+// (out.keep) are detached from it before the next unit runs; every other
+// result is a nil slot, which counts in the view's size but is never
+// ranked. The units are in document-ID order, the order whole-view
+// evaluation enumerates the collection in, so concatenating their outputs
+// reproduces the whole view's results; each result's owner is its unit's
+// document, and its scoring inputs are carved from its unit's stats slab.
+// The pass's wall time is split between PDTTime and EvalTime in proportion
+// to the units' summed generation and evaluation-plus-collection times.
 func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) error {
 	stats := out.stats
 	units, sides := p.split(v.Deps.Outer)
@@ -466,7 +513,7 @@ func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) 
 		arenas[worker] = w.arena
 		w.ev = xqeval.New(&w.cat, v.Funcs)
 		w.ev.SetContext(ctx)
-		return func(i int) { w.run(units[i], v, out.kws, &docs[i]) }
+		return func(i int) { w.run(units[i], v, out, &docs[i]) }
 	})
 	releaseArenas(arenas)
 	if err != nil {
@@ -484,13 +531,14 @@ func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) 
 		gen, eval = gen+d.gen, eval+d.eval
 		total += len(d.results)
 	}
+	k := len(out.kws)
 	out.results = make([]*xmltree.Node, 0, total)
 	out.rstats = make([]scoring.Stats, 0, total)
 	out.owners = make([]int32, 0, total)
 	for i := range docs {
 		out.results = append(out.results, docs[i].results...)
-		out.rstats = append(out.rstats, docs[i].rstats...)
-		for range docs[i].results {
+		for j := range docs[i].results {
+			out.rstats = append(out.rstats, statsAt(docs[i].stats, k, j))
 			out.owners = append(out.owners, units[i].docID)
 		}
 	}

@@ -67,12 +67,16 @@ func TestPerDocumentEligibility(t *testing.T) {
 // document-node views bind every candidate's document node, including
 // part-zz's, whose PDT is empty: the PDT pipelines must still bind it and
 // return an <n/>, as Baseline does, or |V(D)| and with it every IDF would
-// differ.
+// differ. Two of them return the bound document node itself: its content
+// is the document's root element, which the PDT carries as a 'c' node so
+// that the result scores the whole document, as Baseline's does.
 var perDocViews = []string{
 	testkit.EqViews[0],
 	testkit.EqViews[3],
 	`for $a in fn:collection("part-*")/books//article where $a/fm/yr > 1990 return $a`,
 	`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`,
+	`for $d in fn:collection("part-*") return $d`,
+	`for $d in fn:collection("part-*") return <n>{$d}, {$d/books//article/fm/tl}</n>`,
 	testkit.EqViews[1],
 	testkit.DocNodeJoin,
 	testkit.SideEqJoin,
@@ -284,23 +288,15 @@ func TestPerDocumentCancelMidPool(t *testing.T) {
 // node as the result ($a), arena nodes under a constructed wrapper and
 // under a wrapper of a bound document node, the side document's PDT nodes
 // of two equality joins, and the unit's document node itself, as the
-// result and inside a wrapper beside nodes of its own subtree. The last
-// two are held against the whole-view pipeline instead of Baseline: the
-// PDT of a view that returns a bound document node does not carry the
-// document's root element as content, so both PDT pipelines score such a
-// result from what its other paths kept, where Baseline scores the whole
-// document.
-var arenaViews = []struct {
-	view      string
-	wholeView bool
-}{
-	{`for $a in fn:collection("part-*")/books//article return $a`, false},
-	{testkit.EqViews[0], false},
-	{`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`, false},
-	{testkit.EqViews[1], false},
-	{testkit.DocNodeJoin, false},
-	{`for $d in fn:collection("part-*") return $d`, true},
-	{`for $d in fn:collection("part-*") return <n>{$d}, {$d/books//article/fm/tl}</n>`, true},
+// result and inside a wrapper beside nodes of its own subtree.
+var arenaViews = []string{
+	`for $a in fn:collection("part-*")/books//article return $a`,
+	testkit.EqViews[0],
+	`for $d in fn:collection("part-*") return <n>{$d/books//article/fm/tl}</n>`,
+	testkit.EqViews[1],
+	testkit.DocNodeJoin,
+	`for $d in fn:collection("part-*") return $d`,
+	`for $d in fn:collection("part-*") return <n>{$d}, {$d/books//article/fm/tl}</n>`,
 }
 
 // TestPerDocumentArenaDetachMatchesBaseline: every worker generates its
@@ -308,12 +304,11 @@ var arenaViews = []struct {
 // its units are done, so a result still pointing into one would read
 // zeroed nodes, and a later search reusing the arena would overwrite them.
 // Over a corpus with an empty-PDT candidate between non-empty ones, at
-// pools of one and four, each view's results are byte-identical to its
-// reference's — Baseline's, or the whole-view pipeline's (arenaViews) —
-// three ways: as searched; as ranked pruned trees, which must hold no
-// zeroed node, materialized after the pass; and served from the catalog
-// skeleton a planned search recorded, after searches over the other views
-// have reused the pooled arenas.
+// pools of one and four, each view's results are byte-identical to
+// Baseline's three ways: as searched; as ranked pruned trees, which must
+// hold no zeroed node, materialized after the pass; and served from the
+// catalog skeleton a planned search recorded, after searches over the
+// other views have reused the pooled arenas.
 func TestPerDocumentArenaDetachMatchesBaseline(t *testing.T) {
 	e := eqEngine(t, 71, 6)
 	rng := rand.New(rand.NewSource(72))
@@ -326,8 +321,8 @@ func TestPerDocumentArenaDetachMatchesBaseline(t *testing.T) {
 		}
 	}
 	views := make([]*core.View, len(arenaViews))
-	for vi, av := range arenaViews {
-		v, err := e.CompileView(av.view)
+	for vi, text := range arenaViews {
+		v, err := e.CompileView(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,21 +330,6 @@ func TestPerDocumentArenaDetachMatchesBaseline(t *testing.T) {
 			t.Fatalf("view %d does not run per document", vi)
 		}
 		views[vi] = v
-	}
-	reference := func(vi int, kws []string, opts core.Options) []row {
-		if arenaViews[vi].wholeView {
-			rows, _ := statRows(t, e, core.WholeViewCopy(views[vi]), kws, opts)
-			return rows
-		}
-		base, _, err := baseline.Search(e, views[vi], kws, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([]row, len(base))
-		for i, r := range base {
-			rows[i] = rowOf(r)
-		}
-		return rows
 	}
 	matched := 0
 	for _, par := range []int{1, 4} {
@@ -359,7 +339,7 @@ func TestPerDocumentArenaDetachMatchesBaseline(t *testing.T) {
 			planned.Plan = true
 			for vi, v := range views {
 				label := fmt.Sprintf("view %d pool %d kws %v", vi, par, kws)
-				want := reference(vi, kws, opts)
+				want := baselineRows(t, e, v, kws, opts)
 				got, stats := statRows(t, e, v, kws, opts)
 				matched += stats.Matched
 				mustMatchReference(t, label, want, got)
@@ -391,7 +371,7 @@ func TestPerDocumentArenaDetachMatchesBaseline(t *testing.T) {
 				if stats.PlanSource == catalog.PlanDirect {
 					t.Fatalf("%s: the planned search was not served from the skeleton", label)
 				}
-				mustMatchReference(t, label, reference(vi, kws, opts), got)
+				mustMatchReference(t, label, baselineRows(t, e, v, kws, opts), got)
 			}
 		}
 	}
@@ -412,6 +392,133 @@ func mustMatchReference(t *testing.T, label string, want, got []row) {
 		w.snippet = got[i].snippet
 		if w != got[i] {
 			t.Fatalf("%s: result %d differs from the reference\nwant %+v\ngot  %+v", label, i, w, got[i])
+		}
+	}
+}
+
+// keepCorpus is an engine over twelve parts of two articles each: a
+// quarter of the parts' first articles say "copper", every other article
+// says "quartz", so either keyword matches results the other does not.
+func keepCorpus(t *testing.T) *core.Engine {
+	t.Helper()
+	e := core.New(store.NewSharded(2))
+	for i := 0; i < 12; i++ {
+		word := "quartz"
+		if i%4 == 0 {
+			word = "copper"
+		}
+		xml := fmt.Sprintf(`<books><article><fm><tl>study %d</tl><yr>%d</yr></fm><bdy>%s notes %d</bdy></article>`+
+			`<article><fm><tl>memo %d</tl><yr>1990</yr></fm><bdy>quartz memo</bdy></article></books>`, i, 1980+i, word, i, i)
+		if err := e.AddXML(fmt.Sprintf("part-%02d.xml", i), xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// baselineRows is Baseline's answer as rows.
+func baselineRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts core.Options) []row {
+	t.Helper()
+	base, _, err := baseline.Search(e, v, kws, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]row, len(base))
+	for i, r := range base {
+		rows[i] = rowOf(r)
+	}
+	return rows
+}
+
+// TestPerDocumentKeepPolicy: a per-document unit detaches only the results
+// its caller reads, and every caller still gets what it reads, at pools of
+// one and four:
+//   - a planned search that evaluates directly keeps every result, since it
+//     records the view's skeleton: a later planned search whose keywords
+//     match the results the first one's did not is served from that
+//     skeleton and is byte-identical to Baseline;
+//   - ClusterRank keeps none, and MaterializeAt at every position it
+//     reports gives the trees and snippets SearchPage gives those
+//     positions;
+//   - a local ranking keeps exactly the matching results, so a search that
+//     matches nothing detaches nothing.
+func TestPerDocumentKeepPolicy(t *testing.T) {
+	ctx := context.Background()
+	for _, text := range []string{
+		`for $a in fn:collection("part-*")/books//article return $a`,
+		`for $a in fn:collection("part-*")/books//article return <r>{$a/fm/tl}, {$a/bdy}</r>`,
+	} {
+		for _, par := range []int{1, 4} {
+			e := keepCorpus(t)
+			v, err := e.CompileView(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("view %q pool %d", text, par)
+			opts := core.Options{Parallelism: par}
+			planned := core.Options{Parallelism: par, Plan: true}
+
+			got, stats := statRows(t, e, v, []string{"copper"}, planned)
+			if stats.PlanSource != catalog.PlanDirect || stats.Matched == 0 || 4*stats.Matched > stats.ViewSize {
+				t.Fatalf("%s: the first planned search ran %s and matched %d of %d", label, stats.PlanSource, stats.Matched, stats.ViewSize)
+			}
+			mustMatchReference(t, label+" copper", baselineRows(t, e, v, []string{"copper"}, opts), got)
+			for _, kws := range [][]string{{"quartz"}, {"copper", "quartz"}} {
+				got, stats := statRows(t, e, v, kws, planned)
+				if stats.PlanSource == catalog.PlanDirect {
+					t.Fatalf("%s %v: the rewrite was not served from the skeleton", label, kws)
+				}
+				mustMatchReference(t, fmt.Sprintf("%s %v (skeleton)", label, kws), baselineRows(t, e, v, kws, opts), got)
+			}
+
+			kws := []string{"quartz"}
+			rk, err := e.ClusterRank(ctx, v, kws, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			positions := make([]int, len(rk.Candidates))
+			for i, c := range rk.Candidates {
+				positions[i] = c.Pos
+			}
+			mats, _, err := e.MaterializeAt(ctx, v, kws, opts, positions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byPos := map[int]core.ClusterMaterialized{}
+			for _, m := range mats {
+				byPos[m.Pos] = m
+			}
+			ranked, _, err := core.RankedPruned(e, v, kws, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, _, err := e.SearchPage(ctx, v, kws, opts, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != len(mats) || len(ranked) != len(results) || len(results) == 0 {
+				t.Fatalf("%s: SearchPage has %d results, ClusterRank %d candidates", label, len(results), len(mats))
+			}
+			for i, r := range results {
+				m, ok := byPos[ranked[i].Index]
+				if !ok {
+					t.Fatalf("%s: result %d at view position %d is no ClusterRank candidate", label, i, ranked[i].Index)
+				}
+				if x := m.Element.XMLString(""); x != r.Element.XMLString("") || m.Snippet != r.Snippet {
+					t.Fatalf("%s: position %d materializes to\n%s %q\nSearchPage has\n%s %q", label, m.Pos, x, m.Snippet, r.Element.XMLString(""), r.Snippet)
+				}
+			}
+
+			for _, kws := range [][]string{{"copper"}, {"nowhere"}} {
+				kept, size, err := core.KeptResults(e, v, kws, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, stats := statRows(t, e, v, kws, opts)
+				if kept != stats.Matched || size != stats.ViewSize || size == 0 {
+					t.Fatalf("%s %v: kept %d of %d results, %d of %d match", label, kws, kept, size, stats.Matched, stats.ViewSize)
+				}
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 			if err != nil {
 				return nil, nil, fmt.Errorf("gtp: indices of %q: %w", info.Name, err)
 			}
-			pruned := joinQPT(e, q, info.Name, pix, iix, kws, stats)
+			pruned := joinQPT(e, q, info.Name, info.DocID, pix, iix, kws, stats)
 			if pruned.Doc == nil {
 				// No element qualified: the document still binds, as a
 				// childless document node, as in the Efficient pipeline.
@@ -175,7 +175,7 @@ func structuralJoin(ancs *candSet, descs *candSet, axis pathindex.Axis, stats *S
 // joinQPT computes the pruned tree for one QPT against one document it
 // resolved to, via structural joins over tag lists, fetching predicate and
 // join values from base data.
-func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, iix *invindex.Index, kws []string, stats *Stats) *pdt.PDT {
+func joinQPT(e *core.Engine, q *qpt.QPT, docName string, docID int32, pix *pathindex.Index, iix *invindex.Index, kws []string, stats *Stats) *pdt.PDT {
 	// Bottom-up: candidate elements per QPT node (descendant constraints),
 	// computed with pair-producing binary structural joins.
 	ce := map[*qpt.Node]*candSet{}
@@ -275,8 +275,8 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, i
 	}
 
 	// Assemble the pruned tree; values and byte lengths come from base
-	// data (GTP has no Path-Values table), tf values from TermJoin over
-	// the inverted lists.
+	// data (GTP has no Path-Values table), and an annotated element's tag
+	// with them, tf values from TermJoin over the inverted lists.
 	type annot struct{ needV, needC bool }
 	selected := map[string]*pdt.Element{}
 	anns := map[string]*annot{}
@@ -301,6 +301,18 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, i
 	for _, edge := range q.Root.Edges {
 		collect(edge.Child)
 	}
+	// A content-marked virtual root stands for a bound document node the
+	// view returns: the root element is its content. Its tag comes from
+	// base data below, with its byte length.
+	if q.Root.C {
+		root := dewey.ID{docID}
+		key := root.String()
+		if selected[key] == nil {
+			selected[key] = &pdt.Element{ID: root}
+			anns[key] = &annot{}
+		}
+		anns[key].needC = true
+	}
 	elements := make([]*pdt.Element, 0, len(selected))
 	for key, el := range selected {
 		a := anns[key]
@@ -308,7 +320,7 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, pix *pathindex.Index, i
 		if a.needV || a.needC {
 			stats.BaseValueFetches++
 			if base := e.Store.Subtree(el.ID); base != nil {
-				el.ByteLen = base.ByteLen
+				el.Tag, el.ByteLen = base.Tag, base.ByteLen
 				if base.IsLeaf() {
 					el.Value = base.Value
 					el.HasValue = true

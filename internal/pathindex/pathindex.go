@@ -59,6 +59,13 @@ type Step struct {
 	Tag  string
 }
 
+// Any is the name test every tag passes: the pattern {Child, Any} is the
+// document's root element, whatever its tag.
+const Any = "*"
+
+// matches reports whether tag passes the step's name test.
+func (s Step) matches(tag string) bool { return s.Tag == tag || s.Tag == Any }
+
 // FormatSteps renders a pattern like "/books//book/isbn".
 func FormatSteps(steps []Step) string {
 	var b strings.Builder
@@ -305,10 +312,10 @@ func matchFrom(steps []Step, segs []string, si, pi int) bool {
 	}
 	st := steps[si]
 	if st.Axis == Child {
-		return pi < len(segs) && segs[pi] == st.Tag && matchFrom(steps, segs, si+1, pi+1)
+		return pi < len(segs) && st.matches(segs[pi]) && matchFrom(steps, segs, si+1, pi+1)
 	}
 	for k := pi; k < len(segs); k++ {
-		if segs[k] == st.Tag && matchFrom(steps, segs, si+1, k+1) {
+		if st.matches(segs[k]) && matchFrom(steps, segs, si+1, k+1) {
 			return true
 		}
 	}

@@ -327,10 +327,12 @@ func (g *generator) insert(list, posting int) {
 	}
 	// The target node: structural matches may exclude the list's own QPT
 	// node when it carries predicates (those items exist only because this
-	// posting passed the predicate-filtered lookup).
+	// posting passed the predicate-filtered lookup), and the root element
+	// off the virtual root's list (qpt.QPT.Probes) may match none.
+	root := pl.QNode == g.q.Root
 	target := g.stack[len(g.stack)-1]
 	if target.depth != len(id) {
-		if len(pl.QNode.Preds) == 0 {
+		if len(pl.QNode.Preds) == 0 && !root {
 			return // element matched no QPT node (stale prefix)
 		}
 		g.push(id, at(len(id)), nil)
@@ -339,6 +341,12 @@ func (g *generator) insert(list, posting int) {
 	// The element came off a list itself, so this posting has its payload
 	// (a node pushed as a prefix only pointed at a descendant's).
 	g.src[target.seq] = at(len(id))
+	if root {
+		// The document node is content, and the root element its content:
+		// in the PDT whatever QPT node it matches, as a 'c' node.
+		g.marks[target.seq] |= markEmitted | markC
+		return
+	}
 	if len(pl.QNode.Preds) > 0 && !target.hasItemFor(pl.QNode) {
 		g.newItem(target, pl.QNode)
 	}

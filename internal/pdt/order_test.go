@@ -26,12 +26,18 @@ import (
 // whose elements also arrive from the '//b' list of the return (one element
 // from two lists); and '//' edges under repeated tags, where a b that
 // closes before its a has seen the mandatory c waits in an ancestor's
-// PdtCache and is lifted across nested a's.
+// PdtCache and is lifted across nested a's. The last three return a bound
+// document node, whose content is the root element: alone, beside a '//'
+// path that no QPT node matches the root element on, and beside a path
+// whose first QPT node does match it.
 var orderViews = []string{
 	`for $x in fn:doc(r.xml)/r/a return <o>{$x/b}</o>`,
 	`for $x in fn:doc(r.xml)/r//a where $x//b = 'xml' return <o>{$x//b}, {$x/c}</o>`,
 	`for $x in fn:doc(r.xml)/r//a where $x//c = '1' return <o>{$x//b}</o>`,
 	`for $x in fn:doc(r.xml)/r//a//a return $x`,
+	`for $d in fn:doc(r.xml) return $d`,
+	`for $d in fn:doc(r.xml) return <o>{$d}, {$d//b}</o>`,
+	`for $d in fn:doc(r.xml) return <o>{$d}, {$d/r/a/c}</o>`,
 }
 
 // nestedDoc builds a random document over a small tag alphabet with values

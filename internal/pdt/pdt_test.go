@@ -314,12 +314,15 @@ func addQPTChild(n *qpt.Node, tag string, axis pathindex.Axis, mandatory bool) *
 
 // TestQuickGenerateEqualsReference is the central correctness property:
 // the single-pass index-only merge produces exactly the PDT defined by
-// Definitions 1-3 over the materialized document.
+// Definitions 1-3 over the materialized document. Every third QPT marks
+// its virtual root as content, as a view returning the bound document node
+// does.
 func TestQuickGenerateEqualsReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := randomDoc(r, 1)
 		q := randomQPT(r)
+		q.Root.C = seed%3 == 0
 		keywords := []string{"xml", "search"}
 		pix := pathindex.Build(doc)
 		iix := invindex.Build(doc)

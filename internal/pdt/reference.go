@@ -121,6 +121,14 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 	for _, e := range q.Root.Edges {
 		collect(e.Child)
 	}
+	// A content-marked virtual root stands for a bound document node the
+	// view returns: the root element is its content.
+	if q.Root.C {
+		if selected[doc.Root] == nil {
+			selected[doc.Root] = &annot{}
+		}
+		selected[doc.Root].needC = true
+	}
 
 	inv := invindex.Build(doc)
 	infos := make([]*Element, 0, len(selected))

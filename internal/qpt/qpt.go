@@ -115,10 +115,15 @@ type Probe struct {
 // leaves), plus lookups for 'v' nodes (retrieving values alongside IDs) and
 // for 'c' nodes (whose byte lengths ride in the postings). A node with a
 // mandatory child and no annotation needs none — its IDs arrive as prefixes
-// of its mandatory descendants. Computed on first use; safe for concurrent
-// callers.
+// of its mandatory descendants. A content-marked virtual root (a view
+// returning a bound document node, see graft) adds a first lookup, of the
+// document's root element, which the document node's content is. Computed
+// on first use; safe for concurrent callers.
 func (q *QPT) Probes() []Probe {
 	q.probesOnce.Do(func() {
+		if q.Root.C {
+			q.probes = append(q.probes, Probe{Node: q.Root, Steps: []pathindex.Step{{Axis: pathindex.Child, Tag: pathindex.Any}}})
+		}
 		for _, n := range q.Nodes() {
 			if !n.HasMandatoryChild() || n.V || n.C {
 				pr := Probe{Node: n, Steps: n.StepsFromRoot()}

@@ -51,8 +51,16 @@ type CmpExpr struct {
 	Right Expr // LiteralExpr for the Comp-Literal form
 }
 
-// LiteralExpr is a quoted string or numeric literal.
-type LiteralExpr struct{ Value string }
+// LiteralExpr is a quoted string or numeric literal. Item is Value as an
+// interface value, boxed once (NewLiteral) so that an evaluator appending
+// the literal to a value sequence, once per binding, does not box it anew.
+type LiteralExpr struct {
+	Value string
+	Item  any
+}
+
+// NewLiteral returns the literal expression for value.
+func NewLiteral(value string) *LiteralExpr { return &LiteralExpr{Value: value, Item: value} }
 
 // CondExpr is 'if' Expr 'then' Expr 'else' Expr.
 type CondExpr struct{ Cond, Then, Else Expr }

@@ -598,7 +598,7 @@ func (p *parser) parseComparand() (Expr, error) {
 	t := p.lex.peek(0)
 	if t.kind == tString || t.kind == tNumber {
 		p.lex.next()
-		return &LiteralExpr{Value: t.text}, nil
+		return NewLiteral(t.text), nil
 	}
 	return p.parsePath()
 }
@@ -715,7 +715,7 @@ func (p *parser) parsePathBase() (Expr, error) {
 		return &DotExpr{}, nil
 	case tString, tNumber:
 		p.lex.next()
-		return &LiteralExpr{Value: t.text}, nil
+		return NewLiteral(t.text), nil
 	case tLParen:
 		p.lex.next()
 		if p.lex.peek(0).kind == tRParen { // '()' empty sequence

@@ -193,3 +193,35 @@ func TestEvalAllocationsPerBinding(t *testing.T) {
 			grew, elements2-elements, limit)
 	}
 }
+
+// TestEvalLiteralAllocationsPerBinding: a where-clause literal is boxed
+// once, when the query is parsed, so a selection by value allocates
+// nothing per binding: evaluating it over twice the elements costs no more
+// allocations.
+func TestEvalLiteralAllocationsPerBinding(t *testing.T) {
+	q := xq.MustParse(`for $a in fn:doc(r.xml)/r/a where $a/y > 1990 return $a`)
+	measure := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < n; i++ {
+			b.WriteString("<a><y>1985</y></a><a><y>1995</y></a>")
+		}
+		b.WriteString("</r>")
+		doc, err := xmltree.ParseString(b.String(), "r.xml", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := New(MapCatalog{"r.xml": doc}, q.Functions)
+		if out, err := ev.Eval(q.Body, nil); err != nil || len(out) != n {
+			t.Fatalf("%d results, err %v", len(out), err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ev.Eval(q.Body, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, a2 := measure(50), measure(100); a2 > a {
+		t.Errorf("%v allocations over 100 bindings, %v over 200: the literal is boxed per binding", a, a2)
+	}
+}

@@ -18,9 +18,13 @@
 // sequence, a join's probes, a path step's base — reads its own region on
 // top of the stack and cuts the stack back when done. A loop binds one
 // frame and overwrites its item per iteration, and path steps run through
-// two reused buffers. What outlives an evaluation is what it constructed —
-// each element with an exact-size Children slice — and the one exact copy
-// Eval or EvalTail hands back.
+// two reused buffers. Nothing is boxed per binding: nodes are pointers
+// already, and a literal's item was boxed once, when the query was parsed
+// (xq.LiteralExpr.Item). What outlives an evaluation is what it
+// constructed — each element with an exact-size Children slice — and the
+// one exact copy Eval, EvalTail or EvalUnit hands back. A caller that keeps
+// a result past the next EvalUnit copies what it reaches of the unit's
+// document node (UnitNode) and of any scratch the unit's document lives in.
 package xqeval
 
 import (
@@ -286,7 +290,7 @@ func (e *Evaluator) eval(expr xq.Expr, en *env) error {
 		}
 		e.stack = append(e.stack, v...)
 	case *xq.LiteralExpr:
-		e.stack = append(e.stack, x.Value)
+		e.stack = append(e.stack, x.Item)
 	case *xq.StepExpr:
 		mark := len(e.stack)
 		if err := e.eval(x.Base, en); err != nil {
