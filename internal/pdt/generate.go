@@ -200,7 +200,11 @@ type Arena struct {
 	kids  []*xmltree.Node
 	pdt   PDT
 	doc   xmltree.Document
+	top   xmltree.Node // the parent of several top-level elements (link)
 }
+
+// topTag is the top node's tag: '#' starts no element name.
+const topTag = "#top"
 
 // Clear zeroes the arena's PDT, keeping the slabs' capacity: every node of
 // it reads as the zero node, and the arena keeps nothing of the document
@@ -210,7 +214,7 @@ func (a *Arena) Clear() {
 	clear(a.nodes)
 	clear(a.kids)
 	a.nodes, a.kids = a.nodes[:0], a.kids[:0]
-	a.pdt, a.doc = PDT{}, xmltree.Document{}
+	a.pdt, a.doc, a.top = PDT{}, xmltree.Document{}, xmltree.Node{}
 }
 
 // Cap is the number of nodes the arena holds without growing.
@@ -700,9 +704,15 @@ func BuildPruned(elements []*Element, sourceName string) *PDT {
 // link turns a's node slab, elements in document order, into a pruned
 // xmltree document: every element's parent is its closest emitted ancestor
 // (Definition 3), the top of the root-to-leaf chain of emitted elements
-// once the chain is cut back to the element's ancestors. Child slices are
-// carved from a's child slab, and the PDT and its document are a's
-// headers, so linking allocates at most the child slab whatever the size.
+// once the chain is cut back to the element's ancestors. An element with no
+// emitted ancestor is top-level: a QPT whose first edge is '//x' emits one
+// per x that no other x contains. A document has one root, so several
+// top-level elements hang under a's top node, which stands in for the
+// elements between them and the document node: its tag is no element name,
+// so no step a view can write matches it, and a '//' step from the
+// document node reaches below it. Child slices are carved from a's child
+// slab, and the PDT, its document and the top node are a's headers, so
+// linking allocates at most the child slab whatever the size.
 func (a *Arena) link(sourceName string) *PDT {
 	slab := a.nodes
 	pdt := &a.pdt
@@ -713,8 +723,10 @@ func (a *Arena) link(sourceName string) *PDT {
 	for i := range slab {
 		pdt.Bytes += 2*len(slab[i].Tag) + 5 + len(slab[i].Value)
 	}
-	// Every element but the root is the child of exactly one other.
-	kids := a.kidSlab(len(slab) - 1)
+	// Every element is the child of exactly one node, the top node's
+	// included.
+	kids := a.kidSlab(len(slab))
+	a.top = xmltree.Node{Tag: topTag}
 	var chainBuf [32]*xmltree.Node
 	// Two walks down the same chain. The first counts each node's children
 	// in the length of its Children. The second carves each node's exact
@@ -722,25 +734,24 @@ func (a *Arena) link(sourceName string) *PDT {
 	// is carved before any child appends to it and siblings append in order.
 	carved := 0
 	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			carved = len(a.top.Children)
+			a.top.Children = kids[:0:carved]
+		}
 		chain := chainBuf[:0]
 		for i := range slab {
 			node := &slab[i]
 			for len(chain) > 0 && !chain[len(chain)-1].ID.IsAncestorOf(node.ID) {
 				chain = chain[:len(chain)-1]
 			}
-			if len(chain) == 0 && i > 0 {
-				// A second top-level element: a QPT rooted at '//x' can emit
-				// several with no common emitted ancestor. A document has one
-				// root, so only the first one's subtree is kept.
-				continue
-			}
+			parent := &a.top
 			if len(chain) > 0 {
-				parent := chain[len(chain)-1]
-				if pass == 0 {
-					parent.Children = kids[:len(parent.Children)+1]
-				} else {
-					parent.Children = append(parent.Children, node)
-				}
+				parent = chain[len(chain)-1]
+			}
+			if pass == 0 {
+				parent.Children = kids[:len(parent.Children)+1]
+			} else {
+				parent.Children = append(parent.Children, node)
 			}
 			if n := len(node.Children); pass == 1 && n > 0 {
 				node.Children = kids[carved : carved : carved+n]
@@ -749,8 +760,11 @@ func (a *Arena) link(sourceName string) *PDT {
 			chain = append(chain, node)
 		}
 	}
-	root := &slab[0]
-	a.doc = xmltree.Document{Name: sourceName, Root: root, DocID: root.ID[0]}
+	root := &a.top
+	if len(root.Children) == 1 {
+		root = root.Children[0]
+	}
+	a.doc = xmltree.Document{Name: sourceName, Root: root, DocID: slab[0].ID[0]}
 	pdt.Doc = &a.doc
 	return pdt
 }

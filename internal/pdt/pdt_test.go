@@ -659,3 +659,30 @@ func TestGenerateIntoReusesArena(t *testing.T) {
 		t.Fatalf("a cleared arena holds %d nodes", len(a.nodes))
 	}
 }
+
+// TestSeveralTopLevelElements: a QPT whose first edge is '//x' emits every
+// x that no other x contains, with no common emitted ancestor. The PDT
+// keeps them all, in document order, under one top node no step matches.
+func TestSeveralTopLevelElements(t *testing.T) {
+	doc := parseDoc(t, `<r><s><x>1</x></s><x>2<x>3</x></x><y/><x>4</x></r>`, "d.xml", 1)
+	qpts := viewQPTs(t, `for $d in fn:doc(d.xml) return <n>{$d//x}</n>`)
+	pd := generateFor(t, doc, qpts[0], nil)
+	root := pd.Doc.Root
+	if root.Tag != topTag || len(root.Children) != 3 || pd.Nodes != 4 {
+		t.Fatalf("root <%s> has %d children, %d nodes: want <%s> over the three outermost x of four", root.Tag, len(root.Children), pd.Nodes, topTag)
+	}
+	var xs []*xmltree.Node
+	doc.Root.Walk(func(n *xmltree.Node) {
+		if n.Tag == "x" {
+			xs = append(xs, n)
+		}
+	})
+	for i, want := range []*xmltree.Node{xs[0], xs[1], xs[3]} {
+		if x := root.Children[i]; x.Tag != "x" || fmt.Sprint(x.ID) != fmt.Sprint(want.ID) {
+			t.Errorf("top-level element %d is <%s> %v, want <x> %v", i, x.Tag, x.ID, want.ID)
+		}
+	}
+	if inner := root.Children[1].Children; len(inner) != 1 || fmt.Sprint(inner[0].ID) != fmt.Sprint(xs[2].ID) {
+		t.Errorf("the second x should keep its nested x, has %v", inner)
+	}
+}

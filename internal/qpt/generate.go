@@ -111,7 +111,7 @@ func (g *generator) analyze(e xq.Expr, content bool) ([]*twig, error) {
 		}
 		for _, pt := range predTwigs {
 			if pt.anchor == "." {
-				graft(main.leaf, pt, false)
+				graft(main.leaf, pt)
 			} else {
 				ts = append(ts, pt)
 			}
@@ -267,9 +267,6 @@ func (g *generator) analyzeFLWOR(x *xq.FLWORExpr, content bool) ([]*twig, error)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range retTs {
-		t.fromReturn = true
-	}
 	pending = append(pending, retTs...)
 
 	for i := len(x.Clauses) - 1; i >= 0; i-- {
@@ -281,20 +278,36 @@ func (g *generator) analyzeFLWOR(x *xq.FLWORExpr, content bool) ([]*twig, error)
 		if len(pathTs) == 0 {
 			return nil, fmt.Errorf("qpt: clause $%s binds a literal", cl.Var)
 		}
-		main := pathTs[0]
-		anchor := varAnchor(cl.Var)
-		var remaining []*twig
-		for _, t := range pending {
-			if t.anchor != anchor {
-				remaining = append(remaining, t)
-				continue
-			}
-			isPlainVarReturn := t.fromReturn && len(t.root.Edges) == 0
-			graft(main.leaf, t, isPlainVarReturn)
-		}
-		pending = append(remaining, pathTs...)
+		pending = append(bind(pathTs[0].leaf, pending, varAnchor(cl.Var), cl.IsLet), pathTs...)
 	}
 	return pending, nil
+}
+
+// bind grafts every twig in pending anchored at anchor onto leaf, the leaf
+// of the path the anchor's variable is bound to, and returns the others. A
+// for variable is one item per binding, and every use of it is evaluated
+// for that binding alone, so each use's mandatory edges stay mandatory: an
+// item one use prunes makes the binding's output empty. A sequence
+// variable (a let's, or a function parameter's) is bound to every item at
+// once, and each use asks its own of them — `where $s//y > 1` of some
+// item, `for $v in $s` of each — so when it has several uses, none may
+// prune an item another reads, and their edges are made optional.
+func bind(leaf *Node, pending []*twig, anchor string, sequence bool) []*twig {
+	var remaining, uses []*twig
+	for _, t := range pending {
+		if t.anchor == anchor {
+			uses = append(uses, t)
+		} else {
+			remaining = append(remaining, t)
+		}
+	}
+	if sequence && len(uses) > 1 {
+		optionalizeVarRooted(uses)
+	}
+	for _, t := range uses {
+		graft(leaf, t)
+	}
+	return remaining
 }
 
 // analyzeReturnExpr dispatches return expressions with content=true unless
@@ -315,18 +328,19 @@ func (g *generator) analyzeReturnExpr(e xq.Expr, content bool) ([]*twig, error) 
 
 // graft attaches twig t (anchored at a variable or '.') onto leaf: t's root
 // edges become leaf's edges, and the anchor's annotations fold into the
-// leaf. When the twig is a bare `return $var`, the leaf inherits the
-// content annotation (Figure 24 lines 21-27).
-func graft(leaf *Node, t *twig, inheritContent bool) {
+// leaf. The anchor's content annotation is set only when the anchor itself
+// is returned (`return $var`, Figure 24 lines 21-27), and it folds in too,
+// through every binding on the way: `let $s := path for $v in $s return
+// $v` marks path's leaf, however many steps and predicates hang off $v and
+// $s.
+func graft(leaf *Node, t *twig) {
 	for _, e := range t.root.Edges {
 		e.From = leaf
 		leaf.Edges = append(leaf.Edges, e)
 	}
 	leaf.V = leaf.V || t.root.V
+	leaf.C = leaf.C || t.root.C
 	leaf.Preds = append(leaf.Preds, t.root.Preds...)
-	if inheritContent {
-		leaf.C = leaf.C || t.root.C
-	}
 }
 
 // analyzeCall expands a non-recursive function call: the body is analyzed
@@ -358,18 +372,7 @@ func (g *generator) analyzeCall(x *xq.CallExpr, content bool) ([]*twig, error) {
 		if len(argTs) == 0 {
 			continue // literal argument
 		}
-		main := argTs[0]
-		anchor := varAnchor(fd.Params[i])
-		var remaining []*twig
-		for _, t := range pending {
-			if t.anchor != anchor {
-				remaining = append(remaining, t)
-				continue
-			}
-			isPlainVarReturn := len(t.root.Edges) == 0
-			graft(main.leaf, t, isPlainVarReturn)
-		}
-		pending = append(remaining, argTs...)
+		pending = append(bind(argTs[0].leaf, pending, varAnchor(fd.Params[i]), true), argTs...)
 	}
 	return pending, nil
 }

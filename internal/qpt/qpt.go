@@ -323,10 +323,9 @@ func (q *QPT) String() string {
 // twig is an intermediate pattern tree rooted at an anchor: a document
 // (anchor "doc:name"), a variable ("$name"), or the context item (".").
 type twig struct {
-	anchor     string
-	root       *Node // virtual anchor node; Edges are real pattern steps
-	leaf       *Node // spine leaf for grafting further steps
-	fromReturn bool  // whether this twig came from a return expression
+	anchor string
+	root   *Node // virtual anchor node; Edges are real pattern steps
+	leaf   *Node // spine leaf for grafting further steps
 }
 
 func docAnchor(name string) string { return "doc:" + name }
@@ -400,7 +399,10 @@ func validate(q *QPT) error {
 
 // mergeInto merges src's children into dst, unifying structurally identical
 // chains (same tag, axis, annotation and predicates) so that several paths
-// into the same document form a single twig as in Figure 6(a).
+// into the same document form a single twig as in Figure 6(a). Two nodes
+// unify only when they also require the same: a node is emitted only if
+// every mandatory child edge is matched, so `$d/b` unified with `$d/b/a`
+// would drop every b without an a, which the first path still binds.
 func mergeInto(dst, src *Node) {
 	dst.V = dst.V || src.V
 	dst.C = dst.C || src.C
@@ -408,7 +410,8 @@ func mergeInto(dst, src *Node) {
 		var match *Edge
 		for _, d := range dst.Edges {
 			if d.Child.Tag == e.Child.Tag && d.Axis == e.Axis &&
-				d.Mandatory == e.Mandatory && predsEqual(d.Child.Preds, e.Child.Preds) {
+				d.Mandatory == e.Mandatory && predsEqual(d.Child.Preds, e.Child.Preds) &&
+				sameRequirement(d.Child, e.Child) {
 				match = d
 				break
 			}
@@ -420,6 +423,33 @@ func mergeInto(dst, src *Node) {
 		}
 		mergeInto(match.Child, e.Child)
 	}
+}
+
+// sameRequirement reports whether a and b have the same mandatory child
+// edges, recursively: whether a data element that matches one matches the
+// other.
+func sameRequirement(a, b *Node) bool {
+	var ma, mb []*Edge
+	for _, e := range a.Edges {
+		if e.Mandatory {
+			ma = append(ma, e)
+		}
+	}
+	for _, e := range b.Edges {
+		if e.Mandatory {
+			mb = append(mb, e)
+		}
+	}
+	if len(ma) != len(mb) {
+		return false
+	}
+	for i := range ma {
+		x, y := ma[i].Child, mb[i].Child
+		if x.Tag != y.Tag || ma[i].Axis != mb[i].Axis || !predsEqual(x.Preds, y.Preds) || !sameRequirement(x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 func predsEqual(a, b []pred.Predicate) bool {

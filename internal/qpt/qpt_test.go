@@ -304,3 +304,52 @@ return <e>{$b/title}{$b/publisher}</e>`)
 		}
 	}
 }
+
+// TestContentFollowsBindingChains: a returned variable bound over another
+// variable marks the path the chain starts from as content, however many
+// steps and predicates hang off the variables on the way.
+func TestContentFollowsBindingChains(t *testing.T) {
+	qpts := generate(t, `let $as := fn:doc(d.xml)/books//article
+		for $a in $as where $a/yr > 1990 return $a`)
+	want := `doc(d.xml)
+  /books m
+    //article m c
+      /yr m v pred(> 1990)
+`
+	if got := qpts[0].String(); got != want {
+		t.Errorf("QPT:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestMergeKeepsRequirementsApart: two paths into one document unify only
+// where they require the same. $d/books, which the where clause tests,
+// must not take on $d/books/a's mandatory a: a books without an a still
+// satisfies the where.
+func TestMergeKeepsRequirementsApart(t *testing.T) {
+	qpts := generate(t, `for $d in fn:collection("p*")
+		return <n>{$d/books/a}, {for $u in fn:doc(u.xml)//u where $d/books return $u}</n>`)
+	want := `doc(p*)
+  /books o
+    /a m c
+  /books o
+`
+	if got := qpts[0].String(); got != want {
+		t.Errorf("QPT:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestSequenceVariableUsesStayOptional: a let variable is its whole
+// sequence. `where $s//yr > 1990` asks that some item have such a yr, and
+// `for $a in $s` returns every item, so the where must not prune the items
+// that lack one.
+func TestSequenceVariableUsesStayOptional(t *testing.T) {
+	qpts := generate(t, `let $s := fn:doc(d.xml)//article
+		for $a in $s where $s//yr > 1990 return $a`)
+	want := `doc(d.xml)
+  //article m c
+    //yr o v pred(> 1990)
+`
+	if got := qpts[0].String(); got != want {
+		t.Errorf("QPT:\n%swant:\n%s", got, want)
+	}
+}

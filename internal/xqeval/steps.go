@@ -41,7 +41,7 @@ func (e *Evaluator) evalSteps(mark int, steps []pathindex.Step) {
 			}
 			if st.Axis == pathindex.Child {
 				for _, c := range n.Children {
-					if c.Tag == st.Tag && !seen[c] {
+					if c.Tag == st.Tag && !seen[c] && isChild(n, c) {
 						if seen != nil {
 							seen[c] = true
 						}
@@ -58,6 +58,27 @@ func (e *Evaluator) evalSteps(mark int, steps []pathindex.Step) {
 			e.steps[(i+1)%2] = next
 		}
 	}
+}
+
+// isChild reports whether c, a child of n in n's tree, is a child of n in
+// the document too. A PDT links an element to its closest emitted ancestor
+// (Definition 3), which is its parent only when no element between them
+// was pruned — under //b, a b inside another b's a hangs under the outer b
+// — so a node of a document tree is n's child only one Dewey level below n,
+// or, below the document node, at the root's level. A constructed element
+// holds its children by reference and a constructed child has no place in
+// the document: both are children as they stand. Over base documents every
+// child passes.
+func isChild(n, c *xmltree.Node) bool {
+	switch {
+	case len(c.ID) == 0:
+		return true
+	case len(n.ID) > 0:
+		return len(c.ID) == len(n.ID)+1
+	case n.Tag == docNodeTag:
+		return len(c.ID) == 1
+	}
+	return true
 }
 
 // singleDocumentNode reports whether the sequence is one node of a document

@@ -443,3 +443,32 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 		}
 	}
 }
+
+// TestChildStepsSkipPrunedAncestors: a PDT links an element to its closest
+// emitted ancestor, so over `<b><a><b><x/></b></a></b>` pruned to its b and
+// x elements the inner b hangs under the outer one. A child step follows
+// Dewey levels, not the pruned tree: the outer b has no b child and no x
+// child, the inner b has its x, and below the document node only the root
+// is a child.
+func TestChildStepsSkipPrunedAncestors(t *testing.T) {
+	x := &xmltree.Node{Tag: "x", Value: "copper", ID: []int32{1, 0, 0, 0}}
+	inner := &xmltree.Node{Tag: "b", ID: []int32{1, 0, 0}, Children: []*xmltree.Node{x}}
+	outer := &xmltree.Node{Tag: "b", ID: []int32{1}, Children: []*xmltree.Node{inner}}
+	pruned := MapCatalog{"d.xml": &xmltree.Document{Name: "d.xml", DocID: 1, Root: outer}}
+	for query, want := range map[string]int{
+		"fn:doc(d.xml)/b":     1,
+		"fn:doc(d.xml)/b/b":   0,
+		"fn:doc(d.xml)/b/b/x": 0,
+		"fn:doc(d.xml)//b":    2,
+		"fn:doc(d.xml)//b/x":  1,
+		"fn:doc(d.xml)/b//x":  1,
+	} {
+		if got := eval(t, pruned, query); len(got) != want {
+			t.Errorf("%s: %d items, want %d", query, len(got), want)
+		}
+	}
+	deep := MapCatalog{"d.xml": &xmltree.Document{Name: "d.xml", DocID: 1, Root: inner}}
+	if got := eval(t, deep, "fn:doc(d.xml)/b"); len(got) != 0 {
+		t.Errorf("a pruned document's only element, two levels down, is a child of the document node")
+	}
+}
