@@ -60,7 +60,6 @@ func main() {
 	offset := flag.Int("offset", 0, "skip this many leading ranked results (pagination)")
 	disjunctive := flag.Bool("any", false, "match any keyword instead of all")
 	parallel := flag.Int("parallel", 0, "search worker pool size (0 = all CPUs, 1 = sequential)")
-	approach := flag.String("approach", "efficient", "pipeline: efficient, baseline, gtp")
 	demo := flag.Bool("demo", false, "load a generated books/reviews demo corpus")
 	showStats := flag.Bool("stats", true, "print per-phase statistics")
 	stream := flag.Bool("stream", false, "print results as the pipeline yields them (no stats)")
@@ -116,16 +115,6 @@ func main() {
 	}
 
 	opts := &vxml.Options{TopK: *topK, Offset: *offset, Disjunctive: *disjunctive, Parallelism: *parallel}
-	switch strings.ToLower(*approach) {
-	case "efficient":
-		opts.Approach = vxml.Efficient
-	case "baseline":
-		opts.Approach = vxml.Baseline
-	case "gtp":
-		opts.Approach = vxml.GTPTermJoin
-	default:
-		fatalf("unknown approach %q", *approach)
-	}
 
 	var (
 		results []vxml.Result

@@ -43,7 +43,7 @@ func FuzzServerRequest(f *testing.F) {
 	}
 	seed(0, map[string]any{"view": "bookrevs", "keywords": []string{"system", "data"}, "top_k": 3, "cache": true})
 	seed(0, map[string]any{"view": "bookrevs", "keywords": []string{"system"}, "offset": 2, "top_k": 2, "parallelism": 4})
-	seed(0, map[string]any{"view": "bookrevs", "keywords": []string{"model"}, "approach": "baseline", "disjunctive": true})
+	seed(0, map[string]any{"view": "bookrevs", "keywords": []string{"model"}, "disjunctive": true})
 	seed(0, map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "approach": "warp"})
 	seed(0, map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "top_k": -1})
 	seed(0, map[string]any{"view": "nope", "keywords": []string{"xml"}})

@@ -14,7 +14,7 @@
 //	POST /v1/views          {"name": "recent", "xquery": "for $b in ..."}
 //	POST /v1/search         {"view": "recent", "keywords": ["xml","search"],
 //	                         "top_k": 10, "offset": 0, "disjunctive": false,
-//	                         "approach": "efficient", "cache": true}
+//	                         "cache": true}
 //	POST /v1/search/stream  same request; responds with NDJSON, one result
 //	                        object per line, written as the pipeline yields
 //	                        each ranked winner
@@ -273,7 +273,6 @@ type searchRequest struct {
 	Keywords    []string `json:"keywords"`
 	TopK        int      `json:"top_k"`
 	Disjunctive bool     `json:"disjunctive"`
-	Approach    string   `json:"approach"`
 	Cache       bool     `json:"cache"`
 	// Offset skips that many leading ranked results before top_k applies
 	// (pagination); rank numbers keep their absolute position, and pages
@@ -292,20 +291,6 @@ type searchResponse struct {
 	// Error is set when the response is a degraded partial-cluster answer
 	// (status 502): Results covers only the surviving partitions.
 	Error string `json:"error,omitempty"`
-}
-
-// parseApproach maps the wire name to the pipeline selector; an unknown
-// name wraps vxml.ErrInvalidOptions (→ 400).
-func parseApproach(name string) (vxml.Approach, error) {
-	switch name {
-	case "", "efficient":
-		return vxml.Efficient, nil
-	case "baseline":
-		return vxml.Baseline, nil
-	case "gtp":
-		return vxml.GTPTermJoin, nil
-	}
-	return 0, fmt.Errorf("%w: unknown approach %q (want efficient, baseline or gtp)", vxml.ErrInvalidOptions, name)
 }
 
 // resolveSearch decodes and validates a search request body against the
@@ -339,16 +324,10 @@ func (s *Server) resolveSearch(w http.ResponseWriter, r *http.Request) (string, 
 		writeError(w, httpkit.StatusFor(vxml.ErrUnknownView), "unknown view %q", req.View)
 		return "", nil, nil, false
 	}
-	approach, err := parseApproach(req.Approach)
-	if err != nil {
-		writeError(w, httpkit.StatusFor(err), "%v", err)
-		return "", nil, nil, false
-	}
 	return req.View, &vxml.Options{
 		TopK:        req.TopK,
 		Offset:      req.Offset,
 		Disjunctive: req.Disjunctive,
-		Approach:    approach,
 		Cache:       req.Cache,
 		Parallelism: req.Parallelism,
 	}, req.Keywords, true

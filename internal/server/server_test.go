@@ -167,7 +167,10 @@ func TestBadRequests(t *testing.T) {
 		status int
 	}{
 		{"missing keywords", "/v1/search", map[string]any{"view": "bookrevs"}, http.StatusBadRequest},
+		// The comparator pipelines are library-only: approach is no wire
+		// field, so the strict decoder refuses it whatever its value.
 		{"unknown approach", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "approach": "warp"}, http.StatusBadRequest},
+		{"approach is no field", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "approach": "efficient"}, http.StatusBadRequest},
 		{"negative top_k", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "top_k": -1}, http.StatusBadRequest},
 		{"unknown field", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "frobnicate": 1}, http.StatusBadRequest},
 		{"empty document", "/v1/documents", map[string]string{"name": "", "xml": ""}, http.StatusBadRequest},
