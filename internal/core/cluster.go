@@ -6,9 +6,9 @@ package core
 // copy of every broadcast document. Ranking is split in two phases so the
 // merged result is byte-identical to a single-node search:
 //
-//   - ClusterRank runs the same plan, view-output and collect phases as a
-//     local search (PDT generation, view evaluation, TF/byte-length
-//     collection) and reports every keyword-matching view result as an
+//   - ClusterRank runs the same plan and view-output phases as a local
+//     search (PDT generation, view evaluation, TF/byte-length collection)
+//     and reports every keyword-matching view result as an
 //     unmaterialized candidate, plus the local view size and per-keyword
 //     containment counts. The coordinator sums those integers across nodes
 //     and performs the one float division (scoring.IDFsFromCounts), scores
@@ -127,14 +127,11 @@ type ClusterRanking struct {
 // Options.K is ignored (every candidate is reported) and the planner is not
 // consulted (its artifacts carry no owners).
 func (e *Engine) ClusterRank(ctx context.Context, v *View, keywords []string, opts Options) (*ClusterRanking, error) {
-	out, owners, err := e.attributedOutput(ctx, v, keywords, opts, keepNone)
+	out, err := e.attributedOutput(ctx, v, keywords, opts, keepNone)
 	if err != nil {
 		return nil, err
 	}
-	rstats, err := out.collect(ctx)
-	if err != nil {
-		return nil, err
-	}
+	rstats := out.rstats
 	rk := &ClusterRanking{
 		ViewSize: len(out.results),
 		Contains: scoring.Contains(rstats, len(out.kws)),
@@ -144,7 +141,7 @@ func (e *Engine) ClusterRank(ctx context.Context, v *View, keywords []string, op
 			continue
 		}
 		rk.Candidates = append(rk.Candidates, ClusterCandidate{
-			Doc: owners[i], Pos: i, TFs: rstats[i].TFs, ByteLen: rstats[i].ByteLen,
+			Doc: out.owners[i], Pos: i, TFs: rstats[i].TFs, ByteLen: rstats[i].ByteLen,
 		})
 	}
 	rk.Matched = len(rk.Candidates)
@@ -177,7 +174,7 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 	// runs after the shard locks are released.
 	e.Store.Pin()
 	defer e.Store.Unpin()
-	out, _, err := e.attributedOutput(ctx, v, keywords, opts, keepAll)
+	out, err := e.attributedOutput(ctx, v, keywords, opts, keepAll)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -200,28 +197,17 @@ func (e *Engine) MaterializeAt(ctx context.Context, v *View, keywords []string, 
 }
 
 // attributedOutput is viewOutput for the cluster primitives: a direct
-// (never planner-served) evaluation, plus the owner document ID of every
-// result. A view the partition rule (Deps.Partition) refuses is rejected
-// with ErrUnpartitionableView; this is the only place a view is. A view
-// that runs per document returns its units' documents. A literal outer
-// document owns every result: every outer binding is a node of it, its
-// document node included, and a node that lacks it has no results. k is
-// which results the caller reads (keep).
-func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options, k keep) (*viewOutput, []int32, error) {
+// (never planner-served) evaluation, whose owners attribute every result
+// to its outer document. A view the partition rule (Deps.Partition)
+// refuses is rejected with ErrUnpartitionableView; this is the only place a
+// view is. A view that runs per document attributes each result to its
+// unit's document; a literal outer document owns every result: every outer
+// binding is a node of it, its document node included, and a node that
+// lacks it has no results. k is which results the caller reads (keep).
+func (e *Engine) attributedOutput(ctx context.Context, v *View, keywords []string, opts Options, k keep) (*viewOutput, error) {
 	if reason := v.Deps.Partition(); reason != "" {
-		return nil, nil, fmt.Errorf("core: %w: %s", ErrUnpartitionableView, reason)
+		return nil, fmt.Errorf("core: %w: %s", ErrUnpartitionableView, reason)
 	}
 	opts.Plan = false
-	out, err := e.viewOutput(ctx, v, keywords, opts, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	owners := out.owners
-	if owners == nil {
-		owners = make([]int32, len(out.results))
-		for i := range owners {
-			owners[i] = out.outer
-		}
-	}
-	return out, owners, nil
+	return e.viewOutput(ctx, v, keywords, opts, k)
 }

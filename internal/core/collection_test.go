@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vxml/internal/catalog"
 	"vxml/internal/store"
 )
 
@@ -179,5 +180,82 @@ func TestPerDocumentClusterRankAllocationsPerCandidate(t *testing.T) {
 	})
 	if per > clusterAllocsPerCandidate+0.1 {
 		t.Errorf("%.2f allocations per extra candidate, want %d", per, clusterAllocsPerCandidate)
+	}
+}
+
+// allocsPerExtraResult measures what one more view result costs search,
+// run over an engine whose one document, shelf.xml, holds 128 articles and
+// over one whose shelf holds 384: the difference is 256 results' worth, and
+// four result chunks'. search runs once first, to fill the QPT's memos,
+// warm the pools and record the view's skeleton.
+func allocsPerExtraResult(t *testing.T, view string, search func(t *testing.T, e *Engine, v *View)) float64 {
+	t.Helper()
+	perSearch := func(articles int) float64 {
+		e := New(store.New())
+		var b strings.Builder
+		b.WriteString("<books>")
+		for i := 0; i < articles; i++ {
+			fmt.Fprintf(&b, `<article><fm><tl>study %d</tl><yr>%d</yr></fm><bdy>xml search</bdy></article>`, i, 1980+i%20)
+		}
+		b.WriteString("</books>")
+		if err := e.AddXML("shelf.xml", b.String()); err != nil {
+			t.Fatal(err)
+		}
+		v, err := e.CompileView(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		search(t, e, v)
+		return testing.AllocsPerRun(20, func() { search(t, e, v) })
+	}
+	a128, a384 := perSearch(128), perSearch(384)
+	t.Logf("%v allocations over 128 results, %v over 384", a128, a384)
+	return (a384 - a128) / 256
+}
+
+// wholeViewAllocsPerResult is what one more result of a whole-view view
+// partitioned by outer binding costs a search that ranks locally, object
+// by object: EvalTail's exact copy of the binding's value (1). Collection
+// allocates per chunk, not per result: a chunk's stats slab holds every
+// result's term frequencies and byte length, and the binding chunks are
+// workers*4 whatever the view's size; the growth of the chunks' result
+// slices and of the search's results, rstats and owners arrays, one each,
+// is a twentieth of an allocation per result. (Collection made one term
+// frequency slice per result before: 2.04 here.)
+const wholeViewAllocsPerResult = 1
+
+// rewriteAllocsPerChunk is what one more result chunk (resultChunk
+// results) of a skeleton rewrite costs: the chunk's stats slab (1). Its
+// results are the skeleton's own; the search's results, rstats and owners
+// are one array each. (Collection made one term frequency slice per result
+// before: 64 per chunk here.)
+const rewriteAllocsPerChunk = 1
+
+// TestWholeViewCollectAllocationsPerChunk: collecting the results of a
+// whole-view search, and of a skeleton rewrite, allocates per chunk, not
+// per result. Like the other pins it holds only without the race detector.
+func TestWholeViewCollectAllocationsPerChunk(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const view = `for $a in fn:doc(shelf.xml)/books//article return $a`
+	per := allocsPerExtraResult(t, view, func(t *testing.T, e *Engine, v *View) {
+		if results, _, err := e.Search(v, []string{"xml"}, Options{K: 10, Parallelism: 1}); err != nil || len(results) != 10 {
+			t.Fatalf("%d results, err %v", len(results), err)
+		}
+	})
+	if per > wholeViewAllocsPerResult+0.05 {
+		t.Errorf("direct: %.3f allocations per extra result, want %d", per, wholeViewAllocsPerResult)
+	}
+	recorded := map[*Engine]bool{} // the first search records the skeleton
+	per = allocsPerExtraResult(t, view, func(t *testing.T, e *Engine, v *View) {
+		results, stats, err := e.Search(v, []string{"search"}, Options{K: 10, Parallelism: 1, Plan: true})
+		if err != nil || len(results) != 10 || recorded[e] && stats.PlanSource != catalog.PlanRewritten {
+			t.Fatalf("%d results (%+v), err %v", len(results), stats, err)
+		}
+		recorded[e] = true
+	})
+	if per*resultChunk > rewriteAllocsPerChunk+0.1 {
+		t.Errorf("rewrite: %.2f allocations per extra result chunk, want %d", per*resultChunk, rewriteAllocsPerChunk)
 	}
 }

@@ -9,11 +9,13 @@
 // Corpus.StoredIndices, whichever backend holds them. The engine mirrors
 // the corpus's shards with one RWMutex each, and a search read-locks only
 // the shards its view touches — so an ingest into one shard never
-// contends with a search over another. With Options.Parallelism > 1
-// the per-document pipeline (keyword lookup, QPT matching, PDT generation,
-// evaluation, stat collection) fans out over a bounded worker pool; the
-// same functions run at every pool size, so results are byte-identical at
-// every setting.
+// contends with a search over another. A search's view output is one
+// pass of work items — a candidate document's PDT generation and
+// evaluation, a chunk of a view's outer bindings, or a chunk of results
+// (a skeleton's, or a view's evaluated whole) — each ending in the one
+// collector of its results' scoring inputs. With Options.Parallelism > 1 the pass fans out over a bounded
+// worker pool; the same functions run at every pool size, so results are
+// byte-identical at every setting.
 package core
 
 import (
@@ -303,9 +305,9 @@ type Options struct {
 	// Disjunctive switches from conjunctive (all keywords) to disjunctive
 	// (any keyword) semantics.
 	Disjunctive bool
-	// Parallelism bounds the worker pool the Efficient pipeline fans the
-	// per-document work (keyword lookup, QPT matching, PDT generation),
-	// view evaluation and stat collection out over. 0 (the default) uses
+	// Parallelism bounds the worker pool the Efficient pipeline fans its
+	// PDT generation and its pass of work items (evaluation and stat
+	// collection) out over. 0 (the default) uses
 	// GOMAXPROCS; 1 (or any negative value) is a pool of one. The same
 	// functions run at every pool size and results are byte-identical at
 	// every setting.
@@ -332,12 +334,14 @@ func (o Options) workers() int {
 // the comparator pipelines embed it, and the /v1 and node RPC wires encode
 // it as it is (timings as integer nanoseconds).
 type Stats struct {
-	// A view that runs per document generates and evaluates in one pool
-	// pass; PDTTime and EvalTime then split the pass's wall time in
-	// proportion to the summed per-document generation and
-	// evaluation-plus-collection times.
+	// Direct output generates the side documents' PDTs, then evaluates and
+	// collects in one pool pass of work items; PDTTime is the first plus
+	// the pass's wall time split in proportion to the items' summed
+	// per-document generation and evaluation-plus-collection times, and
+	// EvalTime is the rest of the pass. A skeleton serve's collection is
+	// part of PostTime.
 	PDTTime  time.Duration `json:"pdt_time_ns"`  // PDT generation (PrepareLists + GeneratePDT)
-	EvalTime time.Duration `json:"eval_time_ns"` // query evaluation over the PDTs
+	EvalTime time.Duration `json:"eval_time_ns"` // query evaluation over the PDTs, and collection
 	PostTime time.Duration `json:"post_time_ns"` // scoring + top-k materialization
 	// Total is the end-to-end time: the sum of the three phases, or the
 	// coordinator's wall time for a distributed search.
@@ -477,18 +481,6 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 	return p, nil
 }
 
-// generatePDT runs the per-document index pipeline for one unit: path-index
-// probes and QPT (pattern) matching, then PDT construction, in a pooled
-// generator's memory (pdt.GenerateFromIndex), into memory of the PDT's own:
-// the whole-view path's PDTs and the side documents' are all alive
-// together. (A per-document unit generates into its worker's arena
-// instead, docWorker.run.) The PDT is keyword-free — its shape, values and
-// byte lengths depend on (QPT, document) alone, and collect derives the
-// term frequencies of the results that survive evaluation.
-func (u unit) generatePDT() *pdt.PDT {
-	return pdt.GenerateFromIndex(u.q, u.pix, u.name)
-}
-
 // document is the unit's PDT as evaluation sees it: the PDT's document or,
 // when no element qualified, a root-less document under the unit's name and
 // ID, written to empty (a new one if nil). Evaluation binds that as a
@@ -520,8 +512,8 @@ func (p *plan) split(outer string) (units, sides []unit) {
 // keywordLists resolves each unit's posting list for each keyword, keyed
 // by document ID (Meta payloads name their source document through the
 // leading Dewey component): one inverted-list lookup per keyword per unit,
-// under the plan's shard read locks. The lists are immutable, so collect
-// reads them after the locks drop. Lookup on an absent keyword returns an
+// under the plan's shard read locks. The lists are immutable, so a
+// skeleton serve's pass reads them after the locks drop. Lookup on an absent keyword returns an
 // empty list whose range sums are 0, so no nil checks are needed per
 // keyword.
 func keywordLists(units []unit, kws []string) map[int32][]*invindex.PostingList {
@@ -561,14 +553,21 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // generatePDTs generates one PDT per unit on a pool of stats.Workers, adds
 // the node and byte tally and the time taken to stats, and assembles the
 // PDTs into an evaluation catalog (a PDT with no qualifying elements as a
-// root-less document, see unit.document): the PDT half of whole-view
-// output, and the side documents of per-document output. The caller holds
-// the plan's shard read locks.
+// root-less document, see unit.document): a direct pass's side documents
+// (plan.direct). The caller holds the plan's shard read locks. Each unit
+// runs the per-document index pipeline: path-index probes and QPT
+// (pattern) matching, then PDT construction, in a pooled generator's
+// memory (pdt.GenerateFromIndex), into memory of the PDT's own, since the
+// side documents are all alive together. (A per-document unit generates
+// into its worker's arena instead, worker.run.) The PDT is keyword-free —
+// its shape, values and byte lengths depend on (QPT, document) alone, and
+// the pass's collector derives the term frequencies of the results that
+// survive evaluation.
 func generatePDTs(ctx context.Context, units []unit, stats *Stats) (*evalCatalog, error) {
 	start := time.Now()
 	pdts := make([]*pdt.PDT, len(units))
-	if err := forEach(ctx, stats.Workers, len(units), func(i int) {
-		pdts[i] = units[i].generatePDT()
+	if err := forEachWorker(ctx, stats.Workers, len(units), func(int) func(int) {
+		return func(i int) { pdts[i] = pdt.GenerateFromIndex(units[i].q, units[i].pix, units[i].name) }
 	}); err != nil {
 		return nil, err
 	}
@@ -590,28 +589,6 @@ func generatePDTs(ctx context.Context, units []unit, stats *Stats) (*evalCatalog
 	return c, nil
 }
 
-// wholeViewOutput is direct view output for every view that does not run
-// per document: all PDTs first, then the unchanged evaluator runs the view
-// over the catalog of all of them (evalView). A literal outer document's
-// ID is recorded as the owner of every result (attributedOutput).
-func (p *plan) wholeViewOutput(ctx context.Context, v *View, out *viewOutput) error {
-	cat, err := generatePDTs(ctx, p.units, out.stats)
-	if err != nil {
-		return err
-	}
-	for _, u := range p.units {
-		if u.q.Doc == v.Deps.Outer && !docname.IsPattern(u.q.Doc) {
-			out.outer = u.docID
-		}
-	}
-	start := time.Now()
-	if out.results, err = evalView(ctx, v, cat, out.stats.Workers); err != nil {
-		return err
-	}
-	out.stats.EvalTime = time.Since(start)
-	return nil
-}
-
 // Search evaluates a ranked keyword query over the virtual view: the
 // Efficient pipeline of the paper. Scores and rank order are identical to
 // materializing the view and searching it (Theorem 4.1), and identical at
@@ -622,9 +599,9 @@ func (e *Engine) Search(v *View, keywords []string, opts Options) ([]Result, *St
 }
 
 // SearchPage is Search with cooperative cancellation and paging. ctx is
-// checked between candidate documents during PDT generation, between FLWOR
-// bindings during evaluation, between chunks of results during stat
-// collection and between winners during materialization, so a cancel or
+// checked between candidate documents during PDT generation, between work
+// items of the view-output pass, between FLWOR bindings during evaluation
+// and between winners during materialization, so a cancel or
 // deadline unwinds within one work unit. The returned error wraps ctx.Err()
 // (classify with errors.Is); the shard read locks are released before
 // SearchPage returns, canceled or not, and no pool goroutine outlives the
@@ -657,33 +634,25 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 	return results, stats, nil
 }
 
-// viewOutput is what the locked phases of a search (plan, view output)
-// hand to the lock-free ones (collect, select, materialise): the view's
-// results in view order and everything later phases need to score and
-// expand them.
+// viewOutput is what the view-output phase hands to the lock-free ones
+// (select, materialise): the view's results in view order and everything
+// later phases need to score and expand them.
 type viewOutput struct {
 	// results are the view's results, in view order: PDT-pruned trees from
-	// direct evaluation or a skeleton.
+	// direct evaluation or a skeleton, a nil slot for each the caller does
+	// not read (keep). rstats holds each result's scoring inputs, and owners
+	// the document it came from (a per-document unit's, or a literal outer
+	// document's; nil for a skeleton's and an unpartitionable view's), both
+	// index-aligned with results.
 	results []*xmltree.Node
-	// owners holds the document each result came from when the
-	// per-document pipeline produced them (non-nil exactly then); outer is
-	// the ID of the outer reference's document when whole-view evaluation
-	// ran over a literal one (0 when the corpus lacks it).
-	owners []int32
-	outer  int32
-	// rstats are the per-result scoring inputs. The per-document pipeline
-	// brings them itself; for the other results — whole-view or artifact —
-	// collect derives them from lists and keeps them here.
-	rstats []scoring.Stats
-	// keep is which results the per-document pipeline detaches (the rest
-	// are nil slots in results), deciding a match under conjunctive.
+	owners  []int32
+	rstats  []scoring.Stats
+	// keep is which results the pass keeps, deciding a match under
+	// conjunctive.
 	keep        keep
 	conjunctive bool
-	// lists holds each candidate document's posting list per keyword
-	// (plan.keywordLists), for collect.
-	lists map[int32][]*invindex.PostingList
-	kws   []string // normalized keywords
-	stats *Stats
+	kws         []string // normalized keywords
+	stats       *Stats
 	// post is when the view's results came into existence — the start of
 	// the scoring + materialization time Stats.PostTime reports.
 	post time.Time
@@ -698,16 +667,17 @@ func (o *viewOutput) closePost() *Stats {
 	return o.stats
 }
 
-// viewOutput runs the locked phases every search path starts with. Plan:
-// lock the touched shards and resolve the candidate documents. View
-// output: produce the view's results in view order from the view's
-// catalog artifact when a planned search finds one (see tryPlan), else by
-// index-only PDT generation plus evaluation of the unchanged view over the
-// PDTs, which also records the skeleton for the next planned search. Every shard read
-// lock is released by return time: the later phases read only the returned
-// trees, and Dewey-ID subtree fetches are lock-free. k is which results
-// the caller reads past this point; a search that records a skeleton keeps
-// them all.
+// viewOutput runs the phases every search path starts with. Plan: lock the
+// touched shards and resolve the candidate documents. View output: produce
+// the view's results in view order, with their owners and scoring inputs,
+// in one pass of work items (pass): over the view's skeleton when a
+// planned search finds one (see tryPlan), else over index-only PDTs the
+// pass generates and the unchanged view evaluated over them (plan.direct),
+// which also records the skeleton for the next planned search. Every shard
+// read lock is released by return time: the later phases read only the
+// returned trees, and Dewey-ID subtree fetches are lock-free. k is which
+// results the caller reads past this point; a planned search keeps them
+// all.
 func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opts Options, k keep) (*viewOutput, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -720,68 +690,70 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	if err != nil {
 		return nil, err
 	}
-	defer p.unlock()
 	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards), PlanSource: catalog.PlanDirect}
 	if opts.Plan {
 		k = keepAll
 	}
 	out := &viewOutput{kws: kws, stats: stats, post: time.Now(), keep: k, conjunctive: !opts.Disjunctive}
-
-	// gen is read under the shard read locks, so a mutation touching this
-	// view's documents cannot land between here and the skeleton store
-	// below — a bump from an unrelated shard only makes the store a
-	// refused no-op.
-	served, gen := false, 0
-	if opts.Plan {
-		gen = e.Catalog.Gen()
-		served = e.tryPlan(v, out)
+	serve, err := e.lockedOutput(ctx, p, v, opts, out)
+	if err != nil {
+		return nil, err
 	}
-	if !served {
-		// QPTs are compile-time; generate the PDTs from the indices alone,
-		// then run the unchanged evaluator over them: one work unit per
-		// candidate document when the view allows it, else the whole view.
-		if v.perDocument {
-			err = p.perDocumentOutput(ctx, v, out)
-		} else {
-			err = p.wholeViewOutput(ctx, v, out)
-		}
-		if err != nil {
+	// A skeleton serve's collection runs after the locks drop, so it does
+	// not lengthen their hold; its time stays in PostTime.
+	if serve != nil {
+		if _, _, err := serve.run(); err != nil {
 			return nil, err
 		}
-		// Record the skeleton — the eval output itself — for the next
-		// search over this view: its nodes never escape to callers (a
-		// winner's wrappers are built anew and its base subtrees come from
-		// the store), so sharing them with future serves is safe.
-		if opts.Plan {
-			e.Catalog.StoreSkeleton(v.Text, gen, out.results, artifactFootprint(out.results))
-			e.Catalog.Access(v.Text, catalog.PlanDirect)
-		}
-		out.post = time.Now()
-	}
-	if out.rstats == nil {
-		out.lists = keywordLists(p.units, out.kws)
 	}
 	stats.ViewSize = len(out.results)
 	return out, nil
 }
 
+// lockedOutput is the part of the view-output phase that holds the plan's
+// shard read locks, released on return: a skeleton serve, returned as the
+// pass to run once they are, or direct output.
+func (e *Engine) lockedOutput(ctx context.Context, p *plan, v *View, opts Options, out *viewOutput) (*pass, error) {
+	defer p.unlock()
+	// gen is read under the shard read locks, so a mutation touching this
+	// view's documents cannot land between here and the skeleton store
+	// below — a bump from an unrelated shard only makes the store a
+	// refused no-op.
+	gen := 0
+	if opts.Plan {
+		gen = e.Catalog.Gen()
+		if results := e.tryPlan(v, out); results != nil {
+			return &pass{ctx: ctx, out: out, v: v, lists: keywordLists(p.units, out.kws), results: results}, nil
+		}
+	}
+	if err := p.direct(ctx, v, out); err != nil {
+		return nil, err
+	}
+	// Record the skeleton — the eval output itself — for the next search
+	// over this view: its nodes never escape to callers (a winner's
+	// wrappers are built anew and its base subtrees come from the store),
+	// so sharing them with future serves is safe.
+	if opts.Plan {
+		e.Catalog.StoreSkeleton(v.Text, gen, out.results, artifactFootprint(out.results))
+		e.Catalog.Access(v.Text, catalog.PlanDirect)
+	}
+	out.post = time.Now()
+	return nil, nil
+}
+
 // rankedSearch runs every phase of a local search short of materialization
-// — plan, view output, collect, select — and returns the ranked winners
-// still pruned, with the view output they came from. No lock is held on
-// return, so callers materialize the winners afterwards all at once
-// (SearchPage) or one by one as a consumer pulls them (ResultsSeq).
+// — plan, view output, select — and returns the ranked winners still
+// pruned, with the view output they came from. No lock is held on return,
+// so callers materialize the winners afterwards all at once (SearchPage) or
+// one by one as a consumer pulls them (ResultsSeq).
 func (e *Engine) rankedSearch(ctx context.Context, v *View, keywords []string, opts Options) ([]scoring.Scored, *viewOutput, error) {
 	out, err := e.viewOutput(ctx, v, keywords, opts, keepMatching)
 	if err != nil {
 		return nil, nil, err
 	}
-	rstats, err := out.collect(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Select: score every result against the view-wide IDFs and keep the
 	// top k. The one call every local path ranks through.
-	ranking := scoring.RankWithStats(out.results, rstats, out.kws, !opts.Disjunctive, opts.K)
+	ranking := scoring.RankWithStats(out.results, out.rstats, out.kws, !opts.Disjunctive, opts.K)
 	out.stats.Matched = ranking.Matched
 	return ranking.Results, out, nil
 }

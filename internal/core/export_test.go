@@ -13,8 +13,10 @@ func PerDocumentReason(v *View) string { return perDocumentReason(v.Deps) }
 // RunsPerDocument reports the eligibility CompileParsed recorded for v.
 func RunsPerDocument(v *View) bool { return v.perDocument }
 
-// WholeViewCopy returns a copy of v that takes the whole-view pipeline, so
-// the external tests can hold the per-document pipeline against it.
+// WholeViewCopy returns a copy of v that does not run per document: its
+// pass evaluates outer-binding chunks over every candidate's PDT instead
+// of one unit per candidate, so the external tests can hold the two item
+// shapes against each other.
 func WholeViewCopy(v *View) *View {
 	w := *v
 	w.perDocument = false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,21 +16,16 @@ import (
 	"vxml/internal/xqeval"
 )
 
-// forEach runs fn(0..n-1) on a pool of at most `workers` goroutines
-// (inline when the pool would be pointless). Workers pull indices from an
-// atomic counter, so uneven per-item cost still balances. Cancellation is
-// cooperative: every worker checks ctx before pulling its next item, so a
-// cancel stops the pool within one item per worker; forEach always waits
-// for the in-flight items to finish (no goroutine outlives the call) and
-// returns the wrapped ctx error if the loop was cut short.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
-	return forEachWorker(ctx, workers, n, func(int) func(int) { return fn })
-}
-
-// forEachWorker is forEach for work that needs per-worker state (e.g. a
-// single-threaded evaluator): newWorker runs once per pool goroutine, with
-// the worker's number (0 to min(workers, n)-1), and returns that worker's
-// item function.
+// forEachWorker runs each worker's item function over 0..n-1 on a pool of
+// at most `workers` goroutines (inline when the pool would be pointless):
+// newWorker runs once per pool goroutine, with the worker's number (0 to
+// min(workers, n)-1), and returns that worker's item function, over its
+// own state (e.g. a single-threaded evaluator). Workers pull indices from
+// an atomic counter, so uneven per-item cost still balances. Cancellation
+// is cooperative: every worker checks ctx before pulling its next item, so
+// a cancel stops the pool within one item per worker; forEachWorker always
+// waits for the in-flight items to finish (no goroutine outlives the call)
+// and returns the wrapped ctx error if the loop was cut short.
 func forEachWorker(ctx context.Context, workers, n int, newWorker func(worker int) func(i int)) error {
 	if workers > n {
 		workers = n
@@ -84,80 +80,6 @@ func chunkBounds(n, chunks int) [][2]int {
 	return out
 }
 
-// evalView runs the view expression over the PDT catalog — the one
-// evaluator every whole-view search uses, at every pool size. A top-level
-// FLWOR that opens with a for clause is partitioned over that clause's
-// binding sequence: the bindings are split into contiguous chunks and each
-// worker evaluates the remaining clauses for its chunks with its own
-// evaluator over the shared immutable catalog. FLWOR evaluates bindings
-// independently, so concatenating the chunk outputs in order is exactly
-// the whole-expression result (xqeval.OuterBindings). Any other view (no
-// top-level FLWOR, or one that opens with a let) is evaluated whole by a
-// single evaluator. Every evaluator carries ctx, so cancellation unwinds
-// between FLWOR bindings either way.
-func evalView(ctx context.Context, v *View, catalog xqeval.Catalog, workers int) (results []*xmltree.Node, err error) {
-	newEval := func() *xqeval.Evaluator {
-		ev := xqeval.New(catalog, v.Funcs)
-		ev.SetContext(ctx)
-		return ev
-	}
-	primary := newEval()
-	fl, _ := v.Expr.(*xq.FLWORExpr)
-	var bindings []xqeval.Item
-	partitionable := false
-	if fl != nil {
-		if bindings, partitionable, err = primary.OuterBindings(fl); err != nil {
-			return nil, &evalError{err}
-		}
-	}
-	if !partitionable {
-		items, err := primary.Eval(v.Expr, nil)
-		if err != nil {
-			return nil, &evalError{err}
-		}
-		return appendNodes(nil, items), nil
-	}
-	// More chunks than workers lets fast workers steal from slow ones;
-	// outputs are stitched back in chunk order so the partition is
-	// invisible in the result.
-	chunks := chunkBounds(len(bindings), workers*4)
-	outs := make([][]*xmltree.Node, len(chunks))
-	errs := make([]error, len(chunks))
-	poolErr := forEachWorker(ctx, workers, len(chunks), func(int) func(int) {
-		ev := newEval() // evaluators are single-threaded; one per worker
-		return func(c int) {
-			for bi := chunks[c][0]; bi < chunks[c][1]; bi++ {
-				// Tails without a for clause of their own never reach the
-				// evaluator's ctx checks; check between outer bindings too.
-				if errs[c] = ctx.Err(); errs[c] != nil {
-					return
-				}
-				items, err := ev.EvalTail(fl, bindings[bi])
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				outs[c] = appendNodes(outs[c], items)
-			}
-		}
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	total := 0
-	for c := range chunks {
-		if errs[c] != nil {
-			return nil, &evalError{errs[c]}
-		}
-		total += len(outs[c])
-	}
-	results = make([]*xmltree.Node, 0, total)
-	for _, out := range outs {
-		results = append(results, out...)
-	}
-	return results, nil
-}
-
 // evalError marks an evaluation failure so Search can report its phase. It
 // unwraps, so a context error surfacing through the evaluator still
 // matches errors.Is(err, context.Canceled).
@@ -166,35 +88,10 @@ type evalError struct{ err error }
 func (e *evalError) Error() string { return "core: evaluating view over PDTs: " + e.err.Error() }
 func (e *evalError) Unwrap() error { return e.err }
 
-// collectChunk is the number of results one collect work unit covers. It
-// is fixed rather than derived from the pool size so that ctx is checked
-// every collectChunk results even at a pool of one.
-const collectChunk = 64
-
-// collect is the stat-collection phase: the per-result scoring inputs (term
-// frequencies and byte length), index-aligned with o.results. The
-// per-document pipeline brings its own; for the other PDT-pruned results — fresh from whole-view evaluation or a stored
-// skeleton alike — one pooled loop derives them (addResultStats). It runs
-// lock-free.
-func (o *viewOutput) collect(ctx context.Context) ([]scoring.Stats, error) {
-	if o.rstats != nil {
-		return o.rstats, nil
-	}
-	rstats := make([]scoring.Stats, len(o.results))
-	chunks := chunkBounds(len(o.results), (len(o.results)+collectChunk-1)/collectChunk)
-	listsOf := func(doc int32) []*invindex.PostingList { return o.lists[doc] }
-	err := forEach(ctx, o.stats.Workers, len(chunks), func(c int) {
-		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			rstats[i] = scoring.Stats{TFs: make([]int, len(o.kws))}
-			addResultStats(&rstats[i], o.results[i], listsOf)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	o.rstats = rstats
-	return rstats, nil
-}
+// resultChunk is the number of results one result chunk covers. It is
+// fixed rather than derived from the pool size so that ctx is checked
+// every resultChunk results even at a pool of one.
+const resultChunk = 64
 
 // addResultStats adds one PDT-pruned view result's scoring inputs to st,
 // mirroring scoring.Collect(FromPDT)'s walk: each Meta node contributes its
@@ -223,12 +120,11 @@ func addResultStats(st *scoring.Stats, n *xmltree.Node, listsOf func(doc int32) 
 	}
 }
 
-// docOutput is what one per-document work unit produced: its results in
-// view order, a nil slot for each its caller does not read (keep), their
-// scoring inputs, its PDT's size, and the time spent generating the PDT and
-// evaluating plus collecting. stats holds k+1 ints per result, k the
-// keyword count: its term frequencies, then its byte length.
-type docOutput struct {
+// itemOutput is what one work item produced: its results in view order, a
+// nil slot for each its caller does not read (keep), their scoring inputs
+// (stats: k+1 ints per result, k the keyword count — its term frequencies,
+// then its byte length), its PDT's size and its busy times.
+type itemOutput struct {
 	results      []*xmltree.Node
 	stats        []int
 	nodes, bytes int
@@ -236,9 +132,9 @@ type docOutput struct {
 	err          error
 }
 
-// keep is which of a per-document unit's results its caller reads once the
-// pass is over, and so which the unit detaches from its worker's memory
-// (docWorker.evaluate); every other result becomes a nil slot. Each entry
+// keep is which of a work item's results its caller reads once the pass is
+// over, and so which the item keeps (and a unit detaches from its worker's
+// memory, worker.collect); every other result becomes a nil slot. Each entry
 // point picks its own: a direct evaluation that records the view's
 // skeleton, and MaterializeAt, keep every result; a local ranking keeps the
 // results that satisfy the keyword semantics, the only ones it can rank;
@@ -263,30 +159,31 @@ func (k keep) keeps(tfs []int, conjunctive bool) bool {
 	return false
 }
 
-// docWorker is one pool goroutine's state for per-document output: the
-// arena its units' PDTs are generated into, an evaluator over a unit
-// catalog it re-points per unit, the unit's posting list per keyword, the
-// side documents' lists, shared by every worker, and detach's scratch.
-type docWorker struct {
-	arena     *pdt.Arena
-	empty     xmltree.Document // the unit document of an empty PDT
-	ev        *xqeval.Evaluator
-	cat       unitCatalog
-	doc       int32
-	lists     []*invindex.PostingList
-	sideLists map[int32][]*invindex.PostingList
+// worker is one pool goroutine's state in a pass: for units, the arena
+// their PDTs are generated into and an evaluator over a unit catalog it
+// re-points per unit; for binding chunks, an evaluator over the pass's
+// catalog; the current unit's document ID and posting list per keyword
+// (no document has ID 0, so a chunk's stay unset); and detach's scratch.
+type worker struct {
+	p     *pass
+	arena *pdt.Arena
+	empty xmltree.Document // the unit document of an empty PDT
+	ev    *xqeval.Evaluator
+	cat   unitCatalog
+	doc   int32
+	lists []*invindex.PostingList
 	// nodes and kids are detach's slabs for the unit's copies.
 	nodes []xmltree.Node
 	kids  []*xmltree.Node
 }
 
 // listsOf returns a document's posting list per keyword: a result's Meta
-// nodes come from the unit's document or from a side document.
-func (w *docWorker) listsOf(doc int32) []*invindex.PostingList {
+// nodes come from the unit's document or from the pass's other documents.
+func (w *worker) listsOf(doc int32) []*invindex.PostingList {
 	if doc == w.doc {
 		return w.lists
 	}
-	return w.sideLists[doc]
+	return w.p.lists[doc]
 }
 
 // unitCatalog is the evaluation catalog of one per-document work unit: the
@@ -312,39 +209,60 @@ func (c *unitCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return c.sides.DocsMatching(pattern)
 }
 
-// run is one per-document work unit: PDT generation into the worker's
-// arena, then evaluate. An empty PDT is evaluated as a root-less document
-// (unit.document).
-func (w *docWorker) run(u unit, v *View, out *viewOutput, d *docOutput) {
+// run is work item i — a unit's PDT generation (an empty PDT is evaluated
+// as a root-less document, unit.document) and evaluation, a binding chunk's
+// evaluation, or a result chunk's results — then collect.
+func (w *worker) run(i int, d *itemOutput) {
+	p := w.p
+	// The partition rule's Outer, and a binding chunk's, is a top-level
+	// for clause's.
+	fl, _ := p.v.Expr.(*xq.FLWORExpr)
 	start := time.Now()
-	pd := pdt.GenerateInto(w.arena, u.q, u.pix, u.name)
-	d.nodes, d.bytes = pd.Nodes, pd.Bytes
-	generated := time.Now()
-	d.gen = generated.Sub(start)
-	d.err = w.evaluate(u, u.document(pd, &w.empty), v, out, d)
-	d.eval = time.Since(generated)
+	switch {
+	case p.units != nil:
+		u := p.units[i]
+		pd := pdt.GenerateInto(w.arena, u.q, u.pix, u.name)
+		d.nodes, d.bytes = pd.Nodes, pd.Bytes
+		generated := time.Now()
+		d.gen, start = generated.Sub(start), generated
+		doc := u.document(pd, &w.empty)
+		w.cat.docs[0] = doc
+		d.results, d.err = w.ev.EvalUnit(fl, doc)
+		if len(d.results) > 0 { // a unit with no result looks up no list
+			w.doc = u.docID
+			w.lists = w.lists[:0]
+			for _, kw := range p.out.kws {
+				w.lists = append(w.lists, u.iix.Lookup(kw))
+			}
+		}
+	case p.bindings != nil:
+		for _, b := range p.bindings[p.chunks[i][0]:p.chunks[i][1]] {
+			// Tails without a for clause of their own never reach the
+			// evaluator's ctx checks; check between outer bindings too.
+			if d.err = p.ctx.Err(); d.err != nil {
+				break
+			}
+			var items []xqeval.Item
+			if items, d.err = w.ev.EvalTail(fl, b); d.err != nil {
+				break
+			}
+			d.results = appendNodes(d.results, items)
+		}
+	default:
+		d.results = p.results[p.chunks[i][0]:p.chunks[i][1]]
+	}
+	if d.err == nil {
+		w.collect(d)
+	}
+	d.eval = time.Since(start)
 }
 
-// evaluate runs the whole view over the unit's PDT and the side documents,
-// with the side join indices the worker's evaluator keeps (EvalUnit), looks
-// up the unit's keyword lists, collects its results' scoring inputs into
-// one slab, and detaches the results out.keep keeps from the memory the
-// next unit reuses, leaving a nil slot for every other.
-func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, out *viewOutput, d *docOutput) error {
-	w.cat.docs[0] = doc
-	// The partition rule's Outer is a top-level for clause's.
-	var err error
-	if d.results, err = w.ev.EvalUnit(v.Expr.(*xq.FLWORExpr), doc); err != nil {
-		return err
-	}
-	if len(d.results) == 0 {
-		return nil
-	}
-	w.doc = u.docID
-	w.lists = w.lists[:0]
-	for _, kw := range out.kws {
-		w.lists = append(w.lists, u.iix.Lookup(kw))
-	}
+// collect is the one collector every work item ends in: it collects the
+// item's results' scoring inputs into one slab, applies out.keep, leaving a
+// nil slot for each result the caller does not read, and detaches the
+// rest.
+func (w *worker) collect(d *itemOutput) {
+	out := w.p.out
 	k := len(out.kws)
 	d.stats = make([]int, len(d.results)*(k+1))
 	for i, r := range d.results {
@@ -356,7 +274,6 @@ func (w *docWorker) evaluate(u unit, doc *xmltree.Document, v *View, out *viewOu
 		}
 	}
 	w.detach(d.results)
-	return nil
 }
 
 // statsAt is result i's scoring inputs in a unit's stats slab of k+1 ints
@@ -387,7 +304,12 @@ func statsAt(slab []int, k, i int) scoring.Stats {
 // count it. A constructed node reached twice is walked twice, the second
 // time over the copies the first made, which are copied again: the second
 // walk copies no node the first did not count, so the slabs never grow.
-func (w *docWorker) detach(results []*xmltree.Node) {
+// Only a unit evaluates over worker memory; a chunk's results are left as
+// they are.
+func (w *worker) detach(results []*xmltree.Node) {
+	if w.arena == nil {
+		return
+	}
 	nodes, kids := 0, 0
 	for _, r := range results {
 		if r != nil {
@@ -409,13 +331,13 @@ func (w *docWorker) detach(results []*xmltree.Node) {
 // reused reports whether n is memory the worker's next unit overwrites: a
 // node of the unit's PDT (its Dewey ID names the unit's document; a side
 // document's names its own) or the evaluator's unit document node.
-func (w *docWorker) reused(n *xmltree.Node) bool {
+func (w *worker) reused(n *xmltree.Node) bool {
 	return n == w.ev.UnitNode() || len(n.ID) > 0 && n.ID[0] == w.doc
 }
 
 // count adds to nodes and kids the copies and copied child pointers that
 // copyOut(n) makes.
-func (w *docWorker) count(n *xmltree.Node, nodes, kids *int) {
+func (w *worker) count(n *xmltree.Node, nodes, kids *int) {
 	switch {
 	case w.reused(n):
 		*nodes++
@@ -434,7 +356,7 @@ func (w *docWorker) count(n *xmltree.Node, nodes, kids *int) {
 // copyOut returns what stands for n once the worker's memory is reused:
 // a copy of reused memory, and n itself otherwise, a constructed node's
 // children re-pointed.
-func (w *docWorker) copyOut(n *xmltree.Node) *xmltree.Node {
+func (w *worker) copyOut(n *xmltree.Node) *xmltree.Node {
 	if !w.reused(n) {
 		if len(n.ID) == 0 {
 			for j, c := range n.Children {
@@ -482,49 +404,77 @@ func releaseArenas(arenas []*pdt.Arena) {
 	}
 }
 
-// perDocumentOutput is direct view output for a view that runs per
-// document (perDocumentReason). The side documents, the candidates of the
-// other references, get their PDTs (counted once in stats) and keyword
-// lists first, once. Then one pass of work units over the outer candidates
-// runs on a pool of stats.Workers, each a docWorker.run over its own PDT
-// plus the shared sides. A unit's PDT is scratch: each worker generates
-// its units' PDTs into one pooled arena, and the results its caller reads
-// (out.keep) are detached from it before the next unit runs; every other
-// result is a nil slot, which counts in the view's size but is never
-// ranked. The units are in document-ID order, the order whole-view
-// evaluation enumerates the collection in, so concatenating their outputs
-// reproduces the whole view's results; each result's owner is its unit's
-// document, and its scoring inputs are carved from its unit's stats slab.
-// The pass's wall time is split between PDTTime and EvalTime in proportion
-// to the units' summed generation and evaluation-plus-collection times.
-func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) error {
-	stats := out.stats
-	units, sides := p.split(v.Deps.Outer)
-	sideCat, err := generatePDTs(ctx, sides, stats)
-	if err != nil {
-		return err
+// pass is the one pass of work items every direct view output and every
+// skeleton serve runs, in one of three shapes: per-document units (units),
+// each generating its PDT into its worker's pooled arena and evaluating
+// the view over it plus the side documents (EvalUnit); outer-binding
+// chunks (bindings), each evaluating a whole-view view per binding of its
+// outer for clause (EvalTail); or result chunks (results), a skeleton's
+// results or a view's evaluated whole. Every item ends in the one
+// collector, which writes nil slots into a result chunk's window of
+// results: only planned searches, which keep every result, serve a
+// skeleton, so its artifact is never written.
+type pass struct {
+	ctx context.Context
+	out *viewOutput
+	v   *View
+	// sides is the catalog every evaluation reads beside a unit's own PDT,
+	// and lists the posting list per keyword of each of its documents (of
+	// every candidate, for a skeleton serve).
+	sides    *evalCatalog
+	lists    map[int32][]*invindex.PostingList
+	units    []unit
+	bindings []xqeval.Item
+	results  []*xmltree.Node
+	chunks   [][2]int
+	// owner is the document that owns every chunk's results: the literal
+	// outer document of a whole-view view (0 when there is none).
+	owner int32
+}
+
+// run runs the pass's items on a pool of out.stats.Workers and
+// concatenates their outputs in item order (units in document-ID order,
+// the order whole-view evaluation enumerates the collection in; chunks in
+// view order) into out.results, out.rstats, each carved from its item's
+// stats slab, and out.owners. It adds the PDTs' size to the stats and
+// returns the items' summed generation and evaluation-plus-collection
+// times.
+func (p *pass) run() (gen, eval time.Duration, err error) {
+	out, stats := p.out, p.out.stats
+	if p.results != nil {
+		p.chunks = chunkBounds(len(p.results), (len(p.results)+resultChunk-1)/resultChunk)
 	}
-	sideLists := keywordLists(sides, out.kws)
-	start := time.Now()
-	docs := make([]docOutput, len(units))
-	arenas := make([]*pdt.Arena, max(1, min(stats.Workers, len(units))))
-	err = forEachWorker(ctx, stats.Workers, len(units), func(worker int) func(int) {
-		w := &docWorker{arena: arenaPool.Get().(*pdt.Arena), cat: unitCatalog{sides: sideCat}, sideLists: sideLists}
-		arenas[worker] = w.arena
-		w.ev = xqeval.New(&w.cat, v.Funcs)
-		w.ev.SetContext(ctx)
-		return func(i int) { w.run(units[i], v, out, &docs[i]) }
+	n := len(p.chunks)
+	var arenas []*pdt.Arena
+	if p.units != nil {
+		n = len(p.units)
+		arenas = make([]*pdt.Arena, max(1, min(stats.Workers, n)))
+	}
+	items := make([]itemOutput, n)
+	err = forEachWorker(p.ctx, stats.Workers, n, func(wi int) func(int) {
+		w := &worker{p: p}
+		switch {
+		case p.units != nil:
+			w.arena, w.cat.sides = arenaPool.Get().(*pdt.Arena), p.sides
+			arenas[wi] = w.arena
+			w.ev = xqeval.New(&w.cat, p.v.Funcs)
+		case p.bindings != nil:
+			w.ev = xqeval.New(p.sides, p.v.Funcs)
+		}
+		if w.ev != nil {
+			w.ev.SetContext(p.ctx)
+		}
+		return func(i int) { w.run(i, &items[i]) }
 	})
 	releaseArenas(arenas)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	var gen, eval time.Duration
 	total := 0
-	for i := range docs {
-		d := &docs[i]
+	for i := range items {
+		d := &items[i]
 		if d.err != nil {
-			return &evalError{d.err}
+			return 0, 0, &evalError{d.err}
 		}
 		stats.PDTNodes += d.nodes
 		stats.PDTBytes += d.bytes
@@ -532,20 +482,100 @@ func (p *plan) perDocumentOutput(ctx context.Context, v *View, out *viewOutput) 
 		total += len(d.results)
 	}
 	k := len(out.kws)
-	out.results = make([]*xmltree.Node, 0, total)
 	out.rstats = make([]scoring.Stats, 0, total)
-	out.owners = make([]int32, 0, total)
-	for i := range docs {
-		out.results = append(out.results, docs[i].results...)
-		for j := range docs[i].results {
-			out.rstats = append(out.rstats, statsAt(docs[i].stats, k, j))
-			out.owners = append(out.owners, units[i].docID)
+	// Result chunks are windows of p.results, which holds their nil slots
+	// already, and own nothing: their results are a skeleton's or an
+	// unpartitionable view's, which the cluster primitives never read.
+	out.results, out.owners = p.results, nil
+	if p.results == nil {
+		out.results = make([]*xmltree.Node, 0, total)
+		out.owners = make([]int32, 0, total)
+	}
+	for i := range items {
+		d := &items[i]
+		for j := range d.results {
+			out.rstats = append(out.rstats, statsAt(d.stats, k, j))
+		}
+		if p.results == nil {
+			owner := p.owner
+			if p.units != nil {
+				owner = p.units[i].docID
+			}
+			out.results = append(out.results, d.results...)
+			for range d.results {
+				out.owners = append(out.owners, owner)
+			}
 		}
 	}
-	wall, sideTime := time.Since(start), stats.PDTTime
-	if busy := gen + eval; busy > 0 {
-		stats.PDTTime += time.Duration(float64(wall) * float64(gen) / float64(busy))
+	return gen, eval, nil
+}
+
+// direct is direct view output: index-only PDT generation plus evaluation
+// of the unchanged view, as one pass. The side documents — the candidates
+// of the other references for a view that runs per document
+// (perDocumentReason), every candidate otherwise — get their PDTs and
+// keyword lists first, once. The pass's wall time, a whole-view view's
+// outer bindings or whole evaluation included, is split between PDTTime
+// and EvalTime in proportion to the items' summed generation and
+// evaluation-plus-collection times.
+func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
+	stats := out.stats
+	p := &pass{ctx: ctx, out: out, v: v}
+	sides := pl.units
+	if v.perDocument {
+		p.units, sides = pl.split(v.Deps.Outer)
 	}
-	stats.EvalTime = wall - (stats.PDTTime - sideTime)
+	var err error
+	if p.sides, err = generatePDTs(ctx, sides, stats); err != nil {
+		return err
+	}
+	p.lists = keywordLists(sides, out.kws)
+	start := time.Now()
+	if !v.perDocument {
+		if err := p.evalOuter(pl); err != nil {
+			return err
+		}
+	}
+	gen, eval, err := p.run()
+	if err != nil {
+		return err
+	}
+	wall, split := time.Since(start), time.Duration(0)
+	if busy := gen + eval; busy > 0 {
+		split = time.Duration(float64(wall) * float64(gen) / float64(busy))
+	}
+	stats.PDTTime += split
+	stats.EvalTime = wall - split
+	return nil
+}
+
+// evalOuter readies a whole-view pass: a top-level FLWOR that opens with a
+// for clause is cut into chunks of its outer bindings, four per worker so
+// that fast workers take over from slow ones (FLWOR evaluates bindings
+// independently: xqeval.OuterBindings), each owned by a literal outer
+// document; any other view is evaluated whole, for result chunks.
+func (p *pass) evalOuter(pl *plan) error {
+	ev := xqeval.New(p.sides, p.v.Funcs)
+	ev.SetContext(p.ctx)
+	if fl, ok := p.v.Expr.(*xq.FLWORExpr); ok {
+		bindings, partitionable, err := ev.OuterBindings(fl)
+		if err != nil {
+			return &evalError{err}
+		}
+		if partitionable {
+			p.bindings = bindings
+			p.chunks = chunkBounds(len(bindings), p.out.stats.Workers*4)
+			outer := slices.IndexFunc(pl.units, func(u unit) bool { return u.q.Doc == p.v.Deps.Outer })
+			if outer >= 0 && !docname.IsPattern(p.v.Deps.Outer) {
+				p.owner = pl.units[outer].docID
+			}
+			return nil
+		}
+	}
+	items, err := ev.Eval(p.v.Expr, nil)
+	if err != nil {
+		return &evalError{err}
+	}
+	p.results = appendNodes(nil, items)
 	return nil
 }

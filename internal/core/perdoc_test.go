@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -443,7 +446,6 @@ func baselineRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts
 //   - a local ranking keeps exactly the matching results, so a search that
 //     matches nothing detaches nothing.
 func TestPerDocumentKeepPolicy(t *testing.T) {
-	ctx := context.Background()
 	for _, text := range []string{
 		`for $a in fn:collection("part-*")/books//article return $a`,
 		`for $a in fn:collection("part-*")/books//article return <r>{$a/fm/tl}, {$a/bdy}</r>`,
@@ -454,71 +456,142 @@ func TestPerDocumentKeepPolicy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("view %q pool %d", text, par)
-			opts := core.Options{Parallelism: par}
-			planned := core.Options{Parallelism: par, Plan: true}
+			if !core.RunsPerDocument(v) {
+				t.Fatalf("view %q does not run per document", text)
+			}
+			checkKeepPolicy(t, e, v, par)
+		}
+	}
+}
 
-			got, stats := statRows(t, e, v, []string{"copper"}, planned)
-			if stats.PlanSource != catalog.PlanDirect || stats.Matched == 0 || 4*stats.Matched > stats.ViewSize {
-				t.Fatalf("%s: the first planned search ran %s and matched %d of %d", label, stats.PlanSource, stats.Matched, stats.ViewSize)
+// TestWholeViewKeepPolicy holds the keep policy on views that do not run
+// per document, at pools of one and four: a join whose outer document is a
+// literal one (outer-binding chunks), a self-join and a let-first view
+// (both evaluated whole, then collected in result chunks). The shelf holds
+// every part's articles, so "copper" matches a quarter of the studies.
+// The cluster primitives refuse the two views the partition rule does.
+func TestWholeViewKeepPolicy(t *testing.T) {
+	for _, text := range []string{
+		`for $a in fn:doc(shelf.xml)/books//article
+		 return <r>{$a/bdy}, {for $p in fn:collection("part-*")/books//article where $p/fm/yr = $a/fm/yr return $p/fm/tl}</r>`,
+		`for $a in fn:doc(shelf.xml)/books//article
+		 return <r>{$a/bdy}, {for $b in fn:doc(shelf.xml)/books//article where $b/fm/yr = $a/fm/yr return $b/fm/tl}</r>`,
+		`let $as := fn:doc(shelf.xml)/books//article for $a in $as return $a`,
+	} {
+		for _, par := range []int{1, 4} {
+			e := keepCorpus(t)
+			var shelf strings.Builder
+			shelf.WriteString("<books>")
+			for i := 0; i < 12; i++ {
+				xml := e.Store.Doc(fmt.Sprintf("part-%02d.xml", i)).Root.XMLString("")
+				shelf.WriteString(strings.TrimSuffix(strings.TrimPrefix(xml, "<books>"), "</books>"))
 			}
-			mustMatchReference(t, label+" copper", baselineRows(t, e, v, []string{"copper"}, opts), got)
-			for _, kws := range [][]string{{"quartz"}, {"copper", "quartz"}} {
-				got, stats := statRows(t, e, v, kws, planned)
-				if stats.PlanSource == catalog.PlanDirect {
-					t.Fatalf("%s %v: the rewrite was not served from the skeleton", label, kws)
-				}
-				mustMatchReference(t, fmt.Sprintf("%s %v (skeleton)", label, kws), baselineRows(t, e, v, kws, opts), got)
+			shelf.WriteString("</books>")
+			if err := e.AddXML("shelf.xml", shelf.String()); err != nil {
+				t.Fatal(err)
 			}
+			v, err := e.CompileView(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if core.RunsPerDocument(v) {
+				t.Fatalf("view %q runs per document", text)
+			}
+			checkKeepPolicy(t, e, v, par)
+		}
+	}
+}
 
-			kws := []string{"quartz"}
-			rk, err := e.ClusterRank(ctx, v, kws, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			positions := make([]int, len(rk.Candidates))
-			for i, c := range rk.Candidates {
-				positions[i] = c.Pos
-			}
-			mats, _, err := e.MaterializeAt(ctx, v, kws, opts, positions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			byPos := map[int]core.ClusterMaterialized{}
-			for _, m := range mats {
-				byPos[m.Pos] = m
-			}
-			ranked, _, err := core.RankedPruned(e, v, kws, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results, _, err := e.SearchPage(ctx, v, kws, opts, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(results) != len(mats) || len(ranked) != len(results) || len(results) == 0 {
-				t.Fatalf("%s: SearchPage has %d results, ClusterRank %d candidates", label, len(results), len(mats))
-			}
-			for i, r := range results {
-				m, ok := byPos[ranked[i].Index]
-				if !ok {
-					t.Fatalf("%s: result %d at view position %d is no ClusterRank candidate", label, i, ranked[i].Index)
-				}
-				if x := m.Element.XMLString(""); x != r.Element.XMLString("") || m.Snippet != r.Snippet {
-					t.Fatalf("%s: position %d materializes to\n%s %q\nSearchPage has\n%s %q", label, m.Pos, x, m.Snippet, r.Element.XMLString(""), r.Snippet)
-				}
-			}
+// checkKeepPolicy holds the keep policy of a search over v at pool par
+// (see TestPerDocumentKeepPolicy) over keepCorpus's articles.
+func checkKeepPolicy(t *testing.T, e *core.Engine, v *core.View, par int) {
+	t.Helper()
+	ctx := context.Background()
+	text := v.Text
+	label := fmt.Sprintf("view %q pool %d", text, par)
+	opts := core.Options{Parallelism: par}
+	planned := core.Options{Parallelism: par, Plan: true}
 
-			for _, kws := range [][]string{{"copper"}, {"nowhere"}} {
-				kept, size, err := core.KeptResults(e, v, kws, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, stats := statRows(t, e, v, kws, opts)
-				if kept != stats.Matched || size != stats.ViewSize || size == 0 {
-					t.Fatalf("%s %v: kept %d of %d results, %d of %d match", label, kws, kept, size, stats.Matched, stats.ViewSize)
-				}
-			}
+	got, stats := statRows(t, e, v, []string{"copper"}, planned)
+	if stats.PlanSource != catalog.PlanDirect || stats.Matched == 0 || 4*stats.Matched > stats.ViewSize {
+		t.Fatalf("%s: the first planned search ran %s and matched %d of %d", label, stats.PlanSource, stats.Matched, stats.ViewSize)
+	}
+	mustMatchReference(t, label+" copper", baselineRows(t, e, v, []string{"copper"}, opts), got)
+	for _, kws := range [][]string{{"quartz"}, {"copper", "quartz"}} {
+		got, stats := statRows(t, e, v, kws, planned)
+		if stats.PlanSource == catalog.PlanDirect {
+			t.Fatalf("%s %v: the rewrite was not served from the skeleton", label, kws)
+		}
+		mustMatchReference(t, fmt.Sprintf("%s %v (skeleton)", label, kws), baselineRows(t, e, v, kws, opts), got)
+	}
+	art, _, _ := e.Catalog.Artifact(text)
+	if art == nil || slices.Contains(art.Results, nil) {
+		t.Fatalf("%s: the recorded skeleton is missing or has a nil slot", label)
+	}
+
+	kws := []string{"quartz"}
+	rk, err := e.ClusterRank(ctx, v, kws, opts)
+	if v.Deps.Partition() != "" {
+		_, _, matErr := e.MaterializeAt(ctx, v, kws, opts, nil)
+		if !errors.Is(err, core.ErrUnpartitionableView) || !errors.Is(matErr, core.ErrUnpartitionableView) {
+			t.Fatalf("%s: the cluster primitives answered an unpartitionable view: %v, %v", label, err, matErr)
+		}
+	} else {
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustClusterMaterializeLikeSearchPage(t, label, e, v, kws, opts, rk)
+		mustAttributeByBinding(t, label, e, v, kws, opts)
+	}
+
+	for _, kws := range [][]string{{"copper"}, {"nowhere"}} {
+		kept, size, err := core.KeptResults(e, v, kws, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats := statRows(t, e, v, kws, opts)
+		if kept != stats.Matched || size != stats.ViewSize || size == 0 {
+			t.Fatalf("%s %v: kept %d of %d results, %d of %d match", label, kws, kept, size, stats.Matched, stats.ViewSize)
+		}
+	}
+}
+
+// mustClusterMaterializeLikeSearchPage holds MaterializeAt at every
+// position rk reports against the trees and snippets SearchPage gives
+// those positions.
+func mustClusterMaterializeLikeSearchPage(t *testing.T, label string, e *core.Engine, v *core.View, kws []string, opts core.Options, rk *core.ClusterRanking) {
+	t.Helper()
+	ctx := context.Background()
+	positions := make([]int, len(rk.Candidates))
+	for i, c := range rk.Candidates {
+		positions[i] = c.Pos
+	}
+	mats, _, err := e.MaterializeAt(ctx, v, kws, opts, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPos := map[int]core.ClusterMaterialized{}
+	for _, m := range mats {
+		byPos[m.Pos] = m
+	}
+	ranked, _, err := core.RankedPruned(e, v, kws, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := e.SearchPage(ctx, v, kws, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(mats) || len(ranked) != len(results) || len(results) == 0 {
+		t.Fatalf("%s: SearchPage has %d results, ClusterRank %d candidates", label, len(results), len(mats))
+	}
+	for i, r := range results {
+		m, ok := byPos[ranked[i].Index]
+		if !ok {
+			t.Fatalf("%s: result %d at view position %d is no ClusterRank candidate", label, i, ranked[i].Index)
+		}
+		if x := m.Element.XMLString(""); x != r.Element.XMLString("") || m.Snippet != r.Snippet {
+			t.Fatalf("%s: position %d materializes to\n%s %q\nSearchPage has\n%s %q", label, m.Pos, x, m.Snippet, r.Element.XMLString(""), r.Snippet)
 		}
 	}
 }

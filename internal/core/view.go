@@ -85,8 +85,8 @@ func (d Deps) Partition() string {
 
 // perDocumentReason reports why a view does not run one work unit per
 // candidate document, or "" when it does: the partition rule holds over a
-// collection pattern. A literal outer document runs whole, chunking its
-// outer bindings (evalView).
+// collection pattern. A literal outer document's view chunks its outer
+// bindings instead (pass.evalOuter).
 func perDocumentReason(d Deps) string {
 	if reason := d.Partition(); reason != "" {
 		return reason

@@ -727,28 +727,25 @@ func (a *Arena) link(sourceName string) *PDT {
 	// included.
 	kids := a.kidSlab(len(slab))
 	a.top = xmltree.Node{Tag: topTag}
-	var chainBuf [32]*xmltree.Node
-	// Two walks down the same chain. The first counts each node's children
-	// in the length of its Children. The second carves each node's exact
-	// child slice and fills it: the slab is in document order, so a parent
-	// is carved before any child appends to it and siblings append in order.
+	chainBuf := [32]*xmltree.Node{&a.top}
+	// Two walks down the same chain, which starts at the top node. The
+	// first counts each node's children in the length of its Children. The
+	// second carves each node's exact child slice and fills it: the slab is
+	// in document order, so a parent is carved before any child appends to
+	// it and siblings append in order.
 	carved := 0
 	for pass := 0; pass < 2; pass++ {
 		if pass == 1 {
 			carved = len(a.top.Children)
 			a.top.Children = kids[:0:carved]
 		}
-		chain := chainBuf[:0]
+		chain := chainBuf[:1]
 		for i := range slab {
 			node := &slab[i]
-			for len(chain) > 0 && !chain[len(chain)-1].ID.IsAncestorOf(node.ID) {
+			for len(chain) > 1 && !chain[len(chain)-1].ID.IsAncestorOf(node.ID) {
 				chain = chain[:len(chain)-1]
 			}
-			parent := &a.top
-			if len(chain) > 0 {
-				parent = chain[len(chain)-1]
-			}
-			if pass == 0 {
+			if parent := chain[len(chain)-1]; pass == 0 {
 				parent.Children = kids[:len(parent.Children)+1]
 			} else {
 				parent.Children = append(parent.Children, node)

@@ -16,6 +16,7 @@ package qpt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -429,27 +430,14 @@ func mergeInto(dst, src *Node) {
 // edges, recursively: whether a data element that matches one matches the
 // other.
 func sameRequirement(a, b *Node) bool {
-	var ma, mb []*Edge
-	for _, e := range a.Edges {
-		if e.Mandatory {
-			ma = append(ma, e)
-		}
-	}
-	for _, e := range b.Edges {
-		if e.Mandatory {
-			mb = append(mb, e)
-		}
-	}
-	if len(ma) != len(mb) {
-		return false
-	}
-	for i := range ma {
-		x, y := ma[i].Child, mb[i].Child
-		if x.Tag != y.Tag || ma[i].Axis != mb[i].Axis || !predsEqual(x.Preds, y.Preds) || !sameRequirement(x, y) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(mandatoryEdges(a), mandatoryEdges(b), func(x, y *Edge) bool {
+		return x.Child.Tag == y.Child.Tag && x.Axis == y.Axis &&
+			predsEqual(x.Child.Preds, y.Child.Preds) && sameRequirement(x.Child, y.Child)
+	})
+}
+
+func mandatoryEdges(n *Node) []*Edge {
+	return slices.DeleteFunc(slices.Clone(n.Edges), func(e *Edge) bool { return !e.Mandatory })
 }
 
 func predsEqual(a, b []pred.Predicate) bool {
