@@ -218,17 +218,14 @@ func allocsPerExtraResult(t *testing.T, view string, search func(t *testing.T, e
 // by object: EvalTail's exact copy of the binding's value (1). Collection
 // allocates per chunk, not per result: a chunk's stats slab holds every
 // result's term frequencies and byte length, and the binding chunks are
-// workers*4 whatever the view's size; the growth of the chunks' result
-// slices and of the search's results, rstats and owners arrays, one each,
-// is a twentieth of an allocation per result. (Collection made one term
-// frequency slice per result before: 2.04 here.)
+// workers*4 whatever the view's size, as are the search's results, rstats
+// and owners arrays, one each. The chunks' result slices, grown by
+// doubling, add a twentieth of an allocation per result.
 const wholeViewAllocsPerResult = 1
 
 // rewriteAllocsPerChunk is what one more result chunk (resultChunk
 // results) of a skeleton rewrite costs: the chunk's stats slab (1). Its
-// results are the skeleton's own; the search's results, rstats and owners
-// are one array each. (Collection made one term frequency slice per result
-// before: 64 per chunk here.)
+// results are the skeleton's own, and the search's rstats is one array.
 const rewriteAllocsPerChunk = 1
 
 // TestWholeViewCollectAllocationsPerChunk: collecting the results of a

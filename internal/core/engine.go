@@ -13,9 +13,9 @@
 // pass of work items — a candidate document's PDT generation and
 // evaluation, a chunk of a view's outer bindings, or a chunk of results
 // (a skeleton's, or a view's evaluated whole) — each ending in the one
-// collector of its results' scoring inputs. With Options.Parallelism > 1 the pass fans out over a bounded
-// worker pool; the same functions run at every pool size, so results are
-// byte-identical at every setting.
+// collector of its results' scoring inputs. With Options.Parallelism > 1
+// the pass fans out over a bounded worker pool; the same functions run at
+// every pool size, so results are byte-identical at every setting.
 package core
 
 import (
@@ -307,10 +307,9 @@ type Options struct {
 	Disjunctive bool
 	// Parallelism bounds the worker pool the Efficient pipeline fans its
 	// PDT generation and its pass of work items (evaluation and stat
-	// collection) out over. 0 (the default) uses
-	// GOMAXPROCS; 1 (or any negative value) is a pool of one. The same
-	// functions run at every pool size and results are byte-identical at
-	// every setting.
+	// collection) out over. 0 (the default) uses GOMAXPROCS; 1 (or any
+	// negative value) is a pool of one. The same functions run at every
+	// pool size and results are byte-identical at every setting.
 	Parallelism int
 	// Plan routes the search through the catalog planner: the view's
 	// skeleton serves the query instead of the PDT pipeline, and direct
@@ -513,9 +512,9 @@ func (p *plan) split(outer string) (units, sides []unit) {
 // by document ID (Meta payloads name their source document through the
 // leading Dewey component): one inverted-list lookup per keyword per unit,
 // under the plan's shard read locks. The lists are immutable, so a
-// skeleton serve's pass reads them after the locks drop. Lookup on an absent keyword returns an
-// empty list whose range sums are 0, so no nil checks are needed per
-// keyword.
+// skeleton serve's pass reads them after the locks drop. Lookup on an
+// absent keyword returns an empty list whose range sums are 0, so no nil
+// checks are needed per keyword.
 func keywordLists(units []unit, kws []string) map[int32][]*invindex.PostingList {
 	lists := make(map[int32][]*invindex.PostingList, len(units))
 	slab := make([]*invindex.PostingList, 0, len(units)*len(kws))
@@ -601,8 +600,8 @@ func (e *Engine) Search(v *View, keywords []string, opts Options) ([]Result, *St
 // SearchPage is Search with cooperative cancellation and paging. ctx is
 // checked between candidate documents during PDT generation, between work
 // items of the view-output pass, between FLWOR bindings during evaluation
-// and between winners during materialization, so a cancel or
-// deadline unwinds within one work unit. The returned error wraps ctx.Err()
+// and between winners during materialization, so a cancel or deadline
+// unwinds within one work unit. The returned error wraps ctx.Err()
 // (classify with errors.Is); the shard read locks are released before
 // SearchPage returns, canceled or not, and no pool goroutine outlives the
 // call. Only the ranked winners from offset on are returned: the skipped

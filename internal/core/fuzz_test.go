@@ -347,8 +347,8 @@ func fuzzKeywords(r *fuzzBytes, words []string) []string {
 }
 
 // fuzzView generates a view over the generated corpus: a FLWOR opening
-// with a for (over elements or bound document nodes) or with a let, or a
-// bare path.
+// with a for (over elements or bound document nodes), with two for clauses
+// joined on a value, or with a let; or a bare path.
 func fuzzView(r *fuzzBytes, e *core.Engine) string {
 	g := &viewGen{r: r}
 	parts := 0
@@ -401,8 +401,7 @@ func (g *viewGen) path() string {
 	return b.String()
 }
 
-// leafPath is a path from a structural element (or, docNode set, from a
-// document node) down to a leaf.
+// leafPath is a path from a structural element down to a leaf.
 func (g *viewGen) leafPath() string {
 	switch g.r.n(3) {
 	case 0:
@@ -453,7 +452,7 @@ func (g *viewGen) ret(v, outer string, depth int) string {
 		return v + g.leafPath()
 	case 2:
 		if depth < 2 {
-			return fmt.Sprintf("<%s>{%s}, {%s}</%s>", "r"+fmt.Sprint(depth), g.ret(v, outer, depth+1), g.ret(v, outer, depth+1), "r"+fmt.Sprint(depth))
+			return fmt.Sprintf("<r%d>{%s}, {%s}</r%d>", depth, g.ret(v, outer, depth+1), g.ret(v, outer, depth+1), depth)
 		}
 		return v
 	case 3:

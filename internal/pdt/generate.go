@@ -704,13 +704,9 @@ func BuildPruned(elements []*Element, sourceName string) *PDT {
 // link turns a's node slab, elements in document order, into a pruned
 // xmltree document: every element's parent is its closest emitted ancestor
 // (Definition 3), the top of the root-to-leaf chain of emitted elements
-// once the chain is cut back to the element's ancestors. An element with no
-// emitted ancestor is top-level: a QPT whose first edge is '//x' emits one
-// per x that no other x contains. A document has one root, so several
-// top-level elements hang under a's top node, which stands in for the
-// elements between them and the document node: its tag is no element name,
-// so no step a view can write matches it, and a '//' step from the
-// document node reaches below it. Child slices are carved from a's child
+// once the chain is cut back to the element's ancestors; several elements
+// without one (a QPT whose first edge is '//x') hang under a's top node,
+// whose tag no view step can name. Child slices are carved from a's child
 // slab, and the PDT, its document and the top node are a's headers, so
 // linking allocates at most the child slab whatever the size.
 func (a *Arena) link(sourceName string) *PDT {
@@ -723,8 +719,7 @@ func (a *Arena) link(sourceName string) *PDT {
 	for i := range slab {
 		pdt.Bytes += 2*len(slab[i].Tag) + 5 + len(slab[i].Value)
 	}
-	// Every element is the child of exactly one node, the top node's
-	// included.
+	// Every element is the child of exactly one node, maybe the top node.
 	kids := a.kidSlab(len(slab))
 	a.top = xmltree.Node{Tag: topTag}
 	chainBuf := [32]*xmltree.Node{&a.top}

@@ -284,14 +284,10 @@ func (g *generator) analyzeFLWOR(x *xq.FLWORExpr, content bool) ([]*twig, error)
 }
 
 // bind grafts every twig in pending anchored at anchor onto leaf, the leaf
-// of the path the anchor's variable is bound to, and returns the others. A
-// for variable is one item per binding, and every use of it is evaluated
-// for that binding alone, so each use's mandatory edges stay mandatory: an
-// item one use prunes makes the binding's output empty. A sequence
-// variable (a let's, or a function parameter's) is bound to every item at
-// once, and each use asks its own of them — `where $s//y > 1` of some
-// item, `for $v in $s` of each — so when it has several uses, none may
-// prune an item another reads, and their edges are made optional.
+// of the path the anchor's variable is bound to, and returns the others.
+// A sequence variable's (a let's, or a parameter's) uses each ask their own
+// of its items — `where $s//y > 1` of some, `for $v in $s` of each — so
+// with several uses none may prune an item another reads.
 func bind(leaf *Node, pending []*twig, anchor string, sequence bool) []*twig {
 	var remaining, uses []*twig
 	for _, t := range pending {

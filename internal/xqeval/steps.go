@@ -60,15 +60,10 @@ func (e *Evaluator) evalSteps(mark int, steps []pathindex.Step) {
 	}
 }
 
-// isChild reports whether c, a child of n in n's tree, is a child of n in
-// the document too. A PDT links an element to its closest emitted ancestor
-// (Definition 3), which is its parent only when no element between them
-// was pruned — under //b, a b inside another b's a hangs under the outer b
-// — so a node of a document tree is n's child only one Dewey level below n,
-// or, below the document node, at the root's level. A constructed element
-// holds its children by reference and a constructed child has no place in
-// the document: both are children as they stand. Over base documents every
-// child passes.
+// isChild reports whether c, a child of n in n's tree, is n's child in the
+// document: a PDT hangs an element under its closest emitted ancestor
+// (Definition 3), so a document node's child must sit one Dewey level
+// below n (or be the root). Constructed nodes have no levels.
 func isChild(n, c *xmltree.Node) bool {
 	switch {
 	case len(c.ID) == 0:
