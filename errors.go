@@ -61,9 +61,11 @@ var ErrUnknownView = errors.New("vxml: unknown view")
 
 // ErrInvalidOptions reports Options (or transport-level request
 // parameters) that cannot be executed, such as an Approach value outside
-// the defined pipelines or a search naming more than 64 keywords. Merely
-// out-of-range numeric fields (negative TopK, Offset or Parallelism) are
-// normalized, not rejected.
+// the defined pipelines or a search naming more than 64 keywords, and a
+// view that reads one document through two references: by name and
+// through a collection pattern (DefineView refuses it), or through two
+// patterns (its searches refuse it). Merely out-of-range numeric fields
+// (negative TopK, Offset or Parallelism) are normalized, not rejected.
 var ErrInvalidOptions = core.ErrInvalidOptions
 
 // ParseError is the diagnostic for malformed XQuery: the byte offset the

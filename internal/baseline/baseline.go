@@ -13,6 +13,7 @@ import (
 
 	"vxml/internal/catalog"
 	"vxml/internal/core"
+	"vxml/internal/qpt"
 	"vxml/internal/scoring"
 	"vxml/internal/store"
 	"vxml/internal/xmltree"
@@ -50,8 +51,11 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 	e.RLock()
 	defer e.RUnlock()
 	stats := &Stats{Stats: core.Stats{Workers: 1, ShardsSearched: e.Store.ShardCount(), PlanSource: catalog.PlanDirect}}
-	for _, q := range v.QPTs {
-		stats.Candidates += len(e.Store.InfosMatching(q.Doc))
+	if err := e.EachCandidate(v, func(*qpt.QPT, store.DocInfo) error {
+		stats.Candidates++
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	kws, err := core.NormalizeKeywords(keywords)
 	if err != nil {

@@ -376,10 +376,10 @@ func (c *Catalog) Access(viewText, source string) {
 // Artifact returns the view's artifact, the planner tier it serves
 // (PlanRewritten) and the view's catalog ID. With no artifact resident it
 // returns nil, PlanDirect and the ID ("" when the text was never
-// registered). The caller must hold
-// whatever locks make the current generation stable for the duration of
-// its use (the engine serves artifacts under the search's shard read
-// locks).
+// registered). The caller must hold whatever locks make the current
+// generation stable while it takes the artifact (the engine takes it while
+// a search plans, under the search's shard read locks); the artifact is
+// immutable, so it may be served after they are released.
 func (c *Catalog) Artifact(viewText string) (a *Artifact, source, viewID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -72,15 +73,22 @@ func TestCollectionPatternCompilesAgainstEmptyCorpus(t *testing.T) {
 
 func TestOverlappingDocReferencesRejected(t *testing.T) {
 	e := newCollectionEngine(t, 3)
-	v, err := e.CompileView(`for $a in fn:collection("part-*")/books//article
+	_, err := e.CompileView(`for $a in fn:collection("part-*")/books//article
 	 for $b in fn:doc(part-0.xml)/books//article
+	 return <pair>{$a/tl}, {$b/tl}</pair>`)
+	if !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("overlapping pattern/literal references must be refused at compile time, got %v", err)
+	}
+	// Two patterns overlap only over the corpus: the search refuses them.
+	v, err := e.CompileView(`for $a in fn:collection("part-*")/books//article
+	 for $b in fn:collection("part-0*")/books//article
 	 return <pair>{$a/tl}, {$b/tl}</pair>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = e.Search(v, []string{"xml"}, Options{})
-	if err == nil || !strings.Contains(err.Error(), "matches both") {
-		t.Fatalf("overlapping pattern/literal references must be rejected, got %v", err)
+	if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "matches both") {
+		t.Fatalf("overlapping pattern/pattern references must be refused at search time, got %v", err)
 	}
 }
 

@@ -7,13 +7,16 @@
 // layer beside the document (store.Corpus: resident on the heap backend,
 // persisted on the disk backend); the engine reads them through one call,
 // Corpus.StoredIndices, whichever backend holds them. The engine mirrors
-// the corpus's shards with one RWMutex each, and a search read-locks only
-// the shards its view touches — so an ingest into one shard never
-// contends with a search over another. A search's view output is one
-// pass of work items — a candidate document's PDT generation and
-// evaluation, a chunk of a view's outer bindings, or a chunk of results
-// (a skeleton's, or a view's evaluated whole) — each ending in the one
-// collector of its results' scoring inputs. With Options.Parallelism > 1
+// the corpus's shards with one RWMutex each. A search read-locks only the
+// shards its view touches, and only while it plans (lockAndPlan): it
+// snapshots its candidates' indices there, and nothing after planning
+// reads the live corpus. So an ingest into one shard never contends with a
+// search over another, and one into a touched shard waits only for the
+// searches still planning. A search's view output is one pass of work
+// items — a candidate document's PDT generation and evaluation, a chunk of
+// a view's outer bindings, or a chunk of results (a skeleton's, or a
+// view's evaluated whole) — each ending in the one collector of its
+// results' scoring inputs. With Options.Parallelism > 1
 // the pass fans out over a bounded worker pool; the same functions run at
 // every pool size, so results are byte-identical at every setting.
 package core
@@ -47,9 +50,10 @@ import (
 // they may legitimately match nothing today and many documents later.
 var ErrUnknownDocument = errors.New("unknown document")
 
-// ErrInvalidOptions reports search parameters that cannot be executed, such
-// as more than MaxKeywords keywords (compare with errors.Is; the root
-// package re-exports it).
+// ErrInvalidOptions reports search parameters or a view that cannot be
+// executed, such as more than MaxKeywords keywords or a document two of a
+// view's references match (compare with errors.Is; the root package
+// re-exports it).
 var ErrInvalidOptions = errors.New("vxml: invalid options")
 
 // ctxErr reports ctx's cancellation state, wrapped so callers can classify
@@ -65,9 +69,9 @@ func ctxErr(ctx context.Context) error {
 // engineShard orders searches against mutations on one corpus shard. The
 // shard boundaries coincide with the store's (same name hash, same count):
 // a mutation holds the write lock across its store publication and the
-// catalog bump, and a search holds the read lock from planning until its
-// view output exists, so the corpus, its indices and the catalog
-// generation a search sees all belong to one point between mutations.
+// catalog bump, and a search holds the read lock while it plans, so the
+// candidates, their indices and the catalog generation a search plans
+// with all belong to one point between mutations.
 type engineShard struct {
 	mu sync.RWMutex
 }
@@ -75,11 +79,11 @@ type engineShard struct {
 // Engine runs searches over a document store whose documents carry their
 // own path and inverted-list indices, with one lock per store shard.
 //
-// The engine is safe for concurrent use: Search, Explain and view
-// compilation hold read locks on the shards they touch and proceed in
-// parallel, while AddXML and AddParsed take one shard's write lock, so a
-// search never observes a document without its indices and an ingest
-// stalls only the searches that touch its shard.
+// The engine is safe for concurrent use: a search while it plans, Explain
+// and view compilation hold read locks on the shards they touch and
+// proceed in parallel, while AddXML and AddParsed take one shard's write
+// lock, so a search never plans over a document without its indices and
+// an ingest stalls only the searches planning over its shard.
 type Engine struct {
 	Store  store.Corpus
 	shards []*engineShard
@@ -111,8 +115,7 @@ func (e *Engine) RUnlock() {
 }
 
 // PathIndex returns the path index of the named document, or nil. The
-// caller must hold the engine's read lock (RLock, or the shard locks a
-// running Search holds).
+// caller must hold the engine's read lock (RLock).
 func (e *Engine) PathIndex(name string) *pathindex.Index {
 	pix, _, _ := e.Store.StoredIndices(name) // a failed lookup has no index: nil
 	return pix
@@ -219,12 +222,12 @@ func (e *Engine) publish(doc *xmltree.Document, replace bool) error {
 
 // bumpCatalogLocked invalidates the catalog inside a mutation's shard
 // write lock. The ordering matters: a planned search takes the touched
-// shards' read locks and then checks artifact generations, so a mutation
-// that affects a view's documents is either entirely before the search
-// (the search sees the bumped generation and rejects stale artifacts) or
-// entirely after it. A bump from a mutation on an unrelated shard can
-// interleave with a search's compute, but only costs a conservative
-// artifact refusal — never a stale serve.
+// shards' read locks and then reads the generation and the view's
+// artifact, so a mutation that affects a view's documents is either
+// entirely before the search's planning (the bump has already dropped
+// stale artifacts) or entirely after it. A bump that lands during a
+// search's pass, from any shard, only costs a refused skeleton store —
+// never a stale serve.
 func (e *Engine) bumpCatalogLocked() { e.Catalog.Invalidate() }
 
 // AddParsed stores and indexes a programmatically built document. Like
@@ -333,12 +336,12 @@ func (o Options) workers() int {
 // the comparator pipelines embed it, and the /v1 and node RPC wires encode
 // it as it is (timings as integer nanoseconds).
 type Stats struct {
-	// Direct output generates the side documents' PDTs, then evaluates and
-	// collects in one pool pass of work items; PDTTime is the first plus
-	// the pass's wall time split in proportion to the items' summed
-	// per-document generation and evaluation-plus-collection times, and
-	// EvalTime is the rest of the pass. A skeleton serve's collection is
-	// part of PostTime.
+	// View output runs one pool pass of work items, after a direct
+	// search's generation of its side documents' PDTs. PDTTime is that
+	// generation plus the pass's wall time split in proportion to the
+	// items' summed per-document generation and evaluation-plus-collection
+	// times, and EvalTime is the rest of the pass, whatever items it runs:
+	// a skeleton serve's collection is EvalTime too.
 	PDTTime  time.Duration `json:"pdt_time_ns"`  // PDT generation (PrepareLists + GeneratePDT)
 	EvalTime time.Duration `json:"eval_time_ns"` // query evaluation over the PDTs, and collection
 	PostTime time.Duration `json:"post_time_ns"` // scoring + top-k materialization
@@ -406,10 +409,11 @@ func TFMap(keywords []string, tfs []int) map[string]int {
 
 // unit is one candidate-document work item of a search: a QPT paired with
 // the name and ID of one document it resolved to and that document's
-// indices, snapshotted under the shard read locks the search holds.
-// Planning is metadata- and index-only — the document tree itself is never
-// touched, which is what lets a disk-backed corpus search without paging
-// base data in (paper §4.2.2.2: only materialization reads base storage).
+// indices, snapshotted while the search plans. The indices are immutable,
+// so the pass reads them after the shard locks drop. Planning is
+// metadata- and index-only — the document tree itself is never touched,
+// which is what lets a disk-backed corpus search without paging base data
+// in (paper §4.2.2.2: only materialization reads base storage).
 type unit struct {
 	q     *qpt.QPT
 	name  string
@@ -418,42 +422,66 @@ type unit struct {
 	iix   *invindex.Index
 }
 
-// plan is a search's locked view of the corpus: the candidate units in
-// deterministic order (QPT order, then document ID order within a QPT)
-// and the set of shards whose read locks are held.
+// plan is a search's snapshot of the corpus: the candidate units in
+// deterministic order (QPT order, then document ID order within a QPT) and
+// how many shards it read-locked to take them. A planned search also
+// holds the catalog generation and the view's resident skeleton (nil when
+// there is none) with the view's catalog ID, as of the same instant.
 type plan struct {
-	units  []unit
-	shards []*engineShard // locked, in shard order
+	units          []unit
+	shardsSearched int
+	gen            int
+	skeleton       *catalog.Artifact
+	viewID         string
 }
 
-func (p *plan) unlock() {
-	for _, sh := range p.shards {
-		sh.mu.RUnlock()
-	}
-}
-
-// lockAndPlan acquires the read locks of every shard the view touches (all
-// shards for collection patterns) in shard order, then resolves each QPT to
-// its candidate documents. Two QPTs resolving to the same document — a
-// literal reference shadowed by an overlapping pattern — would make the
-// document's PDT ambiguous and is rejected.
-func (e *Engine) lockAndPlan(v *View) (*plan, error) {
-	needed := map[int]bool{}
-	all := false
-	for _, ref := range v.Deps.Refs {
-		if docname.IsPattern(ref) {
-			all = true
-			break
-		}
-		needed[e.Store.ShardOf(ref)] = true
-	}
-	p := &plan{}
+// lockAndPlan is the only search step that holds shard locks. It takes
+// the read locks of every shard the view touches (all shards for
+// collection patterns) in shard order, resolves each QPT to its candidate
+// documents and their indices (EachCandidate) and, for a planned search,
+// reads the catalog generation and the view's skeleton; it releases the
+// locks before it returns.
+func (e *Engine) lockAndPlan(v *View, planned bool) (*plan, error) {
+	all := slices.ContainsFunc(v.Deps.Refs, docname.IsPattern)
+	var locked []*engineShard
 	for i, sh := range e.shards {
-		if all || needed[i] {
+		if all || slices.ContainsFunc(v.Deps.Refs, func(ref string) bool { return e.Store.ShardOf(ref) == i }) {
 			sh.mu.RLock()
-			p.shards = append(p.shards, sh)
+			locked = append(locked, sh)
 		}
 	}
+	defer func() {
+		for _, sh := range locked {
+			sh.mu.RUnlock()
+		}
+	}()
+	p := &plan{shardsSearched: len(locked)}
+	if err := e.EachCandidate(v, func(q *qpt.QPT, info store.DocInfo) error {
+		pix, iix, err := e.Store.StoredIndices(info.Name)
+		if err != nil {
+			return fmt.Errorf("core: indices of %q: %w", info.Name, err)
+		}
+		p.units = append(p.units, unit{q: q, name: info.Name, docID: info.DocID, pix: pix, iix: iix})
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if planned {
+		p.gen = e.Catalog.Gen()
+		p.skeleton, _, p.viewID = e.Catalog.Artifact(v.Text)
+	}
+	return p, nil
+}
+
+// EachCandidate calls fn with each document each of v's QPTs resolves to,
+// in QPT order and document-ID order within one, and returns fn's first
+// error. A document two collection patterns of the view both match would
+// make its PDT ambiguous, so such a search is refused with an error
+// wrapping ErrInvalidOptions — by every pipeline, the comparators
+// included. (A literal reference a pattern matches is refused at compile
+// time, CompileParsed.) The caller holds the read locks of the shards the
+// view touches.
+func (e *Engine) EachCandidate(v *View, fn func(q *qpt.QPT, info store.DocInfo) error) error {
 	// doc name -> QPT reference that claimed it. One QPT's InfosMatching
 	// cannot repeat a document, so only a view with several needs the check.
 	var seen map[string]string
@@ -464,20 +492,16 @@ func (e *Engine) lockAndPlan(v *View) (*plan, error) {
 		for _, info := range e.Store.InfosMatching(q.Doc) {
 			if seen != nil {
 				if prev, dup := seen[info.Name]; dup {
-					p.unlock()
-					return nil, fmt.Errorf("core: document %q matches both %q and %q in one view", info.Name, prev, q.Doc)
+					return fmt.Errorf("core: %w: document %q matches both %q and %q in one view", ErrInvalidOptions, info.Name, prev, q.Doc)
 				}
 				seen[info.Name] = q.Doc
 			}
-			pix, iix, err := e.Store.StoredIndices(info.Name)
-			if err != nil {
-				p.unlock()
-				return nil, fmt.Errorf("core: indices of %q: %w", info.Name, err)
+			if err := fn(q, info); err != nil {
+				return err
 			}
-			p.units = append(p.units, unit{q: q, name: info.Name, docID: info.DocID, pix: pix, iix: iix})
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // document is the unit's PDT as evaluation sees it: the PDT's document or,
@@ -510,11 +534,9 @@ func (p *plan) split(outer string) (units, sides []unit) {
 
 // keywordLists resolves each unit's posting list for each keyword, keyed
 // by document ID (Meta payloads name their source document through the
-// leading Dewey component): one inverted-list lookup per keyword per unit,
-// under the plan's shard read locks. The lists are immutable, so a
-// skeleton serve's pass reads them after the locks drop. Lookup on an
-// absent keyword returns an empty list whose range sums are 0, so no nil
-// checks are needed per keyword.
+// leading Dewey component): one inverted-list lookup per keyword per unit.
+// Lookup on an absent keyword returns an empty list whose range sums are
+// 0, so no nil checks are needed per keyword.
 func keywordLists(units []unit, kws []string) map[int32][]*invindex.PostingList {
 	lists := make(map[int32][]*invindex.PostingList, len(units))
 	slab := make([]*invindex.PostingList, 0, len(units)*len(kws))
@@ -553,11 +575,10 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // the node and byte tally and the time taken to stats, and assembles the
 // PDTs into an evaluation catalog (a PDT with no qualifying elements as a
 // root-less document, see unit.document): a direct pass's side documents
-// (plan.direct). The caller holds the plan's shard read locks. Each unit
-// runs the per-document index pipeline: path-index probes and QPT
-// (pattern) matching, then PDT construction, in a pooled generator's
-// memory (pdt.GenerateFromIndex), into memory of the PDT's own, since the
-// side documents are all alive together. (A per-document unit generates
+// (plan.direct). Each unit runs the per-document index pipeline:
+// path-index probes and QPT (pattern) matching, then PDT construction, in
+// a pooled generator's memory (pdt.GenerateFromIndex), into memory of the
+// PDT's own, since the side documents are all alive together. (A per-document unit generates
 // into its worker's arena instead, worker.run.) The PDT is keyword-free —
 // its shape, values and byte lengths depend on (QPT, document) alone, and
 // the pass's collector derives the term frequencies of the results that
@@ -602,15 +623,15 @@ func (e *Engine) Search(v *View, keywords []string, opts Options) ([]Result, *St
 // items of the view-output pass, between FLWOR bindings during evaluation
 // and between winners during materialization, so a cancel or deadline
 // unwinds within one work unit. The returned error wraps ctx.Err()
-// (classify with errors.Is); the shard read locks are released before
-// SearchPage returns, canceled or not, and no pool goroutine outlives the
-// call. Only the ranked winners from offset on are returned: the skipped
-// prefix is never materialized (no base-data fetch, no snippet), and Rank
-// numbers keep their absolute position in the ranking. Callers paging
-// uncached results combine it with Options.K = offset + page size.
+// (classify with errors.Is); the shard read locks are held only while the
+// search plans, and no pool goroutine outlives the call. Only the ranked
+// winners from offset on are returned: the skipped prefix is never
+// materialized (no base-data fetch, no snippet), and Rank numbers keep
+// their absolute position in the ranking. Callers paging uncached results
+// combine it with Options.K = offset + page size.
 func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opts Options, offset int) ([]Result, *Stats, error) {
-	// Pin before planning: materialization below runs after the shard read
-	// locks are released, and the pin keeps a concurrently replaced or
+	// Pin before planning: everything after planning runs without the
+	// shard read locks, and the pin keeps a concurrently replaced or
 	// deleted document's subtrees resolvable until this search is done.
 	e.Store.Pin()
 	defer e.Store.Unpin()
@@ -633,7 +654,7 @@ func (e *Engine) SearchPage(ctx context.Context, v *View, keywords []string, opt
 	return results, stats, nil
 }
 
-// viewOutput is what the view-output phase hands to the lock-free ones
+// viewOutput is what the view-output phase hands to the later ones
 // (select, materialise): the view's results in view order and everything
 // later phases need to score and expand them.
 type viewOutput struct {
@@ -666,15 +687,17 @@ func (o *viewOutput) closePost() *Stats {
 	return o.stats
 }
 
-// viewOutput runs the phases every search path starts with. Plan: lock the
-// touched shards and resolve the candidate documents. View output: produce
-// the view's results in view order, with their owners and scoring inputs,
-// in one pass of work items (pass): over the view's skeleton when a
-// planned search finds one (see tryPlan), else over index-only PDTs the
-// pass generates and the unchanged view evaluated over them (plan.direct),
-// which also records the skeleton for the next planned search. Every shard
-// read lock is released by return time: the later phases read only the
-// returned trees, and Dewey-ID subtree fetches are lock-free. k is which
+// viewOutput runs the phases every search path starts with. Plan: lock
+// the touched shards, resolve the candidate documents and, for a planned
+// search, find the view's skeleton (lockAndPlan, which releases the locks
+// before it returns). View output: produce the view's results in view
+// order, with their owners and scoring inputs, in one pass of work items
+// (pass): over the skeleton when there is one, else over index-only PDTs
+// the pass generates and the unchanged view evaluated over them
+// (plan.direct), which also records the skeleton for the next planned
+// search, stamped with the generation read while planning. No step after
+// planning reads the live corpus: the pass reads the planned indices, and
+// Dewey-ID subtree fetches resolve through the pinned store. k is which
 // results the caller reads past this point; a planned search keeps them
 // all.
 func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opts Options, k keep) (*viewOutput, error) {
@@ -685,59 +708,40 @@ func (e *Engine) viewOutput(ctx context.Context, v *View, keywords []string, opt
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.lockAndPlan(v)
+	p, err := e.lockAndPlan(v, opts.Plan)
 	if err != nil {
 		return nil, err
 	}
-	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: len(p.shards), PlanSource: catalog.PlanDirect}
+	stats := &Stats{Workers: opts.workers(), Candidates: len(p.units), ShardsSearched: p.shardsSearched, PlanSource: catalog.PlanDirect}
 	if opts.Plan {
 		k = keepAll
 	}
-	out := &viewOutput{kws: kws, stats: stats, post: time.Now(), keep: k, conjunctive: !opts.Disjunctive}
-	serve, err := e.lockedOutput(ctx, p, v, opts, out)
+	out := &viewOutput{kws: kws, stats: stats, keep: k, conjunctive: !opts.Disjunctive}
+	if p.skeleton != nil {
+		stats.PlanSource, stats.PlanView = catalog.PlanRewritten, p.viewID
+		start := time.Now()
+		err = (&pass{ctx: ctx, out: out, v: v, lists: keywordLists(p.units, kws), results: p.skeleton.Results}).run(start)
+	} else {
+		err = p.direct(ctx, v, out)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// A skeleton serve's collection runs after the locks drop, so it does
-	// not lengthen their hold; its time stays in PostTime.
-	if serve != nil {
-		if _, _, err := serve.run(); err != nil {
-			return nil, err
-		}
-	}
-	stats.ViewSize = len(out.results)
-	return out, nil
-}
-
-// lockedOutput is the part of the view-output phase that holds the plan's
-// shard read locks, released on return: a skeleton serve, returned as the
-// pass to run once they are, or direct output.
-func (e *Engine) lockedOutput(ctx context.Context, p *plan, v *View, opts Options, out *viewOutput) (*pass, error) {
-	defer p.unlock()
-	// gen is read under the shard read locks, so a mutation touching this
-	// view's documents cannot land between here and the skeleton store
-	// below — a bump from an unrelated shard only makes the store a
-	// refused no-op.
-	gen := 0
 	if opts.Plan {
-		gen = e.Catalog.Gen()
-		if results := e.tryPlan(v, out); results != nil {
-			return &pass{ctx: ctx, out: out, v: v, lists: keywordLists(p.units, out.kws), results: results}, nil
+		// Record the skeleton — the eval output itself — for the next
+		// search over this view: its nodes never escape to callers (a
+		// winner's wrappers are built anew and its base subtrees come from
+		// the store), so sharing them with future serves is safe. A
+		// mutation since planning has bumped the generation, and the
+		// catalog refuses the store.
+		if p.skeleton == nil {
+			e.Catalog.StoreSkeleton(v.Text, p.gen, out.results, artifactFootprint(out.results))
 		}
-	}
-	if err := p.direct(ctx, v, out); err != nil {
-		return nil, err
-	}
-	// Record the skeleton — the eval output itself — for the next search
-	// over this view: its nodes never escape to callers (a winner's
-	// wrappers are built anew and its base subtrees come from the store),
-	// so sharing them with future serves is safe.
-	if opts.Plan {
-		e.Catalog.StoreSkeleton(v.Text, gen, out.results, artifactFootprint(out.results))
-		e.Catalog.Access(v.Text, catalog.PlanDirect)
+		e.Catalog.Access(v.Text, stats.PlanSource)
 	}
 	out.post = time.Now()
-	return nil, nil
+	stats.ViewSize = len(out.results)
+	return out, nil
 }
 
 // rankedSearch runs every phase of a local search short of materialization

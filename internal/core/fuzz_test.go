@@ -13,7 +13,6 @@ import (
 	"vxml/internal/baseline"
 	"vxml/internal/catalog"
 	"vxml/internal/core"
-	"vxml/internal/docname"
 	"vxml/internal/gtp"
 	"vxml/internal/qpt"
 	"vxml/internal/scoring"
@@ -76,11 +75,9 @@ func FuzzViewSearch(f *testing.F) {
 		}
 		kws1, kws2 := fuzzKeywords(r, words), fuzzKeywords(r, words)
 		v, err := e.CompileView(view)
-		if err != nil || overlapping(v.Deps.Refs) {
+		if err != nil {
 			// Every path takes the compiled view, so a view the compiler
-			// refuses reaches none of them; and the engine refuses a view
-			// in which a pattern matches a literal reference's document
-			// (lockAndPlan), which the comparators evaluate.
+			// refuses reaches none of them.
 			return
 		}
 		ref1 := checkEveryPath(t, e, v, kws1, core.Options{})
@@ -104,18 +101,6 @@ func FuzzViewSearch(f *testing.F) {
 			}
 		}
 	})
-}
-
-// overlapping reports whether a pattern among refs matches another one.
-func overlapping(refs []string) bool {
-	for _, p := range refs {
-		for _, name := range refs {
-			if docname.IsPattern(p) && name != p && docname.Match(p, name) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // outcome is what one path delivered: its rows, or its refusal.
@@ -356,7 +341,7 @@ func fuzzView(r *fuzzBytes, e *core.Engine) string {
 		parts++
 	}
 	// A view names the parts through the pattern or through literals,
-	// never both (see overlapping).
+	// never both: the compiler refuses a literal the pattern matches.
 	g.refs = []string{`fn:doc(side.xml)`, `fn:collection("part-*")`, `fn:collection("part-*")`}
 	if r.n(3) == 0 {
 		g.refs = g.refs[:1]

@@ -188,8 +188,9 @@ func (w *worker) listsOf(doc int32) []*invindex.PostingList {
 
 // unitCatalog is the evaluation catalog of one per-document work unit: the
 // unit's PDT document plus the side documents every unit shares read-only.
-// No side reference matches an outer document (lockAndPlan), so a pattern
-// matching the unit's document is the outer one and matches nothing else.
+// No side reference matches an outer document (CompileParsed,
+// EachCandidate), so a pattern matching the unit's document is the outer
+// one and matches nothing else.
 type unitCatalog struct {
 	docs  [1]*xmltree.Document
 	sides *evalCatalog
@@ -436,10 +437,11 @@ type pass struct {
 // concatenates their outputs in item order (units in document-ID order,
 // the order whole-view evaluation enumerates the collection in; chunks in
 // view order) into out.results, out.rstats, each carved from its item's
-// stats slab, and out.owners. It adds the PDTs' size to the stats and
-// returns the items' summed generation and evaluation-plus-collection
-// times.
-func (p *pass) run() (gen, eval time.Duration, err error) {
+// stats slab, and out.owners. It adds the PDTs' size to the stats, and the
+// pass's wall time since start to EvalTime, less the share it moves to
+// PDTTime: the wall time in proportion to the items' summed generation and
+// evaluation-plus-collection times.
+func (p *pass) run(start time.Time) error {
 	out, stats := p.out, p.out.stats
 	if p.results != nil {
 		p.chunks = chunkBounds(len(p.results), (len(p.results)+resultChunk-1)/resultChunk)
@@ -451,7 +453,7 @@ func (p *pass) run() (gen, eval time.Duration, err error) {
 		arenas = make([]*pdt.Arena, max(1, min(stats.Workers, n)))
 	}
 	items := make([]itemOutput, n)
-	err = forEachWorker(p.ctx, stats.Workers, n, func(wi int) func(int) {
+	err := forEachWorker(p.ctx, stats.Workers, n, func(wi int) func(int) {
 		w := &worker{p: p}
 		switch {
 		case p.units != nil:
@@ -468,13 +470,14 @@ func (p *pass) run() (gen, eval time.Duration, err error) {
 	})
 	releaseArenas(arenas)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	total := 0
+	var gen, eval time.Duration
 	for i := range items {
 		d := &items[i]
 		if d.err != nil {
-			return 0, 0, &evalError{d.err}
+			return &evalError{d.err}
 		}
 		stats.PDTNodes += d.nodes
 		stats.PDTBytes += d.bytes
@@ -507,39 +510,6 @@ func (p *pass) run() (gen, eval time.Duration, err error) {
 			}
 		}
 	}
-	return gen, eval, nil
-}
-
-// direct is direct view output: index-only PDT generation plus evaluation
-// of the unchanged view, as one pass. The side documents — the candidates
-// of the other references for a view that runs per document
-// (perDocumentReason), every candidate otherwise — get their PDTs and
-// keyword lists first, once. The pass's wall time, a whole-view view's
-// outer bindings or whole evaluation included, is split between PDTTime
-// and EvalTime in proportion to the items' summed generation and
-// evaluation-plus-collection times.
-func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
-	stats := out.stats
-	p := &pass{ctx: ctx, out: out, v: v}
-	sides := pl.units
-	if v.perDocument {
-		p.units, sides = pl.split(v.Deps.Outer)
-	}
-	var err error
-	if p.sides, err = generatePDTs(ctx, sides, stats); err != nil {
-		return err
-	}
-	p.lists = keywordLists(sides, out.kws)
-	start := time.Now()
-	if !v.perDocument {
-		if err := p.evalOuter(pl); err != nil {
-			return err
-		}
-	}
-	gen, eval, err := p.run()
-	if err != nil {
-		return err
-	}
 	wall, split := time.Since(start), time.Duration(0)
 	if busy := gen + eval; busy > 0 {
 		split = time.Duration(float64(wall) * float64(gen) / float64(busy))
@@ -547,6 +517,33 @@ func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
 	stats.PDTTime += split
 	stats.EvalTime = wall - split
 	return nil
+}
+
+// direct is direct view output: index-only PDT generation plus evaluation
+// of the unchanged view, as one pass. The side documents — the candidates
+// of the other references for a view that runs per document
+// (perDocumentReason), every candidate otherwise — get their PDTs
+// (PDTTime) and keyword lists first, once. The pass's wall time counts
+// from the keyword lists on, a whole-view view's outer bindings or whole
+// evaluation included (run).
+func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
+	p := &pass{ctx: ctx, out: out, v: v}
+	sides := pl.units
+	if v.perDocument {
+		p.units, sides = pl.split(v.Deps.Outer)
+	}
+	var err error
+	if p.sides, err = generatePDTs(ctx, sides, out.stats); err != nil {
+		return err
+	}
+	start := time.Now()
+	p.lists = keywordLists(sides, out.kws)
+	if !v.perDocument {
+		if err := p.evalOuter(pl); err != nil {
+			return err
+		}
+	}
+	return p.run(start)
 }
 
 // evalOuter readies a whole-view pass: a top-level FLWOR that opens with a

@@ -13,35 +13,17 @@ package core
 // materialized from base data, as in every other search.
 //
 // The view's results reach the same collector (as result chunks of the
-// pass, run once the shard locks are released), select and materialise
-// phases as every other search, so planned answers are byte-identical to
-// direct evaluation (ranks, scores, trees, snippets).
-// Every resident skeleton is current, and every serve happens under the
-// search's shard read locks, where the corpus (and hence the generation)
-// cannot change for the view's documents.
+// pass), select and materialise phases as every other search, so planned
+// answers are byte-identical to direct evaluation (ranks, scores, trees,
+// snippets). Every resident skeleton is current: a search takes it while
+// it plans, under its shard read locks, where the corpus (and hence the
+// generation) cannot change for the view's documents.
 //
 // A search that falls through to direct evaluation records the view's
-// skeleton for the next query.
+// skeleton for the next query, stamped with the generation it planned at:
+// a mutation that lands during its pass makes the store a refused no-op.
 
-import (
-	"vxml/internal/catalog"
-	"vxml/internal/xmltree"
-)
-
-// tryPlan is the skeleton half of the view-output phase: when the view has
-// a resident catalog artifact it returns the artifact's results, for the
-// pass that collects them; otherwise nil, and the caller evaluates
-// directly. It runs under the plan's shard read locks, so the artifact is
-// current when taken.
-func (e *Engine) tryPlan(v *View, out *viewOutput) []*xmltree.Node {
-	art, source, id := e.Catalog.Artifact(v.Text)
-	if art == nil {
-		return nil
-	}
-	out.stats.PlanSource, out.stats.PlanView = source, id
-	e.Catalog.Access(v.Text, catalog.PlanRewritten)
-	return art.Results
-}
+import "vxml/internal/xmltree"
 
 // artifactFootprint estimates the resident bytes of a skeleton's results
 // (PDT nodes, the 'c' ones Meta-marked, no TFs) for the artifact budget.

@@ -14,11 +14,10 @@ import (
 // the full ranking, so yielded results are byte-identical to the
 // corresponding slice of a SearchPage call with the same options.
 //
-// The pipeline runs — and the shard read locks are held — inside the first
-// resumption of the returned sequence, not inside ResultsSeq itself; the
-// locks are released before the first yield. A pipeline failure or a ctx
-// cancellation is delivered as the final (zero Result, non-nil error)
-// pair. The sequence is single-use.
+// The pipeline runs inside the first resumption of the returned sequence,
+// not inside ResultsSeq itself, and holds the shard read locks only while
+// it plans. A pipeline failure or a ctx cancellation is delivered as the
+// final (zero Result, non-nil error) pair. The sequence is single-use.
 func (e *Engine) ResultsSeq(ctx context.Context, v *View, keywords []string, opts Options, offset int) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		// Pinned for the whole consumption: winners materialize lock-free

@@ -50,7 +50,10 @@ func Compile(text string) (*View, error) {
 
 // CompileParsed compiles an already-parsed view expression: its QPTs and
 // Deps. It reads no corpus, so a cluster node can compile a view over
-// documents other nodes hold; existence is CheckRefs' question.
+// documents other nodes hold; existence is CheckRefs' question. A literal
+// reference that a collection pattern of the same view matches would give
+// its document two PDTs, whatever the corpus holds: such a view is refused
+// with an error wrapping ErrInvalidOptions.
 func CompileParsed(text string, expr xq.Expr, funcs map[string]*xq.FuncDecl) (*View, error) {
 	qpts, err := qpt.Generate(expr, funcs)
 	if err != nil {
@@ -59,6 +62,13 @@ func CompileParsed(text string, expr xq.Expr, funcs map[string]*xq.FuncDecl) (*V
 	deps := Deps{Refs: make([]string, len(qpts)), Outer: outerRef(expr), Uses: map[string]int{}}
 	for i, q := range qpts {
 		deps.Refs[i] = q.Doc
+	}
+	for _, pattern := range deps.Refs {
+		for _, ref := range deps.Refs {
+			if docname.IsPattern(pattern) && !docname.IsPattern(ref) && docname.Match(pattern, ref) {
+				return nil, fmt.Errorf("core: %w: view reads %q both by name and through %q", ErrInvalidOptions, ref, pattern)
+			}
+		}
 	}
 	countUses(expr, deps.Uses)
 	for _, f := range funcs {
@@ -70,9 +80,9 @@ func CompileParsed(text string, expr xq.Expr, funcs map[string]*xq.FuncDecl) (*V
 // Partition is the partition rule core and the cluster coordinator share:
 // "" when the outer FLWOR opens with a for over a reference the view uses
 // nowhere else, else why not. FLWOR evaluates each outer binding on its
-// own and nothing else reads an outer document (lockAndPlan refuses a
-// document two references match), so the view's results are its results
-// over one outer document at a time, in document-ID order.
+// own and nothing else reads an outer document (no document is matched
+// by two references: CompileParsed, EachCandidate), so the view's results
+// are its results over one outer document at a time, in document-ID order.
 func (d Deps) Partition() string {
 	switch {
 	case d.Outer == "":

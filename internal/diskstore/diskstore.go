@@ -325,9 +325,9 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 func (ds *Store) applyLocked(rec manifestRec) {
 	switch rec.Op {
 	case opDelete:
-		ds.Remove(rec.Name, nil) //nolint:errcheck
+		ds.Remove(rec.Name) //nolint:errcheck
 	case opReplace:
-		ds.Replace(entryOf(rec), nil) //nolint:errcheck
+		ds.Replace(entryOf(rec)) //nolint:errcheck
 	default:
 		ds.Add(entryOf(rec)) //nolint:errcheck
 	}

@@ -31,6 +31,7 @@ import (
 	"vxml/internal/pred"
 	"vxml/internal/qpt"
 	"vxml/internal/scoring"
+	"vxml/internal/store"
 	"vxml/internal/xmltree"
 	"vxml/internal/xqeval"
 )
@@ -79,27 +80,28 @@ func SearchContext(ctx context.Context, e *core.Engine, v *core.View, keywords [
 
 	start := time.Now()
 	docs := xqeval.MapCatalog{}
-	for _, q := range v.QPTs {
-		// A collection pattern expands to one structural-join pass per
-		// matching document; docs resolves the pattern back to the
-		// pruned documents in corpus order.
-		for _, info := range e.Store.InfosMatching(q.Doc) {
-			stats.Candidates++
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("gtp: search interrupted: %w", err)
-			}
-			pix, iix, err := e.Store.StoredIndices(info.Name)
-			if err != nil {
-				return nil, nil, fmt.Errorf("gtp: indices of %q: %w", info.Name, err)
-			}
-			pruned := joinQPT(e, q, info.Name, info.DocID, pix, iix, kws, stats)
-			if pruned.Doc == nil {
-				// No element qualified: the document still binds, as a
-				// childless document node, as in the Efficient pipeline.
-				pruned.Doc = &xmltree.Document{Name: info.Name, DocID: info.DocID}
-			}
-			docs[info.Name] = pruned.Doc
+	// A collection pattern expands to one structural-join pass per
+	// matching document; docs resolves the pattern back to the pruned
+	// documents in corpus order.
+	if err := e.EachCandidate(v, func(q *qpt.QPT, info store.DocInfo) error {
+		stats.Candidates++
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("gtp: search interrupted: %w", err)
 		}
+		pix, iix, err := e.Store.StoredIndices(info.Name)
+		if err != nil {
+			return fmt.Errorf("gtp: indices of %q: %w", info.Name, err)
+		}
+		pruned := joinQPT(e, q, info.Name, info.DocID, pix, iix, kws, stats)
+		if pruned.Doc == nil {
+			// No element qualified: the document still binds, as a
+			// childless document node, as in the Efficient pipeline.
+			pruned.Doc = &xmltree.Document{Name: info.Name, DocID: info.DocID}
+		}
+		docs[info.Name] = pruned.Doc
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	stats.PDTTime = time.Since(start)
 

@@ -58,9 +58,16 @@ type Stored interface {
 }
 
 // Lookups returns the number of keyword lookups served. Safe to call
-// concurrently with reads. A view reports its counter, shared with whatever
-// other views it was given to.
+// concurrently with reads. An index given a counter (NewView, CountInto)
+// reports that counter, shared with whatever other indices it was given
+// to.
 func (ix *Index) Lookups() int { return int(ix.lookups.Load()) }
+
+// CountInto points the index's lookup counter at lookups, which the caller
+// may share between indices, as NewView's is: a count kept outside the
+// index survives the index being dropped. Call it while the index is
+// still private — before it serves a lookup or is shared.
+func (ix *Index) CountInto(lookups *atomic.Int64) { ix.lookups = lookups }
 
 // Build constructs the inverted index for doc in one walk. The walk is in
 // document order, so each list's postings arrive already Dewey-sorted and a

@@ -271,10 +271,16 @@ func newIndex(paths []string, lists Lists, probes *atomic.Int64) *Index {
 	return &Index{paths: paths, segs: segs, lists: lists, probes: probes}
 }
 
+// CountInto points the index's probe counter at probes, which the caller
+// may share between indices, as NewView's is: a count kept outside the
+// index survives the index being dropped. Call it while the index is
+// still private — before it serves a probe or is shared.
+func (ix *Index) CountInto(probes *atomic.Int64) { ix.probes = probes }
+
 // Probes reports how many index probes have been served: one per full data
 // path a lookup reached (paper Figure 7 counts probes per query, whatever
-// serves them). A view reports its counter, shared with whatever other views
-// it was given to.
+// serves them). An index given a counter (NewView, CountInto) reports that
+// counter, shared with whatever other indices it was given to.
 func (ix *Index) Probes() int { return int(ix.probes.Load()) }
 
 // Paths returns the path dictionary (sorted distinct element paths).

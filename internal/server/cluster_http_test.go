@@ -251,8 +251,9 @@ func TestClusterTooManyKeywordsReturns400(t *testing.T) {
 }
 
 // TestClusterViewTooLargeReturns400: the coordinator compiles a view
-// before pushing it, so a view past the QPT node bound is a 400 and no
-// member is contacted.
+// before pushing it, so a view past the QPT node bound, or one that reads
+// a document by name and through a pattern, is a 400 and no member is
+// contacted.
 func TestClusterViewTooLargeReturns400(t *testing.T) {
 	var calls atomic.Int64
 	node := cluster.NewNode().Handler()
@@ -267,9 +268,14 @@ func TestClusterViewTooLargeReturns400(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewBackend(coord).Handler())
 	defer ts.Close()
-	resp, body := postJSON(t, ts.URL+"/v1/views", map[string]any{"name": "big", "xquery": testkit.DoublingView(20)})
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too large") {
-		t.Errorf("doubling view: %d %s, want 400 naming the size", resp.StatusCode, body)
+	for _, c := range []struct{ name, view, why string }{
+		{"doubling view", testkit.DoublingView(20), "too large"},
+		{"overlapping references", overlappingView, "both by name and through"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/views", map[string]any{"name": "big", "xquery": c.view})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.why) {
+			t.Errorf("%s: %d %s, want 400 saying %q", c.name, resp.StatusCode, body, c.why)
+		}
 	}
 	if n := calls.Load(); n != 0 {
 		t.Errorf("coordinator contacted its member %d time(s) for a rejected view", n)

@@ -157,6 +157,10 @@ func TestUnknownViewReturns404(t *testing.T) {
 	}
 }
 
+// overlappingView reads books.xml by name and through a collection
+// pattern, which the compiler refuses.
+const overlappingView = `for $a in fn:collection("book*")//book for $b in fn:doc(books.xml)//book return $a`
+
 func TestBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t)
 	ingestCorpus(t, ts.URL)
@@ -175,6 +179,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/search", map[string]any{"view": "bookrevs", "keywords": []string{"x"}, "frobnicate": 1}, http.StatusBadRequest},
 		{"empty document", "/v1/documents", map[string]string{"name": "", "xml": ""}, http.StatusBadRequest},
 		{"bad xml", "/v1/documents", map[string]string{"name": "bad.xml", "xml": "<unclosed>"}, http.StatusBadRequest},
+		// A view may not read one document by name and through a pattern.
+		{"overlapping references", "/v1/views", map[string]string{"name": "twice", "xquery": overlappingView}, http.StatusBadRequest},
 		{"duplicate document", "/v1/documents", map[string]string{"name": "books.xml", "xml": booksXML}, http.StatusConflict},
 		{"duplicate view", "/v1/views", map[string]string{"name": "bookrevs", "xquery": bookrevsView}, http.StatusConflict},
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"vxml/internal/dewey"
 	"vxml/internal/invindex"
@@ -53,12 +54,12 @@ func (e *entry) Info() DocInfo {
 // Store is a collection of named documents, partitioned into shards.
 type Store struct {
 	*Table[*entry]
-	// retired holds, per shard, the served counters of indices the shard
-	// has dropped (replaced or deleted documents), so IndexProbes stays
-	// monotonic across mutations, as the disk backend's does. retired[i] is
-	// written under shard i's write lock (Replace and Remove hand the
-	// dropped entry to foldRetired under it) and read under its read lock.
-	retired []struct{ probes, lookups int }
+	// served is where every index the store publishes counts the probes
+	// and lookups it serves, as the disk backend's views do. It belongs to
+	// the store, not to an index, so IndexProbes stays exact and monotonic
+	// across mutations: a search's pass may still probe a replaced or
+	// deleted document's indices after the mutation.
+	served struct{ probes, lookups atomic.Int64 }
 }
 
 // DefaultShardCount is the shard count New uses: one shard per available
@@ -82,8 +83,7 @@ func New() *Store { return NewSharded(0) }
 // NewSharded returns an empty store with n shards (n <= 0 selects
 // DefaultShardCount).
 func NewSharded(n int) *Store {
-	t := NewTable[*entry](n)
-	return &Store{Table: t, retired: make([]struct{ probes, lookups int }, t.ShardCount())}
+	return &Store{Table: NewTable[*entry](n)}
 }
 
 // ShardInfo is a point-in-time snapshot of one shard's corpus counters;
@@ -106,10 +106,20 @@ func (s *Store) RegisterParsed(doc *xmltree.Document) error {
 
 // RegisterIndexed makes doc and its indices visible under its name and
 // DocID in one write under the home shard's lock. doc must own a DocID
-// allocated with ReserveID. It returns an error wrapping ErrDuplicateName,
-// and publishes nothing, if the name is already taken.
+// allocated with ReserveID, and the indices must still be private: they
+// count what they serve into the store's counters from here on. It
+// returns an error wrapping ErrDuplicateName, and publishes nothing, if
+// the name is already taken.
 func (s *Store) RegisterIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
-	return s.Add(&entry{doc, pix, iix})
+	return s.Add(s.newEntry(doc, pix, iix))
+}
+
+// newEntry pairs doc with its private indices, pointing them at the
+// store's served counters before they are published.
+func (s *Store) newEntry(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) *entry {
+	pix.CountInto(&s.served.probes)
+	iix.CountInto(&s.served.lookups)
+	return &entry{doc, pix, iix}
 }
 
 // AddXML parses the XML text and registers it under name. Documents receive
@@ -150,12 +160,11 @@ func (s *Store) ReplaceParsed(doc *xmltree.Document) error {
 
 // ReplaceIndexed atomically swaps the document registered under doc.Name,
 // and its indices, for doc and pix/iix; doc must carry a freshly reserved
-// DocID. The old indices are dropped (their served counters kept for
-// IndexProbes) and the old document tombstoned for pinned readers (see
-// Table.Replace). It returns an error wrapping ErrUnknownName if the name
-// is not registered.
+// DocID, and private indices (see RegisterIndexed). The old document is
+// tombstoned for pinned readers (see Table.Replace). It returns an error
+// wrapping ErrUnknownName if the name is not registered.
 func (s *Store) ReplaceIndexed(doc *xmltree.Document, pix *pathindex.Index, iix *invindex.Index) error {
-	return s.Replace(&entry{doc, pix, iix}, s.foldRetired)
+	return s.Replace(s.newEntry(doc, pix, iix))
 }
 
 // ReplaceXML parses the XML text and swaps it in under name, assigning a
@@ -177,20 +186,12 @@ func (s *Store) ReplaceXML(name, xmlText string) (*xmltree.Document, error) {
 	return doc, nil
 }
 
-// Delete unregisters the document stored under name and drops its indices
-// (their served counters kept for IndexProbes); the document is tombstoned
-// for pinned readers (see Table.Remove). Deleting an unknown name returns
-// an error wrapping ErrUnknownName.
+// Delete unregisters the document stored under name and drops its
+// indices; the document is tombstoned for pinned readers (see
+// Table.Remove). Deleting an unknown name returns an error wrapping
+// ErrUnknownName.
 func (s *Store) Delete(name string) error {
-	return s.Remove(name, s.foldRetired)
-}
-
-// foldRetired folds the served counters of a dropped entry's indices into
-// its shard's retired totals; it runs under the shard's write lock.
-func (s *Store) foldRetired(old *entry) {
-	r := &s.retired[s.ShardOf(old.doc.Name)]
-	r.probes += old.pix.Probes()
-	r.lookups += old.iix.Lookups()
+	return s.Remove(name)
 }
 
 // Doc returns the document registered under name, or nil.
@@ -211,19 +212,11 @@ func (s *Store) StoredIndices(name string) (*pathindex.Index, *invindex.Index, e
 	return e.pix, e.iix, nil
 }
 
-// IndexProbes sums the served index-probe counters across the corpus:
-// path-index full-path probes and inverted-list keyword lookups, including
-// those served by indices since dropped, so the totals never decrease.
+// IndexProbes returns the path-index full-path probes and inverted-list
+// keyword lookups served by every index the store has published, those
+// since dropped included, so the totals never decrease.
 func (s *Store) IndexProbes() (pathProbes, keywordLookups int) {
-	s.Scan(func(shard int, live map[string]*entry) {
-		pathProbes += s.retired[shard].probes
-		keywordLookups += s.retired[shard].lookups
-		for _, e := range live {
-			pathProbes += e.pix.Probes()
-			keywordLookups += e.iix.Lookups()
-		}
-	})
-	return pathProbes, keywordLookups
+	return int(s.served.probes.Load()), int(s.served.lookups.Load())
 }
 
 // Subtree fetches the element with the given Dewey ID from base storage.

@@ -152,16 +152,6 @@ func (t *Table[E]) EntryByID(docID int32) (E, bool) {
 	return zero, false
 }
 
-// Scan calls fn once per shard, in shard order, with the shard's live
-// entries under its read lock; fn must not modify the map.
-func (t *Table[E]) Scan(fn func(shard int, live map[string]E)) {
-	for i, sh := range t.shards {
-		sh.mu.RLock()
-		fn(i, sh.byName)
-		sh.mu.RUnlock()
-	}
-}
-
 // Add publishes e under its name and document ID in one write under the
 // home shard's lock. It returns an error wrapping ErrDuplicateName, and
 // publishes nothing, if the name is already taken.
@@ -179,14 +169,13 @@ func (t *Table[E]) Add(e E) error {
 	return nil
 }
 
-// Replace swaps e in for the entry registered under its name. drop, when
-// non-nil, sees the old entry under the shard's write lock. The old
+// Replace swaps e in for the entry registered under its name. The old
 // entry's ID is tombstoned, not dropped: a reader that planned its search
 // before the swap may still materialize the old subtree (see Pin), while
 // any search planned afterwards resolves the name to the replacement only.
 // It returns an error wrapping ErrUnknownName if the name is not
 // registered.
-func (t *Table[E]) Replace(e E, drop func(old E)) error {
+func (t *Table[E]) Replace(e E) error {
 	info := e.Info()
 	sh := t.shards[t.ShardOf(info.Name)]
 	sh.mu.Lock()
@@ -197,7 +186,7 @@ func (t *Table[E]) Replace(e E, drop func(old E)) error {
 	}
 	sh.byName[info.Name] = e
 	t.byID.Store(info.DocID, e)
-	sh.bytes += info.Bytes - t.dropLocked(sh, old, drop)
+	sh.bytes += info.Bytes - t.dropLocked(sh, old)
 	return nil
 }
 
@@ -207,9 +196,9 @@ func (t *Table[E]) Replace(e E, drop func(old E)) error {
 // dropped, so a search planned before — which may already hold the
 // document's IDs and materialize winners lock-free after releasing its
 // shard locks — keeps resolving the old subtree until the last such reader
-// unpins. drop is as for Replace. Removing an unknown name returns an
-// error wrapping ErrUnknownName.
-func (t *Table[E]) Remove(name string, drop func(old E)) error {
+// unpins. Removing an unknown name returns an error wrapping
+// ErrUnknownName.
+func (t *Table[E]) Remove(name string) error {
 	sh := t.shards[t.ShardOf(name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -218,19 +207,16 @@ func (t *Table[E]) Remove(name string, drop func(old E)) error {
 		return fmt.Errorf("store: %w: %q", ErrUnknownName, name)
 	}
 	delete(sh.byName, name)
-	sh.bytes -= t.dropLocked(sh, old, drop)
+	sh.bytes -= t.dropLocked(sh, old)
 	return nil
 }
 
 // dropLocked accounts for an entry just unpublished from sh by name: one
-// mutation, drop's view of it, and its tombstone. The name is gone before
-// retire checks for pinned readers — the ordering the tombstone argument
-// rests on. It returns the dropped document's byte size.
-func (t *Table[E]) dropLocked(sh *tableShard[E], old E, drop func(E)) int {
+// mutation and its tombstone. The name is gone before retire checks for
+// pinned readers — the ordering the tombstone argument rests on. It
+// returns the dropped document's byte size.
+func (t *Table[E]) dropLocked(sh *tableShard[E], old E) int {
 	sh.mutations++
-	if drop != nil {
-		drop(old)
-	}
 	info := old.Info()
 	t.retire(info.DocID)
 	return info.Bytes
@@ -323,13 +309,15 @@ func (t *Table[E]) InfosMatching(pattern string) []DocInfo {
 		return nil
 	}
 	var out []DocInfo
-	t.Scan(func(_ int, live map[string]E) {
-		for name, e := range live {
+	for _, sh := range t.shards {
+		sh.mu.RLock()
+		for name, e := range sh.byName {
 			if docname.Match(pattern, name) {
 				out = append(out, e.Info())
 			}
 		}
-	})
+		sh.mu.RUnlock()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
 	return out
 }

@@ -32,14 +32,19 @@
 // A Database is safe for concurrent use. The corpus is partitioned into
 // shards (documents hash-assigned by name; see OpenShards), each behind its
 // own lock, and each document's path and inverted-list indices are stored
-// beside it, in the same shard entry. Search, Query and Explain hold read
-// locks only on the shards their view touches and run in parallel with
-// each other; Add and MustAdd parse and index outside any lock, then take
-// one shard's write lock for the single store write that publishes the
-// document and both its indices together. A concurrent search therefore
-// observes the document collection either entirely before or entirely
-// after an ingest — never a document without its indices — stalls for the
-// publication, not for the parse, and an ingest into one shard never
+// beside it, in the same shard entry. Search and Query hold read locks
+// only on the shards their view touches, and only while they plan — resolve
+// their candidate documents and snapshot those documents' indices; Explain
+// holds every shard's read lock while it reads the indices. All of them
+// run in parallel with each other.
+// Add and MustAdd parse and index outside any lock, then take one shard's
+// write lock for the single store write that publishes the document and
+// both its indices together. A concurrent search therefore plans over the
+// document collection either entirely before or entirely after an ingest —
+// never a document without its indices — and answers from the collection
+// as of its planning instant. Its planning stalls for the publication, not
+// for the parse; the ingest waits only for searches still planning, never
+// for PDT generation or evaluation; and an ingest into one shard never
 // contends with a search over another. The same guarantees hold one layer
 // down for direct users of internal/core.Engine.
 //
