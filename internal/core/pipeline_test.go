@@ -15,6 +15,7 @@ import (
 	"vxml/internal/baseline"
 	"vxml/internal/core"
 	"vxml/internal/diskstore"
+	"vxml/internal/gtp"
 	"vxml/internal/invindex"
 	"vxml/internal/pathindex"
 	"vxml/internal/scoring"
@@ -224,6 +225,42 @@ func TestUnpartitionableViews(t *testing.T) {
 			if _, _, err := e.MaterializeAt(context.Background(), v, kws, opts, []int{0}); !errors.Is(err, core.ErrUnpartitionableView) {
 				t.Fatalf("%s: MaterializeAt error = %v, want ErrUnpartitionableView", name, err)
 			}
+		}
+	}
+}
+
+// TestFailedPredicateLeafKeepsItsValue: a leaf that the where clause
+// compares and the return clause emits as content carries its value in
+// the PDT even when it fails the comparison, so the evaluator re-checks
+// the where clause against the base value, as Baseline does, and not
+// against an empty one. Before the fix the first view answered two
+// results where Baseline answers none.
+func TestFailedPredicateLeafKeepsItsValue(t *testing.T) {
+	e := core.New(store.NewSharded(2))
+	if err := e.AddXML("side.xml", `<a><x>copper copper</x><x>copper copper</x></a>`); err != nil {
+		t.Fatal(err)
+	}
+	kws := []string{"copper"}
+	for text, size := range map[string]int{
+		`for $v in fn:doc(side.xml) where $v/a/x < 1 return $v/a/x`:               0,
+		`for $v in fn:doc(side.xml) where $v/a/x = "copper copper" return $v/a/x`: 2,
+	} {
+		v, err := e.CompileView(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := baselineRows(t, e, v, kws, core.Options{})
+		if len(want) != size {
+			t.Fatalf("%s: Baseline has %d results, want %d", text, len(want), size)
+		}
+		for _, par := range []int{1, 4} {
+			opts := core.Options{Parallelism: par}
+			mustMatchReference(t, fmt.Sprintf("%s pool %d", text, par), want, searchRows(t, e, v, kws, opts, 0))
+			mustMatchReference(t, fmt.Sprintf("%s whole view pool %d", text, par), want, searchRows(t, e, core.WholeViewCopy(v), kws, opts, 0))
+		}
+		tj, _, err := gtp.Search(e, v, kws, core.Options{})
+		if err != nil || len(tj) != size {
+			t.Fatalf("%s: GTP has %d results (%v), want %d", text, len(tj), err, size)
 		}
 	}
 }

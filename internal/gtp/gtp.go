@@ -240,30 +240,31 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, docID int32, pix *pathi
 		computeCE(edge.Child)
 	}
 
+	// below reports whether id stands where edge e puts it below the
+	// elements of parents: the root element (any element, for '//') below
+	// the virtual root.
+	below := func(id dewey.ID, e *qpt.Edge, parents *candSet) bool {
+		if e.From == q.Root {
+			return e.Axis == pathindex.Descendant || len(id) == 1
+		}
+		if e.Axis == pathindex.Child {
+			return len(id) > 1 && parents.has(id.Parent())
+		}
+		for p := id.Parent(); len(p) > 0; p = p.Parent() {
+			if parents.has(p) {
+				return true
+			}
+		}
+		return false
+	}
+
 	// Top-down: PDT elements (ancestor constraints).
 	pe := map[*qpt.Node]*candSet{}
 	var computePE func(n *qpt.Node)
 	computePE = func(n *qpt.Node) {
-		parentEdge := n.Parent
 		set := &candSet{}
 		for _, id := range ce[n].ids {
-			ok := false
-			if parentEdge.From == q.Root {
-				ok = parentEdge.Axis == pathindex.Descendant || len(id) == 1
-			} else {
-				parents := pe[parentEdge.From]
-				if parentEdge.Axis == pathindex.Child {
-					ok = len(id) > 1 && parents.has(id.Parent())
-				} else {
-					for p := id.Parent(); len(p) > 0; p = p.Parent() {
-						if parents.has(p) {
-							ok = true
-							break
-						}
-					}
-				}
-			}
-			if ok {
+			if below(id, n.Parent, pe[n.Parent.From]) {
 				set.ids = append(set.ids, id)
 			}
 		}
@@ -274,6 +275,32 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, docID int32, pix *pathi
 	}
 	for _, edge := range q.Root.Edges {
 		computePE(edge.Child)
+	}
+
+	// Top-down again, over whole tag lists: the elements whose root path
+	// matches a node's pattern, predicates and mandatory edges aside. One
+	// that matches a 'v' node's carries its value whichever node selects
+	// it, since the evaluator may compare it (qpt.PathMatch.Valued).
+	valued := map[string]bool{}
+	path := map[*qpt.Node]*candSet{}
+	var computePath func(n *qpt.Node)
+	computePath = func(n *qpt.Node) {
+		set := &candSet{}
+		for _, p := range pix.TagPostings(n.Tag) {
+			if below(p.ID, n.Parent, path[n.Parent.From]) {
+				set.ids = append(set.ids, p.ID)
+				if n.V {
+					valued[p.ID.String()] = true
+				}
+			}
+		}
+		path[n] = set
+		for _, edge := range n.Edges {
+			computePath(edge.Child)
+		}
+	}
+	for _, edge := range q.Root.Edges {
+		computePath(edge.Child)
 	}
 
 	// Assemble the pruned tree; values and byte lengths come from base
@@ -293,7 +320,7 @@ func joinQPT(e *core.Engine, q *qpt.QPT, docName string, docID int32, pix *pathi
 				anns[key] = &annot{}
 			}
 			a := anns[key]
-			a.needV = a.needV || n.V
+			a.needV = a.needV || n.V || valued[key]
 			a.needC = a.needC || n.C
 		}
 		for _, edge := range n.Edges {

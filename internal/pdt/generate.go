@@ -325,7 +325,7 @@ func (g *generator) insert(list, posting int) {
 	// shallower prefix that is not on the stack was found unmatched when
 	// the top was pushed.
 	for d := top.depth + 1; d <= len(id); d++ {
-		if qnodes := pl.Matches[d-1]; len(qnodes) > 0 {
+		if qnodes := pl.Match.Sets[d-1]; len(qnodes) > 0 {
 			g.push(id[:d], at(d), qnodes)
 		}
 	}
@@ -645,7 +645,7 @@ func (g *generator) build(sourceName string, a *Arena) *PDT {
 		own := int(at.depth) == len(p.ID)
 		if own {
 			node.ByteLen = p.ByteLen
-			if m&markV != 0 && p.HasValue {
+			if (m&markV != 0 || pl.Match.Valued) && p.HasValue {
 				node.Value = p.Value
 			}
 		}

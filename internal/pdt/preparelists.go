@@ -25,14 +25,13 @@ import (
 )
 
 // PathList is one ordered ID list produced by PrepareLists: the postings of
-// one full data path serving one QPT node, together with the per-depth QPT
-// match sets of that full path (used to map ID prefixes back to QPT nodes).
+// one full data path serving one QPT node, together with what the QPT
+// knows of that full path (qpt.PathMatch: the per-depth match sets that map
+// ID prefixes back to QPT nodes, and whether its elements carry values).
 type PathList struct {
 	QNode *qpt.Node
 	pathindex.PathPostings
-	// Matches[d] holds the QPT nodes matched by the prefix of depth d+1
-	// (Matches[len(Segs)-1] always contains QNode).
-	Matches [][]*qpt.Node
+	Match *qpt.PathMatch
 }
 
 // Lists is the output of PrepareLists.
@@ -73,7 +72,7 @@ func (m *listMemory) prepare(q *qpt.QPT, pix *pathindex.Index, iix *invindex.Ind
 		start := len(m.found)
 		m.found = pix.AppendLookup(m.found, &m.lookup, pr.Steps, pr.Preds)
 		for _, pp := range m.found[start:] {
-			m.Paths = append(m.Paths, PathList{QNode: pr.Node, PathPostings: pp, Matches: q.MatchSets(pp.FullPath, pp.Segs)})
+			m.Paths = append(m.Paths, PathList{QNode: pr.Node, PathPostings: pp, Match: q.MatchPath(pp.FullPath, pp.Segs)})
 		}
 	}
 	m.Keywords = keywords

@@ -62,32 +62,30 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 		computeCE(e.Child)
 	}
 
-	// pe[qnode] = set of PDT elements (Definition 2), top-down. The
-	// virtual root stands for the document node: a '/' edge from it admits
-	// only the root element, a '//' edge admits any element.
+	// below reports whether v stands where edge e puts it below the
+	// elements of parents. The virtual root stands for the document node:
+	// a '/' edge from it admits only the root element, a '//' edge admits
+	// any element.
+	below := func(v *xmltree.Node, e *qpt.Edge, parents map[*xmltree.Node]bool) bool {
+		if e.From == q.Root {
+			return e.Axis == pathindex.Descendant || v == doc.Root
+		}
+		for p := range parents {
+			if e.Axis == pathindex.Child && p.ID.IsParentOf(v.ID) ||
+				e.Axis == pathindex.Descendant && p.ID.IsAncestorOf(v.ID) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// pe[qnode] = set of PDT elements (Definition 2), top-down.
 	pe := map[*qpt.Node]map[*xmltree.Node]bool{}
 	var computePE func(n *qpt.Node)
 	computePE = func(n *qpt.Node) {
 		set := map[*xmltree.Node]bool{}
-		parentEdge := n.Parent
 		for v := range ce[n] {
-			ok := false
-			if parentEdge.From == q.Root {
-				if parentEdge.Axis == pathindex.Child {
-					ok = v == doc.Root
-				} else {
-					ok = true
-				}
-			} else {
-				for p := range pe[parentEdge.From] {
-					if parentEdge.Axis == pathindex.Child && p.ID.IsParentOf(v.ID) ||
-						parentEdge.Axis == pathindex.Descendant && p.ID.IsAncestorOf(v.ID) {
-						ok = true
-						break
-					}
-				}
-			}
-			if ok {
+			if below(v, n.Parent, pe[n.Parent.From]) {
 				set[v] = true
 			}
 		}
@@ -98,6 +96,30 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 	}
 	for _, e := range q.Root.Edges {
 		computePE(e.Child)
+	}
+
+	// valued = elements whose root path matches the pattern of a 'v' node,
+	// predicates and mandatory edges aside: the evaluator may compare their
+	// values whichever node selects them (qpt.PathMatch.Valued). path[qnode]
+	// is the elements matching the node's pattern, top-down.
+	valued := map[*xmltree.Node]bool{}
+	path := map[*qpt.Node]map[*xmltree.Node]bool{}
+	var computePath func(n *qpt.Node)
+	computePath = func(n *qpt.Node) {
+		set := map[*xmltree.Node]bool{}
+		for _, v := range elements {
+			if v.Tag == n.Tag && below(v, n.Parent, path[n.Parent.From]) {
+				set[v] = true
+				valued[v] = valued[v] || n.V
+			}
+		}
+		path[n] = set
+		for _, e := range n.Edges {
+			computePath(e.Child)
+		}
+	}
+	for _, e := range q.Root.Edges {
+		computePath(e.Child)
 	}
 
 	// Union the PE sets, remembering which annotations apply per element.
@@ -139,7 +161,7 @@ func Reference(q *qpt.QPT, doc *xmltree.Document, keywords []string) *PDT {
 			Value:    v.Value,
 			HasValue: v.IsLeaf(),
 			ByteLen:  v.ByteLen,
-			NeedV:    a.needV,
+			NeedV:    a.needV || valued[v],
 			NeedC:    a.needC,
 		}
 		if a.needC {

@@ -58,10 +58,10 @@ type QPT struct {
 	probesOnce sync.Once
 	probes     []Probe
 
-	// matchSets memoises MatchSets per full data path. It lives and dies
+	// matches memoises MatchPath per full data path. It lives and dies
 	// with the compiled QPT, which is immutable, so entries never go stale.
-	matchMu   sync.RWMutex
-	matchSets map[string][][]*Node
+	matchMu sync.RWMutex
+	matches map[string]*PathMatch
 }
 
 // MandLayout is the DescendantMap bit layout of a QPT: for every node, the
@@ -138,40 +138,53 @@ func (q *QPT) Probes() []Probe {
 	return q.probes
 }
 
-// MatchSets returns, for each prefix depth d (1-based) of the full data path
-// whose tags are segs, the set of QPT nodes whose root-to-node pattern
-// matches the first d segments. It handles '//' edges and repeated tag names
-// ("//a//a" over "/a/a/a") by dynamic programming over the QPT.
-//
-// Predicate-bearing leaves are deliberately excluded: an element counts as
-// a candidate for such a node only if its value satisfies the predicates
-// (Definition 1), which is known only from that node's own filtered list —
-// PDT generation adds those items when the filtered posting arrives.
+// PathMatch is what PDT generation needs to know of one full data path.
+type PathMatch struct {
+	// Sets holds, for each prefix depth d (1-based) of the path, at
+	// Sets[d-1], the QPT nodes whose root-to-node pattern matches the first
+	// d segments. Predicate-bearing leaves are deliberately left out: an
+	// element counts as a candidate for such a node only if its value
+	// satisfies the predicates (Definition 1), which is known only from
+	// that node's own filtered list — PDT generation adds those items when
+	// the filtered posting arrives.
+	Sets [][]*Node
+	// Valued reports whether the whole path matches the pattern of a 'v'
+	// node, its predicates aside. An element on such a path carries its
+	// value in the PDT whichever node it qualifies through: the evaluator
+	// reaches it along that node's path and compares its value — as when
+	// a where clause's leaf fails its predicate and the return clause
+	// emits the same leaf as content.
+	Valued bool
+}
+
+// MatchPath returns the PathMatch of the full data path whose tags are
+// segs. It handles '//' edges and repeated tag names ("//a//a" over
+// "/a/a/a") by dynamic programming over the QPT.
 //
 // The result depends only on the QPT and the path — not on the document, let
 // alone the keywords — so it is computed once per full path and shared
 // read-only by every candidate document and every search. Safe for
 // concurrent callers.
-func (q *QPT) MatchSets(fullPath string, segs []string) [][]*Node {
+func (q *QPT) MatchPath(fullPath string, segs []string) *PathMatch {
 	q.matchMu.RLock()
-	sets, ok := q.matchSets[fullPath]
+	m, ok := q.matches[fullPath]
 	q.matchMu.RUnlock()
 	if ok {
-		return sets
+		return m
 	}
-	sets = q.computeMatchSets(segs)
+	m = q.computeMatch(segs)
 	q.matchMu.Lock()
-	if q.matchSets == nil {
-		q.matchSets = map[string][][]*Node{}
+	if q.matches == nil {
+		q.matches = map[string]*PathMatch{}
 	}
-	q.matchSets[fullPath] = sets
+	q.matches[fullPath] = m
 	q.matchMu.Unlock()
-	return sets
+	return m
 }
 
-func (q *QPT) computeMatchSets(segs []string) [][]*Node {
+func (q *QPT) computeMatch(segs []string) *PathMatch {
 	n := len(segs)
-	out := make([][]*Node, n)
+	out := &PathMatch{Sets: make([][]*Node, n)}
 	// reach[node] = bitset over depths 0..n (depth 0 = virtual root)
 	reach := map[*Node][]bool{}
 	rootReach := make([]bool, n+1)
@@ -202,10 +215,11 @@ func (q *QPT) computeMatchSets(segs []string) [][]*Node {
 			if len(child.Preds) == 0 {
 				for d := 1; d <= n; d++ {
 					if childReach[d] {
-						out[d-1] = append(out[d-1], child)
+						out.Sets[d-1] = append(out.Sets[d-1], child)
 					}
 				}
 			}
+			out.Valued = out.Valued || child.V && childReach[n]
 			walk(child)
 		}
 	}
