@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vxml/internal/catalog"
 	"vxml/internal/store"
+	"vxml/internal/xmltree"
 )
 
 // raceDetector reports a build with the race detector (race_test.go).
@@ -198,6 +201,13 @@ func TestPerDocumentClusterRankAllocationsPerCandidate(t *testing.T) {
 // warm the pools and record the view's skeleton.
 func allocsPerExtraResult(t *testing.T, view string, search func(t *testing.T, e *Engine, v *View)) float64 {
 	t.Helper()
+	return perExtraResult(t, view, search, func(f func()) float64 { return testing.AllocsPerRun(20, f) })
+}
+
+// perExtraResult is allocsPerExtraResult with the cost measured by
+// measure, which runs f a number of times and returns its mean cost.
+func perExtraResult(t *testing.T, view string, search func(t *testing.T, e *Engine, v *View), measure func(f func()) float64) float64 {
+	t.Helper()
 	perSearch := func(articles int) float64 {
 		e := New(store.New())
 		var b strings.Builder
@@ -214,21 +224,73 @@ func allocsPerExtraResult(t *testing.T, view string, search func(t *testing.T, e
 			t.Fatal(err)
 		}
 		search(t, e, v)
-		return testing.AllocsPerRun(20, func() { search(t, e, v) })
+		return measure(func() { search(t, e, v) })
 	}
 	a128, a384 := perSearch(128), perSearch(384)
-	t.Logf("%v allocations over 128 results, %v over 384", a128, a384)
+	t.Logf("%v over 128 results, %v over 384", a128, a384)
 	return (a384 - a128) / 256
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean number of bytes
+// 20 runs of f allocate, after a warming run, at GOMAXPROCS 1.
+func bytesPerRun(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 20
+}
+
+// slabBytesPerNode is what one PDT node costs generation into fresh
+// memory: the node in the arena's node slab and its pointer in the child
+// slab.
+const slabBytesPerNode = int(unsafe.Sizeof(xmltree.Node{}) + unsafe.Sizeof((*xmltree.Node)(nil)))
+
+// TestWholeViewPooledPDTAllocBytesPerArticle: a warm whole-view search
+// generates its side document's PDT into a pooled arena, so one more
+// article of the side document costs it fewer bytes than that article's
+// PDT nodes would take in fresh slabs (slabBytesPerNode each). The
+// keywords match nothing, so no result is detached, and what an article
+// costs is its result's share of the pass's per-result arrays and its
+// binding's evaluation. Generation into a fresh arena per search, as
+// before side PDTs were pooled, paid the slab bytes on top: 595 bytes per
+// article on this view, against a bound of 416 (four PDT nodes per
+// article); pooled, it costs 177. Like the other pins it holds only
+// without the race detector, which drops pooled arenas at random.
+func TestWholeViewPooledPDTAllocBytesPerArticle(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const view = `for $a in fn:doc(shelf.xml)/books//article where $a/fm/yr > 1000 return $a/bdy`
+	nodes := map[int]int{} // PDT nodes by view size
+	per := perExtraResult(t, view, func(t *testing.T, e *Engine, v *View) {
+		results, stats, err := e.Search(v, []string{"nowhere"}, Options{K: 10, Parallelism: 1})
+		if err != nil || len(results) != 0 {
+			t.Fatalf("%d results, err %v", len(results), err)
+		}
+		nodes[stats.ViewSize] = stats.PDTNodes
+	}, bytesPerRun)
+	bound := float64((nodes[384]-nodes[128])/256) * float64(slabBytesPerNode)
+	t.Logf("%.0f bytes per extra article, bound %.0f", per, bound)
+	if per >= bound {
+		t.Errorf("%.0f bytes per extra article, want fewer than its PDT nodes' fresh slab bytes, %.0f", per, bound)
+	}
 }
 
 // wholeViewAllocsPerResult is what one more result of a whole-view view
 // partitioned by outer binding costs a search that ranks locally, object
 // by object: EvalTail's exact copy of the binding's value (1). Collection
 // allocates per chunk, not per result: a chunk's stats slab holds every
-// result's term frequencies and byte length, and the binding chunks are
-// workers*4 whatever the view's size, as are the search's results, rstats
-// and owners arrays, one each. The chunks' result slices, grown by
-// doubling, add a twentieth of an allocation per result.
+// result's term frequencies and byte length, and detach's slab the copies
+// of its kept results (the side document's PDT lives in a pooled arena),
+// and the binding chunks are workers*4 whatever the view's size, as are
+// the search's results, rstats and owners arrays, one each. The chunks'
+// result slices, grown by doubling, add a twentieth of an allocation per
+// result.
 const wholeViewAllocsPerResult = 1
 
 // rewriteAllocsPerChunk is what one more result chunk (resultChunk

@@ -571,25 +571,31 @@ func (c *evalCatalog) DocsMatching(pattern string) []*xmltree.Document {
 	return out
 }
 
-// generatePDTs generates one PDT per unit on a pool of stats.Workers, adds
-// the node and byte tally and the time taken to stats, and assembles the
-// PDTs into an evaluation catalog (a PDT with no qualifying elements as a
-// root-less document, see unit.document): a direct pass's side documents
-// (plan.direct). Each unit runs the per-document index pipeline:
-// path-index probes and QPT (pattern) matching, then PDT construction, in
-// a pooled generator's memory (pdt.GenerateFromIndex), into memory of the
-// PDT's own, since the side documents are all alive together. (A per-document unit generates
-// into its worker's arena instead, worker.run.) The PDT is keyword-free —
-// its shape, values and byte lengths depend on (QPT, document) alone, and
-// the pass's collector derives the term frequencies of the results that
-// survive evaluation.
-func generatePDTs(ctx context.Context, units []unit, stats *Stats) (*evalCatalog, error) {
+// generatePDTs generates the PDTs of a direct pass's side documents
+// (plan.direct), one per unit, on a pool of the pass's workers, each into
+// a pooled arena of its own (pdt.GenerateInto), since the side documents
+// are all alive together; the arenas join the pass's, released when the
+// pass ends, so every result the pass keeps is detached from them first
+// (worker.detach). It adds the node and byte tally and the time taken to
+// the stats, and assembles the PDTs into the pass's evaluation catalog (a
+// PDT with no qualifying elements as a root-less document, see
+// unit.document). Each unit runs the per-document index pipeline:
+// path-index probes and QPT (pattern) matching, then PDT construction.
+// The PDT is keyword-free — its shape, values and byte lengths depend on
+// (QPT, document) alone, and the pass's collector derives the term
+// frequencies of the results that survive evaluation.
+func (p *pass) generatePDTs(units []unit) error {
+	stats := p.out.stats
 	start := time.Now()
 	pdts := make([]*pdt.PDT, len(units))
-	if err := forEachWorker(ctx, stats.Workers, len(units), func(int) func(int) {
-		return func(i int) { pdts[i] = pdt.GenerateFromIndex(units[i].q, units[i].pix, units[i].name) }
+	p.arenas = make([]*pdt.Arena, len(units))
+	if err := forEachWorker(p.ctx, stats.Workers, len(units), func(int) func(int) {
+		return func(i int) {
+			p.arenas[i] = arenaPool.Get().(*pdt.Arena)
+			pdts[i] = pdt.GenerateInto(p.arenas[i], units[i].q, units[i].pix, units[i].name)
+		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	c := &evalCatalog{
 		byName:  make(map[string]*xmltree.Document, len(pdts)),
@@ -605,8 +611,9 @@ func generatePDTs(ctx context.Context, units []unit, stats *Stats) (*evalCatalog
 	// Units are ordered QPT-major; pattern expansion must follow corpus
 	// (document ID) order across the whole catalog.
 	slices.SortFunc(c.ordered, func(a, b *xmltree.Document) int { return cmp.Compare(a.DocID, b.DocID) })
+	p.sides = c
 	stats.PDTTime += time.Since(start)
-	return c, nil
+	return nil
 }
 
 // Search evaluates a ranked keyword query over the virtual view: the

@@ -172,9 +172,11 @@ type worker struct {
 	cat   unitCatalog
 	doc   int32
 	lists []*invindex.PostingList
-	// nodes and kids are detach's slabs for the unit's copies.
+	// nodes and kids are detach's slabs for the item's copies, and own is
+	// owns for the item.
 	nodes []xmltree.Node
 	kids  []*xmltree.Node
+	own   bool
 }
 
 // listsOf returns a document's posting list per keyword: a result's Meta
@@ -285,32 +287,37 @@ func statsAt(slab []int, k, i int) scoring.Stats {
 	return scoring.Stats{TFs: slab[at : at+k : at+k], ByteLen: slab[at+k]}
 }
 
-// detach makes a unit's kept results (the non-nil slots) independent of
-// the memory the worker's next unit reuses — the arena's PDT and the
-// evaluator's unit document node — by copying every such node they reach
-// into one slab, and the copies' child pointers into a second, each sized
-// by a first walk:
+// detach makes an item's kept results (the non-nil slots) independent of
+// pooled memory — the pass's PDTs, whose arenas go back to the pool when
+// the pass ends, and the evaluator's unit document node, which the
+// worker's next unit rebinds — by copying every such node they reach, and
+// every node that is not the item's own and leads to one, into one slab,
+// and the copies' child pointers into a second, each sized by a first
+// walk:
 //
 //   - A Meta node is copied without children: nothing reads below one once
 //     its scoring inputs are collected (addResultStats stops there, and
 //     scoring.Materialize fetches a node with an ID whole from base data).
-//   - Any other PDT node, and the document node, is copied with its
+//   - Any other PDT node, and the unit document node, is copied with its
 //     children detached.
-//   - A constructed node keeps its identity; its children are re-pointed
-//     to their copies.
-//   - A side document's node is left as it is: its PDT lives as long as
-//     the search.
+//   - A constructed element the item owns (worker.owns) keeps its
+//     identity; its children are re-pointed to their copies.
+//   - Any other node — a side document's document node, a PDT's top node
+//     (both '#'-tagged and shared by every item), or a constructed element
+//     the item does not own — is copied with its children detached when
+//     one of them leads to pooled memory, and kept as it is otherwise.
 //
 // A node reached along two paths is copied once per path, as both walks
-// count it. A constructed node reached twice is walked twice, the second
+// count it. An owned element reached twice is walked twice, the second
 // time over the copies the first made, which are copied again: the second
-// walk copies no node the first did not count, so the slabs never grow.
-// Only a unit evaluates over worker memory; a chunk's results are left as
-// they are.
+// walk copies no node the first did not count, so the slabs never grow. A
+// skeleton serve reads no pooled memory, so its results are left as they
+// are.
 func (w *worker) detach(results []*xmltree.Node) {
-	if w.arena == nil {
+	if w.arena == nil && len(w.p.arenas) == 0 {
 		return
 	}
+	w.own = w.owns()
 	nodes, kids := 0, 0
 	for _, r := range results {
 		if r != nil {
@@ -329,70 +336,114 @@ func (w *worker) detach(results []*xmltree.Node) {
 	w.nodes, w.kids = nil, nil
 }
 
-// reused reports whether n is memory the worker's next unit overwrites: a
-// node of the unit's PDT (its Dewey ID names the unit's document; a side
-// document's names its own) or the evaluator's unit document node.
+// owns reports whether the constructed elements the current item's
+// results reach are the item's alone, so that detach may write them: a
+// unit's or a binding chunk's evaluation built them, unless its evaluator
+// keeps some across items (xqeval.Evaluator.KeepsConstructed) or the
+// pass's outer bindings are constructed, and so shared by the chunks. A
+// result chunk's come from the one evaluation of the whole view, which
+// may share an element among results in several chunks.
+func (w *worker) owns() bool {
+	return w.ev != nil && !w.ev.KeepsConstructed() && !w.p.builtBindings
+}
+
+// reused reports whether n is pooled memory: a PDT node (it has a Dewey
+// ID) or the evaluator's unit document node.
 func (w *worker) reused(n *xmltree.Node) bool {
-	return n == w.ev.UnitNode() || len(n.ID) > 0 && n.ID[0] == w.doc
+	return len(n.ID) > 0 || w.arena != nil && n == w.ev.UnitNode()
 }
 
 // count adds to nodes and kids the copies and copied child pointers that
-// copyOut(n) makes.
-func (w *worker) count(n *xmltree.Node, nodes, kids *int) {
-	switch {
-	case w.reused(n):
+// copyOut(n) makes, and reports whether n leads to pooled memory. A node
+// copyOut may copy counts its child pointers whether it is copied or not,
+// so the child slab has room for copyOut's trial of them.
+func (w *worker) count(n *xmltree.Node, nodes, kids *int) bool {
+	reused := w.reused(n)
+	if reused && n.Meta != nil {
 		*nodes++
-		if n.Meta != nil {
-			return
-		}
+		return true
+	}
+	inPlace := !reused && w.own && xqeval.Constructed(n)
+	if !inPlace {
 		*kids += len(n.Children)
-	case len(n.ID) > 0:
-		return // a side document's node
 	}
+	leads := reused
 	for _, c := range n.Children {
-		w.count(c, nodes, kids)
+		if w.count(c, nodes, kids) {
+			leads = true
+		}
 	}
+	if leads && !inPlace {
+		*nodes++
+	}
+	return leads
 }
 
-// copyOut returns what stands for n once the worker's memory is reused:
-// a copy of reused memory, and n itself otherwise, a constructed node's
-// children re-pointed.
+// copyOut returns what stands for n once the pass's pooled memory is
+// reused: an owned constructed element itself, its children re-pointed;
+// any other node itself when it does not lead to pooled memory, else a
+// copy. A copy's child slice is carved from the child slab before the
+// children are walked, and given back when none of them changes, which
+// leaves nothing appended after it.
 func (w *worker) copyOut(n *xmltree.Node) *xmltree.Node {
-	if !w.reused(n) {
-		if len(n.ID) == 0 {
-			for j, c := range n.Children {
-				if cc := w.copyOut(c); cc != c {
-					n.Children[j] = cc
-				}
+	reused := w.reused(n)
+	if reused && n.Meta != nil {
+		w.nodes = append(w.nodes, *n)
+		c := &w.nodes[len(w.nodes)-1]
+		c.Children = nil
+		return c
+	}
+	if !reused && w.own && xqeval.Constructed(n) {
+		for j, ch := range n.Children {
+			if cc := w.copyOut(ch); cc != ch {
+				n.Children[j] = cc
 			}
 		}
+		return n
+	}
+	at := len(w.kids)
+	w.kids = append(w.kids, n.Children...)
+	kids := w.kids[at:len(w.kids):len(w.kids)]
+	leads := reused
+	for j, ch := range kids {
+		if kids[j] = w.copyOut(ch); kids[j] != ch {
+			leads = true
+		}
+	}
+	if !leads {
+		w.kids = w.kids[:at]
 		return n
 	}
 	w.nodes = append(w.nodes, *n)
 	c := &w.nodes[len(w.nodes)-1]
 	c.Children = nil
-	if n.Meta == nil && len(n.Children) > 0 {
-		at := len(w.kids)
-		w.kids = append(w.kids, n.Children...)
-		c.Children = w.kids[at:len(w.kids):len(w.kids)]
-		for j, ch := range c.Children {
-			c.Children[j] = w.copyOut(ch)
-		}
+	if len(kids) > 0 {
+		c.Children = kids
 	}
 	return c
 }
 
-// arenaPool recycles the per-document pass's PDT arenas across searches.
-// An arena grown past maxPooledArena nodes is left to the collector, so a
-// search over one large document does not keep its slabs resident.
+// arenaPool recycles PDT arenas across passes: every direct pass
+// generates each side document's PDT into an arena of its own, and each
+// worker of a per-document pass its units' PDTs into one. An arena grown
+// past maxPooledArena nodes is left to the collector, so a search over one
+// large document does not keep its slabs resident.
 var arenaPool = sync.Pool{New: func() any { return new(pdt.Arena) }}
 
-const maxPooledArena = 1 << 10
+// maxPooledArena is the capacity, in nodes, of the largest arena the pool
+// keeps. It keeps the arenas of the benchmark's INEX-like join views: the
+// largest side PDT they generate over one document is 7,083 nodes
+// (inex.xml under join4), and the slabs' geometric growth takes the arena
+// that holds it to 8,362 nodes of capacity, past 1 << 13. A pooled arena
+// retains at most maxPooledArena nodes and as many child pointers, 104
+// bytes each (1.6 MiB); the pool holds at most the arenas that were in
+// use at once since the collector last emptied it — per concurrent
+// search, its side documents and its workers.
+const maxPooledArena = 1 << 14
 
-// releaseArenas ends a per-document pass's use of its workers' arenas:
-// each is cleared — no result points into it any more (detach), and a
-// cleared arena keeps no document's index alive — and pooled unless it
-// grew too large.
+// releaseArenas ends a pass's use of its arenas: each is cleared — no
+// result points into it any more (detach), and a cleared arena keeps no
+// document's index alive — and pooled unless it grew too large.
 func releaseArenas(arenas []*pdt.Arena) {
 	for _, a := range arenas {
 		if a == nil {
@@ -431,6 +482,13 @@ type pass struct {
 	// owner is the document that owns every chunk's results: the literal
 	// outer document of a whole-view view (0 when there is none).
 	owner int32
+	// arenas are the pooled arenas the pass's PDTs live in, the side
+	// documents' and, once the items are done, the workers': direct
+	// releases them all when the pass ends. A skeleton serve has none.
+	arenas []*pdt.Arena
+	// builtBindings records that an outer binding is a constructed
+	// element, which the binding chunks may share (worker.owns).
+	builtBindings bool
 }
 
 // run runs the pass's items on a pool of out.stats.Workers and
@@ -468,7 +526,7 @@ func (p *pass) run(start time.Time) error {
 		}
 		return func(i int) { w.run(i, &items[i]) }
 	})
-	releaseArenas(arenas)
+	p.arenas = append(p.arenas, arenas...)
 	if err != nil {
 		return err
 	}
@@ -523,17 +581,18 @@ func (p *pass) run(start time.Time) error {
 // of the unchanged view, as one pass. The side documents — the candidates
 // of the other references for a view that runs per document
 // (perDocumentReason), every candidate otherwise — get their PDTs
-// (PDTTime) and keyword lists first, once. The pass's wall time counts
+// (PDTTime), in pooled arenas that the pass releases when it ends, and
+// keyword lists first, once. The pass's wall time counts
 // from the keyword lists on, a whole-view view's outer bindings or whole
 // evaluation included (run).
 func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
 	p := &pass{ctx: ctx, out: out, v: v}
+	defer func() { releaseArenas(p.arenas) }()
 	sides := pl.units
 	if v.perDocument {
 		p.units, sides = pl.split(v.Deps.Outer)
 	}
-	var err error
-	if p.sides, err = generatePDTs(ctx, sides, out.stats); err != nil {
+	if err := p.generatePDTs(sides); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -561,6 +620,10 @@ func (p *pass) evalOuter(pl *plan) error {
 		}
 		if partitionable {
 			p.bindings = bindings
+			p.builtBindings = slices.ContainsFunc(bindings, func(b xqeval.Item) bool {
+				n, ok := b.(*xmltree.Node)
+				return ok && xqeval.Constructed(n)
+			})
 			p.chunks = chunkBounds(len(bindings), p.out.stats.Workers*4)
 			outer := slices.IndexFunc(pl.units, func(u unit) bool { return u.q.Doc == p.v.Deps.Outer })
 			if outer >= 0 && !docname.IsPattern(p.v.Deps.Outer) {

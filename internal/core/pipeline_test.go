@@ -80,6 +80,13 @@ func seqRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts core
 // winners only.
 func clusterRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts core.Options) []row {
 	t.Helper()
+	return clusterRowsBetween(t, e, v, kws, opts, func() {})
+}
+
+// clusterRowsBetween is clusterRows with between run after ClusterRank and
+// before MaterializeAt.
+func clusterRowsBetween(t *testing.T, e *core.Engine, v *core.View, kws []string, opts core.Options, between func()) []row {
+	t.Helper()
 	ctx := context.Background()
 	rk, err := e.ClusterRank(ctx, v, kws, opts)
 	if err != nil {
@@ -105,6 +112,7 @@ func clusterRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts 
 	for i, sc := range scored {
 		positions[i] = sc.Index
 	}
+	between()
 	mats, _, err := e.MaterializeAt(ctx, v, kws, opts, positions)
 	if err != nil {
 		t.Fatal(err)

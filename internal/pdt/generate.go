@@ -124,7 +124,7 @@ type generator struct {
 	// PDT's elements in document order without a sort.
 	src   []srcRef
 	marks []uint8
-	// prepared is the lists of the pooled entry, GenerateFromIndex, and the
+	// prepared is the lists of the pooled entry, GenerateInto, and the
 	// memory they are prepared in. build takes tags, ID prefixes and values
 	// from the lists, and none of them lives in that memory (a filtered
 	// posting's header does; the ID and value it points to do not), so no
@@ -165,19 +165,12 @@ func Generate(q *qpt.QPT, lists *Lists, sourceName string) *PDT {
 	return pdt
 }
 
-// GenerateFromIndex is PrepareLists without keywords followed by Generate,
-// with the lists prepared in the pooled generator's memory: the
-// per-candidate pipeline of a search, which allocates, once warm, only the
-// PDT it returns and what the index allocates per lookup (a stored index
-// decodes its lists afresh).
-func GenerateFromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
-	return GenerateInto(new(Arena), q, pix, sourceName)
-}
-
-// GenerateInto is GenerateFromIndex into a: the PDT, its document and its
-// nodes are a's memory, overwritten by the next GenerateInto or Clear on
-// a. Generation into a warm arena allocates only what the index allocates
-// per lookup.
+// GenerateInto is PrepareLists without keywords followed by Generate, with
+// the lists prepared in the pooled generator's memory and the PDT built
+// into a: the per-candidate pipeline of a search. The PDT, its document and
+// its nodes are a's memory, overwritten by the next GenerateInto or Clear
+// on a. Generation into a warm arena allocates only what the index
+// allocates per lookup (a stored index decodes its lists afresh).
 func GenerateInto(a *Arena, q *qpt.QPT, pix *pathindex.Index, sourceName string) *PDT {
 	g := genPool.Get().(*generator)
 	pdt := g.fromIndex(q, pix, sourceName, a)

@@ -59,8 +59,8 @@ func benchWorkload(b *testing.B, articles int) (*qpt.QPT, *Lists) {
 // Only the predicate-filtered list (year > 1995) should cost in proportion
 // to the document. At 8 articles, the size of a collection_fanout part, it
 // also runs the engine's per-candidate pipeline, list preparation and
-// generation in a pooled generator's memory (GenerateFromIndex), whose
-// allocations are the PDT's alone.
+// generation in a pooled generator's memory into a fresh arena
+// (GenerateInto), whose allocations are the PDT's alone.
 func BenchmarkPrepareLists(b *testing.B) {
 	for _, articles := range []int{8, 200, 3200} {
 		q, pix, iix := benchIndices(b, articles)
@@ -78,7 +78,7 @@ func BenchmarkPrepareLists(b *testing.B) {
 			b.Run("articles=8/pooled-generate", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if p := GenerateFromIndex(q, pix, "books.xml"); p.Nodes == 0 {
+					if p := GenerateInto(new(Arena), q, pix, "books.xml"); p.Nodes == 0 {
 						b.Fatal("empty PDT")
 					}
 				}

@@ -617,7 +617,7 @@ func mustBeZero[T any](t *testing.T, what string, entries []T) {
 }
 
 // TestGenerateIntoReusesArena runs documents of growing, shrinking and no
-// PDT through one arena. Each PDT equals a fresh GenerateFromIndex's and
+// PDT through one arena. Each PDT equals one generated into a fresh arena and
 // is the arena's memory. Once the arena has grown to the largest,
 // generating into it allocates nothing. Clear zeroes everything in the slabs' capacity and both
 // headers, so a cleared arena keeps no document's index alive.
@@ -630,7 +630,7 @@ func TestGenerateIntoReusesArena(t *testing.T) {
 	for i, text := range texts {
 		doc := parseDoc(t, text, "r.xml", int32(i+1))
 		pix := pathindex.Build(doc)
-		want := GenerateFromIndex(q, pix, doc.Name)
+		want := GenerateInto(new(Arena), q, pix, doc.Name)
 		got := g.fromIndex(q, pix, doc.Name, a)
 		if render(got) != render(want) || got.Nodes != want.Nodes || got.Bytes != want.Bytes || (got.Doc == nil) != (want.Doc == nil) {
 			t.Fatalf("document %d: arena PDT\n%s want\n%s", i, render(got), render(want))

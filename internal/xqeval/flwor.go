@@ -241,7 +241,8 @@ func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
 // indices are kept, so a join over a side document is built once per
 // evaluator: sound when only the first clause reads the unit document
 // (core's partition rule), as EvalUnit loops over that clause and never
-// hash-joins it. Everything else that holds nodes — the value stack, the
+// hash-joins it. KeepsConstructed reports when a kept index holds
+// constructed elements. Everything else that holds nodes — the value stack, the
 // step buffers, the dedupe set and the loop frames — is scratch, rewritten
 // before it is read.
 func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, doc *xmltree.Document) ([]*xmltree.Node, error) {
@@ -420,6 +421,11 @@ func (e *Evaluator) buildJoinIndex(jp *joinPlan, cl xq.ForLetClause, en *env) er
 	seq, err := e.Eval(cl.In, en)
 	if err != nil {
 		return err
+	}
+	for _, item := range seq {
+		if n, ok := item.(*xmltree.Node); ok && Constructed(n) {
+			e.keepsBuilt = true
+		}
 	}
 	index := &joinIndex{byNum: map[float64][]int{}, byStr: make(map[string][]int, len(seq))}
 	f := e.loopFrame(cl.Var, nil)

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"vxml/internal/docname"
 	"vxml/internal/xmltree"
@@ -98,6 +99,9 @@ type Evaluator struct {
 	joins     map[*xq.FLWORExpr]*joinPlan
 	docNodes  map[*xmltree.Document]*xmltree.Node
 	callDepth int
+	// keepsBuilt records that a join index, kept from call to call, holds
+	// a constructed element (KeepsConstructed).
+	keepsBuilt bool
 	// unit is EvalUnit's current unit document and unitNode its document
 	// node, rebound by every EvalUnit over the one-child slice unitKid.
 	unit     *xmltree.Document
@@ -157,6 +161,21 @@ func (e *Evaluator) ctxErr() error {
 // docNodeTag is the tag of the document-node wrapper; no element can have
 // it ('#' is not a name character).
 const docNodeTag = "#document"
+
+// Constructed reports whether n is an element a constructor built: it has
+// no Dewey ID, and its tag is a name, where the wrappers that stand for a
+// document or hold several top-level PDT elements have a tag starting with
+// '#'.
+func Constructed(n *xmltree.Node) bool {
+	return len(n.ID) == 0 && !strings.HasPrefix(n.Tag, "#")
+}
+
+// KeepsConstructed reports whether one of the hash-join indices the
+// evaluator keeps from call to call (see EvalUnit) holds a constructed
+// element, which the next EvalUnit or EvalTail may then reach again. Every
+// other constructed element a call's value reaches was built by that call
+// (or comes from its binding, for EvalTail) and is the caller's alone.
+func (e *Evaluator) KeepsConstructed() bool { return e.keepsBuilt }
 
 // docNode returns the cached document node for doc: a "#document" wrapper
 // whose single child is the root element, so a leading /roottag step works
