@@ -242,9 +242,9 @@ func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
 // evaluator: sound when only the first clause reads the unit document
 // (core's partition rule), as EvalUnit loops over that clause and never
 // hash-joins it. KeepsConstructed reports when a kept index holds
-// constructed elements. Everything else that holds nodes — the value stack, the
-// step buffers, the dedupe set and the loop frames — is scratch, rewritten
-// before it is read.
+// constructed elements. Everything else that holds nodes — the value
+// stack, the step buffers, the dedupe set and the loop frames — is
+// scratch, rewritten before it is read.
 func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, doc *xmltree.Document) ([]*xmltree.Node, error) {
 	e.unit, e.unitNode = doc, xmltree.Node{Tag: docNodeTag}
 	if doc.Root != nil {

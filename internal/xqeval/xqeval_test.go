@@ -374,15 +374,21 @@ return $bookrev`)
 // first view's inner FLWOR is a hash join over the side document. The
 // second has one clause, whose where compares with the side document: Eval
 // would hash-join the unit's own reviews, an index no later unit may reuse.
+// The third hash-joins elements it constructs, which the kept index then
+// holds from unit to unit (KeepsConstructed), where the first's holds the
+// side document's own.
 func TestEvalUnitKeepsSideJoins(t *testing.T) {
 	for _, tc := range []struct {
 		view            string
 		indices, probes int
+		constructed     bool
 	}{
 		{`for $r in fn:collection("rev-*")/reviews/review
-			return <r>{$r/rate}, {for $b in fn:doc(books.xml)/books/book where $b/isbn = $r/isbn return $b/title}</r>`, 1, 4},
+			return <r>{$r/rate}, {for $b in fn:doc(books.xml)/books/book where $b/isbn = $r/isbn return $b/title}</r>`, 1, 4, false},
 		{`for $r in fn:collection("rev-*")/reviews/review
-			where $r/isbn = fn:doc(books.xml)/books/book/isbn return $r/rate`, 0, 0},
+			where $r/isbn = fn:doc(books.xml)/books/book/isbn return $r/rate`, 0, 0, false},
+		{`for $r in fn:collection("rev-*")/reviews/review
+			return <r>{for $b in (for $x in fn:doc(books.xml)/books/book return <w>{$x/isbn}, {$x/title}</w>) where $b/isbn = $r/isbn return $b}</r>`, 1, 4, true},
 	} {
 		q, err := xq.Parse(tc.view)
 		if err != nil {
@@ -435,6 +441,9 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 			}
 			if len(built) > 0 {
 				index = built[0]
+			}
+			if ev.KeepsConstructed() != tc.constructed {
+				t.Fatalf("unit %d: KeepsConstructed is %v", i, !tc.constructed)
 			}
 			prev = unit
 		}
