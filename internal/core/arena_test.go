@@ -4,39 +4,25 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"strings"
 	"testing"
 
 	"vxml/internal/catalog"
 	"vxml/internal/core"
 )
 
-// arenaCorpus is keepCorpus plus shelf.xml, which holds every part's
-// articles, and side.xml, whose x elements sit under three different
-// parents: a QPT whose first edge is //x makes its PDT several top-level
-// elements under the arena's ID-less top node.
+// arenaCorpus is shelfCorpus plus side.xml, whose x elements sit under
+// three different parents: a QPT whose first edge is //x makes its PDT
+// several top-level elements under the arena's ID-less top node.
 func arenaCorpus(t *testing.T) *core.Engine {
 	t.Helper()
-	e := keepCorpus(t)
-	var shelf strings.Builder
-	shelf.WriteString("<books>")
-	for i := 0; i < 12; i++ {
-		xml := e.Store.Doc(fmt.Sprintf("part-%02d.xml", i)).Root.XMLString("")
-		shelf.WriteString(strings.TrimSuffix(strings.TrimPrefix(xml, "<books>"), "</books>"))
-	}
-	shelf.WriteString("</books>")
-	for name, xml := range map[string]string{
-		"shelf.xml": shelf.String(),
-		"side.xml":  `<a><x>copper one</x><b><x>quartz two</x><x>copper three</x></b><c><x>copper quartz</x></c></a>`,
-	} {
-		if err := e.AddXML(name, xml); err != nil {
-			t.Fatal(err)
-		}
+	e := shelfCorpus(t)
+	if err := e.AddXML("side.xml", `<a><x>copper one</x><b><x>quartz two</x><x>copper three</x></b><c><x>copper quartz</x></c></a>`); err != nil {
+		t.Fatal(err)
 	}
 	return e
 }
 
-// arenaViews read side documents, whose PDTs every direct pass generates
+// arenaSideViews read side documents, whose PDTs every direct pass generates
 // into pooled arenas: a whole-view join over a literal outer document
 // (outer-binding chunks), a per-document view joining a side document, a
 // //x-first view over side.xml, and a let-first view (evaluated whole,

@@ -353,6 +353,12 @@ func (w *worker) reused(n *xmltree.Node) bool {
 	return len(n.ID) > 0 || w.arena != nil && n == w.ev.UnitNode()
 }
 
+// rewrites reports whether detach re-points n's children in place: n is
+// a constructed element the item owns, not pooled memory (reused).
+func (w *worker) rewrites(n *xmltree.Node, reused bool) bool {
+	return !reused && w.own && xqeval.Constructed(n)
+}
+
 // count adds to nodes and kids the copies and copied child pointers that
 // copyOut(n) makes, and reports whether n leads to pooled memory. A node
 // copyOut may copy counts its child pointers whether it is copied or not,
@@ -363,7 +369,7 @@ func (w *worker) count(n *xmltree.Node, nodes, kids *int) bool {
 		*nodes++
 		return true
 	}
-	inPlace := !reused && w.own && xqeval.Constructed(n)
+	inPlace := w.rewrites(n, reused)
 	if !inPlace {
 		*kids += len(n.Children)
 	}
@@ -393,7 +399,7 @@ func (w *worker) copyOut(n *xmltree.Node) *xmltree.Node {
 		c.Children = nil
 		return c
 	}
-	if !reused && w.own && xqeval.Constructed(n) {
+	if w.rewrites(n, reused) {
 		for j, ch := range n.Children {
 			if cc := w.copyOut(ch); cc != ch {
 				n.Children[j] = cc

@@ -419,6 +419,24 @@ func keepCorpus(t *testing.T) *core.Engine {
 	return e
 }
 
+// shelfCorpus is keepCorpus plus shelf.xml, which holds every part's
+// articles.
+func shelfCorpus(t *testing.T) *core.Engine {
+	t.Helper()
+	e := keepCorpus(t)
+	var shelf strings.Builder
+	shelf.WriteString("<books>")
+	for i := 0; i < 12; i++ {
+		xml := e.Store.Doc(fmt.Sprintf("part-%02d.xml", i)).Root.XMLString("")
+		shelf.WriteString(strings.TrimSuffix(strings.TrimPrefix(xml, "<books>"), "</books>"))
+	}
+	shelf.WriteString("</books>")
+	if err := e.AddXML("shelf.xml", shelf.String()); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // baselineRows is Baseline's answer as rows.
 func baselineRows(t *testing.T, e *core.Engine, v *core.View, kws []string, opts core.Options) []row {
 	t.Helper()
@@ -479,17 +497,7 @@ func TestWholeViewKeepPolicy(t *testing.T) {
 		`let $as := fn:doc(shelf.xml)/books//article for $a in $as return $a`,
 	} {
 		for _, par := range []int{1, 4} {
-			e := keepCorpus(t)
-			var shelf strings.Builder
-			shelf.WriteString("<books>")
-			for i := 0; i < 12; i++ {
-				xml := e.Store.Doc(fmt.Sprintf("part-%02d.xml", i)).Root.XMLString("")
-				shelf.WriteString(strings.TrimSuffix(strings.TrimPrefix(xml, "<books>"), "</books>"))
-			}
-			shelf.WriteString("</books>")
-			if err := e.AddXML("shelf.xml", shelf.String()); err != nil {
-				t.Fatal(err)
-			}
+			e := shelfCorpus(t)
 			v, err := e.CompileView(text)
 			if err != nil {
 				t.Fatal(err)
