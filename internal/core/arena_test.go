@@ -26,7 +26,15 @@ func arenaCorpus(t *testing.T) *core.Engine {
 // into pooled arenas: a whole-view join over a literal outer document
 // (outer-binding chunks), a per-document view joining a side document, a
 // //x-first view over side.xml, and a let-first view (evaluated whole,
-// collected in result chunks).
+// collected in result chunks). The last four construct elements at
+// several levels, in the pooled slabs of the pass's evaluators: a
+// join4-shaped view, its constructors inside constructors inside hash
+// joins; a per-document view whose side join indexes elements it
+// constructs, so its workers keep their slabs from unit to unit
+// (xqeval.Evaluator.KeepsConstructed); a let-first view with nested
+// constructors; and a view whose outer for clause binds constructed
+// elements, which every binding chunk reads from the whole-view
+// evaluation's slab.
 var arenaSideViews = []string{
 	`for $a in fn:doc(shelf.xml)/books//article
 	 return <r>{$a/bdy}, {for $p in fn:collection("part-*")/books//article where $p/fm/yr = $a/fm/yr return $p/fm/tl}</r>`,
@@ -34,12 +42,24 @@ var arenaSideViews = []string{
 	 return <r>{$a/fm/tl}, {for $s in fn:doc(shelf.xml)/books//article where $s/fm/yr = $a/fm/yr return $s/bdy}</r>`,
 	`for $x in fn:doc(side.xml)//x return <r>{$x}</r>`,
 	`let $as := fn:doc(shelf.xml)/books//article for $a in $as where $a/fm/yr > 1983 return <r>{$a/fm/tl}, {$a/bdy}</r>`,
+	`for $a in fn:doc(shelf.xml)/books//article
+	 return <arec><aname>{$a/fm/tl}</aname>,
+	   {for $p in fn:collection("part-*")/books//article where $p/fm/yr = $a/fm/yr
+	    return <art><t>{$p/fm/tl}</t>, {$p/bdy},
+	      {for $q in fn:doc(shelf.xml)/books//article where $q/fm/tl = $p/fm/tl return <m><y>{$q/fm/yr}</y></m>}</art>}</arec>`,
+	`for $a in fn:collection("part-*")/books//article
+	 return <r>{$a/fm/tl}, {for $b in (for $s in fn:doc(shelf.xml)/books//article return <w>{$s/fm}, {$s/bdy}</w>)
+	   where $b/fm/yr = $a/fm/yr return <h>{$b/bdy}</h>}</r>`,
+	`let $as := fn:doc(shelf.xml)/books//article for $a in $as where $a/fm/yr > 1983
+	 return <r><h><t>{$a/fm/tl}</t></h>, {$a/bdy}, <n>{<m>{$a/fm/yr}</m>}</n></r>`,
+	`for $w in (for $s in fn:doc(shelf.xml)/books//article return <w>{$s}</w>) return <r>{$w}</r>`,
 }
 
 // TestPooledArenasNeverReachResults: every direct pass generates its PDTs
-// into pooled arenas and releases them when it ends, and Arena.Clear
-// zeroes the released nodes, so a result still pointing into an arena
-// reads zeroed nodes once another search is handed that arena. Each case
+// into pooled arenas and constructs elements in pooled slabs, and releases
+// them when it ends, its workers rewinding their slabs after every item
+// too; Arena.Clear and Slab.Rewind zero the released nodes, so a result
+// still pointing into pooled memory reads zeroed nodes. Each case
 // runs in two halves with searches of the other views in between, at
 // pools of one and four, and every answer must be byte-identical to
 // Baseline's:

@@ -281,6 +281,39 @@ func TestWholeViewPooledPDTAllocBytesPerArticle(t *testing.T) {
 	}
 }
 
+// TestConstructedViewAllocBytesPerUnmatchedResult: a warm whole-view
+// search builds its view's elements in its workers' pooled construction
+// slabs, rewound after every binding chunk, and copies out only the
+// results it keeps, so a result that cannot be ranked costs no more than
+// its stats. So one more result of a view that constructs three elements
+// per result, none matching the keywords, costs what one more of the same
+// view returning its binding bare costs, plus less than one constructed
+// element with its pointer in its parent's Children (slabBytesPerNode).
+// What a result costs either way — its share of the pass's per-result
+// arrays and its binding's evaluation, 176 bytes on these views — is not
+// construction's. Constructing on the heap cost the three elements and
+// their Children slices, 320 bytes more per result. Like the other pins
+// it holds only without the race detector.
+func TestConstructedViewAllocBytesPerUnmatchedResult(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	perResult := func(view string) float64 {
+		return perExtraResult(t, view, func(t *testing.T, e *Engine, v *View) {
+			results, stats, err := e.Search(v, []string{"nowhere"}, Options{K: 10, Parallelism: 1})
+			if err != nil || len(results) != 0 || stats.ViewSize < 128 {
+				t.Fatalf("%d results of %d, err %v", len(results), stats.ViewSize, err)
+			}
+		}, bytesPerRun)
+	}
+	built := perResult(`for $a in fn:doc(shelf.xml)/books//article return <r><h>{$a/fm/tl}</h>, <b>{$a/bdy}</b></r>`)
+	bare := perResult(`for $a in fn:doc(shelf.xml)/books//article return $a`)
+	t.Logf("%.0f bytes per extra result constructed, %.0f bare", built, bare)
+	if built-bare >= float64(slabBytesPerNode) {
+		t.Errorf("constructing costs %.0f bytes per extra unmatched result, want fewer than one element's %d", built-bare, slabBytesPerNode)
+	}
+}
+
 // wholeViewAllocsPerResult is what one more result of a whole-view view
 // partitioned by outer binding costs a search that ranks locally, object
 // by object: EvalTail's exact copy of the binding's value (1). Collection

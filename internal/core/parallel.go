@@ -133,12 +133,13 @@ type itemOutput struct {
 }
 
 // keep is which of a work item's results its caller reads once the pass is
-// over, and so which the item keeps (and a unit detaches from its worker's
-// memory, worker.collect); every other result becomes a nil slot. Each entry
-// point picks its own: a direct evaluation that records the view's
-// skeleton, and MaterializeAt, keep every result; a local ranking keeps the
-// results that satisfy the keyword semantics, the only ones it can rank;
-// ClusterRank, which reads stats and owners alone, keeps none.
+// over, and so which the item keeps (and detaches from the pass's pooled
+// memory, worker.collect); every other result becomes a nil slot, and
+// costs the pass its scoring inputs alone. Each entry point picks its own:
+// a direct evaluation that records the view's skeleton, and MaterializeAt,
+// keep every result; a local ranking keeps the results that satisfy the
+// keyword semantics, the only ones it can rank; ClusterRank, which reads
+// stats and owners alone, keeps none.
 type keep uint8
 
 const (
@@ -162,21 +163,21 @@ func (k keep) keeps(tfs []int, conjunctive bool) bool {
 // worker is one pool goroutine's state in a pass: for units, the arena
 // their PDTs are generated into and an evaluator over a unit catalog it
 // re-points per unit; for binding chunks, an evaluator over the pass's
-// catalog; the current unit's document ID and posting list per keyword
-// (no document has ID 0, so a chunk's stay unset); and detach's scratch.
+// catalog; for both, the pooled slab the evaluator constructs in; the
+// current unit's document ID and posting list per keyword (no document has
+// ID 0, so a chunk's stay unset); and detach's scratch.
 type worker struct {
 	p     *pass
 	arena *pdt.Arena
 	empty xmltree.Document // the unit document of an empty PDT
 	ev    *xqeval.Evaluator
+	slab  *xqeval.Slab
 	cat   unitCatalog
 	doc   int32
 	lists []*invindex.PostingList
-	// nodes and kids are detach's slabs for the item's copies, and own is
-	// owns for the item.
+	// nodes and kids are detach's slabs for the item's copies.
 	nodes []xmltree.Node
 	kids  []*xmltree.Node
-	own   bool
 }
 
 // listsOf returns a document's posting list per keyword: a result's Meta
@@ -214,7 +215,10 @@ func (c *unitCatalog) DocsMatching(pattern string) []*xmltree.Document {
 
 // run is work item i — a unit's PDT generation (an empty PDT is evaluated
 // as a root-less document, unit.document) and evaluation, a binding chunk's
-// evaluation, or a result chunk's results — then collect.
+// evaluation, or a result chunk's results — then collect. Once collect has
+// copied out what the item keeps, the worker rewinds its slab for the next
+// item, unless the evaluator keeps constructed elements from call to call
+// (xqeval.Evaluator.KeepsConstructed).
 func (w *worker) run(i int, d *itemOutput) {
 	p := w.p
 	// The partition rule's Outer, and a binding chunk's, is a top-level
@@ -257,6 +261,9 @@ func (w *worker) run(i int, d *itemOutput) {
 	if d.err == nil {
 		w.collect(d)
 	}
+	if w.slab != nil && !w.ev.KeepsConstructed() {
+		w.slab.Rewind()
+	}
 	d.eval = time.Since(start)
 }
 
@@ -288,40 +295,28 @@ func statsAt(slab []int, k, i int) scoring.Stats {
 }
 
 // detach makes an item's kept results (the non-nil slots) independent of
-// pooled memory — the pass's PDTs, whose arenas go back to the pool when
-// the pass ends, and the evaluator's unit document node, which the
-// worker's next unit rebinds — by copying every such node they reach, and
-// every node that is not the item's own and leads to one, into one slab,
-// and the copies' child pointers into a second, each sized by a first
-// walk:
-//
-//   - A Meta node is copied without children: nothing reads below one once
-//     its scoring inputs are collected (addResultStats stops there, and
-//     scoring.Materialize fetches a node with an ID whole from base data).
-//   - Any other PDT node, and the unit document node, is copied with its
-//     children detached.
-//   - A constructed element the item owns (worker.owns) keeps its
-//     identity; its children are re-pointed to their copies.
-//   - Any other node — a side document's document node, a PDT's top node
-//     (both '#'-tagged and shared by every item), or a constructed element
-//     the item does not own — is copied with its children detached when
-//     one of them leads to pooled memory, and kept as it is otherwise.
-//
-// A node reached along two paths is copied once per path, as both walks
-// count it. An owned element reached twice is walked twice, the second
-// time over the copies the first made, which are copied again: the second
-// walk copies no node the first did not count, so the slabs never grow. A
-// skeleton serve reads no pooled memory, so its results are left as they
-// are.
+// the pass's pooled memory: the PDTs' arenas and the evaluators'
+// construction slabs, which the worker rewinds after the item or the pass
+// releases when it ends, and the evaluator's unit document node, which the
+// worker's next unit rebinds. Every node a direct pass's result reaches is
+// such memory or leads to it — a PDT node, a PDT's top node, a document
+// node over a PDT, a constructed element — bar the document node of a
+// side document whose PDT is empty, so detach copies every node its kept
+// results reach into one slab, and the copies' child pointers into a
+// second, each sized by a first walk (count). A Meta node is copied
+// without children: nothing reads below one once its scoring inputs are
+// collected (addResultStats stops there, and scoring.Materialize fetches a
+// node with an ID whole from base data). A node reached along two paths is
+// copied once per path. A skeleton serve reads no pooled memory, so its
+// results are left as they are.
 func (w *worker) detach(results []*xmltree.Node) {
-	if w.arena == nil && len(w.p.arenas) == 0 {
+	if !w.p.pooled {
 		return
 	}
-	w.own = w.owns()
 	nodes, kids := 0, 0
 	for _, r := range results {
 		if r != nil {
-			w.count(r, &nodes, &kids)
+			count(r, &nodes, &kids)
 		}
 	}
 	if nodes == 0 {
@@ -336,96 +331,36 @@ func (w *worker) detach(results []*xmltree.Node) {
 	w.nodes, w.kids = nil, nil
 }
 
-// owns reports whether the constructed elements the current item's
-// results reach are the item's alone, so that detach may write them: a
-// unit's or a binding chunk's evaluation built them, unless its evaluator
-// keeps some across items (xqeval.Evaluator.KeepsConstructed) or the
-// pass's outer bindings are constructed, and so shared by the chunks. A
-// result chunk's come from the one evaluation of the whole view, which
-// may share an element among results in several chunks.
-func (w *worker) owns() bool {
-	return w.ev != nil && !w.ev.KeepsConstructed() && !w.p.builtBindings
-}
-
-// reused reports whether n is pooled memory: a PDT node (it has a Dewey
-// ID) or the evaluator's unit document node.
-func (w *worker) reused(n *xmltree.Node) bool {
-	return len(n.ID) > 0 || w.arena != nil && n == w.ev.UnitNode()
-}
-
-// rewrites reports whether detach re-points n's children in place: n is
-// a constructed element the item owns, not pooled memory (reused).
-func (w *worker) rewrites(n *xmltree.Node, reused bool) bool {
-	return !reused && w.own && xqeval.Constructed(n)
-}
-
 // count adds to nodes and kids the copies and copied child pointers that
-// copyOut(n) makes, and reports whether n leads to pooled memory. A node
-// copyOut may copy counts its child pointers whether it is copied or not,
-// so the child slab has room for copyOut's trial of them.
-func (w *worker) count(n *xmltree.Node, nodes, kids *int) bool {
-	reused := w.reused(n)
-	if reused && n.Meta != nil {
-		*nodes++
-		return true
+// copyOut(n) makes.
+func count(n *xmltree.Node, nodes, kids *int) {
+	*nodes++
+	if n.Meta != nil {
+		return
 	}
-	inPlace := w.rewrites(n, reused)
-	if !inPlace {
-		*kids += len(n.Children)
-	}
-	leads := reused
+	*kids += len(n.Children)
 	for _, c := range n.Children {
-		if w.count(c, nodes, kids) {
-			leads = true
-		}
+		count(c, nodes, kids)
 	}
-	if leads && !inPlace {
-		*nodes++
-	}
-	return leads
 }
 
-// copyOut returns what stands for n once the pass's pooled memory is
-// reused: an owned constructed element itself, its children re-pointed;
-// any other node itself when it does not lead to pooled memory, else a
-// copy. A copy's child slice is carved from the child slab before the
-// children are walked, and given back when none of them changes, which
-// leaves nothing appended after it.
+// copyOut returns n's copy in detach's slab, with its children's copies in
+// a child slice carved from the child slab before they are made; a Meta
+// node's copy has no children.
 func (w *worker) copyOut(n *xmltree.Node) *xmltree.Node {
-	reused := w.reused(n)
-	if reused && n.Meta != nil {
-		w.nodes = append(w.nodes, *n)
-		c := &w.nodes[len(w.nodes)-1]
-		c.Children = nil
+	w.nodes = append(w.nodes, *n)
+	c := &w.nodes[len(w.nodes)-1]
+	c.Children = nil
+	if n.Meta != nil || len(n.Children) == 0 {
 		return c
-	}
-	if w.rewrites(n, reused) {
-		for j, ch := range n.Children {
-			if cc := w.copyOut(ch); cc != ch {
-				n.Children[j] = cc
-			}
-		}
-		return n
 	}
 	at := len(w.kids)
 	w.kids = append(w.kids, n.Children...)
 	kids := w.kids[at:len(w.kids):len(w.kids)]
-	leads := reused
 	for j, ch := range kids {
-		if kids[j] = w.copyOut(ch); kids[j] != ch {
-			leads = true
-		}
+		kids[j] = w.copyOut(ch)
 	}
-	if !leads {
-		w.kids = w.kids[:at]
-		return n
-	}
-	w.nodes = append(w.nodes, *n)
-	c := &w.nodes[len(w.nodes)-1]
-	c.Children = nil
-	if len(kids) > 0 {
-		c.Children = kids
-	}
+	c.Children = kids
 	return c
 }
 
@@ -436,28 +371,55 @@ func (w *worker) copyOut(n *xmltree.Node) *xmltree.Node {
 // large document does not keep its slabs resident.
 var arenaPool = sync.Pool{New: func() any { return new(pdt.Arena) }}
 
+// slabPool recycles construction slabs across passes: the evaluator of
+// every direct pass's whole-view evaluation (evalOuter), and of each of
+// its workers, constructs in one. A slab grown past maxPooledSlab is left
+// to the collector.
+var slabPool = sync.Pool{New: func() any { return new(xqeval.Slab) }}
+
 // maxPooledArena is the capacity, in nodes, of the largest arena the pool
 // keeps. It keeps the arenas of the benchmark's INEX-like join views: the
 // largest side PDT they generate over one document is 7,083 nodes
-// (inex.xml under join4), and the slabs' geometric growth takes the arena
-// that holds it to 8,362 nodes of capacity, past 1 << 13. A pooled arena
-// retains at most maxPooledArena nodes and as many child pointers, 104
-// bytes each (1.6 MiB); the pool holds at most the arenas that were in
-// use at once since the collector last emptied it — per concurrent
-// search, its side documents and its workers.
-const maxPooledArena = 1 << 14
+// (inex.xml under join4), and an arena grows its slabs to the exact size
+// asked for, so the arena that holds it has 7,083 nodes of capacity,
+// within 1 << 13. A pooled arena retains at most maxPooledArena nodes and
+// as many child pointers, 104 bytes each (832 KiB); the pool holds at most
+// the arenas that were in use at once since the collector last emptied it
+// — per concurrent search, its side documents and its workers.
+const maxPooledArena = 1 << 13
 
-// releaseArenas ends a pass's use of its arenas: each is cleared — no
-// result points into it any more (detach), and a cleared arena keeps no
-// document's index alive — and pooled unless it grew too large.
-func releaseArenas(arenas []*pdt.Arena) {
-	for _, a := range arenas {
+// maxPooledSlab is the capacity, in nodes or child pointers (Slab.Cap),
+// of the largest construction slab the pool keeps, derived as
+// maxPooledArena is: it keeps the slabs of the benchmark's INEX-like join
+// views, the largest of which held 1,611 nodes and 3,607 child pointers,
+// a Cap of 4,096, with room to spare for a worker whose evaluator keeps
+// constructed elements from item to item, and so holds what every item
+// it ran built. A pooled slab retains at most maxPooledSlab nodes and as
+// many child pointers, 104 bytes each (832 KiB); the pool holds at most
+// one slab per worker and one per whole-view evaluation of every
+// concurrent search.
+const maxPooledSlab = 1 << 13
+
+// release ends a pass's use of its pooled memory: every arena and slab is
+// cleared — no result points into it any more (detach), and a cleared one
+// keeps no document's index alive — and pooled unless it grew too large.
+func (p *pass) release() {
+	for _, a := range p.arenas {
 		if a == nil {
 			continue
 		}
 		a.Clear()
 		if a.Cap() <= maxPooledArena {
 			arenaPool.Put(a)
+		}
+	}
+	for _, s := range p.slabs {
+		if s == nil {
+			continue
+		}
+		s.Rewind()
+		if s.Cap() <= maxPooledSlab {
+			slabPool.Put(s)
 		}
 	}
 }
@@ -468,8 +430,10 @@ func releaseArenas(arenas []*pdt.Arena) {
 // the view over it plus the side documents (EvalUnit); outer-binding
 // chunks (bindings), each evaluating a whole-view view per binding of its
 // outer for clause (EvalTail); or result chunks (results), a skeleton's
-// results or a view's evaluated whole. Every item ends in the one
-// collector, which writes nil slots into a result chunk's window of
+// results or a view's evaluated whole. A direct pass's evaluators build
+// the view's elements in pooled slabs, so its results are pooled memory
+// until the collector copies out the ones it keeps. Every item ends in the
+// one collector, which writes nil slots into a result chunk's window of
 // results: only planned searches, which keep every result, serve a
 // skeleton, so its artifact is never written.
 type pass struct {
@@ -488,13 +452,14 @@ type pass struct {
 	// owner is the document that owns every chunk's results: the literal
 	// outer document of a whole-view view (0 when there is none).
 	owner int32
-	// arenas are the pooled arenas the pass's PDTs live in, the side
-	// documents' and, once the items are done, the workers': direct
+	// pooled marks a direct pass, whose results reach its pooled memory:
+	// arenas, the pooled arenas its PDTs live in, the side documents' and,
+	// once the items are done, the workers'; and slabs, the construction
+	// slabs of its whole-view evaluation and of its workers. direct
 	// releases them all when the pass ends. A skeleton serve has none.
+	pooled bool
 	arenas []*pdt.Arena
-	// builtBindings records that an outer binding is a constructed
-	// element, which the binding chunks may share (worker.owns).
-	builtBindings bool
+	slabs  []*xqeval.Slab
 }
 
 // run runs the pass's items on a pool of out.stats.Workers and
@@ -512,9 +477,13 @@ func (p *pass) run(start time.Time) error {
 	}
 	n := len(p.chunks)
 	var arenas []*pdt.Arena
+	var slabs []*xqeval.Slab
 	if p.units != nil {
 		n = len(p.units)
 		arenas = make([]*pdt.Arena, max(1, min(stats.Workers, n)))
+	}
+	if p.units != nil || p.bindings != nil {
+		slabs = make([]*xqeval.Slab, max(1, min(stats.Workers, n)))
 	}
 	items := make([]itemOutput, n)
 	err := forEachWorker(p.ctx, stats.Workers, n, func(wi int) func(int) {
@@ -528,11 +497,15 @@ func (p *pass) run(start time.Time) error {
 			w.ev = xqeval.New(p.sides, p.v.Funcs)
 		}
 		if w.ev != nil {
+			w.slab = slabPool.Get().(*xqeval.Slab)
+			slabs[wi] = w.slab
+			w.ev.SetSlab(w.slab)
 			w.ev.SetContext(p.ctx)
 		}
 		return func(i int) { w.run(i, &items[i]) }
 	})
 	p.arenas = append(p.arenas, arenas...)
+	p.slabs = append(p.slabs, slabs...)
 	if err != nil {
 		return err
 	}
@@ -587,13 +560,13 @@ func (p *pass) run(start time.Time) error {
 // of the unchanged view, as one pass. The side documents — the candidates
 // of the other references for a view that runs per document
 // (perDocumentReason), every candidate otherwise — get their PDTs
-// (PDTTime), in pooled arenas that the pass releases when it ends, and
-// keyword lists first, once. The pass's wall time counts
-// from the keyword lists on, a whole-view view's outer bindings or whole
-// evaluation included (run).
+// (PDTTime), in pooled arenas, and keyword lists first, once. The pass
+// releases its arenas and construction slabs when it ends. Its wall time
+// counts from the keyword lists on, a whole-view view's outer bindings or
+// whole evaluation included (run).
 func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
-	p := &pass{ctx: ctx, out: out, v: v}
-	defer func() { releaseArenas(p.arenas) }()
+	p := &pass{ctx: ctx, out: out, v: v, pooled: true}
+	defer p.release()
 	sides := pl.units
 	if v.perDocument {
 		p.units, sides = pl.split(v.Deps.Outer)
@@ -615,9 +588,14 @@ func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
 // for clause is cut into chunks of its outer bindings, four per worker so
 // that fast workers take over from slow ones (FLWOR evaluates bindings
 // independently: xqeval.OuterBindings), each owned by a literal outer
-// document; any other view is evaluated whole, for result chunks.
+// document; any other view is evaluated whole, for result chunks. The
+// evaluator constructs in a pooled slab of the pass's, so the bindings and
+// results it builds live until the pass ends.
 func (p *pass) evalOuter(pl *plan) error {
 	ev := xqeval.New(p.sides, p.v.Funcs)
+	slab := slabPool.Get().(*xqeval.Slab)
+	p.slabs = append(p.slabs, slab)
+	ev.SetSlab(slab)
 	ev.SetContext(p.ctx)
 	if fl, ok := p.v.Expr.(*xq.FLWORExpr); ok {
 		bindings, partitionable, err := ev.OuterBindings(fl)
@@ -626,10 +604,6 @@ func (p *pass) evalOuter(pl *plan) error {
 		}
 		if partitionable {
 			p.bindings = bindings
-			p.builtBindings = slices.ContainsFunc(bindings, func(b xqeval.Item) bool {
-				n, ok := b.(*xmltree.Node)
-				return ok && xqeval.Constructed(n)
-			})
 			p.chunks = chunkBounds(len(bindings), p.out.stats.Workers*4)
 			outer := slices.IndexFunc(pl.units, func(u unit) bool { return u.q.Doc == p.v.Deps.Outer })
 			if outer >= 0 && !docname.IsPattern(p.v.Deps.Outer) {

@@ -1,7 +1,6 @@
 package pdt
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -186,8 +185,8 @@ func (g *generator) fromIndex(q *qpt.QPT, pix *pathindex.Index, sourceName strin
 
 // Arena is the memory of one PDT at a time, reused from one generation to
 // the next: a node slab, a child-pointer slab and the PDT and Document
-// headers. A fresh arena's slabs are sized exactly; a reused one's are
-// cleared and grown. An Arena is not safe for concurrent use.
+// headers. A slab grows to exactly the size asked for; a reused one is
+// cleared. An Arena is not safe for concurrent use.
 type Arena struct {
 	nodes []xmltree.Node
 	kids  []*xmltree.Node
@@ -213,17 +212,25 @@ func (a *Arena) Clear() {
 // Cap is the number of nodes the arena holds without growing.
 func (a *Arena) Cap() int { return cap(a.nodes) }
 
-// nodeSlab returns the arena's node slab, cleared, with room for n nodes.
+// nodeSlab returns the arena's node slab, cleared, with room for n nodes:
+// a slab too small is replaced by one of exactly n.
 func (a *Arena) nodeSlab(n int) []xmltree.Node {
 	clear(a.nodes)
-	a.nodes = slices.Grow(a.nodes[:0], n)
+	if cap(a.nodes) < n {
+		a.nodes = make([]xmltree.Node, 0, n)
+	}
+	a.nodes = a.nodes[:0]
 	return a.nodes
 }
 
-// kidSlab returns the arena's child-pointer slab, cleared, n long.
+// kidSlab returns the arena's child-pointer slab, cleared, n long: a slab
+// too small is replaced by one of exactly n.
 func (a *Arena) kidSlab(n int) []*xmltree.Node {
 	clear(a.kids)
-	a.kids = slices.Grow(a.kids[:0], n)[:n]
+	if cap(a.kids) < n {
+		a.kids = make([]*xmltree.Node, n)
+	}
+	a.kids = a.kids[:n]
 	return a.kids
 }
 

@@ -86,11 +86,11 @@ func ContainsKeywords(n *xmltree.Node, keywords []string, conjunctive bool) bool
 	return conjunctive
 }
 
-// evalCtor constructs a fresh element. Node children are attached by
-// reference (no deep copy) so that scoring can trace view results back to
-// base or PDT elements. The children's values collect on the stack first,
-// so Children
-// is allocated once at its exact size.
+// evalCtor constructs a fresh element, in the evaluator's slab when it
+// has one (SetSlab). Node children are attached by reference (no deep
+// copy) so that scoring can trace view results back to base or PDT
+// elements. The children's values collect on the stack first, so Children
+// is carved once at its exact size.
 func (e *Evaluator) evalCtor(x *xq.ElementExpr, en *env) error {
 	mark := len(e.stack)
 	for _, childExpr := range x.Children {
@@ -98,16 +98,13 @@ func (e *Evaluator) evalCtor(x *xq.ElementExpr, en *env) error {
 			return err
 		}
 	}
-	n := xmltree.NewElement(x.Tag)
 	nodes := 0
 	for _, item := range e.stack[mark:] {
 		if _, ok := item.(*xmltree.Node); ok {
 			nodes++
 		}
 	}
-	if nodes > 0 {
-		n.Children = make([]*xmltree.Node, 0, nodes)
-	}
+	n := e.slab.element(x.Tag, nodes)
 	for _, item := range e.stack[mark:] {
 		switch c := item.(type) {
 		case *xmltree.Node:
@@ -236,15 +233,15 @@ func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
 //
 // Nothing of a unit outlives the next EvalUnit in the evaluator, so the
 // unit's document and nodes may be memory the caller reuses. The document
-// node doc binds to is the evaluator's own, rebound by the next EvalUnit
-// (UnitNode); no other document node of a unit is cached. Built hash-join
-// indices are kept, so a join over a side document is built once per
-// evaluator: sound when only the first clause reads the unit document
-// (core's partition rule), as EvalUnit loops over that clause and never
-// hash-joins it. KeepsConstructed reports when a kept index holds
-// constructed elements. Everything else that holds nodes — the value
-// stack, the step buffers, the dedupe set and the loop frames — is
-// scratch, rewritten before it is read.
+// node doc binds to is the evaluator's own, rebound by the next EvalUnit;
+// no other document node of a unit is cached. Built hash-join indices are
+// kept, so a join over a side document is built once per evaluator: sound
+// when only the first clause reads the unit document (core's partition
+// rule), as EvalUnit loops over that clause and never hash-joins it.
+// KeepsConstructed reports when a kept index holds constructed elements,
+// which then live in the slab from unit to unit. Everything else that
+// holds nodes — the value stack, the step buffers, the dedupe set and the
+// loop frames — is scratch, rewritten before it is read.
 func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, doc *xmltree.Document) ([]*xmltree.Node, error) {
 	e.unit, e.unitNode = doc, xmltree.Node{Tag: docNodeTag}
 	if doc.Root != nil {
@@ -273,11 +270,6 @@ func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, doc *xmltree.Document) ([]*xmltree
 	e.stack = e.stack[:mark]
 	return out, err
 }
-
-// UnitNode is the document node EvalUnit bound its last unit document to.
-// The next EvalUnit rebinds it, so a caller that keeps results past that
-// copies it wherever they reach it.
-func (e *Evaluator) UnitNode() *xmltree.Node { return &e.unitNode }
 
 // evalClauses appends the FLWOR's value from clause idx on.
 func (e *Evaluator) evalClauses(x *xq.FLWORExpr, idx int, en *env) error {
@@ -423,7 +415,7 @@ func (e *Evaluator) buildJoinIndex(jp *joinPlan, cl xq.ForLetClause, en *env) er
 		return err
 	}
 	for _, item := range seq {
-		if n, ok := item.(*xmltree.Node); ok && Constructed(n) {
+		if n, ok := item.(*xmltree.Node); ok && constructed(n) {
 			e.keepsBuilt = true
 		}
 	}

@@ -20,11 +20,13 @@
 // frame and overwrites its item per iteration, and path steps run through
 // two reused buffers. Nothing is boxed per binding: nodes are pointers
 // already, and a literal's item was boxed once, when the query was parsed
-// (xq.LiteralExpr.Item). What outlives an evaluation is what it
-// constructed — each element with an exact-size Children slice — and the
-// one exact copy Eval, EvalTail or EvalUnit hands back. A caller that keeps
-// a result past the next EvalUnit copies what it reaches of the unit's
-// document node (UnitNode) and of any scratch the unit's document lives in.
+// (xq.LiteralExpr.Item). What outlives an evaluation is the one exact copy
+// Eval, EvalTail or EvalUnit hands back, and the elements it constructed:
+// on the heap, or in the caller's Slab (SetSlab), which the caller rewinds
+// and reuses once it has copied out the results it keeps. A caller that
+// keeps a result past the next EvalUnit also copies what it reaches of the
+// unit's document node, the evaluator's own, and of any scratch the unit's
+// document lives in.
 package xqeval
 
 import (
@@ -96,6 +98,7 @@ type Evaluator struct {
 	JoinProbes int
 
 	ctx       context.Context
+	slab      *Slab // where constructors build; nil: the heap
 	joins     map[*xq.FLWORExpr]*joinPlan
 	docNodes  map[*xmltree.Document]*xmltree.Node
 	callDepth int
@@ -162,19 +165,24 @@ func (e *Evaluator) ctxErr() error {
 // it ('#' is not a name character).
 const docNodeTag = "#document"
 
-// Constructed reports whether n is an element a constructor built: it has
+// SetSlab makes every constructor build its element in s from now on (a
+// nil s: on the heap, the default). The evaluator never rewinds s; its
+// caller may, between calls, unless KeepsConstructed.
+func (e *Evaluator) SetSlab(s *Slab) { e.slab = s }
+
+// constructed reports whether n is an element a constructor built: it has
 // no Dewey ID, and its tag is a name, where the wrappers that stand for a
 // document or hold several top-level PDT elements have a tag starting with
 // '#'.
-func Constructed(n *xmltree.Node) bool {
+func constructed(n *xmltree.Node) bool {
 	return len(n.ID) == 0 && !strings.HasPrefix(n.Tag, "#")
 }
 
 // KeepsConstructed reports whether one of the hash-join indices the
 // evaluator keeps from call to call (see EvalUnit) holds a constructed
-// element, which the next EvalUnit or EvalTail may then reach again. Every
-// other constructed element a call's value reaches was built by that call
-// (or comes from its binding, for EvalTail) and is the caller's alone.
+// element, which the next EvalUnit or EvalTail may then reach again: the
+// caller must not rewind the evaluator's slab from then on. No other
+// element a call constructs is read by a later call.
 func (e *Evaluator) KeepsConstructed() bool { return e.keepsBuilt }
 
 // docNode returns the cached document node for doc: a "#document" wrapper
@@ -184,7 +192,7 @@ func (e *Evaluator) KeepsConstructed() bool { return e.keepsBuilt }
 // would, but no step below it finds anything. The wrapper only references
 // the root, so catalog documents stay unchanged — which is what lets
 // concurrent evaluators share one catalog. EvalUnit's unit document has
-// the evaluator's own document node (UnitNode) instead of a cached one.
+// the evaluator's own document node instead of a cached one.
 func (e *Evaluator) docNode(doc *xmltree.Document) *xmltree.Node {
 	if doc == e.unit {
 		return &e.unitNode

@@ -369,14 +369,16 @@ return $bookrev`)
 // time, as core's per-document pass does: one evaluator, its catalog
 // holding the unit's document plus a shared side document, EvalUnit per
 // unit. Three things must hold: no unit's document node is cached — the
-// unit binds the evaluator's own (UnitNode) — a side join index is built
-// once and reused, and every unit's output equals a fresh evaluator's. The
+// unit binds the evaluator's own — a side join index is built once and
+// reused, and every unit's output equals a fresh evaluator's. The
+// evaluator constructs in a slab, rewound after every unit unless it
+// KeepsConstructed, as core's workers rewind theirs. The
 // first view's inner FLWOR is a hash join over the side document. The
 // second has one clause, whose where compares with the side document: Eval
 // would hash-join the unit's own reviews, an index no later unit may reuse.
 // The third hash-joins elements it constructs, which the kept index then
-// holds from unit to unit (KeepsConstructed), where the first's holds the
-// side document's own.
+// holds from unit to unit (KeepsConstructed), so a rewind would zero them
+// under the index; the first's holds the side document's own.
 func TestEvalUnitKeepsSideJoins(t *testing.T) {
 	for _, tc := range []struct {
 		view            string
@@ -396,7 +398,8 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 		}
 		fl := q.Body.(*xq.FLWORExpr)
 		cat := MapCatalog{"books.xml": catalog(t)["books.xml"]}
-		ev := New(cat, q.Functions)
+		ev, slab := New(cat, q.Functions), new(Slab)
+		ev.SetSlab(slab)
 		var prev *xmltree.Document
 		var index *joinIndex
 		for i, isbn := range []string{"111-11-1111", "222-22-2222", "999-99-9999", "111-11-1111"} {
@@ -427,7 +430,7 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 			if _, cached := ev.docNodes[unit]; cached || len(ev.docNodes) != 1 {
 				t.Fatalf("unit %d: %d document nodes cached, the unit's among them = %v", i, len(ev.docNodes), cached)
 			}
-			if un := ev.UnitNode(); len(un.Children) != 1 || un.Children[0] != unit.Root {
+			if un := ev.unitNode; len(un.Children) != 1 || un.Children[0] != unit.Root {
 				t.Fatalf("unit %d: the unit's document node is not over its root", i)
 			}
 			var built []*joinIndex
@@ -444,6 +447,9 @@ func TestEvalUnitKeepsSideJoins(t *testing.T) {
 			}
 			if ev.KeepsConstructed() != tc.constructed {
 				t.Fatalf("unit %d: KeepsConstructed is %v", i, !tc.constructed)
+			}
+			if !ev.KeepsConstructed() {
+				slab.Rewind()
 			}
 			prev = unit
 		}
