@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"strings"
 	"testing"
 
 	"vxml/internal/catalog"
@@ -132,6 +133,70 @@ func TestPooledArenasNeverReachResults(t *testing.T) {
 			if v.Deps.Partition() == "" {
 				mustMatchReference(t, label+" cluster", want, clusterRowsBetween(t, e, v, kws, opts, func() { others(vi) }))
 			}
+		}
+	}
+}
+
+// TestPooledEvaluatorsForgetTheLastPass: every direct pass takes its
+// evaluators from a pool and resets them (xqeval's Reset), and its side
+// documents' PDTs live in pooled arenas whose document headers and nodes
+// the next pass regenerates in place. So an evaluator that remembered its
+// last pass — a cached document node over a PDT's old root, or a join
+// index over a sequence whose nodes have since been regenerated — would
+// answer from a corpus that is gone. At pools of one and four, searches
+// of a join4-shaped view, of a per-document view joining a side document
+// and of a //x-first view over side.xml alternate with Replaces of
+// shelf.xml, the side document all three joins read, and of side.xml; one
+// replacement leaves shelf.xml's PDT empty (no article qualifies), and
+// another grows it. Every answer must be byte-identical to Baseline's.
+func TestPooledEvaluatorsForgetTheLastPass(t *testing.T) {
+	shelf := func(from, to int, word string) string {
+		var b strings.Builder
+		b.WriteString("<books>")
+		for i := from; i < to; i++ {
+			fmt.Fprintf(&b, `<article><fm><tl>study %d</tl><yr>%d</yr></fm><bdy>%s shelf %d</bdy></article>`, i, 1980+i%12, word, i)
+		}
+		b.WriteString("</books>")
+		return b.String()
+	}
+	replaces := []struct{ name, xml string }{
+		{"shelf.xml", shelf(0, 6, "copper")},
+		{"shelf.xml", `<books><note>copper quartz memo</note></books>`}, // an empty PDT
+		{"side.xml", `<a><x>quartz copper</x></a>`},
+		{"shelf.xml", shelf(3, 40, "quartz copper")},
+		{"side.xml", `<a><b><x>copper</x></b><c><x>memo copper</x><x>quartz</x></c></a>`},
+	}
+	for _, par := range []int{1, 4} {
+		e := arenaCorpus(t)
+		var views []*core.View
+		for _, text := range []string{arenaSideViews[4], arenaSideViews[1], arenaSideViews[2]} {
+			v, err := e.CompileView(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, v)
+		}
+		opts := core.Options{Parallelism: par, Disjunctive: true}
+		searches := 0
+		searchAll := func(step int) {
+			for vi, v := range views {
+				for _, kws := range [][]string{{"copper"}, {"quartz", "memo"}} {
+					label := fmt.Sprintf("pool %d, step %d, view %d, %v", par, step, vi, kws)
+					got, _ := statRows(t, e, v, kws, opts)
+					mustMatchReference(t, label, baselineRows(t, e, v, kws, opts), got)
+					searches += len(got)
+				}
+			}
+		}
+		searchAll(0)
+		for i, r := range replaces {
+			if err := e.ReplaceXML(r.name, r.xml); err != nil {
+				t.Fatal(err)
+			}
+			searchAll(i + 1)
+		}
+		if searches == 0 {
+			t.Fatalf("pool %d: no search had a result; the corpus no longer exercises the views", par)
 		}
 	}
 }

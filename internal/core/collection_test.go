@@ -227,7 +227,7 @@ func perExtraResult(t *testing.T, view string, search func(t *testing.T, e *Engi
 		return measure(func() { search(t, e, v) })
 	}
 	a128, a384 := perSearch(128), perSearch(384)
-	t.Logf("%v over 128 results, %v over 384", a128, a384)
+	t.Logf("%v over 128 articles, %v over 384", a128, a384)
 	return (a384 - a128) / 256
 }
 
@@ -259,7 +259,7 @@ const slabBytesPerNode = int(unsafe.Sizeof(xmltree.Node{}) + unsafe.Sizeof((*xml
 // binding's evaluation. Generation into a fresh arena per search, as
 // before side PDTs were pooled, paid the slab bytes on top: 595 bytes per
 // article on this view, against a bound of 416 (four PDT nodes per
-// article); pooled, it costs 177. Like the other pins it holds only
+// article); pooled, it costs 88. Like the other pins it holds only
 // without the race detector, which drops pooled arenas at random.
 func TestWholeViewPooledPDTAllocBytesPerArticle(t *testing.T) {
 	if raceDetector {
@@ -290,10 +290,11 @@ func TestWholeViewPooledPDTAllocBytesPerArticle(t *testing.T) {
 // view returning its binding bare costs, plus less than one constructed
 // element with its pointer in its parent's Children (slabBytesPerNode).
 // What a result costs either way — its share of the pass's per-result
-// arrays and its binding's evaluation, 176 bytes on these views — is not
-// construction's. Constructing on the heap cost the three elements and
-// their Children slices, 320 bytes more per result. Like the other pins
-// it holds only without the race detector.
+// arrays and stats slab, 88 bytes on these views (176 while each
+// binding's value was copied twice, by EvalTail and into its chunk's
+// results) — is not construction's. Constructing on the heap cost the
+// three elements and their Children slices, 320 bytes more per result.
+// Like the other pins it holds only without the race detector.
 func TestConstructedViewAllocBytesPerUnmatchedResult(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -314,17 +315,52 @@ func TestConstructedViewAllocBytesPerUnmatchedResult(t *testing.T) {
 	}
 }
 
+// joinEntryBytes is what a join key of its own cost a join index built
+// afresh: its map entry, a string key and a position list's header, and
+// the list's one position.
+const joinEntryBytes = int(unsafe.Sizeof("") + unsafe.Sizeof([]int(nil)) + unsafe.Sizeof(0))
+
+// TestJoinViewAllocBytesPerJoinedItem: a warm search of a join view
+// builds its hash-join index in the storage of a pooled evaluator, reset
+// from pass to pass, so one more item on the joined side, with a join key
+// of its own, costs fewer bytes than a fresh index spends on it, a map
+// entry and a one-position list (joinEntryBytes). The outer where keeps
+// one binding, so the search has one result whatever the shelf's size,
+// and what else an article costs is its outer binding's evaluation and
+// its PDT's nodes, in pooled arenas. Built afresh in a new evaluator per
+// pass, the index cost 196 bytes per article on this view, against a
+// bound of 48; pooled, it costs 0. Like the other pins it holds only
+// without the race detector.
+func TestJoinViewAllocBytesPerJoinedItem(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const view = `for $a in fn:doc(shelf.xml)/books//article where $a/fm/tl = 'study 0'
+	 return <r>{$a/fm/yr}, {for $b in fn:doc(shelf.xml)/books//article where $b/fm/tl = $a/fm/tl return $b/bdy}</r>`
+	per := perExtraResult(t, view, func(t *testing.T, e *Engine, v *View) {
+		results, stats, err := e.Search(v, []string{"nowhere"}, Options{K: 10, Parallelism: 1})
+		if err != nil || len(results) != 0 || stats.ViewSize != 1 {
+			t.Fatalf("%d results of %d, err %v", len(results), stats.ViewSize, err)
+		}
+	}, bytesPerRun)
+	t.Logf("%.0f bytes per extra joined article, bound %d", per, joinEntryBytes)
+	if per >= float64(joinEntryBytes) {
+		t.Errorf("%.0f bytes per extra joined article, want fewer than a fresh join index entry's %d", per, joinEntryBytes)
+	}
+}
+
 // wholeViewAllocsPerResult is what one more result of a whole-view view
 // partitioned by outer binding costs a search that ranks locally, object
-// by object: EvalTail's exact copy of the binding's value (1). Collection
-// allocates per chunk, not per result: a chunk's stats slab holds every
-// result's term frequencies and byte length, and detach's slab the copies
-// of its kept results (the side document's PDT lives in a pooled arena),
-// and the binding chunks are workers*4 whatever the view's size, as are
-// the search's results, rstats and owners arrays, one each. The chunks'
-// result slices, grown by doubling, add a twentieth of an allocation per
-// result.
-const wholeViewAllocsPerResult = 1
+// by object: nothing, since AppendTail appends each binding's nodes
+// straight to its chunk's results (an exact copy of each binding's value
+// cost one). Collection allocates per chunk, not per result: a chunk's
+// stats slab holds every result's term frequencies and byte length, and
+// detach's slab the copies of its kept results (the side document's PDT
+// lives in a pooled arena), and the binding chunks are workers*4 whatever
+// the view's size, as are the search's results, rstats and owners
+// arrays, one each. The chunks' result slices, grown by doubling, add a
+// twentieth of an allocation per result (0.031 measured).
+const wholeViewAllocsPerResult = 0
 
 // rewriteAllocsPerChunk is what one more result chunk (resultChunk
 // results) of a skeleton rewrite costs: the chunk's stats slab (1). Its

@@ -42,7 +42,6 @@ import (
 	"vxml/internal/store"
 	"vxml/internal/xmltree"
 	"vxml/internal/xq"
-	"vxml/internal/xqeval"
 )
 
 // ErrUnknownDocument reports a view that references a document name absent
@@ -825,17 +824,6 @@ func NormalizeKeywords(keywords []string) ([]string, error) {
 		out[i] = NormalizeKeyword(k)
 	}
 	return out, nil
-}
-
-// appendNodes appends the element items of an evaluation result to dst
-// (atomic values are not view results).
-func appendNodes(dst []*xmltree.Node, items []xqeval.Item) []*xmltree.Node {
-	for _, it := range items {
-		if n, ok := it.(*xmltree.Node); ok {
-			dst = append(dst, n)
-		}
-	}
-	return dst
 }
 
 // KeywordQuery is a Figure-2 style query split into its parts.

@@ -161,17 +161,16 @@ func (k keep) keeps(tfs []int, conjunctive bool) bool {
 }
 
 // worker is one pool goroutine's state in a pass: for units, the arena
-// their PDTs are generated into and an evaluator over a unit catalog it
-// re-points per unit; for binding chunks, an evaluator over the pass's
-// catalog; for both, the pooled slab the evaluator constructs in; the
-// current unit's document ID and posting list per keyword (no document has
-// ID 0, so a chunk's stay unset); and detach's scratch.
+// their PDTs are generated into and a pooled evaluator over a unit catalog
+// it re-points per unit; for binding chunks, a pooled evaluator over the
+// pass's catalog; the current unit's document ID and posting list per
+// keyword (no document has ID 0, so a chunk's stay unset); and detach's
+// scratch.
 type worker struct {
 	p     *pass
 	arena *pdt.Arena
 	empty xmltree.Document // the unit document of an empty PDT
-	ev    *xqeval.Evaluator
-	slab  *xqeval.Slab
+	ev    *evaluator
 	cat   unitCatalog
 	doc   int32
 	lists []*invindex.PostingList
@@ -216,9 +215,9 @@ func (c *unitCatalog) DocsMatching(pattern string) []*xmltree.Document {
 // run is work item i — a unit's PDT generation (an empty PDT is evaluated
 // as a root-less document, unit.document) and evaluation, a binding chunk's
 // evaluation, or a result chunk's results — then collect. Once collect has
-// copied out what the item keeps, the worker rewinds its slab for the next
-// item, unless the evaluator keeps constructed elements from call to call
-// (xqeval.Evaluator.KeepsConstructed).
+// copied out what the item keeps, the worker rewinds its evaluator's slab
+// for the next item, unless the evaluator keeps constructed elements from
+// call to call (xqeval.Evaluator.KeepsConstructed).
 func (w *worker) run(i int, d *itemOutput) {
 	p := w.p
 	// The partition rule's Outer, and a binding chunk's, is a top-level
@@ -249,11 +248,9 @@ func (w *worker) run(i int, d *itemOutput) {
 			if d.err = p.ctx.Err(); d.err != nil {
 				break
 			}
-			var items []xqeval.Item
-			if items, d.err = w.ev.EvalTail(fl, b); d.err != nil {
+			if d.results, d.err = w.ev.AppendTail(d.results, fl, b); d.err != nil {
 				break
 			}
-			d.results = appendNodes(d.results, items)
 		}
 	default:
 		d.results = p.results[p.chunks[i][0]:p.chunks[i][1]]
@@ -261,8 +258,8 @@ func (w *worker) run(i int, d *itemOutput) {
 	if d.err == nil {
 		w.collect(d)
 	}
-	if w.slab != nil && !w.ev.KeepsConstructed() {
-		w.slab.Rewind()
+	if w.ev != nil && !w.ev.KeepsConstructed() {
+		w.ev.slab.Rewind()
 	}
 	d.eval = time.Since(start)
 }
@@ -371,11 +368,33 @@ func (w *worker) copyOut(n *xmltree.Node) *xmltree.Node {
 // large document does not keep its slabs resident.
 var arenaPool = sync.Pool{New: func() any { return new(pdt.Arena) }}
 
-// slabPool recycles construction slabs across passes: the evaluator of
-// every direct pass's whole-view evaluation (evalOuter), and of each of
-// its workers, constructs in one. A slab grown past maxPooledSlab is left
-// to the collector.
-var slabPool = sync.Pool{New: func() any { return new(xqeval.Slab) }}
+// evaluator is a pooled evaluator with the construction slab it builds
+// in. The pass it serves resets it over the pass's catalog (xqeval's
+// Reset), so it keeps only capacity from pass to pass: its buffers, its
+// join indices' storage and its slab's chunks.
+type evaluator struct {
+	*xqeval.Evaluator
+	slab xqeval.Slab
+}
+
+// evalPool recycles evaluators across passes: every direct pass's
+// whole-view evaluation (evalOuter), and each of its workers, evaluates
+// with one. An evaluator grown past maxPooledEval is left to the
+// collector.
+var evalPool = sync.Pool{New: func() any {
+	ev := &evaluator{Evaluator: xqeval.New(nil, nil)}
+	ev.SetSlab(&ev.slab)
+	return ev
+}}
+
+// evaluatorOver takes an evaluator from the pool, reset over cat for the
+// pass.
+func (p *pass) evaluatorOver(cat xqeval.Catalog) *evaluator {
+	ev := evalPool.Get().(*evaluator)
+	ev.Reset(cat, p.v.Funcs)
+	ev.SetContext(p.ctx)
+	return ev
+}
 
 // maxPooledArena is the capacity, in nodes, of the largest arena the pool
 // keeps. It keeps the arenas of the benchmark's INEX-like join views: the
@@ -388,21 +407,25 @@ var slabPool = sync.Pool{New: func() any { return new(xqeval.Slab) }}
 // — per concurrent search, its side documents and its workers.
 const maxPooledArena = 1 << 13
 
-// maxPooledSlab is the capacity, in nodes or child pointers (Slab.Cap),
-// of the largest construction slab the pool keeps, derived as
-// maxPooledArena is: it keeps the slabs of the benchmark's INEX-like join
-// views, the largest of which held 1,611 nodes and 3,607 child pointers,
-// a Cap of 4,096, with room to spare for a worker whose evaluator keeps
-// constructed elements from item to item, and so holds what every item
-// it ran built. A pooled slab retains at most maxPooledSlab nodes and as
-// many child pointers, 104 bytes each (832 KiB); the pool holds at most
-// one slab per worker and one per whole-view evaluation of every
-// concurrent search.
-const maxPooledSlab = 1 << 13
+// maxPooledEval is the capacity, in elements (xqeval's Evaluator.Cap),
+// of the largest buffer a pooled evaluator may hold, derived as
+// maxPooledArena is: it keeps the evaluators of the benchmark's INEX-like
+// join views, whose largest buffer was a slab of 1,611 nodes and 3,607
+// child pointers, a Cap of 4,096 (the largest of their other buffers
+// held 1,792 items), with room to spare for a worker whose evaluator
+// keeps constructed elements from item to item, and so holds what every
+// item it ran built. A pooled evaluator's slab retains at most
+// maxPooledEval nodes and as many child pointers, 104 bytes each (832
+// KiB), and each of its other buffers at most maxPooledEval items or
+// positions; the pool holds at most one evaluator per worker and one per
+// whole-view evaluation of every concurrent search.
+const maxPooledEval = 1 << 13
 
-// release ends a pass's use of its pooled memory: every arena and slab is
-// cleared — no result points into it any more (detach), and a cleared one
-// keeps no document's index alive — and pooled unless it grew too large.
+// release ends a pass's use of its pooled memory: every arena is cleared
+// and every evaluator reset and its slab rewound — no result points into
+// them any more (detach), and a cleared arena or reset evaluator keeps no
+// document, index or view alive — and each is pooled unless it grew too
+// large.
 func (p *pass) release() {
 	for _, a := range p.arenas {
 		if a == nil {
@@ -413,13 +436,14 @@ func (p *pass) release() {
 			arenaPool.Put(a)
 		}
 	}
-	for _, s := range p.slabs {
-		if s == nil {
+	for _, ev := range p.evals {
+		if ev == nil {
 			continue
 		}
-		s.Rewind()
-		if s.Cap() <= maxPooledSlab {
-			slabPool.Put(s)
+		ev.Reset(nil, nil)
+		ev.slab.Rewind()
+		if ev.Cap() <= maxPooledEval {
+			evalPool.Put(ev)
 		}
 	}
 }
@@ -429,13 +453,13 @@ func (p *pass) release() {
 // each generating its PDT into its worker's pooled arena and evaluating
 // the view over it plus the side documents (EvalUnit); outer-binding
 // chunks (bindings), each evaluating a whole-view view per binding of its
-// outer for clause (EvalTail); or result chunks (results), a skeleton's
-// results or a view's evaluated whole. A direct pass's evaluators build
-// the view's elements in pooled slabs, so its results are pooled memory
-// until the collector copies out the ones it keeps. Every item ends in the
-// one collector, which writes nil slots into a result chunk's window of
-// results: only planned searches, which keep every result, serve a
-// skeleton, so its artifact is never written.
+// outer for clause (AppendTail); or result chunks (results), a skeleton's
+// results or a view's evaluated whole. A direct pass's evaluators are
+// pooled and build the view's elements in their slabs, so its results are
+// pooled memory until the collector copies out the ones it keeps. Every
+// item ends in the one collector, which writes nil slots into a result
+// chunk's window of results: only planned searches, which keep every
+// result, serve a skeleton, so its artifact is never written.
 type pass struct {
 	ctx context.Context
 	out *viewOutput
@@ -454,12 +478,13 @@ type pass struct {
 	owner int32
 	// pooled marks a direct pass, whose results reach its pooled memory:
 	// arenas, the pooled arenas its PDTs live in, the side documents' and,
-	// once the items are done, the workers'; and slabs, the construction
-	// slabs of its whole-view evaluation and of its workers. direct
-	// releases them all when the pass ends. A skeleton serve has none.
+	// once the items are done, the workers'; and evals, the evaluators of
+	// its whole-view evaluation and of its workers, which the bindings of
+	// a whole-view view live in. direct releases them all when the pass
+	// ends. A skeleton serve has none.
 	pooled bool
 	arenas []*pdt.Arena
-	slabs  []*xqeval.Slab
+	evals  []*evaluator
 }
 
 // run runs the pass's items on a pool of out.stats.Workers and
@@ -477,13 +502,13 @@ func (p *pass) run(start time.Time) error {
 	}
 	n := len(p.chunks)
 	var arenas []*pdt.Arena
-	var slabs []*xqeval.Slab
+	var evals []*evaluator
 	if p.units != nil {
 		n = len(p.units)
 		arenas = make([]*pdt.Arena, max(1, min(stats.Workers, n)))
 	}
 	if p.units != nil || p.bindings != nil {
-		slabs = make([]*xqeval.Slab, max(1, min(stats.Workers, n)))
+		evals = make([]*evaluator, max(1, min(stats.Workers, n)))
 	}
 	items := make([]itemOutput, n)
 	err := forEachWorker(p.ctx, stats.Workers, n, func(wi int) func(int) {
@@ -492,20 +517,16 @@ func (p *pass) run(start time.Time) error {
 		case p.units != nil:
 			w.arena, w.cat.sides = arenaPool.Get().(*pdt.Arena), p.sides
 			arenas[wi] = w.arena
-			w.ev = xqeval.New(&w.cat, p.v.Funcs)
+			w.ev = p.evaluatorOver(&w.cat)
+			evals[wi] = w.ev
 		case p.bindings != nil:
-			w.ev = xqeval.New(p.sides, p.v.Funcs)
-		}
-		if w.ev != nil {
-			w.slab = slabPool.Get().(*xqeval.Slab)
-			slabs[wi] = w.slab
-			w.ev.SetSlab(w.slab)
-			w.ev.SetContext(p.ctx)
+			w.ev = p.evaluatorOver(p.sides)
+			evals[wi] = w.ev
 		}
 		return func(i int) { w.run(i, &items[i]) }
 	})
 	p.arenas = append(p.arenas, arenas...)
-	p.slabs = append(p.slabs, slabs...)
+	p.evals = append(p.evals, evals...)
 	if err != nil {
 		return err
 	}
@@ -561,7 +582,7 @@ func (p *pass) run(start time.Time) error {
 // of the other references for a view that runs per document
 // (perDocumentReason), every candidate otherwise — get their PDTs
 // (PDTTime), in pooled arenas, and keyword lists first, once. The pass
-// releases its arenas and construction slabs when it ends. Its wall time
+// releases its arenas and evaluators when it ends. Its wall time
 // counts from the keyword lists on, a whole-view view's outer bindings or
 // whole evaluation included (run).
 func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
@@ -589,14 +610,11 @@ func (pl *plan) direct(ctx context.Context, v *View, out *viewOutput) error {
 // that fast workers take over from slow ones (FLWOR evaluates bindings
 // independently: xqeval.OuterBindings), each owned by a literal outer
 // document; any other view is evaluated whole, for result chunks. The
-// evaluator constructs in a pooled slab of the pass's, so the bindings and
-// results it builds live until the pass ends.
+// evaluator is a pooled one of the pass's, so the bindings, which live in
+// its storage, and the elements it builds live until the pass ends.
 func (p *pass) evalOuter(pl *plan) error {
-	ev := xqeval.New(p.sides, p.v.Funcs)
-	slab := slabPool.Get().(*xqeval.Slab)
-	p.slabs = append(p.slabs, slab)
-	ev.SetSlab(slab)
-	ev.SetContext(p.ctx)
+	ev := p.evaluatorOver(p.sides)
+	p.evals = append(p.evals, ev)
 	if fl, ok := p.v.Expr.(*xq.FLWORExpr); ok {
 		bindings, partitionable, err := ev.OuterBindings(fl)
 		if err != nil {
@@ -616,6 +634,6 @@ func (p *pass) evalOuter(pl *plan) error {
 	if err != nil {
 		return &evalError{err}
 	}
-	p.results = appendNodes(nil, items)
+	p.results = xqeval.AppendNodes(nil, items)
 	return nil
 }

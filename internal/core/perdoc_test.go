@@ -184,14 +184,12 @@ func mustAttributeByBinding(t *testing.T, label string, e *core.Engine, v *core.
 		if len(n.ID) == 0 {
 			n = n.Children[0]
 		}
-		items, err := ev.EvalTail(fl, b)
+		nodes, err := ev.AppendTail(nil, fl, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, it := range items {
-			if _, isNode := it.(*xmltree.Node); isNode {
-				owners = append(owners, n.ID[0])
-			}
+		for range nodes {
+			owners = append(owners, n.ID[0])
 		}
 	}
 	if len(owners) != rk.ViewSize {

@@ -46,20 +46,26 @@ return <brec><t>{$book/title}</t>,
    where $rev/isbn = $book/isbn
    return <rev>{$rev/isbn}, {$rev/content}</rev>}</brec>`
 
-// BenchmarkEvalFLWOR evaluates join views with a fresh evaluator per
-// iteration, as a search does: one_join returns a step expression from the
-// inner loop; direct_join is directJoinBenchView.
+// BenchmarkEvalFLWOR evaluates join views: one_join returns a step
+// expression from the inner loop, and direct_join is directJoinBenchView,
+// each with a fresh evaluator per iteration; reset_join is direct_join on
+// one evaluator reset per iteration, as a pooled evaluator is per pass,
+// so its join indices are rebuilt in the storage the evaluator keeps.
 func BenchmarkEvalFLWOR(b *testing.B) {
 	cat := benchCatalog(b, 100, 200)
-	for _, bc := range []struct{ name, view string }{
+	for _, bc := range []struct {
+		name, view string
+		reset      bool
+	}{
 		{"one_join", `
 for $book in fn:doc(books.xml)/books//book
 where $book/year > 1995
 return <r>{$book/title},
   {for $rev in fn:doc(reviews.xml)/reviews//review
    where $rev/isbn = $book/isbn
-   return $rev/content}</r>`},
-		{"direct_join", directJoinBenchView},
+   return $rev/content}</r>`, false},
+		{"direct_join", directJoinBenchView, false},
+		{"reset_join", directJoinBenchView, true},
 	} {
 		q, err := xq.Parse(bc.view)
 		if err != nil {
@@ -67,8 +73,13 @@ return <r>{$book/title},
 		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			ev := New(cat, q.Functions)
 			for i := 0; i < b.N; i++ {
-				ev := New(cat, q.Functions)
+				if bc.reset {
+					ev.Reset(cat, q.Functions)
+				} else {
+					ev = New(cat, q.Functions)
+				}
 				out, err := ev.Eval(q.Body, nil)
 				if err != nil {
 					b.Fatal(err)

@@ -148,82 +148,175 @@ func (e *Evaluator) evalCall(x *xq.CallExpr, en *env) error {
 	return e.eval(fd.Body, fnEnv)
 }
 
-// joinPlan is what the equality-join fast path knows about one FLWOR. The
-// shape — whether it qualifies and which comparison side is keyed by the
-// loop variable — depends on the expression alone, so it is analysed on
-// the first visit and never again; the hash index, which maps atomized
-// join-key values of the loop sequence to the ascending positions of the
-// matching items, is built when the first binding probes it.
+// joinPlan is what the equality-join fast path knows about one FLWOR in
+// one pass. The shape — whether it qualifies and which comparison side is
+// keyed by the loop variable — depends on the expression alone, so it is
+// analysed on the FLWOR's first visit in a pass; the hash index is built
+// when the first binding probes it.
 type joinPlan struct {
-	keyExpr, probeExpr xq.Expr // both nil: the FLWOR does not qualify
-	items              []Item
+	keyExpr, probeExpr xq.Expr    // both nil: the FLWOR does not qualify
 	index              *joinIndex // nil until built
 }
 
-// joinIndex matches join keys as pred.Compare's equality does: numbers by
-// value in byNum, where Go's float keys fold -0 into 0, and everything
-// else by spelling in byStr. A number never equals a non-number, whose
-// spelling differs.
+// joinIndex maps atomized join-key values of a loop sequence, items, to
+// the ascending positions of the matching items. It matches keys as
+// pred.Compare's equality does: numbers by value in byNum, where Go's
+// float keys fold -0 into 0, and everything else by spelling in byStr. A
+// number never equals a non-number, whose spelling differs. Both maps
+// number the distinct keys, and key k's positions are
+// pos[start[k]:start[k+1]]: one flat array, not a list per key. An index
+// is storage its evaluator keeps from pass to pass (Reset clears it).
 type joinIndex struct {
-	byNum map[float64][]int
-	byStr map[string][]int
+	items []Item
+	byNum map[float64]int32
+	byStr map[string]int32
+	// last is each key's last position recorded, and pairs every (key,
+	// position) recorded, in position order; seal sorts them into pos.
+	last  []int32
+	pairs []keyPos
+	start []int32
+	pos   []int32
 }
 
+type keyPos struct{ key, pos int32 }
+
 // add records position i under join key k. Positions arrive in ascending
-// order, so an item whose keys repeat a value finds itself last in the
-// list.
-func (ix *joinIndex) add(k string, i int) {
+// order, so an item whose keys repeat a value finds itself last.
+func (ix *joinIndex) add(k string, i int32) {
 	v, numeric := pred.Number(k)
-	switch {
-	case !numeric:
-		if l := ix.byStr[k]; len(l) == 0 || l[len(l)-1] != i {
-			ix.byStr[k] = append(l, i)
+	if numeric && math.IsNaN(v) {
+		return // NaN equals nothing, itself included
+	}
+	key, ok := int32(0), false
+	if numeric {
+		key, ok = ix.byNum[v]
+	} else {
+		key, ok = ix.byStr[k]
+	}
+	if !ok {
+		key = int32(len(ix.last))
+		ix.last = append(ix.last, -1)
+		if numeric {
+			ix.byNum[v] = key
+		} else {
+			ix.byStr[k] = key
 		}
-	case !math.IsNaN(v): // NaN equals nothing, itself included
-		if l := ix.byNum[v]; len(l) == 0 || l[len(l)-1] != i {
-			ix.byNum[v] = append(l, i)
-		}
+	}
+	if ix.last[key] != i {
+		ix.last[key] = i
+		ix.pairs = append(ix.pairs, keyPos{key, i})
+	}
+}
+
+// seal lays the recorded positions out in pos, key by key: a counting
+// sort of pairs by key, stable, so each key's positions stay ascending.
+func (ix *joinIndex) seal() {
+	keys := len(ix.last)
+	ix.start = slices.Grow(ix.start[:0], keys+1)[:keys+1]
+	clear(ix.start)
+	for _, p := range ix.pairs {
+		ix.start[p.key+1]++
+	}
+	for k := 1; k <= keys; k++ {
+		ix.start[k] += ix.start[k-1]
+	}
+	next := ix.last // each key's next slot in pos
+	copy(next, ix.start[:keys])
+	ix.pos = slices.Grow(ix.pos[:0], len(ix.pairs))[:len(ix.pairs)]
+	for _, p := range ix.pairs {
+		ix.pos[next[p.key]] = p.pos
+		next[p.key]++
 	}
 }
 
 // lookup returns the ascending positions whose join key equals k.
-func (ix *joinIndex) lookup(k string) []int {
-	if v, ok := pred.Number(k); ok {
-		return ix.byNum[v]
+func (ix *joinIndex) lookup(k string) []int32 {
+	key, ok := int32(0), false
+	if v, numeric := pred.Number(k); numeric {
+		key, ok = ix.byNum[v]
+	} else {
+		key, ok = ix.byStr[k]
 	}
-	return ix.byStr[k]
+	if !ok {
+		return nil
+	}
+	return ix.pos[ix.start[key]:ix.start[key+1]]
+}
+
+// clear empties the index, keeping its storage, and zeroes what it held.
+func (ix *joinIndex) clear() {
+	ix.items = cleared(ix.items)
+	clear(ix.byNum)
+	clear(ix.byStr)
+	ix.last, ix.pairs, ix.start, ix.pos = ix.last[:0], ix.pairs[:0], ix.start[:0], ix.pos[:0]
+}
+
+// cap is the number of elements the index's largest buffer holds without
+// growing; the maps hold at most cap(last) keys.
+func (ix *joinIndex) cap() int {
+	return max(cap(ix.items), cap(ix.last), cap(ix.pairs), cap(ix.pos))
+}
+
+// newJoinIndex returns the next empty join index of the evaluator's
+// storage.
+func (e *Evaluator) newJoinIndex() *joinIndex {
+	if e.built == len(e.indexes) {
+		e.indexes = append(e.indexes, &joinIndex{byNum: map[float64]int32{}, byStr: map[string]int32{}})
+	}
+	e.built++
+	return e.indexes[e.built-1]
 }
 
 // OuterBindings evaluates the binding sequence of a top-level FLWOR's first
 // clause, the axis along which evaluation can be partitioned: FLWOR
 // semantics evaluates the remaining clauses independently per binding and
-// concatenates, so Eval(x) is exactly the concatenation of
-// EvalTail(x, item) over these items in order. ok is false when the first
-// clause is a let binding (no partitionable sequence).
+// concatenates, so the nodes of Eval(x) are exactly what AppendTail
+// appends for these items in order. ok is false when the first clause is
+// a let binding (no partitionable sequence). The items are the
+// evaluator's own storage, valid until its next OuterBindings or Reset.
 func (e *Evaluator) OuterBindings(x *xq.FLWORExpr) ([]Item, bool, error) {
 	if len(x.Clauses) == 0 || x.Clauses[0].IsLet {
 		return nil, false, nil
 	}
-	seq, err := e.Eval(x.Clauses[0].In, nil)
-	return seq, true, err
+	mark := len(e.stack)
+	if err := e.eval(x.Clauses[0].In, nil); err != nil {
+		e.stack = e.stack[:mark]
+		return nil, true, err
+	}
+	e.outer = append(cleared(e.outer), e.stack[mark:]...)
+	e.stack = e.stack[:mark]
+	return e.outer, true, nil
 }
 
-// EvalTail evaluates the FLWOR's remaining clauses, where-filter and return
-// for a single binding of its first (for) clause. Different bindings may be
-// evaluated by different Evaluators — over the same immutable catalog —
-// and the concatenation of their outputs in binding order reproduces the
-// single-evaluator result exactly.
+// AppendTail evaluates the FLWOR's remaining clauses, where-filter and
+// return for a single binding of its first (for) clause, and appends the
+// nodes of the value to dst (atomic values are not view results).
+// Different bindings may be evaluated by different Evaluators — over the
+// same immutable catalog — and the concatenation of their outputs in
+// binding order reproduces the single-evaluator result exactly.
 //
 // The binding's frame is recycled from one call to the next.
-func (e *Evaluator) EvalTail(x *xq.FLWORExpr, binding Item) ([]Item, error) {
+func (e *Evaluator) AppendTail(dst []*xmltree.Node, x *xq.FLWORExpr, binding Item) ([]*xmltree.Node, error) {
 	f := e.loopFrame(x.Clauses[0].Var, nil)
 	f.item[0] = binding
 	mark := len(e.stack)
 	err := e.evalClauses(x, 1, f)
 	if err == nil {
 		e.release(f)
+		dst = AppendNodes(dst, e.stack[mark:])
 	}
-	return e.take(mark, err)
+	e.stack = e.stack[:mark]
+	return dst, err
+}
+
+// AppendNodes appends the nodes among items to dst.
+func AppendNodes(dst []*xmltree.Node, items []Item) []*xmltree.Node {
+	for _, it := range items {
+		if n, ok := it.(*xmltree.Node); ok {
+			dst = append(dst, n)
+		}
+	}
+	return dst
 }
 
 // EvalUnit evaluates a FLWOR that opens with a for clause, as Eval does,
@@ -259,12 +352,7 @@ func (e *Evaluator) EvalUnit(x *xq.FLWORExpr, doc *xmltree.Document) ([]*xmltree
 			}
 		}
 		if n > 0 {
-			out = make([]*xmltree.Node, 0, n)
-			for _, it := range e.stack[mark:] {
-				if node, ok := it.(*xmltree.Node); ok {
-					out = append(out, node)
-				}
-			}
+			out = AppendNodes(make([]*xmltree.Node, 0, n), e.stack[mark:])
 		}
 	}
 	e.stack = e.stack[:mark]
@@ -330,33 +418,33 @@ func (e *Evaluator) loop(x *xq.FLWORExpr, idx int, en *env) error {
 // planJoin analyses the FLWOR's last clause cl for the fast path: an
 // equality where-clause over a loop-invariant sequence with the loop
 // variable on exactly one side.
-func planJoin(x *xq.FLWORExpr, cl xq.ForLetClause) *joinPlan {
+func planJoin(x *xq.FLWORExpr, cl xq.ForLetClause) joinPlan {
 	cmp, isCmp := x.Where.(*xq.CmpExpr)
 	if !isCmp || cmp.Op != pred.Eq || len(FreeVars(cl.In)) != 0 {
-		return &joinPlan{}
+		return joinPlan{}
 	}
 	// Against a literal the where-clause is a selection by value ("07" = 7,
 	// as the path index answers it); a hash table would match by spelling.
 	_, litLeft := cmp.Left.(*xq.LiteralExpr)
 	if _, litRight := cmp.Right.(*xq.LiteralExpr); litLeft || litRight {
-		return &joinPlan{}
+		return joinPlan{}
 	}
 	leftVars, rightVars := FreeVars(cmp.Left), FreeVars(cmp.Right)
 	switch {
 	case onlyVar(leftVars, cl.Var) && !rightVars[cl.Var]:
-		return &joinPlan{keyExpr: cmp.Left, probeExpr: cmp.Right}
+		return joinPlan{keyExpr: cmp.Left, probeExpr: cmp.Right}
 	case onlyVar(rightVars, cl.Var) && !leftVars[cl.Var]:
-		return &joinPlan{keyExpr: cmp.Right, probeExpr: cmp.Left}
+		return joinPlan{keyExpr: cmp.Right, probeExpr: cmp.Left}
 	}
-	return &joinPlan{}
+	return joinPlan{}
 }
 
 // tryHashJoin applies the equality-join fast path when eligible, appending
 // the FLWOR's value. It returns ok=false when the FLWOR shape does not
 // qualify.
 func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) (bool, error) {
-	jp := e.joins[x]
-	if jp == nil {
+	jp, planned := e.joins[x]
+	if !planned {
 		jp = planJoin(x, cl)
 		e.joins[x] = jp
 	}
@@ -364,9 +452,11 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) (b
 		return false, nil
 	}
 	if jp.index == nil {
-		if err := e.buildJoinIndex(jp, cl, en); err != nil {
+		var err error
+		if jp.index, err = e.buildJoinIndex(jp.keyExpr, cl, en); err != nil {
 			return true, err
 		}
+		e.joins[x] = jp
 	}
 	mark := len(e.stack)
 	if err := e.eval(jp.probeExpr, en); err != nil {
@@ -378,7 +468,7 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) (b
 	// list is that already; several are merged in a region of e.positions,
 	// which a join nested in the return clause only appends above.
 	pmark := len(e.positions)
-	var order []int
+	var order []int32
 	if len(probes) == 1 {
 		order = jp.index.lookup(Atomize(probes[0]))
 	} else {
@@ -396,7 +486,7 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) (b
 		if err := e.ctxErr(); err != nil {
 			return true, err
 		}
-		f.item[0] = jp.items[i]
+		f.item[0] = jp.index.items[i]
 		if err := e.eval(x.Return, f); err != nil {
 			return true, err
 		}
@@ -406,38 +496,39 @@ func (e *Evaluator) tryHashJoin(x *xq.FLWORExpr, cl xq.ForLetClause, en *env) (b
 	return true, nil
 }
 
-// buildJoinIndex evaluates the loop sequence — kept as jp.items, an Eval
-// copy, since every later probe indexes into it — and hashes each item's
-// join keys.
-func (e *Evaluator) buildJoinIndex(jp *joinPlan, cl xq.ForLetClause, en *env) error {
-	seq, err := e.Eval(cl.In, en)
-	if err != nil {
-		return err
+// buildJoinIndex evaluates the loop sequence into the items of the
+// evaluator's next join index, since every later probe indexes into it,
+// and hashes each item's join keys, the values of key.
+func (e *Evaluator) buildJoinIndex(key xq.Expr, cl xq.ForLetClause, en *env) (*joinIndex, error) {
+	mark := len(e.stack)
+	if err := e.eval(cl.In, en); err != nil {
+		return nil, err
 	}
-	for _, item := range seq {
+	ix := e.newJoinIndex()
+	ix.items = append(ix.items, e.stack[mark:]...)
+	e.stack = e.stack[:mark]
+	for _, item := range ix.items {
 		if n, ok := item.(*xmltree.Node); ok && constructed(n) {
 			e.keepsBuilt = true
 		}
 	}
-	index := &joinIndex{byNum: map[float64][]int{}, byStr: make(map[string][]int, len(seq))}
 	f := e.loopFrame(cl.Var, nil)
-	for i, item := range seq {
+	for i, item := range ix.items {
 		if err := e.ctxErr(); err != nil {
-			return err
+			return nil, err
 		}
 		f.item[0] = item
-		mark := len(e.stack)
-		if err := e.eval(jp.keyExpr, f); err != nil {
-			return err
+		if err := e.eval(key, f); err != nil {
+			return nil, err
 		}
 		for _, k := range e.stack[mark:] {
-			index.add(Atomize(k), i)
+			ix.add(Atomize(k), int32(i))
 		}
 		e.stack = e.stack[:mark]
 	}
 	e.release(f)
-	jp.items, jp.index = seq, index
-	return nil
+	ix.seal()
+	return ix, nil
 }
 
 func onlyVar(vars map[string]bool, v string) bool {

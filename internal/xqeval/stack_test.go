@@ -2,7 +2,7 @@
 // shared stack could overwrite a region that is still live: every shape
 // must evaluate to its pinned answer with the hash join on and off, from a
 // fresh evaluator and from one that has run every other shape, whole or
-// binding by binding through EvalTail; the stack must be empty between
+// binding by binding through AppendTail; the stack must be empty between
 // evaluations; and a slice Eval returned must not change when the
 // evaluator runs again.
 package xqeval
@@ -140,15 +140,17 @@ func TestStackDiscipline(t *testing.T) {
 				if err != nil || !ok {
 					t.Fatalf("%s: OuterBindings = %v, %v", stackShapes[i].name, ok, err)
 				}
-				var tails []Item
+				var nodes []*xmltree.Node
 				for _, b := range bindings {
-					items, err := reused.EvalTail(fl, b)
-					if err != nil {
+					if nodes, err = reused.AppendTail(nodes, fl, b); err != nil {
 						t.Fatal(err)
 					}
-					tails = append(tails, items...)
 				}
-				check(reused, i, "EvalTail per binding", tails)
+				tails := make([]Item, len(nodes))
+				for j, n := range nodes {
+					tails[j] = n
+				}
+				check(reused, i, "AppendTail per binding", tails)
 			}
 		}
 		// Every shape has since run again, twice over, on the evaluator that

@@ -21,12 +21,24 @@
 // two reused buffers. Nothing is boxed per binding: nodes are pointers
 // already, and a literal's item was boxed once, when the query was parsed
 // (xq.LiteralExpr.Item). What outlives an evaluation is the one exact copy
-// Eval, EvalTail or EvalUnit hands back, and the elements it constructed:
+// Eval or EvalUnit hands back, the nodes AppendTail appends to the
+// caller's slice, the sequence OuterBindings leaves in the evaluator's
+// storage until its next call or Reset, and the elements it constructed:
 // on the heap, or in the caller's Slab (SetSlab), which the caller rewinds
 // and reuses once it has copied out the results it keeps. A caller that
 // keeps a result past the next EvalUnit also copies what it reaches of the
 // unit's document node, the evaluator's own, and of any scratch the unit's
 // document lives in.
+//
+// An evaluator can serve pass after pass (Reset). Its hash-join indices
+// are rebuilt in every pass, since their contents are the pass's, but
+// into storage it keeps: cleared maps that number the keys, one flat
+// position array and a retained buffer for the indexed sequence. Reset
+// forgets everything else of the last pass — the join plans and indices,
+// the cached document nodes, the unit, KeepsConstructed and the context —
+// and zeroes every reference its buffers retain, keeping their capacity
+// (Cap) and its slab, so a reset evaluator holds no document, node or
+// view alive.
 package xqeval
 
 import (
@@ -97,9 +109,13 @@ type Evaluator struct {
 	// JoinProbes counts hash-join probes for diagnostics.
 	JoinProbes int
 
-	ctx       context.Context
-	slab      *Slab // where constructors build; nil: the heap
-	joins     map[*xq.FLWORExpr]*joinPlan
+	ctx   context.Context
+	slab  *Slab // where constructors build; nil: the heap
+	joins map[*xq.FLWORExpr]joinPlan
+	// indexes is the storage of the join indices, kept across Reset: the
+	// first built of them hold this pass's indices, the rest are empty.
+	indexes   []*joinIndex
+	built     int
 	docNodes  map[*xmltree.Document]*xmltree.Node
 	callDepth int
 	// keepsBuilt records that a join index, kept from call to call, holds
@@ -115,33 +131,91 @@ type Evaluator struct {
 	// eval); positions holds merged hash-join match positions under the same
 	// discipline.
 	stack     []Item
-	positions []int
+	positions []int32
 	// steps are evalSteps' two alternating buffers and seen its dedupe set,
 	// live only within one evalSteps call.
 	steps [2][]Item
 	seen  map[*xmltree.Node]bool
+	// outer holds the sequence OuterBindings returned last.
+	outer []Item
 	// free chains the binding frames of finished loops for reuse.
 	free *env
 }
 
 // New returns an evaluator for the query's function environment.
 func New(catalog Catalog, funcs map[string]*xq.FuncDecl) *Evaluator {
-	if funcs == nil {
-		funcs = map[string]*xq.FuncDecl{}
-	}
-	return &Evaluator{
-		catalog:  catalog,
-		funcs:    funcs,
-		HashJoin: true,
-		joins:    map[*xq.FLWORExpr]*joinPlan{},
+	e := &Evaluator{
+		joins:    map[*xq.FLWORExpr]joinPlan{},
 		docNodes: map[*xmltree.Document]*xmltree.Node{},
 	}
+	e.Reset(catalog, funcs)
+	return e
+}
+
+// Reset readies the evaluator for another pass, over catalog with funcs,
+// as New would return it but for its slab (SetSlab), which it keeps for
+// its caller to rewind, and the capacity of its buffers: the value stack,
+// the step buffers, the dedupe set, the position buffer, the binding
+// frames, and the join indices' maps and flat storage. It forgets every
+// reference the last pass left in them — its join indices and plans, its
+// cached document nodes, its unit, whether it KeepsConstructed, and its
+// context — so a reset evaluator keeps no document, node or view alive.
+func (e *Evaluator) Reset(catalog Catalog, funcs map[string]*xq.FuncDecl) {
+	e.catalog, e.funcs = catalog, funcs
+	e.HashJoin, e.JoinProbes = true, 0
+	e.ctx, e.callDepth, e.keepsBuilt = nil, 0, false
+	e.resetJoins()
+	clear(e.docNodes)
+	e.unit, e.unitNode, e.unitKid[0] = nil, xmltree.Node{}, nil
+	e.stack = cleared(e.stack)
+	e.positions = e.positions[:0]
+	e.steps[0], e.steps[1] = cleared(e.steps[0]), cleared(e.steps[1])
+	clear(e.seen)
+	e.outer = cleared(e.outer)
+	for f := e.free; f != nil; f = f.parent {
+		f.name = ""
+	}
+}
+
+// cleared returns buf emptied, its whole capacity zeroed: buffers are cut
+// back without zeroing while a pass runs.
+func cleared(buf []Item) []Item {
+	clear(buf[:cap(buf)])
+	return buf[:0]
+}
+
+// resetJoins forgets every join plan and clears every join index built
+// since the last reset, keeping their storage.
+func (e *Evaluator) resetJoins() {
+	clear(e.joins)
+	for _, ix := range e.indexes[:e.built] {
+		ix.clear()
+	}
+	e.built = 0
+}
+
+// Cap is the number of elements the largest buffer the evaluator keeps
+// across Reset holds without growing: its value stack, step buffers,
+// position buffer, outer bindings, each join index's sequence, keys and
+// positions, and its slab's nodes or child pointers (Slab.Cap). Each of
+// them retains at most Cap elements, and the dedupe set and the join
+// indices' maps no more entries than the step buffers, the stack and the
+// key lists hold.
+func (e *Evaluator) Cap() int {
+	c := max(cap(e.stack), cap(e.steps[0]), cap(e.steps[1]), cap(e.positions), cap(e.outer))
+	for _, ix := range e.indexes {
+		c = max(c, ix.cap())
+	}
+	if e.slab != nil {
+		c = max(c, e.slab.Cap())
+	}
+	return c
 }
 
 // EvalQuery evaluates the query body in an empty environment.
 func (e *Evaluator) EvalQuery(q *xq.Query) ([]Item, error) {
 	e.funcs = q.Functions
-	e.joins = map[*xq.FLWORExpr]*joinPlan{}
+	e.resetJoins()
 	return e.Eval(q.Body, nil)
 }
 
@@ -180,7 +254,7 @@ func constructed(n *xmltree.Node) bool {
 
 // KeepsConstructed reports whether one of the hash-join indices the
 // evaluator keeps from call to call (see EvalUnit) holds a constructed
-// element, which the next EvalUnit or EvalTail may then reach again: the
+// element, which the next EvalUnit or AppendTail may then reach again: the
 // caller must not rewind the evaluator's slab from then on. No other
 // element a call constructs is read by a later call.
 func (e *Evaluator) KeepsConstructed() bool { return e.keepsBuilt }
