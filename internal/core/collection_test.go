@@ -349,6 +349,38 @@ func TestJoinViewAllocBytesPerJoinedItem(t *testing.T) {
 	}
 }
 
+// TestPooledEvaluatorsDoNotOutliveACollection: the evaluators a pass
+// returns to evalPool serve the passes that follow until the next
+// collection, which frees them, so the live heap a collection leaves
+// never holds an idle one, wherever in the work the collection before
+// it fell. With a sync.Pool, an evaluator pooled since the last
+// collection stays live through the next.
+func TestPooledEvaluatorsDoNotOutliveACollection(t *testing.T) {
+	e := New(store.New())
+	if err := e.AddXML("shelf.xml", `<books><article><tl>xml</tl></article><article><tl>search</tl></article></books>`); err != nil {
+		t.Fatal(err)
+	}
+	v, err := e.CompileView(`for $a in fn:doc(shelf.xml)/books//article
+	 return <r>{$a/tl}, {for $b in fn:doc(shelf.xml)/books//article where $b/tl = $a/tl return $b}</r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if results, _, err := e.Search(v, []string{"xml"}, Options{K: 10, Parallelism: 2}); err != nil || len(results) != 1 {
+			t.Fatalf("%d results, err %v", len(results), err)
+		}
+	}
+	ev := evalPool.get()
+	if ev == nil {
+		t.Fatal("no pooled evaluator after a search")
+	}
+	evalPool.put(ev)
+	runtime.GC()
+	if evalPool.get() != nil {
+		t.Error("a pooled evaluator outlived a collection")
+	}
+}
+
 // wholeViewAllocsPerResult is what one more result of a whole-view view
 // partitioned by outer binding costs a search that ranks locally, object
 // by object: nothing, since AppendTail appends each binding's nodes

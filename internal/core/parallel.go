@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"vxml/internal/docname"
 	"vxml/internal/invindex"
@@ -380,20 +381,55 @@ type evaluator struct {
 // evalPool recycles evaluators across passes: every direct pass's
 // whole-view evaluation (evalOuter), and each of its workers, evaluates
 // with one. An evaluator grown past maxPooledEval is left to the
-// collector.
-var evalPool = sync.Pool{New: func() any {
-	ev := &evaluator{Evaluator: xqeval.New(nil, nil)}
-	ev.SetSlab(&ev.slab)
-	return ev
-}}
+// collector, and so is every pooled one at the next collection: a fresh
+// evaluator costs a pass little, so unlike an arena none is kept through
+// a collection (weakPool).
+var evalPool weakPool[evaluator]
 
-// evaluatorOver takes an evaluator from the pool, reset over cat for the
-// pass.
+// evaluatorOver takes an evaluator from the pool, or a new one, reset
+// over cat for the pass.
 func (p *pass) evaluatorOver(cat xqeval.Catalog) *evaluator {
-	ev := evalPool.Get().(*evaluator)
+	ev := evalPool.get()
+	if ev == nil {
+		ev = &evaluator{Evaluator: xqeval.New(nil, nil)}
+		ev.SetSlab(&ev.slab)
+	}
 	ev.Reset(cat, p.v.Funcs)
 	ev.SetContext(p.ctx)
 	return ev
+}
+
+// weakPool is a free list that holds its members weakly: a member is
+// reused until a collection finds it idle and frees it. The live heap a
+// collection leaves therefore holds no idle member, where a sync.Pool's
+// holds everything put into it since the collection before, an amount
+// that depends on where in the work that one fell.
+type weakPool[T any] struct {
+	mu   sync.Mutex
+	free []weak.Pointer[T]
+}
+
+// get returns the member put last that the collector has not freed, or
+// nil. It drops the freed entries it passes, so the list never holds
+// more entries than members were ever out at once.
+func (wp *weakPool[T]) get() *T {
+	wp.mu.Lock()
+	defer wp.mu.Unlock()
+	for len(wp.free) > 0 {
+		v := wp.free[len(wp.free)-1].Value()
+		wp.free = wp.free[:len(wp.free)-1]
+		if v != nil {
+			return v
+		}
+	}
+	return nil
+}
+
+// put returns v to the pool.
+func (wp *weakPool[T]) put(v *T) {
+	wp.mu.Lock()
+	wp.free = append(wp.free, weak.Make(v))
+	wp.mu.Unlock()
 }
 
 // maxPooledArena is the capacity, in nodes, of the largest arena the pool
@@ -418,7 +454,8 @@ const maxPooledArena = 1 << 13
 // maxPooledEval nodes and as many child pointers, 104 bytes each (832
 // KiB), and each of its other buffers at most maxPooledEval items or
 // positions; the pool holds at most one evaluator per worker and one per
-// whole-view evaluation of every concurrent search.
+// whole-view evaluation of every concurrent search, each until the next
+// collection.
 const maxPooledEval = 1 << 13
 
 // release ends a pass's use of its pooled memory: every arena is cleared
@@ -443,7 +480,7 @@ func (p *pass) release() {
 		ev.Reset(nil, nil)
 		ev.slab.Rewind()
 		if ev.Cap() <= maxPooledEval {
-			evalPool.Put(ev)
+			evalPool.put(ev)
 		}
 	}
 }
